@@ -7,6 +7,7 @@ package pmgard
 // full-scale series recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -171,7 +172,7 @@ func BenchmarkRetrieve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RetrieveTolerance(h, c, est, tol); err != nil {
+		if _, _, err := RetrieveTolerance(context.Background(), h, c, est, tol, RetrieveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,7 +189,7 @@ func BenchmarkDecompose(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decompose.Decompose(field, opt); err != nil {
+		if _, err := decompose.Decompose(field, opt, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +206,7 @@ func BenchmarkBitplaneEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bitplane.EncodeLevel(coeffs, 32); err != nil {
+		if _, err := bitplane.EncodeLevel(coeffs, 32, bitplane.Negabinary, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -278,7 +279,7 @@ func BenchmarkRetrieveParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RetrieveWorkers(h, c, plan, workers); err != nil {
+				if _, err := Retrieve(context.Background(), h, c, plan, RetrieveOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -343,7 +344,6 @@ func BenchmarkSessionShared(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	src := StoreSource{Store: st}
 	est := h.TheoryEstimator()
 	tol := h.AbsTolerance(1e-6)
 
@@ -359,7 +359,7 @@ func BenchmarkSessionShared(b *testing.B) {
 					errs[i] = err
 					return
 				}
-				_, _, _, errs[i] = s.Refine(est, tol)
+				_, _, _, errs[i] = s.Refine(context.Background(), est, tol)
 			}(i)
 		}
 		wg.Wait()
@@ -375,21 +375,21 @@ func BenchmarkSessionShared(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			refinePair(b, func() (*Session, error) { return NewSession(h, src) })
+			refinePair(b, func() (*Session, error) { return NewSession(h, st) })
 		}
 	})
 	b.Run("shared", func(b *testing.B) {
 		cache := NewPlaneCache(0)
 		// Warm pass outside the timer: steady-state serving hits the cache.
 		refinePair(b, func() (*Session, error) {
-			return NewSharedSession(h, SharedSource{Src: src, Cache: cache})
+			return NewSharedSession(h, SharedSource{Src: st, Cache: cache})
 		})
 		b.SetBytes(int64(2 * 8 * field.Len()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			refinePair(b, func() (*Session, error) {
-				return NewSharedSession(h, SharedSource{Src: src, Cache: cache})
+				return NewSharedSession(h, SharedSource{Src: st, Cache: cache})
 			})
 		}
 	})

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -169,7 +170,7 @@ func run(in, boundsArg string) error {
 		if err != nil {
 			return err
 		}
-		rec, plan, err := core.RetrieveTolerance(h, c, est, tol)
+		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 		if err != nil {
 			return err
 		}

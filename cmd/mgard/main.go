@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -258,7 +259,7 @@ func cmdRetrieve(args []string) error {
 		return of.Finish(o)
 	}
 	var h *core.Header
-	var src core.SegmentSource
+	var src storage.SegmentSource
 	var flatStore *storage.Store
 	var tieredStore *storage.TieredStore
 	if *tiered != "" {
@@ -269,7 +270,7 @@ func cmdRetrieve(args []string) error {
 		}
 		defer tieredStore.Close()
 		tieredStore.Instrument(o)
-		src = core.TieredSource{Store: tieredStore}
+		src = tieredStore
 	} else {
 		var err error
 		h, flatStore, err = core.OpenFile(*in)
@@ -277,7 +278,7 @@ func cmdRetrieve(args []string) error {
 			return err
 		}
 		defer flatStore.Close()
-		src = core.StoreSource{Store: flatStore}
+		src = flatStore
 	}
 
 	if *faultRate < 0 || *faultRate > 1 {
@@ -317,7 +318,7 @@ func cmdRetrieve(args []string) error {
 	var err error
 	switch *control {
 	case "theory":
-		rec, plan, err = core.RetrieveToleranceObs(h, src, h.TheoryEstimator(), tol, *workers, o)
+		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, h.TheoryEstimator(), tol, core.RetrieveOptions{Workers: *workers, Obs: o})
 	case "emgard":
 		if *model == "" {
 			return fmt.Errorf("retrieve: -control emgard requires -model")
@@ -332,7 +333,7 @@ func cmdRetrieve(args []string) error {
 		if err != nil {
 			return err
 		}
-		rec, plan, err = core.RetrieveToleranceObs(h, src, est, tol, *workers, o)
+		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, est, tol, core.RetrieveOptions{Workers: *workers, Obs: o})
 	case "planes":
 		if *planesArg == "" {
 			return fmt.Errorf("retrieve: -control planes requires -planes")
@@ -345,7 +346,7 @@ func cmdRetrieve(args []string) error {
 			}
 			planes = append(planes, v)
 		}
-		rec, plan, err = core.RetrievePlanesObs(h, src, planes, *workers, o)
+		rec, plan, err = core.RetrievePlanes(context.Background(), h, src, planes, core.RetrieveOptions{Workers: *workers, Obs: o})
 	default:
 		return fmt.Errorf("retrieve: unknown control %q", *control)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -48,7 +49,7 @@ func groundTruth(t *testing.T, c *core.Compressed, rel float64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _, deg, err := sess.Refine(h.TheoryEstimator(), h.AbsTolerance(rel))
+	rec, _, deg, err := sess.Refine(context.Background(), h.TheoryEstimator(), h.AbsTolerance(rel))
 	if err != nil || deg != nil {
 		t.Fatalf("ground-truth refine: deg=%v err=%v", deg, err)
 	}
@@ -57,7 +58,7 @@ func groundTruth(t *testing.T, c *core.Compressed, rel float64) string {
 
 // newChaosServer builds a server over one pre-wrapped source and starts an
 // httptest front end with the full middleware chain.
-func newChaosServer(t *testing.T, cfg serverConfig, h *core.Header, src core.SegmentSource) (*server, *httptest.Server, *obs.Obs) {
+func newChaosServer(t *testing.T, cfg serverConfig, h *core.Header, src storage.SegmentSource) (*server, *httptest.Server, *obs.Obs) {
 	t.Helper()
 	o := obs.New()
 	cfg.Obs = o
@@ -109,7 +110,7 @@ func doRefine(t *testing.T, ts *httptest.Server, query string) refineResult {
 // stallSource blocks reads while stalled; unstall releases present and
 // future readers. The inner source is consulted after the gate clears.
 type stallSource struct {
-	inner   core.SegmentSource
+	inner   storage.SegmentSource
 	mu      sync.Mutex
 	gate    chan struct{}
 	entered atomic.Int64
@@ -132,7 +133,7 @@ func (s *stallSource) unstall() {
 	s.mu.Unlock()
 }
 
-func (s *stallSource) Segment(level, plane int) ([]byte, error) {
+func (s *stallSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	s.mu.Lock()
 	gate := s.gate
 	s.mu.Unlock()
@@ -140,20 +141,20 @@ func (s *stallSource) Segment(level, plane int) ([]byte, error) {
 		s.entered.Add(1)
 		<-gate
 	}
-	return s.inner.Segment(level, plane)
+	return s.inner.Segment(ctx, level, plane)
 }
 
 // flakySource fails every read with a transient fault while failing is set.
 type flakySource struct {
-	inner   core.SegmentSource
+	inner   storage.SegmentSource
 	failing atomic.Bool
 }
 
-func (f *flakySource) Segment(level, plane int) ([]byte, error) {
+func (f *flakySource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	if f.failing.Load() {
 		return nil, fmt.Errorf("chaos: injected outage: %w", storage.ErrTransient)
 	}
-	return f.inner.Segment(level, plane)
+	return f.inner.Segment(ctx, level, plane)
 }
 
 // TestChaosLatencyAndTransientFaults replays concurrent refine waves at 1,

@@ -281,7 +281,7 @@ func splitList(s string) []string {
 // breaker-wrapped) segment source, and the handle to release on shutdown.
 type fieldHandle struct {
 	header *core.Header
-	src    core.SegmentSource
+	src    storage.SegmentSource
 	close  func() error
 	// store is the validating fetch+decompress path over src, shared with
 	// the node role's /planes endpoint so router traffic and local refine
@@ -289,7 +289,7 @@ type fieldHandle struct {
 	store *core.PlaneStore
 	// planes, when non-nil, replaces the store fetch path entirely: the
 	// router role fills cache misses from remote nodes through it.
-	planes servecache.SourceCtx
+	planes servecache.Source
 	// breaker is the field's circuit breaker, nil when disabled.
 	breaker *resilience.Breaker
 	// probeErr is the startup readiness probe result: the error from
@@ -389,7 +389,7 @@ func newServer(cfg serverConfig) (*server, error) {
 // resilience stack: retries closest to the store, the circuit breaker above
 // them (one tier outage costs one breaker failure, not one per attempt),
 // and probing the first segment for the readiness report.
-func (s *server) add(h *core.Header, src core.SegmentSource, closeFn func() error) error {
+func (s *server) add(h *core.Header, src storage.SegmentSource, closeFn func() error) error {
 	if _, ok := s.fields[h.FieldName]; ok {
 		return fmt.Errorf("duplicate field %q", h.FieldName)
 	}
@@ -416,7 +416,7 @@ func (s *server) add(h *core.Header, src core.SegmentSource, closeFn func() erro
 	}
 	fh.store = store
 	if h.Planes > 0 && len(h.Levels) > 0 {
-		_, fh.probeErr = src.Segment(0, 0)
+		_, fh.probeErr = src.Segment(context.Background(), 0, 0)
 	}
 	s.fields[h.FieldName] = fh
 	s.names = append(s.names, h.FieldName)
@@ -464,7 +464,7 @@ func (s *server) initRouter(ctx context.Context, m *shard.Map) error {
 		if h.Planes > 0 && len(h.Levels) > 0 {
 			// The same readiness discipline as local fields: probe the first
 			// plane end to end (placement, node fetch, length validation).
-			_, _, fh.probeErr = fc.FetchPlaneCtx(ctx,
+			_, _, fh.probeErr = fc.FetchPlane(ctx,
 				servecache.Key{Codec: h.Codec(), Field: cacheFieldID(h), Level: 0, Plane: 0})
 		}
 		s.fields[name] = fh
@@ -494,7 +494,7 @@ func (s *server) PlaneField(name string) (shard.NodeField, bool) {
 		Header: h,
 		Fetch: func(ctx context.Context, level, plane int) ([]byte, int64, error) {
 			key := servecache.Key{Codec: h.Codec(), Field: cacheFieldID(h), Level: level, Plane: plane}
-			raw, payload, _, err := s.cache.GetOrFetchFromCtx(ctx, key, fh.store)
+			raw, payload, _, err := s.cache.Get(ctx, key, fh.store)
 			return raw, payload, err
 		},
 	}, true
@@ -510,7 +510,7 @@ func (s *server) addFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return s.add(h, core.StoreSource{Store: st}, st.Close)
+	return s.add(h, st, st.Close)
 }
 
 func (s *server) addTiered(dir string) error {
@@ -519,7 +519,7 @@ func (s *server) addTiered(dir string) error {
 		return err
 	}
 	st.Instrument(s.o)
-	return s.add(h, core.TieredSource{Store: st}, st.Close)
+	return s.add(h, st, st.Close)
 }
 
 // addRaw probes a raw .field file against every registered codec backend,
@@ -804,7 +804,7 @@ func (s *server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.Instrument(s.o)
-	rec, plan, deg, err := sess.RefineCtx(ctx, h.TheoryEstimator(), tol)
+	rec, plan, deg, err := sess.Refine(ctx, h.TheoryEstimator(), tol)
 	if ar != nil {
 		ar.bytes = sess.BytesFetched()
 		ar.hits = sess.CacheHits()

@@ -1,6 +1,7 @@
 package pmgard_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -37,12 +38,12 @@ func Example() {
 	}
 	h := &c.Header
 
-	loose, _, err := pmgard.RetrieveTolerance(h, c, h.TheoryEstimator(), h.AbsTolerance(1e-2))
+	loose, _, err := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), h.AbsTolerance(1e-2), pmgard.RetrieveOptions{})
 	if err != nil {
 		panic(err)
 	}
-	_, planLoose, _ := pmgard.RetrieveTolerance(h, c, h.TheoryEstimator(), h.AbsTolerance(1e-2))
-	_, planTight, err := pmgard.RetrieveTolerance(h, c, h.TheoryEstimator(), h.AbsTolerance(1e-6))
+	_, planLoose, _ := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), h.AbsTolerance(1e-2), pmgard.RetrieveOptions{})
+	_, planTight, err := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), h.AbsTolerance(1e-6), pmgard.RetrieveOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -68,14 +69,14 @@ func ExampleSession() {
 		panic(err)
 	}
 	est := h.TheoryEstimator()
-	if _, _, _, err := s.Refine(est, h.AbsTolerance(1e-2)); err != nil {
+	if _, _, _, err := s.Refine(context.Background(), est, h.AbsTolerance(1e-2)); err != nil {
 		panic(err)
 	}
 	coarseBytes := s.BytesFetched()
-	if _, _, _, err := s.Refine(est, h.AbsTolerance(1e-6)); err != nil {
+	if _, _, _, err := s.Refine(context.Background(), est, h.AbsTolerance(1e-6)); err != nil {
 		panic(err)
 	}
-	_, oneShot, err := pmgard.RetrieveTolerance(h, c, est, h.AbsTolerance(1e-6))
+	_, oneShot, err := pmgard.RetrieveTolerance(context.Background(), h, c, est, h.AbsTolerance(1e-6), pmgard.RetrieveOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -100,7 +101,7 @@ func ExampleBackends() {
 		panic(err)
 	}
 	h := &c.Header
-	rec, _, err := pmgard.RetrieveTolerance(h, c, h.TheoryEstimator(), h.AbsTolerance(1e-4))
+	rec, _, err := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), h.AbsTolerance(1e-4), pmgard.RetrieveOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -127,7 +128,7 @@ func ExampleRetrieveResolution() {
 	if err != nil {
 		panic(err)
 	}
-	coarse, _, err := pmgard.RetrieveResolution(&c.Header, c, []int{32, 32, 32, 0, 0}, 2)
+	coarse, _, err := pmgard.RetrieveResolution(context.Background(), &c.Header, c, []int{32, 32, 32, 0, 0}, 2, pmgard.RetrieveOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -61,13 +62,13 @@ func main() {
 
 	// 1 — fault-free baseline, then the same retrieval through a source
 	// that fails 20% of read attempts, behind the retry layer.
-	clean, _, err := core.RetrieveTolerance(h, core.TieredSource{Store: st}, est, tol)
+	clean, _, err := core.RetrieveTolerance(context.Background(), h, st, est, tol, core.RetrieveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	flaky := faults.WrapSource(core.TieredSource{Store: st}, faults.Config{Seed: 42, TransientRate: 0.20})
+	flaky := faults.WrapSource(st, faults.Config{Seed: 42, TransientRate: 0.20})
 	retrying := storage.NewRetryingSource(nil, flaky, storage.DefaultRetryPolicy())
-	rec, _, err := core.RetrieveTolerance(h, retrying, est, tol)
+	rec, _, err := core.RetrieveTolerance(context.Background(), h, retrying, est, tol, core.RetrieveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func main() {
 	// 2 — degraded mode: level 2 loses everything below plane 2
 	// permanently. The session keeps the consistent prefix and reports
 	// what the reconstruction still guarantees.
-	lost := faults.WrapSource(core.TieredSource{Store: st}, faults.Config{
+	lost := faults.WrapSource(st, faults.Config{
 		Seed:      42,
 		Permanent: []faults.PlaneID{{Level: 2, Plane: 2}},
 	})
@@ -87,7 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	drec, _, deg, err := sess.Refine(est, tol)
+	drec, _, deg, err := sess.Refine(context.Background(), est, tol)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,11 +126,11 @@ func main() {
 	// And the degraded session turns even that into a usable answer:
 	// corruption classifies as permanent, so level 0 is dropped entirely
 	// and the report says what accuracy is left.
-	sess2, err := core.NewSession(h2, storage.NewRetryingSource(nil, core.TieredSource{Store: st2}, storage.DefaultRetryPolicy()))
+	sess2, err := core.NewSession(h2, storage.NewRetryingSource(nil, st2, storage.DefaultRetryPolicy()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, _, deg2, err := sess2.Refine(est, tol)
+	_, _, deg2, err := sess2.Refine(context.Background(), est, tol)
 	if err != nil {
 		log.Fatal(err)
 	}

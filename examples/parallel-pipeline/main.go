@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -50,7 +51,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 = time.Now()
-		rec, err := core.RetrieveWorkers(h, c, plan, workers)
+		rec, err := core.Retrieve(context.Background(), h, c, plan, core.RetrieveOptions{Workers: workers})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,8 +63,8 @@ func main() {
 		} else {
 			for l := range h.Levels {
 				for k := 0; k < h.Planes; k++ {
-					seg, _ := c.Segment(l, k)
-					want, _ := ref.Segment(l, k)
+					seg, _ := c.Segment(context.Background(), l, k)
+					want, _ := ref.Segment(context.Background(), l, k)
 					if !bytes.Equal(seg, want) {
 						identical = false
 					}
@@ -71,7 +72,7 @@ func main() {
 			}
 		}
 		// The reconstruction must match the sequential one bit for bit.
-		seqRec, err := core.RetrieveWorkers(&ref.Header, ref, plan, 1)
+		seqRec, err := core.Retrieve(context.Background(), &ref.Header, ref, plan, core.RetrieveOptions{Workers: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -40,12 +41,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer st.Close()
-	src := core.StoreSource{Store: st}
 	fmt.Printf("stored field: dims %v, %d payload bytes\n\n", h.Dims, h.TotalBytes())
 
 	// Step 1 — cheap overview: reconstruct only the coarse 5³ grid from the
 	// first three levels (a fraction of the data, a fraction of the compute).
-	coarse, plan, err := core.RetrieveResolution(h, src, []int{32, 32, 32, 0, 0}, 2)
+	coarse, plan, err := core.RetrieveResolution(context.Background(), h, st, []int{32, 32, 32, 0, 0}, 2, core.RetrieveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func main() {
 
 	// Step 2 — the analyst spots structure and pulls the full grid at a
 	// loose tolerance through a progressive session.
-	sess, err := core.NewSession(h, src)
+	sess, err := core.NewSession(h, st)
 	if err != nil {
 		log.Fatal(err)
 	}
 	est := h.TheoryEstimator()
-	rec, _, _, err := sess.Refine(est, h.AbsTolerance(1e-2))
+	rec, _, _, err := sess.Refine(context.Background(), est, h.AbsTolerance(1e-2))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func main() {
 	// Step 4 — tighten twice; each refinement reads only the delta.
 	for _, rel := range []float64{1e-4, 1e-6} {
 		before := sess.BytesFetched()
-		rec, _, _, err = sess.Refine(est, h.AbsTolerance(rel))
+		rec, _, _, err = sess.Refine(context.Background(), est, h.AbsTolerance(rel))
 		if err != nil {
 			log.Fatal(err)
 		}

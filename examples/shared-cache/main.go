@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,18 +20,19 @@ import (
 	"pmgard/internal/pool"
 	"pmgard/internal/servecache"
 	"pmgard/internal/sim/warpx"
+	"pmgard/internal/storage"
 )
 
 // countingSource counts raw store reads so the two serving strategies can
 // be compared on the metric that matters: I/O issued to the store.
 type countingSource struct {
-	src   core.SegmentSource
+	src   storage.SegmentSource
 	reads atomic.Int64
 }
 
-func (c *countingSource) Segment(level, plane int) ([]byte, error) {
+func (c *countingSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	c.reads.Add(1)
-	return c.src.Segment(level, plane)
+	return c.src.Segment(ctx, level, plane)
 }
 
 func main() {
@@ -63,13 +65,13 @@ func main() {
 	tol := h.AbsTolerance(1e-4)
 
 	// Strategy 1 — independent sessions: every analyst reads every plane.
-	indep := &countingSource{src: core.StoreSource{Store: st}}
-	err = pool.Run(analysts, analysts, func(_, i int) error {
+	indep := &countingSource{src: st}
+	err = pool.Run(context.Background(), analysts, analysts, nil, func(_, i int) error {
 		s, err := core.NewSession(h, indep)
 		if err != nil {
 			return err
 		}
-		_, _, _, err = s.Refine(est, tol)
+		_, _, _, err = s.Refine(context.Background(), est, tol)
 		return err
 	})
 	if err != nil {
@@ -79,15 +81,15 @@ func main() {
 
 	// Strategy 2 — shared cache: concurrent requests for the same plane
 	// coalesce onto one store read + one decompression.
-	shared := &countingSource{src: core.StoreSource{Store: st}}
+	shared := &countingSource{src: st}
 	cache := servecache.New(64 << 20)
 	var perAnalyst [analysts]int64
-	err = pool.Run(analysts, analysts, func(_, i int) error {
+	err = pool.Run(context.Background(), analysts, analysts, nil, func(_, i int) error {
 		s, err := core.NewSharedSession(h, core.SharedSource{Src: shared, Cache: cache})
 		if err != nil {
 			return err
 		}
-		_, _, _, err = s.Refine(est, tol)
+		_, _, _, err = s.Refine(context.Background(), est, tol)
 		perAnalyst[i] = s.BytesFetched()
 		return err
 	})

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -59,11 +60,10 @@ func main() {
 	}
 
 	fmt.Println("\nrel_bound  bytes_read  ranged_reads  modeled_io_time  planes/level")
-	src := core.StoreSource{Store: st}
 	for _, rel := range []float64{1e-1, 1e-3, 1e-5, 1e-7} {
 		st.ResetCounters()
 		tol := h.AbsTolerance(rel)
-		_, plan, err := core.RetrieveTolerance(h, src, h.TheoryEstimator(), tol)
+		_, plan, err := core.RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, core.RetrieveOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -78,7 +79,7 @@ func main() {
 			tol := h.AbsTolerance(rel)
 
 			// Original MGARD: theory-based greedy control.
-			_, planM, err := core.RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+			_, planM, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -90,7 +91,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			recD, planD, err := core.RetrievePlanes(h, c, planes)
+			recD, planD, err := core.RetrievePlanes(context.Background(), h, c, planes, core.RetrieveOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -102,7 +103,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			recE, planE, err := core.RetrieveTolerance(h, c, est, tol)
+			recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -22,14 +22,14 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Warm the pools.
 	for i := 0; i < 3; i++ {
-		enc, err := EncodeLevel(coeffs, 32)
+		enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		enc.Release()
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		enc, _ := EncodeLevel(coeffs, 32)
+		enc, _ := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 		enc.Release()
 	})
 	if avg != 0 {
@@ -44,7 +44,7 @@ func TestDecodePartialSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are distorted under -race")
 	}
 	coeffs := benchCoeffs(4096)
-	enc, err := EncodeLevel(coeffs, 32)
+	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestDecodePartialSteadyStateAllocs(t *testing.T) {
 	for _, b := range []int{0, 8, 32} {
 		b := b
 		avg := testing.AllocsPerRun(50, func() {
-			enc.DecodePartial(b, dst)
+			enc.DecodePartial(b, dst, 1, nil)
 		})
 		if avg != 0 {
 			t.Fatalf("steady-state DecodePartial(b=%d) allocates %.2f allocs/op, want 0", b, avg)

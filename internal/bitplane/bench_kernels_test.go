@@ -32,7 +32,7 @@ func BenchmarkEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc, err := EncodeLevel(coeffs, 32)
+		enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func BenchmarkEncodeScalarRef(b *testing.B) {
 // allocation-free.
 func BenchmarkDecodePartial(b *testing.B) {
 	coeffs := benchCoeffs(benchN)
-	enc, err := EncodeLevel(coeffs, 32)
+	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func BenchmarkDecodePartial(b *testing.B) {
 			b.SetBytes(benchN * 8)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				enc.DecodePartial(depth, dst)
+				enc.DecodePartial(depth, dst, 1, nil)
 			}
 		})
 	}
@@ -80,7 +80,7 @@ func BenchmarkDecodePartial(b *testing.B) {
 // the same prefix depths.
 func BenchmarkDecodePartialScalarRef(b *testing.B) {
 	coeffs := benchCoeffs(benchN)
-	enc, err := EncodeLevel(coeffs, 32)
+	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func BenchmarkDecodePartialScalarRef(b *testing.B) {
 func BenchmarkErrMatrix(b *testing.B) {
 	const planes = 32
 	coeffs := benchCoeffs(benchN)
-	enc, err := EncodeLevel(coeffs, planes)
+	enc, err := EncodeLevel(coeffs, planes, Negabinary, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

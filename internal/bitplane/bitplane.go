@@ -21,6 +21,7 @@
 package bitplane
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -60,7 +61,7 @@ const (
 
 // LevelEncoding is the bit-plane encoding of one coefficient level.
 //
-// Encodings returned by the EncodeLevel family draw Bits and ErrMatrix
+// Encodings returned by EncodeLevel draw Bits and ErrMatrix
 // from shared buffer pools: they are fully owned by the caller until
 // Release, after which the encoding and every slice it exposed must not be
 // touched again. Callers that retain ErrMatrix (or plane bytes) past the
@@ -86,7 +87,7 @@ type LevelEncoding struct {
 	// flat is the pooled backing array the Bits slices view; nil for
 	// encodings assembled directly from retrieved planes.
 	flat []byte
-	// pooled marks encodings produced by EncodeLevel*, the only ones
+	// pooled marks encodings produced by EncodeLevel, the only ones
 	// Release recycles.
 	pooled bool
 }
@@ -116,8 +117,8 @@ func newLevelEncoding(n, planes, planeBytes int, mode Mode) *LevelEncoding {
 }
 
 // Release returns the encoding's buffers to the shared pools and recycles
-// the encoding itself. Only encodings produced by the EncodeLevel family
-// are recycled; on any other encoding (for example one assembled from
+// the encoding itself. Only encodings produced by EncodeLevel are
+// recycled; on any other encoding (for example one assembled from
 // retrieved planes) Release is a no-op. After Release the encoding, its
 // Bits and its ErrMatrix must not be used.
 func (e *LevelEncoding) Release() {
@@ -135,28 +136,14 @@ func (e *LevelEncoding) Release() {
 	encPool.Put(e)
 }
 
-// EncodeLevel encodes coeffs into planes nega-binary bit-planes. planes
-// must be in [1, 60]; 32 reproduces the paper's configuration.
-func EncodeLevel(coeffs []float64, planes int) (*LevelEncoding, error) {
-	return EncodeLevelModeWorkers(coeffs, planes, Negabinary, 1)
-}
-
-// EncodeLevelWorkers is EncodeLevel with the quantization, plane-slicing
-// and error-matrix loops fanned across at most `workers` goroutines (≤ 0
-// means GOMAXPROCS). Every plane byte and every error-matrix entry is
-// computed in its own pre-sized slot from the same operands, so the
-// encoding is bit-identical for every worker count.
-func EncodeLevelWorkers(coeffs []float64, planes, workers int) (*LevelEncoding, error) {
-	return EncodeLevelModeWorkers(coeffs, planes, Negabinary, workers)
-}
-
-// EncodeLevelMode encodes coeffs under the chosen plane representation.
-func EncodeLevelMode(coeffs []float64, planes int, mode Mode) (*LevelEncoding, error) {
-	return EncodeLevelModeWorkers(coeffs, planes, mode, 1)
-}
-
-// EncodeLevelModeWorkers encodes coeffs under the chosen plane
-// representation on a bounded worker pool.
+// EncodeLevel encodes coeffs into `planes` bit-planes under the chosen plane
+// representation. planes must be in [1, 60]; 32 nega-binary planes
+// reproduce the paper's configuration.
+//
+// The quantization, plane-slicing and error-matrix loops fan across at most
+// `workers` goroutines (≤ 0 means GOMAXPROCS). Every plane byte and every
+// error-matrix entry is computed in its own pre-sized slot from the same
+// operands, so the encoding is bit-identical for every worker count.
 //
 // Adversarial inputs are handled deterministically rather than poisoning
 // the planes: NaN quantizes to zero, ±Inf saturates to the level's
@@ -165,13 +152,26 @@ func EncodeLevelMode(coeffs []float64, planes int, mode Mode) (*LevelEncoding, e
 // bound the error of a non-finite value). A level whose magnitudes all
 // underflow the quantization unit (denormals) encodes as all-zero planes
 // with the residual max magnitude recorded in every error-matrix entry.
-func EncodeLevelModeWorkers(coeffs []float64, planes int, mode Mode, workers int) (*LevelEncoding, error) {
-	return encodeLevelMode(coeffs, planes, mode, workers, nil)
-}
-
-// encodeLevelMode is the shared encode body; o, when non-nil, routes the
-// quantize/slice and error-matrix fan-outs through instrumented pool runs.
-func encodeLevelMode(coeffs []float64, planes int, mode Mode, workers int, o *obs.Obs) (*LevelEncoding, error) {
+//
+// A non-nil o records a "bitplane.encode" span, counters
+// bitplane.levels_encoded / bitplane.planes_encoded /
+// bitplane.errmatrix_tasks / bitplane.coeffs_encoded, and pool task metrics
+// under pool.bitplane.encode.* and pool.bitplane.errmatrix.*.
+func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Obs) (_ *LevelEncoding, err error) {
+	if o != nil {
+		sp := o.Span("bitplane.encode", nil)
+		sp.SetAttr("coeffs", len(coeffs))
+		sp.SetAttr("planes", planes)
+		defer func() {
+			if err == nil {
+				o.Counter("bitplane.levels_encoded").Add(1)
+				o.Counter("bitplane.planes_encoded").Add(int64(planes))
+				o.Counter("bitplane.errmatrix_tasks").Add(int64(planes) + 1)
+				o.Counter("bitplane.coeffs_encoded").Add(int64(len(coeffs)))
+			}
+			sp.End()
+		}()
+	}
 	if planes < 1 || planes > 60 {
 		return nil, fmt.Errorf("bitplane: planes %d out of range [1,60]", planes)
 	}
@@ -230,7 +230,7 @@ func encodeLevelMode(coeffs []float64, planes int, mode Mode, workers int, o *ob
 	if workers == 1 && encodeM == nil {
 		quantizeRange(coeffs, words, unit, limit, planes, mode, 0, n)
 	} else {
-		pool.RunChunksMetrics(n, workers, encodeM, func(_, lo, hi int) error {
+		pool.RunChunks(n, workers, encodeM, func(_, lo, hi int) error {
 			quantizeRange(coeffs, words, unit, limit, planes, mode, lo, hi)
 			return nil
 		})
@@ -245,7 +245,7 @@ func encodeLevelMode(coeffs []float64, planes int, mode Mode, workers int, o *ob
 	if workers == 1 && encodeM == nil {
 		sliceGroups(words, enc.Bits, planes, planeBytes, 0, groups)
 	} else {
-		pool.RunChunksMetrics(groups, workers, encodeM, func(_, lo, hi int) error {
+		pool.RunChunks(groups, workers, encodeM, func(_, lo, hi int) error {
 			sliceGroups(words, enc.Bits, planes, planeBytes, lo, hi)
 			return nil
 		})
@@ -267,7 +267,7 @@ func encodeLevelMode(coeffs []float64, planes int, mode Mode, workers int, o *ob
 		stride := planes + 1
 		partial := bufpool.Float64s(chunks * stride)
 		clear(partial)
-		pool.RunMetrics(chunks, workers, errM, func(_, c int) error {
+		pool.Run(context.Background(), chunks, workers, errM, func(_, c int) error {
 			lo, hi := c*n/chunks, (c+1)*n/chunks
 			errMatrixRange(coeffs, words, unit, planes, mode, lo, hi, partial[c*stride:(c+1)*stride])
 			return nil
@@ -332,21 +332,25 @@ func (e *LevelEncoding) unitSize() float64 {
 // DecodePartial reconstructs the level coefficients from the first b planes
 // into dst (allocated if nil) and returns it. b must be in [0, Planes].
 // With a caller-provided dst the decode is allocation-free.
-func (e *LevelEncoding) DecodePartial(b int, dst []float64) []float64 {
-	return e.DecodePartialWorkers(b, dst, 1)
-}
-
-// DecodePartialWorkers is DecodePartial fanned across at most `workers`
-// goroutines (≤ 0 means GOMAXPROCS). Each coefficient group is
-// reconstructed independently from the same plane bytes, so the output is
-// bit-identical for every worker count.
-func (e *LevelEncoding) DecodePartialWorkers(b int, dst []float64, workers int) []float64 {
-	return e.decodePartial(b, dst, workers, nil)
-}
-
-// decodePartial is the shared decode body; o, when non-nil, routes the
-// reconstruction fan-out through instrumented pool runs.
-func (e *LevelEncoding) decodePartial(b int, dst []float64, workers int, o *obs.Obs) []float64 {
+//
+// The reconstruction fans across at most `workers` goroutines (≤ 0 means
+// GOMAXPROCS). Each coefficient group is reconstructed independently from
+// the same plane bytes, so the output is bit-identical for every worker
+// count.
+//
+// A non-nil o records a "bitplane.decode" span, counters
+// bitplane.partial_decodes / bitplane.planes_decoded, and pool task metrics
+// under pool.bitplane.decode.*.
+func (e *LevelEncoding) DecodePartial(b int, dst []float64, workers int, o *obs.Obs) []float64 {
+	if o != nil {
+		sp := o.Span("bitplane.decode", nil)
+		sp.SetAttr("planes", b)
+		defer func() {
+			o.Counter("bitplane.partial_decodes").Add(1)
+			o.Counter("bitplane.planes_decoded").Add(int64(b))
+			sp.End()
+		}()
+	}
 	if b < 0 || b > e.Planes {
 		panic(fmt.Sprintf("bitplane: DecodePartial b=%d out of range [0,%d]", b, e.Planes))
 	}
@@ -375,7 +379,7 @@ func (e *LevelEncoding) decodePartial(b int, dst []float64, workers int, o *obs.
 	if workers == 1 && decodeM == nil {
 		gather(e.Bits, dst, b, e.Planes, e.Mode, unit, 0, groups)
 	} else {
-		pool.RunChunksMetrics(groups, workers, decodeM, func(_, lo, hi int) error {
+		pool.RunChunks(groups, workers, decodeM, func(_, lo, hi int) error {
 			gather(e.Bits, dst, b, e.Planes, e.Mode, unit, lo, hi)
 			return nil
 		})
@@ -386,7 +390,7 @@ func (e *LevelEncoding) decodePartial(b int, dst []float64, workers int, o *obs.
 // Decode reconstructs the level from all planes (residual quantization
 // error remains).
 func (e *LevelEncoding) Decode(dst []float64) []float64 {
-	return e.DecodePartial(e.Planes, dst)
+	return e.DecodePartial(e.Planes, dst, 1, nil)
 }
 
 // PlaneSizeRaw returns the uncompressed size in bytes of one bit-plane.

@@ -35,16 +35,16 @@ func TestNegabinaryRoundTripQuick(t *testing.T) {
 }
 
 func TestEncodeLevelValidation(t *testing.T) {
-	if _, err := EncodeLevel([]float64{1}, 0); err == nil {
+	if _, err := EncodeLevel([]float64{1}, 0, Negabinary, 1, nil); err == nil {
 		t.Error("planes=0 accepted")
 	}
-	if _, err := EncodeLevel([]float64{1}, 61); err == nil {
+	if _, err := EncodeLevel([]float64{1}, 61, Negabinary, 1, nil); err == nil {
 		t.Error("planes=61 accepted")
 	}
 }
 
 func TestAllZeroLevel(t *testing.T) {
-	enc, err := EncodeLevel(make([]float64, 100), 32)
+	enc, err := EncodeLevel(make([]float64, 100), 32, Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAllZeroLevel(t *testing.T) {
 			t.Fatalf("ErrMatrix[%d] = %g, want 0 for zero level", b, e)
 		}
 	}
-	out := enc.DecodePartial(16, nil)
+	out := enc.DecodePartial(16, nil, 1, nil)
 	for i, v := range out {
 		if v != 0 {
 			t.Fatalf("decoded[%d] = %g, want 0", i, v)
@@ -62,7 +62,7 @@ func TestAllZeroLevel(t *testing.T) {
 }
 
 func TestEmptyLevel(t *testing.T) {
-	enc, err := EncodeLevel(nil, 32)
+	enc, err := EncodeLevel(nil, 32, Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFullDecodeAccuracy(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64() * 1e3
 	}
-	enc, err := EncodeLevel(coeffs, 32)
+	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,12 @@ func TestErrMatrixMatchesDecodePartial(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64()
 	}
-	enc, err := EncodeLevel(coeffs, 24)
+	enc, err := EncodeLevel(coeffs, 24, Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for b := 0; b <= 24; b++ {
-		dec := enc.DecodePartial(b, nil)
+		dec := enc.DecodePartial(b, nil, 1, nil)
 		maxErr := 0.0
 		for i := range coeffs {
 			if e := math.Abs(coeffs[i] - dec[i]); e > maxErr {
@@ -123,7 +123,7 @@ func TestErrMatrixMatchesDecodePartial(t *testing.T) {
 
 func TestErrMatrixZeroPlanesIsMaxAbs(t *testing.T) {
 	coeffs := []float64{1, -7.5, 3, 0.25}
-	enc, err := EncodeLevel(coeffs, 32)
+	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestErrMatrixBroadlyDecreasing(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64() * math.Pow(10, rng.Float64()*6-3)
 	}
-	enc, err := EncodeLevel(coeffs, 32)
+	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestErrMatrixBroadlyDecreasing(t *testing.T) {
 }
 
 func TestDecodePartialPanics(t *testing.T) {
-	enc, _ := EncodeLevel([]float64{1, 2}, 8)
+	enc, _ := EncodeLevel([]float64{1, 2}, 8, Negabinary, 1, nil)
 	for _, b := range []int{-1, 9} {
 		func() {
 			defer func() {
@@ -164,7 +164,7 @@ func TestDecodePartialPanics(t *testing.T) {
 					t.Errorf("DecodePartial(%d) did not panic", b)
 				}
 			}()
-			enc.DecodePartial(b, nil)
+			enc.DecodePartial(b, nil, 1, nil)
 		}()
 	}
 	func() {
@@ -173,13 +173,13 @@ func TestDecodePartialPanics(t *testing.T) {
 				t.Error("DecodePartial with bad dst did not panic")
 			}
 		}()
-		enc.DecodePartial(4, make([]float64, 5))
+		enc.DecodePartial(4, make([]float64, 5), 1, nil)
 	}()
 }
 
 func TestExponentCoversMaxAbs(t *testing.T) {
 	for _, m := range []float64{0.001, 0.5, 1, 1.5, 1023, 1e9, 1e-9} {
-		enc, err := EncodeLevel([]float64{m, -m / 2}, 32)
+		enc, err := EncodeLevel([]float64{m, -m / 2}, 32, Negabinary, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestExponentCoversMaxAbs(t *testing.T) {
 }
 
 func TestPlaneSizeRaw(t *testing.T) {
-	enc, _ := EncodeLevel(make([]float64, 17), 8)
+	enc, _ := EncodeLevel(make([]float64, 17), 8, Negabinary, 1, nil)
 	if enc.PlaneSizeRaw() != 3 {
 		t.Fatalf("PlaneSizeRaw = %d, want 3", enc.PlaneSizeRaw())
 	}
@@ -209,7 +209,7 @@ func TestProgressiveRefinementProperty(t *testing.T) {
 		for i := range coeffs {
 			coeffs[i] = rng.NormFloat64() * scale
 		}
-		enc, err := EncodeLevel(coeffs, planes)
+		enc, err := EncodeLevel(coeffs, planes, Negabinary, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,8 +231,8 @@ func TestProgressiveRefinementProperty(t *testing.T) {
 
 func TestBitsDeterministic(t *testing.T) {
 	coeffs := []float64{3.14, -2.71, 0.577, -1.618}
-	a, _ := EncodeLevel(coeffs, 16)
-	b, _ := EncodeLevel(coeffs, 16)
+	a, _ := EncodeLevel(coeffs, 16, Negabinary, 1, nil)
+	b, _ := EncodeLevel(coeffs, 16, Negabinary, 1, nil)
 	for k := range a.Bits {
 		for i := range a.Bits[k] {
 			if a.Bits[k][i] != b.Bits[k][i] {
@@ -248,7 +248,7 @@ func TestSignMagnitudeRoundTrip(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64() * 100
 	}
-	enc, err := EncodeLevelMode(coeffs, 32, SignMagnitude)
+	enc, err := EncodeLevel(coeffs, 32, SignMagnitude, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestSignMagnitudeMonotoneErrMatrix(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64()
 	}
-	enc, err := EncodeLevelMode(coeffs, 24, SignMagnitude)
+	enc, err := EncodeLevel(coeffs, 24, SignMagnitude, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestSignMagnitudeMonotoneErrMatrix(t *testing.T) {
 }
 
 func TestEncodeLevelModeValidation(t *testing.T) {
-	if _, err := EncodeLevelMode([]float64{1}, 16, Mode(9)); err == nil {
+	if _, err := EncodeLevel([]float64{1}, 16, Mode(9), 1, nil); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -294,11 +294,11 @@ func TestModesAgreeAtFullPrecision(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64() * 3
 	}
-	nb, err := EncodeLevelMode(coeffs, 32, Negabinary)
+	nb, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := EncodeLevelMode(coeffs, 32, SignMagnitude)
+	sm, err := EncodeLevel(coeffs, 32, SignMagnitude, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,12 +82,12 @@ func TestEncodeWorkersBitIdentical(t *testing.T) {
 		planes := []int{4, 17, 32, 60}[rng.Intn(4)]
 		for name, coeffs := range adversarial(rng, n) {
 			for _, mode := range []Mode{Negabinary, SignMagnitude} {
-				ref, err := EncodeLevelModeWorkers(coeffs, planes, mode, 1)
+				ref, err := EncodeLevel(coeffs, planes, mode, 1, nil)
 				if err != nil {
 					t.Fatalf("%s n=%d planes=%d: %v", name, n, planes, err)
 				}
 				for _, workers := range []int{2, 8} {
-					got, err := EncodeLevelModeWorkers(coeffs, planes, mode, workers)
+					got, err := EncodeLevel(coeffs, planes, mode, workers, nil)
 					if err != nil {
 						t.Fatalf("%s workers=%d: %v", name, workers, err)
 					}
@@ -107,14 +107,14 @@ func TestDecodeWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	n := 513
 	for name, coeffs := range adversarial(rng, n) {
-		enc, err := EncodeLevelWorkers(coeffs, 32, 4)
+		enc, err := EncodeLevel(coeffs, 32, Negabinary, 4, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, b := range []int{0, 1, 7, 16, 32} {
-			want := enc.DecodePartialWorkers(b, nil, 1)
+			want := enc.DecodePartial(b, nil, 1, nil)
 			for _, workers := range []int{2, 8} {
-				got := enc.DecodePartialWorkers(b, nil, workers)
+				got := enc.DecodePartial(b, nil, workers, nil)
 				for i := range want {
 					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 						t.Fatalf("%s b=%d workers=%d: coeff %d differs (%g vs %g)",
@@ -136,7 +136,7 @@ func TestRoundTripErrorBoundedAdversarial(t *testing.T) {
 		n := rng.Intn(300) + 1
 		for name, coeffs := range adversarial(rng, n) {
 			for _, workers := range []int{1, 2, 8} {
-				enc, err := EncodeLevelWorkers(coeffs, 32, workers)
+				enc, err := EncodeLevel(coeffs, 32, Negabinary, workers, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -145,7 +145,7 @@ func TestRoundTripErrorBoundedAdversarial(t *testing.T) {
 						t.Fatalf("%s workers=%d: ErrMatrix[%d] = %g", name, workers, b, e)
 					}
 				}
-				dec := enc.DecodePartialWorkers(enc.Planes, nil, workers)
+				dec := enc.DecodePartial(enc.Planes, nil, workers, nil)
 				bound := enc.ErrMatrix[enc.Planes]
 				for i, v := range dec {
 					if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -170,7 +170,7 @@ func TestRoundTripErrorBoundedAdversarial(t *testing.T) {
 // residual magnitude.
 func TestDenormalLevelSentinel(t *testing.T) {
 	coeffs := []float64{5e-324, -1.5e-323, 4.9e-322, 0}
-	enc, err := EncodeLevelWorkers(coeffs, 32, 4)
+	enc, err := EncodeLevel(coeffs, 32, Negabinary, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestDenormalLevelSentinel(t *testing.T) {
 // matrix.
 func TestHugeMagnitudeStaysFinite(t *testing.T) {
 	coeffs := []float64{math.MaxFloat64, -math.MaxFloat64 / 2, 1e300, -3}
-	enc, err := EncodeLevelWorkers(coeffs, 32, 2)
+	enc, err := EncodeLevel(coeffs, 32, Negabinary, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 
 		want, _ := encodeLevelModeScalar(coeffs, planes, mode)
 		for _, workers := range []int{1, 4} {
-			got, err := EncodeLevelModeWorkers(coeffs, planes, mode, workers)
+			got, err := EncodeLevel(coeffs, planes, mode, workers, nil)
 			if err != nil {
 				t.Fatalf("n=%d planes=%d mode=%d workers=%d: %v", n, planes, mode, workers, err)
 			}
@@ -205,7 +205,7 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 
 			for _, b := range []int{0, 1, planes / 2, planes} {
 				wantDec := decodePartialScalar(want, b)
-				gotDec := got.DecodePartialWorkers(b, nil, workers)
+				gotDec := got.DecodePartial(b, nil, workers, nil)
 				for i := range wantDec {
 					if math.Float64bits(gotDec[i]) != math.Float64bits(wantDec[i]) {
 						t.Fatalf("n=%d planes=%d mode=%d b=%d i=%d: got %v want %v",
@@ -224,7 +224,7 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 func TestKernelsDenormalLevel(t *testing.T) {
 	coeffs := []float64{math.Ldexp(1, -1070), -math.Ldexp(1, -1071), 0}
 	want, _ := encodeLevelModeScalar(coeffs, 32, Negabinary)
-	got, err := EncodeLevel(coeffs, 32)
+	got, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

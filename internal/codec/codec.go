@@ -68,9 +68,6 @@ type Decomposition interface {
 	Coeffs(l int) []float64
 	// Recompose reconstructs the spatial field from the current streams.
 	Recompose() *grid.Tensor
-	// RecomposeObs is Recompose with telemetry recorded into o; a nil o is
-	// exactly Recompose.
-	RecomposeObs(o *obs.Obs) *grid.Tensor
 	// RecomposeLevel reconstructs the approximation spanned by levels
 	// 0..upTo on the coarser grid those levels cover — the reduced
 	// degrees-of-freedom retrieval mode.
@@ -119,13 +116,13 @@ type BitplaneCoder struct{}
 // EncodeLevel implements ProgressiveCodec.EncodeLevel via the word-parallel
 // nega-binary kernels.
 func (BitplaneCoder) EncodeLevel(coeffs []float64, planes, workers int, o *obs.Obs) (*bitplane.LevelEncoding, error) {
-	return bitplane.EncodeLevelObs(coeffs, planes, workers, o)
+	return bitplane.EncodeLevel(coeffs, planes, bitplane.Negabinary, workers, o)
 }
 
 // DecodeLevel implements ProgressiveCodec.DecodeLevel via the word-parallel
 // partial-decode kernels.
 func (BitplaneCoder) DecodeLevel(enc *bitplane.LevelEncoding, b int, dst []float64, workers int, o *obs.Obs) {
-	enc.DecodePartialObs(b, dst, workers, o)
+	enc.DecodePartial(b, dst, workers, o)
 }
 
 // registry holds the process-wide backend set; backends self-register from

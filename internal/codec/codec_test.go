@@ -94,9 +94,9 @@ func TestBitplaneCoderMatchesBitplane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeLevel: %v", err)
 	}
-	want, err := bitplane.EncodeLevelWorkers(coeffs, 16, 1)
+	want, err := bitplane.EncodeLevel(coeffs, 16, bitplane.Negabinary, 1, nil)
 	if err != nil {
-		t.Fatalf("bitplane.EncodeLevelWorkers: %v", err)
+		t.Fatalf("bitplane.EncodeLevel: %v", err)
 	}
 	for k := range want.Bits {
 		if string(got.Bits[k]) != string(want.Bits[k]) {
@@ -106,7 +106,7 @@ func TestBitplaneCoderMatchesBitplane(t *testing.T) {
 	dstGot := make([]float64, len(coeffs))
 	dstWant := make([]float64, len(coeffs))
 	bc.DecodeLevel(got, 8, dstGot, 1, nil)
-	want.DecodePartial(8, dstWant)
+	want.DecodePartial(8, dstWant, 1, nil)
 	for i := range dstGot {
 		if dstGot[i] != dstWant[i] {
 			t.Fatalf("decode[%d] = %g, want %g", i, dstGot[i], dstWant[i])

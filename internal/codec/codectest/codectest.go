@@ -31,6 +31,7 @@ package codectest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -200,7 +201,7 @@ func testStoreRoundtrip(t *testing.T, c codec.ProgressiveCodec) {
 	for l := range full {
 		full[l] = h.Planes
 	}
-	rec, _, err := core.RetrievePlanes(h, core.StoreSource{Store: st}, full)
+	rec, _, err := core.RetrievePlanes(context.Background(), h, st, full, core.RetrieveOptions{})
 	if err != nil {
 		t.Fatalf("RetrievePlanes: %v", err)
 	}
@@ -215,7 +216,7 @@ func testStoreRoundtrip(t *testing.T, c codec.ProgressiveCodec) {
 		t.Fatalf("full-plane store roundtrip error %g exceeds residual bound %g", got, bound)
 	}
 	// The in-memory and reopened artifacts must retrieve identically.
-	memRec, _, err := core.RetrievePlanes(&comp.Header, comp, full)
+	memRec, _, err := core.RetrievePlanes(context.Background(), &comp.Header, comp, full, core.RetrieveOptions{})
 	if err != nil {
 		t.Fatalf("in-memory RetrievePlanes: %v", err)
 	}
@@ -298,7 +299,7 @@ func testToleranceBound(t *testing.T, c codec.ProgressiveCodec) {
 		est := h.TheoryEstimator()
 		for _, rel := range []float64{1e-1, 1e-2, 1e-4, 1e-6} {
 			tol := h.AbsTolerance(rel)
-			rec, plan, err := core.RetrieveTolerance(h, comp, est, tol)
+			rec, plan, err := core.RetrieveTolerance(context.Background(), h, comp, est, tol, core.RetrieveOptions{})
 			if err != nil {
 				t.Fatalf("%s: RetrieveTolerance(%g): %v", name, rel, err)
 			}
@@ -338,11 +339,11 @@ func testWorkerByteIdentity(t *testing.T, c codec.ProgressiveCodec) {
 		}
 		for l := range ref.Header.Levels {
 			for k := 0; k < ref.Header.Planes; k++ {
-				a, err := ref.Segment(l, k)
+				a, err := ref.Segment(context.Background(), l, k)
 				if err != nil {
 					t.Fatalf("ref segment (%d,%d): %v", l, k, err)
 				}
-				b, err := comp.Segment(l, k)
+				b, err := comp.Segment(context.Background(), l, k)
 				if err != nil {
 					t.Fatalf("segment (%d,%d): %v", l, k, err)
 				}
@@ -359,9 +360,9 @@ func testWorkerByteIdentity(t *testing.T, c codec.ProgressiveCodec) {
 	}
 	var refRec *grid.Tensor
 	for _, workers := range []int{1, 2, 4, 8} {
-		rec, err := core.RetrieveWorkers(h, ref, plan, workers)
+		rec, err := core.Retrieve(context.Background(), h, ref, plan, core.RetrieveOptions{Workers: workers})
 		if err != nil {
-			t.Fatalf("RetrieveWorkers(%d): %v", workers, err)
+			t.Fatalf("Retrieve(workers=%d): %v", workers, err)
 		}
 		if refRec == nil {
 			refRec = rec
@@ -402,7 +403,7 @@ func testHardening(t *testing.T, c codec.ProgressiveCodec) {
 		for l := range full {
 			full[l] = h.Planes
 		}
-		rec, _, err := core.RetrievePlanes(h, comp, full)
+		rec, _, err := core.RetrievePlanes(context.Background(), h, comp, full, core.RetrieveOptions{})
 		if err != nil {
 			t.Fatalf("%s: RetrievePlanes: %v", name, err)
 		}
@@ -423,18 +424,18 @@ func testHardening(t *testing.T, c codec.ProgressiveCodec) {
 // a permanent-corruption error, the storage layer's "this plane is gone"
 // signal.
 type lossySource struct {
-	src   core.SegmentSource
+	src   storage.SegmentSource
 	level int
 	plane int
 }
 
-// Segment implements core.SegmentSource.
-func (s lossySource) Segment(level, plane int) ([]byte, error) {
+// Segment implements storage.SegmentSource.
+func (s lossySource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	if level == s.level && plane >= s.plane {
 		return nil, fmt.Errorf("codectest: injected plane loss at (%d,%d): %w",
 			level, plane, storage.ErrCorrupt)
 	}
-	return s.src.Segment(level, plane)
+	return s.src.Segment(ctx, level, plane)
 }
 
 // testDegradedPrefix permanently loses a plane mid-level and checks a
@@ -456,7 +457,7 @@ func testDegradedPrefix(t *testing.T, c codec.ProgressiveCodec) {
 	}
 	est := h.TheoryEstimator()
 	tol := h.AbsTolerance(1e-9)
-	rec, plan, deg, err := s.Refine(est, tol)
+	rec, plan, deg, err := s.Refine(context.Background(), est, tol)
 	if err != nil {
 		t.Fatalf("Refine over lossy source: %v", err)
 	}
@@ -497,7 +498,7 @@ func testDegradedPrefix(t *testing.T, c codec.ProgressiveCodec) {
 	if err != nil {
 		t.Fatalf("NewSession(healed): %v", err)
 	}
-	recHealed, _, degHealed, err := s2.Refine(est, tol)
+	recHealed, _, degHealed, err := s2.Refine(context.Background(), est, tol)
 	if err != nil {
 		t.Fatalf("Refine(healed): %v", err)
 	}

@@ -1,6 +1,7 @@
 package codectest
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -76,7 +77,7 @@ func FuzzCodecRoundtrip(f *testing.F) {
 			}
 			for _, scale := range []float64{100, 1} {
 				stepTol := tol * scale
-				rec, _, deg, err := s.Refine(est, stepTol)
+				rec, _, deg, err := s.Refine(context.Background(), est, stepTol)
 				if err != nil {
 					t.Fatalf("%s: Refine(%g): %v", id, stepTol, err)
 				}

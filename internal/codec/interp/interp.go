@@ -138,22 +138,11 @@ func (d *decomposition) Coeffs(l int) []float64 { return d.coeffs[l] }
 // coarser grid. The decoder predicts from decoded values where the encoder
 // predicted from exact ones; the difference is what the Err matrix bounds.
 func (d *decomposition) Recompose() *grid.Tensor {
-	return d.RecomposeObs(nil)
-}
-
-// RecomposeObs implements codec.Decomposition.
-func (d *decomposition) RecomposeObs(o *obs.Obs) *grid.Tensor {
-	sp := o.Span("interp.recompose", nil)
-	sp.SetAttr("levels", len(d.coeffs))
-	defer sp.End()
 	out := grid.New(d.plan.Dims()...)
 	data := out.Data()
 	d.plan.Inject(data, 0, d.coeffs[0])
 	for l := 1; l < len(d.coeffs); l++ {
 		predictLevel(d.plan, data, l, nil, d.coeffs[l], d.workers)
-	}
-	if o != nil {
-		o.Counter("interp.recompositions").Add(1)
 	}
 	return out
 }
@@ -265,7 +254,7 @@ func predictLevel(plan *interleave.Plan, data []float64, l int, residuals, add [
 		run(0, len(ix))
 		return
 	}
-	pool.RunChunks(len(ix), workers, func(_, lo, hi int) error {
+	pool.RunChunks(len(ix), workers, nil, func(_, lo, hi int) error {
 		run(lo, hi)
 		return nil
 	})

@@ -41,12 +41,12 @@ func options(opts codec.Options) decompose.Options {
 
 // Decompose implements codec.ProgressiveCodec via the lifting transform.
 func (Codec) Decompose(t *grid.Tensor, opts codec.Options, workers int, o *obs.Obs) (codec.Decomposition, error) {
-	return decompose.DecomposeObs(t, options(opts), workers, o)
+	return decompose.Decompose(t, options(opts), workers, o)
 }
 
 // NewZero implements codec.ProgressiveCodec.
 func (Codec) NewZero(dims []int, opts codec.Options, workers int) (codec.Decomposition, error) {
-	return decompose.NewZeroWorkers(dims, options(opts), workers)
+	return decompose.NewZero(dims, options(opts), workers)
 }
 
 // NaiveAmplification implements codec.ProgressiveCodec: the compounded

@@ -24,7 +24,7 @@ func TestAdapterDelegatesToDecompose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
-	want, err := decompose.Decompose(f, dopts)
+	want, err := decompose.Decompose(f, dopts, 1, nil)
 	if err != nil {
 		t.Fatalf("decompose.Decompose: %v", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -69,7 +70,7 @@ func TestUnknownBackendFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Retrieve(&h, c, plan); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if _, err := Retrieve(context.Background(), &h, c, plan, RetrieveOptions{}); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("Retrieve with unknown backend: %v", err)
 	}
 	if _, err := NewSession(&h, c); err == nil || !strings.Contains(err.Error(), "bogus") {
@@ -106,11 +107,11 @@ func TestSharedCacheKeysAreCodecNamespaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	tol := cm.Header.AbsTolerance(1e-5)
-	recM, _, _, err := sm.Refine(cm.Header.TheoryEstimator(), tol)
+	recM, _, _, err := sm.Refine(context.Background(), cm.Header.TheoryEstimator(), tol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recI, _, _, err := si.Refine(ci.Header.TheoryEstimator(), tol)
+	recI, _, _, err := si.Refine(context.Background(), ci.Header.TheoryEstimator(), tol)
 	if err != nil {
 		t.Fatal(err)
 	}

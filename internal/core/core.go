@@ -24,8 +24,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
-	"sync"
+	"sort"
 
 	"pmgard/internal/bitplane"
 	"pmgard/internal/codec"
@@ -267,45 +266,12 @@ func Compress(t *grid.Tensor, cfg Config, fieldName string, timestep int) (*Comp
 	return &Compressed{Header: *h, segments: sink.segments}, nil
 }
 
-// SegmentSource yields compressed plane payloads during retrieval.
-// Implementations must be safe for concurrent Segment calls: the parallel
-// retrieval path fetches independent (level, plane) segments from multiple
-// goroutines. Every built-in source (Compressed, StoreSource, the faults
-// and storage wrappers) satisfies this.
-type SegmentSource interface {
-	// Segment returns the compressed payload of plane k of level l.
-	Segment(level, plane int) ([]byte, error)
-}
-
-// ContextSource is a SegmentSource whose reads honor cancellation. Sources
-// backed by blocking or retrying I/O (storage.RetryingSource, remote tiers)
-// implement it so a caller's deadline propagates into the read instead of
-// abandoning a goroutine inside it; purely in-memory sources implement it as
-// a cancellation check plus the plain read.
-type ContextSource interface {
-	SegmentSource
-	// SegmentCtx is Segment bounded by ctx: it returns early with ctx's
-	// error once ctx ends.
-	SegmentCtx(ctx context.Context, level, plane int) ([]byte, error)
-}
-
-// readSegment reads one segment from src, routing through the source's
-// context-aware read when it has one and ctx is cancellable. A
-// non-cancellable ctx takes exactly the plain Segment path.
-func readSegment(ctx context.Context, src SegmentSource, level, plane int) ([]byte, error) {
-	if ctx.Done() != nil {
-		if cs, ok := src.(ContextSource); ok {
-			return cs.SegmentCtx(ctx, level, plane)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+// Segment implements storage.SegmentSource for in-memory compressed data;
+// the read is instantaneous, so ctx is only checked at entry.
+func (c *Compressed) Segment(ctx context.Context, level, plane int) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return src.Segment(level, plane)
-}
-
-// Segment implements SegmentSource for in-memory compressed data.
-func (c *Compressed) Segment(level, plane int) ([]byte, error) {
 	if level < 0 || level >= len(c.segments) {
 		return nil, fmt.Errorf("core: level %d out of range", level)
 	}
@@ -315,57 +281,30 @@ func (c *Compressed) Segment(level, plane int) ([]byte, error) {
 	return c.segments[level][plane], nil
 }
 
-// SegmentCtx implements ContextSource; the in-memory read is instantaneous,
-// so this is a cancellation check plus Segment.
-func (c *Compressed) SegmentCtx(ctx context.Context, level, plane int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.Segment(level, plane)
-}
-
-// WriteFile persists the compressed field as a segment-store file.
-func (c *Compressed) WriteFile(path string) error {
-	meta, err := json.Marshal(&c.Header)
-	if err != nil {
-		return fmt.Errorf("core: marshal header: %w", err)
-	}
-	w, err := storage.Create(path, meta)
-	if err != nil {
-		return err
-	}
+// replay feeds the in-memory segments to sink in (level, plane) order — the
+// order CompressTo produced them in — and returns the header they belong
+// to.
+func (c *Compressed) replay(sink SegmentSink) (*Header, error) {
 	for l := range c.segments {
 		for k, seg := range c.segments[l] {
-			if err := w.WriteSegment(storage.SegmentID{Level: l, Plane: k}, seg); err != nil {
-				w.Close()
-				return err
+			if err := sink.WriteSegment(storage.SegmentID{Level: l, Plane: k}, seg); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return w.Close()
+	return &c.Header, nil
 }
 
-// StoreSource adapts a storage.Store as a SegmentSource with exact I/O
-// accounting.
-type StoreSource struct {
-	Store *storage.Store
+// WriteFile persists the compressed field as a segment-store file, through
+// the same streaming writer CompressToFile uses: the file appears at path
+// only once complete.
+func (c *Compressed) WriteFile(path string) error {
+	_, err := streamToFile(path, c.replay)
+	return err
 }
 
-// Segment implements SegmentSource.
-func (s StoreSource) Segment(level, plane int) ([]byte, error) {
-	return s.Store.ReadSegment(storage.SegmentID{Level: level, Plane: plane})
-}
-
-// SegmentCtx implements ContextSource. Local file reads cannot be
-// interrupted mid-syscall, so cancellation is checked at read entry.
-func (s StoreSource) SegmentCtx(ctx context.Context, level, plane int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.Segment(level, plane)
-}
-
-// OpenFile opens a compressed field file and parses its header.
+// OpenFile opens a compressed field file and parses its header. The
+// returned store is itself the storage.SegmentSource to retrieve from.
 func OpenFile(path string) (*Header, *storage.Store, error) {
 	st, err := storage.Open(path)
 	if err != nil {
@@ -379,46 +318,92 @@ func OpenFile(path string) (*Header, *storage.Store, error) {
 	return &h, st, nil
 }
 
+// RetrieveOptions carries what every retrieval call may tune besides its
+// inputs. The zero value — one worker per CPU, no telemetry — is the
+// default.
+type RetrieveOptions struct {
+	// Workers is the worker count of the fetch, decompress, decode and
+	// recompose stages (≤ 0 means one worker per CPU; 1 forces the
+	// sequential path). The reconstruction is bit-identical for every value.
+	Workers int
+	// Obs records retrieval telemetry when set: a "session" root span over
+	// the whole retrieval, stage spans for planning, storage reads, lossless
+	// decompression, bit-plane decode and recomposition, per-level
+	// core.fetch.* counters and pool.fetch.* task metrics. It never changes
+	// the reconstruction.
+	Obs *obs.Obs
+}
+
 // Retrieve fetches the planes named by plan from src, decodes them and
-// recomposes the approximate field, using one worker per CPU.
-func Retrieve(h *Header, src SegmentSource, plan retrieval.Plan) (*grid.Tensor, error) {
-	return RetrieveWorkers(h, src, plan, 0)
+// recomposes the approximate field. Once ctx ends, no further plane is
+// fetched and the retrieval returns ctx's error; planes already decoded are
+// discarded — for resumable cancellation use a Session.
+func Retrieve(ctx context.Context, h *Header, src storage.SegmentSource, plan retrieval.Plan, opt RetrieveOptions) (*grid.Tensor, error) {
+	root := opt.Obs.Span("session", nil)
+	root.SetAttr("bytes_planned", plan.Bytes)
+	defer root.End()
+	dec, err := fetchLevels(ctx, h, src, plan, len(h.Levels)-1, opt)
+	if err != nil {
+		return nil, err
+	}
+	return recompose(h, dec, opt.Obs), nil
+}
+
+// recompose reconstructs the field from dec under the backend's recompose
+// telemetry: a "<stage>.recompose" span and a <stage>.recompositions
+// counter, where stage is "decompose" for the default lifting backend (plus
+// its decompose.passes count, one per (step, axis) pair) and the codec ID
+// for any other.
+func recompose(h *Header, dec codec.Decomposition, o *obs.Obs) *grid.Tensor {
+	if o == nil {
+		return dec.Recompose()
+	}
+	stage := h.Codec()
+	if stage == codec.DefaultID {
+		stage = "decompose"
+	}
+	sp := o.Span(stage+".recompose", nil)
+	sp.SetAttr("levels", len(h.Levels))
+	out := dec.Recompose()
+	o.Counter(stage + ".recompositions").Add(1)
+	if stage == "decompose" {
+		o.Counter("decompose.passes").Add(int64((len(h.Levels) - 1) * out.NDim()))
+	}
+	sp.End()
+	return out
 }
 
 // planeJob names one (level, plane) segment a retrieval must fetch.
 type planeJob struct{ level, plane int }
 
 // fetchLevels fetches and decodes the planes selected by plan for levels
-// 0..upTo from src into dec's coefficient levels, fanning segment fetch and
-// decompression across the worker pool. Every segment lands in the
+// 0..upTo from src into a fresh zero decomposition, fanning segment fetch
+// and decompression across the worker pool. Every segment lands in the
 // pre-sized slot for its (level, plane), and on failure the error of the
 // lowest (level, plane) in fetch order is returned, so behavior is
-// identical for every worker count.
-func fetchLevels(h *Header, src SegmentSource, plan retrieval.Plan, dec codec.Decomposition, upTo, workers int) error {
-	return fetchLevelsCtx(context.Background(), h, src, plan, dec, upTo, workers, nil)
-}
-
-// fetchLevelsObs is fetchLevels with telemetry recorded into o: a
-// "storage.fetch" span over the fan-out with per-job "storage.read" and
-// "lossless.decompress" child spans, per-level core.fetch.level<l>.bytes /
-// .planes counters (plus totals), and pool task metrics under
-// pool.fetch.*. A nil o is exactly fetchLevels.
-func fetchLevelsObs(h *Header, src SegmentSource, plan retrieval.Plan, dec codec.Decomposition, upTo, workers int, o *obs.Obs) error {
-	return fetchLevelsCtx(context.Background(), h, src, plan, dec, upTo, workers, o)
-}
-
-// fetchLevelsCtx is fetchLevelsObs bounded by ctx: once ctx ends, no new
-// plane fetch is dispatched and in-flight reads are cancelled through the
-// source's ContextSource hook when it has one. A non-cancellable ctx is
-// exactly fetchLevelsObs.
-func fetchLevelsCtx(ctx context.Context, h *Header, src SegmentSource, plan retrieval.Plan, dec codec.Decomposition, upTo, workers int, o *obs.Obs) error {
+// identical for every worker count. Once ctx ends, no new plane fetch is
+// dispatched and in-flight reads are cancelled through the source.
+//
+// With telemetry on it records a "storage.fetch" span over the fan-out with
+// per-job "storage.read" and "lossless.decompress" child spans, per-level
+// core.fetch.level<l>.bytes / .planes counters (plus totals), and pool task
+// metrics under pool.fetch.*.
+func fetchLevels(ctx context.Context, h *Header, src storage.SegmentSource, plan retrieval.Plan, upTo int, opt RetrieveOptions) (codec.Decomposition, error) {
+	if len(plan.Planes) != len(h.Levels) {
+		return nil, fmt.Errorf("core: plan has %d levels, header %d", len(plan.Planes), len(h.Levels))
+	}
+	o, workers := opt.Obs, pool.Clamp(opt.Workers)
 	lc, err := lossless.ByName(h.CodecName)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	backend, err := h.backend()
 	if err != nil {
-		return err
+		return nil, err
+	}
+	dec, err := backend.NewZero(h.Dims, h.CodecOptions(), workers)
+	if err != nil {
+		return nil, err
 	}
 	encs := make([]*bitplane.LevelEncoding, upTo+1)
 	var jobs []planeJob
@@ -436,7 +421,7 @@ func fetchLevelsCtx(ctx context.Context, h *Header, src SegmentSource, plan retr
 		lm := h.Levels[l]
 		b := plan.Planes[l]
 		if b < 0 || b > h.Planes {
-			return fmt.Errorf("core: level %d plane count %d out of range", l, b)
+			return nil, fmt.Errorf("core: level %d plane count %d out of range", l, b)
 		}
 		encs[l] = &bitplane.LevelEncoding{
 			N:        lm.N,
@@ -454,10 +439,10 @@ func fetchLevelsCtx(ctx context.Context, h *Header, src SegmentSource, plan retr
 	}
 	fetchSpan := o.Span("storage.fetch", nil)
 	fetchSpan.SetAttr("jobs", len(jobs))
-	err = pool.RunMetricsCtx(ctx, len(jobs), workers, pool.NewMetrics(o, "fetch"), func(_, i int) error {
+	err = pool.Run(ctx, len(jobs), workers, pool.NewMetrics(o, "fetch"), func(_, i int) error {
 		j := jobs[i]
 		read := o.Span("storage.read", fetchSpan)
-		seg, err := readSegment(ctx, src, j.level, j.plane)
+		seg, err := src.Segment(ctx, j.level, j.plane)
 		read.SetAttr("level", j.level)
 		read.SetAttr("plane", j.plane)
 		read.End()
@@ -481,108 +466,69 @@ func fetchLevelsCtx(ctx context.Context, h *Header, src SegmentSource, plan retr
 	})
 	fetchSpan.End()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for l := 0; l <= upTo; l++ {
 		backend.DecodeLevel(encs[l], plan.Planes[l], dec.Coeffs(l), workers, o)
 	}
-	return nil
+	return dec, nil
 }
 
-// RetrieveWorkers is Retrieve with an explicit worker count for the fetch,
-// decompress, decode and recompose stages (≤ 0 means one worker per CPU;
-// 1 forces the sequential path). The reconstruction is bit-identical for
-// every worker count.
-func RetrieveWorkers(h *Header, src SegmentSource, plan retrieval.Plan, workers int) (*grid.Tensor, error) {
-	return RetrieveWorkersObs(h, src, plan, workers, nil)
+// countingEstimator wraps an ErrorEstimator and counts Estimate calls, the
+// planner's unit of search work.
+type countingEstimator struct {
+	est retrieval.ErrorEstimator
+	n   int64
 }
 
-// RetrieveWorkersObs is RetrieveWorkers with retrieval telemetry recorded
-// into o: a "session" root span spanning the whole retrieval, stage spans
-// for storage reads, lossless decompression, bit-plane decode and
-// recomposition, per-level core.fetch.* counters and pool.fetch.* task
-// metrics. A nil o is exactly RetrieveWorkers.
-func RetrieveWorkersObs(h *Header, src SegmentSource, plan retrieval.Plan, workers int, o *obs.Obs) (*grid.Tensor, error) {
-	return RetrieveWorkersCtx(context.Background(), h, src, plan, workers, o)
+// Estimate implements retrieval.ErrorEstimator.
+func (c *countingEstimator) Estimate(levelErrs []float64) float64 {
+	c.n++
+	return c.est.Estimate(levelErrs)
 }
 
-// RetrieveCtx is Retrieve bounded by ctx: once ctx ends, no further plane is
-// fetched and the retrieval returns ctx's error. Planes already decoded are
-// discarded — for resumable cancellation use a Session with RefineCtx.
-func RetrieveCtx(ctx context.Context, h *Header, src SegmentSource, plan retrieval.Plan) (*grid.Tensor, error) {
-	return RetrieveWorkersCtx(ctx, h, src, plan, 0, nil)
-}
-
-// RetrieveWorkersCtx is RetrieveWorkersObs bounded by ctx. A ctx that
-// cannot be cancelled is exactly RetrieveWorkersObs.
-func RetrieveWorkersCtx(ctx context.Context, h *Header, src SegmentSource, plan retrieval.Plan, workers int, o *obs.Obs) (*grid.Tensor, error) {
-	if len(plan.Planes) != len(h.Levels) {
-		return nil, fmt.Errorf("core: plan has %d levels, header %d", len(plan.Planes), len(h.Levels))
+// greedyPlan is retrieval.GreedyPlan over the header's levels with planner
+// telemetry recorded into o when set:
+//
+//	retrieval.greedy.plans           counter — planner invocations
+//	retrieval.greedy.estimator_calls counter — estimator iterations walked
+//	retrieval.plan span              — one per invocation, attrs tol/bytes
+func greedyPlan(h *Header, est retrieval.ErrorEstimator, tol float64, o *obs.Obs) (retrieval.Plan, error) {
+	if o == nil {
+		return retrieval.GreedyPlan(h.LevelInfos(), est, tol)
 	}
-	root := o.Span("session", nil)
-	root.SetAttr("bytes_planned", plan.Bytes)
-	defer root.End()
-	workers = pool.Clamp(workers)
-	backend, err := h.backend()
-	if err != nil {
-		return nil, err
+	sp := o.Span("retrieval.plan", nil)
+	sp.SetAttr("tol", tol)
+	counting := &countingEstimator{est: est}
+	plan, err := retrieval.GreedyPlan(h.LevelInfos(), counting, tol)
+	o.Counter("retrieval.greedy.plans").Add(1)
+	o.Counter("retrieval.greedy.estimator_calls").Add(counting.n)
+	if err == nil {
+		sp.SetAttr("bytes", plan.Bytes)
 	}
-	dec, err := backend.NewZero(h.Dims, h.CodecOptions(), workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := fetchLevelsCtx(ctx, h, src, plan, dec, len(h.Levels)-1, workers, o); err != nil {
-		return nil, err
-	}
-	return dec.RecomposeObs(o), nil
+	sp.End()
+	return plan, err
 }
 
 // RetrieveTolerance plans with the given estimator at an absolute tolerance
 // and retrieves. It returns the reconstruction and the executed plan.
-func RetrieveTolerance(h *Header, src SegmentSource, est retrieval.ErrorEstimator, tol float64) (*grid.Tensor, retrieval.Plan, error) {
-	return RetrieveToleranceWorkers(h, src, est, tol, 0)
-}
-
-// RetrieveToleranceWorkers is RetrieveTolerance with an explicit worker
-// count for the retrieval stages.
-func RetrieveToleranceWorkers(h *Header, src SegmentSource, est retrieval.ErrorEstimator, tol float64, workers int) (*grid.Tensor, retrieval.Plan, error) {
-	return RetrieveToleranceObs(h, src, est, tol, workers, nil)
-}
-
-// RetrieveToleranceObs is RetrieveToleranceWorkers with planner and
-// retrieval telemetry recorded into o (see GreedyPlanObs and
-// RetrieveWorkersObs for the metric names). A nil o is exactly
-// RetrieveToleranceWorkers.
-func RetrieveToleranceObs(h *Header, src SegmentSource, est retrieval.ErrorEstimator, tol float64, workers int, o *obs.Obs) (*grid.Tensor, retrieval.Plan, error) {
-	plan, err := retrieval.GreedyPlanObs(h.LevelInfos(), est, tol, o)
+func RetrieveTolerance(ctx context.Context, h *Header, src storage.SegmentSource, est retrieval.ErrorEstimator, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
+	plan, err := greedyPlan(h, est, tol, opt.Obs)
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
-	rec, err := RetrieveWorkersObs(h, src, plan, workers, o)
+	rec, err := Retrieve(ctx, h, src, plan, opt)
 	return rec, plan, err
 }
 
 // RetrievePlanes retrieves with an externally supplied per-level plane
 // assignment — the D-MGARD integration point.
-func RetrievePlanes(h *Header, src SegmentSource, planes []int) (*grid.Tensor, retrieval.Plan, error) {
-	return RetrievePlanesWorkers(h, src, planes, 0)
-}
-
-// RetrievePlanesWorkers is RetrievePlanes with an explicit worker count for
-// the retrieval stages.
-func RetrievePlanesWorkers(h *Header, src SegmentSource, planes []int, workers int) (*grid.Tensor, retrieval.Plan, error) {
-	return RetrievePlanesObs(h, src, planes, workers, nil)
-}
-
-// RetrievePlanesObs is RetrievePlanesWorkers with retrieval telemetry
-// recorded into o (see RetrieveWorkersObs for the metric names). A nil o
-// is exactly RetrievePlanesWorkers.
-func RetrievePlanesObs(h *Header, src SegmentSource, planes []int, workers int, o *obs.Obs) (*grid.Tensor, retrieval.Plan, error) {
+func RetrievePlanes(ctx context.Context, h *Header, src storage.SegmentSource, planes []int, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
 	plan, err := retrieval.PlanForPlanes(h.LevelInfos(), planes)
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
-	rec, err := RetrieveWorkersObs(h, src, plan, workers, o)
+	rec, err := Retrieve(ctx, h, src, plan, opt)
 	return rec, plan, err
 }
 
@@ -591,7 +537,7 @@ func RetrievePlanesObs(h *Header, src SegmentSource, planes []int, workers int, 
 // the reduced-degrees-of-freedom mode where an analysis skips both the I/O
 // and the compute of the finer levels. planes must assign 0 planes to every
 // level above upTo.
-func RetrieveResolution(h *Header, src SegmentSource, planes []int, upTo int) (*grid.Tensor, retrieval.Plan, error) {
+func RetrieveResolution(ctx context.Context, h *Header, src storage.SegmentSource, planes []int, upTo int, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
 	if upTo < 0 || upTo >= len(h.Levels) {
 		return nil, retrieval.Plan{}, fmt.Errorf("core: upTo %d out of [0,%d)", upTo, len(h.Levels))
 	}
@@ -604,16 +550,11 @@ func RetrieveResolution(h *Header, src SegmentSource, planes []int, upTo int) (*
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
-	workers := pool.Clamp(0)
-	backend, err := h.backend()
+	root := opt.Obs.Span("session", nil)
+	root.SetAttr("bytes_planned", plan.Bytes)
+	defer root.End()
+	dec, err := fetchLevels(ctx, h, src, plan, upTo, opt)
 	if err != nil {
-		return nil, retrieval.Plan{}, err
-	}
-	dec, err := backend.NewZero(h.Dims, h.CodecOptions(), workers)
-	if err != nil {
-		return nil, retrieval.Plan{}, err
-	}
-	if err := fetchLevels(h, src, plan, dec, upTo, workers); err != nil {
 		return nil, retrieval.Plan{}, err
 	}
 	coarse, err := dec.RecomposeLevel(upTo)
@@ -628,7 +569,7 @@ func RetrieveResolution(h *Header, src SegmentSource, planes []int, upTo int) (*
 // (E-MGARD) error estimator verifies and refines it — extending when the
 // estimate misses the tolerance, shedding planes when it is comfortably
 // inside.
-func RetrieveHybrid(h *Header, src SegmentSource, seedPlanes []int, est retrieval.ErrorEstimator, tol float64) (*grid.Tensor, retrieval.Plan, error) {
+func RetrieveHybrid(ctx context.Context, h *Header, src storage.SegmentSource, seedPlanes []int, est retrieval.ErrorEstimator, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
 	// Extend-only (shrink slack 0): the learned estimator is calibrated on
 	// greedy-shaped plans, so estimates for shrunk plan shapes are
 	// unreliable and shedding planes re-introduces bound violations. The
@@ -638,60 +579,36 @@ func RetrieveHybrid(h *Header, src SegmentSource, seedPlanes []int, est retrieva
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
-	rec, err := Retrieve(h, src, plan)
+	rec, err := Retrieve(ctx, h, src, plan, opt)
 	return rec, plan, err
 }
 
 // CompressAll compresses several named fields concurrently — the write-side
 // pattern of a simulation dump, where every variable of a timestep is
-// compressed before the next step runs. workers ≤ 0 uses GOMAXPROCS.
+// compressed before the next step runs. workers ≤ 0 uses GOMAXPROCS. When
+// several fields fail, the error of the alphabetically first one is
+// returned, whatever the scheduling.
 func CompressAll(fields map[string]*grid.Tensor, cfg Config, timestep int, workers int) (map[string]*Compressed, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	names := make([]string, 0, len(fields))
+	for name := range fields {
+		names = append(names, name)
 	}
-	type job struct {
-		name  string
-		field *grid.Tensor
-	}
-	type result struct {
-		name string
-		c    *Compressed
-		err  error
-	}
-	jobs := make(chan job)
-	results := make(chan result)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				c, err := Compress(j.field, cfg, j.name, timestep)
-				results <- result{name: j.name, c: c, err: err}
-			}
-		}()
-	}
-	go func() {
-		for name, field := range fields {
-			jobs <- job{name: name, field: field}
+	sort.Strings(names)
+	results := make([]*Compressed, len(names))
+	err := pool.Run(context.Background(), len(names), workers, nil, func(_, i int) error {
+		c, err := Compress(fields[names[i]], cfg, names[i], timestep)
+		if err != nil {
+			return fmt.Errorf("core: compress %s: %w", names[i], err)
 		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-	out := make(map[string]*Compressed, len(fields))
-	var firstErr error
-	for r := range results {
-		if r.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: compress %s: %w", r.name, r.err)
-			continue
-		}
-		if r.err == nil {
-			out[r.name] = r.c
-		}
+		results[i] = c
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	out := make(map[string]*Compressed, len(names))
+	for i, name := range names {
+		out[name] = results[i]
 	}
 	return out, nil
 }

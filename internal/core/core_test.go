@@ -1,15 +1,19 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pmgard/internal/grid"
 	"pmgard/internal/lossless"
+	"pmgard/internal/obs"
 	"pmgard/internal/sim/warpx"
 )
 
@@ -34,7 +38,7 @@ func TestCompressRetrieveWithinTolerance(t *testing.T) {
 	est := h.TheoryEstimator()
 	for _, rel := range []float64{1e-1, 1e-2, 1e-4, 1e-6} {
 		tol := h.AbsTolerance(rel)
-		rec, plan, err := RetrieveTolerance(h, c, est, tol)
+		rec, plan, err := RetrieveTolerance(context.Background(), h, c, est, tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +61,7 @@ func TestTheoryControlIsPessimistic(t *testing.T) {
 	logGapSum, n := 0.0, 0
 	for _, rel := range []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6} {
 		tol := h.AbsTolerance(rel)
-		rec, _, err := RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+		rec, _, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +90,7 @@ func TestTighterToleranceCostsMoreBytes(t *testing.T) {
 	est := h.TheoryEstimator()
 	prev := int64(-1)
 	for _, rel := range []float64{1e-1, 1e-3, 1e-5, 1e-7} {
-		_, plan, err := RetrieveTolerance(h, c, est, h.AbsTolerance(rel))
+		_, plan, err := RetrieveTolerance(context.Background(), h, c, est, h.AbsTolerance(rel), RetrieveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,9 +122,8 @@ func TestFileRoundTrip(t *testing.T) {
 	if h.FieldName != "Ex" || h.Timestep != 32 {
 		t.Fatalf("header = %q t=%d", h.FieldName, h.Timestep)
 	}
-	src := StoreSource{Store: st}
 	tol := h.AbsTolerance(1e-4)
-	rec, plan, err := RetrieveTolerance(h, src, h.TheoryEstimator(), tol)
+	rec, plan, err := RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestRetrievePlanesDirect(t *testing.T) {
 	}
 	h := &c.Header
 	planes := []int{10, 8, 6, 4, 2}
-	rec, plan, err := RetrievePlanes(h, c, planes)
+	rec, plan, err := RetrievePlanes(context.Background(), h, c, planes, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestRetrievePlanesDirect(t *testing.T) {
 		t.Fatal("reconstruction has wrong size")
 	}
 	// More planes must not increase the error.
-	recMore, _, err := RetrievePlanes(h, c, []int{20, 16, 12, 10, 8})
+	recMore, _, err := RetrievePlanes(context.Background(), h, c, []int{20, 16, 12, 10, 8}, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestRetrieveAllPlanesNearLossless(t *testing.T) {
 	for l := range all {
 		all[l] = h.Planes
 	}
-	rec, _, err := RetrievePlanes(h, c, all)
+	rec, _, err := RetrievePlanes(context.Background(), h, c, all, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +198,7 @@ func TestZeroPlanesGiveZeroField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, plan, err := RetrievePlanes(&c.Header, c, make([]int, len(c.Header.Levels)))
+	rec, plan, err := RetrievePlanes(context.Background(), &c.Header, c, make([]int, len(c.Header.Levels)), RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +221,7 @@ func TestCodecsInteroperate(t *testing.T) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-3)
-		rec, _, err := RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+		rec, _, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)
 		}
@@ -283,16 +286,16 @@ func TestRetrieveValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	if _, _, err := RetrievePlanes(h, c, []int{1}); err == nil {
+	if _, _, err := RetrievePlanes(context.Background(), h, c, []int{1}, RetrieveOptions{}); err == nil {
 		t.Fatal("short plane slice accepted")
 	}
-	if _, _, err := RetrievePlanes(h, c, []int{99, 0, 0, 0, 0}); err == nil {
+	if _, _, err := RetrievePlanes(context.Background(), h, c, []int{99, 0, 0, 0, 0}, RetrieveOptions{}); err == nil {
 		t.Fatal("out-of-range plane count accepted")
 	}
-	if _, err := c.Segment(9, 0); err == nil {
+	if _, err := c.Segment(context.Background(), 9, 0); err == nil {
 		t.Fatal("bad level accepted")
 	}
-	if _, err := c.Segment(0, 99); err == nil {
+	if _, err := c.Segment(context.Background(), 0, 99); err == nil {
 		t.Fatal("bad plane accepted")
 	}
 }
@@ -307,7 +310,7 @@ func TestCompressConstantField(t *testing.T) {
 	h := &c.Header
 	// A constant field has zero range; retrieval at any positive absolute
 	// tolerance must succeed.
-	rec, plan, err := RetrieveTolerance(h, c, h.TheoryEstimator(), 1e-9)
+	rec, plan, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), 1e-9, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +337,7 @@ func TestCompressRetrieve1D2D(t *testing.T) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-5)
-		rec, _, err := RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+		rec, _, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatalf("rank %d: %v", f.NDim(), err)
 		}
@@ -375,7 +378,7 @@ func TestHeaderJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &hz); err != nil {
 		t.Fatal(err)
 	}
-	rec, _, err := RetrievePlanes(&hz, cz, []int{32, 32, 32, 32, 32})
+	rec, _, err := RetrievePlanes(context.Background(), &hz, cz, []int{32, 32, 32, 32, 32}, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +405,7 @@ func TestStoreReadsOnlyPlannedSegments(t *testing.T) {
 	}
 	defer st.Close()
 	planes := []int{3, 2, 1, 0, 0}
-	_, plan, err := RetrievePlanes(h, StoreSource{Store: st}, planes)
+	_, plan, err := RetrievePlanes(context.Background(), h, st, planes, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +429,7 @@ func TestRetrieveResolution(t *testing.T) {
 	h := &c.Header
 	// Fetch levels 0..2 fully, nothing above.
 	planes := []int{32, 32, 32, 0, 0}
-	coarse, plan, err := RetrieveResolution(h, c, planes, 2)
+	coarse, plan, err := RetrieveResolution(context.Background(), h, c, planes, 2, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,11 +452,24 @@ func TestRetrieveResolution(t *testing.T) {
 		t.Fatalf("plan bytes %d, want %d (levels 0-2 only)", plan.Bytes, want)
 	}
 	// Validation: nonzero planes above the cut, bad upTo.
-	if _, _, err := RetrieveResolution(h, c, []int{32, 32, 32, 1, 0}, 2); err == nil {
+	if _, _, err := RetrieveResolution(context.Background(), h, c, []int{32, 32, 32, 1, 0}, 2, RetrieveOptions{}); err == nil {
 		t.Fatal("planes above cut accepted")
 	}
-	if _, _, err := RetrieveResolution(h, c, planes, 9); err == nil {
+	if _, _, err := RetrieveResolution(context.Background(), h, c, planes, 9, RetrieveOptions{}); err == nil {
 		t.Fatal("bad upTo accepted")
+	}
+	// The caller's cancellation and telemetry sink are honoured.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := RetrieveResolution(cancelled, h, c, planes, 2, RetrieveOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ctx: err = %v, want Canceled", err)
+	}
+	o := obs.New()
+	if _, _, err := RetrieveResolution(context.Background(), h, c, planes, 2, RetrieveOptions{Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Metrics.Snapshot().Counters["core.fetch.planes"]; got != 96 {
+		t.Fatalf("core.fetch.planes = %d, want 96 (3 levels × 32 planes)", got)
 	}
 }
 
@@ -489,7 +505,7 @@ func TestRetrieveDetectsCorruptSegments(t *testing.T) {
 	}
 	// The deflate stage must notice the corruption (invalid stream or
 	// wrong decoded length) rather than silently reconstructing garbage.
-	if _, _, err := RetrievePlanes(h, StoreSource{Store: st}, all); err == nil {
+	if _, _, err := RetrievePlanes(context.Background(), h, st, all, RetrieveOptions{}); err == nil {
 		t.Fatal("corrupted payload retrieved without error")
 	}
 }
@@ -527,7 +543,7 @@ func TestPropertyToleranceAlwaysRespected(t *testing.T) {
 		if tol <= 0 {
 			continue
 		}
-		rec, plan, err := RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+		rec, plan, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -559,14 +575,14 @@ func TestTightEstimatorSharperThanTheory(t *testing.T) {
 	}
 	// Both are true bounds: retrieval under either stays within tolerance.
 	tol := h.AbsTolerance(1e-4)
-	recT, planT, err := RetrieveTolerance(h, c, tight, tol)
+	recT, planT, err := RetrieveTolerance(context.Background(), h, c, tight, tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if achieved := grid.MaxAbsDiff(f, recT); achieved > tol {
 		t.Fatalf("tight bound violated tolerance: %g > %g", achieved, tol)
 	}
-	_, planN, err := RetrieveTolerance(h, c, naive, tol)
+	_, planN, err := RetrieveTolerance(context.Background(), h, c, naive, tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +602,7 @@ func TestRetrieveHybridRepairsBadSeed(t *testing.T) {
 	// A hopeless seed (nothing fetched): the hybrid must extend it until
 	// the estimator is satisfied.
 	seed := make([]int, len(h.Levels))
-	rec, plan, err := RetrieveHybrid(h, c, seed, h.TightEstimator(), tol)
+	rec, plan, err := RetrieveHybrid(context.Background(), h, c, seed, h.TightEstimator(), tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,8 +613,25 @@ func TestRetrieveHybridRepairsBadSeed(t *testing.T) {
 		t.Fatalf("hybrid violated tolerance: %g > %g", achieved, tol)
 	}
 	// Validation propagates.
-	if _, _, err := RetrieveHybrid(h, c, []int{1}, h.TightEstimator(), tol); err == nil {
+	if _, _, err := RetrieveHybrid(context.Background(), h, c, []int{1}, h.TightEstimator(), tol, RetrieveOptions{}); err == nil {
 		t.Fatal("short seed accepted")
+	}
+	// The caller's cancellation and telemetry sink are honoured.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := RetrieveHybrid(cancelled, h, c, seed, h.TightEstimator(), tol, RetrieveOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ctx: err = %v, want Canceled", err)
+	}
+	o := obs.New()
+	if _, _, err := RetrieveHybrid(context.Background(), h, c, seed, h.TightEstimator(), tol, RetrieveOptions{Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	var fetched int64
+	for _, b := range plan.Planes {
+		fetched += int64(b)
+	}
+	if got := o.Metrics.Snapshot().Counters["core.fetch.planes"]; got != fetched {
+		t.Fatalf("core.fetch.planes = %d, want the plan's %d", got, fetched)
 	}
 }
 
@@ -661,5 +694,14 @@ func TestCompressAllPropagatesErrors(t *testing.T) {
 	fields := map[string]*grid.Tensor{"x": grid.New(4, 4)}
 	if _, err := CompressAll(fields, bad, 0, 2); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	// With several failing fields the reported one is the alphabetically
+	// first, whatever the map order and the scheduler do.
+	fields = map[string]*grid.Tensor{"b": grid.New(4, 4), "a": grid.New(4, 4), "c": grid.New(4, 4)}
+	for i := 0; i < 20; i++ {
+		_, err := CompressAll(fields, bad, 0, 3)
+		if err == nil || !strings.Contains(err.Error(), "compress a:") {
+			t.Fatalf("run %d: err = %v, want field a's error", i, err)
+		}
 	}
 }

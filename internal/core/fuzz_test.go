@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -35,7 +36,7 @@ func fuzzSetup(t testing.TB) {
 		if err != nil {
 			panic(err)
 		}
-		want, err := RetrieveWorkers(h, c, plan, 1)
+		want, err := Retrieve(context.Background(), h, c, plan, RetrieveOptions{Workers: 1})
 		if err != nil {
 			panic(err)
 		}
@@ -69,7 +70,7 @@ func FuzzConcurrentRetrieve(f *testing.F) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := RetrieveWorkers(h, src, fuzzFixture.plan, int(workers%9))
+				got, err := Retrieve(context.Background(), h, src, fuzzFixture.plan, RetrieveOptions{Workers: int(workers % 9)})
 				if err != nil {
 					return // exhausted retries are a legitimate outcome
 				}

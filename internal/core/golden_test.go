@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -30,7 +31,7 @@ func TestStoredFormatStability(t *testing.T) {
 	h := &c.Header
 	for l := range h.Levels {
 		for k := 0; k < h.Planes; k++ {
-			seg, err := c.Segment(l, k)
+			seg, err := c.Segment(context.Background(), l, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -61,11 +62,11 @@ func TestCompressParallelGoldenEquivalence(t *testing.T) {
 				}
 			}
 			for k := 0; k < c.Header.Planes; k++ {
-				seg, err := c.Segment(l, k)
+				seg, err := c.Segment(context.Background(), l, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := ref.Segment(l, k)
+				want, err := ref.Segment(context.Background(), l, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,7 +92,7 @@ func TestRetrieveParallelGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RetrieveWorkers(h, c, plan, 1)
+	want, err := Retrieve(context.Background(), h, c, plan, RetrieveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +100,12 @@ func TestRetrieveParallelGoldenEquivalence(t *testing.T) {
 	for l := 0; l < 3; l++ {
 		resPlanes[l] = 12
 	}
-	wantCoarse, _, err := RetrieveResolution(h, c, resPlanes, 2)
+	wantCoarse, _, err := RetrieveResolution(context.Background(), h, c, resPlanes, 2, RetrieveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := RetrieveWorkers(h, c, plan, workers)
+		got, err := Retrieve(context.Background(), h, c, plan, RetrieveOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -113,7 +114,7 @@ func TestRetrieveParallelGoldenEquivalence(t *testing.T) {
 				t.Fatalf("workers=%d: sample %d differs", workers, i)
 			}
 		}
-		gotCoarse, _, err := RetrieveResolution(h, c, resPlanes, 2)
+		gotCoarse, _, err := RetrieveResolution(context.Background(), h, c, resPlanes, 2, RetrieveOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

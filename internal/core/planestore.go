@@ -20,14 +20,14 @@ import (
 // read discipline. It is safe for concurrent use when src is.
 type PlaneStore struct {
 	h     *Header
-	src   SegmentSource
+	src   storage.SegmentSource
 	codec lossless.Codec
 }
 
 // NewPlaneStore returns a plane store over h and src. src may be nil for a
 // store that is never fetched from (a remote-only session); Fetch then
 // fails cleanly instead of panicking.
-func NewPlaneStore(h *Header, src SegmentSource) (*PlaneStore, error) {
+func NewPlaneStore(h *Header, src storage.SegmentSource) (*PlaneStore, error) {
 	lc, err := lossless.ByName(h.CodecName)
 	if err != nil {
 		return nil, err
@@ -36,14 +36,9 @@ func NewPlaneStore(h *Header, src SegmentSource) (*PlaneStore, error) {
 }
 
 // FetchPlane implements servecache.Source by reading and decompressing the
-// keyed plane from the store.
-func (p *PlaneStore) FetchPlane(key servecache.Key) ([]byte, int64, error) {
-	return p.Fetch(context.Background(), key.Level, key.Plane)
-}
-
-// FetchPlaneCtx implements servecache.SourceCtx; ctx is typically the
-// cache's flight context, alive as long as any waiter wants the plane.
-func (p *PlaneStore) FetchPlaneCtx(ctx context.Context, key servecache.Key) ([]byte, int64, error) {
+// keyed plane from the store; ctx is typically the cache's flight context,
+// alive as long as any waiter wants the plane.
+func (p *PlaneStore) FetchPlane(ctx context.Context, key servecache.Key) ([]byte, int64, error) {
 	return p.Fetch(ctx, key.Level, key.Plane)
 }
 
@@ -62,7 +57,7 @@ func (p *PlaneStore) Fetch(ctx context.Context, level, plane int) ([]byte, int64
 	if plane < 0 || plane >= p.h.Planes {
 		return nil, 0, fmt.Errorf("core: plane %d out of [0,%d) on level %d", plane, p.h.Planes, level)
 	}
-	seg, err := readSegment(ctx, p.src, level, plane)
+	seg, err := p.src.Segment(ctx, level, plane)
 	if err != nil {
 		return nil, int64(len(seg)), err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -110,7 +111,7 @@ func probeBackend(f *grid.Tensor, cfg Config, fieldName string, rels []float64) 
 		if err != nil {
 			return 0, retrieval.Plan{}, err
 		}
-		rec, err := Retrieve(h, comp, plan)
+		rec, err := Retrieve(context.Background(), h, comp, plan, RetrieveOptions{})
 		if err != nil {
 			return 0, retrieval.Plan{}, err
 		}

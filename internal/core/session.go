@@ -28,22 +28,21 @@ import (
 // sessions (NewSharedSession), not in concurrent refinements of one.
 type Session struct {
 	header *Header
-	src    SegmentSource
-	// store is the validating fetch path over src (manifest length check +
-	// lossless decompression), shared with the node-side serving tier.
+	// store is the validating fetch path over the segment source (manifest
+	// length check + lossless decompression), shared with the node-side
+	// serving tier.
 	store *PlaneStore
 	// backend is the progressive codec named by the header; dec is its
 	// zero-initialized decomposition the fetched planes decode into.
 	backend codec.ProgressiveCodec
 	dec     codec.Decomposition
-	// cache, when non-nil, is consulted before src for decompressed planes;
+	// cache, when non-nil, is consulted before store for decompressed planes;
 	// shareID namespaces this session's planes within it.
 	cache   *servecache.Cache
 	shareID string
-	// remote, when non-nil, replaces the store fetch on cache misses: the
-	// shard router's sessions materialize planes from remote nodes through
-	// it instead of a local segment source.
-	remote servecache.SourceCtx
+	// missSrc fills cache misses: the session's own store fetch, or — for the
+	// shard router's sessions — the remote-node plane source that replaces it.
+	missSrc servecache.Source
 	// mu guards everything below it.
 	mu sync.Mutex
 	// fetched[l] is how many planes of level l have been read so far.
@@ -74,7 +73,7 @@ func (s *Session) Instrument(o *obs.Obs) {
 }
 
 // NewSession opens a progressive retrieval session over a compressed field.
-func NewSession(h *Header, src SegmentSource) (*Session, error) {
+func NewSession(h *Header, src storage.SegmentSource) (*Session, error) {
 	store, err := NewPlaneStore(h, src)
 	if err != nil {
 		return nil, err
@@ -93,7 +92,6 @@ func NewSession(h *Header, src SegmentSource) (*Session, error) {
 	}
 	return &Session{
 		header:     h,
-		src:        src,
 		store:      store,
 		backend:    backend,
 		dec:        dec,
@@ -112,7 +110,7 @@ type SharedSource struct {
 	// resilience stack: when Src is a storage.RetryingSource, the retry
 	// loop and fault classification for a contended plane also run once
 	// per flight instead of once per session.
-	Src SegmentSource
+	Src storage.SegmentSource
 	// Cache is the shared plane cache.
 	Cache *servecache.Cache
 	// FieldID namespaces this field's planes in the cache. Empty derives
@@ -125,7 +123,7 @@ type SharedSource struct {
 	// implementation fans cache misses out to remote node /planes endpoints,
 	// and the cache's singleflight collapses concurrent sessions' misses
 	// into one network fetch per plane.
-	Planes servecache.SourceCtx
+	Planes servecache.Source
 }
 
 // NewSharedSession opens a progressive retrieval session whose fetch path
@@ -146,7 +144,10 @@ func NewSharedSession(h *Header, ss SharedSource) (*Session, error) {
 	if s.shareID == "" {
 		s.shareID = fmt.Sprintf("%s@%d", h.FieldName, h.Timestep)
 	}
-	s.remote = ss.Planes
+	s.missSrc = ss.Planes
+	if s.missSrc == nil {
+		s.missSrc = (*planeFetcher)(s)
+	}
 	return s, nil
 }
 
@@ -196,20 +197,11 @@ type Degradation struct {
 // RefineTo extends the session to at least the given per-level plane
 // counts, fetching only planes not yet read, and returns the
 // reconstruction. Plane counts below what is already fetched are kept (a
-// session never un-reads data). A fetch failure aborts the refinement but
-// leaves the session consistent: every plane fetched before the failure
-// is retained and accounted, so a later RefineTo resumes from exactly
-// where the failure struck.
-func (s *Session) RefineTo(target []int) (*grid.Tensor, error) {
-	return s.RefineToCtx(context.Background(), target)
-}
-
-// RefineToCtx is RefineTo bounded by ctx. Cancellation aborts the
-// refinement with ctx's error, but the session stays consistent and
-// resumable: every plane fetched before cancellation is retained and
-// accounted, so a later refinement pays only for the remainder. A ctx that
-// cannot be cancelled is exactly RefineTo.
-func (s *Session) RefineToCtx(ctx context.Context, target []int) (*grid.Tensor, error) {
+// session never un-reads data). A fetch failure or ctx ending aborts the
+// refinement but leaves the session consistent and resumable: every plane
+// fetched before the failure is retained and accounted, so a later RefineTo
+// resumes from exactly where it struck and pays only for the remainder.
+func (s *Session) RefineTo(ctx context.Context, target []int) (*grid.Tensor, error) {
 	if len(target) != len(s.header.Levels) {
 		return nil, fmt.Errorf("core: session target has %d levels, header %d", len(target), len(s.header.Levels))
 	}
@@ -305,13 +297,7 @@ func (s *Session) fetchPlane(ctx context.Context, l, k int) ([]byte, int64, bool
 		return raw, payload, false, err
 	}
 	key := servecache.Key{Codec: s.header.Codec(), Field: s.shareID, Level: l, Plane: k}
-	if s.remote != nil {
-		return s.cache.GetOrFetchFromCtx(ctx, key, s.remote)
-	}
-	if ctx.Done() == nil {
-		return s.cache.GetOrFetchFrom(key, (*planeFetcher)(s))
-	}
-	return s.cache.GetOrFetchFromCtx(ctx, key, (*planeFetcher)(s))
+	return s.cache.Get(ctx, key, s.missSrc)
 }
 
 // planeFetcher adapts a Session to servecache.Source: a pointer conversion
@@ -320,14 +306,9 @@ func (s *Session) fetchPlane(ctx context.Context, l, k int) ([]byte, int64, bool
 type planeFetcher Session
 
 // FetchPlane implements servecache.Source by reading and decompressing the
-// keyed plane from the session's store.
-func (p *planeFetcher) FetchPlane(key servecache.Key) ([]byte, int64, error) {
-	return (*Session)(p).fetchPlaneStore(context.Background(), key.Level, key.Plane)
-}
-
-// FetchPlaneCtx implements servecache.SourceCtx; ctx is the cache's flight
-// context, alive as long as any waiter still wants the plane.
-func (p *planeFetcher) FetchPlaneCtx(ctx context.Context, key servecache.Key) ([]byte, int64, error) {
+// keyed plane from the session's store; ctx is the cache's flight context,
+// alive as long as any waiter still wants the plane.
+func (p *planeFetcher) FetchPlane(ctx context.Context, key servecache.Key) ([]byte, int64, error) {
 	return (*Session)(p).fetchPlaneStore(ctx, key.Level, key.Plane)
 }
 
@@ -359,24 +340,18 @@ func (s *Session) fetchPlaneStore(ctx context.Context, l, k int) ([]byte, int64,
 // reconstruction is returned together with a non-nil Degradation report
 // instead of an error. Transient failures (including retry exhaustion in
 // a storage.RetryingSource) still abort with an error, with the session
-// state left consistent for a later retry.
-func (s *Session) Refine(est retrieval.ErrorEstimator, tol float64) (*grid.Tensor, retrieval.Plan, *Degradation, error) {
-	return s.RefineCtx(context.Background(), est, tol)
-}
-
-// RefineCtx is Refine bounded by ctx. Cancellation — the caller's deadline
-// expiring, the client disconnecting — aborts with ctx's error (it never
-// degrades: only permanent data loss does), and the session remains
-// consistent and resumable exactly as under a transient fetch failure. A
-// ctx that cannot be cancelled is exactly Refine.
-func (s *Session) RefineCtx(ctx context.Context, est retrieval.ErrorEstimator, tol float64) (*grid.Tensor, retrieval.Plan, *Degradation, error) {
+// state left consistent for a later retry. So does ctx ending — the
+// caller's deadline expiring, the client disconnecting: it aborts with
+// ctx's error (it never degrades: only permanent data loss does), and the
+// session remains consistent and resumable.
+func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol float64) (*grid.Tensor, retrieval.Plan, *Degradation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sp := s.startSpan(ctx, "session.refine")
 	sp.SetAttr("tol", tol)
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
-	plan, err := retrieval.GreedyPlanObs(s.header.LevelInfos(), est, tol, s.o)
+	plan, err := greedyPlan(s.header, est, tol, s.o)
 	if err != nil {
 		sp.Fail(err)
 		return nil, retrieval.Plan{}, nil, err

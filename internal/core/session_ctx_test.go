@@ -8,12 +8,13 @@ import (
 
 	"pmgard/internal/grid"
 	"pmgard/internal/servecache"
+	"pmgard/internal/storage"
 )
 
-// blockingSource wraps a SegmentSource and blocks reads at or beyond a
-// trigger count until the gate closes or ctx ends.
+// blockingSource wraps a storage.SegmentSource and blocks reads at or
+// beyond a trigger count until the gate closes or ctx ends.
 type blockingSource struct {
-	inner   SegmentSource
+	inner   storage.SegmentSource
 	gate    chan struct{}
 	after   int64
 	reads   atomic.Int64
@@ -21,11 +22,7 @@ type blockingSource struct {
 	once    atomic.Bool
 }
 
-func (b *blockingSource) Segment(level, plane int) ([]byte, error) {
-	return b.SegmentCtx(context.Background(), level, plane)
-}
-
-func (b *blockingSource) SegmentCtx(ctx context.Context, level, plane int) ([]byte, error) {
+func (b *blockingSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	if b.reads.Add(1) > b.after {
 		if b.once.CompareAndSwap(false, true) {
 			close(b.started)
@@ -36,7 +33,7 @@ func (b *blockingSource) SegmentCtx(ctx context.Context, level, plane int) ([]by
 			return nil, ctx.Err()
 		}
 	}
-	return b.inner.Segment(level, plane)
+	return b.inner.Segment(ctx, level, plane)
 }
 
 func sessionField(t *testing.T) (*Header, *Compressed) {
@@ -68,7 +65,7 @@ func TestRefineCtxCancellationLeavesSessionResumable(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := sess.RefineCtx(ctx, est, tol)
+		_, _, _, err := sess.Refine(ctx, est, tol)
 		done <- err
 	}()
 	<-src.started
@@ -89,7 +86,7 @@ func TestRefineCtxCancellationLeavesSessionResumable(t *testing.T) {
 
 	// ...and a later refine resumes, paying only for the remainder.
 	close(src.gate)
-	rec, plan, deg, err := sess.Refine(est, tol)
+	rec, plan, deg, err := sess.Refine(context.Background(), est, tol)
 	if err != nil {
 		t.Fatalf("resumed refine: %v", err)
 	}
@@ -114,7 +111,7 @@ func TestRefineCtxCancellationLeavesSessionResumable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, _, err := fresh.Refine(est, tol)
+	ref, _, _, err := fresh.Refine(context.Background(), est, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +137,7 @@ func TestRefineCtxSharedSessionCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := sess.RefineCtx(ctx, est, tol)
+		_, _, _, err := sess.Refine(ctx, est, tol)
 		done <- err
 	}()
 	<-src.started
@@ -155,7 +152,7 @@ func TestRefineCtxSharedSessionCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, deg, err := other.Refine(est, tol); err != nil || deg != nil {
+	if _, _, deg, err := other.Refine(context.Background(), est, tol); err != nil || deg != nil {
 		t.Fatalf("sibling session after cancellation: deg=%v err=%v", deg, err)
 	}
 }

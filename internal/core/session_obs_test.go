@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // next step — a verbatim payload (possibly corrupt), an error, or a
 // fall-through to the real source.
 type scriptedSource struct {
-	src     SegmentSource
+	src     storage.SegmentSource
 	scripts map[[2]int][]scriptStep
 }
 
@@ -22,13 +23,13 @@ type scriptStep struct {
 	err     error
 }
 
-func (s *scriptedSource) Segment(level, plane int) ([]byte, error) {
+func (s *scriptedSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	key := [2]int{level, plane}
 	if steps := s.scripts[key]; len(steps) > 0 {
 		s.scripts[key] = steps[1:]
 		return steps[0].payload, steps[0].err
 	}
-	return s.src.Segment(level, plane)
+	return s.src.Segment(ctx, level, plane)
 }
 
 // TestSessionBytesFetchedCountsFailedFetches is the regression test for the
@@ -45,7 +46,7 @@ func TestSessionBytesFetchedCountsFailedFetches(t *testing.T) {
 
 	// Script plane (0, 1): first read returns a corrupt payload (valid
 	// transfer, fails decompression), the retry delivers the real bytes.
-	good, err := c.Segment(0, 1)
+	good, err := c.Segment(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestSessionBytesFetchedCountsFailedFetches(t *testing.T) {
 
 	target := make([]int, len(h.Levels))
 	target[0] = 2
-	if _, err := s.RefineTo(target); err == nil {
+	if _, err := s.RefineTo(context.Background(), target); err == nil {
 		t.Fatal("expected the corrupt plane to abort the refinement")
 	}
 	afterFailure := s.BytesFetched()
@@ -82,7 +83,7 @@ func TestSessionBytesFetchedCountsFailedFetches(t *testing.T) {
 
 	// The retry succeeds; the session resumes from plane (0,1) and its
 	// total now includes the wasted transfer plus every decoded plane.
-	if _, err := s.RefineTo(target); err != nil {
+	if _, err := s.RefineTo(context.Background(), target); err != nil {
 		t.Fatal(err)
 	}
 	want := sessionBytes(h, s.Fetched()) + int64(len(corrupt))
@@ -113,7 +114,7 @@ func TestSessionBytesFetchedCountsErrorPayloads(t *testing.T) {
 	}
 	target := make([]int, len(h.Levels))
 	target[0] = 1
-	if _, err := s.RefineTo(target); err == nil {
+	if _, err := s.RefineTo(context.Background(), target); err == nil {
 		t.Fatal("expected the scripted error to abort the refinement")
 	}
 	if got := s.BytesFetched(); got != int64(len(partial)) {
@@ -136,7 +137,7 @@ func TestSessionInstrumentPerLevelCounters(t *testing.T) {
 	}
 	o := obs.New()
 	s.Instrument(o)
-	if _, _, _, err := s.Refine(h.TheoryEstimator(), h.AbsTolerance(1e-3)); err != nil {
+	if _, _, _, err := s.Refine(context.Background(), h.TheoryEstimator(), h.AbsTolerance(1e-3)); err != nil {
 		t.Fatal(err)
 	}
 	snap := o.Metrics.Snapshot()

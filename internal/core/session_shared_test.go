@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -15,13 +16,13 @@ import (
 // countingSource counts raw store reads, the quantity the singleflight
 // dedup contract bounds.
 type countingSource struct {
-	src   SegmentSource
+	src   storage.SegmentSource
 	reads atomic.Int64
 }
 
-func (c *countingSource) Segment(level, plane int) ([]byte, error) {
+func (c *countingSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	c.reads.Add(1)
-	return c.src.Segment(level, plane)
+	return c.src.Segment(ctx, level, plane)
 }
 
 // sharedFixture compresses the test field once for the shared-cache tests.
@@ -47,7 +48,7 @@ func TestSharedSessionByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _, err := plain.Refine(est, tol)
+	want, _, _, err := plain.Refine(context.Background(), est, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSharedSessionByteIdentity(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				recs[i], _, _, errs[i] = s.Refine(est, tol)
+				recs[i], _, _, errs[i] = s.Refine(context.Background(), est, tol)
 				bytesFetched[i] = s.BytesFetched()
 			}(i)
 		}
@@ -100,7 +101,7 @@ func TestSharedSessionDeduplicatesStoreReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := solo.Refine(est, tol); err != nil {
+	if _, _, _, err := solo.Refine(context.Background(), est, tol); err != nil {
 		t.Fatal(err)
 	}
 	var soloPlanes int64
@@ -121,7 +122,7 @@ func TestSharedSessionDeduplicatesStoreReads(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			_, _, _, errs[i] = s.Refine(est, tol)
+			_, _, _, errs[i] = s.Refine(context.Background(), est, tol)
 		}(i)
 	}
 	wg.Wait()
@@ -154,7 +155,7 @@ func TestSharedSessionEvictionRefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _, err := plain.Refine(est, tol)
+	want, _, _, err := plain.Refine(context.Background(), est, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestSharedSessionEvictionRefetch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, _, _, err := s.Refine(est, tol)
+		rec, _, _, err := s.Refine(context.Background(), est, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func TestSessionConcurrentRefineTo(t *testing.T) {
 		wg.Add(1)
 		go func(i int, tg []int) {
 			defer wg.Done()
-			_, errs[i] = s.RefineTo(tg)
+			_, errs[i] = s.RefineTo(context.Background(), tg)
 		}(i, tg)
 	}
 	wg.Wait()
@@ -247,7 +248,7 @@ func TestSessionConcurrentRefineTo(t *testing.T) {
 // count the bytes actually delivered, not the manifest's claim.
 func TestSessionRejectsPayloadSizeMismatch(t *testing.T) {
 	h, c := sharedFixture(t)
-	good, err := c.Segment(0, 0)
+	good, err := c.Segment(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestSessionRejectsPayloadSizeMismatch(t *testing.T) {
 	}
 	target := make([]int, len(h.Levels))
 	target[0] = 1
-	_, err = s.RefineTo(target)
+	_, err = s.RefineTo(context.Background(), target)
 	if err == nil {
 		t.Fatal("session accepted a payload longer than the manifest's plane size")
 	}
@@ -292,7 +293,7 @@ func TestSharedSessionCountersMatchUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain.Instrument(oPlain)
-	if _, _, _, err := plain.Refine(est, tol); err != nil {
+	if _, _, _, err := plain.Refine(context.Background(), est, tol); err != nil {
 		t.Fatal(err)
 	}
 
@@ -306,7 +307,7 @@ func TestSharedSessionCountersMatchUncached(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Instrument(oShared)
-		if _, _, _, err := s.Refine(est, tol); err != nil {
+		if _, _, _, err := s.Refine(context.Background(), est, tol); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,5 +329,34 @@ func TestSharedSessionCountersMatchUncached(t *testing.T) {
 	}
 	if sharedSnap.Gauges["servecache.bytes"] <= 0 {
 		t.Fatal("servecache.bytes gauge not exported")
+	}
+}
+
+// TestCacheHitCancellableCtxAllocFree guards the only cache path serve's
+// /refine takes: a hit through Cache.Get under a cancellable, untraced ctx
+// must not allocate.
+func TestCacheHitCancellableCtxAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	h, c := sharedFixture(t)
+	store, err := NewPlaneStore(h, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := servecache.New(0)
+	key := servecache.Key{Codec: h.Codec(), Field: "Ex@0", Level: 1, Plane: 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, _, _, err := cache.Get(ctx, key, store); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, _, hit, err := cache.Get(ctx, key, store); err != nil || !hit {
+			t.Fatalf("hit=%v err=%v, want a cached hit", hit, err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("cache hit under a cancellable ctx allocates %.2f allocs/op, want 0", avg)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,15 +16,15 @@ import (
 // gatedSource makes selected planes fail with a transient error until
 // healed — the minimal model of a tier that comes back.
 type gatedSource struct {
-	src    SegmentSource
+	src    storage.SegmentSource
 	broken map[[2]int]bool
 }
 
-func (g *gatedSource) Segment(level, plane int) ([]byte, error) {
+func (g *gatedSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	if g.broken[[2]int{level, plane}] {
 		return nil, fmt.Errorf("gated: level %d plane %d unavailable: %w", level, plane, storage.ErrTransient)
 	}
-	return g.src.Segment(level, plane)
+	return g.src.Segment(ctx, level, plane)
 }
 
 // sessionBytes recomputes the payload bytes implied by the session's
@@ -52,11 +53,11 @@ func TestSessionRefineMatchesOneShot(t *testing.T) {
 	est := h.TheoryEstimator()
 	for _, rel := range []float64{1e-1, 1e-3, 1e-5} {
 		tol := h.AbsTolerance(rel)
-		recS, _, _, err := s.Refine(est, tol)
+		recS, _, _, err := s.Refine(context.Background(), est, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recO, _, err := RetrieveTolerance(h, c, est, tol)
+		recO, _, err := RetrieveTolerance(context.Background(), h, c, est, tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,21 +83,21 @@ func TestSessionFetchesOnlyDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	s, err := NewSession(h2, StoreSource{Store: st})
+	s, err := NewSession(h2, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	est := h.TheoryEstimator()
 
 	// Coarse first.
-	if _, _, _, err := s.Refine(est, h.AbsTolerance(1e-1)); err != nil {
+	if _, _, _, err := s.Refine(context.Background(), est, h.AbsTolerance(1e-1)); err != nil {
 		t.Fatal(err)
 	}
 	coarseBytes := st.BytesRead()
 	coarseFetched := s.Fetched()
 
 	// Tighten: the session must only read the delta.
-	if _, _, _, err := s.Refine(est, h.AbsTolerance(1e-5)); err != nil {
+	if _, _, _, err := s.Refine(context.Background(), est, h.AbsTolerance(1e-5)); err != nil {
 		t.Fatal(err)
 	}
 	totalBytes := st.BytesRead()
@@ -106,7 +107,7 @@ func TestSessionFetchesOnlyDeltas(t *testing.T) {
 	// One-shot at the tight tolerance from a fresh store must cost at
 	// least as much as the session's delta-only total.
 	st.ResetCounters()
-	if _, _, err := RetrieveTolerance(h2, StoreSource{Store: st}, est, h.AbsTolerance(1e-5)); err != nil {
+	if _, _, err := RetrieveTolerance(context.Background(), h2, st, est, h.AbsTolerance(1e-5), RetrieveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	oneShot := st.BytesRead()
@@ -135,12 +136,12 @@ func TestSessionLooseningIsFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := h.TheoryEstimator()
-	if _, _, _, err := s.Refine(est, h.AbsTolerance(1e-5)); err != nil {
+	if _, _, _, err := s.Refine(context.Background(), est, h.AbsTolerance(1e-5)); err != nil {
 		t.Fatal(err)
 	}
 	before := s.BytesFetched()
 	// Asking for a looser tolerance afterwards reads nothing.
-	rec, _, _, err := s.Refine(est, h.AbsTolerance(1e-1))
+	rec, _, _, err := s.Refine(context.Background(), est, h.AbsTolerance(1e-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +165,13 @@ func TestSessionRefineToValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RefineTo([]int{1}); err == nil {
+	if _, err := s.RefineTo(context.Background(), []int{1}); err == nil {
 		t.Fatal("short target accepted")
 	}
-	if _, err := s.RefineTo([]int{99, 0, 0, 0, 0}); err == nil {
+	if _, err := s.RefineTo(context.Background(), []int{99, 0, 0, 0, 0}); err == nil {
 		t.Fatal("out-of-range target accepted")
 	}
-	if _, err := s.RefineTo([]int{-1, 0, 0, 0, 0}); err == nil {
+	if _, err := s.RefineTo(context.Background(), []int{-1, 0, 0, 0, 0}); err == nil {
 		t.Fatal("negative target accepted")
 	}
 }
@@ -185,7 +186,7 @@ func TestSessionZeroTargetGivesZeroField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := s.RefineTo(make([]int, 5))
+	rec, err := s.RefineTo(context.Background(), make([]int, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestSessionMidRefineFailureLeavesConsistentState(t *testing.T) {
 	est := h.TheoryEstimator()
 	tol := h.AbsTolerance(1e-5)
 	// The transient failure on (2,1) must abort Refine with an error...
-	if _, _, deg, err := s.Refine(est, tol); err == nil || deg != nil {
+	if _, _, deg, err := s.Refine(context.Background(), est, tol); err == nil || deg != nil {
 		t.Fatalf("transient failure did not abort: deg=%v err=%v", deg, err)
 	}
 	// ...leaving fetched/planes/bytes in agreement: every fetched plane is
@@ -228,20 +229,20 @@ func TestSessionMidRefineFailureLeavesConsistentState(t *testing.T) {
 		t.Fatalf("session accounting %d != %d implied by fetched planes", got, want)
 	}
 	// A second attempt while still broken must fail again, not corrupt state.
-	if _, _, _, err := s.Refine(est, tol); err == nil {
+	if _, _, _, err := s.Refine(context.Background(), est, tol); err == nil {
 		t.Fatal("still-broken source refined successfully")
 	}
 	// Once the source recovers, the same session completes and matches a
 	// clean one-shot bit for bit, with no double-counted bytes.
 	delete(gate.broken, [2]int{2, 1})
-	rec, _, deg, err := s.Refine(est, tol)
+	rec, _, deg, err := s.Refine(context.Background(), est, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if deg != nil {
 		t.Fatalf("recovered refinement reported degradation %+v", deg)
 	}
-	clean, _, err := RetrieveTolerance(h, c, est, tol)
+	clean, _, err := RetrieveTolerance(context.Background(), h, c, est, tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestSessionDegradedRefine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, plan, deg, err := s.Refine(est, tol)
+	rec, plan, deg, err := s.Refine(context.Background(), est, tol)
 	if err != nil {
 		t.Fatalf("permanent loss was a hard failure: %v", err)
 	}
@@ -315,7 +316,7 @@ func TestSessionDegradedRefine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, deg0, err := s0.Refine(est, tol)
+	_, _, deg0, err := s0.Refine(context.Background(), est, tol)
 	if err != nil || deg0 == nil || deg0.Got[0] != 0 {
 		t.Fatalf("whole-level loss: deg=%+v err=%v", deg0, err)
 	}
@@ -336,13 +337,13 @@ func TestSessionRefineThroughRetryingSourceByteIdentical(t *testing.T) {
 	pol.Sleep = func(time.Duration) {}
 	for _, rel := range []float64{1e-2, 1e-4, 1e-6} {
 		tol := h.AbsTolerance(rel)
-		clean, _, err := RetrieveTolerance(h, c, est, tol)
+		clean, _, err := RetrieveTolerance(context.Background(), h, c, est, tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		flaky := faults.WrapSource(c, faults.Config{Seed: 1234, TransientRate: 0.20})
 		r := storage.NewRetryingSource(nil, flaky, pol)
-		rec, _, err := RetrieveTolerance(h, r, est, tol)
+		rec, _, err := RetrieveTolerance(context.Background(), h, r, est, tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatalf("rel %g: flaky retrieval failed: %v", rel, err)
 		}
@@ -369,7 +370,7 @@ func TestSessionPermanentErrorWithoutSentinelStillDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, deg, err := s.Refine(h.TheoryEstimator(), h.AbsTolerance(1e-4))
+	_, _, deg, err := s.Refine(context.Background(), h.TheoryEstimator(), h.AbsTolerance(1e-4))
 	if err != nil {
 		t.Fatalf("missing-file error was a hard failure: %v", err)
 	}
@@ -379,11 +380,11 @@ func TestSessionPermanentErrorWithoutSentinelStillDegrades(t *testing.T) {
 }
 
 // notExistSource fails level 1 as if its tier file were deleted.
-type notExistSource struct{ src SegmentSource }
+type notExistSource struct{ src storage.SegmentSource }
 
-func (n notExistSource) Segment(level, plane int) ([]byte, error) {
+func (n notExistSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	if level == 1 {
 		return nil, fmt.Errorf("open level_1.seg: %w", os.ErrNotExist)
 	}
-	return n.src.Segment(level, plane)
+	return n.src.Segment(ctx, level, plane)
 }

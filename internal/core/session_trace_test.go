@@ -32,7 +32,7 @@ func TestSessionRefineSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := s.RefineCtx(ctx, h.TheoryEstimator(), h.AbsTolerance(1e-3)); err != nil {
+	if _, _, _, err := s.Refine(ctx, h.TheoryEstimator(), h.AbsTolerance(1e-3)); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -117,7 +117,7 @@ func TestSessionCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := first.RefineCtx(ctx, h.TheoryEstimator(), tol); err != nil {
+	if _, _, _, err := first.Refine(ctx, h.TheoryEstimator(), tol); err != nil {
 		t.Fatal(err)
 	}
 	if first.CacheHits() != 0 {
@@ -128,7 +128,7 @@ func TestSessionCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := second.RefineCtx(ctx, h.TheoryEstimator(), tol); err != nil {
+	if _, _, _, err := second.Refine(ctx, h.TheoryEstimator(), tol); err != nil {
 		t.Fatal(err)
 	}
 	var want int64

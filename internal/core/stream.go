@@ -17,8 +17,8 @@ import (
 // SegmentSink consumes compressed plane segments in strictly increasing
 // (level, plane) order — the on-disk layout order. The payload buffer is
 // only valid for the duration of the call (the pipeline recycles it), so a
-// sink that retains bytes must copy. storage.StreamWriter, storage.Writer
-// and storage.TieredWriter all satisfy the interface.
+// sink that retains bytes must copy. storage.StreamWriter and
+// storage.TieredWriter both satisfy the interface.
 type SegmentSink interface {
 	WriteSegment(id storage.SegmentID, payload []byte) error
 }
@@ -154,18 +154,17 @@ func CompressTo(t *grid.Tensor, cfg Config, fieldName string, timestep int, sink
 	return h, nil
 }
 
-// CompressToFile streams the full compression pipeline straight into a
-// segment-store file: segments spill to disk as they are produced, and the
-// header — complete only once compression finishes — is prepended at
-// commit. The file is byte-identical to Compress + WriteFile at every
-// worker count, without ever materializing the artifact in memory.
-func CompressToFile(t *grid.Tensor, cfg Config, fieldName string, timestep int, path string) (*Header, error) {
+// streamToFile commits to path the artifact whose segments produce writes
+// into the sink it is handed: segments spill to disk as they arrive, and the
+// header — complete only once produce returns — is prepended at commit. On
+// any error nothing is left at path.
+func streamToFile(path string, produce func(SegmentSink) (*Header, error)) (*Header, error) {
 	sw, err := storage.CreateStream(path)
 	if err != nil {
 		return nil, err
 	}
 	defer sw.Abort()
-	h, err := CompressTo(t, cfg, fieldName, timestep, sw)
+	h, err := produce(sw)
 	if err != nil {
 		return nil, err
 	}
@@ -179,17 +178,16 @@ func CompressToFile(t *grid.Tensor, cfg Config, fieldName string, timestep int, 
 	return h, nil
 }
 
-// CompressToTiered streams the compression pipeline into a tiered store:
-// each level's segments land in its tier's level file as they are
-// produced. Equivalent to Compress + WriteTiered without the in-memory
-// artifact.
-func CompressToTiered(t *grid.Tensor, cfg Config, fieldName string, timestep int, dir string, hier storage.Hierarchy) (*Header, error) {
+// streamToTiered is streamToFile for a tiered store: each level's segments
+// land in its tier's level file as produce writes them, and the manifest
+// is committed last.
+func streamToTiered(dir string, hier storage.Hierarchy, produce func(SegmentSink) (*Header, error)) (*Header, error) {
 	w, err := storage.CreateTiered(dir, hier, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer w.Abort()
-	h, err := CompressTo(t, cfg, fieldName, timestep, w)
+	h, err := produce(w)
 	if err != nil {
 		return nil, err
 	}
@@ -210,6 +208,23 @@ func CompressToTiered(t *grid.Tensor, cfg Config, fieldName string, timestep int
 	return h, nil
 }
 
+// CompressToFile streams the full compression pipeline straight into a
+// segment-store file. The file is byte-identical to Compress + WriteFile at
+// every worker count, without ever materializing the artifact in memory.
+func CompressToFile(t *grid.Tensor, cfg Config, fieldName string, timestep int, path string) (*Header, error) {
+	return streamToFile(path, func(sink SegmentSink) (*Header, error) {
+		return CompressTo(t, cfg, fieldName, timestep, sink)
+	})
+}
+
+// CompressToTiered streams the compression pipeline into a tiered store.
+// Equivalent to Compress + WriteTiered without the in-memory artifact.
+func CompressToTiered(t *grid.Tensor, cfg Config, fieldName string, timestep int, dir string, hier storage.Hierarchy) (*Header, error) {
+	return streamToTiered(dir, hier, func(sink SegmentSink) (*Header, error) {
+		return CompressTo(t, cfg, fieldName, timestep, sink)
+	})
+}
+
 // memorySink accumulates segments into a Compressed, copying each recycled
 // pipeline buffer into an exact-size allocation — the same per-segment
 // allocation profile the pre-streaming Compress had.
@@ -218,6 +233,7 @@ type memorySink struct {
 	planes   int
 }
 
+// WriteSegment implements SegmentSink.
 func (s *memorySink) WriteSegment(id storage.SegmentID, payload []byte) error {
 	for len(s.segments) <= id.Level {
 		s.segments = append(s.segments, make([][]byte, s.planes))

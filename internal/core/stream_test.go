@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"sort"
 	"testing"
 
 	"pmgard/internal/bitplane"
@@ -61,7 +65,7 @@ func TestCompressToFileGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, _, err := RetrieveTolerance(h2, StoreSource{Store: st}, h2.TheoryEstimator(), h2.AbsTolerance(1e-4))
+		rec, _, err := RetrieveTolerance(context.Background(), h2, st, h2.TheoryEstimator(), h2.AbsTolerance(1e-4), RetrieveOptions{})
 		st.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: retrieve from streamed file: %v", workers, err)
@@ -72,9 +76,16 @@ func TestCompressToFileGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompressToTieredGoldenEquivalence checks the streaming tiered path
-// against Compress + WriteTiered: identical level files and identical
-// manifest bytes.
+// tieredGoldenDigest is the treeDigest of the tiered store the batch
+// WriteTiered loop (removed in favour of the streaming writer) produced for
+// the field of TestCompressToTieredGoldenEquivalence — the format reference
+// both tiered write paths must keep reproducing byte for byte.
+const tieredGoldenDigest = "ca832da9be976e80f197de4bd9907a15681624ae423559d5bb97f229ba162b0c"
+
+// TestCompressToTieredGoldenEquivalence pins both tiered write paths —
+// Compress + WriteTiered and the streaming CompressToTiered at several
+// worker counts — to the reference tree: identical level files and
+// identical manifest bytes.
 func TestCompressToTieredGoldenEquivalence(t *testing.T) {
 	f := seededField(31, 17, 17, 17)
 	cfg := DefaultConfig()
@@ -91,6 +102,9 @@ func TestCompressToTieredGoldenEquivalence(t *testing.T) {
 	if err := c.WriteTiered(refDir, hier); err != nil {
 		t.Fatal(err)
 	}
+	if got := treeDigest(t, refDir); got != tieredGoldenDigest {
+		t.Fatalf("WriteTiered tree digest %s, want the format reference %s", got, tieredGoldenDigest)
+	}
 
 	for _, workers := range []int{1, 4} {
 		cfg := DefaultConfig()
@@ -99,38 +113,56 @@ func TestCompressToTieredGoldenEquivalence(t *testing.T) {
 		if _, err := CompressToTiered(f, cfg, "golden-tier", 0, dir, hier); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		compareTrees(t, refDir, dir, workers)
+		if got := treeDigest(t, dir); got != tieredGoldenDigest {
+			t.Fatalf("workers=%d: CompressToTiered tree digest %s, want the format reference %s", workers, got, tieredGoldenDigest)
+		}
+		// The streamed tree round-trips through the normal reader.
+		h, st, err := OpenTiered(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _, err := RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), h.AbsTolerance(1e-4), RetrieveOptions{})
+		st.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: retrieve from streamed tree: %v", workers, err)
+		}
+		if got := grid.MaxAbsDiff(f, rec); got > h.AbsTolerance(1e-4) {
+			t.Fatalf("workers=%d: error %g exceeds tolerance", workers, got)
+		}
 	}
 }
 
-// compareTrees asserts two directory trees hold identical files.
-func compareTrees(t *testing.T, wantRoot, gotRoot string, workers int) {
+// treeDigest is the sha256 over a directory tree's files in sorted
+// slash-separated relative-path order, each contributing
+// "<path>\n<size>\n" followed by its bytes.
+func treeDigest(t *testing.T, root string) string {
 	t.Helper()
-	err := filepath.Walk(wantRoot, func(path string, info os.FileInfo, err error) error {
+	var rels []string
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() {
 			return err
 		}
-		rel, err := filepath.Rel(wantRoot, path)
+		rel, err := filepath.Rel(root, path)
 		if err != nil {
 			return err
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		got, err := os.ReadFile(filepath.Join(gotRoot, rel))
-		if err != nil {
-			t.Errorf("workers=%d: %s: %v", workers, rel, err)
-			return nil
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: %s differs (%d vs %d bytes)", workers, rel, len(got), len(want))
-		}
+		rels = append(rels, filepath.ToSlash(rel))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sort.Strings(rels)
+	sum := sha256.New()
+	for _, rel := range rels {
+		b, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(rel)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(sum, "%s\n%d\n", rel, len(b))
+		sum.Write(b)
+	}
+	return fmt.Sprintf("%x", sum.Sum(nil))
 }
 
 // TestCompressToSinkError checks that a failing sink aborts the pipeline
@@ -181,7 +213,7 @@ func TestStreamingEncodeSteadyStateAllocs(t *testing.T) {
 	codec := lossless.Deflate()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cycle := func() {
-		enc, err := bitplane.EncodeLevel(coeffs, 32)
+		enc, err := bitplane.EncodeLevel(coeffs, 32, bitplane.Negabinary, 1, nil)
 		if err != nil {
 			panic(err)
 		}

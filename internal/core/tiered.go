@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -11,33 +10,16 @@ import (
 // WriteTiered persists the compressed field across a storage hierarchy:
 // each coefficient level's plane segments land in the directory of the tier
 // the hierarchy assigns it to (§II-A — hot coarse levels on fast tiers,
-// cold fine levels on slow ones).
+// cold fine levels on slow ones), through the same streaming writer
+// CompressToTiered uses.
 func (c *Compressed) WriteTiered(dir string, h storage.Hierarchy) error {
-	if len(h.Placement) != len(c.Header.Levels) {
-		return fmt.Errorf("core: hierarchy places %d levels, field has %d",
-			len(h.Placement), len(c.Header.Levels))
-	}
-	meta, err := json.Marshal(&c.Header)
-	if err != nil {
-		return fmt.Errorf("core: marshal header: %w", err)
-	}
-	w, err := storage.CreateTiered(dir, h, meta)
-	if err != nil {
-		return err
-	}
-	for l := range c.segments {
-		for k, seg := range c.segments[l] {
-			if err := w.WriteSegment(storage.SegmentID{Level: l, Plane: k}, seg); err != nil {
-				w.Close()
-				return err
-			}
-		}
-	}
-	return w.Close()
+	_, err := streamToTiered(dir, h, c.replay)
+	return err
 }
 
 // OpenTiered opens a tiered store directory written by WriteTiered and
-// parses its header.
+// parses its header. The returned store is itself the
+// storage.SegmentSource to retrieve from.
 func OpenTiered(dir string) (*Header, *storage.TieredStore, error) {
 	st, err := storage.OpenTiered(dir)
 	if err != nil {
@@ -49,23 +31,4 @@ func OpenTiered(dir string) (*Header, *storage.TieredStore, error) {
 		return nil, nil, fmt.Errorf("core: parse header: %w", err)
 	}
 	return &h, st, nil
-}
-
-// TieredSource adapts a TieredStore as a SegmentSource.
-type TieredSource struct {
-	Store *storage.TieredStore
-}
-
-// Segment implements SegmentSource.
-func (s TieredSource) Segment(level, plane int) ([]byte, error) {
-	return s.Store.ReadSegment(storage.SegmentID{Level: level, Plane: plane})
-}
-
-// SegmentCtx implements ContextSource. Tier reads are local file I/O that
-// cannot be interrupted mid-syscall, so cancellation is checked at entry.
-func (s TieredSource) SegmentCtx(ctx context.Context, level, plane int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.Segment(level, plane)
 }

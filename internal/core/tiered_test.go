@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestTieredWorkflow(t *testing.T) {
 		t.Fatalf("header lost: %+v", h)
 	}
 	tol := h.AbsTolerance(1e-4)
-	rec, plan, err := RetrieveTolerance(h, TieredSource{Store: st}, h.TheoryEstimator(), tol)
+	rec, plan, err := RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

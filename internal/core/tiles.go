@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -281,7 +282,7 @@ func RetrieveTiledRel(dir string, rel float64, outPath string, workers int) (*Ti
 			w.Close()
 			return nil, nil, fmt.Errorf("core: tile %d: %w", i, err)
 		}
-		rec, plan, err := RetrieveToleranceWorkers(h, StoreSource{Store: st}, h.TheoryEstimator(), tol, workers)
+		rec, plan, err := RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, RetrieveOptions{Workers: workers})
 		st.Close()
 		if err != nil {
 			w.Close()

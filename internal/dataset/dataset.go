@@ -7,6 +7,7 @@
 package dataset
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -233,7 +234,7 @@ func (r *Reader) Retrieve(field string, timestep int, relBound float64) (*grid.T
 	if tol <= 0 {
 		return nil, retrieval.Plan{}, fmt.Errorf("dataset: non-positive tolerance for %s@%d", field, timestep)
 	}
-	return core.RetrieveTolerance(h, core.StoreSource{Store: st}, h.TheoryEstimator(), tol)
+	return core.RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, core.RetrieveOptions{})
 }
 
 // RetrieveEMGARD fetches under the attached E-MGARD model's learned
@@ -257,7 +258,7 @@ func (r *Reader) RetrieveEMGARD(field string, timestep int, relBound float64) (*
 	if tol <= 0 {
 		return nil, retrieval.Plan{}, fmt.Errorf("dataset: non-positive tolerance for %s@%d", field, timestep)
 	}
-	return core.RetrieveTolerance(h, core.StoreSource{Store: st}, est, tol)
+	return core.RetrieveTolerance(context.Background(), h, st, est, tol, core.RetrieveOptions{})
 }
 
 // RetrieveDMGARD fetches under the attached D-MGARD model's plane-count
@@ -287,7 +288,7 @@ func (r *Reader) RetrieveDMGARD(field string, timestep int, relBound float64) (*
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
-	return core.RetrievePlanes(h, core.StoreSource{Store: st}, planes)
+	return core.RetrievePlanes(context.Background(), h, st, planes, core.RetrieveOptions{})
 }
 
 // fieldFeatures returns cached features or derives them from a one-time
@@ -304,7 +305,7 @@ func (r *Reader) fieldFeatures(h *core.Header, st *storage.Store, field string, 
 	for l := range all {
 		all[l] = h.Planes
 	}
-	rec, _, err := core.RetrievePlanes(h, core.StoreSource{Store: st}, all)
+	rec, _, err := core.RetrievePlanes(context.Background(), h, st, all, core.RetrieveOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -32,6 +32,7 @@ import (
 	"pmgard/internal/bufpool"
 	"pmgard/internal/grid"
 	"pmgard/internal/interleave"
+	"pmgard/internal/obs"
 	"pmgard/internal/pool"
 )
 
@@ -101,20 +102,22 @@ type Decomposition struct {
 	workers int
 }
 
-// Decompose transforms t into multilevel coefficients. The input tensor is
-// not modified. The transform runs sequentially; use DecomposeWorkers for
-// the parallel path.
-func Decompose(t *grid.Tensor, opt Options) (*Decomposition, error) {
-	return DecomposeWorkers(t, opt, 1)
-}
-
-// DecomposeWorkers transforms t into multilevel coefficients, fanning the
+// Decompose transforms t into multilevel coefficients, fanning the
 // independent grid lines of each lifting pass across at most `workers`
-// goroutines (≤ 0 means GOMAXPROCS). Every node is computed from the same
-// operands in the same order regardless of worker count, so the resulting
-// coefficients are bit-identical to the sequential transform. The returned
-// Decomposition remembers the worker count and applies it to Recompose.
-func DecomposeWorkers(t *grid.Tensor, opt Options, workers int) (*Decomposition, error) {
+// goroutines (≤ 0 means GOMAXPROCS; 1 runs sequentially). The input tensor
+// is not modified. Every node is computed from the same operands in the
+// same order regardless of worker count, so the resulting coefficients are
+// bit-identical to the sequential transform. The returned Decomposition
+// remembers the worker count and applies it to Recompose.
+//
+// A non-nil o records a "decompose" span with rank/level attrs, and
+// counters decompose.transforms / decompose.passes (one pass per (step,
+// axis) pair of the forward lifting schedule) / decompose.nodes.
+func Decompose(t *grid.Tensor, opt Options, workers int, o *obs.Obs) (*Decomposition, error) {
+	sp := o.Span("decompose", nil)
+	sp.SetAttr("levels", opt.Levels)
+	sp.SetAttr("rank", t.NDim())
+	defer sp.End()
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -129,20 +132,20 @@ func DecomposeWorkers(t *grid.Tensor, opt Options, workers int) (*Decomposition,
 	for l := 0; l < opt.Levels; l++ {
 		d.coeffs[l] = plan.Extract(work.Data(), l, nil)
 	}
+	if o != nil {
+		o.Counter("decompose.transforms").Add(1)
+		o.Counter("decompose.passes").Add(int64((opt.Levels - 1) * t.NDim()))
+		o.Counter("decompose.nodes").Add(int64(len(t.Data())))
+	}
 	return d, nil
 }
 
 // NewZero returns a Decomposition with all-zero coefficient streams for the
 // given grid shape — the starting point when reassembling a partial
-// retrieval from storage.
-func NewZero(dims []int, opt Options) (*Decomposition, error) {
-	return NewZeroWorkers(dims, opt, 1)
-}
-
-// NewZeroWorkers is NewZero with a worker count for the recomposition path
-// (≤ 0 means GOMAXPROCS). Worker count never changes the reconstructed
-// bytes, only how many goroutines compute them.
-func NewZeroWorkers(dims []int, opt Options, workers int) (*Decomposition, error) {
+// retrieval from storage. workers is the worker count of the recomposition
+// path (≤ 0 means GOMAXPROCS); it never changes the reconstructed bytes,
+// only how many goroutines compute them.
+func NewZero(dims []int, opt Options, workers int) (*Decomposition, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -328,7 +331,7 @@ func forEachLineWorkers(t *grid.Tensor, h, axis, workers int, fn func(base, stri
 		}
 		return
 	}
-	pool.RunChunks(len(bases), workers, func(_, lo, hi int) error {
+	pool.RunChunks(len(bases), workers, nil, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			fn(bases[i], stride, count)
 		}

@@ -42,7 +42,7 @@ func TestRoundTripExact1D(t *testing.T) {
 			{Levels: 3, Update: true, UpdateWeight: 0.25},
 			{Levels: 5, Update: true, UpdateWeight: 0.25},
 		} {
-			d, err := Decompose(orig, opt)
+			d, err := Decompose(orig, opt, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestRoundTripExact2D3D(t *testing.T) {
 	opt := DefaultOptions()
 	for _, dims := range cases {
 		orig := randomTensor(rng, dims...)
-		d, err := Decompose(orig, opt)
+		d, err := Decompose(orig, opt, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestDecomposeDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orig := randomTensor(rng, 9, 9)
 	before := orig.Clone()
-	if _, err := Decompose(orig, DefaultOptions()); err != nil {
+	if _, err := Decompose(orig, DefaultOptions(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if grid.MaxAbsDiff(orig, before) != 0 {
@@ -93,7 +93,7 @@ func TestLinearFieldHasZeroDetails(t *testing.T) {
 			f.Set(3*float64(i)-2*float64(j)+1, i, j)
 		}
 	}
-	d, err := Decompose(f, Options{Levels: 4}) // predict-only
+	d, err := Decompose(f, Options{Levels: 4}, 1, nil) // predict-only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSmoothFieldCoefficientDecay(t *testing.T) {
 			f.Set(math.Sin(3*x)*math.Cos(2*y)*100, i, j)
 		}
 	}
-	d, err := Decompose(f, DefaultOptions())
+	d, err := Decompose(f, DefaultOptions(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSmoothFieldCoefficientDecay(t *testing.T) {
 
 func TestZeroCoefficientsRecomposeToZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	d, err := Decompose(randomTensor(rng, 9, 9), DefaultOptions())
+	d, err := Decompose(randomTensor(rng, 9, 9), DefaultOptions(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestZeroCoefficientsRecomposeToZero(t *testing.T) {
 
 func TestCloneShapeMatchesSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d, err := Decompose(randomTensor(rng, 9, 5), Options{Levels: 3})
+	d, err := Decompose(randomTensor(rng, 9, 5), Options{Levels: 3}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCloneShapeMatchesSizes(t *testing.T) {
 
 func TestSetCoeffsPanicsOnWrongLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	d, _ := Decompose(randomTensor(rng, 9), Options{Levels: 2})
+	d, _ := Decompose(randomTensor(rng, 9), Options{Levels: 2}, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetCoeffs with wrong length did not panic")
@@ -185,9 +185,9 @@ func TestTransformIsLinear(t *testing.T) {
 		sum.Data()[i] = a.Data()[i] + 2*b.Data()[i]
 	}
 	opt := DefaultOptions()
-	da, _ := Decompose(a, opt)
-	db, _ := Decompose(b, opt)
-	ds, _ := Decompose(sum, opt)
+	da, _ := Decompose(a, opt, 1, nil)
+	db, _ := Decompose(b, opt, 1, nil)
+	ds, _ := Decompose(sum, opt, 1, nil)
 	for l := 0; l < opt.Levels; l++ {
 		ca, cb, cs := da.Coeffs(l), db.Coeffs(l), ds.Coeffs(l)
 		for i := range cs {
@@ -205,7 +205,7 @@ func TestErrorAmplificationBoundHolds(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	opt := DefaultOptions()
 	orig := randomTensor(rng, 17, 17, 9)
-	d, err := Decompose(orig, opt)
+	d, err := Decompose(orig, opt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestPartialReconstructionImprovesWithLevels(t *testing.T) {
 		}
 	}
 	opt := DefaultOptions()
-	d, err := Decompose(f, opt)
+	d, err := Decompose(f, opt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestRoundTripPropertyRandomShapes(t *testing.T) {
 		levels := 1 + rng.Intn(5)
 		opt := Options{Levels: levels, Update: rng.Intn(2) == 0, UpdateWeight: 0.25}
 		orig := randomTensor(rng, dims...)
-		d, err := Decompose(orig, opt)
+		d, err := Decompose(orig, opt, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestRoundTrip4D(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	orig := randomTensor(rng, 5, 7, 3, 9)
 	for _, opt := range []Options{{Levels: 2}, {Levels: 3, Update: true, UpdateWeight: 0.25}} {
-		d, err := Decompose(orig, opt)
+		d, err := Decompose(orig, opt, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func TestSingleLevelIsIdentity(t *testing.T) {
 	// Levels=1 performs no transform: coefficients equal the data.
 	rng := rand.New(rand.NewSource(12))
 	orig := randomTensor(rng, 6, 6)
-	d, err := Decompose(orig, Options{Levels: 1})
+	d, err := Decompose(orig, Options{Levels: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestMoreLevelsThanResolution(t *testing.T) {
 	// transform must still round trip.
 	rng := rand.New(rand.NewSource(13))
 	orig := randomTensor(rng, 3)
-	d, err := Decompose(orig, Options{Levels: 6, Update: true, UpdateWeight: 0.25})
+	d, err := Decompose(orig, Options{Levels: 6, Update: true, UpdateWeight: 0.25}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +345,11 @@ func TestNewZeroMatchesDecomposeShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	orig := randomTensor(rng, 9, 5)
 	opt := DefaultOptions()
-	d, err := Decompose(orig, opt)
+	d, err := Decompose(orig, opt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := NewZero(orig.Dims(), opt)
+	z, err := NewZero(orig.Dims(), opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestNewZeroMatchesDecomposeShape(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewZero([]int{4}, Options{Levels: 0}); err == nil {
+	if _, err := NewZero([]int{4}, Options{Levels: 0}, 1); err == nil {
 		t.Fatal("NewZero accepted invalid options")
 	}
 }
@@ -373,7 +373,7 @@ func TestRecomposeLevelFullMatchesRecompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	orig := randomTensor(rng, 17, 9)
 	opt := DefaultOptions()
-	d, err := Decompose(orig, opt)
+	d, err := Decompose(orig, opt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestRecomposeLevelDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	orig := randomTensor(rng, 17, 17, 17)
 	opt := DefaultOptions()
-	d, err := Decompose(orig, opt)
+	d, err := Decompose(orig, opt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestRecomposeLevelApproximatesDownsample(t *testing.T) {
 		}
 	}
 	opt := DefaultOptions()
-	d, err := Decompose(f, opt)
+	d, err := Decompose(f, opt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestRecomposeLevelApproximatesDownsample(t *testing.T) {
 
 func TestRecomposeLevelValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	d, _ := Decompose(randomTensor(rng, 9), Options{Levels: 3})
+	d, _ := Decompose(randomTensor(rng, 9), Options{Levels: 3}, 1, nil)
 	for _, upTo := range []int{-1, 3} {
 		if _, err := d.RecomposeLevel(upTo); err == nil {
 			t.Fatalf("RecomposeLevel(%d) accepted", upTo)

@@ -28,12 +28,12 @@ func TestDecomposeWorkersBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			ref, err := DecomposeWorkers(f, opt, 1)
+			ref, err := Decompose(f, opt, 1, nil)
 			if err != nil {
 				t.Fatalf("dims %v: %v", dims, err)
 			}
 			for _, workers := range []int{2, 3, 8} {
-				par, err := DecomposeWorkers(f, opt, workers)
+				par, err := Decompose(f, opt, workers, nil)
 				if err != nil {
 					t.Fatalf("dims %v workers %d: %v", dims, workers, err)
 				}
@@ -57,7 +57,7 @@ func TestRecomposeWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := randomTensor(rng, 17, 17, 17)
 	opt := Options{Levels: 4, Update: true, UpdateWeight: 0.25}
-	seq, err := DecomposeWorkers(f, opt, 1)
+	seq, err := Decompose(f, opt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRecomposeWorkersBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := DecomposeWorkers(f, opt, workers)
+		par, err := Decompose(f, opt, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestRecomposeWorkersBitIdentical(t *testing.T) {
 func TestSetWorkersRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := randomTensor(rng, 33, 33)
-	d, err := DecomposeWorkers(f, Options{Levels: 5, Update: true, UpdateWeight: 0.25}, 4)
+	d, err := Decompose(f, Options{Levels: 5, Update: true, UpdateWeight: 0.25}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dmgard
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -67,7 +68,7 @@ func Harvest(field *grid.Tensor, fieldName string, timestep int, cfg core.Config
 			// Constant field: nothing to learn from this bound.
 			continue
 		}
-		rec, plan, err := core.RetrieveTolerance(h, c, est, tol)
+		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("dmgard: sweep bound %g: %w", rel, err)
 		}

@@ -1,6 +1,7 @@
 package emgard
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -218,11 +219,11 @@ func TestHarvestAndTrainOnRealPipeline(t *testing.T) {
 	}
 	theory := h.TheoryEstimator()
 	tol := h.AbsTolerance(1e-4)
-	_, planTheory, err := core.RetrieveTolerance(h, c, theory, tol)
+	_, planTheory, err := core.RetrieveTolerance(context.Background(), h, c, theory, tol, core.RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recE, planE, err := core.RetrieveTolerance(h, c, est, tol)
+	recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

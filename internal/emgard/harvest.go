@@ -1,6 +1,7 @@
 package emgard
 
 import (
+	"context"
 	"fmt"
 
 	"pmgard/internal/core"
@@ -31,7 +32,7 @@ func Harvest(field *grid.Tensor, fieldName string, timestep int, cfg core.Config
 		if tol <= 0 {
 			continue
 		}
-		rec, plan, err := core.RetrieveTolerance(h, c, est, tol)
+		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("emgard: sweep bound %g: %w", rel, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pmgard/internal/core"
@@ -125,7 +126,7 @@ func AblateUpdate(p Params) ([]*Table, error) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-5)
-		rec, plan, err := core.RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +229,7 @@ func AblateCodec(p Params) ([]*Table, error) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-5)
-		_, plan, err := core.RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+		_, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pmgard/internal/bitplane"
@@ -179,11 +180,11 @@ func AblateSession(p Params) ([]*Table, error) {
 	var oneShotCum int64
 	for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6} {
 		tol := h.AbsTolerance(rel)
-		rec, _, _, err := sess.Refine(est, tol)
+		rec, _, _, err := sess.Refine(context.Background(), est, tol)
 		if err != nil {
 			return nil, err
 		}
-		_, plan, err := core.RetrieveTolerance(h, c, est, tol)
+		_, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -232,15 +233,15 @@ func AblateConstant(p Params) ([]*Table, error) {
 		if tol <= 0 {
 			continue
 		}
-		recN, planN, err := core.RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+		recN, planN, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}
-		recT, planT, err := core.RetrieveTolerance(h, c, h.TightEstimator(), tol)
+		recT, planT, err := core.RetrieveTolerance(context.Background(), h, c, h.TightEstimator(), tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}
-		recE, planE, err := core.RetrieveTolerance(h, c, learned, tol)
+		recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, learned, tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +263,7 @@ func AblateEncoding(p Params) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec, err := decompose.Decompose(field, p.Compress.Decompose)
+	dec, err := decompose.Decompose(field, p.Compress.Decompose, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -279,11 +280,11 @@ func AblateEncoding(p Params) ([]*Table, error) {
 			"planes", "negabinary_err", "signmag_err", "negabinary_bytes", "signmag_bytes",
 		},
 	}
-	encN, err := bitplane.EncodeLevelMode(coeffs, 32, bitplane.Negabinary)
+	encN, err := bitplane.EncodeLevel(coeffs, 32, bitplane.Negabinary, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	encS, err := bitplane.EncodeLevelMode(coeffs, 32, bitplane.SignMagnitude)
+	encS, err := bitplane.EncodeLevel(coeffs, 32, bitplane.SignMagnitude, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +360,7 @@ func ExpHybrid(p Params) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			recD, planD, err := core.RetrievePlanes(h, c, seed)
+			recD, planD, err := core.RetrievePlanes(context.Background(), h, c, seed, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -371,7 +372,7 @@ func ExpHybrid(p Params) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			recE, planE, err := core.RetrieveTolerance(h, c, est, tol)
+			recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -379,7 +380,7 @@ func ExpHybrid(p Params) ([]*Table, error) {
 			if grid.MaxAbsDiff(field, recE) > tol {
 				eV++
 			}
-			recH, planH, err := core.RetrieveHybrid(h, c, seed, est, tol)
+			recH, planH, err := core.RetrieveHybrid(context.Background(), h, c, seed, est, tol, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -485,7 +486,7 @@ func AblateLevels(p Params) ([]*Table, error) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-4)
-		rec, plan, err := core.RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pmgard/internal/core"
@@ -65,7 +66,7 @@ func ExpBaselines(p Params) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec, plan, err := core.RetrieveTolerance(h, c, est, tol)
+		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pmgard/internal/core"
@@ -86,11 +87,11 @@ func Fig12(p Params) ([]*Table, error) {
 		if tol <= 0 {
 			continue
 		}
-		recT, _, err := core.RetrieveTolerance(h, c, theory, tol)
+		recT, _, err := core.RetrieveTolerance(context.Background(), h, c, theory, tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}
-		recE, _, err := core.RetrieveTolerance(h, c, learned, tol)
+		recE, _, err := core.RetrieveTolerance(context.Background(), h, c, learned, tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +145,7 @@ func Fig13(p Params) ([]*Table, error) {
 			if tol <= 0 {
 				continue
 			}
-			recT, planT, err := core.RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+			recT, planT, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +162,7 @@ func Fig13(p Params) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			recD, planD, err := core.RetrievePlanes(h, c, planes)
+			recD, planD, err := core.RetrievePlanes(context.Background(), h, c, planes, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +176,7 @@ func Fig13(p Params) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			recE, planE, err := core.RetrieveTolerance(h, c, learned, tol)
+			recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, learned, tol, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err
 			}

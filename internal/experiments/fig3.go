@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"pmgard/internal/core"
@@ -21,7 +22,7 @@ func planesForBound(p Params, field *grid.Tensor, name string, t int, rel float6
 	if tol <= 0 {
 		return make([]int, len(h.Levels)), 0, nil
 	}
-	_, plan, err := core.RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+	_, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -45,7 +46,7 @@ func Fig5(p Params) ([]*Table, error) {
 			if tol <= 0 {
 				continue
 			}
-			_, plan, err := core.RetrieveTolerance(h, c, est, tol)
+			_, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -107,7 +108,7 @@ func Fig5(p Params) ([]*Table, error) {
 		if tol <= 0 {
 			continue
 		}
-		_, plan, err := core.RetrieveTolerance(h, c, est, tol)
+		_, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}

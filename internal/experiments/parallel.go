@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -35,6 +36,7 @@ type ParallelPoint struct {
 // not the disk.
 type discardSink struct{}
 
+// WriteSegment implements core.SegmentSink.
 func (discardSink) WriteSegment(storage.SegmentID, []byte) error { return nil }
 
 // ParallelSweep times the streaming compression pipeline and the parallel
@@ -90,8 +92,8 @@ func ParallelSweep(p Params, procs []int, reps int) ([]ParallelPoint, error) {
 		bestR := time.Duration(1<<63 - 1)
 		for i := 0; i < reps; i++ {
 			start := time.Now()
-			if _, _, err := core.RetrieveToleranceWorkers(&ref.Header, ref,
-				ref.Header.TheoryEstimator(), tol, pr); err != nil {
+			if _, _, err := core.RetrieveTolerance(context.Background(), &ref.Header, ref,
+				ref.Header.TheoryEstimator(), tol, core.RetrieveOptions{Workers: pr}); err != nil {
 				return nil, err
 			}
 			if d := time.Since(start); d < bestR {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"pmgard/internal/core"
 	"pmgard/internal/grid"
 	"pmgard/internal/retrieval"
@@ -35,7 +36,7 @@ func pathProfile(field *grid.Tensor, c *core.Compressed) ([]pathPoint, error) {
 		zeroErrs[l] = li.ErrMatrix[0]
 	}
 	points := make([]pathPoint, 0, len(steps)+1)
-	zero, err := core.Retrieve(h, c, retrieval.Plan{Planes: make([]int, len(infos))})
+	zero, err := core.Retrieve(context.Background(), h, c, retrieval.Plan{Planes: make([]int, len(infos))}, core.RetrieveOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +46,7 @@ func pathProfile(field *grid.Tensor, c *core.Compressed) ([]pathPoint, error) {
 		ActualErr: grid.MaxAbsDiff(field, zero),
 	})
 	for _, s := range steps {
-		rec, err := core.Retrieve(h, c, retrieval.Plan{Planes: s.Planes})
+		rec, err := core.Retrieve(context.Background(), h, c, retrieval.Plan{Planes: s.Planes}, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -51,6 +51,7 @@ type shardBenchSource struct {
 	key   servecache.Key // Codec/Field template; Level/Plane filled per read
 }
 
+// PlaneField implements shard.NodeSource.
 func (s *shardBenchSource) PlaneField(name string) (shard.NodeField, bool) {
 	if name != s.h.FieldName {
 		return shard.NodeField{}, false
@@ -60,12 +61,13 @@ func (s *shardBenchSource) PlaneField(name string) (shard.NodeField, bool) {
 		Fetch: func(ctx context.Context, level, plane int) ([]byte, int64, error) {
 			k := s.key
 			k.Level, k.Plane = level, plane
-			raw, payload, _, err := s.cache.GetOrFetchFromCtx(ctx, k, s.store)
+			raw, payload, _, err := s.cache.Get(ctx, k, s.store)
 			return raw, payload, err
 		},
 	}, true
 }
 
+// PlaneFields implements shard.NodeSource.
 func (s *shardBenchSource) PlaneFields() []string { return []string{s.h.FieldName} }
 
 // shardBenchNode is one running bench node: its HTTP server, listener URL
@@ -142,7 +144,7 @@ func ShardSweep(p Params, nodeCounts []int) ([]ShardPoint, error) {
 		return nil, err
 	}
 	defer st.Close()
-	store, err := core.NewPlaneStore(h, core.StoreSource{Store: st})
+	store, err := core.NewPlaneStore(h, st)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +219,7 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 	// Warming pass: touch every plane once so the timed round measures the
 	// steady state (each node's LRU holds whatever fits of its partition).
 	for _, k := range keys {
-		if _, _, err := fc.FetchPlaneCtx(ctx, k); err != nil {
+		if _, _, err := fc.FetchPlane(ctx, k); err != nil {
 			return ShardPoint{}, fmt.Errorf("experiments: shard warmup (%d,%d): %w", k.Level, k.Plane, err)
 		}
 	}
@@ -237,7 +239,7 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < reads; i += shardWorkers {
-				if _, _, err := fc.FetchPlaneCtx(ctx, workload[i]); err != nil && errs[w] == nil {
+				if _, _, err := fc.FetchPlane(ctx, workload[i]); err != nil && errs[w] == nil {
 					errs[w] = err
 				}
 			}

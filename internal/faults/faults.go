@@ -1,5 +1,5 @@
 // Package faults provides deterministic, seedable fault injection for the
-// retrieval path: wrappers around a retrieval SegmentSource or a storage
+// retrieval path: wrappers around a storage.SegmentSource or a storage
 // store that inject transient errors, permanently unavailable planes,
 // latency, payload corruption and truncation at configurable rates.
 //
@@ -13,6 +13,7 @@
 package faults
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -151,8 +152,10 @@ func draw(seed int64, level, plane, attempt int, stream uint64) float64 {
 
 // admit decides the fate of one read attempt before the underlying read
 // runs. It returns the attempt number (for the payload mangle draws) and
-// an injected error, if any.
-func (in *injector) admit(level, plane int) (int, error) {
+// an injected error, if any. The modeled tier latency is waited out under
+// ctx, so a cancelled read returns ctx's error instead of sleeping on; the
+// ctx-less wrappers pass context.Background() and always wait in full.
+func (in *injector) admit(ctx context.Context, level, plane int) (int, error) {
 	id := PlaneID{Level: level, Plane: plane}
 	in.mu.Lock()
 	attempt := in.attempts[id]
@@ -165,7 +168,13 @@ func (in *injector) admit(level, plane int) (int, error) {
 			level, plane, storage.ErrPermanent)
 	}
 	if in.cfg.Latency > 0 {
-		time.Sleep(in.cfg.Latency)
+		t := time.NewTimer(in.cfg.Latency)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return attempt, ctx.Err()
+		}
 	}
 	if draw(in.cfg.Seed, level, plane, attempt, streamTransient) < in.cfg.TransientRate {
 		in.transient.Add(1)
@@ -213,33 +222,26 @@ func (in *injector) snapshot() Stats {
 	}
 }
 
-// SegmentSource yields compressed plane payloads; it is structurally
-// identical to core.SegmentSource and storage.PlaneSource, restated so
-// this package depends on neither wrapper direction.
-type SegmentSource interface {
-	// Segment returns the compressed payload of plane k of level l.
-	Segment(level, plane int) ([]byte, error)
-}
-
-// Source wraps a SegmentSource with fault injection. It is safe for
-// concurrent use if the underlying source is.
+// Source wraps a storage.SegmentSource with fault injection. It is safe
+// for concurrent use if the underlying source is.
 type Source struct {
-	src SegmentSource
+	src storage.SegmentSource
 	in  *injector
 }
 
 // WrapSource wraps src so its reads are filtered through cfg's faults.
-func WrapSource(src SegmentSource, cfg Config) *Source {
+func WrapSource(src storage.SegmentSource, cfg Config) *Source {
 	return &Source{src: src, in: newInjector(cfg)}
 }
 
-// Segment implements SegmentSource with injected faults.
-func (s *Source) Segment(level, plane int) ([]byte, error) {
-	attempt, err := s.in.admit(level, plane)
+// Segment implements storage.SegmentSource with injected faults. ctx bounds
+// the injected latency and is forwarded to the wrapped source.
+func (s *Source) Segment(ctx context.Context, level, plane int) ([]byte, error) {
+	attempt, err := s.in.admit(ctx, level, plane)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := s.src.Segment(level, plane)
+	payload, err := s.src.Segment(ctx, level, plane)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +278,7 @@ func WrapStore(r SegmentReader, cfg Config) *Store {
 
 // ReadSegment implements SegmentReader with injected faults.
 func (s *Store) ReadSegment(id storage.SegmentID) ([]byte, error) {
-	attempt, err := s.in.admit(id.Level, id.Plane)
+	attempt, err := s.in.admit(context.Background(), id.Level, id.Plane)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +321,7 @@ func WrapReaderAt(r io.ReaderAt, cfg Config) *ReaderAt {
 // ReadAt implements io.ReaderAt with injected faults.
 func (r *ReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	block := int(off >> faultBlockShift)
-	attempt, err := r.in.admit(0, block)
+	attempt, err := r.in.admit(context.Background(), 0, block)
 	if err != nil {
 		return 0, err
 	}

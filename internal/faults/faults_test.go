@@ -2,16 +2,21 @@ package faults
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"pmgard/internal/leakcheck"
+	"pmgard/internal/obs"
 	"pmgard/internal/storage"
 )
 
 // memSource is a deterministic in-memory SegmentSource.
 type memSource struct{}
 
-func (memSource) Segment(level, plane int) ([]byte, error) {
+func (memSource) Segment(_ context.Context, level, plane int) ([]byte, error) {
 	payload := make([]byte, 32)
 	for i := range payload {
 		payload[i] = byte(level*31 + plane*7 + i)
@@ -24,7 +29,7 @@ func errorSequence(t *testing.T, cfg Config, reads int) []bool {
 	src := WrapSource(memSource{}, cfg)
 	seq := make([]bool, 0, reads)
 	for i := 0; i < reads; i++ {
-		_, err := src.Segment(i%3, i%5)
+		_, err := src.Segment(context.Background(), i%3, i%5)
 		seq = append(seq, err != nil)
 	}
 	return seq
@@ -58,7 +63,7 @@ func TestTransientRateAndClassification(t *testing.T) {
 	var failures int
 	for i := 0; i < reads; i++ {
 		// Distinct planes so every read is attempt 0 of its plane.
-		_, err := src.Segment(0, i)
+		_, err := src.Segment(context.Background(), 0, i)
 		if err != nil {
 			failures++
 			if !errors.Is(err, storage.ErrTransient) {
@@ -86,7 +91,7 @@ func TestRetryRedrawsTransientDecision(t *testing.T) {
 	src := WrapSource(memSource{}, Config{Seed: 3, TransientRate: 0.5})
 	var ok, fail int
 	for i := 0; i < 64; i++ {
-		if _, err := src.Segment(0, 0); err != nil {
+		if _, err := src.Segment(context.Background(), 0, 0); err != nil {
 			fail++
 		} else {
 			ok++
@@ -100,7 +105,7 @@ func TestRetryRedrawsTransientDecision(t *testing.T) {
 func TestPermanentPlane(t *testing.T) {
 	src := WrapSource(memSource{}, Config{Seed: 1, Permanent: []PlaneID{{Level: 1, Plane: 2}}})
 	for i := 0; i < 3; i++ {
-		_, err := src.Segment(1, 2)
+		_, err := src.Segment(context.Background(), 1, 2)
 		if err == nil {
 			t.Fatal("permanent plane read succeeded")
 		}
@@ -111,7 +116,7 @@ func TestPermanentPlane(t *testing.T) {
 			t.Fatalf("permanent fault classified transient: %v", err)
 		}
 	}
-	if _, err := src.Segment(1, 3); err != nil {
+	if _, err := src.Segment(context.Background(), 1, 3); err != nil {
 		t.Fatalf("neighboring plane affected: %v", err)
 	}
 	if st := src.Stats(); st.Permanent != 3 {
@@ -120,9 +125,9 @@ func TestPermanentPlane(t *testing.T) {
 }
 
 func TestCorruptionAndTruncation(t *testing.T) {
-	clean, _ := memSource{}.Segment(0, 0)
+	clean, _ := memSource{}.Segment(context.Background(), 0, 0)
 	corrupting := WrapSource(memSource{}, Config{Seed: 5, CorruptRate: 1})
-	got, err := corrupting.Segment(0, 0)
+	got, err := corrupting.Segment(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestCorruptionAndTruncation(t *testing.T) {
 		t.Fatalf("corruption did not flip a byte in place: %q vs %q", got, clean)
 	}
 	truncating := WrapSource(memSource{}, Config{Seed: 5, TruncateRate: 1})
-	got, err = truncating.Segment(0, 0)
+	got, err = truncating.Segment(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +143,7 @@ func TestCorruptionAndTruncation(t *testing.T) {
 		t.Fatalf("truncation returned %d bytes, want %d", len(got), len(clean)/2)
 	}
 	// The underlying payload must be untouched (mangle copies).
-	again, _ := memSource{}.Segment(0, 0)
+	again, _ := memSource{}.Segment(context.Background(), 0, 0)
 	if !bytes.Equal(again, clean) {
 		t.Fatal("underlying payload mutated")
 	}
@@ -153,11 +158,11 @@ func TestCorruptionAndTruncation(t *testing.T) {
 func TestZeroConfigIsTransparent(t *testing.T) {
 	src := WrapSource(memSource{}, Config{})
 	for i := 0; i < 50; i++ {
-		got, err := src.Segment(i, i)
+		got, err := src.Segment(context.Background(), i, i)
 		if err != nil {
 			t.Fatalf("zero config injected error: %v", err)
 		}
-		want, _ := memSource{}.Segment(i, i)
+		want, _ := memSource{}.Segment(context.Background(), i, i)
 		if !bytes.Equal(got, want) {
 			t.Fatal("zero config mutated payload")
 		}
@@ -168,14 +173,15 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 func TestWrapStore(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/s.pmgd"
-	w, err := storage.Create(path, []byte("m"))
+	w, err := storage.CreateStream(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Abort()
 	if err := w.WriteSegment(storage.SegmentID{Level: 0, Plane: 0}, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := w.Commit([]byte("m")); err != nil {
 		t.Fatal(err)
 	}
 	st, err := storage.Open(path)
@@ -201,5 +207,56 @@ func TestDrawIsUniformEnough(t *testing.T) {
 	}
 	if mean := sum / n; mean < 0.45 || mean > 0.55 {
 		t.Fatalf("draw mean %.3f far from 0.5", mean)
+	}
+}
+
+// recordingSource counts reads and remembers the span each read's ctx
+// carried.
+type recordingSource struct {
+	calls atomic.Int64
+	span  atomic.Pointer[obs.Span]
+}
+
+func (r *recordingSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
+	r.calls.Add(1)
+	r.span.Store(obs.SpanFromContext(ctx))
+	return []byte{1}, nil
+}
+
+// TestSourceLatencyHonorsCancellation pins the ctx contract of the injected
+// tier latency: a read cancelled mid-wait returns ctx's error promptly,
+// never reaches the wrapped source and leaves no goroutine behind.
+func TestSourceLatencyHonorsCancellation(t *testing.T) {
+	baseline := leakcheck.Baseline()
+	inner := &recordingSource{}
+	src := WrapSource(inner, Config{Seed: 1, Latency: 5 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := src.Segment(ctx, 0, 0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ctx's DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+		t.Fatalf("cancelled read returned after %v, want < 200ms", elapsed)
+	}
+	if n := inner.calls.Load(); n != 0 {
+		t.Fatalf("inner source saw %d reads after cancellation, want 0", n)
+	}
+	leakcheck.Check(t, baseline, 2*time.Second)
+}
+
+// TestSourceForwardsContext checks that values the caller put on ctx (the
+// trace parent) are visible to the wrapped source.
+func TestSourceForwardsContext(t *testing.T) {
+	inner := &recordingSource{}
+	src := WrapSource(inner, Config{Seed: 1})
+	sp := obs.New().Span("request", nil)
+	defer sp.End()
+	if _, err := src.Segment(obs.ContextWithSpan(context.Background(), sp), 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := inner.span.Load(); got != sp {
+		t.Fatalf("inner source saw span %p, want the caller's %p", got, sp)
 	}
 }

@@ -16,6 +16,7 @@ func Huffman() Codec { return huffmanCodec{} }
 
 type huffmanCodec struct{}
 
+// Name implements Codec.
 func (huffmanCodec) Name() string { return "huffman" }
 
 // maxCodeLen bounds code lengths; with ≤256 symbols depth ≤ 255 is already
@@ -109,6 +110,7 @@ func canonicalCodes(lengths [256]uint8) [256]uint64 {
 	return codes
 }
 
+// Compress implements Codec.
 func (huffmanCodec) Compress(src []byte) ([]byte, error) {
 	var counts [256]int64
 	for _, b := range src {
@@ -143,6 +145,7 @@ func (huffmanCodec) Compress(src []byte) ([]byte, error) {
 	return out, nil
 }
 
+// Decompress implements Codec.
 func (huffmanCodec) Decompress(src []byte, size int) ([]byte, error) {
 	if len(src) < 4+256 {
 		return nil, fmt.Errorf("lossless: huffman stream too short")

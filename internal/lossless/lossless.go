@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"pmgard/internal/bufpool"
-	"pmgard/internal/pool"
 )
 
 // Codec compresses and decompresses byte segments.
@@ -51,6 +50,7 @@ func Deflate() Codec { return deflateCodec{} }
 
 type deflateCodec struct{}
 
+// Name implements Codec.
 func (deflateCodec) Name() string { return "deflate" }
 
 // flateWriters pools encoders: a fresh flate.Writer allocates hundreds of
@@ -71,6 +71,7 @@ var flateWriters = sync.Pool{
 // instead of escaping with every call.
 var flateBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// Compress implements Codec.
 func (deflateCodec) Compress(src []byte) ([]byte, error) {
 	buf := flateBuffers.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -109,6 +110,7 @@ var flateReaders = sync.Pool{
 	},
 }
 
+// Decompress implements Codec.
 func (deflateCodec) Decompress(src []byte, size int) ([]byte, error) {
 	fr := flateReaders.Get().(*flateReader)
 	fr.src.Reset(src)
@@ -138,55 +140,16 @@ func (deflateCodec) Decompress(src []byte, size int) ([]byte, error) {
 	return out, nil
 }
 
-// CompressSegments compresses every segment with codec on a bounded worker
-// pool (workers ≤ 0 means GOMAXPROCS). Each result lands in the output slot
-// matching its input index, so the slice is identical for every worker
-// count; on failure the error from the lowest-indexed segment is returned.
-func CompressSegments(codec Codec, segments [][]byte, workers int) ([][]byte, error) {
-	out := make([][]byte, len(segments))
-	err := pool.Run(len(segments), workers, func(_, i int) error {
-		enc, err := codec.Compress(segments[i])
-		if err != nil {
-			return fmt.Errorf("segment %d: %w", i, err)
-		}
-		out[i] = enc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecompressSegments reverses CompressSegments: segment i decodes to
-// sizes[i] bytes. The same slot-per-index determinism contract applies.
-func DecompressSegments(codec Codec, segments [][]byte, sizes []int, workers int) ([][]byte, error) {
-	if len(segments) != len(sizes) {
-		return nil, fmt.Errorf("lossless: %d segments but %d sizes", len(segments), len(sizes))
-	}
-	out := make([][]byte, len(segments))
-	err := pool.Run(len(segments), workers, func(_, i int) error {
-		dec, err := codec.Decompress(segments[i], sizes[i])
-		if err != nil {
-			return fmt.Errorf("segment %d: %w", i, err)
-		}
-		out[i] = dec
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RLE returns a simple byte-run-length codec, effective on the near-constant
 // high-order sign planes.
 func RLE() Codec { return rleCodec{} }
 
 type rleCodec struct{}
 
+// Name implements Codec.
 func (rleCodec) Name() string { return "rle" }
 
+// Compress implements Codec.
 func (rleCodec) Compress(src []byte) ([]byte, error) {
 	out := make([]byte, 0, len(src)/4+8)
 	for i := 0; i < len(src); {
@@ -201,6 +164,7 @@ func (rleCodec) Compress(src []byte) ([]byte, error) {
 	return out, nil
 }
 
+// Decompress implements Codec.
 func (rleCodec) Decompress(src []byte, size int) ([]byte, error) {
 	if len(src)%2 != 0 {
 		return nil, fmt.Errorf("lossless: rle stream has odd length %d", len(src))
@@ -227,14 +191,17 @@ func Raw() Codec { return rawCodec{} }
 
 type rawCodec struct{}
 
+// Name implements Codec.
 func (rawCodec) Name() string { return "raw" }
 
+// Compress implements Codec.
 func (rawCodec) Compress(src []byte) ([]byte, error) {
 	out := make([]byte, len(src))
 	copy(out, src)
 	return out, nil
 }
 
+// Decompress implements Codec.
 func (rawCodec) Decompress(src []byte, size int) ([]byte, error) {
 	if len(src) != size {
 		return nil, fmt.Errorf("lossless: raw segment is %d bytes, want %d", len(src), size)

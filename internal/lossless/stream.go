@@ -43,8 +43,7 @@ func AppendCompress(codec Codec, dst, src []byte) ([]byte, error) {
 }
 
 // CompressInstruments carries the per-segment compression telemetry of
-// CompressSegmentsObs for callers that compress segments one at a time
-// (the streaming pipeline): counters lossless.segments_compressed /
+// the streaming pipeline, which compresses segments one at a time: counters lossless.segments_compressed /
 // lossless.compress_bytes_in / lossless.compress_bytes_out and the
 // lossless.segment_bytes size histogram. A nil *CompressInstruments
 // observes nothing, so the disabled path stays one pointer check.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -233,7 +234,7 @@ func parallelBatch(replicas []*Sequential, x, y *Mat, idx []int, loss Loss, para
 		grads [][]float64
 	}
 	snaps := make([]snapshot, nChunks)
-	pool.RunMetrics(nChunks, len(replicas), m, func(worker, c int) error {
+	pool.Run(context.Background(), nChunks, len(replicas), m, func(worker, c int) error {
 		rep := replicas[worker]
 		repParams := rep.Params()
 		lo := c * microBatchRows

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -11,8 +10,8 @@ import (
 
 // Metrics instruments one named fan-out site ("decompose", "fetch", ...)
 // of the pool. All instruments are nil-safe, so a Metrics built over a
-// disabled registry observes nothing; a nil *Metrics short-circuits to the
-// uninstrumented Run/RunChunks path entirely.
+// disabled registry observes nothing; a nil *Metrics passed to Run or
+// RunChunks skips the telemetry wrapper entirely.
 //
 // Metric names under NewMetrics(o, name):
 //
@@ -27,8 +26,8 @@ type Metrics struct {
 	o    *obs.Obs
 	name string
 
-	// Submitted counts tasks handed to the pool across all RunMetrics
-	// calls on this site.
+	// Submitted counts tasks handed to the pool across all runs on this
+	// site.
 	Submitted *obs.Counter
 	// Completed counts tasks that ran to completion (error or not).
 	Completed *obs.Counter
@@ -42,7 +41,7 @@ type Metrics struct {
 
 // NewMetrics builds (or rebinds to) the pool instruments of one fan-out
 // site in o's registry. Returns nil on a nil or metrics-less o, which
-// makes RunMetrics fall through to the uninstrumented path.
+// makes Run skip the telemetry wrapper.
 func NewMetrics(o *obs.Obs, name string) *Metrics {
 	if o == nil || o.Metrics == nil {
 		return nil
@@ -67,22 +66,20 @@ func (m *Metrics) worker(w int) (*obs.Counter, *obs.Gauge) {
 	return m.o.Counter(prefix + ".tasks"), m.o.Gauge(prefix + ".busy_seconds")
 }
 
-// RunMetrics is Run with per-task pool telemetry recorded into m: queue
-// depth, wait time from fan-out entry to task start, task duration overall
-// and per worker, and submitted/completed counts. A nil m is exactly Run.
-// The determinism contract of Run is unchanged — instruments only observe,
-// they never influence scheduling or results.
-func RunMetrics(n, workers int, m *Metrics, fn func(worker, i int) error) error {
-	if m == nil {
-		return Run(n, workers, fn)
-	}
-	if n > 0 {
-		m.Submitted.Add(int64(n))
-		m.QueueDepth.Add(float64(n))
-	}
+// observe wraps fn with the per-task telemetry of one n-task fan-out:
+// queue depth, wait time from fan-out entry to task start, task duration
+// overall and per worker, and submitted/completed counts. The returned
+// drain must run when the fan-out returns: tasks skipped because the
+// context ended are taken off the queue-depth gauge there, so a cancelled
+// run never leaves the gauge stuck above zero.
+func (m *Metrics) observe(n int, fn func(worker, i int) error) (wrapped func(worker, i int) error, drain func()) {
+	m.Submitted.Add(int64(n))
+	m.QueueDepth.Add(float64(n))
+	var started atomic.Int64
 	entry := time.Now()
-	return Run(n, workers, func(worker, i int) error {
+	wrapped = func(worker, i int) error {
 		start := time.Now()
+		started.Add(1)
 		m.QueueDepth.Add(-1)
 		m.Wait.Observe(start.Sub(entry).Seconds())
 		err := fn(worker, i)
@@ -93,60 +90,11 @@ func RunMetrics(n, workers int, m *Metrics, fn func(worker, i int) error) error 
 		busy.Add(dur)
 		m.Completed.Add(1)
 		return err
-	})
-}
-
-// RunMetricsCtx is RunCtx with RunMetrics' telemetry. Tasks skipped because
-// ctx ended are drained from the queue-depth gauge when the fan-out
-// returns, so a cancelled run never leaves the gauge stuck above zero. A
-// nil m is exactly RunCtx.
-func RunMetricsCtx(ctx context.Context, n, workers int, m *Metrics, fn func(worker, i int) error) error {
-	if m == nil {
-		return RunCtx(ctx, n, workers, fn)
 	}
-	if n > 0 {
-		m.Submitted.Add(int64(n))
-		m.QueueDepth.Add(float64(n))
+	drain = func() {
+		if skipped := int64(n) - started.Load(); skipped > 0 {
+			m.QueueDepth.Add(-float64(skipped))
+		}
 	}
-	var started atomic.Int64
-	entry := time.Now()
-	err := RunCtx(ctx, n, workers, func(worker, i int) error {
-		start := time.Now()
-		started.Add(1)
-		m.QueueDepth.Add(-1)
-		m.Wait.Observe(start.Sub(entry).Seconds())
-		ferr := fn(worker, i)
-		dur := time.Since(start).Seconds()
-		m.Task.Observe(dur)
-		tasks, busy := m.worker(worker)
-		tasks.Add(1)
-		busy.Add(dur)
-		m.Completed.Add(1)
-		return ferr
-	})
-	if skipped := int64(n) - started.Load(); skipped > 0 {
-		m.QueueDepth.Add(-float64(skipped))
-	}
-	return err
-}
-
-// RunChunksMetrics is RunChunks with the same telemetry as RunMetrics;
-// each contiguous chunk counts as one task. A nil m is exactly RunChunks.
-func RunChunksMetrics(n, workers int, m *Metrics, fn func(worker, lo, hi int) error) error {
-	if m == nil {
-		return RunChunks(n, workers, fn)
-	}
-	if n <= 0 {
-		return nil
-	}
-	workers = Clamp(workers)
-	chunks := workers
-	if chunks > n {
-		chunks = n
-	}
-	return RunMetrics(chunks, workers, m, func(worker, c int) error {
-		lo := c * n / chunks
-		hi := (c + 1) * n / chunks
-		return fn(worker, lo, hi)
-	})
+	return wrapped, drain
 }

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -15,7 +16,7 @@ func TestRunMetricsCompletedEqualsSubmitted(t *testing.T) {
 			o := obs.New()
 			m := NewMetrics(o, "test")
 			hits := make([]int, tasks)
-			if err := RunMetrics(tasks, workers, m, func(_, i int) error {
+			if err := Run(context.Background(), tasks, workers, m, func(_, i int) error {
 				hits[i]++
 				return nil
 			}); err != nil {
@@ -56,7 +57,7 @@ func TestRunMetricsCompletedEqualsSubmitted(t *testing.T) {
 
 func TestRunMetricsNilFallsThrough(t *testing.T) {
 	hits := make([]int, 10)
-	if err := RunMetrics(len(hits), 4, nil, func(_, i int) error {
+	if err := Run(context.Background(), len(hits), 4, nil, func(_, i int) error {
 		hits[i]++
 		return nil
 	}); err != nil {
@@ -81,7 +82,7 @@ func TestRunMetricsPreservesLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		o := obs.New()
 		m := NewMetrics(o, "err")
-		err := RunMetrics(50, workers, m, func(_, i int) error {
+		err := Run(context.Background(), 50, workers, m, func(_, i int) error {
 			switch i {
 			case 7:
 				return errLow
@@ -107,7 +108,7 @@ func TestRunChunksMetricsCoversRange(t *testing.T) {
 		o := obs.New()
 		m := NewMetrics(o, "chunks")
 		covered := make([]int, n)
-		if err := RunChunksMetrics(n, workers, m, func(_, lo, hi int) error {
+		if err := RunChunks(n, workers, m, func(_, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				covered[i]++
 			}

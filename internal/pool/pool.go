@@ -39,91 +39,28 @@ func Clamp(workers int) int {
 // All indices run even if some fail, and the returned error is the one
 // raised by the lowest index — both independent of worker count, so an
 // erroring fan-out is as reproducible as a successful one.
-func Run(n, workers int, fn func(worker, i int) error) error {
+//
+// Cancellation is cooperative: once ctx ends, no new index is dispatched —
+// indices already running complete, so slots are never left half-written.
+// This relaxes the every-index guarantee by design (stopping early is the
+// point); determinism of what *did* run is preserved, a fn error from the
+// lowest index still takes precedence over ctx's error, and a cancellation
+// that lands after every index already ran is not an error.
+//
+// A non-nil m records per-task telemetry (see Metrics); instruments only
+// observe, they never influence scheduling or results.
+func Run(ctx context.Context, n, workers int, m *Metrics, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
+	}
+	if m != nil {
+		var drain func()
+		fn, drain = m.observe(n, fn)
+		defer drain()
 	}
 	workers = Clamp(workers)
 	if workers > n {
 		workers = n
-	}
-	if workers == 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	var (
-		mu     sync.Mutex
-		errIdx = -1
-		lowErr error
-		next   int
-		wg     sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if errIdx == -1 || i < errIdx {
-			errIdx, lowErr = i, err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				if err := fn(worker, i); err != nil {
-					record(i, err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return lowErr
-}
-
-// RunCtx is Run with cooperative cancellation: once ctx ends, no new index
-// is dispatched — indices already running complete, so slots are never left
-// half-written. Cancellation relaxes Run's every-index guarantee by design
-// (stopping early is the point); determinism of what *did* run is
-// preserved, and a fn error from the lowest index still takes precedence
-// over ctx's error in the return value. A ctx that cannot be cancelled
-// (ctx.Done() == nil, e.g. context.Background()) is exactly Run.
-func RunCtx(ctx context.Context, n, workers int, fn func(worker, i int) error) error {
-	if ctx.Done() == nil {
-		return Run(n, workers, fn)
-	}
-	if n <= 0 {
-		return nil
-	}
-	workers = Clamp(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				break
-			}
-			if err := fn(0, i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
 	}
 	var (
 		mu        sync.Mutex
@@ -131,47 +68,44 @@ func RunCtx(ctx context.Context, n, workers int, fn func(worker, i int) error) e
 		lowErr    error
 		next      int
 		completed int
-		wg        sync.WaitGroup
 	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if errIdx == -1 || i < errIdx {
-			errIdx, lowErr = i, err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				if err := fn(worker, i); err != nil {
-					record(i, err)
-				}
-				mu.Lock()
-				completed++
-				mu.Unlock()
+	loop := func(worker int) {
+		for ctx.Err() == nil {
+			mu.Lock()
+			i := next
+			next++
+			mu.Unlock()
+			if i >= n {
+				return
 			}
-		}(w)
+			err := fn(worker, i)
+			mu.Lock()
+			completed++
+			if err != nil && (errIdx == -1 || i < errIdx) {
+				errIdx, lowErr = i, err
+			}
+			mu.Unlock()
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		loop(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(worker int) {
+				defer wg.Done()
+				loop(worker)
+			}(w)
+		}
+		wg.Wait()
+	}
 	if lowErr != nil {
 		return lowErr
 	}
 	if completed < n {
 		// Only cancellation stops dispatch early, so an incomplete fan-out
-		// without a fn error reports ctx's error; a cancellation that lands
-		// after every index already ran is not an error.
+		// without a fn error reports ctx's error.
 		return ctx.Err()
 	}
 	return nil
@@ -181,8 +115,10 @@ func RunCtx(ctx context.Context, n, workers int, fn func(worker, i int) error) e
 // invokes fn(worker, lo, hi) for each. It is the bulk-work variant of Run
 // for loops whose per-index cost is too small to schedule individually;
 // the same determinism contract applies because chunk boundaries only
-// change which goroutine computes a slot, never its value.
-func RunChunks(n, workers int, fn func(worker, lo, hi int) error) error {
+// change which goroutine computes a slot, never its value. Each chunk
+// counts as one task in m. Chunks are compute kernels and are never
+// cancelled midway, so RunChunks takes no context.
+func RunChunks(n, workers int, m *Metrics, fn func(worker, lo, hi int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -191,7 +127,7 @@ func RunChunks(n, workers int, fn func(worker, lo, hi int) error) error {
 	if chunks > n {
 		chunks = n
 	}
-	return Run(chunks, workers, func(worker, c int) error {
+	return Run(context.Background(), chunks, workers, m, func(worker, c int) error {
 		lo := c * n / chunks
 		hi := (c + 1) * n / chunks
 		return fn(worker, lo, hi)

@@ -29,7 +29,7 @@ func TestRunVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 0} {
 		for _, n := range []int{0, 1, 2, 7, 100, 1000} {
 			visits := make([]int32, n)
-			if err := Run(n, workers, func(_, i int) error {
+			if err := Run(context.Background(), n, workers, nil, func(_, i int) error {
 				atomic.AddInt32(&visits[i], 1)
 				return nil
 			}); err != nil {
@@ -47,7 +47,7 @@ func TestRunVisitsEveryIndexOnce(t *testing.T) {
 func TestRunWorkerIDsBounded(t *testing.T) {
 	const n, workers = 64, 4
 	var bad int32
-	if err := Run(n, workers, func(worker, _ int) error {
+	if err := Run(context.Background(), n, workers, nil, func(worker, _ int) error {
 		if worker < 0 || worker >= workers {
 			atomic.AddInt32(&bad, 1)
 		}
@@ -63,7 +63,7 @@ func TestRunWorkerIDsBounded(t *testing.T) {
 func TestRunReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		var ran int32
-		err := Run(100, workers, func(_, i int) error {
+		err := Run(context.Background(), 100, workers, nil, func(_, i int) error {
 			atomic.AddInt32(&ran, 1)
 			if i == 13 || i == 77 {
 				return fmt.Errorf("index %d failed", i)
@@ -84,7 +84,7 @@ func TestRunChunksCoverExactly(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 16} {
 		for _, n := range []int{0, 1, 5, 16, 1001} {
 			visits := make([]int32, n)
-			if err := RunChunks(n, workers, func(_, lo, hi int) error {
+			if err := RunChunks(n, workers, nil, func(_, lo, hi int) error {
 				if lo > hi || lo < 0 || hi > n {
 					return fmt.Errorf("bad chunk [%d,%d)", lo, hi)
 				}
@@ -106,7 +106,7 @@ func TestRunChunksCoverExactly(t *testing.T) {
 
 func TestRunChunksPropagatesError(t *testing.T) {
 	want := errors.New("chunk failed")
-	err := RunChunks(100, 4, func(_, lo, _ int) error {
+	err := RunChunks(100, 4, nil, func(_, lo, _ int) error {
 		if lo > 0 {
 			return want
 		}
@@ -129,7 +129,7 @@ func TestRunDeterministicSlots(t *testing.T) {
 	var want []float64
 	for _, workers := range []int{1, 2, 4, 8} {
 		got := make([]float64, n)
-		if err := Run(n, workers, func(_, i int) error {
+		if err := Run(context.Background(), n, workers, nil, func(_, i int) error {
 			got[i] = ref[i] * ref[i]
 			return nil
 		}); err != nil {
@@ -151,7 +151,7 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		n := 64
 		got := make([]int, n)
-		if err := RunCtx(context.Background(), n, workers, func(_, i int) error {
+		if err := Run(context.Background(), n, workers, nil, func(_, i int) error {
 			got[i] = i + 1
 			return nil
 		}); err != nil {
@@ -169,7 +169,7 @@ func TestRunCtxLowestErrorWinsOverCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errBoom := errors.New("boom")
-	err := RunCtx(ctx, 8, 4, func(_, i int) error {
+	err := Run(ctx, 8, 4, nil, func(_, i int) error {
 		if i == 2 {
 			cancel()
 			return errBoom
@@ -186,7 +186,7 @@ func TestRunCtxStopsDispatchOnCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
 		const n = 1 << 20
-		err := RunCtx(ctx, n, workers, func(_, i int) error {
+		err := Run(ctx, n, workers, nil, func(_, i int) error {
 			if ran.Add(1) == 8 {
 				cancel()
 			}
@@ -207,7 +207,7 @@ func TestRunCtxCompletedRunIgnoresLateCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
 		const n = 16
-		err := RunCtx(ctx, n, workers, func(_, i int) error {
+		err := Run(ctx, n, workers, nil, func(_, i int) error {
 			if ran.Add(1) == n {
 				cancel() // lands after the last index has run
 			}
@@ -225,8 +225,8 @@ func TestRunMetricsCtxDrainsQueueDepthOnCancel(t *testing.T) {
 	m := NewMetrics(o, "ctxtest")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := RunMetricsCtx(ctx, 100, 4, m, func(_, i int) error { return nil }); err == nil {
-		t.Fatal("pre-cancelled RunMetricsCtx returned nil")
+	if err := Run(ctx, 100, 4, m, func(_, i int) error { return nil }); err == nil {
+		t.Fatal("pre-cancelled instrumented Run returned nil")
 	}
 	if depth := o.Metrics.Snapshot().Gauges["pool.ctxtest.queue_depth"]; depth != 0 {
 		t.Fatalf("queue depth after cancelled fan-out = %v, want 0", depth)

@@ -301,22 +301,6 @@ func (b *Breaker) Stats() BreakerStats {
 	}
 }
 
-// PlaneSource yields compressed plane payloads; structurally identical to
-// core.SegmentSource and storage.PlaneSource, restated so this package
-// wraps either without importing them.
-type PlaneSource interface {
-	// Segment returns the compressed payload of plane k of level l.
-	Segment(level, plane int) ([]byte, error)
-}
-
-// PlaneSourceCtx is the context-aware extension of PlaneSource, matching
-// core.ContextSource; sources that support it get per-read cancellation
-// through the breaker.
-type PlaneSourceCtx interface {
-	// SegmentCtx is Segment bounded by ctx.
-	SegmentCtx(ctx context.Context, level, plane int) ([]byte, error)
-}
-
 // BreakerSource gates a segment source behind a Breaker: reads ask Allow
 // first (failing fast with ErrOpen while the breaker is open) and report
 // their outcome to Record. Layer it *above* the retry layer — the breaker's
@@ -325,20 +309,14 @@ type PlaneSourceCtx interface {
 // entirely.
 type BreakerSource struct {
 	// Src is the wrapped source.
-	Src PlaneSource
+	Src storage.SegmentSource
 	// Breaker gates the reads; must be non-nil.
 	Breaker *Breaker
 }
 
-// Segment implements PlaneSource (and core.SegmentSource) through the
-// breaker.
-func (b BreakerSource) Segment(level, plane int) ([]byte, error) {
-	return b.SegmentCtx(context.Background(), level, plane)
-}
-
-// SegmentCtx implements PlaneSourceCtx (and core.ContextSource) through the
-// breaker, forwarding ctx to the wrapped source when it is context-aware.
-func (b BreakerSource) SegmentCtx(ctx context.Context, level, plane int) ([]byte, error) {
+// Segment implements storage.SegmentSource through the breaker,
+// forwarding ctx to the wrapped source.
+func (b BreakerSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	if err := b.Breaker.Allow(); err != nil {
 		// A span only on rejection: a pass-through read is fully described
 		// by the storage.read span underneath, but a breaker-open fast-fail
@@ -351,16 +329,9 @@ func (b BreakerSource) SegmentCtx(ctx context.Context, level, plane int) ([]byte
 		return nil, fmt.Errorf("resilience: read level %d plane %d: %w", level, plane, err)
 	}
 	var payload []byte
-	var err error
-	switch {
-	case ctx.Err() != nil:
-		err = ctx.Err()
-	default:
-		if cs, ok := b.Src.(PlaneSourceCtx); ok {
-			payload, err = cs.SegmentCtx(ctx, level, plane)
-		} else {
-			payload, err = b.Src.Segment(level, plane)
-		}
+	err := ctx.Err()
+	if err == nil {
+		payload, err = b.Src.Segment(ctx, level, plane)
 	}
 	b.Breaker.Record(err)
 	return payload, err

@@ -189,10 +189,10 @@ func TestBreakerStateGauge(t *testing.T) {
 	}
 }
 
-// flakySegments is a PlaneSource whose failure mode is toggled by tests.
+// flakySegments is a storage.SegmentSource whose failure mode is toggled by tests.
 type flakySegments struct{ fail bool }
 
-func (f *flakySegments) Segment(level, plane int) ([]byte, error) {
+func (f *flakySegments) Segment(_ context.Context, level, plane int) ([]byte, error) {
 	if f.fail {
 		return nil, errTier
 	}
@@ -206,18 +206,18 @@ func TestBreakerSourceGatesReads(t *testing.T) {
 	bs := BreakerSource{Src: src, Breaker: br}
 
 	for i := 0; i < 2; i++ {
-		if _, err := bs.Segment(0, i); !errors.Is(err, errTier) {
+		if _, err := bs.Segment(context.Background(), 0, i); !errors.Is(err, errTier) {
 			t.Fatalf("read %d err = %v, want tier error", i, err)
 		}
 	}
 	// Open: fails fast without touching the source.
-	if _, err := bs.Segment(0, 9); !errors.Is(err, ErrOpen) {
+	if _, err := bs.Segment(context.Background(), 0, 9); !errors.Is(err, ErrOpen) {
 		t.Fatalf("read while open = %v, want ErrOpen", err)
 	}
 	// Recovery: after the cooldown the probe read goes through and closes.
 	src.fail = false
 	clk.advance(time.Second)
-	payload, err := bs.SegmentCtx(context.Background(), 1, 2)
+	payload, err := bs.Segment(context.Background(), 1, 2)
 	if err != nil {
 		t.Fatalf("probe read: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestBreakerSourceGatesReads(t *testing.T) {
 	// against the breaker.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := bs.SegmentCtx(ctx, 0, 0); !errors.Is(err, context.Canceled) {
+	if _, err := bs.Segment(ctx, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled read = %v, want context.Canceled", err)
 	}
 	if br.State() != StateClosed {

@@ -6,10 +6,9 @@
 // over the storage package's fault classification).
 //
 // Both primitives are transport-agnostic: the admission controller admits
-// any unit of work behind a context, and the breaker wraps any segment
-// source (core.SegmentSource, storage.PlaneSource — structurally the same
-// interface, restated here so this package imports neither). cmd/serve
-// composes them around /refine; DESIGN.md §11 documents the policy.
+// any unit of work behind a context, and the breaker wraps any
+// storage.SegmentSource. cmd/serve composes them around /refine; DESIGN.md
+// §11 documents the policy.
 package resilience
 
 import (

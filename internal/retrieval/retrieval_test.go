@@ -16,7 +16,7 @@ func syntheticLevel(t *testing.T, rng *rand.Rand, n int, scale float64, planes i
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64() * scale
 	}
-	enc, err := bitplane.EncodeLevel(coeffs, planes)
+	enc, err := bitplane.EncodeLevel(coeffs, planes, bitplane.Negabinary, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

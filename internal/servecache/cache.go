@@ -46,33 +46,22 @@ type Key struct {
 	Plane int
 }
 
-// Fetch materializes a plane on a cache miss: it returns the decompressed
-// plane bitset, the compressed payload bytes the fetch moved off the store,
-// and an error. On error the payload count is still meaningful — it is the
-// bytes a failed fetch transferred (a corrupt segment that arrived but did
-// not decode), which sessions account as wasted.
-type Fetch func() (raw []byte, payload int64, err error)
-
-// Source materializes planes on cache misses, like Fetch but without a
-// per-call closure: a long-lived fetcher (for example a session's store
-// binding) implements FetchPlane once and the cache hit path stays
-// allocation-free. The same payload/error contract as Fetch applies.
+// Source materializes planes on cache misses. A long-lived fetcher (a
+// session's store binding, the shard router's node client) implements it
+// once, so the cache hit path needs no per-call closure and stays
+// allocation-free.
 type Source interface {
-	// FetchPlane fetches and decompresses the plane identified by key.
-	FetchPlane(key Key) (raw []byte, payload int64, err error)
-}
-
-// FetchCtx is Fetch with a context: the cache passes the *flight* context,
-// which is cancelled only when every waiter coalesced onto the flight has
-// abandoned it — never when one of several waiters times out.
-type FetchCtx func(ctx context.Context) (raw []byte, payload int64, err error)
-
-// SourceCtx is Source with a context, with the same flight-context contract
-// as FetchCtx.
-type SourceCtx interface {
-	// FetchPlaneCtx fetches and decompresses the plane identified by key,
-	// honoring ctx cancellation.
-	FetchPlaneCtx(ctx context.Context, key Key) (raw []byte, payload int64, err error)
+	// FetchPlane fetches and decompresses the plane identified by key: it
+	// returns the decompressed plane bitset, the compressed payload bytes
+	// the fetch moved off the store, and an error. On error the payload
+	// count is still meaningful — it is the bytes a failed fetch transferred
+	// (a corrupt segment that arrived but did not decode), which sessions
+	// account as wasted.
+	//
+	// ctx is the cache's *flight* context, not any one caller's: it is
+	// cancelled only when every waiter coalesced onto the flight has
+	// abandoned it — never when one of several waiters times out.
+	FetchPlane(ctx context.Context, key Key) (raw []byte, payload int64, err error)
 }
 
 // entry is one cached plane: the decompressed bitset plus the compressed
@@ -98,8 +87,9 @@ type flight struct {
 	// fetch keeps running. Non-cancellable waiters never detach, pinning
 	// the flight to completion.
 	waiters int
-	// cancel ends the flight context. Nil for flights led by the
-	// synchronous (non-context) path, which always run to completion.
+	// cancel ends the flight context. Nil for flights whose leader cannot
+	// be cancelled: it never detaches, so the flight always runs to
+	// completion.
 	cancel context.CancelFunc
 }
 
@@ -108,19 +98,19 @@ type flight struct {
 // default, registry-backed after Instrument), so the same numbers appear in
 // a -metrics-out snapshot and in this struct.
 type Stats struct {
-	// Hits is the number of GetOrFetch calls served from a cached entry.
+	// Hits is the number of Get calls served from a cached entry.
 	Hits int64
-	// Misses is the number of GetOrFetch calls that led a fetch.
+	// Misses is the number of Get calls that led a fetch.
 	Misses int64
-	// Coalesced is the number of GetOrFetch calls that piggybacked on an
-	// in-flight fetch instead of issuing their own.
+	// Coalesced is the number of Get calls that piggybacked on an in-flight
+	// fetch instead of issuing their own.
 	Coalesced int64
 	// Evictions is the number of entries evicted to fit the byte budget.
 	Evictions int64
 	// Oversize is the number of fetched planes too large to cache at all.
 	Oversize int64
-	// Detached is the number of GetOrFetchCtx waiters that abandoned an
-	// in-flight fetch because their context ended before it landed.
+	// Detached is the number of Get waiters that abandoned an in-flight
+	// fetch because their context ended before it landed.
 	Detached int64
 	// Bytes is the decompressed bytes currently held.
 	Bytes int64
@@ -164,8 +154,8 @@ func newCacheCounters() cacheCounters {
 // call New.
 //
 // Layering: the cache belongs *above* the storage resilience stack — wrap
-// a storage.RetryingSource (or TieredSource, or any fault-injecting
-// wrapper) in the Fetch closure, so that retries, backoff and fault
+// a storage.RetryingSource (or any tiered store or fault-injecting
+// wrapper) in the Source, so that retries, backoff and fault
 // classification for a contended plane run once for the whole flight
 // instead of once per session.
 type Cache struct {
@@ -225,111 +215,37 @@ func (c *Cache) Instrument(o *obs.Obs) {
 	c.c.missSecs = o.Histogram("servecache.fetch_seconds.miss", obs.LatencyBuckets())
 }
 
-// GetOrFetch returns the decompressed plane for key, fetching it with fetch
-// on a miss. It returns the plane bitset, the compressed payload bytes the
+// Get returns the decompressed plane for key, fetching it from src on a
+// miss. It returns the plane bitset, the compressed payload bytes the
 // plane's fetch moved (replayed on hits, so callers account identical bytes
 // whether the cache served them or the store did), and whether the call was
-// served from an already-cached entry.
+// served from an already-cached entry. The returned bitset is shared:
+// callers must treat it as immutable.
 //
 // Exactly one fetch runs per key at a time: concurrent callers of a
 // not-yet-cached key coalesce onto the leader's flight and share its
-// result, including its error. Errors are not cached — the next GetOrFetch
-// after a failed flight starts a fresh fetch.
+// result, including its error. Errors are not cached — the next Get after a
+// failed flight starts a fresh fetch.
 //
-// The returned bitset is shared: callers must treat it as immutable.
-func (c *Cache) GetOrFetch(key Key, fetch Fetch) (raw []byte, payload int64, hit bool, err error) {
-	return c.getOrFetch(key, fetch, nil)
-}
-
-// GetOrFetchFrom is GetOrFetch with the miss path delegated to a
-// long-lived Source instead of a per-call closure, keeping steady-state
-// (hit-dominated) traffic allocation-free. Semantics are otherwise
-// identical to GetOrFetch, including singleflight coalescing.
-func (c *Cache) GetOrFetchFrom(key Key, src Source) (raw []byte, payload int64, hit bool, err error) {
-	return c.getOrFetch(key, nil, src)
-}
-
-// getOrFetch is the shared body; exactly one of fetch and src is non-nil.
-func (c *Cache) getOrFetch(key Key, fetch Fetch, src Source) (raw []byte, payload int64, hit bool, err error) {
-	start := time.Now()
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		raw, payload = e.raw, e.payload
-		c.mu.Unlock()
-		c.c.hits.Add(1)
-		c.c.hitSecs.Observe(time.Since(start).Seconds())
-		return raw, payload, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		// Pin the flight: a non-cancellable waiter never detaches, so the
-		// fetch is guaranteed to run to completion even if every
-		// context-carrying waiter gives up.
-		f.waiters++
-		c.mu.Unlock()
-		c.c.coalesced.Add(1)
-		<-f.done
-		c.c.missSecs.Observe(time.Since(start).Seconds())
-		return f.raw, f.payload, false, f.err
-	}
-	f := &flight{done: make(chan struct{}), waiters: 1}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	c.c.misses.Add(1)
-	if fetch != nil {
-		f.raw, f.payload, f.err = fetch()
-	} else {
-		f.raw, f.payload, f.err = src.FetchPlane(key)
-	}
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.insertLocked(key, f.raw, f.payload)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	c.c.missSecs.Observe(time.Since(start).Seconds())
-	return f.raw, f.payload, false, f.err
-}
-
-// GetOrFetchCtx is GetOrFetch with cancellation. The semantics on top of
-// GetOrFetch:
+// Cancellation never crosses between callers:
 //
-//   - fetch runs under the *flight* context, not the caller's: it is derived
-//     via context.WithoutCancel so one waiter's deadline never aborts a fetch
-//     other waiters still depend on.
+//   - the fetch runs under the *flight* context, not the caller's: it is
+//     derived via context.WithoutCancel so one waiter's deadline never
+//     aborts a fetch other waiters still depend on.
 //   - a waiter whose ctx ends before the flight lands detaches and returns
 //     ctx's error immediately; the fetch keeps running for the remaining
 //     waiters, and its result is still cached.
 //   - when the *last* waiter detaches, the flight context is cancelled so no
-//     orphaned fetch keeps hitting the store.
+//     orphaned fetch keeps hitting the store. A waiter whose ctx cannot be
+//     cancelled never detaches, pinning the flight to completion.
 //
 // A cancelled waiter therefore never poisons concurrent waiters: survivors
-// always observe the real fetch result. A ctx that cannot be cancelled
-// (ctx.Done() == nil) takes exactly the synchronous GetOrFetch path.
-func (c *Cache) GetOrFetchCtx(ctx context.Context, key Key, fetch FetchCtx) (raw []byte, payload int64, hit bool, err error) {
-	return c.getOrFetchCtx(ctx, key, fetch)
-}
-
-// GetOrFetchFromCtx is GetOrFetchCtx with the miss path delegated to a
-// long-lived SourceCtx instead of a per-call closure.
-func (c *Cache) GetOrFetchFromCtx(ctx context.Context, key Key, src SourceCtx) (raw []byte, payload int64, hit bool, err error) {
-	return c.getOrFetchCtx(ctx, key, func(fctx context.Context) ([]byte, int64, error) {
-		return src.FetchPlaneCtx(fctx, key)
-	})
-}
-
-// getOrFetchCtx is the cancellable body behind the Ctx variants.
-func (c *Cache) getOrFetchCtx(ctx context.Context, key Key, fetch FetchCtx) (raw []byte, payload int64, hit bool, err error) {
-	if ctx.Done() == nil {
-		return c.getOrFetch(key, func() ([]byte, int64, error) { return fetch(ctx) }, nil)
-	}
-	start := time.Now()
+// always observe the real fetch result.
+func (c *Cache) Get(ctx context.Context, key Key, src Source) (raw []byte, payload int64, hit bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, false, err
 	}
+	start := time.Now()
 	sp := obs.SpanFromContext(ctx).Child("servecache.get")
 	sp.SetAttr("level", key.Level)
 	sp.SetAttr("plane", key.Plane)
@@ -340,9 +256,13 @@ func (c *Cache) getOrFetchCtx(ctx context.Context, key Key, fetch FetchCtx) (raw
 		c.mu.Unlock()
 		c.c.hits.Add(1)
 		c.c.hitSecs.Observe(time.Since(start).Seconds())
-		sp.SetAttr("outcome", "hit")
-		sp.SetAttr("bytes", payload)
-		sp.End()
+		if sp != nil {
+			// Attributes box their values; skipping them untraced keeps the
+			// hit path allocation-free.
+			sp.SetAttr("outcome", "hit")
+			sp.SetAttr("bytes", payload)
+			sp.End()
+		}
 		return raw, payload, true, nil
 	}
 	if f, ok := c.flights[key]; ok {
@@ -352,26 +272,34 @@ func (c *Cache) getOrFetchCtx(ctx context.Context, key Key, fetch FetchCtx) (raw
 		sp.SetAttr("outcome", "coalesced")
 		return c.awaitFlight(ctx, key, f, start, sp)
 	}
-	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	f := &flight{done: make(chan struct{}), waiters: 1}
+	// A leader that cannot be cancelled never detaches, so it runs the fetch
+	// inline under its own ctx; a cancellable leader hands the fetch to a
+	// goroutine so it can return early without abandoning followers.
+	fctx, inline := ctx, ctx.Done() == nil
+	if !inline {
+		fctx, f.cancel = context.WithCancel(context.WithoutCancel(ctx))
+	}
 	// The flight's store read nests under the leader's cache span (span
 	// values survive WithoutCancel, so the leader detaching cancels the
 	// fetch only when it was the last waiter — never the span chain).
 	fctx = obs.ContextWithSpan(fctx, sp)
-	f := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
 	c.flights[key] = f
 	c.mu.Unlock()
 	c.c.misses.Add(1)
 	sp.SetAttr("outcome", "miss")
-	go c.runFlight(fctx, key, f, fetch)
+	if inline {
+		c.runFlight(fctx, key, f, src)
+	} else {
+		go c.runFlight(fctx, key, f, src)
+	}
 	return c.awaitFlight(ctx, key, f, start, sp)
 }
 
-// runFlight executes one asynchronous fetch and completes its flight:
-// result recorded, flight unregistered, entry inserted on success, waiters
-// released. Runs on its own goroutine so a cancelled leader can return
-// without abandoning the flight's followers.
-func (c *Cache) runFlight(fctx context.Context, key Key, f *flight, fetch FetchCtx) {
-	f.raw, f.payload, f.err = fetch(fctx)
+// runFlight executes one fetch and completes its flight: result recorded,
+// flight unregistered, entry inserted on success, waiters released.
+func (c *Cache) runFlight(fctx context.Context, key Key, f *flight, src Source) {
+	f.raw, f.payload, f.err = src.FetchPlane(fctx, key)
 	c.mu.Lock()
 	// An abandoned flight was already unregistered by its last waiter, and
 	// the key may since host a fresh flight — only remove our own.
@@ -383,7 +311,9 @@ func (c *Cache) runFlight(fctx context.Context, key Key, f *flight, fetch FetchC
 	}
 	c.mu.Unlock()
 	close(f.done)
-	f.cancel()
+	if f.cancel != nil {
+		f.cancel()
+	}
 }
 
 // awaitFlight blocks one waiter on a flight until the fetch lands or the

@@ -2,6 +2,7 @@ package servecache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,9 +12,20 @@ import (
 	"pmgard/internal/obs"
 )
 
+// sourceFunc adapts a closure to Source for tests that need one.
+type sourceFunc func(ctx context.Context) ([]byte, int64, error)
+
+func (f sourceFunc) FetchPlane(ctx context.Context, _ Key) ([]byte, int64, error) { return f(ctx) }
+
+// getSync is Cache.Get under a context that cannot be cancelled, filling
+// misses from a context-free closure.
+func getSync(c *Cache, key Key, fetch func() ([]byte, int64, error)) ([]byte, int64, bool, error) {
+	return c.Get(context.Background(), key, sourceFunc(func(context.Context) ([]byte, int64, error) { return fetch() }))
+}
+
 // fetchFor builds a deterministic fetch closure that records how many times
 // it ran.
-func fetchFor(key Key, calls *atomic.Int64, size int) Fetch {
+func fetchFor(key Key, calls *atomic.Int64, size int) func() ([]byte, int64, error) {
 	return func() ([]byte, int64, error) {
 		calls.Add(1)
 		raw := bytes.Repeat([]byte{byte(key.Level*31 + key.Plane)}, size)
@@ -25,11 +37,11 @@ func TestGetOrFetchHitMissAccounting(t *testing.T) {
 	c := New(0)
 	key := Key{Field: "Jx@0", Level: 1, Plane: 2}
 	var calls atomic.Int64
-	raw1, payload1, hit, err := c.GetOrFetch(key, fetchFor(key, &calls, 64))
+	raw1, payload1, hit, err := getSync(c, key, fetchFor(key, &calls, 64))
 	if err != nil || hit {
 		t.Fatalf("first read: hit=%v err=%v, want miss", hit, err)
 	}
-	raw2, payload2, hit, err := c.GetOrFetch(key, fetchFor(key, &calls, 64))
+	raw2, payload2, hit, err := getSync(c, key, fetchFor(key, &calls, 64))
 	if err != nil || !hit {
 		t.Fatalf("second read: hit=%v err=%v, want hit", hit, err)
 	}
@@ -67,7 +79,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			started.Done()
-			raw, payload, _, err := c.GetOrFetch(key, fetch)
+			raw, payload, _, err := getSync(c, key, fetch)
 			if err == nil && (!bytes.Equal(raw, []byte{1, 2, 3, 4}) || payload != 4) {
 				err = fmt.Errorf("wrong result raw=%v payload=%d", raw, payload)
 			}
@@ -109,7 +121,7 @@ func TestEvictionThenRefetch(t *testing.T) {
 	}
 	first := make([][]byte, len(keys))
 	for i, k := range keys {
-		raw, _, _, err := c.GetOrFetch(k, fetchFor(k, &calls, 64))
+		raw, _, _, err := getSync(c, k, fetchFor(k, &calls, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +133,7 @@ func TestEvictionThenRefetch(t *testing.T) {
 	}
 	// keys[0] was least recently used and must have been evicted: reading
 	// it again refetches and returns identical bytes.
-	raw, _, hit, err := c.GetOrFetch(keys[0], fetchFor(keys[0], &calls, 64))
+	raw, _, hit, err := getSync(c, keys[0], fetchFor(keys[0], &calls, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +149,7 @@ func TestEvictionThenRefetch(t *testing.T) {
 	// keys[2] stayed resident through the refetch eviction cycle or was
 	// evicted in turn — either way a hit or a refetch must return the same
 	// bytes.
-	raw, _, _, err = c.GetOrFetch(keys[2], fetchFor(keys[2], &calls, 64))
+	raw, _, _, err = getSync(c, keys[2], fetchFor(keys[2], &calls, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +163,7 @@ func TestOversizePlaneIsServedButNotCached(t *testing.T) {
 	key := Key{Field: "f", Level: 0, Plane: 0}
 	var calls atomic.Int64
 	for i := 0; i < 2; i++ {
-		raw, _, hit, err := c.GetOrFetch(key, fetchFor(key, &calls, 64))
+		raw, _, hit, err := getSync(c, key, fetchFor(key, &calls, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +206,7 @@ func TestOversizePlaneUnderConcurrency(t *testing.T) {
 			go func(i int) {
 				defer done.Done()
 				started.Done()
-				raw, payload, hit, err := c.GetOrFetch(key, fetch)
+				raw, payload, hit, err := getSync(c, key, fetch)
 				switch {
 				case err != nil:
 					errs[i] = err
@@ -227,8 +239,8 @@ func TestOversizePlaneUnderConcurrency(t *testing.T) {
 	// The budget is still fully available: a plane that fits caches fine.
 	small := Key{Field: "f", Level: 0, Plane: 1}
 	var smallCalls atomic.Int64
-	c.GetOrFetch(small, fetchFor(small, &smallCalls, 8))
-	if _, _, hit, _ := c.GetOrFetch(small, fetchFor(small, &smallCalls, 8)); !hit {
+	getSync(c, small, fetchFor(small, &smallCalls, 8))
+	if _, _, hit, _ := getSync(c, small, fetchFor(small, &smallCalls, 8)); !hit {
 		t.Fatal("small plane not cached after oversize churn")
 	}
 }
@@ -244,14 +256,14 @@ func TestErrorsAreNotCached(t *testing.T) {
 		}
 		return []byte{9}, 1, nil
 	}
-	if _, payload, _, err := c.GetOrFetch(key, fetch); !errors.Is(err, boom) || payload != 7 {
+	if _, payload, _, err := getSync(c, key, fetch); !errors.Is(err, boom) || payload != 7 {
 		t.Fatalf("failed flight: payload=%d err=%v, want 7/boom", payload, err)
 	}
 	if c.Len() != 0 {
 		t.Fatal("failed fetch left an entry behind")
 	}
 	fail = false
-	raw, _, hit, err := c.GetOrFetch(key, fetch)
+	raw, _, hit, err := getSync(c, key, fetch)
 	if err != nil || hit || !bytes.Equal(raw, []byte{9}) {
 		t.Fatalf("recovery read: raw=%v hit=%v err=%v", raw, hit, err)
 	}
@@ -261,14 +273,14 @@ func TestInvalidateDropsEntry(t *testing.T) {
 	c := New(0)
 	key := Key{Field: "f", Level: 0, Plane: 0}
 	var calls atomic.Int64
-	if _, _, _, err := c.GetOrFetch(key, fetchFor(key, &calls, 8)); err != nil {
+	if _, _, _, err := getSync(c, key, fetchFor(key, &calls, 8)); err != nil {
 		t.Fatal(err)
 	}
 	c.Invalidate(key)
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatal("Invalidate left state behind")
 	}
-	if _, _, hit, err := c.GetOrFetch(key, fetchFor(key, &calls, 8)); err != nil || hit {
+	if _, _, hit, err := getSync(c, key, fetchFor(key, &calls, 8)); err != nil || hit {
 		t.Fatalf("read after invalidate: hit=%v err=%v, want a fresh miss", hit, err)
 	}
 	if calls.Load() != 2 {
@@ -282,11 +294,11 @@ func TestInstrumentFoldsExistingCounts(t *testing.T) {
 	c := New(0)
 	key := Key{Field: "f", Level: 0, Plane: 0}
 	var calls atomic.Int64
-	c.GetOrFetch(key, fetchFor(key, &calls, 32))
-	c.GetOrFetch(key, fetchFor(key, &calls, 32))
+	getSync(c, key, fetchFor(key, &calls, 32))
+	getSync(c, key, fetchFor(key, &calls, 32))
 	o := obs.New()
 	c.Instrument(o)
-	c.GetOrFetch(key, fetchFor(key, &calls, 32))
+	getSync(c, key, fetchFor(key, &calls, 32))
 	snap := o.Metrics.Snapshot()
 	if snap.Counters["servecache.hits"] != 2 || snap.Counters["servecache.misses"] != 1 {
 		t.Fatalf("registry counters = %v, want hits 2, misses 1", snap.Counters)

@@ -18,7 +18,8 @@ type gatedFetch struct {
 	raw       []byte
 }
 
-func (g *gatedFetch) fetch(ctx context.Context) ([]byte, int64, error) {
+// FetchPlane implements Source.
+func (g *gatedFetch) FetchPlane(ctx context.Context, _ Key) ([]byte, int64, error) {
 	g.calls.Add(1)
 	select {
 	case <-g.gate:
@@ -38,7 +39,7 @@ func TestGetOrFetchCtxCancelledWaiterDoesNotPoisonSurvivors(t *testing.T) {
 	leaderCtx, leaderCancel := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.GetOrFetchCtx(leaderCtx, key, g.fetch)
+		_, _, _, err := c.Get(leaderCtx, key, g)
 		leaderDone <- err
 	}()
 	// Wait until the flight exists so the survivor coalesces onto it.
@@ -52,7 +53,7 @@ func TestGetOrFetchCtxCancelledWaiterDoesNotPoisonSurvivors(t *testing.T) {
 		defer close(survivorDone)
 		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer scancel()
-		sraw, _, _, serr = c.GetOrFetchCtx(sctx, key, g.fetch)
+		sraw, _, _, serr = c.Get(sctx, key, g)
 	}()
 	waitFor(t, func() bool {
 		c.mu.Lock()
@@ -96,7 +97,7 @@ func TestGetOrFetchCtxCancelledWaiterDoesNotPoisonSurvivors(t *testing.T) {
 		t.Fatalf("Detached = %d, want 1", st.Detached)
 	}
 	// The flight's result was cached for later callers.
-	if _, _, hit, err := c.GetOrFetch(key, func() ([]byte, int64, error) {
+	if _, _, hit, err := getSync(c, key, func() ([]byte, int64, error) {
 		t.Fatal("fetch re-ran for a cached plane")
 		return nil, 0, nil
 	}); err != nil || !hit {
@@ -113,7 +114,7 @@ func TestGetOrFetchCtxLastWaiterCancelsFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.GetOrFetchCtx(ctx, key, g.fetch)
+		_, _, _, err := c.Get(ctx, key, g)
 		done <- err
 	}()
 	waitFor(t, func() bool { return g.calls.Load() == 1 })
@@ -136,7 +137,7 @@ func TestGetOrFetchCtxLastWaiterCancelsFlight(t *testing.T) {
 		_, ok := c.flights[key]
 		return !ok
 	})
-	if _, _, _, err := c.GetOrFetch(key, func() ([]byte, int64, error) {
+	if _, _, _, err := getSync(c, key, func() ([]byte, int64, error) {
 		return []byte{5}, 1, nil
 	}); err != nil {
 		t.Fatalf("fresh fetch after abandoned flight: %v", err)
@@ -152,19 +153,19 @@ func TestGetOrFetchCtxNonCancellableWaiterPinsFlight(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		c.GetOrFetchCtx(leaderCtx, key, g.fetch)
+		c.Get(leaderCtx, key, g)
 	}()
 	waitFor(t, func() bool { return g.calls.Load() == 1 })
 
-	// A plain GetOrFetch waiter joins; it can never detach.
+	// A waiter whose ctx cannot be cancelled joins; it can never detach.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var raw []byte
 	var err error
 	go func() {
 		defer wg.Done()
-		raw, _, _, err = c.GetOrFetch(key, func() ([]byte, int64, error) {
-			t.Error("sync waiter started its own fetch instead of coalescing")
+		raw, _, _, err = getSync(c, key, func() ([]byte, int64, error) {
+			t.Error("pinned waiter started its own fetch instead of coalescing")
 			return nil, 0, nil
 		})
 	}()
@@ -178,7 +179,7 @@ func TestGetOrFetchCtxNonCancellableWaiterPinsFlight(t *testing.T) {
 	leaderCancel()
 	<-leaderDone
 	if g.cancelled.Load() != 0 {
-		t.Fatal("flight was cancelled despite a pinned synchronous waiter")
+		t.Fatal("flight was cancelled despite a pinned non-cancellable waiter")
 	}
 	close(g.gate)
 	wg.Wait()
@@ -187,36 +188,14 @@ func TestGetOrFetchCtxNonCancellableWaiterPinsFlight(t *testing.T) {
 	}
 }
 
-func TestGetOrFetchCtxBackgroundMatchesSync(t *testing.T) {
-	c := New(0)
-	key := Key{Field: "f", Level: 3, Plane: 0}
-	raw, payload, hit, err := c.GetOrFetchCtx(context.Background(), key, func(context.Context) ([]byte, int64, error) {
-		return []byte{8, 8}, 7, nil
-	})
-	if err != nil || hit || payload != 7 || string(raw) != "\x08\x08" {
-		t.Fatalf("miss path: raw=%v payload=%d hit=%v err=%v", raw, payload, hit, err)
-	}
-	raw, payload, hit, err = c.GetOrFetchCtx(context.Background(), key, func(context.Context) ([]byte, int64, error) {
-		t.Fatal("fetch re-ran on a hit")
-		return nil, 0, nil
-	})
-	if err != nil || !hit || payload != 7 || string(raw) != "\x08\x08" {
-		t.Fatalf("hit path: raw=%v payload=%d hit=%v err=%v", raw, payload, hit, err)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Detached != 0 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 0 detached", st)
-	}
-}
-
 func TestGetOrFetchCtxPreCancelledReturnsImmediately(t *testing.T) {
 	c := New(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := c.GetOrFetchCtx(ctx, Key{Field: "f"}, func(context.Context) ([]byte, int64, error) {
+	_, _, _, err := c.Get(ctx, Key{Field: "f"}, sourceFunc(func(context.Context) ([]byte, int64, error) {
 		t.Fatal("fetch ran under a pre-cancelled context")
 		return nil, 0, nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}

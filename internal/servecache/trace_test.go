@@ -43,7 +43,7 @@ func TestCancelledWaiterSpanStatus(t *testing.T) {
 	defer leaderCancel()
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.GetOrFetchCtx(leaderCtx, key, g.fetch)
+		_, _, _, err := c.Get(leaderCtx, key, g)
 		leaderDone <- err
 	}()
 	waitFor(t, func() bool { return g.calls.Load() == 1 })
@@ -53,7 +53,7 @@ func TestCancelledWaiterSpanStatus(t *testing.T) {
 	defer survCancel()
 	survDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.GetOrFetchCtx(survCtx, key, g.fetch)
+		_, _, _, err := c.Get(survCtx, key, g)
 		survDone <- err
 	}()
 	waitFor(t, func() bool {
@@ -129,10 +129,10 @@ func TestCacheHitSpanOutcome(t *testing.T) {
 	tr := obs.NewTracer(0)
 	ctx, cancel, root := spanCtx(tr, "33333333333333333333333333333333")
 	defer cancel()
-	if _, _, _, err := c.GetOrFetchCtx(ctx, key, g.fetch); err != nil {
+	if _, _, _, err := c.Get(ctx, key, g); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, hit, err := c.GetOrFetchCtx(ctx, key, g.fetch); err != nil || !hit {
+	if _, _, hit, err := c.Get(ctx, key, g); err != nil || !hit {
 		t.Fatalf("second get: hit=%v err=%v", hit, err)
 	}
 	root.End()

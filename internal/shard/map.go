@@ -2,7 +2,7 @@
 // shard map that consistent-hashes (codec, field, level, plane) segment
 // keys across N storage/cache nodes, the node-side /planes HTTP endpoint
 // that exposes a node-local serve stack's decompressed planes, and the
-// router-side client that implements servecache.SourceCtx over that
+// router-side client that implements servecache.Source over that
 // endpoint with per-node circuit breakers, retry/backoff and replica
 // failover.
 //

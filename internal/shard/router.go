@@ -47,7 +47,7 @@ type RouterConfig struct {
 // on the map's ring and fetches them from node /planes endpoints with
 // per-node retry/backoff and circuit breaking, failing over to the next
 // replica when a node is down. Its FieldClient implements
-// servecache.SourceCtx, so plugging it into core.SharedSource.Planes gives
+// servecache.Source, so plugging it into core.SharedSource.Planes gives
 // the router's shared cache cross-node singleflight: concurrent sessions
 // missing the same plane trigger exactly one network fetch.
 type Router struct {
@@ -218,28 +218,21 @@ func (r *Router) Header(ctx context.Context, field string) (*core.Header, error)
 }
 
 // FieldClient returns the plane source serving field h over the shard. It
-// implements servecache.SourceCtx, so it slots into
-// core.SharedSource.Planes directly.
+// implements servecache.Source, so it slots into core.SharedSource.Planes
+// directly.
 func (r *Router) FieldClient(h *core.Header) *FieldClient {
-	fc := &FieldClient{r: r, h: h, chains: make([]nodePlaneSource, len(r.m.Nodes))}
+	fc := &FieldClient{r: r, h: h, chains: make([]storage.SegmentSource, len(r.m.Nodes))}
 	for i, n := range r.m.Nodes {
 		base := &httpPlaneSource{r: r, node: n, field: h.FieldName}
 		retrying := storage.NewRetryingSource(nil, base, r.pol)
 		retrying.Instrument(r.o)
-		var src nodePlaneSource = retrying
+		var src storage.SegmentSource = retrying
 		if b := r.breakers[i]; b != nil {
 			src = resilience.BreakerSource{Src: retrying, Breaker: b}
 		}
 		fc.chains[i] = src
 	}
 	return fc
-}
-
-// nodePlaneSource is one node's resilient read chain for one field.
-type nodePlaneSource interface {
-	// SegmentCtx returns the decompressed bitset of plane (level, plane),
-	// bounded by ctx.
-	SegmentCtx(ctx context.Context, level, plane int) ([]byte, error)
 }
 
 // httpPlaneSource reads one field's decompressed planes from one node's
@@ -251,13 +244,9 @@ type httpPlaneSource struct {
 	field string
 }
 
-// Segment implements storage.PlaneSource.
-func (s *httpPlaneSource) Segment(level, plane int) ([]byte, error) {
-	return s.SegmentCtx(context.Background(), level, plane)
-}
-
-// SegmentCtx fetches one plane bitset over HTTP.
-func (s *httpPlaneSource) SegmentCtx(ctx context.Context, level, plane int) ([]byte, error) {
+// Segment implements storage.SegmentSource: it fetches one plane bitset
+// over HTTP.
+func (s *httpPlaneSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	q := url.Values{
 		"field": {s.field},
 		"level": {fmt.Sprint(level)},
@@ -273,15 +262,10 @@ type FieldClient struct {
 	h *core.Header
 	// chains[i] is node i's resilient read chain (breaker over retries over
 	// HTTP) for this field.
-	chains []nodePlaneSource
+	chains []storage.SegmentSource
 }
 
-// FetchPlane implements servecache.Source.
-func (fc *FieldClient) FetchPlane(key servecache.Key) ([]byte, int64, error) {
-	return fc.FetchPlaneCtx(context.Background(), key)
-}
-
-// FetchPlaneCtx implements servecache.SourceCtx: it walks the key's
+// FetchPlane implements servecache.Source: it walks the key's
 // replicas in ring order, returning the first successful read. A replica
 // failure with further replicas remaining counts one shard.replica_failover
 // and moves on; context cancellation aborts immediately (the caller is
@@ -295,7 +279,7 @@ func (fc *FieldClient) FetchPlane(key servecache.Key) ([]byte, int64, error) {
 // bitset length is validated against the header's RawPlaneSize, so a
 // truncated or mislabeled node response surfaces as corruption, never as a
 // silently wrong reconstruction.
-func (fc *FieldClient) FetchPlaneCtx(ctx context.Context, key servecache.Key) ([]byte, int64, error) {
+func (fc *FieldClient) FetchPlane(ctx context.Context, key servecache.Key) ([]byte, int64, error) {
 	sp := obs.SpanFromContext(ctx).Child("shard.fetch")
 	defer sp.End()
 	sp.SetAttr("level", key.Level)
@@ -304,7 +288,7 @@ func (fc *FieldClient) FetchPlaneCtx(ctx context.Context, key servecache.Key) ([
 	replicas := fc.r.m.Replicas(Key{Codec: key.Codec, Field: key.Field, Level: key.Level, Plane: key.Plane})
 	var permErr, lastErr error
 	for i, n := range replicas {
-		raw, err := fc.chains[n].SegmentCtx(ctx, key.Level, key.Plane)
+		raw, err := fc.chains[n].Segment(ctx, key.Level, key.Plane)
 		if err == nil {
 			if want := fc.h.Levels[key.Level].RawPlaneSize; len(raw) != want {
 				err = fmt.Errorf("shard: node %s plane (%d,%d) bitset is %d bytes, header says %d: %w",

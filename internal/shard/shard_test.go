@@ -225,7 +225,7 @@ func TestRouterFetchesAllPlanes(t *testing.T) {
 	fc := r.FieldClient(h)
 	for level := range h.Levels {
 		for plane := 0; plane < h.Planes; plane++ {
-			raw, payload, err := fc.FetchPlaneCtx(ctx, fieldKey(c, level, plane))
+			raw, payload, err := fc.FetchPlane(ctx, fieldKey(c, level, plane))
 			if err != nil {
 				t.Fatalf("fetch (%d,%d): %v", level, plane, err)
 			}
@@ -274,7 +274,7 @@ func TestRouterFailsOverToReplica(t *testing.T) {
 	servers[1].Close()
 	for level := range h.Levels {
 		for plane := 0; plane < h.Planes; plane++ {
-			if _, _, err := fc.FetchPlaneCtx(ctx, fieldKey(c, level, plane)); err != nil {
+			if _, _, err := fc.FetchPlane(ctx, fieldKey(c, level, plane)); err != nil {
 				t.Fatalf("fetch (%d,%d) with n1 dead: %v", level, plane, err)
 			}
 		}
@@ -303,7 +303,7 @@ func TestRouterPermanentLossWinsOverTransient(t *testing.T) {
 	// One replica answers 410 (plane lost), the other is dead (transient).
 	servers[1].Close()
 	fc := r.FieldClient(&c.Header)
-	_, _, err = fc.FetchPlaneCtx(context.Background(), fieldKey(c, 0, 0))
+	_, _, err = fc.FetchPlane(context.Background(), fieldKey(c, 0, 0))
 	if err == nil {
 		t.Fatal("fetch of a lost plane succeeded")
 	}
@@ -331,7 +331,7 @@ func TestRouterBreakerFailsFastAfterNodeDeath(t *testing.T) {
 
 	for level := range h.Levels {
 		for plane := 0; plane < h.Planes; plane++ {
-			if _, _, err := fc.FetchPlaneCtx(ctx, fieldKey(c, level, plane)); err != nil {
+			if _, _, err := fc.FetchPlane(ctx, fieldKey(c, level, plane)); err != nil {
 				t.Fatalf("fetch (%d,%d): %v", level, plane, err)
 			}
 		}
@@ -375,7 +375,7 @@ func TestRouterPropagatesTraceparent(t *testing.T) {
 	tc := obs.NewTraceContext()
 	ctx := obs.ContextWithTrace(context.Background(), tc)
 	fc := r.FieldClient(&c.Header)
-	if _, _, err := fc.FetchPlaneCtx(ctx, fieldKey(c, 0, 0)); err != nil {
+	if _, _, err := fc.FetchPlane(ctx, fieldKey(c, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	parsed, ok := obs.ParseTraceParent(gotTP)
@@ -407,7 +407,7 @@ func TestRouterRejectsBadResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := r.FieldClient(&c.Header)
-	_, _, err = fc.FetchPlaneCtx(context.Background(), fieldKey(c, 0, 0))
+	_, _, err = fc.FetchPlane(context.Background(), fieldKey(c, 0, 0))
 	if err == nil || !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("truncated node response error = %v, want ErrCorrupt", err)
 	}
@@ -421,7 +421,7 @@ func TestRouterRejectsBadResponses(t *testing.T) {
 	fc2 := r2.FieldClient(&c.Header)
 	key := fieldKey(c, 0, 0)
 	key.Plane = c.Header.Planes + 5
-	_, _, err = fc2.FetchPlaneCtx(context.Background(), key)
+	_, _, err = fc2.FetchPlane(context.Background(), key)
 	if err == nil || storage.Classify(err) != storage.FaultPermanent {
 		t.Fatalf("out-of-range fetch error = %v, want a permanent fault", err)
 	}

@@ -14,7 +14,7 @@ type slowSource struct {
 	calls atomic.Int64
 }
 
-func (s *slowSource) Segment(level, plane int) ([]byte, error) {
+func (s *slowSource) Segment(_ context.Context, level, plane int) ([]byte, error) {
 	s.calls.Add(1)
 	<-s.gate
 	return []byte{7}, nil
@@ -29,7 +29,7 @@ func TestSegmentCtxCancelsInFlightRead(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := r.SegmentCtx(ctx, 0, 0)
+	_, err := r.Segment(ctx, 0, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -46,7 +46,7 @@ func TestSegmentCtxCancelsInFlightRead(t *testing.T) {
 // transientSource fails every read with a transient error.
 type transientSource struct{ calls atomic.Int64 }
 
-func (s *transientSource) Segment(level, plane int) ([]byte, error) {
+func (s *transientSource) Segment(_ context.Context, level, plane int) ([]byte, error) {
 	s.calls.Add(1)
 	return nil, ErrTransient
 }
@@ -65,7 +65,7 @@ func TestSegmentCtxInterruptsBackoffSleep(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := r.SegmentCtx(ctx, 0, 0)
+	_, err := r.Segment(ctx, 0, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
@@ -84,20 +84,24 @@ func TestSegmentCtxBackgroundMatchesSegment(t *testing.T) {
 	pol := DefaultRetryPolicy()
 	pol.Sleep = func(time.Duration) {}
 	r := NewRetryingSource(nil, src, pol)
-	a, errA := r.Segment(0, 0)
-	b, errB := r.SegmentCtx(context.Background(), 0, 1)
+	// A non-cancellable ctx takes readOnce's goroutine-free path, a
+	// cancellable one the supervised path; both must deliver the same read.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a, errA := r.Segment(context.Background(), 0, 0)
+	b, errB := r.Segment(ctx, 0, 1)
 	if errA != nil || errB != nil {
 		t.Fatalf("errs = %v, %v", errA, errB)
 	}
 	if string(a) != string(b) {
-		t.Fatalf("Segment and SegmentCtx disagree: %q vs %q", a, b)
+		t.Fatalf("direct and supervised reads disagree: %q vs %q", a, b)
 	}
 }
 
 // countingSource returns a fixed payload and counts reads.
 type countingSource struct{ calls atomic.Int64 }
 
-func (s *countingSource) Segment(level, plane int) ([]byte, error) {
+func (s *countingSource) Segment(_ context.Context, level, plane int) ([]byte, error) {
 	s.calls.Add(1)
 	return []byte{42}, nil
 }

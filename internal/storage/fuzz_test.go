@@ -14,13 +14,13 @@ func FuzzOpen(f *testing.F) {
 	// Seed with a valid store and a few mutations.
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.pmgd")
-	w, err := Create(path, []byte(`{"f":"x"}`))
+	w, err := CreateStream(path)
 	if err != nil {
 		f.Fatal(err)
 	}
 	w.WriteSegment(SegmentID{Level: 0, Plane: 0}, []byte("hello"))
 	w.WriteSegment(SegmentID{Level: 1, Plane: 3}, []byte{1, 2, 3})
-	if err := w.Close(); err != nil {
+	if err := w.Commit([]byte(`{"f":"x"}`)); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(path)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ type flipSource struct {
 	payload []byte
 }
 
-func (f *flipSource) Segment(level, plane int) ([]byte, error) {
+func (f *flipSource) Segment(_ context.Context, level, plane int) ([]byte, error) {
 	id := SegmentID{Level: level, Plane: plane}
 	if !f.seen[id] {
 		f.seen[id] = true
@@ -30,12 +31,12 @@ func TestRetryingSourceInstrumentMirrorsStats(t *testing.T) {
 	r := NewRetryingSource(nil, src, pol)
 
 	// Count one read before instrumenting to exercise the value transfer.
-	if _, err := r.Segment(0, 0); err != nil {
+	if _, err := r.Segment(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New()
 	r.Instrument(o)
-	if _, err := r.Segment(0, 1); err != nil {
+	if _, err := r.Segment(context.Background(), 0, 1); err != nil {
 		t.Fatal(err)
 	}
 

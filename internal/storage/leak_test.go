@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ type blockingSource struct {
 	release chan struct{}
 }
 
-func (b *blockingSource) Segment(level, plane int) ([]byte, error) {
+func (b *blockingSource) Segment(_ context.Context, level, plane int) ([]byte, error) {
 	<-b.release
 	return []byte{1}, nil
 }
@@ -31,7 +32,7 @@ func TestReadOnceTimeoutDoesNotLeakGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const reads = 16
 	for i := 0; i < reads; i++ {
-		if _, err := r.Segment(0, i); err == nil {
+		if _, err := r.Segment(context.Background(), 0, i); err == nil {
 			t.Fatal("read against a hung source succeeded")
 		}
 	}

@@ -61,26 +61,6 @@ func Classify(err error) FaultClass {
 	}
 }
 
-// PlaneSource yields compressed plane payloads. It is structurally
-// identical to core.SegmentSource, restated here so the storage layer can
-// wrap retrieval sources without importing core.
-type PlaneSource interface {
-	// Segment returns the compressed payload of plane k of level l.
-	Segment(level, plane int) ([]byte, error)
-}
-
-// PlaneSourceCtx is the context-aware extension of PlaneSource, matching
-// core.ContextSource. A RetryingSource forwards the per-call context to
-// sources that implement it, so context values (trace propagation) and
-// cancellation reach the underlying read — essential for network-backed
-// sources like the shard router's node client, where the context carries
-// the traceparent and aborting an abandoned read actually closes the
-// connection.
-type PlaneSourceCtx interface {
-	// SegmentCtx is Segment bounded by ctx.
-	SegmentCtx(ctx context.Context, level, plane int) ([]byte, error)
-}
-
 // RetryPolicy bounds the retry loop of a RetryingSource.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per read (first attempt
@@ -98,8 +78,8 @@ type RetryPolicy struct {
 	// reproducible. 0 uses a fixed default seed.
 	JitterSeed int64
 	// Sleep replaces the backoff sleep between retries; tests use it to
-	// avoid real delays. nil means a real timer that SegmentCtx can
-	// interrupt on context cancellation; a custom Sleep is called as-is
+	// avoid real delays. nil means a real timer that context cancellation
+	// interrupts; a custom Sleep is called as-is
 	// and only checked for cancellation after it returns.
 	Sleep func(time.Duration)
 }
@@ -185,7 +165,7 @@ func newRetryCounters() retryCounters {
 	}
 }
 
-// RetryingSource wraps any PlaneSource with per-read timeouts, bounded
+// RetryingSource wraps any SegmentSource with per-read timeouts, bounded
 // retries with exponential backoff and jitter, context cancellation, and a
 // per-(level, plane) failure classifier: transient failures are retried,
 // permanent ones are quarantined so later reads of the same plane fail
@@ -193,7 +173,7 @@ func newRetryCounters() retryCounters {
 // path in internal/core turns into a plane drop instead of a hard
 // failure). It is safe for concurrent use.
 type RetryingSource struct {
-	src PlaneSource
+	src SegmentSource
 	pol RetryPolicy
 	ctx context.Context
 	// seed drives the per-attempt derived jitter stream; see backoff.
@@ -206,7 +186,7 @@ type RetryingSource struct {
 
 // NewRetryingSource wraps src under the given policy. ctx bounds every
 // read and backoff sleep; nil means context.Background().
-func NewRetryingSource(ctx context.Context, src PlaneSource, pol RetryPolicy) *RetryingSource {
+func NewRetryingSource(ctx context.Context, src SegmentSource, pol RetryPolicy) *RetryingSource {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -252,37 +232,31 @@ func (r *RetryingSource) Instrument(o *obs.Obs) {
 	r.c.backoff = g
 }
 
-// Segment implements PlaneSource (and core.SegmentSource) with the retry
-// protocol, bounded only by the source context given at construction.
-func (r *RetryingSource) Segment(level, plane int) ([]byte, error) {
-	return r.SegmentCtx(context.Background(), level, plane)
-}
-
-// SegmentCtx implements the retry protocol bounded by ctx in addition to
-// the source context: both cancel in-flight reads and interrupt backoff
-// sleeps, so a caller abandoning a request (deadline expiry, client
-// disconnect) stops burning attempts against the tier immediately. A
-// non-cancellable ctx is exactly Segment.
+// Segment implements SegmentSource with the retry protocol, bounded by ctx
+// in addition to the source context given at construction: both cancel
+// in-flight reads and interrupt backoff sleeps, so a caller abandoning a
+// request (deadline expiry, client disconnect) stops burning attempts
+// against the tier immediately.
 //
 // When ctx carries a request span, the whole read (attempts, backoff and
 // all) records as one "storage.read" child span with level/plane/bytes
 // attributes and a failure status on error.
-func (r *RetryingSource) SegmentCtx(ctx context.Context, level, plane int) ([]byte, error) {
+func (r *RetryingSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 	sp := obs.SpanFromContext(ctx).Child("storage.read")
 	if sp == nil {
-		return r.segmentCtx(ctx, level, plane)
+		return r.retry(ctx, level, plane)
 	}
 	sp.SetAttr("level", level)
 	sp.SetAttr("plane", plane)
-	payload, err := r.segmentCtx(ctx, level, plane)
+	payload, err := r.retry(ctx, level, plane)
 	sp.SetAttr("bytes", len(payload))
 	sp.Fail(err)
 	sp.End()
 	return payload, err
 }
 
-// segmentCtx is the span-free retry protocol behind SegmentCtx.
-func (r *RetryingSource) segmentCtx(ctx context.Context, level, plane int) ([]byte, error) {
+// retry is the span-free retry protocol behind Segment.
+func (r *RetryingSource) retry(ctx context.Context, level, plane int) ([]byte, error) {
 	id := SegmentID{Level: level, Plane: plane}
 	r.c.reads.Add(1)
 	r.mu.Lock()
@@ -359,18 +333,14 @@ func (r *RetryingSource) sleep(ctx context.Context, d time.Duration) error {
 }
 
 // readOnce issues a single attempt, bounded by the per-read timeout, the
-// source context and the per-call context. The underlying read runs in its
-// own goroutine so a hung tier cannot stall the retriever; an abandoned
-// read finishes (and is discarded) in the background.
+// source context and the per-call context. The wrapped source gets the
+// per-call context so trace values and cancellation reach the read itself,
+// not just the select below. When something can time out or cancel, the
+// read runs in its own goroutine so a hung tier cannot stall the retriever;
+// an abandoned read finishes (and is discarded) in the background.
 func (r *RetryingSource) readOnce(ctx context.Context, level, plane int) ([]byte, error) {
-	// Context-aware sources get the per-call context so trace values and
-	// cancellation reach the read itself, not just the select below.
-	read := r.src.Segment
-	if cs, ok := r.src.(PlaneSourceCtx); ok {
-		read = func(level, plane int) ([]byte, error) { return cs.SegmentCtx(ctx, level, plane) }
-	}
 	if r.pol.Timeout <= 0 && r.ctx.Done() == nil && ctx.Done() == nil {
-		return read(level, plane)
+		return r.src.Segment(ctx, level, plane)
 	}
 	type result struct {
 		payload []byte
@@ -379,7 +349,7 @@ func (r *RetryingSource) readOnce(ctx context.Context, level, plane int) ([]byte
 	ch := make(chan result, 1)
 	var abandoned atomic.Bool
 	go func() {
-		p, err := read(level, plane)
+		p, err := r.src.Segment(ctx, level, plane)
 		// An abandoned read still moved payload bytes off the tier; account
 		// them as waste so fetched-byte totals reflect real transfer cost.
 		// (A read finishing in the instant between the timeout firing and

@@ -26,7 +26,7 @@ type scriptedSource struct {
 	delay time.Duration
 }
 
-func (s *scriptedSource) Segment(level, plane int) ([]byte, error) {
+func (s *scriptedSource) Segment(_ context.Context, level, plane int) ([]byte, error) {
 	id := SegmentID{Level: level, Plane: plane}
 	s.mu.Lock()
 	n := s.calls[id]
@@ -69,7 +69,7 @@ func TestRetryingSourceRecoversTransient(t *testing.T) {
 	src := newScripted()
 	src.failures[SegmentID{Level: 0, Plane: 0}] = 3
 	r := NewRetryingSource(nil, src, fastPolicy())
-	got, err := r.Segment(0, 0)
+	got, err := r.Segment(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRetryingSourceExhaustsRetries(t *testing.T) {
 	pol := fastPolicy()
 	pol.MaxAttempts = 4
 	r := NewRetryingSource(nil, src, pol)
-	_, err := r.Segment(1, 2)
+	_, err := r.Segment(context.Background(), 1, 2)
 	if err == nil {
 		t.Fatal("exhausted read succeeded")
 	}
@@ -106,7 +106,7 @@ func TestRetryingSourceExhaustsRetries(t *testing.T) {
 	src.mu.Lock()
 	src.calls[SegmentID{Level: 1, Plane: 2}] = 0
 	src.mu.Unlock()
-	if _, err := r.Segment(1, 2); err != nil {
+	if _, err := r.Segment(context.Background(), 1, 2); err != nil {
 		t.Fatalf("recovered source still failing: %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestRetryingSourceQuarantinesPermanent(t *testing.T) {
 	src := newScripted()
 	src.permanent[SegmentID{Level: 2, Plane: 1}] = true
 	r := NewRetryingSource(nil, src, fastPolicy())
-	_, err := r.Segment(2, 1)
+	_, err := r.Segment(context.Background(), 2, 1)
 	if !errors.Is(err, ErrPermanent) {
 		t.Fatalf("want ErrPermanent, got %v", err)
 	}
@@ -123,7 +123,7 @@ func TestRetryingSourceQuarantinesPermanent(t *testing.T) {
 		t.Fatalf("permanent failure retried %d times", got)
 	}
 	// Second read fails fast without touching the source.
-	_, err = r.Segment(2, 1)
+	_, err = r.Segment(context.Background(), 2, 1)
 	if !errors.Is(err, ErrPermanent) {
 		t.Fatalf("quarantined read: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestRetryingSourceTimeout(t *testing.T) {
 	pol.Timeout = 5 * time.Millisecond
 	r := NewRetryingSource(nil, src, pol)
 	start := time.Now()
-	_, err := r.Segment(0, 0)
+	_, err := r.Segment(context.Background(), 0, 0)
 	if err == nil {
 		t.Fatal("stalled read succeeded")
 	}
@@ -164,7 +164,7 @@ func TestRetryingSourceContextCancellation(t *testing.T) {
 	cancel()
 	src := newScripted()
 	r := NewRetryingSource(ctx, src, fastPolicy())
-	_, err := r.Segment(0, 0)
+	_, err := r.Segment(context.Background(), 0, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -179,7 +179,7 @@ func TestRetryingSourceBackoffIsBoundedAndJittered(t *testing.T) {
 	pol.MaxDelay = 8 * time.Millisecond
 	pol.Sleep = func(d time.Duration) { delays = append(delays, d) }
 	r := NewRetryingSource(nil, src, pol)
-	if _, err := r.Segment(0, 0); err != nil {
+	if _, err := r.Segment(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(delays) != 7 {
@@ -229,7 +229,7 @@ func TestRetryingSourceJitterDeterministicUnderConcurrency(t *testing.T) {
 				wg.Add(1)
 				go func(k int) {
 					defer wg.Done()
-					if _, err := r.Segment(0, k); err != nil {
+					if _, err := r.Segment(context.Background(), 0, k); err != nil {
 						t.Error(err)
 					}
 				}(k)
@@ -237,7 +237,7 @@ func TestRetryingSourceJitterDeterministicUnderConcurrency(t *testing.T) {
 			wg.Wait()
 		} else {
 			for k := 0; k < planes; k++ {
-				if _, err := r.Segment(0, k); err != nil {
+				if _, err := r.Segment(context.Background(), 0, k); err != nil {
 					t.Fatal(err)
 				}
 			}

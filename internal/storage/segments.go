@@ -1,12 +1,12 @@
 package storage
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -37,14 +37,19 @@ type SegmentID struct {
 	Plane int
 }
 
-// Writer builds a segment store file. Segments may be added in any order;
-// Close writes the table and finalizes the file.
-type Writer struct {
-	f        *os.File
-	meta     []byte
-	segs     []segEntry
-	payloads [][]byte
-	closed   bool
+// SegmentSource yields compressed plane payloads during retrieval. It is
+// the one (level, plane) → payload interface of the module: stores
+// implement it, the resilience wrappers (RetryingSource, the breaker and
+// fault-injection sources) wrap it, and retrieval reads through it.
+//
+// Implementations must be safe for concurrent Segment calls — the parallel
+// retrieval path fetches independent (level, plane) segments from multiple
+// goroutines — and must honor ctx: a read returns early with ctx's error
+// once ctx ends, and every wrapper forwards ctx to the source it wraps so
+// deadlines, cancellation and trace values reach the innermost read.
+type SegmentSource interface {
+	// Segment returns the compressed payload of plane k of level l.
+	Segment(ctx context.Context, level, plane int) ([]byte, error)
 }
 
 type segEntry struct {
@@ -52,83 +57,6 @@ type segEntry struct {
 	offset uint64
 	size   uint64
 	crc    uint32
-}
-
-// Create starts a new segment store at path with the given opaque metadata
-// blob (typically the gob/JSON-encoded compression header).
-func Create(path string, meta []byte) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: create %s: %w", path, err)
-	}
-	return &Writer{f: f, meta: meta}, nil
-}
-
-// WriteSegment records the payload for one (level, plane) segment. The
-// payload is retained until Close; duplicate IDs are rejected.
-func (w *Writer) WriteSegment(id SegmentID, payload []byte) error {
-	if w.closed {
-		return fmt.Errorf("storage: write to closed writer")
-	}
-	if id.Level < 0 || id.Plane < 0 {
-		return fmt.Errorf("storage: invalid segment id %+v", id)
-	}
-	for _, s := range w.segs {
-		if s.id == id {
-			return fmt.Errorf("storage: duplicate segment %+v", id)
-		}
-	}
-	w.segs = append(w.segs, segEntry{
-		id:   id,
-		size: uint64(len(payload)),
-		crc:  crc32.ChecksumIEEE(payload),
-	})
-	w.payloads = append(w.payloads, payload)
-	return nil
-}
-
-// Close writes the header, table and payloads and closes the file.
-func (w *Writer) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	// Deterministic layout: sort by (level, plane) so that the progressive
-	// read pattern (coarse level first, high planes first) is sequential.
-	order := make([]int, len(w.segs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := w.segs[order[a]].id, w.segs[order[b]].id
-		if sa.Level != sb.Level {
-			return sa.Level < sb.Level
-		}
-		return sa.Plane < sb.Plane
-	})
-
-	offset := headerSize(len(w.meta), len(w.segs))
-	ordered := make([]segEntry, len(order))
-	for o, i := range order {
-		w.segs[i].offset = offset
-		offset += w.segs[i].size
-		ordered[o] = w.segs[i]
-	}
-
-	if _, err := w.f.Write(buildHeader(w.meta, ordered)); err != nil {
-		w.f.Close()
-		return fmt.Errorf("storage: write header: %w", err)
-	}
-	for _, i := range order {
-		if _, err := w.f.Write(w.payloads[i]); err != nil {
-			w.f.Close()
-			return fmt.Errorf("storage: write segment %+v: %w", w.segs[i].id, err)
-		}
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("storage: close: %w", err)
-	}
-	return nil
 }
 
 // Store reads segments from a store file using ranged reads. It tracks the
@@ -255,6 +183,15 @@ func (s *Store) ReadSegment(id SegmentID) ([]byte, error) {
 	s.requests++
 	s.mu.Unlock()
 	return buf, nil
+}
+
+// Segment implements SegmentSource over ReadSegment. A local file read
+// cannot be interrupted mid-syscall, so cancellation is checked at entry.
+func (s *Store) Segment(ctx context.Context, level, plane int) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.ReadSegment(SegmentID{Level: level, Plane: plane})
 }
 
 // BytesRead returns the total payload bytes fetched so far.

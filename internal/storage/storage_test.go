@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -112,16 +113,27 @@ func TestSlowerTiersCostMore(t *testing.T) {
 func writeTestStore(t *testing.T, meta []byte, segs map[SegmentID][]byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "field.pmgd")
-	w, err := Create(path, meta)
+	w, err := CreateStream(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, payload := range segs {
-		if err := w.WriteSegment(id, payload); err != nil {
+	defer w.Abort()
+	ids := make([]SegmentID, 0, len(segs))
+	for id := range segs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		if ids[a].Level != ids[b].Level {
+			return ids[a].Level < ids[b].Level
+		}
+		return ids[a].Plane < ids[b].Plane
+	})
+	for _, id := range ids {
+		if err := w.WriteSegment(id, segs[id]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := w.Commit(meta); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -209,10 +221,11 @@ func TestSegmentStoreMissingSegment(t *testing.T) {
 
 func TestWriterRejectsDuplicatesAndBadIDs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dup.pmgd")
-	w, err := Create(path, nil)
+	w, err := CreateStream(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Abort()
 	id := SegmentID{Level: 1, Plane: 2}
 	if err := w.WriteSegment(id, []byte{1}); err != nil {
 		t.Fatal(err)
@@ -223,11 +236,11 @@ func TestWriterRejectsDuplicatesAndBadIDs(t *testing.T) {
 	if err := w.WriteSegment(SegmentID{Level: -1}, nil); err == nil {
 		t.Fatal("negative level accepted")
 	}
-	if err := w.Close(); err != nil {
+	if err := w.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteSegment(SegmentID{Level: 2, Plane: 0}, nil); err == nil {
-		t.Fatal("write after close accepted")
+		t.Fatal("write after commit accepted")
 	}
 }
 

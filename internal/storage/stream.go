@@ -15,9 +15,7 @@ func headerSize(metaLen, segCount int) uint64 {
 }
 
 // buildHeader serializes the store header for segs, which must already be
-// in (level, plane) order with absolute offsets assigned. Both Writer and
-// StreamWriter emit their headers through this one function, which is what
-// makes their outputs byte-identical.
+// in (level, plane) order with absolute offsets assigned.
 func buildHeader(meta []byte, segs []segEntry) []byte {
 	buf := make([]byte, 0, headerSize(len(meta), len(segs)))
 	buf = append(buf, magic...)
@@ -39,11 +37,10 @@ func buildHeader(meta []byte, segs []segEntry) []byte {
 // memory. Payloads are appended to a spill file as they arrive; Commit
 // prepends the header (whose table — and the caller's metadata blob — are
 // only known once every segment has been written) and splices the spill
-// behind it. The result is byte-for-byte identical to Writer given the
-// same segments, because the store format lays payloads out in
-// (level, plane) order and StreamWriter requires exactly that arrival
-// order — the ordered fan-in merge upstream guarantees it at any worker
-// count.
+// behind it. The store format lays payloads out in (level, plane) order and
+// StreamWriter requires exactly that arrival order — the ordered fan-in
+// merge upstream guarantees it at any worker count — so the spill file is
+// already the final data section.
 //
 // Memory held is one table entry (28 bytes) per segment plus a copy
 // buffer; payload bytes never accumulate.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -416,6 +417,16 @@ func (s *TieredStore) ReadSegment(id SegmentID) ([]byte, error) {
 		o.Counter("storage.tier." + tier + ".requests").Add(1)
 	}
 	return buf, nil
+}
+
+// Segment implements SegmentSource over ReadSegment. Tier reads are local
+// file I/O that cannot be interrupted mid-syscall, so cancellation is
+// checked at entry.
+func (s *TieredStore) Segment(ctx context.Context, level, plane int) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.ReadSegment(SegmentID{Level: level, Plane: plane})
 }
 
 // SetMaxOpenFiles bounds the resident level-file handles to n (0 restores

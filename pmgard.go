@@ -12,7 +12,7 @@
 //	field := ...                          // *pmgard.Tensor
 //	c, _ := pmgard.Compress(field, pmgard.DefaultConfig(), "Jx", 0)
 //	h := &c.Header
-//	rec, plan, _ := pmgard.RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+//	rec, plan, _ := pmgard.RetrieveTolerance(ctx, h, c, h.TheoryEstimator(), tol, pmgard.RetrieveOptions{})
 //
 // See the examples/ directory for complete workflows and DESIGN.md for the
 // system inventory and experiment index.
@@ -104,14 +104,17 @@ type Plan = retrieval.Plan
 // estimate; TheoryEstimator and E-MGARD's learned estimator implement it.
 type ErrorEstimator = retrieval.ErrorEstimator
 
-// SegmentSource yields compressed plane payloads during retrieval.
-type SegmentSource = core.SegmentSource
-
-// StoreSource adapts an opened store file as a SegmentSource.
-type StoreSource = core.StoreSource
+// SegmentSource yields compressed plane payloads during retrieval. A
+// Compressed, an opened Store or TieredStore, and a RetryingSource over any
+// of them all implement it.
+type SegmentSource = storage.SegmentSource
 
 // Store is a file-backed segment store with I/O accounting.
 type Store = storage.Store
+
+// RetrieveOptions carries a retrieval's worker count and telemetry sink; the
+// zero value means one worker per CPU and no telemetry.
+type RetrieveOptions = core.RetrieveOptions
 
 // Compress runs decomposition, bit-plane encoding and lossless coding on a
 // field.
@@ -122,29 +125,22 @@ func Compress(t *Tensor, cfg Config, fieldName string, timestep int) (*Compresse
 // OpenFile opens a compressed field file written by Compressed.WriteFile.
 func OpenFile(path string) (*Header, *Store, error) { return core.OpenFile(path) }
 
-// Retrieve fetches the planes named by plan and recomposes the field, using
-// one worker per CPU.
-func Retrieve(h *Header, src SegmentSource, plan Plan) (*Tensor, error) {
-	return core.Retrieve(h, src, plan)
-}
-
-// RetrieveWorkers is Retrieve with an explicit worker count (≤ 0 means one
-// worker per CPU; 1 forces the sequential path). The reconstruction is
-// bit-identical for every worker count.
-func RetrieveWorkers(h *Header, src SegmentSource, plan Plan, workers int) (*Tensor, error) {
-	return core.RetrieveWorkers(h, src, plan, workers)
+// Retrieve fetches the planes named by plan and recomposes the field. Once
+// ctx ends no further plane is fetched and ctx's error is returned.
+func Retrieve(ctx context.Context, h *Header, src SegmentSource, plan Plan, opt RetrieveOptions) (*Tensor, error) {
+	return core.Retrieve(ctx, h, src, plan, opt)
 }
 
 // RetrieveTolerance plans greedily under est at an absolute tolerance and
 // retrieves.
-func RetrieveTolerance(h *Header, src SegmentSource, est ErrorEstimator, tol float64) (*Tensor, Plan, error) {
-	return core.RetrieveTolerance(h, src, est, tol)
+func RetrieveTolerance(ctx context.Context, h *Header, src SegmentSource, est ErrorEstimator, tol float64, opt RetrieveOptions) (*Tensor, Plan, error) {
+	return core.RetrieveTolerance(ctx, h, src, est, tol, opt)
 }
 
 // RetrievePlanes retrieves a fixed per-level plane assignment (the D-MGARD
 // integration point).
-func RetrievePlanes(h *Header, src SegmentSource, planes []int) (*Tensor, Plan, error) {
-	return core.RetrievePlanes(h, src, planes)
+func RetrievePlanes(ctx context.Context, h *Header, src SegmentSource, planes []int, opt RetrieveOptions) (*Tensor, Plan, error) {
+	return core.RetrievePlanes(ctx, h, src, planes, opt)
 }
 
 // DMGARDModel is the chained multi-output plane-count predictor (§III-C).
@@ -283,11 +279,8 @@ func DefaultHierarchy(levels int) (Hierarchy, error) {
 }
 
 // TieredStore reads plane segments from per-tier directories with per-tier
-// I/O accounting.
+// I/O accounting; it is itself a SegmentSource.
 type TieredStore = storage.TieredStore
-
-// TieredSource adapts a TieredStore as a SegmentSource.
-type TieredSource = core.TieredSource
 
 // OpenTiered opens a tiered store directory written by Compressed.WriteTiered.
 func OpenTiered(dir string) (*Header, *TieredStore, error) {
@@ -313,15 +306,15 @@ func OpenDataset(dir string) (*DatasetReader, error) { return dataset.Open(dir) 
 // RetrieveResolution fetches only coefficient levels 0..upTo and
 // reconstructs on the coarser grid they span — reduced degrees of freedom
 // for analyses that can run at lower resolution.
-func RetrieveResolution(h *Header, src SegmentSource, planes []int, upTo int) (*Tensor, Plan, error) {
-	return core.RetrieveResolution(h, src, planes, upTo)
+func RetrieveResolution(ctx context.Context, h *Header, src SegmentSource, planes []int, upTo int, opt RetrieveOptions) (*Tensor, Plan, error) {
+	return core.RetrieveResolution(ctx, h, src, planes, upTo, opt)
 }
 
 // RetrieveHybrid combines both models (the paper's §IV-E future work):
 // a D-MGARD plane prediction seeds the plan, an E-MGARD estimator verifies
 // and refines it before fetching.
-func RetrieveHybrid(h *Header, src SegmentSource, seedPlanes []int, est ErrorEstimator, tol float64) (*Tensor, Plan, error) {
-	return core.RetrieveHybrid(h, src, seedPlanes, est, tol)
+func RetrieveHybrid(ctx context.Context, h *Header, src SegmentSource, seedPlanes []int, est ErrorEstimator, tol float64, opt RetrieveOptions) (*Tensor, Plan, error) {
+	return core.RetrieveHybrid(ctx, h, src, seedPlanes, est, tol, opt)
 }
 
 // CombineFeatures assembles the full D-MGARD input vector: field statistics

@@ -1,6 +1,7 @@
 package pmgard
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestFacadeCompressRetrieve(t *testing.T) {
 	}
 	h := &c.Header
 	tol := h.AbsTolerance(1e-4)
-	rec, plan, err := RetrieveTolerance(h, c, h.TheoryEstimator(), tol)
+	rec, plan, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestFacadeFileWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rec, _, err := RetrievePlanes(h, StoreSource{Store: st}, []int{8, 8, 8, 8, 8})
+	rec, _, err := RetrievePlanes(context.Background(), h, st, []int{8, 8, 8, 8, 8}, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFacadeModelTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RetrievePlanes(&c.Header, c, planes); err != nil {
+	if _, _, err := RetrievePlanes(context.Background(), &c.Header, c, planes, RetrieveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,7 +103,7 @@ func TestFacadeModelTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RetrieveTolerance(&c.Header, c, est, c.Header.AbsTolerance(1e-3)); err != nil {
+	if _, _, err := RetrieveTolerance(context.Background(), &c.Header, c, est, c.Header.AbsTolerance(1e-3), RetrieveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -135,7 +136,7 @@ func TestFacadeSessionAndTiered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := s.Refine(h.TheoryEstimator(), h.AbsTolerance(1e-2)); err != nil {
+	if _, _, _, err := s.Refine(context.Background(), h.TheoryEstimator(), h.AbsTolerance(1e-2)); err != nil {
 		t.Fatal(err)
 	}
 	hier, err := DefaultHierarchy(len(h.Levels))
@@ -151,7 +152,7 @@ func TestFacadeSessionAndTiered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, _, err := RetrieveTolerance(h2, TieredSource{Store: st}, h2.TheoryEstimator(), h2.AbsTolerance(1e-3)); err != nil {
+	if _, _, err := RetrieveTolerance(context.Background(), h2, st, h2.TheoryEstimator(), h2.AbsTolerance(1e-3), RetrieveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
