@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover fuzz bench bench-parallel bench-scaling bench-full experiments clean
+.PHONY: all build test vet race cover fuzz bench benchmark bench-parallel bench-scaling bench-full experiments clean
 
 all: build vet test
 
@@ -36,6 +36,11 @@ fuzz:
 # testing.B harness at smoke scale (one pass per figure).
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x .
+
+# The repository benchmark (BENCHMARK.json): the four end-to-end workloads
+# over the real serve/mgard binaries at 129³; see benchmark/README.md.
+benchmark:
+	$(GO) run ./benchmark
 
 # Re-record the GOMAXPROCS scaling sweep of the streaming refactor
 # pipeline (BENCH_parallel.json).

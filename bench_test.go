@@ -382,14 +382,14 @@ func BenchmarkSessionShared(b *testing.B) {
 		cache := NewPlaneCache(0)
 		// Warm pass outside the timer: steady-state serving hits the cache.
 		refinePair(b, func() (*Session, error) {
-			return NewSharedSession(h, SharedSource{Src: st, Cache: cache})
+			return NewSharedSession(h, st, cache)
 		})
 		b.SetBytes(int64(2 * 8 * field.Len()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			refinePair(b, func() (*Session, error) {
-				return NewSharedSession(h, SharedSource{Src: st, Cache: cache})
+				return NewSharedSession(h, st, cache)
 			})
 		}
 	})

@@ -186,21 +186,23 @@ func TestObservabilityFlags(t *testing.T) {
 
 	rm := filepath.Join(dir, "rm.json")
 	rt := filepath.Join(dir, "rt.json")
-	if err := cmdRetrieve([]string{"-in", pmgd, "-rel", "1e-3",
+	// -workers 2: the pool.fetch.* task metrics belong to the plane fan-out,
+	// which a single-CPU default would not start.
+	if err := cmdRetrieve([]string{"-in", pmgd, "-rel", "1e-3", "-workers", "2",
 		"-fault-rate", "0.2", "-fault-seed", "7",
 		"-metrics-out", rm, "-trace-out", rt}); err != nil {
 		t.Fatal(err)
 	}
 	requireMetrics(t, rm,
-		"core.fetch.bytes", "core.fetch.planes",
-		"core.fetch.level0.bytes", "core.fetch.level0.planes",
+		"core.session.bytes_fetched", "core.session.planes_fetched",
+		"core.session.level0.bytes_fetched", "core.session.level0.planes_fetched",
 		"storage.retry.reads", "storage.retry.retries",
 		"faults.reads", "faults.injected.transient",
 		"pool.fetch.wait_seconds", "pool.fetch.task_seconds",
 		"retrieval.greedy.estimator_calls")
-	requireStages(t, rt, "session", "retrieval.plan", "storage.fetch",
-		"storage.read", "lossless.decompress", "bitplane.decode",
-		"decompose.recompose")
+	requireStages(t, rt, "session.refine_to", "retrieval.plan", "session.fetch_level",
+		"session.fetch_plane", "storage.read", "session.decode", "bitplane.decode",
+		"session.recompose")
 }
 
 // requireMetrics asserts the snapshot file contains every named metric.

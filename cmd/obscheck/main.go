@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	obscheck -in metrics.json -require core.fetch.bytes,pool.fetch.completed
+//	obscheck -in metrics.json -require core.session.bytes_fetched,storage.retry.reads
 //	obscheck -in metrics.json -nonzero servecache.hits
 //	obscheck -in metrics.prom -format prom -require serve.refine_seconds
 //

@@ -277,23 +277,21 @@ func splitList(s string) []string {
 	return out
 }
 
-// fieldHandle is one served field: its header, the (possibly retry- and
-// breaker-wrapped) segment source, and the handle to release on shutdown.
+// fieldHandle is one served field: its header, the one plane source every
+// read of it goes through, and the handle to release on shutdown.
 type fieldHandle struct {
 	header *core.Header
-	src    storage.SegmentSource
-	close  func() error
-	// store is the validating fetch+decompress path over src, shared with
-	// the node role's /planes endpoint so router traffic and local refine
-	// traffic fill the same cache entries. nil for router-backed fields.
-	store *core.PlaneStore
-	// planes, when non-nil, replaces the store fetch path entirely: the
-	// router role fills cache misses from remote nodes through it.
+	// planes fills the shared cache's misses: a validating core.PlaneStore
+	// over the (possibly retry- and breaker-wrapped) local segment source,
+	// or the router role's remote-node client. /refine sessions, the node
+	// role's /planes endpoint and the readiness probe all read it through
+	// the cache under header.PlaneKey, so they fill one set of entries.
 	planes servecache.Source
+	close  func() error
 	// breaker is the field's circuit breaker, nil when disabled.
 	breaker *resilience.Breaker
 	// probeErr is the startup readiness probe result: the error from
-	// reading the field's first segment when it was registered.
+	// fetching the field's first plane when it was registered.
 	probeErr error
 }
 
@@ -388,7 +386,7 @@ func newServer(cfg serverConfig) (*server, error) {
 // add registers an opened field under its header's field name, layering the
 // resilience stack: retries closest to the store, the circuit breaker above
 // them (one tier outage costs one breaker failure, not one per attempt),
-// and probing the first segment for the readiness report.
+// and probing the first plane for the readiness report.
 func (s *server) add(h *core.Header, src storage.SegmentSource, closeFn func() error) error {
 	if _, ok := s.fields[h.FieldName]; ok {
 		return fmt.Errorf("duplicate field %q", h.FieldName)
@@ -409,18 +407,25 @@ func (s *server) add(h *core.Header, src storage.SegmentSource, closeFn func() e
 		fh.breaker.Instrument(s.o, h.FieldName)
 		src = resilience.BreakerSource{Src: src, Breaker: fh.breaker}
 	}
-	fh.src = src
 	store, err := core.NewPlaneStore(h, src)
 	if err != nil {
 		return fmt.Errorf("field %q: %w", h.FieldName, err)
 	}
-	fh.store = store
+	fh.planes = store
+	s.register(context.Background(), fh)
+	return nil
+}
+
+// register probes the field's first plane end to end — cache, validation
+// and, in the router role, placement and the node fetch — for the readiness
+// report, then starts serving it.
+func (s *server) register(ctx context.Context, fh *fieldHandle) {
+	h := fh.header
 	if h.Planes > 0 && len(h.Levels) > 0 {
-		_, fh.probeErr = src.Segment(context.Background(), 0, 0)
+		_, _, fh.probeErr = shard.CachedField(h, s.cache, fh.planes).Fetch(ctx, 0, 0)
 	}
 	s.fields[h.FieldName] = fh
 	s.names = append(s.names, h.FieldName)
-	return nil
 }
 
 // initRouter turns the server into the shard's public face: it discovers
@@ -459,45 +464,21 @@ func (s *server) initRouter(ctx context.Context, m *shard.Map) error {
 		if err != nil {
 			return err
 		}
-		fc := r.FieldClient(h)
-		fh := &fieldHandle{header: h, planes: fc}
-		if h.Planes > 0 && len(h.Levels) > 0 {
-			// The same readiness discipline as local fields: probe the first
-			// plane end to end (placement, node fetch, length validation).
-			_, _, fh.probeErr = fc.FetchPlane(ctx,
-				servecache.Key{Codec: h.Codec(), Field: cacheFieldID(h), Level: 0, Plane: 0})
-		}
-		s.fields[name] = fh
-		s.names = append(s.names, name)
+		s.register(ctx, &fieldHandle{header: h, planes: r.FieldClient(h)})
 	}
 	return nil
 }
 
-// cacheFieldID is the cache namespace of a served field — the same
-// "<field>@<timestep>" a shared session derives, so /planes traffic, local
-// refine sessions and router sessions all share one set of entries.
-func cacheFieldID(h *core.Header) string {
-	return fmt.Sprintf("%s@%d", h.FieldName, h.Timestep)
-}
-
 // PlaneField implements shard.NodeSource: the node role's /planes endpoint
-// serves planes through the field's cache-backed validating store, so
-// router traffic and node-local refine traffic deduplicate into the same
-// cache entries and singleflight groups.
+// serves planes through the same cache and plane source as the field's
+// refine sessions, so router traffic and node-local refine traffic
+// deduplicate into the same cache entries and singleflight groups.
 func (s *server) PlaneField(name string) (shard.NodeField, bool) {
 	fh, ok := s.fields[name]
-	if !ok || fh.store == nil {
+	if !ok {
 		return shard.NodeField{}, false
 	}
-	h := fh.header
-	return shard.NodeField{
-		Header: h,
-		Fetch: func(ctx context.Context, level, plane int) ([]byte, int64, error) {
-			key := servecache.Key{Codec: h.Codec(), Field: cacheFieldID(h), Level: level, Plane: plane}
-			raw, payload, _, err := s.cache.Get(ctx, key, fh.store)
-			return raw, payload, err
-		},
-	}, true
+	return shard.CachedField(fh.header, s.cache, fh.planes), true
 }
 
 // PlaneFields implements shard.NodeSource.
@@ -797,7 +778,7 @@ func (s *server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	sess, err := core.NewSharedSession(h, core.SharedSource{Src: fh.src, Cache: s.cache, Planes: fh.planes})
+	sess, err := core.NewSharedSession(h, fh.planes, s.cache)
 	if err != nil {
 		ar.setOutcome("internal")
 		s.fail(w, http.StatusInternalServerError, err)

@@ -22,6 +22,13 @@ import (
 // and hands it to visit.
 func walkLibraryFiles(t *testing.T, visit func(path string, file *ast.File)) {
 	t.Helper()
+	walkSourceFiles(t, true, visit)
+}
+
+// walkSourceFiles is walkLibraryFiles, with commands and examples included
+// unless libraryOnly.
+func walkSourceFiles(t *testing.T, libraryOnly bool, visit func(path string, file *ast.File)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -30,7 +37,7 @@ func walkLibraryFiles(t *testing.T, visit func(path string, file *ast.File)) {
 			// The walk root is itself named "."; only hidden directories
 			// below it are skipped.
 			name := d.Name()
-			if name == "testdata" || name == "examples" || name == "benchmark" || (path != "." && strings.HasPrefix(name, ".")) {
+			if name == "testdata" || (libraryOnly && name == "examples") || name == "benchmark" || (path != "." && strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -42,7 +49,7 @@ func walkLibraryFiles(t *testing.T, visit func(path string, file *ast.File)) {
 		if err != nil {
 			return err
 		}
-		if file.Name.Name == "main" {
+		if libraryOnly && file.Name.Name == "main" {
 			return nil // command entry points are documented at package level
 		}
 		visit(path, file)
@@ -124,14 +131,8 @@ func TestOneNamePerOperation(t *testing.T) {
 				continue
 			}
 			scope := filepath.Dir(path)
-			if fn.Recv != nil && len(fn.Recv.List) == 1 {
-				recv := fn.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					scope += "." + id.Name
-				}
+			if recv := recvTypeName(fn); recv != "" {
+				scope += "." + recv
 			}
 			if names[scope] == nil {
 				names[scope] = map[string]bool{}
@@ -153,5 +154,79 @@ func TestOneNamePerOperation(t *testing.T) {
 		sort.Strings(pairs)
 		t.Fatalf("%d exported twins differ only by a parameter suffix; fold the parameter into one function:\n  %s",
 			len(pairs), strings.Join(pairs, "\n  "))
+	}
+}
+
+// recvTypeName is the name of fn's receiver type, "" for a plain function.
+func recvTypeName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) != 1 {
+		return ""
+	}
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	if id, ok := recv.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// TestOneReadEngine keeps the read path from forking again: in
+// internal/core exactly one function decodes bit-planes (DecodeLevel), one
+// recomposes (Recompose / RecomposeLevel) and one — a PlaneStore method, so
+// every segment passes its manifest check first — inflates segments
+// (lossless Codec.Decompress); and in the whole module outside benchmark/
+// one function derives the "<field>@<timestep>" cache namespace from a
+// header's FieldName and Timestep.
+func TestOneReadEngine(t *testing.T) {
+	stages := map[string]string{
+		"DecodeLevel": "decode", "Recompose": "recompose", "RecomposeLevel": "recompose", "Decompress": "inflate",
+	}
+	callers := map[string]map[string]bool{"decode": {}, "recompose": {}, "inflate": {}, "namespace": {}}
+	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		inCore := filepath.ToSlash(filepath.Dir(path)) == "internal/core"
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			where := path + ": " + recvTypeName(fn) + "." + fn.Name.Name
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if stage, ok := stages[sel.Sel.Name]; ok && inCore {
+					callers[stage][where] = true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "fmt" && sel.Sel.Name == "Sprintf" && len(call.Args) == 3 {
+					lit, _ := call.Args[0].(*ast.BasicLit)
+					name, _ := call.Args[1].(*ast.SelectorExpr)
+					step, _ := call.Args[2].(*ast.SelectorExpr)
+					if lit != nil && lit.Value == `"%s@%d"` && name != nil && name.Sel.Name == "FieldName" && step != nil && step.Sel.Name == "Timestep" {
+						callers["namespace"][where] = true
+					}
+				}
+				return true
+			})
+		}
+	})
+	for stage, set := range callers {
+		var names []string
+		for name := range set {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		if len(names) != 1 {
+			t.Errorf("%s: %d functions, want exactly one:\n  %s", stage, len(names), strings.Join(names, "\n  "))
+		}
+		if stage == "inflate" && len(names) == 1 && !strings.Contains(names[0], ": PlaneStore.") {
+			t.Errorf("inflate: %s is not a PlaneStore method", names[0])
+		}
 	}
 }

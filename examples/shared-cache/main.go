@@ -83,9 +83,13 @@ func main() {
 	// coalesce onto one store read + one decompression.
 	shared := &countingSource{src: st}
 	cache := servecache.New(64 << 20)
+	planes, err := core.NewPlaneStore(h, shared)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var perAnalyst [analysts]int64
 	err = pool.Run(context.Background(), analysts, analysts, nil, func(_, i int) error {
-		s, err := core.NewSharedSession(h, core.SharedSource{Src: shared, Cache: cache})
+		s, err := core.NewSharedSession(h, planes, cache)
 		if err != nil {
 			return err
 		}

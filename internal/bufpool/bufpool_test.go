@@ -53,7 +53,12 @@ func TestZeroAndForeignSlices(t *testing.T) {
 	foreign := make([]uint64, 33, 100)
 	p.put(foreign)
 	got := p.get(60) // class 6 floor is 64 ≤ cap 100, so the slice is reusable
-	if &got[0] != &foreign[0] {
+	if len(got) != 60 || cap(got) < 60 {
+		t.Fatalf("get(60) after a foreign put: len %d cap %d", len(got), cap(got))
+	}
+	// sync.Pool drops puts at random under the race detector, so identity
+	// is only observable without it.
+	if !raceEnabled && &got[0] != &foreign[0] {
 		t.Fatal("foreign slice was not filed under its capacity floor class")
 	}
 	p.put(got)

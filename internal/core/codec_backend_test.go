@@ -88,7 +88,7 @@ func TestSharedCacheKeysAreCodecNamespaced(t *testing.T) {
 	cfgM := DefaultConfig()
 	cfgI := DefaultConfig()
 	cfgI.Backend = "interp"
-	// Same field name + timestep → identical SharedSource FieldID for both.
+	// Same field name + timestep → identical cache namespace for both.
 	cm, err := Compress(f, cfgM, "Ex", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +98,11 @@ func TestSharedCacheKeysAreCodecNamespaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := servecache.New(0)
-	sm, err := NewSharedSession(&cm.Header, SharedSource{Src: cm, Cache: cache})
+	sm, err := openShared(&cm.Header, cm, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, err := NewSharedSession(&ci.Header, SharedSource{Src: ci, Cache: cache})
+	si, err := openShared(&ci.Header, ci, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pmgard/internal/bitplane"
 	"pmgard/internal/codec"
 	"pmgard/internal/decompose"
 	"pmgard/internal/grid"
@@ -326,11 +325,12 @@ type RetrieveOptions struct {
 	// recompose stages (≤ 0 means one worker per CPU; 1 forces the
 	// sequential path). The reconstruction is bit-identical for every value.
 	Workers int
-	// Obs records retrieval telemetry when set: a "session" root span over
-	// the whole retrieval, stage spans for planning, storage reads, lossless
-	// decompression, bit-plane decode and recomposition, per-level
-	// core.fetch.* counters and pool.fetch.* task metrics. It never changes
-	// the reconstruction.
+	// Obs records retrieval telemetry when set — the session vocabulary
+	// (DESIGN.md §8): a "session.refine_to" root span over fetch_level /
+	// fetch_plane / decode / recompose children, the planner's
+	// "retrieval.plan", per-level core.session.* counters and, with more
+	// than one worker, pool.fetch.* task metrics. It never changes the
+	// reconstruction.
 	Obs *obs.Obs
 }
 
@@ -339,139 +339,25 @@ type RetrieveOptions struct {
 // fetched and the retrieval returns ctx's error; planes already decoded are
 // discarded — for resumable cancellation use a Session.
 func Retrieve(ctx context.Context, h *Header, src storage.SegmentSource, plan retrieval.Plan, opt RetrieveOptions) (*grid.Tensor, error) {
-	root := opt.Obs.Span("session", nil)
-	root.SetAttr("bytes_planned", plan.Bytes)
-	defer root.End()
-	dec, err := fetchLevels(ctx, h, src, plan, len(h.Levels)-1, opt)
-	if err != nil {
-		return nil, err
-	}
-	return recompose(h, dec, opt.Obs), nil
+	return retrieve(ctx, h, src, plan.Planes, len(h.Levels)-1, opt)
 }
 
-// recompose reconstructs the field from dec under the backend's recompose
-// telemetry: a "<stage>.recompose" span and a <stage>.recompositions
-// counter, where stage is "decompose" for the default lifting backend (plus
-// its decompose.passes count, one per (step, axis) pair) and the codec ID
-// for any other.
-func recompose(h *Header, dec codec.Decomposition, o *obs.Obs) *grid.Tensor {
-	if o == nil {
-		return dec.Recompose()
-	}
-	stage := h.Codec()
-	if stage == codec.DefaultID {
-		stage = "decompose"
-	}
-	sp := o.Span(stage+".recompose", nil)
-	sp.SetAttr("levels", len(h.Levels))
-	out := dec.Recompose()
-	o.Counter(stage + ".recompositions").Add(1)
-	if stage == "decompose" {
-		o.Counter("decompose.passes").Add(int64((len(h.Levels) - 1) * out.NDim()))
-	}
-	sp.End()
-	return out
-}
-
-// planeJob names one (level, plane) segment a retrieval must fetch.
-type planeJob struct{ level, plane int }
-
-// fetchLevels fetches and decodes the planes selected by plan for levels
-// 0..upTo from src into a fresh zero decomposition, fanning segment fetch
-// and decompression across the worker pool. Every segment lands in the
-// pre-sized slot for its (level, plane), and on failure the error of the
-// lowest (level, plane) in fetch order is returned, so behavior is
-// identical for every worker count. Once ctx ends, no new plane fetch is
-// dispatched and in-flight reads are cancelled through the source.
-//
-// With telemetry on it records a "storage.fetch" span over the fan-out with
-// per-job "storage.read" and "lossless.decompress" child spans, per-level
-// core.fetch.level<l>.bytes / .planes counters (plus totals), and pool task
-// metrics under pool.fetch.*.
-func fetchLevels(ctx context.Context, h *Header, src storage.SegmentSource, plan retrieval.Plan, upTo int, opt RetrieveOptions) (codec.Decomposition, error) {
-	if len(plan.Planes) != len(h.Levels) {
-		return nil, fmt.Errorf("core: plan has %d levels, header %d", len(plan.Planes), len(h.Levels))
-	}
-	o, workers := opt.Obs, pool.Clamp(opt.Workers)
-	lc, err := lossless.ByName(h.CodecName)
+// retrieve is the one-shot read behind every Retrieve* call: a fresh
+// session over src, refined once to planes and recomposed over levels
+// 0..upTo. It goes through RefineTo, never Refine, so a permanently lost
+// plane is an error here — only a caller holding a Session can degrade.
+func retrieve(ctx context.Context, h *Header, src storage.SegmentSource, planes []int, upTo int, opt RetrieveOptions) (*grid.Tensor, error) {
+	store, err := NewPlaneStore(h, src)
 	if err != nil {
 		return nil, err
 	}
-	backend, err := h.backend()
+	workers := pool.Clamp(opt.Workers)
+	s, err := newSession(h, store, nil, workers, workers)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := backend.NewZero(h.Dims, h.CodecOptions(), workers)
-	if err != nil {
-		return nil, err
-	}
-	encs := make([]*bitplane.LevelEncoding, upTo+1)
-	var jobs []planeJob
-	// Per-level fetch counters are resolved before the fan-out so the hot
-	// loop never touches the registry lock.
-	var lvlBytes, lvlPlanes []*obs.Counter
-	var totBytes, totPlanes *obs.Counter
-	if o != nil {
-		lvlBytes = make([]*obs.Counter, upTo+1)
-		lvlPlanes = make([]*obs.Counter, upTo+1)
-		totBytes = o.Counter("core.fetch.bytes")
-		totPlanes = o.Counter("core.fetch.planes")
-	}
-	for l := 0; l <= upTo; l++ {
-		lm := h.Levels[l]
-		b := plan.Planes[l]
-		if b < 0 || b > h.Planes {
-			return nil, fmt.Errorf("core: level %d plane count %d out of range", l, b)
-		}
-		encs[l] = &bitplane.LevelEncoding{
-			N:        lm.N,
-			Planes:   h.Planes,
-			Exponent: lm.Exponent,
-			Bits:     make([][]byte, h.Planes),
-		}
-		if o != nil {
-			lvlBytes[l] = o.Counter(fmt.Sprintf("core.fetch.level%d.bytes", l))
-			lvlPlanes[l] = o.Counter(fmt.Sprintf("core.fetch.level%d.planes", l))
-		}
-		for k := 0; k < b; k++ {
-			jobs = append(jobs, planeJob{level: l, plane: k})
-		}
-	}
-	fetchSpan := o.Span("storage.fetch", nil)
-	fetchSpan.SetAttr("jobs", len(jobs))
-	err = pool.Run(ctx, len(jobs), workers, pool.NewMetrics(o, "fetch"), func(_, i int) error {
-		j := jobs[i]
-		read := o.Span("storage.read", fetchSpan)
-		seg, err := src.Segment(ctx, j.level, j.plane)
-		read.SetAttr("level", j.level)
-		read.SetAttr("plane", j.plane)
-		read.End()
-		if err != nil {
-			return err
-		}
-		dsp := o.Span("lossless.decompress", fetchSpan)
-		raw, err := lc.Decompress(seg, h.Levels[j.level].RawPlaneSize)
-		dsp.End()
-		if err != nil {
-			return fmt.Errorf("core: level %d plane %d: %w", j.level, j.plane, err)
-		}
-		encs[j.level].Bits[j.plane] = raw
-		if o != nil {
-			lvlBytes[j.level].Add(int64(len(seg)))
-			lvlPlanes[j.level].Add(1)
-			totBytes.Add(int64(len(seg)))
-			totPlanes.Add(1)
-		}
-		return nil
-	})
-	fetchSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	for l := 0; l <= upTo; l++ {
-		backend.DecodeLevel(encs[l], plan.Planes[l], dec.Coeffs(l), workers, o)
-	}
-	return dec, nil
+	s.Instrument(opt.Obs)
+	return s.refineTo(ctx, planes, upTo)
 }
 
 // countingEstimator wraps an ErrorEstimator and counts Estimate calls, the
@@ -550,18 +436,11 @@ func RetrieveResolution(ctx context.Context, h *Header, src storage.SegmentSourc
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
-	root := opt.Obs.Span("session", nil)
-	root.SetAttr("bytes_planned", plan.Bytes)
-	defer root.End()
-	dec, err := fetchLevels(ctx, h, src, plan, upTo, opt)
+	rec, err := retrieve(ctx, h, src, plan.Planes, upTo, opt)
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
-	coarse, err := dec.RecomposeLevel(upTo)
-	if err != nil {
-		return nil, retrieval.Plan{}, err
-	}
-	return coarse, plan, nil
+	return rec, plan, nil
 }
 
 // RetrieveHybrid combines the two models as the paper's future work

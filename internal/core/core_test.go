@@ -468,8 +468,8 @@ func TestRetrieveResolution(t *testing.T) {
 	if _, _, err := RetrieveResolution(context.Background(), h, c, planes, 2, RetrieveOptions{Obs: o}); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Metrics.Snapshot().Counters["core.fetch.planes"]; got != 96 {
-		t.Fatalf("core.fetch.planes = %d, want 96 (3 levels × 32 planes)", got)
+	if got := o.Metrics.Snapshot().Counters["core.session.planes_fetched"]; got != 96 {
+		t.Fatalf("core.session.planes_fetched = %d, want 96 (3 levels × 32 planes)", got)
 	}
 }
 
@@ -630,8 +630,8 @@ func TestRetrieveHybridRepairsBadSeed(t *testing.T) {
 	for _, b := range plan.Planes {
 		fetched += int64(b)
 	}
-	if got := o.Metrics.Snapshot().Counters["core.fetch.planes"]; got != fetched {
-		t.Fatalf("core.fetch.planes = %d, want the plan's %d", got, fetched)
+	if got := o.Metrics.Snapshot().Counters["core.session.planes_fetched"]; got != fetched {
+		t.Fatalf("core.session.planes_fetched = %d, want the plan's %d", got, fetched)
 	}
 }
 

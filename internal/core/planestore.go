@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pmgard/internal/lossless"
+	"pmgard/internal/obs"
 	"pmgard/internal/servecache"
 	"pmgard/internal/storage"
 )
@@ -14,19 +15,16 @@ import (
 // the header, the compressed payload length is cross-checked against the
 // manifest (a wrong-size segment is data corruption, not a plausible
 // plane), and the lossless stage is resolved once at construction. It is
-// the store-facing half of a shared session's fetch path, exported so
-// servers that need servecache.Source semantics without a Session — the
-// shard tier's node-side /planes endpoint — reuse exactly the session's
-// read discipline. It is safe for concurrent use when src is.
+// the local servecache.Source every read path ends in — one-shot
+// retrievals, sessions, the node role's /planes endpoint — so all of them
+// share one read discipline. It is safe for concurrent use when src is.
 type PlaneStore struct {
 	h     *Header
 	src   storage.SegmentSource
 	codec lossless.Codec
 }
 
-// NewPlaneStore returns a plane store over h and src. src may be nil for a
-// store that is never fetched from (a remote-only session); Fetch then
-// fails cleanly instead of panicking.
+// NewPlaneStore returns a plane store over h and src.
 func NewPlaneStore(h *Header, src storage.SegmentSource) (*PlaneStore, error) {
 	lc, err := lossless.ByName(h.CodecName)
 	if err != nil {
@@ -35,22 +33,32 @@ func NewPlaneStore(h *Header, src storage.SegmentSource) (*PlaneStore, error) {
 	return &PlaneStore{h: h, src: src, codec: lc}, nil
 }
 
-// FetchPlane implements servecache.Source by reading and decompressing the
-// keyed plane from the store; ctx is typically the cache's flight context,
-// alive as long as any waiter wants the plane.
-func (p *PlaneStore) FetchPlane(ctx context.Context, key servecache.Key) ([]byte, int64, error) {
-	return p.Fetch(ctx, key.Level, key.Plane)
+// PlaneKey returns the shared-cache key of one plane of the field: the
+// backend ID plus the "<field>@<timestep>" namespace every reader of the
+// field derives here, so /planes traffic, local sessions and router
+// sessions fill one set of entries. Two distinct stores serving fields with
+// colliding names and timesteps must not share a cache.
+func (h *Header) PlaneKey(level, plane int) servecache.Key {
+	return servecache.Key{Codec: h.Codec(), Field: fmt.Sprintf("%s@%d", h.FieldName, h.Timestep), Level: level, Plane: plane}
 }
 
-// Fetch reads plane (level, plane) from the store and decompresses it. It
-// returns the plane bitset and the compressed payload bytes the fetch
-// moved; on error the payload is the bytes a failed transfer still
-// delivered (callers account them as wasted). Out-of-range coordinates
-// fail before any I/O.
-func (p *PlaneStore) Fetch(ctx context.Context, level, plane int) ([]byte, int64, error) {
-	if p.src == nil {
-		return nil, 0, fmt.Errorf("core: plane store has no segment source")
-	}
+// FetchPlane implements servecache.Source: it reads plane (key.Level,
+// key.Plane) from the store and decompresses it under a session.fetch_plane
+// span. It returns the plane bitset and the compressed payload bytes the
+// fetch moved; on error the payload is the bytes a failed transfer still
+// delivered (callers account them as wasted). Out-of-range coordinates fail
+// before any I/O. Behind a cache, ctx is the flight context, alive as long
+// as any waiter wants the plane.
+func (p *PlaneStore) FetchPlane(ctx context.Context, key servecache.Key) (raw []byte, payload int64, err error) {
+	level, plane := key.Level, key.Plane
+	sp := obs.SpanFromContext(ctx).Child("session.fetch_plane")
+	sp.SetAttr("level", level)
+	sp.SetAttr("plane", plane)
+	defer func() {
+		sp.SetAttr("bytes", payload)
+		sp.Fail(err)
+		sp.End()
+	}()
 	if level < 0 || level >= len(p.h.Levels) {
 		return nil, 0, fmt.Errorf("core: level %d out of [0,%d)", level, len(p.h.Levels))
 	}
@@ -65,7 +73,7 @@ func (p *PlaneStore) Fetch(ctx context.Context, level, plane int) ([]byte, int64
 		return nil, int64(len(seg)), fmt.Errorf("core: level %d plane %d payload is %d bytes, manifest says %d: %w",
 			level, plane, len(seg), want, storage.ErrCorrupt)
 	}
-	raw, err := p.codec.Decompress(seg, p.h.Levels[level].RawPlaneSize)
+	raw, err = p.codec.Decompress(seg, p.h.Levels[level].RawPlaneSize)
 	if err != nil {
 		return nil, int64(len(seg)), fmt.Errorf("core: level %d plane %d: %w", level, plane, err)
 	}

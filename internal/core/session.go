@@ -9,6 +9,7 @@ import (
 	"pmgard/internal/codec"
 	"pmgard/internal/grid"
 	"pmgard/internal/obs"
+	"pmgard/internal/pool"
 	"pmgard/internal/retrieval"
 	"pmgard/internal/servecache"
 	"pmgard/internal/storage"
@@ -28,21 +29,20 @@ import (
 // sessions (NewSharedSession), not in concurrent refinements of one.
 type Session struct {
 	header *Header
-	// store is the validating fetch path over the segment source (manifest
-	// length check + lossless decompression), shared with the node-side
-	// serving tier.
-	store *PlaneStore
+	// src is the one plane source the session reads from: a validating
+	// PlaneStore over local segments, or the shard router's remote-node
+	// client. cache, when non-nil, is consulted before it; key is the
+	// header's cache key, completed per fetch with the plane coordinates.
+	src   servecache.Source
+	cache *servecache.Cache
+	key   servecache.Key
 	// backend is the progressive codec named by the header; dec is its
 	// zero-initialized decomposition the fetched planes decode into.
 	backend codec.ProgressiveCodec
 	dec     codec.Decomposition
-	// cache, when non-nil, is consulted before store for decompressed planes;
-	// shareID namespaces this session's planes within it.
-	cache   *servecache.Cache
-	shareID string
-	// missSrc fills cache misses: the session's own store fetch, or — for the
-	// shard router's sessions — the remote-node plane source that replaces it.
-	missSrc servecache.Source
+	// workers is the fan-out of a refinement's plane fetches and of the
+	// level decode; 1 fetches in plane order on the caller's goroutine.
+	workers int
 	// mu guards everything below it.
 	mu sync.Mutex
 	// fetched[l] is how many planes of level l have been read so far.
@@ -50,7 +50,8 @@ type Session struct {
 	// planes[l][k] caches the decompressed plane bitsets.
 	planes [][][]byte
 	// bytes is the cumulative payload fetched, including payloads delivered
-	// by reads that later failed to decode.
+	// by reads that later failed to decode or were discarded above a failed
+	// plane.
 	bytes int64
 	// cacheHits counts planes this session obtained from the shared cache
 	// without a store fetch (always 0 without a cache).
@@ -72,17 +73,56 @@ func (s *Session) Instrument(o *obs.Obs) {
 	s.o = o
 }
 
-// NewSession opens a progressive retrieval session over a compressed field.
+// The worker counts of a session opened through NewSession or
+// NewSharedSession — what the serving tier runs on every /refine: planes
+// fetched in order and decoded at one worker, recomposition at one worker
+// per CPU. The split is inherited, not chosen; choosing it deliberately is a
+// performance change that needs its own measurement.
+const (
+	sessionWorkers          = 1
+	sessionRecomposeWorkers = 0
+)
+
+// NewSession opens a progressive retrieval session over a compressed field,
+// reading segments from src through a validating PlaneStore.
 func NewSession(h *Header, src storage.SegmentSource) (*Session, error) {
 	store, err := NewPlaneStore(h, src)
 	if err != nil {
 		return nil, err
 	}
+	return newSession(h, store, nil, sessionWorkers, sessionRecomposeWorkers)
+}
+
+// NewSharedSession opens a progressive retrieval session whose fetch path
+// consults cache before planes — the multi-session serving shape: N
+// sessions over the same field share fetch and decompression work, and
+// concurrent first readers of a plane coalesce onto a single fetch
+// (singleflight). planes is a *PlaneStore for local segments (layer the
+// cache above the resilience stack: with a storage.RetryingSource below the
+// store, the retry loop for a contended plane also runs once per flight) or
+// the shard router's FieldClient, whose misses become one network fetch per
+// plane. Entries are namespaced by h.PlaneKey, so every reader of one field
+// shares them.
+//
+// Per-session semantics are preserved exactly: Fetched and BytesFetched
+// report the same values whether a plane came from the cache or the source,
+// because cache entries replay the compressed payload size their original
+// fetch moved.
+func NewSharedSession(h *Header, planes servecache.Source, cache *servecache.Cache) (*Session, error) {
+	if cache == nil {
+		return nil, fmt.Errorf("core: shared session needs a cache")
+	}
+	return newSession(h, planes, cache, sessionWorkers, sessionRecomposeWorkers)
+}
+
+// newSession is the one constructor. workers fans out plane fetches and the
+// level decode, recomposeWorkers the recomposition (≤ 0 means one per CPU).
+func newSession(h *Header, src servecache.Source, cache *servecache.Cache, workers, recomposeWorkers int) (*Session, error) {
 	backend, err := h.backend()
 	if err != nil {
 		return nil, err
 	}
-	dec, err := backend.NewZero(h.Dims, h.CodecOptions(), 0)
+	dec, err := backend.NewZero(h.Dims, h.CodecOptions(), recomposeWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -92,63 +132,16 @@ func NewSession(h *Header, src storage.SegmentSource) (*Session, error) {
 	}
 	return &Session{
 		header:     h,
-		store:      store,
+		src:        src,
+		cache:      cache,
+		key:        h.PlaneKey(0, 0),
 		backend:    backend,
 		dec:        dec,
+		workers:    workers,
 		fetched:    make([]int, len(h.Levels)),
 		planes:     planes,
 		encScratch: make([]bitplane.LevelEncoding, len(h.Levels)),
 	}, nil
-}
-
-// SharedSource couples a segment source with a shared decompressed-plane
-// cache, the multi-session serving shape: N sessions over the same field
-// share fetch and decompression work through the cache, and concurrent
-// first readers of a plane coalesce onto a single store read (singleflight).
-type SharedSource struct {
-	// Src is the underlying segment source. Layer the cache *above* the
-	// resilience stack: when Src is a storage.RetryingSource, the retry
-	// loop and fault classification for a contended plane also run once
-	// per flight instead of once per session.
-	Src storage.SegmentSource
-	// Cache is the shared plane cache.
-	Cache *servecache.Cache
-	// FieldID namespaces this field's planes in the cache. Empty derives
-	// "<field>@<timestep>" from the header — sufficient unless two distinct
-	// stores serve fields with colliding names and timesteps.
-	FieldID string
-	// Planes, when non-nil, replaces the Src fetch path entirely: cache
-	// misses are filled by Planes instead of reading segments from Src (Src
-	// may then be nil). This is the shard router's hook — its Planes
-	// implementation fans cache misses out to remote node /planes endpoints,
-	// and the cache's singleflight collapses concurrent sessions' misses
-	// into one network fetch per plane.
-	Planes servecache.Source
-}
-
-// NewSharedSession opens a progressive retrieval session whose fetch path
-// consults ss.Cache before ss.Src. Per-session semantics are preserved
-// exactly: Fetched and BytesFetched report the same values whether a plane
-// came from the cache or the store, because cache entries replay the
-// compressed payload size their original fetch moved.
-func NewSharedSession(h *Header, ss SharedSource) (*Session, error) {
-	if ss.Cache == nil {
-		return nil, fmt.Errorf("core: shared session needs a cache")
-	}
-	s, err := NewSession(h, ss.Src)
-	if err != nil {
-		return nil, err
-	}
-	s.cache = ss.Cache
-	s.shareID = ss.FieldID
-	if s.shareID == "" {
-		s.shareID = fmt.Sprintf("%s@%d", h.FieldName, h.Timestep)
-	}
-	s.missSrc = ss.Planes
-	if s.missSrc == nil {
-		s.missSrc = (*planeFetcher)(s)
-	}
-	return s, nil
 }
 
 // Fetched returns the per-level plane counts read so far.
@@ -202,6 +195,13 @@ type Degradation struct {
 // fetched before the failure is retained and accounted, so a later RefineTo
 // resumes from exactly where it struck and pays only for the remainder.
 func (s *Session) RefineTo(ctx context.Context, target []int) (*grid.Tensor, error) {
+	return s.refineTo(ctx, target, len(s.header.Levels)-1)
+}
+
+// refineTo is RefineTo reconstructing only the approximation spanned by
+// levels 0..upTo (RetrieveResolution's coarser grid); upTo is the finest
+// level for the full field.
+func (s *Session) refineTo(ctx context.Context, target []int, upTo int) (*grid.Tensor, error) {
 	if len(target) != len(s.header.Levels) {
 		return nil, fmt.Errorf("core: session target has %d levels, header %d", len(target), len(s.header.Levels))
 	}
@@ -221,7 +221,7 @@ func (s *Session) RefineTo(ctx context.Context, target []int) (*grid.Tensor, err
 			return nil, err
 		}
 	}
-	return s.reconstruct(ctx)
+	return s.reconstruct(ctx, upTo)
 }
 
 // startSpan opens a session-stage span: a child of the request span carried
@@ -235,97 +235,106 @@ func (s *Session) startSpan(ctx context.Context, name string) *obs.Span {
 	return s.o.Span(name, nil)
 }
 
-// fetchLevel extends level l's fetched plane prefix to want planes,
-// advancing the session state plane by plane so a mid-level failure never
-// desynchronizes fetched/planes/bytes. s.mu must be held.
+// planeSlot is the pre-sized landing slot of one plane fetch of a level's
+// fan-out: workers only ever write their own slot, the session state is
+// advanced from the slots afterwards, in plane order.
+type planeSlot struct {
+	raw     []byte
+	payload int64
+	hit     bool
+	err     error
+	done    bool
+}
+
+// fetchLevel extends level l's fetched plane prefix to want planes. The
+// missing planes fan out across s.workers into pre-sized slots; the session
+// keeps the contiguous prefix below the lowest failed plane and returns
+// that plane's error, whatever the scheduling, so a mid-level failure never
+// desynchronizes fetched/planes/bytes. With one worker that is the
+// sequential loop: planes in order on the caller's goroutine, stopping at
+// the first failure. s.mu must be held.
 //
 // Failed fetches still count toward BytesFetched when payload was actually
 // delivered: a segment that arrives but fails to decompress (corruption,
-// truncation), or a partial payload returned alongside an error, moved real
-// bytes off the store even though the plane was never decoded.
+// truncation), a partial payload returned alongside an error, or a plane a
+// fan-out fetched above the failed one and had to discard, moved real bytes
+// off the store even though the plane was never decoded.
 func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
-	if want <= s.fetched[l] {
+	have := s.fetched[l]
+	if want <= have {
 		return nil
 	}
 	sp := obs.SpanFromContext(ctx).Child("session.fetch_level")
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
 	sp.SetAttr("level", l)
-	var levelBytes, levelHits int64
-	planesFetched := 0
-	defer func() {
-		sp.SetAttr("planes", planesFetched)
-		sp.SetAttr("bytes", levelBytes)
-		sp.SetAttr("cache_hits", levelHits)
-	}()
-	for k := s.fetched[l]; k < want; k++ {
-		raw, payload, hit, err := s.fetchPlane(ctx, l, k)
-		if err != nil {
-			s.bytes += payload
-			levelBytes += payload
-			s.o.Counter("core.session.bytes_wasted").Add(payload)
-			sp.Fail(err)
-			return err
+	slots := make([]planeSlot, want-have)
+	var m *pool.Metrics
+	if s.workers > 1 {
+		m = pool.NewMetrics(s.o, "fetch")
+	}
+	// A lone worker stops at the first failure; a fan-out runs every plane
+	// of the level, like any pool.Run, so what it accounts is deterministic.
+	stopped := false
+	err := pool.Run(ctx, len(slots), s.workers, m, func(_, i int) error {
+		if stopped {
+			return nil
 		}
-		s.planes[l][k] = raw
-		s.bytes += payload
-		s.fetched[l] = k + 1
-		levelBytes += payload
-		planesFetched++
-		if hit {
-			s.cacheHits++
-			levelHits++
+		sl := &slots[i]
+		sl.raw, sl.payload, sl.hit, sl.err = s.fetchPlane(ctx, l, have+i)
+		sl.done = true
+		if sl.err != nil && s.workers == 1 {
+			stopped = true
 		}
-		if s.o != nil {
-			s.o.Counter(fmt.Sprintf("core.session.level%d.bytes_fetched", l)).Add(payload)
-			s.o.Counter(fmt.Sprintf("core.session.level%d.planes_fetched", l)).Add(1)
-			s.o.Counter("core.session.bytes_fetched").Add(payload)
-			s.o.Counter("core.session.planes_fetched").Add(1)
+		return sl.err
+	})
+	var levelBytes, keptBytes, levelHits int64
+	for i := range slots {
+		sl := &slots[i]
+		levelBytes += sl.payload
+		// Only the contiguous prefix of landed planes extends the session.
+		if sl.done && sl.err == nil && s.fetched[l] == have+i {
+			s.planes[l][have+i] = sl.raw
+			s.fetched[l]++
+			keptBytes += sl.payload
+			if sl.hit {
+				levelHits++
+			}
 		}
 	}
-	return nil
-}
-
-// fetchPlane materializes one decompressed plane, through the shared cache
-// when the session has one. It returns the plane bitset, the compressed
-// payload bytes the plane's fetch moved, and whether the plane came out of
-// the shared cache without a fetch; on error the payload is the bytes a
-// failed transfer still delivered (counted as wasted by the caller).
-func (s *Session) fetchPlane(ctx context.Context, l, k int) ([]byte, int64, bool, error) {
-	if s.cache == nil {
-		raw, payload, err := s.fetchPlaneStore(ctx, l, k)
-		return raw, payload, false, err
+	kept := s.fetched[l] - have
+	s.bytes += levelBytes
+	s.cacheHits += levelHits
+	sp.SetAttr("planes", kept)
+	sp.SetAttr("bytes", levelBytes)
+	sp.SetAttr("cache_hits", levelHits)
+	if s.o != nil && kept > 0 {
+		s.o.Counter(fmt.Sprintf("core.session.level%d.bytes_fetched", l)).Add(keptBytes)
+		s.o.Counter(fmt.Sprintf("core.session.level%d.planes_fetched", l)).Add(int64(kept))
+		s.o.Counter("core.session.bytes_fetched").Add(keptBytes)
+		s.o.Counter("core.session.planes_fetched").Add(int64(kept))
 	}
-	key := servecache.Key{Codec: s.header.Codec(), Field: s.shareID, Level: l, Plane: k}
-	return s.cache.Get(ctx, key, s.missSrc)
-}
-
-// planeFetcher adapts a Session to servecache.Source: a pointer conversion
-// instead of a per-call closure, which keeps the cache-hit fast path
-// allocation-free.
-type planeFetcher Session
-
-// FetchPlane implements servecache.Source by reading and decompressing the
-// keyed plane from the session's store; ctx is the cache's flight context,
-// alive as long as any waiter still wants the plane.
-func (p *planeFetcher) FetchPlane(ctx context.Context, key servecache.Key) ([]byte, int64, error) {
-	return (*Session)(p).fetchPlaneStore(ctx, key.Level, key.Plane)
-}
-
-// fetchPlaneStore reads plane (l, k) through the session's PlaneStore,
-// which validates the payload length against the manifest before the
-// decoder sees it, and wraps the read in a session.fetch_plane span.
-func (s *Session) fetchPlaneStore(ctx context.Context, l, k int) ([]byte, int64, error) {
-	sp := obs.SpanFromContext(ctx).Child("session.fetch_plane")
-	defer sp.End()
-	sp.SetAttr("level", l)
-	sp.SetAttr("plane", k)
-	raw, payload, err := s.store.Fetch(ctx, l, k)
-	sp.SetAttr("bytes", payload)
 	if err != nil {
+		s.o.Counter("core.session.bytes_wasted").Add(levelBytes - keptBytes)
 		sp.Fail(err)
 	}
-	return raw, payload, err
+	return err
+}
+
+// fetchPlane materializes one decompressed plane from the session's source,
+// through the shared cache when the session has one. It returns the plane
+// bitset, the compressed payload bytes the plane's fetch moved, and whether
+// the plane came out of the shared cache without a fetch; on error the
+// payload is the bytes a failed transfer still delivered (counted as wasted
+// by the caller).
+func (s *Session) fetchPlane(ctx context.Context, l, k int) ([]byte, int64, bool, error) {
+	key := s.key
+	key.Level, key.Plane = l, k
+	if s.cache == nil {
+		raw, payload, err := s.src.FetchPlane(ctx, key)
+		return raw, payload, false, err
+	}
+	return s.cache.Get(ctx, key, s.src)
 }
 
 // Refine plans greedily under est at an absolute tolerance, never dropping
@@ -385,7 +394,7 @@ func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol 
 		levelErrs[l] = lm.ErrMatrix[target[l]]
 	}
 	exec.EstimatedError = est.Estimate(levelErrs)
-	rec, err := s.reconstruct(ctx)
+	rec, err := s.reconstruct(ctx, len(s.header.Levels)-1)
 	if err != nil {
 		sp.Fail(err)
 		return nil, retrieval.Plan{}, nil, err
@@ -417,19 +426,22 @@ func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol 
 	return rec, exec, deg, nil
 }
 
-// reconstruct decodes the fetched planes and recomposes the field. s.mu
+// reconstruct decodes the fetched planes of levels 0..upTo and recomposes
+// the grid they span — the full field when upTo is the finest level. s.mu
 // must be held.
-func (s *Session) reconstruct(ctx context.Context) (*grid.Tensor, error) {
+func (s *Session) reconstruct(ctx context.Context, upTo int) (*grid.Tensor, error) {
 	parent := obs.SpanFromContext(ctx)
 	dsp := parent.Child("session.decode")
-	for l, lm := range s.header.Levels {
+	for l, lm := range s.header.Levels[:upTo+1] {
 		enc := &s.encScratch[l]
 		enc.N, enc.Planes, enc.Exponent, enc.Bits = lm.N, s.header.Planes, lm.Exponent, s.planes[l]
-		s.backend.DecodeLevel(enc, s.fetched[l], s.dec.Coeffs(l), 1, s.o)
+		s.backend.DecodeLevel(enc, s.fetched[l], s.dec.Coeffs(l), s.workers, s.o)
 	}
 	dsp.End()
 	rsp := parent.Child("session.recompose")
-	out := s.dec.Recompose()
-	rsp.End()
-	return out, nil
+	defer rsp.End()
+	if upTo < len(s.header.Levels)-1 {
+		return s.dec.RecomposeLevel(upTo)
+	}
+	return s.dec.Recompose(), nil
 }

@@ -127,7 +127,7 @@ func TestRefineCtxSharedSessionCancellation(t *testing.T) {
 	h, c := sessionField(t)
 	src := &blockingSource{inner: c, gate: make(chan struct{}), after: 2, started: make(chan struct{})}
 	cache := servecache.New(0)
-	sess, err := NewSharedSession(h, SharedSource{Src: src, Cache: cache})
+	sess, err := openShared(h, src, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRefineCtxSharedSessionCancellation(t *testing.T) {
 
 	// A second session over the same cache completes after the stall clears.
 	close(src.gate)
-	other, err := NewSharedSession(h, SharedSource{Src: src, Cache: cache})
+	other, err := openShared(h, src, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestSharedSessionByteIdentity(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				s, err := NewSharedSession(h, SharedSource{Src: c, Cache: cache})
+				s, err := openShared(h, c, cache)
 				if err != nil {
 					errs[i] = err
 					return
@@ -117,7 +117,7 @@ func TestSharedSessionDeduplicatesStoreReads(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, err := NewSharedSession(h, SharedSource{Src: counted, Cache: cache})
+			s, err := openShared(h, counted, cache)
 			if err != nil {
 				errs[i] = err
 				return
@@ -165,7 +165,7 @@ func TestSharedSessionEvictionRefetch(t *testing.T) {
 	budget := int64(3 * h.Levels[0].RawPlaneSize)
 	cache := servecache.New(budget)
 	for i := 0; i < 2; i++ {
-		s, err := NewSharedSession(h, SharedSource{Src: c, Cache: cache})
+		s, err := openShared(h, c, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestSharedSessionCountersMatchUncached(t *testing.T) {
 	cache.Instrument(oShared)
 	// Warm pass then a second session: the second is served from cache.
 	for i := 0; i < 2; i++ {
-		s, err := NewSharedSession(h, SharedSource{Src: c, Cache: cache})
+		s, err := openShared(h, c, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,4 +359,14 @@ func TestCacheHitCancellableCtxAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("cache hit under a cancellable ctx allocates %.2f allocs/op, want 0", avg)
 	}
+}
+
+// openShared opens a shared session over a local segment source: the
+// serving tier's shape, a validating PlaneStore behind the cache.
+func openShared(h *Header, src storage.SegmentSource, cache *servecache.Cache) (*Session, error) {
+	store, err := NewPlaneStore(h, src)
+	if err != nil {
+		return nil, err
+	}
+	return NewSharedSession(h, store, cache)
 }

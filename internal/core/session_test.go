@@ -39,34 +39,6 @@ func sessionBytes(h *Header, fetched []int) int64 {
 	return total
 }
 
-func TestSessionRefineMatchesOneShot(t *testing.T) {
-	f := testField(t)
-	c, err := Compress(f, DefaultConfig(), "Ex", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &c.Header
-	s, err := NewSession(h, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := h.TheoryEstimator()
-	for _, rel := range []float64{1e-1, 1e-3, 1e-5} {
-		tol := h.AbsTolerance(rel)
-		recS, _, _, err := s.Refine(context.Background(), est, tol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recO, _, err := RetrieveTolerance(context.Background(), h, c, est, tol, RetrieveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if grid.MaxAbsDiff(recS, recO) != 0 {
-			t.Fatalf("rel %g: session reconstruction differs from one-shot", rel)
-		}
-	}
-}
-
 func TestSessionFetchesOnlyDeltas(t *testing.T) {
 	f := testField(t)
 	c, err := Compress(f, DefaultConfig(), "Ex", 0)

@@ -28,7 +28,7 @@ func TestSessionRefineSpanTree(t *testing.T) {
 	defer cancel()
 	ctx = obs.ContextWithSpan(ctx, root)
 
-	s, err := NewSharedSession(h, SharedSource{Src: c, Cache: cache})
+	s, err := openShared(h, c, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSessionCacheHits(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	first, err := NewSharedSession(h, SharedSource{Src: c, Cache: cache})
+	first, err := openShared(h, c, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSessionCacheHits(t *testing.T) {
 		t.Fatalf("cold session reports %d cache hits", first.CacheHits())
 	}
 
-	second, err := NewSharedSession(h, SharedSource{Src: c, Cache: cache})
+	second, err := openShared(h, c, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,34 +41,16 @@ type ShardPoint struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// shardBenchSource adapts the shared artifact to shard.NodeSource for one
-// bench node: fetches go through the node's own servecache over the shared
-// PlaneStore, exactly like cmd/serve's node role.
-type shardBenchSource struct {
-	h     *core.Header
-	cache *servecache.Cache
-	store *core.PlaneStore
-	key   servecache.Key // Codec/Field template; Level/Plane filled per read
-}
+// oneFieldSource serves the sweep's one artifact as a shard.NodeSource.
+type oneFieldSource struct{ field shard.NodeField }
 
 // PlaneField implements shard.NodeSource.
-func (s *shardBenchSource) PlaneField(name string) (shard.NodeField, bool) {
-	if name != s.h.FieldName {
-		return shard.NodeField{}, false
-	}
-	return shard.NodeField{
-		Header: s.h,
-		Fetch: func(ctx context.Context, level, plane int) ([]byte, int64, error) {
-			k := s.key
-			k.Level, k.Plane = level, plane
-			raw, payload, _, err := s.cache.Get(ctx, k, s.store)
-			return raw, payload, err
-		},
-	}, true
+func (s oneFieldSource) PlaneField(name string) (shard.NodeField, bool) {
+	return s.field, name == s.field.Header.FieldName
 }
 
 // PlaneFields implements shard.NodeSource.
-func (s *shardBenchSource) PlaneFields() []string { return []string{s.h.FieldName} }
+func (s oneFieldSource) PlaneFields() []string { return []string{s.field.Header.FieldName} }
 
 // shardBenchNode is one running bench node: its HTTP server, listener URL
 // and the obs registry its servecache counters live in.
@@ -79,8 +61,9 @@ type shardBenchNode struct {
 }
 
 // startShardBenchNode serves the artifact's planes on a loopback listener
-// through a fresh cache with the given byte budget.
-func startShardBenchNode(h *core.Header, store *core.PlaneStore, budget int64, key servecache.Key) (*shardBenchNode, error) {
+// through a fresh cache with the given byte budget, exactly like cmd/serve's
+// node role.
+func startShardBenchNode(h *core.Header, store *core.PlaneStore, budget int64) (*shardBenchNode, error) {
 	o := obs.New()
 	cache := servecache.New(budget)
 	cache.Instrument(o)
@@ -88,7 +71,7 @@ func startShardBenchNode(h *core.Header, store *core.PlaneStore, budget int64, k
 	if err != nil {
 		return nil, fmt.Errorf("experiments: shard bench listener: %w", err)
 	}
-	srv := &http.Server{Handler: shard.NewNodeHandler(&shardBenchSource{h: h, cache: cache, store: store, key: key}, o)}
+	srv := &http.Server{Handler: shard.NewNodeHandler(oneFieldSource{shard.CachedField(h, cache, store)}, o)}
 	go srv.Serve(ln)
 	return &shardBenchNode{o: o, srv: srv, url: "http://" + ln.Addr().String()}, nil
 }
@@ -172,7 +155,6 @@ func ShardSweep(p Params, nodeCounts []int) ([]ShardPoint, error) {
 
 // shardRound runs one node-count configuration of the sweep.
 func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget int64) (ShardPoint, error) {
-	tmpl := servecache.Key{Codec: h.Codec(), Field: fmt.Sprintf("%s@%d", h.FieldName, h.Timestep)}
 	nodes := make([]*shardBenchNode, 0, n)
 	defer func() {
 		for _, node := range nodes {
@@ -181,7 +163,7 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 	}()
 	mapJSON := `{"nodes": [`
 	for i := 0; i < n; i++ {
-		node, err := startShardBenchNode(h, store, budget, tmpl)
+		node, err := startShardBenchNode(h, store, budget)
 		if err != nil {
 			return ShardPoint{}, err
 		}
@@ -210,9 +192,7 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 	keys := make([]servecache.Key, 0, len(h.Levels)*h.Planes)
 	for level := range h.Levels {
 		for plane := 0; plane < h.Planes; plane++ {
-			k := tmpl
-			k.Level, k.Plane = level, plane
-			keys = append(keys, k)
+			keys = append(keys, h.PlaneKey(level, plane))
 		}
 	}
 	ctx := context.Background()

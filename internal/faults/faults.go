@@ -257,47 +257,6 @@ func (s *Source) Stats() Stats { return s.in.snapshot() }
 // no-op.
 func (s *Source) Instrument(o *obs.Obs) { s.in.instrument(o) }
 
-// SegmentReader is the store-level read interface both storage.Store and
-// storage.TieredStore satisfy.
-type SegmentReader interface {
-	// ReadSegment reads one stored plane segment.
-	ReadSegment(id storage.SegmentID) ([]byte, error)
-}
-
-// Store wraps a storage store with fault injection, for tests that
-// exercise the store-facing path rather than the retrieval-facing one.
-type Store struct {
-	r  SegmentReader
-	in *injector
-}
-
-// WrapStore wraps r so its reads are filtered through cfg's faults.
-func WrapStore(r SegmentReader, cfg Config) *Store {
-	return &Store{r: r, in: newInjector(cfg)}
-}
-
-// ReadSegment implements SegmentReader with injected faults.
-func (s *Store) ReadSegment(id storage.SegmentID) ([]byte, error) {
-	attempt, err := s.in.admit(context.Background(), id.Level, id.Plane)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := s.r.ReadSegment(id)
-	if err != nil {
-		return nil, err
-	}
-	return s.in.mangle(id.Level, id.Plane, attempt, payload), nil
-}
-
-// Stats returns a snapshot of the injected-fault counters.
-func (s *Store) Stats() Stats { return s.in.snapshot() }
-
-// Instrument rebinds the fault counters to shared instruments in o's
-// registry under faults.*, folding in anything counted so far. Call before
-// the store is shared across goroutines; a nil or metrics-less o is a
-// no-op.
-func (s *Store) Instrument(o *obs.Obs) { s.in.instrument(o) }
-
 // ReaderAt wraps an io.ReaderAt with fault injection for the windowed
 // field-read path. Decisions are keyed on the 4 KiB block index of the
 // read offset (as the "plane", level 0), so the same deterministic

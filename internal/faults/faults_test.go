@@ -169,7 +169,7 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 	}
 }
 
-// flatAsReader exposes storage.Store's ReadSegment for the wrapper test.
+// TestWrapStore wraps a file-backed storage.Store, itself a SegmentSource.
 func TestWrapStore(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/s.pmgd"
@@ -189,8 +189,8 @@ func TestWrapStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	wrapped := WrapStore(st, Config{Seed: 2, Permanent: []PlaneID{{Level: 0, Plane: 0}}})
-	if _, err := wrapped.ReadSegment(storage.SegmentID{Level: 0, Plane: 0}); !errors.Is(err, storage.ErrPermanent) {
+	wrapped := WrapSource(st, Config{Seed: 2, Permanent: []PlaneID{{Level: 0, Plane: 0}}})
+	if _, err := wrapped.Segment(context.Background(), 0, 0); !errors.Is(err, storage.ErrPermanent) {
 		t.Fatalf("store wrapper did not inject permanent fault: %v", err)
 	}
 	if wrapped.Stats().Permanent != 1 {

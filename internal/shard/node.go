@@ -10,15 +10,14 @@ import (
 
 	"pmgard/internal/core"
 	"pmgard/internal/obs"
+	"pmgard/internal/servecache"
 	"pmgard/internal/storage"
 )
 
 // NodeField is one field exposed through a node's /planes endpoints: the
 // artifact header (served JSON-marshaled at /planes/header so routers can
 // plan and validate without local artifacts) and the fetch hook that
-// materializes decompressed plane bitsets, typically a node-local
-// servecache over a core.PlaneStore so node-side /refine traffic and
-// router traffic share one cache.
+// materializes decompressed plane bitsets — CachedField's, outside tests.
 type NodeField struct {
 	// Header is the field's artifact header.
 	Header *core.Header
@@ -28,6 +27,23 @@ type NodeField struct {
 	// Errors classifying as storage.FaultPermanent surface to routers as
 	// 410 so their sessions degrade instead of retrying.
 	Fetch func(ctx context.Context, level, plane int) ([]byte, int64, error)
+}
+
+// CachedField returns the NodeField serving h's planes from src through
+// cache, under the header's PlaneKey namespace — the cache entries and
+// singleflight groups core.NewSharedSession(h, src, cache) fills, so a
+// node's /planes traffic and its local refine sessions share them.
+func CachedField(h *core.Header, cache *servecache.Cache, src servecache.Source) NodeField {
+	tmpl := h.PlaneKey(0, 0)
+	return NodeField{
+		Header: h,
+		Fetch: func(ctx context.Context, level, plane int) ([]byte, int64, error) {
+			key := tmpl
+			key.Level, key.Plane = level, plane
+			raw, payload, _, err := cache.Get(ctx, key, src)
+			return raw, payload, err
+		},
+	}
 }
 
 // NodeSource resolves the fields a node handler serves; cmd/serve's server

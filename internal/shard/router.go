@@ -47,9 +47,9 @@ type RouterConfig struct {
 // on the map's ring and fetches them from node /planes endpoints with
 // per-node retry/backoff and circuit breaking, failing over to the next
 // replica when a node is down. Its FieldClient implements
-// servecache.Source, so plugging it into core.SharedSource.Planes gives
-// the router's shared cache cross-node singleflight: concurrent sessions
-// missing the same plane trigger exactly one network fetch.
+// servecache.Source, so core.NewSharedSession over it gives the router's
+// shared cache cross-node singleflight: concurrent sessions missing the
+// same plane trigger exactly one network fetch.
 type Router struct {
 	m        *Map
 	client   *http.Client
@@ -217,9 +217,8 @@ func (r *Router) Header(ctx context.Context, field string) (*core.Header, error)
 	return &h, nil
 }
 
-// FieldClient returns the plane source serving field h over the shard. It
-// implements servecache.Source, so it slots into core.SharedSource.Planes
-// directly.
+// FieldClient returns the plane source serving field h over the shard, the
+// remote counterpart of a core.PlaneStore.
 func (r *Router) FieldClient(h *core.Header) *FieldClient {
 	fc := &FieldClient{r: r, h: h, chains: make([]storage.SegmentSource, len(r.m.Nodes))}
 	for i, n := range r.m.Nodes {

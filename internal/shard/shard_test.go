@@ -149,7 +149,7 @@ func (s *nodeSource) PlaneField(name string) (NodeField, bool) {
 			if s.lost != nil && s.lost[0] == level && s.lost[1] == plane {
 				return nil, 0, fmt.Errorf("test: plane lost: %w", storage.ErrPermanent)
 			}
-			return s.store.Fetch(ctx, level, plane)
+			return s.store.FetchPlane(ctx, s.h.PlaneKey(level, plane))
 		},
 	}, true
 }
@@ -186,11 +186,7 @@ func startNodes(t *testing.T, c *core.Compressed, n, replication int, lost *[2]i
 
 // fieldKey is the cache key of plane (level, plane) of c's field.
 func fieldKey(c *core.Compressed, level, plane int) servecache.Key {
-	return servecache.Key{
-		Codec: c.Header.Codec(),
-		Field: fmt.Sprintf("%s@%d", c.Header.FieldName, c.Header.Timestep),
-		Level: level, Plane: plane,
-	}
+	return c.Header.PlaneKey(level, plane)
 }
 
 // TestRouterFetchesAllPlanes reads every plane of the artifact through a
@@ -229,7 +225,7 @@ func TestRouterFetchesAllPlanes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fetch (%d,%d): %v", level, plane, err)
 			}
-			wantRaw, wantPayload, err := store.Fetch(ctx, level, plane)
+			wantRaw, wantPayload, err := store.FetchPlane(ctx, fieldKey(c, level, plane))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -174,103 +174,9 @@ func TestTieredWriterSetMeta(t *testing.T) {
 	}
 }
 
-// TestTieredStoreFDCap is the fd-growth regression test: with a handle cap
-// the resident fd count stays at the cap no matter how many levels are
-// scanned, and ReleaseLevel drops handles eagerly.
-func TestTieredStoreFDCap(t *testing.T) {
-	const levels = 6
-	h, err := DefaultHierarchy(levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "store")
-	w, err := CreateTiered(dir, h, []byte("m"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[SegmentID][]byte)
-	for l := 0; l < levels; l++ {
-		for p := 0; p < 3; p++ {
-			id := SegmentID{Level: l, Plane: p}
-			payload := bytes.Repeat([]byte{byte(l*16 + p + 1)}, 9+l)
-			want[id] = payload
-			if err := w.WriteSegment(id, payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := OpenTiered(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	// Unbounded default: handles accumulate, one per level touched — the
-	// historical behavior the cap exists to fix.
-	for l := 0; l < levels; l++ {
-		if _, err := st.ReadSegment(SegmentID{Level: l, Plane: 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := st.openFiles(); got != levels {
-		t.Fatalf("unbounded scan: %d handles resident, want %d", got, levels)
-	}
-
-	// Capping immediately evicts down to the cap, and a full multi-pass
-	// scan never exceeds it.
-	const maxFDs = 2
-	st.SetMaxOpenFiles(maxFDs)
-	if got := st.openFiles(); got > maxFDs {
-		t.Fatalf("after SetMaxOpenFiles(%d): %d handles resident", maxFDs, got)
-	}
-	for pass := 0; pass < 3; pass++ {
-		for l := 0; l < levels; l++ {
-			for p := 0; p < 3; p++ {
-				id := SegmentID{Level: l, Plane: p}
-				got, err := st.ReadSegment(id)
-				if err != nil {
-					t.Fatalf("pass %d %+v: %v", pass, id, err)
-				}
-				if !bytes.Equal(got, want[id]) {
-					t.Fatalf("pass %d %+v: payload mismatch", pass, id)
-				}
-				if n := st.openFiles(); n > maxFDs {
-					t.Fatalf("pass %d %+v: %d handles resident, cap %d", pass, id, n, maxFDs)
-				}
-			}
-		}
-	}
-
-	// ReleaseLevel drops handles eagerly even without a cap.
-	st.SetMaxOpenFiles(0)
-	for l := 0; l < levels; l++ {
-		st.ReleaseLevel(l) // clear residue from the capped scan
-	}
-	if got := st.openFiles(); got != 0 {
-		t.Fatalf("%d handles resident after releasing every level", got)
-	}
-	for l := 0; l < levels; l++ {
-		if _, err := st.ReadSegment(SegmentID{Level: l, Plane: 1}); err != nil {
-			t.Fatal(err)
-		}
-		st.ReleaseLevel(l)
-		if got := st.openFiles(); got != 0 {
-			t.Fatalf("level %d: %d handles resident after ReleaseLevel", l, got)
-		}
-	}
-	// A released level reopens transparently.
-	if _, err := st.ReadSegment(SegmentID{Level: 0, Plane: 2}); err != nil {
-		t.Fatalf("read after release: %v", err)
-	}
-}
-
-// TestTieredStoreFDCapConcurrent hammers a capped store from many
-// goroutines: eviction must never close a handle mid-read.
-func TestTieredStoreFDCapConcurrent(t *testing.T) {
+// TestTieredStoreConcurrentReads hammers a store from many goroutines: they
+// share the lazily opened level files, one handle per level at most.
+func TestTieredStoreConcurrentReads(t *testing.T) {
 	const levels = 5
 	h, err := DefaultHierarchy(levels)
 	if err != nil {
@@ -294,7 +200,6 @@ func TestTieredStoreFDCapConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.SetMaxOpenFiles(1)
 
 	errc := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -318,5 +223,10 @@ func TestTieredStoreFDCapConcurrent(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if got := len(st.files); got != levels {
+		t.Fatalf("%d level files open, want %d (one per level)", got, levels)
 	}
 }

@@ -235,38 +235,20 @@ func (w *TieredWriter) Close() (err error) {
 }
 
 // TieredStore reads segments from a tiered store directory with per-tier
-// I/O accounting.
-//
-// Open level files are cached in a refcounted handle map. Historically the
-// map only grew — every level ever touched held its fd until Close — which
-// streaming retrieval over many stores turns into fd exhaustion. The cache
-// is now bounded: SetMaxOpenFiles caps resident handles with LRU eviction,
-// and ReleaseLevel drops a level's handle eagerly once a caller knows it is
-// done with the level. Handles are refcounted so eviction never closes a
-// file mid-ReadAt.
+// I/O accounting. Level files open on first use and stay open until Close;
+// a store never holds more handles than it has levels.
 type TieredStore struct {
 	root string
 	man  tieredManifest
 	// offsets[l][k] is the byte offset of plane k within level l's file.
 	offsets [][]int64
 
-	mu      sync.Mutex
-	files   map[int]*levelHandle
-	maxOpen int   // 0 = unbounded
-	tick    int64 // LRU clock
+	mu    sync.Mutex
+	files map[int]*os.File
 
 	tierBytes map[string]int64
 	tierReqs  map[string]int64
 	o         *obs.Obs
-}
-
-// levelHandle is one level file plus the bookkeeping that lets eviction
-// coexist with in-flight ranged reads.
-type levelHandle struct {
-	f       *os.File
-	refs    int   // in-flight reads holding the handle
-	evicted bool  // close when refs drops to 0; no longer in files map
-	lastUse int64 // LRU tick of the most recent acquire
 }
 
 // Instrument mirrors the per-tier accounting into o's registry as
@@ -321,7 +303,7 @@ func OpenTiered(dir string) (*TieredStore, error) {
 	st := &TieredStore{
 		root:      dir,
 		man:       man,
-		files:     make(map[int]*levelHandle),
+		files:     make(map[int]*os.File),
 		tierBytes: make(map[string]int64),
 		tierReqs:  make(map[string]int64),
 	}
@@ -370,12 +352,10 @@ func (s *TieredStore) ReadSegment(id SegmentID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := s.acquire(id.Level, tier)
+	f, err := s.levelFile(id.Level, tier)
 	if err != nil {
 		return nil, err
 	}
-	defer s.release(h)
-	f := h.f
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("storage: stat level %d tier file: %w", id.Level, err)
@@ -429,97 +409,20 @@ func (s *TieredStore) Segment(ctx context.Context, level, plane int) ([]byte, er
 	return s.ReadSegment(SegmentID{Level: level, Plane: plane})
 }
 
-// SetMaxOpenFiles bounds the resident level-file handles to n (0 restores
-// the unbounded default). When a new open would exceed the cap, the
-// least-recently-used idle handle is evicted; handles pinned by in-flight
-// reads are never closed under them, so the cap can be transiently
-// exceeded by the read concurrency.
-func (s *TieredStore) SetMaxOpenFiles(n int) {
+// levelFile returns level's open tier file, opening it on first use.
+func (s *TieredStore) levelFile(level int, tier string) (*os.File, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.maxOpen = n
-	s.evictLocked()
-}
-
-// ReleaseLevel eagerly drops level's cached handle — streaming callers call
-// it once a level has been fully read so long scans never accumulate fds.
-// In-flight reads on the level finish on the old handle; a later read
-// simply reopens. Unknown or unopened levels are a no-op.
-func (s *TieredStore) ReleaseLevel(level int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.files[level]
-	if !ok {
-		return
-	}
-	delete(s.files, level)
-	h.evicted = true
-	if h.refs == 0 {
-		h.f.Close()
-	}
-}
-
-// acquire pins (opening if needed) the handle for level; pair with release.
-func (s *TieredStore) acquire(level int, tier string) (*levelHandle, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tick++
-	if h, ok := s.files[level]; ok {
-		h.refs++
-		h.lastUse = s.tick
-		return h, nil
+	if f, ok := s.files[level]; ok {
+		return f, nil
 	}
 	path := filepath.Join(s.root, tier, fmt.Sprintf("level_%d.seg", level))
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
-	h := &levelHandle{f: f, refs: 1, lastUse: s.tick}
-	s.files[level] = h
-	s.evictLocked()
-	return h, nil
-}
-
-// release unpins a handle, closing it if it was evicted while in use.
-func (s *TieredStore) release(h *levelHandle) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h.refs--
-	if h.evicted && h.refs == 0 {
-		h.f.Close()
-	}
-}
-
-// evictLocked enforces maxOpen by closing idle LRU handles. Callers hold mu.
-func (s *TieredStore) evictLocked() {
-	if s.maxOpen <= 0 {
-		return
-	}
-	for len(s.files) > s.maxOpen {
-		victim, oldest := -1, int64(0)
-		for l, h := range s.files {
-			if h.refs > 0 {
-				continue
-			}
-			if victim == -1 || h.lastUse < oldest {
-				victim, oldest = l, h.lastUse
-			}
-		}
-		if victim == -1 {
-			return // every handle is pinned; cap exceeded transiently
-		}
-		h := s.files[victim]
-		delete(s.files, victim)
-		h.evicted = true
-		h.f.Close()
-	}
-}
-
-// openFiles reports the resident handle count (for the fd regression test).
-func (s *TieredStore) openFiles() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.files)
+	s.files[level] = f
+	return f, nil
 }
 
 // TierBytes returns the payload bytes read from each tier so far.
@@ -544,21 +447,16 @@ func (s *TieredStore) TierRequests() map[string]int64 {
 	return out
 }
 
-// Close releases the tier files. Handles pinned by in-flight reads are
-// marked for close when their reads finish.
+// Close releases the tier files.
 func (s *TieredStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	for _, h := range s.files {
-		h.evicted = true
-		if h.refs > 0 {
-			continue
-		}
-		if err := h.f.Close(); err != nil && first == nil {
+	for _, f := range s.files {
+		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	s.files = make(map[int]*levelHandle)
+	s.files = make(map[int]*os.File)
 	return first
 }

@@ -227,15 +227,16 @@ type PlaneCache = servecache.Cache
 // (budget ≤ 0 means unbounded).
 func NewPlaneCache(budget int64) *PlaneCache { return servecache.New(budget) }
 
-// SharedSource binds a SegmentSource to a PlaneCache for NewSharedSession.
-type SharedSource = core.SharedSource
-
-// NewSharedSession opens a progressive session whose plane fetches go
-// through a shared cache: concurrent sessions deduplicate store reads and
-// decompression while keeping per-session Fetched/BytesFetched accounting
-// identical to an uncached session's.
-func NewSharedSession(h *Header, ss SharedSource) (*Session, error) {
-	return core.NewSharedSession(h, ss)
+// NewSharedSession opens a progressive session over src whose plane
+// fetches go through a shared cache: concurrent sessions deduplicate store
+// reads and decompression while keeping per-session Fetched/BytesFetched
+// accounting identical to an uncached session's.
+func NewSharedSession(h *Header, src SegmentSource, cache *PlaneCache) (*Session, error) {
+	store, err := core.NewPlaneStore(h, src)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSharedSession(h, store, cache)
 }
 
 // BufferPoolStats is a point-in-time view over the shared buffer-pool
