@@ -317,16 +317,22 @@ func TestTraceparentPropagationAndTraceStore(t *testing.T) {
 		t.Fatalf("retained record %+v", rec)
 	}
 	names := map[string]bool{}
-	var rootStart, rootEnd int64
+	var rootID, rootStart, rootEnd int64
 	for _, sp := range rec.Spans {
 		names[sp.Name] = true
 		if sp.Name == "http.refine" {
-			rootStart, rootEnd = sp.StartNs, sp.StartNs+sp.DurNs
+			rootID, rootStart, rootEnd = sp.ID, sp.StartNs, sp.StartNs+sp.DurNs
 		}
 	}
-	for _, wantSpan := range []string{"http.refine", "session.refine", "session.fetch_level", "servecache.get", "session.decode", "session.recompose"} {
+	for _, wantSpan := range []string{"http.refine", "serve.session", "session.refine", "session.fetch_level", "servecache.get", "session.decode", "session.recompose", "serve.checksum"} {
 		if !names[wantSpan] {
 			t.Errorf("span tree missing %q (have %v)", wantSpan, names)
+		}
+	}
+	// The stages the handler runs itself hang directly off the request.
+	for _, sp := range rec.Spans {
+		if (sp.Name == "serve.session" || sp.Name == "serve.checksum") && sp.Parent != rootID {
+			t.Errorf("span %s has parent %d, want the root %d", sp.Name, sp.Parent, rootID)
 		}
 	}
 	for _, sp := range rec.Spans {

@@ -90,6 +90,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"pmgard/internal/bufpool"
 	"pmgard/internal/core"
@@ -767,7 +768,8 @@ func (s *server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	asp := obs.SpanFromContext(ctx).Child("serve.admission")
+	root := obs.SpanFromContext(ctx)
+	asp := root.Child("serve.admission")
 	release, err := s.adm.Acquire(ctx)
 	asp.Fail(err)
 	asp.End()
@@ -778,7 +780,10 @@ func (s *server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
+	ssp := root.Child("serve.session")
 	sess, err := core.NewSharedSession(h, fh.planes, s.cache)
+	ssp.Fail(err)
+	ssp.End()
 	if err != nil {
 		ar.setOutcome("internal")
 		s.fail(w, http.StatusInternalServerError, err)
@@ -801,6 +806,9 @@ func (s *server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	tc, _ := obs.TraceFromContext(ctx)
 	s.o.Counter("serve.refines").Add(1)
 	s.o.Histogram("serve.refine_seconds", obs.LatencyBuckets()).ObserveExemplar(elapsed, tc.TraceID)
+	csp := root.Child("serve.checksum")
+	checksum := tensorChecksum(rec)
+	csp.End()
 	s.writeJSON(w, refineResponse{
 		Field:          h.FieldName,
 		Tolerance:      tol,
@@ -808,7 +816,7 @@ func (s *server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		BytesFetched:   sess.BytesFetched(),
 		EstimatedError: plan.EstimatedError,
 		Degraded:       deg != nil,
-		Checksum:       tensorChecksum(rec),
+		Checksum:       checksum,
 		ElapsedSeconds: elapsed,
 	})
 }
@@ -914,13 +922,35 @@ func parseTolerance(r *http.Request, h *core.Header) (float64, error) {
 // tensorChecksum fingerprints a reconstruction (CRC32 over the little-
 // endian float64 payload) so clients can assert two refinements agreed.
 func tensorChecksum(t *grid.Tensor) string {
-	h := crc32.NewIEEE()
-	var buf [8]byte
-	for _, v := range t.Data() {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+	return fmt.Sprintf("%08x", checksumLE(t.Data(), hostLittleEndian))
+}
+
+// hostLittleEndian reports whether a float64's bytes in memory already are
+// its little-endian encoding.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// checksumLE returns the CRC32 (IEEE) of the little-endian byte image of
+// data. When memory is that image (inMemory) the slice's own bytes are hashed
+// in one call; otherwise the values are encoded a buffer at a time, so every
+// host computes the same, little-endian-defined, value.
+func checksumLE(data []float64, inMemory bool) uint32 {
+	if len(data) == 0 {
+		return 0
 	}
-	return fmt.Sprintf("%08x", h.Sum32())
+	if inMemory {
+		return crc32.ChecksumIEEE(unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data)))
+	}
+	var crc uint32
+	var buf [4096]byte
+	for len(data) > 0 {
+		n := min(len(data), len(buf)/8)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:8*n])
+		data = data[n:]
+	}
+	return crc
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -129,7 +129,11 @@ func (s *server) withObservability(next http.Handler) http.Handler {
 // finishRequest commits one finished request: root span status, span-tree
 // absorption and retention, SLO accounting, access log line.
 func (s *server) finishRequest(r *http.Request, tc obs.TraceContext, root *obs.Span, tracer *obs.Tracer, ar *accessRecord, status int, start time.Time) {
-	dur := time.Since(start)
+	// One clock reading ends both the access record and the root span. The
+	// record started first, so the root — and every span under it — fits
+	// inside the request it is the trace of.
+	end := time.Now()
+	dur := end.Sub(start)
 	if status == 0 {
 		// The handler never wrote: net/http sends 200 on return, or the
 		// connection died mid-handler (ErrAbortHandler).
@@ -144,7 +148,7 @@ func (s *server) finishRequest(r *http.Request, tc obs.TraceContext, root *obs.S
 	case status >= 400:
 		root.SetStatus(obs.StatusError)
 	}
-	root.End()
+	root.EndAt(end)
 
 	spans := tracer.Timeline()
 	s.o.Trace.Absorb(spans)

@@ -90,7 +90,6 @@ var (
 	bytePool    slicePool[byte]
 	uint64Pool  slicePool[uint64]
 	float64Pool slicePool[float64]
-	intPool     slicePool[int]
 )
 
 // Bytes returns a length-n byte slice with undefined contents.
@@ -110,12 +109,6 @@ func Float64s(n int) []float64 { return float64Pool.get(n) }
 
 // PutFloat64s files s for reuse by a later Float64s call.
 func PutFloat64s(s []float64) { float64Pool.put(s) }
-
-// Ints returns a length-n int slice with undefined contents.
-func Ints(n int) []int { return intPool.get(n) }
-
-// PutInts files s for reuse by a later Ints call.
-func PutInts(s []int) { intPool.put(s) }
 
 // Pool counters. Standalone obs instruments count exactly without a
 // registry; Instrument rebinds them to shared registry-named instruments,

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 
-	"pmgard/internal/bufpool"
 	"pmgard/internal/grid"
 	"pmgard/internal/interleave"
 	"pmgard/internal/obs"
@@ -211,7 +210,7 @@ func (d *Decomposition) Recompose() *grid.Tensor {
 	for l := 0; l < d.opt.Levels; l++ {
 		d.plan.Inject(work.Data(), l, d.coeffs[l])
 	}
-	inverse(work, d.opt, pool.Clamp(d.workers))
+	inverse(work, d.opt, d.workers, 0)
 	return work
 }
 
@@ -231,17 +230,7 @@ func (d *Decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
 	// Invert only the steps that refine within the kept levels.
 	stop := d.opt.Levels - 1 - upTo
 	rank := work.NDim()
-	for s := d.opt.Levels - 2; s >= stop; s-- {
-		h := 1 << s
-		for axis := rank - 1; axis >= 0; axis-- {
-			forEachLineWorkers(work, h, axis, pool.Clamp(d.workers), func(base, stride, count int) {
-				if d.opt.Update {
-					updateInverse(work.Data(), base, stride, count, d.opt.UpdateWeight)
-				}
-				predictInverse(work.Data(), base, stride, count)
-			})
-		}
-	}
+	inverse(work, d.opt, d.workers, stop)
 	// Gather the active sub-grid at step `stop`.
 	dims := d.plan.Dims()
 	step := 1 << stop
@@ -269,123 +258,211 @@ func (d *Decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
 }
 
 // forward applies the full multilevel transform in place. Within one
-// (step, axis) pass every line is an independent slab — lines along the
-// pass axis share no nodes — so the pass fans out across workers; passes
-// themselves are barriers, preserving the sequential dataflow exactly.
+// (step, axis) pass the lines along the pass axis share no nodes, so the
+// pass fans out across workers; passes themselves are barriers, preserving
+// the sequential dataflow exactly.
 func forward(t *grid.Tensor, opt Options, workers int) {
-	rank := t.NDim()
 	for s := 0; s < opt.Levels-1; s++ {
-		h := 1 << s
-		for axis := 0; axis < rank; axis++ {
-			forEachLineWorkers(t, h, axis, workers, func(base, stride, count int) {
-				predictForward(t.Data(), base, stride, count)
-				if opt.Update {
-					updateForward(t.Data(), base, stride, count, opt.UpdateWeight)
-				}
-			})
+		for axis := 0; axis < t.NDim(); axis++ {
+			liftPass(t, opt, 1<<s, axis, workers, true)
 		}
 	}
 }
 
-// inverse applies the full inverse transform in place, with the same
-// per-pass line fan-out as forward.
-func inverse(t *grid.Tensor, opt Options, workers int) {
-	rank := t.NDim()
-	for s := opt.Levels - 2; s >= 0; s-- {
-		h := 1 << s
-		for axis := rank - 1; axis >= 0; axis-- {
-			forEachLineWorkers(t, h, axis, workers, func(base, stride, count int) {
-				if opt.Update {
-					updateInverse(t.Data(), base, stride, count, opt.UpdateWeight)
-				}
-				predictInverse(t.Data(), base, stride, count)
-			})
+// inverse undoes forward's passes in reverse order, down to refinement step
+// stop: 0 restores the full grid, a larger stop leaves the step-stop active
+// sub-grid holding the approximation the coarser levels span.
+func inverse(t *grid.Tensor, opt Options, workers, stop int) {
+	for s := opt.Levels - 2; s >= stop; s-- {
+		for axis := t.NDim() - 1; axis >= 0; axis-- {
+			liftPass(t, opt, 1<<s, axis, workers, false)
 		}
 	}
 }
 
-// forEachLineWorkers is forEachLine with the lines of one pass distributed
-// across a bounded worker pool. The sequential path (workers == 1) avoids
-// materializing the line list; the parallel path enumerates line base
-// offsets once and hands each worker a contiguous chunk. Lines are disjoint
-// node sets, so scheduling cannot change any computed value.
-func forEachLineWorkers(t *grid.Tensor, h, axis, workers int, fn func(base, stride, count int)) {
-	if workers <= 1 {
-		forEachLine(t, h, axis, fn)
-		return
-	}
-	// The base list is per-pass scratch; draw it from the shared pool so
-	// steady-state decomposition stops allocating it. Appends that outgrow
-	// the pooled backing reallocate once, and the grown array is what gets
-	// filed back, so repeated passes converge on a big-enough buffer.
-	bases := bufpool.Ints(64)[:0]
-	defer func() { bufpool.PutInts(bases) }()
-	stride, count := 0, 0
-	forEachLine(t, h, axis, func(base, s, c int) {
-		bases = append(bases, base)
-		stride, count = s, c
-	})
-	if len(bases) < 2 {
-		for _, b := range bases {
-			fn(b, stride, count)
+// liftPass runs one lifting pass, forward or inverse, over the step-h active
+// grid along axis. The pass is a set of independent 1-D lines; what differs
+// by axis is the order memory is walked in.
+//
+// Along the last axis a line is contiguous (stride h), and each line runs
+// through the line kernels. Along any other axis a line strides over whole
+// rows of the tensor, so the loops are interchanged: for every position of
+// the remaining axes, node j of all the lines that differ only in their
+// last-axis coordinate is lifted together, as one row operation
+// c[i] ±= f(a[i], b[i]) over the contiguous last axis. Every node is still
+// computed from the same operands by the same operations in the same order
+// — its line's other nodes are untouched by the row's other columns — so the
+// result is bit-identical to lifting line by line, while memory is touched
+// in rows instead of stride-n² lines.
+//
+// Work fans out over the positions of the axes that are neither the pass
+// axis nor the last one; chunks own disjoint nodes, so scheduling cannot
+// change any computed value.
+func liftPass(t *grid.Tensor, opt Options, h, axis, workers int, fwd bool) {
+	dims, data := t.Dims(), t.Data()
+	last := len(dims) - 1
+	// Active node count and flat stride per axis.
+	counts := make([]int, len(dims))
+	flatStride := make([]int, len(dims))
+	positions := 1
+	for d, s := last, 1; d >= 0; d-- {
+		counts[d] = (dims[d]-1)/h + 1
+		flatStride[d] = s
+		s *= dims[d]
+		if d != axis && d != last {
+			positions *= counts[d]
 		}
+	}
+	count, stride := counts[axis], h*flatStride[axis]
+	if count < 2 {
 		return
 	}
-	pool.RunChunks(len(bases), workers, nil, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			fn(bases[i], stride, count)
+	// baseOf returns the flat offset of position p's first active node.
+	baseOf := func(p int) int {
+		base := 0
+		for d := last - 1; d >= 0; d-- {
+			if d != axis {
+				base += p % counts[d] * h * flatStride[d]
+				p /= counts[d]
+			}
+		}
+		return base
+	}
+	if axis == last {
+		pool.RunChunks(positions, workers, nil, func(_, lo, hi int) error {
+			for p := lo; p < hi; p++ {
+				liftLine(data, baseOf(p), stride, count, opt, fwd)
+			}
+			return nil
+		})
+		return
+	}
+	// With fewer positions than workers (a 2-D grid has one), each position's
+	// rows are also cut into column ranges so the pass still fans out.
+	cols, split := counts[last], 1
+	if positions < workers {
+		split = min((workers+positions-1)/positions, cols)
+	}
+	pool.RunChunks(positions*split, workers, nil, func(_, lo, hi int) error {
+		for u := lo; u < hi; u++ {
+			c0, c1 := u%split*cols/split, (u%split+1)*cols/split
+			liftRows(data[baseOf(u/split)+c0*h:], stride, count, (c1-c0-1)*h+1, h, opt, fwd)
 		}
 		return nil
 	})
 }
 
-// forEachLine invokes fn for every 1-D line of the step-h active grid along
-// the given axis. base is the flat offset of the line's first active node,
-// stride the flat distance between consecutive active nodes on the line, and
-// count the number of active nodes. Lines with fewer than two active nodes
-// are skipped.
-func forEachLine(t *grid.Tensor, h, axis int, fn func(base, stride, count int)) {
-	dims := t.Dims()
-	rank := len(dims)
-	// Active node count and flat stride per axis.
-	counts := make([]int, rank)
-	flatStride := make([]int, rank)
-	s := 1
-	for d := rank - 1; d >= 0; d-- {
-		flatStride[d] = s
-		s *= dims[d]
-	}
-	for d := 0; d < rank; d++ {
-		counts[d] = (dims[d]-1)/h + 1
-	}
-	if counts[axis] < 2 {
+// liftLine lifts one line: predict then update going forward, the reverse
+// coming back.
+func liftLine(data []float64, base, stride, count int, opt Options, fwd bool) {
+	if fwd {
+		predictForward(data, base, stride, count)
+		if opt.Update {
+			updateForward(data, base, stride, count, opt.UpdateWeight)
+		}
 		return
 	}
-	lineStride := h * flatStride[axis]
-	// Odometer over all other axes' active positions.
-	pos := make([]int, rank)
-	for {
-		base := 0
-		for d := 0; d < rank; d++ {
-			if d != axis {
-				base += pos[d] * h * flatStride[d]
-			}
+	if opt.Update {
+		updateInverse(data, base, stride, count, opt.UpdateWeight)
+	}
+	predictInverse(data, base, stride, count)
+}
+
+// liftRows is liftLine for the width-long bundle of lines whose node j is
+// the row data[j*stride : j*stride+width], active every h-th element.
+func liftRows(data []float64, stride, count, width, h int, opt Options, fwd bool) {
+	row := func(j int) []float64 {
+		if j < 0 || j >= count {
+			return nil
 		}
-		fn(base, lineStride, counts[axis])
-		// Advance odometer, skipping the transform axis.
-		d := rank - 1
-		for ; d >= 0; d-- {
-			if d == axis {
-				continue
-			}
-			pos[d]++
-			if pos[d] < counts[d] {
-				break
-			}
-			pos[d] = 0
+		return data[j*stride : j*stride+width]
+	}
+	predict := func() {
+		for j := 1; j < count; j += 2 {
+			predictRow(row(j), row(j-1), row(j+1), h, fwd)
 		}
-		if d < 0 {
+	}
+	update := func() {
+		if !opt.Update {
 			return
+		}
+		for j := 0; j < count; j += 2 {
+			updateRow(row(j), row(j-1), row(j+1), h, opt.UpdateWeight, fwd)
+		}
+	}
+	if fwd {
+		predict()
+		update()
+	} else {
+		update()
+		predict()
+	}
+}
+
+// predictRow is the predict step of one odd row c between its even
+// neighbours a and b; a nil b is the boundary node predicted from the left
+// neighbour alone. The expressions are the line kernels', term for term; the
+// direction is chosen outside the interior loops because they are where a
+// pass spends its time.
+func predictRow(c, a, b []float64, h int, fwd bool) {
+	a = a[:len(c)]
+	switch {
+	case b == nil:
+		for i := 0; i < len(c); i += h {
+			if fwd {
+				c[i] -= a[i]
+			} else {
+				c[i] += a[i]
+			}
+		}
+	case fwd:
+		b = b[:len(c)]
+		for i := 0; i < len(c); i += h {
+			c[i] -= 0.5 * (a[i] + b[i])
+		}
+	default:
+		b = b[:len(c)]
+		for i := 0; i < len(c); i += h {
+			c[i] += 0.5 * (a[i] + b[i])
+		}
+	}
+}
+
+// updateRow is the update step of one even row c between its odd neighbours
+// a and b, either of which is nil past the boundary. sum starts from zero
+// and adds left then right, exactly as the line kernels do (0 + x is not x
+// when x is −0).
+func updateRow(c, a, b []float64, h int, w float64, fwd bool) {
+	switch {
+	case a == nil || b == nil:
+		if a == nil {
+			a = b
+		}
+		a = a[:len(c)]
+		for i := 0; i < len(c); i += h {
+			var sum float64
+			sum += a[i]
+			if fwd {
+				c[i] += w * sum
+			} else {
+				c[i] -= w * sum
+			}
+		}
+	case fwd:
+		a, b = a[:len(c)], b[:len(c)]
+		for i := 0; i < len(c); i += h {
+			var sum float64
+			sum += a[i]
+			sum += b[i]
+			c[i] += w * sum
+		}
+	default:
+		a, b = a[:len(c)], b[:len(c)]
+		for i := 0; i < len(c); i += h {
+			var sum float64
+			sum += a[i]
+			sum += b[i]
+			c[i] -= w * sum
 		}
 	}
 }

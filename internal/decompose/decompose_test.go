@@ -3,6 +3,7 @@ package decompose
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pmgard/internal/grid"
@@ -366,6 +367,32 @@ func TestNewZeroMatchesDecomposeShape(t *testing.T) {
 	}
 	if _, err := NewZero([]int{4}, Options{Levels: 0}, 1); err == nil {
 		t.Fatal("NewZero accepted invalid options")
+	}
+}
+
+// TestNewZeroSharesItsPlan guards what a /refine pays to start: the second
+// NewZero of a shape allocates its coefficient streams (8 bytes per node)
+// and next to nothing else, because the interleave plan — more than another
+// 8 bytes per node — is the first call's.
+func TestNewZeroSharesItsPlan(t *testing.T) {
+	dims, opt := []int{65, 65, 65}, DefaultOptions()
+	first, err := NewZero(dims, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := NewZero(dims, opt, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Plan() != first.Plan() {
+		t.Fatal("second NewZero built its own plan")
+	}
+	nodes := 65 * 65 * 65
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1.1*8*float64(nodes)); got >= limit {
+		t.Fatalf("second NewZero allocated %d bytes, want < %d (1.1 × 8·N)", got, limit)
 	}
 }
 

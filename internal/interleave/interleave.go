@@ -16,11 +16,16 @@
 // the mapping is deterministic and reproducible across processes.
 package interleave
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Plan holds the precomputed grid↔level index maps for one (dims, levels)
 // configuration. Plans are immutable after construction and safe for
-// concurrent use.
+// concurrent use; NewPlan hands the same *Plan to every caller of a shape
+// it still remembers.
 type Plan struct {
 	dims   []int
 	levels int
@@ -31,9 +36,33 @@ type Plan struct {
 	indices [][]int
 }
 
-// NewPlan builds the index maps for a grid with the given dimensions and
+// planMemoSize bounds how many shapes NewPlan remembers. A plan costs
+// 9 bytes per grid node (an 8-byte offset and a 1-byte level): 19.3 MB at
+// 129³, so four remembered shapes pin at most ≈ 77 MB at that size. Four
+// covers what one process works on at once — a server's fields (usually one
+// shape), or a tiled compress's interior and tail slabs — without letting a
+// process that walks through many shapes keep them all.
+const planMemoSize = 4
+
+// planEntry is one remembered shape. once makes concurrent first callers of
+// a shape wait for, and then share, a single build.
+type planEntry struct {
+	dims   []int
+	levels int
+	once   sync.Once
+	plan   *Plan
+}
+
+// planMemo holds the most recently requested shapes, newest first.
+var planMemo struct {
+	sync.Mutex
+	entries []*planEntry
+}
+
+// NewPlan returns the index maps for a grid with the given dimensions and
 // number of coefficient levels. levels must be in [1, 30] and dims non-empty
-// with positive extents.
+// with positive extents. The plan is shared: a shape among the planMemoSize
+// most recently requested ones is built once per process, whoever asks.
 func NewPlan(dims []int, levels int) (*Plan, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("interleave: empty dims")
@@ -41,26 +70,111 @@ func NewPlan(dims []int, levels int) (*Plan, error) {
 	if levels < 1 || levels > 30 {
 		return nil, fmt.Errorf("interleave: levels %d out of range [1,30]", levels)
 	}
-	n := 1
 	for _, d := range dims {
 		if d <= 0 {
 			return nil, fmt.Errorf("interleave: non-positive dimension %d", d)
 		}
-		n *= d
 	}
+	e := remember(dims, levels)
+	e.once.Do(func() { e.plan = buildPlan(e.dims, e.levels) })
+	return e.plan, nil
+}
+
+// remember returns the memo entry of a shape, moving it to the front and
+// dropping the least recently requested entry beyond the bound. A dropped
+// entry stays valid for the callers that already hold it.
+func remember(dims []int, levels int) *planEntry {
+	planMemo.Lock()
+	defer planMemo.Unlock()
+	es := planMemo.entries
+	for i, e := range es {
+		if e.levels == levels && slices.Equal(e.dims, dims) {
+			copy(es[1:i+1], es[:i])
+			es[0] = e
+			return e
+		}
+	}
+	e := &planEntry{dims: append([]int(nil), dims...), levels: levels}
+	if len(es) < planMemoSize {
+		es = append(es, nil)
+	}
+	copy(es[1:], es)
+	es[0] = e
+	planMemo.entries = es
+	return e
+}
+
+// buildPlan computes the maps of a validated shape in one row-major sweep.
+// A node's level depends only on the smallest per-axis trailing
+// divisibility, so that is tabulated per axis, folded over the outer axes
+// once per row, and combined with the last axis' table in the inner loop.
+// Level sizes are known up front — step s keeps ∏((n−1)>>s + 1) nodes —
+// so every level's index list is a pre-sized window of one allocation.
+func buildPlan(dims []int, levels int) *Plan {
+	rank := len(dims)
+	top := levels - 1
+	div := make([][]uint8, rank)
+	for d, n := range dims {
+		div[d] = make([]uint8, n)
+		for i := range div[d] {
+			div[d][i] = uint8(trailingDivisibility(i, top))
+		}
+	}
+	active := func(s int) int {
+		c := 1
+		for _, n := range dims {
+			c *= (n-1)>>s + 1
+		}
+		return c
+	}
+	n := active(0)
 	p := &Plan{
-		dims:    append([]int(nil), dims...),
+		dims:    dims,
 		levels:  levels,
 		levelOf: make([]uint8, n),
 		indices: make([][]int, levels),
 	}
-	idx := make([]int, len(dims))
-	for flat := 0; flat < n; flat++ {
-		l := levelOfIndex(idx, levels)
-		p.levelOf[flat] = uint8(l)
-		p.indices[l] = append(p.indices[l], flat)
-		// Advance row-major multi-index.
-		for d := len(idx) - 1; d >= 0; d-- {
+	// all is every level's index list back to back; next[l] is where level
+	// l's next node goes.
+	all := make([]int, n)
+	next := make([]int, levels)
+	for l, off := 0, 0; l < levels; l++ {
+		size := active(top - l)
+		if l > 0 {
+			size -= active(top - l + 1)
+		}
+		next[l] = off
+		p.indices[l] = all[off : off+size : off+size]
+		off += size
+	}
+
+	last := div[rank-1]
+	idx := make([]int, rank-1)
+	for flat := 0; flat < n; flat += len(last) {
+		outer := uint8(top)
+		for d, i := range idx {
+			outer = min(outer, div[d][i])
+		}
+		row := p.levelOf[flat : flat+len(last)]
+		if outer == 0 {
+			// An odd coordinate on an outer axis puts the whole row on the
+			// finest level.
+			fine := all[next[top] : next[top]+len(row)]
+			for i := range fine {
+				row[i] = uint8(top)
+				fine[i] = flat + i
+			}
+			next[top] += len(row)
+		} else {
+			for i, s := range last {
+				l := uint8(top) - min(outer, s)
+				row[i] = l
+				all[next[l]] = flat + i
+				next[l]++
+			}
+		}
+		// Advance the row-major multi-index of the outer axes.
+		for d := rank - 2; d >= 0; d-- {
 			idx[d]++
 			if idx[d] < dims[d] {
 				break
@@ -68,22 +182,7 @@ func NewPlan(dims []int, levels int) (*Plan, error) {
 			idx[d] = 0
 		}
 	}
-	return p, nil
-}
-
-// levelOfIndex computes the coefficient level of a node. A node is active at
-// refinement step s iff every axis index is a multiple of 2^s. The node's
-// introduction step is the largest such s (capped at levels-1), and the
-// level is levels-1-s, so that level 0 is the coarsest grid.
-func levelOfIndex(idx []int, levels int) int {
-	s := levels - 1
-	for _, i := range idx {
-		v := trailingDivisibility(i, levels-1)
-		if v < s {
-			s = v
-		}
-	}
-	return levels - 1 - s
+	return p
 }
 
 // trailingDivisibility returns the largest s ≤ cap such that i is a multiple
@@ -100,7 +199,8 @@ func trailingDivisibility(i, max int) int {
 	return s
 }
 
-// Dims returns the grid dimensions of the plan.
+// Dims returns the grid dimensions of the plan. The returned slice is the
+// plan's own and must not be modified.
 func (p *Plan) Dims() []int { return p.dims }
 
 // Levels returns the number of coefficient levels L.

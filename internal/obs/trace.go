@@ -180,13 +180,22 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs[key] = value
 }
 
-// End finishes the span and commits it to the tracer's buffer. Ending a
+// End finishes the span now and commits it to the tracer's buffer. Ending a
 // span twice records it once; ending a nil span is a no-op.
 func (s *Span) End() {
+	if s != nil {
+		s.EndAt(time.Now())
+	}
+}
+
+// EndAt is End at an instant the caller already read, for a span whose end
+// must coincide with another record of the same event — the request's root
+// span and its access record share one clock reading, so neither can
+// outlast the other.
+func (s *Span) EndAt(end time.Time) {
 	if s == nil {
 		return
 	}
-	end := time.Now()
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
