@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover fuzz bench benchmark bench-parallel bench-scaling bench-full experiments clean
+.PHONY: all build test vet race cover fuzz benchmark experiments clean
 
 all: build vet test
 
@@ -33,23 +33,10 @@ fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/fieldio/
 	$(GO) test -fuzz FuzzCodecRoundtrip -fuzztime 30s ./internal/codec/codectest/
 
-# testing.B harness at smoke scale (one pass per figure).
-bench:
-	$(GO) test -bench . -benchmem -benchtime 1x .
-
 # The repository benchmark (BENCHMARK.json): the four end-to-end workloads
 # over the real serve/mgard binaries at 129³; see benchmark/README.md.
 benchmark:
 	$(GO) run ./benchmark
-
-# Re-record the GOMAXPROCS scaling sweep of the streaming refactor
-# pipeline (BENCH_parallel.json).
-bench-parallel:
-	$(GO) run ./cmd/bench -dims 33,33,33 -parallel-out BENCH_parallel.json
-
-# Multi-core scaling gate (skips on single-core hosts).
-bench-scaling:
-	./ci/benchscaling.sh
 
 # Regenerate every paper table/figure at default scale (~25 min on 1 core).
 experiments:

@@ -7,38 +7,32 @@
 //	bench -exp fig13 -steps 64     # one experiment, more timesteps
 //	bench -list                    # list experiment ids
 //	bench -exp fig9 -quick         # smoke-test scale
-//	bench -shard-out BENCH_shard.json  # record the shard node-count sweep
+//	bench -exp fig1 -csv out/      # also write each table as CSV
+//
+// Experiments report counts — bytes, planes, reads, hit rates, errors,
+// accuracy — never wall clock; timing is `go run ./benchmark`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"pmgard/internal/experiments"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id or 'all'")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		quick    = flag.Bool("quick", false, "use smoke-test scale")
-		dims     = flag.String("dims", "", "WarpX dims override, e.g. 17,17,17")
-		gsN      = flag.Int("gs", 0, "Gray-Scott grid extent override")
-		steps    = flag.Int("steps", 0, "timestep count override")
-		seed     = flag.Int64("seed", 0, "seed override")
-		csvDir   = flag.String("csv", "", "also write each table as CSV under this directory")
-		shardOut = flag.String("shard-out", "", "run the shard node-count sweep and write its JSON record to this path")
-
-		parallelOut   = flag.String("parallel-out", "", "run the GOMAXPROCS scaling sweep and write its JSON record to this path")
-		parallelProcs = flag.String("parallel-procs", "1,2,4,8", "comma-separated GOMAXPROCS values for -parallel-out")
-		parallelReps  = flag.Int("parallel-reps", 3, "repetitions per point for -parallel-out (best-of)")
-		scalingGate   = flag.Float64("scaling-gate", 0, "fail unless the procs=2 refactor wall clock is <= this fraction of procs=1 (0 = no gate)")
+		exp    = flag.String("exp", "all", "experiment id or 'all'")
+		list   = flag.Bool("list", false, "list experiment ids and exit")
+		quick  = flag.Bool("quick", false, "use smoke-test scale")
+		dims   = flag.String("dims", "", "WarpX dims override, e.g. 17,17,17")
+		gsN    = flag.Int("gs", 0, "Gray-Scott grid extent override")
+		steps  = flag.Int("steps", 0, "timestep count override")
+		seed   = flag.Int64("seed", 0, "seed override")
+		csvDir = flag.String("csv", "", "also write each table as CSV under this directory")
 	)
 	flag.Parse()
 
@@ -75,175 +69,33 @@ func main() {
 		p.Seed = *seed
 	}
 
-	if *shardOut != "" {
-		if err := recordShardSweep(p, *shardOut); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *parallelOut != "" || *scalingGate > 0 {
-		var procs []int
-		for _, s := range strings.Split(*parallelProcs, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				fmt.Fprintf(os.Stderr, "bench: bad -parallel-procs %q\n", *parallelProcs)
-				os.Exit(2)
-			}
-			procs = append(procs, v)
-		}
-		if err := recordParallelSweep(p, procs, *parallelReps, *parallelOut, *scalingGate); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
 	for _, id := range ids {
-		start := time.Now()
-		if err := experiments.Run(id, p, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+		tables, err := experiments.Run(id, p)
+		if err != nil {
+			fail(err)
+		}
+		for _, t := range tables {
+			if err := t.Fprint(os.Stdout); err != nil {
+				fail(err)
+			}
 		}
 		if *csvDir != "" {
-			paths, err := experiments.RunCSV(id, p, *csvDir)
+			paths, err := experiments.WriteCSVFiles(tables, *csvDir)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
+				fail(err)
 			}
 			for _, path := range paths {
 				fmt.Printf("wrote %s\n", path)
 			}
 		}
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 }
 
-// recordShardSweep runs the shard-tier node-count sweep, prints its table,
-// and writes the machine-readable record (the BENCH_shard.json document) to
-// path.
-func recordShardSweep(p experiments.Params, path string) error {
-	points, err := experiments.ShardSweep(p, []int{1, 2, 3})
-	if err != nil {
-		return err
-	}
-	if err := experiments.ShardTable(points).Fprint(os.Stdout); err != nil {
-		return err
-	}
-	dims := make([]string, len(p.WarpXDims))
-	for i, d := range p.WarpXDims {
-		dims[i] = strconv.Itoa(d)
-	}
-	regen := fmt.Sprintf("go run ./cmd/bench -dims %s -shard-out %s", strings.Join(dims, ","), path)
-	doc := map[string]any{
-		"description": "Shard-tier node-count sweep: a shard.Router issues a seeded uniform-random plane-read " +
-			"workload (16 reads per plane, 4 concurrent workers, replication 1) against N file-backed /planes " +
-			"nodes on loopback, each serving one shared WarpX artifact through its own servecache budgeted at " +
-			"40% of the artifact's decompressed bytes, after one warming pass. Regenerate with: " + regen,
-		"date":   time.Now().Format("2006-01-02"),
-		"goos":   runtime.GOOS,
-		"goarch": runtime.GOARCH,
-		"cpus":   runtime.NumCPU(),
-		"note": "Recorded on a single-vCPU container (GOMAXPROCS=1): all nodes, the router and the workers " +
-			"share one core, so throughput scaling with node count is pure work elimination — more aggregate " +
-			"cache bytes mean fewer store reads and lossless decompressions on the read path — not CPU " +
-			"parallelism. On real hardware each node also brings its own cores and NIC and the gap widens.",
-		"benchmarks": map[string]any{
-			"ShardSweep": map[string]any{
-				"field":  fmt.Sprintf("WarpX Jx %v, default codec config, seed %d", p.WarpXDims, p.Seed),
-				"points": points,
-			},
-		},
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// recordParallelSweep runs the GOMAXPROCS scaling sweep, prints its table,
-// optionally writes the machine-readable record (the BENCH_parallel.json
-// document) and optionally enforces the CI scaling gate.
-func recordParallelSweep(p experiments.Params, procs []int, reps int, path string, gate float64) error {
-	points, err := experiments.ParallelSweep(p, procs, reps)
-	if err != nil {
-		return err
-	}
-	if err := experiments.ParallelTable(points).Fprint(os.Stdout); err != nil {
-		return err
-	}
-	if path != "" {
-		dims := make([]string, len(p.WarpXDims))
-		for i, d := range p.WarpXDims {
-			dims[i] = strconv.Itoa(d)
-		}
-		regen := fmt.Sprintf("go run ./cmd/bench -dims %s -parallel-out %s", strings.Join(dims, ","), path)
-		note := "Recorded on a multi-core host: each point pins GOMAXPROCS and the pipeline worker " +
-			"count together, so refactor speedup reflects the (level, plane) fan-out of the streaming " +
-			"pipeline running on real cores."
-		if runtime.NumCPU() < 2 {
-			note = "Recorded on a single-vCPU container (GOMAXPROCS=1): goroutines are concurrent but " +
-				"not parallel, so every point shares one core and the sweep measures scheduling overhead, " +
-				"not speedup. On a multi-core machine the (level, plane) fan-out of the streaming pipeline " +
-				"is embarrassingly parallel and scales with cores; re-record this file there."
-		}
-		doc := map[string]any{
-			"description": "GOMAXPROCS scaling sweep of the streaming refactor pipeline (decompose + " +
-				"bit-plane encode + deflate + ordered segment merge, stage-overlapped) and the parallel " +
-				"retrieval path. Each point pins GOMAXPROCS and the worker count to the same value; " +
-				"output bytes are bit-identical at every point (enforced by the golden equivalence " +
-				"tests), only wall clock moves. Best of " + strconv.Itoa(reps) + " reps per point. " +
-				"Regenerate with: " + regen,
-			"date":   time.Now().Format("2006-01-02"),
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"cpus":   runtime.NumCPU(),
-			"note":   note,
-			"benchmarks": map[string]any{
-				"ParallelSweep": map[string]any{
-					"field":  fmt.Sprintf("WarpX Jx %v, default codec config, seed %d", p.WarpXDims, p.Seed),
-					"points": points,
-				},
-			},
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if gate > 0 {
-		var ns1, ns2 int64
-		for _, pt := range points {
-			switch pt.Procs {
-			case 1:
-				ns1 = pt.RefactorNs
-			case 2:
-				ns2 = pt.RefactorNs
-			}
-		}
-		if ns1 == 0 || ns2 == 0 {
-			return fmt.Errorf("scaling gate needs procs 1 and 2 in -parallel-procs")
-		}
-		if float64(ns2) > gate*float64(ns1) {
-			return fmt.Errorf("scaling gate failed: procs=2 refactor %dms > %.2f x procs=1 %dms",
-				ns2/1e6, gate, ns1/1e6)
-		}
-		fmt.Printf("scaling gate ok: procs=2 refactor %.2fx of procs=1 (gate %.2f)\n",
-			float64(ns2)/float64(ns1), gate)
-	}
-	return nil
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "bench:", err)
+	os.Exit(1)
 }

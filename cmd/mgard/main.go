@@ -73,7 +73,7 @@ func cmdCompress(args []string) error {
 	memBudget := fs.String("mem-budget", "", "working-set byte cap for -tiles, e.g. 64M or 1G (0 = one tile)")
 	levels := fs.Int("levels", 5, "coefficient levels")
 	planes := fs.Int("planes", 32, "bit-planes per level")
-	codec := fs.String("codec", "deflate", "lossless codec: deflate, rle, huffman, raw")
+	codec := fs.String("codec", "deflate", "lossless codec: deflate or raw")
 	workers := fs.Int("workers", 0, "pipeline worker count (0 = one per CPU, 1 = sequential)")
 	var of obs.Flags
 	of.Register(fs)

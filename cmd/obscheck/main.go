@@ -1,8 +1,7 @@
-// Command obscheck validates a metrics snapshot written by -metrics-out
-// (or the PMGARD_METRICS_OUT benchmark hook): it checks the file parses
-// and that every required metric name is present in one of the three
-// instrument kinds. CI uses it to fail the build when instrumentation
-// regresses out of the pipeline.
+// Command obscheck validates a metrics snapshot written by -metrics-out:
+// it checks the file parses and that every required metric name is present
+// in one of the three instrument kinds. CI uses it to fail the build when
+// instrumentation regresses out of the pipeline.
 //
 // Usage:
 //

@@ -10,7 +10,7 @@
 //	serve -in jx.pmgd[,ex.pmgd...] [-tiered dir,...] [-raw jx.field,...]
 //	      [-addr localhost:8080]
 //	      [-role node|router] [-shard-map map.json]
-//	      [-cache-bytes 268435456] [-retries 8]
+//	      [-cache-bytes 268435456] [-retries 0]
 //	      [-request-timeout 30s] [-drain-timeout 10s]
 //	      [-max-inflight 0] [-max-queue 0]
 //	      [-breaker-failures 5] [-breaker-cooldown 2s]

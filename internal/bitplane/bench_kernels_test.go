@@ -8,9 +8,9 @@ import (
 )
 
 // Kernel benchmarks: word-parallel implementation vs the retained scalar
-// reference, at the paper's configuration (32 planes). BENCH_kernels.json
-// records a sweep of these together with the end-to-end refactor/retrieve
-// benchmarks at the repo root.
+// reference, at the paper's configuration (32 planes). They size the kernel
+// in isolation; what the kernels cost inside a request is the repository
+// benchmark's bitplane.* per-layer metrics (benchmark/README.md).
 
 const benchN = 1 << 15
 
@@ -41,7 +41,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // BenchmarkEncodeScalarRef measures the retained scalar reference encoder
-// on the same input — the "before" row of BENCH_kernels.json.
+// on the same input — the "before" of BenchmarkEncode.
 func BenchmarkEncodeScalarRef(b *testing.B) {
 	coeffs := benchCoeffs(benchN)
 	b.SetBytes(benchN * 8)

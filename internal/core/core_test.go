@@ -212,7 +212,7 @@ func TestZeroPlanesGiveZeroField(t *testing.T) {
 
 func TestCodecsInteroperate(t *testing.T) {
 	f := testField(t)
-	for _, codec := range []lossless.Codec{lossless.Deflate(), lossless.RLE(), lossless.Raw()} {
+	for _, codec := range []lossless.Codec{lossless.Deflate(), lossless.Raw()} {
 		cfg := DefaultConfig()
 		cfg.Codec = codec
 		c, err := Compress(f, cfg, "Ex", 0)
@@ -228,6 +228,40 @@ func TestCodecsInteroperate(t *testing.T) {
 		if achieved := grid.MaxAbsDiff(f, rec); achieved > tol {
 			t.Fatalf("%s: achieved %g > tol %g", codec.Name(), achieved, tol)
 		}
+	}
+}
+
+// TestRemovedCodecInHeaderIsRefused: an artifact whose header names a
+// lossless codec this build does not have (huffman and rle were removed
+// after ablate-codec measured them larger than raw) is refused by name when
+// its plane store is built — before any segment is read, and never by
+// decoding its planes as some other codec.
+func TestRemovedCodecInHeaderIsRefused(t *testing.T) {
+	c, err := Compress(testField(t), DefaultConfig(), "Ex", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"huffman", "rle"} {
+		c.Header.CodecName = name
+		path := filepath.Join(t.TempDir(), name+".pmgd")
+		if err := c.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		h, st, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(st.Meta()), `"CodecName":"`+name+`"`) {
+			t.Fatalf("header on disk does not name codec %q: %s", name, st.Meta())
+		}
+		if _, err := NewPlaneStore(h, st); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("NewPlaneStore over a %s artifact: err = %v, want one naming the codec", name, err)
+		}
+		_, _, err = RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), h.AbsTolerance(1e-3), RetrieveOptions{})
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("retrieve from a %s artifact: err = %v, want one naming the codec", name, err)
+		}
+		st.Close()
 	}
 }
 

@@ -220,7 +220,7 @@ func AblateCodec(p Params) ([]*Table, error) {
 		Columns: []string{"codec", "stored_bytes", "retrieved_bytes", "ratio_vs_raw"},
 	}
 	var rawStored int64
-	for _, codec := range []lossless.Codec{lossless.Raw(), lossless.RLE(), lossless.Huffman(), lossless.Deflate()} {
+	for _, codec := range []lossless.Codec{lossless.Raw(), lossless.Deflate()} {
 		cfg := p.Compress
 		cfg.Codec = codec
 		c, err := core.Compress(field, cfg, "Jx", t)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -64,20 +63,16 @@ func IDs() []string {
 	return ids
 }
 
-// Run executes one experiment by id and prints its tables to w.
-func Run(id string, p Params, w io.Writer) error {
+// Run executes one experiment by id, once, and returns its tables; printing
+// (Table.Fprint) and CSV export (WriteCSVFiles) both take them from here.
+func Run(id string, p Params) ([]*Table, error) {
 	r, ok := Registry()[id]
 	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
 	tables, err := r.Run(p)
 	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", id, err)
+		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
-	for _, t := range tables {
-		if err := t.Fprint(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	return tables, nil
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"pmgard/internal/core"
 	"pmgard/internal/obs"
@@ -17,7 +16,7 @@ import (
 	"pmgard/internal/shard"
 )
 
-// shardWorkers is the concurrent reader count of the sweep's timed round.
+// shardWorkers is the concurrent reader count of the sweep's counted round.
 const shardWorkers = 4
 
 // ShardPoint is one node-count measurement of the shard-tier sweep: a
@@ -27,18 +26,12 @@ const shardWorkers = 4
 // with node count.
 type ShardPoint struct {
 	// Nodes is the node count of this configuration.
-	Nodes int `json:"nodes"`
-	// Reads is the number of timed plane reads issued through the router.
-	Reads int `json:"reads"`
-	// Seconds is the wall time of the timed round.
-	Seconds float64 `json:"seconds"`
-	// ReadsPerSec is Reads / Seconds.
-	ReadsPerSec float64 `json:"reads_per_sec"`
-	// HitRate is the aggregate node-cache hit fraction over the timed
+	Nodes int
+	// Reads is the number of counted plane reads issued through the router.
+	Reads int
+	// HitRate is the aggregate node-cache hit fraction over the counted
 	// round (hits / (hits+misses) summed across nodes).
-	HitRate float64 `json:"hit_rate"`
-	// Speedup is ReadsPerSec relative to the sweep's first configuration.
-	Speedup float64 `json:"speedup"`
+	HitRate float64
 }
 
 // oneFieldSource serves the sweep's one artifact as a shard.NodeSource.
@@ -86,19 +79,17 @@ func cacheCounts(nodes []*shardBenchNode) (hits, misses int64) {
 	return hits, misses
 }
 
-// ShardSweep measures warm-cache read throughput of the shard tier as the
-// node count grows. One WarpX artifact backs every configuration; each node
+// ShardSweep measures the warm-read fraction of the shard tier as the node
+// count grows. One WarpX artifact backs every configuration; each node
 // gets a servecache budgeted at 40% of the artifact's decompressed bytes,
 // so one node cannot hold the working set but three nodes together over-
 // provision it. Per node count it starts real HTTP /planes nodes on
 // loopback, routes a seeded uniform-random read workload (16 reads per
 // plane, 4 concurrent workers, replication 1) through a shard.Router after
-// one warming pass, and reports throughput plus the aggregate node-cache
-// hit rate of the timed round.
-//
-// On a single-vCPU host the scaling is pure work elimination — more
-// aggregate cache bytes mean fewer store reads and lossless decompressions
-// — not CPU parallelism.
+// one warming pass, and reports the aggregate node-cache hit rate of the
+// counted round: every miss it removes is a store read plus a lossless
+// decompression the tier no longer pays. What a routed refine costs in
+// wall clock is the benchmark's refine-routed workload, not this sweep.
 func ShardSweep(p Params, nodeCounts []int) ([]ShardPoint, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -147,9 +138,6 @@ func ShardSweep(p Params, nodeCounts []int) ([]ShardPoint, error) {
 		}
 		points = append(points, pt)
 	}
-	for i := range points {
-		points[i].Speedup = points[i].ReadsPerSec / points[0].ReadsPerSec
-	}
 	return points, nil
 }
 
@@ -179,8 +167,7 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 		return ShardPoint{}, err
 	}
 	// Default transports keep only two idle connections per host; with more
-	// concurrent workers than that, every extra request pays a TCP dial,
-	// which would swamp the cache effect being measured.
+	// concurrent workers than that, every extra request pays a TCP dial.
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: shardWorkers, MaxIdleConns: n * shardWorkers}}
 	defer client.CloseIdleConnections()
 	r, err := shard.NewRouter(shard.RouterConfig{Map: m, Client: client, Obs: obs.New()})
@@ -196,7 +183,7 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 		}
 	}
 	ctx := context.Background()
-	// Warming pass: touch every plane once so the timed round measures the
+	// Warming pass: touch every plane once so the counted round measures the
 	// steady state (each node's LRU holds whatever fits of its partition).
 	for _, k := range keys {
 		if _, _, err := fc.FetchPlane(ctx, k); err != nil {
@@ -213,7 +200,6 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 	}
 	errs := make([]error, shardWorkers)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < shardWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -226,10 +212,9 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start).Seconds()
 	for _, err := range errs {
 		if err != nil {
-			return ShardPoint{}, fmt.Errorf("experiments: shard timed round: %w", err)
+			return ShardPoint{}, fmt.Errorf("experiments: shard counted round: %w", err)
 		}
 	}
 	hits1, misses1 := cacheCounts(nodes)
@@ -238,16 +223,7 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	if elapsed <= 0 {
-		elapsed = 1e-9
-	}
-	return ShardPoint{
-		Nodes:       n,
-		Reads:       reads,
-		Seconds:     elapsed,
-		ReadsPerSec: float64(reads) / elapsed,
-		HitRate:     hitRate,
-	}, nil
+	return ShardPoint{Nodes: n, Reads: reads, HitRate: hitRate}, nil
 }
 
 // ExpShard is the exp-shard runner: the node-count sweep at 1, 2 and 3
@@ -260,23 +236,18 @@ func ExpShard(p Params) ([]*Table, error) {
 	return []*Table{ShardTable(points)}, nil
 }
 
-// ShardTable formats sweep points as the exp-shard table; cmd/bench reuses
-// it when recording BENCH_shard.json so the printed table and the JSON
-// record come from one run.
+// ShardTable formats sweep points as the exp-shard table.
 func ShardTable(points []ShardPoint) *Table {
 	t := &Table{
 		ID:    "exp-shard",
 		Title: "Shard tier scaling: random plane reads through the router vs node count",
 		Note: "One artifact, per-node cache budget 40% of its decompressed bytes, replication 1. " +
-			"Throughput grows with node count because aggregate cache bytes grow — misses pay a " +
-			"store read plus lossless decompression. On a single-vCPU host the gain is work " +
-			"elimination, not parallelism.",
-		Columns: []string{"nodes", "reads", "seconds", "reads_per_sec", "hit_rate", "speedup"},
+			"The hit rate grows with node count because aggregate cache bytes grow — each miss " +
+			"removed is a store read plus a lossless decompression.",
+		Columns: []string{"nodes", "reads", "hit_rate"},
 	}
 	for _, pt := range points {
-		t.AddRow(pt.Nodes, pt.Reads, fmt.Sprintf("%.3f", pt.Seconds),
-			fmt.Sprintf("%.0f", pt.ReadsPerSec), fmt.Sprintf("%.3f", pt.HitRate),
-			fmt.Sprintf("%.2f", pt.Speedup))
+		t.AddRow(pt.Nodes, pt.Reads, fmt.Sprintf("%.3f", pt.HitRate))
 	}
 	return t
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§IV) from this reproduction's pipeline. Each
-// experiment is a named runner that returns one or more printable tables;
-// cmd/bench prints them and bench_test.go wraps them in testing.B
-// benchmarks. DESIGN.md §3 maps experiment ids to paper artifacts.
+// experiment is a named runner that returns one or more printable tables,
+// which cmd/bench prints. Tables carry counts only — bytes, planes, reads,
+// hit rates, errors, accuracy; wall clock is measured by the repository
+// benchmark (benchmark/) and the kernels' package-local Benchmark functions,
+// never here. DESIGN.md §3 maps experiment ids to paper artifacts.
 package experiments
 
 import (
@@ -132,17 +134,10 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// RunCSV executes one experiment by id and writes each resulting table as a
-// CSV file under dir (created if needed), returning the file paths.
-func RunCSV(id string, p Params, dir string) ([]string, error) {
-	r, ok := Registry()[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
-	}
-	tables, err := r.Run(p)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", id, err)
-	}
+// WriteCSVFiles writes each table of one experiment as a CSV file under dir
+// (created if needed) and returns the file paths: <id>.csv for a single
+// table, <id>_<i>.csv when the experiment produced several.
+func WriteCSVFiles(tables []*Table, dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xAA}, 300))
 	f.Add([]byte("the quick brown fox"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range []Codec{Deflate(), RLE(), Raw(), Huffman()} {
+		for _, c := range allCodecs {
 			enc, err := c.Compress(data)
 			if err != nil {
 				t.Fatalf("%s: compress: %v", c.Name(), err)
@@ -38,7 +38,7 @@ func FuzzDecompressGarbage(f *testing.F) {
 		if size < 0 || size > 1<<20 {
 			t.Skip()
 		}
-		for _, c := range []Codec{Deflate(), RLE(), Raw(), Huffman()} {
+		for _, c := range allCodecs {
 			c.Decompress(data, size) // errors fine, panics are not
 		}
 	})

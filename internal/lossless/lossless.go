@@ -28,20 +28,17 @@ type Codec interface {
 	Decompress(src []byte, size int) ([]byte, error)
 }
 
-// ByName returns the codec registered under name: "deflate", "rle",
-// "huffman" or "raw".
+// ByName returns the codec registered under name: "deflate" or "raw". Any
+// other name — including one read from an artifact header — is an error
+// that names it.
 func ByName(name string) (Codec, error) {
 	switch name {
 	case "deflate":
 		return Deflate(), nil
-	case "rle":
-		return RLE(), nil
-	case "huffman":
-		return Huffman(), nil
 	case "raw":
 		return Raw(), nil
 	default:
-		return nil, fmt.Errorf("lossless: unknown codec %q", name)
+		return nil, fmt.Errorf("lossless: unknown codec %q (have deflate, raw)", name)
 	}
 }
 
@@ -136,51 +133,6 @@ func (deflateCodec) Decompress(src []byte, size int) ([]byte, error) {
 	}
 	if len(out) != size {
 		return nil, fmt.Errorf("lossless: deflate decoded %d bytes, want %d", len(out), size)
-	}
-	return out, nil
-}
-
-// RLE returns a simple byte-run-length codec, effective on the near-constant
-// high-order sign planes.
-func RLE() Codec { return rleCodec{} }
-
-type rleCodec struct{}
-
-// Name implements Codec.
-func (rleCodec) Name() string { return "rle" }
-
-// Compress implements Codec.
-func (rleCodec) Compress(src []byte) ([]byte, error) {
-	out := make([]byte, 0, len(src)/4+8)
-	for i := 0; i < len(src); {
-		b := src[i]
-		run := 1
-		for i+run < len(src) && src[i+run] == b && run < 255 {
-			run++
-		}
-		out = append(out, byte(run), b)
-		i += run
-	}
-	return out, nil
-}
-
-// Decompress implements Codec.
-func (rleCodec) Decompress(src []byte, size int) ([]byte, error) {
-	if len(src)%2 != 0 {
-		return nil, fmt.Errorf("lossless: rle stream has odd length %d", len(src))
-	}
-	out := make([]byte, 0, size)
-	for i := 0; i < len(src); i += 2 {
-		run, b := int(src[i]), src[i+1]
-		if run == 0 {
-			return nil, fmt.Errorf("lossless: rle zero run at offset %d", i)
-		}
-		for j := 0; j < run; j++ {
-			out = append(out, b)
-		}
-	}
-	if len(out) != size {
-		return nil, fmt.Errorf("lossless: rle decoded %d bytes, want %d", len(out), size)
 	}
 	return out, nil
 }
