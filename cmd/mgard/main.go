@@ -7,11 +7,12 @@
 //	               [-workers N]  (pipeline worker count; 0 = one per CPU,
 //	               1 = sequential — the output bytes are identical either way)
 //	mgard compress -in field.field -tiered dir/      (place levels across storage tiers)
-//	mgard inspect  -in field.pmgd
-//	mgard retrieve -in field.pmgd -rel 1e-4 [-control theory|emgard|planes]
+//	mgard inspect  -in field.pmgd|dir/
+//	mgard retrieve -in field.pmgd|dir/ -rel 1e-4 [-control theory|emgard|planes]
 //	               [-model emgard.gob] [-planes 12,10,8,6,4] [-workers N]
 //	               [-orig field.field] [-out recon.field]
-//	mgard retrieve -tiered dir/ -rel 1e-4            (read from a tiered store)
+//	               (-in takes either layout: a .pmgd file or a tiered
+//	               directory holding a manifest.json)
 //	mgard retrieve -in field.pmgd -rel 1e-4 -fault-rate 0.2 -fault-seed 7
 //	               (inject deterministic transient faults and retrieve
 //	               through the retry/backoff layer; -retries caps attempts)
@@ -178,7 +179,7 @@ func parseBytes(s string) (int64, error) {
 
 func cmdInspect(args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
-	in := fs.String("in", "", "input .pmgd file")
+	in := fs.String("in", "", "input .pmgd file or tiered-store directory")
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("inspect: -in is required")
@@ -197,16 +198,19 @@ func cmdInspect(args []string) error {
 		for _, s := range lm.PlaneSizes {
 			total += s
 		}
-		fmt.Printf("  level %d: %7d coeffs  exp %4d  bytes %8d  Err[0]=%.3e  Err[B]=%.3e\n",
+		fmt.Printf("  level %d: %7d coeffs  exp %4d  bytes %8d  Err[0]=%.3e  Err[B]=%.3e",
 			l, lm.N, lm.Exponent, total, lm.ErrMatrix[0], lm.ErrMatrix[len(lm.ErrMatrix)-1])
+		if tier, err := st.TierOf(l); err == nil {
+			fmt.Printf("  tier %s", tier)
+		}
+		fmt.Println()
 	}
 	return nil
 }
 
 func cmdRetrieve(args []string) error {
 	fs := flag.NewFlagSet("retrieve", flag.ExitOnError)
-	in := fs.String("in", "", "input .pmgd file")
-	tiered := fs.String("tiered", "", "input tiered-store directory (instead of -in)")
+	in := fs.String("in", "", "input .pmgd file or tiered-store directory")
 	tiles := fs.String("tiles", "", "input tiled-artifact directory (instead of -in); streams slabs to -out")
 	rel := fs.Float64("rel", 0, "relative error bound")
 	abs := fs.Float64("abs", 0, "absolute error bound (overrides -rel)")
@@ -222,8 +226,8 @@ func cmdRetrieve(args []string) error {
 	var of obs.Flags
 	of.Register(fs)
 	fs.Parse(args)
-	if *in == "" && *tiered == "" && *tiles == "" {
-		return fmt.Errorf("retrieve: -in, -tiered or -tiles is required")
+	if *in == "" && *tiles == "" {
+		return fmt.Errorf("retrieve: -in or -tiles is required")
 	}
 	o, oErr := of.Start(os.Stderr)
 	if oErr != nil {
@@ -258,28 +262,13 @@ func cmdRetrieve(args []string) error {
 		fmt.Printf("wrote reconstruction to %s\n", *out)
 		return of.Finish(o)
 	}
-	var h *core.Header
-	var src storage.SegmentSource
-	var flatStore *storage.Store
-	var tieredStore *storage.TieredStore
-	if *tiered != "" {
-		var err error
-		h, tieredStore, err = core.OpenTiered(*tiered)
-		if err != nil {
-			return err
-		}
-		defer tieredStore.Close()
-		tieredStore.Instrument(o)
-		src = tieredStore
-	} else {
-		var err error
-		h, flatStore, err = core.OpenFile(*in)
-		if err != nil {
-			return err
-		}
-		defer flatStore.Close()
-		src = flatStore
+	h, st, err := core.OpenFile(*in)
+	if err != nil {
+		return err
 	}
+	defer st.Close()
+	st.Instrument(o)
+	var src storage.SegmentSource = st
 
 	if *faultRate < 0 || *faultRate > 1 {
 		return fmt.Errorf("retrieve: -fault-rate %g out of [0,1]", *faultRate)
@@ -298,7 +287,7 @@ func cmdRetrieve(args []string) error {
 		if *retries > 0 {
 			pol.MaxAttempts = *retries
 		}
-		retrying = storage.NewRetryingSource(nil, src, pol)
+		retrying = storage.NewRetryingSource(src, pol)
 		if o != nil {
 			retrying.Instrument(o)
 		}
@@ -315,7 +304,6 @@ func cmdRetrieve(args []string) error {
 
 	var rec *grid.Tensor
 	var plan retrieval.Plan
-	var err error
 	switch *control {
 	case "theory":
 		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, h.TheoryEstimator(), tol, core.RetrieveOptions{Workers: *workers, Obs: o})
@@ -356,18 +344,12 @@ func cmdRetrieve(args []string) error {
 
 	fmt.Printf("plan: planes per level %v\n", plan.Planes)
 	printFaultReport(retrying, flaky, *faultRate, *faultSeed)
-	if flatStore != nil {
-		fmt.Printf("retrieved %d of %d stored bytes (%.1f%%) in %d ranged reads\n",
-			flatStore.BytesRead(), h.TotalBytes(),
-			100*float64(flatStore.BytesRead())/float64(h.TotalBytes()), flatStore.Requests())
-	} else {
-		var total int64
-		for tier, b := range tieredStore.TierBytes() {
-			fmt.Printf("tier %-6s %8d bytes in %d reads\n", tier, b, tieredStore.TierRequests()[tier])
-			total += b
-		}
-		fmt.Printf("retrieved %d of %d stored bytes (%.1f%%)\n", total, h.TotalBytes(),
-			100*float64(total)/float64(h.TotalBytes()))
+	fmt.Printf("retrieved %d of %d stored bytes (%.1f%%) in %d ranged reads\n",
+		st.BytesRead(), h.TotalBytes(),
+		100*float64(st.BytesRead())/float64(h.TotalBytes()), st.Requests())
+	tierReads := st.TierRequests()
+	for tier, b := range st.TierBytes() {
+		fmt.Printf("tier %-6s %8d bytes in %d reads\n", tier, b, tierReads[tier])
 	}
 
 	hier, err := storage.DefaultHierarchy(len(h.Levels))

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"pmgard/internal/fieldio"
@@ -48,15 +51,74 @@ func TestCompressInspectRetrieveFlow(t *testing.T) {
 	}
 }
 
+// captureStdout runs cmd and returns what it printed.
+func captureStdout(t *testing.T, cmd func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	err = cmd()
+	os.Stdout = stdout
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(<-out)
+}
+
+// TestTieredFlow: -in takes either layout. The same field compressed to a
+// file and to a tiered directory retrieves the same plan through one byte
+// report — which adds per-tier lines when the store has tiers — and
+// inspects with each level's tier.
 func TestTieredFlow(t *testing.T) {
 	dir := t.TempDir()
 	field := writeTestField(t, dir)
-	store := filepath.Join(dir, "tiered")
+	store, pmgd := filepath.Join(dir, "tiered"), filepath.Join(dir, "jx.pmgd")
 	if err := cmdCompress([]string{"-in", field, "-tiered", store}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdRetrieve([]string{"-tiered", store, "-rel", "1e-3"}); err != nil {
+	if err := cmdCompress([]string{"-in", field, "-out", pmgd}); err != nil {
 		t.Fatal(err)
+	}
+	tiered := captureStdout(t, func() error { return cmdRetrieve([]string{"-in", store, "-rel", "1e-3"}) })
+	flat := captureStdout(t, func() error { return cmdRetrieve([]string{"-in", pmgd, "-rel", "1e-3"}) })
+	report := regexp.MustCompile(`(?m)^retrieved \d+ of \d+ stored bytes \(.*\) in \d+ ranged reads$`)
+	if got := report.FindAllString(tiered, -1); len(got) != 1 || got[0] != report.FindString(flat) {
+		t.Fatalf("byte reports differ or repeat: tiered %q, flat %q", got, report.FindString(flat))
+	}
+	if !strings.Contains(tiered, "\ntier nvme ") || strings.Contains(flat, "\ntier ") {
+		t.Fatalf("per-tier lines belong to the store with tiers only:\ntiered:\n%s\nflat:\n%s", tiered, flat)
+	}
+
+	inspect := captureStdout(t, func() error { return cmdInspect([]string{"-in", store}) })
+	if !strings.Contains(inspect, "tier nvme\n") || !strings.Contains(inspect, "tier tape\n") {
+		t.Fatalf("inspect of a tiered directory does not name each level's tier:\n%s", inspect)
+	}
+	if out := captureStdout(t, func() error { return cmdInspect([]string{"-in", pmgd}) }); strings.Contains(out, "tier") {
+		t.Fatalf("inspect of a .pmgd file names tiers:\n%s", out)
+	}
+
+	// A directory that is not a tiered store (a -tiles artifact, say) fails
+	// naming the file -in looked for.
+	tiles := filepath.Join(dir, "tiles")
+	if err := cmdCompress([]string{"-in", field, "-tiles", tiles}); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		cmdInspect([]string{"-in", tiles}),
+		cmdRetrieve([]string{"-in", tiles, "-rel", "1e-3"}),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "manifest.json") {
+			t.Fatalf("-in on a tiled artifact: err = %v, want one naming manifest.json", err)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -256,6 +258,99 @@ func TestChaosPermanentPlaneLoss(t *testing.T) {
 	}
 	if state := o.Metrics.Snapshot().Gauges["storage.breaker_state.Jx"]; state != 0 {
 		t.Fatalf("breaker state after permanent data faults = %v, want 0 (closed)", state)
+	}
+}
+
+// TestChaosBitRotDegradesOnEveryLayout serves the same field from a .pmgd
+// file and from a tiered directory, each with one flipped byte in the same
+// plane: bit rot is a data fault on every layout, so both keep answering
+// 200 degraded with the same reconstruction, the retry layer quarantines
+// the plane instead of re-reading it, and the breaker — which guards
+// against a tier being down, not against bad data — stays closed.
+func TestChaosBitRotDegradesOnEveryLayout(t *testing.T) {
+	base := leakcheck.Baseline()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		leakcheck.Check(t, base, 10*time.Second)
+	})
+	c := buildCompressed(t, "Jx")
+	h := &c.Header
+	finest := len(h.Levels) - 1
+	hier, err := storage.DefaultHierarchy(len(h.Levels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The finest level's last plane is the tail of the .pmgd file and of
+	// its level's tier file.
+	layouts := []struct {
+		name  string
+		write func(path string) (rotted string, err error)
+	}{
+		{"flat", func(path string) (string, error) { return path, c.WriteFile(path) }},
+		{"tiered", func(path string) (string, error) {
+			tier := hier.Tiers[hier.Placement[finest]].Name
+			return filepath.Join(path, tier, fmt.Sprintf("level_%d.seg", finest)), c.WriteTiered(path, hier)
+		}},
+	}
+	var want refineResponse
+	for _, lay := range layouts {
+		path := filepath.Join(t.TempDir(), "jx")
+		rotted, err := lay.write(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(rotted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[len(blob)-1] ^= 0x01
+		if err := os.WriteFile(rotted, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New()
+		srv, err := newServer(serverConfig{
+			CacheBytes:      64 << 20,
+			Retries:         4,
+			RequestTimeout:  30 * time.Second,
+			BreakerFailures: 5,
+			Obs:             o,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.close)
+		if err := srv.addFile(path); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.handler())
+		t.Cleanup(ts.Close)
+
+		// abs=1e-300 asks for every plane; one more request than the
+		// breaker threshold.
+		for i := 0; i < 6; i++ {
+			res := doRefine(t, ts, "field=Jx&abs=1e-300")
+			if res.status != http.StatusOK || !res.body.Degraded {
+				t.Fatalf("%s: refine %d over the rotted plane: status %d (detail %q) degraded %v, want 200 degraded",
+					lay.name, i, res.status, res.detail, res.body.Degraded)
+			}
+			if got := res.body.Planes; got[finest] != h.Planes-1 {
+				t.Fatalf("%s: refine %d decoded planes %v, want all but the finest level's last", lay.name, i, got)
+			}
+			if want.Checksum == "" {
+				want = res.body
+			}
+			if res.body.Checksum != want.Checksum || res.body.EstimatedError != want.EstimatedError {
+				t.Fatalf("%s: refine %d answered checksum %s bound %g, first answer %s bound %g",
+					lay.name, i, res.body.Checksum, res.body.EstimatedError, want.Checksum, want.EstimatedError)
+			}
+		}
+		snap := o.Metrics.Snapshot()
+		if state := snap.Gauges["storage.breaker_state.Jx"]; state != 0 {
+			t.Fatalf("%s: breaker state after bit rot = %v, want 0 (closed)", lay.name, state)
+		}
+		if q, r := snap.Counters["storage.retry.quarantined"], snap.Counters["storage.retry.retries"]; q != 1 || r != 0 {
+			t.Fatalf("%s: %d planes quarantined after %d retries, want 1 and 0", lay.name, q, r)
+		}
 	}
 }
 

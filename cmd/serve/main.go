@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	serve -in jx.pmgd[,ex.pmgd...] [-tiered dir,...] [-raw jx.field,...]
+//	serve -in jx.pmgd[,ex.tiered/...] [-raw jx.field,...]
 //	      [-addr localhost:8080]
 //	      [-role node|router] [-shard-map map.json]
 //	      [-cache-bytes 268435456] [-retries 0]
@@ -16,6 +16,9 @@
 //	      [-breaker-failures 5] [-breaker-cooldown 2s]
 //	      [-access-log path|stdout|stderr] [-log-level info] [-slo-latency 1s]
 //	      [-metrics-out metrics.json] [-trace-out trace.json] [-debug-addr addr]
+//
+// Each -in entry is a .pmgd file or a tiered-store directory (one holding a
+// manifest.json, as `mgard compress -tiered` writes).
 //
 // Raw .field inputs are probed at startup: every registered progressive
 // codec backend is tried against the field (core.ProbeBackends) and the
@@ -113,8 +116,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address for the API")
-	in := fs.String("in", "", "comma-separated .pmgd files to serve")
-	tiered := fs.String("tiered", "", "comma-separated tiered-store directories to serve")
+	in := fs.String("in", "", "comma-separated .pmgd files and tiered-store directories to serve")
 	raw := fs.String("raw", "", "comma-separated raw .field files to probe, refactor under the winning codec backend, and serve")
 	role := fs.String("role", "", "shard tier role: \"node\" also exposes the internal /planes endpoints, \"router\" serves fields fetched from a shard of nodes (requires -shard-map)")
 	shardMap := fs.String("shard-map", "", "shard map JSON file describing the node set (router role)")
@@ -141,11 +143,11 @@ func run(args []string) error {
 		if *shardMap == "" {
 			return fmt.Errorf("-role router requires -shard-map")
 		}
-		if *in != "" || *tiered != "" || *raw != "" {
-			return fmt.Errorf("-role router serves the shard's fields; it takes no -in/-tiered/-raw")
+		if *in != "" || *raw != "" {
+			return fmt.Errorf("-role router serves the shard's fields; it takes no -in/-raw")
 		}
-	} else if *in == "" && *tiered == "" && *raw == "" {
-		return fmt.Errorf("-in, -tiered, or -raw is required")
+	} else if *in == "" && *raw == "" {
+		return fmt.Errorf("-in or -raw is required")
 	}
 	logDst, logClose, err := openAccessLog(*accessLog)
 	if err != nil {
@@ -184,11 +186,6 @@ func run(args []string) error {
 	defer srv.close()
 	for _, path := range splitList(*in) {
 		if err := srv.addFile(path); err != nil {
-			return err
-		}
-	}
-	for _, dir := range splitList(*tiered) {
-		if err := srv.addTiered(dir); err != nil {
 			return err
 		}
 	}
@@ -395,7 +392,7 @@ func (s *server) add(h *core.Header, src storage.SegmentSource, closeFn func() e
 	if s.cfg.Retries > 0 {
 		pol := storage.DefaultRetryPolicy()
 		pol.MaxAttempts = s.cfg.Retries
-		retrying := storage.NewRetryingSource(nil, src, pol)
+		retrying := storage.NewRetryingSource(src, pol)
 		retrying.Instrument(s.o)
 		src = retrying
 	}
@@ -487,16 +484,9 @@ func (s *server) PlaneFields() []string {
 	return s.names
 }
 
+// addFile serves the store at path, a .pmgd file or a tiered directory.
 func (s *server) addFile(path string) error {
 	h, st, err := core.OpenFile(path)
-	if err != nil {
-		return err
-	}
-	return s.add(h, st, st.Close)
-}
-
-func (s *server) addTiered(dir string) error {
-	h, st, err := core.OpenTiered(dir)
 	if err != nil {
 		return err
 	}

@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"pmgard/internal/core"
 	"pmgard/internal/obs"
 	"pmgard/internal/sim/warpx"
+	"pmgard/internal/storage"
 )
 
 // buildField compresses a synthetic WarpX field to a .pmgd file and returns
@@ -152,6 +154,74 @@ func TestServeConcurrentRefinesShareCache(t *testing.T) {
 	if metrics.Counters["serve.refines"] != n {
 		t.Fatalf("/metrics serve.refines = %d, want %d", metrics.Counters["serve.refines"], n)
 	}
+}
+
+// TestServeBothLayoutsThroughIn: -in takes a .pmgd file or a tiered
+// directory. Both serve the same answer; only the store that has tiers
+// mirrors storage.tier.* names, so a flat-only server's /metrics name set
+// is what it always was.
+func TestServeBothLayoutsThroughIn(t *testing.T) {
+	c := buildCompressed(t, "Jx")
+	hier, err := storage.DefaultHierarchy(len(c.Header.Levels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, tiered := filepath.Join(t.TempDir(), "jx.pmgd"), filepath.Join(t.TempDir(), "jx.tiered")
+	if err := c.WriteFile(flat); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteTiered(tiered, hier); err != nil {
+		t.Fatal(err)
+	}
+	var answers []refineResponse
+	for _, path := range []string{flat, tiered} {
+		o := obs.New()
+		srv, err := newServer(serverConfig{CacheBytes: 64 << 20, Obs: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.close)
+		if err := srv.addFile(path); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.handler())
+		t.Cleanup(ts.Close)
+		var res refineResponse
+		getJSON(t, ts, "/refine?field=Jx&rel=1e-4", &res)
+		res.ElapsedSeconds = 0
+		answers = append(answers, res)
+		var tierReads int64
+		for name, v := range o.Metrics.Snapshot().Counters {
+			if strings.HasPrefix(name, "storage.tier.") {
+				if path == flat {
+					t.Errorf("a store without tiers mirrored %s", name)
+				}
+				if strings.HasSuffix(name, ".requests") {
+					tierReads += v
+				}
+			}
+		}
+		if planes := sessionPlanes(res.Planes); path == tiered && tierReads != planes {
+			t.Errorf("storage.tier.*.requests sum to %d, the refine read %d planes", tierReads, planes)
+		}
+	}
+	if fmt.Sprint(answers[0]) != fmt.Sprint(answers[1]) {
+		t.Fatalf("the layouts answer differently:\n flat   %+v\n tiered %+v", answers[0], answers[1])
+	}
+	// A directory that is not a tiered store names the file it lacks.
+	srv, _ := newTestServer(t)
+	if err := srv.addFile(t.TempDir()); err == nil || !strings.Contains(err.Error(), "manifest.json") {
+		t.Fatalf("directory without a manifest: err = %v, want one naming manifest.json", err)
+	}
+}
+
+// sessionPlanes sums a refine's per-level plane counts.
+func sessionPlanes(planes []int) int64 {
+	var n int64
+	for _, b := range planes {
+		n += int64(b)
+	}
+	return n
 }
 
 func TestServeErrors(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -376,13 +377,17 @@ func TestShardNodeSharesCacheWithLocalRefines(t *testing.T) {
 // flags: a router needs a map and takes no local inputs, and unknown roles
 // are rejected.
 func TestShardRoleFlagValidation(t *testing.T) {
-	for _, args := range [][]string{
-		{"-role", "router"}, // no -shard-map
-		{"-role", "router", "-shard-map", "m.json", "-in", "x.pmgd"}, // local inputs
-		{"-role", "coordinator", "-in", "x.pmgd"},                    // unknown role
+	for _, c := range []struct {
+		args []string
+		want string // what the error must say
+	}{
+		{[]string{"-role", "router"}, "-shard-map"},
+		{[]string{"-role", "router", "-shard-map", "m.json", "-in", "x.pmgd"}, "no -in/-raw"}, // local inputs
+		{[]string{"-role", "coordinator", "-in", "x.pmgd"}, "-role"},                          // unknown role
+		{[]string{"-role", "node"}, "-in or -raw is required"},                                // -in covers both layouts
 	} {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) succeeded, want flag validation error", args)
+		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v) = %v, want a flag validation error saying %q", c.args, err, c.want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -228,5 +229,55 @@ func TestOneReadEngine(t *testing.T) {
 		if stage == "inflate" && len(names) == 1 && !strings.Contains(names[0], ": PlaneStore.") {
 			t.Errorf("inflate: %s is not a PlaneStore method", names[0])
 		}
+	}
+}
+
+// TestOneSegmentStore keeps the on-disk layouts from forking into two
+// readers or two writer protocols again: in internal/storage exactly one
+// method is named ReadSegment and exactly one function calls ReadAt — so
+// every layout's bounds, short-read and checksum checks are the same code —
+// and the names of the removed twin (the tiered directory's own store type
+// and opener, its writer's set-meta-then-close protocol, core's second
+// stream function) appear nowhere in the module outside benchmark/.
+func TestOneSegmentStore(t *testing.T) {
+	banned := map[string]bool{"TieredStore": true, "OpenTiered": true, "SetMeta": true, "streamToTiered": true}
+	var readers, readAtCallers, twins []string
+	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && banned[id.Name] {
+				twins = append(twins, path+": "+id.Name)
+			}
+			return true
+		})
+		if filepath.ToSlash(filepath.Dir(path)) != "internal/storage" {
+			return
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			where := path + ": " + recvTypeName(fn) + "." + fn.Name.Name
+			if fn.Recv != nil && fn.Name.Name == "ReadSegment" {
+				readers = append(readers, where)
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "ReadAt" && !slices.Contains(readAtCallers, where) {
+						readAtCallers = append(readAtCallers, where)
+					}
+				}
+				return true
+			})
+		}
+	})
+	if len(readers) != 1 {
+		t.Errorf("ReadSegment: %d methods, want exactly one:\n  %s", len(readers), strings.Join(readers, "\n  "))
+	}
+	if len(readAtCallers) != 1 {
+		t.Errorf("ReadAt: called from %d functions, want exactly one:\n  %s", len(readAtCallers), strings.Join(readAtCallers, "\n  "))
+	}
+	if len(twins) > 0 {
+		t.Errorf("%d uses of a removed twin's name:\n  %s", len(twins), strings.Join(twins, "\n  "))
 	}
 }

@@ -52,7 +52,7 @@ func main() {
 	if err := c.WriteTiered(store, hier); err != nil {
 		log.Fatal(err)
 	}
-	h, st, err := core.OpenTiered(store)
+	h, st, err := core.OpenFile(store)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 	flaky := faults.WrapSource(st, faults.Config{Seed: 42, TransientRate: 0.20})
-	retrying := storage.NewRetryingSource(nil, flaky, storage.DefaultRetryPolicy())
+	retrying := storage.NewRetryingSource(flaky, storage.DefaultRetryPolicy())
 	rec, _, err := core.RetrieveTolerance(context.Background(), h, retrying, est, tol, core.RetrieveOptions{})
 	if err != nil {
 		log.Fatal(err)
@@ -84,7 +84,7 @@ func main() {
 		Seed:      42,
 		Permanent: []faults.PlaneID{{Level: 2, Plane: 2}},
 	})
-	sess, err := core.NewSession(h, storage.NewRetryingSource(nil, lost, storage.DefaultRetryPolicy()))
+	sess, err := core.NewSession(h, storage.NewRetryingSource(lost, storage.DefaultRetryPolicy()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func main() {
 	if err := os.WriteFile(level0, blob, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	h2, st2, err := core.OpenTiered(store)
+	h2, st2, err := core.OpenFile(store)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func main() {
 	// And the degraded session turns even that into a usable answer:
 	// corruption classifies as permanent, so level 0 is dropped entirely
 	// and the report says what accuracy is left.
-	sess2, err := core.NewSession(h2, storage.NewRetryingSource(nil, st2, storage.DefaultRetryPolicy()))
+	sess2, err := core.NewSession(h2, storage.NewRetryingSource(st2, storage.DefaultRetryPolicy()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,8 @@
-// Storage tiers: persist a compressed field as a segment-store file, map
-// its coefficient levels across a simulated HPC storage hierarchy (NVMe →
-// SSD → HDD → tape, §II-A), and show how the modeled retrieval time grows
-// as tighter tolerances reach into slower tiers.
+// Storage tiers: persist a compressed field as a tiered store — one
+// directory per tier of a simulated HPC storage hierarchy (NVMe → SSD → HDD
+// → tape, §II-A) holding the coefficient levels placed on it — and show how
+// the modeled retrieval time grows as tighter tolerances reach into slower
+// tiers.
 //
 // Run with: go run ./examples/storage-tiers
 package main
@@ -33,21 +34,22 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "ex.pmgd")
-	if err := c.WriteFile(path); err != nil {
+	hier, err := storage.DefaultHierarchy(len(c.Header.Levels))
+	if err != nil {
+		log.Fatal(err)
+	}
+	path := filepath.Join(dir, "ex.tiered")
+	if err := c.WriteTiered(path, hier); err != nil {
 		log.Fatal(err)
 	}
 
+	// OpenFile takes either layout: a directory is a tiered store.
 	h, st, err := core.OpenFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer st.Close()
 
-	hier, err := storage.DefaultHierarchy(len(h.Levels))
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("level → tier placement:")
 	for l, tierIx := range hier.Placement {
 		tier := hier.Tiers[tierIx]

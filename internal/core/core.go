@@ -302,8 +302,19 @@ func (c *Compressed) WriteFile(path string) error {
 	return err
 }
 
-// OpenFile opens a compressed field file and parses its header. The
-// returned store is itself the storage.SegmentSource to retrieve from.
+// WriteTiered persists the compressed field across a storage hierarchy:
+// each coefficient level's plane segments land in the directory of the tier
+// the hierarchy assigns it to (§II-A — hot coarse levels on fast tiers,
+// cold fine levels on slow ones), through the same streaming writer
+// CompressToTiered uses.
+func (c *Compressed) WriteTiered(dir string, h storage.Hierarchy) error {
+	_, err := streamToDir(dir, h, c.replay)
+	return err
+}
+
+// OpenFile opens a compressed field — a file written by WriteFile or a
+// directory written by WriteTiered — and parses its header. The returned
+// store is itself the storage.SegmentSource to retrieve from.
 func OpenFile(path string) (*Header, *storage.Store, error) {
 	st, err := storage.Open(path)
 	if err != nil {

@@ -679,8 +679,8 @@ func TestOpenFileRejectsNonStore(t *testing.T) {
 	if _, _, err := OpenFile(filepath.Join(dir, "missing.pmgd")); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if _, _, err := OpenTiered(dir); err == nil {
-		t.Fatal("empty tiered dir accepted")
+	if _, _, err := OpenFile(dir); err == nil || !strings.Contains(err.Error(), "manifest.json") {
+		t.Fatalf("directory without a manifest: err = %v, want one naming manifest.json", err)
 	}
 	if err := (&Compressed{}).WriteFile(filepath.Join(dir, "no", "such", "dir", "x.pmgd")); err == nil {
 		t.Fatal("unwritable path accepted")

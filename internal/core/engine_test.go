@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -92,6 +94,131 @@ func TestReadPathsRejectMisdirectedSegment(t *testing.T) {
 		}
 		if !errors.Is(err, storage.ErrCorrupt) || storage.Classify(err) != storage.FaultPermanent {
 			t.Errorf("%s: err = %v, want a permanent storage.ErrCorrupt", p.name, err)
+		}
+	}
+}
+
+// TestReadPathsDegradeAroundRottedMedia: media that rots or loses its tail
+// under an open store reads the same on both on-disk layouts written from
+// one Compressed — permanent storage.ErrCorrupt, quarantined by the retry
+// layer after one attempt — and a session degrades around the plane with a
+// bound that holds on the original field.
+func TestReadPathsDegradeAroundRottedMedia(t *testing.T) {
+	f := testField(t)
+	h, c := sharedFixture(t)
+	hier, err := storage.DefaultHierarchy(len(h.Levels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const level, plane = 1, 3
+	var before int64 // payload bytes of the level's planes below the damaged one
+	for _, sz := range h.Levels[level].PlaneSizes[:plane] {
+		before += sz
+	}
+	if h.Levels[level].PlaneSizes[plane] == 0 {
+		t.Fatalf("fixture: plane (%d,%d) is empty", level, plane)
+	}
+	// Each layout writes c and reports the file and offset plane (level,
+	// plane)'s payload starts at.
+	layouts := []struct {
+		name  string
+		write func(t *testing.T, path string) (file string, offset int64)
+	}{
+		{"flat", func(t *testing.T, path string) (string, int64) {
+			if err := c.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The data section ends the file, in (level, plane) order.
+			offset := fi.Size() - h.TotalBytes() + before
+			for _, lm := range h.Levels[:level] {
+				for _, sz := range lm.PlaneSizes {
+					offset += sz
+				}
+			}
+			return path, offset
+		}},
+		{"tiered", func(t *testing.T, path string) (string, int64) {
+			if err := c.WriteTiered(path, hier); err != nil {
+				t.Fatal(err)
+			}
+			tier := hier.Tiers[hier.Placement[level]].Name
+			return filepath.Join(path, tier, fmt.Sprintf("level_%d.seg", level)), before
+		}},
+	}
+	damages := []struct {
+		name   string
+		damage func(t *testing.T, file string, offset int64)
+	}{
+		{"one flipped payload byte", func(t *testing.T, file string, offset int64) {
+			blob, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob[offset] ^= 0x01
+			if err := os.WriteFile(file, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"file truncated inside the plane", func(t *testing.T, file string, offset int64) {
+			if err := os.Truncate(file, offset+1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	ctx := context.Background()
+	est, tol := h.TheoryEstimator(), h.AbsTolerance(1e-5)
+	for _, lay := range layouts {
+		for _, d := range damages {
+			t.Run(lay.name+"/"+d.name, func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "artifact")
+				file, offset := lay.write(t, path)
+				_, st, err := OpenFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				// The store has the file open when the media goes bad.
+				if _, err := st.Segment(ctx, level, 0); err != nil {
+					t.Fatal(err)
+				}
+				d.damage(t, file, offset)
+
+				_, err = st.Segment(ctx, level, plane)
+				if !errors.Is(err, storage.ErrCorrupt) || storage.Classify(err) != storage.FaultPermanent {
+					t.Fatalf("read of the damaged plane: %v, want a permanent storage.ErrCorrupt", err)
+				}
+				reads := &countingSource{src: st}
+				retrying := storage.NewRetryingSource(reads, storage.RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}})
+				if _, err := retrying.Segment(ctx, level, plane); !errors.Is(err, storage.ErrPermanent) {
+					t.Fatalf("retry layer: %v, want a quarantine", err)
+				}
+				if n, q := reads.reads.Load(), retrying.Quarantined(); n != 1 || len(q) != 1 || q[0] != (storage.SegmentID{Level: level, Plane: plane}) {
+					t.Fatalf("retry layer made %d attempts and quarantined %v, want 1 attempt and the damaged plane", n, q)
+				}
+
+				s, err := NewSession(h, retrying)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, _, deg, err := s.Refine(ctx, est, tol)
+				if err != nil {
+					t.Fatalf("Refine over the damaged plane: %v, want a degradation report", err)
+				}
+				// A flat file cut short loses the levels behind the plane too.
+				if deg == nil || len(deg.Dropped) == 0 || deg.Dropped[0] != (storage.SegmentID{Level: level, Plane: plane}) {
+					t.Fatalf("degradation %+v, want plane (%d,%d) dropped first", deg, level, plane)
+				}
+				if deg.Requested[level] <= plane || deg.Got[level] != plane {
+					t.Fatalf("level %d: requested %d, got %d planes; want the %d below the damage", level, deg.Requested[level], deg.Got[level], plane)
+				}
+				if achieved := grid.MaxAbsDiff(f, rec); achieved > deg.AchievedBound {
+					t.Fatalf("achieved L∞ %g on the original exceeds the degraded bound %g", achieved, deg.AchievedBound)
+				}
+			})
 		}
 	}
 }

@@ -62,7 +62,7 @@ func FuzzConcurrentRetrieve(f *testing.F) {
 		flaky := faults.WrapSource(fuzzFixture.c, faults.Config{Seed: seed, TransientRate: rate})
 		pol := storage.DefaultRetryPolicy()
 		pol.Sleep = func(time.Duration) {} // keep the fuzzer fast
-		src := storage.NewRetryingSource(nil, flaky, pol)
+		src := storage.NewRetryingSource(flaky, pol)
 
 		const retrievers = 3
 		var wg sync.WaitGroup

@@ -314,7 +314,7 @@ func TestSessionRefineThroughRetryingSourceByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		flaky := faults.WrapSource(c, faults.Config{Seed: 1234, TransientRate: 0.20})
-		r := storage.NewRetryingSource(nil, flaky, pol)
+		r := storage.NewRetryingSource(flaky, pol)
 		rec, _, err := RetrieveTolerance(context.Background(), h, r, est, tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatalf("rel %g: flaky retrieval failed: %v", rel, err)

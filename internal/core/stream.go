@@ -154,58 +154,61 @@ func CompressTo(t *grid.Tensor, cfg Config, fieldName string, timestep int, sink
 	return h, nil
 }
 
-// streamToFile commits to path the artifact whose segments produce writes
-// into the sink it is handed: segments spill to disk as they arrive, and the
-// header — complete only once produce returns — is prepended at commit. On
-// any error nothing is left at path.
-func streamToFile(path string, produce func(SegmentSink) (*Header, error)) (*Header, error) {
-	sw, err := storage.CreateStream(path)
-	if err != nil {
-		return nil, err
-	}
-	defer sw.Abort()
-	h, err := produce(sw)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := json.Marshal(h)
-	if err != nil {
-		return nil, fmt.Errorf("core: marshal header: %w", err)
-	}
-	if err := sw.Commit(meta); err != nil {
-		return nil, err
-	}
-	return h, nil
+// segmentWriter is the one protocol every storage layout's writer follows:
+// segments in (level, plane) order, then Commit with the metadata blob —
+// the artifact appears only then — or Abort, which leaves nothing behind
+// and is a no-op after Commit. storage.StreamWriter and
+// storage.TieredWriter implement it.
+type segmentWriter interface {
+	SegmentSink
+	Commit(meta []byte) error
+	Abort()
 }
 
-// streamToTiered is streamToFile for a tiered store: each level's segments
-// land in its tier's level file as produce writes them, and the manifest
-// is committed last.
-func streamToTiered(dir string, hier storage.Hierarchy, produce func(SegmentSink) (*Header, error)) (*Header, error) {
-	w, err := storage.CreateTiered(dir, hier, nil)
-	if err != nil {
-		return nil, err
-	}
+// streamTo commits through w the artifact whose segments produce writes
+// into the sink it is handed: segments reach storage as they arrive, and
+// the header — complete only once produce returns — is the metadata blob
+// of the commit. On any error nothing is left behind.
+func streamTo(w segmentWriter, produce func(SegmentSink) (*Header, error)) (*Header, error) {
 	defer w.Abort()
 	h, err := produce(w)
 	if err != nil {
 		return nil, err
 	}
-	if len(hier.Placement) != len(h.Levels) {
-		return nil, fmt.Errorf("core: hierarchy places %d levels, field has %d",
-			len(hier.Placement), len(h.Levels))
-	}
 	meta, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("core: marshal header: %w", err)
 	}
-	if err := w.SetMeta(meta); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
+	if err := w.Commit(meta); err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// streamToFile is streamTo a segment-store file at path.
+func streamToFile(path string, produce func(SegmentSink) (*Header, error)) (*Header, error) {
+	w, err := storage.CreateStream(path)
+	if err != nil {
+		return nil, err
+	}
+	return streamTo(w, produce)
+}
+
+// streamToDir is streamTo a tiered directory: each level's segments land in
+// the level file of the tier hier places it on.
+func streamToDir(dir string, hier storage.Hierarchy, produce func(SegmentSink) (*Header, error)) (*Header, error) {
+	w, err := storage.CreateTiered(dir, hier)
+	if err != nil {
+		return nil, err
+	}
+	return streamTo(w, func(sink SegmentSink) (*Header, error) {
+		h, err := produce(sink)
+		if err == nil && len(hier.Placement) != len(h.Levels) {
+			err = fmt.Errorf("core: hierarchy places %d levels, field has %d",
+				len(hier.Placement), len(h.Levels))
+		}
+		return h, err
+	})
 }
 
 // CompressToFile streams the full compression pipeline straight into a
@@ -220,7 +223,7 @@ func CompressToFile(t *grid.Tensor, cfg Config, fieldName string, timestep int, 
 // CompressToTiered streams the compression pipeline into a tiered store.
 // Equivalent to Compress + WriteTiered without the in-memory artifact.
 func CompressToTiered(t *grid.Tensor, cfg Config, fieldName string, timestep int, dir string, hier storage.Hierarchy) (*Header, error) {
-	return streamToTiered(dir, hier, func(sink SegmentSink) (*Header, error) {
+	return streamToDir(dir, hier, func(sink SegmentSink) (*Header, error) {
 		return CompressTo(t, cfg, fieldName, timestep, sink)
 	})
 }

@@ -117,7 +117,7 @@ func TestCompressToTieredGoldenEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: CompressToTiered tree digest %s, want the format reference %s", workers, got, tieredGoldenDigest)
 		}
 		// The streamed tree round-trips through the normal reader.
-		h, st, err := OpenTiered(dir)
+		h, st, err := OpenFile(dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func TestTieredWorkflow(t *testing.T) {
 	if err := c.WriteTiered(dir, hier); err != nil {
 		t.Fatal(err)
 	}
-	h, st, err := OpenTiered(dir)
+	h, st, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func (r *Router) FieldClient(h *core.Header) *FieldClient {
 	fc := &FieldClient{r: r, h: h, chains: make([]storage.SegmentSource, len(r.m.Nodes))}
 	for i, n := range r.m.Nodes {
 		base := &httpPlaneSource{r: r, node: n, field: h.FieldName}
-		retrying := storage.NewRetryingSource(nil, base, r.pol)
+		retrying := storage.NewRetryingSource(base, r.pol)
 		retrying.Instrument(r.o)
 		var src storage.SegmentSource = retrying
 		if b := r.breakers[i]; b != nil {

@@ -24,7 +24,7 @@ func TestSegmentCtxCancelsInFlightRead(t *testing.T) {
 	src := &slowSource{gate: make(chan struct{})}
 	defer close(src.gate)
 	pol := DefaultRetryPolicy()
-	r := NewRetryingSource(nil, src, pol)
+	r := NewRetryingSource(src, pol)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -57,7 +57,7 @@ func TestSegmentCtxInterruptsBackoffSleep(t *testing.T) {
 	pol.MaxAttempts = 1000
 	pol.BaseDelay = 50 * time.Millisecond
 	pol.MaxDelay = 50 * time.Millisecond
-	r := NewRetryingSource(nil, src, pol)
+	r := NewRetryingSource(src, pol)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -83,7 +83,7 @@ func TestSegmentCtxBackgroundMatchesSegment(t *testing.T) {
 	src := &countingSource{}
 	pol := DefaultRetryPolicy()
 	pol.Sleep = func(time.Duration) {}
-	r := NewRetryingSource(nil, src, pol)
+	r := NewRetryingSource(src, pol)
 	// A non-cancellable ctx takes readOnce's goroutine-free path, a
 	// cancellable one the supervised path; both must deliver the same read.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -46,16 +46,17 @@ func FuzzOpen(f *testing.F) {
 			return // rejected cleanly
 		}
 		defer st.Close()
-		for _, id := range st.Segments() {
+		for id := range st.segs {
 			st.ReadSegment(id) // must not panic; errors are fine
 		}
 	})
 }
 
-// FuzzOpenTiered is the tiered-store mirror of FuzzOpen: arbitrary bytes
-// as manifest.json must either open cleanly or be rejected with an error,
-// never panic — and whatever opens must survive reads of every advertised
-// plane (against level files that may be missing entirely).
+// FuzzOpenTiered is FuzzOpen for the other layout Open accepts: arbitrary
+// bytes as a directory's manifest.json must either open cleanly or be
+// rejected with an error, never panic — and whatever opens must survive
+// reads of every advertised plane (against level files that may be missing
+// entirely).
 func FuzzOpenTiered(f *testing.F) {
 	// Seed with a real manifest written by the current writer...
 	dir := f.TempDir()
@@ -63,13 +64,13 @@ func FuzzOpenTiered(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	w, err := CreateTiered(filepath.Join(dir, "seed"), h, []byte(`{"f":"x"}`))
+	w, err := CreateTiered(filepath.Join(dir, "seed"), h)
 	if err != nil {
 		f.Fatal(err)
 	}
 	w.WriteSegment(SegmentID{Level: 0, Plane: 0}, []byte("hello"))
 	w.WriteSegment(SegmentID{Level: 1, Plane: 2}, []byte{1, 2, 3})
-	if err := w.Close(); err != nil {
+	if err := w.Commit([]byte(`{"f":"x"}`)); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(filepath.Join(dir, "seed", "manifest.json"))
@@ -102,16 +103,14 @@ func FuzzOpenTiered(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(root, "manifest.json"), data, 0o644); err != nil {
 			t.Skip()
 		}
-		st, err := OpenTiered(root)
+		st, err := Open(root)
 		if err != nil {
 			return // rejected cleanly
 		}
 		defer st.Close()
-		for l := range st.man.Levels {
-			st.TierOf(l) // must not panic
-			for k := range st.man.Levels[l] {
-				st.ReadSegment(SegmentID{Level: l, Plane: k}) // errors fine, panics not
-			}
+		for id := range st.segs {
+			st.TierOf(id.Level) // must not panic
+			st.ReadSegment(id)  // errors fine, panics not
 		}
 	})
 }

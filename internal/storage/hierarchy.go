@@ -1,8 +1,10 @@
 // Package storage provides the two storage-side pieces of the progressive
 // retrieval framework: a model of an HPC storage hierarchy (tiers with
 // latency and bandwidth, and a placement of coefficient levels onto tiers,
-// §II-A) and a file-backed segment store with ranged reads of individual
-// (level, bit-plane) segments.
+// §II-A) and a segment store with ranged reads of individual (level,
+// bit-plane) segments, laid out on disk as one .pmgd file or as a directory
+// of per-tier level files — two layouts behind one reader (Store) and one
+// writer protocol (WriteSegment, Commit, Abort).
 package storage
 
 import "fmt"

@@ -28,7 +28,7 @@ func TestRetryingSourceInstrumentMirrorsStats(t *testing.T) {
 	src := &flipSource{seen: make(map[SegmentID]bool), payload: []byte("abcdefgh")}
 	pol := DefaultRetryPolicy()
 	pol.Sleep = func(time.Duration) {}
-	r := NewRetryingSource(nil, src, pol)
+	r := NewRetryingSource(src, pol)
 
 	// Count one read before instrumenting to exercise the value transfer.
 	if _, err := r.Segment(context.Background(), 0, 0); err != nil {

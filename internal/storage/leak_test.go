@@ -27,7 +27,7 @@ func TestReadOnceTimeoutDoesNotLeakGoroutines(t *testing.T) {
 	pol.Timeout = time.Millisecond
 	pol.MaxAttempts = 4
 	pol.Sleep = func(time.Duration) {}
-	r := NewRetryingSource(nil, src, pol)
+	r := NewRetryingSource(src, pol)
 
 	before := runtime.NumGoroutine()
 	const reads = 16

@@ -175,7 +175,6 @@ func newRetryCounters() retryCounters {
 type RetryingSource struct {
 	src SegmentSource
 	pol RetryPolicy
-	ctx context.Context
 	// seed drives the per-attempt derived jitter stream; see backoff.
 	seed uint64
 
@@ -184,12 +183,9 @@ type RetryingSource struct {
 	c           retryCounters
 }
 
-// NewRetryingSource wraps src under the given policy. ctx bounds every
-// read and backoff sleep; nil means context.Background().
-func NewRetryingSource(ctx context.Context, src SegmentSource, pol RetryPolicy) *RetryingSource {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// NewRetryingSource wraps src under the given policy. Every read and
+// backoff sleep is bounded by the ctx of the Segment call it serves.
+func NewRetryingSource(src SegmentSource, pol RetryPolicy) *RetryingSource {
 	seed := pol.JitterSeed
 	if seed == 0 {
 		seed = 1
@@ -197,7 +193,6 @@ func NewRetryingSource(ctx context.Context, src SegmentSource, pol RetryPolicy) 
 	return &RetryingSource{
 		src:         src,
 		pol:         pol.withDefaults(),
-		ctx:         ctx,
 		seed:        uint64(seed),
 		quarantined: make(map[SegmentID]error),
 		c:           newRetryCounters(),
@@ -232,11 +227,10 @@ func (r *RetryingSource) Instrument(o *obs.Obs) {
 	r.c.backoff = g
 }
 
-// Segment implements SegmentSource with the retry protocol, bounded by ctx
-// in addition to the source context given at construction: both cancel
-// in-flight reads and interrupt backoff sleeps, so a caller abandoning a
-// request (deadline expiry, client disconnect) stops burning attempts
-// against the tier immediately.
+// Segment implements SegmentSource with the retry protocol, bounded by
+// ctx: its end cancels the in-flight read and interrupts the backoff sleep,
+// so a caller abandoning a request (deadline expiry, client disconnect)
+// stops burning attempts against the tier immediately.
 //
 // When ctx carries a request span, the whole read (attempts, backoff and
 // all) records as one "storage.read" child span with level/plane/bytes
@@ -268,7 +262,7 @@ func (r *RetryingSource) retry(ctx context.Context, level, plane int) ([]byte, e
 
 	var last error
 	for attempt := 1; attempt <= r.pol.MaxAttempts; attempt++ {
-		if err := firstCtxErr(r.ctx, ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("storage: read level %d plane %d: %w", level, plane, err)
 		}
 		payload, err := r.readOnce(ctx, level, plane)
@@ -302,23 +296,14 @@ func (r *RetryingSource) retry(ctx context.Context, level, plane int) ([]byte, e
 		level, plane, r.pol.MaxAttempts, last)
 }
 
-// firstCtxErr returns the first ended context's error, nil when both are
-// still live.
-func firstCtxErr(a, b context.Context) error {
-	if err := a.Err(); err != nil {
-		return err
-	}
-	return b.Err()
-}
-
 // sleep waits out one backoff delay. A custom policy Sleep runs as-is
 // (tests rely on it being called exactly once per retry) and cancellation
 // is only observed after it returns; the default real-timer path is
-// interrupted by either context immediately.
+// interrupted by ctx immediately.
 func (r *RetryingSource) sleep(ctx context.Context, d time.Duration) error {
 	if r.pol.Sleep != nil {
 		r.pol.Sleep(d)
-		return firstCtxErr(r.ctx, ctx)
+		return ctx.Err()
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -327,19 +312,16 @@ func (r *RetryingSource) sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-r.ctx.Done():
-		return r.ctx.Err()
 	}
 }
 
-// readOnce issues a single attempt, bounded by the per-read timeout, the
-// source context and the per-call context. The wrapped source gets the
-// per-call context so trace values and cancellation reach the read itself,
-// not just the select below. When something can time out or cancel, the
+// readOnce issues a single attempt, bounded by the per-read timeout and
+// ctx. The wrapped source gets ctx too, so trace values and cancellation
+// reach the read itself, not just the select below. When something can time out or cancel, the
 // read runs in its own goroutine so a hung tier cannot stall the retriever;
 // an abandoned read finishes (and is discarded) in the background.
 func (r *RetryingSource) readOnce(ctx context.Context, level, plane int) ([]byte, error) {
-	if r.pol.Timeout <= 0 && r.ctx.Done() == nil && ctx.Done() == nil {
+	if r.pol.Timeout <= 0 && ctx.Done() == nil {
 		return r.src.Segment(ctx, level, plane)
 	}
 	type result struct {
@@ -383,9 +365,6 @@ func (r *RetryingSource) readOnce(ctx context.Context, level, plane int) ([]byte
 	case <-ctx.Done():
 		abandoned.Store(true)
 		return nil, fmt.Errorf("storage: read level %d plane %d: %w", level, plane, ctx.Err())
-	case <-r.ctx.Done():
-		abandoned.Store(true)
-		return nil, fmt.Errorf("storage: read level %d plane %d: %w", level, plane, r.ctx.Err())
 	}
 }
 

@@ -68,7 +68,7 @@ func fastPolicy() RetryPolicy {
 func TestRetryingSourceRecoversTransient(t *testing.T) {
 	src := newScripted()
 	src.failures[SegmentID{Level: 0, Plane: 0}] = 3
-	r := NewRetryingSource(nil, src, fastPolicy())
+	r := NewRetryingSource(src, fastPolicy())
 	got, err := r.Segment(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestRetryingSourceExhaustsRetries(t *testing.T) {
 	src.failures[SegmentID{Level: 1, Plane: 2}] = 1 << 30
 	pol := fastPolicy()
 	pol.MaxAttempts = 4
-	r := NewRetryingSource(nil, src, pol)
+	r := NewRetryingSource(src, pol)
 	_, err := r.Segment(context.Background(), 1, 2)
 	if err == nil {
 		t.Fatal("exhausted read succeeded")
@@ -114,7 +114,7 @@ func TestRetryingSourceExhaustsRetries(t *testing.T) {
 func TestRetryingSourceQuarantinesPermanent(t *testing.T) {
 	src := newScripted()
 	src.permanent[SegmentID{Level: 2, Plane: 1}] = true
-	r := NewRetryingSource(nil, src, fastPolicy())
+	r := NewRetryingSource(src, fastPolicy())
 	_, err := r.Segment(context.Background(), 2, 1)
 	if !errors.Is(err, ErrPermanent) {
 		t.Fatalf("want ErrPermanent, got %v", err)
@@ -145,7 +145,7 @@ func TestRetryingSourceTimeout(t *testing.T) {
 	pol := fastPolicy()
 	pol.MaxAttempts = 2
 	pol.Timeout = 5 * time.Millisecond
-	r := NewRetryingSource(nil, src, pol)
+	r := NewRetryingSource(src, pol)
 	start := time.Now()
 	_, err := r.Segment(context.Background(), 0, 0)
 	if err == nil {
@@ -163,8 +163,8 @@ func TestRetryingSourceContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	src := newScripted()
-	r := NewRetryingSource(ctx, src, fastPolicy())
-	_, err := r.Segment(context.Background(), 0, 0)
+	r := NewRetryingSource(src, fastPolicy())
+	_, err := r.Segment(ctx, 0, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -178,7 +178,7 @@ func TestRetryingSourceBackoffIsBoundedAndJittered(t *testing.T) {
 	pol.BaseDelay = time.Millisecond
 	pol.MaxDelay = 8 * time.Millisecond
 	pol.Sleep = func(d time.Duration) { delays = append(delays, d) }
-	r := NewRetryingSource(nil, src, pol)
+	r := NewRetryingSource(src, pol)
 	if _, err := r.Segment(context.Background(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestRetryingSourceJitterDeterministicUnderConcurrency(t *testing.T) {
 			delays = append(delays, d)
 			mu.Unlock()
 		}
-		r := NewRetryingSource(nil, src, pol)
+		r := NewRetryingSource(src, pol)
 		if concurrent {
 			var wg sync.WaitGroup
 			for k := 0; k < planes; k++ {

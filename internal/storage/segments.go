@@ -8,9 +8,12 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
+
+	"pmgard/internal/obs"
 )
 
-// File format of a segment store:
+// File format of a segment store file (the flat layout):
 //
 //	magic    [4]byte  "PMGD"
 //	version  uint32   (2)
@@ -52,48 +55,74 @@ type SegmentSource interface {
 	Segment(ctx context.Context, level, plane int) ([]byte, error)
 }
 
+// segEntry is one segment's extent: a byte range of one payload file and
+// the CRC32 of its bytes. Writers fill everything but file.
 type segEntry struct {
 	id     SegmentID
+	file   *storeFile
 	offset uint64
 	size   uint64
 	crc    uint32
 }
 
-// Store reads segments from a store file using ranged reads. It tracks the
-// number of payload bytes and requests issued, which the experiments use as
-// the exact measure of I/O cost. Store is safe for concurrent reads.
-type Store struct {
-	f    *os.File
-	meta []byte
-	segs map[SegmentID]segEntry
+// storeFile is one file holding payloads — the .pmgd file itself, or level
+// l's file of a tiered directory (then Store.files[l]) — and the count of
+// what was read from it.
+type storeFile struct {
+	path string
+	tier string   // the tier the level is placed on; "" in the flat layout
+	f    *os.File // nil until first use; Store.mu guards f and size
+	size uint64   // length at open
 
-	mu        sync.Mutex
-	bytesRead int64
-	requests  int64
+	bytes, requests atomic.Int64
 }
 
-// Open opens a segment store file and parses its header and table.
+// Store reads segments with one ranged read each from either on-disk
+// layout — a .pmgd file or a tiered directory (see TieredWriter) — behind
+// one index of extents. It counts the payload bytes and requests issued,
+// which the experiments use as the exact measure of I/O cost. Payload files
+// open on first use and stay open until Close. Store is safe for concurrent
+// reads.
+type Store struct {
+	meta  []byte
+	segs  map[SegmentID]segEntry
+	files []*storeFile
+	// unverified: a version-1 manifest has no checksums, only lengths.
+	unverified bool
+	mu         sync.Mutex
+	o          *obs.Obs
+}
+
+// Open opens a segment store and parses its index. The layout follows from
+// what path is: a regular file is a .pmgd store file, a directory is a
+// tiered store and must hold a manifest.json.
 func Open(path string) (*Store, error) {
-	f, err := os.Open(path)
+	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
-	st := &Store{f: f, segs: make(map[SegmentID]segEntry)}
-	if err := st.readHeader(); err != nil {
-		f.Close()
+	s := &Store{segs: make(map[SegmentID]segEntry)}
+	if fi.IsDir() {
+		err = s.readManifest(path)
+	} else {
+		err = s.readHeader(path)
+	}
+	if err != nil {
+		s.Close()
 		return nil, err
 	}
-	return st, nil
+	return s, nil
 }
 
-func (s *Store) readHeader() error {
-	fi, err := s.f.Stat()
+// readHeader fills the index from a .pmgd file's header and table.
+func (s *Store) readHeader(path string) error {
+	s.files = []*storeFile{{path: path}}
+	f, fileSize, err := s.open(s.files[0])
 	if err != nil {
-		return fmt.Errorf("storage: stat: %w", err)
+		return err
 	}
-	fileSize := uint64(fi.Size())
 	var fixed [12]byte
-	if _, err := io.ReadFull(s.f, fixed[:]); err != nil {
+	if _, err := io.ReadFull(f, fixed[:]); err != nil {
 		return fmt.Errorf("storage: read header: %w", err)
 	}
 	if string(fixed[:4]) != magic {
@@ -107,11 +136,11 @@ func (s *Store) readHeader() error {
 		return fmt.Errorf("storage: implausible metadata length %d", metaLen)
 	}
 	s.meta = make([]byte, metaLen)
-	if _, err := io.ReadFull(s.f, s.meta); err != nil {
+	if _, err := io.ReadFull(f, s.meta); err != nil {
 		return fmt.Errorf("storage: read metadata: %w", err)
 	}
 	var cntBuf [4]byte
-	if _, err := io.ReadFull(s.f, cntBuf[:]); err != nil {
+	if _, err := io.ReadFull(f, cntBuf[:]); err != nil {
 		return fmt.Errorf("storage: read table size: %w", err)
 	}
 	count := binary.LittleEndian.Uint32(cntBuf[:])
@@ -119,7 +148,7 @@ func (s *Store) readHeader() error {
 		return fmt.Errorf("storage: implausible segment count %d", count)
 	}
 	table := make([]byte, int(count)*tableEntrySize)
-	if _, err := io.ReadFull(s.f, table); err != nil {
+	if _, err := io.ReadFull(f, table); err != nil {
 		return fmt.Errorf("storage: read table: %w", err)
 	}
 	for i := 0; i < int(count); i++ {
@@ -130,6 +159,7 @@ func (s *Store) readHeader() error {
 		}
 		entry := segEntry{
 			id:     id,
+			file:   s.files[0],
 			offset: binary.LittleEndian.Uint64(e[8:16]),
 			size:   binary.LittleEndian.Uint64(e[16:24]),
 			crc:    binary.LittleEndian.Uint32(e[24:28]),
@@ -147,42 +177,78 @@ func (s *Store) readHeader() error {
 // Meta returns the opaque metadata blob stored at creation.
 func (s *Store) Meta() []byte { return s.meta }
 
-// Segments returns the IDs of all stored segments (unordered).
-func (s *Store) Segments() []SegmentID {
-	out := make([]SegmentID, 0, len(s.segs))
-	for id := range s.segs {
-		out = append(out, id)
+// TierOf returns the name of the tier holding level l of a tiered
+// directory; a .pmgd file has no tiers.
+func (s *Store) TierOf(level int) (string, error) {
+	if level < 0 || level >= len(s.files) || s.files[level].tier == "" {
+		return "", fmt.Errorf("storage: no tier for level %d", level)
 	}
-	return out
+	return s.files[level].tier, nil
 }
 
-// SegmentSize returns the stored (compressed) size of a segment.
-func (s *Store) SegmentSize(id SegmentID) (int64, error) {
-	e, ok := s.segs[id]
-	if !ok {
-		return 0, fmt.Errorf("storage: segment %+v not found", id)
-	}
-	return int64(e.size), nil
-}
-
-// ReadSegment performs one ranged read of a segment's payload.
+// ReadSegment performs one ranged read of a segment's payload and verifies
+// it. A payload that cannot be what was written — its extent lies past the
+// end of its file, the read comes back short, the bytes fail their checksum
+// — wraps ErrCorrupt on every layout: re-reading rotted or truncated media
+// cannot recover the bytes, so the error classifies as permanent.
 func (s *Store) ReadSegment(id SegmentID) ([]byte, error) {
 	e, ok := s.segs[id]
 	if !ok {
 		return nil, fmt.Errorf("storage: segment %+v not found", id)
 	}
+	f, fileSize, err := s.open(e.file)
+	if err != nil {
+		return nil, err
+	}
+	// Checked before the extent is allocated; a file that shrank since it
+	// was opened is caught by the short-read check below.
+	if e.offset > fileSize || e.size > fileSize-e.offset {
+		return nil, fmt.Errorf("storage: segment %+v extends past the end of %s (truncated): %w",
+			id, e.file.path, ErrCorrupt)
+	}
 	buf := make([]byte, e.size)
-	if _, err := s.f.ReadAt(buf, int64(e.offset)); err != nil {
+	// Tolerating io.EOF with a partial n would hand a zero-padded buffer to
+	// a checksum-less manifest, which accepts it silently.
+	n, err := f.ReadAt(buf, int64(e.offset))
+	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("storage: read segment %+v: %w", id, err)
 	}
-	if got := crc32.ChecksumIEEE(buf); got != e.crc {
-		return nil, fmt.Errorf("storage: segment %+v checksum mismatch (got %08x, want %08x)", id, got, e.crc)
+	if n != len(buf) {
+		return nil, fmt.Errorf("storage: segment %+v short read (%d of %d bytes, %s truncated): %w",
+			id, n, len(buf), e.file.path, ErrCorrupt)
 	}
-	s.mu.Lock()
-	s.bytesRead += int64(e.size)
-	s.requests++
-	s.mu.Unlock()
+	if !s.unverified {
+		if got := crc32.ChecksumIEEE(buf); got != e.crc {
+			return nil, fmt.Errorf("storage: segment %+v checksum mismatch (got %08x, want %08x): %w",
+				id, got, e.crc, ErrCorrupt)
+		}
+	}
+	e.file.bytes.Add(int64(n))
+	e.file.requests.Add(1)
+	if tier := e.file.tier; tier != "" && s.o != nil {
+		s.o.Counter("storage.tier." + tier + ".bytes_read").Add(int64(n))
+		s.o.Counter("storage.tier." + tier + ".requests").Add(1)
+	}
 	return buf, nil
+}
+
+// open returns sf's handle and its length at open, opening it on first use.
+func (s *Store) open(sf *storeFile) (*os.File, uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sf.f == nil {
+		f, err := os.Open(sf.path)
+		if err != nil {
+			return nil, 0, fmt.Errorf("storage: open %s: %w", sf.path, err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, 0, fmt.Errorf("storage: stat %s: %w", sf.path, err)
+		}
+		sf.f, sf.size = f, uint64(fi.Size())
+	}
+	return sf.f, sf.size, nil
 }
 
 // Segment implements SegmentSource over ReadSegment. A local file read
@@ -195,25 +261,76 @@ func (s *Store) Segment(ctx context.Context, level, plane int) ([]byte, error) {
 }
 
 // BytesRead returns the total payload bytes fetched so far.
-func (s *Store) BytesRead() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesRead
+func (s *Store) BytesRead() (n int64) {
+	for _, sf := range s.files {
+		n += sf.bytes.Load()
+	}
+	return n
 }
 
 // Requests returns the number of ranged reads issued so far.
-func (s *Store) Requests() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requests
+func (s *Store) Requests() (n int64) {
+	for _, sf := range s.files {
+		n += sf.requests.Load()
+	}
+	return n
+}
+
+// TierBytes returns the payload bytes read from each tier so far; empty for
+// a store without tiers.
+func (s *Store) TierBytes() map[string]int64 { b, _ := s.tierCounts(); return b }
+
+// TierRequests returns the ranged-read counts per tier so far.
+func (s *Store) TierRequests() map[string]int64 { _, r := s.tierCounts(); return r }
+
+// tierCounts sums the counts of the files read so far by the tier they are on.
+func (s *Store) tierCounts() (bytes, requests map[string]int64) {
+	bytes, requests = make(map[string]int64), make(map[string]int64)
+	for _, sf := range s.files {
+		if n := sf.requests.Load(); n > 0 && sf.tier != "" {
+			bytes[sf.tier] += sf.bytes.Load()
+			requests[sf.tier] += n
+		}
+	}
+	return bytes, requests
+}
+
+// Instrument mirrors the per-tier accounting into o's registry as
+// storage.tier.<name>.bytes_read / .requests counters, folding in bytes
+// already read; a tier never read, and so a store without tiers, mirrors no
+// names. Call before sharing the store across goroutines; a nil or
+// metrics-less o is a no-op.
+func (s *Store) Instrument(o *obs.Obs) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	s.o = o
+	bytes, requests := s.tierCounts()
+	for tier, n := range requests {
+		o.Counter("storage.tier." + tier + ".bytes_read").Add(bytes[tier])
+		o.Counter("storage.tier." + tier + ".requests").Add(n)
+	}
 }
 
 // ResetCounters zeroes the I/O accounting counters.
 func (s *Store) ResetCounters() {
-	s.mu.Lock()
-	s.bytesRead, s.requests = 0, 0
-	s.mu.Unlock()
+	for _, sf := range s.files {
+		sf.bytes.Store(0)
+		sf.requests.Store(0)
+	}
 }
 
-// Close releases the underlying file.
-func (s *Store) Close() error { return s.f.Close() }
+// Close releases the payload files.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var first error
+	for _, sf := range s.files {
+		if sf.f != nil {
+			if err := sf.f.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}

@@ -1,11 +1,8 @@
 package storage
 
 import (
-	"bytes"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 )
 
@@ -110,115 +107,6 @@ func TestSlowerTiersCostMore(t *testing.T) {
 	}
 }
 
-func writeTestStore(t *testing.T, meta []byte, segs map[SegmentID][]byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "field.pmgd")
-	w, err := CreateStream(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Abort()
-	ids := make([]SegmentID, 0, len(segs))
-	for id := range segs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if ids[a].Level != ids[b].Level {
-			return ids[a].Level < ids[b].Level
-		}
-		return ids[a].Plane < ids[b].Plane
-	})
-	for _, id := range ids {
-		if err := w.WriteSegment(id, segs[id]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Commit(meta); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestSegmentStoreRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	meta := []byte(`{"field":"Jx"}`)
-	segs := make(map[SegmentID][]byte)
-	for l := 0; l < 3; l++ {
-		for p := 0; p < 4; p++ {
-			payload := make([]byte, 10+rng.Intn(100))
-			rng.Read(payload)
-			segs[SegmentID{Level: l, Plane: p}] = payload
-		}
-	}
-	path := writeTestStore(t, meta, segs)
-
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if !bytes.Equal(st.Meta(), meta) {
-		t.Fatal("metadata mismatch")
-	}
-	if len(st.Segments()) != len(segs) {
-		t.Fatalf("segment count %d, want %d", len(st.Segments()), len(segs))
-	}
-	for id, want := range segs {
-		got, err := st.ReadSegment(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("segment %+v payload mismatch", id)
-		}
-		sz, err := st.SegmentSize(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sz != int64(len(want)) {
-			t.Fatalf("segment %+v size %d, want %d", id, sz, len(want))
-		}
-	}
-}
-
-func TestSegmentStoreAccounting(t *testing.T) {
-	segs := map[SegmentID][]byte{
-		{Level: 0, Plane: 0}: make([]byte, 100),
-		{Level: 0, Plane: 1}: make([]byte, 50),
-	}
-	st, err := Open(writeTestStore(t, nil, segs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.BytesRead() != 0 || st.Requests() != 0 {
-		t.Fatal("fresh store has non-zero counters")
-	}
-	st.ReadSegment(SegmentID{Level: 0, Plane: 0})
-	st.ReadSegment(SegmentID{Level: 0, Plane: 1})
-	if st.BytesRead() != 150 || st.Requests() != 2 {
-		t.Fatalf("counters = (%d bytes, %d reqs), want (150, 2)", st.BytesRead(), st.Requests())
-	}
-	st.ResetCounters()
-	if st.BytesRead() != 0 || st.Requests() != 0 {
-		t.Fatal("ResetCounters did not reset")
-	}
-}
-
-func TestSegmentStoreMissingSegment(t *testing.T) {
-	st, err := Open(writeTestStore(t, nil, map[SegmentID][]byte{{Level: 0, Plane: 0}: {1}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.ReadSegment(SegmentID{Level: 9, Plane: 9}); err == nil {
-		t.Fatal("missing segment read succeeded")
-	}
-	if _, err := st.SegmentSize(SegmentID{Level: 9, Plane: 9}); err == nil {
-		t.Fatal("missing segment size succeeded")
-	}
-}
-
 func TestWriterRejectsDuplicatesAndBadIDs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dup.pmgd")
 	w, err := CreateStream(path)
@@ -273,7 +161,7 @@ func TestSegmentsLaidOutSequentially(t *testing.T) {
 		{Level: 0, Plane: 0}: make([]byte, 30),
 		{Level: 1, Plane: 1}: make([]byte, 40),
 	}
-	st, err := Open(writeTestStore(t, nil, segs))
+	st, err := Open(writeFlatStore(t, nil, segs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,33 +177,5 @@ func TestSegmentsLaidOutSequentially(t *testing.T) {
 			t.Fatalf("segment %+v at offset %d not after previous end %d", id, e.offset, prevEnd)
 		}
 		prevEnd = int64(e.offset)
-	}
-}
-
-func TestChecksumDetectsCorruption(t *testing.T) {
-	segs := map[SegmentID][]byte{
-		{Level: 0, Plane: 0}: []byte("payload-zero"),
-		{Level: 0, Plane: 1}: []byte("payload-one!"),
-	}
-	path := writeTestStore(t, nil, segs)
-	// Flip one byte inside the last segment's payload region.
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)-3] ^= 0x01
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	// One of the two segments must fail its CRC.
-	_, err0 := st.ReadSegment(SegmentID{Level: 0, Plane: 0})
-	_, err1 := st.ReadSegment(SegmentID{Level: 0, Plane: 1})
-	if err0 == nil && err1 == nil {
-		t.Fatal("payload corruption not detected by checksums")
 	}
 }

@@ -138,95 +138,3 @@ func TestStreamWriterAbort(t *testing.T) {
 		t.Error("commit after Abort accepted")
 	}
 }
-
-// TestTieredWriterSetMeta checks the streaming-metadata path: meta provided
-// after the segments, at Close time, reads back intact.
-func TestTieredWriterSetMeta(t *testing.T) {
-	h, err := DefaultHierarchy(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "store")
-	w, err := CreateTiered(dir, h, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteSegment(SegmentID{Level: 0, Plane: 0}, []byte("seg")); err != nil {
-		t.Fatal(err)
-	}
-	meta := []byte(`{"late":"header"}`)
-	if err := w.SetMeta(meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenTiered(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if !bytes.Equal(st.Meta(), meta) {
-		t.Fatalf("meta = %q, want %q", st.Meta(), meta)
-	}
-	if err := w.SetMeta(nil); err == nil {
-		t.Error("SetMeta after Close accepted")
-	}
-}
-
-// TestTieredStoreConcurrentReads hammers a store from many goroutines: they
-// share the lazily opened level files, one handle per level at most.
-func TestTieredStoreConcurrentReads(t *testing.T) {
-	const levels = 5
-	h, err := DefaultHierarchy(levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "store")
-	w, err := CreateTiered(dir, h, []byte("m"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l < levels; l++ {
-		if err := w.WriteSegment(SegmentID{Level: l, Plane: 0}, bytes.Repeat([]byte{byte(l + 1)}, 1024)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenTiered(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	errc := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			for i := 0; i < 50; i++ {
-				l := (g + i) % levels
-				b, err := st.ReadSegment(SegmentID{Level: l, Plane: 0})
-				if err != nil {
-					errc <- fmt.Errorf("goroutine %d read level %d: %w", g, l, err)
-					return
-				}
-				if len(b) != 1024 || b[0] != byte(l+1) {
-					errc <- fmt.Errorf("goroutine %d level %d: bad payload", g, l)
-					return
-				}
-			}
-			errc <- nil
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if got := len(st.files); got != levels {
-		t.Fatalf("%d level files open, want %d (one per level)", got, levels)
-	}
-}

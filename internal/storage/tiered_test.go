@@ -2,77 +2,25 @@ package storage
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func buildTieredStore(t *testing.T, segs map[SegmentID][]byte) (string, Hierarchy) {
-	t.Helper()
+// What a tiered directory does beyond the layout-conformance table of
+// layouts_test.go: placement on disk, its writer's validation and atomic
+// commit, and the manifest versions its reader accepts.
+
+func TestTieredPlacementOnDisk(t *testing.T) {
+	dir := writeTieredDir(t, nil, map[SegmentID][]byte{
+		{Level: 0, Plane: 0}: []byte("x"),
+		{Level: 2, Plane: 0}: []byte("y"),
+	})
 	h, err := DefaultHierarchy(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "store")
-	w, err := CreateTiered(dir, h, []byte(`{"f":"x"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Write planes in order per level.
-	for l := 0; l < 3; l++ {
-		for p := 0; p < 4; p++ {
-			if payload, ok := segs[SegmentID{Level: l, Plane: p}]; ok {
-				if err := w.WriteSegment(SegmentID{Level: l, Plane: p}, payload); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return dir, h
-}
-
-func TestTieredRoundTrip(t *testing.T) {
-	segs := map[SegmentID][]byte{
-		{Level: 0, Plane: 0}: []byte("aaa"),
-		{Level: 0, Plane: 1}: []byte("bb"),
-		{Level: 1, Plane: 0}: []byte("cccc"),
-		{Level: 2, Plane: 0}: []byte("d"),
-		{Level: 2, Plane: 3}: []byte("eeeee"), // skipped planes 1-2
-	}
-	dir, _ := buildTieredStore(t, segs)
-	st, err := OpenTiered(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if !bytes.Equal(st.Meta(), []byte(`{"f":"x"}`)) {
-		t.Fatal("meta mismatch")
-	}
-	for id, want := range segs {
-		got, err := st.ReadSegment(id)
-		if err != nil {
-			t.Fatalf("%+v: %v", id, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%+v payload mismatch: %q vs %q", id, got, want)
-		}
-	}
-	// Skipped plane reads back empty.
-	if got, err := st.ReadSegment(SegmentID{Level: 2, Plane: 1}); err != nil || len(got) != 0 {
-		t.Fatalf("skipped plane: %v, %q", err, got)
-	}
-}
-
-func TestTieredPlacementOnDisk(t *testing.T) {
-	dir, h := buildTieredStore(t, map[SegmentID][]byte{
-		{Level: 0, Plane: 0}: []byte("x"),
-		{Level: 2, Plane: 0}: []byte("y"),
-	})
 	// Level 0 lives in the fastest tier's directory, level 2 in the slowest.
 	fast := h.Tiers[h.Placement[0]].Name
 	slow := h.Tiers[h.Placement[2]].Name
@@ -84,34 +32,32 @@ func TestTieredPlacementOnDisk(t *testing.T) {
 	}
 }
 
-func TestTieredPerTierAccounting(t *testing.T) {
-	dir, h := buildTieredStore(t, map[SegmentID][]byte{
-		{Level: 0, Plane: 0}: make([]byte, 100),
-		{Level: 2, Plane: 0}: make([]byte, 7),
-	})
-	st, err := OpenTiered(dir)
-	if err != nil {
+// TestTieredLostLevelFile: level files open on first read, so a store that
+// lost one (a decommissioned tier) still opens and serves the others; reads
+// of the lost level classify permanent and sessions degrade around them.
+func TestTieredLostLevelFile(t *testing.T) {
+	kept, lost := SegmentID{Level: 0, Plane: 0}, SegmentID{Level: 2, Plane: 0}
+	dir := writeTieredDir(t, nil, map[SegmentID][]byte{kept: []byte("x"), lost: []byte("y")})
+	if err := os.Remove(filepath.Join(dir, DefaultTiers()[3].Name, "level_2.seg")); err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	st.ReadSegment(SegmentID{Level: 0, Plane: 0})
-	st.ReadSegment(SegmentID{Level: 2, Plane: 0})
-	st.ReadSegment(SegmentID{Level: 2, Plane: 0})
-	fast := h.Tiers[h.Placement[0]].Name
-	slow := h.Tiers[h.Placement[2]].Name
-	tb, tr := st.TierBytes(), st.TierRequests()
-	if tb[fast] != 100 || tr[fast] != 1 {
-		t.Fatalf("fast tier accounting: %d bytes, %d reqs", tb[fast], tr[fast])
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatalf("store with a lost level file rejected: %v", err)
 	}
-	if tb[slow] != 14 || tr[slow] != 2 {
-		t.Fatalf("slow tier accounting: %d bytes, %d reqs", tb[slow], tr[slow])
+	defer st.Close()
+	if _, err := st.ReadSegment(lost); !errors.Is(err, os.ErrNotExist) || Classify(err) != FaultPermanent {
+		t.Fatalf("read from the lost level file: %v, want a permanent os.ErrNotExist", err)
+	}
+	if got, err := st.ReadSegment(kept); err != nil || string(got) != "x" {
+		t.Fatalf("read beside the lost level file: %q, %v", got, err)
 	}
 }
 
 func TestTieredWriterValidation(t *testing.T) {
 	h, _ := DefaultHierarchy(2)
 	dir := filepath.Join(t.TempDir(), "s")
-	w, err := CreateTiered(dir, h, nil)
+	w, err := CreateTiered(dir, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,117 +70,50 @@ func TestTieredWriterValidation(t *testing.T) {
 	if err := w.WriteSegment(SegmentID{Level: 0, Plane: 0}, []byte("b")); err == nil {
 		t.Fatal("out-of-order plane accepted")
 	}
-	if err := w.Close(); err != nil {
+	if err := w.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteSegment(SegmentID{Level: 0, Plane: 2}, nil); err == nil {
-		t.Fatal("write after close accepted")
+		t.Fatal("write after commit accepted")
+	}
+	if err := w.Commit(nil); err == nil {
+		t.Fatal("commit after commit accepted")
 	}
 	// No placement at all is rejected at creation.
-	if _, err := CreateTiered(dir, Hierarchy{Tiers: DefaultTiers()}, nil); err == nil {
+	if _, err := CreateTiered(dir, Hierarchy{Tiers: DefaultTiers()}); err == nil {
 		t.Fatal("hierarchy without placement accepted")
 	}
 }
 
 func TestOpenTieredRejectsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := OpenTiered(dir); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("missing manifest accepted")
 	}
-	os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("nope"), 0o644)
-	if _, err := OpenTiered(dir); err == nil {
-		t.Fatal("corrupt manifest accepted")
-	}
-	os.WriteFile(filepath.Join(dir, "manifest.json"),
-		[]byte(`{"version":99}`), 0o644)
-	if _, err := OpenTiered(dir); err == nil {
-		t.Fatal("wrong version accepted")
-	}
-	// Version 2 must carry one checksum per plane.
-	os.WriteFile(filepath.Join(dir, "manifest.json"),
-		[]byte(`{"version":2,"tier_names":["a"],"placement":[0],"levels":[[3]],"checksums":[[]]}`), 0o644)
-	if _, err := OpenTiered(dir); err == nil {
-		t.Fatal("checksum/plane count mismatch accepted")
-	}
-	os.WriteFile(filepath.Join(dir, "manifest.json"),
-		[]byte(`{"version":2,"tier_names":["a"],"placement":[0],"levels":[[3]]}`), 0o644)
-	if _, err := OpenTiered(dir); err == nil {
-		t.Fatal("version-2 manifest without checksums accepted")
-	}
-	// Version 1 must not carry checksums.
-	os.WriteFile(filepath.Join(dir, "manifest.json"),
-		[]byte(`{"version":1,"tier_names":["a"],"placement":[0],"levels":[[3]],"checksums":[[7]]}`), 0o644)
-	if _, err := OpenTiered(dir); err == nil {
-		t.Fatal("version-1 manifest with checksums accepted")
-	}
-}
-
-func TestTieredChecksumDetectsCorruption(t *testing.T) {
-	dir, h := buildTieredStore(t, map[SegmentID][]byte{
-		{Level: 0, Plane: 0}: []byte("good data here"),
-		{Level: 0, Plane: 1}: []byte("untouched"),
-	})
-	// Flip one byte of plane 0 on disk.
-	path := filepath.Join(dir, h.Tiers[h.Placement[0]].Name, "level_0.seg")
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[2] ^= 0x01
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenTiered(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	_, err = st.ReadSegment(SegmentID{Level: 0, Plane: 0})
-	if err == nil {
-		t.Fatal("corrupted payload decoded")
-	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corruption error does not wrap ErrCorrupt: %v", err)
-	}
-	if Classify(err) != FaultPermanent {
-		t.Fatal("corruption must classify permanent")
-	}
-	// The undamaged plane still reads (its checksum matches).
-	if _, err := st.ReadSegment(SegmentID{Level: 0, Plane: 1}); err != nil {
-		t.Fatalf("clean plane rejected: %v", err)
-	}
-}
-
-// downgradeManifestV1 rewrites a store's manifest as version 1 (no
-// checksums), as written by pre-checksum stores.
-func downgradeManifestV1(t *testing.T, dir string) {
-	t.Helper()
-	manPath := filepath.Join(dir, "manifest.json")
-	blob, err := os.ReadFile(manPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var man map[string]any
-	if err := json.Unmarshal(blob, &man); err != nil {
-		t.Fatal(err)
-	}
-	man["version"] = 1
-	delete(man, "checksums")
-	blob, err = json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(manPath, blob, 0o644); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ manifest, why string }{
+		{"nope", "corrupt manifest"},
+		{`{"version":99}`, "wrong version"},
+		// Version 2 must carry one checksum per plane.
+		{`{"version":2,"tier_names":["a"],"placement":[0],"levels":[[3]],"checksums":[[]]}`, "checksum/plane count mismatch"},
+		{`{"version":2,"tier_names":["a"],"placement":[0],"levels":[[3]]}`, "version-2 manifest without checksums"},
+		// Version 1 must not carry checksums.
+		{`{"version":1,"tier_names":["a"],"placement":[0],"levels":[[3]],"checksums":[[7]]}`, "version-1 manifest with checksums"},
+		// A level must sit on a tier the manifest names.
+		{`{"version":1,"tier_names":["a"],"placement":[1],"levels":[[3]]}`, "placement on a tier that does not exist"},
+	} {
+		os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(c.manifest), 0o644)
+		if _, err := Open(dir); err == nil {
+			t.Fatalf("%s accepted", c.why)
+		}
 	}
 }
 
 func TestTieredReadsVersion1Manifest(t *testing.T) {
-	dir, _ := buildTieredStore(t, map[SegmentID][]byte{
+	dir := writeTieredDir(t, nil, map[SegmentID][]byte{
 		{Level: 0, Plane: 0}: []byte("v1 payload"),
 	})
 	downgradeManifestV1(t, dir)
-	st, err := OpenTiered(dir)
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatalf("version-1 store rejected: %v", err)
 	}
@@ -250,12 +129,12 @@ func TestTieredReadsVersion1Manifest(t *testing.T) {
 // permanent-classifiable error — never return a zero-padded buffer — even
 // against a version-1 manifest, whose missing checksums cannot catch it.
 func TestTieredTruncationDetectedWithoutChecksums(t *testing.T) {
-	dir, _ := buildTieredStore(t, map[SegmentID][]byte{
+	dir := writeTieredDir(t, nil, map[SegmentID][]byte{
 		{Level: 0, Plane: 0}: []byte("plane zero"),
 		{Level: 0, Plane: 1}: []byte("plane one payload"),
 	})
 	downgradeManifestV1(t, dir)
-	st, err := OpenTiered(dir)
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,13 +168,29 @@ func TestTieredTruncationDetectedWithoutChecksums(t *testing.T) {
 	}
 }
 
-func TestTieredCloseIsAtomic(t *testing.T) {
+// tempFiles lists the *.tmp files anywhere under dir.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var temps []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Ext(path) == ".tmp" {
+			temps = append(temps, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return temps
+}
+
+func TestTieredCommitIsAtomic(t *testing.T) {
 	h, err := DefaultHierarchy(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "store")
-	w, err := CreateTiered(dir, h, nil)
+	w, err := CreateTiered(dir, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,64 +203,56 @@ func TestTieredCloseIsAtomic(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(tier0, "level_0.seg"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err == nil {
-		t.Fatal("sabotaged Close succeeded")
+	if err := w.Commit(nil); err == nil {
+		t.Fatal("sabotaged Commit succeeded")
 	}
-	// The failed Close must not leave a manifest (OpenTiered half-accepting
-	// the store) nor stray temp files.
+	// The failed Commit must not leave a manifest (Open half-accepting the
+	// store) nor stray temp files.
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
-		t.Fatalf("failed Close left a manifest: %v", err)
+		t.Fatalf("failed Commit left a manifest: %v", err)
 	}
-	if _, err := OpenTiered(dir); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("half-written store opened")
 	}
-	matches, err := filepath.Glob(filepath.Join(dir, "*", "*.tmp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmpMan, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches)+len(tmpMan) > 0 {
-		t.Fatalf("failed Close left temp files: %v %v", matches, tmpMan)
+	if temps := tempFiles(t, dir); len(temps) > 0 {
+		t.Fatalf("failed Commit left temp files: %v", temps)
 	}
 }
 
-func TestTieredCloseLeavesNoTempFiles(t *testing.T) {
-	dir, _ := buildTieredStore(t, map[SegmentID][]byte{
+func TestTieredCommitAndAbortLeaveNoTempFiles(t *testing.T) {
+	segs := map[SegmentID][]byte{
 		{Level: 0, Plane: 0}: []byte("x"),
 		{Level: 1, Plane: 0}: []byte("y"),
-	})
-	var temps []string
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(path) == ".tmp" {
-			temps = append(temps, path)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(temps) > 0 {
-		t.Fatalf("successful Close left temp files: %v", temps)
+	if temps := tempFiles(t, writeTieredDir(t, nil, segs)); len(temps) > 0 {
+		t.Fatalf("successful Commit left temp files: %v", temps)
 	}
-}
 
-func TestTieredReadValidation(t *testing.T) {
-	dir, _ := buildTieredStore(t, map[SegmentID][]byte{{Level: 0, Plane: 0}: {1}})
-	st, err := OpenTiered(dir)
+	h, err := DefaultHierarchy(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if _, err := st.ReadSegment(SegmentID{Level: 9, Plane: 0}); err == nil {
-		t.Fatal("bad level accepted")
+	dir := filepath.Join(t.TempDir(), "aborted")
+	w, err := CreateTiered(dir, h)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := st.ReadSegment(SegmentID{Level: 0, Plane: 9}); err == nil {
-		t.Fatal("bad plane accepted")
+	for id, payload := range segs {
+		if err := w.WriteSegment(id, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := st.TierOf(9); err == nil {
-		t.Fatal("TierOf bad level accepted")
+	w.Abort()
+	if temps := tempFiles(t, dir); len(temps) > 0 {
+		t.Fatalf("Abort left temp files: %v", temps)
+	}
+	if _, err := Open(dir); err == nil {
+		t.Fatal("aborted store opened")
+	}
+	if err := w.WriteSegment(SegmentID{Level: 1, Plane: 1}, []byte("z")); err == nil {
+		t.Error("write after Abort accepted")
+	}
+	if err := w.Commit(nil); err == nil {
+		t.Error("commit after Abort accepted")
 	}
 }

@@ -105,11 +105,12 @@ type Plan = retrieval.Plan
 type ErrorEstimator = retrieval.ErrorEstimator
 
 // SegmentSource yields compressed plane payloads during retrieval. A
-// Compressed, an opened Store or TieredStore, and a RetryingSource over any
-// of them all implement it.
+// Compressed, an opened Store, and a RetryingSource over either all
+// implement it.
 type SegmentSource = storage.SegmentSource
 
-// Store is a file-backed segment store with I/O accounting.
+// Store is an opened segment store — a .pmgd file or a tiered directory —
+// with total and per-tier I/O accounting.
 type Store = storage.Store
 
 // RetrieveOptions carries a retrieval's worker count and telemetry sink; the
@@ -122,7 +123,9 @@ func Compress(t *Tensor, cfg Config, fieldName string, timestep int) (*Compresse
 	return core.Compress(t, cfg, fieldName, timestep)
 }
 
-// OpenFile opens a compressed field file written by Compressed.WriteFile.
+// OpenFile opens a compressed field written by Compressed.WriteFile (a
+// .pmgd file) or Compressed.WriteTiered (a directory); the layout follows
+// from what path is.
 func OpenFile(path string) (*Header, *Store, error) { return core.OpenFile(path) }
 
 // Retrieve fetches the planes named by plan and recomposes the field. Once
@@ -265,10 +268,10 @@ type RetryingSource = storage.RetryingSource
 // storage hierarchy.
 func DefaultRetryPolicy() RetryPolicy { return storage.DefaultRetryPolicy() }
 
-// NewRetryingSource wraps src with the retry/backoff/quarantine protocol.
-// ctx bounds every read and backoff sleep; nil means context.Background().
-func NewRetryingSource(ctx context.Context, src SegmentSource, pol RetryPolicy) *RetryingSource {
-	return storage.NewRetryingSource(ctx, src, pol)
+// NewRetryingSource wraps src with the retry/backoff/quarantine protocol;
+// the ctx of each Segment call bounds its reads and backoff sleeps.
+func NewRetryingSource(src SegmentSource, pol RetryPolicy) *RetryingSource {
+	return storage.NewRetryingSource(src, pol)
 }
 
 // Hierarchy models a tiered HPC storage system.
@@ -277,15 +280,6 @@ type Hierarchy = storage.Hierarchy
 // DefaultHierarchy places levels across a four-tier NVMe/SSD/HDD/tape model.
 func DefaultHierarchy(levels int) (Hierarchy, error) {
 	return storage.DefaultHierarchy(levels)
-}
-
-// TieredStore reads plane segments from per-tier directories with per-tier
-// I/O accounting; it is itself a SegmentSource.
-type TieredStore = storage.TieredStore
-
-// OpenTiered opens a tiered store directory written by Compressed.WriteTiered.
-func OpenTiered(dir string) (*Header, *TieredStore, error) {
-	return core.OpenTiered(dir)
 }
 
 // DatasetWriter builds a multi-field, multi-timestep compressed dataset

@@ -147,7 +147,7 @@ func TestFacadeSessionAndTiered(t *testing.T) {
 	if err := c.WriteTiered(dir, hier); err != nil {
 		t.Fatal(err)
 	}
-	h2, st, err := OpenTiered(dir)
+	h2, st, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
