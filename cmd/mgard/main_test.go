@@ -120,6 +120,22 @@ func TestTieredFlow(t *testing.T) {
 			t.Fatalf("-in on a tiled artifact: err = %v, want one naming manifest.json", err)
 		}
 	}
+
+	// -tiles validates the manifest it reads: a tile file that points out
+	// of the directory is refused by name, not opened.
+	manifest := filepath.Join(tiles, "tiles.json")
+	blob, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	escaped := regexp.MustCompile(`"file": "[^"]*"`).ReplaceAll(blob, []byte(`"file": "../jx.pmgd"`))
+	if err := os.WriteFile(manifest, escaped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdRetrieve([]string{"-tiles", tiles, "-rel", "1e-3", "-out", filepath.Join(dir, "tiles.out")})
+	if err == nil || !strings.Contains(err.Error(), `file "../jx.pmgd"`) {
+		t.Fatalf("retrieve -tiles over an escaping manifest: err = %v, want one naming the rejected file field", err)
+	}
 }
 
 func TestRetrieveWithExplicitPlanes(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -280,4 +281,94 @@ func TestOneSegmentStore(t *testing.T) {
 	if len(twins) > 0 {
 		t.Errorf("%d uses of a removed twin's name:\n  %s", len(twins), strings.Join(twins, "\n  "))
 	}
+}
+
+// TestOneServingPackage keeps the serving tier in one importable place and
+// role out of it: cmd/serve is flag parsing only (at most 200 lines, no
+// type, no method); no struct of internal/serve knows a Role or holds a
+// *shard.Router (a field carries its own breaker cooldown, whichever
+// wiring built it); the breaker-over-retry stack is assembled in one file
+// (resilience.Guard); experiments and examples stand up nodes through
+// internal/serve, never by hand; and the two options no caller ever set
+// (RouterConfig.Retry, BreakerConfig.HalfOpenProbes) stay gone.
+func TestOneServingPackage(t *testing.T) {
+	var problems []string
+	breakerSourceFiles := map[string]bool{}
+	mainLines := 0
+	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		inExperiments := dir == "internal/experiments"
+		handBuilt := inExperiments || strings.HasPrefix(dir, "examples/")
+		if dir == "cmd/serve" {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mainLines += strings.Count(string(src), "\n")
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if dir == "cmd/serve" && n.Recv != nil {
+					problems = append(problems, path+": method "+n.Name.Name)
+				}
+			case *ast.TypeSpec:
+				if dir == "cmd/serve" {
+					problems = append(problems, path+": type "+n.Name.Name)
+				}
+				st, ok := n.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
+						banned := dir == "internal/serve" && name.Name == "Role" ||
+							n.Name.Name == "RouterConfig" && name.Name == "Retry" ||
+							n.Name.Name == "BreakerConfig" && name.Name == "HalfOpenProbes"
+						if banned {
+							problems = append(problems, path+": field "+n.Name.Name+"."+name.Name)
+						}
+					}
+					if star, ok := f.Type.(*ast.StarExpr); ok && dir == "internal/serve" && selectorName(star.X) == "shard.Router" {
+						problems = append(problems, path+": "+n.Name.Name+" holds a *shard.Router")
+					}
+				}
+			case *ast.CompositeLit:
+				if name := selectorName(n.Type); name == "BreakerSource" || name == "resilience.BreakerSource" {
+					breakerSourceFiles[path] = true
+				}
+			case *ast.SelectorExpr:
+				// A plane cache of one's own is a node part only in the
+				// experiments; examples/shared-cache shows it as a library.
+				name := selectorName(n)
+				if handBuilt && (name == "shard.NewNodeHandler" || name == "http.Server") || inExperiments && name == "servecache.New" {
+					problems = append(problems, path+": "+name+" (start nodes through internal/serve)")
+				}
+			}
+			return true
+		})
+	})
+	if mainLines > 200 {
+		problems = append(problems, "cmd/serve: "+strconv.Itoa(mainLines)+" non-test lines, want at most 200")
+	}
+	if len(breakerSourceFiles) != 1 {
+		problems = append(problems, "resilience.BreakerSource is constructed in "+strconv.Itoa(len(breakerSourceFiles))+" non-test files, want exactly one")
+	}
+	if len(problems) > 0 {
+		sort.Strings(problems)
+		t.Fatalf("the serving tier forked again:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
+// selectorName renders an identifier or a pkg.Name selector, "" otherwise.
+func selectorName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if pkg, ok := e.X.(*ast.Ident); ok {
+			return pkg.Name + "." + e.Sel.Name
+		}
+	}
+	return ""
 }

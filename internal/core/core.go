@@ -456,16 +456,15 @@ func RetrieveResolution(ctx context.Context, h *Header, src storage.SegmentSourc
 
 // RetrieveHybrid combines the two models as the paper's future work
 // sketches (§IV-E): a D-MGARD plane prediction seeds the plan and an
-// (E-MGARD) error estimator verifies and refines it — extending when the
-// estimate misses the tolerance, shedding planes when it is comfortably
-// inside.
+// (E-MGARD) error estimator verifies and refines it — extending while the
+// estimate misses the tolerance, never shedding a seeded plane.
 func RetrieveHybrid(ctx context.Context, h *Header, src storage.SegmentSource, seedPlanes []int, est retrieval.ErrorEstimator, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
-	// Extend-only (shrink slack 0): the learned estimator is calibrated on
-	// greedy-shaped plans, so estimates for shrunk plan shapes are
+	// Extend-only: the learned estimator is calibrated on greedy-shaped
+	// plans, so estimates for shrunk plan shapes are
 	// unreliable and shedding planes re-introduces bound violations. The
 	// hybrid's job is to repair D-MGARD's under-predictions — the
 	// dangerous direction — not to squeeze bytes below E-MGARD.
-	plan, err := retrieval.RefinePlan(h.LevelInfos(), seedPlanes, est, tol, 0)
+	plan, err := retrieval.RefinePlan(h.LevelInfos(), seedPlanes, est, tol)
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}

@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"pmgard/internal/fieldio"
 	"pmgard/internal/grid"
@@ -234,7 +235,11 @@ func CompressTiled(r *fieldio.Reader, cfg Config, dir string, opts TileOptions) 
 	return ts, nil
 }
 
-// OpenTileSet reads the manifest of a tiled artifact directory.
+// OpenTileSet reads and validates the manifest of a tiled artifact
+// directory: a manifest is input from disk, so one that names a file
+// outside the directory, or whose tiles do not partition the field into
+// ascending axis-0 slabs, is rejected here rather than reconstructed with
+// silent zero slabs.
 func OpenTileSet(dir string) (*TileSet, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, tileManifestName))
 	if err != nil {
@@ -244,10 +249,57 @@ func OpenTileSet(dir string) (*TileSet, error) {
 	if err := json.Unmarshal(raw, &ts); err != nil {
 		return nil, fmt.Errorf("core: parse tile manifest: %w", err)
 	}
-	if len(ts.Tiles) == 0 || len(ts.Dims) == 0 {
-		return nil, fmt.Errorf("core: tile manifest is empty")
+	if err := ts.validate(); err != nil {
+		return nil, fmt.Errorf("core: tile manifest %s: %w", filepath.Join(dir, tileManifestName), err)
 	}
 	return &ts, nil
+}
+
+// validate checks the manifest against what CompressTiled writes: positive
+// dims, a non-negative value_range, and tiles that are bare file
+// names holding full-width slabs which abut along axis 0 in ascending
+// order and cover dims exactly. Errors name the offending manifest field.
+func (ts *TileSet) validate() error {
+	if len(ts.Tiles) == 0 || len(ts.Dims) == 0 {
+		return fmt.Errorf("manifest is empty")
+	}
+	for _, d := range ts.Dims {
+		if d < 1 {
+			return fmt.Errorf("dims %v: extents must be positive", ts.Dims)
+		}
+	}
+	// Non-finite cannot get here: encoding/json refuses every spelling of it.
+	if ts.ValueRange < 0 {
+		return fmt.Errorf("value_range %g: must be non-negative", ts.ValueRange)
+	}
+	next := 0 // the axis-0 row the next tile must start at
+	for i, ti := range ts.Tiles {
+		if ti.File == "" || ti.File == "." || ti.File == ".." || strings.ContainsAny(ti.File, `/\`) {
+			return fmt.Errorf("tile %d file %q: must be a bare file name inside the directory", i, ti.File)
+		}
+		if len(ti.Lo) != len(ts.Dims) {
+			return fmt.Errorf("tile %d lo %v: rank %d, dims have rank %d", i, ti.Lo, len(ti.Lo), len(ts.Dims))
+		}
+		if len(ti.Shape) != len(ts.Dims) {
+			return fmt.Errorf("tile %d shape %v: rank %d, dims have rank %d", i, ti.Shape, len(ti.Shape), len(ts.Dims))
+		}
+		for a := 1; a < len(ts.Dims); a++ {
+			if ti.Lo[a] != 0 || ti.Shape[a] != ts.Dims[a] {
+				return fmt.Errorf("tile %d lo %v shape %v: a slab spans dims %v on every axis but 0", i, ti.Lo, ti.Shape, ts.Dims)
+			}
+		}
+		if ti.Lo[0] != next {
+			return fmt.Errorf("tile %d lo %v: starts at row %d, the previous tile ends at %d (tiles must abut in ascending order)", i, ti.Lo, ti.Lo[0], next)
+		}
+		if ti.Shape[0] < 1 || ti.Shape[0] > ts.Dims[0]-next {
+			return fmt.Errorf("tile %d shape %v: %d rows from row %d do not fit dims %v", i, ti.Shape, ti.Shape[0], next, ts.Dims)
+		}
+		next += ti.Shape[0]
+	}
+	if next != ts.Dims[0] {
+		return fmt.Errorf("tiles cover %d of %d rows of dims %v", next, ts.Dims[0], ts.Dims)
+	}
+	return nil
 }
 
 // TiledRetrievalStats summarizes one tiled retrieval.

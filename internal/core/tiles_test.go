@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pmgard/internal/fieldio"
@@ -178,5 +180,90 @@ func TestCompressTiledReadError(t *testing.T) {
 	}
 	if live := alloc.LiveBytes(); live != 0 {
 		t.Fatalf("%d tile bytes leaked on the error path", live)
+	}
+}
+
+// TestOpenTileSetRejectsMalformedManifests: tiles.json is input from disk.
+// Each row rewrites one fact of a manifest CompressTiled produced and must
+// be refused with an error naming the manifest field at fault — never
+// opened outside the directory, never reconstructed around a gap.
+func TestOpenTileSetRejectsMalformedManifests(t *testing.T) {
+	path, _ := writeSeededFieldFile(t, 5, 12, 5, 5)
+	r, err := fieldio.OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cfg := DefaultConfig()
+	cfg.Decompose.Levels = 2
+	dir := filepath.Join(t.TempDir(), "tiles")
+	good, err := CompressTiled(r, cfg, dir, TileOptions{SlabThickness: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good.Tiles) != 3 {
+		t.Fatalf("setup: %d tiles, want 3", len(good.Tiles))
+	}
+	manifest := filepath.Join(dir, tileManifestName)
+	pristine, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		break_ func(ts *TileSet) any // returns what to marshal
+		want   string
+	}{
+		{"file outside the directory", func(ts *TileSet) any { ts.Tiles[1].File = "../x.pmgd"; return ts }, "file"},
+		{"absolute file", func(ts *TileSet) any { ts.Tiles[0].File = "/etc/passwd"; return ts }, "file"},
+		{"empty file", func(ts *TileSet) any { ts.Tiles[2].File = ""; return ts }, "file"},
+		{"dot-dot file", func(ts *TileSet) any { ts.Tiles[2].File = ".."; return ts }, "file"},
+		{"lo rank", func(ts *TileSet) any { ts.Tiles[0].Lo = []int{0, 0}; return ts }, "lo"},
+		{"shape rank", func(ts *TileSet) any { ts.Tiles[0].Shape = []int{4, 5, 5, 1}; return ts }, "shape"},
+		{"gap along axis 0", func(ts *TileSet) any { ts.Tiles = append(ts.Tiles[:1], ts.Tiles[2:]...); return ts }, "lo"},
+		{"overlap along axis 0", func(ts *TileSet) any { ts.Tiles[1].Lo[0] = 2; return ts }, "lo"},
+		{"descending order", func(ts *TileSet) any { ts.Tiles[0], ts.Tiles[1] = ts.Tiles[1], ts.Tiles[0]; return ts }, "lo"},
+		{"short of dims", func(ts *TileSet) any { ts.Tiles = ts.Tiles[:2]; return ts }, "cover"},
+		{"past dims", func(ts *TileSet) any { ts.Tiles[2].Shape[0] = 5; return ts }, "shape"},
+		{"zero-row tile", func(ts *TileSet) any { ts.Tiles[1].Shape[0] = 0; return ts }, "shape"},
+		{"narrow slab", func(ts *TileSet) any { ts.Tiles[1].Shape[2] = 4; return ts }, "shape"},
+		{"offset slab", func(ts *TileSet) any { ts.Tiles[1].Lo[1] = 1; return ts }, "lo"},
+		{"non-positive dims", func(ts *TileSet) any { ts.Dims[1] = 0; return ts }, "dims"},
+		{"negative value_range", func(ts *TileSet) any { ts.ValueRange = -1; return ts }, "value_range"},
+		{"no tiles", func(ts *TileSet) any { ts.Tiles = nil; return ts }, "empty"},
+		// JSON has no non-finite number; the one spelling that overflows to
+		// +Inf is refused by the parser, naming the field.
+		{"non-finite value_range", func(ts *TileSet) any {
+			return bytes.Replace(pristine, []byte(`"value_range": `), []byte(`"value_range": 1e999, "was": `), 1)
+		}, "value_range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ts TileSet
+			if err := json.Unmarshal(pristine, &ts); err != nil {
+				t.Fatal(err)
+			}
+			blob, ok := tc.break_(&ts).([]byte)
+			if !ok {
+				if blob, err = json.Marshal(&ts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(manifest, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenTileSet(dir)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenTileSet = %v, want an error naming %q", err, tc.want)
+			}
+			if _, _, err := RetrieveTiledRel(dir, 1e-3, filepath.Join(t.TempDir(), "out.bin"), 1); err == nil {
+				t.Fatal("RetrieveTiledRel reconstructed from the malformed manifest")
+			}
+		})
+	}
+	if err := os.WriteFile(manifest, pristine, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenTileSet(dir); err != nil {
+		t.Fatalf("the pristine manifest no longer opens: %v", err)
 	}
 }

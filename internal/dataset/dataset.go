@@ -84,7 +84,9 @@ func (w *Writer) Add(field *grid.Tensor, name string, timestep int) error {
 	return nil
 }
 
-// Close writes the catalog.
+// Close commits the catalog by temp file + rename, so a crash mid-write
+// leaves no catalog at all — a dataset Create can start over in — rather
+// than a truncated one Open cannot parse and Create refuses to replace.
 func (w *Writer) Close() error {
 	sort.Slice(w.cat.Entries, func(i, j int) bool {
 		a, b := w.cat.Entries[i], w.cat.Entries[j]
@@ -97,7 +99,13 @@ func (w *Writer) Close() error {
 	if err != nil {
 		return fmt.Errorf("dataset: marshal catalog: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(w.dir, catalogFile), blob, 0o644); err != nil {
+	tmp := filepath.Join(w.dir, catalogFile+".tmp")
+	err = os.WriteFile(tmp, blob, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(w.dir, catalogFile))
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("dataset: write catalog: %w", err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -232,5 +233,55 @@ func TestRetrieveSeries(t *testing.T) {
 	}
 	if _, err := r.RetrieveSeries("Jx", 2, 2, 1e-3); err == nil {
 		t.Fatal("degenerate range accepted")
+	}
+}
+
+// TestWriterCloseCommitsCatalogAtomically: a Close that cannot commit —
+// the temp file unwritable, or the rename refused — returns the error and
+// leaves neither a catalog.json nor a temp file behind, so the directory
+// is still one Create can start over in; it used to truncate catalog.json
+// in place, which Open cannot parse and Create refuses to replace.
+func TestWriterCloseCommitsCatalogAtomically(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		blocked string // a directory planted where Close needs a file
+	}{
+		{"temp file unwritable", catalogFile + ".tmp"},
+		{"rename refused", catalogFile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ds")
+			w, err := Create(dir, "run", core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Non-empty, so a rename over it fails too.
+			if err := os.MkdirAll(filepath.Join(dir, tc.blocked, "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err == nil {
+				t.Fatal("Close committed through a blocked path")
+			}
+			if err := os.RemoveAll(filepath.Join(dir, tc.blocked)); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{catalogFile, catalogFile + ".tmp"} {
+				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+					t.Fatalf("a failed Close left %s behind (stat err %v)", name, err)
+				}
+			}
+			w, err = Create(dir, "run", core.DefaultConfig())
+			if err != nil {
+				t.Fatalf("Create after a failed Close: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(dir)
+			if err != nil {
+				t.Fatalf("Open after the retried Close: %v", err)
+			}
+			r.Close()
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"pmgard/internal/core"
 	"pmgard/internal/obs"
+	"pmgard/internal/serve"
 	"pmgard/internal/servecache"
 	"pmgard/internal/shard"
 )
@@ -34,45 +35,10 @@ type ShardPoint struct {
 	HitRate float64
 }
 
-// oneFieldSource serves the sweep's one artifact as a shard.NodeSource.
-type oneFieldSource struct{ field shard.NodeField }
-
-// PlaneField implements shard.NodeSource.
-func (s oneFieldSource) PlaneField(name string) (shard.NodeField, bool) {
-	return s.field, name == s.field.Header.FieldName
-}
-
-// PlaneFields implements shard.NodeSource.
-func (s oneFieldSource) PlaneFields() []string { return []string{s.field.Header.FieldName} }
-
-// shardBenchNode is one running bench node: its HTTP server, listener URL
-// and the obs registry its servecache counters live in.
-type shardBenchNode struct {
-	o   *obs.Obs
-	srv *http.Server
-	url string
-}
-
-// startShardBenchNode serves the artifact's planes on a loopback listener
-// through a fresh cache with the given byte budget, exactly like cmd/serve's
-// node role.
-func startShardBenchNode(h *core.Header, store *core.PlaneStore, budget int64) (*shardBenchNode, error) {
-	o := obs.New()
-	cache := servecache.New(budget)
-	cache.Instrument(o)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("experiments: shard bench listener: %w", err)
-	}
-	srv := &http.Server{Handler: shard.NewNodeHandler(oneFieldSource{shard.CachedField(h, cache, store)}, o)}
-	go srv.Serve(ln)
-	return &shardBenchNode{o: o, srv: srv, url: "http://" + ln.Addr().String()}, nil
-}
-
 // cacheCounts sums servecache hits and misses across the nodes' registries.
-func cacheCounts(nodes []*shardBenchNode) (hits, misses int64) {
-	for _, n := range nodes {
-		snap := n.o.Metrics.Snapshot()
+func cacheCounts(nodes []*obs.Obs) (hits, misses int64) {
+	for _, o := range nodes {
+		snap := o.Metrics.Snapshot()
 		hits += snap.Counters["servecache.hits"]
 		misses += snap.Counters["servecache.misses"]
 	}
@@ -101,9 +67,9 @@ func ShardSweep(p Params, nodeCounts []int) ([]ShardPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Serve from a store file, as cmd/serve's node role does: a cache miss
-	// pays a ranged file read plus lossless decompression, which is the
-	// work the growing aggregate cache eliminates.
+	// Serve from a store file, as `serve -role node` does: a cache miss pays
+	// a ranged file read plus lossless decompression, which is the work the
+	// growing aggregate cache eliminates.
 	dir, err := os.MkdirTemp("", "pmgard-shard-")
 	if err != nil {
 		return nil, fmt.Errorf("experiments: shard sweep: %w", err)
@@ -113,15 +79,7 @@ func ShardSweep(p Params, nodeCounts []int) ([]ShardPoint, error) {
 	if err := c.WriteFile(path); err != nil {
 		return nil, err
 	}
-	h, st, err := core.OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	store, err := core.NewPlaneStore(h, st)
-	if err != nil {
-		return nil, err
-	}
+	h := &c.Header
 	var totalRaw int64
 	for _, lv := range h.Levels {
 		totalRaw += int64(lv.RawPlaneSize) * int64(h.Planes)
@@ -132,7 +90,7 @@ func ShardSweep(p Params, nodeCounts []int) ([]ShardPoint, error) {
 	}
 	points := make([]ShardPoint, 0, len(nodeCounts))
 	for _, n := range nodeCounts {
-		pt, err := shardRound(p, h, store, n, budget)
+		pt, err := shardRound(p, h, path, n, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -141,25 +99,39 @@ func ShardSweep(p Params, nodeCounts []int) ([]ShardPoint, error) {
 	return points, nil
 }
 
-// shardRound runs one node-count configuration of the sweep.
-func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget int64) (ShardPoint, error) {
-	nodes := make([]*shardBenchNode, 0, n)
+// shardRound runs one node-count configuration of the sweep: n nodes
+// wired as `serve -role node -in path` wires them (internal/serve), each on
+// a loopback listener with its own registry and a cache of the given
+// budget.
+func shardRound(p Params, h *core.Header, path string, n int, budget int64) (ShardPoint, error) {
+	nodes := make([]*serve.Server, 0, n)
+	regs := make([]*obs.Obs, 0, n)
 	defer func() {
 		for _, node := range nodes {
-			node.srv.Close()
+			node.Shutdown(0)
 		}
 	}()
 	mapJSON := `{"nodes": [`
 	for i := 0; i < n; i++ {
-		node, err := startShardBenchNode(h, store, budget)
+		o := obs.New()
+		node, err := serve.New(serve.Config{CacheBytes: budget, Obs: o})
 		if err != nil {
 			return ShardPoint{}, err
 		}
-		nodes = append(nodes, node)
+		nodes, regs = append(nodes, node), append(regs, o)
+		if err := node.AddStore(path); err != nil {
+			return ShardPoint{}, err
+		}
+		node.MountPlanes()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return ShardPoint{}, fmt.Errorf("experiments: shard bench listener: %w", err)
+		}
+		go node.Serve(ln)
 		if i > 0 {
 			mapJSON += ","
 		}
-		mapJSON += fmt.Sprintf(`{"name": "n%d", "url": %q}`, i, node.url)
+		mapJSON += fmt.Sprintf(`{"name": "n%d", "url": "http://%s"}`, i, ln.Addr())
 	}
 	mapJSON += `], "replication": 1}`
 	m, err := shard.ParseMap([]byte(mapJSON))
@@ -190,7 +162,7 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 			return ShardPoint{}, fmt.Errorf("experiments: shard warmup (%d,%d): %w", k.Level, k.Plane, err)
 		}
 	}
-	hits0, misses0 := cacheCounts(nodes)
+	hits0, misses0 := cacheCounts(regs)
 
 	rng := rand.New(rand.NewSource(p.Seed*1000 + int64(n)))
 	reads := 16 * len(keys)
@@ -217,7 +189,7 @@ func shardRound(p Params, h *core.Header, store *core.PlaneStore, n int, budget 
 			return ShardPoint{}, fmt.Errorf("experiments: shard counted round: %w", err)
 		}
 	}
-	hits1, misses1 := cacheCounts(nodes)
+	hits1, misses1 := cacheCounts(regs)
 	hits, misses := hits1-hits0, misses1-misses0
 	var hitRate float64
 	if hits+misses > 0 {

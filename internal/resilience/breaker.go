@@ -42,39 +42,24 @@ func (s State) String() string {
 	}
 }
 
-// BreakerConfig tunes a Breaker. The zero value uses the documented
-// defaults.
+// BreakerConfig describes a Breaker — the one description every wiring
+// uses, whether the breaker guards a field's local store or a shard node.
 type BreakerConfig struct {
 	// FailureThreshold is the number of consecutive failed reads that trips
-	// the breaker open. Values below 1 mean the default of 5.
+	// the breaker open. Values below 1 mean no breaker: NewBreaker returns
+	// nil, and a nil *Breaker gates nothing.
 	FailureThreshold int
-	// Cooldown is how long an open breaker refuses reads before letting
-	// half-open probes through. 0 means the default of 2s.
+	// Cooldown is how long an open breaker refuses reads before letting a
+	// half-open probe through. 0 means the default of 2s.
 	Cooldown time.Duration
-	// HalfOpenProbes is both the number of concurrent probe reads a
-	// half-open breaker admits and the successes required to close. Values
-	// below 1 mean the default of 1.
-	HalfOpenProbes int
 	// Now replaces time.Now for the cooldown clock; tests use it to step
 	// time deterministically. nil means time.Now.
 	Now func() time.Time
 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold < 1 {
-		c.FailureThreshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.HalfOpenProbes < 1 {
-		c.HalfOpenProbes = 1
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
+// halfOpenProbes is both the number of concurrent probe reads a half-open
+// breaker admits and the successes required to close it.
+const halfOpenProbes = 1
 
 // Breaker is a consecutive-failure circuit breaker over a segment source.
 // Closed, it passes reads through and counts consecutive failures (any
@@ -109,11 +94,21 @@ type Breaker struct {
 	fastFails *obs.Counter
 }
 
-// NewBreaker returns a closed breaker under cfg (zero fields take the
-// BreakerConfig defaults).
+// NewBreaker returns a closed breaker under cfg, or nil — no breaker — when
+// cfg.FailureThreshold is below 1. Guard, Instrument and RetryAfter accept
+// the nil, so callers need no branch for the disabled configuration.
 func NewBreaker(cfg BreakerConfig) *Breaker {
+	if cfg.FailureThreshold < 1 {
+		return nil
+	}
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = 2 * time.Second
+	}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
 	return &Breaker{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		stateG:    new(obs.Gauge),
 		opened:    new(obs.Counter),
 		halfOpens: new(obs.Counter),
@@ -127,9 +122,9 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // when source is non-empty, so multi-field servers get one gauge per tier);
 // the transition counters live under "resilience.breaker[.<source>].":
 // opened, half_opens, closed, fast_fails. Call before the breaker is shared
-// across goroutines; a nil or metrics-less o is a no-op.
+// across goroutines; a nil receiver or a nil or metrics-less o is a no-op.
 func (b *Breaker) Instrument(o *obs.Obs, source string) {
-	if o == nil || o.Metrics == nil {
+	if b == nil || o == nil || o.Metrics == nil {
 		return
 	}
 	b.mu.Lock()
@@ -165,10 +160,13 @@ func (b *Breaker) State() State {
 
 // RetryAfter returns how long the breaker will keep refusing reads — the
 // cooldown remaining on the current open period — and 0 when the breaker
-// is not open. Serving layers derive 503 Retry-After headers from it, so a
-// well-behaved client backs off for exactly as long as the breaker will
-// reject it rather than a hardcoded constant.
+// is not open (or nil). Serving layers derive 503 Retry-After headers from
+// it, so a well-behaved client backs off for exactly as long as the breaker
+// will reject it rather than a hardcoded constant.
 func (b *Breaker) RetryAfter() time.Duration {
+	if b == nil {
+		return 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.advanceLocked()
@@ -218,7 +216,7 @@ func (b *Breaker) Allow() error {
 	case StateClosed:
 		return nil
 	case StateHalfOpen:
-		if b.probes < b.cfg.HalfOpenProbes {
+		if b.probes < halfOpenProbes {
 			b.probes++
 			return nil
 		}
@@ -253,7 +251,7 @@ func (b *Breaker) Record(err error) {
 			return
 		}
 		b.probeOK++
-		if b.probeOK >= b.cfg.HalfOpenProbes {
+		if b.probeOK >= halfOpenProbes {
 			b.setStateLocked(StateClosed)
 			b.failures = 0
 			b.closedC.Add(1)
@@ -301,12 +299,28 @@ func (b *Breaker) Stats() BreakerStats {
 	}
 }
 
+// Guard composes the read-side resilience stack over src — the one place
+// it is assembled, for a field's local store and for each shard node's
+// HTTP source alike. Retries sit closest to the source (retry.MaxAttempts
+// below 1 means no retry layer), the breaker above them: its unit of
+// failure is "the whole retry budget burned", so one dead-tier request
+// costs one breaker failure, and once open, later requests skip the budget
+// entirely. A nil b adds no breaker; the retry layer's counters bind to o.
+func Guard(src storage.SegmentSource, retry storage.RetryPolicy, b *Breaker, o *obs.Obs) storage.SegmentSource {
+	if retry.MaxAttempts > 0 {
+		retrying := storage.NewRetryingSource(src, retry)
+		retrying.Instrument(o)
+		src = retrying
+	}
+	if b != nil {
+		src = BreakerSource{Src: src, Breaker: b}
+	}
+	return src
+}
+
 // BreakerSource gates a segment source behind a Breaker: reads ask Allow
 // first (failing fast with ErrOpen while the breaker is open) and report
-// their outcome to Record. Layer it *above* the retry layer — the breaker's
-// unit of failure is "the whole retry budget burned", so one dead-tier
-// request costs one failure, and once open, later requests skip the budget
-// entirely.
+// their outcome to Record. Guard is what builds one.
 type BreakerSource struct {
 	// Src is the wrapped source.
 	Src storage.SegmentSource

@@ -256,3 +256,37 @@ func TestRecordIgnoresPermanentDataFaults(t *testing.T) {
 		t.Fatalf("state after transient faults = %v, want open", got)
 	}
 }
+
+// countingSegments fails every read with a transient fault and counts them.
+type countingSegments struct{ reads int }
+
+func (c *countingSegments) Segment(context.Context, int, int) ([]byte, error) {
+	c.reads++
+	return nil, fmt.Errorf("tier down: %w", storage.ErrTransient)
+}
+
+// TestGuardLayersBreakerOverRetries pins the one assembly both the local
+// and the shard wiring use: a request that burns its whole retry budget
+// costs one breaker failure, an open breaker skips the budget, and the
+// disabled conventions (no attempts, nil breaker) add no layer at all.
+func TestGuardLayersBreakerOverRetries(t *testing.T) {
+	src := &countingSegments{}
+	if got := Guard(src, storage.RetryPolicy{}, NewBreaker(BreakerConfig{}), obs.New()); got != storage.SegmentSource(src) {
+		t.Fatalf("Guard with no retries and no breaker wrapped the source in %T", got)
+	}
+	if d := NewBreaker(BreakerConfig{Cooldown: time.Second}).RetryAfter(); d != 0 {
+		t.Fatalf("disabled breaker RetryAfter = %v, want 0", d)
+	}
+	br := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute})
+	pol := storage.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+	guarded := Guard(src, pol, br, obs.New())
+	if _, err := guarded.Segment(context.Background(), 0, 0); storage.Classify(err) != storage.FaultTransient {
+		t.Fatalf("exhausted read = %v, want a transient fault", err)
+	}
+	if src.reads != 3 || br.State() != StateOpen {
+		t.Fatalf("one request: %d source reads, breaker %v; want 3 reads and one failure opening it", src.reads, br.State())
+	}
+	if _, err := guarded.Segment(context.Background(), 0, 0); !errors.Is(err, ErrOpen) || src.reads != 3 {
+		t.Fatalf("read while open = %v after %d source reads, want ErrOpen and still 3", err, src.reads)
+	}
+}

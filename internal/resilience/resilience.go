@@ -7,8 +7,9 @@
 //
 // Both primitives are transport-agnostic: the admission controller admits
 // any unit of work behind a context, and the breaker wraps any
-// storage.SegmentSource. cmd/serve composes them around /refine; DESIGN.md
-// §11 documents the policy.
+// storage.SegmentSource (Guard assembles the breaker-over-retry stack).
+// internal/serve composes them around /refine; DESIGN.md §11 documents the
+// policy.
 package resilience
 
 import (

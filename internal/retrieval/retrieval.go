@@ -136,6 +136,60 @@ type Step struct {
 	LevelErrs []float64
 }
 
+// lookahead is how many planes past a level's current count one greedy
+// extension may add. Nega-binary prefixes overshoot before they converge:
+// decoding only the top plane of a large coefficient yields a huge value,
+// so Err[b] can exceed Err[0] for b up to ~3 (the partial sums of a base -2
+// expansion oscillate within (2/3)·2^(E+2-b) of the target). A four-plane
+// lookahead always sees past the overshoot window, so a level with real
+// error left is never starved.
+const lookahead = 4
+
+// extend picks the next greedy extension from the state (planes, errs):
+// among adding 1..lookahead planes on one level, the one with the best
+// error-reduction-per-byte; when no extension reduces error, one plane on
+// the level with the largest residual, so the path always progresses. ok is
+// false when every plane is already taken. Every planner walks the path
+// through this one step.
+func extend(levels []LevelInfo, planes []int, errs []float64) (level, step int, ok bool) {
+	level = -1
+	bestEff := 0.0
+	for l, li := range levels {
+		for n := 1; n <= lookahead; n++ {
+			b := planes[l] + n
+			if b > li.planes() {
+				continue
+			}
+			reduction := errs[l] - li.ErrMatrix[b]
+			if reduction <= 0 {
+				continue
+			}
+			size := int64(0)
+			for k := planes[l]; k < b; k++ {
+				size += li.PlaneSizes[k]
+			}
+			var eff float64
+			if size == 0 {
+				eff = math.Inf(1)
+			} else {
+				eff = reduction / float64(size)
+			}
+			if eff > bestEff {
+				bestEff, level, step = eff, l, n
+			}
+		}
+	}
+	if level < 0 {
+		maxErr := 0.0
+		for l, li := range levels {
+			if planes[l] < li.planes() && errs[l] > maxErr {
+				maxErr, level, step = errs[l], l, 1
+			}
+		}
+	}
+	return level, step, level >= 0
+}
+
 // GreedySequence returns the complete greedy accuracy-efficiency extension
 // path, from zero planes to exhaustion, independent of any tolerance or
 // estimator. The path is what MGARD's retriever walks; planners stop along
@@ -154,64 +208,19 @@ func GreedySequence(levels []LevelInfo) ([]Step, error) {
 	for l, li := range levels {
 		errs[l] = li.ErrMatrix[0]
 	}
-	// Nega-binary prefixes overshoot before they converge: decoding only
-	// the top plane of a large coefficient yields a huge value, so
-	// Err[b] can exceed Err[0] for b up to ~3 (the partial sums of a
-	// base -2 expansion oscillate within (2/3)·2^(E+2-b) of the target).
-	// A four-plane lookahead always sees past the overshoot window, so a
-	// level with real error left is never starved.
-	const lookahead = 4
 	var steps []Step
 	for {
-		// Candidate extensions: add 1..lookahead planes on one level and
-		// keep the best error-reduction-per-byte.
-		bestLevel, bestStep := -1, 0
-		bestEff := 0.0
-		for l, li := range levels {
-			for step := 1; step <= lookahead; step++ {
-				b := planes[l] + step
-				if b > li.planes() {
-					continue
-				}
-				reduction := errs[l] - li.ErrMatrix[b]
-				if reduction <= 0 {
-					continue
-				}
-				size := int64(0)
-				for k := planes[l]; k < b; k++ {
-					size += li.PlaneSizes[k]
-				}
-				var eff float64
-				if size == 0 {
-					eff = math.Inf(1)
-				} else {
-					eff = reduction / float64(size)
-				}
-				if eff > bestEff {
-					bestEff, bestLevel, bestStep = eff, l, step
-				}
-			}
+		level, step, ok := extend(levels, planes, errs)
+		if !ok {
+			return steps, nil // everything exhausted
 		}
-		if bestLevel < 0 {
-			// No extension reduces error: fall back to refining the level
-			// with the largest residual so the path always progresses.
-			maxErr := 0.0
-			for l, li := range levels {
-				if planes[l] < li.planes() && errs[l] > maxErr {
-					maxErr, bestLevel, bestStep = errs[l], l, 1
-				}
-			}
-			if bestLevel < 0 {
-				return steps, nil // everything exhausted
-			}
+		for k := planes[level]; k < planes[level]+step; k++ {
+			bytes += levels[level].PlaneSizes[k]
 		}
-		for k := planes[bestLevel]; k < planes[bestLevel]+bestStep; k++ {
-			bytes += levels[bestLevel].PlaneSizes[k]
-		}
-		planes[bestLevel] += bestStep
-		errs[bestLevel] = levels[bestLevel].ErrMatrix[planes[bestLevel]]
+		planes[level] += step
+		errs[level] = levels[level].ErrMatrix[planes[level]]
 		steps = append(steps, Step{
-			Level:     bestLevel,
+			Level:     level,
 			Planes:    append([]int(nil), planes...),
 			Bytes:     bytes,
 			LevelErrs: append([]float64(nil), errs...),
@@ -220,23 +229,16 @@ func GreedySequence(levels []LevelInfo) ([]Step, error) {
 }
 
 // RefinePlan starts from an initial plane assignment (typically a D-MGARD
-// prediction) and adjusts it until the estimator's bound sits at the
-// tolerance: greedy accuracy-efficiency extensions while the estimate is
-// above tol, then a cheap-first shrink pass that drops planes as long as
-// the estimate stays within shrinkSlack·tol. This realizes the paper's
-// future-work combination of the two models (§IV-E): D-MGARD proposes,
-// E-MGARD's learned estimator verifies and corrects.
-//
-// shrinkSlack in (0,1] trades savings against bound violations: a learned
-// estimator is unbiased rather than conservative, so shrinking all the way
-// to the tolerance (slack 1) violates the bound about half the time;
-// slack ~0.5 sheds only clearly-unneeded planes. 0 disables shrinking.
-func RefinePlan(levels []LevelInfo, start []int, est ErrorEstimator, tol, shrinkSlack float64) (Plan, error) {
+// prediction) and extends it along the greedy accuracy-efficiency path
+// until the estimator's bound drops to the tolerance. This realizes the
+// paper's future-work combination of the two models (§IV-E): D-MGARD
+// proposes, E-MGARD's learned estimator verifies and corrects. It never
+// drops a plane the start already holds: a learned estimator is unbiased
+// rather than conservative, and shrinking under it re-introduces bound
+// violations (EXPERIMENTS.md, exp-hybrid).
+func RefinePlan(levels []LevelInfo, start []int, est ErrorEstimator, tol float64) (Plan, error) {
 	if tol <= 0 || math.IsNaN(tol) {
 		return Plan{}, fmt.Errorf("retrieval: tolerance %g must be positive", tol)
-	}
-	if shrinkSlack < 0 || shrinkSlack > 1 || math.IsNaN(shrinkSlack) {
-		return Plan{}, fmt.Errorf("retrieval: shrinkSlack %g out of [0,1]", shrinkSlack)
 	}
 	if len(start) != len(levels) {
 		return Plan{}, fmt.Errorf("retrieval: start has %d levels, want %d", len(start), len(levels))
@@ -254,78 +256,15 @@ func RefinePlan(levels []LevelInfo, start []int, est ErrorEstimator, tol, shrink
 		planes[l] = b
 		errs[l] = li.ErrMatrix[b]
 	}
-
-	// Extend while the estimate misses the tolerance.
-	const lookahead = 4
-	for est.Estimate(errs) > tol {
-		bestLevel, bestStep := -1, 0
-		bestEff := 0.0
-		for l, li := range levels {
-			for step := 1; step <= lookahead; step++ {
-				b := planes[l] + step
-				if b > li.planes() {
-					continue
-				}
-				reduction := errs[l] - li.ErrMatrix[b]
-				if reduction <= 0 {
-					continue
-				}
-				size := int64(0)
-				for k := planes[l]; k < b; k++ {
-					size += li.PlaneSizes[k]
-				}
-				var eff float64
-				if size == 0 {
-					eff = math.Inf(1)
-				} else {
-					eff = reduction / float64(size)
-				}
-				if eff > bestEff {
-					bestEff, bestLevel, bestStep = eff, l, step
-				}
-			}
-		}
-		if bestLevel < 0 {
-			maxErr := 0.0
-			for l, li := range levels {
-				if planes[l] < li.planes() && errs[l] > maxErr {
-					maxErr, bestLevel, bestStep = errs[l], l, 1
-				}
-			}
-			if bestLevel < 0 {
-				break
-			}
-		}
-		planes[bestLevel] += bestStep
-		errs[bestLevel] = levels[bestLevel].ErrMatrix[planes[bestLevel]]
-	}
-
-	// Shrink: drop the plane freeing the most bytes while the estimate
-	// stays safely inside the tolerance.
-	shrinkTol := tol * shrinkSlack
-	for shrinkSlack > 0 {
-		bestLevel := -1
-		var bestSave int64 = -1
-		for l, li := range levels {
-			if planes[l] == 0 {
-				continue
-			}
-			old := errs[l]
-			errs[l] = li.ErrMatrix[planes[l]-1]
-			if est.Estimate(errs) <= shrinkTol {
-				if save := li.PlaneSizes[planes[l]-1]; save > bestSave {
-					bestSave, bestLevel = save, l
-				}
-			}
-			errs[l] = old
-		}
-		if bestLevel < 0 {
+	// !(e <= tol), not e > tol: a NaN estimate keeps extending.
+	for !(est.Estimate(errs) <= tol) {
+		level, step, ok := extend(levels, planes, errs)
+		if !ok {
 			break
 		}
-		planes[bestLevel]--
-		errs[bestLevel] = levels[bestLevel].ErrMatrix[planes[bestLevel]]
+		planes[level] += step
+		errs[level] = levels[level].ErrMatrix[planes[level]]
 	}
-
 	plan, err := PlanForPlanes(levels, planes)
 	if err != nil {
 		return Plan{}, err
@@ -340,29 +279,5 @@ func RefinePlan(levels []LevelInfo, start []int, est ErrorEstimator, tol, shrink
 // bound drops to the tolerance (§II-C, Fig. 5 discussion). tol must be
 // positive.
 func GreedyPlan(levels []LevelInfo, est ErrorEstimator, tol float64) (Plan, error) {
-	if tol <= 0 || math.IsNaN(tol) {
-		return Plan{}, fmt.Errorf("retrieval: tolerance %g must be positive", tol)
-	}
-	steps, err := GreedySequence(levels)
-	if err != nil {
-		return Plan{}, err
-	}
-	planes := make([]int, len(levels))
-	errs := make([]float64, len(levels))
-	for l, li := range levels {
-		errs[l] = li.ErrMatrix[0]
-	}
-	for _, s := range steps {
-		if est.Estimate(errs) <= tol {
-			break
-		}
-		planes = s.Planes
-		errs = s.LevelErrs
-	}
-	plan, err := PlanForPlanes(levels, planes)
-	if err != nil {
-		return Plan{}, err
-	}
-	plan.EstimatedError = est.Estimate(errs)
-	return plan, nil
+	return RefinePlan(levels, make([]int, len(levels)), est, tol)
 }

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pmgard/internal/bitplane"
@@ -324,7 +325,7 @@ func TestRefinePlanExtendsToTolerance(t *testing.T) {
 	}
 	est := TheoryEstimator{C: 2}
 	// Start far below what the tolerance needs.
-	p, err := RefinePlan(levels, []int{1, 1}, est, 0.01, 1)
+	p, err := RefinePlan(levels, []int{1, 1}, est, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,49 +334,16 @@ func TestRefinePlanExtendsToTolerance(t *testing.T) {
 	}
 }
 
-func TestRefinePlanShrinksOverProvisioned(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	levels := []LevelInfo{
-		syntheticLevel(t, rng, 16, 100, 24),
-		syntheticLevel(t, rng, 128, 10, 24),
-	}
-	est := TheoryEstimator{C: 2}
-	// Start with everything and a loose tolerance: refine must shed planes.
-	full := []int{24, 24}
-	p, err := RefinePlan(levels, full, est, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Planes[0] == 24 && p.Planes[1] == 24 {
-		t.Fatal("refine kept the full over-provisioned plan")
-	}
-	if p.EstimatedError > 10 {
-		t.Fatalf("shrink broke the tolerance: %g", p.EstimatedError)
-	}
-	// The shrunk plan should cost no more than GreedyPlan from scratch
-	// within a small slack (both are heuristics).
-	g, err := GreedyPlan(levels, est, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Bytes > 2*g.Bytes+64 {
-		t.Fatalf("refined plan %d bytes far above greedy %d", p.Bytes, g.Bytes)
-	}
-}
-
 func TestRefinePlanValidation(t *testing.T) {
 	levels := []LevelInfo{{ErrMatrix: []float64{1, 0}, PlaneSizes: []int64{4}}}
-	if _, err := RefinePlan(levels, []int{0, 0}, TheoryEstimator{C: 1}, 1, 1); err == nil {
+	if _, err := RefinePlan(levels, []int{0, 0}, TheoryEstimator{C: 1}, 1); err == nil {
 		t.Fatal("mismatched start accepted")
 	}
-	if _, err := RefinePlan(levels, []int{5}, TheoryEstimator{C: 1}, 1, 1); err == nil {
+	if _, err := RefinePlan(levels, []int{5}, TheoryEstimator{C: 1}, 1); err == nil {
 		t.Fatal("out-of-range start accepted")
 	}
-	if _, err := RefinePlan(levels, []int{0}, TheoryEstimator{C: 1}, -1, 1); err == nil {
+	if _, err := RefinePlan(levels, []int{0}, TheoryEstimator{C: 1}, -1); err == nil {
 		t.Fatal("negative tolerance accepted")
-	}
-	if _, err := RefinePlan(levels, []int{0}, TheoryEstimator{C: 1}, 1, 2); err == nil {
-		t.Fatal("shrinkSlack > 1 accepted")
 	}
 }
 
@@ -390,7 +358,7 @@ func TestRefinePlanIdempotentAtOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := RefinePlan(levels, g.Planes, est, 0.05, 1)
+	p, err := RefinePlan(levels, g.Planes, est, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,5 +368,66 @@ func TestRefinePlanIdempotentAtOptimum(t *testing.T) {
 	}
 	if p.EstimatedError > 0.05 {
 		t.Fatalf("refine broke the tolerance: %g", p.EstimatedError)
+	}
+}
+
+// TestGreedyPlanIsRefineFromZero pins the merge of the two planners onto
+// one extension step: over random level counts, plane counts, error
+// matrices (non-monotone prefixes included) and both estimator kinds, the
+// plan refined from zero planes is plane for plane the one read off the
+// full greedy path at the first step whose estimate clears the tolerance —
+// how GreedyPlan was defined before it became RefinePlan from zeros.
+func TestGreedyPlanIsRefineFromZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		levels := make([]LevelInfo, 1+rng.Intn(5))
+		weights := make([]float64, len(levels))
+		for l := range levels {
+			levels[l] = syntheticLevel(t, rng, 8<<rng.Intn(6), math.Pow(10, float64(rng.Intn(5)-2)), 1+rng.Intn(32))
+			// Dent the matrix and vary the sizes (free planes included) so
+			// the lookahead, the efficiency order and the fallback all run.
+			for k := 0; k < 3; k++ {
+				i := rng.Intn(len(levels[l].ErrMatrix))
+				levels[l].ErrMatrix[i] *= 0.5 + 2*rng.Float64()
+			}
+			for k := range levels[l].PlaneSizes {
+				levels[l].PlaneSizes[k] = int64(rng.Intn(4096))
+			}
+			weights[l] = 0.5 + rng.Float64()
+		}
+		var est ErrorEstimator = TheoryEstimator{C: 1 + 4*rng.Float64()}
+		if trial%2 == 1 {
+			est = PerLevelEstimator{C: weights}
+		}
+		tol := levels[0].ErrMatrix[0] * math.Pow(10, -6*rng.Float64())
+
+		steps, err := GreedySequence(levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, len(levels))
+		errs := make([]float64, len(levels))
+		for l, li := range levels {
+			errs[l] = li.ErrMatrix[0]
+		}
+		for _, s := range steps {
+			if est.Estimate(errs) <= tol {
+				break
+			}
+			want, errs = s.Planes, s.LevelErrs
+		}
+		for name, plan := range map[string]func() (Plan, error){
+			"RefinePlan from zeros": func() (Plan, error) { return RefinePlan(levels, make([]int, len(levels)), est, tol) },
+			"GreedyPlan":            func() (Plan, error) { return GreedyPlan(levels, est, tol) },
+		} {
+			got, err := plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Planes, want) || got.EstimatedError != est.Estimate(errs) {
+				t.Fatalf("trial %d: %s = %v (est %g), the greedy path stops at %v (est %g)",
+					trial, name, got.Planes, got.EstimatedError, want, est.Estimate(errs))
+			}
+		}
 	}
 }

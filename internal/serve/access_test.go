@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pmgard/internal/obs"
+	"pmgard/internal/resilience"
 )
 
 // logBuffer is a concurrency-safe sink for the access log under test.
@@ -101,7 +102,7 @@ func TestAccessLogOneLinePerRequest(t *testing.T) {
 	c := buildCompressed(t, "Jx")
 	stall := &stallSource{inner: c}
 	logBuf := &logBuffer{}
-	_, ts, _ := newChaosServer(t, serverConfig{
+	_, ts, _ := newChaosServer(t, Config{
 		CacheBytes:     64 << 20,
 		RequestTimeout: 30 * time.Second,
 		MaxInflight:    1,
@@ -233,12 +234,11 @@ func TestAccessLogBreakerOutcome(t *testing.T) {
 	flaky := &flakySource{inner: c}
 	flaky.failing.Store(true)
 	logBuf := &logBuffer{}
-	_, ts, _ := newChaosServer(t, serverConfig{
-		CacheBytes:      64 << 20,
-		RequestTimeout:  5 * time.Second,
-		BreakerFailures: 3,
-		BreakerCooldown: time.Hour,
-		AccessLog:       logBuf,
+	_, ts, _ := newChaosServer(t, Config{
+		CacheBytes:     64 << 20,
+		RequestTimeout: 5 * time.Second,
+		Breaker:        resilience.BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour},
+		AccessLog:      logBuf,
 	}, &c.Header, flaky)
 
 	// The outage yields 502/upstream until enough failures trip the circuit
@@ -281,7 +281,7 @@ func TestAccessLogBreakerOutcome(t *testing.T) {
 // the request, each stage span inside the request's interval.
 func TestTraceparentPropagationAndTraceStore(t *testing.T) {
 	srv, o := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	const callerTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
@@ -372,7 +372,7 @@ func TestTraceparentPropagationAndTraceStore(t *testing.T) {
 // health gauges, while the default /metrics stays JSON.
 func TestMetricsPromFormat(t *testing.T) {
 	srv, _ := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	res := doTraced(t, ts, "/refine?field=Jx&rel=1e-4")
@@ -417,7 +417,7 @@ func TestMetricsPromFormat(t *testing.T) {
 // counts nothing.
 func TestSLOCounters(t *testing.T) {
 	c := buildCompressed(t, "Jx")
-	_, ts, o := newChaosServer(t, serverConfig{
+	_, ts, o := newChaosServer(t, Config{
 		CacheBytes:     64 << 20,
 		RequestTimeout: 5 * time.Second,
 		SLOLatency:     time.Minute,
@@ -436,7 +436,7 @@ func TestSLOCounters(t *testing.T) {
 
 	// An unreachable objective: success that still misses the target.
 	c2 := buildCompressed(t, "Ex")
-	_, ts2, o2 := newChaosServer(t, serverConfig{
+	_, ts2, o2 := newChaosServer(t, Config{
 		CacheBytes:     64 << 20,
 		RequestTimeout: 5 * time.Second,
 		SLOLatency:     time.Nanosecond,
@@ -452,7 +452,7 @@ func TestSLOCounters(t *testing.T) {
 
 	// A zero objective disables the accounting entirely.
 	c3 := buildCompressed(t, "Bx")
-	_, ts3, o3 := newChaosServer(t, serverConfig{
+	_, ts3, o3 := newChaosServer(t, Config{
 		CacheBytes:     64 << 20,
 		RequestTimeout: 5 * time.Second,
 	}, &c3.Header, c3)

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"context"
@@ -18,6 +18,7 @@ import (
 	"pmgard/internal/faults"
 	"pmgard/internal/leakcheck"
 	"pmgard/internal/obs"
+	"pmgard/internal/resilience"
 	"pmgard/internal/sim/warpx"
 	"pmgard/internal/storage"
 )
@@ -60,19 +61,19 @@ func groundTruth(t *testing.T, c *core.Compressed, rel float64) string {
 
 // newChaosServer builds a server over one pre-wrapped source and starts an
 // httptest front end with the full middleware chain.
-func newChaosServer(t *testing.T, cfg serverConfig, h *core.Header, src storage.SegmentSource) (*server, *httptest.Server, *obs.Obs) {
+func newChaosServer(t *testing.T, cfg Config, h *core.Header, src storage.SegmentSource) (*Server, *httptest.Server, *obs.Obs) {
 	t.Helper()
 	o := obs.New()
 	cfg.Obs = o
-	srv, err := newServer(cfg)
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.close)
-	if err := srv.add(h, src, nil); err != nil {
+	t.Cleanup(srv.Close)
+	if err := srv.addLocal(h, src, nil); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, o
 }
@@ -176,11 +177,11 @@ func TestChaosLatencyAndTransientFaults(t *testing.T) {
 		TransientRate: 0.2,
 		Latency:       200 * time.Microsecond,
 	})
-	_, ts, _ := newChaosServer(t, serverConfig{
-		CacheBytes:      64 << 20,
-		Retries:         8,
-		RequestTimeout:  30 * time.Second,
-		BreakerFailures: 5,
+	_, ts, _ := newChaosServer(t, Config{
+		CacheBytes:     64 << 20,
+		Retries:        8,
+		RequestTimeout: 30 * time.Second,
+		Breaker:        resilience.BreakerConfig{FailureThreshold: 5},
 	}, &c.Header, src)
 
 	for _, workers := range []int{1, 4, 8} {
@@ -233,10 +234,10 @@ func TestChaosPermanentPlaneLoss(t *testing.T) {
 		Seed:      7,
 		Permanent: []faults.PlaneID{{Level: 0, Plane: 2}},
 	})
-	_, ts, o := newChaosServer(t, serverConfig{
-		CacheBytes:      64 << 20,
-		RequestTimeout:  30 * time.Second,
-		BreakerFailures: 3,
+	_, ts, o := newChaosServer(t, Config{
+		CacheBytes:     64 << 20,
+		RequestTimeout: 30 * time.Second,
+		Breaker:        resilience.BreakerConfig{FailureThreshold: 3},
 	}, &c.Header, src)
 
 	var first refineResult
@@ -308,21 +309,21 @@ func TestChaosBitRotDegradesOnEveryLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := obs.New()
-		srv, err := newServer(serverConfig{
-			CacheBytes:      64 << 20,
-			Retries:         4,
-			RequestTimeout:  30 * time.Second,
-			BreakerFailures: 5,
-			Obs:             o,
+		srv, err := New(Config{
+			CacheBytes:     64 << 20,
+			Retries:        4,
+			RequestTimeout: 30 * time.Second,
+			Breaker:        resilience.BreakerConfig{FailureThreshold: 5},
+			Obs:            o,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(srv.close)
-		if err := srv.addFile(path); err != nil {
+		t.Cleanup(srv.Close)
+		if err := srv.AddStore(path); err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.handler())
+		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 
 		// abs=1e-300 asks for every plane; one more request than the
@@ -368,11 +369,11 @@ func TestChaosStallThenRecover(t *testing.T) {
 	want := groundTruth(t, c, 1e-4)
 	src := &stallSource{inner: c}
 	const reqTimeout = time.Second
-	_, ts, _ := newChaosServer(t, serverConfig{
-		CacheBytes:      64 << 20,
-		Retries:         4,
-		RequestTimeout:  reqTimeout,
-		BreakerFailures: 5,
+	_, ts, _ := newChaosServer(t, Config{
+		CacheBytes:     64 << 20,
+		Retries:        4,
+		RequestTimeout: reqTimeout,
+		Breaker:        resilience.BreakerConfig{FailureThreshold: 5},
 	}, &c.Header, src)
 
 	src.stall()
@@ -421,11 +422,10 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	want := groundTruth(t, c, 1e-4)
 	src := &flakySource{inner: c}
 	const cooldown = 100 * time.Millisecond
-	srv, ts, o := newChaosServer(t, serverConfig{
-		CacheBytes:      64 << 20,
-		RequestTimeout:  10 * time.Second,
-		BreakerFailures: 3,
-		BreakerCooldown: cooldown,
+	_, ts, o := newChaosServer(t, Config{
+		CacheBytes:     64 << 20,
+		RequestTimeout: 10 * time.Second,
+		Breaker:        resilience.BreakerConfig{FailureThreshold: 3, Cooldown: cooldown},
 	}, &c.Header, src)
 
 	src.failing.Store(true)
@@ -442,7 +442,7 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	if res.status != http.StatusServiceUnavailable || res.detail != "breaker_open" {
 		t.Fatalf("open-breaker refine: status %d detail %q, want 503 breaker_open", res.status, res.detail)
 	}
-	if fastFails := srv.fields["Jx"].breaker.Stats().FastFails; fastFails == 0 {
+	if fastFails := o.Metrics.Snapshot().Counters["resilience.breaker.Jx.fast_fails"]; fastFails == 0 {
 		t.Fatal("open breaker did not fast-fail the read")
 	}
 
@@ -468,7 +468,7 @@ func TestChaosShedUnderOverload(t *testing.T) {
 	})
 	c := buildCompressed(t, "Jx")
 	src := &stallSource{inner: c}
-	_, ts, o := newChaosServer(t, serverConfig{
+	_, ts, o := newChaosServer(t, Config{
 		CacheBytes:     64 << 20,
 		RequestTimeout: 30 * time.Second,
 		MaxInflight:    1,
@@ -516,7 +516,7 @@ func TestChaosCancelledWaiterDoesNotPoisonSurvivor(t *testing.T) {
 	c := buildCompressed(t, "Jx")
 	want := groundTruth(t, c, 1e-4)
 	src := &stallSource{inner: c}
-	_, ts, o := newChaosServer(t, serverConfig{
+	_, ts, o := newChaosServer(t, Config{
 		CacheBytes:     64 << 20,
 		RequestTimeout: 30 * time.Second,
 	}, &c.Header, src)

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"encoding/json"
@@ -28,21 +28,20 @@ func TestGracefulDrain(t *testing.T) {
 	want := groundTruth(t, c, 1e-4)
 	src := &stallSource{inner: c}
 	o := obs.New()
-	srv, err := newServer(serverConfig{CacheBytes: 64 << 20, RequestTimeout: 30 * time.Second, Obs: o})
+	srv, err := New(Config{CacheBytes: 64 << 20, RequestTimeout: 30 * time.Second, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var closes atomic.Int64
-	if err := srv.add(&c.Header, src, func() error { closes.Add(1); return nil }); err != nil {
+	if err := srv.addLocal(&c.Header, src, func() error { closes.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.handler()}
 	serveDone := make(chan struct{})
-	go func() { httpSrv.Serve(ln); close(serveDone) }()
+	go func() { srv.Serve(ln); close(serveDone) }()
 	url := "http://" + ln.Addr().String()
 
 	if resp, err := http.Get(url + "/readyz"); err != nil || resp.StatusCode != http.StatusOK {
@@ -93,7 +92,7 @@ func TestGracefulDrain(t *testing.T) {
 	// Release the store and complete the shutdown: the pinned refine must
 	// finish with correct data before the server exits.
 	drainDone := make(chan struct{})
-	go func() { drainAndShutdown(srv, httpSrv, 10*time.Second); close(drainDone) }()
+	go func() { srv.Shutdown(10 * time.Second); close(drainDone) }()
 	src.unstall()
 	res := <-inflight
 	if res.status != http.StatusOK || res.body.Checksum != want {
@@ -102,13 +101,13 @@ func TestGracefulDrain(t *testing.T) {
 	select {
 	case <-drainDone:
 	case <-time.After(15 * time.Second):
-		t.Fatal("drainAndShutdown did not complete")
+		t.Fatal("Shutdown did not complete")
 	}
 	<-serveDone
 	if n := closes.Load(); n != 1 {
 		t.Fatalf("store close called %d times during drain, want 1", n)
 	}
-	srv.close()
+	srv.Close()
 	if n := closes.Load(); n != 1 {
 		t.Fatalf("store close called %d times after repeated close, want 1", n)
 	}
@@ -122,15 +121,15 @@ func TestReadyzProbeFailure(t *testing.T) {
 	src := &flakySource{inner: c}
 	src.failing.Store(true)
 	o := obs.New()
-	srv, err := newServer(serverConfig{CacheBytes: 64 << 20, Obs: o})
+	srv, err := New(Config{CacheBytes: 64 << 20, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.close)
-	if err := srv.add(&c.Header, src, nil); err != nil {
+	t.Cleanup(srv.Close)
+	if err := srv.addLocal(&c.Header, src, nil); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -155,11 +154,11 @@ func TestReadyzProbeFailure(t *testing.T) {
 // count instead of a torn connection.
 func TestRecoveryMiddleware(t *testing.T) {
 	o := obs.New()
-	srv, err := newServer(serverConfig{Obs: o})
+	srv, err := New(Config{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.close)
+	t.Cleanup(srv.Close)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
 	ts := httptest.NewServer(srv.withRecovery(mux))
@@ -188,7 +187,7 @@ func TestRecoveryMiddleware(t *testing.T) {
 // header, not a bare text line.
 func TestErrorBodyShape(t *testing.T) {
 	srv, _ := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	resp, err := http.Get(ts.URL + "/refine?field=nope")

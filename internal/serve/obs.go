@@ -2,7 +2,8 @@
 // extraction/injection, a per-request span tree absorbed into the process
 // tracer, one structured JSON access-log line per API request, and
 // SLO good/total accounting for refines.
-package main
+
+package serve
 
 import (
 	"context"
@@ -52,6 +53,7 @@ type statusWriter struct {
 	status int
 }
 
+// WriteHeader records the first status code written.
 func (sw *statusWriter) WriteHeader(code int) {
 	if sw.status == 0 {
 		sw.status = code
@@ -59,6 +61,7 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// Write records the implicit 200 of a body written without a status.
 func (sw *statusWriter) Write(b []byte) (int, error) {
 	if sw.status == 0 {
 		sw.status = http.StatusOK
@@ -87,7 +90,7 @@ func infraPath(path string) bool {
 //
 // It wraps withRecovery, so a panicking handler still logs (as the 500 the
 // recovery layer wrote) and still commits its spans.
-func (s *server) withObservability(next http.Handler) http.Handler {
+func (s *Server) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if infraPath(r.URL.Path) {
 			next.ServeHTTP(w, r)
@@ -128,7 +131,7 @@ func (s *server) withObservability(next http.Handler) http.Handler {
 
 // finishRequest commits one finished request: root span status, span-tree
 // absorption and retention, SLO accounting, access log line.
-func (s *server) finishRequest(r *http.Request, tc obs.TraceContext, root *obs.Span, tracer *obs.Tracer, ar *accessRecord, status int, start time.Time) {
+func (s *Server) finishRequest(r *http.Request, tc obs.TraceContext, root *obs.Span, tracer *obs.Tracer, ar *accessRecord, status int, start time.Time) {
 	// One clock reading ends both the access record and the root span. The
 	// record started first, so the root — and every span under it — fits
 	// inside the request it is the trace of.
@@ -202,19 +205,5 @@ func (s *server) finishRequest(r *http.Request, tc obs.TraceContext, root *obs.S
 			slog.String("outcome", ar.outcome),
 			slog.Float64("duration_seconds", dur.Seconds()),
 		)
-	}
-}
-
-// parseLogLevel maps the -log-level flag to a slog level (default info).
-func parseLogLevel(s string) slog.Level {
-	switch strings.ToLower(s) {
-	case "debug":
-		return slog.LevelDebug
-	case "warn":
-		return slog.LevelWarn
-	case "error":
-		return slog.LevelError
-	default:
-		return slog.LevelInfo
 	}
 }

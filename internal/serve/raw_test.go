@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"net/http/httptest"
@@ -29,12 +29,12 @@ func TestServeRawProbesBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := newServer(serverConfig{CacheBytes: 64 << 20, Obs: obs.New()})
+	srv, err := New(Config{CacheBytes: 64 << 20, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.close)
-	backend, err := srv.addRaw(path)
+	t.Cleanup(srv.Close)
+	backend, err := srv.AddRaw(path)
 	if err != nil {
 		t.Fatalf("addRaw: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestServeRawProbesBackend(t *testing.T) {
 		t.Fatalf("probe selected %q for the polynomial field, want interp", backend)
 	}
 
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	var open openResponse
 	getJSON(t, ts, "/open?field=smooth", &open)

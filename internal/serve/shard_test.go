@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"pmgard/internal/core"
 	"pmgard/internal/leakcheck"
 	"pmgard/internal/obs"
+	"pmgard/internal/resilience"
 	"pmgard/internal/shard"
 )
 
@@ -64,7 +64,7 @@ func TestParseTolerance(t *testing.T) {
 // tag, not a refine over a poisoned tolerance.
 func TestRefineRejectsNonFiniteTolerance(t *testing.T) {
 	srv, _ := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	for _, q := range []string{"abs=NaN", "abs=%2BInf", "rel=NaN", "abs=-Inf"} {
@@ -93,11 +93,10 @@ func TestRetryAfterTracksBreakerCooldown(t *testing.T) {
 		t.Run(cooldown.String(), func(t *testing.T) {
 			c := buildCompressed(t, "Jx")
 			src := &flakySource{inner: c}
-			_, ts, _ := newChaosServer(t, serverConfig{
-				CacheBytes:      64 << 20,
-				RequestTimeout:  10 * time.Second,
-				BreakerFailures: 3,
-				BreakerCooldown: cooldown,
+			_, ts, _ := newChaosServer(t, Config{
+				CacheBytes:     64 << 20,
+				RequestTimeout: 10 * time.Second,
+				Breaker:        resilience.BreakerConfig{FailureThreshold: 3, Cooldown: cooldown},
 			}, &c.Header, src)
 
 			src.failing.Store(true)
@@ -136,7 +135,7 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	})
 	c := buildCompressed(t, "Jx")
 	src := &stallSource{inner: c}
-	srv, ts, _ := newChaosServer(t, serverConfig{
+	srv, ts, _ := newChaosServer(t, Config{
 		CacheBytes:     64 << 20,
 		RequestTimeout: 30 * time.Second,
 		MaxInflight:    1,
@@ -173,40 +172,41 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	}
 }
 
-// startNode builds one shard node: a node-role server holding the artifact
-// and an httptest front end exposing /planes alongside the public API.
+// startNode builds one shard node: a server holding the artifact with the
+// /planes endpoints mounted, and an httptest front end.
 func startNode(t *testing.T, c *core.Compressed) (*httptest.Server, *obs.Obs) {
 	t.Helper()
 	o := obs.New()
-	srv, err := newServer(serverConfig{Role: "node", CacheBytes: 64 << 20, Obs: o})
+	srv, err := New(Config{CacheBytes: 64 << 20, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.close)
-	if err := srv.add(&c.Header, c, nil); err != nil {
+	t.Cleanup(srv.Close)
+	srv.MountPlanes()
+	if err := srv.addLocal(&c.Header, c, nil); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, o
 }
 
-// startRouter builds a router-role server over the map and an httptest
+// startRouter builds a server over the map's shard and an httptest
 // front end. The 1-byte cache keeps every plane uncacheable (oversize), so
 // each refine exercises the network path while concurrent misses still
 // collapse through singleflight.
-func startRouter(t *testing.T, m *shard.Map, cacheBytes int64) (*server, *httptest.Server, *obs.Obs) {
+func startRouter(t *testing.T, m *shard.Map, cacheBytes int64) (*Server, *httptest.Server, *obs.Obs) {
 	t.Helper()
 	o := obs.New()
-	srv, err := newServer(serverConfig{Role: "router", CacheBytes: cacheBytes, RequestTimeout: 30 * time.Second, Obs: o})
+	srv, err := New(Config{CacheBytes: cacheBytes, RequestTimeout: 30 * time.Second, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.close)
-	if err := srv.initRouter(context.Background(), m); err != nil {
+	t.Cleanup(srv.Close)
+	if err := srv.AddShard(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, o
 }
@@ -369,25 +369,6 @@ func TestShardNodeSharesCacheWithLocalRefines(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
 			t.Fatalf("/planes?%s: status %d, want 4xx", q, resp.StatusCode)
-		}
-	}
-}
-
-// TestShardRoleFlagValidation pins the CLI contract around the shard
-// flags: a router needs a map and takes no local inputs, and unknown roles
-// are rejected.
-func TestShardRoleFlagValidation(t *testing.T) {
-	for _, c := range []struct {
-		args []string
-		want string // what the error must say
-	}{
-		{[]string{"-role", "router"}, "-shard-map"},
-		{[]string{"-role", "router", "-shard-map", "m.json", "-in", "x.pmgd"}, "no -in/-raw"}, // local inputs
-		{[]string{"-role", "coordinator", "-in", "x.pmgd"}, "-role"},                          // unknown role
-		{[]string{"-role", "node"}, "-in or -raw is required"},                                // -in covers both layouts
-	} {
-		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("run(%v) = %v, want a flag validation error saying %q", c.args, err, c.want)
 		}
 	}
 }

@@ -46,8 +46,9 @@ func CachedField(h *core.Header, cache *servecache.Cache, src servecache.Source)
 	}
 }
 
-// NodeSource resolves the fields a node handler serves; cmd/serve's server
-// implements it over its registered field handles.
+// NodeSource resolves the fields a node handler serves; internal/serve's
+// Server implements it over the fields added to it, and this package's
+// tests substitute a fake.
 type NodeSource interface {
 	// PlaneField returns the named field's serving hooks; ok is false for
 	// fields the node does not serve.

@@ -25,23 +25,24 @@ type RouterConfig struct {
 	// Client issues the node HTTP requests; nil uses a default client
 	// (per-request cancellation still applies through contexts).
 	Client *http.Client
-	// Retry is the per-node retry policy. The zero value uses the router
-	// default — 2 attempts with 2ms..20ms equal-jitter backoff — which is
-	// deliberately tighter than storage.DefaultRetryPolicy: a dead node
-	// should fail over to its replica in milliseconds, not burn the full
-	// single-store retry budget first.
-	Retry storage.RetryPolicy
-	// BreakerFailures is the consecutive-failure threshold of each node's
-	// circuit breaker; 0 means the default of 5, negative disables the
-	// breakers.
-	BreakerFailures int
-	// BreakerCooldown is the open-state cooldown of the node breakers; 0
-	// uses the resilience default.
-	BreakerCooldown time.Duration
+	// Breaker describes each node's circuit breaker; a FailureThreshold
+	// below 1 means no breakers (resilience.BreakerConfig).
+	Breaker resilience.BreakerConfig
 	// Obs records the router metrics (shard.node_reads.<name>,
 	// shard.replica_failover, per-node breaker gauges); must be non-nil.
 	Obs *obs.Obs
 }
+
+// nodeRetry is the per-node retry policy: 2 attempts with 2ms..20ms
+// equal-jitter backoff — deliberately tighter than
+// storage.DefaultRetryPolicy, because a dead node should fail over to its
+// replica in milliseconds, not burn the full single-store retry budget
+// first.
+var nodeRetry = storage.RetryPolicy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
+
+// maxDocBytes caps the /planes/fields and /planes/header documents a node
+// can make the router hold; a real header is a few KiB per level.
+const maxDocBytes = 1 << 20
 
 // Router is the router-side client of the shard tier: it places plane keys
 // on the map's ring and fetches them from node /planes endpoints with
@@ -53,9 +54,8 @@ type RouterConfig struct {
 type Router struct {
 	m        *Map
 	client   *http.Client
-	pol      storage.RetryPolicy
 	o        *obs.Obs
-	breakers []*resilience.Breaker // per node, nil entries when disabled
+	breakers []*resilience.Breaker // per node, nil when disabled
 	reads    []*obs.Counter        // shard.node_reads.<name>, per node
 	failover *obs.Counter
 }
@@ -72,14 +72,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	pol := cfg.Retry
-	if pol.MaxAttempts == 0 && pol.BaseDelay == 0 && pol.MaxDelay == 0 {
-		pol = storage.RetryPolicy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
-	}
 	r := &Router{
 		m:        cfg.Map,
 		client:   client,
-		pol:      pol,
 		o:        cfg.Obs,
 		breakers: make([]*resilience.Breaker, len(cfg.Map.Nodes)),
 		reads:    make([]*obs.Counter, len(cfg.Map.Nodes)),
@@ -87,14 +82,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	for i, n := range cfg.Map.Nodes {
 		r.reads[i] = cfg.Obs.Counter("shard.node_reads." + n.Name)
-		if cfg.BreakerFailures >= 0 {
-			b := resilience.NewBreaker(resilience.BreakerConfig{
-				FailureThreshold: cfg.BreakerFailures,
-				Cooldown:         cfg.BreakerCooldown,
-			})
-			b.Instrument(cfg.Obs, "node."+n.Name)
-			r.breakers[i] = b
-		}
+		r.breakers[i] = resilience.NewBreaker(cfg.Breaker)
+		r.breakers[i].Instrument(cfg.Obs, "node."+n.Name)
 	}
 	return r, nil
 }
@@ -106,9 +95,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (r *Router) RetryAfter() time.Duration {
 	var min time.Duration
 	for _, b := range r.breakers {
-		if b == nil {
-			continue
-		}
 		if d := b.RetryAfter(); d > 0 && (min == 0 || d < min) {
 			min = d
 		}
@@ -116,12 +102,15 @@ func (r *Router) RetryAfter() time.Duration {
 	return min
 }
 
-// get issues one GET against node n's API and returns the body on 200.
-// Non-200 statuses and transport failures map to storage fault classes:
-// 400/404/410 wrap storage.ErrPermanent, everything else is transient. The
-// caller's trace context propagates as a traceparent header, parented at
-// the current span, so the node's span tree hangs off the router's.
-func (r *Router) get(ctx context.Context, n Node, path string, query url.Values) ([]byte, error) {
+// get issues one GET against node n's API and returns the body on 200,
+// reading at most limit+1 bytes of it: a node cannot make the router hold
+// more than the response it was asked for, and a longer body is
+// storage.ErrCorrupt. Non-200 statuses and transport failures map to
+// storage fault classes: 400/404/410 wrap storage.ErrPermanent, everything
+// else is transient. The caller's trace context propagates as a
+// traceparent header, parented at the current span, so the node's span
+// tree hangs off the router's.
+func (r *Router) get(ctx context.Context, n Node, path string, query url.Values, limit int) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+path+"?"+query.Encode(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("shard: node %s: %w: %w", n.Name, storage.ErrPermanent, err)
@@ -156,9 +145,12 @@ func (r *Router) get(ctx context.Context, n Node, path string, query url.Values)
 		}
 		return nil, fmt.Errorf("shard: node %s: status %d: %w: %s", n.Name, resp.StatusCode, class, detail)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
 	if err != nil {
 		return nil, fmt.Errorf("shard: node %s: read body: %w: %w", n.Name, storage.ErrTransient, err)
+	}
+	if len(body) > limit {
+		return nil, fmt.Errorf("shard: node %s: %s body exceeds %d bytes: %w", n.Name, path, limit, storage.ErrCorrupt)
 	}
 	return body, nil
 }
@@ -188,7 +180,7 @@ func (r *Router) Fields(ctx context.Context) ([]string, error) {
 		Fields []string `json:"fields"`
 	}
 	err := r.anyNode(ctx, func(n Node) error {
-		body, err := r.get(ctx, n, "/planes/fields", url.Values{})
+		body, err := r.get(ctx, n, "/planes/fields", url.Values{}, maxDocBytes)
 		if err != nil {
 			return err
 		}
@@ -205,7 +197,7 @@ func (r *Router) Fields(ctx context.Context) ([]string, error) {
 func (r *Router) Header(ctx context.Context, field string) (*core.Header, error) {
 	var h core.Header
 	err := r.anyNode(ctx, func(n Node) error {
-		body, err := r.get(ctx, n, "/planes/header", url.Values{"field": {field}})
+		body, err := r.get(ctx, n, "/planes/header", url.Values{"field": {field}}, maxDocBytes)
 		if err != nil {
 			return err
 		}
@@ -222,14 +214,7 @@ func (r *Router) Header(ctx context.Context, field string) (*core.Header, error)
 func (r *Router) FieldClient(h *core.Header) *FieldClient {
 	fc := &FieldClient{r: r, h: h, chains: make([]storage.SegmentSource, len(r.m.Nodes))}
 	for i, n := range r.m.Nodes {
-		base := &httpPlaneSource{r: r, node: n, field: h.FieldName}
-		retrying := storage.NewRetryingSource(base, r.pol)
-		retrying.Instrument(r.o)
-		var src storage.SegmentSource = retrying
-		if b := r.breakers[i]; b != nil {
-			src = resilience.BreakerSource{Src: retrying, Breaker: b}
-		}
-		fc.chains[i] = src
+		fc.chains[i] = resilience.Guard(&httpPlaneSource{r: r, node: n, h: h}, nodeRetry, r.breakers[i], r.o)
 	}
 	return fc
 }
@@ -238,20 +223,23 @@ func (r *Router) FieldClient(h *core.Header) *FieldClient {
 // /planes endpoint. It sits at the bottom of the per-node chain, under the
 // retry layer and breaker.
 type httpPlaneSource struct {
-	r     *Router
-	node  Node
-	field string
+	r    *Router
+	node Node
+	h    *core.Header
 }
 
 // Segment implements storage.SegmentSource: it fetches one plane bitset
-// over HTTP.
+// over HTTP, bounded by the header's RawPlaneSize for the level.
 func (s *httpPlaneSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
+	if level < 0 || level >= len(s.h.Levels) {
+		return nil, fmt.Errorf("shard: level %d out of range [0,%d): %w", level, len(s.h.Levels), storage.ErrPermanent)
+	}
 	q := url.Values{
-		"field": {s.field},
+		"field": {s.h.FieldName},
 		"level": {fmt.Sprint(level)},
 		"plane": {fmt.Sprint(plane)},
 	}
-	return s.r.get(ctx, s.node, "/planes", q)
+	return s.r.get(ctx, s.node, "/planes", q, s.h.Levels[level].RawPlaneSize)
 }
 
 // FieldClient serves one field's planes over the shard with replica

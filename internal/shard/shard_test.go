@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"pmgard/internal/core"
 	"pmgard/internal/obs"
+	"pmgard/internal/resilience"
 	"pmgard/internal/servecache"
 	"pmgard/internal/sim/warpx"
 	"pmgard/internal/storage"
@@ -131,7 +133,7 @@ func buildArtifact(t *testing.T) *core.Compressed {
 }
 
 // nodeSource adapts one artifact to the NodeSource interface, serving its
-// planes through a PlaneStore like cmd/serve's node role does.
+// planes through a PlaneStore like internal/serve's node wiring does.
 type nodeSource struct {
 	h     *core.Header
 	store *core.PlaneStore
@@ -259,7 +261,7 @@ func TestRouterFailsOverToReplica(t *testing.T) {
 	o := obs.New()
 	// No breakers: this test wants every read attempted so the per-plane
 	// failover behavior is visible; breaker interaction is tested below.
-	r, err := NewRouter(RouterConfig{Map: m, Obs: o, BreakerFailures: -1})
+	r, err := NewRouter(RouterConfig{Map: m, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +294,7 @@ func TestRouterPermanentLossWinsOverTransient(t *testing.T) {
 	lost := [2]int{0, 0}
 	servers, m := startNodes(t, c, 2, 2, &lost)
 	o := obs.New()
-	r, err := NewRouter(RouterConfig{Map: m, Obs: o, BreakerFailures: -1})
+	r, err := NewRouter(RouterConfig{Map: m, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +318,7 @@ func TestRouterBreakerFailsFastAfterNodeDeath(t *testing.T) {
 	c := buildArtifact(t)
 	servers, m := startNodes(t, c, 2, 2, nil)
 	o := obs.New()
-	r, err := NewRouter(RouterConfig{Map: m, Obs: o, BreakerFailures: 2})
+	r, err := NewRouter(RouterConfig{Map: m, Obs: o, Breaker: resilience.BreakerConfig{FailureThreshold: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +400,7 @@ func TestRouterRejectsBadResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(RouterConfig{Map: m, Obs: obs.New(), BreakerFailures: -1})
+	r, err := NewRouter(RouterConfig{Map: m, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +412,7 @@ func TestRouterRejectsBadResponses(t *testing.T) {
 
 	// A real node answers out-of-range coordinates with 400 → permanent.
 	_, m2 := startNodes(t, c, 1, 1, nil)
-	r2, err := NewRouter(RouterConfig{Map: m2, Obs: obs.New(), BreakerFailures: -1})
+	r2, err := NewRouter(RouterConfig{Map: m2, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,5 +422,102 @@ func TestRouterRejectsBadResponses(t *testing.T) {
 	_, _, err = fc2.FetchPlane(context.Background(), key)
 	if err == nil || storage.Classify(err) != storage.FaultPermanent {
 		t.Fatalf("out-of-range fetch error = %v, want a permanent fault", err)
+	}
+}
+
+// countingTransport counts the response-body bytes its client reads.
+type countingTransport struct{ read *int64 }
+
+func (c countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		resp.Body = countingBody{resp.Body, c.read}
+	}
+	return resp, err
+}
+
+type countingBody struct {
+	io.ReadCloser
+	read *int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	*b.read += int64(n)
+	return n, err
+}
+
+// TestRouterBoundsNodeResponses pins what a node can make the router
+// allocate: a plane body is read through a limit of the header's
+// RawPlaneSize+1, so a node streaming far more is cut off there, classified
+// as corruption, and failed over like any other bad replica; the discovery
+// documents are capped too.
+func TestRouterBoundsNodeResponses(t *testing.T) {
+	c := buildArtifact(t)
+	h := &c.Header
+	const flood = 4 << 20
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		chunk := make([]byte, 64<<10)
+		for sent := 0; sent < flood; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return // the router hung up, as it should
+			}
+		}
+	}))
+	defer liar.Close()
+	var read int64
+	client := &http.Client{Transport: countingTransport{&read}}
+
+	m, err := ParseMap([]byte(fmt.Sprintf(`{"nodes": [{"name": "liar", "url": %q}]}`, liar.URL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(RouterConfig{Map: m, Client: client, Obs: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, _, err = r.FieldClient(h).FetchPlane(ctx, fieldKey(c, 0, 0))
+	if !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("over-length plane error = %v, want ErrCorrupt", err)
+	}
+	if limit := int64(h.Levels[0].RawPlaneSize) + 1; read > limit {
+		t.Fatalf("router read %d bytes of an over-length plane, limit is RawPlaneSize+1 = %d", read, limit)
+	}
+	read = 0
+	if _, err := r.Fields(ctx); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("over-length /planes/fields error = %v, want ErrCorrupt", err)
+	}
+	if _, err := r.Header(ctx, "Jx"); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("over-length /planes/header error = %v, want ErrCorrupt", err)
+	}
+	if read > 2*(maxDocBytes+1) {
+		t.Fatalf("router read %d bytes of two over-length documents, cap is %d each", read, maxDocBytes+1)
+	}
+
+	// Next to an honest replica the liar costs failovers, never an answer.
+	servers, _ := startNodes(t, c, 1, 1, nil)
+	m2, err := ParseMap([]byte(fmt.Sprintf(`{"nodes": [{"name": "liar", "url": %q}, {"name": "n1", "url": %q}], "replication": 2}`,
+		liar.URL, servers[0].URL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	r2, err := NewRouter(RouterConfig{Map: m2, Client: client, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := r2.FieldClient(h)
+	for level := range h.Levels {
+		for plane := 0; plane < h.Planes; plane++ {
+			if _, _, err := fc.FetchPlane(ctx, fieldKey(c, level, plane)); err != nil {
+				t.Fatalf("fetch (%d,%d) beside a lying replica: %v", level, plane, err)
+			}
+		}
+	}
+	snap := o.Metrics.Snapshot()
+	if snap.Counters["shard.replica_failover"] == 0 || snap.Counters["shard.node_reads.liar"] != 0 {
+		t.Fatalf("failovers %d, reads served by the liar %d; want > 0 and 0",
+			snap.Counters["shard.replica_failover"], snap.Counters["shard.node_reads.liar"])
 	}
 }
