@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecompressGarbage -fuzztime 30s ./internal/lossless/
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/fieldio/
 	$(GO) test -fuzz FuzzCodecRoundtrip -fuzztime 30s ./internal/codec/codectest/
+	$(GO) test -fuzz FuzzNodeRunResponse -fuzztime 30s ./internal/shard/
 
 # The repository benchmark (BENCHMARK.json): the four end-to-end workloads
 # over the real serve/mgard binaries at 129³; see benchmark/README.md.

@@ -180,13 +180,22 @@ func recvTypeName(fn *ast.FuncDecl) string {
 // every segment passes its manifest check first — inflates segments
 // (lossless Codec.Decompress); and in the whole module outside benchmark/
 // one function derives the "<field>@<timestep>" cache namespace from a
-// header's FieldName and Timestep.
+// header's FieldName and Timestep, and the unit of fetch is a run of planes
+// with no one-plane twin beside it (no FetchPlane next to
+// Source.FetchPlanes, no GetRun next to Cache.Get).
 func TestOneReadEngine(t *testing.T) {
 	stages := map[string]string{
 		"DecodeLevel": "decode", "Recompose": "recompose", "RecomposeLevel": "recompose", "Decompress": "inflate",
 	}
 	callers := map[string]map[string]bool{"decode": {}, "recompose": {}, "inflate": {}, "namespace": {}}
+	var twins []string
 	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && (id.Name == "FetchPlane" || id.Name == "GetRun") {
+				twins = append(twins, path+": "+id.Name)
+			}
+			return true
+		})
 		inCore := filepath.ToSlash(filepath.Dir(path)) == "internal/core"
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -230,6 +239,9 @@ func TestOneReadEngine(t *testing.T) {
 		if stage == "inflate" && len(names) == 1 && !strings.Contains(names[0], ": PlaneStore.") {
 			t.Errorf("inflate: %s is not a PlaneStore method", names[0])
 		}
+	}
+	if len(twins) > 0 {
+		t.Errorf("%d uses of the one-plane fetch's names; a plane is a run of one:\n  %s", len(twins), strings.Join(twins, "\n  "))
 	}
 }
 

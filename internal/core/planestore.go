@@ -42,15 +42,36 @@ func (h *Header) PlaneKey(level, plane int) servecache.Key {
 	return servecache.Key{Codec: h.Codec(), Field: fmt.Sprintf("%s@%d", h.FieldName, h.Timestep), Level: level, Plane: plane}
 }
 
-// FetchPlane implements servecache.Source: it reads plane (key.Level,
-// key.Plane) from the store and decompresses it under a session.fetch_plane
-// span. It returns the plane bitset and the compressed payload bytes the
-// fetch moved; on error the payload is the bytes a failed transfer still
-// delivered (callers account them as wasted). Out-of-range coordinates fail
-// before any I/O. Behind a cache, ctx is the flight context, alive as long
-// as any waiter wants the plane.
-func (p *PlaneStore) FetchPlane(ctx context.Context, key servecache.Key) (raw []byte, payload int64, err error) {
-	level, plane := key.Level, key.Plane
+// PlaneRun returns the shared-cache run of the given planes of one level,
+// under PlaneKey's namespace.
+func (h *Header) PlaneRun(level int, planes []int) servecache.Run {
+	k := h.PlaneKey(level, 0)
+	return servecache.Run{Codec: k.Codec, Field: k.Field, Level: level, Planes: planes}
+}
+
+// FetchPlanes implements servecache.Source: it reads the run's planes from
+// the store one segment after the other, in run order, and stops after the
+// first that fails — a dead tier costs one plane's retry budget, not the
+// run's. Behind a cache, ctx is the fetch context, alive as long as any
+// waiter wants a plane of the run.
+func (p *PlaneStore) FetchPlanes(ctx context.Context, run servecache.Run) []servecache.Plane {
+	out := make([]servecache.Plane, 0, len(run.Planes))
+	for _, plane := range run.Planes {
+		raw, payload, err := p.fetchPlane(ctx, run.Level, plane)
+		out = append(out, servecache.Plane{Raw: raw, Payload: payload, Err: err})
+		if err != nil {
+			break
+		}
+	}
+	return out
+}
+
+// fetchPlane reads plane (level, plane) from the store and decompresses it
+// under a session.fetch_plane span. It returns the plane bitset and the
+// compressed payload bytes the fetch moved; on error the payload is the
+// bytes a failed transfer still delivered (callers account them as wasted).
+// Out-of-range coordinates and an ended ctx fail before any I/O.
+func (p *PlaneStore) fetchPlane(ctx context.Context, level, plane int) (raw []byte, payload int64, err error) {
 	sp := obs.SpanFromContext(ctx).Child("session.fetch_plane")
 	sp.SetAttr("level", level)
 	sp.SetAttr("plane", plane)
@@ -59,6 +80,9 @@ func (p *PlaneStore) FetchPlane(ctx context.Context, key servecache.Key) (raw []
 		sp.Fail(err)
 		sp.End()
 	}()
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
 	if level < 0 || level >= len(p.h.Levels) {
 		return nil, 0, fmt.Errorf("core: level %d out of [0,%d)", level, len(p.h.Levels))
 	}

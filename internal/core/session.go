@@ -31,17 +31,19 @@ type Session struct {
 	header *Header
 	// src is the one plane source the session reads from: a validating
 	// PlaneStore over local segments, or the shard router's remote-node
-	// client. cache, when non-nil, is consulted before it; key is the
-	// header's cache key, completed per fetch with the plane coordinates.
+	// client. cache, when non-nil, is consulted before it (a nil cache
+	// fetches straight from src); run is the header's cache namespace,
+	// completed per fetch with the level and the planes wanted.
 	src   servecache.Source
 	cache *servecache.Cache
-	key   servecache.Key
+	run   servecache.Run
 	// backend is the progressive codec named by the header; dec is its
 	// zero-initialized decomposition the fetched planes decode into.
 	backend codec.ProgressiveCodec
 	dec     codec.Decomposition
 	// workers is the fan-out of a refinement's plane fetches and of the
-	// level decode; 1 fetches in plane order on the caller's goroutine.
+	// level decode; 1 fetches each level's planes as one run on the caller's
+	// goroutine.
 	workers int
 	// mu guards everything below it.
 	mu sync.Mutex
@@ -74,10 +76,10 @@ func (s *Session) Instrument(o *obs.Obs) {
 }
 
 // The worker counts of a session opened through NewSession or
-// NewSharedSession — what the serving tier runs on every /refine: planes
-// fetched in order and decoded at one worker, recomposition at one worker
-// per CPU. The split is inherited, not chosen; choosing it deliberately is a
-// performance change that needs its own measurement.
+// NewSharedSession — what the serving tier runs on every /refine: each
+// level's planes fetched as one run and decoded at one worker, recomposition
+// at one worker per CPU. The split is inherited, not chosen; choosing it
+// deliberately is a performance change that needs its own measurement.
 const (
 	sessionWorkers          = 1
 	sessionRecomposeWorkers = 0
@@ -101,8 +103,8 @@ func NewSession(h *Header, src storage.SegmentSource) (*Session, error) {
 // cache above the resilience stack: with a storage.RetryingSource below the
 // store, the retry loop for a contended plane also runs once per flight) or
 // the shard router's FieldClient, whose misses become one network fetch per
-// plane. Entries are namespaced by h.PlaneKey, so every reader of one field
-// shares them.
+// level and node. Entries are namespaced by h.PlaneKey, so every reader of
+// one field shares them.
 //
 // Per-session semantics are preserved exactly: Fetched and BytesFetched
 // report the same values whether a plane came from the cache or the source,
@@ -134,7 +136,7 @@ func newSession(h *Header, src servecache.Source, cache *servecache.Cache, worke
 		header:     h,
 		src:        src,
 		cache:      cache,
-		key:        h.PlaneKey(0, 0),
+		run:        h.PlaneRun(0, nil),
 		backend:    backend,
 		dec:        dec,
 		workers:    workers,
@@ -235,30 +237,21 @@ func (s *Session) startSpan(ctx context.Context, name string) *obs.Span {
 	return s.o.Span(name, nil)
 }
 
-// planeSlot is the pre-sized landing slot of one plane fetch of a level's
-// fan-out: workers only ever write their own slot, the session state is
-// advanced from the slots afterwards, in plane order.
-type planeSlot struct {
-	raw     []byte
-	payload int64
-	hit     bool
-	err     error
-	done    bool
-}
-
-// fetchLevel extends level l's fetched plane prefix to want planes. The
-// missing planes fan out across s.workers into pre-sized slots; the session
-// keeps the contiguous prefix below the lowest failed plane and returns
-// that plane's error, whatever the scheduling, so a mid-level failure never
-// desynchronizes fetched/planes/bytes. With one worker that is the
-// sequential loop: planes in order on the caller's goroutine, stopping at
-// the first failure. s.mu must be held.
+// fetchLevel extends level l's fetched plane prefix to want planes, asking
+// for the missing planes as one run — through the shared cache when the
+// session has one — or, with several workers, as one contiguous sub-run per
+// worker, read and inflated in parallel into pre-sized slots. The session
+// keeps the contiguous prefix below the lowest failed plane and returns that
+// plane's error, whatever the scheduling, so a mid-level failure never
+// desynchronizes fetched/planes/bytes. s.mu must be held.
 //
 // Failed fetches still count toward BytesFetched when payload was actually
 // delivered: a segment that arrives but fails to decompress (corruption,
-// truncation), a partial payload returned alongside an error, or a plane a
-// fan-out fetched above the failed one and had to discard, moved real bytes
-// off the store even though the plane was never decoded.
+// truncation), a partial payload returned alongside an error, or a plane
+// fetched above the failed one — by another sub-run, or by a remote source
+// that asks several nodes — and discarded, moved real bytes off the store
+// even though the plane was never decoded. A cached plane above the failed
+// one moved nothing.
 func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 	have := s.fetched[l]
 	if want <= have {
@@ -268,38 +261,39 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
 	sp.SetAttr("level", l)
-	slots := make([]planeSlot, want-have)
+	planes := make([]int, want-have)
+	for i := range planes {
+		planes[i] = have + i
+	}
+	slots := make([]servecache.Plane, len(planes))
 	var m *pool.Metrics
 	if s.workers > 1 {
 		m = pool.NewMetrics(s.o, "fetch")
 	}
-	// A lone worker stops at the first failure; a fan-out runs every plane
-	// of the level, like any pool.Run, so what it accounts is deterministic.
-	stopped := false
-	err := pool.Run(ctx, len(slots), s.workers, m, func(_, i int) error {
-		if stopped {
-			return nil
-		}
-		sl := &slots[i]
-		sl.raw, sl.payload, sl.hit, sl.err = s.fetchPlane(ctx, l, have+i)
-		sl.done = true
-		if sl.err != nil && s.workers == 1 {
-			stopped = true
-		}
-		return sl.err
+	pool.RunChunks(len(planes), s.workers, m, func(_, lo, hi int) error {
+		run := s.run
+		run.Level, run.Planes = l, planes[lo:hi]
+		copy(slots[lo:hi], s.cache.Get(ctx, run, s.src))
+		return nil
 	})
+	var err error
 	var levelBytes, keptBytes, levelHits int64
 	for i := range slots {
 		sl := &slots[i]
-		levelBytes += sl.payload
+		if err == nil {
+			err = sl.Err
+		}
 		// Only the contiguous prefix of landed planes extends the session.
-		if sl.done && sl.err == nil && s.fetched[l] == have+i {
-			s.planes[l][have+i] = sl.raw
+		if err == nil {
+			s.planes[l][have+i] = sl.Raw
 			s.fetched[l]++
-			keptBytes += sl.payload
-			if sl.hit {
+			keptBytes += sl.Payload
+			if sl.Hit {
 				levelHits++
 			}
+		}
+		if err == nil || !sl.Hit {
+			levelBytes += sl.Payload
 		}
 	}
 	kept := s.fetched[l] - have
@@ -319,22 +313,6 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 		sp.Fail(err)
 	}
 	return err
-}
-
-// fetchPlane materializes one decompressed plane from the session's source,
-// through the shared cache when the session has one. It returns the plane
-// bitset, the compressed payload bytes the plane's fetch moved, and whether
-// the plane came out of the shared cache without a fetch; on error the
-// payload is the bytes a failed transfer still delivered (counted as wasted
-// by the caller).
-func (s *Session) fetchPlane(ctx context.Context, l, k int) ([]byte, int64, bool, error) {
-	key := s.key
-	key.Level, key.Plane = l, k
-	if s.cache == nil {
-		raw, payload, err := s.src.FetchPlane(ctx, key)
-		return raw, payload, false, err
-	}
-	return s.cache.Get(ctx, key, s.src)
 }
 
 // Refine plans greedily under est at an absolute tolerance, never dropping

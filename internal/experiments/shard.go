@@ -157,8 +157,13 @@ func shardRound(p Params, h *core.Header, path string, n int, budget int64) (Sha
 	ctx := context.Background()
 	// Warming pass: touch every plane once so the counted round measures the
 	// steady state (each node's LRU holds whatever fits of its partition).
+	// Each read is a run of one plane: the sweep measures the nodes' caches
+	// under random plane access, not the run protocol.
+	fetch := func(k servecache.Key) error {
+		return fc.FetchPlanes(ctx, h.PlaneRun(k.Level, []int{k.Plane}))[0].Err
+	}
 	for _, k := range keys {
-		if _, _, err := fc.FetchPlane(ctx, k); err != nil {
+		if err := fetch(k); err != nil {
 			return ShardPoint{}, fmt.Errorf("experiments: shard warmup (%d,%d): %w", k.Level, k.Plane, err)
 		}
 	}
@@ -177,7 +182,7 @@ func shardRound(p Params, h *core.Header, path string, n int, budget int64) (Sha
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < reads; i += shardWorkers {
-				if _, _, err := fc.FetchPlane(ctx, workload[i]); err != nil && errs[w] == nil {
+				if err := fetch(workload[i]); err != nil && errs[w] == nil {
 					errs[w] = err
 				}
 			}

@@ -306,6 +306,12 @@ func (b *Breaker) Stats() BreakerStats {
 // failure is "the whole retry budget burned", so one dead-tier request
 // costs one breaker failure, and once open, later requests skip the budget
 // entirely. A nil b adds no breaker; the retry layer's counters bind to o.
+//
+// The unit the stack guards is a read of src: a segment, or — when src is a
+// storage.RunSource, as a shard node's is — a run of planes fetched by one
+// request. Every layer forwards Run, so the result is a storage.RunSource
+// whenever src is: one budget, one breaker verdict and one span per run,
+// under the identity of its first plane.
 func Guard(src storage.SegmentSource, retry storage.RetryPolicy, b *Breaker, o *obs.Obs) storage.SegmentSource {
 	if retry.MaxAttempts > 0 {
 		retrying := storage.NewRetryingSource(src, retry)
@@ -331,6 +337,22 @@ type BreakerSource struct {
 // Segment implements storage.SegmentSource through the breaker,
 // forwarding ctx to the wrapped source.
 func (b BreakerSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
+	return b.gate(ctx, level, plane, func() ([]byte, error) { return b.Src.Segment(ctx, level, plane) })
+}
+
+// Run implements storage.RunSource through the breaker over a wrapped
+// RunSource: the run is admitted and recorded as one read.
+func (b BreakerSource) Run(ctx context.Context, level int, planes []int) ([]byte, error) {
+	src, ok := b.Src.(storage.RunSource)
+	if !ok || len(planes) == 0 {
+		return nil, fmt.Errorf("resilience: %T cannot read a run of %d planes: %w", b.Src, len(planes), storage.ErrPermanent)
+	}
+	return b.gate(ctx, level, planes[0], func() ([]byte, error) { return src.Run(ctx, level, planes) })
+}
+
+// gate runs one read — the segment (level, plane), or a run starting there
+// — between the breaker's Allow and Record.
+func (b BreakerSource) gate(ctx context.Context, level, plane int, read func() ([]byte, error)) ([]byte, error) {
 	if err := b.Breaker.Allow(); err != nil {
 		// A span only on rejection: a pass-through read is fully described
 		// by the storage.read span underneath, but a breaker-open fast-fail
@@ -345,7 +367,7 @@ func (b BreakerSource) Segment(ctx context.Context, level, plane int) ([]byte, e
 	var payload []byte
 	err := ctx.Err()
 	if err == nil {
-		payload, err = b.Src.Segment(ctx, level, plane)
+		payload, err = read()
 	}
 	b.Breaker.Record(err)
 	return payload, err

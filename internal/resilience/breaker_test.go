@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -288,5 +289,80 @@ func TestGuardLayersBreakerOverRetries(t *testing.T) {
 	}
 	if _, err := guarded.Segment(context.Background(), 0, 0); !errors.Is(err, ErrOpen) || src.reads != 3 {
 		t.Fatalf("read while open = %v after %d source reads, want ErrOpen and still 3", err, src.reads)
+	}
+}
+
+// runSegments is a storage.RunSource whose runs fail in a scripted way and
+// which records what it was asked for.
+type runSegments struct {
+	fail error
+	runs [][]int
+}
+
+func (r *runSegments) Segment(ctx context.Context, level, plane int) ([]byte, error) {
+	return r.Run(ctx, level, []int{plane})
+}
+
+func (r *runSegments) Run(_ context.Context, level int, planes []int) ([]byte, error) {
+	r.runs = append(r.runs, append([]int(nil), planes...))
+	if r.fail != nil {
+		return nil, r.fail
+	}
+	return make([]byte, len(planes)), nil
+}
+
+// TestGuardGuardsARunAsOneRead pins the unit of the stack over a
+// storage.RunSource: a run is one read — one retry budget whatever its
+// length, one breaker failure when the budget burns — and a permanent error
+// quarantines its first plane only, the plane the error speaks for.
+func TestGuardGuardsARunAsOneRead(t *testing.T) {
+	src := &runSegments{fail: fmt.Errorf("node down: %w", storage.ErrTransient)}
+	br := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute})
+	pol := storage.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+	guarded, ok := Guard(src, pol, br, obs.New()).(storage.RunSource)
+	if !ok {
+		t.Fatal("Guard over a RunSource does not forward Run")
+	}
+	ctx := context.Background()
+	run := []int{4, 5, 6, 7, 8, 9, 10, 11}
+	if _, err := guarded.Run(ctx, 1, run); storage.Classify(err) != storage.FaultTransient {
+		t.Fatalf("exhausted run = %v, want a transient fault", err)
+	}
+	if len(src.runs) != 3 || br.State() != StateClosed {
+		t.Fatalf("a run of %d planes: %d source reads, breaker %v; want one budget of 3 and one failure of the 2 that open it",
+			len(run), len(src.runs), br.State())
+	}
+	if _, err := guarded.Run(ctx, 1, run[1:]); err == nil || br.State() != StateOpen {
+		t.Fatalf("second exhausted run = %v, breaker %v; want it to open the breaker", err, br.State())
+	}
+	if _, err := guarded.Run(ctx, 1, run); !errors.Is(err, ErrOpen) || len(src.runs) != 6 {
+		t.Fatalf("run while open = %v after %d source reads, want ErrOpen and still 6", err, len(src.runs))
+	}
+
+	// A permanent error quarantines the run's first plane: a later run
+	// starting there fails fast, one starting past it is read.
+	lost := &runSegments{fail: fmt.Errorf("plane gone: %w", storage.ErrPermanent)}
+	guarded = Guard(lost, pol, nil, obs.New()).(storage.RunSource)
+	if _, err := guarded.Run(ctx, 0, []int{2, 3, 4}); storage.Classify(err) != storage.FaultPermanent {
+		t.Fatalf("lost run = %v, want a permanent fault", err)
+	}
+	lost.fail = nil
+	if _, err := guarded.Run(ctx, 0, []int{2, 3}); storage.Classify(err) != storage.FaultPermanent {
+		t.Fatalf("run starting at the quarantined plane = %v, want it to fail fast", err)
+	}
+	if _, err := guarded.Segment(ctx, 0, 2); storage.Classify(err) != storage.FaultPermanent {
+		t.Fatalf("the quarantined plane read as a segment = %v, want it to fail fast", err)
+	}
+	if payload, err := guarded.Run(ctx, 0, []int{3, 4}); err != nil || len(payload) != 2 {
+		t.Fatalf("run past the quarantined plane = %d bytes, %v; want it read", len(payload), err)
+	}
+	if want := [][]int{{2, 3, 4}, {3, 4}}; !reflect.DeepEqual(lost.runs, want) {
+		t.Fatalf("source was asked for %v, want %v", lost.runs, want)
+	}
+
+	// A source that reads segments only cannot be asked for a run.
+	plain := Guard(&flakySegments{}, pol, NewBreaker(BreakerConfig{FailureThreshold: 1}), obs.New()).(storage.RunSource)
+	if _, err := plain.Run(ctx, 0, []int{0, 1}); storage.Classify(err) != storage.FaultPermanent {
+		t.Fatalf("run over a segment-only source = %v, want a permanent fault", err)
 	}
 }

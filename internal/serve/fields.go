@@ -44,7 +44,7 @@ func (s *Server) add(ctx context.Context, f *field) error {
 		return fmt.Errorf("duplicate field %q", h.FieldName)
 	}
 	if h.Planes > 0 && len(h.Levels) > 0 {
-		_, _, f.probeErr = shard.CachedField(h, s.cache, f.planes).Fetch(ctx, 0, 0)
+		f.probeErr = shard.CachedField(h, s.cache, f.planes).Fetch(ctx, 0, []int{0})[0].Err
 	}
 	s.fields[h.FieldName] = f
 	s.names = append(s.names, h.FieldName)

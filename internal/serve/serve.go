@@ -56,9 +56,10 @@
 // §14): a node's /planes endpoints serve decompressed plane bitsets,
 // headers and the field list from the node's own cache, and a router
 // routes every cache miss to the plane's replica set by consistent
-// hashing, with per-node retry, circuit breaking and failover. The
-// router's shared cache singleflight collapses concurrent sessions' misses
-// into one network fetch per plane.
+// hashing — a level's misses as one request per node — with per-node
+// retry, circuit breaking and failover. The router's shared cache
+// singleflight collapses concurrent sessions' misses into one network fetch
+// per plane.
 package serve
 
 import (

@@ -288,7 +288,7 @@ func TestShardRouterServesAndFailsOver(t *testing.T) {
 	reads := make([]int64, nodes)
 	var served int
 	for i := 0; i < nodes; i++ {
-		reads[i] = snap.Counters[fmt.Sprintf("shard.node_reads.n%d", i)]
+		reads[i] = snap.Counters[fmt.Sprintf("shard.node_planes.n%d", i)]
 		if reads[i] > 0 {
 			served++
 		}
@@ -323,8 +323,8 @@ func TestShardRouterServesAndFailsOver(t *testing.T) {
 	if snap.Counters["shard.replica_failover"] == 0 {
 		t.Fatal("no replica failover recorded after killing the busiest node")
 	}
-	if got := snap.Counters[fmt.Sprintf("shard.node_reads.n%d", busiest)]; got != reads[busiest] {
-		t.Fatalf("dead node n%d read count moved from %d to %d", busiest, reads[busiest], got)
+	if got := snap.Counters[fmt.Sprintf("shard.node_planes.n%d", busiest)]; got != reads[busiest] {
+		t.Fatalf("dead node n%d plane count moved from %d to %d", busiest, reads[busiest], got)
 	}
 }
 

@@ -12,15 +12,33 @@ import (
 	"pmgard/internal/obs"
 )
 
-// sourceFunc adapts a closure to Source for tests that need one.
+// sourceFunc adapts a closure fetching one plane to Source: every plane of a
+// run is one call.
 type sourceFunc func(ctx context.Context) ([]byte, int64, error)
 
-func (f sourceFunc) FetchPlane(ctx context.Context, _ Key) ([]byte, int64, error) { return f(ctx) }
+func (f sourceFunc) FetchPlanes(ctx context.Context, run Run) []Plane {
+	out := make([]Plane, len(run.Planes))
+	for i := range out {
+		out[i].Raw, out[i].Payload, out[i].Err = f(ctx)
+	}
+	return out
+}
 
-// getSync is Cache.Get under a context that cannot be cancelled, filling
+// one is the run of the single plane key names.
+func one(key Key) Run {
+	return Run{Codec: key.Codec, Field: key.Field, Level: key.Level, Planes: []int{key.Plane}}
+}
+
+// getOne is Cache.Get for the run of one plane, its verdict unpacked.
+func getOne(c *Cache, ctx context.Context, key Key, src Source) ([]byte, int64, bool, error) {
+	p := c.Get(ctx, one(key), src)[0]
+	return p.Raw, p.Payload, p.Hit, p.Err
+}
+
+// getSync is getOne under a context that cannot be cancelled, filling
 // misses from a context-free closure.
 func getSync(c *Cache, key Key, fetch func() ([]byte, int64, error)) ([]byte, int64, bool, error) {
-	return c.Get(context.Background(), key, sourceFunc(func(context.Context) ([]byte, int64, error) { return fetch() }))
+	return getOne(c, context.Background(), key, sourceFunc(func(context.Context) ([]byte, int64, error) { return fetch() }))
 }
 
 // fetchFor builds a deterministic fetch closure that records how many times
@@ -218,6 +236,15 @@ func TestOversizePlaneUnderConcurrency(t *testing.T) {
 			}(i)
 		}
 		started.Wait()
+		// An oversize plane leaves no entry behind, so a reader arriving
+		// after the flight landed would rightly fetch again: hold the flight
+		// until the whole wave is on it.
+		waitFor(t, func() bool {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			f, ok := c.flights[key]
+			return ok && f.waiters == m
+		})
 		close(release)
 		done.Wait()
 		for i, err := range errs {

@@ -18,16 +18,22 @@ type gatedFetch struct {
 	raw       []byte
 }
 
-// FetchPlane implements Source.
-func (g *gatedFetch) FetchPlane(ctx context.Context, _ Key) ([]byte, int64, error) {
+// FetchPlanes implements Source: one gated call lands every plane of run.
+func (g *gatedFetch) FetchPlanes(ctx context.Context, run Run) []Plane {
 	g.calls.Add(1)
+	out := make([]Plane, len(run.Planes))
 	select {
 	case <-g.gate:
-		return g.raw, int64(len(g.raw)), nil
+		for i := range out {
+			out[i] = Plane{Raw: g.raw, Payload: int64(len(g.raw))}
+		}
 	case <-ctx.Done():
 		g.cancelled.Add(1)
-		return nil, 0, ctx.Err()
+		for i := range out {
+			out[i].Err = ctx.Err()
+		}
 	}
+	return out
 }
 
 func TestGetOrFetchCtxCancelledWaiterDoesNotPoisonSurvivors(t *testing.T) {
@@ -39,7 +45,7 @@ func TestGetOrFetchCtxCancelledWaiterDoesNotPoisonSurvivors(t *testing.T) {
 	leaderCtx, leaderCancel := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.Get(leaderCtx, key, g)
+		_, _, _, err := getOne(c, leaderCtx, key, g)
 		leaderDone <- err
 	}()
 	// Wait until the flight exists so the survivor coalesces onto it.
@@ -53,7 +59,7 @@ func TestGetOrFetchCtxCancelledWaiterDoesNotPoisonSurvivors(t *testing.T) {
 		defer close(survivorDone)
 		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer scancel()
-		sraw, _, _, serr = c.Get(sctx, key, g)
+		sraw, _, _, serr = getOne(c, sctx, key, g)
 	}()
 	waitFor(t, func() bool {
 		c.mu.Lock()
@@ -114,7 +120,7 @@ func TestGetOrFetchCtxLastWaiterCancelsFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.Get(ctx, key, g)
+		_, _, _, err := getOne(c, ctx, key, g)
 		done <- err
 	}()
 	waitFor(t, func() bool { return g.calls.Load() == 1 })
@@ -153,7 +159,7 @@ func TestGetOrFetchCtxNonCancellableWaiterPinsFlight(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		c.Get(leaderCtx, key, g)
+		getOne(c, leaderCtx, key, g)
 	}()
 	waitFor(t, func() bool { return g.calls.Load() == 1 })
 
@@ -192,7 +198,7 @@ func TestGetOrFetchCtxPreCancelledReturnsImmediately(t *testing.T) {
 	c := New(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := c.Get(ctx, Key{Field: "f"}, sourceFunc(func(context.Context) ([]byte, int64, error) {
+	_, _, _, err := getOne(c, ctx, Key{Field: "f"}, sourceFunc(func(context.Context) ([]byte, int64, error) {
 		t.Fatal("fetch ran under a pre-cancelled context")
 		return nil, 0, nil
 	}))

@@ -43,7 +43,7 @@ func TestCancelledWaiterSpanStatus(t *testing.T) {
 	defer leaderCancel()
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.Get(leaderCtx, key, g)
+		_, _, _, err := getOne(c, leaderCtx, key, g)
 		leaderDone <- err
 	}()
 	waitFor(t, func() bool { return g.calls.Load() == 1 })
@@ -53,7 +53,7 @@ func TestCancelledWaiterSpanStatus(t *testing.T) {
 	defer survCancel()
 	survDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.Get(survCtx, key, g)
+		_, _, _, err := getOne(c, survCtx, key, g)
 		survDone <- err
 	}()
 	waitFor(t, func() bool {
@@ -82,8 +82,8 @@ func TestCancelledWaiterSpanStatus(t *testing.T) {
 	if leaderGet.TraceID != "11111111111111111111111111111111" {
 		t.Fatalf("cancelled waiter span trace id = %q", leaderGet.TraceID)
 	}
-	if leaderGet.Attrs["outcome"] != "miss" {
-		t.Fatalf("leader outcome = %v, want miss", leaderGet.Attrs["outcome"])
+	if leaderGet.Attrs["planes"] != 1 || leaderGet.Attrs["hits"] != 0 || leaderGet.Attrs["coalesced"] != 0 {
+		t.Fatalf("leader span = %+v, want a run of one plane it neither found nor joined (a miss)", leaderGet.Attrs)
 	}
 	if leaderGet.Attrs["detached"] != true {
 		t.Fatalf("leader span not marked detached: %+v", leaderGet.Attrs)
@@ -107,8 +107,8 @@ func TestCancelledWaiterSpanStatus(t *testing.T) {
 	if survGet.TraceID != "22222222222222222222222222222222" {
 		t.Fatalf("survivor span trace id = %q", survGet.TraceID)
 	}
-	if survGet.Attrs["outcome"] != "coalesced" {
-		t.Fatalf("survivor outcome = %v, want coalesced", survGet.Attrs["outcome"])
+	if survGet.Attrs["coalesced"] != 1 || survGet.Attrs["hits"] != 0 {
+		t.Fatalf("survivor span = %+v, want its one plane coalesced", survGet.Attrs)
 	}
 	// Neither trace leaked into the other.
 	for _, rec := range survTracer.Timeline() {
@@ -118,8 +118,8 @@ func TestCancelledWaiterSpanStatus(t *testing.T) {
 	}
 }
 
-// TestCacheHitSpanOutcome pins the hit-path span shape: outcome=hit with
-// the payload byte count.
+// TestCacheHitSpanOutcome pins the span shape of a run: level, first plane
+// and plane count, how many planes were hits, and the payload byte count.
 func TestCacheHitSpanOutcome(t *testing.T) {
 	c := New(0)
 	g := &gatedFetch{gate: make(chan struct{}), raw: []byte{9, 9}}
@@ -129,10 +129,10 @@ func TestCacheHitSpanOutcome(t *testing.T) {
 	tr := obs.NewTracer(0)
 	ctx, cancel, root := spanCtx(tr, "33333333333333333333333333333333")
 	defer cancel()
-	if _, _, _, err := c.Get(ctx, key, g); err != nil {
+	if _, _, _, err := getOne(c, ctx, key, g); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, hit, err := c.Get(ctx, key, g); err != nil || !hit {
+	if _, _, hit, err := getOne(c, ctx, key, g); err != nil || !hit {
 		t.Fatalf("second get: hit=%v err=%v", hit, err)
 	}
 	root.End()
@@ -141,13 +141,13 @@ func TestCacheHitSpanOutcome(t *testing.T) {
 		if rec.Name != "servecache.get" {
 			continue
 		}
-		switch rec.Attrs["outcome"] {
-		case "hit":
+		if rec.Attrs["level"] != 0 || rec.Attrs["first"] != 0 || rec.Attrs["planes"] != 1 || rec.Attrs["bytes"] != int64(2) {
+			t.Fatalf("span attrs = %+v, want level 0, first 0, planes 1, bytes 2", rec.Attrs)
+		}
+		switch rec.Attrs["hits"] {
+		case 1:
 			hits++
-			if rec.Attrs["bytes"] != int64(2) {
-				t.Fatalf("hit span bytes = %v, want 2", rec.Attrs["bytes"])
-			}
-		case "miss":
+		case 0:
 			misses++
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"pmgard/internal/core"
 	"pmgard/internal/obs"
@@ -21,12 +22,13 @@ import (
 type NodeField struct {
 	// Header is the field's artifact header.
 	Header *core.Header
-	// Fetch materializes the decompressed bitset of one plane. It returns
-	// the bitset, the compressed payload bytes the plane's original fetch
-	// moved (for the router's per-session byte accounting), and an error.
-	// Errors classifying as storage.FaultPermanent surface to routers as
-	// 410 so their sessions degrade instead of retrying.
-	Fetch func(ctx context.Context, level, plane int) ([]byte, int64, error)
+	// Fetch materializes the decompressed bitsets of a run of planes of one
+	// level and returns one verdict per plane, in run order: the bitset, the
+	// compressed payload bytes the plane's original fetch moved (for the
+	// router's per-session byte accounting), or an error. A first plane
+	// whose error classifies as storage.FaultPermanent surfaces to routers
+	// as 410 so their sessions degrade instead of retrying.
+	Fetch func(ctx context.Context, level int, planes []int) []servecache.Plane
 }
 
 // CachedField returns the NodeField serving h's planes from src through
@@ -34,14 +36,13 @@ type NodeField struct {
 // singleflight groups core.NewSharedSession(h, src, cache) fills, so a
 // node's /planes traffic and its local refine sessions share them.
 func CachedField(h *core.Header, cache *servecache.Cache, src servecache.Source) NodeField {
-	tmpl := h.PlaneKey(0, 0)
+	tmpl := h.PlaneRun(0, nil)
 	return NodeField{
 		Header: h,
-		Fetch: func(ctx context.Context, level, plane int) ([]byte, int64, error) {
-			key := tmpl
-			key.Level, key.Plane = level, plane
-			raw, payload, _, err := cache.Get(ctx, key, src)
-			return raw, payload, err
+		Fetch: func(ctx context.Context, level int, planes []int) []servecache.Plane {
+			run := tmpl
+			run.Level, run.Planes = level, planes
+			return cache.Get(ctx, run, src)
 		},
 	}
 }
@@ -58,22 +59,36 @@ type NodeSource interface {
 	PlaneFields() []string
 }
 
-// payloadHeader is the response header carrying the compressed payload
-// size a plane's fetch moved, so routers can cross-check their
-// manifest-derived accounting against the node's.
-const payloadHeader = "X-Shard-Payload"
+// Response headers of a 200 /planes answer: the compressed payload bytes
+// the served planes' original fetches moved, so routers can cross-check
+// their manifest-derived accounting against the node's, and how many planes
+// of the requested run the body holds.
+const (
+	payloadHeader = "X-Shard-Payload"
+	planesHeader  = "X-Shard-Planes"
+)
+
+// MaxRunBytes bounds the body of one /planes response: a node refuses a run
+// whose bitsets would exceed it, and the router splits its runs to stay
+// under it.
+const MaxRunBytes = 64 << 20
 
 // NodeHandler is the node-side /planes HTTP surface of the shard tier:
 //
-//	GET /planes?field=F&level=L&plane=K  — decompressed plane bitset
-//	GET /planes/header?field=F           — JSON artifact header
-//	GET /planes/fields                   — JSON {"fields": [...]}
+//	GET /planes?field=F&level=L&plane=K0,K1,…  — decompressed plane bitsets
+//	GET /planes/header?field=F                 — JSON artifact header
+//	GET /planes/fields                         — JSON {"fields": [...]}
 //
-// Plane responses are raw octet-stream bitsets (no framing — the router
-// validates length against the header's RawPlaneSize); errors are the
-// serving tier's JSON error document with statuses routers map back onto
-// storage fault classes: 400/404/410 are permanent, everything else is
-// transient.
+// A plane request names a run: one or more distinct planes of one level, at
+// most Header.Planes of them and at most MaxRunBytes of bitsets. Its 200
+// response is the raw octet-stream bitsets of the longest prefix of the run
+// the node could serve, back to back with no framing — every plane of a
+// level is the header's RawPlaneSize bytes — with Content-Length set and the
+// prefix length in X-Shard-Planes; the router re-asks for the remainder. A
+// run of one plane is the one-plane request, answered with that plane's
+// bytes. Errors are the serving tier's JSON error document and speak for
+// the run's first plane only, with statuses routers map back onto storage
+// fault classes: 400/404/410 are permanent, everything else is transient.
 type NodeHandler struct {
 	src    NodeSource
 	o      *obs.Obs
@@ -114,18 +129,27 @@ func (n *NodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/planes":
 		n.handlePlane(w, r)
 	case "/planes/header":
-		n.handleHeader(w, r)
+		if f, ok := n.lookupField(w, r.URL.Query().Get("field")); ok {
+			n.writeJSON(w, f.Header)
+		}
 	case "/planes/fields":
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"fields": n.src.PlaneFields()})
+		n.writeJSON(w, map[string]any{"fields": n.src.PlaneFields()})
 	default:
 		n.failNode(w, http.StatusNotFound, fmt.Errorf("shard: no such endpoint %q", r.URL.Path))
 	}
 }
 
-// lookupField resolves the field query parameter against the node source.
-func (n *NodeHandler) lookupField(w http.ResponseWriter, r *http.Request) (NodeField, bool) {
-	name := r.URL.Query().Get("field")
+// writeJSON answers 200 with doc as a JSON document.
+func (n *NodeHandler) writeJSON(w http.ResponseWriter, doc any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Content-Type-Options", "nosniff")
+	if err := json.NewEncoder(w).Encode(doc); err != nil {
+		n.errors.Add(1)
+	}
+}
+
+// lookupField resolves a field name against the node source.
+func (n *NodeHandler) lookupField(w http.ResponseWriter, name string) (NodeField, bool) {
 	f, ok := n.src.PlaneField(name)
 	if !ok {
 		n.failNode(w, http.StatusNotFound, fmt.Errorf("shard: unknown field %q", name))
@@ -134,39 +158,73 @@ func (n *NodeHandler) lookupField(w http.ResponseWriter, r *http.Request) (NodeF
 	return f, true
 }
 
-func (n *NodeHandler) handleHeader(w http.ResponseWriter, r *http.Request) {
-	f, ok := n.lookupField(w, r)
-	if !ok {
-		return
+// parseRun parses a plane query value "K0,K1,…" into a run of at most limit
+// distinct plane indexes in [0, limit).
+func parseRun(s string, limit int) ([]int, error) {
+	if n := strings.Count(s, ",") + 1; n > limit {
+		return nil, fmt.Errorf("shard: run of %d planes, the field has %d", n, limit)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(f.Header); err != nil {
-		n.errors.Add(1)
+	var planes []int
+	seen := make([]bool, limit)
+	for _, part := range strings.Split(s, ",") {
+		k, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("shard: bad plane %q", part)
+		}
+		if k < 0 || k >= limit {
+			return nil, fmt.Errorf("shard: plane %d out of range [0,%d)", k, limit)
+		}
+		if seen[k] {
+			return nil, fmt.Errorf("shard: plane %d repeated", k)
+		}
+		seen[k] = true
+		planes = append(planes, k)
 	}
+	return planes, nil
 }
 
 func (n *NodeHandler) handlePlane(w http.ResponseWriter, r *http.Request) {
-	f, ok := n.lookupField(w, r)
+	q := r.URL.Query()
+	f, ok := n.lookupField(w, q.Get("field"))
 	if !ok {
 		return
 	}
-	level, err := strconv.Atoi(r.URL.Query().Get("level"))
+	level, err := strconv.Atoi(q.Get("level"))
 	if err != nil {
-		n.failNode(w, http.StatusBadRequest, fmt.Errorf("shard: bad level %q", r.URL.Query().Get("level")))
+		n.failNode(w, http.StatusBadRequest, fmt.Errorf("shard: bad level %q", q.Get("level")))
 		return
 	}
-	plane, err := strconv.Atoi(r.URL.Query().Get("plane"))
-	if err != nil {
-		n.failNode(w, http.StatusBadRequest, fmt.Errorf("shard: bad plane %q", r.URL.Query().Get("plane")))
+	if level < 0 || level >= len(f.Header.Levels) {
+		n.failNode(w, http.StatusBadRequest, fmt.Errorf("shard: level %d out of range [0,%d)", level, len(f.Header.Levels)))
 		return
 	}
-	if level < 0 || level >= len(f.Header.Levels) || plane < 0 || plane >= f.Header.Planes {
-		n.failNode(w, http.StatusBadRequest,
-			fmt.Errorf("shard: plane (%d,%d) out of range", level, plane))
+	planes, err := parseRun(q.Get("plane"), f.Header.Planes)
+	if err != nil {
+		n.failNode(w, http.StatusBadRequest, err)
 		return
 	}
-	raw, payload, err := f.Fetch(r.Context(), level, plane)
-	if err != nil {
+	if size := int64(len(planes)) * int64(f.Header.Levels[level].RawPlaneSize); size > MaxRunBytes {
+		n.failNode(w, http.StatusBadRequest, fmt.Errorf("shard: run of %d planes is %d bytes, above the %d-byte response limit", len(planes), size, int64(MaxRunBytes)))
+		return
+	}
+	verdicts := f.Fetch(r.Context(), level, planes)
+	// The response is the longest prefix served; the first plane's error
+	// answers for a run that has none.
+	served, size := 0, 0
+	var payload int64
+	for _, v := range verdicts {
+		if v.Err != nil {
+			break
+		}
+		served++
+		size += len(v.Raw)
+		payload += v.Payload
+	}
+	if served == 0 {
+		err := fmt.Errorf("shard: no verdict on plane (%d,%d)", level, planes[0])
+		if len(verdicts) > 0 {
+			err = verdicts[0].Err
+		}
 		switch {
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			// The router hung up; nobody reads the response, but pick the
@@ -182,8 +240,12 @@ func (n *NodeHandler) handlePlane(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	n.reads.Add(1)
+	n.reads.Add(int64(served))
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
 	w.Header().Set(payloadHeader, strconv.FormatInt(payload, 10))
-	w.Write(raw)
+	w.Header().Set(planesHeader, strconv.Itoa(served))
+	for _, v := range verdicts[:served] {
+		w.Write(v.Raw)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pmgard/internal/core"
@@ -119,7 +120,7 @@ func TestReplicasPlacement(t *testing.T) {
 }
 
 // buildArtifact compresses a small synthetic field for the HTTP tests.
-func buildArtifact(t *testing.T) *core.Compressed {
+func buildArtifact(t testing.TB) *core.Compressed {
 	t.Helper()
 	field, err := warpx.DefaultConfig(9, 9, 9).Field("Jx", 5)
 	if err != nil {
@@ -147,11 +148,16 @@ func (s *nodeSource) PlaneField(name string) (NodeField, bool) {
 	}
 	return NodeField{
 		Header: s.h,
-		Fetch: func(ctx context.Context, level, plane int) ([]byte, int64, error) {
-			if s.lost != nil && s.lost[0] == level && s.lost[1] == plane {
-				return nil, 0, fmt.Errorf("test: plane lost: %w", storage.ErrPermanent)
+		Fetch: func(ctx context.Context, level int, planes []int) []servecache.Plane {
+			out := make([]servecache.Plane, len(planes))
+			for i, plane := range planes {
+				if s.lost != nil && s.lost[0] == level && s.lost[1] == plane {
+					out[i].Err = fmt.Errorf("test: plane lost: %w", storage.ErrPermanent)
+					continue
+				}
+				out[i] = s.store.FetchPlanes(ctx, s.h.PlaneRun(level, []int{plane}))[0]
 			}
-			return s.store.FetchPlane(ctx, s.h.PlaneKey(level, plane))
+			return out
 		},
 	}, true
 }
@@ -191,6 +197,13 @@ func fieldKey(c *core.Compressed, level, plane int) servecache.Key {
 	return c.Header.PlaneKey(level, plane)
 }
 
+// fetchOne fetches the run of the one plane key names and unpacks its
+// verdict.
+func fetchOne(src servecache.Source, ctx context.Context, key servecache.Key) ([]byte, int64, error) {
+	p := src.FetchPlanes(ctx, servecache.Run{Codec: key.Codec, Field: key.Field, Level: key.Level, Planes: []int{key.Plane}})[0]
+	return p.Raw, p.Payload, p.Err
+}
+
 // TestRouterFetchesAllPlanes reads every plane of the artifact through a
 // three-node shard and requires byte equality with a direct store fetch,
 // plus discovery (Fields, Header) agreement.
@@ -221,31 +234,39 @@ func TestRouterFetchesAllPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := r.FieldClient(h)
+	all := make([]int, h.Planes)
+	for k := range all {
+		all[k] = k
+	}
 	for level := range h.Levels {
-		for plane := 0; plane < h.Planes; plane++ {
-			raw, payload, err := fc.FetchPlane(ctx, fieldKey(c, level, plane))
-			if err != nil {
-				t.Fatalf("fetch (%d,%d): %v", level, plane, err)
+		got := fc.FetchPlanes(ctx, h.PlaneRun(level, all))
+		want := store.FetchPlanes(ctx, h.PlaneRun(level, all))
+		if len(got) != h.Planes || len(want) != h.Planes {
+			t.Fatalf("level %d: %d router verdicts, %d store verdicts, want %d each", level, len(got), len(want), h.Planes)
+		}
+		for plane := range all {
+			if got[plane].Err != nil || want[plane].Err != nil {
+				t.Fatalf("fetch (%d,%d): router %v, store %v", level, plane, got[plane].Err, want[plane].Err)
 			}
-			wantRaw, wantPayload, err := store.FetchPlane(ctx, fieldKey(c, level, plane))
-			if err != nil {
-				t.Fatal(err)
+			if got[plane].Payload != want[plane].Payload {
+				t.Fatalf("plane (%d,%d) payload %d, want %d", level, plane, got[plane].Payload, want[plane].Payload)
 			}
-			if payload != wantPayload {
-				t.Fatalf("plane (%d,%d) payload %d, want %d", level, plane, payload, wantPayload)
-			}
-			if !reflect.DeepEqual(raw, wantRaw) {
+			if !reflect.DeepEqual(got[plane].Raw, want[plane].Raw) {
 				t.Fatalf("plane (%d,%d) bitset differs from direct store fetch", level, plane)
 			}
 		}
 	}
 	snap := o.Metrics.Snapshot()
-	var total int64
+	var requests, planes int64
 	for i := 0; i < 3; i++ {
-		total += snap.Counters[fmt.Sprintf("shard.node_reads.n%d", i)]
+		requests += snap.Counters[fmt.Sprintf("shard.node_reads.n%d", i)]
+		planes += snap.Counters[fmt.Sprintf("shard.node_planes.n%d", i)]
 	}
-	if want := int64(len(h.Levels) * h.Planes); total != want {
-		t.Fatalf("node_reads total %d, want %d (one per plane)", total, want)
+	if want := int64(len(h.Levels) * h.Planes); planes != want {
+		t.Fatalf("node_planes total %d, want %d (one per plane)", planes, want)
+	}
+	if most := int64(len(h.Levels) * 3); requests < int64(len(h.Levels)) || requests > most {
+		t.Fatalf("node_reads total %d for %d levels over 3 nodes, want one request per level and node at most (%d)", requests, len(h.Levels), most)
 	}
 	if snap.Counters["shard.replica_failover"] != 0 {
 		t.Fatalf("failover = %d with healthy nodes", snap.Counters["shard.replica_failover"])
@@ -272,7 +293,7 @@ func TestRouterFailsOverToReplica(t *testing.T) {
 	servers[1].Close()
 	for level := range h.Levels {
 		for plane := 0; plane < h.Planes; plane++ {
-			if _, _, err := fc.FetchPlane(ctx, fieldKey(c, level, plane)); err != nil {
+			if _, _, err := fetchOne(fc, ctx, fieldKey(c, level, plane)); err != nil {
 				t.Fatalf("fetch (%d,%d) with n1 dead: %v", level, plane, err)
 			}
 		}
@@ -301,7 +322,7 @@ func TestRouterPermanentLossWinsOverTransient(t *testing.T) {
 	// One replica answers 410 (plane lost), the other is dead (transient).
 	servers[1].Close()
 	fc := r.FieldClient(&c.Header)
-	_, _, err = fc.FetchPlane(context.Background(), fieldKey(c, 0, 0))
+	_, _, err = fetchOne(fc, context.Background(), fieldKey(c, 0, 0))
 	if err == nil {
 		t.Fatal("fetch of a lost plane succeeded")
 	}
@@ -329,7 +350,7 @@ func TestRouterBreakerFailsFastAfterNodeDeath(t *testing.T) {
 
 	for level := range h.Levels {
 		for plane := 0; plane < h.Planes; plane++ {
-			if _, _, err := fc.FetchPlane(ctx, fieldKey(c, level, plane)); err != nil {
+			if _, _, err := fetchOne(fc, ctx, fieldKey(c, level, plane)); err != nil {
 				t.Fatalf("fetch (%d,%d): %v", level, plane, err)
 			}
 		}
@@ -373,7 +394,7 @@ func TestRouterPropagatesTraceparent(t *testing.T) {
 	tc := obs.NewTraceContext()
 	ctx := obs.ContextWithTrace(context.Background(), tc)
 	fc := r.FieldClient(&c.Header)
-	if _, _, err := fc.FetchPlane(ctx, fieldKey(c, 0, 0)); err != nil {
+	if _, _, err := fetchOne(fc, ctx, fieldKey(c, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	parsed, ok := obs.ParseTraceParent(gotTP)
@@ -405,7 +426,7 @@ func TestRouterRejectsBadResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := r.FieldClient(&c.Header)
-	_, _, err = fc.FetchPlane(context.Background(), fieldKey(c, 0, 0))
+	_, _, err = fetchOne(fc, context.Background(), fieldKey(c, 0, 0))
 	if err == nil || !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("truncated node response error = %v, want ErrCorrupt", err)
 	}
@@ -419,7 +440,7 @@ func TestRouterRejectsBadResponses(t *testing.T) {
 	fc2 := r2.FieldClient(&c.Header)
 	key := fieldKey(c, 0, 0)
 	key.Plane = c.Header.Planes + 5
-	_, _, err = fc2.FetchPlane(context.Background(), key)
+	_, _, err = fetchOne(fc2, context.Background(), key)
 	if err == nil || storage.Classify(err) != storage.FaultPermanent {
 		t.Fatalf("out-of-range fetch error = %v, want a permanent fault", err)
 	}
@@ -477,7 +498,7 @@ func TestRouterBoundsNodeResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	_, _, err = r.FieldClient(h).FetchPlane(ctx, fieldKey(c, 0, 0))
+	_, _, err = fetchOne(r.FieldClient(h), ctx, fieldKey(c, 0, 0))
 	if !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("over-length plane error = %v, want ErrCorrupt", err)
 	}
@@ -510,7 +531,7 @@ func TestRouterBoundsNodeResponses(t *testing.T) {
 	fc := r2.FieldClient(h)
 	for level := range h.Levels {
 		for plane := 0; plane < h.Planes; plane++ {
-			if _, _, err := fc.FetchPlane(ctx, fieldKey(c, level, plane)); err != nil {
+			if _, _, err := fetchOne(fc, ctx, fieldKey(c, level, plane)); err != nil {
 				t.Fatalf("fetch (%d,%d) beside a lying replica: %v", level, plane, err)
 			}
 		}
@@ -519,5 +540,179 @@ func TestRouterBoundsNodeResponses(t *testing.T) {
 	if snap.Counters["shard.replica_failover"] == 0 || snap.Counters["shard.node_reads.liar"] != 0 {
 		t.Fatalf("failovers %d, reads served by the liar %d; want > 0 and 0",
 			snap.Counters["shard.replica_failover"], snap.Counters["shard.node_reads.liar"])
+	}
+}
+
+// TestNodeAnswersRuns pins the wire format of GET /planes: a run's 200 body
+// is its planes' bitsets back to back with Content-Length and
+// X-Shard-Planes set; a run of one is the one-plane request, answered with
+// that plane's bytes; a lost plane cuts the answer to the prefix below it
+// and, first in a run, answers 410; and a run the node will not serve — too
+// many indexes, a repeated or out-of-range one — is a 400.
+func TestNodeAnswersRuns(t *testing.T) {
+	c := buildArtifact(t)
+	h := &c.Header
+	lost := [2]int{1, 3}
+	servers, _ := startNodes(t, c, 1, 1, &lost)
+	store, err := core.NewPlaneStore(h, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(query string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(servers[0].URL + "/planes?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	wantBody := func(level int, planes ...int) (body []byte, payload int64) {
+		for _, p := range store.FetchPlanes(context.Background(), h.PlaneRun(level, planes)) {
+			if p.Err != nil {
+				t.Fatal(p.Err)
+			}
+			body, payload = append(body, p.Raw...), payload+p.Payload
+		}
+		return body, payload
+	}
+	for _, tc := range []struct {
+		query  string
+		level  int
+		served []int
+	}{
+		{"field=Jx&level=0&plane=2", 0, []int{2}},
+		{"field=Jx&level=0&plane=5,0,3", 0, []int{5, 0, 3}},
+		{"field=Jx&level=1&plane=0,1,2,3,4,5", 1, []int{0, 1, 2}}, // plane 3 is lost: the prefix below it
+		{"field=Jx&level=1&plane=4,3", 1, []int{4}},
+	} {
+		resp, body := get(tc.query)
+		want, payload := wantBody(tc.level, tc.served...)
+		if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(body, want) {
+			t.Fatalf("%s: status %d, %d body bytes; want 200 and the %d bytes of planes %v", tc.query, resp.StatusCode, len(body), len(want), tc.served)
+		}
+		if resp.ContentLength != int64(len(want)) || resp.Header.Get(planesHeader) != fmt.Sprint(len(tc.served)) ||
+			resp.Header.Get(payloadHeader) != fmt.Sprint(payload) || resp.Header.Get("Content-Type") != "application/octet-stream" {
+			t.Fatalf("%s: Content-Length %d, headers %v; want %d, %s %d, %s %d", tc.query, resp.ContentLength, resp.Header,
+				len(want), planesHeader, len(tc.served), payloadHeader, payload)
+		}
+	}
+	if resp, _ := get("field=Jx&level=1&plane=3,4"); resp.StatusCode != http.StatusGone {
+		t.Fatalf("a run starting at the lost plane: status %d, want 410", resp.StatusCode)
+	}
+	all := make([]string, h.Planes+1)
+	for k := range all {
+		all[k] = fmt.Sprint(k % h.Planes)
+	}
+	for _, query := range []string{
+		"field=Jx&level=0&plane=1,1",
+		"field=Jx&level=0&plane=1,,2",
+		"field=Jx&level=0&plane=-1",
+		fmt.Sprintf("field=Jx&level=0&plane=0,%d", h.Planes),
+		"field=Jx&level=0&plane=" + strings.Join(all, ","),
+		fmt.Sprintf("field=Jx&level=%d&plane=0", len(h.Levels)),
+		"field=Jx&level=0",
+	} {
+		if resp, _ := get(query); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", query, resp.StatusCode)
+		}
+	}
+	// The JSON documents carry the same nosniff as the error documents.
+	for _, path := range []string{"/planes/fields", "/planes/header?field=Jx", "/planes/header?field=Nope"} {
+		resp, err := http.Get(servers[0].URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.Header.Get("X-Content-Type-Options") != "nosniff" || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s: headers %v, want application/json and nosniff", path, resp.Header)
+		}
+	}
+}
+
+// TestNodeRefusesOversizeRun: a run whose bitsets would exceed MaxRunBytes
+// is refused with 400 before anything is fetched, and the router never sends
+// one — it splits the level into runs under the limit.
+func TestNodeRefusesOversizeRun(t *testing.T) {
+	c := buildArtifact(t)
+	// The same field under a header that claims huge planes: 3 of them fit
+	// a response, 4 do not.
+	big := c.Header
+	big.Levels = append([]core.LevelMeta(nil), c.Header.Levels...)
+	big.Levels[0].RawPlaneSize = MaxRunBytes/3 - 1
+	fetched := 0
+	nh := NewNodeHandler(fieldsSource{"Jx": NodeField{Header: &big, Fetch: func(_ context.Context, _ int, planes []int) []servecache.Plane {
+		fetched++
+		return make([]servecache.Plane, len(planes)) // empty bitsets: the test never reads them
+	}}}, obs.New())
+	ts := httptest.NewServer(nh)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/planes?field=Jx&level=0&plane=0,1,2,3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || fetched != 0 {
+		t.Fatalf("a %d-byte run: status %d after %d fetches, want 400 and none", 4*big.Levels[0].RawPlaneSize, resp.StatusCode, fetched)
+	}
+
+	var asked [][]string
+	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		asked = append(asked, strings.Split(r.URL.Query().Get("plane"), ","))
+		http.Error(w, "not this time", http.StatusGone)
+	}))
+	defer counting.Close()
+	m, err := ParseMap([]byte(fmt.Sprintf(`{"nodes": [{"name": "n0", "url": %q}]}`, counting.URL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(RouterConfig{Map: m, Obs: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.FieldClient(&big).FetchPlanes(context.Background(), big.PlaneRun(0, []int{0, 1, 2, 3, 4, 5, 6}))
+	if len(asked) == 0 {
+		t.Fatal("the router asked for nothing")
+	}
+	for _, planes := range asked {
+		if len(planes) > 3 {
+			t.Fatalf("the router asked for %d planes of %d bytes in one request: %v", len(planes), big.Levels[0].RawPlaneSize, planes)
+		}
+	}
+}
+
+// TestRouterRefusesDeclaredOverLengthUnread: a response that declares a
+// Content-Length above what the router asked for is corruption on its
+// headers alone — not a byte of its body is read.
+func TestRouterRefusesDeclaredOverLengthUnread(t *testing.T) {
+	c := buildArtifact(t)
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(maxDocBytes+1))
+		w.Header().Set(planesHeader, "1")
+		w.Write(make([]byte, maxDocBytes+1))
+	}))
+	defer liar.Close()
+	var read int64
+	m, err := ParseMap([]byte(fmt.Sprintf(`{"nodes": [{"name": "liar", "url": %q}]}`, liar.URL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(RouterConfig{Map: m, Client: &http.Client{Transport: countingTransport{&read}}, Obs: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := r.Fields(ctx); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("over-length /planes/fields error = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := fetchOne(r.FieldClient(&c.Header), ctx, fieldKey(c, 0, 0)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("over-length plane error = %v, want ErrCorrupt", err)
+	}
+	if read != 0 {
+		t.Fatalf("router read %d bytes of bodies whose declared length already condemned them", read)
 	}
 }

@@ -236,22 +236,47 @@ func (r *RetryingSource) Instrument(o *obs.Obs) {
 // all) records as one "storage.read" child span with level/plane/bytes
 // attributes and a failure status on error.
 func (r *RetryingSource) Segment(ctx context.Context, level, plane int) ([]byte, error) {
+	return r.guard(ctx, SegmentID{Level: level, Plane: plane}, 1, func(ctx context.Context) ([]byte, error) {
+		return r.src.Segment(ctx, level, plane)
+	})
+}
+
+// Run implements RunSource over a wrapped RunSource: the whole run is one
+// read of the retry protocol — one budget, one "storage.read" span (with a
+// planes attribute), jitter and quarantine keyed by the run's first plane,
+// the plane a permanent error speaks for.
+func (r *RetryingSource) Run(ctx context.Context, level int, planes []int) ([]byte, error) {
+	src, ok := r.src.(RunSource)
+	if !ok || len(planes) == 0 {
+		return nil, fmt.Errorf("storage: %T cannot read a run of %d planes: %w", r.src, len(planes), ErrPermanent)
+	}
+	return r.guard(ctx, SegmentID{Level: level, Plane: planes[0]}, len(planes), func(ctx context.Context) ([]byte, error) {
+		return src.Run(ctx, level, planes)
+	})
+}
+
+// guard runs one read — a segment, or a run of `planes` planes starting at
+// id — under the retry protocol and its span.
+func (r *RetryingSource) guard(ctx context.Context, id SegmentID, planes int, read func(context.Context) ([]byte, error)) ([]byte, error) {
 	sp := obs.SpanFromContext(ctx).Child("storage.read")
 	if sp == nil {
-		return r.retry(ctx, level, plane)
+		return r.retry(ctx, id, read)
 	}
-	sp.SetAttr("level", level)
-	sp.SetAttr("plane", plane)
-	payload, err := r.retry(ctx, level, plane)
+	sp.SetAttr("level", id.Level)
+	sp.SetAttr("plane", id.Plane)
+	if planes > 1 {
+		sp.SetAttr("planes", planes)
+	}
+	payload, err := r.retry(ctx, id, read)
 	sp.SetAttr("bytes", len(payload))
 	sp.Fail(err)
 	sp.End()
 	return payload, err
 }
 
-// retry is the span-free retry protocol behind Segment.
-func (r *RetryingSource) retry(ctx context.Context, level, plane int) ([]byte, error) {
-	id := SegmentID{Level: level, Plane: plane}
+// retry is the span-free retry protocol behind Segment and Run.
+func (r *RetryingSource) retry(ctx context.Context, id SegmentID, read func(context.Context) ([]byte, error)) ([]byte, error) {
+	level, plane := id.Level, id.Plane
 	r.c.reads.Add(1)
 	r.mu.Lock()
 	if qerr, ok := r.quarantined[id]; ok {
@@ -265,7 +290,7 @@ func (r *RetryingSource) retry(ctx context.Context, level, plane int) ([]byte, e
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("storage: read level %d plane %d: %w", level, plane, err)
 		}
-		payload, err := r.readOnce(ctx, level, plane)
+		payload, err := r.readOnce(ctx, id, read)
 		if err == nil {
 			r.c.bytesOK.Add(int64(len(payload)))
 			if attempt > 1 {
@@ -320,9 +345,10 @@ func (r *RetryingSource) sleep(ctx context.Context, d time.Duration) error {
 // reach the read itself, not just the select below. When something can time out or cancel, the
 // read runs in its own goroutine so a hung tier cannot stall the retriever;
 // an abandoned read finishes (and is discarded) in the background.
-func (r *RetryingSource) readOnce(ctx context.Context, level, plane int) ([]byte, error) {
+func (r *RetryingSource) readOnce(ctx context.Context, id SegmentID, read func(context.Context) ([]byte, error)) ([]byte, error) {
+	level, plane := id.Level, id.Plane
 	if r.pol.Timeout <= 0 && ctx.Done() == nil {
-		return r.src.Segment(ctx, level, plane)
+		return read(ctx)
 	}
 	type result struct {
 		payload []byte
@@ -331,7 +357,7 @@ func (r *RetryingSource) readOnce(ctx context.Context, level, plane int) ([]byte
 	ch := make(chan result, 1)
 	var abandoned atomic.Bool
 	go func() {
-		p, err := r.src.Segment(ctx, level, plane)
+		p, err := read(ctx)
 		// An abandoned read still moved payload bytes off the tier; account
 		// them as waste so fetched-byte totals reflect real transfer cost.
 		// (A read finishing in the instant between the timeout firing and

@@ -55,6 +55,20 @@ type SegmentSource interface {
 	Segment(ctx context.Context, level, plane int) ([]byte, error)
 }
 
+// RunSource is a SegmentSource that can also read several planes of one
+// level as one unit — a shard node answering one request for them. The
+// resilience wrappers (RetryingSource, the breaker source) forward Run and
+// guard the run as they guard a segment: one retry budget, one breaker
+// verdict, one span per run, under the identity of its first plane, which is
+// also the only plane an error speaks for.
+type RunSource interface {
+	SegmentSource
+	// Run reads planes — at least one, all of level — and returns, back to
+	// back, the payloads of the longest prefix of them the source could
+	// serve. An error means not even planes[0] could be had.
+	Run(ctx context.Context, level int, planes []int) ([]byte, error)
+}
+
 // segEntry is one segment's extent: a byte range of one payload file and
 // the CRC32 of its bytes. Writers fill everything but file.
 type segEntry struct {
