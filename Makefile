@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover fuzz benchmark experiments clean
+.PHONY: all build test vet race cover fuzz benchmark experiments experiments-quick clean
 
 all: build vet test
 
@@ -42,6 +42,11 @@ benchmark:
 # Regenerate every paper table/figure at default scale (~25 min on 1 core).
 experiments:
 	$(GO) run ./cmd/bench -exp all
+
+# Every experiment id at -quick scale (seconds) from the real binary; fails
+# on a non-zero exit. Package tests run the ids too, but not cmd/bench.
+experiments-quick:
+	$(GO) run ./cmd/bench -exp all -quick
 
 clean:
 	$(GO) clean ./...

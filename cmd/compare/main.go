@@ -15,7 +15,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -27,10 +26,8 @@ import (
 
 	"pmgard/internal/codec"
 	"pmgard/internal/core"
+	"pmgard/internal/experiments"
 	"pmgard/internal/fieldio"
-	"pmgard/internal/grid"
-	"pmgard/internal/sz"
-	"pmgard/internal/zfp"
 )
 
 func main() {
@@ -129,58 +126,31 @@ func run(in, boundsArg string) error {
 	if err != nil {
 		return err
 	}
-	var bounds []float64
-	for _, s := range strings.Split(boundsArg, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("bad bound %q", s)
-		}
-		bounds = append(bounds, v)
+	bounds, err := parseBounds(boundsArg)
+	if err != nil {
+		return err
 	}
-
 	c, err := core.Compress(field, core.DefaultConfig(), meta.Field, meta.Timestep)
 	if err != nil {
 		return err
 	}
 	h := &c.Header
-	est := h.TheoryEstimator()
 	fmt.Printf("field %s (dims %v): raw %d bytes, progressive store %d bytes\n\n",
 		meta.Field, field.Dims(), 8*field.Len(), h.TotalBytes())
 	fmt.Println("rel_bound   sz_bytes  zfp_bytes  prog_bytes     sz_err    zfp_err   prog_err")
-
+	rows, err := experiments.CompareBaselines(field, c, bounds)
+	if err != nil {
+		return err
+	}
+	if len(rows) == 0 {
+		return fmt.Errorf("field has zero range; relative bounds are meaningless")
+	}
 	var szTotal, zfpTotal int64
-	for _, rel := range bounds {
-		tol := h.AbsTolerance(rel)
-		if tol <= 0 {
-			return fmt.Errorf("field has zero range; relative bounds are meaningless")
-		}
-		szBlob, err := sz.Compress(field, tol)
-		if err != nil {
-			return err
-		}
-		szRec, _, err := sz.Decompress(szBlob)
-		if err != nil {
-			return err
-		}
-		zfpBlob, err := zfp.Compress(field, tol)
-		if err != nil {
-			return err
-		}
-		zfpRec, _, err := zfp.Decompress(zfpBlob)
-		if err != nil {
-			return err
-		}
-		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
-		if err != nil {
-			return err
-		}
-		szTotal += int64(len(szBlob))
-		zfpTotal += int64(len(zfpBlob))
+	for _, r := range rows {
+		szTotal += int64(r.SZBytes)
+		zfpTotal += int64(r.ZFPBytes)
 		fmt.Printf("%9.0e %10d %10d %11d %10.2e %10.2e %10.2e\n",
-			rel, len(szBlob), len(zfpBlob), plan.Bytes,
-			grid.MaxAbsDiff(field, szRec),
-			grid.MaxAbsDiff(field, zfpRec),
-			grid.MaxAbsDiff(field, rec))
+			r.RelBound, r.SZBytes, r.ZFPBytes, r.ProgBytes, r.SZErr, r.ZFPErr, r.ProgErr)
 	}
 	fmt.Printf("\nstorage to serve all %d bounds: sz %d, zfp %d, progressive %d (stored once)\n",
 		len(bounds), szTotal, zfpTotal, h.TotalBytes())

@@ -74,24 +74,34 @@ func run(mode, fieldsGlob, out string, epochs int, lr float64, seed int64, quiet
 	}
 	cfg := core.DefaultConfig()
 	cfg.Obs = o // the harvest sweeps compress through the same pipeline
-
-	switch mode {
-	case "dmgard":
-		var records []dmgard.Record
-		for _, p := range paths {
-			meta, field, err := fieldio.Read(p)
-			if err != nil {
-				return err
-			}
-			recs, _, err := dmgard.Harvest(field, meta.Field, meta.Timestep, cfg, bounds)
-			if err != nil {
-				return fmt.Errorf("%s: %w", p, err)
-			}
-			records = append(records, recs...)
-			if !quiet {
-				fmt.Printf("harvested %s: %d records (total %d)\n", p, len(recs), len(records))
-			}
+	unit := map[string]string{"dmgard": "records", "emgard": "samples"}[mode]
+	if unit == "" {
+		return fmt.Errorf("unknown mode %q (have dmgard, emgard)", mode)
+	}
+	// Each field file is compressed and swept under theory control once;
+	// the mode picks which model's training set is read off the sweep.
+	var records []dmgard.Record
+	var samples []emgard.Sample
+	for _, p := range paths {
+		meta, field, err := fieldio.Read(p)
+		if err != nil {
+			return err
 		}
+		c, sweep, err := core.TheorySweep(field, cfg, meta.Field, meta.Timestep, bounds)
+		if err != nil {
+			return fmt.Errorf("%s: %w", p, err)
+		}
+		if mode == "dmgard" {
+			records = append(records, dmgard.Records(field, &c.Header, sweep)...)
+		} else {
+			samples = append(samples, emgard.Samples(&c.Header, sweep)...)
+		}
+		if !quiet {
+			fmt.Printf("harvested %s: %d %s (total %d)\n", p, len(sweep), unit, len(records)+len(samples))
+		}
+	}
+
+	if mode == "dmgard" {
 		tc := dmgard.DefaultConfig()
 		tc.Seed = seed
 		tc.Obs = o
@@ -110,22 +120,7 @@ func run(mode, fieldsGlob, out string, epochs int, lr float64, seed int64, quiet
 			return err
 		}
 		fmt.Printf("saved D-MGARD model (%d levels) to %s\n", m.Levels(), out)
-	case "emgard":
-		var samples []emgard.Sample
-		for _, p := range paths {
-			meta, field, err := fieldio.Read(p)
-			if err != nil {
-				return err
-			}
-			ss, _, err := emgard.Harvest(field, meta.Field, meta.Timestep, cfg, bounds)
-			if err != nil {
-				return fmt.Errorf("%s: %w", p, err)
-			}
-			samples = append(samples, ss...)
-			if !quiet {
-				fmt.Printf("harvested %s: %d samples (total %d)\n", p, len(ss), len(samples))
-			}
-		}
+	} else {
 		tc := emgard.DefaultConfig()
 		tc.Seed = seed
 		tc.Obs = o
@@ -144,8 +139,6 @@ func run(mode, fieldsGlob, out string, epochs int, lr float64, seed int64, quiet
 			return err
 		}
 		fmt.Printf("saved E-MGARD model (%d levels) to %s\n", m.Levels(), out)
-	default:
-		return fmt.Errorf("unknown mode %q (have dmgard, emgard)", mode)
 	}
 	return nil
 }

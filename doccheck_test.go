@@ -372,6 +372,53 @@ func TestOneServingPackage(t *testing.T) {
 	}
 }
 
+// TestOneMeasuredWalk keeps "refine along a growing plan sequence and
+// measure L∞ on the original" in one place, core.Walker: the model packages
+// only convert a sweep (no core.Compress, core.Retrieve*, grid.MaxAbsDiff
+// in internal/dmgard or internal/emgard), exactly one function of
+// internal/core measures against an original (grid.MaxAbsDiff), and the
+// experiments' oracle path and the backend probe hold no one-shot retrieval
+// of their own (no Retrieve* call in experiments/path.go or core/probe.go).
+func TestOneMeasuredWalk(t *testing.T) {
+	var problems, measurers []string
+	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		path = filepath.ToSlash(path)
+		dir := filepath.ToSlash(filepath.Dir(path))
+		models := dir == "internal/dmgard" || dir == "internal/emgard"
+		walkers := path == "internal/experiments/path.go" || path == "internal/core/probe.go"
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			where := path + ": " + recvTypeName(fn) + "." + fn.Name.Name
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				name := selectorName(call.Fun)
+				bare := name[strings.LastIndex(name, ".")+1:]
+				oneShot := strings.HasPrefix(strings.ToLower(bare), "retrieve")
+				if models && (name == "core.Compress" || name == "grid.MaxAbsDiff" || strings.HasPrefix(name, "core.") && oneShot) || walkers && oneShot {
+					problems = append(problems, where+" calls "+name)
+				}
+				if dir == "internal/core" && name == "grid.MaxAbsDiff" && !slices.Contains(measurers, where) {
+					measurers = append(measurers, where)
+				}
+				return true
+			})
+		}
+	})
+	if len(measurers) != 1 {
+		problems = append(problems, "grid.MaxAbsDiff is called from "+strconv.Itoa(len(measurers))+" functions of internal/core, want exactly one: "+strings.Join(measurers, ", "))
+	}
+	if len(problems) > 0 {
+		sort.Strings(problems)
+		t.Fatalf("a measured walk was written by hand again:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
 // selectorName renders an identifier or a pkg.Name selector, "" otherwise.
 func selectorName(e ast.Expr) string {
 	switch e := e.(type) {

@@ -52,18 +52,15 @@ func main() {
 				log.Fatal(err)
 			}
 			// Harvest model training data alongside the dump (offline
-			// stage of Fig. 4), first half of the run only.
+			// stage of Fig. 4), first half of the run only: one sweep
+			// per field, both models' training sets read off it.
 			if name == "Du" && t < steps/2 {
-				dr, _, err := dmgard.Harvest(field, name, t, cfg, bounds)
+				c, sweep, err := core.TheorySweep(field, cfg, name, t, bounds)
 				if err != nil {
 					log.Fatal(err)
 				}
-				drecs = append(drecs, dr...)
-				es, _, err := emgard.Harvest(field, name, t, cfg, bounds)
-				if err != nil {
-					log.Fatal(err)
-				}
-				esamps = append(esamps, es...)
+				drecs = append(drecs, dmgard.Records(field, &c.Header, sweep)...)
+				esamps = append(esamps, emgard.Samples(&c.Header, sweep)...)
 			}
 		}
 	}

@@ -29,10 +29,11 @@ func main() {
 	for t := 0; t < steps; t++ {
 		sim.Step()
 		field := sim.FieldU()
-		recs, _, err := dmgard.Harvest(field, "Du", t, cfg, bounds)
+		c, sweep, err := core.TheorySweep(field, cfg, "Du", t, bounds)
 		if err != nil {
 			log.Fatal(err)
 		}
+		recs := dmgard.Records(field, &c.Header, sweep)
 		if t < steps/2 {
 			train = append(train, recs...)
 		} else {

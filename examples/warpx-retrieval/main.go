@@ -39,16 +39,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dr, _, err := dmgard.Harvest(field, "Jx", t, compCfg, bounds)
+		c, sweep, err := core.TheorySweep(field, compCfg, "Jx", t, bounds)
 		if err != nil {
 			log.Fatal(err)
 		}
-		drecs = append(drecs, dr...)
-		es, _, err := emgard.Harvest(field, "Jx", t, compCfg, bounds)
-		if err != nil {
-			log.Fatal(err)
-		}
-		esamps = append(esamps, es...)
+		drecs = append(drecs, dmgard.Records(field, &c.Header, sweep)...)
+		esamps = append(esamps, emgard.Samples(&c.Header, sweep)...)
 	}
 	dcfg := dmgard.DefaultConfig()
 	dm, err := dmgard.Train(drecs, compCfg.Planes, dcfg)

@@ -90,57 +90,45 @@ func ProbeBackends(f *grid.Tensor, cfg Config, fieldName string, rels []float64,
 	return cmp, nil
 }
 
-// probeBackend walks one backend's greedy sequence over all tolerances.
-// Tolerances arrive loosest first, so the walk never rewinds: each point
-// resumes from the previous point's prefix.
+// probeBackend walks one backend's greedy sequence over all tolerances on
+// one measured walk. Tolerances arrive loosest first, so the walk never
+// rewinds: each point resumes from the previous point's prefix.
 func probeBackend(f *grid.Tensor, cfg Config, fieldName string, rels []float64) (ProbeResult, error) {
 	comp, err := Compress(f, cfg, fieldName, 0)
 	if err != nil {
 		return ProbeResult{}, err
 	}
 	h := &comp.Header
-	infos := h.LevelInfos()
-	steps, err := retrieval.GreedySequence(infos)
+	steps, err := retrieval.GreedySequence(h.LevelInfos())
+	if err != nil {
+		return ProbeResult{}, err
+	}
+	w, err := NewWalker(h, comp, f)
 	if err != nil {
 		return ProbeResult{}, err
 	}
 	res := ProbeResult{Backend: h.Codec(), StoredBytes: h.TotalBytes()}
-	// measure reconstructs at a plane assignment and returns the L∞ error.
-	measure := func(planes []int) (float64, retrieval.Plan, error) {
-		plan, err := retrieval.PlanForPlanes(infos, planes)
-		if err != nil {
-			return 0, retrieval.Plan{}, err
-		}
-		rec, err := Retrieve(context.Background(), h, comp, plan, RetrieveOptions{})
-		if err != nil {
-			return 0, retrieval.Plan{}, err
-		}
-		return grid.MaxAbsDiff(f, rec), plan, nil
-	}
-	step := 0
-	planes := make([]int, len(h.Levels))
-	achieved, plan, err := measure(planes)
+	at := retrieval.Step{Planes: make([]int, len(h.Levels))}
+	_, achieved, err := w.Stop(context.Background(), at.Planes)
 	if err != nil {
 		return ProbeResult{}, err
 	}
 	for _, rel := range rels {
 		tol := h.AbsTolerance(rel)
-		for achieved > tol && step < len(steps) {
-			planes = steps[step].Planes
-			step++
-			achieved, plan, err = measure(planes)
-			if err != nil {
+		for achieved > tol && len(steps) > 0 {
+			at, steps = steps[0], steps[1:]
+			if _, achieved, err = w.Stop(context.Background(), at.Planes); err != nil {
 				return ProbeResult{}, err
 			}
 		}
 		res.Points = append(res.Points, ProbePoint{
 			RelBound:    rel,
 			Tolerance:   tol,
-			Bytes:       plan.Bytes,
-			Planes:      append([]int(nil), plan.Planes...),
+			Bytes:       at.Bytes,
+			Planes:      append([]int(nil), at.Planes...),
 			AchievedErr: achieved,
 		})
-		res.Score += plan.Bytes
+		res.Score += at.Bytes
 	}
 	return res, nil
 }

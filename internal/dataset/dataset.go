@@ -117,14 +117,24 @@ type Reader struct {
 	dir string
 	cat catalog
 
-	mu     sync.Mutex
-	stores map[string]*storage.Store
+	mu sync.Mutex
+	// stores holds each opened entry's parsed header and store, by file.
+	stores map[string]openedEntry
 	dModel *dmgard.Model
 	eModel *emgard.Model
 	// featureCache caches extracted features per (field, timestep) after a
 	// D-MGARD retrieval reconstructs the field once.
 	featureCache map[string][]float64
 }
+
+// openedEntry is one opened catalog entry; the header is shared read-only.
+type openedEntry struct {
+	h  *core.Header
+	st *storage.Store
+}
+
+// openFile opens one entry's artifact; the tests count its calls.
+var openFile = core.OpenFile
 
 // Open opens a dataset directory.
 func Open(dir string) (*Reader, error) {
@@ -142,7 +152,7 @@ func Open(dir string) (*Reader, error) {
 	return &Reader{
 		dir:          dir,
 		cat:          cat,
-		stores:       make(map[string]*storage.Store),
+		stores:       make(map[string]openedEntry),
 		featureCache: make(map[string][]float64),
 	}, nil
 }
@@ -199,7 +209,9 @@ func (r *Reader) AttachEMGARD(m *emgard.Model) {
 	r.mu.Unlock()
 }
 
-// open returns the header and store of one entry, opening lazily.
+// open returns the header and store of one entry, opening lazily: each
+// entry is parsed once and holds one handle, also when several goroutines
+// miss on it together — the first to finish is kept, the others close theirs.
 func (r *Reader) open(field string, timestep int) (*core.Header, *storage.Store, error) {
 	var entry *catalogEntry
 	for i := range r.cat.Entries {
@@ -212,23 +224,25 @@ func (r *Reader) open(field string, timestep int) (*core.Header, *storage.Store,
 		return nil, nil, fmt.Errorf("dataset: no entry for %s@%d", field, timestep)
 	}
 	r.mu.Lock()
-	st, ok := r.stores[entry.File]
+	e, ok := r.stores[entry.File]
 	r.mu.Unlock()
 	if ok {
-		var h core.Header
-		if err := json.Unmarshal(st.Meta(), &h); err != nil {
-			return nil, nil, fmt.Errorf("dataset: parse header: %w", err)
-		}
-		return &h, st, nil
+		return e.h, e.st, nil
 	}
-	h, st, err := core.OpenFile(filepath.Join(r.dir, entry.File))
+	h, st, err := openFile(filepath.Join(r.dir, entry.File))
 	if err != nil {
 		return nil, nil, err
 	}
 	r.mu.Lock()
-	r.stores[entry.File] = st
+	if e, ok = r.stores[entry.File]; !ok {
+		e = openedEntry{h: h, st: st}
+		r.stores[entry.File] = e
+	}
 	r.mu.Unlock()
-	return h, st, nil
+	if e.st != st {
+		st.Close()
+	}
+	return e.h, e.st, nil
 }
 
 // Retrieve fetches (field, timestep) at a relative error bound under the
@@ -329,8 +343,8 @@ func (r *Reader) BytesRead() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var total int64
-	for _, st := range r.stores {
-		total += st.BytesRead()
+	for _, e := range r.stores {
+		total += e.st.BytesRead()
 	}
 	return total
 }
@@ -340,12 +354,12 @@ func (r *Reader) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var first error
-	for _, st := range r.stores {
-		if err := st.Close(); err != nil && first == nil {
+	for _, e := range r.stores {
+		if err := e.st.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	r.stores = make(map[string]*storage.Store)
+	r.stores = make(map[string]openedEntry)
 	return first
 }
 

@@ -3,13 +3,16 @@ package dataset
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"pmgard/internal/core"
 	"pmgard/internal/dmgard"
 	"pmgard/internal/emgard"
 	"pmgard/internal/grid"
+	"pmgard/internal/retrieval"
 	"pmgard/internal/sim/warpx"
+	"pmgard/internal/storage"
 )
 
 func buildDataset(t *testing.T) (string, map[string]*grid.Tensor) {
@@ -128,16 +131,12 @@ func TestDatasetModelRetrieval(t *testing.T) {
 	var esamps []emgard.Sample
 	for ts := 0; ts < 3; ts++ {
 		f := fields[key("Jx", ts)]
-		dr, _, err := dmgard.Harvest(f, "Jx", ts, cfg, bounds)
+		c, sweep, err := core.TheorySweep(f, cfg, "Jx", ts, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		drecs = append(drecs, dr...)
-		es, _, err := emgard.Harvest(f, "Jx", ts, cfg, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		esamps = append(esamps, es...)
+		drecs = append(drecs, dmgard.Records(f, &c.Header, sweep)...)
+		esamps = append(esamps, emgard.Samples(&c.Header, sweep)...)
 	}
 	dm, err := dmgard.Train(drecs, cfg.Planes, dmgard.Config{
 		Hidden: []int{8}, LeakyAlpha: 0.01, Epochs: 10, BatchSize: 4, LR: 1e-3, Seed: 1,
@@ -283,5 +282,75 @@ func TestWriterCloseCommitsCatalogAtomically(t *testing.T) {
 			}
 			r.Close()
 		})
+	}
+}
+
+// TestReaderOpensEachEntryOnce makes N goroutines miss on one entry at the
+// same moment (the hook holds every open until all N have arrived): the
+// reader must end up with one handle whose accounting covers every read,
+// the N−1 losers closed, and later hits must not open or parse again.
+func TestReaderOpensEachEntryOnce(t *testing.T) {
+	dir, _ := buildDataset(t)
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	var (
+		mu      sync.Mutex
+		opened  []*storage.Store
+		arrived sync.WaitGroup
+	)
+	arrived.Add(n)
+	realOpen := openFile
+	openFile = func(path string) (*core.Header, *storage.Store, error) {
+		arrived.Done()
+		arrived.Wait()
+		h, st, err := realOpen(path)
+		mu.Lock()
+		opened = append(opened, st)
+		mu.Unlock()
+		return h, st, err
+	}
+	defer func() { openFile = realOpen }()
+
+	plans := make([]retrieval.Plan, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			_, plans[g], errs[g] = r.Retrieve("Jx", 1, 1e-3)
+		}(g)
+	}
+	wg.Wait()
+	var want int64
+	for g := range errs {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		want += plans[g].Bytes
+	}
+	if len(opened) != n {
+		t.Fatalf("%d opens raced, want %d", len(opened), n)
+	}
+	if got := r.BytesRead(); got != want {
+		t.Fatalf("reader accounts %d bytes of the %d its retrievals read: a store was orphaned", got, want)
+	}
+	h1, st1, err := r.open("Jx", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2, st2, _ := r.open("Jx", 1); h2 != h1 || st2 != st1 || len(opened) != n {
+		t.Fatal("a hit re-opened or re-parsed the entry")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range opened {
+		if _, err := st.ReadSegment(storage.SegmentID{}); err == nil {
+			t.Fatalf("store %d of %d is still open after Close: leaked handle", i, n)
+		}
 	}
 }

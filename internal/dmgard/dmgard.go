@@ -12,12 +12,9 @@
 package dmgard
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 
 	"pmgard/internal/nn"
 	"pmgard/internal/obs"
@@ -292,7 +289,7 @@ type modelFile struct {
 	Nets        [][]byte
 }
 
-// Save writes the model to path.
+// Save writes the model to path, committing by temp file + rename.
 func (m *Model) Save(path string) error {
 	mf := modelFile{
 		Version:     1,
@@ -301,42 +298,24 @@ func (m *Model) Save(path string) error {
 		Features:    m.features,
 		Independent: m.independent,
 	}
-	for l := 0; l < m.levels; l++ {
-		mf.Means = append(mf.Means, m.scalers[l].Mean)
-		mf.Stds = append(mf.Stds, m.scalers[l].Std)
-		var buf bytes.Buffer
-		if err := nn.Save(&buf, m.nets[l]); err != nil {
-			return fmt.Errorf("dmgard: save level %d: %w", l, err)
-		}
-		mf.Nets = append(mf.Nets, buf.Bytes())
+	var err error
+	if mf.Means, mf.Stds, mf.Nets, err = nn.MarshalLevels(m.scalers, m.nets); err == nil {
+		err = nn.WriteGobFile(path, mf)
 	}
-	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("dmgard: create %s: %w", path, err)
+		return fmt.Errorf("dmgard: %w", err)
 	}
-	if err := gob.NewEncoder(f).Encode(mf); err != nil {
-		f.Close()
-		return fmt.Errorf("dmgard: encode: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // Load reads a model written by Save.
 func Load(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dmgard: open %s: %w", path, err)
-	}
-	defer f.Close()
 	var mf modelFile
-	if err := gob.NewDecoder(f).Decode(&mf); err != nil {
-		return nil, fmt.Errorf("dmgard: decode: %w", err)
+	if err := nn.ReadGobFile(path, &mf); err != nil {
+		return nil, fmt.Errorf("dmgard: %w", err)
 	}
 	if mf.Version != 1 {
 		return nil, fmt.Errorf("dmgard: unsupported model version %d", mf.Version)
-	}
-	if mf.Levels < 1 || len(mf.Nets) != mf.Levels || len(mf.Means) != mf.Levels || len(mf.Stds) != mf.Levels {
-		return nil, fmt.Errorf("dmgard: corrupt model file")
 	}
 	m := &Model{
 		levels:      mf.Levels,
@@ -344,13 +323,9 @@ func Load(path string) (*Model, error) {
 		features:    mf.Features,
 		independent: mf.Independent,
 	}
-	for l := 0; l < mf.Levels; l++ {
-		m.scalers = append(m.scalers, &nn.Scaler{Mean: mf.Means[l], Std: mf.Stds[l]})
-		net, err := nn.Load(bytes.NewReader(mf.Nets[l]))
-		if err != nil {
-			return nil, fmt.Errorf("dmgard: load level %d: %w", l, err)
-		}
-		m.nets = append(m.nets, net)
+	var err error
+	if m.scalers, m.nets, err = nn.UnmarshalLevels(mf.Levels, mf.Means, mf.Stds, mf.Nets); err != nil {
+		return nil, fmt.Errorf("dmgard: %w", err)
 	}
 	return m, nil
 }

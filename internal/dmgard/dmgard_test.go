@@ -1,13 +1,17 @@
 package dmgard
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"pmgard/internal/core"
 	"pmgard/internal/features"
+	"pmgard/internal/grid"
 	"pmgard/internal/sim/warpx"
 )
 
@@ -186,6 +190,15 @@ func TestLoadRejectsMissingFile(t *testing.T) {
 	}
 }
 
+// harvest is the offline stage for one field: one theory sweep, converted.
+func harvest(field *grid.Tensor, name string, timestep int, bounds []float64) ([]Record, *core.Compressed, error) {
+	c, sweep, err := core.TheorySweep(field, core.DefaultConfig(), name, timestep, bounds)
+	if err != nil {
+		return nil, nil, err
+	}
+	return Records(field, &c.Header, sweep), c, nil
+}
+
 func TestHarvestProducesUsableRecords(t *testing.T) {
 	cfg := warpx.DefaultConfig(17, 9, 9)
 	field, err := cfg.Field("Jx", 5)
@@ -193,7 +206,7 @@ func TestHarvestProducesUsableRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	bounds := []float64{1e-6, 1e-4, 1e-2, 1e-1}
-	recs, c, err := Harvest(field, "Jx", 5, core.DefaultConfig(), bounds)
+	recs, c, err := harvest(field, "Jx", 5, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +240,10 @@ func TestHarvestProducesUsableRecords(t *testing.T) {
 func TestHarvestValidation(t *testing.T) {
 	cfg := warpx.DefaultConfig(9, 9, 9)
 	field, _ := cfg.Field("Jx", 0)
-	if _, _, err := Harvest(field, "Jx", 0, core.DefaultConfig(), nil); err == nil {
+	if _, _, err := harvest(field, "Jx", 0, nil); err == nil {
 		t.Fatal("empty bounds accepted")
 	}
-	if _, _, err := Harvest(field, "Jx", 0, core.DefaultConfig(), []float64{-1}); err == nil {
+	if _, _, err := harvest(field, "Jx", 0, []float64{-1}); err == nil {
 		t.Fatal("negative bound accepted")
 	}
 }
@@ -250,5 +263,33 @@ func TestDefaultRelBounds(t *testing.T) {
 		if bounds[i] <= bounds[i-1] {
 			t.Fatalf("bounds not increasing at %d", i)
 		}
+	}
+}
+
+// TestSavedModelBytesPinned pins the model file format: the same tiny
+// training run must save the same bytes as it did before Save/Load moved to
+// the shared nn helpers (digest computed on the parent commit), so files
+// written by either side load on the other.
+func TestSavedModelBytesPinned(t *testing.T) {
+	m, err := Train(syntheticRecords(20, 3), 32, Config{
+		Hidden: []int{4}, LeakyAlpha: 0.01, Epochs: 2, BatchSize: 8, LR: 1e-3, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "dmgard.gob")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "206267e3b802e6020d7db20bcfd4e1561a7453af5054c3ddc403874d7686a09d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
+		t.Fatalf("saved model digest %s, want %s", got, want)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("Save left its temp file behind (stat err %v)", err)
 	}
 }

@@ -1,8 +1,6 @@
 package dmgard
 
 import (
-	"context"
-	"fmt"
 	"math"
 
 	"pmgard/internal/core"
@@ -38,47 +36,23 @@ func CombineFeatures(fieldFeatures []float64, h *core.Header) []float64 {
 	return out
 }
 
-// Harvest runs the original theory-controlled MGARD pipeline on one field
-// across a sweep of relative error bounds and emits one training record per
+// Records converts one field's theory-controlled bound sweep
+// (core.SweepBounds under h.TheoryEstimator()) into one training record per
 // bound (§III-C steps 1–2): the field's features, the plane counts the
 // greedy retriever chose, and the *achieved* maximum error of the resulting
 // reconstruction (the red curves of Fig. 2), which becomes the model input
 // in place of the user-requested bound.
-//
-// The compressed form is returned too so callers can reuse it for
-// evaluation without recompressing.
-func Harvest(field *grid.Tensor, fieldName string, timestep int, cfg core.Config, relBounds []float64) ([]Record, *core.Compressed, error) {
-	if len(relBounds) == 0 {
-		return nil, nil, fmt.Errorf("dmgard: no error bounds to sweep")
-	}
-	c, err := core.Compress(field, cfg, fieldName, timestep)
-	if err != nil {
-		return nil, nil, err
-	}
-	h := &c.Header
-	est := h.TheoryEstimator()
-	feat := CombineFeatures(features.Extract(field, timestep), h)
-	records := make([]Record, 0, len(relBounds))
-	for _, rel := range relBounds {
-		if rel <= 0 {
-			return nil, nil, fmt.Errorf("dmgard: non-positive relative bound %g", rel)
-		}
-		tol := h.AbsTolerance(rel)
-		if tol <= 0 {
-			// Constant field: nothing to learn from this bound.
-			continue
-		}
-		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
-		if err != nil {
-			return nil, nil, fmt.Errorf("dmgard: sweep bound %g: %w", rel, err)
-		}
-		records = append(records, Record{
+func Records(field *grid.Tensor, h *core.Header, sweep []core.SweepPoint) []Record {
+	feat := CombineFeatures(features.Extract(field, h.Timestep), h)
+	records := make([]Record, len(sweep))
+	for i, p := range sweep {
+		records[i] = Record{
 			Features:    feat,
-			AchievedErr: grid.MaxAbsDiff(field, rec) / h.ValueRange,
-			Planes:      append([]int(nil), plan.Planes...),
-		})
+			AchievedErr: p.AchievedErr / h.ValueRange,
+			Planes:      append([]int(nil), p.Plan.Planes...),
+		}
 	}
-	return records, c, nil
+	return records
 }
 
 // DefaultRelBounds returns the paper's 81-value relative error-bound sweep:

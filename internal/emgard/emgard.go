@@ -19,12 +19,9 @@
 package emgard
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 
 	"pmgard/internal/nn"
 	"pmgard/internal/obs"
@@ -338,7 +335,7 @@ type modelFile struct {
 	Nets         [][]byte
 }
 
-// Save writes the model to path.
+// Save writes the model to path, committing by temp file + rename.
 func (m *Model) Save(path string) error {
 	mf := modelFile{
 		Version:  1,
@@ -348,42 +345,24 @@ func (m *Model) Save(path string) error {
 		OutLo:    m.outLo,
 		OutHi:    m.outHi,
 	}
-	for l := 0; l < m.levels; l++ {
-		mf.Means = append(mf.Means, m.scalers[l].Mean)
-		mf.Stds = append(mf.Stds, m.scalers[l].Std)
-		var buf bytes.Buffer
-		if err := nn.Save(&buf, m.nets[l]); err != nil {
-			return fmt.Errorf("emgard: save level %d: %w", l, err)
-		}
-		mf.Nets = append(mf.Nets, buf.Bytes())
+	var err error
+	if mf.Means, mf.Stds, mf.Nets, err = nn.MarshalLevels(m.scalers, m.nets); err == nil {
+		err = nn.WriteGobFile(path, mf)
 	}
-	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("emgard: create %s: %w", path, err)
+		return fmt.Errorf("emgard: %w", err)
 	}
-	if err := gob.NewEncoder(f).Encode(mf); err != nil {
-		f.Close()
-		return fmt.Errorf("emgard: encode: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // Load reads a model written by Save.
 func Load(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("emgard: open %s: %w", path, err)
-	}
-	defer f.Close()
 	var mf modelFile
-	if err := gob.NewDecoder(f).Decode(&mf); err != nil {
-		return nil, fmt.Errorf("emgard: decode: %w", err)
+	if err := nn.ReadGobFile(path, &mf); err != nil {
+		return nil, fmt.Errorf("emgard: %w", err)
 	}
 	if mf.Version != 1 {
 		return nil, fmt.Errorf("emgard: unsupported model version %d", mf.Version)
-	}
-	if mf.Levels < 1 || len(mf.Nets) != mf.Levels || len(mf.Means) != mf.Levels || len(mf.Stds) != mf.Levels {
-		return nil, fmt.Errorf("emgard: corrupt model file")
 	}
 	m := &Model{
 		levels:   mf.Levels,
@@ -392,13 +371,9 @@ func Load(path string) (*Model, error) {
 		outLo:    mf.OutLo,
 		outHi:    mf.OutHi,
 	}
-	for l := 0; l < mf.Levels; l++ {
-		m.scalers = append(m.scalers, &nn.Scaler{Mean: mf.Means[l], Std: mf.Stds[l]})
-		net, err := nn.Load(bytes.NewReader(mf.Nets[l]))
-		if err != nil {
-			return nil, fmt.Errorf("emgard: load level %d: %w", l, err)
-		}
-		m.nets = append(m.nets, net)
+	var err error
+	if m.scalers, m.nets, err = nn.UnmarshalLevels(mf.Levels, mf.Means, mf.Stds, mf.Nets); err != nil {
+		return nil, fmt.Errorf("emgard: %w", err)
 	}
 	return m, nil
 }

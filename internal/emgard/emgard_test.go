@@ -2,8 +2,11 @@ package emgard
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -201,10 +204,11 @@ func TestHarvestAndTrainOnRealPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	bounds := []float64{1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 3e-7, 3e-5, 3e-3, 3e-2, 3e-1}
-	samples, c, err := Harvest(field, "Ex", 16, core.DefaultConfig(), bounds)
+	c, sweep, err := core.TheorySweep(field, core.DefaultConfig(), "Ex", 16, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	samples := Samples(&c.Header, sweep)
 	if len(samples) == 0 {
 		t.Fatal("no samples harvested")
 	}
@@ -234,5 +238,33 @@ func TestHarvestAndTrainOnRealPipeline(t *testing.T) {
 	// tolerance (the paper concedes occasional overshoot, §IV-E).
 	if achieved := grid.MaxAbsDiff(field, recE); achieved > 10*tol {
 		t.Fatalf("E-MGARD achieved %g, tolerance %g", achieved, tol)
+	}
+}
+
+// TestSavedModelBytesPinned pins the model file format: the same tiny
+// training run must save the same bytes as it did before Save/Load moved to
+// the shared nn helpers (digest computed on the parent commit), so files
+// written by either side load on the other.
+func TestSavedModelBytesPinned(t *testing.T) {
+	m, err := Train(syntheticSamples(20, []float64{0.5, 0.1}, 3), Config{
+		Hidden: []int{4}, Epochs: 2, BatchSize: 8, LR: 1e-3, Seed: 1, Margin: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "emgard.gob")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "409bd4811cd2c189c07d3138311749adc49e8d2889ede311ae5ba7c70d00d007"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
+		t.Fatalf("saved model digest %s, want %s", got, want)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("Save left its temp file behind (stat err %v)", err)
 	}
 }

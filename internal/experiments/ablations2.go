@@ -12,6 +12,7 @@ import (
 	"pmgard/internal/features"
 	"pmgard/internal/grid"
 	"pmgard/internal/lossless"
+	"pmgard/internal/retrieval"
 	"pmgard/internal/sim/warpx"
 )
 
@@ -24,7 +25,6 @@ func AblatePool(p Params) ([]*Table, error) {
 		return nil, err
 	}
 	half := p.Steps / 2
-	simCfg := warpx.DefaultConfig(p.WarpXDims...)
 	table := &Table{
 		ID:      "ablate-pool",
 		Title:   "E-MGARD pooled-input size ablation (WarpX Jx)",
@@ -34,17 +34,9 @@ func AblatePool(p Params) ([]*Table, error) {
 	for _, poolSize := range []int{8, 32, 64, 128} {
 		cfg := p.Compress
 		cfg.PoolSize = poolSize
-		var samples []emgard.Sample
-		for t := 0; t < half; t++ {
-			field, err := warpxField(simCfg, "Jx", t)
-			if err != nil {
-				return nil, err
-			}
-			ss, _, err := emgard.Harvest(field, "Jx", t, cfg, p.Bounds)
-			if err != nil {
-				return nil, err
-			}
-			samples = append(samples, ss...)
+		_, samples, err := harvestBoth(cfg, p.Bounds, "Jx", warpxProvider(p, "Jx"), 0, half)
+		if err != nil {
+			return nil, err
 		}
 		m, err := emgard.Train(samples, p.ETrain)
 		if err != nil {
@@ -53,36 +45,30 @@ func AblatePool(p Params) ([]*Table, error) {
 		// Evaluate estimate quality on held-out timesteps.
 		var ratios []float64
 		within, overshoot, total := 0, 0, 0
-		for t := half; t < p.Steps; t++ {
-			field, err := warpxField(simCfg, "Jx", t)
+		_, heldOut, err := harvestBoth(cfg, thinBounds(p.Bounds, 9), "Jx", warpxProvider(p, "Jx"), half, p.Steps)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range heldOut {
+			if s.TrueErr <= 0 {
+				continue
+			}
+			cs, err := m.Constants(s.Pools)
 			if err != nil {
 				return nil, err
 			}
-			ss, _, err := emgard.Harvest(field, "Jx", t, cfg, thinBounds(p.Bounds, 9))
-			if err != nil {
-				return nil, err
+			pred := 0.0
+			for l := range cs {
+				pred += cs[l] * s.LevelErrs[l]
 			}
-			for _, s := range ss {
-				if s.TrueErr <= 0 {
-					continue
-				}
-				cs, err := m.Constants(s.Pools)
-				if err != nil {
-					return nil, err
-				}
-				pred := 0.0
-				for l := range cs {
-					pred += cs[l] * s.LevelErrs[l]
-				}
-				r := pred / s.TrueErr
-				ratios = append(ratios, r)
-				total++
-				if r > 1.0/3 && r < 3 {
-					within++
-				}
-				if r < 1 {
-					overshoot++ // under-estimate → retrieval would overshoot
-				}
+			r := pred / s.TrueErr
+			ratios = append(ratios, r)
+			total++
+			if r > 1.0/3 && r < 3 {
+				within++
+			}
+			if r < 1 {
+				overshoot++ // under-estimate → retrieval would overshoot
 			}
 		}
 		if total == 0 {
@@ -228,25 +214,17 @@ func AblateConstant(p Params) ([]*Table, error) {
 		Columns: []string{"rel_bound", "naive_bytes", "tight_bytes", "emgard_bytes",
 			"naive_err", "tight_err", "emgard_err"},
 	}
-	for _, rel := range thinBounds(p.Bounds, 7) {
-		tol := h.AbsTolerance(rel)
-		if tol <= 0 {
-			continue
-		}
-		recN, planN, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
-		if err != nil {
+	// One measured sweep per estimator; the three share the bounds, so
+	// their points line up.
+	var cols [3][]core.SweepPoint
+	for i, est := range []retrieval.ErrorEstimator{h.TheoryEstimator(), h.TightEstimator(), learned} {
+		if cols[i], err = core.SweepBounds(context.Background(), h, c, field, est, thinBounds(p.Bounds, 7)); err != nil {
 			return nil, err
 		}
-		recT, planT, err := core.RetrieveTolerance(context.Background(), h, c, h.TightEstimator(), tol, core.RetrieveOptions{})
-		if err != nil {
-			return nil, err
-		}
-		recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, learned, tol, core.RetrieveOptions{})
-		if err != nil {
-			return nil, err
-		}
-		table.AddRow(rel, planN.Bytes, planT.Bytes, planE.Bytes,
-			grid.MaxAbsDiff(field, recN), grid.MaxAbsDiff(field, recT), grid.MaxAbsDiff(field, recE))
+	}
+	for i, n := range cols[0] {
+		tight, e := cols[1][i], cols[2][i]
+		table.AddRow(n.RelBound, n.Plan.Bytes, tight.Plan.Bytes, e.Plan.Bytes, n.AchievedErr, tight.AchievedErr, e.AchievedErr)
 	}
 	return []*Table{table}, nil
 }

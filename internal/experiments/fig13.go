@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"pmgard/internal/core"
 	"pmgard/internal/dmgard"
@@ -15,25 +16,9 @@ import (
 // trainBothModels harvests the first half of J_x's timesteps and trains
 // both prediction models on the same sweep, as the paper's evaluation does.
 func trainBothModels(p Params) (*dmgard.Model, *emgard.Model, error) {
-	half := p.Steps / 2
-	cfg := warpx.DefaultConfig(p.WarpXDims...)
-	var drecs []dmgard.Record
-	var esamps []emgard.Sample
-	for t := 0; t < half; t++ {
-		field, err := warpxField(cfg, "Jx", t)
-		if err != nil {
-			return nil, nil, err
-		}
-		dr, _, err := dmgard.Harvest(field, "Jx", t, p.Compress, p.Bounds)
-		if err != nil {
-			return nil, nil, err
-		}
-		drecs = append(drecs, dr...)
-		es, _, err := emgard.Harvest(field, "Jx", t, p.Compress, p.Bounds)
-		if err != nil {
-			return nil, nil, err
-		}
-		esamps = append(esamps, es...)
+	drecs, esamps, err := harvestBoth(p.Compress, p.Bounds, "Jx", warpxProvider(p, "Jx"), 0, p.Steps/2)
+	if err != nil {
+		return nil, nil, err
 	}
 	dm, err := dmgard.Train(drecs, p.Compress.Planes, p.DTrain)
 	if err != nil {
@@ -150,7 +135,7 @@ func Fig13(p Params) ([]*Table, error) {
 				return nil, err
 			}
 			mgardBytes += planT.Bytes
-			if ps := grid.PSNR(field, recT); !isInf(ps) {
+			if ps := grid.PSNR(field, recT); !math.IsInf(ps, 0) {
 				psnrSum += ps
 				psnrN++
 			}
@@ -199,8 +184,6 @@ func Fig13(p Params) ([]*Table, error) {
 	}
 	return []*Table{table}, nil
 }
-
-func isInf(v float64) bool { return v > 1e308 || v < -1e308 }
 
 // Table2 reproduces Table II: the application dataset inventory of this
 // reproduction.

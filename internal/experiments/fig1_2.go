@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pmgard/internal/core"
-	"pmgard/internal/grid"
 	"pmgard/internal/sim/warpx"
 )
 
@@ -95,27 +94,19 @@ func Fig2(p Params) ([]*Table, error) {
 			"field", "rel_bound", "requested_abs", "achieved_abs", "requested/achieved",
 		},
 	}
-	type job struct {
-		name  string
-		field func() (*core.Compressed, error)
-	}
-	jobs := []job{
-		{"Jx", func() (*core.Compressed, error) { return compressWarpX(p, "Jx", t) }},
-		{"Du", func() (*core.Compressed, error) {
-			f, err := grayScottField(p.GrayScottN, p.Steps, "Du", t)
-			if err != nil {
-				return nil, err
-			}
-			return core.Compress(f, p.Compress, "Du", t)
-		}},
-	}
-	for _, j := range jobs {
-		c, err := j.field()
+	for _, j := range []struct {
+		name string
+		prov fieldProvider
+	}{{"Jx", warpxProvider(p, "Jx")}, {"Du", grayScottProvider(p, "Du")}} {
+		field, err := j.prov(t)
+		if err != nil {
+			return nil, err
+		}
+		c, err := core.Compress(field, p.Compress, j.name, t)
 		if err != nil {
 			return nil, err
 		}
 		h := &c.Header
-		var field = mustField(p, j.name, t)
 		points, err := pathProfile(field, c)
 		if err != nil {
 			return nil, err
@@ -134,23 +125,6 @@ func Fig2(p Params) ([]*Table, error) {
 		}
 	}
 	return []*Table{table}, nil
-}
-
-// mustField fetches a field that earlier code in the same experiment
-// already generated successfully; failures here indicate a bug, not input
-// error.
-func mustField(p Params, name string, t int) (f *grid.Tensor) {
-	var err error
-	switch name {
-	case "Du", "Dv":
-		f, err = grayScottField(p.GrayScottN, p.Steps, name, t)
-	default:
-		f, err = warpxField(warpx.DefaultConfig(p.WarpXDims...), name, t)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("experiments: mustField(%s,%d): %v", name, t, err))
-	}
-	return f
 }
 
 // thinBounds subsamples a bound sweep down to at most n entries, keeping

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"pmgard/internal/core"
 	"pmgard/internal/dmgard"
+	"pmgard/internal/emgard"
 	"pmgard/internal/features"
 	"pmgard/internal/grid"
 	"pmgard/internal/sim/warpx"
@@ -23,22 +25,32 @@ func grayScottProvider(p Params, name string) fieldProvider {
 	return func(t int) (*grid.Tensor, error) { return grayScottField(p.GrayScottN, p.Steps, name, t) }
 }
 
-// harvestRange collects D-MGARD training/evaluation records for one field
-// over [t0, t1).
-func harvestRange(p Params, name string, prov fieldProvider, t0, t1 int) ([]dmgard.Record, error) {
+// harvestBoth runs the offline stage over timesteps [t0, t1) of one field:
+// each is compressed and swept under theory control once, and both models'
+// training sets are read off that sweep.
+func harvestBoth(cfg core.Config, bounds []float64, name string, prov fieldProvider, t0, t1 int) ([]dmgard.Record, []emgard.Sample, error) {
 	var records []dmgard.Record
+	var samples []emgard.Sample
 	for t := t0; t < t1; t++ {
 		field, err := prov(t)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		recs, _, err := dmgard.Harvest(field, name, t, p.Compress, p.Bounds)
+		c, sweep, err := core.TheorySweep(field, cfg, name, t, bounds)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		records = append(records, recs...)
+		records = append(records, dmgard.Records(field, &c.Header, sweep)...)
+		samples = append(samples, emgard.Samples(&c.Header, sweep)...)
 	}
-	return records, nil
+	return records, samples, nil
+}
+
+// harvestRange collects D-MGARD training/evaluation records for one field
+// over [t0, t1).
+func harvestRange(p Params, name string, prov fieldProvider, t0, t1 int) ([]dmgard.Record, error) {
+	records, _, err := harvestBoth(p.Compress, p.Bounds, name, prov, t0, t1)
+	return records, err
 }
 
 // predictionErrDist evaluates a trained D-MGARD model on records and

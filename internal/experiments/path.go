@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+
 	"pmgard/internal/core"
 	"pmgard/internal/grid"
 	"pmgard/internal/retrieval"
@@ -20,9 +21,9 @@ type pathPoint struct {
 	ActualErr float64
 }
 
-// pathProfile walks the full greedy path of a compressed field, measuring
-// the true reconstruction error at every step. The zeroth point is the
-// empty retrieval.
+// pathProfile walks the full greedy path of a compressed field on one
+// measured walk, recording the true reconstruction error at every step. The
+// zeroth point is the empty retrieval.
 func pathProfile(field *grid.Tensor, c *core.Compressed) ([]pathPoint, error) {
 	h := &c.Header
 	infos := h.LevelInfos()
@@ -31,22 +32,17 @@ func pathProfile(field *grid.Tensor, c *core.Compressed) ([]pathPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	zeroErrs := make([]float64, len(infos))
+	zero := retrieval.Step{Planes: make([]int, len(infos)), LevelErrs: make([]float64, len(infos))}
 	for l, li := range infos {
-		zeroErrs[l] = li.ErrMatrix[0]
+		zero.LevelErrs[l] = li.ErrMatrix[0]
 	}
-	points := make([]pathPoint, 0, len(steps)+1)
-	zero, err := core.Retrieve(context.Background(), h, c, retrieval.Plan{Planes: make([]int, len(infos))}, core.RetrieveOptions{})
+	w, err := core.NewWalker(h, c, field)
 	if err != nil {
 		return nil, err
 	}
-	points = append(points, pathPoint{
-		Planes:    make([]int, len(infos)),
-		TheoryEst: est.Estimate(zeroErrs),
-		ActualErr: grid.MaxAbsDiff(field, zero),
-	})
-	for _, s := range steps {
-		rec, err := core.Retrieve(context.Background(), h, c, retrieval.Plan{Planes: s.Planes}, core.RetrieveOptions{})
+	points := make([]pathPoint, 0, len(steps)+1)
+	for _, s := range append([]retrieval.Step{zero}, steps...) {
+		_, actual, err := w.Stop(context.Background(), s.Planes)
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +50,7 @@ func pathProfile(field *grid.Tensor, c *core.Compressed) ([]pathPoint, error) {
 			Bytes:     s.Bytes,
 			Planes:    s.Planes,
 			TheoryEst: est.Estimate(s.LevelErrs),
-			ActualErr: grid.MaxAbsDiff(field, rec),
+			ActualErr: actual,
 		})
 	}
 	return points, nil

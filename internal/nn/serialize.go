@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -74,28 +75,70 @@ func Load(r io.Reader) (*Sequential, error) {
 	return NewSequential(layers...), nil
 }
 
-// SaveFile writes the model to a file path.
-func SaveFile(path string, m *Sequential) error {
-	f, err := os.Create(path)
+// MarshalLevels serializes a model's per-level (input scaler, network)
+// pairs the way the D-MGARD and E-MGARD model files both store them: the
+// scaler statistics in the clear and each network as its own Save blob.
+func MarshalLevels(scalers []*Scaler, nets []*Sequential) (means, stds [][]float64, blobs [][]byte, err error) {
+	for l, net := range nets {
+		means = append(means, scalers[l].Mean)
+		stds = append(stds, scalers[l].Std)
+		var buf bytes.Buffer
+		if err := Save(&buf, net); err != nil {
+			return nil, nil, nil, fmt.Errorf("save level %d: %w", l, err)
+		}
+		blobs = append(blobs, buf.Bytes())
+	}
+	return means, stds, blobs, nil
+}
+
+// UnmarshalLevels rebuilds the pairs of a model file that claims levels
+// levels.
+func UnmarshalLevels(levels int, means, stds [][]float64, blobs [][]byte) ([]*Scaler, []*Sequential, error) {
+	if levels < 1 || len(blobs) != levels || len(means) != levels || len(stds) != levels {
+		return nil, nil, fmt.Errorf("corrupt model file")
+	}
+	scalers := make([]*Scaler, levels)
+	nets := make([]*Sequential, levels)
+	for l := range nets {
+		scalers[l] = &Scaler{Mean: means[l], Std: stds[l]}
+		net, err := Load(bytes.NewReader(blobs[l]))
+		if err != nil {
+			return nil, nil, fmt.Errorf("load level %d: %w", l, err)
+		}
+		nets[l] = net
+	}
+	return scalers, nets, nil
+}
+
+// WriteGobFile gob-encodes v and commits it at path by temp file + rename,
+// so a crash mid-write leaves the previous model (or none), never a
+// truncated one.
+func WriteGobFile(path string, v any) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return fmt.Errorf("encode: %w", err)
+	}
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, buf.Bytes(), 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		return fmt.Errorf("nn: create %s: %w", path, err)
-	}
-	if err := Save(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("nn: close %s: %w", path, err)
+		os.Remove(tmp)
+		return fmt.Errorf("write %s: %w", path, err)
 	}
 	return nil
 }
 
-// LoadFile reads a model from a file path.
-func LoadFile(path string) (*Sequential, error) {
+// ReadGobFile decodes the gob file at path into v.
+func ReadGobFile(path string, v any) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("nn: open %s: %w", path, err)
+		return fmt.Errorf("open %s: %w", path, err)
 	}
 	defer f.Close()
-	return Load(f)
+	if err := gob.NewDecoder(f).Decode(v); err != nil {
+		return fmt.Errorf("decode: %w", err)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -269,6 +270,81 @@ func TestChaosPermanentPlaneLoss(t *testing.T) {
 // the plane instead of re-reading it, and the breaker — which guards
 // against a tier being down, not against bad data — stays closed.
 func TestChaosBitRotDegradesOnEveryLayout(t *testing.T) {
+	// The finest level's last plane is the tail of the .pmgd file and of
+	// its level's tier file.
+	flipLastByte := func(t *testing.T, path string) {
+		rewriteFile(t, path, func(blob []byte) []byte {
+			blob[len(blob)-1] ^= 0x01
+			return blob
+		})
+	}
+	testLostPlaneDegrades(t,
+		func(t *testing.T, path string, finest int) { flipLastByte(t, path) },
+		func(t *testing.T, dir, tier string, finest int) {
+			flipLastByte(t, filepath.Join(dir, tier, fmt.Sprintf("level_%d.seg", finest)))
+		})
+}
+
+// TestChaosUnindexedPlaneDegradesOnEveryLayout damages the index instead of
+// a payload: a .pmgd table has no checksum of its own, so one flipped byte
+// in the last entry's plane field makes the store's index miss that plane,
+// as does a manifest whose finest level lists one plane fewer than the
+// header's Planes. Both are corruption — the same 200 degraded with zero
+// retries and a closed breaker as bit rot, not a transient blip that burns
+// the retry budget and opens the breaker for planes that are fine.
+func TestChaosUnindexedPlaneDegradesOnEveryLayout(t *testing.T) {
+	testLostPlaneDegrades(t,
+		func(t *testing.T, path string, finest int) {
+			rewriteFile(t, path, func(blob []byte) []byte {
+				// magic, version, metaLen, meta, segCount, then 28-byte
+				// entries {level u32, plane u32, …}: the last entry is the
+				// finest level's last plane.
+				metaLen := int(binary.LittleEndian.Uint32(blob[8:12]))
+				count := int(binary.LittleEndian.Uint32(blob[12+metaLen:]))
+				blob[16+metaLen+(count-1)*28+4] ^= 0x40
+				return blob
+			})
+		},
+		func(t *testing.T, dir, tier string, finest int) {
+			rewriteFile(t, filepath.Join(dir, "manifest.json"), func(blob []byte) []byte {
+				var man map[string]json.RawMessage
+				if err := json.Unmarshal(blob, &man); err != nil {
+					t.Fatal(err)
+				}
+				for _, key := range []string{"levels", "checksums"} {
+					var perLevel [][]int64
+					if err := json.Unmarshal(man[key], &perLevel); err != nil {
+						t.Fatal(err)
+					}
+					perLevel[finest] = perLevel[finest][:len(perLevel[finest])-1]
+					man[key], _ = json.Marshal(perLevel)
+				}
+				blob, err := json.Marshal(man)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return blob
+			})
+		})
+}
+
+// rewriteFile replaces path's bytes with edit's result.
+func rewriteFile(t *testing.T, path string, edit func([]byte) []byte) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testLostPlaneDegrades writes one field in both layouts, lets damageFlat /
+// damageTiered make the finest level's last plane permanently unreadable,
+// and requires serve to answer every refine 200 degraded with all other
+// planes, one quarantine, no retry and the breaker closed.
+func testLostPlaneDegrades(t *testing.T, damageFlat func(t *testing.T, path string, finest int), damageTiered func(t *testing.T, dir, tier string, finest int)) {
 	base := leakcheck.Baseline()
 	t.Cleanup(func() {
 		http.DefaultClient.CloseIdleConnections()
@@ -281,31 +357,29 @@ func TestChaosBitRotDegradesOnEveryLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The finest level's last plane is the tail of the .pmgd file and of
-	// its level's tier file.
 	layouts := []struct {
 		name  string
-		write func(path string) (rotted string, err error)
+		write func(path string) error
 	}{
-		{"flat", func(path string) (string, error) { return path, c.WriteFile(path) }},
-		{"tiered", func(path string) (string, error) {
-			tier := hier.Tiers[hier.Placement[finest]].Name
-			return filepath.Join(path, tier, fmt.Sprintf("level_%d.seg", finest)), c.WriteTiered(path, hier)
+		{"flat", func(path string) error {
+			if err := c.WriteFile(path); err != nil {
+				return err
+			}
+			damageFlat(t, path, finest)
+			return nil
+		}},
+		{"tiered", func(path string) error {
+			if err := c.WriteTiered(path, hier); err != nil {
+				return err
+			}
+			damageTiered(t, path, hier.Tiers[hier.Placement[finest]].Name, finest)
+			return nil
 		}},
 	}
 	var want refineResponse
 	for _, lay := range layouts {
 		path := filepath.Join(t.TempDir(), "jx")
-		rotted, err := lay.write(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := os.ReadFile(rotted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob[len(blob)-1] ^= 0x01
-		if err := os.WriteFile(rotted, blob, 0o644); err != nil {
+		if err := lay.write(path); err != nil {
 			t.Fatal(err)
 		}
 		o := obs.New()
@@ -331,7 +405,7 @@ func TestChaosBitRotDegradesOnEveryLayout(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			res := doRefine(t, ts, "field=Jx&abs=1e-300")
 			if res.status != http.StatusOK || !res.body.Degraded {
-				t.Fatalf("%s: refine %d over the rotted plane: status %d (detail %q) degraded %v, want 200 degraded",
+				t.Fatalf("%s: refine %d over the lost plane: status %d (detail %q) degraded %v, want 200 degraded",
 					lay.name, i, res.status, res.detail, res.body.Degraded)
 			}
 			if got := res.body.Planes; got[finest] != h.Planes-1 {
@@ -347,7 +421,7 @@ func TestChaosBitRotDegradesOnEveryLayout(t *testing.T) {
 		}
 		snap := o.Metrics.Snapshot()
 		if state := snap.Gauges["storage.breaker_state.Jx"]; state != 0 {
-			t.Fatalf("%s: breaker state after bit rot = %v, want 0 (closed)", lay.name, state)
+			t.Fatalf("%s: breaker state after the loss = %v, want 0 (closed)", lay.name, state)
 		}
 		if q, r := snap.Counters["storage.retry.quarantined"], snap.Counters["storage.retry.retries"]; q != 1 || r != 0 {
 			t.Fatalf("%s: %d planes quarantined after %d retries, want 1 and 0", lay.name, q, r)

@@ -269,13 +269,18 @@ func TestSegmentStoreAccounting(t *testing.T) {
 	})
 }
 
+// An id the index does not hold is what a flipped level/plane field of a
+// .pmgd table entry, or a manifest level shorter than the header's plane
+// count, reads as: corruption, so permanent — a retry cannot grow the index.
 func TestSegmentStoreMissingSegment(t *testing.T) {
 	eachLayout(t, func(t *testing.T, lay storeLayout) {
 		st := lay.open(t, nil, map[SegmentID][]byte{{Level: 0, Plane: 0}: {1}})
 		for _, id := range []SegmentID{{Level: 9, Plane: 9}, {Level: 9, Plane: 0}, {Level: 0, Plane: 9}, {Level: -1, Plane: 0}, {Level: 0, Plane: -1}} {
-			if _, err := st.ReadSegment(id); err == nil {
+			_, err := st.ReadSegment(id)
+			if err == nil {
 				t.Fatalf("read of absent segment %+v succeeded", id)
 			}
+			requireCorrupt(t, fmt.Sprintf("absent segment %+v", id), err)
 		}
 		if _, err := st.TierOf(9); err == nil {
 			t.Fatal("TierOf bad level accepted")

@@ -201,14 +201,16 @@ func (s *Store) TierOf(level int) (string, error) {
 }
 
 // ReadSegment performs one ranged read of a segment's payload and verifies
-// it. A payload that cannot be what was written — its extent lies past the
+// it. A payload that cannot be what was written — the index does not hold
+// its id (a flipped level/plane field of a .pmgd table entry, a manifest
+// level shorter than the header's plane count), its extent lies past the
 // end of its file, the read comes back short, the bytes fail their checksum
 // — wraps ErrCorrupt on every layout: re-reading rotted or truncated media
 // cannot recover the bytes, so the error classifies as permanent.
 func (s *Store) ReadSegment(id SegmentID) ([]byte, error) {
 	e, ok := s.segs[id]
 	if !ok {
-		return nil, fmt.Errorf("storage: segment %+v not found", id)
+		return nil, fmt.Errorf("storage: segment %+v not found in the index: %w", id, ErrCorrupt)
 	}
 	f, fileSize, err := s.open(e.file)
 	if err != nil {

@@ -163,7 +163,11 @@ func TrainDMGARD(records []DMGARDRecord, planes int, cfg DMGARDConfig) (*DMGARDM
 // HarvestDMGARD sweeps the theory pipeline over relative bounds and emits
 // D-MGARD training records.
 func HarvestDMGARD(field *Tensor, fieldName string, timestep int, cfg Config, relBounds []float64) ([]DMGARDRecord, *Compressed, error) {
-	return dmgard.Harvest(field, fieldName, timestep, cfg, relBounds)
+	c, sweep, err := core.TheorySweep(field, cfg, fieldName, timestep, relBounds)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dmgard.Records(field, &c.Header, sweep), c, nil
 }
 
 // EMGARDModel is the learned per-level error-constant model (§III-D).
@@ -183,7 +187,11 @@ func TrainEMGARD(samples []EMGARDSample, cfg EMGARDConfig) (*EMGARDModel, error)
 // HarvestEMGARD sweeps the theory pipeline over relative bounds and emits
 // E-MGARD training samples.
 func HarvestEMGARD(field *Tensor, fieldName string, timestep int, cfg Config, relBounds []float64) ([]EMGARDSample, *Compressed, error) {
-	return emgard.Harvest(field, fieldName, timestep, cfg, relBounds)
+	c, sweep, err := core.TheorySweep(field, cfg, fieldName, timestep, relBounds)
+	if err != nil {
+		return nil, nil, err
+	}
+	return emgard.Samples(&c.Header, sweep), c, nil
 }
 
 // DefaultRelBounds returns the paper's 81-value relative error-bound sweep.

@@ -2,6 +2,9 @@ package pmgard
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"path/filepath"
 	"testing"
 
@@ -184,5 +187,52 @@ func TestFacadeDataset(t *testing.T) {
 	}
 	if plan.Bytes <= 0 {
 		t.Fatal("no bytes planned")
+	}
+}
+
+// TestHarvestTrainingDataPinned pins what the offline stage feeds both
+// models: the D-MGARD records and E-MGARD samples harvested from one 9³ Jx
+// field over the paper's 81 bounds, digested on the commit before the two
+// harvests became converters of one sweep on one session. "Training data
+// unchanged" is this test, not a manual diff.
+func TestHarvestTrainingDataPinned(t *testing.T) {
+	field, err := warpx.DefaultConfig(9, 9, 9).Field("Jx", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := HarvestDMGARD(field, "Jx", 3, DefaultConfig(), DefaultRelBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, _, err := HarvestEMGARD(field, "Jx", 3, DefaultConfig(), DefaultRelBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 81 || len(samples) != 81 {
+		t.Fatalf("harvested %d records and %d samples, want 81 each", len(recs), len(samples))
+	}
+	hash := sha256.New()
+	floats := func(vs ...float64) {
+		for _, v := range vs {
+			binary.Write(hash, binary.LittleEndian, v)
+		}
+	}
+	for _, r := range recs {
+		floats(r.Features...)
+		floats(r.AchievedErr)
+		for _, b := range r.Planes {
+			floats(float64(b))
+		}
+	}
+	for _, s := range samples {
+		for _, pool := range s.Pools {
+			floats(pool...)
+		}
+		floats(s.LevelErrs...)
+		floats(s.TrueErr)
+	}
+	const want = "8eb5f4c95cb1fbe84a0717172a90e075e029faccc1d3d5c506a8afaec2bc926e"
+	if got := hex.EncodeToString(hash.Sum(nil)); got != want {
+		t.Fatalf("harvested training data changed: digest %s, want %s", got, want)
 	}
 }
