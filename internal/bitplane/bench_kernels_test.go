@@ -95,19 +95,31 @@ func BenchmarkDecodePartialScalarRef(b *testing.B) {
 	}
 }
 
+// finest129N is the coefficient count of the finest level of a 129³ field
+// under the default five-level decomposition (129³ − 65³).
+const finest129N = 1872064
+
+// heavyTailedCoeffs draws a level whose magnitudes fall off the way a
+// refactored field's do: most coefficients many binary orders below the
+// level maximum, a few near it (exponents exponentially distributed, mean
+// 16 octaves down).
+func heavyTailedCoeffs(n int) []float64 {
+	rng := rand.New(rand.NewSource(11))
+	c := make([]float64, n)
+	for i := range c {
+		c[i] = math.Ldexp(rng.NormFloat64(), -int(rng.ExpFloat64()*16))
+	}
+	return c
+}
+
 // BenchmarkErrMatrix isolates the error-matrix collection: the incremental
-// one-pass kernel vs the scalar per-prefix re-decode.
+// block fold vs the scalar per-prefix re-decode, and the fold alone at the
+// size and magnitude profile of the finest 129³ level, where the encoder
+// spends most of its error-matrix time.
 func BenchmarkErrMatrix(b *testing.B) {
 	const planes = 32
 	coeffs := benchCoeffs(benchN)
-	enc, err := EncodeLevel(coeffs, planes, Negabinary, 1, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer enc.Release()
-	unit := enc.unitSize()
-	words := make([]uint64, benchN)
-	quantizeRange(coeffs, words, unit, 1<<(planes-2), planes, Negabinary, 0, benchN)
+	unit, words := benchWords(b, coeffs, planes)
 	out := make([]float64, planes+1)
 
 	b.Run("incremental", func(b *testing.B) {
@@ -116,6 +128,19 @@ func BenchmarkErrMatrix(b *testing.B) {
 			clear(out)
 			errMatrixRange(coeffs, words, unit, planes, Negabinary, 0, benchN, out)
 		}
+	})
+	b.Run("incremental/finest129", func(b *testing.B) {
+		coeffs := heavyTailedCoeffs(finest129N)
+		unit, words := benchWords(b, coeffs, planes)
+		b.SetBytes(finest129N * 8)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var pairs int64
+		for i := 0; i < b.N; i++ {
+			clear(out)
+			pairs = errMatrixRange(coeffs, words, unit, planes, Negabinary, 0, finest129N, out)
+		}
+		b.ReportMetric(float64(pairs)/(finest129N*planes), "pair-share")
 	})
 	// The scalar loop mirrors the original implementation exactly,
 	// including its per-element non-finite guards.
@@ -144,6 +169,20 @@ func BenchmarkErrMatrix(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchWords quantizes coeffs the way EncodeLevel does and returns the
+// level's unit and plane words.
+func benchWords(b *testing.B, coeffs []float64, planes int) (float64, []uint64) {
+	enc, err := EncodeLevel(coeffs, planes, Negabinary, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	unit := enc.unitSize()
+	enc.Release()
+	words := make([]uint64, len(coeffs))
+	quantizeRange(coeffs, words, unit, 1<<(planes-2), planes, Negabinary, 0, len(coeffs))
+	return unit, words
 }
 
 func planeDepthName(b int) string {

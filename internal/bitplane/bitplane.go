@@ -14,8 +14,9 @@
 //
 // The plane slicing and reassembly run word-parallel: 64 coefficients move
 // through a 64×64 bit-matrix transpose per step instead of one bit test
-// per coefficient per plane, and the error matrix is collected in one
-// incremental pass (see kernels.go and DESIGN.md §10). Encodings draw
+// per coefficient per plane, and the error matrix is collected
+// incrementally, folding each coefficient only at the planes its leading
+// digit reaches (see kernels.go and DESIGN.md §10). Encodings draw
 // their buffers from shared pools; call Release on encodings you are done
 // with to make steady-state encoding allocation-free.
 package bitplane
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"pmgard/internal/bufpool"
 	"pmgard/internal/obs"
@@ -155,9 +157,13 @@ func (e *LevelEncoding) Release() {
 //
 // A non-nil o records a "bitplane.encode" span, counters
 // bitplane.levels_encoded / bitplane.planes_encoded /
-// bitplane.errmatrix_tasks / bitplane.coeffs_encoded, and pool task metrics
-// under pool.bitplane.encode.* and pool.bitplane.errmatrix.*.
+// bitplane.errmatrix_tasks / bitplane.coeffs_encoded /
+// bitplane.errmatrix_pairs (the (coefficient, plane) pairs the error matrix
+// folded one by one; its ratio to coeffs_encoded × planes is the share the
+// nega-binary kernel did not skip), and pool task metrics under
+// pool.bitplane.encode.* and pool.bitplane.errmatrix.*.
 func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Obs) (_ *LevelEncoding, err error) {
+	var pairs int64
 	if o != nil {
 		sp := o.Span("bitplane.encode", nil)
 		sp.SetAttr("coeffs", len(coeffs))
@@ -168,6 +174,7 @@ func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Ob
 				o.Counter("bitplane.planes_encoded").Add(int64(planes))
 				o.Counter("bitplane.errmatrix_tasks").Add(int64(planes) + 1)
 				o.Counter("bitplane.coeffs_encoded").Add(int64(len(coeffs)))
+				o.Counter("bitplane.errmatrix_pairs").Add(pairs)
 			}
 			sp.End()
 		}()
@@ -251,14 +258,14 @@ func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Ob
 		})
 	}
 
-	// Collect the error matrix in one incremental pass per coefficient
-	// range: ErrMatrix[b] is the max over all ranges' partial maxima.
+	// Collect the error matrix per coefficient range: ErrMatrix[b] is the
+	// max over all ranges' partial maxima.
 	// Merging maxima is exact and order-independent, so the result is
 	// identical for every worker count.
 	errM := pool.NewMetrics(o, "bitplane.errmatrix")
 	if workers == 1 && errM == nil {
 		clear(enc.ErrMatrix)
-		errMatrixRange(coeffs, words, unit, planes, mode, 0, n, enc.ErrMatrix)
+		pairs = errMatrixRange(coeffs, words, unit, planes, mode, 0, n, enc.ErrMatrix)
 	} else {
 		chunks := workers
 		if chunks > n {
@@ -267,11 +274,13 @@ func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Ob
 		stride := planes + 1
 		partial := bufpool.Float64s(chunks * stride)
 		clear(partial)
+		var chunkPairs atomic.Int64
 		pool.Run(context.Background(), chunks, workers, errM, func(_, c int) error {
 			lo, hi := c*n/chunks, (c+1)*n/chunks
-			errMatrixRange(coeffs, words, unit, planes, mode, lo, hi, partial[c*stride:(c+1)*stride])
+			chunkPairs.Add(errMatrixRange(coeffs, words, unit, planes, mode, lo, hi, partial[c*stride:(c+1)*stride]))
 			return nil
 		})
+		pairs = chunkPairs.Load()
 		for b := 0; b <= planes; b++ {
 			m := 0.0
 			for c := 0; c < chunks; c++ {

@@ -3,6 +3,7 @@ package bitplane
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"pmgard/internal/bufpool"
 )
@@ -12,14 +13,14 @@ import (
 // plane; these kernels instead move 64 coefficients per step through a
 // 64×64 bit-matrix transpose, so slicing (and un-slicing) all B planes of
 // a 64-coefficient group costs one transpose (~6·64 word operations)
-// instead of 64·B dependent bit tests. The error matrix is a single
-// incremental pass: each word's decoded value is refined plane by plane
-// with one signed digit add, instead of re-decoding every word from
-// scratch for every prefix length.
+// instead of 64·B dependent bit tests. The nega-binary error matrix visits
+// a word only at the prefixes its leading digit reaches — every shorter
+// prefix decodes to 0, whose error one max of |c| per block covers — and
+// decodes each visited prefix with two word operations.
 //
 // Every kernel is bit-exact with the scalar definition (the retained
 // reference in scalar_ref_test.go): the transpose is a pure bit
-// permutation, and the incremental error pass accumulates the same int64
+// permutation, and the error pass derives each error from the same int64
 // prefix value decodeWord computes from a masked word, so the float
 // operations — float64(dec)*unit, the subtraction, Abs, max — see
 // identical operands in both implementations.
@@ -259,30 +260,28 @@ func gatherGroupsSmall(bits [][]byte, dst []float64, b, planes int, mode Mode, u
 	}
 }
 
+// errBlock is the number of coefficients the nega-binary error-matrix fold
+// sorts and folds at a time: the block's sorted words and coefficients
+// (16 bytes each, 32 KiB) stay cache-resident across all of its plane
+// passes.
+const errBlock = 2048
+
 // errMatrixRange folds coefficients [lo, hi) into out, where out[b] is the
 // running maximum of |c_i - decode_b(c_i)| over the range (out must hold
 // planes+1 entries and start at the caller's running maxima — zero for a
-// fresh range). For each word the decoded prefix value is refined
-// incrementally: nega-binary is positional with digit weights (-2)^p, and
-// sign-magnitude accumulates magnitude bits under a sign read from plane
-// 0, so extending the prefix by one plane is one conditional signed add —
-// the same int64 decodeWord computes from the masked word, making the
-// float comparison operands identical to the scalar pass. Non-finite
-// coefficients are excluded, as no finite plane prefix bounds their error.
-func errMatrixRange(coeffs []float64, words []uint64, unit float64, planes int, mode Mode, lo, hi int, out []float64) {
-	// digit[p] is the value contributed by a set bit at position p. acc
-	// holds the running maxima in a fixed-size stack array so the inner
-	// loops index it bounds-check-free and out is only touched once at the
-	// end (planes ≤ 60, so b ≤ 60 < 61).
-	var digit [60]int64
+// fresh range). Each (coefficient, prefix) error is computed from the same
+// int64 decodeWord gives the masked word, so the float operations see
+// operands identical to the scalar pass's: nega-binary decodes the masked
+// word directly with its two-operation identity, and sign-magnitude
+// accumulates magnitude bits under a sign read from plane 0, one
+// conditional add per plane. Non-finite coefficients are excluded, as no
+// finite plane prefix bounds their error. It returns the number of
+// (coefficient, plane) pairs it folded one by one.
+func errMatrixRange(coeffs []float64, words []uint64, unit float64, planes int, mode Mode, lo, hi int, out []float64) (pairs int64) {
+	// acc holds the running maxima in a fixed-size stack array so the
+	// inner loops index it bounds-check-free and out is only touched once
+	// at the end (planes ≤ 60, so b ≤ 60 < 61).
 	var acc [61]float64
-	for p := 0; p < planes; p++ {
-		v := int64(1) << uint(p)
-		if mode == Negabinary && p&1 == 1 {
-			v = -v
-		}
-		digit[p] = v
-	}
 	cs, ws := coeffs[lo:hi], words[lo:hi:hi]
 	for _, c := range cs {
 		if a := math.Abs(c); a > acc[0] && !math.IsInf(c, 0) {
@@ -290,76 +289,33 @@ func errMatrixRange(coeffs []float64, words []uint64, unit float64, planes int, 
 		}
 	}
 	if mode == Negabinary {
-		// Plane-major: one streaming pass per prefix length, refining each
-		// word's decoded prefix value in decs with a branchless signed-digit
-		// add (two's-complement arithmetic in uint64 wraps identically, and
-		// -(bit)&d selects the digit without a multiply). Iterations are
-		// independent, so the max folds in a register at full ILP.
-		//
-		// Non-finite coefficients are excluded by sanitizing once up front —
-		// a zeroed (word, coefficient) pair contributes e = |0 - 0·unit| = 0
-		// to every prefix, which can never raise a maximum — so the hot loop
-		// carries no NaN/Inf tests.
-		n := len(ws)
-		decs := bufpool.Uint64s(n)
-		clear(decs)
-		decs = decs[:n]
-		wsc := bufpool.Uint64s(n)[:n]
-		csc := bufpool.Float64s(n)[:n]
-		for j, c := range cs {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				wsc[j], csc[j] = 0, 0
-			} else {
-				wsc[j], csc[j] = ws[j], c
-			}
-		}
 		// e can only overflow to Inf when |c| + the largest possible decoded
 		// magnitude reaches the float range (an Exponent near 1023); decided
 		// once here so the common case skips the per-element Inf saturation
 		// test. The saturating path computes e from identical operands, so
 		// the two variants are bit-identical wherever both are finite.
 		safe := acc[0]+float64(uint64(1)<<uint(planes))*unit < math.MaxFloat64
-		for b := 1; b <= planes; b++ {
-			p := uint(planes - b)
-			d := uint64(digit[p])
-			maxErr := acc[b]
-			if safe {
-				for j, w := range wsc {
-					dv := decs[j] + (-(w >> p & 1) & d)
-					decs[j] = dv
-					e := math.Abs(csc[j] - float64(int64(dv))*unit)
-					if e > maxErr {
-						maxErr = e
-					}
-				}
-			} else {
-				for j, w := range wsc {
-					dv := decs[j] + (-(w >> p & 1) & d)
-					decs[j] = dv
-					e := math.Abs(csc[j] - float64(int64(dv))*unit)
-					if math.IsInf(e, 0) {
-						// A short nega-binary prefix of a near-MaxFloat64
-						// level can dequantize past the float range;
-						// saturate the bound.
-						e = math.MaxFloat64
-					}
-					if e > maxErr {
-						maxErr = e
-					}
-				}
-			}
-			acc[b] = maxErr
+		wblk := bufpool.Uint64s(errBlock)
+		cblk := bufpool.Float64s(errBlock)
+		for b0 := 0; b0 < len(ws); b0 += errBlock {
+			b1 := min(b0+errBlock, len(ws))
+			pairs += foldNegabinaryBlock(cs[b0:b1], ws[b0:b1], wblk, cblk, unit, planes, safe, &acc)
 		}
-		bufpool.PutFloat64s(csc)
-		bufpool.PutUint64s(wsc)
-		bufpool.PutUint64s(decs)
+		bufpool.PutFloat64s(cblk)
+		bufpool.PutUint64s(wblk)
 	} else {
+		// digit[p] is the magnitude a set bit at position p contributes.
+		var digit [60]int64
+		for p := range digit {
+			digit[p] = int64(1) << uint(p)
+		}
 		signBit := uint(planes - 1)
 		for j, w := range ws {
 			c := cs[j]
 			if math.IsNaN(c) || math.IsInf(c, 0) {
 				continue
 			}
+			pairs += int64(planes)
 			var dec, mag int64
 			neg := false
 			for b := 1; b <= planes; b++ {
@@ -389,4 +345,106 @@ func errMatrixRange(coeffs []float64, words []uint64, unit float64, planes int, 
 			out[b] = acc[b]
 		}
 	}
+	return pairs
+}
+
+// foldNegabinaryBlock folds one block of at most errBlock (coefficient,
+// word) pairs into acc, using sw and sc (errBlock entries each) as scratch,
+// and returns the pairs it folded one by one.
+//
+// A word with h = bits.Len64(w) ≤ planes-b (every set digit below position
+// planes-b) has an all-zero b-plane prefix, which decodes to exactly 0, so
+// its error at prefix b is |c - 0·unit| = |c| bit for bit. The block is
+// therefore counting-sorted by h, highest first: at prefix b the
+// coefficients with h > planes-b are a prefix of the sorted block and are
+// folded one by one, and the rest contribute one precomputed max of |c|
+// over h ≤ planes-b. Max is exact and order-independent, so acc ends
+// bit-identical to folding every pair — at Σh pairs instead of n·planes.
+// Non-finite coefficients are skipped outright: no prefix bounds their
+// error, and the scalar definition excludes them.
+func foldNegabinaryBlock(cs []float64, ws, sw []uint64, sc []float64, unit float64, planes int, safe bool, acc *[61]float64) (pairs int64) {
+	cs = cs[:len(ws)]
+	// low[h] is first the largest |c| with leading digit h, then the
+	// largest with leading digit ≤ h; off[h] is the number of words whose
+	// leading digit is above h — bucket h's start in descending order.
+	var cnt, off [65]int
+	var low [65]float64
+	for j, w := range ws {
+		a := math.Abs(cs[j])
+		if !(a <= math.MaxFloat64) {
+			continue // NaN or ±Inf
+		}
+		h := bits.Len64(w)
+		cnt[h]++
+		if a > low[h] {
+			low[h] = a
+		}
+	}
+	for h := 63; h >= 0; h-- {
+		off[h] = off[h+1] + cnt[h+1]
+	}
+	for h := 1; h < planes; h++ {
+		if low[h-1] > low[h] {
+			low[h] = low[h-1]
+		}
+	}
+	// Scatter the significant words (h ≥ 1) into sorted position; bucket
+	// 0 never enters a prefix.
+	pos := off
+	for j, w := range ws {
+		if w == 0 {
+			continue
+		}
+		c := cs[j]
+		if !(math.Abs(c) <= math.MaxFloat64) {
+			continue
+		}
+		h := bits.Len64(w)
+		k := pos[h]
+		pos[h] = k + 1
+		sw[k], sc[k] = w, c
+	}
+	for b := 1; b <= planes; b++ {
+		t := planes - b
+		maxErr := acc[b]
+		if low[t] > maxErr {
+			maxErr = low[t]
+		}
+		m := off[t]
+		pairs += int64(m)
+		mask := (uint64(1)<<uint(b) - 1) << uint(t)
+		acc[b] = foldPlane(sw[:m], sc[:m], mask, unit, maxErr, safe)
+	}
+	return pairs
+}
+
+// foldPlane decodes the b-plane prefix (mask) of each word of ws and
+// returns maxErr raised to the largest |c - dec·unit|. It is one
+// plane-major pass: DecodeNegabinary of the masked word is an xor and a
+// subtract — no per-word state carried between planes — and iterations are
+// independent, so the max folds in a register at full ILP. It is a
+// function of its own so that the loop gets every register.
+func foldPlane(ws []uint64, cs []float64, mask uint64, unit, maxErr float64, safe bool) float64 {
+	cs = cs[:len(ws)]
+	if safe {
+		for j, w := range ws {
+			e := math.Abs(cs[j] - float64(DecodeNegabinary(w&mask))*unit)
+			if e > maxErr {
+				maxErr = e
+			}
+		}
+		return maxErr
+	}
+	for j, w := range ws {
+		e := math.Abs(cs[j] - float64(DecodeNegabinary(w&mask))*unit)
+		if math.IsInf(e, 0) {
+			// A short nega-binary prefix of a near-MaxFloat64 level can
+			// dequantize past the float range; saturate the bound.
+			e = math.MaxFloat64
+		}
+		if e > maxErr {
+			maxErr = e
+		}
+	}
+	return maxErr
 }

@@ -1,9 +1,12 @@
 package bitplane
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"pmgard/internal/obs"
 )
 
 // This file retains the pre-kernel scalar implementation verbatim (modulo
@@ -178,10 +181,17 @@ func randomCoeffs(rng *rand.Rand, n int, adversarial bool) []float64 {
 	return c
 }
 
+// kernelWorkers are the worker counts every kernel result is checked at.
+var kernelWorkers = []int{1, 2, 4, 8}
+
 // TestKernelsMatchScalarReference cross-checks the word-parallel kernels
 // against the retained scalar reference over random lengths (including
 // n%64 != 0, n < 64, n = 0), the full plane range, both modes, and
-// NaN/Inf/denormal inputs.
+// NaN/Inf/denormal inputs — then over lengths spanning several error-matrix
+// blocks plus a tail, with magnitude profiles that put the block fold's
+// significance order at its edges: most coefficients 2⁻³⁰ below the level
+// maximum (the skip fires), every word's leading digit at the top plane
+// (nothing to skip), and one nonzero among zeros.
 func TestKernelsMatchScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	lengths := []int{0, 1, 7, 63, 64, 65, 100, 128, 129, 640, 1000}
@@ -194,28 +204,125 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 		mode := Mode(rng.Intn(2))
 		adversarial := trial%3 == 0
 		coeffs := randomCoeffs(rng, n, adversarial)
+		label := fmt.Sprintf("n=%d planes=%d mode=%d", n, planes, mode)
 
-		want, _ := encodeLevelModeScalar(coeffs, planes, mode)
-		for _, workers := range []int{1, 4} {
+		want := checkAgainstScalar(t, coeffs, planes, mode, label)
+		for _, workers := range kernelWorkers {
 			got, err := EncodeLevel(coeffs, planes, mode, workers, nil)
 			if err != nil {
-				t.Fatalf("n=%d planes=%d mode=%d workers=%d: %v", n, planes, mode, workers, err)
+				t.Fatalf("%s workers=%d: %v", label, workers, err)
 			}
-			compareEncodings(t, got, want, "encode")
-
 			for _, b := range []int{0, 1, planes / 2, planes} {
 				wantDec := decodePartialScalar(want, b)
 				gotDec := got.DecodePartial(b, nil, workers, nil)
 				for i := range wantDec {
 					if math.Float64bits(gotDec[i]) != math.Float64bits(wantDec[i]) {
-						t.Fatalf("n=%d planes=%d mode=%d b=%d i=%d: got %v want %v",
-							n, planes, mode, b, i, gotDec[i], wantDec[i])
+						t.Fatalf("%s b=%d i=%d: got %v want %v", label, b, i, gotDec[i], wantDec[i])
 					}
 				}
 			}
 			got.Release()
 		}
 	}
+
+	profiles := []struct {
+		name string
+		// fill draws a level of n coefficients for the plane count.
+		fill func(rng *rand.Rand, n, planes int) []float64
+		// pairs bounds the (coefficient, plane) pairs the nega-binary fold
+		// may visit (bitplane.errmatrix_pairs); nil means [0, n × planes].
+		pairs func(n, planes int) (lo, hi int64)
+	}{
+		{"random", func(rng *rand.Rand, n, _ int) []float64 { return randomCoeffs(rng, n, false) }, nil},
+		{"adversarial", func(rng *rand.Rand, n, _ int) []float64 { return randomCoeffs(rng, n, true) }, nil},
+		{"skewed", func(rng *rand.Rand, n, _ int) []float64 {
+			c := make([]float64, n)
+			for i := range c {
+				c[i] = math.Ldexp(rng.NormFloat64(), -30)
+			}
+			for i := 0; i < n; i += 1 + rng.Intn(500) {
+				c[i] = 1 - 2*rng.Float64()
+			}
+			c[n-1] = -1
+			return c
+		}, func(n, planes int) (int64, int64) {
+			if planes == 32 {
+				return 0, int64(n) * 32 / 4 // the skip must fire
+			}
+			return 0, int64(n) * int64(planes)
+		}},
+		// Magnitudes in [0.75, 1] of the maximum, negative at even plane
+		// counts and positive at odd ones — the sign the top position
+		// planes-1 carries in nega-binary — so every quantized word's
+		// leading digit is the top plane and nothing can be skipped.
+		{"top-digit", func(rng *rand.Rand, n, planes int) []float64 {
+			sign := 1.0
+			if planes%2 == 0 {
+				sign = -1
+			}
+			c := make([]float64, n)
+			for i := range c {
+				c[i] = sign * (0.75 + 0.25*rng.Float64())
+			}
+			c[0] = sign
+			return c
+		}, func(n, planes int) (int64, int64) {
+			if planes == 1 {
+				return 0, 0 // one plane quantizes everything to 0
+			}
+			return int64(n) * int64(planes), int64(n) * int64(planes)
+		}},
+		{"one-nonzero", func(rng *rand.Rand, n, _ int) []float64 {
+			c := make([]float64, n)
+			c[rng.Intn(n)] = math.Ldexp(1-2*rng.Float64(), rng.Intn(40)-20)
+			return c
+		}, func(_, planes int) (int64, int64) { return 0, int64(planes) }},
+	}
+	blockLengths := []int{errBlock, errBlock + 1, 3*errBlock + 17}
+	for _, p := range profiles {
+		for _, n := range blockLengths {
+			for _, planes := range []int{1, 2, 3, 17, 32, 33, 59, 60} {
+				coeffs := p.fill(rng, n, planes)
+				for _, mode := range []Mode{Negabinary, SignMagnitude} {
+					label := fmt.Sprintf("%s n=%d planes=%d mode=%d", p.name, n, planes, mode)
+					checkAgainstScalar(t, coeffs, planes, mode, label)
+					if mode != Negabinary {
+						continue
+					}
+					o := obs.New()
+					enc, err := EncodeLevel(coeffs, planes, mode, 1, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					enc.Release()
+					lo, hi := int64(0), int64(n)*int64(planes)
+					if p.pairs != nil {
+						lo, hi = p.pairs(n, planes)
+					}
+					if got := o.Counter("bitplane.errmatrix_pairs").Value(); got < lo || got > hi {
+						t.Fatalf("%s: folded %d pairs, want [%d, %d]", label, got, lo, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkAgainstScalar encodes coeffs at every kernelWorkers count and fails
+// the test unless each encoding matches the scalar reference, which it
+// returns.
+func checkAgainstScalar(t *testing.T, coeffs []float64, planes int, mode Mode, label string) *LevelEncoding {
+	t.Helper()
+	want, _ := encodeLevelModeScalar(coeffs, planes, mode)
+	for _, workers := range kernelWorkers {
+		got, err := EncodeLevel(coeffs, planes, mode, workers, nil)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", label, workers, err)
+		}
+		compareEncodings(t, got, want, fmt.Sprintf("%s workers=%d", label, workers))
+		got.Release()
+	}
+	return want
 }
 
 // TestKernelsDenormalLevel pins the denormal-underflow early return: the

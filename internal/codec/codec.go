@@ -107,8 +107,8 @@ type ProgressiveCodec interface {
 }
 
 // BitplaneCoder provides the shared per-plane progressive encode/decode
-// implementation — nega-binary bit-plane slicing with the incremental error
-// matrix from internal/bitplane. Backends embed it so their coefficient
+// implementation — nega-binary bit-plane slicing with the error matrix
+// from internal/bitplane. Backends embed it so their coefficient
 // streams all serialize to the same (level, plane) segment shape, which is
 // what keeps storage, caching and the planner backend-agnostic.
 type BitplaneCoder struct{}

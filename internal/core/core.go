@@ -320,12 +320,51 @@ func OpenFile(path string) (*Header, *storage.Store, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var h Header
-	if err := json.Unmarshal(st.Meta(), &h); err != nil {
+	h, err := ParseHeader(st.Meta())
+	if err != nil {
 		st.Close()
-		return nil, nil, fmt.Errorf("core: parse header: %w", err)
+		return nil, nil, err
 	}
-	return &h, st, nil
+	return h, st, nil
+}
+
+// ParseHeader decodes an artifact header — a store's metadata blob or a
+// shard node's /planes/header document — and refuses one whose shape no
+// compressor writes, before any reader sizes a buffer from it: Planes
+// outside [1,60], a level whose PlaneSizes or ErrMatrix length disagrees
+// with Planes, a negative count or size, or a RawPlaneSize other than
+// (N+7)/8. The error wraps storage.ErrCorrupt and names the level.
+func ParseHeader(meta []byte) (*Header, error) {
+	var h Header
+	if err := json.Unmarshal(meta, &h); err != nil {
+		return nil, fmt.Errorf("core: parse header: %w: %w", err, storage.ErrCorrupt)
+	}
+	if h.Planes < 1 || h.Planes > 60 {
+		return nil, fmt.Errorf("core: header has %d planes, want [1,60]: %w", h.Planes, storage.ErrCorrupt)
+	}
+	for l, lm := range h.Levels {
+		var bad string
+		switch {
+		case len(lm.PlaneSizes) != h.Planes:
+			bad = fmt.Sprintf("%d plane sizes for %d planes", len(lm.PlaneSizes), h.Planes)
+		case len(lm.ErrMatrix) != h.Planes+1:
+			bad = fmt.Sprintf("%d error-matrix entries for %d planes", len(lm.ErrMatrix), h.Planes)
+		case lm.N < 0:
+			bad = fmt.Sprintf("%d coefficients", lm.N)
+		case lm.RawPlaneSize != (lm.N+7)/8:
+			bad = fmt.Sprintf("raw plane size %d for %d coefficients, want %d", lm.RawPlaneSize, lm.N, (lm.N+7)/8)
+		}
+		for k, s := range lm.PlaneSizes {
+			if s < 0 && bad == "" {
+				bad = fmt.Sprintf("plane %d size %d", k, s)
+				break
+			}
+		}
+		if bad != "" {
+			return nil, fmt.Errorf("core: header level %d: %s: %w", l, bad, storage.ErrCorrupt)
+		}
+	}
+	return &h, nil
 }
 
 // RetrieveOptions carries what every retrieval call may tune besides its

@@ -97,9 +97,12 @@ func (p *PlaneStore) fetchPlane(ctx context.Context, level, plane int) (raw []by
 		return nil, int64(len(seg)), fmt.Errorf("core: level %d plane %d payload is %d bytes, manifest says %d: %w",
 			level, plane, len(seg), want, storage.ErrCorrupt)
 	}
+	// A payload of the manifest's length that will not inflate to the
+	// header's plane size is bad bytes (a store without checksums hands them
+	// over as read): corruption, permanent, so a session degrades around it.
 	raw, err = p.codec.Decompress(seg, p.h.Levels[level].RawPlaneSize)
 	if err != nil {
-		return nil, int64(len(seg)), fmt.Errorf("core: level %d plane %d: %w", level, plane, err)
+		return nil, int64(len(seg)), fmt.Errorf("core: level %d plane %d: %w: %w", level, plane, err, storage.ErrCorrupt)
 	}
 	return raw, int64(len(seg)), nil
 }

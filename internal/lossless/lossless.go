@@ -107,8 +107,19 @@ var flateReaders = sync.Pool{
 	},
 }
 
-// Decompress implements Codec.
+// maxDeflateRatio bounds how far DEFLATE can expand its input: at best a
+// 258-byte match costs two bits (one-bit length and distance codes), so no
+// stream inflates to more than 1032 bytes per input byte.
+const maxDeflateRatio = 1032
+
+// Decompress implements Codec. A size src cannot inflate to is refused
+// before anything is allocated — the expected size comes from an artifact
+// header, which is input, not a promise — and decoding stops as soon as the
+// output passes size.
 func (deflateCodec) Decompress(src []byte, size int) ([]byte, error) {
+	if size < 0 || size/maxDeflateRatio > len(src) {
+		return nil, fmt.Errorf("lossless: a %d-byte deflate segment cannot inflate to %d bytes", len(src), size)
+	}
 	fr := flateReaders.Get().(*flateReader)
 	fr.src.Reset(src)
 	if err := fr.r.(flate.Resetter).Reset(&fr.src, nil); err != nil {
@@ -124,6 +135,9 @@ func (deflateCodec) Decompress(src []byte, size int) ([]byte, error) {
 	for {
 		n, err := fr.r.Read(buf)
 		out = append(out, buf[:n]...)
+		if len(out) > size {
+			break
+		}
 		if err == io.EOF {
 			break
 		}

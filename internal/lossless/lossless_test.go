@@ -3,6 +3,7 @@ package lossless
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -102,6 +103,35 @@ func TestDecompressSizeMismatch(t *testing.T) {
 		}
 		if _, err := c.Decompress(enc, 5); err == nil {
 			t.Fatalf("%s: size mismatch not detected", c.Name())
+		}
+	}
+}
+
+// TestDecompressRefusesUnreachableSize: the expected size comes from an
+// artifact header, so a size no segment of that length can inflate to — a
+// forged RawPlaneSize of 1<<45 — is refused without sizing a buffer from
+// it, while the densest real stream (a megabyte of zeros, ≈ 1000:1) still
+// round-trips and a stream longer than the size stops being decoded.
+func TestDecompressRefusesUnreachableSize(t *testing.T) {
+	zeros := make([]byte, 1<<20)
+	for _, c := range allCodecs {
+		enc, err := c.Compress(zeros)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec, err := c.Decompress(enc, len(zeros)); err != nil || !bytes.Equal(dec, zeros) {
+			t.Fatalf("%s: %d zeros from %d bytes: err %v", c.Name(), len(zeros), len(enc), err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, size := range []int{1 << 45, -1, len(zeros) / 2} {
+			if _, err := c.Decompress(enc, size); err == nil {
+				t.Fatalf("%s: a %d-byte segment decoded to a claimed %d bytes", c.Name(), len(enc), size)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Fatalf("%s: refusing the sizes allocated %d bytes", c.Name(), grew)
 		}
 	}
 }

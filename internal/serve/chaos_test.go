@@ -278,10 +278,49 @@ func TestChaosBitRotDegradesOnEveryLayout(t *testing.T) {
 			return blob
 		})
 	}
-	testLostPlaneDegrades(t,
+	testLostPlaneDegrades(t, 1,
 		func(t *testing.T, path string, finest int) { flipLastByte(t, path) },
 		func(t *testing.T, dir, tier string, finest int) {
 			flipLastByte(t, filepath.Join(dir, tier, fmt.Sprintf("level_%d.seg", finest)))
+		})
+}
+
+// TestChaosUninflatablePlaneDegrades: a version-1 tiered manifest carries
+// no checksums, so same-length bad bytes reach the inflater. The finest
+// level's last plane gets 0x07 as its first payload byte — BFINAL set with
+// the reserved block type 11, an inflate error on any stream — and a plane
+// that will not inflate to its header size is corruption like any other:
+// 200 degraded with the breaker closed, not a transient 502. (The .pmgd
+// copy's checksum catches the same byte in the store.)
+func TestChaosUninflatablePlaneDegrades(t *testing.T) {
+	h := buildCompressed(t, "Jx").Header
+	finest := len(h.Levels) - 1
+	lastSize := int(h.Levels[finest].PlaneSizes[h.Planes-1])
+	// The finest level's last plane is the tail of the .pmgd file and of
+	// its level's tier file.
+	poisonLastPlane := func(t *testing.T, path string) {
+		rewriteFile(t, path, func(blob []byte) []byte {
+			blob[len(blob)-lastSize] = 0x07
+			return blob
+		})
+	}
+	testLostPlaneDegrades(t, 0,
+		func(t *testing.T, path string, finest int) { poisonLastPlane(t, path) },
+		func(t *testing.T, dir, tier string, finest int) {
+			rewriteFile(t, filepath.Join(dir, "manifest.json"), func(blob []byte) []byte {
+				var man map[string]json.RawMessage
+				if err := json.Unmarshal(blob, &man); err != nil {
+					t.Fatal(err)
+				}
+				man["version"] = json.RawMessage("1")
+				delete(man, "checksums")
+				blob, err := json.Marshal(man)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return blob
+			})
+			poisonLastPlane(t, filepath.Join(dir, tier, fmt.Sprintf("level_%d.seg", finest)))
 		})
 }
 
@@ -293,7 +332,7 @@ func TestChaosBitRotDegradesOnEveryLayout(t *testing.T) {
 // retries and a closed breaker as bit rot, not a transient blip that burns
 // the retry budget and opens the breaker for planes that are fine.
 func TestChaosUnindexedPlaneDegradesOnEveryLayout(t *testing.T) {
-	testLostPlaneDegrades(t,
+	testLostPlaneDegrades(t, 1,
 		func(t *testing.T, path string, finest int) {
 			rewriteFile(t, path, func(blob []byte) []byte {
 				// magic, version, metaLen, meta, segCount, then 28-byte
@@ -343,8 +382,11 @@ func rewriteFile(t *testing.T, path string, edit func([]byte) []byte) {
 // testLostPlaneDegrades writes one field in both layouts, lets damageFlat /
 // damageTiered make the finest level's last plane permanently unreadable,
 // and requires serve to answer every refine 200 degraded with all other
-// planes, one quarantine, no retry and the breaker closed.
-func testLostPlaneDegrades(t *testing.T, damageFlat func(t *testing.T, path string, finest int), damageTiered func(t *testing.T, dir, tier string, finest int)) {
+// planes, no retry and the breaker closed. The retry layer quarantines the
+// plane once when the store itself detects the damage — always on the flat
+// layout; tieredQuarantined says whether it does on the tiered one (0 when
+// only the inflater above the retry layer can tell).
+func testLostPlaneDegrades(t *testing.T, tieredQuarantined int64, damageFlat func(t *testing.T, path string, finest int), damageTiered func(t *testing.T, dir, tier string, finest int)) {
 	base := leakcheck.Baseline()
 	t.Cleanup(func() {
 		http.DefaultClient.CloseIdleConnections()
@@ -358,8 +400,9 @@ func testLostPlaneDegrades(t *testing.T, damageFlat func(t *testing.T, path stri
 		t.Fatal(err)
 	}
 	layouts := []struct {
-		name  string
-		write func(path string) error
+		name        string
+		write       func(path string) error
+		quarantined int64
 	}{
 		{"flat", func(path string) error {
 			if err := c.WriteFile(path); err != nil {
@@ -367,14 +410,14 @@ func testLostPlaneDegrades(t *testing.T, damageFlat func(t *testing.T, path stri
 			}
 			damageFlat(t, path, finest)
 			return nil
-		}},
+		}, 1},
 		{"tiered", func(path string) error {
 			if err := c.WriteTiered(path, hier); err != nil {
 				return err
 			}
 			damageTiered(t, path, hier.Tiers[hier.Placement[finest]].Name, finest)
 			return nil
-		}},
+		}, tieredQuarantined},
 	}
 	var want refineResponse
 	for _, lay := range layouts {
@@ -423,8 +466,8 @@ func testLostPlaneDegrades(t *testing.T, damageFlat func(t *testing.T, path stri
 		if state := snap.Gauges["storage.breaker_state.Jx"]; state != 0 {
 			t.Fatalf("%s: breaker state after the loss = %v, want 0 (closed)", lay.name, state)
 		}
-		if q, r := snap.Counters["storage.retry.quarantined"], snap.Counters["storage.retry.retries"]; q != 1 || r != 0 {
-			t.Fatalf("%s: %d planes quarantined after %d retries, want 1 and 0", lay.name, q, r)
+		if q, r := snap.Counters["storage.retry.quarantined"], snap.Counters["storage.retry.retries"]; q != lay.quarantined || r != 0 {
+			t.Fatalf("%s: %d planes quarantined after %d retries, want %d and 0", lay.name, q, r, lay.quarantined)
 		}
 	}
 }

@@ -228,18 +228,19 @@ func (r *Router) Fields(ctx context.Context) ([]string, error) {
 // Header fetches one field's artifact header from the shard, asking each
 // node in map order until one answers.
 func (r *Router) Header(ctx context.Context, field string) (*core.Header, error) {
-	var h core.Header
+	var h *core.Header
 	err := r.anyNode(ctx, func(n Node) error {
 		body, err := r.get(ctx, n, "/planes/header", url.Values{"field": {field}})
 		if err != nil {
 			return err
 		}
-		return json.Unmarshal(body, &h)
+		h, err = core.ParseHeader(body)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shard: header %s: %w", field, err)
 	}
-	return &h, nil
+	return h, nil
 }
 
 // FieldClient returns the plane source serving field h over the shard, the

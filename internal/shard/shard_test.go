@@ -468,6 +468,31 @@ func (b countingBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// TestRouterRefusesMalformedHeader: a node's /planes/header goes through the
+// same core.ParseHeader as a store's metadata, so a header whose level
+// claims 32 TiB planes is corruption at discovery, not a size the router
+// later asks nodes for and reads bodies against.
+func TestRouterRefusesMalformedHeader(t *testing.T) {
+	c := buildArtifact(t)
+	bad := c.Header
+	bad.Levels = append([]core.LevelMeta(nil), c.Header.Levels...)
+	bad.Levels[1].RawPlaneSize = 1 << 45
+	node := httptest.NewServer(NewNodeHandler(fieldsSource{"Jx": NodeField{Header: &bad}}, obs.New()))
+	defer node.Close()
+	m, err := ParseMap([]byte(fmt.Sprintf(`{"nodes": [{"name": "n0", "url": %q}]}`, node.URL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(RouterConfig{Map: m, Obs: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Header(context.Background(), "Jx")
+	if !errors.Is(err, storage.ErrCorrupt) || !strings.Contains(err.Error(), "level 1") {
+		t.Fatalf("header with a forged raw plane size: %v, want ErrCorrupt naming level 1", err)
+	}
+}
+
 // TestRouterBoundsNodeResponses pins what a node can make the router
 // allocate: a plane body is read through a limit of the header's
 // RawPlaneSize+1, so a node streaming far more is cut off there, classified
