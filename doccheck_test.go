@@ -176,16 +176,16 @@ func recvTypeName(fn *ast.FuncDecl) string {
 
 // TestOneReadEngine keeps the read path from forking again: in
 // internal/core exactly one function decodes bit-planes (DecodeLevel), one
-// recomposes (Recompose / RecomposeLevel) and one — a PlaneStore method, so
-// every segment passes its manifest check first — inflates segments
-// (lossless Codec.Decompress); and in the whole module outside benchmark/
-// one function derives the "<field>@<timestep>" cache namespace from a
-// header's FieldName and Timestep, and the unit of fetch is a run of planes
-// with no one-plane twin beside it (no FetchPlane next to
+// recomposes (Recompose / RecomposeLevel / RecomposeInto) and one — a
+// PlaneStore method, so every segment passes its manifest check first —
+// inflates segments (lossless Codec.Decompress); and in the whole module
+// outside benchmark/ one function derives the "<field>@<timestep>" cache
+// namespace from a header's FieldName and Timestep, and the unit of fetch is
+// a run of planes with no one-plane twin beside it (no FetchPlane next to
 // Source.FetchPlanes, no GetRun next to Cache.Get).
 func TestOneReadEngine(t *testing.T) {
 	stages := map[string]string{
-		"DecodeLevel": "decode", "Recompose": "recompose", "RecomposeLevel": "recompose", "Decompress": "inflate",
+		"DecodeLevel": "decode", "Recompose": "recompose", "RecomposeLevel": "recompose", "RecomposeInto": "recompose", "Decompress": "inflate",
 	}
 	callers := map[string]map[string]bool{"decode": {}, "recompose": {}, "inflate": {}, "namespace": {}}
 	var twins []string

@@ -55,8 +55,9 @@ func BenchmarkEncodeScalarRef(b *testing.B) {
 }
 
 // BenchmarkDecodePartial measures word-parallel partial decodes at several
-// prefix depths, reusing the destination so the steady-state path is
-// allocation-free.
+// prefix depths — 8×8 tiles up to b = 8, the half-width transpose above —
+// reusing the destination so the steady-state path is allocation-free, and
+// the deepest prefix at the size of the finest 129³ level.
 func BenchmarkDecodePartial(b *testing.B) {
 	coeffs := benchCoeffs(benchN)
 	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
@@ -65,7 +66,7 @@ func BenchmarkDecodePartial(b *testing.B) {
 	}
 	defer enc.Release()
 	dst := make([]float64, benchN)
-	for _, depth := range []int{4, 8, 16, 32} {
+	for _, depth := range []int{4, 8, 12, 16, 20, 28, 32} {
 		b.Run(planeDepthName(depth), func(b *testing.B) {
 			b.SetBytes(benchN * 8)
 			b.ReportAllocs()
@@ -74,6 +75,20 @@ func BenchmarkDecodePartial(b *testing.B) {
 			}
 		})
 	}
+	b.Run("finest129", func(b *testing.B) {
+		enc, err := EncodeLevel(heavyTailedCoeffs(finest129N), 32, Negabinary, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer enc.Release()
+		dst := make([]float64, finest129N)
+		b.SetBytes(finest129N * 8)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			enc.DecodePartial(32, dst, 1, nil)
+		}
+	})
 }
 
 // BenchmarkDecodePartialScalarRef measures the scalar reference decode at

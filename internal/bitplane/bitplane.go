@@ -340,7 +340,9 @@ func (e *LevelEncoding) unitSize() float64 {
 
 // DecodePartial reconstructs the level coefficients from the first b planes
 // into dst (allocated if nil) and returns it. b must be in [0, Planes].
-// With a caller-provided dst the decode is allocation-free.
+// Every element of dst is overwritten, for every b (b = 0 and an all-zero
+// level write zeros), so a reused dst needs no clearing. With a
+// caller-provided dst the decode is allocation-free.
 //
 // The reconstruction fans across at most `workers` goroutines (≤ 0 means
 // GOMAXPROCS). Each coefficient group is reconstructed independently from
@@ -379,11 +381,15 @@ func (e *LevelEncoding) DecodePartial(b int, dst []float64, workers int, o *obs.
 	decodeM := pool.NewMetrics(o, "bitplane.decode")
 	workers = pool.Clamp(workers)
 	groups := (e.N + 63) / 64
+	// One kernel per regime, all recovering the identical words: shallow
+	// prefixes move through 8×8 tiles, words of at most 32 planes through
+	// the half-width transpose, wider words through the full 64-row one.
 	gather := gatherGroups
-	if b <= 8 {
-		// Shallow prefixes move through 8×8 tiles instead of the full
-		// 64-row transpose; both kernels recover the identical words.
+	switch {
+	case b <= 8:
 		gather = gatherGroupsSmall
+	case e.Planes <= 32:
+		gather = gatherGroupsHalf
 	}
 	if workers == 1 && decodeM == nil {
 		gather(e.Bits, dst, b, e.Planes, e.Mode, unit, 0, groups)

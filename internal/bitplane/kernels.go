@@ -32,52 +32,62 @@ import (
 // plane lanes and reassembles lanes into words; the callers below absorb
 // the index reversals.
 func transpose64(a *[64]uint64) {
+	// The first round swaps the off-diagonal 32×32 blocks; the remaining
+	// five transpose rows 0..31 and rows 32..63 independently.
+	const m32 = 0x00000000FFFFFFFF
+	for k := 0; k < 32; k++ {
+		t := (a[k] ^ (a[k+32] >> 32)) & m32
+		a[k] ^= t
+		a[k+32] ^= t << 32
+	}
+	transpose32x2((*[32]uint64)(a[:32]))
+	transpose32x2((*[32]uint64)(a[32:]))
+}
+
+// transpose32x2 runs the 16/8/4/2/1 rounds of transpose64's network on 32
+// rows. The masks repeat every 32 bits, so one pass transposes the low and
+// the high 32×32 halves of the rows side by side: out[r] bit p =
+// in[31-p] bit (31-r) and out[r] bit 32+p = in[31-p] bit (63-r), for r, p
+// in [0, 32).
+func transpose32x2(a *[32]uint64) {
 	// Rounds are unrolled with constant shifts and masks so every exchange
 	// compiles to straight-line register arithmetic (the variable-shift
 	// generic loop defeats bounds-check elimination and keeps the masks in
 	// memory).
 	const (
-		m32 = 0x00000000FFFFFFFF
 		m16 = 0x0000FFFF0000FFFF
 		m8  = 0x00FF00FF00FF00FF
 		m4  = 0x0F0F0F0F0F0F0F0F
 		m2  = 0x3333333333333333
 		m1  = 0x5555555555555555
 	)
-	for k := 0; k < 32; k++ {
-		t := (a[k] ^ (a[k+32] >> 32)) & m32
+	for k := 0; k < 16; k++ {
+		t := (a[k] ^ (a[k+16] >> 16)) & m16
 		a[k] ^= t
-		a[k+32] ^= t << 32
+		a[k+16] ^= t << 16
 	}
-	for b := 0; b < 64; b += 32 {
-		for k := b; k < b+16; k++ {
-			t := (a[k] ^ (a[k+16] >> 16)) & m16
-			a[k] ^= t
-			a[k+16] ^= t << 16
-		}
-	}
-	for b := 0; b < 64; b += 16 {
+	for b := 0; b < 32; b += 16 {
 		for k := b; k < b+8; k++ {
 			t := (a[k] ^ (a[k+8] >> 8)) & m8
 			a[k] ^= t
 			a[k+8] ^= t << 8
 		}
 	}
-	for b := 0; b < 64; b += 8 {
+	for b := 0; b < 32; b += 8 {
 		for k := b; k < b+4; k++ {
 			t := (a[k] ^ (a[k+4] >> 4)) & m4
 			a[k] ^= t
 			a[k+4] ^= t << 4
 		}
 	}
-	for b := 0; b < 64; b += 4 {
+	for b := 0; b < 32; b += 4 {
 		for k := b; k < b+2; k++ {
 			t := (a[k] ^ (a[k+2] >> 2)) & m2
 			a[k] ^= t
 			a[k+2] ^= t << 2
 		}
 	}
-	for k := 0; k < 64; k += 2 {
+	for k := 0; k < 32; k += 2 {
 		t := (a[k] ^ (a[k+1] >> 1)) & m1
 		a[k] ^= t
 		a[k+1] ^= t << 1
@@ -200,6 +210,58 @@ func gatherGroups(bits [][]byte, dst []float64, b, planes int, mode Mode, unit f
 		} else {
 			for j := 0; j < cnt; j++ {
 				dst[base+j] = float64(decodeWord(m[63-j]&prefixMask, planes, mode)) * unit
+			}
+		}
+	}
+}
+
+// gatherGroupsHalf is gatherGroups for levels of at most 32 planes: every
+// word fits in 32 bits, so the b plane lanes load into 32 rows (lane k at
+// row 32-planes+k) and transpose32x2 — the last five rounds of the network —
+// turns the group's two 32-coefficient halves into words at once:
+// coefficient j < 32 is the low half of row 31-j, coefficient j ≥ 32 the
+// high half of row 63-j. Stale rows carry over exactly as in gatherGroups:
+// row i feeds only bit 31-i of every word, and only the rows reloaded each
+// group feed prefix bits, so the prefix mask removes every stale bit and
+// the decode sees the word gatherGroups recovers.
+func gatherGroupsHalf(bits [][]byte, dst []float64, b, planes int, mode Mode, unit float64, g0, g1 int) {
+	n := len(dst)
+	planeBytes := (n + 7) / 8
+	var m [32]uint64
+	prefixMask := (uint64(1)<<uint(b) - 1) << uint(planes-b)
+	for g := g0; g < g1; g++ {
+		byteBase := g * 8
+		nb := planeBytes - byteBase
+		if nb >= 8 {
+			for k := 0; k < b; k++ {
+				m[32-planes+k] = binary.LittleEndian.Uint64(bits[k][byteBase : byteBase+8])
+			}
+		} else {
+			for k := 0; k < b; k++ {
+				var lane uint64
+				for j := 0; j < nb; j++ {
+					lane |= uint64(bits[k][byteBase+j]) << (8 * j)
+				}
+				m[32-planes+k] = lane
+			}
+		}
+		transpose32x2(&m)
+		base := g * 64
+		cnt := min(n-base, 64)
+		lo, hi := dst[base:base+min(cnt, 32)], dst[base+min(cnt, 32):base+cnt]
+		if mode == Negabinary {
+			for j := range lo {
+				lo[j] = float64(DecodeNegabinary(uint64(uint32(m[31-j]))&prefixMask)) * unit
+			}
+			for j := range hi {
+				hi[j] = float64(DecodeNegabinary(m[31-j]>>32&prefixMask)) * unit
+			}
+		} else {
+			for j := range lo {
+				lo[j] = float64(decodeWord(uint64(uint32(m[31-j]))&prefixMask, planes, mode)) * unit
+			}
+			for j := range hi {
+				hi[j] = float64(decodeWord(m[31-j]>>32&prefixMask, planes, mode)) * unit
 			}
 		}
 	}

@@ -278,6 +278,41 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 			return c
 		}, func(_, planes int) (int64, int64) { return 0, int64(planes) }},
 	}
+	// Every decode regime at every prefix: b ≤ 8 through 8×8 tiles, planes
+	// ≤ 32 through the half-width transpose (every plane count), wider words
+	// through the 64-row one (33, 59, 60), over several groups — stale
+	// transpose rows carry from one group to the next — and a partial tail
+	// group on either side of the half-width kernel's 32-coefficient split.
+	for _, p := range profiles {
+		if p.name != "random" && p.name != "skewed" {
+			continue
+		}
+		for planes := 1; planes <= 60; planes++ {
+			if planes > 32 && planes != 33 && planes != 59 && planes != 60 {
+				continue
+			}
+			for _, tail := range []int{1, 31, 32, 33, 63} {
+				n := 4*64 + tail
+				coeffs := p.fill(rng, n, planes)
+				for _, mode := range []Mode{Negabinary, SignMagnitude} {
+					enc, _ := encodeLevelModeScalar(coeffs, planes, mode)
+					for b := 0; b <= planes; b++ {
+						want := decodePartialScalar(enc, b)
+						for _, workers := range []int{1, 2, 4} {
+							got := enc.DecodePartial(b, nil, workers, nil)
+							for i := range want {
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+									t.Fatalf("%s n=%d planes=%d mode=%d b=%d workers=%d i=%d: got %v want %v",
+										p.name, n, planes, mode, b, workers, i, got[i], want[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
 	blockLengths := []int{errBlock, errBlock + 1, 3*errBlock + 17}
 	for _, p := range profiles {
 		for _, n := range blockLengths {

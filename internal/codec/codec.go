@@ -72,6 +72,16 @@ type Decomposition interface {
 	// 0..upTo on the coarser grid those levels cover — the reduced
 	// degrees-of-freedom retrieval mode.
 	RecomposeLevel(upTo int) (*grid.Tensor, error)
+	// RecomposeInto is the one recomposition Recompose and RecomposeLevel
+	// call: it reconstructs the approximation spanned by levels 0..upTo
+	// using work, a tensor of the full grid's shape, as its workspace. The
+	// contents of work on entry are undefined and never read — every node
+	// the transform reads is first written from the streams of levels
+	// 0..upTo, and nothing is read from the streams of finer levels. At
+	// upTo = Levels-1 the field is reconstructed in work and work itself is
+	// returned; a coarser upTo returns a new tensor and leaves work as
+	// scratch.
+	RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor, error)
 }
 
 // ProgressiveCodec is the pluggable backend contract: refactor, per-plane
@@ -94,7 +104,8 @@ type ProgressiveCodec interface {
 	// error with only the first b planes (len planes+1).
 	EncodeLevel(coeffs []float64, planes, workers int, o *obs.Obs) (*bitplane.LevelEncoding, error)
 	// DecodeLevel reconstructs a coefficient stream from the first b planes
-	// of enc into dst.
+	// of enc into dst, overwriting every element of dst — for every b,
+	// including 0 — so dst may hold anything on entry.
 	DecodeLevel(enc *bitplane.LevelEncoding, b int, dst []float64, workers int, o *obs.Obs)
 	// NaiveAmplification returns the conservative constant C such that a
 	// reconstruction from streams perturbed by at most Err_l per level is

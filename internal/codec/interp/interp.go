@@ -26,6 +26,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"pmgard/internal/codec"
 	"pmgard/internal/grid"
@@ -138,27 +139,36 @@ func (d *decomposition) Coeffs(l int) []float64 { return d.coeffs[l] }
 // coarser grid. The decoder predicts from decoded values where the encoder
 // predicted from exact ones; the difference is what the Err matrix bounds.
 func (d *decomposition) Recompose() *grid.Tensor {
-	out := grid.New(d.plan.Dims()...)
-	data := out.Data()
-	d.plan.Inject(data, 0, d.coeffs[0])
-	for l := 1; l < len(d.coeffs); l++ {
-		predictLevel(d.plan, data, l, nil, d.coeffs[l], d.workers)
-	}
+	out, _ := d.RecomposeInto(len(d.coeffs)-1, grid.New(d.plan.Dims()...))
 	return out
 }
 
 // RecomposeLevel implements codec.Decomposition: decode levels 0..upTo and
 // gather the stride-2^(Levels-1-upTo) sub-grid they span.
 func (d *decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
+	return d.RecomposeInto(upTo, grid.New(d.plan.Dims()...))
+}
+
+// RecomposeInto implements codec.Decomposition. No node of work is read
+// before it is written: level 0 is injected, each finer level's nodes are
+// written from coarser ones only, and the gathered sub-grid is exactly the
+// nodes of levels 0..upTo.
+func (d *decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor, error) {
 	L := len(d.coeffs)
 	if upTo < 0 || upTo >= L {
 		return nil, fmt.Errorf("interp: RecomposeLevel upTo %d out of [0,%d)", upTo, L)
 	}
 	dims := d.plan.Dims()
-	work := make([]float64, tensorLen(dims))
-	d.plan.Inject(work, 0, d.coeffs[0])
+	if !slices.Equal(work.Dims(), dims) {
+		return nil, fmt.Errorf("interp: workspace dims %v, want %v", work.Dims(), dims)
+	}
+	data := work.Data()
+	d.plan.Inject(data, 0, d.coeffs[0])
 	for l := 1; l <= upTo; l++ {
-		predictLevel(d.plan, work, l, nil, d.coeffs[l], d.workers)
+		predictLevel(d.plan, data, l, nil, d.coeffs[l], d.workers)
+	}
+	if upTo == L-1 {
+		return work, nil
 	}
 	step := 1 << (L - 1 - upTo)
 	outDims := make([]int, len(dims))
@@ -166,17 +176,8 @@ func (d *decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
 		outDims[i] = (n-1)/step + 1
 	}
 	out := grid.New(outDims...)
-	gatherStride(work, dims, step, out.Data(), outDims)
+	gatherStride(data, dims, step, out.Data(), outDims)
 	return out, nil
-}
-
-// tensorLen returns the flat length of a grid with the given dims.
-func tensorLen(dims []int) int {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	return n
 }
 
 // gatherStride copies the stride-step sub-grid of src (shape dims) into dst

@@ -442,6 +442,7 @@ func greedyPlan(h *Header, est retrieval.ErrorEstimator, tol float64, o *obs.Obs
 	if err == nil {
 		sp.SetAttr("bytes", plan.Bytes)
 	}
+	sp.Fail(err)
 	sp.End()
 	return plan, err
 }

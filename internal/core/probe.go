@@ -107,6 +107,7 @@ func probeBackend(f *grid.Tensor, cfg Config, fieldName string, rels []float64) 
 	if err != nil {
 		return ProbeResult{}, err
 	}
+	defer w.Close()
 	res := ProbeResult{Backend: h.Codec(), StoredBytes: h.TotalBytes()}
 	at := retrieval.Step{Planes: make([]int, len(h.Levels))}
 	_, achieved, err := w.Stop(context.Background(), at.Planes)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"pmgard/internal/bitplane"
 	"pmgard/internal/codec"
 	"pmgard/internal/grid"
 	"pmgard/internal/obs"
@@ -27,6 +26,9 @@ import (
 // Refinements are serialized against each other — cross-request sharing of
 // fetch and decompression work belongs in a servecache.Cache shared by many
 // sessions (NewSharedSession), not in concurrent refinements of one.
+//
+// A session reconstructs in a workspace drawn from a pool shared by the
+// sessions of its field's shape; Close hands it back (see Close).
 type Session struct {
 	header *Header
 	// src is the one plane source the session reads from: a validating
@@ -37,10 +39,10 @@ type Session struct {
 	src   servecache.Source
 	cache *servecache.Cache
 	run   servecache.Run
-	// backend is the progressive codec named by the header; dec is its
-	// zero-initialized decomposition the fetched planes decode into.
+	// backend is the progressive codec named by the header.
 	backend codec.ProgressiveCodec
-	dec     codec.Decomposition
+	// pool is the workspace pool of the session's shape.
+	pool *workspacePool
 	// workers is the fan-out of a refinement's plane fetches and of the
 	// level decode; 1 fetches each level's planes as one run on the caller's
 	// goroutine.
@@ -49,8 +51,12 @@ type Session struct {
 	mu sync.Mutex
 	// fetched[l] is how many planes of level l have been read so far.
 	fetched []int
-	// planes[l][k] caches the decompressed plane bitsets.
-	planes [][][]byte
+	// ws is the session's workspace: the decomposition the fetched planes
+	// decode into and the fetched plane bitsets, ws.planes[l][k]. out is the
+	// tensor the latest full-field reconstruction returned (nil before one).
+	// Close hands both back to pool and sets ws to nil.
+	ws  *workspace
+	out *grid.Tensor
 	// bytes is the cumulative payload fetched, including payloads delivered
 	// by reads that later failed to decode or were discarded above a failed
 	// plane.
@@ -58,12 +64,39 @@ type Session struct {
 	// cacheHits counts planes this session obtained from the shared cache
 	// without a store fetch (always 0 without a cache).
 	cacheHits int64
-	// encScratch holds one reusable LevelEncoding shell per level, so
-	// reconstruct does not allocate encoding headers on every refinement.
-	encScratch []bitplane.LevelEncoding
+	// wsReused and wsAllocated count the workspaces and grids taken from
+	// pool and allocated because it was empty, not yet added to o's counters.
+	wsReused, wsAllocated int64
 	// o records session telemetry when set via Instrument; nil disables it.
 	o *obs.Obs
+	// levelCtr[l] holds level l's bytes_fetched and planes_fetched counters,
+	// resolved once by Instrument.
+	levelCtr [][2]*obs.Counter
 }
+
+// levelCounterNames[l] names level l's fetch counters; a session's level
+// count is its transform's, at most 30.
+var levelCounterNames = func() (names [30][2]string) {
+	for l := range names {
+		names[l] = [2]string{
+			fmt.Sprintf("core.session.level%d.bytes_fetched", l),
+			fmt.Sprintf("core.session.level%d.planes_fetched", l),
+		}
+	}
+	return names
+}()
+
+// planeIndexes[k] = k: every run a session asks for is a window of it
+// (Planes ≤ 60).
+var planeIndexes = func() (ix [60]int) {
+	for k := range ix {
+		ix[k] = k
+	}
+	return ix
+}()
+
+// errSessionClosed is what a refinement of a closed session returns.
+var errSessionClosed = fmt.Errorf("core: session is closed")
 
 // Instrument records session telemetry — per-level bytes/planes fetched,
 // wasted fetch bytes, refinement spans, degraded-mode counters — into o.
@@ -73,6 +106,14 @@ func (s *Session) Instrument(o *obs.Obs) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.o = o
+	s.levelCtr = nil
+	if o != nil {
+		s.levelCtr = make([][2]*obs.Counter, len(s.header.Levels))
+		for l := range s.levelCtr {
+			names := &levelCounterNames[l]
+			s.levelCtr[l] = [2]*obs.Counter{o.Counter(names[0]), o.Counter(names[1])}
+		}
+	}
 }
 
 // The worker counts of a session opened through NewSession or
@@ -124,26 +165,61 @@ func newSession(h *Header, src servecache.Source, cache *servecache.Cache, worke
 	if err != nil {
 		return nil, err
 	}
-	dec, err := backend.NewZero(h.Dims, h.CodecOptions(), recomposeWorkers)
+	pool := workspacePoolFor(h, backend, recomposeWorkers)
+	ws, reused, err := pool.take(h, backend, recomposeWorkers)
 	if err != nil {
 		return nil, err
 	}
-	planes := make([][][]byte, len(h.Levels))
-	for l := range planes {
-		planes[l] = make([][]byte, h.Planes)
+	if ws.dec.Levels() != len(h.Levels) {
+		return nil, fmt.Errorf("core: header lists %d levels for a %d-level transform: %w", len(h.Levels), ws.dec.Levels(), storage.ErrCorrupt)
 	}
-	return &Session{
-		header:     h,
-		src:        src,
-		cache:      cache,
-		run:        h.PlaneRun(0, nil),
-		backend:    backend,
-		dec:        dec,
-		workers:    workers,
-		fetched:    make([]int, len(h.Levels)),
-		planes:     planes,
-		encScratch: make([]bitplane.LevelEncoding, len(h.Levels)),
-	}, nil
+	s := &Session{
+		header:  h,
+		src:     src,
+		cache:   cache,
+		run:     h.PlaneRun(0, nil),
+		backend: backend,
+		pool:    pool,
+		workers: workers,
+		fetched: make([]int, len(h.Levels)),
+		ws:      ws,
+	}
+	s.countWorkspace(reused)
+	return s, nil
+}
+
+// Close hands the session's reconstruction workspace back to the pool of
+// its shape for later sessions to reuse: the decomposition its planes
+// decode into, its plane table, and the tensor its latest full-field
+// refinement returned. That tensor must not be touched afterwards, and a
+// later refinement of the session fails. Tensors of earlier refinements and
+// coarser RetrieveResolution approximations are never recycled and stay
+// valid.
+//
+// Never calling Close is always correct: the workspace is then left to the
+// garbage collector, which is what a caller that keeps the latest tensor
+// must do. Close is idempotent.
+func (s *Session) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ws == nil {
+		return
+	}
+	s.pool.put(s.ws)
+	if s.out != nil {
+		s.pool.grids.Put(s.out)
+	}
+	s.ws, s.out = nil, nil
+}
+
+// countWorkspace tallies one workspace or grid as taken from the pool
+// (reused) or allocated.
+func (s *Session) countWorkspace(reused bool) {
+	if reused {
+		s.wsReused++
+	} else {
+		s.wsAllocated++
+	}
 }
 
 // Fetched returns the per-level plane counts read so far.
@@ -214,6 +290,9 @@ func (s *Session) refineTo(ctx context.Context, target []int, upTo int) (*grid.T
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ws == nil {
+		return nil, errSessionClosed
+	}
 	sp := s.startSpan(ctx, "session.refine_to")
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
@@ -240,7 +319,7 @@ func (s *Session) startSpan(ctx context.Context, name string) *obs.Span {
 // fetchLevel extends level l's fetched plane prefix to want planes, asking
 // for the missing planes as one run — through the shared cache when the
 // session has one — or, with several workers, as one contiguous sub-run per
-// worker, read and inflated in parallel into pre-sized slots. The session
+// worker, read and inflated in parallel into disjoint slots. The session
 // keeps the contiguous prefix below the lowest failed plane and returns that
 // plane's error, whatever the scheduling, so a mid-level failure never
 // desynchronizes fetched/planes/bytes. s.mu must be held.
@@ -261,21 +340,22 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
 	sp.SetAttr("level", l)
-	planes := make([]int, want-have)
-	for i := range planes {
-		planes[i] = have + i
-	}
-	slots := make([]servecache.Plane, len(planes))
-	var m *pool.Metrics
-	if s.workers > 1 {
-		m = pool.NewMetrics(s.o, "fetch")
-	}
-	pool.RunChunks(len(planes), s.workers, m, func(_, lo, hi int) error {
+	planes := planeIndexes[have:want:want]
+	// The verdicts land in the workspace's slots: one run on the caller's
+	// goroutine, or one contiguous sub-run per worker into its own window.
+	slots := s.ws.slots[:len(planes)]
+	if s.workers == 1 {
 		run := s.run
-		run.Level, run.Planes = l, planes[lo:hi]
-		copy(slots[lo:hi], s.cache.Get(ctx, run, s.src))
-		return nil
-	})
+		run.Level, run.Planes = l, planes
+		s.cache.Get(ctx, run, s.src, slots)
+	} else {
+		pool.RunChunks(len(planes), s.workers, pool.NewMetrics(s.o, "fetch"), func(_, lo, hi int) error {
+			run := s.run
+			run.Level, run.Planes = l, planes[lo:hi]
+			s.cache.Get(ctx, run, s.src, slots[lo:hi:hi])
+			return nil
+		})
+	}
 	var err error
 	var levelBytes, keptBytes, levelHits int64
 	for i := range slots {
@@ -285,7 +365,7 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 		}
 		// Only the contiguous prefix of landed planes extends the session.
 		if err == nil {
-			s.planes[l][have+i] = sl.Raw
+			s.ws.planes[l][have+i] = sl.Raw
 			s.fetched[l]++
 			keptBytes += sl.Payload
 			if sl.Hit {
@@ -303,8 +383,8 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 	sp.SetAttr("bytes", levelBytes)
 	sp.SetAttr("cache_hits", levelHits)
 	if s.o != nil && kept > 0 {
-		s.o.Counter(fmt.Sprintf("core.session.level%d.bytes_fetched", l)).Add(keptBytes)
-		s.o.Counter(fmt.Sprintf("core.session.level%d.planes_fetched", l)).Add(int64(kept))
+		s.levelCtr[l][0].Add(keptBytes)
+		s.levelCtr[l][1].Add(int64(kept))
 		s.o.Counter("core.session.bytes_fetched").Add(keptBytes)
 		s.o.Counter("core.session.planes_fetched").Add(int64(kept))
 	}
@@ -334,6 +414,9 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol float64) (*grid.Tensor, retrieval.Plan, *Degradation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ws == nil {
+		return nil, retrieval.Plan{}, nil, errSessionClosed
+	}
 	sp := s.startSpan(ctx, "session.refine")
 	sp.SetAttr("tol", tol)
 	defer sp.End()
@@ -365,6 +448,7 @@ func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol 
 	}
 	exec, err := retrieval.PlanForPlanes(s.header.LevelInfos(), target)
 	if err != nil {
+		sp.Fail(err)
 		return nil, retrieval.Plan{}, nil, err
 	}
 	levelErrs := make([]float64, len(s.header.Levels))
@@ -404,22 +488,37 @@ func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol 
 	return rec, exec, deg, nil
 }
 
-// reconstruct decodes the fetched planes of levels 0..upTo and recomposes
-// the grid they span — the full field when upTo is the finest level. s.mu
-// must be held.
+// reconstruct decodes the fetched planes of levels 0..upTo into the
+// workspace decomposition and recomposes the grid they span — the full field
+// when upTo is the finest level — in a workspace grid. A full field is
+// returned in that grid, which the session keeps as out until the next
+// full-field reconstruction or Close; a coarser grid is gathered into a
+// tensor of its own and the workspace grid goes straight back to the pool.
+// s.mu must be held.
 func (s *Session) reconstruct(ctx context.Context, upTo int) (*grid.Tensor, error) {
 	parent := obs.SpanFromContext(ctx)
 	dsp := parent.Child("session.decode")
 	for l, lm := range s.header.Levels[:upTo+1] {
-		enc := &s.encScratch[l]
-		enc.N, enc.Planes, enc.Exponent, enc.Bits = lm.N, s.header.Planes, lm.Exponent, s.planes[l]
-		s.backend.DecodeLevel(enc, s.fetched[l], s.dec.Coeffs(l), s.workers, s.o)
+		enc := &s.ws.encs[l]
+		enc.N, enc.Planes, enc.Exponent, enc.Bits = lm.N, s.header.Planes, lm.Exponent, s.ws.planes[l]
+		s.backend.DecodeLevel(enc, s.fetched[l], s.ws.dec.Coeffs(l), s.workers, s.o)
 	}
 	dsp.End()
 	rsp := parent.Child("session.recompose")
 	defer rsp.End()
-	if upTo < len(s.header.Levels)-1 {
-		return s.dec.RecomposeLevel(upTo)
+	work, reused := s.pool.takeGrid(s.header.Dims)
+	s.countWorkspace(reused)
+	if s.o != nil {
+		s.o.Counter("core.session.workspace_reused").Add(s.wsReused)
+		s.o.Counter("core.session.workspace_allocated").Add(s.wsAllocated)
 	}
-	return s.dec.Recompose(), nil
+	s.wsReused, s.wsAllocated = 0, 0
+	rec, err := s.ws.dec.RecomposeInto(upTo, work)
+	if rec == work {
+		// The previous full field, if any, now belongs to its caller alone.
+		s.out = rec
+	} else {
+		s.pool.grids.Put(work)
+	}
+	return rec, err
 }

@@ -350,13 +350,13 @@ func TestCacheHitCancellableCtxAllocFree(t *testing.T) {
 	defer cancel()
 	for _, planes := range [][]int{{2}, {0, 1, 2, 3, 4, 5, 6, 7}} {
 		run := h.PlaneRun(1, planes)
-		for _, p := range cache.Get(ctx, run, store) {
+		for _, p := range cache.Get(ctx, run, store, nil) {
 			if p.Err != nil {
 				t.Fatal(p.Err)
 			}
 		}
 		avg := testing.AllocsPerRun(100, func() {
-			for _, p := range cache.Get(ctx, run, store) {
+			for _, p := range cache.Get(ctx, run, store, nil) {
 				if p.Err != nil || !p.Hit {
 					t.Fatalf("hit=%v err=%v, want a cached hit", p.Hit, p.Err)
 				}

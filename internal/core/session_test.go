@@ -189,7 +189,7 @@ func TestSessionMidRefineFailureLeavesConsistentState(t *testing.T) {
 	// cached, every non-fetched plane is not, and the byte count matches.
 	for l, b := range s.fetched {
 		for k := 0; k < h.Planes; k++ {
-			if (s.planes[l][k] != nil) != (k < b) {
+			if (s.ws.planes[l][k] != nil) != (k < b) {
 				t.Fatalf("level %d plane %d cache disagrees with fetched=%d", l, k, b)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"pmgard/internal/obs"
@@ -137,5 +138,40 @@ func TestSessionCacheHits(t *testing.T) {
 	}
 	if got := second.CacheHits(); got != want {
 		t.Fatalf("warm session cache hits = %d, want %d (all fetched planes)", got, want)
+	}
+}
+
+// TestFailedPlanTracedAsFailure is the regression test for failed plans
+// traced as successes: a refine whose tolerance the planner rejects (NaN,
+// passed straight through the library) must leave both its
+// retrieval.plan span and its session.refine span marked failed.
+func TestFailedPlanTracedAsFailure(t *testing.T) {
+	f := testField(t)
+	c, err := Compress(f, DefaultConfig(), "Ex", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &c.Header
+	s, err := NewSession(h, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	s.Instrument(o)
+	if _, _, _, err := s.Refine(context.Background(), h.TheoryEstimator(), math.NaN()); err == nil {
+		t.Fatal("Refine accepted a NaN tolerance")
+	}
+	status := map[string]string{}
+	for _, rec := range o.Trace.Timeline() {
+		status[rec.Name] = rec.Status
+	}
+	for _, name := range []string{"retrieval.plan", "session.refine"} {
+		st, ok := status[name]
+		if !ok {
+			t.Fatalf("no %s span recorded (have %v)", name, status)
+		}
+		if st != obs.StatusError {
+			t.Errorf("%s span status %q, want %q", name, st, obs.StatusError)
+		}
 	}
 }

@@ -49,6 +49,10 @@ func (w *Walker) Stop(ctx context.Context, planes []int) (*grid.Tensor, float64,
 	return rec, grid.MaxAbsDiff(w.orig, rec), nil
 }
 
+// Close ends the walk and hands its session's workspace back to the pool
+// (Session.Close): the latest stop's tensor must not be touched afterwards.
+func (w *Walker) Close() { w.sess.Close() }
+
 // SweepPoint is one bound of a measured sweep: the plan the estimator chose
 // for it and the error that plan really achieved.
 type SweepPoint struct {
@@ -94,6 +98,7 @@ func SweepBounds(ctx context.Context, h *Header, src storage.SegmentSource, orig
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	for _, i := range order {
 		p := &points[i]
 		if _, p.AchievedErr, err = w.Stop(ctx, p.Plan.Planes); err != nil {

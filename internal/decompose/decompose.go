@@ -28,6 +28,7 @@ package decompose
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pmgard/internal/grid"
 	"pmgard/internal/interleave"
@@ -206,12 +207,8 @@ func (d *Decomposition) CloneShape() *Decomposition {
 // Recompose reconstructs the spatial field from the current coefficient
 // streams, using the decomposition's worker count for the inverse passes.
 func (d *Decomposition) Recompose() *grid.Tensor {
-	work := grid.New(d.plan.Dims()...)
-	for l := 0; l < d.opt.Levels; l++ {
-		d.plan.Inject(work.Data(), l, d.coeffs[l])
-	}
-	inverse(work, d.opt, d.workers, 0)
-	return work
+	out, _ := d.RecomposeInto(d.opt.Levels-1, grid.New(d.plan.Dims()...))
+	return out
 }
 
 // RecomposeLevel reconstructs the approximation on the coarser grid that
@@ -220,18 +217,35 @@ func (d *Decomposition) Recompose() *grid.Tensor {
 // an analysis that can work at lower resolution skips both the I/O *and*
 // the compute of the finer levels. upTo = Levels-1 returns the full grid.
 func (d *Decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
+	return d.RecomposeInto(upTo, grid.New(d.plan.Dims()...))
+}
+
+// RecomposeInto is RecomposeLevel with work — a tensor of the full grid's
+// shape whose contents are undefined on entry — as the inverse transform's
+// workspace. At upTo = Levels-1 the field is reconstructed in work, which is
+// returned; a coarser upTo gathers its sub-grid into a new tensor and leaves
+// work as scratch. No node is read before it is written: the levels
+// partition the grid, so injecting levels 0..upTo writes every node of the
+// step-2^s sub-grid, and the inverse passes down to step s read nothing
+// else.
+func (d *Decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor, error) {
 	if upTo < 0 || upTo >= d.opt.Levels {
 		return nil, fmt.Errorf("decompose: RecomposeLevel upTo %d out of [0,%d)", upTo, d.opt.Levels)
 	}
-	work := grid.New(d.plan.Dims()...)
+	if !slices.Equal(work.Dims(), d.plan.Dims()) {
+		return nil, fmt.Errorf("decompose: workspace dims %v, want %v", work.Dims(), d.plan.Dims())
+	}
 	for l := 0; l <= upTo; l++ {
 		d.plan.Inject(work.Data(), l, d.coeffs[l])
 	}
 	// Invert only the steps that refine within the kept levels.
 	stop := d.opt.Levels - 1 - upTo
-	rank := work.NDim()
 	inverse(work, d.opt, d.workers, stop)
+	if stop == 0 {
+		return work, nil
+	}
 	// Gather the active sub-grid at step `stop`.
+	rank := work.NDim()
 	dims := d.plan.Dims()
 	step := 1 << stop
 	outDims := make([]int, rank)

@@ -40,6 +40,7 @@ func pathProfile(field *grid.Tensor, c *core.Compressed) ([]pathPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	points := make([]pathPoint, 0, len(steps)+1)
 	for _, s := range append([]retrieval.Step{zero}, steps...) {
 		_, actual, err := w.Stop(context.Background(), s.Planes)

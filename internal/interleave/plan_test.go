@@ -199,3 +199,58 @@ func BenchmarkNewPlan(b *testing.B) {
 		}
 	})
 }
+
+// TestInjectCoversEveryNode pins the partition a reused reconstruction
+// workspace relies on: the levels' index lists name every flat offset of
+// the grid exactly once, so injecting every level overwrites every node and
+// a dirty grid needs no clearing. Checked through Inject itself: each level
+// writes its own tag into a grid pre-filled with a sentinel.
+func TestInjectCoversEveryNode(t *testing.T) {
+	cases := []struct {
+		dims   []int
+		levels int
+	}{
+		{[]int{1}, 1},
+		{[]int{33}, 4},
+		{[]int{64}, 5},
+		{[]int{17, 9}, 3},
+		{[]int{16, 33}, 5},
+		{[]int{17, 9, 5}, 3},
+		{[]int{17, 9, 5}, 5},
+		{[]int{129, 129, 129}, 5},
+	}
+	for _, tc := range cases {
+		p, err := NewPlan(tc.dims, tc.levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 1
+		for _, d := range tc.dims {
+			n *= d
+		}
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = -1
+		}
+		seen := make([]uint8, n)
+		for l := 0; l < tc.levels; l++ {
+			ix := p.Indices(l)
+			for _, off := range ix {
+				seen[off]++
+			}
+			tags := make([]float64, len(ix))
+			for i := range tags {
+				tags[i] = float64(l)
+			}
+			p.Inject(data, l, tags)
+		}
+		for off := range data {
+			if seen[off] != 1 {
+				t.Fatalf("dims %v L=%d: offset %d named by %d levels, want exactly 1", tc.dims, tc.levels, off, seen[off])
+			}
+			if data[off] != float64(p.LevelOf(off)) {
+				t.Fatalf("dims %v L=%d: offset %d holds %v after injecting every level, want its level %d", tc.dims, tc.levels, off, data[off], p.LevelOf(off))
+			}
+		}
+	}
+}

@@ -222,6 +222,9 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
+	// The reconstruction is only checksummed, so its workspace goes back to
+	// the pool once the handler returns.
+	defer sess.Close()
 	sess.Instrument(s.o)
 	rec, plan, deg, err := sess.Refine(ctx, h.TheoryEstimator(), tol)
 	if ar != nil {

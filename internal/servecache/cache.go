@@ -291,7 +291,10 @@ func (c *Cache) Instrument(o *obs.Obs) {
 }
 
 // Get returns the verdicts on the planes of run, in run order, fetching
-// from src whatever is neither cached nor already in flight. Cached planes
+// from src whatever is neither cached nor already in flight. The verdicts
+// are written to out when its capacity covers the run (its contents on
+// entry do not matter) and to a new slice otherwise, so a caller that
+// recycles out keeps a run of hits allocation-free. Cached planes
 // are hits; planes another caller is fetching are joined; the remaining
 // misses become one src call this caller leads, which lands all of them.
 // The returned bitsets are shared: callers must treat them as immutable.
@@ -322,9 +325,14 @@ func (c *Cache) Instrument(o *obs.Obs) {
 // always observe the real fetch result.
 //
 // A nil *Cache caches nothing and fetches straight from src.
-func (c *Cache) Get(ctx context.Context, run Run, src Source) []Plane {
+func (c *Cache) Get(ctx context.Context, run Run, src Source, out []Plane) []Plane {
 	n := len(run.Planes)
-	out := make([]Plane, n)
+	if cap(out) < n {
+		out = make([]Plane, n)
+	} else {
+		out = out[:n]
+		clear(out)
+	}
 	if n == 0 {
 		return out
 	}
@@ -373,7 +381,7 @@ func (c *Cache) Get(ctx context.Context, run Run, src Source) []Plane {
 	}
 	if sp != nil {
 		// Attributes box their values; skipping them untraced keeps a run
-		// of hits to its one allocation, the verdicts.
+		// of hits to at most one allocation, the verdicts.
 		var bytes int64
 		var err error
 		for i := range out {

@@ -31,7 +31,7 @@ func one(key Key) Run {
 
 // getOne is Cache.Get for the run of one plane, its verdict unpacked.
 func getOne(c *Cache, ctx context.Context, key Key, src Source) ([]byte, int64, bool, error) {
-	p := c.Get(ctx, one(key), src)[0]
+	p := c.Get(ctx, one(key), src, nil)[0]
 	return p.Raw, p.Payload, p.Hit, p.Err
 }
 

@@ -113,13 +113,13 @@ func TestRunOverlapFetchesEachPlaneOnce(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		first = c.Get(ctx, planesRun(0, 1, 2, 3, 4, 5), src)
+		first = c.Get(ctx, planesRun(0, 1, 2, 3, 4, 5), src, nil)
 	}()
 	waitFor(t, func() bool { return len(src.calls()) == 1 })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		second = c.Get(ctx, planesRun(3, 4, 5, 6, 7, 8), src)
+		second = c.Get(ctx, planesRun(3, 4, 5, 6, 7, 8), src, nil)
 	}()
 	waitFor(t, func() bool { return len(src.calls()) == 2 })
 	close(src.gate)
@@ -139,7 +139,7 @@ func TestRunOverlapFetchesEachPlaneOnce(t *testing.T) {
 		t.Fatalf("stats = %+v, want 9 misses, 3 coalesced, 9 entries", st)
 	}
 	// Everything is cached now: a run across both is all hits, no call.
-	third := c.Get(ctx, planesRun(8, 0, 4), src)
+	third := c.Get(ctx, planesRun(8, 0, 4), src, nil)
 	checkPlanes(t, "third", third, 8, 0, 4)
 	for i, p := range third {
 		if !p.Hit {
@@ -169,12 +169,12 @@ func TestRunCancelledWaiterKeepsSharedPlanes(t *testing.T) {
 			leaderDone, survDone := make(chan struct{}), make(chan struct{})
 			go func() {
 				defer close(leaderDone)
-				leader = c.Get(leaderCtx, planesRun(0, 1, 2, 3), src)
+				leader = c.Get(leaderCtx, planesRun(0, 1, 2, 3), src, nil)
 			}()
 			waitFor(t, func() bool { return len(src.calls()) == 1 })
 			go func() {
 				defer close(survDone)
-				survivor = c.Get(survCtx, planesRun(2, 3), src)
+				survivor = c.Get(survCtx, planesRun(2, 3), src, nil)
 			}()
 			waitFor(t, func() bool { return flightWaiters(c, 2) == 2 && flightWaiters(c, 3) == 2 })
 
@@ -236,13 +236,13 @@ func TestRunVerdictsArePerPlane(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		whole = c.Get(ctx, planesRun(0, 1, 2, 3, 4), src)
+		whole = c.Get(ctx, planesRun(0, 1, 2, 3, 4), src, nil)
 	}()
 	waitFor(t, func() bool { return len(src.calls()) == 1 })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tail = c.Get(ctx, planesRun(3), src)
+		tail = c.Get(ctx, planesRun(3), src, nil)
 	}()
 	waitFor(t, func() bool { return flightWaiters(c, 3) == 2 })
 	close(src.gate)
@@ -258,7 +258,7 @@ func TestRunVerdictsArePerPlane(t *testing.T) {
 		t.Fatalf("%d planes cached, want the 4 that arrived", got)
 	}
 	// The error was not cached: the lost plane is asked for again, alone.
-	again := c.Get(ctx, planesRun(1, 2), src)
+	again := c.Get(ctx, planesRun(1, 2), src, nil)
 	if !again[0].Hit || !errors.Is(again[1].Err, lost) {
 		t.Fatalf("second ask = %+v, want a hit and the error again", again)
 	}
@@ -283,13 +283,13 @@ func TestRunShortSourceIsAskedAgain(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		whole = c.Get(ctx, planesRun(0, 1, 2, 3), src)
+		whole = c.Get(ctx, planesRun(0, 1, 2, 3), src, nil)
 	}()
 	waitFor(t, func() bool { return len(src.calls()) == 1 })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tail = c.Get(ctx, planesRun(3), src)
+		tail = c.Get(ctx, planesRun(3), src, nil)
 	}()
 	waitFor(t, func() bool { return flightWaiters(c, 3) == 2 })
 	close(src.gate)
@@ -320,12 +320,12 @@ func TestNilCacheFetchesStraightFromSource(t *testing.T) {
 	var c *Cache
 	lost := errors.New("gone")
 	src := &runSource{lost: map[int]error{1: lost}, short: true}
-	got := c.Get(context.Background(), planesRun(0, 1, 2), src)
+	got := c.Get(context.Background(), planesRun(0, 1, 2), src, nil)
 	checkPlanes(t, "prefix", got[:1], 0)
 	if !errors.Is(got[1].Err, lost) || !errors.Is(got[2].Err, ErrSkipped) {
 		t.Fatalf("verdicts = %+v, want the error then ErrSkipped", got)
 	}
-	if got := c.Get(context.Background(), planesRun(0), src); got[0].Hit {
+	if got := c.Get(context.Background(), planesRun(0), src, nil); got[0].Hit {
 		t.Fatal("a nil cache reported a hit")
 	}
 	if len(src.calls()) != 2 {

@@ -42,7 +42,7 @@ func CachedField(h *core.Header, cache *servecache.Cache, src servecache.Source)
 		Fetch: func(ctx context.Context, level int, planes []int) []servecache.Plane {
 			run := tmpl
 			run.Level, run.Planes = level, planes
-			return cache.Get(ctx, run, src)
+			return cache.Get(ctx, run, src, nil)
 		},
 	}
 }
