@@ -203,3 +203,36 @@ func benchWords(b *testing.B, coeffs []float64, planes int) (float64, []uint64) 
 func planeDepthName(b int) string {
 	return fmt.Sprintf("b=%d", b)
 }
+
+// BenchmarkWords splits a decode the way a session runs it on the finest
+// 129³ level at b = 32: transposing the planes into words (what a cached
+// snapshot saves), and decoding words to every other grid position (the
+// scatter a level's nodes take).
+func BenchmarkWords(b *testing.B) {
+	enc, err := EncodeLevel(heavyTailedCoeffs(finest129N), 32, Negabinary, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer enc.Release()
+	var w Words
+	b.Run("transpose/finest129", func(b *testing.B) {
+		b.SetBytes(finest129N * 8)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc.TransposeWords(32, &w, 1)
+		}
+	})
+	enc.TransposeWords(32, &w, 1)
+	dst := make([]float64, 2*finest129N)
+	at := make([]int, finest129N)
+	for i := range at {
+		at[i] = 2 * i
+	}
+	b.Run("decode-scatter/finest129", func(b *testing.B) {
+		b.SetBytes(finest129N * 8)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc.DecodeWords(&w, 32, dst, at, 1, nil)
+		}
+	})
+}

@@ -14,9 +14,11 @@
 //
 // The plane slicing and reassembly run word-parallel: 64 coefficients move
 // through a 64×64 bit-matrix transpose per step instead of one bit test
-// per coefficient per plane, and the error matrix is collected
-// incrementally, folding each coefficient only at the planes its leading
-// digit reaches (see kernels.go and DESIGN.md §10). Encodings draw
+// per coefficient per plane. Reassembly yields a level's words (Words),
+// which decode to any prefix they hold, straight to grid positions if
+// asked. The error matrix is collected incrementally, folding each
+// coefficient only at the planes its leading digit reaches (see kernels.go
+// and DESIGN.md §10). Encodings draw
 // their buffers from shared pools; call Release on encodings you are done
 // with to make steady-state encoding allocation-free.
 package bitplane
@@ -342,7 +344,12 @@ func (e *LevelEncoding) unitSize() float64 {
 // into dst (allocated if nil) and returns it. b must be in [0, Planes].
 // Every element of dst is overwritten, for every b (b = 0 and an all-zero
 // level write zeros), so a reused dst needs no clearing. With a
-// caller-provided dst the decode is allocation-free.
+// caller-provided dst the decode is allocation-free once warm.
+//
+// It is TransposeWords' kernels and DecodeWords' decode, run a block of
+// groups at a time through a small buffer so the words are decoded while
+// still in cache: bit for bit what decoding from a snapshot of the level's
+// words gives.
 //
 // The reconstruction fans across at most `workers` goroutines (≤ 0 means
 // GOMAXPROCS). Each coefficient group is reconstructed independently from
@@ -373,33 +380,38 @@ func (e *LevelEncoding) DecodePartial(b int, dst []float64, workers int, o *obs.
 	}
 	unit := e.unitSize()
 	if unit == 0 || b == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return dst
 	}
 	decodeM := pool.NewMetrics(o, "bitplane.decode")
-	workers = pool.Clamp(workers)
 	groups := (e.N + 63) / 64
-	// One kernel per regime, all recovering the identical words: shallow
-	// prefixes move through 8×8 tiles, words of at most 32 planes through
-	// the half-width transpose, wider words through the full 64-row one.
-	gather := gatherGroups
-	switch {
-	case b <= 8:
-		gather = gatherGroupsSmall
-	case e.Planes <= 32:
-		gather = gatherGroupsHalf
-	}
-	if workers == 1 && decodeM == nil {
-		gather(e.Bits, dst, b, e.Planes, e.Mode, unit, 0, groups)
+	if workers = pool.Clamp(workers); workers == 1 && decodeM == nil {
+		e.decodePartialGroups(b, unit, dst, 0, groups)
 	} else {
-		pool.RunChunks(groups, workers, decodeM, func(_, lo, hi int) error {
-			gather(e.Bits, dst, b, e.Planes, e.Mode, unit, lo, hi)
+		pool.RunChunks(groups, workers, decodeM, func(_, g0, g1 int) error {
+			e.decodePartialGroups(b, unit, dst, g0, g1)
 			return nil
 		})
 	}
 	return dst
+}
+
+// decodePartialGroups transposes and decodes groups [g0, g1) a decodeBlock
+// of groups at a time through a buffer on its own stack.
+func (e *LevelEncoding) decodePartialGroups(b int, unit float64, dst []float64, g0, g1 int) {
+	var w32 [64 * decodeBlock]uint32
+	var w64 [64 * decodeBlock]uint64
+	for g := g0; g < g1; g += decodeBlock {
+		end := min(g+decodeBlock, g1)
+		lo, hi := 64*g, min(64*end, e.N)
+		if e.Planes <= 32 {
+			e.wordGroups32(b, w32[:], g, end)
+			decodeWords(w32[:hi-lo], dst[lo:hi], nil, b, e.Planes, e.Mode, unit)
+		} else {
+			e.wordGroups64(b, w64[:], g, end)
+			decodeWords(w64[:hi-lo], dst[lo:hi], nil, b, e.Planes, e.Mode, unit)
+		}
+	}
 }
 
 // Decode reconstructs the level from all planes (residual quantization

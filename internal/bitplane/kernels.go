@@ -8,12 +8,12 @@ import (
 	"pmgard/internal/bufpool"
 )
 
-// This file holds the word-parallel kernels behind EncodeLevel and
-// DecodePartial. The scalar encoder tested one bit per coefficient per
-// plane; these kernels instead move 64 coefficients per step through a
-// 64×64 bit-matrix transpose, so slicing (and un-slicing) all B planes of
-// a 64-coefficient group costs one transpose (~6·64 word operations)
-// instead of 64·B dependent bit tests. The nega-binary error matrix visits
+// This file holds the word-parallel kernels behind EncodeLevel,
+// TransposeWords, DecodeWords and DecodePartial. The scalar encoder tested
+// one bit per coefficient per plane; these kernels instead move 64
+// coefficients per step through a 64×64 bit-matrix transpose, so slicing
+// (and un-slicing) all B planes of a 64-coefficient group costs one
+// transpose (~6·64 word operations) instead of 64·B dependent bit tests. The nega-binary error matrix visits
 // a word only at the prefixes its leading digit reaches — every shorter
 // prefix decodes to 0, whose error one max of |c| per block covers — and
 // decodes each visited prefix with two word operations.
@@ -164,12 +164,13 @@ func sliceGroups(words []uint64, bits [][]byte, planes, planeBytes, g0, g1 int) 
 	}
 }
 
-// gatherGroups reassembles coefficients [64g0, 64g1) from the first b
-// planes into dst: the inverse of sliceGroups. Each group loads the b
-// plane lanes into the rows transpose64 maps them from, transposes back
-// (the network is an involution), and dequantizes the recovered words.
-func gatherGroups(bits [][]byte, dst []float64, b, planes int, mode Mode, unit float64, g0, g1 int) {
-	n := len(dst)
+// wordsFull writes the words of coefficients [64g0, 64g1) of an
+// n-coefficient level, recovered from its first b planes, into dst, whose
+// element 0 is coefficient 64g0: the inverse of sliceGroups. Each group
+// loads the b plane lanes into the rows transpose64 maps them from,
+// transposes back (the network is an involution), and masks each recovered
+// word to the b-plane prefix.
+func wordsFull(bits [][]byte, n int, dst []uint64, b, planes, g0, g1 int) {
 	planeBytes := (n + 7) / 8
 	// The matrix is NOT re-zeroed between groups: stale rows from the
 	// previous transpose only land in word bit positions outside the b-plane
@@ -179,7 +180,7 @@ func gatherGroups(bits [][]byte, dst []float64, b, planes int, mode Mode, unit f
 	// stale bit. This is also exactly the word the scalar path assembles
 	// from b planes.
 	var m [64]uint64
-	prefixMask := (uint64(1)<<uint(b) - 1) << uint(planes-b)
+	mask := prefixMask(b, planes)
 	for g := g0; g < g1; g++ {
 		byteBase := g * 8
 		nb := planeBytes - byteBase
@@ -198,37 +199,27 @@ func gatherGroups(bits [][]byte, dst []float64, b, planes int, mode Mode, unit f
 		}
 		transpose64(&m)
 		base := g * 64
-		cnt := n - base
-		if cnt > 64 {
-			cnt = 64
-		}
-		// words[base+j] = m[63-j]; split by mode so the word decode inlines.
-		if mode == Negabinary {
-			for j := 0; j < cnt; j++ {
-				dst[base+j] = float64(DecodeNegabinary(m[63-j]&prefixMask)) * unit
-			}
-		} else {
-			for j := 0; j < cnt; j++ {
-				dst[base+j] = float64(decodeWord(m[63-j]&prefixMask, planes, mode)) * unit
-			}
+		out := dst[base-64*g0 : base-64*g0+min(n-base, 64)]
+		// words[base+j] = m[63-j].
+		for j := range out {
+			out[j] = m[63-j] & mask
 		}
 	}
 }
 
-// gatherGroupsHalf is gatherGroups for levels of at most 32 planes: every
-// word fits in 32 bits, so the b plane lanes load into 32 rows (lane k at
-// row 32-planes+k) and transpose32x2 — the last five rounds of the network —
+// wordsHalf is wordsFull for levels of at most 32 planes: every word fits
+// in 32 bits, so the b plane lanes load into 32 rows (lane k at row
+// 32-planes+k) and transpose32x2 — the last five rounds of the network —
 // turns the group's two 32-coefficient halves into words at once:
 // coefficient j < 32 is the low half of row 31-j, coefficient j ≥ 32 the
-// high half of row 63-j. Stale rows carry over exactly as in gatherGroups:
-// row i feeds only bit 31-i of every word, and only the rows reloaded each
-// group feed prefix bits, so the prefix mask removes every stale bit and
-// the decode sees the word gatherGroups recovers.
-func gatherGroupsHalf(bits [][]byte, dst []float64, b, planes int, mode Mode, unit float64, g0, g1 int) {
-	n := len(dst)
+// high half of row 63-j. Stale rows carry over exactly as in wordsFull: row
+// i feeds only bit 31-i of every word, and only the rows reloaded each group
+// feed prefix bits, so the prefix mask removes every stale bit and leaves
+// the word wordsFull recovers.
+func wordsHalf(bits [][]byte, n int, dst []uint32, b, planes, g0, g1 int) {
 	planeBytes := (n + 7) / 8
 	var m [32]uint64
-	prefixMask := (uint64(1)<<uint(b) - 1) << uint(planes-b)
+	mask := uint32(prefixMask(b, planes))
 	for g := g0; g < g1; g++ {
 		byteBase := g * 8
 		nb := planeBytes - byteBase
@@ -248,21 +239,13 @@ func gatherGroupsHalf(bits [][]byte, dst []float64, b, planes int, mode Mode, un
 		transpose32x2(&m)
 		base := g * 64
 		cnt := min(n-base, 64)
-		lo, hi := dst[base:base+min(cnt, 32)], dst[base+min(cnt, 32):base+cnt]
-		if mode == Negabinary {
-			for j := range lo {
-				lo[j] = float64(DecodeNegabinary(uint64(uint32(m[31-j]))&prefixMask)) * unit
-			}
-			for j := range hi {
-				hi[j] = float64(DecodeNegabinary(m[31-j]>>32&prefixMask)) * unit
-			}
-		} else {
-			for j := range lo {
-				lo[j] = float64(decodeWord(uint64(uint32(m[31-j]))&prefixMask, planes, mode)) * unit
-			}
-			for j := range hi {
-				hi[j] = float64(decodeWord(m[31-j]>>32&prefixMask, planes, mode)) * unit
-			}
+		out := dst[base-64*g0:]
+		lo, hi := out[:min(cnt, 32)], out[min(cnt, 32):cnt]
+		for j := range lo {
+			lo[j] = uint32(m[31-j]) & mask
+		}
+		for j := range hi {
+			hi[j] = uint32(m[31-j]>>32) & mask
 		}
 	}
 }
@@ -279,30 +262,25 @@ func transpose8x8(x uint64) uint64 {
 	return x ^ t ^ (t << 28)
 }
 
-// gatherGroupsSmall is gatherGroups for shallow prefixes (b ≤ 8): the full
+// wordsSmall is the word kernel for shallow prefixes (b ≤ 8): the full
 // 64×64 transpose touches all 64 rows no matter how few planes are live, so
 // a prefix this thin moves through 8×8 tiles instead — one packed-word
 // transpose per 8 coefficients — and a 256-entry table maps each
-// coefficient's prefix byte straight to its decoded integer (the exact
-// decodeWord value, so the float multiply sees identical operands).
-func gatherGroupsSmall(bits [][]byte, dst []float64, b, planes int, mode Mode, unit float64, g0, g1 int) {
-	var lut [256]int64
-	for v := 1; v < 256; v++ {
-		var w uint64
-		for k := 0; k < b; k++ {
-			if v>>uint(k)&1 == 1 {
-				w |= 1 << uint(planes-1-k)
-			}
+// coefficient's prefix byte straight to its word (plane k at bit
+// planes-1-k, exactly the masked word the wider kernels recover).
+func wordsSmall[W uint32 | uint64](bits [][]byte, n int, dst []W, b, planes, g0, g1 int) {
+	// A byte never holds bits at or above b (tile rows b..7 stay zero), so
+	// only v < 2^b is filled: v with top bit k is v - 2^k plus plane k's bit.
+	var lut [256]W
+	for k := 0; k < b; k++ {
+		bit := W(1) << uint(planes-1-k)
+		for v := 1 << k; v < 2<<k; v++ {
+			lut[v] = lut[v-1<<k] | bit
 		}
-		lut[v] = decodeWord(w, planes, mode)
 	}
-	n := len(dst)
 	planeBytes := (n + 7) / 8
 	for g := g0; g < g1; g++ {
-		hiByte := (g + 1) * 8
-		if hiByte > planeBytes {
-			hiByte = planeBytes
-		}
+		hiByte := min((g+1)*8, planeBytes)
 		for byteIx := g * 8; byteIx < hiByte; byteIx++ {
 			// Tile row k = plane k's byte; rows b..7 stay zero.
 			var x uint64
@@ -311,13 +289,46 @@ func gatherGroupsSmall(bits [][]byte, dst []float64, b, planes int, mode Mode, u
 			}
 			x = transpose8x8(x)
 			base := byteIx * 8
-			cnt := n - base
-			if cnt > 8 {
-				cnt = 8
+			out := dst[base-64*g0 : base-64*g0+min(n-base, 8)]
+			for j := range out {
+				out[j] = lut[byte(x>>uint(8*j))]
 			}
-			for j := 0; j < cnt; j++ {
-				dst[base+j] = float64(lut[byte(x>>uint(8*j))]) * unit
-			}
+		}
+	}
+}
+
+// prefixMask selects the bits of planes [0, b) of a planes-plane word.
+func prefixMask(b, planes int) uint64 {
+	return (uint64(1)<<uint(b) - 1) << uint(planes-b)
+}
+
+// decodeWords writes each coefficient decoded from the b-plane prefix of its
+// word, float64(decodeWord(ws[i] & prefix)) · unit, to dst[at[i]] — or to
+// dst[i] when at is nil. The int64 is the one decodeWord gives the masked
+// word, so the product sees the operands every kernel has always used.
+// Split by mode and by placement so each loop inlines its decode.
+func decodeWords[W uint32 | uint64](ws []W, dst []float64, at []int, b, planes int, mode Mode, unit float64) {
+	mask := prefixMask(b, planes)
+	switch {
+	case at == nil && mode == Negabinary:
+		dst = dst[:len(ws)]
+		for i, w := range ws {
+			dst[i] = float64(DecodeNegabinary(uint64(w)&mask)) * unit
+		}
+	case at == nil:
+		dst = dst[:len(ws)]
+		for i, w := range ws {
+			dst[i] = float64(decodeWord(uint64(w)&mask, planes, mode)) * unit
+		}
+	case mode == Negabinary:
+		at = at[:len(ws)]
+		for i, w := range ws {
+			dst[at[i]] = float64(DecodeNegabinary(uint64(w)&mask)) * unit
+		}
+	default:
+		at = at[:len(ws)]
+		for i, w := range ws {
+			dst[at[i]] = float64(decodeWord(uint64(w)&mask, planes, mode)) * unit
 		}
 	}
 }

@@ -135,6 +135,69 @@ func decodePartialScalar(e *LevelEncoding, b int) []float64 {
 	return dst
 }
 
+// wordsScalar assembles each coefficient's word from the first b planes one
+// bit at a time: the word TransposeWords must produce.
+func wordsScalar(e *LevelEncoding, b int) []uint64 {
+	words := make([]uint64, e.N)
+	for i := range words {
+		byteIx, bitIx := i>>3, uint(i&7)
+		for k := 0; k < b; k++ {
+			if e.Bits[k][byteIx]>>bitIx&1 == 1 {
+				words[i] |= 1 << uint(e.Planes-1-k)
+			}
+		}
+	}
+	return words
+}
+
+// checkWords fails the test unless w holds exactly want's words at prefix b
+// in the width a level of e's plane count keeps.
+func checkWords(t *testing.T, label string, e *LevelEncoding, w *Words, b int, want []uint64) {
+	t.Helper()
+	if w.Planes != e.Planes || w.Prefix != b || w.Len() != e.N || (e.Planes <= 32) != (w.W64 == nil) {
+		t.Fatalf("%s: words {Planes:%d Prefix:%d len:%d W64:%v}, want {Planes:%d Prefix:%d len:%d W64:%v}",
+			label, w.Planes, w.Prefix, w.Len(), w.W64 != nil, e.Planes, b, e.N, e.Planes > 32)
+	}
+	for i, x := range want {
+		got := uint64(0)
+		if w.W64 != nil {
+			got = w.W64[i]
+		} else {
+			got = uint64(w.W32[i])
+		}
+		if got != x {
+			t.Fatalf("%s i=%d: word %#x, want %#x", label, i, got, x)
+		}
+	}
+}
+
+// checkDecodeWords decodes w at prefix b to every other position of a
+// NaN-filled grid, in reverse order, and fails the test unless each
+// coefficient's node holds want's value bit for bit and no other node was
+// written.
+func checkDecodeWords(t *testing.T, label string, e *LevelEncoding, w *Words, b, workers int, want []float64) {
+	t.Helper()
+	grid := make([]float64, 2*e.N+1)
+	for i := range grid {
+		grid[i] = math.NaN()
+	}
+	at := make([]int, e.N)
+	for i := range at {
+		at[i] = 2*(e.N-1-i) + 1
+	}
+	e.DecodeWords(w, b, grid, at, workers, nil)
+	for i, v := range want {
+		if math.Float64bits(grid[at[i]]) != math.Float64bits(v) {
+			t.Fatalf("%s i=%d: node %d = %v, want %v", label, i, at[i], grid[at[i]], v)
+		}
+	}
+	for j := 0; j < len(grid); j += 2 {
+		if !math.IsNaN(grid[j]) {
+			t.Fatalf("%s: node %d, no coefficient's, was written (%v)", label, j, grid[j])
+		}
+	}
+}
+
 // compareEncodings fails the test unless got matches the scalar reference
 // byte-for-byte (planes) and bit-for-bit (error matrix, exponent).
 func compareEncodings(t *testing.T, got, want *LevelEncoding, label string) {
@@ -283,6 +346,10 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 	// through the 64-row one (33, 59, 60), over several groups — stale
 	// transpose rows carry from one group to the next — and a partial tail
 	// group on either side of the half-width kernel's 32-coefficient split.
+	// Each regime is checked three ways: DecodePartial, the words
+	// TransposeWords emits, and DecodeWords from them to scattered grid
+	// nodes — from words of exactly b planes and from a snapshot of all of
+	// them, which must decode the same b-plane prefix.
 	for _, p := range profiles {
 		if p.name != "random" && p.name != "skewed" {
 			continue
@@ -296,16 +363,25 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 				coeffs := p.fill(rng, n, planes)
 				for _, mode := range []Mode{Negabinary, SignMagnitude} {
 					enc, _ := encodeLevelModeScalar(coeffs, planes, mode)
+					var full Words
+					enc.TransposeWords(planes, &full, 1)
+					checkWords(t, fmt.Sprintf("%s n=%d planes=%d mode=%d full words", p.name, n, planes, mode), enc, &full, planes, wordsScalar(enc, planes))
 					for b := 0; b <= planes; b++ {
 						want := decodePartialScalar(enc, b)
+						wantWords := wordsScalar(enc, b)
 						for _, workers := range []int{1, 2, 4} {
+							label := fmt.Sprintf("%s n=%d planes=%d mode=%d b=%d workers=%d", p.name, n, planes, mode, b, workers)
 							got := enc.DecodePartial(b, nil, workers, nil)
 							for i := range want {
 								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-									t.Fatalf("%s n=%d planes=%d mode=%d b=%d workers=%d i=%d: got %v want %v",
-										p.name, n, planes, mode, b, workers, i, got[i], want[i])
+									t.Fatalf("%s i=%d: got %v want %v", label, i, got[i], want[i])
 								}
 							}
+							var w Words
+							enc.TransposeWords(b, &w, workers)
+							checkWords(t, label, enc, &w, b, wantWords)
+							checkDecodeWords(t, label+" from words", enc, &w, b, workers, want)
+							checkDecodeWords(t, label+" from a full snapshot", enc, &full, b, workers, want)
 						}
 					}
 				}

@@ -33,6 +33,7 @@ import (
 
 	"pmgard/internal/bitplane"
 	"pmgard/internal/grid"
+	"pmgard/internal/interleave"
 	"pmgard/internal/obs"
 )
 
@@ -62,23 +63,29 @@ type Options struct {
 type Decomposition interface {
 	// Levels returns the number of coefficient levels L.
 	Levels() int
+	// Plan returns the interleave plan that places the coefficients on the
+	// grid: level l's i-th coefficient belongs to node Plan().Indices(l)[i].
+	Plan() *interleave.Plan
 	// Coeffs returns the level-l coefficient stream. The slice is the
 	// decomposition's own storage: mutating it changes what Recompose
 	// reconstructs (this is how truncated retrieval is modelled).
 	Coeffs(l int) []float64
-	// Recompose reconstructs the spatial field from the current streams.
+	// Recompose reconstructs the spatial field from the current streams:
+	// it places every level's stream at its nodes of a new grid and calls
+	// RecomposeInto.
 	Recompose() *grid.Tensor
 	// RecomposeLevel reconstructs the approximation spanned by levels
 	// 0..upTo on the coarser grid those levels cover — the reduced
-	// degrees-of-freedom retrieval mode.
+	// degrees-of-freedom retrieval mode — placing the streams of levels
+	// 0..upTo as Recompose does.
 	RecomposeLevel(upTo int) (*grid.Tensor, error)
-	// RecomposeInto is the one recomposition Recompose and RecomposeLevel
-	// call: it reconstructs the approximation spanned by levels 0..upTo
-	// using work, a tensor of the full grid's shape, as its workspace. The
-	// contents of work on entry are undefined and never read — every node
-	// the transform reads is first written from the streams of levels
-	// 0..upTo, and nothing is read from the streams of finer levels. At
-	// upTo = Levels-1 the field is reconstructed in work and work itself is
+	// RecomposeInto is the one recomposition: it reconstructs, in place,
+	// the approximation spanned by levels 0..upTo from work, a tensor of
+	// the full grid's shape whose nodes of levels 0..upTo (Plan) already
+	// hold those levels' coefficients. Its other nodes are undefined on
+	// entry and never read, and the streams are not read at all, so a
+	// caller that decodes straight to the nodes needs none. At upTo =
+	// Levels-1 the field is reconstructed in work and work itself is
 	// returned; a coarser upTo returns a new tensor and leaves work as
 	// scratch.
 	RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor, error)
@@ -97,7 +104,9 @@ type ProgressiveCodec interface {
 	// means GOMAXPROCS) and recording telemetry into o when non-nil.
 	Decompose(t *grid.Tensor, opts Options, workers int, o *obs.Obs) (Decomposition, error)
 	// NewZero returns an all-zero decomposition for the given grid shape —
-	// the starting point when reassembling a partial retrieval.
+	// the starting point when reassembling a partial retrieval. A level's
+	// stream may be allocated on its first Coeffs call, so a caller that
+	// only recomposes in place (RecomposeInto) never pays for the streams.
 	NewZero(dims []int, opts Options, workers int) (Decomposition, error)
 	// EncodeLevel slices one coefficient stream into `planes` progressive
 	// bit-planes and collects the error matrix Err[b] = max abs coefficient

@@ -88,7 +88,7 @@ func (Codec) Decompose(t *grid.Tensor, opts codec.Options, workers int, o *obs.O
 			plan.Extract(data, 0, cs)
 			continue
 		}
-		predictLevel(plan, data, l, cs, nil, workers)
+		predictLevel(plan, data, l, cs, workers)
 	}
 	if o != nil {
 		o.Counter("interp.decompositions").Add(1)
@@ -106,11 +106,7 @@ func (Codec) NewZero(dims []int, opts codec.Options, workers int) (codec.Decompo
 	if err != nil {
 		return nil, err
 	}
-	d := &decomposition{plan: plan, workers: pool.Clamp(workers), coeffs: make([][]float64, opts.Levels)}
-	for l, n := range plan.LevelSizes() {
-		d.coeffs[l] = make([]float64, n)
-	}
-	return d, nil
+	return &decomposition{plan: plan, workers: pool.Clamp(workers), coeffs: make([][]float64, opts.Levels)}, nil
 }
 
 // NaiveAmplification implements codec.ProgressiveCodec: interpolation is
@@ -121,7 +117,8 @@ func (Codec) NaiveAmplification(codec.Options, int) float64 { return 1 }
 func (Codec) TightAmplification(codec.Options, int) float64 { return 1 }
 
 // decomposition carries the per-level residual streams and the interleave
-// plan that localizes them on the grid.
+// plan that localizes them on the grid. A NewZero decomposition allocates a
+// stream on its level's first Coeffs call.
 type decomposition struct {
 	plan    *interleave.Plan
 	coeffs  [][]float64
@@ -131,28 +128,44 @@ type decomposition struct {
 // Levels implements codec.Decomposition.
 func (d *decomposition) Levels() int { return len(d.coeffs) }
 
-// Coeffs implements codec.Decomposition.
-func (d *decomposition) Coeffs(l int) []float64 { return d.coeffs[l] }
+// Plan implements codec.Decomposition.
+func (d *decomposition) Plan() *interleave.Plan { return d.plan }
 
-// Recompose implements codec.Decomposition: scatter level 0, then add each
-// finer level's residuals to the interpolation of the already-reconstructed
-// coarser grid. The decoder predicts from decoded values where the encoder
-// predicted from exact ones; the difference is what the Err matrix bounds.
+// Coeffs implements codec.Decomposition.
+func (d *decomposition) Coeffs(l int) []float64 {
+	if d.coeffs[l] == nil {
+		d.coeffs[l] = make([]float64, d.plan.LevelSizes()[l])
+	}
+	return d.coeffs[l]
+}
+
+// Recompose implements codec.Decomposition.
 func (d *decomposition) Recompose() *grid.Tensor {
-	out, _ := d.RecomposeInto(len(d.coeffs)-1, grid.New(d.plan.Dims()...))
+	out, _ := d.RecomposeLevel(len(d.coeffs) - 1)
 	return out
 }
 
-// RecomposeLevel implements codec.Decomposition: decode levels 0..upTo and
-// gather the stride-2^(Levels-1-upTo) sub-grid they span.
+// RecomposeLevel implements codec.Decomposition: place the streams of
+// levels 0..upTo at their nodes, decode, and gather the
+// stride-2^(Levels-1-upTo) sub-grid they span.
 func (d *decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
-	return d.RecomposeInto(upTo, grid.New(d.plan.Dims()...))
+	if upTo < 0 || upTo >= len(d.coeffs) {
+		return nil, fmt.Errorf("interp: RecomposeLevel upTo %d out of [0,%d)", upTo, len(d.coeffs))
+	}
+	work := grid.New(d.plan.Dims()...)
+	for l := 0; l <= upTo; l++ {
+		d.plan.Inject(work.Data(), l, d.Coeffs(l))
+	}
+	return d.RecomposeInto(upTo, work)
 }
 
-// RecomposeInto implements codec.Decomposition. No node of work is read
-// before it is written: level 0 is injected, each finer level's nodes are
-// written from coarser ones only, and the gathered sub-grid is exactly the
-// nodes of levels 0..upTo.
+// RecomposeInto implements codec.Decomposition: level 0's nodes hold the
+// coarsest values, and each finer level's nodes, holding residuals, get the
+// interpolation of the already-reconstructed coarser grid added. The decoder
+// predicts from decoded values where the encoder predicted from exact ones;
+// the difference is what the Err matrix bounds. No other node of work is
+// read: each level's prediction reads coarser nodes only, and the gathered
+// sub-grid is exactly the nodes of levels 0..upTo.
 func (d *decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor, error) {
 	L := len(d.coeffs)
 	if upTo < 0 || upTo >= L {
@@ -163,9 +176,8 @@ func (d *decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor
 		return nil, fmt.Errorf("interp: workspace dims %v, want %v", work.Dims(), dims)
 	}
 	data := work.Data()
-	d.plan.Inject(data, 0, d.coeffs[0])
 	for l := 1; l <= upTo; l++ {
-		predictLevel(d.plan, data, l, nil, d.coeffs[l], d.workers)
+		predictLevel(d.plan, data, l, nil, d.workers)
 	}
 	if upTo == L-1 {
 		return work, nil
@@ -208,16 +220,16 @@ func gatherStride(src []float64, dims []int, step int, dst []float64, outDims []
 }
 
 // predictLevel evaluates the multilinear prediction of every level-l node
-// from the coarser grid in data, in the level's deterministic stream order.
-// Exactly one of residuals/add is non-nil:
+// from the coarser grid in data, in the level's deterministic stream order:
 //
-//   - encode: residuals[i] = data[node_i] - prediction_i
-//   - decode: data[node_i] = prediction_i + add[i]
+//   - encode (residuals non-nil): residuals[i] = data[node_i] - prediction_i
+//   - decode (residuals nil): data[node_i] = prediction_i + data[node_i],
+//     the node holding its residual on entry
 //
 // Writes touch only level-l nodes and reads only coarser-grid nodes, which
 // are disjoint sets, so chunking the node list across workers is
 // deterministic and race-free.
-func predictLevel(plan *interleave.Plan, data []float64, l int, residuals, add []float64, workers int) {
+func predictLevel(plan *interleave.Plan, data []float64, l int, residuals []float64, workers int) {
 	ix := plan.Indices(l)
 	if len(ix) == 0 {
 		return
@@ -247,7 +259,7 @@ func predictLevel(plan *interleave.Plan, data []float64, l int, residuals, add [
 			if residuals != nil {
 				residuals[i] = data[flat] - pred
 			} else {
-				data[flat] = pred + add[i]
+				data[flat] = pred + data[flat]
 			}
 		}
 	}

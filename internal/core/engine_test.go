@@ -247,7 +247,8 @@ func sessionResult(s *Session, planes []int) (readResult, error) {
 
 // TestReadPathEquivalence is the read-path slice of the {estimator} ×
 // {path} matrix: every way of reading a field to a tolerance — one-shot,
-// fresh session, shared session cold and warm, a session tightened in three
+// fresh session, shared session cold, warm and decoding every level from
+// the word snapshots the cold one published, a session tightened in three
 // steps — on every backend and worker count reconstructs the same bits,
 // accounts the same planes and bytes, and lands within the tolerance on the
 // original field.
@@ -311,6 +312,22 @@ func TestReadPathEquivalence(t *testing.T) {
 					res, err := sessionResult(s, plan.Planes)
 					if hits, planes := s.CacheHits(), sessionPlanes(res.fetched); hits != planes {
 						t.Errorf("%s workers=%d: warm session had %d cache hits over %d planes", backend, workers, hits, planes)
+					}
+					return res, err
+				}},
+				{"shared session, snapshot-served", func() (readResult, error) {
+					s, o := open(cache), obs.New()
+					s.Instrument(o)
+					res, err := sessionResult(s, plan.Planes)
+					levels := 0
+					for _, n := range plan.Planes {
+						if n > 0 {
+							levels++
+						}
+					}
+					hits, built := o.Counter("core.session.snapshot_hits").Value(), o.Counter("core.session.snapshots_built").Value()
+					if hits != int64(levels) || built != 0 {
+						t.Errorf("%s workers=%d: %d levels decoded from snapshots and %d transposed, want all %d from snapshots", backend, workers, hits, built, levels)
 					}
 					return res, err
 				}},

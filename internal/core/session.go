@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"sync"
 
-	"pmgard/internal/codec"
+	"pmgard/internal/bitplane"
 	"pmgard/internal/grid"
 	"pmgard/internal/obs"
 	"pmgard/internal/pool"
@@ -39,8 +39,6 @@ type Session struct {
 	src   servecache.Source
 	cache *servecache.Cache
 	run   servecache.Run
-	// backend is the progressive codec named by the header.
-	backend codec.ProgressiveCodec
 	// pool is the workspace pool of the session's shape.
 	pool *workspacePool
 	// workers is the fan-out of a refinement's plane fetches and of the
@@ -51,10 +49,11 @@ type Session struct {
 	mu sync.Mutex
 	// fetched[l] is how many planes of level l have been read so far.
 	fetched []int
-	// ws is the session's workspace: the decomposition the fetched planes
-	// decode into and the fetched plane bitsets, ws.planes[l][k]. out is the
-	// tensor the latest full-field reconstruction returned (nil before one).
-	// Close hands both back to pool and sets ws to nil.
+	// ws is the session's workspace: the decomposition that places and
+	// recomposes the levels, the fetched plane bitsets, ws.planes[l][k], and
+	// the words buffers they are transposed into. out is the tensor the
+	// latest full-field reconstruction returned (nil before one). Close
+	// hands both back to pool and sets ws to nil.
 	ws  *workspace
 	out *grid.Tensor
 	// bytes is the cumulative payload fetched, including payloads delivered
@@ -178,7 +177,6 @@ func newSession(h *Header, src servecache.Source, cache *servecache.Cache, worke
 		src:     src,
 		cache:   cache,
 		run:     h.PlaneRun(0, nil),
-		backend: backend,
 		pool:    pool,
 		workers: workers,
 		fetched: make([]int, len(h.Levels)),
@@ -488,29 +486,41 @@ func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol 
 	return rec, exec, deg, nil
 }
 
-// reconstruct decodes the fetched planes of levels 0..upTo into the
-// workspace decomposition and recomposes the grid they span — the full field
-// when upTo is the finest level — in a workspace grid. A full field is
-// returned in that grid, which the session keeps as out until the next
-// full-field reconstruction or Close; a coarser grid is gathered into a
-// tensor of its own and the workspace grid goes straight back to the pool.
-// s.mu must be held.
+// reconstruct decodes the fetched planes of levels 0..upTo straight to
+// their nodes of a workspace grid and recomposes the grid they span there —
+// the full field when upTo is the finest level. A full field is returned in
+// that grid, which the session keeps as out until the next full-field
+// reconstruction or Close; a coarser grid is gathered into a tensor of its
+// own and the workspace grid goes straight back to the pool. s.mu must be
+// held.
 func (s *Session) reconstruct(ctx context.Context, upTo int) (*grid.Tensor, error) {
 	parent := obs.SpanFromContext(ctx)
 	dsp := parent.Child("session.decode")
-	for l, lm := range s.header.Levels[:upTo+1] {
-		enc := &s.ws.encs[l]
-		enc.N, enc.Planes, enc.Exponent, enc.Bits = lm.N, s.header.Planes, lm.Exponent, s.ws.planes[l]
-		s.backend.DecodeLevel(enc, s.fetched[l], s.ws.dec.Coeffs(l), s.workers, s.o)
+	work, reused := s.pool.takeGrid(s.header.Dims)
+	s.countWorkspace(reused)
+	var hits, built int64
+	for l := 0; l <= upTo; l++ {
+		switch s.decodeLevel(l, work.Data()) {
+		case "hit":
+			hits++
+		case "built":
+			built++
+		}
+	}
+	switch {
+	case built > 0:
+		dsp.SetAttr("words", "built")
+	case hits > 0:
+		dsp.SetAttr("words", "hit")
 	}
 	dsp.End()
 	rsp := parent.Child("session.recompose")
 	defer rsp.End()
-	work, reused := s.pool.takeGrid(s.header.Dims)
-	s.countWorkspace(reused)
 	if s.o != nil {
 		s.o.Counter("core.session.workspace_reused").Add(s.wsReused)
 		s.o.Counter("core.session.workspace_allocated").Add(s.wsAllocated)
+		s.o.Counter("core.session.snapshot_hits").Add(hits)
+		s.o.Counter("core.session.snapshots_built").Add(built)
 	}
 	s.wsReused, s.wsAllocated = 0, 0
 	rec, err := s.ws.dec.RecomposeInto(upTo, work)
@@ -521,4 +531,38 @@ func (s *Session) reconstruct(ctx context.Context, upTo int) (*grid.Tensor, erro
 		s.pool.grids.Put(work)
 	}
 	return rec, err
+}
+
+// decodeLevel writes level l's coefficients, decoded from its first
+// fetched[l] planes, to the level's nodes of data, and returns where the
+// planes' words came from: "hit" from the shared cache's snapshot of the
+// level, which serves when it holds at least that many planes (a snapshot of
+// more decodes exactly the same prefix), "built" when the session transposed
+// its own planes into the workspace and offered the words to the cache, ""
+// for a level with no planes. s.mu must be held.
+func (s *Session) decodeLevel(l int, data []float64) (source string) {
+	lm, b := &s.header.Levels[l], s.fetched[l]
+	enc := &s.ws.encs[l]
+	enc.N, enc.Planes, enc.Exponent, enc.Bits = lm.N, s.header.Planes, lm.Exponent, s.ws.planes[l]
+	var words *bitplane.Words
+	if b > 0 {
+		run := s.run
+		run.Level = l
+		key := run.LevelKey()
+		source = "hit"
+		words = s.cache.Snapshot(key)
+		if words == nil || words.Prefix < b || words.Planes != enc.Planes || words.Len() != enc.N {
+			source = "built"
+			if s.ws.words[l] == nil {
+				s.ws.words[l] = new(bitplane.Words)
+			}
+			words = s.ws.words[l]
+			enc.TransposeWords(b, words, s.workers)
+			if s.cache.PublishSnapshot(key, words) {
+				s.ws.words[l] = nil
+			}
+		}
+	}
+	enc.DecodeWords(words, b, data, s.ws.dec.Plan().Indices(l), s.workers, s.o)
+	return source
 }

@@ -10,16 +10,17 @@ import (
 	"pmgard/internal/servecache"
 )
 
-// A session's reconstruction memory is sized by its field's shape — two
-// field-sized buffers (the decomposition its planes decode into, the grid
-// it recomposes into) and the per-level plane table the decode reads — so a
-// refinement that allocated it afresh would hand the garbage collector two
-// fields per request. Sessions of one shape instead draw it from a shared
+// A session's reconstruction memory is sized by its field's shape — the
+// grid its planes decode straight into and recompose in, the words buffers
+// it transposes levels into when no cached snapshot covers them, and the
+// per-level plane table the transpose reads — so a refinement that
+// allocated it afresh would hand the garbage collector a field or more per
+// request. Sessions of one shape instead draw it from a shared
 // workspacePool and give it back on Close. Pooled buffers are dirty, and
-// nothing clears them: DecodeLevel overwrites every coefficient of the
-// levels a reconstruction decodes, RecomposeInto reads no node of its grid
-// before writing it, and a session reads plane k of level l only after
-// fetching it.
+// nothing clears them: DecodeWords overwrites every node of the levels a
+// reconstruction decodes, TransposeWords every word of a level it
+// transposes, RecomposeInto reads no other node of its grid, and a session
+// reads plane k of level l only after fetching it.
 
 // workspaceKey names the reconstructions one pool serves: the grid shape,
 // the plane count, and the backend, transform options and recomposition
@@ -33,13 +34,17 @@ type workspaceKey struct {
 }
 
 // workspace is the shape-sized state of one session: the decomposition
-// fetched planes decode into, planes[l][k] the plane bitsets fetched so far,
-// one reusable LevelEncoding shell per level, and the cache verdicts of one
-// level's fetch.
+// whose plan places the levels on the grid and whose transform recomposes
+// it (a NewZero decomposition that never allocates its streams),
+// planes[l][k] the plane bitsets fetched so far, one reusable LevelEncoding
+// shell per level, words[l] the buffer level l is transposed into (nil
+// until needed, and again once the cache has taken it as a snapshot), and
+// the cache verdicts of one level's fetch.
 type workspace struct {
 	dec    codec.Decomposition
 	planes [][][]byte
 	encs   []bitplane.LevelEncoding
+	words  []*bitplane.Words
 	slots  []servecache.Plane
 }
 
@@ -78,6 +83,7 @@ func (p *workspacePool) take(h *Header, backend codec.ProgressiveCodec, workers 
 		dec:    dec,
 		planes: make([][][]byte, len(h.Levels)),
 		encs:   make([]bitplane.LevelEncoding, len(h.Levels)),
+		words:  make([]*bitplane.Words, len(h.Levels)),
 		slots:  make([]servecache.Plane, h.Planes),
 	}
 	flat := make([][]byte, len(h.Levels)*h.Planes)

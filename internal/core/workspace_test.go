@@ -88,11 +88,11 @@ func requireSameTensor(t *testing.T, label string, got, want *grid.Tensor) {
 	}
 }
 
-// poisonWorkspaces fills the decomposition of every pooled workspace and
-// every pooled grid of h's shape with NaN, and adds one more NaN-filled
-// workspace and grid per pool, so a later taker finds poison whichever
-// processor it runs on (a sync.Pool hands a processor's private item only
-// to that processor).
+// poisonWorkspaces fills the words buffers of every pooled workspace (made
+// level-sized first where a workspace has none) and every pooled grid of
+// h's shape with NaN bit patterns, and adds one more poisoned workspace and
+// grid per pool, so a later taker finds poison whichever processor it runs
+// on (a sync.Pool hands a processor's private item only to that processor).
 func poisonWorkspaces(t *testing.T, h *Header) {
 	t.Helper()
 	backend, err := h.backend()
@@ -102,6 +102,19 @@ func poisonWorkspaces(t *testing.T, h *Header) {
 	nan := func(s []float64) {
 		for i := range s {
 			s[i] = math.NaN()
+		}
+	}
+	nanWords := func(w *bitplane.Words, n int) {
+		if h.Planes <= 32 {
+			w.W32 = make([]uint32, n)
+			for i := range w.W32 {
+				w.W32[i] = math.Float32bits(float32(math.NaN()))
+			}
+			return
+		}
+		w.W64 = make([]uint64, n)
+		for i := range w.W64 {
+			w.W64[i] = math.Float64bits(math.NaN())
 		}
 	}
 	workspacePools.Range(func(k, v any) bool {
@@ -122,8 +135,11 @@ func poisonWorkspaces(t *testing.T, h *Header) {
 			t.Fatal(err)
 		}
 		for _, ws := range append(wss, extra) {
-			for l := 0; l < ws.dec.Levels(); l++ {
-				nan(ws.dec.Coeffs(l))
+			for l := range ws.words {
+				if ws.words[l] == nil {
+					ws.words[l] = new(bitplane.Words)
+				}
+				nanWords(ws.words[l], h.Levels[l].N)
 			}
 			p.workspaces.Put(ws)
 		}
@@ -150,11 +166,38 @@ func pauseGC(t *testing.T) {
 	t.Cleanup(func() { debug.SetGCPercent(old) })
 }
 
+// publishFullSnapshots fetches every plane of h's levels through cache and
+// publishes each level's words over all of its planes.
+func publishFullSnapshots(t *testing.T, h *Header, c *Compressed, cache *servecache.Cache) {
+	t.Helper()
+	store, err := NewPlaneStore(h, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, lm := range h.Levels {
+		run := h.PlaneRun(l, planeIndexes[:h.Planes])
+		enc := bitplane.LevelEncoding{N: lm.N, Planes: h.Planes, Exponent: lm.Exponent, Bits: make([][]byte, h.Planes)}
+		for k, p := range cache.Get(context.Background(), run, store, nil) {
+			if p.Err != nil {
+				t.Fatal(p.Err)
+			}
+			enc.Bits[k] = p.Raw
+		}
+		w := new(bitplane.Words)
+		enc.TransposeWords(h.Planes, w, 1)
+		if !cache.PublishSnapshot(run.LevelKey(), w) && cache.Snapshot(run.LevelKey()).Prefix != h.Planes {
+			t.Fatalf("level %d: a snapshot of all %d planes was refused", l, h.Planes)
+		}
+	}
+}
+
 // TestWorkspacePoisonedReuse proves a reused workspace needs no clearing:
-// after a refine and Close, every pooled buffer is overwritten with NaN, and
-// refines of a different field at loose and tight tolerances, a coarse
-// session reconstruction and a RetrieveResolution must still equal the
-// reconstructions of a decomposition no pool touched, for both backends.
+// after a refine and Close, every pooled words buffer and grid is
+// overwritten with NaN bits, and refines of a different field at loose and
+// tight tolerances, a loose refine decoding from snapshots of every plane,
+// a coarse session reconstruction and a RetrieveResolution must still equal
+// the reconstructions of a decomposition no pool touched, for both
+// backends.
 func TestWorkspacePoisonedReuse(t *testing.T) {
 	pauseGC(t)
 	ctx := context.Background()
@@ -211,8 +254,33 @@ func TestWorkspacePoisonedReuse(t *testing.T) {
 			s.Close()
 		}
 
+		// Snapshots holding every plane serve a loose refine: each level
+		// decodes exactly the prefix the session fetched from words of more.
+		publishFullSnapshots(t, hb, b, cache)
+		poisonWorkspaces(t, hb)
+		o := obs.New()
+		s, err := openShared(hb, b, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Instrument(o)
+		rec, plan, _, err := s.Refine(ctx, hb.TheoryEstimator(), hb.AbsTolerance(1e-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTensor(t, backend+" from snapshots of every plane", rec, freshReconstruct(t, hb, b, plan.Planes, len(hb.Levels)-1))
+		if hits, built := o.Counter("core.session.snapshot_hits").Value(), o.Counter("core.session.snapshots_built").Value(); hits == 0 || built != 0 {
+			t.Fatalf("%s: %d levels from snapshots and %d transposed, want every level from a snapshot", backend, hits, built)
+		}
+		for l, n := range plan.Planes {
+			if n >= hb.Planes {
+				t.Fatalf("%s: level %d fetched all %d planes at rel 1e-1; the snapshots must hold more than the session fetched", backend, l, n)
+			}
+		}
+		s.Close()
+
 		// Coarse reconstructions read only the levels they keep: NaN in the
-		// finer streams and in the rest of the workspace grid must not leak.
+		// rest of the workspace grid must not leak.
 		upTo := len(hb.Levels) - 3
 		planes := make([]int, len(hb.Levels))
 		for l := 0; l <= upTo; l++ {
@@ -220,7 +288,7 @@ func TestWorkspacePoisonedReuse(t *testing.T) {
 		}
 		want := freshReconstruct(t, hb, b, planes, upTo)
 		poisonWorkspaces(t, hb)
-		s, err := openShared(hb, b, cache)
+		s, err = openShared(hb, b, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +300,7 @@ func TestWorkspacePoisonedReuse(t *testing.T) {
 		s.Close()
 
 		// The full field from the same planes decodes the finer levels at
-		// b = 0, which must overwrite their poisoned streams with zeros.
+		// b = 0, which must overwrite their poisoned nodes with zeros.
 		poisonWorkspaces(t, hb)
 		s, err = openShared(hb, b, cache)
 		if err != nil {

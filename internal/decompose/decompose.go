@@ -142,9 +142,11 @@ func Decompose(t *grid.Tensor, opt Options, workers int, o *obs.Obs) (*Decomposi
 
 // NewZero returns a Decomposition with all-zero coefficient streams for the
 // given grid shape — the starting point when reassembling a partial
-// retrieval from storage. workers is the worker count of the recomposition
-// path (≤ 0 means GOMAXPROCS); it never changes the reconstructed bytes,
-// only how many goroutines compute them.
+// retrieval from storage. A stream is allocated on its level's first Coeffs
+// call, so a decomposition that only recomposes in place (RecomposeInto)
+// holds none. workers is the worker count of the recomposition path (≤ 0
+// means GOMAXPROCS); it never changes the reconstructed bytes, only how many
+// goroutines compute them.
 func NewZero(dims []int, opt Options, workers int) (*Decomposition, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -153,11 +155,7 @@ func NewZero(dims []int, opt Options, workers int) (*Decomposition, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decomposition{plan: plan, opt: opt, coeffs: make([][]float64, opt.Levels), workers: pool.Clamp(workers)}
-	for l, n := range plan.LevelSizes() {
-		d.coeffs[l] = make([]float64, n)
-	}
-	return d, nil
+	return &Decomposition{plan: plan, opt: opt, coeffs: make([][]float64, opt.Levels), workers: pool.Clamp(workers)}, nil
 }
 
 // Workers returns the effective worker count used by the transform passes.
@@ -179,16 +177,22 @@ func (d *Decomposition) Levels() int { return d.opt.Levels }
 // Dims returns the original grid dimensions.
 func (d *Decomposition) Dims() []int { return d.plan.Dims() }
 
-// Coeffs returns the level-l coefficient stream. The slice is the
-// decomposition's own storage; callers that mutate it change what
-// Recompose reconstructs (this is how truncated retrieval is modelled).
-func (d *Decomposition) Coeffs(l int) []float64 { return d.coeffs[l] }
+// Coeffs returns the level-l coefficient stream, allocating it all-zero on
+// a NewZero decomposition's first call. The slice is the decomposition's
+// own storage; callers that mutate it change what Recompose reconstructs
+// (this is how truncated retrieval is modelled).
+func (d *Decomposition) Coeffs(l int) []float64 {
+	if d.coeffs[l] == nil {
+		d.coeffs[l] = make([]float64, d.plan.LevelSizes()[l])
+	}
+	return d.coeffs[l]
+}
 
 // SetCoeffs replaces the level-l coefficient stream. The length must match
 // the level size.
 func (d *Decomposition) SetCoeffs(l int, c []float64) {
-	if len(c) != len(d.coeffs[l]) {
-		panic(fmt.Sprintf("decompose: SetCoeffs level %d length %d, want %d", l, len(c), len(d.coeffs[l])))
+	if n := d.plan.LevelSizes()[l]; len(c) != n {
+		panic(fmt.Sprintf("decompose: SetCoeffs level %d length %d, want %d", l, len(c), n))
 	}
 	d.coeffs[l] = c
 }
@@ -198,8 +202,8 @@ func (d *Decomposition) SetCoeffs(l int, c []float64) {
 // partial retrievals.
 func (d *Decomposition) CloneShape() *Decomposition {
 	c := &Decomposition{plan: d.plan, opt: d.opt, workers: d.workers, coeffs: make([][]float64, len(d.coeffs))}
-	for l := range d.coeffs {
-		c.coeffs[l] = make([]float64, len(d.coeffs[l]))
+	for l, n := range d.plan.LevelSizes() {
+		c.coeffs[l] = make([]float64, n)
 	}
 	return c
 }
@@ -207,7 +211,7 @@ func (d *Decomposition) CloneShape() *Decomposition {
 // Recompose reconstructs the spatial field from the current coefficient
 // streams, using the decomposition's worker count for the inverse passes.
 func (d *Decomposition) Recompose() *grid.Tensor {
-	out, _ := d.RecomposeInto(d.opt.Levels-1, grid.New(d.plan.Dims()...))
+	out, _ := d.RecomposeLevel(d.opt.Levels - 1)
 	return out
 }
 
@@ -217,26 +221,30 @@ func (d *Decomposition) Recompose() *grid.Tensor {
 // an analysis that can work at lower resolution skips both the I/O *and*
 // the compute of the finer levels. upTo = Levels-1 returns the full grid.
 func (d *Decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
-	return d.RecomposeInto(upTo, grid.New(d.plan.Dims()...))
+	if upTo < 0 || upTo >= d.opt.Levels {
+		return nil, fmt.Errorf("decompose: RecomposeLevel upTo %d out of [0,%d)", upTo, d.opt.Levels)
+	}
+	work := grid.New(d.plan.Dims()...)
+	for l := 0; l <= upTo; l++ {
+		d.plan.Inject(work.Data(), l, d.Coeffs(l))
+	}
+	return d.RecomposeInto(upTo, work)
 }
 
-// RecomposeInto is RecomposeLevel with work — a tensor of the full grid's
-// shape whose contents are undefined on entry — as the inverse transform's
-// workspace. At upTo = Levels-1 the field is reconstructed in work, which is
-// returned; a coarser upTo gathers its sub-grid into a new tensor and leaves
-// work as scratch. No node is read before it is written: the levels
-// partition the grid, so injecting levels 0..upTo writes every node of the
-// step-2^s sub-grid, and the inverse passes down to step s read nothing
-// else.
+// RecomposeInto runs the inverse transform in place on work — a tensor of
+// the full grid's shape whose nodes of levels 0..upTo already hold those
+// levels' coefficients — down to the step levels 0..upTo span. At upTo =
+// Levels-1 the field is reconstructed in work, which is returned; a coarser
+// upTo gathers its sub-grid into a new tensor and leaves work as scratch.
+// No other node is read: the levels partition the grid, so levels 0..upTo
+// are every node of the step-2^s sub-grid, and the inverse passes down to
+// step s read nothing else. The streams are not read.
 func (d *Decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor, error) {
 	if upTo < 0 || upTo >= d.opt.Levels {
 		return nil, fmt.Errorf("decompose: RecomposeLevel upTo %d out of [0,%d)", upTo, d.opt.Levels)
 	}
 	if !slices.Equal(work.Dims(), d.plan.Dims()) {
 		return nil, fmt.Errorf("decompose: workspace dims %v, want %v", work.Dims(), d.plan.Dims())
-	}
-	for l := 0; l <= upTo; l++ {
-		d.plan.Inject(work.Data(), l, d.coeffs[l])
 	}
 	// Invert only the steps that refine within the kept levels.
 	stop := d.opt.Levels - 1 - upTo

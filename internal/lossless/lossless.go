@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"pmgard/internal/bufpool"
 )
 
 // Codec compresses and decompresses byte segments.
@@ -89,10 +87,12 @@ func (deflateCodec) Compress(src []byte) ([]byte, error) {
 
 // flateReader bundles a pooled inflater with the bytes.Reader it drains, so
 // a decompression resets two reused objects instead of allocating the
-// inflater's decompression window per call.
+// inflater's decompression window per call. past is where the end-of-stream
+// check reads, pooled so the check allocates nothing.
 type flateReader struct {
-	src bytes.Reader
-	r   io.ReadCloser
+	src  bytes.Reader
+	r    io.ReadCloser
+	past [1]byte
 }
 
 // flateReaders pools inflaters: flate.NewReader allocates the sliding
@@ -114,8 +114,8 @@ const maxDeflateRatio = 1032
 
 // Decompress implements Codec. A size src cannot inflate to is refused
 // before anything is allocated — the expected size comes from an artifact
-// header, which is input, not a promise — and decoding stops as soon as the
-// output passes size.
+// header, which is input, not a promise. The stream inflates straight into
+// the output, and a stream that holds even one byte past size is an error.
 func (deflateCodec) Decompress(src []byte, size int) ([]byte, error) {
 	if size < 0 || size/maxDeflateRatio > len(src) {
 		return nil, fmt.Errorf("lossless: a %d-byte deflate segment cannot inflate to %d bytes", len(src), size)
@@ -129,24 +129,19 @@ func (deflateCodec) Decompress(src []byte, size int) ([]byte, error) {
 		fr.src.Reset(nil) // drop the segment reference before pooling
 		flateReaders.Put(fr)
 	}()
-	out := make([]byte, 0, size)
-	buf := bufpool.Bytes(32 * 1024)
-	defer bufpool.PutBytes(buf)
-	for {
-		n, err := fr.r.Read(buf)
-		out = append(out, buf[:n]...)
-		if len(out) > size {
-			break
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("lossless: deflate read: %w", err)
-		}
+	out := make([]byte, size)
+	switch n, err := io.ReadFull(fr.r, out); err {
+	case nil:
+	case io.EOF, io.ErrUnexpectedEOF:
+		return nil, fmt.Errorf("lossless: deflate decoded %d bytes, want %d", n, size)
+	default:
+		return nil, fmt.Errorf("lossless: deflate read: %w", err)
 	}
-	if len(out) != size {
-		return nil, fmt.Errorf("lossless: deflate decoded %d bytes, want %d", len(out), size)
+	switch n, err := fr.r.Read(fr.past[:]); {
+	case n > 0:
+		return nil, fmt.Errorf("lossless: deflate stream inflates past %d bytes", size)
+	case err != io.EOF:
+		return nil, fmt.Errorf("lossless: deflate read: %w", err)
 	}
 	return out, nil
 }

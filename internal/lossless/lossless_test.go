@@ -101,8 +101,64 @@ func TestDecompressSizeMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Decompress(enc, 5); err == nil {
-			t.Fatalf("%s: size mismatch not detected", c.Name())
+		// A stream one byte short of the size and one that inflates to
+		// size+1: the second fills the output exactly and must still fail.
+		for _, size := range []int{5, 3} {
+			if _, err := c.Decompress(enc, size); err == nil {
+				t.Fatalf("%s: 4 bytes decoded as %d, size mismatch not detected", c.Name(), size)
+			}
+		}
+	}
+}
+
+// TestDeflateDecompressAllocatesOnlyItsOutput pins the inflate path: a warm
+// Decompress inflates straight into the slice it returns, with no staging
+// buffer beside it. A noise plane deflates to stored blocks and allocates
+// exactly its output. A compressible plane also makes the stdlib inflater
+// build small lookup tables for Huffman codes longer than 9 bits, per block;
+// those stay far below the output's size.
+func TestDeflateDecompressAllocatesOnlyItsOutput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled inflaters at random")
+	}
+	rng := rand.New(rand.NewSource(2))
+	noise, sparse := make([]byte, 64<<10), make([]byte, 64<<10)
+	rng.Read(noise)
+	for i := range sparse {
+		if rng.Intn(50) == 0 {
+			sparse[i] = 1 << uint(rng.Intn(8))
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		in        []byte
+		maxAllocs float64
+	}{{"noise", noise, 1}, {"sparse", sparse, 8}} {
+		enc, err := Deflate().Compress(tc.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		decompress := func() {
+			if out, err = Deflate().Decompress(enc, len(tc.in)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, decompress)
+		if !bytes.Equal(out, tc.in) {
+			t.Fatalf("%s: round trip failed", tc.name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 20
+		for i := 0; i < runs; i++ {
+			decompress()
+		}
+		runtime.ReadMemStats(&after)
+		perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+		if allocs > tc.maxAllocs || perOp > uint64(len(tc.in))+uint64(len(tc.in))/16 {
+			t.Fatalf("%s: warm Decompress allocates %.1f times, %d bytes per call; want ≤ %.0f and about its %d-byte output",
+				tc.name, allocs, perOp, tc.maxAllocs, len(tc.in))
 		}
 	}
 }

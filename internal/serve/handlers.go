@@ -329,7 +329,10 @@ func requestDeadline(r *http.Request, serverTimeout time.Duration) (time.Duratio
 // finite positive values are accepted: strconv.ParseFloat happily returns
 // NaN and ±Inf for "NaN"/"+Inf", and both slip past a plain `<= 0` check
 // (every comparison with NaN is false) — a NaN tolerance then poisons the
-// planner's error comparisons into refining nothing or everything.
+// planner's error comparisons into refining nothing or everything. A rel=
+// tolerance is relative to the field's value range, so on a field whose
+// range is zero (a constant field) it names no positive tolerance and is
+// refused here, pointing to abs=, rather than failing in the planner.
 func parseTolerance(r *http.Request, h *core.Header) (float64, error) {
 	q := r.URL.Query()
 	if v := q.Get("abs"); v != "" {
@@ -343,6 +346,9 @@ func parseTolerance(r *http.Request, h *core.Header) (float64, error) {
 		rel, err := strconv.ParseFloat(v, 64)
 		if err != nil || math.IsNaN(rel) || math.IsInf(rel, 0) || rel <= 0 {
 			return 0, fmt.Errorf("bad rel tolerance %q (want a finite positive number)", v)
+		}
+		if !(h.ValueRange > 0) {
+			return 0, fmt.Errorf("rel tolerance on field %q, whose value range is %v: a relative bound is zero there, ask with abs=", h.FieldName, h.ValueRange)
 		}
 		return h.AbsTolerance(rel), nil
 	}

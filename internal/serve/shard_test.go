@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"pmgard/internal/core"
+	"pmgard/internal/grid"
 	"pmgard/internal/leakcheck"
 	"pmgard/internal/obs"
 	"pmgard/internal/resilience"
@@ -25,10 +27,12 @@ import (
 func TestParseTolerance(t *testing.T) {
 	c := buildCompressed(t, "Jx")
 	h := &c.Header
-	cases := []struct {
+	flat := constantField(t).Header
+	type tolCase struct {
 		query string
 		ok    bool
-	}{
+	}
+	cases := []tolCase{
 		{"abs=0.5", true},
 		{"rel=1e-4", true},
 		{"abs=1e-300", true},
@@ -47,14 +51,21 @@ func TestParseTolerance(t *testing.T) {
 		{"rel=-1e-4", false},
 		{"rel=0", false},
 	}
-	for _, tc := range cases {
-		r := httptest.NewRequest(http.MethodGet, "/refine?"+tc.query, nil)
-		tol, err := parseTolerance(r, h)
-		if tc.ok && (err != nil || !(tol > 0)) {
-			t.Errorf("parseTolerance(%q) = %v, %v; want a positive tolerance", tc.query, tol, err)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("parseTolerance(%q) = %v, nil; want an error", tc.query, tol)
+	// On a field whose value range is zero every rel bound is 0.
+	flatCases := []tolCase{{"rel=1e-2", false}, {"abs=1e-3", true}}
+	for _, run := range []struct {
+		h     *core.Header
+		cases []tolCase
+	}{{h, cases}, {&flat, flatCases}} {
+		for _, tc := range run.cases {
+			r := httptest.NewRequest(http.MethodGet, "/refine?"+tc.query, nil)
+			tol, err := parseTolerance(r, run.h)
+			if tc.ok && (err != nil || !(tol > 0)) {
+				t.Errorf("%s: parseTolerance(%q) = %v, %v; want a positive tolerance", run.h.FieldName, tc.query, tol, err)
+			}
+			if !tc.ok && err == nil {
+				t.Errorf("%s: parseTolerance(%q) = %v, nil; want an error", run.h.FieldName, tc.query, tol)
+			}
 		}
 	}
 }
@@ -81,6 +92,46 @@ func TestRefineRejectsNonFiniteTolerance(t *testing.T) {
 		if e.Detail != "bad_tolerance" {
 			t.Fatalf("refine with %s: detail %q, want bad_tolerance", q, e.Detail)
 		}
+	}
+}
+
+// constantField compresses a 9³ field holding one value, whose value range
+// is zero.
+func constantField(t *testing.T) *core.Compressed {
+	t.Helper()
+	field := grid.New(9, 9, 9)
+	for i := range field.Data() {
+		field.Data()[i] = 3.5
+	}
+	c, err := core.Compress(field, core.DefaultConfig(), "Flat", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRefineRelOnConstantField: rel= on a field with zero value range is the
+// client's question, not the store's fault — a 400 bad_tolerance that names
+// the field and points to abs=, which still answers 200.
+func TestRefineRelOnConstantField(t *testing.T) {
+	c := constantField(t)
+	_, ts, _ := newChaosServer(t, Config{CacheBytes: 1 << 20}, &c.Header, c)
+	resp, err := http.Get(ts.URL + "/refine?field=Flat&rel=1e-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorResponse
+	decodeErr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || decodeErr != nil || e.Detail != "bad_tolerance" {
+		t.Fatalf("rel=1e-2 on a constant field: status %d detail %q (decode %v), want 400 bad_tolerance", resp.StatusCode, e.Detail, decodeErr)
+	}
+	if !strings.Contains(e.Error, `"Flat"`) || !strings.Contains(e.Error, "abs=") {
+		t.Fatalf("rel=1e-2 on a constant field: error %q should name the field and point to abs=", e.Error)
+	}
+	res := doRefine(t, ts, "field=Flat&abs=1e-3")
+	if res.status != http.StatusOK {
+		t.Fatalf("abs=1e-3 on a constant field: status %d (%s), want 200", res.status, res.detail)
 	}
 }
 

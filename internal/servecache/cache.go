@@ -16,10 +16,22 @@
 //
 // The cache stores decompressed planes rather than compressed payloads
 // because decompression dominates a warm read and the decoded bitsets are
-// immutable (bitplane.DecodePartial only reads them), so one copy can back
+// immutable (the bit-plane kernels only read them), so one copy can back
 // any number of concurrent reconstructions. Entries also remember the
 // compressed payload size their fetch moved, so per-session byte accounting
 // (core.Session.BytesFetched) is identical with the cache on or off.
+//
+// Beside the planes it holds a second kind of entry, keyed by level
+// (LevelKey): a word snapshot, the level's coefficients transposed from its
+// first planes into one word each (bitplane.Words). Transposing is the
+// other cost every reader of a field pays again on the same immutable
+// bytes; a session that transposed a level publishes its words
+// (PublishSnapshot) and later sessions decode from them (Snapshot). A
+// snapshot is derived from planes, not from any request: each reader still
+// fetches every plane it needs and decodes its own prefix from the words,
+// so nothing is remembered per request. Snapshots share the byte budget and
+// the LRU with planes, take only room the budget has free, and are
+// immutable once published.
 package servecache
 
 import (
@@ -30,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"pmgard/internal/bitplane"
 	"pmgard/internal/obs"
 )
 
@@ -70,6 +83,19 @@ type Run struct {
 // Key returns the cache key of the run's i-th plane.
 func (r Run) Key(i int) Key {
 	return Key{Codec: r.Codec, Field: r.Field, Level: r.Level, Plane: r.Planes[i]}
+}
+
+// LevelKey names one level of one field: the key of its word snapshot.
+// Codec, Field and Level are a Key's.
+type LevelKey struct {
+	Codec string
+	Field string
+	Level int
+}
+
+// LevelKey returns the key of the run's level.
+func (r Run) LevelKey() LevelKey {
+	return LevelKey{Codec: r.Codec, Field: r.Field, Level: r.Level}
 }
 
 // Plane is the verdict on one plane of a run.
@@ -120,14 +146,24 @@ func skipRest(out []Plane, i int) {
 	}
 }
 
-// entry is one cached plane: the decompressed bitset plus the compressed
+// entry is one cached plane — the decompressed bitset plus the compressed
 // payload size its fetch moved (replayed to every later hit so per-session
-// accounting matches the uncached path).
+// accounting matches the uncached path) — or, with words set, the word
+// snapshot of key's level (key.Plane unused).
 type entry struct {
 	key     Key
 	raw     []byte
+	words   *bitplane.Words
 	payload int64
 	elem    *list.Element
+}
+
+// size is the bytes the entry charges to the budget.
+func (e *entry) size() int64 {
+	if e.words != nil {
+		return e.words.Size()
+	}
+	return int64(len(e.raw))
 }
 
 // flight is one plane of an in-progress fetch; waiters block on done and
@@ -184,10 +220,15 @@ type Stats struct {
 	// Detached is the number of Get calls that abandoned an in-flight
 	// fetch because their context ended before it landed.
 	Detached int64
-	// Bytes is the decompressed bytes currently held.
+	// SnapshotOversize is the number of word snapshots offered that were
+	// larger than the whole budget, never cached.
+	SnapshotOversize int64
+	// Bytes is the bytes currently held: planes and word snapshots.
 	Bytes int64
 	// Entries is the number of planes currently held.
 	Entries int64
+	// Snapshots is the number of word snapshots currently held.
+	Snapshots int64
 }
 
 // cacheCounters are the live instruments behind Stats. Standalone zero
@@ -200,6 +241,7 @@ type cacheCounters struct {
 	evictions *obs.Counter
 	oversize  *obs.Counter
 	detached  *obs.Counter
+	snapOver  *obs.Counter
 	bytes     *obs.Gauge
 	entries   *obs.Gauge
 	hitSecs   *obs.Histogram
@@ -214,6 +256,7 @@ func newCacheCounters() cacheCounters {
 		evictions: new(obs.Counter),
 		oversize:  new(obs.Counter),
 		detached:  new(obs.Counter),
+		snapOver:  new(obs.Counter),
 		bytes:     new(obs.Gauge),
 		entries:   new(obs.Gauge),
 		hitSecs:   obs.NewHistogram(obs.LatencyBuckets()),
@@ -235,21 +278,24 @@ type Cache struct {
 	budget  int64
 	bytes   int64
 	entries map[Key]*entry
-	lru     *list.List // front = most recently used
+	lru     *list.List // front = most recently used; planes and snapshots
 	flights map[Key]*flight
-	c       cacheCounters
+	// snapshots holds the word snapshot entries, one per level at most.
+	snapshots map[LevelKey]*entry
+	c         cacheCounters
 }
 
-// New returns a cache bounded to budget decompressed bytes. budget <= 0
-// means unbounded (entries are never evicted). The budget counts plane
-// bitset bytes only; per-entry bookkeeping overhead is not accounted.
+// New returns a cache bounded to budget bytes. budget <= 0 means unbounded
+// (entries are never evicted). The budget counts plane bitset and snapshot
+// word bytes only; per-entry bookkeeping overhead is not accounted.
 func New(budget int64) *Cache {
 	return &Cache{
-		budget:  budget,
-		entries: make(map[Key]*entry),
-		lru:     list.New(),
-		flights: make(map[Key]*flight),
-		c:       newCacheCounters(),
+		budget:    budget,
+		entries:   make(map[Key]*entry),
+		lru:       list.New(),
+		flights:   make(map[Key]*flight),
+		snapshots: make(map[LevelKey]*entry),
+		c:         newCacheCounters(),
 	}
 }
 
@@ -279,6 +325,7 @@ func (c *Cache) Instrument(o *obs.Obs) {
 	bind(&c.c.evictions, "evictions")
 	bind(&c.c.oversize, "oversize")
 	bind(&c.c.detached, "detached")
+	bind(&c.c.snapOver, "snapshot_oversize")
 	bindGauge := func(dst **obs.Gauge, name string) {
 		g := o.Gauge("servecache." + name)
 		g.Add((*dst).Value())
@@ -580,11 +627,20 @@ func (c *Cache) insertLocked(key Key, raw []byte, payload int64) {
 		// interleavings) keeps the existing entry.
 		return
 	}
-	size := int64(len(raw))
-	if c.budget > 0 && size > c.budget {
+	if c.budget > 0 && int64(len(raw)) > c.budget {
 		c.c.oversize.Add(1)
 		return
 	}
+	e := &entry{key: key, raw: raw, payload: payload}
+	c.entries[key] = e
+	c.pushLocked(e)
+}
+
+// pushLocked links e, already in its map, as the most recently used entry
+// and charges its bytes, first evicting least-recently-used entries until
+// it fits. c.mu must be held.
+func (c *Cache) pushLocked(e *entry) {
+	size := e.size()
 	for c.budget > 0 && c.bytes+size > c.budget {
 		back := c.lru.Back()
 		if back == nil {
@@ -593,32 +649,103 @@ func (c *Cache) insertLocked(key Key, raw []byte, payload int64) {
 		c.removeLocked(back.Value.(*entry))
 		c.c.evictions.Add(1)
 	}
-	e := &entry{key: key, raw: raw, payload: payload}
 	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
 	c.bytes += size
 	c.c.bytes.Set(float64(c.bytes))
 	c.c.entries.Set(float64(len(c.entries)))
 }
 
-// removeLocked unlinks an entry and updates the byte total. c.mu must be
-// held.
+// removeLocked unlinks an entry of either kind and updates the byte total.
+// c.mu must be held.
 func (c *Cache) removeLocked(e *entry) {
 	c.lru.Remove(e.elem)
-	delete(c.entries, e.key)
-	c.bytes -= int64(len(e.raw))
+	if e.words != nil {
+		delete(c.snapshots, LevelKey{Codec: e.key.Codec, Field: e.key.Field, Level: e.key.Level})
+	} else {
+		delete(c.entries, e.key)
+	}
+	c.bytes -= e.size()
 	c.c.bytes.Set(float64(c.bytes))
 	c.c.entries.Set(float64(len(c.entries)))
 }
 
-// Invalidate drops the cached entry for key, if any. In-flight fetches are
-// unaffected (their result will still be inserted when they land).
+// Invalidate drops the cached entry for key, if any, and the word snapshot
+// of its level, which may have been transposed from it. In-flight fetches
+// are unaffected (their result will still be inserted when they land).
 func (c *Cache) Invalidate(key Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		c.removeLocked(e)
 	}
+	if e, ok := c.snapshots[LevelKey{Codec: key.Codec, Field: key.Field, Level: key.Level}]; ok {
+		c.removeLocked(e)
+	}
+}
+
+// Snapshot returns the word snapshot held for level, or nil (always nil
+// for a nil *Cache). It is immutable and shared: callers only read it. A
+// hit makes it the most recently used entry.
+func (c *Cache) Snapshot(level LevelKey) *bitplane.Words {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.snapshots[level]
+	if !ok {
+		return nil
+	}
+	c.lru.MoveToFront(e.elem)
+	return e.words
+}
+
+// PublishSnapshot offers w, the words of level's first w.Prefix planes, as
+// the level's snapshot, and reports whether the cache took it. A taken w
+// belongs to the cache from then on: immutable, never written to again or
+// returned to any pool. The cache takes w only when
+//
+//   - it holds more planes than the level's current snapshot, which it then
+//     replaces — so of racing publishers the one with the most planes wins;
+//   - it is no larger than the whole budget (one that is counts in
+//     snapshot_oversize); and
+//   - it fits in the room the budget has free, counting the snapshot it
+//     replaces: a snapshot never evicts an entry. Under pressure the bytes
+//     are worth more as planes — a plane spares a store read and an inflate,
+//     a snapshot only the transpose of planes its readers still fetch — and
+//     a budget too small to keep a request's planes (always full) would only
+//     evict planes the next request needs to make room for it.
+//
+// Planes inserted later evict it like any entry. A nil *Cache takes
+// nothing.
+func (c *Cache) PublishSnapshot(level LevelKey, w *bitplane.Words) bool {
+	if c == nil || w.Prefix < 1 {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, ok := c.snapshots[level]
+	if ok && old.words.Prefix >= w.Prefix {
+		return false
+	}
+	if c.budget > 0 && w.Size() > c.budget {
+		c.c.snapOver.Add(1)
+		return false
+	}
+	free := c.budget - c.bytes
+	if ok {
+		free += old.size()
+	}
+	if c.budget > 0 && w.Size() > free {
+		return false
+	}
+	if ok {
+		c.removeLocked(old)
+	}
+	e := &entry{key: Key{Codec: level.Codec, Field: level.Field, Level: level.Level}, words: w}
+	c.snapshots[level] = e
+	c.pushLocked(e)
+	return true
 }
 
 // Len returns the number of cached planes.
@@ -628,7 +755,7 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Bytes returns the decompressed bytes currently held.
+// Bytes returns the bytes currently held: planes and word snapshots.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -641,16 +768,18 @@ func (c *Cache) Budget() int64 { return c.budget }
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	bytes, entries := c.bytes, int64(len(c.entries))
+	bytes, entries, snapshots := c.bytes, int64(len(c.entries)), int64(len(c.snapshots))
 	c.mu.Unlock()
 	return Stats{
-		Hits:      c.c.hits.Value(),
-		Misses:    c.c.misses.Value(),
-		Coalesced: c.c.coalesced.Value(),
-		Evictions: c.c.evictions.Value(),
-		Oversize:  c.c.oversize.Value(),
-		Detached:  c.c.detached.Value(),
-		Bytes:     bytes,
-		Entries:   entries,
+		Hits:             c.c.hits.Value(),
+		Misses:           c.c.misses.Value(),
+		Coalesced:        c.c.coalesced.Value(),
+		Evictions:        c.c.evictions.Value(),
+		Oversize:         c.c.oversize.Value(),
+		Detached:         c.c.detached.Value(),
+		SnapshotOversize: c.c.snapOver.Value(),
+		Bytes:            bytes,
+		Entries:          entries,
+		Snapshots:        snapshots,
 	}
 }
