@@ -169,7 +169,7 @@ func (d *decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
 func (d *decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor, error) {
 	L := len(d.coeffs)
 	if upTo < 0 || upTo >= L {
-		return nil, fmt.Errorf("interp: RecomposeLevel upTo %d out of [0,%d)", upTo, L)
+		return nil, fmt.Errorf("interp: RecomposeInto upTo %d out of [0,%d)", upTo, L)
 	}
 	dims := d.plan.Dims()
 	if !slices.Equal(work.Dims(), dims) {
@@ -182,41 +182,7 @@ func (d *decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor
 	if upTo == L-1 {
 		return work, nil
 	}
-	step := 1 << (L - 1 - upTo)
-	outDims := make([]int, len(dims))
-	for i, n := range dims {
-		outDims[i] = (n-1)/step + 1
-	}
-	out := grid.New(outDims...)
-	gatherStride(data, dims, step, out.Data(), outDims)
-	return out, nil
-}
-
-// gatherStride copies the stride-step sub-grid of src (shape dims) into dst
-// (shape outDims), row-major.
-func gatherStride(src []float64, dims []int, step int, dst []float64, outDims []int) {
-	rank := len(dims)
-	strides := make([]int, rank)
-	s := 1
-	for d := rank - 1; d >= 0; d-- {
-		strides[d] = s
-		s *= dims[d]
-	}
-	idx := make([]int, rank)
-	for i := range dst {
-		flat := 0
-		for d := 0; d < rank; d++ {
-			flat += idx[d] * step * strides[d]
-		}
-		dst[i] = src[flat]
-		for d := rank - 1; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < outDims[d] {
-				break
-			}
-			idx[d] = 0
-		}
-	}
+	return work.GatherStride(1 << (L - 1 - upTo)), nil
 }
 
 // predictLevel evaluates the multilinear prediction of every level-l node

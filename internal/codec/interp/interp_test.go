@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pmgard/internal/codec"
@@ -80,6 +81,12 @@ func TestRecomposeLevelSubsamples(t *testing.T) {
 	}
 	if _, err := dec.RecomposeLevel(opts.Levels); err == nil {
 		t.Fatal("RecomposeLevel(L) accepted")
+	}
+	for _, upTo := range []int{-1, opts.Levels} {
+		_, err := dec.RecomposeInto(upTo, grid.New(n, n))
+		if err == nil || !strings.Contains(err.Error(), "RecomposeInto") {
+			t.Fatalf("RecomposeInto(%d): error %v, want one naming RecomposeInto", upTo, err)
+		}
 	}
 }
 

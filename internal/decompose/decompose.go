@@ -26,6 +26,7 @@
 package decompose
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -102,12 +103,12 @@ type Decomposition struct {
 	workers int
 }
 
-// Decompose transforms t into multilevel coefficients, fanning the
-// independent grid lines of each lifting pass across at most `workers`
-// goroutines (≤ 0 means GOMAXPROCS; 1 runs sequentially). The input tensor
-// is not modified. Every node is computed from the same operands in the
-// same order regardless of worker count, so the resulting coefficients are
-// bit-identical to the sequential transform. The returned Decomposition
+// Decompose transforms t into multilevel coefficients, fanning each
+// refinement step's axis-0 slabs out in contiguous chunks across at most
+// `workers` goroutines (≤ 0 means GOMAXPROCS; 1 runs sequentially). The
+// input tensor is not modified. Every node is computed from the same
+// operands in the same order regardless of worker count, so the resulting
+// coefficients are bit-identical to the sequential transform. The returned Decomposition
 // remembers the worker count and applies it to Recompose.
 //
 // A non-nil o records a "decompose" span with rank/level attrs, and
@@ -241,7 +242,7 @@ func (d *Decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
 // step s read nothing else. The streams are not read.
 func (d *Decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor, error) {
 	if upTo < 0 || upTo >= d.opt.Levels {
-		return nil, fmt.Errorf("decompose: RecomposeLevel upTo %d out of [0,%d)", upTo, d.opt.Levels)
+		return nil, fmt.Errorf("decompose: RecomposeInto upTo %d out of [0,%d)", upTo, d.opt.Levels)
 	}
 	if !slices.Equal(work.Dims(), d.plan.Dims()) {
 		return nil, fmt.Errorf("decompose: workspace dims %v, want %v", work.Dims(), d.plan.Dims())
@@ -252,181 +253,415 @@ func (d *Decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor
 	if stop == 0 {
 		return work, nil
 	}
-	// Gather the active sub-grid at step `stop`.
-	rank := work.NDim()
-	dims := d.plan.Dims()
-	step := 1 << stop
-	outDims := make([]int, rank)
-	for i, n := range dims {
-		outDims[i] = (n-1)/step + 1
-	}
-	out := grid.New(outDims...)
-	idx := make([]int, rank)
-	src := make([]int, rank)
-	var walk func(depth int)
-	walk = func(depth int) {
-		if depth == rank {
-			out.Set(work.At(src...), idx...)
-			return
-		}
-		for i := 0; i < outDims[depth]; i++ {
-			idx[depth] = i
-			src[depth] = i * step
-			walk(depth + 1)
-		}
-	}
-	walk(0)
-	return out, nil
+	return work.GatherStride(1 << stop), nil
 }
 
-// forward applies the full multilevel transform in place. Within one
-// (step, axis) pass the lines along the pass axis share no nodes, so the
-// pass fans out across workers; passes themselves are barriers, preserving
-// the sequential dataflow exactly.
+// forward applies the full multilevel transform in place, one refinement
+// step after another, finest first.
 func forward(t *grid.Tensor, opt Options, workers int) {
 	for s := 0; s < opt.Levels-1; s++ {
-		for axis := 0; axis < t.NDim(); axis++ {
-			liftPass(t, opt, 1<<s, axis, workers, true)
-		}
+		liftStep(t, opt, 1<<s, workers, true)
 	}
 }
 
-// inverse undoes forward's passes in reverse order, down to refinement step
+// inverse undoes forward's steps in reverse order, down to refinement step
 // stop: 0 restores the full grid, a larger stop leaves the step-stop active
 // sub-grid holding the approximation the coarser levels span.
 func inverse(t *grid.Tensor, opt Options, workers, stop int) {
 	for s := opt.Levels - 2; s >= stop; s-- {
-		for axis := t.NDim() - 1; axis >= 0; axis-- {
-			liftPass(t, opt, 1<<s, axis, workers, false)
+		liftStep(t, opt, 1<<s, workers, false)
+	}
+}
+
+// minChunkSlabs is the fewest axis-0 slabs a worker's chunk holds. The
+// lifts within two or three slabs of a chunk border wait for the join, so a
+// thinner chunk would leave most of its work to the serial border phase.
+const minChunkSlabs = 3
+
+// liftStep runs one refinement step, forward or inverse, over the step-h
+// active grid: every axis's lifting pass, in the schedule's axis order, as
+// one sweep over the grid's axis-0 slabs instead of one sweep per axis.
+//
+// A slab is the active sub-grid at one active axis-0 index, and its inner
+// axes' passes are the rank-(r−1) step on it. Going inverse, each slab gets
+// that step while it is cache resident, and the axis-0 lifts follow as a
+// wavefront: even slab e is updated once its odd neighbours e±1 have had
+// their inner passes, and odd slab o is predicted once e = o±1 are updated.
+// Forward is the mirror image: predict(o) first, update(e) after
+// predict(e±1), and a slab's inner passes only after every axis-0 lift that
+// touches it. The same recursion runs the slab's own step over its rows, so
+// every node is computed from the same operands, by the same expressions, in
+// the same order as a pass-by-pass schedule that sweeps each axis over the
+// whole grid in turn.
+//
+// The slabs are cut into contiguous chunks, one per worker. A worker runs
+// the wavefront inside its chunk, doing only the lifts whose operands and
+// readers all lie in it; after one join the lifts left at chunk borders run
+// in dependency order (see borders). Until the join a worker reads and
+// writes its own chunk's slabs only, so the worker count never changes a
+// bit.
+func liftStep(t *grid.Tensor, opt Options, h, workers int, fwd bool) {
+	dims := t.Dims()
+	rank := len(dims)
+	ints := make([]int, 2*rank)
+	v := view{n: ints[:rank], stride: ints[rank:]}
+	for d, s := rank-1, 1; d >= 0; d-- {
+		v.n[d] = (dims[d]-1)/h + 1
+		v.stride[d] = h * s
+		s *= dims[d]
+	}
+	lf := &lifter{data: t.Data(), opt: opt, h: h, fwd: fwd}
+	ch := chunking{slabs: v.n[0], n: min(workers, v.n[0]/minChunkSlabs)}
+	if rank == 1 || ch.n < 2 {
+		lf.step(v)
+		return
+	}
+	// A chunk's wavefront never fails, so neither does the fan-out.
+	_ = pool.Run(context.Background(), ch.n, ch.n, nil, func(_, i int) error {
+		lo, hi := ch.bounds(i)
+		lf.wave(v, ch, lo, hi)
+		return nil
+	})
+	lf.borders(v, ch)
+}
+
+// view is the step-h active sub-grid of a tensor or of one of its slabs:
+// n[d] active nodes along axis d, stride[d] flat elements apart, the first
+// at flat offset off.
+type view struct {
+	off       int
+	n, stride []int
+}
+
+// slab returns the view of the active sub-grid at axis-0 index k.
+func (v view) slab(k int) view {
+	return view{off: v.off + k*v.stride[0], n: v.n[1:], stride: v.stride[1:]}
+}
+
+// chunking cuts slabs [0, slabs) into n contiguous chunks, chunk i holding
+// [i·slabs/n, (i+1)·slabs/n).
+type chunking struct{ slabs, n int }
+
+func (ch chunking) bounds(i int) (lo, hi int) {
+	return i * ch.slabs / ch.n, (i + 1) * ch.slabs / ch.n
+}
+
+// owns reports whether the slabs lo..hi that exist all lie in one chunk.
+func (ch chunking) owns(lo, hi int) bool {
+	return ch.n == 1 || ch.of(lo) == ch.of(hi)
+}
+
+// of returns the chunk holding slab k, clamped to [0, slabs).
+func (ch chunking) of(k int) int {
+	k = min(max(k, 0), ch.slabs-1)
+	return ((k+1)*ch.n - 1) / ch.slabs
+}
+
+// lifter carries one refinement step through the slab recursion.
+type lifter struct {
+	data []float64
+	opt  Options
+	h    int
+	fwd  bool
+}
+
+// A chunk's wavefront runs a lift only when the lift's operands and readers
+// all lie in the chunk; ownsPredict, ownsUpdate and ownsStep say so for the
+// predict of odd slab o, the update of even slab e and the inner step of
+// slab k. Going inverse, update(e) reads e±1 and precedes predict(e±1), and
+// predict(o) follows update(o±1), so it reaches o±2. Going forward,
+// predict(o) reads o±1 and precedes update(o±1), which reaches e±2, and a
+// slab's inner step follows every lift that touches it: k±2 for even k,
+// k±3 for odd.
+func (lf *lifter) ownsPredict(ch chunking, o int) bool {
+	if lf.fwd {
+		return ch.owns(o-1, o+1)
+	}
+	return ch.owns(o-2, o+2)
+}
+
+func (lf *lifter) ownsUpdate(ch chunking, e int) bool {
+	if lf.fwd {
+		return ch.owns(e-2, e+2)
+	}
+	return ch.owns(e-1, e+1)
+}
+
+func (lf *lifter) ownsStep(ch chunking, k int) bool {
+	if !lf.fwd {
+		return true
+	}
+	r := 2 + k&1
+	return ch.owns(k-r, k+r)
+}
+
+// step runs the refinement step on v on the calling goroutine.
+func (lf *lifter) step(v view) {
+	switch {
+	case len(v.n) == 1:
+		lf.line(v)
+	case v.n[0] == 1: // no axis-0 lifts on a single slab
+		lf.step(v.slab(0))
+	default:
+		lf.wave(v, chunking{slabs: v.n[0], n: 1}, 0, v.n[0])
+	}
+}
+
+// wave runs the lifts of chunk [lo, hi) of v's slabs that the chunk owns, as
+// a wavefront: at frontier k the inverse steps slab k, updates k−1 and
+// predicts k−2; the forward predicts k−1, updates k−2 and steps k−3. At most
+// five slabs are live at a time.
+func (lf *lifter) wave(v view, ch chunking, lo, hi int) {
+	in := func(k int) bool { return k >= lo && k < hi }
+	if lf.fwd {
+		for k := lo; k < hi+3; k++ {
+			if o := k - 1; in(o) && o&1 == 1 && lf.ownsPredict(ch, o) {
+				lf.predict(v, o)
+			}
+			if e := k - 2; in(e) && e&1 == 0 && lf.ownsUpdate(ch, e) {
+				lf.update(v, e)
+			}
+			if i := k - 3; in(i) && lf.ownsStep(ch, i) {
+				lf.step(v.slab(i))
+			}
+		}
+		return
+	}
+	for k := lo; k < hi+2; k++ {
+		if in(k) {
+			lf.step(v.slab(k))
+		}
+		if e := k - 1; in(e) && e&1 == 0 && lf.ownsUpdate(ch, e) {
+			lf.update(v, e)
+		}
+		if o := k - 2; in(o) && o&1 == 1 && lf.ownsPredict(ch, o) {
+			lf.predict(v, o)
 		}
 	}
 }
 
-// liftPass runs one lifting pass, forward or inverse, over the step-h active
-// grid along axis. The pass is a set of independent 1-D lines; what differs
-// by axis is the order memory is walked in.
-//
-// Along the last axis a line is contiguous (stride h), and each line runs
-// through the line kernels. Along any other axis a line strides over whole
-// rows of the tensor, so the loops are interchanged: for every position of
-// the remaining axes, node j of all the lines that differ only in their
-// last-axis coordinate is lifted together, as one row operation
-// c[i] ±= f(a[i], b[i]) over the contiguous last axis. Every node is still
-// computed from the same operands by the same operations in the same order
-// — its line's other nodes are untouched by the row's other columns — so the
-// result is bit-identical to lifting line by line, while memory is touched
-// in rows instead of stride-n² lines.
-//
-// Work fans out over the positions of the axes that are neither the pass
-// axis nor the last one; chunks own disjoint nodes, so scheduling cannot
-// change any computed value.
-func liftPass(t *grid.Tensor, opt Options, h, axis, workers int, fwd bool) {
-	dims, data := t.Dims(), t.Data()
-	last := len(dims) - 1
-	// Active node count and flat stride per axis.
-	counts := make([]int, len(dims))
-	flatStride := make([]int, len(dims))
-	positions := 1
-	for d, s := last, 1; d >= 0; d-- {
-		counts[d] = (dims[d]-1)/h + 1
-		flatStride[d] = s
-		s *= dims[d]
-		if d != axis && d != last {
-			positions *= counts[d]
+// borders runs, after the chunks' join, what no chunk owned, in the step's
+// dependency order: the updates, then the predicts going inverse; the
+// predicts, the updates, then the inner steps going forward. A lift left
+// here has every reader left here too, and reads only nodes whose own lifts
+// are done, so the order is the one the single-chunk wavefront keeps.
+func (lf *lifter) borders(v view, ch chunking) {
+	c := v.n[0]
+	if lf.fwd {
+		for o := 1; o < c; o += 2 {
+			if !lf.ownsPredict(ch, o) {
+				lf.predict(v, o)
+			}
 		}
 	}
-	count, stride := counts[axis], h*flatStride[axis]
+	for e := 0; e < c; e += 2 {
+		if !lf.ownsUpdate(ch, e) {
+			lf.update(v, e)
+		}
+	}
+	if lf.fwd {
+		for k := 0; k < c; k++ {
+			if !lf.ownsStep(ch, k) {
+				lf.step(v.slab(k))
+			}
+		}
+		return
+	}
+	for o := 1; o < c; o += 2 {
+		if !lf.ownsPredict(ch, o) {
+			lf.predict(v, o)
+		}
+	}
+}
+
+// predict lifts odd slab o of v from its even neighbours; the last slab,
+// without a right neighbour, is predicted from the left alone.
+func (lf *lifter) predict(v view, o int) {
+	s := v.stride[0]
+	c, b := v.off+o*s, -1
+	if o+1 < v.n[0] {
+		b = c + s
+	}
+	lf.rows(v.n[1:], v.stride[1:], c, c-s, b, false)
+}
+
+// update lifts even slab e of v from the odd neighbours it has, when the
+// options enable the update.
+func (lf *lifter) update(v view, e int) {
+	if !lf.opt.Update {
+		return
+	}
+	s := v.stride[0]
+	c, a, b := v.off+e*s, -1, -1
+	if e > 0 {
+		a = c - s
+	}
+	if e+1 < v.n[0] {
+		b = c + s
+	}
+	if a < 0 {
+		a, b = b, -1
+	}
+	lf.rows(v.n[1:], v.stride[1:], c, a, b, true)
+}
+
+// rows applies one axis-0 lift to the slab at flat offset c, whose active
+// nodes have n and stride, from the slabs at a and b (b < 0: none), one row
+// op per last-axis row. At h = 1 a slab is contiguous and is one row.
+func (lf *lifter) rows(n, stride []int, c, a, b int, update bool) {
+	if lf.h == 1 {
+		width := 1
+		for _, k := range n {
+			width *= k
+		}
+		lf.row(c, a, b, width, update)
+		return
+	}
+	if len(n) == 1 {
+		lf.row(c, a, b, (n[0]-1)*lf.h+1, update)
+		return
+	}
+	for j := 0; j < n[0]; j++ {
+		d, bj := j*stride[0], -1
+		if b >= 0 {
+			bj = b + d
+		}
+		lf.rows(n[1:], stride[1:], c+d, a+d, bj, update)
+	}
+}
+
+// row lifts the width-long row at c from the rows at a and b (b < 0: none),
+// every h-th element active.
+func (lf *lifter) row(c, a, b, width int, update bool) {
+	cs, as := lf.data[c:c+width], lf.data[a:a+width]
+	var bs []float64
+	if b >= 0 {
+		bs = lf.data[b : b+width]
+	}
+	if update {
+		updateRow(cs, as, bs, lf.h, lf.opt.UpdateWeight, lf.fwd)
+	} else {
+		predictRow(cs, as, bs, lf.h, lf.fwd)
+	}
+}
+
+// line lifts the rank-1 view v, a line of the last axis.
+func (lf *lifter) line(v view) {
+	count := v.n[0]
 	if count < 2 {
 		return
 	}
-	// baseOf returns the flat offset of position p's first active node.
-	baseOf := func(p int) int {
-		base := 0
-		for d := last - 1; d >= 0; d-- {
-			if d != axis {
-				base += p % counts[d] * h * flatStride[d]
-				p /= counts[d]
-			}
+	if lf.h == 1 {
+		x := lf.data[v.off : v.off+count]
+		if lf.fwd {
+			forwardLine(x, lf.opt)
+		} else {
+			inverseLine(x, lf.opt)
 		}
-		return base
-	}
-	if axis == last {
-		pool.RunChunks(positions, workers, nil, func(_, lo, hi int) error {
-			for p := lo; p < hi; p++ {
-				liftLine(data, baseOf(p), stride, count, opt, fwd)
-			}
-			return nil
-		})
 		return
 	}
-	// With fewer positions than workers (a 2-D grid has one), each position's
-	// rows are also cut into column ranges so the pass still fans out.
-	cols, split := counts[last], 1
-	if positions < workers {
-		split = min((workers+positions-1)/positions, cols)
-	}
-	pool.RunChunks(positions*split, workers, nil, func(_, lo, hi int) error {
-		for u := lo; u < hi; u++ {
-			c0, c1 := u%split*cols/split, (u%split+1)*cols/split
-			liftRows(data[baseOf(u/split)+c0*h:], stride, count, (c1-c0-1)*h+1, h, opt, fwd)
+	if lf.fwd {
+		predictForward(lf.data, v.off, v.stride[0], count)
+		if lf.opt.Update {
+			updateForward(lf.data, v.off, v.stride[0], count, lf.opt.UpdateWeight)
 		}
-		return nil
-	})
+		return
+	}
+	if lf.opt.Update {
+		updateInverse(lf.data, v.off, v.stride[0], count, lf.opt.UpdateWeight)
+	}
+	predictInverse(lf.data, v.off, v.stride[0], count)
 }
 
-// liftLine lifts one line: predict then update going forward, the reverse
-// coming back.
-func liftLine(data []float64, base, stride, count int, opt Options, fwd bool) {
-	if fwd {
-		predictForward(data, base, stride, count)
-		if opt.Update {
-			updateForward(data, base, stride, count, opt.UpdateWeight)
-		}
-		return
+// forwardLine is the forward step along a contiguous line of at least two
+// nodes in one walk: each odd node is predicted, then the even node before
+// it, whose both neighbours are now predicted, updated. The expressions are
+// predictForward's and updateForward's, term for term. The walk slides a
+// window y = x[j-2 : j+2] over odd j, so its constant indices need no bounds
+// checks.
+func forwardLine(x []float64, opt Options) {
+	w := opt.UpdateWeight
+	if len(x) > 2 {
+		x[1] -= 0.5 * (x[0] + x[2])
+	} else {
+		x[1] -= x[0]
 	}
 	if opt.Update {
-		updateInverse(data, base, stride, count, opt.UpdateWeight)
+		var sum float64
+		sum += x[1]
+		x[0] += w * sum
 	}
-	predictInverse(data, base, stride, count)
+	y := x[1:]
+	for ; len(y) >= 4; y = y[2:] {
+		y[2] -= 0.5 * (y[1] + y[3])
+		if opt.Update {
+			var sum float64
+			sum += y[0]
+			sum += y[2]
+			y[1] += w * sum
+		}
+	}
+	switch {
+	case len(y) == 3: // n even: the last odd node has no right neighbour
+		y[2] -= y[1]
+		if opt.Update {
+			var sum float64
+			sum += y[0]
+			sum += y[2]
+			y[1] += w * sum
+		}
+	case len(y) == 2 && opt.Update: // n odd: the last even node has no right neighbour
+		var sum float64
+		sum += y[0]
+		y[1] += w * sum
+	}
 }
 
-// liftRows is liftLine for the width-long bundle of lines whose node j is
-// the row data[j*stride : j*stride+width], active every h-th element.
-func liftRows(data []float64, stride, count, width, h int, opt Options, fwd bool) {
-	row := func(j int) []float64 {
-		if j < 0 || j >= count {
-			return nil
-		}
-		return data[j*stride : j*stride+width]
+// inverseLine is the inverse step along a contiguous line of at least two
+// nodes in one walk: each even node is updated, then the odd node before it,
+// whose both neighbours are now updated, predicted. The expressions are
+// updateInverse's and predictInverse's, term for term, over a window
+// y = x[j-2 : j+2] sliding over even j.
+func inverseLine(x []float64, opt Options) {
+	w := opt.UpdateWeight
+	if opt.Update {
+		var sum float64
+		sum += x[1]
+		x[0] -= w * sum
 	}
-	predict := func() {
-		for j := 1; j < count; j += 2 {
-			predictRow(row(j), row(j-1), row(j+1), h, fwd)
+	y := x
+	for ; len(y) >= 4; y = y[2:] {
+		if opt.Update {
+			var sum float64
+			sum += y[1]
+			sum += y[3]
+			y[2] -= w * sum
 		}
+		y[1] += 0.5 * (y[0] + y[2])
 	}
-	update := func() {
-		if !opt.Update {
-			return
+	if len(y) == 3 { // n odd: the last even node has no right neighbour
+		if opt.Update {
+			var sum float64
+			sum += y[1]
+			y[2] -= w * sum
 		}
-		for j := 0; j < count; j += 2 {
-			updateRow(row(j), row(j-1), row(j+1), h, opt.UpdateWeight, fwd)
-		}
+		y[1] += 0.5 * (y[0] + y[2])
+		return
 	}
-	if fwd {
-		predict()
-		update()
-	} else {
-		update()
-		predict()
-	}
+	y[1] += y[0] // n even: the last odd node has no right neighbour
 }
 
 // predictRow is the predict step of one odd row c between its even
-// neighbours a and b; a nil b is the boundary node predicted from the left
-// neighbour alone. The expressions are the line kernels', term for term; the
-// direction is chosen outside the interior loops because they are where a
-// pass spends its time.
+// neighbours a and b, every h-th element active; a nil b is the boundary row
+// predicted from the left neighbour alone. The expressions are the line
+// kernels', term for term; the direction is chosen outside the interior
+// loops because they are where a step spends its time, and at h = 1 the
+// loops range over the row so the compiler drops their bounds checks.
 func predictRow(c, a, b []float64, h int, fwd bool) {
+	if h == 1 {
+		predictRow1(c, a, b, fwd)
+		return
+	}
 	a = a[:len(c)]
 	switch {
 	case b == nil:
@@ -450,17 +685,42 @@ func predictRow(c, a, b []float64, h int, fwd bool) {
 	}
 }
 
-// updateRow is the update step of one even row c between its odd neighbours
-// a and b, either of which is nil past the boundary. sum starts from zero
-// and adds left then right, exactly as the line kernels do (0 + x is not x
-// when x is −0).
-func updateRow(c, a, b []float64, h int, w float64, fwd bool) {
+func predictRow1(c, a, b []float64, fwd bool) {
+	a = a[:len(c)]
 	switch {
-	case a == nil || b == nil:
-		if a == nil {
-			a = b
+	case b == nil && fwd:
+		for i := range c {
+			c[i] -= a[i]
 		}
-		a = a[:len(c)]
+	case b == nil:
+		for i := range c {
+			c[i] += a[i]
+		}
+	case fwd:
+		b = b[:len(c)]
+		for i := range c {
+			c[i] -= 0.5 * (a[i] + b[i])
+		}
+	default:
+		b = b[:len(c)]
+		for i := range c {
+			c[i] += 0.5 * (a[i] + b[i])
+		}
+	}
+}
+
+// updateRow is the update step of one even row c between its odd neighbours
+// a and b, every h-th element active; a nil b is a boundary row with the one
+// neighbour a. sum starts from zero and adds left then right, exactly as the
+// line kernels do (0 + x is not x when x is −0).
+func updateRow(c, a, b []float64, h int, w float64, fwd bool) {
+	if h == 1 {
+		updateRow1(c, a, b, w, fwd)
+		return
+	}
+	a = a[:len(c)]
+	switch {
+	case b == nil:
 		for i := 0; i < len(c); i += h {
 			var sum float64
 			sum += a[i]
@@ -471,7 +731,7 @@ func updateRow(c, a, b []float64, h int, w float64, fwd bool) {
 			}
 		}
 	case fwd:
-		a, b = a[:len(c)], b[:len(c)]
+		b = b[:len(c)]
 		for i := 0; i < len(c); i += h {
 			var sum float64
 			sum += a[i]
@@ -479,8 +739,42 @@ func updateRow(c, a, b []float64, h int, w float64, fwd bool) {
 			c[i] += w * sum
 		}
 	default:
-		a, b = a[:len(c)], b[:len(c)]
+		b = b[:len(c)]
 		for i := 0; i < len(c); i += h {
+			var sum float64
+			sum += a[i]
+			sum += b[i]
+			c[i] -= w * sum
+		}
+	}
+}
+
+func updateRow1(c, a, b []float64, w float64, fwd bool) {
+	a = a[:len(c)]
+	switch {
+	case b == nil && fwd:
+		for i := range c {
+			var sum float64
+			sum += a[i]
+			c[i] += w * sum
+		}
+	case b == nil:
+		for i := range c {
+			var sum float64
+			sum += a[i]
+			c[i] -= w * sum
+		}
+	case fwd:
+		b = b[:len(c)]
+		for i := range c {
+			var sum float64
+			sum += a[i]
+			sum += b[i]
+			c[i] += w * sum
+		}
+	default:
+		b = b[:len(c)]
+		for i := range c {
 			var sum float64
 			sum += a[i]
 			sum += b[i]

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pmgard/internal/grid"
@@ -469,6 +470,10 @@ func TestRecomposeLevelValidation(t *testing.T) {
 	for _, upTo := range []int{-1, 3} {
 		if _, err := d.RecomposeLevel(upTo); err == nil {
 			t.Fatalf("RecomposeLevel(%d) accepted", upTo)
+		}
+		_, err := d.RecomposeInto(upTo, grid.New(9))
+		if err == nil || !strings.Contains(err.Error(), "RecomposeInto") {
+			t.Fatalf("RecomposeInto(%d): error %v, want one naming RecomposeInto", upTo, err)
 		}
 	}
 }

@@ -108,3 +108,28 @@ func TestSetWorkersRoundTrip(t *testing.T) {
 		t.Fatalf("parallel round trip error %g", diff)
 	}
 }
+
+// TestRecomposeIntoAllocsPerStep bounds what a warm in-place recomposition
+// allocates: a small constant per refinement step (the step's view, the
+// chunk fan-out), never anything per slab or per line — a 33³ grid has 33
+// slabs and 1089 lines at the finest step.
+func TestRecomposeIntoAllocsPerStep(t *testing.T) {
+	const perStep = 16
+	f := randomTensor(rand.New(rand.NewSource(5)), 33, 33, 33)
+	opt := DefaultOptions()
+	work := grid.New(f.Dims()...)
+	for _, workers := range []int{1, 2} {
+		d, err := Decompose(f, opt, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(20, func() {
+			if _, err := d.RecomposeInto(opt.Levels-1, work); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if steps := opt.Levels - 1; avg > float64(perStep*steps) {
+			t.Fatalf("workers %d: %.1f allocs per RecomposeInto over %d steps, want ≤ %d per step", workers, avg, steps, perStep)
+		}
+	}
+}

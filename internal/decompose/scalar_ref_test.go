@@ -11,7 +11,7 @@ import (
 
 // This file retains the line-at-a-time transform verbatim — every pass, on
 // every axis, one strided 1-D line after another, single-threaded — as the
-// reference the row-innermost pass driver must match bit for bit. It shares
+// reference the slab-wavefront step driver must match bit for bit. It shares
 // no code with the driver: the four kernels and the line enumeration below
 // are private copies.
 
@@ -212,16 +212,20 @@ func requireSameBits(t *testing.T, what string, want, got *grid.Tensor) {
 }
 
 // TestPassesMatchScalarReference drives forward, inverse and RecomposeLevel
-// through the pass driver at every worker count and requires the reference's
+// through the step driver at every worker count and requires the reference's
 // bits: ranks 1–4 (rank 1 has no non-last axis), odd, even and prime
 // extents, the update on and off and at both ends of its weight range,
-// hierarchies from one level to deeper than the grid.
+// hierarchies from one level to deeper than the grid, and grids whose
+// axis-0 slabs are cut into chunks with borders of both parities.
 func TestPassesMatchScalarReference(t *testing.T) {
 	shapes := [][]int{
 		{1}, {2}, {31}, {64},
 		{9, 30}, {2, 2}, {33, 32}, {1, 17}, {17, 1},
 		{5, 6, 7}, {17, 17, 17}, {8, 13, 3}, {3, 1, 9},
 		{3, 4, 5, 6}, {5, 5, 5, 5},
+		// Many thin slabs, two slabs, chunk borders of both parities at
+		// workers 2/4/8, and a rank-4 grid with a chunk border.
+		{65, 3, 3}, {33, 5, 9}, {2, 9, 9}, {7, 5, 5}, {10, 4, 6}, {9, 3, 3, 3},
 	}
 	options := []Options{
 		{Update: false},

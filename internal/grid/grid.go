@@ -116,6 +116,32 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
+// GatherStride returns a new tensor holding every step-th node of t along
+// each axis, starting at index 0: (n-1)/step+1 nodes per axis of extent n.
+func (t *Tensor) GatherStride(step int) *Tensor {
+	outDims := make([]int, len(t.dims))
+	for d, n := range t.dims {
+		outDims[d] = (n-1)/step + 1
+	}
+	out := New(outDims...)
+	idx := make([]int, len(outDims))
+	for i := range out.data {
+		flat := 0
+		for d, ix := range idx {
+			flat += ix * step * t.strides[d]
+		}
+		out.data[i] = t.data[flat]
+		for d := len(idx) - 1; d >= 0; d-- {
+			idx[d]++
+			if idx[d] < outDims[d] {
+				break
+			}
+			idx[d] = 0
+		}
+	}
+	return out
+}
+
 // CopyFrom copies src's contents into t. The tensors must have identical
 // dimensions.
 func (t *Tensor) CopyFrom(src *Tensor) {
