@@ -30,6 +30,7 @@ fuzz:
 	$(GO) test -fuzz FuzzOpen -fuzztime 30s ./internal/storage/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/lossless/
 	$(GO) test -fuzz FuzzDecompressGarbage -fuzztime 30s ./internal/lossless/
+	$(GO) test -fuzz FuzzInflateMatchesStdlib -fuzztime 30s ./internal/lossless/
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/fieldio/
 	$(GO) test -fuzz FuzzCodecRoundtrip -fuzztime 30s ./internal/codec/codectest/
 	$(GO) test -fuzz FuzzNodeRunResponse -fuzztime 30s ./internal/shard/

@@ -61,50 +61,13 @@ var flateWriters = sync.Pool{
 	},
 }
 
-// flateBuffers pools the compression staging buffers; the compressed bytes
-// are copied into an exact-size result so the (growing) buffer is reused
-// instead of escaping with every call.
+// flateBuffers pools the compression staging buffers, so the (growing)
+// buffer is reused instead of escaping with every call.
 var flateBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Compress implements Codec.
 func (deflateCodec) Compress(src []byte) ([]byte, error) {
-	buf := flateBuffers.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer flateBuffers.Put(buf)
-	w := flateWriters.Get().(*flate.Writer)
-	defer flateWriters.Put(w)
-	w.Reset(buf)
-	if _, err := w.Write(src); err != nil {
-		return nil, fmt.Errorf("lossless: deflate write: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("lossless: deflate close: %w", err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
-}
-
-// flateReader bundles a pooled inflater with the bytes.Reader it drains, so
-// a decompression resets two reused objects instead of allocating the
-// inflater's decompression window per call. past is where the end-of-stream
-// check reads, pooled so the check allocates nothing.
-type flateReader struct {
-	src  bytes.Reader
-	r    io.ReadCloser
-	past [1]byte
-}
-
-// flateReaders pools inflaters: flate.NewReader allocates the sliding
-// window up front, and decompression runs over thousands of small plane
-// segments. The stdlib reader implements flate.Resetter, which the New
-// path relies on.
-var flateReaders = sync.Pool{
-	New: func() any {
-		fr := &flateReader{}
-		fr.r = flate.NewReader(&fr.src)
-		return fr
-	},
+	return AppendCompress(deflateCodec{}, nil, src)
 }
 
 // maxDeflateRatio bounds how far DEFLATE can expand its input: at best a
@@ -120,30 +83,7 @@ func (deflateCodec) Decompress(src []byte, size int) ([]byte, error) {
 	if size < 0 || size/maxDeflateRatio > len(src) {
 		return nil, fmt.Errorf("lossless: a %d-byte deflate segment cannot inflate to %d bytes", len(src), size)
 	}
-	fr := flateReaders.Get().(*flateReader)
-	fr.src.Reset(src)
-	if err := fr.r.(flate.Resetter).Reset(&fr.src, nil); err != nil {
-		return nil, fmt.Errorf("lossless: deflate reset: %w", err)
-	}
-	defer func() {
-		fr.src.Reset(nil) // drop the segment reference before pooling
-		flateReaders.Put(fr)
-	}()
-	out := make([]byte, size)
-	switch n, err := io.ReadFull(fr.r, out); err {
-	case nil:
-	case io.EOF, io.ErrUnexpectedEOF:
-		return nil, fmt.Errorf("lossless: deflate decoded %d bytes, want %d", n, size)
-	default:
-		return nil, fmt.Errorf("lossless: deflate read: %w", err)
-	}
-	switch n, err := fr.r.Read(fr.past[:]); {
-	case n > 0:
-		return nil, fmt.Errorf("lossless: deflate stream inflates past %d bytes", size)
-	case err != io.EOF:
-		return nil, fmt.Errorf("lossless: deflate read: %w", err)
-	}
-	return out, nil
+	return inflate(src, size)
 }
 
 // Raw returns an identity codec, useful for measuring the benefit of the
