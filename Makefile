@@ -27,13 +27,15 @@ cover:
 # Short fuzz pass over every fuzz target (regression corpora always run
 # under plain `make test`).
 fuzz:
-	$(GO) test -fuzz FuzzOpen -fuzztime 30s ./internal/storage/
+	$(GO) test -fuzz '^FuzzOpen$$' -fuzztime 30s ./internal/storage/
+	$(GO) test -fuzz FuzzOpenTiered -fuzztime 30s ./internal/storage/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/lossless/
 	$(GO) test -fuzz FuzzDecompressGarbage -fuzztime 30s ./internal/lossless/
 	$(GO) test -fuzz FuzzInflateMatchesStdlib -fuzztime 30s ./internal/lossless/
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/fieldio/
 	$(GO) test -fuzz FuzzCodecRoundtrip -fuzztime 30s ./internal/codec/codectest/
 	$(GO) test -fuzz FuzzNodeRunResponse -fuzztime 30s ./internal/shard/
+	$(GO) test -fuzz FuzzConcurrentRetrieve -fuzztime 30s ./internal/core/
 
 # The repository benchmark (BENCHMARK.json): the four end-to-end workloads
 # over the real serve/mgard binaries at 129³; see benchmark/README.md.

@@ -26,8 +26,8 @@ import (
 	"strconv"
 	"strings"
 
+	"pmgard/internal/codec"
 	"pmgard/internal/core"
-	"pmgard/internal/decompose"
 	"pmgard/internal/emgard"
 	"pmgard/internal/faults"
 	"pmgard/internal/fieldio"
@@ -74,7 +74,7 @@ func cmdCompress(args []string) error {
 	memBudget := fs.String("mem-budget", "", "working-set byte cap for -tiles, e.g. 64M or 1G (0 = one tile)")
 	levels := fs.Int("levels", 5, "coefficient levels")
 	planes := fs.Int("planes", 32, "bit-planes per level")
-	codec := fs.String("codec", "deflate", "lossless codec: deflate or raw")
+	codecName := fs.String("codec", "deflate", "lossless codec: deflate or raw")
 	workers := fs.Int("workers", 0, "pipeline worker count (0 = one per CPU, 1 = sequential)")
 	var of obs.Flags
 	of.Register(fs)
@@ -86,12 +86,12 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	cod, err := lossless.ByName(*codec)
+	cod, err := lossless.ByName(*codecName)
 	if err != nil {
 		return err
 	}
 	cfg := core.Config{
-		Decompose:   decompose.Options{Levels: *levels, Update: true, UpdateWeight: 0.25},
+		Decompose:   codec.Options{Levels: *levels, Update: true, UpdateWeight: 0.25},
 		Planes:      *planes,
 		Codec:       cod,
 		Parallelism: *workers,

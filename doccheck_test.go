@@ -177,7 +177,7 @@ func recvTypeName(fn *ast.FuncDecl) string {
 // TestOneReadEngine keeps the read path from forking again: in
 // internal/core exactly one function decodes bit-planes (DecodeLevel, or
 // TransposeWords and DecodeWords, the words a decode goes through), one
-// recomposes (Recompose / RecomposeLevel / RecomposeInto) and one — a
+// recomposes (Recompose / RecomposeInto) and one — a
 // PlaneStore method, so every segment passes its manifest check first —
 // inflates segments (lossless Codec.Decompress); and in the whole module
 // outside benchmark/ one function derives the "<field>@<timestep>" cache
@@ -186,7 +186,7 @@ func recvTypeName(fn *ast.FuncDecl) string {
 // Source.FetchPlanes, no GetRun next to Cache.Get).
 func TestOneReadEngine(t *testing.T) {
 	stages := map[string]string{
-		"DecodeLevel": "decode", "TransposeWords": "decode", "DecodeWords": "decode", "Recompose": "recompose", "RecomposeLevel": "recompose", "RecomposeInto": "recompose", "Decompress": "inflate",
+		"DecodeLevel": "decode", "TransposeWords": "decode", "DecodeWords": "decode", "Recompose": "recompose", "RecomposeInto": "recompose", "Decompress": "inflate",
 	}
 	callers := map[string]map[string]bool{"decode": {}, "recompose": {}, "inflate": {}, "namespace": {}}
 	var twins []string
@@ -417,6 +417,67 @@ func TestOneMeasuredWalk(t *testing.T) {
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		t.Fatalf("a measured walk was written by hand again:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
+// TestOneTransformContract keeps one implementation per data-path step
+// outside benchmark/: no coarse recomposition beside RecomposeInto (no
+// RecomposeLevel identifier) and no per-node level table beside
+// Plan.Indices (no LevelOf); one struct type carries the transform options
+// (fields Levels int, Update bool, UpdateWeight float64 — codec.Options);
+// and internal/fieldio reads field files through its window reader only:
+// no bufio import, exactly one json.Unmarshal call (the header parser).
+func TestOneTransformContract(t *testing.T) {
+	optionFields := map[string]string{"Levels": "int", "Update": "bool", "UpdateWeight": "float64"}
+	var problems, optionTypes, unmarshals []string
+	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		inFieldio := filepath.ToSlash(filepath.Dir(path)) == "internal/fieldio"
+		if inFieldio {
+			for _, imp := range file.Imports {
+				if imp.Path.Value == `"bufio"` {
+					problems = append(problems, path+": imports bufio")
+				}
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "RecomposeLevel" || n.Name == "LevelOf" {
+					problems = append(problems, path+": "+n.Name)
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				matched := 0
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
+						if typ, ok := optionFields[name.Name]; ok && selectorName(f.Type) == typ {
+							matched++
+						}
+					}
+				}
+				if matched == len(optionFields) {
+					optionTypes = append(optionTypes, path+": "+n.Name.Name)
+				}
+			case *ast.CallExpr:
+				if inFieldio && selectorName(n.Fun) == "json.Unmarshal" {
+					unmarshals = append(unmarshals, path)
+				}
+			}
+			return true
+		})
+	})
+	if len(optionTypes) != 1 {
+		problems = append(problems, strconv.Itoa(len(optionTypes))+" struct types carry the transform options, want exactly one: "+strings.Join(optionTypes, ", "))
+	}
+	if len(unmarshals) != 1 {
+		problems = append(problems, "internal/fieldio calls json.Unmarshal "+strconv.Itoa(len(unmarshals))+" times, want exactly once: "+strings.Join(unmarshals, ", "))
+	}
+	if len(problems) > 0 {
+		sort.Strings(problems)
+		t.Fatalf("a data-path step has a twin again:\n  %s", strings.Join(problems, "\n  "))
 	}
 }
 

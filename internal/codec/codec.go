@@ -41,18 +41,22 @@ import (
 // header without an explicit CodecID belongs to it.
 const DefaultID = "mgard"
 
-// Options configures a backend's multilevel transform. The fields mirror
-// the retained header metadata, so any backend's options survive a
-// serialization roundtrip; backends ignore fields that do not apply to
-// them (the interpolation backend ignores the lifting update).
+// Options configures a backend's multilevel transform — the one options
+// type of the pipeline: core.Config carries it, the header records its
+// fields, and every backend (and internal/decompose) takes it. Backends
+// ignore fields that do not apply to them (the interpolation backend
+// ignores the lifting update), so options roundtripped through a header
+// never fail retroactively.
 type Options struct {
 	// Levels is the number of coefficient levels L (≥ 1); level 0 is the
-	// coarsest.
+	// coarsest. A lifting transform performs L-1 refinement steps.
 	Levels int
 	// Update enables the MGARD backend's L2-projection-like lifting update
 	// step. Interpolation-style backends ignore it.
 	Update bool
-	// UpdateWeight is the lifting update weight (mgard only).
+	// UpdateWeight is the lifting update weight (mgard only); 0.25
+	// reproduces the standard linear-wavelet update. Ignored when Update is
+	// false.
 	UpdateWeight float64
 }
 
@@ -72,23 +76,33 @@ type Decomposition interface {
 	Coeffs(l int) []float64
 	// Recompose reconstructs the spatial field from the current streams:
 	// it places every level's stream at its nodes of a new grid and calls
-	// RecomposeInto.
+	// RecomposeInto (see RecomposeStreams).
 	Recompose() *grid.Tensor
-	// RecomposeLevel reconstructs the approximation spanned by levels
-	// 0..upTo on the coarser grid those levels cover — the reduced
-	// degrees-of-freedom retrieval mode — placing the streams of levels
-	// 0..upTo as Recompose does.
-	RecomposeLevel(upTo int) (*grid.Tensor, error)
-	// RecomposeInto is the one recomposition: it reconstructs, in place,
-	// the approximation spanned by levels 0..upTo from work, a tensor of
-	// the full grid's shape whose nodes of levels 0..upTo (Plan) already
-	// hold those levels' coefficients. Its other nodes are undefined on
-	// entry and never read, and the streams are not read at all, so a
-	// caller that decodes straight to the nodes needs none. At upTo =
-	// Levels-1 the field is reconstructed in work and work itself is
-	// returned; a coarser upTo returns a new tensor and leaves work as
-	// scratch.
+	// RecomposeInto is the one recomposition, for the full grid and for
+	// every coarser one: it reconstructs, in place, the approximation
+	// spanned by levels 0..upTo from work, a tensor of the full grid's
+	// shape whose nodes of levels 0..upTo (Plan) already hold those
+	// levels' coefficients. Its other nodes are undefined on entry and
+	// never read, and the streams are not read at all, so a caller that
+	// decodes straight to the nodes needs none. At upTo = Levels-1 the
+	// field is reconstructed in work and work itself is returned; a
+	// coarser upTo returns the ceil(n/2^s)-per-axis sub-grid (s =
+	// Levels-1-upTo) those levels span — the reduced degrees-of-freedom
+	// retrieval mode — as a new tensor and leaves work as scratch.
 	RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor, error)
+}
+
+// RecomposeStreams is the Recompose every backend shares: it places each
+// level's stream at its nodes of a new full grid and recomposes that grid
+// in place.
+func RecomposeStreams(d Decomposition) *grid.Tensor {
+	p := d.Plan()
+	work := grid.New(p.Dims()...)
+	for l := 0; l < d.Levels(); l++ {
+		p.Inject(work.Data(), l, d.Coeffs(l))
+	}
+	out, _ := d.RecomposeInto(d.Levels()-1, work)
+	return out
 }
 
 // ProgressiveCodec is the pluggable backend contract: refactor, per-plane

@@ -379,7 +379,17 @@ func testWorkerByteIdentity(t *testing.T, c codec.ProgressiveCodec) {
 // and finite: no panics, compression succeeds, and the full-plane
 // reconstruction contains no NaN or Inf (non-finite inputs cannot be
 // represented by finite planes; the contract is containment, not recovery).
+// Options the backend refuses must come back as an error with a nil
+// Decomposition — not a typed nil pointer inside a non-nil interface, which
+// a caller's nil check would let through.
 func testHardening(t *testing.T, c codec.ProgressiveCodec) {
+	refused := codec.Options{Levels: 0}
+	if dec, err := c.Decompose(smoothField(9), refused, 1, nil); err == nil || dec != nil {
+		t.Fatalf("Decompose(Levels: 0) = (%v, %v); want (nil, error)", dec, err)
+	}
+	if dec, err := c.NewZero([]int{9, 9}, refused, 1); err == nil || dec != nil {
+		t.Fatalf("NewZero(Levels: 0) = (%v, %v); want (nil, error)", dec, err)
+	}
 	nan := smoothField(33)
 	nan.Data()[5*33+7] = math.NaN()
 	inf := smoothField(33)

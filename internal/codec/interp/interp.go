@@ -140,24 +140,7 @@ func (d *decomposition) Coeffs(l int) []float64 {
 }
 
 // Recompose implements codec.Decomposition.
-func (d *decomposition) Recompose() *grid.Tensor {
-	out, _ := d.RecomposeLevel(len(d.coeffs) - 1)
-	return out
-}
-
-// RecomposeLevel implements codec.Decomposition: place the streams of
-// levels 0..upTo at their nodes, decode, and gather the
-// stride-2^(Levels-1-upTo) sub-grid they span.
-func (d *decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
-	if upTo < 0 || upTo >= len(d.coeffs) {
-		return nil, fmt.Errorf("interp: RecomposeLevel upTo %d out of [0,%d)", upTo, len(d.coeffs))
-	}
-	work := grid.New(d.plan.Dims()...)
-	for l := 0; l <= upTo; l++ {
-		d.plan.Inject(work.Data(), l, d.Coeffs(l))
-	}
-	return d.RecomposeInto(upTo, work)
-}
+func (d *decomposition) Recompose() *grid.Tensor { return codec.RecomposeStreams(d) }
 
 // RecomposeInto implements codec.Decomposition: level 0's nodes hold the
 // coarsest values, and each finer level's nodes, holding residuals, get the

@@ -41,9 +41,10 @@ func TestLinearFieldsHaveVanishingResiduals(t *testing.T) {
 	}
 }
 
-// TestRecomposeLevelSubsamples checks the reduced-resolution mode: decoding
-// levels 0..upTo must reproduce the original field on the stride-2^(L-1-upTo)
-// sub-grid (the nodes those levels own), at the matching coarse dims.
+// TestRecomposeLevelSubsamples checks the reduced-resolution mode through
+// RecomposeInto(upTo): decoding levels 0..upTo must reproduce the original
+// field on the stride-2^(L-1-upTo) sub-grid (the nodes those levels own), at
+// the matching coarse dims, without reading any finer node (they hold NaN).
 func TestRecomposeLevelSubsamples(t *testing.T) {
 	n := 17
 	f := grid.New(n, n)
@@ -56,31 +57,32 @@ func TestRecomposeLevelSubsamples(t *testing.T) {
 		t.Fatalf("Decompose: %v", err)
 	}
 	for upTo := 0; upTo < opts.Levels; upTo++ {
-		coarse, err := dec.RecomposeLevel(upTo)
+		work := grid.New(n, n)
+		for i := range work.Data() {
+			work.Data()[i] = math.NaN()
+		}
+		for l := 0; l <= upTo; l++ {
+			dec.Plan().Inject(work.Data(), l, dec.Coeffs(l))
+		}
+		coarse, err := dec.RecomposeInto(upTo, work)
 		if err != nil {
-			t.Fatalf("RecomposeLevel(%d): %v", upTo, err)
+			t.Fatalf("RecomposeInto(%d): %v", upTo, err)
 		}
 		step := 1 << (opts.Levels - 1 - upTo)
 		wantSide := (n-1)/step + 1
 		dims := coarse.Dims()
 		if len(dims) != 2 || dims[0] != wantSide || dims[1] != wantSide {
-			t.Fatalf("RecomposeLevel(%d) dims = %v, want [%d %d]", upTo, dims, wantSide, wantSide)
+			t.Fatalf("RecomposeInto(%d) dims = %v, want [%d %d]", upTo, dims, wantSide, wantSide)
 		}
 		for i := 0; i < wantSide; i++ {
 			for j := 0; j < wantSide; j++ {
 				got := coarse.Data()[i*wantSide+j]
 				want := f.Data()[(i*step)*n+j*step]
 				if math.Abs(got-want) > 1e-12 {
-					t.Fatalf("RecomposeLevel(%d)[%d,%d] = %g, want %g", upTo, i, j, got, want)
+					t.Fatalf("RecomposeInto(%d)[%d,%d] = %g, want %g", upTo, i, j, got, want)
 				}
 			}
 		}
-	}
-	if _, err := dec.RecomposeLevel(-1); err == nil {
-		t.Fatal("RecomposeLevel(-1) accepted")
-	}
-	if _, err := dec.RecomposeLevel(opts.Levels); err == nil {
-		t.Fatal("RecomposeLevel(L) accepted")
 	}
 	for _, upTo := range []int{-1, opts.Levels} {
 		_, err := dec.RecomposeInto(upTo, grid.New(n, n))

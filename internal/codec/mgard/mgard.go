@@ -30,34 +30,35 @@ type Codec struct {
 // ID implements codec.ProgressiveCodec.
 func (Codec) ID() string { return ID }
 
-// options converts the backend-agnostic options into the decompose form.
-func options(opts codec.Options) decompose.Options {
-	return decompose.Options{
-		Levels:       opts.Levels,
-		Update:       opts.Update,
-		UpdateWeight: opts.UpdateWeight,
-	}
-}
-
-// Decompose implements codec.ProgressiveCodec via the lifting transform.
+// Decompose implements codec.ProgressiveCodec via the lifting transform. A
+// refusal returns a nil Decomposition, not a nil *decompose.Decomposition
+// inside a non-nil interface.
 func (Codec) Decompose(t *grid.Tensor, opts codec.Options, workers int, o *obs.Obs) (codec.Decomposition, error) {
-	return decompose.Decompose(t, options(opts), workers, o)
+	d, err := decompose.Decompose(t, opts, workers, o)
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-// NewZero implements codec.ProgressiveCodec.
+// NewZero implements codec.ProgressiveCodec; it refuses as Decompose does.
 func (Codec) NewZero(dims []int, opts codec.Options, workers int) (codec.Decomposition, error) {
-	return decompose.NewZero(dims, options(opts), workers)
+	d, err := decompose.NewZero(dims, opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // NaiveAmplification implements codec.ProgressiveCodec: the compounded
 // absolute-row-sum constant of the original error-control theory ([19],
 // Eq. 6), wildly pessimistic by design.
 func (Codec) NaiveAmplification(opts codec.Options, rank int) float64 {
-	return options(opts).NaiveErrorAmplification(rank)
+	return decompose.NaiveErrorAmplification(opts, rank)
 }
 
 // TightAmplification implements codec.ProgressiveCodec: per-level
 // amplification without cross-step compounding.
 func (Codec) TightAmplification(opts codec.Options, rank int) float64 {
-	return options(opts).ErrorAmplification(rank)
+	return decompose.ErrorAmplification(opts, rank)
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // TestAdapterDelegatesToDecompose pins the adapter to the lifting pipeline:
-// coefficients and amplification constants must match internal/decompose
-// exactly, which is what keeps pre-interface artifacts byte-identical.
+// given the same codec.Options, coefficients and amplification constants
+// must match internal/decompose exactly, which is what keeps pre-interface
+// artifacts byte-identical.
 func TestAdapterDelegatesToDecompose(t *testing.T) {
 	n := 17
 	f := grid.New(n, n)
@@ -19,12 +20,11 @@ func TestAdapterDelegatesToDecompose(t *testing.T) {
 		f.Data()[i] = math.Sin(float64(i) * 0.31)
 	}
 	opts := codec.Options{Levels: 4, Update: true, UpdateWeight: 0.25}
-	dopts := decompose.Options{Levels: 4, Update: true, UpdateWeight: 0.25}
 	got, err := Codec{}.Decompose(f, opts, 1, nil)
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
-	want, err := decompose.Decompose(f, dopts, 1, nil)
+	want, err := decompose.Decompose(f, opts, 1, nil)
 	if err != nil {
 		t.Fatalf("decompose.Decompose: %v", err)
 	}
@@ -40,10 +40,10 @@ func TestAdapterDelegatesToDecompose(t *testing.T) {
 		}
 	}
 	for rank := 1; rank <= 4; rank++ {
-		if got, want := (Codec{}).NaiveAmplification(opts, rank), dopts.NaiveErrorAmplification(rank); got != want {
+		if got, want := (Codec{}).NaiveAmplification(opts, rank), decompose.NaiveErrorAmplification(opts, rank); got != want {
 			t.Fatalf("NaiveAmplification(rank=%d) = %g, want %g", rank, got, want)
 		}
-		if got, want := (Codec{}).TightAmplification(opts, rank), dopts.ErrorAmplification(rank); got != want {
+		if got, want := (Codec{}).TightAmplification(opts, rank), decompose.ErrorAmplification(opts, rank); got != want {
 			t.Fatalf("TightAmplification(rank=%d) = %g, want %g", rank, got, want)
 		}
 	}

@@ -48,7 +48,7 @@ type Config struct {
 	// selects codec.DefaultID, the MGARD-style pipeline.
 	Backend string
 	// Decompose controls the multilevel transform.
-	Decompose decompose.Options
+	Decompose codec.Options
 	// Planes is the number of bit-planes per coefficient level (the paper
 	// uses 32).
 	Planes int
@@ -140,15 +140,6 @@ type Header struct {
 	LevelPools [][]float64
 }
 
-// DecomposeOptions reconstructs the transform options from the header.
-func (h *Header) DecomposeOptions() decompose.Options {
-	return decompose.Options{
-		Levels:       h.DecomposeLevels,
-		Update:       h.Update,
-		UpdateWeight: h.UpdateWeight,
-	}
-}
-
 // Codec returns the effective progressive-codec ID of the artifact; an
 // empty CodecID means the default MGARD backend.
 func (h *Header) Codec() string {
@@ -177,12 +168,6 @@ func (h *Header) backend() (codec.ProgressiveCodec, error) {
 	return c, nil
 }
 
-// codecOptions converts compression config into the backend-agnostic
-// transform options.
-func codecOptions(o decompose.Options) codec.Options {
-	return codec.Options{Levels: o.Levels, Update: o.Update, UpdateWeight: o.UpdateWeight}
-}
-
 // LevelInfos adapts the header for the retrieval planner.
 func (h *Header) LevelInfos() []retrieval.LevelInfo {
 	infos := make([]retrieval.LevelInfo, len(h.Levels))
@@ -202,7 +187,7 @@ func (h *Header) TheoryEstimator() retrieval.TheoryEstimator {
 	if err != nil {
 		// An unknown backend cannot be decoded anyway; fall back to the
 		// lifting math so the estimator itself never fails.
-		return retrieval.TheoryEstimator{C: h.DecomposeOptions().NaiveErrorAmplification(len(h.Dims))}
+		return retrieval.TheoryEstimator{C: decompose.NaiveErrorAmplification(h.CodecOptions(), len(h.Dims))}
 	}
 	return retrieval.TheoryEstimator{C: b.NaiveAmplification(h.CodecOptions(), len(h.Dims))}
 }
@@ -214,7 +199,7 @@ func (h *Header) TheoryEstimator() retrieval.TheoryEstimator {
 func (h *Header) TightEstimator() retrieval.TheoryEstimator {
 	b, err := h.backend()
 	if err != nil {
-		return retrieval.TheoryEstimator{C: h.DecomposeOptions().ErrorAmplification(len(h.Dims))}
+		return retrieval.TheoryEstimator{C: decompose.ErrorAmplification(h.CodecOptions(), len(h.Dims))}
 	}
 	return retrieval.TheoryEstimator{C: b.TightAmplification(h.CodecOptions(), len(h.Dims))}
 }

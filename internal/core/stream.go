@@ -47,7 +47,7 @@ func CompressTo(t *grid.Tensor, cfg Config, fieldName string, timestep int, sink
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	dec, err := backend.Decompose(t, codecOptions(cfg.Decompose), workers, o)
+	dec, err := backend.Decompose(t, cfg.Decompose, workers, o)
 	if err != nil {
 		return nil, fmt.Errorf("core: decompose: %w", err)
 	}

@@ -316,8 +316,8 @@ type TiledRetrievalStats struct {
 // outPath, tile by tile, honoring a relative error bound against the
 // manifest's global value range. Peak memory is one reconstructed slab,
 // not the field; the output file is laid down through the tile writer as
-// slabs complete.
-func RetrieveTiledRel(dir string, rel float64, outPath string, workers int) (*TileSet, *TiledRetrievalStats, error) {
+// slabs complete. A failed retrieval leaves no file at outPath.
+func RetrieveTiledRel(dir string, rel float64, outPath string, workers int) (_ *TileSet, _ *TiledRetrievalStats, err error) {
 	ts, err := OpenTileSet(dir)
 	if err != nil {
 		return nil, nil, err
@@ -327,17 +327,21 @@ func RetrieveTiledRel(dir string, rel float64, outPath string, workers int) (*Ti
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() {
+		if err != nil {
+			w.Close()
+			os.Remove(outPath)
+		}
+	}()
 	stats := &TiledRetrievalStats{BytesStored: ts.TotalBytes()}
 	for i, ti := range ts.Tiles {
 		h, st, err := OpenFile(filepath.Join(dir, ti.File))
 		if err != nil {
-			w.Close()
 			return nil, nil, fmt.Errorf("core: tile %d: %w", i, err)
 		}
 		rec, plan, err := RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, RetrieveOptions{Workers: workers})
 		st.Close()
 		if err != nil {
-			w.Close()
 			return nil, nil, fmt.Errorf("core: tile %d: %w", i, err)
 		}
 		for _, b := range plan.BytesPerLevel {
@@ -345,7 +349,6 @@ func RetrieveTiledRel(dir string, rel float64, outPath string, workers int) (*Ti
 		}
 		stats.Planes = append(stats.Planes, plan)
 		if err := w.WriteTile(ti.Lo, ti.Shape, rec.Data()); err != nil {
-			w.Close()
 			return nil, nil, err
 		}
 	}

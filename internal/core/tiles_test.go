@@ -255,8 +255,12 @@ func TestOpenTileSetRejectsMalformedManifests(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("OpenTileSet = %v, want an error naming %q", err, tc.want)
 			}
-			if _, _, err := RetrieveTiledRel(dir, 1e-3, filepath.Join(t.TempDir(), "out.bin"), 1); err == nil {
+			out := filepath.Join(t.TempDir(), "out.bin")
+			if _, _, err := RetrieveTiledRel(dir, 1e-3, out, 1); err == nil {
 				t.Fatal("RetrieveTiledRel reconstructed from the malformed manifest")
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Fatalf("failed RetrieveTiledRel left %s behind (stat: %v)", out, err)
 			}
 		})
 	}
@@ -265,5 +269,62 @@ func TestOpenTileSetRejectsMalformedManifests(t *testing.T) {
 	}
 	if _, err := OpenTileSet(dir); err != nil {
 		t.Fatalf("the pristine manifest no longer opens: %v", err)
+	}
+}
+
+// TestRetrieveTiledRelLeavesNoOutput: a tiled retrieval that fails after
+// its manifest opened — a tile gone or cut short, or dims no field file can
+// hold — fails without leaving a partial field file at the output path, as
+// the .pmgd writers leave nothing on failure.
+func TestRetrieveTiledRelLeavesNoOutput(t *testing.T) {
+	path, _ := writeSeededFieldFile(t, 6, 12, 5, 5)
+	r, err := fieldio.OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cfg := DefaultConfig()
+	cfg.Decompose.Levels = 2
+	for _, tc := range []struct {
+		name   string
+		break_ func(t *testing.T, dir string, ts *TileSet)
+	}{
+		{"missing tile", func(t *testing.T, dir string, ts *TileSet) {
+			if err := os.Remove(filepath.Join(dir, ts.Tiles[1].File)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"truncated tile", func(t *testing.T, dir string, ts *TileSet) {
+			if err := os.Truncate(filepath.Join(dir, ts.Tiles[2].File), 40); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"dims past the field-file limit", func(t *testing.T, dir string, ts *TileSet) {
+			ts.Dims = []int{1 << 40, 1}
+			ts.Tiles = []TileInfo{{File: ts.Tiles[0].File, Lo: []int{0, 0}, Shape: []int{1 << 40, 1}}}
+			blob, err := json.Marshal(ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, tileManifestName), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "tiles")
+			ts, err := CompressTiled(r, cfg, dir, TileOptions{SlabThickness: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.break_(t, dir, ts)
+			out := filepath.Join(t.TempDir(), "out.field")
+			if _, _, err := RetrieveTiledRel(dir, 1e-3, out, 1); err == nil {
+				t.Fatal("RetrieveTiledRel succeeded on a broken artifact")
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Fatalf("failed RetrieveTiledRel left %s behind (stat: %v)", out, err)
+			}
+		})
 	}
 }

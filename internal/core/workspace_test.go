@@ -20,7 +20,8 @@ import (
 
 // freshReconstruct is the reference no pool ever touches: a new all-zero
 // decomposition, each level's first planes[l] planes read straight from the
-// store and decoded, and the pinned Recompose / RecomposeLevel.
+// store and decoded, and the pinned Recompose (or, below the finest level,
+// the streams placed on a fresh grid and RecomposeInto).
 func freshReconstruct(t *testing.T, h *Header, c *Compressed, planes []int, upTo int) *grid.Tensor {
 	t.Helper()
 	store, err := NewPlaneStore(h, c)
@@ -50,7 +51,11 @@ func freshReconstruct(t *testing.T, h *Header, c *Compressed, planes []int, upTo
 	if upTo == len(h.Levels)-1 {
 		return dec.Recompose()
 	}
-	rec, err := dec.RecomposeLevel(upTo)
+	work := grid.New(h.Dims...)
+	for l := 0; l <= upTo; l++ {
+		dec.Plan().Inject(work.Data(), l, dec.Coeffs(l))
+	}
+	rec, err := dec.RecomposeInto(upTo, work)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,32 +31,21 @@ import (
 	"math"
 	"slices"
 
+	"pmgard/internal/codec"
 	"pmgard/internal/grid"
 	"pmgard/internal/interleave"
 	"pmgard/internal/obs"
 	"pmgard/internal/pool"
 )
 
-// Options configures a decomposition.
-type Options struct {
-	// Levels is the number of coefficient levels L (≥ 1). The transform
-	// performs L-1 refinement steps; level 0 is the coarsest.
-	Levels int
-	// Update enables the L2-projection-like lifting update step.
-	Update bool
-	// UpdateWeight is the lifting update weight; 0.25 reproduces the
-	// standard linear-wavelet update. Ignored when Update is false.
-	UpdateWeight float64
-}
-
 // DefaultOptions returns the configuration used throughout the paper's
 // experiments: a five-level hierarchy with the L2 correction enabled.
-func DefaultOptions() Options {
-	return Options{Levels: 5, Update: true, UpdateWeight: 0.25}
+func DefaultOptions() codec.Options {
+	return codec.Options{Levels: 5, Update: true, UpdateWeight: 0.25}
 }
 
-// Validate reports whether the options are usable.
-func (o Options) Validate() error {
+// Validate reports whether the options are usable by the lifting transform.
+func Validate(o codec.Options) error {
 	if o.Levels < 1 || o.Levels > 30 {
 		return fmt.Errorf("decompose: Levels %d out of range [1,30]", o.Levels)
 	}
@@ -73,7 +62,7 @@ func (o Options) Validate() error {
 // refinement step ((1+2w) per axis pass), and the remaining inverse steps
 // are max-norm non-expansive, so the per-step factors do not compound
 // across levels.
-func (o Options) ErrorAmplification(rank int) float64 {
+func ErrorAmplification(o codec.Options, rank int) float64 {
 	if !o.Update {
 		return 1
 	}
@@ -87,7 +76,7 @@ func (o Options) ErrorAmplification(rank int) float64 {
 // telescoping structure and sign cancellation. The result is a valid but
 // wildly pessimistic bound — the source of the requested-vs-achieved gap
 // of Fig. 2 that motivates the paper.
-func (o Options) NaiveErrorAmplification(rank int) float64 {
+func NaiveErrorAmplification(o codec.Options, rank int) float64 {
 	if !o.Update {
 		return 1
 	}
@@ -98,7 +87,7 @@ func (o Options) NaiveErrorAmplification(rank int) float64 {
 // together with the plan needed to recompose them.
 type Decomposition struct {
 	plan    *interleave.Plan
-	opt     Options
+	opt     codec.Options
 	coeffs  [][]float64
 	workers int
 }
@@ -114,12 +103,12 @@ type Decomposition struct {
 // A non-nil o records a "decompose" span with rank/level attrs, and
 // counters decompose.transforms / decompose.passes (one pass per (step,
 // axis) pair of the forward lifting schedule) / decompose.nodes.
-func Decompose(t *grid.Tensor, opt Options, workers int, o *obs.Obs) (*Decomposition, error) {
+func Decompose(t *grid.Tensor, opt codec.Options, workers int, o *obs.Obs) (*Decomposition, error) {
 	sp := o.Span("decompose", nil)
 	sp.SetAttr("levels", opt.Levels)
 	sp.SetAttr("rank", t.NDim())
 	defer sp.End()
-	if err := opt.Validate(); err != nil {
+	if err := Validate(opt); err != nil {
 		return nil, err
 	}
 	plan, err := interleave.NewPlan(t.Dims(), opt.Levels)
@@ -148,8 +137,8 @@ func Decompose(t *grid.Tensor, opt Options, workers int, o *obs.Obs) (*Decomposi
 // holds none. workers is the worker count of the recomposition path (≤ 0
 // means GOMAXPROCS); it never changes the reconstructed bytes, only how many
 // goroutines compute them.
-func NewZero(dims []int, opt Options, workers int) (*Decomposition, error) {
-	if err := opt.Validate(); err != nil {
+func NewZero(dims []int, opt codec.Options, workers int) (*Decomposition, error) {
+	if err := Validate(opt); err != nil {
 		return nil, err
 	}
 	plan, err := interleave.NewPlan(dims, opt.Levels)
@@ -170,7 +159,7 @@ func (d *Decomposition) SetWorkers(workers int) { d.workers = pool.Clamp(workers
 func (d *Decomposition) Plan() *interleave.Plan { return d.plan }
 
 // Options returns the transform options the decomposition was built with.
-func (d *Decomposition) Options() Options { return d.opt }
+func (d *Decomposition) Options() codec.Options { return d.opt }
 
 // Levels returns the number of coefficient levels L.
 func (d *Decomposition) Levels() int { return d.opt.Levels }
@@ -211,32 +200,16 @@ func (d *Decomposition) CloneShape() *Decomposition {
 
 // Recompose reconstructs the spatial field from the current coefficient
 // streams, using the decomposition's worker count for the inverse passes.
-func (d *Decomposition) Recompose() *grid.Tensor {
-	out, _ := d.RecomposeLevel(d.opt.Levels - 1)
-	return out
-}
-
-// RecomposeLevel reconstructs the approximation on the coarser grid that
-// levels 0..upTo span, returning a tensor with ceil(n/2^s) nodes per axis
-// (s = Levels-1-upTo). This is the paper's reduced-degrees-of-freedom mode:
-// an analysis that can work at lower resolution skips both the I/O *and*
-// the compute of the finer levels. upTo = Levels-1 returns the full grid.
-func (d *Decomposition) RecomposeLevel(upTo int) (*grid.Tensor, error) {
-	if upTo < 0 || upTo >= d.opt.Levels {
-		return nil, fmt.Errorf("decompose: RecomposeLevel upTo %d out of [0,%d)", upTo, d.opt.Levels)
-	}
-	work := grid.New(d.plan.Dims()...)
-	for l := 0; l <= upTo; l++ {
-		d.plan.Inject(work.Data(), l, d.Coeffs(l))
-	}
-	return d.RecomposeInto(upTo, work)
-}
+func (d *Decomposition) Recompose() *grid.Tensor { return codec.RecomposeStreams(d) }
 
 // RecomposeInto runs the inverse transform in place on work — a tensor of
 // the full grid's shape whose nodes of levels 0..upTo already hold those
 // levels' coefficients — down to the step levels 0..upTo span. At upTo =
 // Levels-1 the field is reconstructed in work, which is returned; a coarser
-// upTo gathers its sub-grid into a new tensor and leaves work as scratch.
+// upTo gathers its sub-grid, ceil(n/2^s) nodes per axis (s =
+// Levels-1-upTo), into a new tensor and leaves work as scratch. That is the
+// paper's reduced-degrees-of-freedom mode: an analysis that can work at
+// lower resolution skips both the I/O and the compute of the finer levels.
 // No other node is read: the levels partition the grid, so levels 0..upTo
 // are every node of the step-2^s sub-grid, and the inverse passes down to
 // step s read nothing else. The streams are not read.
@@ -258,7 +231,7 @@ func (d *Decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor
 
 // forward applies the full multilevel transform in place, one refinement
 // step after another, finest first.
-func forward(t *grid.Tensor, opt Options, workers int) {
+func forward(t *grid.Tensor, opt codec.Options, workers int) {
 	for s := 0; s < opt.Levels-1; s++ {
 		liftStep(t, opt, 1<<s, workers, true)
 	}
@@ -267,7 +240,7 @@ func forward(t *grid.Tensor, opt Options, workers int) {
 // inverse undoes forward's steps in reverse order, down to refinement step
 // stop: 0 restores the full grid, a larger stop leaves the step-stop active
 // sub-grid holding the approximation the coarser levels span.
-func inverse(t *grid.Tensor, opt Options, workers, stop int) {
+func inverse(t *grid.Tensor, opt codec.Options, workers, stop int) {
 	for s := opt.Levels - 2; s >= stop; s-- {
 		liftStep(t, opt, 1<<s, workers, false)
 	}
@@ -300,7 +273,7 @@ const minChunkSlabs = 3
 // in dependency order (see borders). Until the join a worker reads and
 // writes its own chunk's slabs only, so the worker count never changes a
 // bit.
-func liftStep(t *grid.Tensor, opt Options, h, workers int, fwd bool) {
+func liftStep(t *grid.Tensor, opt codec.Options, h, workers int, fwd bool) {
 	dims := t.Dims()
 	rank := len(dims)
 	ints := make([]int, 2*rank)
@@ -360,7 +333,7 @@ func (ch chunking) of(k int) int {
 // lifter carries one refinement step through the slab recursion.
 type lifter struct {
 	data []float64
-	opt  Options
+	opt  codec.Options
 	h    int
 	fwd  bool
 }
@@ -579,7 +552,7 @@ func (lf *lifter) line(v view) {
 // predictForward's and updateForward's, term for term. The walk slides a
 // window y = x[j-2 : j+2] over odd j, so its constant indices need no bounds
 // checks.
-func forwardLine(x []float64, opt Options) {
+func forwardLine(x []float64, opt codec.Options) {
 	w := opt.UpdateWeight
 	if len(x) > 2 {
 		x[1] -= 0.5 * (x[0] + x[2])
@@ -622,7 +595,7 @@ func forwardLine(x []float64, opt Options) {
 // whose both neighbours are now updated, predicted. The expressions are
 // updateInverse's and predictInverse's, term for term, over a window
 // y = x[j-2 : j+2] sliding over even j.
-func inverseLine(x []float64, opt Options) {
+func inverseLine(x []float64, opt codec.Options) {
 	w := opt.UpdateWeight
 	if opt.Update {
 		var sum float64

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pmgard/internal/codec"
 	"pmgard/internal/grid"
 )
 
@@ -18,19 +19,33 @@ func randomTensor(rng *rand.Rand, dims ...int) *grid.Tensor {
 	return t
 }
 
+// recomposeUpTo is the coarse path a request takes: levels 0..upTo's
+// streams placed on a full grid whose other nodes hold NaN — RecomposeInto
+// must never read them — and recomposed in place.
+func recomposeUpTo(d *Decomposition, upTo int) (*grid.Tensor, error) {
+	work := grid.New(d.Dims()...)
+	for i := range work.Data() {
+		work.Data()[i] = math.NaN()
+	}
+	for l := 0; l <= upTo; l++ {
+		d.Plan().Inject(work.Data(), l, d.Coeffs(l))
+	}
+	return d.RecomposeInto(upTo, work)
+}
+
 func TestOptionsValidate(t *testing.T) {
-	bad := []Options{
+	bad := []codec.Options{
 		{Levels: 0},
 		{Levels: 31},
 		{Levels: 3, Update: true, UpdateWeight: -0.1},
 		{Levels: 3, Update: true, UpdateWeight: 0.6},
 	}
 	for _, o := range bad {
-		if err := o.Validate(); err == nil {
+		if err := Validate(o); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", o)
 		}
 	}
-	if err := DefaultOptions().Validate(); err != nil {
+	if err := Validate(DefaultOptions()); err != nil {
 		t.Errorf("DefaultOptions invalid: %v", err)
 	}
 }
@@ -39,7 +54,7 @@ func TestRoundTripExact1D(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{2, 3, 5, 9, 17, 16, 20, 33} {
 		orig := randomTensor(rng, n)
-		for _, opt := range []Options{
+		for _, opt := range []codec.Options{
 			{Levels: 3},
 			{Levels: 3, Update: true, UpdateWeight: 0.25},
 			{Levels: 5, Update: true, UpdateWeight: 0.25},
@@ -95,7 +110,7 @@ func TestLinearFieldHasZeroDetails(t *testing.T) {
 			f.Set(3*float64(i)-2*float64(j)+1, i, j)
 		}
 	}
-	d, err := Decompose(f, Options{Levels: 4}, 1, nil) // predict-only
+	d, err := Decompose(f, codec.Options{Levels: 4}, 1, nil) // predict-only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +169,7 @@ func TestZeroCoefficientsRecomposeToZero(t *testing.T) {
 
 func TestCloneShapeMatchesSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d, err := Decompose(randomTensor(rng, 9, 5), Options{Levels: 3}, 1, nil)
+	d, err := Decompose(randomTensor(rng, 9, 5), codec.Options{Levels: 3}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +183,7 @@ func TestCloneShapeMatchesSizes(t *testing.T) {
 
 func TestSetCoeffsPanicsOnWrongLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	d, _ := Decompose(randomTensor(rng, 9), Options{Levels: 2}, 1, nil)
+	d, _ := Decompose(randomTensor(rng, 9), codec.Options{Levels: 2}, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetCoeffs with wrong length did not panic")
@@ -222,7 +237,7 @@ func TestErrorAmplificationBoundHolds(t *testing.T) {
 	}
 	rec := d.Recompose()
 	achieved := grid.MaxAbsDiff(orig, rec)
-	bound := opt.ErrorAmplification(3) * sumErr
+	bound := ErrorAmplification(opt, 3) * sumErr
 	if achieved > bound {
 		t.Fatalf("achieved error %g exceeds theory bound %g", achieved, bound)
 	}
@@ -233,12 +248,12 @@ func TestErrorAmplificationBoundHolds(t *testing.T) {
 }
 
 func TestErrorAmplificationConstants(t *testing.T) {
-	if c := (Options{Levels: 5}).ErrorAmplification(3); c != 1 {
+	if c := ErrorAmplification(codec.Options{Levels: 5}, 3); c != 1 {
 		t.Fatalf("predict-only amplification = %v, want 1", c)
 	}
-	o := Options{Levels: 5, Update: true, UpdateWeight: 0.25}
+	o := codec.Options{Levels: 5, Update: true, UpdateWeight: 0.25}
 	want := math.Pow(1.5, 3)
-	if c := o.ErrorAmplification(3); math.Abs(c-want) > 1e-12 {
+	if c := ErrorAmplification(o, 3); math.Abs(c-want) > 1e-12 {
 		t.Fatalf("amplification = %v, want %v", c, want)
 	}
 }
@@ -285,7 +300,7 @@ func TestRoundTripPropertyRandomShapes(t *testing.T) {
 			dims[i] = 2 + rng.Intn(20)
 		}
 		levels := 1 + rng.Intn(5)
-		opt := Options{Levels: levels, Update: rng.Intn(2) == 0, UpdateWeight: 0.25}
+		opt := codec.Options{Levels: levels, Update: rng.Intn(2) == 0, UpdateWeight: 0.25}
 		orig := randomTensor(rng, dims...)
 		d, err := Decompose(orig, opt, 1, nil)
 		if err != nil {
@@ -302,7 +317,7 @@ func TestRoundTripPropertyRandomShapes(t *testing.T) {
 func TestRoundTrip4D(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	orig := randomTensor(rng, 5, 7, 3, 9)
-	for _, opt := range []Options{{Levels: 2}, {Levels: 3, Update: true, UpdateWeight: 0.25}} {
+	for _, opt := range []codec.Options{{Levels: 2}, {Levels: 3, Update: true, UpdateWeight: 0.25}} {
 		d, err := Decompose(orig, opt, 1, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -317,7 +332,7 @@ func TestSingleLevelIsIdentity(t *testing.T) {
 	// Levels=1 performs no transform: coefficients equal the data.
 	rng := rand.New(rand.NewSource(12))
 	orig := randomTensor(rng, 6, 6)
-	d, err := Decompose(orig, Options{Levels: 1}, 1, nil)
+	d, err := Decompose(orig, codec.Options{Levels: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +349,7 @@ func TestMoreLevelsThanResolution(t *testing.T) {
 	// transform must still round trip.
 	rng := rand.New(rand.NewSource(13))
 	orig := randomTensor(rng, 3)
-	d, err := Decompose(orig, Options{Levels: 6, Update: true, UpdateWeight: 0.25}, 1, nil)
+	d, err := Decompose(orig, codec.Options{Levels: 6, Update: true, UpdateWeight: 0.25}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +381,7 @@ func TestNewZeroMatchesDecomposeShape(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewZero([]int{4}, Options{Levels: 0}, 1); err == nil {
+	if _, err := NewZero([]int{4}, codec.Options{Levels: 0}, 1); err == nil {
 		t.Fatal("NewZero accepted invalid options")
 	}
 }
@@ -405,12 +420,12 @@ func TestRecomposeLevelFullMatchesRecompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := d.RecomposeLevel(opt.Levels - 1)
+	full, err := recomposeUpTo(d, opt.Levels-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := grid.MaxAbsDiff(full, d.Recompose()); diff != 0 {
-		t.Fatalf("full-level RecomposeLevel differs from Recompose by %g", diff)
+		t.Fatalf("full-level RecomposeInto differs from Recompose by %g", diff)
 	}
 }
 
@@ -425,7 +440,7 @@ func TestRecomposeLevelDims(t *testing.T) {
 	// Level 0 alone spans the coarsest grid: step 16 → 2 nodes per axis.
 	wantDims := [][]int{{2, 2, 2}, {3, 3, 3}, {5, 5, 5}, {9, 9, 9}, {17, 17, 17}}
 	for upTo := 0; upTo < opt.Levels; upTo++ {
-		coarse, err := d.RecomposeLevel(upTo)
+		coarse, err := recomposeUpTo(d, upTo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +469,7 @@ func TestRecomposeLevelApproximatesDownsample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := d.RecomposeLevel(2) // 9×9
+	coarse, err := recomposeUpTo(d, 2) // 9×9
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,11 +481,8 @@ func TestRecomposeLevelApproximatesDownsample(t *testing.T) {
 
 func TestRecomposeLevelValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	d, _ := Decompose(randomTensor(rng, 9), Options{Levels: 3}, 1, nil)
+	d, _ := Decompose(randomTensor(rng, 9), codec.Options{Levels: 3}, 1, nil)
 	for _, upTo := range []int{-1, 3} {
-		if _, err := d.RecomposeLevel(upTo); err == nil {
-			t.Fatalf("RecomposeLevel(%d) accepted", upTo)
-		}
 		_, err := d.RecomposeInto(upTo, grid.New(9))
 		if err == nil || !strings.Contains(err.Error(), "RecomposeInto") {
 			t.Fatalf("RecomposeInto(%d): error %v, want one naming RecomposeInto", upTo, err)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pmgard/internal/codec"
 	"pmgard/internal/grid"
 )
 
@@ -16,7 +17,7 @@ func TestDecomposeWorkersBitIdentical(t *testing.T) {
 	shapes := [][]int{{64}, {33, 33}, {17, 17, 17}, {9, 30}, {5, 6, 7}, {2, 2}, {31}}
 	for _, dims := range shapes {
 		f := randomTensor(rng, dims...)
-		for _, opt := range []Options{
+		for _, opt := range []codec.Options{
 			{Levels: 3},
 			{Levels: 4, Update: true, UpdateWeight: 0.25},
 		} {
@@ -52,17 +53,17 @@ func TestDecomposeWorkersBitIdentical(t *testing.T) {
 }
 
 // TestRecomposeWorkersBitIdentical asserts parallel recomposition matches
-// the sequential inverse bit for bit, including through RecomposeLevel.
+// the sequential inverse bit for bit, including through RecomposeInto(upTo).
 func TestRecomposeWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := randomTensor(rng, 17, 17, 17)
-	opt := Options{Levels: 4, Update: true, UpdateWeight: 0.25}
+	opt := codec.Options{Levels: 4, Update: true, UpdateWeight: 0.25}
 	seq, err := Decompose(f, opt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := seq.Recompose()
-	wantCoarse, err := seq.RecomposeLevel(2)
+	wantCoarse, err := recomposeUpTo(seq, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +76,12 @@ func TestRecomposeWorkersBitIdentical(t *testing.T) {
 		if d := grid.MaxAbsDiff(want, got); d != 0 {
 			t.Fatalf("workers %d: Recompose differs by %g", workers, d)
 		}
-		gotCoarse, err := par.RecomposeLevel(2)
+		gotCoarse, err := recomposeUpTo(par, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := grid.MaxAbsDiff(wantCoarse, gotCoarse); d != 0 {
-			t.Fatalf("workers %d: RecomposeLevel differs by %g", workers, d)
+			t.Fatalf("workers %d: RecomposeInto(2) differs by %g", workers, d)
 		}
 	}
 }
@@ -90,7 +91,7 @@ func TestRecomposeWorkersBitIdentical(t *testing.T) {
 func TestSetWorkersRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := randomTensor(rng, 33, 33)
-	d, err := Decompose(f, Options{Levels: 5, Update: true, UpdateWeight: 0.25}, 4, nil)
+	d, err := Decompose(f, codec.Options{Levels: 5, Update: true, UpdateWeight: 0.25}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pmgard/internal/codec"
 	"pmgard/internal/grid"
 )
 
@@ -15,7 +16,7 @@ import (
 // no code with the driver: the four kernels and the line enumeration below
 // are private copies.
 
-func refForward(t *grid.Tensor, opt Options) {
+func refForward(t *grid.Tensor, opt codec.Options) {
 	for s := 0; s < opt.Levels-1; s++ {
 		for axis := 0; axis < t.NDim(); axis++ {
 			refForEachLine(t, 1<<s, axis, func(base, stride, count int) {
@@ -29,7 +30,7 @@ func refForward(t *grid.Tensor, opt Options) {
 }
 
 // refInverse undoes refForward down to refinement step stop.
-func refInverse(t *grid.Tensor, opt Options, stop int) {
+func refInverse(t *grid.Tensor, opt codec.Options, stop int) {
 	for s := opt.Levels - 2; s >= stop; s-- {
 		for axis := t.NDim() - 1; axis >= 0; axis-- {
 			refForEachLine(t, 1<<s, axis, func(base, stride, count int) {
@@ -138,9 +139,10 @@ func refUpdateInverse(data []float64, base, stride, count int, w float64) {
 	}
 }
 
-// refRecomposeLevel is RecomposeLevel over the reference inverse: inject the
-// kept levels, invert down to their step, read off every step-th node.
-func refRecomposeLevel(d *Decomposition, upTo int) *grid.Tensor {
+// refRecomposeUpTo is RecomposeInto(upTo) over the reference inverse:
+// inject the kept levels, invert down to their step, read off every
+// step-th node.
+func refRecomposeUpTo(d *Decomposition, upTo int) *grid.Tensor {
 	work := grid.New(d.Dims()...)
 	for l := 0; l <= upTo; l++ {
 		d.plan.Inject(work.Data(), l, d.coeffs[l])
@@ -211,7 +213,7 @@ func requireSameBits(t *testing.T, what string, want, got *grid.Tensor) {
 	}
 }
 
-// TestPassesMatchScalarReference drives forward, inverse and RecomposeLevel
+// TestPassesMatchScalarReference drives forward, inverse and RecomposeInto
 // through the step driver at every worker count and requires the reference's
 // bits: ranks 1–4 (rank 1 has no non-last axis), odd, even and prime
 // extents, the update on and off and at both ends of its weight range,
@@ -227,7 +229,7 @@ func TestPassesMatchScalarReference(t *testing.T) {
 		// workers 2/4/8, and a rank-4 grid with a chunk border.
 		{65, 3, 3}, {33, 5, 9}, {2, 9, 9}, {7, 5, 5}, {10, 4, 6}, {9, 3, 3, 3},
 	}
-	options := []Options{
+	options := []codec.Options{
 		{Update: false},
 		{Update: true, UpdateWeight: 0},
 		{Update: true, UpdateWeight: 0.25},
@@ -256,11 +258,11 @@ func TestPassesMatchScalarReference(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						for upTo := 0; upTo < opt.Levels; upTo++ {
-							coarse, err := d.RecomposeLevel(upTo)
+							coarse, err := recomposeUpTo(d, upTo)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
-							requireSameBits(t, fmt.Sprintf("%s RecomposeLevel(%d)", name, upTo), refRecomposeLevel(d, upTo), coarse)
+							requireSameBits(t, fmt.Sprintf("%s RecomposeInto(%d)", name, upTo), refRecomposeUpTo(d, upTo), coarse)
 						}
 					}
 				}

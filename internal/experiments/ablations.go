@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"pmgard/internal/codec"
 	"pmgard/internal/core"
-	"pmgard/internal/decompose"
 	"pmgard/internal/dmgard"
 	"pmgard/internal/grid"
 	"pmgard/internal/lossless"
@@ -116,7 +116,7 @@ func AblateUpdate(p Params) ([]*Table, error) {
 		update bool
 	}{{"interpolation-only", false}, {"with L2 update", true}} {
 		cfg := p.Compress
-		cfg.Decompose = decompose.Options{Levels: cfg.Decompose.Levels, Update: variant.update, UpdateWeight: 0.25}
+		cfg.Decompose = codec.Options{Levels: cfg.Decompose.Levels, Update: variant.update, UpdateWeight: 0.25}
 		if cfg.Decompose.Levels == 0 {
 			cfg.Decompose.Levels = 5
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pmgard/internal/bitplane"
+	"pmgard/internal/codec"
 	"pmgard/internal/core"
 	"pmgard/internal/decompose"
 	"pmgard/internal/dmgard"
@@ -457,7 +458,7 @@ func AblateLevels(p Params) ([]*Table, error) {
 	}
 	for _, levels := range []int{2, 3, 5, 7} {
 		cfg := p.Compress
-		cfg.Decompose = decompose.Options{Levels: levels, Update: true, UpdateWeight: 0.25}
+		cfg.Decompose = codec.Options{Levels: levels, Update: true, UpdateWeight: 0.25}
 		c, err := core.Compress(field, cfg, "Jx", t)
 		if err != nil {
 			return nil, err

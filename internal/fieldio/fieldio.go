@@ -3,16 +3,16 @@
 // payload in row-major order. cmd/gendata writes these files and cmd/mgard
 // and cmd/train consume them, mirroring how simulation dumps flow into the
 // compression pipeline on a real system.
+//
+// There is one way through a field file: a window. Read and Write move the
+// whole field as one window of a Reader and a TileWriter, the same header
+// parse, dims check and window walk the out-of-core paths' ReadTile and
+// WriteTile take.
 package fieldio
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
-	"os"
+	"slices"
 
 	"pmgard/internal/grid"
 )
@@ -27,91 +27,62 @@ type Meta struct {
 	Dims []int `json:"dims"`
 }
 
-// Write stores a field to path.
+// maxElements bounds a field's element count (2 GiB of payload): a header
+// claiming more is implausible, whether a reader parses it or a writer is
+// asked to lay it out.
+const maxElements = 1 << 28
+
+// checkDims is the one dims check of a field file: at least one axis, every
+// extent positive, at most maxElements elements. It returns the element
+// count.
+func checkDims(dims []int) (int, error) {
+	if len(dims) == 0 {
+		return 0, fmt.Errorf("fieldio: header has no dims")
+	}
+	n := 1
+	for _, d := range dims {
+		if d <= 0 {
+			return 0, fmt.Errorf("fieldio: invalid dimension %d", d)
+		}
+		if n > maxElements/d {
+			return 0, fmt.Errorf("fieldio: implausible element count for dims %v", dims)
+		}
+		n *= d
+	}
+	return n, nil
+}
+
+// Write stores a field to path as one whole-field window of a TileWriter.
+// meta.Dims defaults to the tensor's dims and must match them when set.
 func Write(path string, meta Meta, t *grid.Tensor) error {
 	if len(meta.Dims) == 0 {
 		meta.Dims = t.Dims()
 	}
-	if !sameDims(meta.Dims, t.Dims()) {
+	if !slices.Equal(meta.Dims, t.Dims()) {
 		return fmt.Errorf("fieldio: meta dims %v do not match tensor dims %v", meta.Dims, t.Dims())
 	}
-	f, err := os.Create(path)
+	w, err := CreateSized(path, meta)
 	if err != nil {
-		return fmt.Errorf("fieldio: create %s: %w", path, err)
+		return err
 	}
-	w := bufio.NewWriter(f)
-	header, err := json.Marshal(meta)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("fieldio: marshal header: %w", err)
+	if err := w.WriteTile(make([]int, len(meta.Dims)), meta.Dims, t.Data()); err != nil {
+		w.Close()
+		return err
 	}
-	if _, err := w.Write(append(header, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("fieldio: write header: %w", err)
-	}
-	buf := make([]byte, 8)
-	for _, v := range t.Data() {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := w.Write(buf); err != nil {
-			f.Close()
-			return fmt.Errorf("fieldio: write payload: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("fieldio: flush: %w", err)
-	}
-	return f.Close()
+	return w.Close()
 }
 
-// Read loads a field file.
+// Read loads a field file as one whole-field window of a Reader.
 func Read(path string) (Meta, *grid.Tensor, error) {
-	f, err := os.Open(path)
+	r, err := OpenReader(path)
 	if err != nil {
-		return Meta{}, nil, fmt.Errorf("fieldio: open %s: %w", path, err)
+		return Meta{}, nil, err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return Meta{}, nil, fmt.Errorf("fieldio: read header: %w", err)
+	defer r.Close()
+	dims := r.meta.Dims
+	t := grid.New(dims...)
+	if err := r.ReadTile(make([]int, len(dims)), dims, t.Data()); err != nil {
+		return Meta{}, nil, err
 	}
-	var meta Meta
-	if err := json.Unmarshal(line, &meta); err != nil {
-		return Meta{}, nil, fmt.Errorf("fieldio: parse header: %w", err)
-	}
-	if len(meta.Dims) == 0 {
-		return Meta{}, nil, fmt.Errorf("fieldio: header has no dims")
-	}
-	n := 1
-	for _, d := range meta.Dims {
-		if d <= 0 {
-			return Meta{}, nil, fmt.Errorf("fieldio: invalid dimension %d", d)
-		}
-		if n > (1<<28)/d {
-			return Meta{}, nil, fmt.Errorf("fieldio: implausible element count for dims %v", meta.Dims)
-		}
-		n *= d
-	}
-	payload := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Meta{}, nil, fmt.Errorf("fieldio: read payload (%d values): %w", n, err)
-	}
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
-	return meta, grid.FromSlice(data, meta.Dims...), nil
-}
-
-func sameDims(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return r.meta, t, nil
 }

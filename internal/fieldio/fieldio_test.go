@@ -50,11 +50,39 @@ func TestSpecialValuesPreserved(t *testing.T) {
 	}
 }
 
+// TestWriteDimsMismatch refuses dims a field file cannot hold — not the
+// tensor's, or failing the readers' dims check — before any file exists: a
+// [2^40, 1] header must not leave an 8 TiB sparse file behind.
 func TestWriteDimsMismatch(t *testing.T) {
-	f := grid.New(2, 2)
-	err := Write(filepath.Join(t.TempDir(), "x.field"), Meta{Field: "x", Dims: []int{3}}, f)
-	if err == nil {
-		t.Fatal("dims mismatch accepted")
+	cases := map[string]func(path string) error{
+		"write mismatch": func(path string) error {
+			return Write(path, Meta{Field: "x", Dims: []int{3}}, grid.New(2, 2))
+		},
+		"create huge": func(path string) error {
+			_, err := CreateSized(path, Meta{Field: "x", Dims: []int{1 << 40, 1}})
+			return err
+		},
+		"create over limit": func(path string) error {
+			_, err := CreateSized(path, Meta{Field: "x", Dims: []int{1 << 14, 1<<14 + 1}})
+			return err
+		},
+		"create zero extent": func(path string) error {
+			_, err := CreateSized(path, Meta{Field: "x", Dims: []int{4, 0}})
+			return err
+		},
+		"create no dims": func(path string) error {
+			_, err := CreateSized(path, Meta{Field: "x"})
+			return err
+		},
+	}
+	for name, write := range cases {
+		path := filepath.Join(t.TempDir(), "x.field")
+		if err := write(path); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: refused dims left a file behind (stat: %v)", name, err)
+		}
 	}
 }
 
@@ -65,6 +93,7 @@ func TestReadRejectsCorrupt(t *testing.T) {
 		"nodims.field": []byte(`{"field":"x"}` + "\n"),
 		"baddim.field": []byte(`{"field":"x","dims":[0]}` + "\n"),
 		"short.field":  []byte(`{"field":"x","dims":[4]}` + "\n\x00\x00"),
+		"huge.field":   []byte(`{"field":"x","dims":[1099511627776,1]}` + "\n"),
 		"noheader.bin": {},
 	}
 	for name, content := range cases {

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"pmgard/internal/bufpool"
-	"pmgard/internal/grid"
 	"pmgard/internal/storage"
 )
 
@@ -25,11 +24,9 @@ import (
 // Reader is safe for concurrent ReadTile calls when the underlying
 // io.ReaderAt is (os.File is).
 type Reader struct {
-	r       io.ReaderAt
-	meta    Meta
-	dataOff int64
-	strides []int
-	closer  io.Closer
+	layout
+	r      io.ReaderAt
+	closer io.Closer
 }
 
 // maxHeaderBytes bounds the JSON header line of a field file.
@@ -52,8 +49,9 @@ func OpenReader(path string) (*Reader, error) {
 
 // NewWindowReader builds a windowed reader over any io.ReaderAt holding a
 // field file — a mmap region, a fault-injection wrapper, a remote blob
-// adapter. The header is parsed eagerly; Close is a no-op for readers
-// built this way (the caller owns r's lifetime).
+// adapter. The header is parsed eagerly — the package's one header parser;
+// Close is a no-op for readers built this way (the caller owns r's
+// lifetime).
 func NewWindowReader(r io.ReaderAt) (*Reader, error) {
 	header, dataOff, err := readHeaderAt(r)
 	if err != nil {
@@ -63,26 +61,10 @@ func NewWindowReader(r io.ReaderAt) (*Reader, error) {
 	if err := json.Unmarshal(header, &meta); err != nil {
 		return nil, fmt.Errorf("fieldio: parse header: %w", err)
 	}
-	if len(meta.Dims) == 0 {
-		return nil, fmt.Errorf("fieldio: header has no dims")
+	if _, err := checkDims(meta.Dims); err != nil {
+		return nil, err
 	}
-	n := 1
-	for _, d := range meta.Dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("fieldio: invalid dimension %d", d)
-		}
-		if n > (1<<28)/d {
-			return nil, fmt.Errorf("fieldio: implausible element count for dims %v", meta.Dims)
-		}
-		n *= d
-	}
-	strides := make([]int, len(meta.Dims))
-	s := 1
-	for d := len(meta.Dims) - 1; d >= 0; d-- {
-		strides[d] = s
-		s *= meta.Dims[d]
-	}
-	return &Reader{r: r, meta: meta, dataOff: dataOff, strides: strides}, nil
+	return &Reader{layout: newLayout(meta, dataOff), r: r}, nil
 }
 
 // readHeaderAt reads the one-line JSON header through ranged reads and
@@ -118,6 +100,67 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	return r.closer.Close()
+}
+
+// layout is what a window walk needs of a field file: its header, the byte
+// offset of its payload, and the row-major strides of its dims.
+type layout struct {
+	meta    Meta
+	dataOff int64
+	strides []int
+}
+
+func newLayout(meta Meta, dataOff int64) layout {
+	strides := make([]int, len(meta.Dims))
+	s := 1
+	for d := len(meta.Dims) - 1; d >= 0; d-- {
+		strides[d] = s
+		s *= meta.Dims[d]
+	}
+	return layout{meta: meta, dataOff: dataOff, strides: strides}
+}
+
+// walk is the one window walk. It checks the window [lo, lo+shape) against
+// the field and the caller's vals values against the window's element
+// count, then calls fn once per contiguous row-major run of the window, in
+// order: at is the run's byte offset in the file, out its element offset in
+// the window's own row-major order, and buf a pooled byte buffer of exactly
+// one run.
+func (l *layout) walk(lo, shape []int, vals int, fn func(at int64, out int, buf []byte) error) error {
+	dims := l.meta.Dims
+	n, err := checkWindow(dims, lo, shape)
+	if err != nil {
+		return err
+	}
+	if vals != n {
+		return fmt.Errorf("fieldio: buffer holds %d values, window has %d", vals, n)
+	}
+	run, outer := contiguousRun(dims, lo, shape)
+	buf := bufpool.Bytes(8 * run)
+	defer bufpool.PutBytes(buf)
+	// idx iterates the window coordinates of dims [0, outer]; inner dims are
+	// covered by each contiguous run.
+	idx := make([]int, outer+1)
+	for out := 0; out < n; out += run {
+		off := 0
+		for d := 0; d <= outer; d++ {
+			off += (lo[d] + idx[d]) * l.strides[d]
+		}
+		if d := outer + 1; d < len(dims) {
+			off += lo[d] * l.strides[d]
+		}
+		if err := fn(l.dataOff+8*int64(off), out, buf); err != nil {
+			return err
+		}
+		for d := outer; d >= 0; d-- {
+			idx[d]++
+			if idx[d] < shape[d] {
+				break
+			}
+			idx[d] = 0
+		}
+	}
+	return nil
 }
 
 // checkWindow validates a tile window against the field dims and returns
@@ -161,126 +204,70 @@ func contiguousRun(dims, lo, shape []int) (run, outer int) {
 // from the underlying reader pass through unchanged, so retry/quarantine
 // classifiers see them as usual.
 func (r *Reader) ReadTile(lo, shape []int, dst []float64) error {
-	dims := r.meta.Dims
-	n, err := checkWindow(dims, lo, shape)
-	if err != nil {
-		return err
-	}
-	if len(dst) != n {
-		return fmt.Errorf("fieldio: dst holds %d values, window has %d", len(dst), n)
-	}
-	run, outer := contiguousRun(dims, lo, shape)
-	buf := bufpool.Bytes(8 * run)
-	defer bufpool.PutBytes(buf)
-
-	// idx iterates the window coordinates of dims [0, outer]; inner dims are
-	// covered by each contiguous run.
-	idx := make([]int, outer+1)
-	for out := 0; out < n; out += run {
-		off := int64(0)
-		for d := 0; d <= outer; d++ {
-			off += int64((lo[d] + idx[d]) * r.strides[d])
-		}
-		if outer+1 < len(dims) {
-			d := outer + 1
-			off += int64(lo[d] * r.strides[d])
-		}
-		if err := r.readRun(off, buf); err != nil {
+	return r.walk(lo, shape, len(dst), func(at int64, out int, buf []byte) error {
+		if err := r.readRun(at, buf); err != nil {
 			return err
 		}
-		for i := 0; i < run; i++ {
+		for i := range dst[out : out+len(buf)/8] {
 			dst[out+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}
-		for d := outer; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < shape[d] {
-				break
-			}
-			idx[d] = 0
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// readRun performs one ranged read of len(buf) payload bytes at element
-// offset elemOff, classifying short reads as corruption.
-func (r *Reader) readRun(elemOff int64, buf []byte) error {
-	byteOff := r.dataOff + 8*elemOff
-	n, err := r.r.ReadAt(buf, byteOff)
+// readRun performs one ranged read of len(buf) payload bytes at byte offset
+// at, classifying short reads as corruption.
+func (r *Reader) readRun(at int64, buf []byte) error {
+	n, err := r.r.ReadAt(buf, at)
 	if n == len(buf) {
 		return nil
 	}
 	if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
 		return fmt.Errorf("fieldio: short read at offset %d (%d of %d bytes, truncated field file): %w",
-			byteOff, n, len(buf), storage.ErrCorrupt)
+			at, n, len(buf), storage.ErrCorrupt)
 	}
-	return fmt.Errorf("fieldio: read %d bytes at offset %d: %w", len(buf), byteOff, err)
-}
-
-// ReadTileTensor is ReadTile into a fresh tensor of the window's shape.
-func (r *Reader) ReadTileTensor(lo, shape []int) (*grid.Tensor, error) {
-	n, err := checkWindow(r.meta.Dims, lo, shape)
-	if err != nil {
-		return nil, err
-	}
-	data := make([]float64, n)
-	if err := r.ReadTile(lo, shape, data); err != nil {
-		return nil, err
-	}
-	return grid.FromSlice(data, shape...), nil
+	return fmt.Errorf("fieldio: read %d bytes at offset %d: %w", len(buf), at, err)
 }
 
 // TileWriter writes a field file tile by tile: CreateSized lays out the
 // header and reserves the full payload extent, WriteTile fills windows in
 // any order, Close finalizes. The streaming retrieve path uses it to emit
-// reconstructions larger than RAM.
+// reconstructions larger than RAM, and Write to store a whole field.
 type TileWriter struct {
-	f       *os.File
-	meta    Meta
-	dataOff int64
-	strides []int
-	closed  bool
+	layout
+	f      *os.File
+	closed bool
 }
 
 // CreateSized starts a tile-writable field file at path with the given
-// metadata; meta.Dims must be set.
+// metadata. meta.Dims must pass the readers' dims check, which runs before
+// any file is created; a file it cannot lay out is removed again.
 func CreateSized(path string, meta Meta) (*TileWriter, error) {
-	if len(meta.Dims) == 0 {
-		return nil, fmt.Errorf("fieldio: CreateSized needs dims")
+	n, err := checkDims(meta.Dims)
+	if err != nil {
+		return nil, err
 	}
-	n := 1
-	for _, d := range meta.Dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("fieldio: invalid dimension %d", d)
-		}
-		n *= d
+	header, err := json.Marshal(meta)
+	if err != nil {
+		return nil, fmt.Errorf("fieldio: marshal header: %w", err)
 	}
+	header = append(header, '\n')
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("fieldio: create %s: %w", path, err)
 	}
-	header, err := json.Marshal(meta)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("fieldio: marshal header: %w", err)
-	}
-	header = append(header, '\n')
+	dataOff := int64(len(header))
 	if _, err := f.Write(header); err != nil {
 		f.Close()
+		os.Remove(path)
 		return nil, fmt.Errorf("fieldio: write header: %w", err)
 	}
-	dataOff := int64(len(header))
 	if err := f.Truncate(dataOff + 8*int64(n)); err != nil {
 		f.Close()
+		os.Remove(path)
 		return nil, fmt.Errorf("fieldio: reserve payload: %w", err)
 	}
-	strides := make([]int, len(meta.Dims))
-	s := 1
-	for d := len(meta.Dims) - 1; d >= 0; d-- {
-		strides[d] = s
-		s *= meta.Dims[d]
-	}
-	return &TileWriter{f: f, meta: meta, dataOff: dataOff, strides: strides}, nil
+	return &TileWriter{layout: newLayout(meta, dataOff), f: f}, nil
 }
 
 // WriteTile stores src — the window's values in its own row-major order —
@@ -289,42 +276,15 @@ func (w *TileWriter) WriteTile(lo, shape []int, src []float64) error {
 	if w.closed {
 		return fmt.Errorf("fieldio: write to closed tile writer")
 	}
-	dims := w.meta.Dims
-	n, err := checkWindow(dims, lo, shape)
-	if err != nil {
-		return err
-	}
-	if len(src) != n {
-		return fmt.Errorf("fieldio: src holds %d values, window has %d", len(src), n)
-	}
-	run, outer := contiguousRun(dims, lo, shape)
-	buf := bufpool.Bytes(8 * run)
-	defer bufpool.PutBytes(buf)
-	idx := make([]int, outer+1)
-	for out := 0; out < n; out += run {
-		off := int64(0)
-		for d := 0; d <= outer; d++ {
-			off += int64((lo[d] + idx[d]) * w.strides[d])
-		}
-		if outer+1 < len(dims) {
-			d := outer + 1
-			off += int64(lo[d] * w.strides[d])
-		}
-		for i := 0; i < run; i++ {
+	return w.walk(lo, shape, len(src), func(at int64, out int, buf []byte) error {
+		for i := range src[out : out+len(buf)/8] {
 			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(src[out+i]))
 		}
-		if _, err := w.f.WriteAt(buf, w.dataOff+8*off); err != nil {
-			return fmt.Errorf("fieldio: write tile at element %d: %w", off, err)
+		if _, err := w.f.WriteAt(buf, at); err != nil {
+			return fmt.Errorf("fieldio: write tile at offset %d: %w", at, err)
 		}
-		for d := outer; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < shape[d] {
-				break
-			}
-			idx[d] = 0
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Close finalizes the file.

@@ -29,19 +29,17 @@ import (
 type Plan struct {
 	dims   []int
 	levels int
-	// levelOf[flat] is the level of each grid node.
-	levelOf []uint8
 	// indices[l] lists the flat grid offsets of level l's nodes in
 	// row-major scan order.
 	indices [][]int
 }
 
-// planMemoSize bounds how many shapes NewPlan remembers. A plan costs
-// 9 bytes per grid node (an 8-byte offset and a 1-byte level): 19.3 MB at
-// 129³, so four remembered shapes pin at most ≈ 77 MB at that size. Four
-// covers what one process works on at once — a server's fields (usually one
-// shape), or a tiled compress's interior and tail slabs — without letting a
-// process that walks through many shapes keep them all.
+// planMemoSize bounds how many shapes NewPlan remembers. A plan costs 8
+// bytes per grid node (one offset): 17.2 MB at 129³, so four remembered
+// shapes pin at most ≈ 69 MB at that size. Four covers what one process
+// works on at once — a server's fields (usually one shape), or a tiled
+// compress's interior and tail slabs — without letting a process that walks
+// through many shapes keep them all.
 const planMemoSize = 4
 
 // planEntry is one remembered shape. once makes concurrent first callers of
@@ -128,12 +126,7 @@ func buildPlan(dims []int, levels int) *Plan {
 		return c
 	}
 	n := active(0)
-	p := &Plan{
-		dims:    dims,
-		levels:  levels,
-		levelOf: make([]uint8, n),
-		indices: make([][]int, levels),
-	}
+	p := &Plan{dims: dims, levels: levels, indices: make([][]int, levels)}
 	// all is every level's index list back to back; next[l] is where level
 	// l's next node goes.
 	all := make([]int, n)
@@ -155,20 +148,17 @@ func buildPlan(dims []int, levels int) *Plan {
 		for d, i := range idx {
 			outer = min(outer, div[d][i])
 		}
-		row := p.levelOf[flat : flat+len(last)]
 		if outer == 0 {
 			// An odd coordinate on an outer axis puts the whole row on the
 			// finest level.
-			fine := all[next[top] : next[top]+len(row)]
+			fine := all[next[top] : next[top]+len(last)]
 			for i := range fine {
-				row[i] = uint8(top)
 				fine[i] = flat + i
 			}
-			next[top] += len(row)
+			next[top] += len(last)
 		} else {
 			for i, s := range last {
 				l := uint8(top) - min(outer, s)
-				row[i] = l
 				all[next[l]] = flat + i
 				next[l]++
 			}
@@ -214,9 +204,6 @@ func (p *Plan) LevelSizes() []int {
 	}
 	return sizes
 }
-
-// LevelOf returns the level of the grid node at the given flat offset.
-func (p *Plan) LevelOf(flat int) int { return int(p.levelOf[flat]) }
 
 // Indices returns the flat grid offsets of level l's nodes, in the
 // deterministic stream order. The returned slice must not be modified.

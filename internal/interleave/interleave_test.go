@@ -53,6 +53,21 @@ func TestSingleLevelIsEverything(t *testing.T) {
 	}
 }
 
+// levelsOf tabulates each grid node's level from the plan's index lists.
+func levelsOf(p *Plan) []int {
+	n := 0
+	for _, size := range p.LevelSizes() {
+		n += size
+	}
+	level := make([]int, n)
+	for l := 0; l < p.Levels(); l++ {
+		for _, flat := range p.Indices(l) {
+			level[flat] = l
+		}
+	}
+	return level
+}
+
 func TestLevelOfIndex1D(t *testing.T) {
 	// 1D grid of 9 nodes, 3 levels: coarsest grid step 4.
 	// Nodes 0,4,8 → level 0; nodes 2,6 → level 1; odd nodes → level 2.
@@ -61,9 +76,10 @@ func TestLevelOfIndex1D(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{0, 2, 1, 2, 0, 2, 1, 2, 0}
+	level := levelsOf(p)
 	for i, w := range want {
-		if got := p.LevelOf(i); got != w {
-			t.Errorf("LevelOf(%d) = %d, want %d", i, got, w)
+		if got := level[i]; got != w {
+			t.Errorf("level of node %d = %d, want %d", i, got, w)
 		}
 	}
 }
@@ -74,17 +90,18 @@ func TestLevelOfIndex2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	level := levelsOf(p)
 	// Node (4,2): min(v2)=1 → level 3-1-1 = 1.
-	if got := p.LevelOf(4*5 + 2); got != 1 {
-		t.Errorf("LevelOf(4,2) = %d, want 1", got)
+	if got := level[4*5+2]; got != 1 {
+		t.Errorf("level of (4,2) = %d, want 1", got)
 	}
 	// Node (4,4): both multiples of 4 → level 0.
-	if got := p.LevelOf(4*5 + 4); got != 0 {
-		t.Errorf("LevelOf(4,4) = %d, want 0", got)
+	if got := level[4*5+4]; got != 0 {
+		t.Errorf("level of (4,4) = %d, want 0", got)
 	}
 	// Node (3,4): v2(3)=0 → level 2.
-	if got := p.LevelOf(3*5 + 4); got != 2 {
-		t.Errorf("LevelOf(3,4) = %d, want 2", got)
+	if got := level[3*5+4]; got != 2 {
+		t.Errorf("level of (3,4) = %d, want 2", got)
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// levelOfIndex is the definition buildPlan's tables implement, kept here as
-// the per-node reference: a node is active at refinement step s iff every
-// axis index is a multiple of 2^s; its introduction step is the largest such
-// s (capped at levels-1) and its level is levels-1-s, so that level 0 is the
-// coarsest grid.
+// levelOfIndex is the definition buildPlan's index lists implement, kept
+// here as the per-node reference: a node is active at refinement step s iff
+// every axis index is a multiple of 2^s; its introduction step is the
+// largest such s (capped at levels-1) and its level is levels-1-s, so that
+// level 0 is the coarsest grid.
 func levelOfIndex(idx []int, levels int) int {
 	s := levels - 1
 	for _, i := range idx {
@@ -21,19 +21,17 @@ func levelOfIndex(idx []int, levels int) int {
 	return levels - 1 - s
 }
 
-// referencePlan builds the maps straight from the definition: levelOfIndex
-// per node, row-major order within a level.
-func referencePlan(dims []int, levels int) (levelOf []uint8, indices [][]int) {
+// referenceIndices builds the index lists straight from the definition:
+// levelOfIndex per node, row-major order within a level.
+func referenceIndices(dims []int, levels int) [][]int {
 	n := 1
 	for _, d := range dims {
 		n *= d
 	}
-	levelOf = make([]uint8, n)
-	indices = make([][]int, levels)
+	indices := make([][]int, levels)
 	idx := make([]int, len(dims))
 	for flat := 0; flat < n; flat++ {
 		l := levelOfIndex(idx, levels)
-		levelOf[flat] = uint8(l)
 		indices[l] = append(indices[l], flat)
 		for d := len(idx) - 1; d >= 0; d-- {
 			idx[d]++
@@ -43,21 +41,14 @@ func referencePlan(dims []int, levels int) (levelOf []uint8, indices [][]int) {
 			idx[d] = 0
 		}
 	}
-	return levelOf, indices
+	return indices
 }
 
+// checkAgainstDefinition requires every level's Indices to equal the
+// definition's list, entry for entry, as a full-capacity window.
 func checkAgainstDefinition(t *testing.T, p *Plan, dims []int, levels int) {
 	t.Helper()
-	levelOf, indices := referencePlan(dims, levels)
-	if len(p.levelOf) != len(levelOf) {
-		t.Fatalf("dims %v levels %d: %d nodes, want %d", dims, levels, len(p.levelOf), len(levelOf))
-	}
-	for flat, l := range levelOf {
-		if p.LevelOf(flat) != int(l) {
-			t.Fatalf("dims %v levels %d: node %d on level %d, want %d", dims, levels, flat, p.LevelOf(flat), l)
-		}
-	}
-	for l, want := range indices {
+	for l, want := range referenceIndices(dims, levels) {
 		got := p.Indices(l)
 		if len(got) != len(want) || cap(got) != len(got) {
 			t.Fatalf("dims %v levels %d level %d: len %d cap %d, want %d", dims, levels, l, len(got), cap(got), len(want))
@@ -244,12 +235,13 @@ func TestInjectCoversEveryNode(t *testing.T) {
 			}
 			p.Inject(data, l, tags)
 		}
+		level := levelsOf(p)
 		for off := range data {
 			if seen[off] != 1 {
 				t.Fatalf("dims %v L=%d: offset %d named by %d levels, want exactly 1", tc.dims, tc.levels, off, seen[off])
 			}
-			if data[off] != float64(p.LevelOf(off)) {
-				t.Fatalf("dims %v L=%d: offset %d holds %v after injecting every level, want its level %d", tc.dims, tc.levels, off, data[off], p.LevelOf(off))
+			if data[off] != float64(level[off]) {
+				t.Fatalf("dims %v L=%d: offset %d holds %v after injecting every level, want its level %d", tc.dims, tc.levels, off, data[off], level[off])
 			}
 		}
 	}

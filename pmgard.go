@@ -25,7 +25,6 @@ import (
 	"pmgard/internal/codec"
 	"pmgard/internal/core"
 	"pmgard/internal/dataset"
-	"pmgard/internal/decompose"
 	"pmgard/internal/dmgard"
 	"pmgard/internal/emgard"
 	"pmgard/internal/features"
@@ -51,7 +50,7 @@ func TensorFromSlice(data []float64, dims ...int) *Tensor {
 type Config = core.Config
 
 // DecomposeOptions configures the multilevel transform.
-type DecomposeOptions = decompose.Options
+type DecomposeOptions = codec.Options
 
 // DefaultConfig mirrors the paper's setup: five coefficient levels, 32
 // nega-binary bit-planes per level, DEFLATE for the lossless stage.
