@@ -277,20 +277,14 @@ func cmdRetrieve(args []string) error {
 	var retrying *storage.RetryingSource
 	if *faultRate > 0 || *retries > 0 {
 		if *faultRate > 0 {
-			flaky = faults.WrapSource(src, faults.Config{Seed: *faultSeed, TransientRate: *faultRate})
-			if o != nil {
-				flaky.Instrument(o)
-			}
+			flaky = faults.WrapSource(src, faults.Config{Seed: *faultSeed, TransientRate: *faultRate}, o)
 			src = flaky
 		}
 		pol := storage.DefaultRetryPolicy()
 		if *retries > 0 {
 			pol.MaxAttempts = *retries
 		}
-		retrying = storage.NewRetryingSource(src, pol)
-		if o != nil {
-			retrying.Instrument(o)
-		}
+		retrying = storage.NewRetryingSource(src, pol, o)
 		src = retrying
 	}
 

@@ -493,3 +493,40 @@ func selectorName(e ast.Expr) string {
 	}
 	return ""
 }
+
+// TestOneInstrumentBinding keeps instruments bound where components are
+// built: outside internal/obs, the only functions or methods named
+// Instrument (in any case) are (*core.Session).Instrument — a session never
+// counts without a registry — and (*storage.Store).Instrument; and no
+// **obs.Counter, **obs.Gauge or **obs.Histogram appears, the signature of
+// every closure that rebinds an instrument after construction.
+func TestOneInstrumentBinding(t *testing.T) {
+	permitted := map[string]bool{"internal/core.Session": true, "internal/storage.Store": true}
+	var problems []string
+	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir == "internal/obs" {
+			return
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && strings.EqualFold(fn.Name.Name, "Instrument") && !permitted[dir+"."+recvTypeName(fn)] {
+				problems = append(problems, path+": "+recvTypeName(fn)+"."+fn.Name.Name)
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if outer, ok := n.(*ast.StarExpr); ok {
+				if inner, ok := outer.X.(*ast.StarExpr); ok {
+					switch name := selectorName(inner.X); name {
+					case "obs.Counter", "obs.Gauge", "obs.Histogram":
+						problems = append(problems, path+": **"+name)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if len(problems) > 0 {
+		sort.Strings(problems)
+		t.Fatalf("an instrument is rebound after construction; resolve it once, in the constructor, from Obs.Registry:\n  %s", strings.Join(problems, "\n  "))
+	}
+}

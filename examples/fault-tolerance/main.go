@@ -66,8 +66,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	flaky := faults.WrapSource(st, faults.Config{Seed: 42, TransientRate: 0.20})
-	retrying := storage.NewRetryingSource(flaky, storage.DefaultRetryPolicy())
+	flaky := faults.WrapSource(st, faults.Config{Seed: 42, TransientRate: 0.20}, nil)
+	retrying := storage.NewRetryingSource(flaky, storage.DefaultRetryPolicy(), nil)
 	rec, _, err := core.RetrieveTolerance(context.Background(), h, retrying, est, tol, core.RetrieveOptions{})
 	if err != nil {
 		log.Fatal(err)
@@ -83,8 +83,8 @@ func main() {
 	lost := faults.WrapSource(st, faults.Config{
 		Seed:      42,
 		Permanent: []faults.PlaneID{{Level: 2, Plane: 2}},
-	})
-	sess, err := core.NewSession(h, storage.NewRetryingSource(lost, storage.DefaultRetryPolicy()))
+	}, nil)
+	sess, err := core.NewSession(h, storage.NewRetryingSource(lost, storage.DefaultRetryPolicy(), nil))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func main() {
 	// And the degraded session turns even that into a usable answer:
 	// corruption classifies as permanent, so level 0 is dropped entirely
 	// and the report says what accuracy is left.
-	sess2, err := core.NewSession(h2, storage.NewRetryingSource(st2, storage.DefaultRetryPolicy()))
+	sess2, err := core.NewSession(h2, storage.NewRetryingSource(st2, storage.DefaultRetryPolicy(), nil))
 	if err != nil {
 		log.Fatal(err)
 	}

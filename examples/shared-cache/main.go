@@ -82,7 +82,7 @@ func main() {
 	// Strategy 2 — shared cache: concurrent requests for the same plane
 	// coalesce onto one store read + one decompression.
 	shared := &countingSource{src: st}
-	cache := servecache.New(64 << 20)
+	cache := servecache.New(64<<20, nil)
 	planes, err := core.NewPlaneStore(h, shared)
 	if err != nil {
 		log.Fatal(err)

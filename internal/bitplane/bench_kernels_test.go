@@ -232,7 +232,7 @@ func BenchmarkWords(b *testing.B) {
 		b.SetBytes(finest129N * 8)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			enc.DecodeWords(&w, 32, dst, at, 1, nil)
+			enc.DecodeWords(&w, 32, dst, at, 1, nil, nil)
 		}
 	})
 }

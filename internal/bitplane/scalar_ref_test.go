@@ -185,7 +185,7 @@ func checkDecodeWords(t *testing.T, label string, e *LevelEncoding, w *Words, b,
 	for i := range at {
 		at[i] = 2*(e.N-1-i) + 1
 	}
-	e.DecodeWords(w, b, grid, at, workers, nil)
+	e.DecodeWords(w, b, grid, at, workers, nil, nil)
 	for i, v := range want {
 		if math.Float64bits(grid[at[i]]) != math.Float64bits(v) {
 			t.Fatalf("%s i=%d: node %d = %v, want %v", label, i, at[i], grid[at[i]], v)

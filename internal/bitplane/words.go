@@ -112,11 +112,12 @@ func (e *LevelEncoding) wordGroups64(b int, dst []uint64, g0, g1 int) {
 // Coefficients are independent, so the output is identical for every worker
 // count (≤ 0 means GOMAXPROCS).
 //
-// A non-nil o records what DecodePartial does: a "bitplane.decode" span and
-// counters bitplane.partial_decodes / bitplane.planes_decoded.
-func (e *LevelEncoding) DecodeWords(w *Words, b int, dst []float64, at []int, workers int, o *obs.Obs) {
+// A non-nil o records what DecodePartial does: a "bitplane.decode" span —
+// a child of parent when that is set, a root otherwise — and counters
+// bitplane.partial_decodes / bitplane.planes_decoded.
+func (e *LevelEncoding) DecodeWords(w *Words, b int, dst []float64, at []int, workers int, o *obs.Obs, parent *obs.Span) {
 	if o != nil {
-		sp := o.Span("bitplane.decode", nil)
+		sp := o.Span("bitplane.decode", parent)
 		sp.SetAttr("planes", b)
 		defer func() {
 			o.Counter("bitplane.partial_decodes").Add(1)

@@ -21,8 +21,7 @@ package bufpool
 import (
 	"math/bits"
 	"sync"
-
-	"pmgard/internal/obs"
+	"sync/atomic"
 )
 
 // numClasses bounds the capacity classes at 2^(numClasses-1) elements;
@@ -110,14 +109,9 @@ func Float64s(n int) []float64 { return float64Pool.get(n) }
 // PutFloat64s files s for reuse by a later Float64s call.
 func PutFloat64s(s []float64) { float64Pool.put(s) }
 
-// Pool counters. Standalone obs instruments count exactly without a
-// registry; Instrument rebinds them to shared registry-named instruments,
-// mirroring the servecache pattern.
-var (
-	hits = new(obs.Counter)
-	news = new(obs.Counter)
-	puts = new(obs.Counter)
-)
+// Pool counters. The pools are process-wide, so their counters are too:
+// they belong to no one registry and are read through Snapshot.
+var hits, news, puts atomic.Int64
 
 // Stats is a point-in-time view over the buffer-pool counters.
 type Stats struct {
@@ -131,23 +125,5 @@ type Stats struct {
 
 // Snapshot returns the current pool counters.
 func Snapshot() Stats {
-	return Stats{Hits: hits.Value(), News: news.Value(), Puts: puts.Value()}
-}
-
-// Instrument rebinds the pool counters to shared instruments in o's
-// registry under bufpool.*, folding in anything counted so far, so metric
-// snapshots report the same numbers Snapshot does. The pools are global, so
-// call this once, before heavy traffic; a nil or metrics-less o is a no-op.
-func Instrument(o *obs.Obs) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	bind := func(dst **obs.Counter, name string) {
-		ctr := o.Counter("bufpool." + name)
-		ctr.Add((*dst).Value())
-		*dst = ctr
-	}
-	bind(&hits, "hits")
-	bind(&news, "news")
-	bind(&puts, "puts")
+	return Stats{Hits: hits.Load(), News: news.Load(), Puts: puts.Load()}
 }

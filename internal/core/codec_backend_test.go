@@ -97,7 +97,7 @@ func TestSharedCacheKeysAreCodecNamespaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := servecache.New(0)
+	cache := servecache.New(0, nil)
 	sm, err := openShared(&cm.Header, cm, cache)
 	if err != nil {
 		t.Fatal(err)

@@ -413,12 +413,13 @@ func (c *countingEstimator) Estimate(levelErrs []float64) float64 {
 //
 //	retrieval.greedy.plans           counter — planner invocations
 //	retrieval.greedy.estimator_calls counter — estimator iterations walked
-//	retrieval.plan span              — one per invocation, attrs tol/bytes
-func greedyPlan(h *Header, est retrieval.ErrorEstimator, tol float64, o *obs.Obs) (retrieval.Plan, error) {
+//	retrieval.plan span              — one per invocation, attrs tol/bytes,
+//	                                   a child of ctx's span when it has one
+func greedyPlan(ctx context.Context, h *Header, est retrieval.ErrorEstimator, tol float64, o *obs.Obs) (retrieval.Plan, error) {
 	if o == nil {
 		return retrieval.GreedyPlan(h.LevelInfos(), est, tol)
 	}
-	sp := o.Span("retrieval.plan", nil)
+	sp := o.Span("retrieval.plan", obs.SpanFromContext(ctx))
 	sp.SetAttr("tol", tol)
 	counting := &countingEstimator{est: est}
 	plan, err := retrieval.GreedyPlan(h.LevelInfos(), counting, tol)
@@ -435,7 +436,7 @@ func greedyPlan(h *Header, est retrieval.ErrorEstimator, tol float64, o *obs.Obs
 // RetrieveTolerance plans with the given estimator at an absolute tolerance
 // and retrieves. It returns the reconstruction and the executed plan.
 func RetrieveTolerance(ctx context.Context, h *Header, src storage.SegmentSource, est retrieval.ErrorEstimator, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
-	plan, err := greedyPlan(h, est, tol, opt.Obs)
+	plan, err := greedyPlan(ctx, h, est, tol, opt.Obs)
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}

@@ -80,7 +80,7 @@ func TestReadPathsRejectMisdirectedSegment(t *testing.T) {
 			return s.RefineTo(ctx, plan.Planes)
 		}},
 		{"shared session, cold cache", func() (*grid.Tensor, error) {
-			s, err := openShared(h, src, servecache.New(0))
+			s, err := openShared(h, src, servecache.New(0, nil))
 			if err != nil {
 				return nil, err
 			}
@@ -192,7 +192,7 @@ func TestReadPathsDegradeAroundRottedMedia(t *testing.T) {
 					t.Fatalf("read of the damaged plane: %v, want a permanent storage.ErrCorrupt", err)
 				}
 				reads := &countingSource{src: st}
-				retrying := storage.NewRetryingSource(reads, storage.RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}})
+				retrying := storage.NewRetryingSource(reads, storage.RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}}, nil)
 				if _, err := retrying.Segment(ctx, level, plane); !errors.Is(err, storage.ErrPermanent) {
 					t.Fatalf("retry layer: %v, want a quarantine", err)
 				}
@@ -290,7 +290,7 @@ func TestReadPathEquivalence(t *testing.T) {
 				}
 				return s
 			}
-			cache := servecache.New(0)
+			cache := servecache.New(0, nil)
 			paths := []struct {
 				name string
 				read func() (readResult, error)

@@ -59,10 +59,10 @@ func FuzzConcurrentRetrieve(f *testing.F) {
 		fuzzSetup(t)
 		h := &fuzzFixture.c.Header
 		rate := float64(ratePct%50) / 100 // [0, 0.49]: retries can win
-		flaky := faults.WrapSource(fuzzFixture.c, faults.Config{Seed: seed, TransientRate: rate})
+		flaky := faults.WrapSource(fuzzFixture.c, faults.Config{Seed: seed, TransientRate: rate}, nil)
 		pol := storage.DefaultRetryPolicy()
 		pol.Sleep = func(time.Duration) {} // keep the fuzzer fast
-		src := storage.NewRetryingSource(flaky, pol)
+		src := storage.NewRetryingSource(flaky, pol, nil)
 
 		const retrievers = 3
 		var wg sync.WaitGroup

@@ -419,7 +419,7 @@ func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol 
 	sp.SetAttr("tol", tol)
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
-	plan, err := greedyPlan(s.header, est, tol, s.o)
+	plan, err := greedyPlan(ctx, s.header, est, tol, s.o)
 	if err != nil {
 		sp.Fail(err)
 		return nil, retrieval.Plan{}, nil, err
@@ -500,7 +500,7 @@ func (s *Session) reconstruct(ctx context.Context, upTo int) (*grid.Tensor, erro
 	s.countWorkspace(reused)
 	var hits, built int64
 	for l := 0; l <= upTo; l++ {
-		switch s.decodeLevel(l, work.Data()) {
+		switch s.decodeLevel(l, work.Data(), dsp) {
 		case "hit":
 			hits++
 		case "built":
@@ -539,8 +539,9 @@ func (s *Session) reconstruct(ctx context.Context, upTo int) (*grid.Tensor, erro
 // level, which serves when it holds at least that many planes (a snapshot of
 // more decodes exactly the same prefix), "built" when the session transposed
 // its own planes into the workspace and offered the words to the cache, ""
-// for a level with no planes. s.mu must be held.
-func (s *Session) decodeLevel(l int, data []float64) (source string) {
+// for a level with no planes. The level's decode span is a child of sp when
+// it is set. s.mu must be held.
+func (s *Session) decodeLevel(l int, data []float64, sp *obs.Span) (source string) {
 	lm, b := &s.header.Levels[l], s.fetched[l]
 	enc := &s.ws.encs[l]
 	enc.N, enc.Planes, enc.Exponent, enc.Bits = lm.N, s.header.Planes, lm.Exponent, s.ws.planes[l]
@@ -563,6 +564,6 @@ func (s *Session) decodeLevel(l int, data []float64) (source string) {
 			}
 		}
 	}
-	enc.DecodeWords(words, b, data, s.ws.dec.Plan().Indices(l), s.workers, s.o)
+	enc.DecodeWords(words, b, data, s.ws.dec.Plan().Indices(l), s.workers, s.o, sp)
 	return source
 }

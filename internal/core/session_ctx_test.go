@@ -126,7 +126,7 @@ func TestRefineCtxCancellationLeavesSessionResumable(t *testing.T) {
 func TestRefineCtxSharedSessionCancellation(t *testing.T) {
 	h, c := sessionField(t)
 	src := &blockingSource{inner: c, gate: make(chan struct{}), after: 2, started: make(chan struct{})}
-	cache := servecache.New(0)
+	cache := servecache.New(0, nil)
 	sess, err := openShared(h, src, cache)
 	if err != nil {
 		t.Fatal(err)

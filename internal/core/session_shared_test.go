@@ -54,7 +54,7 @@ func TestSharedSessionByteIdentity(t *testing.T) {
 	}
 
 	for _, sessions := range []int{1, 2, 8} {
-		cache := servecache.New(0)
+		cache := servecache.New(0, nil)
 		recs := make([]*grid.Tensor, sessions)
 		bytesFetched := make([]int64, sessions)
 		errs := make([]error, sessions)
@@ -109,7 +109,7 @@ func TestSharedSessionDeduplicatesStoreReads(t *testing.T) {
 		soloPlanes += int64(b)
 	}
 
-	cache := servecache.New(0)
+	cache := servecache.New(0, nil)
 	counted := &countingSource{src: c}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -163,7 +163,7 @@ func TestSharedSessionEvictionRefetch(t *testing.T) {
 	// Budget of three raw planes: every level's RawPlaneSize is the same
 	// order, so the cache thrashes and refetches constantly.
 	budget := int64(3 * h.Levels[0].RawPlaneSize)
-	cache := servecache.New(budget)
+	cache := servecache.New(budget, nil)
 	for i := 0; i < 2; i++ {
 		s, err := openShared(h, c, cache)
 		if err != nil {
@@ -298,8 +298,7 @@ func TestSharedSessionCountersMatchUncached(t *testing.T) {
 	}
 
 	oShared := obs.New()
-	cache := servecache.New(0)
-	cache.Instrument(oShared)
+	cache := servecache.New(0, oShared)
 	// Warm pass then a second session: the second is served from cache.
 	for i := 0; i < 2; i++ {
 		s, err := openShared(h, c, cache)
@@ -345,7 +344,7 @@ func TestCacheHitCancellableCtxAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := servecache.New(0)
+	cache := servecache.New(0, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, planes := range [][]int{{2}, {0, 1, 2, 3, 4, 5, 6, 7}} {

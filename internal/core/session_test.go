@@ -236,7 +236,7 @@ func TestSessionDegradedRefine(t *testing.T) {
 	est := h.TheoryEstimator()
 	tol := h.AbsTolerance(1e-5)
 	// Level 2 permanently loses every plane from 1 up.
-	flaky := faults.WrapSource(c, faults.Config{Permanent: []faults.PlaneID{{Level: 2, Plane: 1}}})
+	flaky := faults.WrapSource(c, faults.Config{Permanent: []faults.PlaneID{{Level: 2, Plane: 1}}}, nil)
 	s, err := NewSession(h, flaky)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestSessionDegradedRefine(t *testing.T) {
 		t.Fatalf("degraded bound %g unexpectedly within tol %g", deg.AchievedBound, tol)
 	}
 	// A whole level lost from plane 0 still degrades, not fails.
-	flaky0 := faults.WrapSource(c, faults.Config{Permanent: []faults.PlaneID{{Level: 0, Plane: 0}}})
+	flaky0 := faults.WrapSource(c, faults.Config{Permanent: []faults.PlaneID{{Level: 0, Plane: 0}}}, nil)
 	s0, err := NewSession(h, flaky0)
 	if err != nil {
 		t.Fatal(err)
@@ -313,8 +313,8 @@ func TestSessionRefineThroughRetryingSourceByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flaky := faults.WrapSource(c, faults.Config{Seed: 1234, TransientRate: 0.20})
-		r := storage.NewRetryingSource(flaky, pol)
+		flaky := faults.WrapSource(c, faults.Config{Seed: 1234, TransientRate: 0.20}, nil)
+		r := storage.NewRetryingSource(flaky, pol, nil)
 		rec, _, err := RetrieveTolerance(context.Background(), h, r, est, tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatalf("rel %g: flaky retrieval failed: %v", rel, err)

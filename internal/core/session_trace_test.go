@@ -20,7 +20,7 @@ func TestSessionRefineSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	cache := servecache.New(0)
+	cache := servecache.New(0, nil)
 
 	const traceID = "abcdabcdabcdabcdabcdabcdabcdabcd"
 	tr := obs.NewTracer(0)
@@ -109,7 +109,7 @@ func TestSessionCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	cache := servecache.New(0)
+	cache := servecache.New(0, nil)
 	tol := h.AbsTolerance(1e-3)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -101,7 +101,7 @@ func TestWalkerMatchesFreshRetrievals(t *testing.T) {
 				// A permanently lost plane fails the first stop that needs
 				// it; the stops before it stand, and the same stop again
 				// fails the same way (the walk kept what it could fetch).
-				lossy := faults.WrapSource(src, faults.Config{Permanent: []faults.PlaneID{{Level: 1, Plane: 2}}})
+				lossy := faults.WrapSource(src, faults.Config{Permanent: []faults.PlaneID{{Level: 1, Plane: 2}}}, nil)
 				w, err = NewWalker(h, lossy, f)
 				if err != nil {
 					t.Fatal(err)

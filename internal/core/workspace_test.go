@@ -219,7 +219,7 @@ func TestWorkspacePoisonedReuse(t *testing.T) {
 		}
 		a, b := compress(1), compress(2)
 		ha, hb := &a.Header, &b.Header
-		cache := servecache.New(0)
+		cache := servecache.New(0, nil)
 
 		first, err := openShared(ha, a, cache)
 		if err != nil {
@@ -344,7 +344,7 @@ func TestSessionClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	cache := servecache.New(0)
+	cache := servecache.New(0, nil)
 	s, err := openShared(h, c, cache)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +390,7 @@ func TestRefineConcurrentWorkspaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	cache := servecache.New(0)
+	cache := servecache.New(0, nil)
 	rels := []float64{1e-1, 1e-3, 1e-5}
 	wants := make([]*grid.Tensor, len(rels))
 	for i, rel := range rels {
@@ -457,7 +457,7 @@ func TestRefineSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := servecache.New(0)
+	cache := servecache.New(0, nil)
 	tol := h.AbsTolerance(1e-4)
 	refine := func() {
 		s, err := NewSharedSession(h, store, cache)

@@ -56,8 +56,8 @@ type Config struct {
 }
 
 // Stats is a point-in-time view over the injector's counters. The counters
-// live in obs instruments (standalone by default, registry-backed after
-// Instrument), so a -metrics-out snapshot and this struct agree.
+// live in the obs instruments the wrapper was built with, so a -metrics-out
+// snapshot and this struct agree.
 type Stats struct {
 	// Reads is the number of reads that reached the injector.
 	Reads int64
@@ -87,8 +87,8 @@ type injector struct {
 	mu       sync.Mutex
 	attempts map[PlaneID]int
 
-	// Fault counters: standalone instruments by default, rebound to shared
-	// registry-named ones by instrument().
+	// Fault counters, under faults.* in the registry the wrapper was built
+	// with.
 	reads     *obs.Counter
 	transient *obs.Counter
 	permHits  *obs.Counter
@@ -96,41 +96,22 @@ type injector struct {
 	truncated *obs.Counter
 }
 
-func newInjector(cfg Config) *injector {
+func newInjector(cfg Config, o *obs.Obs) *injector {
 	perm := make(map[PlaneID]bool, len(cfg.Permanent))
 	for _, id := range cfg.Permanent {
 		perm[id] = true
 	}
+	m := o.Registry()
 	return &injector{
 		cfg:       cfg,
 		permanent: perm,
 		attempts:  make(map[PlaneID]int),
-		reads:     new(obs.Counter),
-		transient: new(obs.Counter),
-		permHits:  new(obs.Counter),
-		corrupted: new(obs.Counter),
-		truncated: new(obs.Counter),
+		reads:     m.Counter("faults.reads"),
+		transient: m.Counter("faults.injected.transient"),
+		permHits:  m.Counter("faults.injected.permanent"),
+		corrupted: m.Counter("faults.injected.corrupted"),
+		truncated: m.Counter("faults.injected.truncated"),
 	}
-}
-
-// instrument rebinds the fault counters to shared instruments in o's
-// registry under faults.*, folding in anything counted so far.
-func (in *injector) instrument(o *obs.Obs) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	bind := func(dst **obs.Counter, name string) {
-		c := o.Counter("faults." + name)
-		c.Add((*dst).Value())
-		*dst = c
-	}
-	bind(&in.reads, "reads")
-	bind(&in.transient, "injected.transient")
-	bind(&in.permHits, "injected.permanent")
-	bind(&in.corrupted, "injected.corrupted")
-	bind(&in.truncated, "injected.truncated")
 }
 
 // draw returns a deterministic uniform value in [0,1) for one decision,
@@ -229,9 +210,11 @@ type Source struct {
 	in  *injector
 }
 
-// WrapSource wraps src so its reads are filtered through cfg's faults.
-func WrapSource(src storage.SegmentSource, cfg Config) *Source {
-	return &Source{src: src, in: newInjector(cfg)}
+// WrapSource wraps src so its reads are filtered through cfg's faults,
+// counted under faults.* in o's registry (a private one when o carries
+// none).
+func WrapSource(src storage.SegmentSource, cfg Config, o *obs.Obs) *Source {
+	return &Source{src: src, in: newInjector(cfg, o)}
 }
 
 // Segment implements storage.SegmentSource with injected faults. ctx bounds
@@ -251,12 +234,6 @@ func (s *Source) Segment(ctx context.Context, level, plane int) ([]byte, error) 
 // Stats returns a snapshot of the injected-fault counters.
 func (s *Source) Stats() Stats { return s.in.snapshot() }
 
-// Instrument rebinds the fault counters to shared instruments in o's
-// registry under faults.*, folding in anything counted so far. Call before
-// the source is shared across goroutines; a nil or metrics-less o is a
-// no-op.
-func (s *Source) Instrument(o *obs.Obs) { s.in.instrument(o) }
-
 // ReaderAt wraps an io.ReaderAt with fault injection for the windowed
 // field-read path. Decisions are keyed on the 4 KiB block index of the
 // read offset (as the "plane", level 0), so the same deterministic
@@ -272,9 +249,10 @@ type ReaderAt struct {
 const faultBlockShift = 12
 
 // WrapReaderAt wraps r so its ranged reads are filtered through cfg's
-// faults. Permanent planes in cfg address block indices at level 0.
-func WrapReaderAt(r io.ReaderAt, cfg Config) *ReaderAt {
-	return &ReaderAt{r: r, in: newInjector(cfg)}
+// faults, counted like WrapSource's. Permanent planes in cfg address block
+// indices at level 0.
+func WrapReaderAt(r io.ReaderAt, cfg Config, o *obs.Obs) *ReaderAt {
+	return &ReaderAt{r: r, in: newInjector(cfg, o)}
 }
 
 // ReadAt implements io.ReaderAt with injected faults.
@@ -298,9 +276,3 @@ func (r *ReaderAt) ReadAt(p []byte, off int64) (int, error) {
 
 // Stats returns a snapshot of the injected-fault counters.
 func (r *ReaderAt) Stats() Stats { return r.in.snapshot() }
-
-// Instrument rebinds the fault counters to shared instruments in o's
-// registry under faults.*, folding in anything counted so far. Call before
-// the reader is shared across goroutines; a nil or metrics-less o is a
-// no-op.
-func (r *ReaderAt) Instrument(o *obs.Obs) { r.in.instrument(o) }

@@ -26,7 +26,7 @@ func (memSource) Segment(_ context.Context, level, plane int) ([]byte, error) {
 
 func errorSequence(t *testing.T, cfg Config, reads int) []bool {
 	t.Helper()
-	src := WrapSource(memSource{}, cfg)
+	src := WrapSource(memSource{}, cfg, nil)
 	seq := make([]bool, 0, reads)
 	for i := 0; i < reads; i++ {
 		_, err := src.Segment(context.Background(), i%3, i%5)
@@ -58,7 +58,7 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 func TestTransientRateAndClassification(t *testing.T) {
-	src := WrapSource(memSource{}, Config{Seed: 1, TransientRate: 0.2})
+	src := WrapSource(memSource{}, Config{Seed: 1, TransientRate: 0.2}, nil)
 	const reads = 5000
 	var failures int
 	for i := 0; i < reads; i++ {
@@ -88,7 +88,7 @@ func TestRetryRedrawsTransientDecision(t *testing.T) {
 	// With a 50% rate, 64 attempts on the same plane failing every time
 	// (or succeeding every time) would mean the attempt number is not
 	// feeding the draw.
-	src := WrapSource(memSource{}, Config{Seed: 3, TransientRate: 0.5})
+	src := WrapSource(memSource{}, Config{Seed: 3, TransientRate: 0.5}, nil)
 	var ok, fail int
 	for i := 0; i < 64; i++ {
 		if _, err := src.Segment(context.Background(), 0, 0); err != nil {
@@ -103,7 +103,7 @@ func TestRetryRedrawsTransientDecision(t *testing.T) {
 }
 
 func TestPermanentPlane(t *testing.T) {
-	src := WrapSource(memSource{}, Config{Seed: 1, Permanent: []PlaneID{{Level: 1, Plane: 2}}})
+	src := WrapSource(memSource{}, Config{Seed: 1, Permanent: []PlaneID{{Level: 1, Plane: 2}}}, nil)
 	for i := 0; i < 3; i++ {
 		_, err := src.Segment(context.Background(), 1, 2)
 		if err == nil {
@@ -126,7 +126,7 @@ func TestPermanentPlane(t *testing.T) {
 
 func TestCorruptionAndTruncation(t *testing.T) {
 	clean, _ := memSource{}.Segment(context.Background(), 0, 0)
-	corrupting := WrapSource(memSource{}, Config{Seed: 5, CorruptRate: 1})
+	corrupting := WrapSource(memSource{}, Config{Seed: 5, CorruptRate: 1}, nil)
 	got, err := corrupting.Segment(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestCorruptionAndTruncation(t *testing.T) {
 	if len(got) != len(clean) || bytes.Equal(got, clean) {
 		t.Fatalf("corruption did not flip a byte in place: %q vs %q", got, clean)
 	}
-	truncating := WrapSource(memSource{}, Config{Seed: 5, TruncateRate: 1})
+	truncating := WrapSource(memSource{}, Config{Seed: 5, TruncateRate: 1}, nil)
 	got, err = truncating.Segment(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestCorruptionAndTruncation(t *testing.T) {
 }
 
 func TestZeroConfigIsTransparent(t *testing.T) {
-	src := WrapSource(memSource{}, Config{})
+	src := WrapSource(memSource{}, Config{}, nil)
 	for i := 0; i < 50; i++ {
 		got, err := src.Segment(context.Background(), i, i)
 		if err != nil {
@@ -189,7 +189,7 @@ func TestWrapStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	wrapped := WrapSource(st, Config{Seed: 2, Permanent: []PlaneID{{Level: 0, Plane: 0}}})
+	wrapped := WrapSource(st, Config{Seed: 2, Permanent: []PlaneID{{Level: 0, Plane: 0}}}, nil)
 	if _, err := wrapped.Segment(context.Background(), 0, 0); !errors.Is(err, storage.ErrPermanent) {
 		t.Fatalf("store wrapper did not inject permanent fault: %v", err)
 	}
@@ -229,7 +229,7 @@ func (r *recordingSource) Segment(ctx context.Context, level, plane int) ([]byte
 func TestSourceLatencyHonorsCancellation(t *testing.T) {
 	baseline := leakcheck.Baseline()
 	inner := &recordingSource{}
-	src := WrapSource(inner, Config{Seed: 1, Latency: 5 * time.Second})
+	src := WrapSource(inner, Config{Seed: 1, Latency: 5 * time.Second}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -250,7 +250,7 @@ func TestSourceLatencyHonorsCancellation(t *testing.T) {
 // trace parent) are visible to the wrapped source.
 func TestSourceForwardsContext(t *testing.T) {
 	inner := &recordingSource{}
-	src := WrapSource(inner, Config{Seed: 1})
+	src := WrapSource(inner, Config{Seed: 1}, nil)
 	sp := obs.New().Span("request", nil)
 	defer sp.End()
 	if _, err := src.Segment(obs.ContextWithSpan(context.Background(), sp), 2, 3); err != nil {

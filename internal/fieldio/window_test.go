@@ -186,7 +186,7 @@ func TestReadTileFaultInjection(t *testing.T) {
 	defer f.Close()
 
 	t.Run("truncate", func(t *testing.T) {
-		far := faults.WrapReaderAt(f, faults.Config{Seed: 11, TruncateRate: 1})
+		far := faults.WrapReaderAt(f, faults.Config{Seed: 11, TruncateRate: 1}, nil)
 		r, err := NewWindowReader(f) // parse header clean, then swap in faults
 		if err != nil {
 			t.Fatal(err)
@@ -205,7 +205,7 @@ func TestReadTileFaultInjection(t *testing.T) {
 	})
 
 	t.Run("transient", func(t *testing.T) {
-		far := faults.WrapReaderAt(f, faults.Config{Seed: 7, TransientRate: 1})
+		far := faults.WrapReaderAt(f, faults.Config{Seed: 7, TransientRate: 1}, nil)
 		r, err := NewWindowReader(f)
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +224,7 @@ func TestReadTileFaultInjection(t *testing.T) {
 		// Deterministic replay: a second wrapper with the same seed injects
 		// the identical sequence.
 		first := err
-		far2 := faults.WrapReaderAt(f, faults.Config{Seed: 7, TransientRate: 1})
+		far2 := faults.WrapReaderAt(f, faults.Config{Seed: 7, TransientRate: 1}, nil)
 		r2, err := NewWindowReader(f)
 		if err != nil {
 			t.Fatal(err)

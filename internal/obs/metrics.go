@@ -13,10 +13,10 @@
 //
 // Everything is nil-safe: a nil *Registry, *Tracer, *Obs or any nil
 // instrument is a no-op, so instrumented hot paths cost a single nil check
-// when observability is disabled. Instruments are also usable standalone
-// (zero values count correctly) so long-lived structs like
-// storage.RetryingSource can keep exact counts even when no registry is
-// attached, and later surface those counts as registry views.
+// when observability is disabled. Long-lived structs like
+// storage.RetryingSource take their instruments once, when they are built,
+// from Obs.Registry: the caller's registry, or a private one, so they keep
+// exact counts even when no registry is attached.
 package obs
 
 import (

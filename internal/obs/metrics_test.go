@@ -195,6 +195,25 @@ func TestNilRegistryAndInstrumentsAreInert(t *testing.T) {
 	}
 }
 
+// TestObsRegistry: a component built from Obs.Registry counts into the
+// caller's registry when there is one and into a private one otherwise.
+func TestObsRegistry(t *testing.T) {
+	o := New()
+	if o.Registry() != o.Metrics {
+		t.Fatal("Registry is not the Obs's own registry")
+	}
+	for _, o := range []*Obs{nil, {}} {
+		a, b := o.Registry(), o.Registry()
+		if a == nil || a == b {
+			t.Fatalf("Registry on %+v = %p, %p, want two distinct private registries", o, a, b)
+		}
+		a.Counter("x").Add(2)
+		if a.Counter("x").Value() != 2 {
+			t.Fatal("private registry does not count")
+		}
+	}
+}
+
 func TestPublishExpvarIdempotent(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pub.count").Add(3)

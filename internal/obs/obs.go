@@ -24,6 +24,18 @@ func New() *Obs {
 	return o
 }
 
+// Registry returns o's metrics registry, or a fresh private one when o or
+// o.Metrics is nil. A long-lived component resolves its instruments from it
+// once, in its constructor, so its Stats count exactly with no registry
+// attached and read the very instruments a metrics snapshot reports when
+// one is.
+func (o *Obs) Registry() *Registry {
+	if o == nil || o.Metrics == nil {
+		return NewRegistry()
+	}
+	return o.Metrics
+}
+
 // Counter is a nil-safe shorthand for o.Metrics.Counter(name).
 func (o *Obs) Counter(name string) *Counter {
 	if o == nil {

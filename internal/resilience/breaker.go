@@ -95,9 +95,15 @@ type Breaker struct {
 }
 
 // NewBreaker returns a closed breaker under cfg, or nil — no breaker — when
-// cfg.FailureThreshold is below 1. Guard, Instrument and RetryAfter accept
-// the nil, so callers need no branch for the disabled configuration.
-func NewBreaker(cfg BreakerConfig) *Breaker {
+// cfg.FailureThreshold is below 1. Guard and RetryAfter accept the nil, so
+// callers need no branch for the disabled configuration.
+//
+// The breaker counts in o's registry (a private one when o carries none).
+// The state gauge is "storage.breaker_state" (suffixed ".<source>" when
+// source is non-empty, so multi-field servers get one gauge per tier); the
+// transition counters live under "resilience.breaker[.<source>].": opened,
+// half_opens, closed, fast_fails.
+func NewBreaker(cfg BreakerConfig, o *obs.Obs, source string) *Breaker {
 	if cfg.FailureThreshold < 1 {
 		return nil
 	}
@@ -107,46 +113,20 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Breaker{
-		cfg:       cfg,
-		stateG:    new(obs.Gauge),
-		opened:    new(obs.Counter),
-		halfOpens: new(obs.Counter),
-		closedC:   new(obs.Counter),
-		fastFails: new(obs.Counter),
-	}
-}
-
-// Instrument rebinds the breaker instruments to shared, registry-named ones
-// in o. The state gauge is "storage.breaker_state" (suffixed ".<source>"
-// when source is non-empty, so multi-field servers get one gauge per tier);
-// the transition counters live under "resilience.breaker[.<source>].":
-// opened, half_opens, closed, fast_fails. Call before the breaker is shared
-// across goroutines; a nil receiver or a nil or metrics-less o is a no-op.
-func (b *Breaker) Instrument(o *obs.Obs, source string) {
-	if b == nil || o == nil || o.Metrics == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gaugeName := "storage.breaker_state"
-	prefix := "resilience.breaker"
+	gaugeName, prefix := "storage.breaker_state", "resilience.breaker."
 	if source != "" {
 		gaugeName += "." + source
-		prefix += "." + source
+		prefix += source + "."
 	}
-	g := o.Gauge(gaugeName)
-	g.Set(float64(b.state))
-	b.stateG = g
-	bind := func(dst **obs.Counter, name string) {
-		c := o.Counter(prefix + "." + name)
-		c.Add((*dst).Value())
-		*dst = c
+	m := o.Registry()
+	return &Breaker{
+		cfg:       cfg,
+		stateG:    m.Gauge(gaugeName),
+		opened:    m.Counter(prefix + "opened"),
+		halfOpens: m.Counter(prefix + "half_opens"),
+		closedC:   m.Counter(prefix + "closed"),
+		fastFails: m.Counter(prefix + "fast_fails"),
 	}
-	bind(&b.opened, "opened")
-	bind(&b.halfOpens, "half_opens")
-	bind(&b.closedC, "closed")
-	bind(&b.fastFails, "fast_fails")
 }
 
 // State returns the breaker's current position, advancing an expired open
@@ -305,7 +285,7 @@ func (b *Breaker) Stats() BreakerStats {
 // below 1 means no retry layer), the breaker above them: its unit of
 // failure is "the whole retry budget burned", so one dead-tier request
 // costs one breaker failure, and once open, later requests skip the budget
-// entirely. A nil b adds no breaker; the retry layer's counters bind to o.
+// entirely. A nil b adds no breaker; the retry layer counts in o's registry.
 //
 // The unit the stack guards is a read of src: a segment, or — when src is a
 // storage.RunSource, as a shard node's is — a run of planes fetched by one
@@ -314,9 +294,7 @@ func (b *Breaker) Stats() BreakerStats {
 // under the identity of its first plane.
 func Guard(src storage.SegmentSource, retry storage.RetryPolicy, b *Breaker, o *obs.Obs) storage.SegmentSource {
 	if retry.MaxAttempts > 0 {
-		retrying := storage.NewRetryingSource(src, retry)
-		retrying.Instrument(o)
-		src = retrying
+		src = storage.NewRetryingSource(src, retry, o)
 	}
 	if b != nil {
 		src = BreakerSource{Src: src, Breaker: b}

@@ -18,12 +18,12 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
-func testBreaker(clk *fakeClock, thr int, cooldown time.Duration) *Breaker {
+func testBreaker(clk *fakeClock, thr int, cooldown time.Duration, o *obs.Obs) *Breaker {
 	return NewBreaker(BreakerConfig{
 		FailureThreshold: thr,
 		Cooldown:         cooldown,
 		Now:              clk.now,
-	})
+	}, o, "Jx")
 }
 
 var errTier = errors.New("tier exploded")
@@ -40,7 +40,7 @@ func record(t *testing.T, b *Breaker, err error) {
 
 func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 	clk := newFakeClock()
-	b := testBreaker(clk, 3, time.Second)
+	b := testBreaker(clk, 3, time.Second, nil)
 	record(t, b, errTier)
 	record(t, b, errTier)
 	// A success resets the consecutive count: an isolated lost plane among
@@ -66,7 +66,7 @@ func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 
 func TestBreakerHalfOpensAfterCooldownAndCloses(t *testing.T) {
 	clk := newFakeClock()
-	b := testBreaker(clk, 2, time.Second)
+	b := testBreaker(clk, 2, time.Second, nil)
 	record(t, b, errTier)
 	record(t, b, errTier)
 	if b.State() != StateOpen {
@@ -106,7 +106,7 @@ func TestBreakerHalfOpensAfterCooldownAndCloses(t *testing.T) {
 
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	clk := newFakeClock()
-	b := testBreaker(clk, 1, time.Second)
+	b := testBreaker(clk, 1, time.Second, nil)
 	record(t, b, errTier)
 	clk.advance(time.Second)
 	record(t, b, errTier) // failed probe
@@ -130,7 +130,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 
 func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 	clk := newFakeClock()
-	b := testBreaker(clk, 1, time.Second)
+	b := testBreaker(clk, 1, time.Second, nil)
 	for i := 0; i < 10; i++ {
 		record(t, b, fmt.Errorf("read: %w", context.DeadlineExceeded))
 		record(t, b, fmt.Errorf("read: %w", context.Canceled))
@@ -159,9 +159,8 @@ func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 
 func TestBreakerStateGauge(t *testing.T) {
 	clk := newFakeClock()
-	b := testBreaker(clk, 1, time.Second)
 	o := obs.New()
-	b.Instrument(o, "Jx")
+	b := testBreaker(clk, 1, time.Second, o)
 	gauge := func() float64 {
 		return o.Metrics.Snapshot().Gauges["storage.breaker_state.Jx"]
 	}
@@ -202,7 +201,7 @@ func (f *flakySegments) Segment(_ context.Context, level, plane int) ([]byte, er
 
 func TestBreakerSourceGatesReads(t *testing.T) {
 	clk := newFakeClock()
-	br := testBreaker(clk, 2, time.Second)
+	br := testBreaker(clk, 2, time.Second, nil)
 	src := &flakySegments{fail: true}
 	bs := BreakerSource{Src: src, Breaker: br}
 
@@ -241,7 +240,7 @@ func TestBreakerSourceGatesReads(t *testing.T) {
 }
 
 func TestRecordIgnoresPermanentDataFaults(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2})
+	b := NewBreaker(BreakerConfig{FailureThreshold: 2}, nil, "")
 	// A lost plane answered authoritatively by an up store must never open
 	// the breaker, no matter how many refines trip over it.
 	for i := 0; i < 10; i++ {
@@ -272,13 +271,13 @@ func (c *countingSegments) Segment(context.Context, int, int) ([]byte, error) {
 // disabled conventions (no attempts, nil breaker) add no layer at all.
 func TestGuardLayersBreakerOverRetries(t *testing.T) {
 	src := &countingSegments{}
-	if got := Guard(src, storage.RetryPolicy{}, NewBreaker(BreakerConfig{}), obs.New()); got != storage.SegmentSource(src) {
+	if got := Guard(src, storage.RetryPolicy{}, NewBreaker(BreakerConfig{}, nil, ""), obs.New()); got != storage.SegmentSource(src) {
 		t.Fatalf("Guard with no retries and no breaker wrapped the source in %T", got)
 	}
-	if d := NewBreaker(BreakerConfig{Cooldown: time.Second}).RetryAfter(); d != 0 {
+	if d := NewBreaker(BreakerConfig{Cooldown: time.Second}, nil, "").RetryAfter(); d != 0 {
 		t.Fatalf("disabled breaker RetryAfter = %v, want 0", d)
 	}
-	br := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute})
+	br := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute}, nil, "")
 	pol := storage.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 	guarded := Guard(src, pol, br, obs.New())
 	if _, err := guarded.Segment(context.Background(), 0, 0); storage.Classify(err) != storage.FaultTransient {
@@ -317,7 +316,7 @@ func (r *runSegments) Run(_ context.Context, level int, planes []int) ([]byte, e
 // quarantines its first plane only, the plane the error speaks for.
 func TestGuardGuardsARunAsOneRead(t *testing.T) {
 	src := &runSegments{fail: fmt.Errorf("node down: %w", storage.ErrTransient)}
-	br := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute})
+	br := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute}, nil, "")
 	pol := storage.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 	guarded, ok := Guard(src, pol, br, obs.New()).(storage.RunSource)
 	if !ok {
@@ -361,7 +360,7 @@ func TestGuardGuardsARunAsOneRead(t *testing.T) {
 	}
 
 	// A source that reads segments only cannot be asked for a run.
-	plain := Guard(&flakySegments{}, pol, NewBreaker(BreakerConfig{FailureThreshold: 1}), obs.New()).(storage.RunSource)
+	plain := Guard(&flakySegments{}, pol, NewBreaker(BreakerConfig{FailureThreshold: 1}, nil, ""), obs.New()).(storage.RunSource)
 	if _, err := plain.Run(ctx, 0, []int{0, 1}); storage.Classify(err) != storage.FaultPermanent {
 		t.Fatalf("run over a segment-only source = %v, want a permanent fault", err)
 	}

@@ -57,47 +57,25 @@ type Admission struct {
 // NewAdmission returns an admission controller bounding concurrency to
 // maxInflight with a wait queue of maxQueue. maxInflight <= 0 returns nil
 // (admit everything); maxQueue < 0 is treated as 0 (no queue: a full server
-// sheds instantly).
-func NewAdmission(maxInflight, maxQueue int) *Admission {
+// sheds instantly). The controller counts in o's registry (a private one
+// when o carries none): serve.admitted and serve.shed counters,
+// serve.inflight and serve.queue_depth gauges.
+func NewAdmission(maxInflight, maxQueue int, o *obs.Obs) *Admission {
 	if maxInflight <= 0 {
 		return nil
 	}
 	if maxQueue < 0 {
 		maxQueue = 0
 	}
+	m := o.Registry()
 	return &Admission{
 		sem:        make(chan struct{}, maxInflight),
 		maxQueue:   int64(maxQueue),
-		admitted:   new(obs.Counter),
-		shed:       new(obs.Counter),
-		inflight:   new(obs.Gauge),
-		queueDepth: new(obs.Gauge),
+		admitted:   m.Counter("serve.admitted"),
+		shed:       m.Counter("serve.shed"),
+		inflight:   m.Gauge("serve.inflight"),
+		queueDepth: m.Gauge("serve.queue_depth"),
 	}
-}
-
-// Instrument rebinds the admission instruments to shared, registry-named
-// ones in o under <prefix>.: <prefix>.admitted and <prefix>.shed counters,
-// <prefix>.inflight and <prefix>.queue_depth gauges. Call before the
-// controller is shared across goroutines; a nil receiver or a nil or
-// metrics-less o is a no-op.
-func (a *Admission) Instrument(o *obs.Obs, prefix string) {
-	if a == nil || o == nil || o.Metrics == nil {
-		return
-	}
-	bindC := func(dst **obs.Counter, name string) {
-		c := o.Counter(prefix + "." + name)
-		c.Add((*dst).Value())
-		*dst = c
-	}
-	bindC(&a.admitted, "admitted")
-	bindC(&a.shed, "shed")
-	bindG := func(dst **obs.Gauge, name string) {
-		g := o.Gauge(prefix + "." + name)
-		g.Add((*dst).Value())
-		*dst = g
-	}
-	bindG(&a.inflight, "inflight")
-	bindG(&a.queueDepth, "queue_depth")
 }
 
 // Acquire admits one unit of work, blocking in the wait queue when the

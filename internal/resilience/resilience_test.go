@@ -22,13 +22,13 @@ func TestAdmissionNilAdmitsEverything(t *testing.T) {
 	if s := a.Stats(); s != (AdmissionStats{}) {
 		t.Fatalf("nil admission stats = %+v, want zeros", s)
 	}
-	if NewAdmission(0, 10) != nil {
-		t.Fatal("NewAdmission(0, _) should return nil (unlimited)")
+	if NewAdmission(0, 10, nil) != nil {
+		t.Fatal("NewAdmission(0, _, _) should return nil (unlimited)")
 	}
 }
 
 func TestAdmissionBoundsInflightAndSheds(t *testing.T) {
-	a := NewAdmission(2, 0)
+	a := NewAdmission(2, 0, nil)
 	r1, err := a.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestAdmissionBoundsInflightAndSheds(t *testing.T) {
 }
 
 func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
-	a := NewAdmission(1, 1)
+	a := NewAdmission(1, 1, nil)
 	r1, err := a.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 }
 
 func TestAdmissionQueuedCallerHonorsContext(t *testing.T) {
-	a := NewAdmission(1, 4)
+	a := NewAdmission(1, 4, nil)
 	release, err := a.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +111,8 @@ func TestAdmissionQueuedCallerHonorsContext(t *testing.T) {
 
 func TestAdmissionConcurrentNeverExceedsBounds(t *testing.T) {
 	const inflightCap, queueCap, callers = 3, 2, 32
-	a := NewAdmission(inflightCap, queueCap)
 	o := obs.New()
-	a.Instrument(o, "serve")
+	a := NewAdmission(inflightCap, queueCap, o)
 	var wg sync.WaitGroup
 	var admitted, shed sync.Map
 	for i := 0; i < callers; i++ {

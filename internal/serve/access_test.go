@@ -367,6 +367,46 @@ func TestTraceparentPropagationAndTraceStore(t *testing.T) {
 	}
 }
 
+// TestRefineSpansShareRequestTrace: every span one /refine records — the
+// planner's and each level's decode included — belongs to that request's
+// trace, nested under its session spans, not a root of its own.
+func TestRefineSpansShareRequestTrace(t *testing.T) {
+	srv, o := newTestServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	before := map[int64]bool{}
+	for _, sp := range o.Trace.Timeline() {
+		before[sp.ID] = true
+	}
+	res := doTraced(t, ts, "/refine?field=Jx&rel=1e-4")
+	if res.status != 200 {
+		t.Fatalf("refine status %d", res.status)
+	}
+	var spans []obs.SpanRecord
+	waitForCond(t, "the request's root span", func() bool {
+		spans = spans[:0]
+		root := false
+		for _, sp := range o.Trace.Timeline() {
+			if !before[sp.ID] {
+				spans = append(spans, sp)
+				root = root || sp.Name == "http.refine"
+			}
+		}
+		return root
+	})
+	names := map[string]int{}
+	for _, sp := range spans {
+		names[sp.Name]++
+		if sp.TraceID != res.traceID {
+			t.Errorf("span %s (parent %d) has trace id %q, want the request's %s", sp.Name, sp.Parent, sp.TraceID, res.traceID)
+		}
+	}
+	if names["retrieval.plan"] != 1 || names["bitplane.decode"] == 0 {
+		t.Fatalf("refine recorded %v, want one retrieval.plan and a bitplane.decode per level", names)
+	}
+}
+
 // TestMetricsPromFormat asserts /metrics?format=prom emits Prometheus text
 // with the serving counters, histogram, a trace exemplar, and the runtime
 // health gauges, while the default /metrics stays JSON.

@@ -177,7 +177,7 @@ func TestChaosLatencyAndTransientFaults(t *testing.T) {
 		Seed:          42,
 		TransientRate: 0.2,
 		Latency:       200 * time.Microsecond,
-	})
+	}, nil)
 	_, ts, _ := newChaosServer(t, Config{
 		CacheBytes:     64 << 20,
 		Retries:        8,
@@ -234,7 +234,7 @@ func TestChaosPermanentPlaneLoss(t *testing.T) {
 	src := faults.WrapSource(c, faults.Config{
 		Seed:      7,
 		Permanent: []faults.PlaneID{{Level: 0, Plane: 2}},
-	})
+	}, nil)
 	_, ts, o := newChaosServer(t, Config{
 		CacheBytes:     64 << 20,
 		RequestTimeout: 30 * time.Second,

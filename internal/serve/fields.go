@@ -57,8 +57,7 @@ func (s *Server) add(ctx context.Context, f *field) error {
 func (s *Server) addLocal(h *core.Header, src storage.SegmentSource, closeFn func() error) error {
 	pol := storage.DefaultRetryPolicy()
 	pol.MaxAttempts = s.cfg.Retries
-	breaker := resilience.NewBreaker(s.cfg.Breaker)
-	breaker.Instrument(s.o, h.FieldName)
+	breaker := resilience.NewBreaker(s.cfg.Breaker, s.o, h.FieldName)
 	store, err := core.NewPlaneStore(h, resilience.Guard(src, pol, breaker, s.o))
 	if err != nil {
 		return fmt.Errorf("field %q: %w", h.FieldName, err)

@@ -73,7 +73,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pmgard/internal/bufpool"
 	"pmgard/internal/obs"
 	"pmgard/internal/resilience"
 	"pmgard/internal/servecache"
@@ -142,11 +141,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Obs == nil {
 		return nil, fmt.Errorf("server needs an Obs (use obs.New())")
 	}
-	cache := servecache.New(cfg.CacheBytes)
-	cache.Instrument(cfg.Obs)
-	bufpool.Instrument(cfg.Obs)
-	adm := resilience.NewAdmission(cfg.MaxInflight, cfg.MaxQueue)
-	adm.Instrument(cfg.Obs, "serve")
+	cache := servecache.New(cfg.CacheBytes, cfg.Obs)
+	adm := resilience.NewAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.Obs)
 	// A serving process always reports its own health: /metrics carries
 	// runtime.* goroutine/heap/GC gauges alongside the pipeline metrics.
 	cfg.Obs.Metrics.EnableRuntimeMetrics()

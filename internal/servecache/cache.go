@@ -202,9 +202,9 @@ type fetch struct {
 }
 
 // Stats is a point-in-time view over the cache counters, for tests and CLI
-// reporting. The counters themselves live in obs instruments (standalone by
-// default, registry-backed after Instrument), so the same numbers appear in
-// a -metrics-out snapshot and in this struct.
+// reporting. The counters themselves live in the obs instruments the cache
+// was built with, so the same numbers appear in a -metrics-out snapshot and
+// in this struct.
 type Stats struct {
 	// Hits is the number of planes served from a cached entry.
 	Hits int64
@@ -231,9 +231,7 @@ type Stats struct {
 	Snapshots int64
 }
 
-// cacheCounters are the live instruments behind Stats. Standalone zero
-// values count exactly even without a registry; Instrument rebinds them to
-// shared, registry-named instruments.
+// cacheCounters are the live instruments behind Stats.
 type cacheCounters struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
@@ -248,19 +246,19 @@ type cacheCounters struct {
 	missSecs  *obs.Histogram
 }
 
-func newCacheCounters() cacheCounters {
+func newCacheCounters(m *obs.Registry) cacheCounters {
 	return cacheCounters{
-		hits:      new(obs.Counter),
-		misses:    new(obs.Counter),
-		coalesced: new(obs.Counter),
-		evictions: new(obs.Counter),
-		oversize:  new(obs.Counter),
-		detached:  new(obs.Counter),
-		snapOver:  new(obs.Counter),
-		bytes:     new(obs.Gauge),
-		entries:   new(obs.Gauge),
-		hitSecs:   obs.NewHistogram(obs.LatencyBuckets()),
-		missSecs:  obs.NewHistogram(obs.LatencyBuckets()),
+		hits:      m.Counter("servecache.hits"),
+		misses:    m.Counter("servecache.misses"),
+		coalesced: m.Counter("servecache.coalesced"),
+		evictions: m.Counter("servecache.evictions"),
+		oversize:  m.Counter("servecache.oversize"),
+		detached:  m.Counter("servecache.detached"),
+		snapOver:  m.Counter("servecache.snapshot_oversize"),
+		bytes:     m.Gauge("servecache.bytes"),
+		entries:   m.Gauge("servecache.entries"),
+		hitSecs:   m.Histogram("servecache.fetch_seconds.hit", obs.LatencyBuckets()),
+		missSecs:  m.Histogram("servecache.fetch_seconds.miss", obs.LatencyBuckets()),
 	}
 }
 
@@ -288,53 +286,21 @@ type Cache struct {
 // New returns a cache bounded to budget bytes. budget <= 0 means unbounded
 // (entries are never evicted). The budget counts plane bitset and snapshot
 // word bytes only; per-entry bookkeeping overhead is not accounted.
-func New(budget int64) *Cache {
+//
+// The cache counts under servecache.* in o's registry (a private one when o
+// carries none), so a metrics snapshot and Stats() report the same numbers.
+// The two latency histograms take one observation per Get:
+// fetch_seconds.hit the per-plane share of a call every plane of which was
+// cached, fetch_seconds.miss the whole of a call that waited for a fetch.
+func New(budget int64, o *obs.Obs) *Cache {
 	return &Cache{
 		budget:    budget,
 		entries:   make(map[Key]*entry),
 		lru:       list.New(),
 		flights:   make(map[Key]*flight),
 		snapshots: make(map[LevelKey]*entry),
-		c:         newCacheCounters(),
+		c:         newCacheCounters(o.Registry()),
 	}
-}
-
-// Instrument rebinds the cache counters to shared instruments in o's
-// registry under servecache.*, folding in anything counted so far, so a
-// metrics snapshot and Stats() report the same numbers. Call it before the
-// cache is shared across goroutines; instrumenting mid-flight races with
-// concurrent reads. A nil or metrics-less o is a no-op. Histogram contents
-// recorded before the call are not transferred. The two latency histograms
-// take one observation per Get: fetch_seconds.hit the per-plane share of a
-// call every plane of which was cached, fetch_seconds.miss the whole of a
-// call that waited for a fetch.
-func (c *Cache) Instrument(o *obs.Obs) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	bind := func(dst **obs.Counter, name string) {
-		ctr := o.Counter("servecache." + name)
-		ctr.Add((*dst).Value())
-		*dst = ctr
-	}
-	bind(&c.c.hits, "hits")
-	bind(&c.c.misses, "misses")
-	bind(&c.c.coalesced, "coalesced")
-	bind(&c.c.evictions, "evictions")
-	bind(&c.c.oversize, "oversize")
-	bind(&c.c.detached, "detached")
-	bind(&c.c.snapOver, "snapshot_oversize")
-	bindGauge := func(dst **obs.Gauge, name string) {
-		g := o.Gauge("servecache." + name)
-		g.Add((*dst).Value())
-		*dst = g
-	}
-	bindGauge(&c.c.bytes, "bytes")
-	bindGauge(&c.c.entries, "entries")
-	c.c.hitSecs = o.Histogram("servecache.fetch_seconds.hit", obs.LatencyBuckets())
-	c.c.missSecs = o.Histogram("servecache.fetch_seconds.miss", obs.LatencyBuckets())
 }
 
 // Get returns the verdicts on the planes of run, in run order, fetching

@@ -52,7 +52,7 @@ func fetchFor(key Key, calls *atomic.Int64, size int) func() ([]byte, int64, err
 }
 
 func TestGetOrFetchHitMissAccounting(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	key := Key{Field: "Jx@0", Level: 1, Plane: 2}
 	var calls atomic.Int64
 	raw1, payload1, hit, err := getSync(c, key, fetchFor(key, &calls, 64))
@@ -79,7 +79,7 @@ func TestGetOrFetchHitMissAccounting(t *testing.T) {
 // asking for the same cold plane trigger exactly one fetch, and everyone
 // gets its bytes.
 func TestSingleflightCoalesces(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	key := Key{Field: "Jx@0", Level: 0, Plane: 0}
 	var calls atomic.Int64
 	release := make(chan struct{})
@@ -130,7 +130,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 // planes, three planes touched, the coldest evicted and transparently
 // refetched with identical bytes.
 func TestEvictionThenRefetch(t *testing.T) {
-	c := New(128) // two 64-byte planes
+	c := New(128, nil) // two 64-byte planes
 	var calls atomic.Int64
 	keys := []Key{
 		{Field: "f", Level: 0, Plane: 0},
@@ -177,7 +177,7 @@ func TestEvictionThenRefetch(t *testing.T) {
 }
 
 func TestOversizePlaneIsServedButNotCached(t *testing.T) {
-	c := New(16)
+	c := New(16, nil)
 	key := Key{Field: "f", Level: 0, Plane: 0}
 	var calls atomic.Int64
 	for i := 0; i < 2; i++ {
@@ -205,7 +205,7 @@ func TestOversizePlaneIsServedButNotCached(t *testing.T) {
 // pays exactly one more read), and the oversize counter counts insert
 // attempts, not waiters.
 func TestOversizePlaneUnderConcurrency(t *testing.T) {
-	c := New(16)
+	c := New(16, nil)
 	key := Key{Field: "f", Level: 0, Plane: 0}
 	var calls atomic.Int64
 	const m, waves = 16, 3
@@ -273,7 +273,7 @@ func TestOversizePlaneUnderConcurrency(t *testing.T) {
 }
 
 func TestErrorsAreNotCached(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	key := Key{Field: "f", Level: 0, Plane: 0}
 	boom := errors.New("tier offline")
 	fail := true
@@ -297,7 +297,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 }
 
 func TestInvalidateDropsEntry(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	key := Key{Field: "f", Level: 0, Plane: 0}
 	var calls atomic.Int64
 	if _, _, _, err := getSync(c, key, fetchFor(key, &calls, 8)); err != nil {
@@ -315,17 +315,17 @@ func TestInvalidateDropsEntry(t *testing.T) {
 	}
 }
 
-// TestInstrumentFoldsExistingCounts mirrors the repo-wide Instrument
-// contract: counts accumulated standalone transfer into the registry.
+// TestInstrumentFoldsExistingCounts pins the repo-wide instrument
+// contract: a cache built with o counts into o's registry from its first
+// operation, and Stats() reads those same instruments.
 func TestInstrumentFoldsExistingCounts(t *testing.T) {
-	c := New(0)
+	o := obs.New()
+	c := New(0, o)
 	key := Key{Field: "f", Level: 0, Plane: 0}
 	var calls atomic.Int64
-	getSync(c, key, fetchFor(key, &calls, 32))
-	getSync(c, key, fetchFor(key, &calls, 32))
-	o := obs.New()
-	c.Instrument(o)
-	getSync(c, key, fetchFor(key, &calls, 32))
+	for i := 0; i < 3; i++ {
+		getSync(c, key, fetchFor(key, &calls, 32))
+	}
 	snap := o.Metrics.Snapshot()
 	if snap.Counters["servecache.hits"] != 2 || snap.Counters["servecache.misses"] != 1 {
 		t.Fatalf("registry counters = %v, want hits 2, misses 1", snap.Counters)
@@ -333,8 +333,12 @@ func TestInstrumentFoldsExistingCounts(t *testing.T) {
 	if snap.Gauges["servecache.bytes"] != 32 || snap.Gauges["servecache.entries"] != 1 {
 		t.Fatalf("registry gauges = %v, want bytes 32, entries 1", snap.Gauges)
 	}
-	if snap.Histograms["servecache.fetch_seconds.hit"].Count != 1 {
-		t.Fatalf("hit latency histogram count = %d, want 1 (post-Instrument hit)",
-			snap.Histograms["servecache.fetch_seconds.hit"].Count)
+	if snap.Histograms["servecache.fetch_seconds.hit"].Count != 2 || snap.Histograms["servecache.fetch_seconds.miss"].Count != 1 {
+		t.Fatalf("latency histogram counts = hit %d, miss %d, want 2 and 1",
+			snap.Histograms["servecache.fetch_seconds.hit"].Count, snap.Histograms["servecache.fetch_seconds.miss"].Count)
+	}
+	st := c.Stats()
+	if st.Hits != snap.Counters["servecache.hits"] || st.Misses != snap.Counters["servecache.misses"] || st.Bytes != 32 || st.Entries != 1 {
+		t.Fatalf("Stats() = %+v disagrees with the registry %v", st, snap.Counters)
 	}
 }

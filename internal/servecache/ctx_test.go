@@ -37,7 +37,7 @@ func (g *gatedFetch) FetchPlanes(ctx context.Context, run Run) []Plane {
 }
 
 func TestGetOrFetchCtxCancelledWaiterDoesNotPoisonSurvivors(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	g := &gatedFetch{gate: make(chan struct{}), raw: []byte{1, 2, 3}}
 	key := Key{Field: "f", Level: 0, Plane: 0}
 
@@ -112,7 +112,7 @@ func TestGetOrFetchCtxCancelledWaiterDoesNotPoisonSurvivors(t *testing.T) {
 }
 
 func TestGetOrFetchCtxLastWaiterCancelsFlight(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	g := &gatedFetch{gate: make(chan struct{}), raw: []byte{9}}
 	defer close(g.gate)
 	key := Key{Field: "f", Level: 1, Plane: 2}
@@ -151,7 +151,7 @@ func TestGetOrFetchCtxLastWaiterCancelsFlight(t *testing.T) {
 }
 
 func TestGetOrFetchCtxNonCancellableWaiterPinsFlight(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	g := &gatedFetch{gate: make(chan struct{}), raw: []byte{4, 4}}
 	key := Key{Field: "f", Level: 0, Plane: 1}
 
@@ -195,7 +195,7 @@ func TestGetOrFetchCtxNonCancellableWaiterPinsFlight(t *testing.T) {
 }
 
 func TestGetOrFetchCtxPreCancelledReturnsImmediately(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, _, err := getOne(c, ctx, Key{Field: "f"}, sourceFunc(func(context.Context) ([]byte, int64, error) {

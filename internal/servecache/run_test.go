@@ -104,7 +104,7 @@ func flightWaiters(c *Cache, k int) int {
 // fetch per plane — the second joins the planes the first is fetching and
 // leads one source call for the rest — and both get every plane.
 func TestRunOverlapFetchesEachPlaneOnce(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	src := &runSource{gate: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -159,7 +159,7 @@ func TestRunOverlapFetchesEachPlaneOnce(t *testing.T) {
 func TestRunCancelledWaiterKeepsSharedPlanes(t *testing.T) {
 	for _, survivorStays := range []bool{true, false} {
 		t.Run(fmt.Sprintf("survivorStays=%v", survivorStays), func(t *testing.T) {
-			c := New(0)
+			c := New(0, nil)
 			src := &runSource{gate: make(chan struct{})}
 			leaderCtx, leaderCancel := context.WithCancel(context.Background())
 			defer leaderCancel()
@@ -226,7 +226,7 @@ func TestRunCancelledWaiterKeepsSharedPlanes(t *testing.T) {
 // prefix, that plane's error, and — their bytes moved — the planes fetched
 // above it; a caller that joined only a later plane never sees the error.
 func TestRunVerdictsArePerPlane(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	lost := errors.New("plane 2 is gone")
 	src := &runSource{gate: make(chan struct{}), lost: map[int]error{2: lost}}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -273,7 +273,7 @@ func TestRunVerdictsArePerPlane(t *testing.T) {
 // them asks for it again — its own fetch, its own verdict — instead of
 // inheriting the failed plane's error.
 func TestRunShortSourceIsAskedAgain(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	lost := errors.New("plane 1 is gone")
 	src := &runSource{gate: make(chan struct{}), lost: map[int]error{1: lost}, short: true}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -35,9 +35,8 @@ func snapshotOf(prefix, n int) *bitplane.Words {
 // the budget and servecache.bytes, it takes its place in the one LRU, and
 // making room for planes evicts it like any entry.
 func TestSnapshotChargedAndEvictedWithPlanes(t *testing.T) {
-	c := New(1000)
 	o := obs.New()
-	c.Instrument(o)
+	c := New(1000, o)
 	level := LevelKey{Field: "f", Level: 0}
 	cachePlanes(t, c, 0, 4, 100)
 	w := snapshotOf(4, 50)
@@ -68,9 +67,8 @@ func TestSnapshotChargedAndEvictedWithPlanes(t *testing.T) {
 // TestSnapshotLargerThanBudgetIsNeverCached: a snapshot that cannot fit
 // even an empty cache is refused and counted, and evicts nothing.
 func TestSnapshotLargerThanBudgetIsNeverCached(t *testing.T) {
-	c := New(300)
 	o := obs.New()
-	c.Instrument(o)
+	c := New(300, o)
 	cachePlanes(t, c, 0, 2, 100)
 	level := LevelKey{Field: "f", Level: 0}
 	if c.PublishSnapshot(level, snapshotOf(2, 100)) {
@@ -89,7 +87,7 @@ func TestSnapshotLargerThanBudgetIsNeverCached(t *testing.T) {
 // budget are kept — while one replacing a smaller snapshot may use that
 // snapshot's room.
 func TestSnapshotTakesOnlyFreeRoom(t *testing.T) {
-	c := New(1000)
+	c := New(1000, nil)
 	level := LevelKey{Field: "f", Level: 0}
 	cachePlanes(t, c, 0, 8, 100)
 	if c.PublishSnapshot(level, snapshotOf(8, 75)) {
@@ -112,7 +110,7 @@ func TestSnapshotTakesOnlyFreeRoom(t *testing.T) {
 // TestSnapshotReplacedOnlyByMorePlanes: an offer of no more planes than the
 // held snapshot is refused and one of more replaces it.
 func TestSnapshotReplacedOnlyByMorePlanes(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	level := LevelKey{Field: "f", Level: 2}
 	cachePlanes(t, c, 2, 3, 10)
 	two := snapshotOf(2, 8)
@@ -139,7 +137,7 @@ func TestSnapshotReplacedOnlyByMorePlanes(t *testing.T) {
 // TestInvalidateDropsLevelSnapshot: invalidating a plane drops the snapshot
 // of its level, which may hold its bits, and no other.
 func TestInvalidateDropsLevelSnapshot(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	for l := 0; l < 2; l++ {
 		cachePlanes(t, c, l, 2, 10)
 		if !c.PublishSnapshot(LevelKey{Field: "f", Level: l}, snapshotOf(2, 4)) {
@@ -162,7 +160,7 @@ func TestInvalidateDropsLevelSnapshot(t *testing.T) {
 // (run it with -race); the snapshot of the most planes is what stays, and
 // it is charged once.
 func TestRacingPublishersKeepLargestSnapshot(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	level := LevelKey{Field: "f", Level: 0}
 	cachePlanes(t, c, 0, 32, 8)
 	var wg sync.WaitGroup

@@ -34,7 +34,7 @@ func findSpan(t *testing.T, spans []obs.SpanRecord, name string) obs.SpanRecord 
 // in its own trace, while the surviving waiter's trace records a clean
 // span — one request's death never bleeds into another's timeline.
 func TestCancelledWaiterSpanStatus(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	g := &gatedFetch{gate: make(chan struct{}), raw: []byte{1, 2, 3}}
 	key := Key{Field: "f", Level: 1, Plane: 2}
 
@@ -121,7 +121,7 @@ func TestCancelledWaiterSpanStatus(t *testing.T) {
 // TestCacheHitSpanOutcome pins the span shape of a run: level, first plane
 // and plane count, how many planes were hits, and the payload byte count.
 func TestCacheHitSpanOutcome(t *testing.T) {
-	c := New(0)
+	c := New(0, nil)
 	g := &gatedFetch{gate: make(chan struct{}), raw: []byte{9, 9}}
 	close(g.gate)
 	key := Key{Field: "f", Level: 0, Plane: 0}

@@ -87,8 +87,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for i, n := range cfg.Map.Nodes {
 		r.reads[i] = cfg.Obs.Counter("shard.node_reads." + n.Name)
 		r.planes[i] = cfg.Obs.Counter("shard.node_planes." + n.Name)
-		r.breakers[i] = resilience.NewBreaker(cfg.Breaker)
-		r.breakers[i].Instrument(cfg.Obs, "node."+n.Name)
+		r.breakers[i] = resilience.NewBreaker(cfg.Breaker, cfg.Obs, "node."+n.Name)
 	}
 	return r, nil
 }

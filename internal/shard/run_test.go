@@ -167,7 +167,7 @@ func standUp(t *testing.T, w wiring, fail func(node int, field string, level, pl
 	mapJSON := `{"nodes": [`
 	for i := 0; i < w.nodes; i++ {
 		fields := fieldsSource{}
-		cache := servecache.New(0)
+		cache := servecache.New(0, nil)
 		for name, fx := range fixtures(t) {
 			fields[name] = CachedField(&fx.c.Header, cache, planeSource(i, name, fx))
 		}
@@ -231,7 +231,7 @@ type answer struct {
 func refine(t *testing.T, fx fixture, src servecache.Source, rel float64) answer {
 	t.Helper()
 	h := &fx.c.Header
-	sess, err := core.NewSharedSession(h, src, servecache.New(0))
+	sess, err := core.NewSharedSession(h, src, servecache.New(0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

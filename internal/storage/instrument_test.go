@@ -24,20 +24,20 @@ func (f *flipSource) Segment(_ context.Context, level, plane int) ([]byte, error
 	return f.payload, nil
 }
 
+// TestRetryingSourceInstrumentMirrorsStats: Stats() and a metrics snapshot
+// read the same instruments.
 func TestRetryingSourceInstrumentMirrorsStats(t *testing.T) {
 	src := &flipSource{seen: make(map[SegmentID]bool), payload: []byte("abcdefgh")}
 	pol := DefaultRetryPolicy()
 	pol.Sleep = func(time.Duration) {}
-	r := NewRetryingSource(src, pol)
-
-	// Count one read before instrumenting to exercise the value transfer.
-	if _, err := r.Segment(context.Background(), 0, 0); err != nil {
-		t.Fatal(err)
-	}
 	o := obs.New()
-	r.Instrument(o)
-	if _, err := r.Segment(context.Background(), 0, 1); err != nil {
-		t.Fatal(err)
+	r := NewRetryingSource(src, pol, o)
+
+	// A source built with o counts into o's registry from its first read.
+	for plane := 0; plane < 2; plane++ {
+		if _, err := r.Segment(context.Background(), 0, plane); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	st := r.Stats()

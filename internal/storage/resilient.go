@@ -74,9 +74,6 @@ type RetryPolicy struct {
 	// Timeout is the per-read deadline; a read exceeding it counts as a
 	// transient failure. 0 disables the deadline.
 	Timeout time.Duration
-	// JitterSeed seeds the deterministic backoff jitter so tests are
-	// reproducible. 0 uses a fixed default seed.
-	JitterSeed int64
 	// Sleep replaces the backoff sleep between retries; tests use it to
 	// avoid real delays. nil means a real timer that context cancellation
 	// interrupts; a custom Sleep is called as-is
@@ -111,9 +108,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // RetryStats is a point-in-time view over the retry layer's counters, for
-// tests and CLI reporting. The counters themselves live in obs instruments
-// (standalone by default, registry-backed after Instrument), so the same
-// numbers appear in a -metrics-out snapshot and in this struct.
+// tests and CLI reporting. The counters themselves live in the obs
+// instruments the source was built with, so the same numbers appear in a
+// -metrics-out snapshot and in this struct.
 type RetryStats struct {
 	// Reads is the number of Segment calls served (including failures).
 	Reads int64
@@ -137,10 +134,7 @@ type RetryStats struct {
 	BackoffSeconds float64
 }
 
-// retryCounters are the live instruments behind RetryStats. The zero-ish
-// constructor wires standalone instruments so a RetryingSource counts
-// exactly even without a registry; Instrument rebinds them to shared,
-// registry-named instruments.
+// retryCounters are the live instruments behind RetryStats.
 type retryCounters struct {
 	reads       *obs.Counter
 	retries     *obs.Counter
@@ -152,16 +146,16 @@ type retryCounters struct {
 	backoff     *obs.Gauge
 }
 
-func newRetryCounters() retryCounters {
+func newRetryCounters(m *obs.Registry) retryCounters {
 	return retryCounters{
-		reads:       new(obs.Counter),
-		retries:     new(obs.Counter),
-		recovered:   new(obs.Counter),
-		exhausted:   new(obs.Counter),
-		quarantined: new(obs.Counter),
-		bytesOK:     new(obs.Counter),
-		bytesWaste:  new(obs.Counter),
-		backoff:     new(obs.Gauge),
+		reads:       m.Counter("storage.retry.reads"),
+		retries:     m.Counter("storage.retry.retries"),
+		recovered:   m.Counter("storage.retry.recovered"),
+		exhausted:   m.Counter("storage.retry.exhausted"),
+		quarantined: m.Counter("storage.retry.quarantined"),
+		bytesOK:     m.Counter("storage.retry.bytes_transferred"),
+		bytesWaste:  m.Counter("storage.retry.bytes_wasted"),
+		backoff:     m.Gauge("storage.retry.backoff_seconds"),
 	}
 }
 
@@ -175,56 +169,26 @@ func newRetryCounters() retryCounters {
 type RetryingSource struct {
 	src SegmentSource
 	pol RetryPolicy
-	// seed drives the per-attempt derived jitter stream; see backoff.
-	seed uint64
 
 	mu          sync.Mutex
 	quarantined map[SegmentID]error
 	c           retryCounters
 }
 
+// jitterSeed seeds the deterministic backoff jitter; see backoff.
+const jitterSeed = 1
+
 // NewRetryingSource wraps src under the given policy. Every read and
-// backoff sleep is bounded by the ctx of the Segment call it serves.
-func NewRetryingSource(src SegmentSource, pol RetryPolicy) *RetryingSource {
-	seed := pol.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
+// backoff sleep is bounded by the ctx of the Segment call it serves. The
+// source counts under storage.retry.* in o's registry (a private one when o
+// carries none), so a metrics snapshot and Stats() report the same numbers.
+func NewRetryingSource(src SegmentSource, pol RetryPolicy, o *obs.Obs) *RetryingSource {
 	return &RetryingSource{
 		src:         src,
 		pol:         pol.withDefaults(),
-		seed:        uint64(seed),
 		quarantined: make(map[SegmentID]error),
-		c:           newRetryCounters(),
+		c:           newRetryCounters(o.Registry()),
 	}
-}
-
-// Instrument rebinds the retry counters to shared instruments in o's
-// registry under storage.retry.*, folding in anything counted so far, so a
-// metrics snapshot and Stats() report the same numbers. Call it before the
-// source is shared across goroutines; instrumenting mid-flight races with
-// concurrent reads. A nil or metrics-less o is a no-op.
-func (r *RetryingSource) Instrument(o *obs.Obs) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	bind := func(dst **obs.Counter, name string) {
-		c := o.Counter("storage.retry." + name)
-		c.Add((*dst).Value())
-		*dst = c
-	}
-	bind(&r.c.reads, "reads")
-	bind(&r.c.retries, "retries")
-	bind(&r.c.recovered, "recovered")
-	bind(&r.c.exhausted, "exhausted")
-	bind(&r.c.quarantined, "quarantined")
-	bind(&r.c.bytesOK, "bytes_transferred")
-	bind(&r.c.bytesWaste, "bytes_wasted")
-	g := o.Gauge("storage.retry.backoff_seconds")
-	g.Add(r.c.backoff.Value())
-	r.c.backoff = g
 }
 
 // Segment implements SegmentSource with the retry protocol, bounded by
@@ -408,7 +372,7 @@ func (r *RetryingSource) backoff(level, plane, attempt int) time.Duration {
 	if d <= 0 || d > r.pol.MaxDelay {
 		d = r.pol.MaxDelay
 	}
-	frac := 0.5 + 0.5*jitterFrac(r.seed, level, plane, attempt)
+	frac := 0.5 + 0.5*jitterFrac(jitterSeed, level, plane, attempt)
 	return time.Duration(float64(d) * frac)
 }
 

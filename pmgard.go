@@ -205,7 +205,7 @@ func PSNR(a, b *Tensor) float64 { return grid.PSNR(a, b) }
 
 // Obs bundles the optional observability facilities — a concurrency-safe
 // metrics registry and a bounded span tracer — threaded through the
-// pipeline via Config.Obs, TrainConfig fields and the Instrument methods.
+// pipeline via Config.Obs, TrainConfig fields and Session.Instrument.
 // nil (the default everywhere) disables all telemetry and never changes
 // any result; see DESIGN.md §8 for the metric names and trace schema.
 type Obs = obs.Obs
@@ -235,7 +235,7 @@ type PlaneCache = servecache.Cache
 
 // NewPlaneCache returns a cache bounded to budget decompressed bytes
 // (budget ≤ 0 means unbounded).
-func NewPlaneCache(budget int64) *PlaneCache { return servecache.New(budget) }
+func NewPlaneCache(budget int64) *PlaneCache { return servecache.New(budget, nil) }
 
 // NewSharedSession opens a progressive session over src whose plane
 // fetches go through a shared cache: concurrent sessions deduplicate store
@@ -257,12 +257,6 @@ type BufferPoolStats = bufpool.Stats
 // BufferPoolSnapshot returns the current shared buffer-pool counters.
 func BufferPoolSnapshot() BufferPoolStats { return bufpool.Snapshot() }
 
-// InstrumentBufferPools rebinds the shared buffer-pool counters into o's
-// metrics registry under bufpool.*, so snapshots report pool behavior
-// alongside the rest of the pipeline telemetry. The pools are process-wide;
-// call once, before heavy traffic.
-func InstrumentBufferPools(o *Obs) { bufpool.Instrument(o) }
-
 // RetryPolicy bounds the retry loop of a RetryingSource.
 type RetryPolicy = storage.RetryPolicy
 
@@ -278,7 +272,7 @@ func DefaultRetryPolicy() RetryPolicy { return storage.DefaultRetryPolicy() }
 // NewRetryingSource wraps src with the retry/backoff/quarantine protocol;
 // the ctx of each Segment call bounds its reads and backoff sleeps.
 func NewRetryingSource(src SegmentSource, pol RetryPolicy) *RetryingSource {
-	return storage.NewRetryingSource(src, pol)
+	return storage.NewRetryingSource(src, pol, nil)
 }
 
 // Hierarchy models a tiered HPC storage system.
