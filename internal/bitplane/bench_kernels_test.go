@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"pmgard/internal/bufpool"
 )
 
 // Kernel benchmarks: word-parallel implementation vs the retained scalar
@@ -140,8 +142,7 @@ func BenchmarkErrMatrix(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			clear(out)
-			errMatrixRange(coeffs, words, unit, planes, Negabinary, 0, benchN, out)
+			foldLevel(coeffs, words, unit, planes, out)
 		}
 	})
 	b.Run("incremental/finest129", func(b *testing.B) {
@@ -152,8 +153,7 @@ func BenchmarkErrMatrix(b *testing.B) {
 		b.ResetTimer()
 		var pairs int64
 		for i := 0; i < b.N; i++ {
-			clear(out)
-			pairs = errMatrixRange(coeffs, words, unit, planes, Negabinary, 0, finest129N, out)
+			pairs = foldLevel(coeffs, words, unit, planes, out)
 		}
 		b.ReportMetric(float64(pairs)/(finest129N*planes), "pair-share")
 	})
@@ -196,8 +196,24 @@ func benchWords(b *testing.B, coeffs []float64, planes int) (float64, []uint64) 
 	unit := enc.unitSize()
 	enc.Release()
 	words := make([]uint64, len(coeffs))
-	quantizeRange(coeffs, words, unit, 1<<(planes-2), planes, Negabinary, 0, len(coeffs))
+	quantize(coeffs, words, unit, 1<<(planes-2), planes, Negabinary)
 	return unit, words
+}
+
+// foldLevel folds a whole nega-binary level into out (planes+1 entries) a
+// block at a time, the error-matrix share of the encoder's fused pass, and
+// returns the pairs it folded one by one.
+func foldLevel(coeffs []float64, words []uint64, unit float64, planes int, out []float64) (pairs int64) {
+	sw, sc := bufpool.Uint64s(foldBlock), bufpool.Float64s(foldBlock)
+	var acc [61]float64
+	for lo := 0; lo < len(coeffs); lo += foldBlock {
+		hi := min(lo+foldBlock, len(coeffs))
+		pairs += foldErrors(coeffs[lo:hi], words[lo:hi], sw, sc, unit, planes, Negabinary, &acc)
+	}
+	copy(out, acc[:planes+1])
+	bufpool.PutFloat64s(sc)
+	bufpool.PutUint64s(sw)
+	return pairs
 }
 
 func planeDepthName(b int) string {

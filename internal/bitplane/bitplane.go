@@ -29,6 +29,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pmgard/internal/bufpool"
 	"pmgard/internal/obs"
@@ -144,7 +145,8 @@ func (e *LevelEncoding) Release() {
 // representation. planes must be in [1, 60]; 32 nega-binary planes
 // reproduce the paper's configuration.
 //
-// The quantization, plane-slicing and error-matrix loops fan across at most
+// Quantization, plane slicing and the error-matrix fold run as one pass,
+// a cache-sized block of coefficients at a time, fanned across at most
 // `workers` goroutines (≤ 0 means GOMAXPROCS). Every plane byte and every
 // error-matrix entry is computed in its own pre-sized slot from the same
 // operands, so the encoding is bit-identical for every worker count.
@@ -159,11 +161,12 @@ func (e *LevelEncoding) Release() {
 //
 // A non-nil o records a "bitplane.encode" span, counters
 // bitplane.levels_encoded / bitplane.planes_encoded /
-// bitplane.errmatrix_tasks / bitplane.coeffs_encoded /
-// bitplane.errmatrix_pairs (the (coefficient, plane) pairs the error matrix
-// folded one by one; its ratio to coeffs_encoded × planes is the share the
-// nega-binary kernel did not skip), and pool task metrics under
-// pool.bitplane.encode.* and pool.bitplane.errmatrix.*.
+// bitplane.coeffs_encoded / bitplane.errmatrix_pairs (the (coefficient,
+// plane) pairs the error matrix folded one by one; its ratio to
+// coeffs_encoded × planes is the share the nega-binary kernel did not skip),
+// pool task metrics of the fused pass under pool.bitplane.encode.*, and
+// under pool.bitplane.errmatrix.* one task per chunk timing its
+// error-matrix fold.
 func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Obs) (_ *LevelEncoding, err error) {
 	var pairs int64
 	if o != nil {
@@ -174,7 +177,6 @@ func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Ob
 			if err == nil {
 				o.Counter("bitplane.levels_encoded").Add(1)
 				o.Counter("bitplane.planes_encoded").Add(int64(planes))
-				o.Counter("bitplane.errmatrix_tasks").Add(int64(planes) + 1)
 				o.Counter("bitplane.coeffs_encoded").Add(int64(len(coeffs)))
 				o.Counter("bitplane.errmatrix_pairs").Add(pairs)
 			}
@@ -234,68 +236,100 @@ func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Ob
 		return enc, nil
 	}
 
+	// Quantize, slice and fold the error matrix one block of coefficients
+	// at a time, so a block's words are sliced and folded while still in
+	// cache and no level-size word array exists. Chunks are runs of whole
+	// 64-coefficient groups, so each worker's writes land on disjoint bytes
+	// of every plane, and every plane byte is stored, so the pooled (dirty)
+	// backing needs no clearing. ErrMatrix[b] is the max over the chunks'
+	// partial maxima; merging maxima is exact and order-independent, so the
+	// result is identical for every worker count.
 	encodeM := pool.NewMetrics(o, "bitplane.encode")
-	words := bufpool.Uint64s(n)
-	if workers == 1 && encodeM == nil {
-		quantizeRange(coeffs, words, unit, limit, planes, mode, 0, n)
-	} else {
-		pool.RunChunks(n, workers, encodeM, func(_, lo, hi int) error {
-			quantizeRange(coeffs, words, unit, limit, planes, mode, lo, hi)
-			return nil
-		})
-	}
-
-	// Slice into planes, MSB first (plane 0 is the sign plane in
-	// sign-magnitude mode), 64 coefficients per transpose step. Chunking
-	// by group keeps each worker's writes on disjoint bytes of every
-	// plane, and every plane byte is stored, so the pooled (dirty)
-	// backing needs no clearing.
+	lv := levelEncoder{coeffs: coeffs, enc: enc, unit: unit, limit: limit, errM: pool.NewMetrics(o, "bitplane.errmatrix")}
 	groups := (n + 63) / 64
 	if workers == 1 && encodeM == nil {
-		sliceGroups(words, enc.Bits, planes, planeBytes, 0, groups)
-	} else {
-		pool.RunChunks(groups, workers, encodeM, func(_, lo, hi int) error {
-			sliceGroups(words, enc.Bits, planes, planeBytes, lo, hi)
-			return nil
-		})
-	}
-
-	// Collect the error matrix per coefficient range: ErrMatrix[b] is the
-	// max over all ranges' partial maxima.
-	// Merging maxima is exact and order-independent, so the result is
-	// identical for every worker count.
-	errM := pool.NewMetrics(o, "bitplane.errmatrix")
-	if workers == 1 && errM == nil {
 		clear(enc.ErrMatrix)
-		pairs = errMatrixRange(coeffs, words, unit, planes, mode, 0, n, enc.ErrMatrix)
-	} else {
-		chunks := workers
-		if chunks > n {
-			chunks = n
-		}
-		stride := planes + 1
-		partial := bufpool.Float64s(chunks * stride)
-		clear(partial)
-		var chunkPairs atomic.Int64
-		pool.Run(context.Background(), chunks, workers, errM, func(_, c int) error {
-			lo, hi := c*n/chunks, (c+1)*n/chunks
-			chunkPairs.Add(errMatrixRange(coeffs, words, unit, planes, mode, lo, hi, partial[c*stride:(c+1)*stride]))
-			return nil
-		})
-		pairs = chunkPairs.Load()
-		for b := 0; b <= planes; b++ {
-			m := 0.0
-			for c := 0; c < chunks; c++ {
-				if v := partial[c*stride+b]; v > m {
-					m = v
-				}
-			}
-			enc.ErrMatrix[b] = m
-		}
-		bufpool.PutFloat64s(partial)
+		pairs = lv.encodeGroups(0, 0, groups, enc.ErrMatrix)
+		return enc, nil
 	}
-	bufpool.PutUint64s(words)
+	chunks := min(workers, groups)
+	stride := planes + 1
+	partial := bufpool.Float64s(chunks * stride)
+	clear(partial)
+	var chunkPairs atomic.Int64
+	// The fan-out's closure takes its own copy, so the sequential path's
+	// encoder stays on the stack.
+	fan := lv
+	pool.Run(context.Background(), chunks, workers, encodeM, func(worker, c int) error {
+		g0, g1 := c*groups/chunks, (c+1)*groups/chunks
+		chunkPairs.Add(fan.encodeGroups(worker, g0, g1, partial[c*stride:(c+1)*stride]))
+		return nil
+	})
+	pairs = chunkPairs.Load()
+	for b := 0; b <= planes; b++ {
+		m := 0.0
+		for c := 0; c < chunks; c++ {
+			if v := partial[c*stride+b]; v > m {
+				m = v
+			}
+		}
+		enc.ErrMatrix[b] = m
+	}
+	bufpool.PutFloat64s(partial)
 	return enc, nil
+}
+
+// levelEncoder is what one level's fused encode pass reads: the
+// coefficients, the encoding whose planes it writes, and the level's
+// quantization.
+type levelEncoder struct {
+	coeffs []float64
+	enc    *LevelEncoding
+	unit   float64
+	limit  int64
+	// errM times the error-matrix fold: one task per chunk, the sum of its
+	// blocks' folds.
+	errM *pool.Metrics
+}
+
+// encodeGroups runs the fused pass over coefficient groups [g0, g1) a
+// block at a time — quantize the block's words into pooled scratch, slice
+// them into the planes, fold them into the error matrix — and raises out
+// (planes+1 entries) to the chunk's maxima. It returns the (coefficient,
+// plane) pairs the fold visited one by one.
+func (lv *levelEncoder) encodeGroups(worker, g0, g1 int, out []float64) (pairs int64) {
+	e := lv.enc
+	planeBytes := (e.N + 7) / 8
+	ws := bufpool.Uint64s(foldBlock)
+	sw := bufpool.Uint64s(foldBlock)
+	sc := bufpool.Float64s(foldBlock)
+	var acc [61]float64
+	var fold time.Duration
+	for g := g0; g < g1; g += foldBlock / 64 {
+		h := min(g+foldBlock/64, g1)
+		cs := lv.coeffs[64*g : min(64*h, e.N)]
+		w := ws[:len(cs)]
+		quantize(cs, w, lv.unit, lv.limit, e.Planes, e.Mode)
+		sliceGroups(w, e.Bits, e.Planes, planeBytes, g, h)
+		var start time.Time
+		if lv.errM != nil {
+			start = time.Now()
+		}
+		pairs += foldErrors(cs, w, sw, sc, lv.unit, e.Planes, e.Mode, &acc)
+		if lv.errM != nil {
+			fold += time.Since(start)
+		}
+	}
+	lv.errM.Record(worker, fold)
+	for b := 0; b <= e.Planes; b++ {
+		if acc[b] > out[b] {
+			out[b] = acc[b]
+		}
+	}
+	bufpool.PutFloat64s(sc)
+	bufpool.PutUint64s(sw)
+	bufpool.PutUint64s(ws)
+	return pairs
 }
 
 // encodeWord packs a quantized coefficient into a plane word under the

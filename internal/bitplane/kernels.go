@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-
-	"pmgard/internal/bufpool"
 )
 
 // This file holds the word-parallel kernels behind EncodeLevel,
@@ -94,12 +92,12 @@ func transpose32x2(a *[32]uint64) {
 	}
 }
 
-// quantizeRange fills words[lo:hi] with the plane-word encoding of
-// coeffs[lo:hi]: NaN quantizes to zero, ±Inf saturates to ±limit, finite
-// values round to the nearest quantization unit and clamp to ±limit.
-func quantizeRange(coeffs []float64, words []uint64, unit float64, limit int64, planes int, mode Mode, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		c := coeffs[i]
+// quantize fills ws with the plane-word encoding of cs: NaN quantizes to
+// zero, ±Inf saturates to ±limit, finite values round to the nearest
+// quantization unit and clamp to ±limit.
+func quantize(cs []float64, ws []uint64, unit float64, limit int64, planes int, mode Mode) {
+	ws = ws[:len(cs)]
+	for i, c := range cs {
 		var q int64
 		switch {
 		case math.IsNaN(c):
@@ -116,33 +114,30 @@ func quantizeRange(coeffs []float64, words []uint64, unit float64, limit int64, 
 				q = -limit
 			}
 		}
-		words[i] = encodeWord(q, planes, mode)
+		ws[i] = encodeWord(q, planes, mode)
 	}
 }
 
 // sliceGroups slices words into the bit-planes for coefficient groups
 // [g0, g1): group g covers coefficients [64g, 64g+64) and plane bytes
-// [8g, 8g+8). Each group loads its words into a 64×64 bit matrix (input
-// rows reversed to match transpose64's convention), transposes once, and
-// stores plane k's 64-bit lane with one little-endian write — which is
-// exactly the "8 coefficients per byte, LSB-first" plane layout. Every
-// plane byte of the group is overwritten, so destination planes may hold
-// garbage (pooled buffers) on entry.
+// [8g, 8g+8), and words holds the words of coefficients 64g0 onwards, up to
+// the level's last. Each group loads its words into a 64×64 bit matrix
+// (input rows reversed to match transpose64's convention), transposes
+// once, and stores plane k's 64-bit lane with one little-endian write —
+// which is exactly the "8 coefficients per byte, LSB-first" plane layout.
+// Every plane byte of the group is overwritten, so destination planes may
+// hold garbage (pooled buffers) on entry.
 func sliceGroups(words []uint64, bits [][]byte, planes, planeBytes, g0, g1 int) {
-	n := len(words)
 	var m [64]uint64
 	for g := g0; g < g1; g++ {
-		base := g * 64
-		cnt := n - base
-		if cnt > 64 {
-			cnt = 64
-		}
-		// in[63-j] = words[base+j]; rows beyond the tail stay zero.
+		gw := words[64*(g-g0):]
+		cnt := min(len(gw), 64)
+		// in[63-j] = gw[j]; rows beyond the tail stay zero.
 		for j := 0; j < 64-cnt; j++ {
 			m[j] = 0
 		}
 		for j := 0; j < cnt; j++ {
-			m[63-j] = words[base+j]
+			m[63-j] = gw[j]
 		}
 		transpose64(&m)
 		// Plane k reads bit position P = planes-1-k of every word, which
@@ -333,96 +328,82 @@ func decodeWords[W uint32 | uint64](ws []W, dst []float64, at []int, b, planes i
 	}
 }
 
-// errBlock is the number of coefficients the nega-binary error-matrix fold
-// sorts and folds at a time: the block's sorted words and coefficients
-// (16 bytes each, 32 KiB) stay cache-resident across all of its plane
-// passes.
-const errBlock = 2048
+// foldBlock is the number of coefficients the fused encode pass quantizes,
+// slices and folds at a time: the nega-binary fold's sorted words and
+// coefficients (16 bytes each, 32 KiB) stay cache-resident across all of
+// its plane passes.
+const foldBlock = 2048
 
-// errMatrixRange folds coefficients [lo, hi) into out, where out[b] is the
-// running maximum of |c_i - decode_b(c_i)| over the range (out must hold
-// planes+1 entries and start at the caller's running maxima — zero for a
-// fresh range). Each (coefficient, prefix) error is computed from the same
-// int64 decodeWord gives the masked word, so the float operations see
-// operands identical to the scalar pass's: nega-binary decodes the masked
-// word directly with its two-operation identity, and sign-magnitude
-// accumulates magnitude bits under a sign read from plane 0, one
-// conditional add per plane. Non-finite coefficients are excluded, as no
-// finite plane prefix bounds their error. It returns the number of
-// (coefficient, plane) pairs it folded one by one.
-func errMatrixRange(coeffs []float64, words []uint64, unit float64, planes int, mode Mode, lo, hi int, out []float64) (pairs int64) {
-	// acc holds the running maxima in a fixed-size stack array so the
-	// inner loops index it bounds-check-free and out is only touched once
-	// at the end (planes ≤ 60, so b ≤ 60 < 61).
-	var acc [61]float64
-	cs, ws := coeffs[lo:hi], words[lo:hi:hi]
+// foldErrors folds one block of at most foldBlock coefficients cs, with
+// their plane words ws, into acc, where acc[b] is the running maximum of
+// |c_i - decode_b(c_i)|; sw and sc are foldBlock-sized scratch. Each
+// (coefficient, prefix) error is computed from the same int64 decodeWord
+// gives the masked word, so the float operations see operands identical to
+// the scalar pass's: nega-binary decodes the masked word directly with its
+// two-operation identity, and sign-magnitude accumulates magnitude bits
+// under a sign read from plane 0, one conditional add per plane.
+// Non-finite coefficients are excluded, as no finite plane prefix bounds
+// their error. It returns the number of (coefficient, plane) pairs it
+// folded one by one.
+func foldErrors(cs []float64, ws, sw []uint64, sc []float64, unit float64, planes int, mode Mode, acc *[61]float64) (pairs int64) {
+	ws = ws[:len(cs)]
+	maxAbs := 0.0
 	for _, c := range cs {
-		if a := math.Abs(c); a > acc[0] && !math.IsInf(c, 0) {
-			acc[0] = a
+		if a := math.Abs(c); a > maxAbs && !math.IsInf(c, 0) {
+			maxAbs = a
 		}
 	}
+	acc[0] = max(acc[0], maxAbs)
 	if mode == Negabinary {
 		// e can only overflow to Inf when |c| + the largest possible decoded
 		// magnitude reaches the float range (an Exponent near 1023); decided
-		// once here so the common case skips the per-element Inf saturation
-		// test. The saturating path computes e from identical operands, so
-		// the two variants are bit-identical wherever both are finite.
-		safe := acc[0]+float64(uint64(1)<<uint(planes))*unit < math.MaxFloat64
-		wblk := bufpool.Uint64s(errBlock)
-		cblk := bufpool.Float64s(errBlock)
-		for b0 := 0; b0 < len(ws); b0 += errBlock {
-			b1 := min(b0+errBlock, len(ws))
-			pairs += foldNegabinaryBlock(cs[b0:b1], ws[b0:b1], wblk, cblk, unit, planes, safe, &acc)
-		}
-		bufpool.PutFloat64s(cblk)
-		bufpool.PutUint64s(wblk)
-	} else {
-		// digit[p] is the magnitude a set bit at position p contributes.
-		var digit [60]int64
-		for p := range digit {
-			digit[p] = int64(1) << uint(p)
-		}
-		signBit := uint(planes - 1)
-		for j, w := range ws {
-			c := cs[j]
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				continue
-			}
-			pairs += int64(planes)
-			var dec, mag int64
-			neg := false
-			for b := 1; b <= planes; b++ {
-				p := uint(planes - b)
-				if p == signBit {
-					neg = w>>p&1 == 1
-				} else {
-					mag += int64(w>>p&1) * digit[p]
-				}
-				if neg {
-					dec = -mag
-				} else {
-					dec = mag
-				}
-				e := math.Abs(c - float64(dec)*unit)
-				if math.IsInf(e, 0) {
-					e = math.MaxFloat64
-				}
-				if e > acc[b] {
-					acc[b] = e
-				}
-			}
-		}
+		// once per block so the common case skips the per-element Inf
+		// saturation test. The saturating path computes e from identical
+		// operands, so the two variants are bit-identical wherever both are
+		// finite.
+		safe := maxAbs+float64(uint64(1)<<uint(planes))*unit < math.MaxFloat64
+		return foldNegabinaryBlock(cs, ws, sw, sc, unit, planes, safe, acc)
 	}
-	for b := 0; b <= planes; b++ {
-		if acc[b] > out[b] {
-			out[b] = acc[b]
+	// digit[p] is the magnitude a set bit at position p contributes.
+	var digit [60]int64
+	for p := range digit {
+		digit[p] = int64(1) << uint(p)
+	}
+	signBit := uint(planes - 1)
+	for j, w := range ws {
+		c := cs[j]
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			continue
+		}
+		pairs += int64(planes)
+		var dec, mag int64
+		neg := false
+		for b := 1; b <= planes; b++ {
+			p := uint(planes - b)
+			if p == signBit {
+				neg = w>>p&1 == 1
+			} else {
+				mag += int64(w>>p&1) * digit[p]
+			}
+			if neg {
+				dec = -mag
+			} else {
+				dec = mag
+			}
+			e := math.Abs(c - float64(dec)*unit)
+			if math.IsInf(e, 0) {
+				e = math.MaxFloat64
+			}
+			if e > acc[b] {
+				acc[b] = e
+			}
 		}
 	}
 	return pairs
 }
 
-// foldNegabinaryBlock folds one block of at most errBlock (coefficient,
-// word) pairs into acc, using sw and sc (errBlock entries each) as scratch,
+// foldNegabinaryBlock folds one block of at most foldBlock (coefficient,
+// word) pairs into acc, using sw and sc (foldBlock entries each) as scratch,
 // and returns the pairs it folded one by one.
 //
 // A word with h = bits.Len64(w) ≤ planes-b (every set digit below position

@@ -389,7 +389,7 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 		}
 	}
 
-	blockLengths := []int{errBlock, errBlock + 1, 3*errBlock + 17}
+	blockLengths := []int{foldBlock, foldBlock + 1, 3*foldBlock + 17}
 	for _, p := range profiles {
 		for _, n := range blockLengths {
 			for _, planes := range []int{1, 2, 3, 17, 32, 33, 59, 60} {
@@ -473,5 +473,51 @@ func TestTranspose64Involution(t *testing.T) {
 	transpose64(&m)
 	if m != orig {
 		t.Fatal("transpose64 applied twice did not restore the matrix")
+	}
+}
+
+// TestFusedEncodeMatchesScalarReference drives the fused block pass across
+// its edges — levels of one coefficient, around one group, around one
+// block, and several blocks plus a tail — at workers 1, 2, 3 and 8, with
+// and without telemetry (which moves the single-worker encode onto the
+// pool), in both modes: planes and ErrMatrix must equal the scalar
+// reference bit for bit, and each chunk's error-matrix fold must count as
+// one pool.bitplane.errmatrix task. Odd lengths are salted with NaN, ±Inf
+// and denormals.
+func TestFusedEncodeMatchesScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	lengths := []int{1, 63, 64, 65, foldBlock - 1, foldBlock, foldBlock + 1, 3*foldBlock + 17}
+	for _, n := range lengths {
+		for _, planes := range []int{3, 32, 60} {
+			coeffs := randomCoeffs(rng, n, n%2 == 1)
+			for _, mode := range []Mode{Negabinary, SignMagnitude} {
+				want, _ := encodeLevelModeScalar(coeffs, planes, mode)
+				for _, workers := range []int{1, 2, 3, 8} {
+					for _, traced := range []bool{false, true} {
+						var o *obs.Obs
+						if traced {
+							o = obs.New()
+						}
+						label := fmt.Sprintf("n=%d planes=%d mode=%d workers=%d traced=%v", n, planes, mode, workers, traced)
+						got, err := EncodeLevel(coeffs, planes, mode, workers, o)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						compareEncodings(t, got, want, label)
+						got.Release()
+						if o == nil {
+							continue
+						}
+						chunks := int64(min(workers, (n+63)/64))
+						if want.Exponent == math.MinInt16 {
+							chunks = 0 // a level with nothing to quantize never reaches the pass
+						}
+						if got := o.Counter("pool.bitplane.errmatrix.completed").Value(); got != chunks {
+							t.Fatalf("%s: %d error-matrix tasks, want one per chunk (%d)", label, got, chunks)
+						}
+					}
+				}
+			}
+		}
 	}
 }

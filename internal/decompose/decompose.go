@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"pmgard/internal/codec"
 	"pmgard/internal/grid"
@@ -84,12 +85,17 @@ func NaiveErrorAmplification(o codec.Options, rank int) float64 {
 }
 
 // Decomposition holds the per-level coefficient streams of one field
-// together with the plan needed to recompose them.
+// together with what is needed to recompose them.
 type Decomposition struct {
-	plan    *interleave.Plan
+	dims    []int
+	sizes   []int
 	opt     codec.Options
 	coeffs  [][]float64
 	workers int
+	// plan is taken from interleave's memo on the first Plan call:
+	// Decompose splits the levels without it.
+	planOnce sync.Once
+	plan     *interleave.Plan
 }
 
 // Decompose transforms t into multilevel coefficients, fanning each
@@ -99,6 +105,9 @@ type Decomposition struct {
 // operands in the same order regardless of worker count, so the resulting
 // coefficients are bit-identical to the sequential transform. The returned Decomposition
 // remembers the worker count and applies it to Recompose.
+//
+// The transform runs on one copy of t, which the finest level's stream
+// then lives in (see split); the coarser levels are copied out.
 //
 // A non-nil o records a "decompose" span with rank/level attrs, and
 // counters decompose.transforms / decompose.passes (one pass per (step,
@@ -111,17 +120,16 @@ func Decompose(t *grid.Tensor, opt codec.Options, workers int, o *obs.Obs) (*Dec
 	if err := Validate(opt); err != nil {
 		return nil, err
 	}
-	plan, err := interleave.NewPlan(t.Dims(), opt.Levels)
+	dims := slices.Clone(t.Dims())
+	sizes, err := interleave.LevelSizes(dims, opt.Levels)
 	if err != nil {
 		return nil, err
 	}
 	workers = pool.Clamp(workers)
 	work := t.Clone()
 	forward(work, opt, workers)
-	d := &Decomposition{plan: plan, opt: opt, coeffs: make([][]float64, opt.Levels), workers: workers}
-	for l := 0; l < opt.Levels; l++ {
-		d.coeffs[l] = plan.Extract(work.Data(), l, nil)
-	}
+	d := &Decomposition{dims: dims, sizes: sizes, opt: opt, workers: workers}
+	d.coeffs = split(work.Data(), dims, sizes)
 	if o != nil {
 		o.Counter("decompose.transforms").Add(1)
 		o.Counter("decompose.passes").Add(int64((opt.Levels - 1) * t.NDim()))
@@ -130,11 +138,46 @@ func Decompose(t *grid.Tensor, opt codec.Options, workers int, o *obs.Obs) (*Dec
 	return d, nil
 }
 
+// split cuts the transformed grid data into its level streams in one
+// interleave.Walk, so each stream is in the order a plan's Extract gives.
+// The coarse levels are copied out into one allocation. The finest level
+// is compacted in place to the front of data and returned as a full slice
+// expression of it, so nothing can append into the dead tail: its nodes
+// come at ascending offsets, and its write cursor never passes the node
+// being read, so no node is overwritten before the walk has read it.
+func split(data []float64, dims, sizes []int) [][]float64 {
+	top := len(sizes) - 1
+	coeffs := make([][]float64, len(sizes))
+	coarse := make([]float64, len(data)-sizes[top])
+	for l, off := 0, 0; l < top; l++ {
+		coeffs[l] = coarse[off : off+sizes[l] : off+sizes[l]]
+		off += sizes[l]
+	}
+	next := make([]int, len(sizes))
+	interleave.Walk(dims, len(sizes), func(flat int, row []uint8, fine bool) {
+		if fine {
+			next[top] += copy(data[next[top]:], data[flat:flat+len(row)])
+			return
+		}
+		for i, l := range row {
+			if int(l) == top {
+				data[next[top]] = data[flat+i]
+			} else {
+				coeffs[l][next[l]] = data[flat+i]
+			}
+			next[l]++
+		}
+	})
+	coeffs[top] = data[:sizes[top]:sizes[top]]
+	return coeffs
+}
+
 // NewZero returns a Decomposition with all-zero coefficient streams for the
 // given grid shape — the starting point when reassembling a partial
 // retrieval from storage. A stream is allocated on its level's first Coeffs
 // call, so a decomposition that only recomposes in place (RecomposeInto)
-// holds none. workers is the worker count of the recomposition path (≤ 0
+// holds none. Its plan is taken up front: a retrieval places coefficients
+// with it. workers is the worker count of the recomposition path (≤ 0
 // means GOMAXPROCS); it never changes the reconstructed bytes, only how many
 // goroutines compute them.
 func NewZero(dims []int, opt codec.Options, workers int) (*Decomposition, error) {
@@ -145,7 +188,9 @@ func NewZero(dims []int, opt codec.Options, workers int) (*Decomposition, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Decomposition{plan: plan, opt: opt, coeffs: make([][]float64, opt.Levels), workers: pool.Clamp(workers)}, nil
+	d := &Decomposition{dims: plan.Dims(), sizes: plan.LevelSizes(), opt: opt, coeffs: make([][]float64, opt.Levels), workers: pool.Clamp(workers)}
+	d.planOnce.Do(func() { d.plan = plan })
+	return d, nil
 }
 
 // Workers returns the effective worker count used by the transform passes.
@@ -155,8 +200,15 @@ func (d *Decomposition) Workers() int { return d.workers }
 // means GOMAXPROCS).
 func (d *Decomposition) SetWorkers(workers int) { d.workers = pool.Clamp(workers) }
 
-// Plan returns the interleave plan of the decomposition.
-func (d *Decomposition) Plan() *interleave.Plan { return d.plan }
+// Plan returns the interleave plan of the decomposition, taking it from
+// interleave's memo on the first call. It is safe for concurrent callers.
+func (d *Decomposition) Plan() *interleave.Plan {
+	d.planOnce.Do(func() {
+		// The shape passed Decompose's validation, so NewPlan cannot fail.
+		d.plan, _ = interleave.NewPlan(d.dims, d.opt.Levels)
+	})
+	return d.plan
+}
 
 // Options returns the transform options the decomposition was built with.
 func (d *Decomposition) Options() codec.Options { return d.opt }
@@ -164,8 +216,9 @@ func (d *Decomposition) Options() codec.Options { return d.opt }
 // Levels returns the number of coefficient levels L.
 func (d *Decomposition) Levels() int { return d.opt.Levels }
 
-// Dims returns the original grid dimensions.
-func (d *Decomposition) Dims() []int { return d.plan.Dims() }
+// Dims returns the original grid dimensions. The returned slice is the
+// decomposition's own and must not be modified.
+func (d *Decomposition) Dims() []int { return d.dims }
 
 // Coeffs returns the level-l coefficient stream, allocating it all-zero on
 // a NewZero decomposition's first call. The slice is the decomposition's
@@ -173,7 +226,7 @@ func (d *Decomposition) Dims() []int { return d.plan.Dims() }
 // (this is how truncated retrieval is modelled).
 func (d *Decomposition) Coeffs(l int) []float64 {
 	if d.coeffs[l] == nil {
-		d.coeffs[l] = make([]float64, d.plan.LevelSizes()[l])
+		d.coeffs[l] = make([]float64, d.sizes[l])
 	}
 	return d.coeffs[l]
 }
@@ -181,18 +234,18 @@ func (d *Decomposition) Coeffs(l int) []float64 {
 // SetCoeffs replaces the level-l coefficient stream. The length must match
 // the level size.
 func (d *Decomposition) SetCoeffs(l int, c []float64) {
-	if n := d.plan.LevelSizes()[l]; len(c) != n {
+	if n := d.sizes[l]; len(c) != n {
 		panic(fmt.Sprintf("decompose: SetCoeffs level %d length %d, want %d", l, len(c), n))
 	}
 	d.coeffs[l] = c
 }
 
-// CloneShape returns a new Decomposition sharing the plan, options and
+// CloneShape returns a new Decomposition of the same shape, options and
 // worker count but with zero-valued coefficient streams, used to assemble
 // partial retrievals.
 func (d *Decomposition) CloneShape() *Decomposition {
-	c := &Decomposition{plan: d.plan, opt: d.opt, workers: d.workers, coeffs: make([][]float64, len(d.coeffs))}
-	for l, n := range d.plan.LevelSizes() {
+	c := &Decomposition{dims: d.dims, sizes: d.sizes, opt: d.opt, workers: d.workers, coeffs: make([][]float64, len(d.coeffs))}
+	for l, n := range d.sizes {
 		c.coeffs[l] = make([]float64, n)
 	}
 	return c
@@ -217,8 +270,8 @@ func (d *Decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor
 	if upTo < 0 || upTo >= d.opt.Levels {
 		return nil, fmt.Errorf("decompose: RecomposeInto upTo %d out of [0,%d)", upTo, d.opt.Levels)
 	}
-	if !slices.Equal(work.Dims(), d.plan.Dims()) {
-		return nil, fmt.Errorf("decompose: workspace dims %v, want %v", work.Dims(), d.plan.Dims())
+	if !slices.Equal(work.Dims(), d.dims) {
+		return nil, fmt.Errorf("decompose: workspace dims %v, want %v", work.Dims(), d.dims)
 	}
 	// Invert only the steps that refine within the kept levels.
 	stop := d.opt.Levels - 1 - upTo

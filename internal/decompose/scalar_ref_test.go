@@ -145,7 +145,7 @@ func refUpdateInverse(data []float64, base, stride, count int, w float64) {
 func refRecomposeUpTo(d *Decomposition, upTo int) *grid.Tensor {
 	work := grid.New(d.Dims()...)
 	for l := 0; l <= upTo; l++ {
-		d.plan.Inject(work.Data(), l, d.coeffs[l])
+		d.Plan().Inject(work.Data(), l, d.coeffs[l])
 	}
 	stop := d.opt.Levels - 1 - upTo
 	refInverse(work, d.opt, stop)

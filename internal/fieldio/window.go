@@ -17,9 +17,9 @@ import (
 // Reader reads rectangular windows (tiles) of a field file through an
 // io.ReaderAt, never materializing the whole payload: the out-of-core
 // compression path reads one slab at a time from fields far larger than
-// RAM. Reads of a window issue one ranged read per contiguous row run, so
-// slab-shaped windows (full extent in every trailing dimension) cost a
-// single ranged read.
+// RAM. Reads of a window issue one ranged read per contiguous row run, cut
+// into pieces of at most maxPiece values, so a slab-shaped window (full
+// extent in every trailing dimension) costs one ranged read per 512 KiB.
 //
 // Reader is safe for concurrent ReadTile calls when the underlying
 // io.ReaderAt is (os.File is).
@@ -120,12 +120,17 @@ func newLayout(meta Meta, dataOff int64) layout {
 	return layout{meta: meta, dataOff: dataOff, strides: strides}
 }
 
+// maxPiece bounds the values one walk step moves (512 KiB of payload), so
+// a whole-field Read or Write stages one cache-sized buffer instead of a
+// copy of the field.
+const maxPiece = 1 << 16
+
 // walk is the one window walk. It checks the window [lo, lo+shape) against
 // the field and the caller's vals values against the window's element
-// count, then calls fn once per contiguous row-major run of the window, in
-// order: at is the run's byte offset in the file, out its element offset in
-// the window's own row-major order, and buf a pooled byte buffer of exactly
-// one run.
+// count, then calls fn once per piece of at most maxPiece values of each
+// contiguous row-major run of the window, in order: at is the piece's byte
+// offset in the file, out its element offset in the window's own row-major
+// order, and buf a pooled byte buffer of exactly one piece.
 func (l *layout) walk(lo, shape []int, vals int, fn func(at int64, out int, buf []byte) error) error {
 	dims := l.meta.Dims
 	n, err := checkWindow(dims, lo, shape)
@@ -136,7 +141,8 @@ func (l *layout) walk(lo, shape []int, vals int, fn func(at int64, out int, buf 
 		return fmt.Errorf("fieldio: buffer holds %d values, window has %d", vals, n)
 	}
 	run, outer := contiguousRun(dims, lo, shape)
-	buf := bufpool.Bytes(8 * run)
+	piece := min(run, maxPiece)
+	buf := bufpool.Bytes(8 * piece)
 	defer bufpool.PutBytes(buf)
 	// idx iterates the window coordinates of dims [0, outer]; inner dims are
 	// covered by each contiguous run.
@@ -149,8 +155,12 @@ func (l *layout) walk(lo, shape []int, vals int, fn func(at int64, out int, buf 
 		if d := outer + 1; d < len(dims) {
 			off += lo[d] * l.strides[d]
 		}
-		if err := fn(l.dataOff+8*int64(off), out, buf); err != nil {
-			return err
+		at := l.dataOff + 8*int64(off)
+		for i := 0; i < run; i += piece {
+			m := min(piece, run-i)
+			if err := fn(at+8*int64(i), out+i, buf[:8*m]); err != nil {
+				return err
+			}
 		}
 		for d := outer; d >= 0; d-- {
 			idx[d]++

@@ -62,20 +62,29 @@ var planMemo struct {
 // with positive extents. The plan is shared: a shape among the planMemoSize
 // most recently requested ones is built once per process, whoever asks.
 func NewPlan(dims []int, levels int) (*Plan, error) {
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("interleave: empty dims")
-	}
-	if levels < 1 || levels > 30 {
-		return nil, fmt.Errorf("interleave: levels %d out of range [1,30]", levels)
-	}
-	for _, d := range dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("interleave: non-positive dimension %d", d)
-		}
+	if err := validate(dims, levels); err != nil {
+		return nil, err
 	}
 	e := remember(dims, levels)
 	e.once.Do(func() { e.plan = buildPlan(e.dims, e.levels) })
 	return e.plan, nil
+}
+
+// validate is the one shape check: levels in [1, 30], dims non-empty with
+// positive extents.
+func validate(dims []int, levels int) error {
+	if len(dims) == 0 {
+		return fmt.Errorf("interleave: empty dims")
+	}
+	if levels < 1 || levels > 30 {
+		return fmt.Errorf("interleave: levels %d out of range [1,30]", levels)
+	}
+	for _, d := range dims {
+		if d <= 0 {
+			return fmt.Errorf("interleave: non-positive dimension %d", d)
+		}
+	}
+	return nil
 }
 
 // remember returns the memo entry of a shape, moving it to the front and
@@ -102,22 +111,18 @@ func remember(dims []int, levels int) *planEntry {
 	return e
 }
 
-// buildPlan computes the maps of a validated shape in one row-major sweep.
-// A node's level depends only on the smallest per-axis trailing
-// divisibility, so that is tabulated per axis, folded over the outer axes
-// once per row, and combined with the last axis' table in the inner loop.
-// Level sizes are known up front — step s keeps ∏((n−1)>>s + 1) nodes —
-// so every level's index list is a pre-sized window of one allocation.
-func buildPlan(dims []int, levels int) *Plan {
-	rank := len(dims)
-	top := levels - 1
-	div := make([][]uint8, rank)
-	for d, n := range dims {
-		div[d] = make([]uint8, n)
-		for i := range div[d] {
-			div[d][i] = uint8(trailingDivisibility(i, top))
-		}
+// LevelSizes returns the number of nodes on each level of a grid with the
+// given dims and levels, coarsest first — a plan's LevelSizes without its
+// index lists. Step s keeps ∏((n−1)>>s + 1) nodes, and level l holds the
+// nodes of step levels−1−l that the next coarser step does not.
+func LevelSizes(dims []int, levels int) ([]int, error) {
+	if err := validate(dims, levels); err != nil {
+		return nil, err
 	}
+	return levelSizes(dims, levels), nil
+}
+
+func levelSizes(dims []int, levels int) []int {
 	active := func(s int) int {
 		c := 1
 		for _, n := range dims {
@@ -125,44 +130,60 @@ func buildPlan(dims []int, levels int) *Plan {
 		}
 		return c
 	}
-	n := active(0)
-	p := &Plan{dims: dims, levels: levels, indices: make([][]int, levels)}
-	// all is every level's index list back to back; next[l] is where level
-	// l's next node goes.
-	all := make([]int, n)
-	next := make([]int, levels)
-	for l, off := 0, 0; l < levels; l++ {
-		size := active(top - l)
+	top := levels - 1
+	sizes := make([]int, levels)
+	for l := range sizes {
+		sizes[l] = active(top - l)
 		if l > 0 {
-			size -= active(top - l + 1)
+			sizes[l] -= active(top - l + 1)
 		}
-		next[l] = off
-		p.indices[l] = all[off : off+size : off+size]
-		off += size
 	}
+	return sizes
+}
 
+// Walk visits every node of a grid with the given dims and levels once, in
+// row-major order, one last-axis row per fn call: the row's nodes are flat
+// … flat+len(row)−1, and node flat+i is on level row[i]. fine reports a row
+// that lies wholly on the finest level (an odd coordinate on an outer axis).
+// row is shared between calls and must not be modified. The shape must be
+// one LevelSizes accepts. Walk is the order every level stream is in: a
+// plan's index lists and a decomposition's level split both come from it.
+//
+// A node's level depends only on the smallest per-axis trailing
+// divisibility, so that is tabulated per axis and folded over the outer
+// axes once per row; the rows that can occur — one per folded value, built
+// on first use — map each last-axis node straight to its level.
+func Walk(dims []int, levels int, fn func(flat int, row []uint8, fine bool)) {
+	rank := len(dims)
+	top := uint8(levels - 1)
+	div := make([][]uint8, rank)
+	for d, n := range dims {
+		div[d] = make([]uint8, n)
+		for i := range div[d] {
+			div[d][i] = uint8(trailingDivisibility(i, int(top)))
+		}
+	}
 	last := div[rank-1]
+	rows := make([][]uint8, top+1)
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
 	idx := make([]int, rank-1)
 	for flat := 0; flat < n; flat += len(last) {
-		outer := uint8(top)
+		outer := top
 		for d, i := range idx {
 			outer = min(outer, div[d][i])
 		}
-		if outer == 0 {
-			// An odd coordinate on an outer axis puts the whole row on the
-			// finest level.
-			fine := all[next[top] : next[top]+len(last)]
-			for i := range fine {
-				fine[i] = flat + i
-			}
-			next[top] += len(last)
-		} else {
+		row := rows[outer]
+		if row == nil {
+			row = make([]uint8, len(last))
 			for i, s := range last {
-				l := uint8(top) - min(outer, s)
-				all[next[l]] = flat + i
-				next[l]++
+				row[i] = top - min(outer, s)
 			}
+			rows[outer] = row
 		}
+		fn(flat, row, outer == 0)
 		// Advance the row-major multi-index of the outer axes.
 		for d := rank - 2; d >= 0; d-- {
 			idx[d]++
@@ -172,6 +193,42 @@ func buildPlan(dims []int, levels int) *Plan {
 			idx[d] = 0
 		}
 	}
+}
+
+// buildPlan computes the maps of a validated shape in one Walk. Level sizes
+// are known up front, so every level's index list is a pre-sized window of
+// one allocation.
+func buildPlan(dims []int, levels int) *Plan {
+	sizes := levelSizes(dims, levels)
+	p := &Plan{dims: dims, levels: levels, indices: make([][]int, levels)}
+	// all is every level's index list back to back; next[l] is where level
+	// l's next node goes.
+	n := 0
+	for _, size := range sizes {
+		n += size
+	}
+	all := make([]int, n)
+	next := make([]int, levels)
+	for l, off := 0, 0; l < levels; l++ {
+		next[l] = off
+		p.indices[l] = all[off : off+sizes[l] : off+sizes[l]]
+		off += sizes[l]
+	}
+	top := levels - 1
+	Walk(dims, levels, func(flat int, row []uint8, fine bool) {
+		if fine {
+			dst := all[next[top] : next[top]+len(row)]
+			for i := range dst {
+				dst[i] = flat + i
+			}
+			next[top] += len(row)
+			return
+		}
+		for i, l := range row {
+			all[next[l]] = flat + i
+			next[l]++
+		}
+	})
 	return p
 }
 

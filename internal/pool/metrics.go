@@ -83,12 +83,7 @@ func (m *Metrics) observe(n int, fn func(worker, i int) error) (wrapped func(wor
 		m.QueueDepth.Add(-1)
 		m.Wait.Observe(start.Sub(entry).Seconds())
 		err := fn(worker, i)
-		dur := time.Since(start).Seconds()
-		m.Task.Observe(dur)
-		tasks, busy := m.worker(worker)
-		tasks.Add(1)
-		busy.Add(dur)
-		m.Completed.Add(1)
+		m.done(worker, time.Since(start))
 		return err
 	}
 	drain = func() {
@@ -97,4 +92,27 @@ func (m *Metrics) observe(n int, fn func(worker, i int) error) (wrapped func(wor
 		}
 	}
 	return wrapped, drain
+}
+
+// done records a task that ran for d on worker: its duration overall and
+// per worker, and its completion.
+func (m *Metrics) done(worker int, d time.Duration) {
+	dur := d.Seconds()
+	m.Task.Observe(dur)
+	tasks, busy := m.worker(worker)
+	tasks.Add(1)
+	busy.Add(dur)
+	m.Completed.Add(1)
+}
+
+// Record counts one task of this site that ran for d on worker inside a
+// task of another site — a stage fused into another's fan-out: it is
+// submitted, completed and timed like a task of its own, with no wait and
+// no queue. A nil m records nothing.
+func (m *Metrics) Record(worker int, d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.Submitted.Add(1)
+	m.done(worker, d)
 }
