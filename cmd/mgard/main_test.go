@@ -258,7 +258,7 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 	requireMetrics(t, cm,
 		"decompose.transforms", "bitplane.levels_encoded",
-		"lossless.segments_compressed", "core.compress.fields",
+		"lossless.segments_compressed", "lossless.segments_stored", "core.compress.fields",
 		"pool.bitplane.encode.wait_seconds")
 	requireStages(t, ct, "compress", "decompose", "bitplane.encode", "lossless.compress")
 

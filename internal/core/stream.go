@@ -124,12 +124,11 @@ func CompressTo(t *grid.Tensor, cfg Config, fieldName string, timestep int, sink
 				// Capacity covers deflate's worst case (stored blocks) so the
 				// steady-state append never grows the pooled buffer.
 				dst := bufpool.Bytes(raw + raw/8 + 64)[:0]
-				out, err := lossless.AppendCompress(cfg.Codec, dst, bits)
+				out, err := ci.AppendCompress(cfg.Codec, dst, bits)
 				if err != nil {
 					bufpool.PutBytes(dst)
 					return nil, err
 				}
-				ci.Observe(len(bits), len(out))
 				return out, nil
 			})
 		}

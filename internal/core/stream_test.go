@@ -76,11 +76,11 @@ func TestCompressToFileGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// tieredGoldenDigest is the treeDigest of the tiered store the batch
-// WriteTiered loop (removed in favour of the streaming writer) produced for
-// the field of TestCompressToTieredGoldenEquivalence — the format reference
-// both tiered write paths must keep reproducing byte for byte.
-const tieredGoldenDigest = "ca832da9be976e80f197de4bd9907a15681624ae423559d5bb97f229ba162b0c"
+// tieredGoldenDigest is the treeDigest of the tiered store written for the
+// field of TestCompressToTieredGoldenEquivalence, with each plane deflated
+// at the effort lossless.AppendCompress chooses for it — the format
+// reference both tiered write paths must keep reproducing byte for byte.
+const tieredGoldenDigest = "9fcc3caa10e85f27024d4ce7bb92411ebbae5e180d4d6143ee1af69cfb674a5f"
 
 // TestCompressToTieredGoldenEquivalence pins both tiered write paths —
 // Compress + WriteTiered and the streaming CompressToTiered at several

@@ -12,6 +12,11 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add(bytes.Repeat([]byte{0xAA}, 300))
 	f.Add([]byte("the quick brown fox"))
+	// Real planes the writer stores (noise), deflates at level 5 (mid) and
+	// at level 6 (sparse).
+	for _, plane := range planesOrFatal(f) {
+		f.Add(plane)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range allCodecs {
 			enc, err := c.Compress(data)

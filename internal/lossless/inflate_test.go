@@ -104,6 +104,13 @@ func FuzzInflateMatchesStdlib(f *testing.F) {
 		for _, level := range flateLevels {
 			f.Add(deflateAt(f, plane, level), len(plane))
 		}
+		// The writer's own choice: stored for the noise plane, level 5
+		// for mid, level 6 for sparse.
+		enc, err := AppendCompress(Deflate(), nil, plane)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc, len(plane))
 	}
 	for _, tc := range boundaryCases(f) {
 		if len(tc.src) <= 8<<10 { // big inputs make minimizing crawl

@@ -1,19 +1,19 @@
 // Package lossless provides the lossless coding stage applied to each
 // encoded bit-plane before storage (§II-B). The original MGARD uses ZSTD;
-// this reproduction substitutes stdlib DEFLATE, which preserves the
-// qualitative per-plane size profile the retrieval-size math depends on
-// (sign/high planes compress well, low-order planes look like noise).
+// this reproduction substitutes DEFLATE, which preserves the qualitative
+// per-plane size profile the retrieval-size math depends on (sign/high
+// planes compress well, low-order planes look like noise).
+//
+// The writer spends on each plane the effort its bytes repay: a plane
+// DEFLATE cannot shrink goes out as stored blocks, a sparse plane is
+// deflated at level 6 and every other one at level 5 (AppendCompress). The
+// reader is the package's own exact-size decoder (inflate.go), which takes
+// any RFC 1951 stream, so the choice needs no header field.
 //
 // Codecs are stateless and safe for concurrent use.
 package lossless
 
-import (
-	"bytes"
-	"compress/flate"
-	"fmt"
-	"io"
-	"sync"
-)
+import "fmt"
 
 // Codec compresses and decompresses byte segments.
 type Codec interface {
@@ -40,30 +40,15 @@ func ByName(name string) (Codec, error) {
 	}
 }
 
-// Deflate returns a DEFLATE codec at the default compression level.
+// Deflate returns the DEFLATE codec. Its writer spends on each segment
+// the effort the segment's bytes repay (AppendCompress); its reader takes
+// any RFC 1951 stream.
 func Deflate() Codec { return deflateCodec{} }
 
 type deflateCodec struct{}
 
 // Name implements Codec.
 func (deflateCodec) Name() string { return "deflate" }
-
-// flateWriters pools encoders: a fresh flate.Writer allocates hundreds of
-// kilobytes of window state, and compression runs over thousands of small
-// plane segments.
-var flateWriters = sync.Pool{
-	New: func() any {
-		w, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
-		if err != nil {
-			panic(err) // only possible for invalid level constants
-		}
-		return w
-	},
-}
-
-// flateBuffers pools the compression staging buffers, so the (growing)
-// buffer is reused instead of escaping with every call.
-var flateBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Compress implements Codec.
 func (deflateCodec) Compress(src []byte) ([]byte, error) {
