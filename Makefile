@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCodecRoundtrip -fuzztime 30s ./internal/codec/codectest/
 	$(GO) test -fuzz FuzzNodeRunResponse -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzConcurrentRetrieve -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzTransposeWords -fuzztime 30s ./internal/bitplane/
 
 # The repository benchmark (BENCHMARK.json): the four end-to-end workloads
 # over the real serve/mgard binaries at 129³; see benchmark/README.md.

@@ -82,11 +82,15 @@ func (e *LevelEncoding) transposeGroups(b int, w *Words, g0, g1 int) {
 }
 
 // wordGroups32 runs the kernel of b's regime for a level of at most 32
-// planes over groups [g0, g1) into dst, dst[0] being coefficient 64·g0.
+// planes over groups [g0, g1) into dst, dst[0] being coefficient 64·g0:
+// the AVX2 kernel on CPUs that have it, the portable ones elsewhere.
 func (e *LevelEncoding) wordGroups32(b int, dst []uint32, g0, g1 int) {
-	if b <= 8 {
+	switch {
+	case haveAVX2 && b > 0:
+		wordsAVX2(e.Bits, e.N, dst, b, e.Planes, g0, g1)
+	case b <= 8:
 		wordsSmall(e.Bits, e.N, dst, b, e.Planes, g0, g1)
-	} else {
+	default:
 		wordsHalf(e.Bits, e.N, dst, b, e.Planes, g0, g1)
 	}
 }

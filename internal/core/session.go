@@ -539,8 +539,9 @@ func (s *Session) reconstruct(ctx context.Context, upTo int) (*grid.Tensor, erro
 // level, which serves when it holds at least that many planes (a snapshot of
 // more decodes exactly the same prefix), "built" when the session transposed
 // its own planes into the workspace and offered the words to the cache, ""
-// for a level with no planes. The level's decode span is a child of sp when
-// it is set. s.mu must be held.
+// for a level with no planes. The level's decode span, and the transpose
+// span of words it builds, are children of sp when it is set. s.mu must be
+// held.
 func (s *Session) decodeLevel(l int, data []float64, sp *obs.Span) (source string) {
 	lm, b := &s.header.Levels[l], s.fetched[l]
 	enc := &s.ws.encs[l]
@@ -558,7 +559,11 @@ func (s *Session) decodeLevel(l int, data []float64, sp *obs.Span) (source strin
 				s.ws.words[l] = new(bitplane.Words)
 			}
 			words = s.ws.words[l]
+			tsp := sp.Child("bitplane.transpose")
+			tsp.SetAttr("level", l)
+			tsp.SetAttr("planes", b)
 			enc.TransposeWords(b, words, s.workers)
+			tsp.End()
 			if s.cache.PublishSnapshot(key, words) {
 				s.ws.words[l] = nil
 			}

@@ -11,8 +11,9 @@ import (
 
 // TestSessionRefineSpanTree verifies the request-scoped span tree a shared
 // refine records: session stages parent under the request root carried by
-// ctx, cache and plane fetch spans nest below the fetch level, and every
-// span carries the request's trace id.
+// ctx, cache and plane fetch spans nest below the fetch level, built words
+// are transposed under the decode span, and every span carries the
+// request's trace id.
 func TestSessionRefineSpanTree(t *testing.T) {
 	f := testField(t)
 	c, err := Compress(f, DefaultConfig(), "Ex", 0)
@@ -48,7 +49,7 @@ func TestSessionRefineSpanTree(t *testing.T) {
 			t.Errorf("span %s trace id %q, want %q", rec.Name, rec.TraceID, traceID)
 		}
 	}
-	for _, name := range []string{"session.refine", "session.fetch_level", "servecache.get", "session.fetch_plane", "session.decode", "session.recompose"} {
+	for _, name := range []string{"session.refine", "session.fetch_level", "servecache.get", "session.fetch_plane", "session.decode", "bitplane.transpose", "session.recompose"} {
 		if counts[name] == 0 {
 			t.Errorf("no %q span recorded (have %v)", name, counts)
 		}
@@ -74,6 +75,15 @@ func TestSessionRefineSpanTree(t *testing.T) {
 		case "session.fetch_plane":
 			if !ok || parent.Name != "servecache.get" {
 				t.Errorf("session.fetch_plane parent = %+v, want servecache.get", parent)
+			}
+		case "bitplane.transpose":
+			// A fresh cache holds no word snapshot, so every level with
+			// planes builds its words under the decode span.
+			if !ok || parent.Name != "session.decode" {
+				t.Errorf("bitplane.transpose parent = %+v, want session.decode", parent)
+			}
+			if _, ok := rec.Attrs["level"]; !ok || rec.Attrs["planes"] == nil {
+				t.Errorf("bitplane.transpose attrs %v, want level and planes", rec.Attrs)
 			}
 		}
 	}

@@ -68,7 +68,13 @@ type Span struct {
 	parent  int64
 	traceID string
 	name    string
-	start   time.Time
+	// base is the start of the trace's root span: every span of the trace
+	// places its start on base's monotonic clock, anchored to base's one
+	// wall reading, so no child can appear to start before or end after
+	// its root when the wall clock steps or is read a few ns apart from
+	// the monotonic one.
+	base  time.Time
+	start time.Time
 
 	mu     sync.Mutex
 	attrs  map[string]any
@@ -83,11 +89,14 @@ func (t *Tracer) Start(name string, parent *Span) *Span {
 	if t == nil {
 		return nil
 	}
+	start := time.Now()
 	var pid int64
 	var traceID string
+	base := start
 	if parent != nil {
 		pid = parent.id
 		traceID = parent.traceID
+		base = parent.base
 	}
 	return &Span{
 		t:       t,
@@ -95,7 +104,8 @@ func (t *Tracer) Start(name string, parent *Span) *Span {
 		parent:  pid,
 		traceID: traceID,
 		name:    name,
-		start:   time.Now(),
+		base:    base,
+		start:   start,
 	}
 }
 
@@ -210,7 +220,7 @@ func (s *Span) EndAt(end time.Time) {
 		TraceID: s.traceID,
 		Name:    s.name,
 		Status:  status,
-		StartNs: s.start.UnixNano(),
+		StartNs: s.base.UnixNano() + s.start.Sub(s.base).Nanoseconds(),
 		DurNs:   end.Sub(s.start).Nanoseconds(),
 		Attrs:   attrs,
 	}
@@ -258,7 +268,9 @@ type SpanRecord struct {
 	// Status is the terminal status: empty means ok, otherwise one of the
 	// Status* constants ("cancelled", "deadline", "error").
 	Status string `json:"status,omitempty"`
-	// StartNs is the span start as Unix nanoseconds.
+	// StartNs is the span start as Unix nanoseconds: its root span's wall
+	// reading plus the monotonic time since, so within one trace StartNs
+	// differences are monotonic differences.
 	StartNs int64 `json:"start_ns"`
 	// DurNs is the span duration in nanoseconds.
 	DurNs int64 `json:"dur_ns"`

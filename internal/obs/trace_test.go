@@ -103,6 +103,36 @@ func TestSpanDoubleEndRecordsOnce(t *testing.T) {
 	}
 }
 
+// TestSpansOfATraceShareOneClock ends a tree of spans at one instant: on
+// one monotonic base every span then ends at the same nanosecond as its
+// root and starts no earlier. Stamping each start with its own wall reading
+// instead shifts each span by that reading's few-ns skew against the
+// monotonic clock, so some child ends after its root.
+func TestSpansOfATraceShareOneClock(t *testing.T) {
+	tr := NewTracer(0)
+	spans := []*Span{tr.StartTrace("root", "0123456789abcdef0123456789abcdef")}
+	for i := 0; i < 256; i++ {
+		spans = append(spans, spans[i/2].Child("child"))
+	}
+	end := time.Now()
+	for i := len(spans) - 1; i >= 0; i-- {
+		spans[i].EndAt(end)
+	}
+	recs := tr.Timeline()
+	var root SpanRecord
+	for _, rec := range recs {
+		if rec.Parent == 0 {
+			root = rec
+		}
+	}
+	for _, rec := range recs {
+		if rec.StartNs < root.StartNs || rec.StartNs+rec.DurNs != root.StartNs+root.DurNs {
+			t.Fatalf("span %d [%d, %d] vs root [%d, %d]: not on the root's clock",
+				rec.ID, rec.StartNs, rec.StartNs+rec.DurNs, root.StartNs, root.StartNs+root.DurNs)
+		}
+	}
+}
+
 func TestNilTracerInert(t *testing.T) {
 	var tr *Tracer
 	s := tr.Start("x", nil)
