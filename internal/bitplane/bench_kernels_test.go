@@ -171,7 +171,7 @@ func BenchmarkErrMatrix(b *testing.B) {
 					if c := coeffs[j]; math.IsNaN(c) || math.IsInf(c, 0) {
 						continue
 					}
-					dec := float64(decodeWord(w&mask, planes, Negabinary)) * unit
+					dec := float64(float64(decodeWord(w&mask, planes, Negabinary)) * unit)
 					e := math.Abs(coeffs[j] - dec)
 					if math.IsInf(e, 0) {
 						e = math.MaxFloat64

@@ -361,7 +361,7 @@ func foldErrors(cs []float64, ws, sw []uint64, sc []float64, unit float64, plane
 		// saturation test. The saturating path computes e from identical
 		// operands, so the two variants are bit-identical wherever both are
 		// finite.
-		safe := maxAbs+float64(uint64(1)<<uint(planes))*unit < math.MaxFloat64
+		safe := maxAbs+float64(float64(uint64(1)<<uint(planes))*unit) < math.MaxFloat64
 		return foldNegabinaryBlock(cs, ws, sw, sc, unit, planes, safe, acc)
 	}
 	// digit[p] is the magnitude a set bit at position p contributes.
@@ -390,7 +390,7 @@ func foldErrors(cs []float64, ws, sw []uint64, sc []float64, unit float64, plane
 			} else {
 				dec = mag
 			}
-			e := math.Abs(c - float64(dec)*unit)
+			e := math.Abs(c - float64(float64(dec)*unit))
 			if math.IsInf(e, 0) {
 				e = math.MaxFloat64
 			}
@@ -482,7 +482,7 @@ func foldPlane(ws []uint64, cs []float64, mask uint64, unit, maxErr float64, saf
 	cs = cs[:len(ws)]
 	if safe {
 		for j, w := range ws {
-			e := math.Abs(cs[j] - float64(DecodeNegabinary(w&mask))*unit)
+			e := math.Abs(cs[j] - float64(float64(DecodeNegabinary(w&mask))*unit))
 			if e > maxErr {
 				maxErr = e
 			}
@@ -490,7 +490,7 @@ func foldPlane(ws []uint64, cs []float64, mask uint64, unit, maxErr float64, saf
 		return maxErr
 	}
 	for j, w := range ws {
-		e := math.Abs(cs[j] - float64(DecodeNegabinary(w&mask))*unit)
+		e := math.Abs(cs[j] - float64(float64(DecodeNegabinary(w&mask))*unit))
 		if math.IsInf(e, 0) {
 			// A short nega-binary prefix of a near-MaxFloat64 level can
 			// dequantize past the float range; saturate the bound.

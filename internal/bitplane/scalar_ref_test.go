@@ -101,7 +101,7 @@ func encodeLevelModeScalar(coeffs []float64, planes int, mode Mode) (*LevelEncod
 			if c := coeffs[i]; math.IsNaN(c) || math.IsInf(c, 0) {
 				continue
 			}
-			dec := float64(decodeWord(w&mask, planes, mode)) * unit
+			dec := float64(float64(decodeWord(w&mask, planes, mode)) * unit)
 			e := math.Abs(coeffs[i] - dec)
 			if math.IsInf(e, 0) {
 				e = math.MaxFloat64

@@ -3,6 +3,7 @@ package bitplane
 import (
 	"fmt"
 
+	"pmgard/internal/cpufeat"
 	"pmgard/internal/obs"
 	"pmgard/internal/pool"
 )
@@ -86,7 +87,7 @@ func (e *LevelEncoding) transposeGroups(b int, w *Words, g0, g1 int) {
 // the AVX2 kernel on CPUs that have it, the portable ones elsewhere.
 func (e *LevelEncoding) wordGroups32(b int, dst []uint32, g0, g1 int) {
 	switch {
-	case haveAVX2 && b > 0:
+	case cpufeat.AVX2 && b > 0:
 		wordsAVX2(e.Bits, e.N, dst, b, e.Planes, g0, g1)
 	case b <= 8:
 		wordsSmall(e.Bits, e.N, dst, b, e.Planes, g0, g1)

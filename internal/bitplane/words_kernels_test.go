@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"pmgard/internal/cpufeat"
 )
 
 // planePatterns fill a level's plane bytes: the kernels only permute bits,
@@ -69,7 +71,7 @@ func wordKernels(b int) map[string]wordKernel32 {
 	if b <= 8 {
 		ks["small"] = wordsSmall[uint32]
 	}
-	if haveAVX2 && b > 0 {
+	if cpufeat.AVX2 && b > 0 {
 		ks["avx2"] = wordsAVX2
 	}
 	return ks
@@ -91,7 +93,7 @@ func checkKernelWords(t *testing.T, label string, got []uint32, want []uint64, m
 // wordsScalar on identical planes: every plane count of 1–32, every
 // prefix, group-edge lengths and the finest level of a 129³ field.
 func TestWordKernelsMatchScalar(t *testing.T) {
-	if !haveAVX2 {
+	if !cpufeat.AVX2 {
 		t.Log("no AVX2: checking the portable kernels only")
 	}
 	rng := rand.New(rand.NewSource(36))

@@ -33,6 +33,7 @@ import (
 	"sync"
 
 	"pmgard/internal/codec"
+	"pmgard/internal/cpufeat"
 	"pmgard/internal/grid"
 	"pmgard/internal/interleave"
 	"pmgard/internal/obs"
@@ -608,23 +609,23 @@ func (lf *lifter) line(v view) {
 func forwardLine(x []float64, opt codec.Options) {
 	w := opt.UpdateWeight
 	if len(x) > 2 {
-		x[1] -= 0.5 * (x[0] + x[2])
+		x[1] -= float64(0.5 * (x[0] + x[2]))
 	} else {
 		x[1] -= x[0]
 	}
 	if opt.Update {
 		var sum float64
 		sum += x[1]
-		x[0] += w * sum
+		x[0] += float64(w * sum)
 	}
 	y := x[1:]
 	for ; len(y) >= 4; y = y[2:] {
-		y[2] -= 0.5 * (y[1] + y[3])
+		y[2] -= float64(0.5 * (y[1] + y[3]))
 		if opt.Update {
 			var sum float64
 			sum += y[0]
 			sum += y[2]
-			y[1] += w * sum
+			y[1] += float64(w * sum)
 		}
 	}
 	switch {
@@ -634,12 +635,12 @@ func forwardLine(x []float64, opt codec.Options) {
 			var sum float64
 			sum += y[0]
 			sum += y[2]
-			y[1] += w * sum
+			y[1] += float64(w * sum)
 		}
 	case len(y) == 2 && opt.Update: // n odd: the last even node has no right neighbour
 		var sum float64
 		sum += y[0]
-		y[1] += w * sum
+		y[1] += float64(w * sum)
 	}
 }
 
@@ -653,7 +654,7 @@ func inverseLine(x []float64, opt codec.Options) {
 	if opt.Update {
 		var sum float64
 		sum += x[1]
-		x[0] -= w * sum
+		x[0] -= float64(w * sum)
 	}
 	y := x
 	for ; len(y) >= 4; y = y[2:] {
@@ -661,17 +662,17 @@ func inverseLine(x []float64, opt codec.Options) {
 			var sum float64
 			sum += y[1]
 			sum += y[3]
-			y[2] -= w * sum
+			y[2] -= float64(w * sum)
 		}
-		y[1] += 0.5 * (y[0] + y[2])
+		y[1] += float64(0.5 * (y[0] + y[2]))
 	}
 	if len(y) == 3 { // n odd: the last even node has no right neighbour
 		if opt.Update {
 			var sum float64
 			sum += y[1]
-			y[2] -= w * sum
+			y[2] -= float64(w * sum)
 		}
-		y[1] += 0.5 * (y[0] + y[2])
+		y[1] += float64(0.5 * (y[0] + y[2]))
 		return
 	}
 	y[1] += y[0] // n even: the last odd node has no right neighbour
@@ -701,17 +702,32 @@ func predictRow(c, a, b []float64, h int, fwd bool) {
 	case fwd:
 		b = b[:len(c)]
 		for i := 0; i < len(c); i += h {
-			c[i] -= 0.5 * (a[i] + b[i])
+			c[i] -= float64(0.5 * (a[i] + b[i]))
 		}
 	default:
 		b = b[:len(c)]
 		for i := 0; i < len(c); i += h {
-			c[i] += 0.5 * (a[i] + b[i])
+			c[i] += float64(0.5 * (a[i] + b[i]))
 		}
 	}
 }
 
+// predictRow1 is predictRow at h = 1, where the rows are contiguous: on
+// CPUs with AVX2 the assembly kernel lifts all but the last len(c) % 8
+// elements, and predictRow1Go the rest.
 func predictRow1(c, a, b []float64, fwd bool) {
+	if cpufeat.AVX2 {
+		n := predictAVX2(c, a, b, fwd)
+		c, a = c[n:], a[n:]
+		if b != nil {
+			b = b[n:]
+		}
+	}
+	predictRow1Go(c, a, b, fwd)
+}
+
+// predictRow1Go is predictRow1 in Go alone.
+func predictRow1Go(c, a, b []float64, fwd bool) {
 	a = a[:len(c)]
 	switch {
 	case b == nil && fwd:
@@ -725,12 +741,12 @@ func predictRow1(c, a, b []float64, fwd bool) {
 	case fwd:
 		b = b[:len(c)]
 		for i := range c {
-			c[i] -= 0.5 * (a[i] + b[i])
+			c[i] -= float64(0.5 * (a[i] + b[i]))
 		}
 	default:
 		b = b[:len(c)]
 		for i := range c {
-			c[i] += 0.5 * (a[i] + b[i])
+			c[i] += float64(0.5 * (a[i] + b[i]))
 		}
 	}
 }
@@ -751,9 +767,9 @@ func updateRow(c, a, b []float64, h int, w float64, fwd bool) {
 			var sum float64
 			sum += a[i]
 			if fwd {
-				c[i] += w * sum
+				c[i] += float64(w * sum)
 			} else {
-				c[i] -= w * sum
+				c[i] -= float64(w * sum)
 			}
 		}
 	case fwd:
@@ -762,7 +778,7 @@ func updateRow(c, a, b []float64, h int, w float64, fwd bool) {
 			var sum float64
 			sum += a[i]
 			sum += b[i]
-			c[i] += w * sum
+			c[i] += float64(w * sum)
 		}
 	default:
 		b = b[:len(c)]
@@ -770,25 +786,38 @@ func updateRow(c, a, b []float64, h int, w float64, fwd bool) {
 			var sum float64
 			sum += a[i]
 			sum += b[i]
-			c[i] -= w * sum
+			c[i] -= float64(w * sum)
 		}
 	}
 }
 
+// updateRow1 is predictRow1 for updateRow.
 func updateRow1(c, a, b []float64, w float64, fwd bool) {
+	if cpufeat.AVX2 {
+		n := updateAVX2(c, a, b, w, fwd)
+		c, a = c[n:], a[n:]
+		if b != nil {
+			b = b[n:]
+		}
+	}
+	updateRow1Go(c, a, b, w, fwd)
+}
+
+// updateRow1Go is updateRow1 in Go alone.
+func updateRow1Go(c, a, b []float64, w float64, fwd bool) {
 	a = a[:len(c)]
 	switch {
 	case b == nil && fwd:
 		for i := range c {
 			var sum float64
 			sum += a[i]
-			c[i] += w * sum
+			c[i] += float64(w * sum)
 		}
 	case b == nil:
 		for i := range c {
 			var sum float64
 			sum += a[i]
-			c[i] -= w * sum
+			c[i] -= float64(w * sum)
 		}
 	case fwd:
 		b = b[:len(c)]
@@ -796,7 +825,7 @@ func updateRow1(c, a, b []float64, w float64, fwd bool) {
 			var sum float64
 			sum += a[i]
 			sum += b[i]
-			c[i] += w * sum
+			c[i] += float64(w * sum)
 		}
 	default:
 		b = b[:len(c)]
@@ -804,7 +833,7 @@ func updateRow1(c, a, b []float64, w float64, fwd bool) {
 			var sum float64
 			sum += a[i]
 			sum += b[i]
-			c[i] -= w * sum
+			c[i] -= float64(w * sum)
 		}
 	}
 }
@@ -815,7 +844,7 @@ func predictForward(data []float64, base, stride, count int) {
 	for j := 1; j < count; j += 2 {
 		var pred float64
 		if j+1 < count {
-			pred = 0.5 * (data[base+(j-1)*stride] + data[base+(j+1)*stride])
+			pred = float64(0.5 * (data[base+(j-1)*stride] + data[base+(j+1)*stride]))
 		} else {
 			pred = data[base+(j-1)*stride]
 		}
@@ -828,7 +857,7 @@ func predictInverse(data []float64, base, stride, count int) {
 	for j := 1; j < count; j += 2 {
 		var pred float64
 		if j+1 < count {
-			pred = 0.5 * (data[base+(j-1)*stride] + data[base+(j+1)*stride])
+			pred = float64(0.5 * (data[base+(j-1)*stride] + data[base+(j+1)*stride]))
 		} else {
 			pred = data[base+(j-1)*stride]
 		}
@@ -847,7 +876,7 @@ func updateForward(data []float64, base, stride, count int, w float64) {
 		if j+1 < count {
 			sum += data[base+(j+1)*stride]
 		}
-		data[base+j*stride] += w * sum
+		data[base+j*stride] += float64(w * sum)
 	}
 }
 
@@ -861,6 +890,6 @@ func updateInverse(data []float64, base, stride, count int, w float64) {
 		if j+1 < count {
 			sum += data[base+(j+1)*stride]
 		}
-		data[base+j*stride] -= w * sum
+		data[base+j*stride] -= float64(w * sum)
 	}
 }

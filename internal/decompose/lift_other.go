@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package decompose
+
+// predictAVX2 and updateAVX2 exist off amd64 only so that the dispatch
+// compiles; cpufeat.AVX2, constant false here, keeps them from being
+// called.
+func predictAVX2(c, a, b []float64, fwd bool) int {
+	panic("decompose: AVX2 kernel called off amd64")
+}
+
+func updateAVX2(c, a, b []float64, w float64, fwd bool) int {
+	panic("decompose: AVX2 kernel called off amd64")
+}

@@ -93,7 +93,7 @@ func refPredictForward(data []float64, base, stride, count int) {
 	for j := 1; j < count; j += 2 {
 		var pred float64
 		if j+1 < count {
-			pred = 0.5 * (data[base+(j-1)*stride] + data[base+(j+1)*stride])
+			pred = float64(0.5 * (data[base+(j-1)*stride] + data[base+(j+1)*stride]))
 		} else {
 			pred = data[base+(j-1)*stride]
 		}
@@ -105,7 +105,7 @@ func refPredictInverse(data []float64, base, stride, count int) {
 	for j := 1; j < count; j += 2 {
 		var pred float64
 		if j+1 < count {
-			pred = 0.5 * (data[base+(j-1)*stride] + data[base+(j+1)*stride])
+			pred = float64(0.5 * (data[base+(j-1)*stride] + data[base+(j+1)*stride]))
 		} else {
 			pred = data[base+(j-1)*stride]
 		}
@@ -122,7 +122,7 @@ func refUpdateForward(data []float64, base, stride, count int, w float64) {
 		if j+1 < count {
 			sum += data[base+(j+1)*stride]
 		}
-		data[base+j*stride] += w * sum
+		data[base+j*stride] += float64(w * sum)
 	}
 }
 
@@ -135,7 +135,7 @@ func refUpdateInverse(data []float64, base, stride, count int, w float64) {
 		if j+1 < count {
 			sum += data[base+(j+1)*stride]
 		}
-		data[base+j*stride] -= w * sum
+		data[base+j*stride] -= float64(w * sum)
 	}
 }
 

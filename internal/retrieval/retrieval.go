@@ -79,7 +79,7 @@ func (p PerLevelEstimator) Estimate(levelErrs []float64) float64 {
 	}
 	sum := 0.0
 	for l, e := range levelErrs {
-		sum += p.C[l] * e
+		sum += float64(p.C[l] * e)
 	}
 	return sum
 }
