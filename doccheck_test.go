@@ -425,13 +425,19 @@ func TestOneMeasuredWalk(t *testing.T) {
 // RecomposeLevel identifier) and no per-node level table beside
 // Plan.Indices (no LevelOf); one struct type carries the transform options
 // (fields Levels int, Update bool, UpdateWeight float64 — codec.Options);
-// and internal/fieldio reads field files through its window reader only:
-// no bufio import, exactly one json.Unmarshal call (the header parser).
+// internal/fieldio reads field files through its window reader only: no
+// bufio import, exactly one json.Unmarshal call (the header parser); and
+// internal/bitplane keeps one plane representation and one decoder: no
+// Mode type, no SignMagnitude constant or variable (the method that
+// re-slices an encoding for the encoding ablation is allowed), no
+// DecodePartial, encodeWord or decodeWord, and an EncodeLevel of exactly
+// four parameters (coeffs, planes, workers, o).
 func TestOneTransformContract(t *testing.T) {
 	optionFields := map[string]string{"Levels": "int", "Update": "bool", "UpdateWeight": "float64"}
-	var problems, optionTypes, unmarshals []string
+	var problems, optionTypes, unmarshals, encodeLevels []string
 	walkSourceFiles(t, false, func(path string, file *ast.File) {
-		inFieldio := filepath.ToSlash(filepath.Dir(path)) == "internal/fieldio"
+		dir := filepath.ToSlash(filepath.Dir(path))
+		inFieldio, inBitplane := dir == "internal/fieldio", dir == "internal/bitplane"
 		if inFieldio {
 			for _, imp := range file.Imports {
 				if imp.Path.Value == `"bufio"` {
@@ -442,10 +448,24 @@ func TestOneTransformContract(t *testing.T) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
-				if n.Name == "RecomposeLevel" || n.Name == "LevelOf" {
+				if n.Name == "RecomposeLevel" || n.Name == "LevelOf" ||
+					inBitplane && (n.Name == "DecodePartial" || n.Name == "encodeWord" || n.Name == "decodeWord") {
 					problems = append(problems, path+": "+n.Name)
 				}
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					if inBitplane && name.Name == "SignMagnitude" {
+						problems = append(problems, path+": a SignMagnitude value")
+					}
+				}
+			case *ast.FuncDecl:
+				if inBitplane && n.Recv == nil && n.Name.Name == "EncodeLevel" {
+					encodeLevels = append(encodeLevels, path+" takes "+strconv.Itoa(n.Type.Params.NumFields()))
+				}
 			case *ast.TypeSpec:
+				if inBitplane && n.Name.Name == "Mode" {
+					problems = append(problems, path+": type Mode")
+				}
 				st, ok := n.Type.(*ast.StructType)
 				if !ok {
 					return true
@@ -474,6 +494,9 @@ func TestOneTransformContract(t *testing.T) {
 	}
 	if len(unmarshals) != 1 {
 		problems = append(problems, "internal/fieldio calls json.Unmarshal "+strconv.Itoa(len(unmarshals))+" times, want exactly once: "+strings.Join(unmarshals, ", "))
+	}
+	if len(encodeLevels) != 1 || !strings.HasSuffix(encodeLevels[0], " takes 4") {
+		problems = append(problems, "internal/bitplane declares EncodeLevel "+strconv.Itoa(len(encodeLevels))+" times, want once with 4 parameters: "+strings.Join(encodeLevels, ", "))
 	}
 	if len(problems) > 0 {
 		sort.Strings(problems)

@@ -34,7 +34,7 @@ func BenchmarkEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
+		enc, err := EncodeLevel(coeffs, 32, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,45 +50,52 @@ func BenchmarkEncodeScalarRef(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeLevelModeScalar(coeffs, 32, Negabinary); err != nil {
+		if _, err := encodeLevelModeScalar(coeffs, 32, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkDecodePartial measures word-parallel partial decodes at several
-// prefix depths — 8×8 tiles up to b = 8, the half-width transpose above —
-// reusing the destination so the steady-state path is allocation-free, and
-// the deepest prefix at the size of the finest 129³ level.
+// BenchmarkDecodePartial measures word-parallel partial decodes —
+// TransposeWords, then DecodeWords in coefficient order — at several prefix
+// depths (8×8 tiles up to b = 8, the half-width transpose above), reusing
+// the words and the destination so the steady-state path is
+// allocation-free, and the deepest prefix at the size of the finest 129³
+// level.
 func BenchmarkDecodePartial(b *testing.B) {
 	coeffs := benchCoeffs(benchN)
-	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
+	enc, err := EncodeLevel(coeffs, 32, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer enc.Release()
+	var w Words
 	dst := make([]float64, benchN)
 	for _, depth := range []int{4, 8, 12, 16, 20, 28, 32} {
 		b.Run(planeDepthName(depth), func(b *testing.B) {
 			b.SetBytes(benchN * 8)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				enc.DecodePartial(depth, dst, 1, nil)
+				enc.TransposeWords(depth, &w, 1)
+				enc.DecodeWords(&w, depth, dst, nil, 1, nil, nil)
 			}
 		})
 	}
 	b.Run("finest129", func(b *testing.B) {
-		enc, err := EncodeLevel(heavyTailedCoeffs(finest129N), 32, Negabinary, 1, nil)
+		enc, err := EncodeLevel(heavyTailedCoeffs(finest129N), 32, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer enc.Release()
+		var w Words
+		enc.TransposeWords(32, &w, 1)
 		dst := make([]float64, finest129N)
 		b.SetBytes(finest129N * 8)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			enc.DecodePartial(32, dst, 1, nil)
+			enc.TransposeWords(32, &w, 1)
+			enc.DecodeWords(&w, 32, dst, nil, 1, nil, nil)
 		}
 	})
 }
@@ -97,7 +104,7 @@ func BenchmarkDecodePartial(b *testing.B) {
 // the same prefix depths.
 func BenchmarkDecodePartialScalarRef(b *testing.B) {
 	coeffs := benchCoeffs(benchN)
-	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
+	enc, err := EncodeLevel(coeffs, 32, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -171,7 +178,7 @@ func BenchmarkErrMatrix(b *testing.B) {
 					if c := coeffs[j]; math.IsNaN(c) || math.IsInf(c, 0) {
 						continue
 					}
-					dec := float64(float64(decodeWord(w&mask, planes, Negabinary)) * unit)
+					dec := float64(float64(DecodeNegabinary(w&mask)) * unit)
 					e := math.Abs(coeffs[j] - dec)
 					if math.IsInf(e, 0) {
 						e = math.MaxFloat64
@@ -189,14 +196,14 @@ func BenchmarkErrMatrix(b *testing.B) {
 // benchWords quantizes coeffs the way EncodeLevel does and returns the
 // level's unit and plane words.
 func benchWords(b *testing.B, coeffs []float64, planes int) (float64, []uint64) {
-	enc, err := EncodeLevel(coeffs, planes, Negabinary, 1, nil)
+	enc, err := EncodeLevel(coeffs, planes, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	unit := enc.unitSize()
 	enc.Release()
 	words := make([]uint64, len(coeffs))
-	quantize(coeffs, words, unit, 1<<(planes-2), planes, Negabinary)
+	quantize(coeffs, words, unit, 1<<(planes-2))
 	return unit, words
 }
 
@@ -208,7 +215,7 @@ func foldLevel(coeffs []float64, words []uint64, unit float64, planes int, out [
 	var acc [61]float64
 	for lo := 0; lo < len(coeffs); lo += foldBlock {
 		hi := min(lo+foldBlock, len(coeffs))
-		pairs += foldErrors(coeffs[lo:hi], words[lo:hi], sw, sc, unit, planes, Negabinary, &acc)
+		pairs += foldErrors(coeffs[lo:hi], words[lo:hi], sw, sc, unit, planes, &acc)
 	}
 	copy(out, acc[:planes+1])
 	bufpool.PutFloat64s(sc)
@@ -225,7 +232,7 @@ func planeDepthName(b int) string {
 // snapshot saves), and decoding words to every other grid position (the
 // scatter a level's nodes take).
 func BenchmarkWords(b *testing.B) {
-	enc, err := EncodeLevel(heavyTailedCoeffs(finest129N), 32, Negabinary, 1, nil)
+	enc, err := EncodeLevel(heavyTailedCoeffs(finest129N), 32, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -52,18 +52,6 @@ func DecodeNegabinary(nb uint64) int64 {
 	return int64((nb ^ negaMask) - negaMask)
 }
 
-// Mode selects the bit-plane representation.
-type Mode int
-
-const (
-	// Negabinary is MGARD's base -2 encoding (the default): no separate
-	// sign plane, truncation errors alternate in sign.
-	Negabinary Mode = iota
-	// SignMagnitude uses one sign plane followed by magnitude planes MSB
-	// first — the conventional alternative, used by the encoding ablation.
-	SignMagnitude
-)
-
 // LevelEncoding is the bit-plane encoding of one coefficient level.
 //
 // Encodings returned by EncodeLevel draw Bits and ErrMatrix
@@ -86,8 +74,6 @@ type LevelEncoding struct {
 	// first b planes are retrieved (ErrMatrix[0] is the error of reading
 	// nothing; ErrMatrix[Planes] is the residual quantization error).
 	ErrMatrix []float64
-	// Mode is the plane representation.
-	Mode Mode
 
 	// flat is the pooled backing array the Bits slices view; nil for
 	// encodings assembled directly from retrieved planes.
@@ -104,9 +90,9 @@ var encPool = sync.Pool{New: func() any { return new(LevelEncoding) }}
 // newLevelEncoding assembles a pooled encoding shell with plane and
 // error-matrix buffers sized for (n, planes). Buffer contents are
 // undefined; every byte the encoder does not overwrite must be cleared.
-func newLevelEncoding(n, planes, planeBytes int, mode Mode) *LevelEncoding {
+func newLevelEncoding(n, planes, planeBytes int) *LevelEncoding {
 	e := encPool.Get().(*LevelEncoding)
-	e.N, e.Planes, e.Mode, e.Exponent = n, planes, mode, 0
+	e.N, e.Planes, e.Exponent = n, planes, 0
 	if cap(e.Bits) < planes {
 		e.Bits = make([][]byte, planes)
 	} else {
@@ -141,9 +127,8 @@ func (e *LevelEncoding) Release() {
 	encPool.Put(e)
 }
 
-// EncodeLevel encodes coeffs into `planes` bit-planes under the chosen plane
-// representation. planes must be in [1, 60]; 32 nega-binary planes
-// reproduce the paper's configuration.
+// EncodeLevel encodes coeffs into `planes` nega-binary bit-planes. planes
+// must be in [1, 60]; 32 planes reproduce the paper's configuration.
 //
 // Quantization, plane slicing and the error-matrix fold run as one pass,
 // a cache-sized block of coefficients at a time, fanned across at most
@@ -163,11 +148,11 @@ func (e *LevelEncoding) Release() {
 // bitplane.levels_encoded / bitplane.planes_encoded /
 // bitplane.coeffs_encoded / bitplane.errmatrix_pairs (the (coefficient,
 // plane) pairs the error matrix folded one by one; its ratio to
-// coeffs_encoded × planes is the share the nega-binary kernel did not skip),
+// coeffs_encoded × planes is the share the fold did not skip),
 // pool task metrics of the fused pass under pool.bitplane.encode.*, and
 // under pool.bitplane.errmatrix.* one task per chunk timing its
 // error-matrix fold.
-func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Obs) (_ *LevelEncoding, err error) {
+func EncodeLevel(coeffs []float64, planes, workers int, o *obs.Obs) (_ *LevelEncoding, err error) {
 	var pairs int64
 	if o != nil {
 		sp := o.Span("bitplane.encode", nil)
@@ -186,13 +171,10 @@ func EncodeLevel(coeffs []float64, planes int, mode Mode, workers int, o *obs.Ob
 	if planes < 1 || planes > 60 {
 		return nil, fmt.Errorf("bitplane: planes %d out of range [1,60]", planes)
 	}
-	if mode != Negabinary && mode != SignMagnitude {
-		return nil, fmt.Errorf("bitplane: unknown mode %d", mode)
-	}
 	workers = pool.Clamp(workers)
 	n := len(coeffs)
 	planeBytes := (n + 7) / 8
-	enc := newLevelEncoding(n, planes, planeBytes, mode)
+	enc := newLevelEncoding(n, planes, planeBytes)
 
 	maxAbs := 0.0
 	for _, c := range coeffs {
@@ -309,13 +291,13 @@ func (lv *levelEncoder) encodeGroups(worker, g0, g1 int, out []float64) (pairs i
 		h := min(g+foldBlock/64, g1)
 		cs := lv.coeffs[64*g : min(64*h, e.N)]
 		w := ws[:len(cs)]
-		quantize(cs, w, lv.unit, lv.limit, e.Planes, e.Mode)
+		quantize(cs, w, lv.unit, lv.limit)
 		sliceGroups(w, e.Bits, e.Planes, planeBytes, g, h)
 		var start time.Time
 		if lv.errM != nil {
 			start = time.Now()
 		}
-		pairs += foldErrors(cs, w, sw, sc, lv.unit, e.Planes, e.Mode, &acc)
+		pairs += foldErrors(cs, w, sw, sc, lv.unit, e.Planes, &acc)
 		if lv.errM != nil {
 			fold += time.Since(start)
 		}
@@ -332,126 +314,12 @@ func (lv *levelEncoder) encodeGroups(worker, g0, g1 int, out []float64) (pairs i
 	return pairs
 }
 
-// encodeWord packs a quantized coefficient into a plane word under the
-// given mode. In sign-magnitude mode the top bit is the sign and the
-// remaining planes-1 bits hold |q| (clamped to fit).
-func encodeWord(q int64, planes int, mode Mode) uint64 {
-	if mode == Negabinary {
-		return EncodeNegabinary(q)
-	}
-	magBits := uint(planes - 1)
-	var sign uint64
-	mag := q
-	if q < 0 {
-		sign = 1
-		mag = -q
-	}
-	maxMag := int64(1)<<magBits - 1
-	if mag > maxMag {
-		mag = maxMag
-	}
-	return sign<<magBits | uint64(mag)
-}
-
-// decodeWord reverses encodeWord on a (possibly truncated) word.
-func decodeWord(w uint64, planes int, mode Mode) int64 {
-	if mode == Negabinary {
-		return DecodeNegabinary(w)
-	}
-	magBits := uint(planes - 1)
-	mag := int64(w & (uint64(1)<<magBits - 1))
-	if w>>magBits&1 == 1 {
-		return -mag
-	}
-	return mag
-}
-
 // unitSize returns the dequantization unit, or 0 for an all-zero level.
 func (e *LevelEncoding) unitSize() float64 {
 	if e.Exponent == math.MinInt16 {
 		return 0
 	}
 	return math.Ldexp(1, e.Exponent-(e.Planes-2))
-}
-
-// DecodePartial reconstructs the level coefficients from the first b planes
-// into dst (allocated if nil) and returns it. b must be in [0, Planes].
-// Every element of dst is overwritten, for every b (b = 0 and an all-zero
-// level write zeros), so a reused dst needs no clearing. With a
-// caller-provided dst the decode is allocation-free once warm.
-//
-// It is TransposeWords' kernels and DecodeWords' decode, run a block of
-// groups at a time through a small buffer so the words are decoded while
-// still in cache: bit for bit what decoding from a snapshot of the level's
-// words gives.
-//
-// The reconstruction fans across at most `workers` goroutines (≤ 0 means
-// GOMAXPROCS). Each coefficient group is reconstructed independently from
-// the same plane bytes, so the output is bit-identical for every worker
-// count.
-//
-// A non-nil o records a "bitplane.decode" span, counters
-// bitplane.partial_decodes / bitplane.planes_decoded, and pool task metrics
-// under pool.bitplane.decode.*.
-func (e *LevelEncoding) DecodePartial(b int, dst []float64, workers int, o *obs.Obs) []float64 {
-	if o != nil {
-		sp := o.Span("bitplane.decode", nil)
-		sp.SetAttr("planes", b)
-		defer func() {
-			o.Counter("bitplane.partial_decodes").Add(1)
-			o.Counter("bitplane.planes_decoded").Add(int64(b))
-			sp.End()
-		}()
-	}
-	if b < 0 || b > e.Planes {
-		panic(fmt.Sprintf("bitplane: DecodePartial b=%d out of range [0,%d]", b, e.Planes))
-	}
-	if dst == nil {
-		dst = make([]float64, e.N)
-	}
-	if len(dst) != e.N {
-		panic(fmt.Sprintf("bitplane: DecodePartial dst length %d, want %d", len(dst), e.N))
-	}
-	unit := e.unitSize()
-	if unit == 0 || b == 0 {
-		clear(dst)
-		return dst
-	}
-	decodeM := pool.NewMetrics(o, "bitplane.decode")
-	groups := (e.N + 63) / 64
-	if workers = pool.Clamp(workers); workers == 1 && decodeM == nil {
-		e.decodePartialGroups(b, unit, dst, 0, groups)
-	} else {
-		pool.RunChunks(groups, workers, decodeM, func(_, g0, g1 int) error {
-			e.decodePartialGroups(b, unit, dst, g0, g1)
-			return nil
-		})
-	}
-	return dst
-}
-
-// decodePartialGroups transposes and decodes groups [g0, g1) a decodeBlock
-// of groups at a time through a buffer on its own stack.
-func (e *LevelEncoding) decodePartialGroups(b int, unit float64, dst []float64, g0, g1 int) {
-	var w32 [64 * decodeBlock]uint32
-	var w64 [64 * decodeBlock]uint64
-	for g := g0; g < g1; g += decodeBlock {
-		end := min(g+decodeBlock, g1)
-		lo, hi := 64*g, min(64*end, e.N)
-		if e.Planes <= 32 {
-			e.wordGroups32(b, w32[:], g, end)
-			decodeWords(w32[:hi-lo], dst[lo:hi], nil, b, e.Planes, e.Mode, unit)
-		} else {
-			e.wordGroups64(b, w64[:], g, end)
-			decodeWords(w64[:hi-lo], dst[lo:hi], nil, b, e.Planes, e.Mode, unit)
-		}
-	}
-}
-
-// Decode reconstructs the level from all planes (residual quantization
-// error remains).
-func (e *LevelEncoding) Decode(dst []float64) []float64 {
-	return e.DecodePartial(e.Planes, dst, 1, nil)
 }
 
 // PlaneSizeRaw returns the uncompressed size in bytes of one bit-plane.

@@ -3,9 +3,21 @@ package bitplane
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// decodePrefix decodes the first b planes of e the way a request does:
+// TransposeWords into words, then DecodeWords in coefficient order.
+func decodePrefix(e *LevelEncoding, b, workers int) []float64 {
+	var w Words
+	e.TransposeWords(b, &w, workers)
+	dst := make([]float64, e.N)
+	e.DecodeWords(&w, b, dst, nil, workers, nil, nil)
+	return dst
+}
 
 func TestNegabinaryRoundTripSmall(t *testing.T) {
 	for v := int64(-1000); v <= 1000; v++ {
@@ -35,16 +47,16 @@ func TestNegabinaryRoundTripQuick(t *testing.T) {
 }
 
 func TestEncodeLevelValidation(t *testing.T) {
-	if _, err := EncodeLevel([]float64{1}, 0, Negabinary, 1, nil); err == nil {
+	if _, err := EncodeLevel([]float64{1}, 0, 1, nil); err == nil {
 		t.Error("planes=0 accepted")
 	}
-	if _, err := EncodeLevel([]float64{1}, 61, Negabinary, 1, nil); err == nil {
+	if _, err := EncodeLevel([]float64{1}, 61, 1, nil); err == nil {
 		t.Error("planes=61 accepted")
 	}
 }
 
 func TestAllZeroLevel(t *testing.T) {
-	enc, err := EncodeLevel(make([]float64, 100), 32, Negabinary, 1, nil)
+	enc, err := EncodeLevel(make([]float64, 100), 32, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +65,7 @@ func TestAllZeroLevel(t *testing.T) {
 			t.Fatalf("ErrMatrix[%d] = %g, want 0 for zero level", b, e)
 		}
 	}
-	out := enc.DecodePartial(16, nil, 1, nil)
+	out := decodePrefix(enc, 16, 1)
 	for i, v := range out {
 		if v != 0 {
 			t.Fatalf("decoded[%d] = %g, want 0", i, v)
@@ -62,11 +74,11 @@ func TestAllZeroLevel(t *testing.T) {
 }
 
 func TestEmptyLevel(t *testing.T) {
-	enc, err := EncodeLevel(nil, 32, Negabinary, 1, nil)
+	enc, err := EncodeLevel(nil, 32, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := enc.Decode(nil); len(got) != 0 {
+	if got := decodePrefix(enc, enc.Planes, 1); len(got) != 0 {
 		t.Fatalf("decoded %d values from empty level", len(got))
 	}
 	if enc.PlaneSizeRaw() != 0 {
@@ -80,11 +92,11 @@ func TestFullDecodeAccuracy(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64() * 1e3
 	}
-	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
+	enc, err := EncodeLevel(coeffs, 32, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := enc.Decode(nil)
+	dec := decodePrefix(enc, enc.Planes, 1)
 	// Residual error bounded by half a quantization unit.
 	unit := math.Ldexp(1, enc.Exponent-30)
 	for i := range coeffs {
@@ -103,12 +115,12 @@ func TestErrMatrixMatchesDecodePartial(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64()
 	}
-	enc, err := EncodeLevel(coeffs, 24, Negabinary, 1, nil)
+	enc, err := EncodeLevel(coeffs, 24, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for b := 0; b <= 24; b++ {
-		dec := enc.DecodePartial(b, nil, 1, nil)
+		dec := decodePrefix(enc, b, 1)
 		maxErr := 0.0
 		for i := range coeffs {
 			if e := math.Abs(coeffs[i] - dec[i]); e > maxErr {
@@ -123,7 +135,7 @@ func TestErrMatrixMatchesDecodePartial(t *testing.T) {
 
 func TestErrMatrixZeroPlanesIsMaxAbs(t *testing.T) {
 	coeffs := []float64{1, -7.5, 3, 0.25}
-	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
+	enc, err := EncodeLevel(coeffs, 32, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +153,7 @@ func TestErrMatrixBroadlyDecreasing(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64() * math.Pow(10, rng.Float64()*6-3)
 	}
-	enc, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
+	enc, err := EncodeLevel(coeffs, 32, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,31 +167,40 @@ func TestErrMatrixBroadlyDecreasing(t *testing.T) {
 	}
 }
 
+// TestDecodePartialPanics checks that the words path refuses a prefix out
+// of range and a destination of the wrong length, naming the length it got.
 func TestDecodePartialPanics(t *testing.T) {
-	enc, _ := EncodeLevel([]float64{1, 2}, 8, Negabinary, 1, nil)
-	for _, b := range []int{-1, 9} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("DecodePartial(%d) did not panic", b)
-				}
-			}()
-			enc.DecodePartial(b, nil, 1, nil)
-		}()
-	}
-	func() {
+	enc, _ := EncodeLevel([]float64{1, 2, 3, 4}, 8, 1, nil)
+	var w Words
+	enc.TransposeWords(8, &w, 1)
+	panics := func(label, want string, f func()) {
+		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Error("DecodePartial with bad dst did not panic")
+			r := recover()
+			if r == nil {
+				t.Errorf("%s did not panic", label)
+			} else if msg, _ := r.(string); !strings.Contains(msg, want) {
+				t.Errorf("%s panicked with %q, want it to contain %q", label, msg, want)
 			}
 		}()
-		enc.DecodePartial(4, make([]float64, 5), 1, nil)
-	}()
+		f()
+	}
+	for _, b := range []int{-1, 9} {
+		panics("TransposeWords out of range", "out of range", func() { enc.TransposeWords(b, new(Words), 1) })
+		panics("DecodeWords out of range", "out of range", func() { enc.DecodeWords(&w, b, make([]float64, 4), nil, 1, nil, nil) })
+	}
+	panics("DecodeWords into a short dst", "into 5 values, want 4", func() { enc.DecodeWords(&w, 4, make([]float64, 5), nil, 1, nil, nil) })
+	panics("DecodeWords to too few positions", "into 3 positions of 8, want 4", func() { enc.DecodeWords(&w, 4, make([]float64, 8), []int{0, 1, 2}, 1, nil, nil) })
+	panics("DecodeWords from a shorter prefix", "do not hold it", func() {
+		var short Words
+		enc.TransposeWords(2, &short, 1)
+		enc.DecodeWords(&short, 4, make([]float64, 4), nil, 1, nil, nil)
+	})
 }
 
 func TestExponentCoversMaxAbs(t *testing.T) {
 	for _, m := range []float64{0.001, 0.5, 1, 1.5, 1023, 1e9, 1e-9} {
-		enc, err := EncodeLevel([]float64{m, -m / 2}, 32, Negabinary, 1, nil)
+		enc, err := EncodeLevel([]float64{m, -m / 2}, 32, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +211,7 @@ func TestExponentCoversMaxAbs(t *testing.T) {
 }
 
 func TestPlaneSizeRaw(t *testing.T) {
-	enc, _ := EncodeLevel(make([]float64, 17), 8, Negabinary, 1, nil)
+	enc, _ := EncodeLevel(make([]float64, 17), 8, 1, nil)
 	if enc.PlaneSizeRaw() != 3 {
 		t.Fatalf("PlaneSizeRaw = %d, want 3", enc.PlaneSizeRaw())
 	}
@@ -209,7 +230,7 @@ func TestProgressiveRefinementProperty(t *testing.T) {
 		for i := range coeffs {
 			coeffs[i] = rng.NormFloat64() * scale
 		}
-		enc, err := EncodeLevel(coeffs, planes, Negabinary, 1, nil)
+		enc, err := EncodeLevel(coeffs, planes, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,8 +252,8 @@ func TestProgressiveRefinementProperty(t *testing.T) {
 
 func TestBitsDeterministic(t *testing.T) {
 	coeffs := []float64{3.14, -2.71, 0.577, -1.618}
-	a, _ := EncodeLevel(coeffs, 16, Negabinary, 1, nil)
-	b, _ := EncodeLevel(coeffs, 16, Negabinary, 1, nil)
+	a, _ := EncodeLevel(coeffs, 16, 1, nil)
+	b, _ := EncodeLevel(coeffs, 16, 1, nil)
 	for k := range a.Bits {
 		for i := range a.Bits[k] {
 			if a.Bits[k][i] != b.Bits[k][i] {
@@ -242,22 +263,48 @@ func TestBitsDeterministic(t *testing.T) {
 	}
 }
 
+// decodeSignMagnitude reads the first b of a level's sign-magnitude planes
+// back one bit at a time: coefficient i's sign from plane 0 and its
+// magnitude from planes 1..b-1, dequantized by the level's unit.
+func decodeSignMagnitude(e *LevelEncoding, bits [][]byte, b int) []float64 {
+	dst := make([]float64, e.N)
+	for i := range dst {
+		bit := func(k int) int64 { return int64(bits[k][i>>3] >> uint(i&7) & 1) }
+		var mag int64
+		for k := 1; k < b; k++ {
+			mag |= bit(k) << uint(e.Planes-1-k)
+		}
+		if b > 0 && bit(0) == 1 {
+			mag = -mag
+		}
+		dst[i] = float64(mag) * e.unitSize()
+	}
+	return dst
+}
+
 func TestSignMagnitudeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	coeffs := make([]float64, 400)
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64() * 100
 	}
-	enc, err := EncodeLevel(coeffs, 32, SignMagnitude, 1, nil)
+	enc, err := EncodeLevel(coeffs, 32, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := enc.Decode(nil)
+	bits, errMatrix := enc.SignMagnitude(coeffs)
+	dec := decodeSignMagnitude(enc, bits, enc.Planes)
 	unit := math.Ldexp(1, enc.Exponent-30)
+	maxErr := 0.0
 	for i := range coeffs {
-		if e := math.Abs(coeffs[i] - dec[i]); e > unit {
+		e := math.Abs(coeffs[i] - dec[i])
+		if e > unit {
 			t.Fatalf("coeff %d: error %g exceeds unit %g", i, e, unit)
 		}
+		maxErr = max(maxErr, e)
+	}
+	if maxErr != errMatrix[enc.Planes] {
+		t.Fatalf("measured full-precision error %g, error matrix says %g", maxErr, errMatrix[enc.Planes])
 	}
 }
 
@@ -270,42 +317,65 @@ func TestSignMagnitudeMonotoneErrMatrix(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64()
 	}
-	enc, err := EncodeLevel(coeffs, 24, SignMagnitude, 1, nil)
+	enc, err := EncodeLevel(coeffs, 24, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, errMatrix := enc.SignMagnitude(coeffs)
 	for b := 1; b <= 24; b++ {
-		if enc.ErrMatrix[b] > enc.ErrMatrix[b-1]+1e-15 {
+		if errMatrix[b] > errMatrix[b-1]+1e-15 {
 			t.Fatalf("ErrMatrix[%d]=%g > ErrMatrix[%d]=%g",
-				b, enc.ErrMatrix[b], b-1, enc.ErrMatrix[b-1])
+				b, errMatrix[b], b-1, errMatrix[b-1])
 		}
 	}
 }
 
+// TestEncodeLevelModeValidation checks that SignMagnitude refuses
+// coefficients other than the encoding's own count, nothing-quantized
+// levels included.
 func TestEncodeLevelModeValidation(t *testing.T) {
-	if _, err := EncodeLevel([]float64{1}, 16, Mode(9), 1, nil); err == nil {
-		t.Fatal("unknown mode accepted")
+	for _, coeffs := range [][]float64{{1, -2, 3, 0.5}, make([]float64, 4)} {
+		enc, err := EncodeLevel(coeffs, 16, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range [][]float64{nil, coeffs[:3], append(slices.Clone(coeffs), 0)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("SignMagnitude of %d coefficients for a level of 4 did not panic", len(bad))
+					}
+				}()
+				enc.SignMagnitude(bad)
+			}()
+		}
 	}
 }
 
+// TestModesAgreeAtFullPrecision checks that both representations hold the
+// same quantized integers: at full precision they decode to the same
+// values, and their error matrices agree bit for bit.
 func TestModesAgreeAtFullPrecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	coeffs := make([]float64, 200)
 	for i := range coeffs {
 		coeffs[i] = rng.NormFloat64() * 3
 	}
-	nb, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
+	coeffs[3], coeffs[11] = math.Inf(1), math.NaN()
+	nb, err := EncodeLevel(coeffs, 32, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := EncodeLevel(coeffs, 32, SignMagnitude, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	bits, errMatrix := nb.SignMagnitude(coeffs)
+	if got, want := errMatrix[nb.Planes], nb.ErrMatrix[nb.Planes]; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("full-precision error: sign-magnitude %v, nega-binary %v", got, want)
 	}
-	dn, ds := nb.Decode(nil), sm.Decode(nil)
-	unit := math.Ldexp(1, nb.Exponent-30)
+	if got, want := errMatrix[0], nb.ErrMatrix[0]; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("error of reading nothing: sign-magnitude %v, nega-binary %v", got, want)
+	}
+	dn, ds := decodePrefix(nb, nb.Planes, 1), decodeSignMagnitude(nb, bits, nb.Planes)
 	for i := range coeffs {
-		if math.Abs(dn[i]-ds[i]) > 2*unit {
+		if math.Float64bits(dn[i]) != math.Float64bits(ds[i]) {
 			t.Fatalf("modes disagree at %d: %g vs %g", i, dn[i], ds[i])
 		}
 	}

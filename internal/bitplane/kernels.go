@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the word-parallel kernels behind EncodeLevel,
-// TransposeWords, DecodeWords and DecodePartial. The scalar encoder tested
+// TransposeWords and DecodeWords. The scalar encoder tested
 // one bit per coefficient per plane; these kernels instead move 64
 // coefficients per step through a 64×64 bit-matrix transpose, so slicing
 // (and un-slicing) all B planes of a 64-coefficient group costs one
@@ -19,7 +19,7 @@ import (
 // Every kernel is bit-exact with the scalar definition (the retained
 // reference in scalar_ref_test.go): the transpose is a pure bit
 // permutation, and the error pass derives each error from the same int64
-// prefix value decodeWord computes from a masked word, so the float
+// prefix value DecodeNegabinary gives the masked word, so the float
 // operations — float64(dec)*unit, the subtraction, Abs, max — see
 // identical operands in both implementations.
 
@@ -92,10 +92,10 @@ func transpose32x2(a *[32]uint64) {
 	}
 }
 
-// quantize fills ws with the plane-word encoding of cs: NaN quantizes to
-// zero, ±Inf saturates to ±limit, finite values round to the nearest
+// quantize fills ws with the nega-binary plane words of cs: NaN quantizes
+// to zero, ±Inf saturates to ±limit, finite values round to the nearest
 // quantization unit and clamp to ±limit.
-func quantize(cs []float64, ws []uint64, unit float64, limit int64, planes int, mode Mode) {
+func quantize(cs []float64, ws []uint64, unit float64, limit int64) {
 	ws = ws[:len(cs)]
 	for i, c := range cs {
 		var q int64
@@ -114,7 +114,7 @@ func quantize(cs []float64, ws []uint64, unit float64, limit int64, planes int, 
 				q = -limit
 			}
 		}
-		ws[i] = encodeWord(q, planes, mode)
+		ws[i] = EncodeNegabinary(q)
 	}
 }
 
@@ -298,33 +298,21 @@ func prefixMask(b, planes int) uint64 {
 }
 
 // decodeWords writes each coefficient decoded from the b-plane prefix of its
-// word, float64(decodeWord(ws[i] & prefix)) · unit, to dst[at[i]] — or to
-// dst[i] when at is nil. The int64 is the one decodeWord gives the masked
-// word, so the product sees the operands every kernel has always used.
-// Split by mode and by placement so each loop inlines its decode.
-func decodeWords[W uint32 | uint64](ws []W, dst []float64, at []int, b, planes int, mode Mode, unit float64) {
+// word, float64(DecodeNegabinary(ws[i] & prefix)) · unit, to dst[at[i]] — or
+// to dst[i] when at is nil. Split by placement so each loop inlines its
+// decode.
+func decodeWords[W uint32 | uint64](ws []W, dst []float64, at []int, b, planes int, unit float64) {
 	mask := prefixMask(b, planes)
-	switch {
-	case at == nil && mode == Negabinary:
+	if at == nil {
 		dst = dst[:len(ws)]
 		for i, w := range ws {
 			dst[i] = float64(DecodeNegabinary(uint64(w)&mask)) * unit
 		}
-	case at == nil:
-		dst = dst[:len(ws)]
-		for i, w := range ws {
-			dst[i] = float64(decodeWord(uint64(w)&mask, planes, mode)) * unit
-		}
-	case mode == Negabinary:
-		at = at[:len(ws)]
-		for i, w := range ws {
-			dst[at[i]] = float64(DecodeNegabinary(uint64(w)&mask)) * unit
-		}
-	default:
-		at = at[:len(ws)]
-		for i, w := range ws {
-			dst[at[i]] = float64(decodeWord(uint64(w)&mask, planes, mode)) * unit
-		}
+		return
+	}
+	at = at[:len(ws)]
+	for i, w := range ws {
+		dst[at[i]] = float64(DecodeNegabinary(uint64(w)&mask)) * unit
 	}
 }
 
@@ -335,76 +323,9 @@ func decodeWords[W uint32 | uint64](ws []W, dst []float64, at []int, b, planes i
 const foldBlock = 2048
 
 // foldErrors folds one block of at most foldBlock coefficients cs, with
-// their plane words ws, into acc, where acc[b] is the running maximum of
-// |c_i - decode_b(c_i)|; sw and sc are foldBlock-sized scratch. Each
-// (coefficient, prefix) error is computed from the same int64 decodeWord
-// gives the masked word, so the float operations see operands identical to
-// the scalar pass's: nega-binary decodes the masked word directly with its
-// two-operation identity, and sign-magnitude accumulates magnitude bits
-// under a sign read from plane 0, one conditional add per plane.
-// Non-finite coefficients are excluded, as no finite plane prefix bounds
-// their error. It returns the number of (coefficient, plane) pairs it
-// folded one by one.
-func foldErrors(cs []float64, ws, sw []uint64, sc []float64, unit float64, planes int, mode Mode, acc *[61]float64) (pairs int64) {
-	ws = ws[:len(cs)]
-	maxAbs := 0.0
-	for _, c := range cs {
-		if a := math.Abs(c); a > maxAbs && !math.IsInf(c, 0) {
-			maxAbs = a
-		}
-	}
-	acc[0] = max(acc[0], maxAbs)
-	if mode == Negabinary {
-		// e can only overflow to Inf when |c| + the largest possible decoded
-		// magnitude reaches the float range (an Exponent near 1023); decided
-		// once per block so the common case skips the per-element Inf
-		// saturation test. The saturating path computes e from identical
-		// operands, so the two variants are bit-identical wherever both are
-		// finite.
-		safe := maxAbs+float64(float64(uint64(1)<<uint(planes))*unit) < math.MaxFloat64
-		return foldNegabinaryBlock(cs, ws, sw, sc, unit, planes, safe, acc)
-	}
-	// digit[p] is the magnitude a set bit at position p contributes.
-	var digit [60]int64
-	for p := range digit {
-		digit[p] = int64(1) << uint(p)
-	}
-	signBit := uint(planes - 1)
-	for j, w := range ws {
-		c := cs[j]
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			continue
-		}
-		pairs += int64(planes)
-		var dec, mag int64
-		neg := false
-		for b := 1; b <= planes; b++ {
-			p := uint(planes - b)
-			if p == signBit {
-				neg = w>>p&1 == 1
-			} else {
-				mag += int64(w>>p&1) * digit[p]
-			}
-			if neg {
-				dec = -mag
-			} else {
-				dec = mag
-			}
-			e := math.Abs(c - float64(float64(dec)*unit))
-			if math.IsInf(e, 0) {
-				e = math.MaxFloat64
-			}
-			if e > acc[b] {
-				acc[b] = e
-			}
-		}
-	}
-	return pairs
-}
-
-// foldNegabinaryBlock folds one block of at most foldBlock (coefficient,
-// word) pairs into acc, using sw and sc (foldBlock entries each) as scratch,
-// and returns the pairs it folded one by one.
+// their nega-binary words ws, into acc, where acc[b] is the running maximum
+// of |c_i - decode_b(c_i)|; sw and sc are foldBlock-sized scratch. It
+// returns the number of (coefficient, plane) pairs it folded one by one.
 //
 // A word with h = bits.Len64(w) ≤ planes-b (every set digit below position
 // planes-b) has an all-zero b-plane prefix, which decodes to exactly 0, so
@@ -414,10 +335,26 @@ func foldErrors(cs []float64, ws, sw []uint64, sc []float64, unit float64, plane
 // folded one by one, and the rest contribute one precomputed max of |c|
 // over h ≤ planes-b. Max is exact and order-independent, so acc ends
 // bit-identical to folding every pair — at Σh pairs instead of n·planes.
-// Non-finite coefficients are skipped outright: no prefix bounds their
-// error, and the scalar definition excludes them.
-func foldNegabinaryBlock(cs []float64, ws, sw []uint64, sc []float64, unit float64, planes int, safe bool, acc *[61]float64) (pairs int64) {
+// Each folded error is computed from the same int64 DecodeNegabinary gives
+// the masked word, so the float operations see the scalar pass's operands.
+// Non-finite coefficients are skipped outright: no finite plane prefix
+// bounds their error, and the scalar definition excludes them.
+func foldErrors(cs []float64, ws, sw []uint64, sc []float64, unit float64, planes int, acc *[61]float64) (pairs int64) {
 	cs = cs[:len(ws)]
+	maxAbs := 0.0
+	for _, c := range cs {
+		if a := math.Abs(c); a > maxAbs && !math.IsInf(c, 0) {
+			maxAbs = a
+		}
+	}
+	acc[0] = max(acc[0], maxAbs)
+	// e can only overflow to Inf when |c| + the largest possible decoded
+	// magnitude reaches the float range (an Exponent near 1023); decided
+	// once per block so the common case skips the per-element Inf
+	// saturation test. The saturating path computes e from identical
+	// operands, so the two variants are bit-identical wherever both are
+	// finite.
+	safe := maxAbs+float64(float64(uint64(1)<<uint(planes))*unit) < math.MaxFloat64
 	// low[h] is first the largest |c| with leading digit h, then the
 	// largest with leading digit ≤ h; off[h] is the number of words whose
 	// leading digit is above h — bucket h's start in descending order.

@@ -2,6 +2,7 @@ package bitplane
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 // encodingsEqual reports whether two level encodings are byte-for-byte and
 // bit-for-bit identical, including the error matrix.
 func encodingsEqual(a, b *LevelEncoding) bool {
-	if a.N != b.N || a.Planes != b.Planes || a.Exponent != b.Exponent || a.Mode != b.Mode {
+	if a.N != b.N || a.Planes != b.Planes || a.Exponent != b.Exponent {
 		return false
 	}
 	if len(a.Bits) != len(b.Bits) || len(a.ErrMatrix) != len(b.ErrMatrix) {
@@ -31,8 +32,9 @@ func encodingsEqual(a, b *LevelEncoding) bool {
 	return true
 }
 
-// adversarial builds the adversarial input families from the issue: NaN,
-// ±Inf, denormals, and all-zero levels, plus mixtures with normal values.
+// adversarial builds the adversarial input families: NaN, ±Inf, denormals,
+// magnitudes near MaxFloat64 and all-zero levels, plus mixtures with normal
+// values.
 func adversarial(rng *rand.Rand, n int) map[string][]float64 {
 	normal := make([]float64, n)
 	for i := range normal {
@@ -62,6 +64,10 @@ func adversarial(rng *rand.Rand, n int) map[string][]float64 {
 	for i := range allInf {
 		allInf[i] = math.Inf(1 - 2*(i&1))
 	}
+	huge := make([]float64, n)
+	for i := range huge {
+		huge[i] = float64(1-2*(i&1)) * math.MaxFloat64 / float64(1+i%5)
+	}
 	return map[string][]float64{
 		"normal":   normal,
 		"mixed":    mixed,
@@ -69,52 +75,55 @@ func adversarial(rng *rand.Rand, n int) map[string][]float64 {
 		"zero":     make([]float64, n),
 		"allNaN":   allNaN,
 		"allInf":   allInf,
+		"huge":     huge,
 	}
 }
 
 // TestEncodeWorkersBitIdentical is the property test for the encoder's
 // determinism invariant: for random sizes and adversarial inputs, every
-// worker count produces a byte-identical encoding, in both plane modes.
+// worker count produces a byte-identical encoding, whose sign-magnitude
+// re-slicing matches the scalar sign-magnitude reference.
 func TestEncodeWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 8; trial++ {
 		n := rng.Intn(700) + 1
 		planes := []int{4, 17, 32, 60}[rng.Intn(4)]
 		for name, coeffs := range adversarial(rng, n) {
-			for _, mode := range []Mode{Negabinary, SignMagnitude} {
-				ref, err := EncodeLevel(coeffs, planes, mode, 1, nil)
+			ref, err := EncodeLevel(coeffs, planes, 1, nil)
+			if err != nil {
+				t.Fatalf("%s n=%d planes=%d: %v", name, n, planes, err)
+			}
+			signMag, _ := encodeLevelModeScalar(coeffs, planes, true)
+			for _, workers := range []int{2, 8} {
+				got, err := EncodeLevel(coeffs, planes, workers, nil)
 				if err != nil {
-					t.Fatalf("%s n=%d planes=%d: %v", name, n, planes, err)
+					t.Fatalf("%s workers=%d: %v", name, workers, err)
 				}
-				for _, workers := range []int{2, 8} {
-					got, err := EncodeLevel(coeffs, planes, mode, workers, nil)
-					if err != nil {
-						t.Fatalf("%s workers=%d: %v", name, workers, err)
-					}
-					if !encodingsEqual(ref, got) {
-						t.Fatalf("%s n=%d planes=%d mode=%d workers=%d: encoding differs from sequential",
-							name, n, planes, mode, workers)
-					}
+				if !encodingsEqual(ref, got) {
+					t.Fatalf("%s n=%d planes=%d workers=%d: encoding differs from sequential",
+						name, n, planes, workers)
 				}
+				compareSignMagnitude(t, got, coeffs, signMag, fmt.Sprintf("%s n=%d planes=%d workers=%d", name, n, planes, workers))
 			}
 		}
 	}
 }
 
-// TestDecodeWorkersBitIdentical asserts parallel partial decode matches the
-// sequential decode bit for bit at every prefix length.
+// TestDecodeWorkersBitIdentical asserts that a parallel partial decode
+// through the words path matches the sequential one bit for bit at every
+// prefix length.
 func TestDecodeWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	n := 513
 	for name, coeffs := range adversarial(rng, n) {
-		enc, err := EncodeLevel(coeffs, 32, Negabinary, 4, nil)
+		enc, err := EncodeLevel(coeffs, 32, 4, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, b := range []int{0, 1, 7, 16, 32} {
-			want := enc.DecodePartial(b, nil, 1, nil)
+			want := decodePrefix(enc, b, 1)
 			for _, workers := range []int{2, 8} {
-				got := enc.DecodePartial(b, nil, workers, nil)
+				got := decodePrefix(enc, b, workers)
 				for i := range want {
 					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 						t.Fatalf("%s b=%d workers=%d: coeff %d differs (%g vs %g)",
@@ -136,7 +145,7 @@ func TestRoundTripErrorBoundedAdversarial(t *testing.T) {
 		n := rng.Intn(300) + 1
 		for name, coeffs := range adversarial(rng, n) {
 			for _, workers := range []int{1, 2, 8} {
-				enc, err := EncodeLevel(coeffs, 32, Negabinary, workers, nil)
+				enc, err := EncodeLevel(coeffs, 32, workers, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -145,7 +154,7 @@ func TestRoundTripErrorBoundedAdversarial(t *testing.T) {
 						t.Fatalf("%s workers=%d: ErrMatrix[%d] = %g", name, workers, b, e)
 					}
 				}
-				dec := enc.DecodePartial(enc.Planes, nil, workers, nil)
+				dec := decodePrefix(enc, enc.Planes, workers)
 				bound := enc.ErrMatrix[enc.Planes]
 				for i, v := range dec {
 					if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -170,7 +179,7 @@ func TestRoundTripErrorBoundedAdversarial(t *testing.T) {
 // residual magnitude.
 func TestDenormalLevelSentinel(t *testing.T) {
 	coeffs := []float64{5e-324, -1.5e-323, 4.9e-322, 0}
-	enc, err := EncodeLevel(coeffs, 32, Negabinary, 4, nil)
+	enc, err := EncodeLevel(coeffs, 32, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +191,7 @@ func TestDenormalLevelSentinel(t *testing.T) {
 			t.Fatalf("ErrMatrix[%d] = %g, want residual magnitude 4.9e-322", b, e)
 		}
 	}
-	for i, v := range enc.Decode(nil) {
+	for i, v := range decodePrefix(enc, enc.Planes, 1) {
 		if v != 0 {
 			t.Fatalf("decoded coeff %d = %g, want 0", i, v)
 		}
@@ -194,7 +203,7 @@ func TestDenormalLevelSentinel(t *testing.T) {
 // matrix.
 func TestHugeMagnitudeStaysFinite(t *testing.T) {
 	coeffs := []float64{math.MaxFloat64, -math.MaxFloat64 / 2, 1e300, -3}
-	enc, err := EncodeLevel(coeffs, 32, Negabinary, 2, nil)
+	enc, err := EncodeLevel(coeffs, 32, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +212,7 @@ func TestHugeMagnitudeStaysFinite(t *testing.T) {
 			t.Fatalf("ErrMatrix[%d] = %g", b, e)
 		}
 	}
-	for i, v := range enc.Decode(nil) {
+	for i, v := range decodePrefix(enc, enc.Planes, 1) {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Fatalf("decoded coeff %d = %g", i, v)
 		}

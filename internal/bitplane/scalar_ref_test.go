@@ -13,10 +13,46 @@ import (
 // fan-out plumbing) as the reference the word-parallel kernels must match
 // byte-for-byte. The property tests below drive both implementations over
 // random and adversarial inputs and require identical planes, error
-// matrices and partial decodes.
+// matrices and partial decodes — nega-binary from EncodeLevel and the words
+// path, sign-magnitude from SignMagnitude.
 
-// encodeLevelModeScalar is the original bit-at-a-time encoder.
-func encodeLevelModeScalar(coeffs []float64, planes int, mode Mode) (*LevelEncoding, error) {
+// encodeWordRef packs a quantized coefficient into a plane word: nega-binary,
+// or with signMag a sign bit on top of planes-1 bits holding |q| (clamped to
+// fit).
+func encodeWordRef(q int64, planes int, signMag bool) uint64 {
+	if !signMag {
+		return EncodeNegabinary(q)
+	}
+	magBits := uint(planes - 1)
+	var sign uint64
+	mag := q
+	if q < 0 {
+		sign = 1
+		mag = -q
+	}
+	maxMag := int64(1)<<magBits - 1
+	if mag > maxMag {
+		mag = maxMag
+	}
+	return sign<<magBits | uint64(mag)
+}
+
+// decodeWordRef reverses encodeWordRef on a (possibly truncated) word.
+func decodeWordRef(w uint64, planes int, signMag bool) int64 {
+	if !signMag {
+		return DecodeNegabinary(w)
+	}
+	magBits := uint(planes - 1)
+	mag := int64(w & (uint64(1)<<magBits - 1))
+	if w>>magBits&1 == 1 {
+		return -mag
+	}
+	return mag
+}
+
+// encodeLevelModeScalar is the original bit-at-a-time encoder, nega-binary
+// or, with signMag, sign-magnitude.
+func encodeLevelModeScalar(coeffs []float64, planes int, signMag bool) (*LevelEncoding, error) {
 	if planes < 1 || planes > 60 {
 		return nil, nil
 	}
@@ -26,7 +62,6 @@ func encodeLevelModeScalar(coeffs []float64, planes int, mode Mode) (*LevelEncod
 		Planes:    planes,
 		Bits:      make([][]byte, planes),
 		ErrMatrix: make([]float64, planes+1),
-		Mode:      mode,
 	}
 	planeBytes := (n + 7) / 8
 	for k := range enc.Bits {
@@ -79,7 +114,7 @@ func encodeLevelModeScalar(coeffs []float64, planes int, mode Mode) (*LevelEncod
 				q = -limit
 			}
 		}
-		words[i] = encodeWord(q, planes, mode)
+		words[i] = encodeWordRef(q, planes, signMag)
 	}
 
 	for i, w := range words {
@@ -101,7 +136,7 @@ func encodeLevelModeScalar(coeffs []float64, planes int, mode Mode) (*LevelEncod
 			if c := coeffs[i]; math.IsNaN(c) || math.IsInf(c, 0) {
 				continue
 			}
-			dec := float64(float64(decodeWord(w&mask, planes, mode)) * unit)
+			dec := float64(float64(decodeWordRef(w&mask, planes, signMag)) * unit)
 			e := math.Abs(coeffs[i] - dec)
 			if math.IsInf(e, 0) {
 				e = math.MaxFloat64
@@ -115,7 +150,8 @@ func encodeLevelModeScalar(coeffs []float64, planes int, mode Mode) (*LevelEncod
 	return enc, nil
 }
 
-// decodePartialScalar is the original bit-at-a-time partial decode.
+// decodePartialScalar is the original bit-at-a-time partial decode of
+// nega-binary planes.
 func decodePartialScalar(e *LevelEncoding, b int) []float64 {
 	dst := make([]float64, e.N)
 	unit := e.unitSize()
@@ -130,7 +166,7 @@ func decodePartialScalar(e *LevelEncoding, b int) []float64 {
 				w |= 1 << uint(e.Planes-1-k)
 			}
 		}
-		dst[i] = float64(decodeWord(w, e.Planes, e.Mode)) * unit
+		dst[i] = float64(DecodeNegabinary(w)) * unit
 	}
 	return dst
 }
@@ -202,19 +238,41 @@ func checkDecodeWords(t *testing.T, label string, e *LevelEncoding, w *Words, b,
 // byte-for-byte (planes) and bit-for-bit (error matrix, exponent).
 func compareEncodings(t *testing.T, got, want *LevelEncoding, label string) {
 	t.Helper()
-	if got.N != want.N || got.Planes != want.Planes || got.Exponent != want.Exponent || got.Mode != want.Mode {
-		t.Fatalf("%s: header mismatch: got {N:%d P:%d E:%d M:%d} want {N:%d P:%d E:%d M:%d}",
-			label, got.N, got.Planes, got.Exponent, got.Mode, want.N, want.Planes, want.Exponent, want.Mode)
+	if got.N != want.N || got.Planes != want.Planes || got.Exponent != want.Exponent {
+		t.Fatalf("%s: header mismatch: got {N:%d P:%d E:%d} want {N:%d P:%d E:%d}",
+			label, got.N, got.Planes, got.Exponent, want.N, want.Planes, want.Exponent)
+	}
+	comparePlanes(t, got.Bits, got.ErrMatrix, want, label)
+}
+
+// compareSignMagnitude fails the test unless enc, the encoding of coeffs,
+// re-slices into the scalar sign-magnitude reference's planes and error
+// matrix bit for bit.
+func compareSignMagnitude(t *testing.T, enc *LevelEncoding, coeffs []float64, want *LevelEncoding, label string) {
+	t.Helper()
+	if enc.Exponent != want.Exponent {
+		t.Fatalf("%s: exponent %d, sign-magnitude reference %d", label, enc.Exponent, want.Exponent)
+	}
+	bits, errMatrix := enc.SignMagnitude(coeffs)
+	comparePlanes(t, bits, errMatrix, want, label+" sign-magnitude")
+}
+
+// comparePlanes fails the test unless bits and errMatrix equal want's
+// byte-for-byte and bit-for-bit.
+func comparePlanes(t *testing.T, bits [][]byte, errMatrix []float64, want *LevelEncoding, label string) {
+	t.Helper()
+	if len(bits) != len(want.Bits) || len(errMatrix) != len(want.ErrMatrix) {
+		t.Fatalf("%s: %d planes and %d errors, want %d and %d", label, len(bits), len(errMatrix), len(want.Bits), len(want.ErrMatrix))
 	}
 	for k := range want.Bits {
 		for j := range want.Bits[k] {
-			if got.Bits[k][j] != want.Bits[k][j] {
-				t.Fatalf("%s: plane %d byte %d: got %08b want %08b", label, k, j, got.Bits[k][j], want.Bits[k][j])
+			if bits[k][j] != want.Bits[k][j] {
+				t.Fatalf("%s: plane %d byte %d: got %08b want %08b", label, k, j, bits[k][j], want.Bits[k][j])
 			}
 		}
 	}
 	for b := range want.ErrMatrix {
-		g, w := got.ErrMatrix[b], want.ErrMatrix[b]
+		g, w := errMatrix[b], want.ErrMatrix[b]
 		if math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: ErrMatrix[%d]: got %v want %v", label, b, g, w)
 		}
@@ -249,9 +307,10 @@ var kernelWorkers = []int{1, 2, 4, 8}
 
 // TestKernelsMatchScalarReference cross-checks the word-parallel kernels
 // against the retained scalar reference over random lengths (including
-// n%64 != 0, n < 64, n = 0), the full plane range, both modes, and
-// NaN/Inf/denormal inputs — then over lengths spanning several error-matrix
-// blocks plus a tail, with magnitude profiles that put the block fold's
+// n%64 != 0, n < 64, n = 0), the full plane range, both representations
+// (sign-magnitude through SignMagnitude), and NaN/Inf/denormal inputs —
+// then over lengths spanning several error-matrix blocks plus a tail, with
+// magnitude profiles that put the block fold's
 // significance order at its edges: most coefficients 2⁻³⁰ below the level
 // maximum (the skip fires), every word's leading digit at the top plane
 // (nothing to skip), and one nonzero among zeros.
@@ -264,20 +323,23 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 			n = rng.Intn(600)
 		}
 		planes := 1 + rng.Intn(60)
-		mode := Mode(rng.Intn(2))
+		signMag := rng.Intn(2) == 1
 		adversarial := trial%3 == 0
 		coeffs := randomCoeffs(rng, n, adversarial)
-		label := fmt.Sprintf("n=%d planes=%d mode=%d", n, planes, mode)
+		label := fmt.Sprintf("n=%d planes=%d signMag=%v", n, planes, signMag)
 
-		want := checkAgainstScalar(t, coeffs, planes, mode, label)
+		want := checkAgainstScalar(t, coeffs, planes, signMag, label)
+		if signMag {
+			continue // nothing decodes sign-magnitude planes
+		}
 		for _, workers := range kernelWorkers {
-			got, err := EncodeLevel(coeffs, planes, mode, workers, nil)
+			got, err := EncodeLevel(coeffs, planes, workers, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", label, workers, err)
 			}
 			for _, b := range []int{0, 1, planes / 2, planes} {
 				wantDec := decodePartialScalar(want, b)
-				gotDec := got.DecodePartial(b, nil, workers, nil)
+				gotDec := decodePrefix(got, b, workers)
 				for i := range wantDec {
 					if math.Float64bits(gotDec[i]) != math.Float64bits(wantDec[i]) {
 						t.Fatalf("%s b=%d i=%d: got %v want %v", label, b, i, gotDec[i], wantDec[i])
@@ -346,10 +408,10 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 	// through the 64-row one (33, 59, 60), over several groups — stale
 	// transpose rows carry from one group to the next — and a partial tail
 	// group on either side of the half-width kernel's 32-coefficient split.
-	// Each regime is checked three ways: DecodePartial, the words
-	// TransposeWords emits, and DecodeWords from them to scattered grid
-	// nodes — from words of exactly b planes and from a snapshot of all of
-	// them, which must decode the same b-plane prefix.
+	// Each regime is checked three ways: the words TransposeWords emits, and
+	// DecodeWords from them to scattered grid nodes — from words of exactly
+	// b planes and from a snapshot of all of them, which must decode the
+	// same b-plane prefix.
 	for _, p := range profiles {
 		if p.name != "random" && p.name != "skewed" {
 			continue
@@ -361,28 +423,20 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 			for _, tail := range []int{1, 31, 32, 33, 63} {
 				n := 4*64 + tail
 				coeffs := p.fill(rng, n, planes)
-				for _, mode := range []Mode{Negabinary, SignMagnitude} {
-					enc, _ := encodeLevelModeScalar(coeffs, planes, mode)
-					var full Words
-					enc.TransposeWords(planes, &full, 1)
-					checkWords(t, fmt.Sprintf("%s n=%d planes=%d mode=%d full words", p.name, n, planes, mode), enc, &full, planes, wordsScalar(enc, planes))
-					for b := 0; b <= planes; b++ {
-						want := decodePartialScalar(enc, b)
-						wantWords := wordsScalar(enc, b)
-						for _, workers := range []int{1, 2, 4} {
-							label := fmt.Sprintf("%s n=%d planes=%d mode=%d b=%d workers=%d", p.name, n, planes, mode, b, workers)
-							got := enc.DecodePartial(b, nil, workers, nil)
-							for i := range want {
-								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-									t.Fatalf("%s i=%d: got %v want %v", label, i, got[i], want[i])
-								}
-							}
-							var w Words
-							enc.TransposeWords(b, &w, workers)
-							checkWords(t, label, enc, &w, b, wantWords)
-							checkDecodeWords(t, label+" from words", enc, &w, b, workers, want)
-							checkDecodeWords(t, label+" from a full snapshot", enc, &full, b, workers, want)
-						}
+				enc, _ := encodeLevelModeScalar(coeffs, planes, false)
+				var full Words
+				enc.TransposeWords(planes, &full, 1)
+				checkWords(t, fmt.Sprintf("%s n=%d planes=%d full words", p.name, n, planes), enc, &full, planes, wordsScalar(enc, planes))
+				for b := 0; b <= planes; b++ {
+					want := decodePartialScalar(enc, b)
+					wantWords := wordsScalar(enc, b)
+					for _, workers := range []int{1, 2, 4} {
+						label := fmt.Sprintf("%s n=%d planes=%d b=%d workers=%d", p.name, n, planes, b, workers)
+						var w Words
+						enc.TransposeWords(b, &w, workers)
+						checkWords(t, label, enc, &w, b, wantWords)
+						checkDecodeWords(t, label+" from words", enc, &w, b, workers, want)
+						checkDecodeWords(t, label+" from a full snapshot", enc, &full, b, workers, want)
 					}
 				}
 			}
@@ -394,14 +448,14 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 		for _, n := range blockLengths {
 			for _, planes := range []int{1, 2, 3, 17, 32, 33, 59, 60} {
 				coeffs := p.fill(rng, n, planes)
-				for _, mode := range []Mode{Negabinary, SignMagnitude} {
-					label := fmt.Sprintf("%s n=%d planes=%d mode=%d", p.name, n, planes, mode)
-					checkAgainstScalar(t, coeffs, planes, mode, label)
-					if mode != Negabinary {
+				for _, signMag := range []bool{false, true} {
+					label := fmt.Sprintf("%s n=%d planes=%d signMag=%v", p.name, n, planes, signMag)
+					checkAgainstScalar(t, coeffs, planes, signMag, label)
+					if signMag {
 						continue
 					}
 					o := obs.New()
-					enc, err := EncodeLevel(coeffs, planes, mode, 1, o)
+					enc, err := EncodeLevel(coeffs, planes, 1, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -420,17 +474,21 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 }
 
 // checkAgainstScalar encodes coeffs at every kernelWorkers count and fails
-// the test unless each encoding matches the scalar reference, which it
-// returns.
-func checkAgainstScalar(t *testing.T, coeffs []float64, planes int, mode Mode, label string) *LevelEncoding {
+// the test unless each encoding — or, with signMag, its SignMagnitude
+// re-slicing — matches the scalar reference, which it returns.
+func checkAgainstScalar(t *testing.T, coeffs []float64, planes int, signMag bool, label string) *LevelEncoding {
 	t.Helper()
-	want, _ := encodeLevelModeScalar(coeffs, planes, mode)
+	want, _ := encodeLevelModeScalar(coeffs, planes, signMag)
 	for _, workers := range kernelWorkers {
-		got, err := EncodeLevel(coeffs, planes, mode, workers, nil)
+		got, err := EncodeLevel(coeffs, planes, workers, nil)
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", label, workers, err)
 		}
-		compareEncodings(t, got, want, fmt.Sprintf("%s workers=%d", label, workers))
+		if signMag {
+			compareSignMagnitude(t, got, coeffs, want, fmt.Sprintf("%s workers=%d", label, workers))
+		} else {
+			compareEncodings(t, got, want, fmt.Sprintf("%s workers=%d", label, workers))
+		}
 		got.Release()
 	}
 	return want
@@ -441,8 +499,8 @@ func checkAgainstScalar(t *testing.T, coeffs []float64, planes int, mode Mode, l
 // maxAbs-filled error matrix.
 func TestKernelsDenormalLevel(t *testing.T) {
 	coeffs := []float64{math.Ldexp(1, -1070), -math.Ldexp(1, -1071), 0}
-	want, _ := encodeLevelModeScalar(coeffs, 32, Negabinary)
-	got, err := EncodeLevel(coeffs, 32, Negabinary, 1, nil)
+	want, _ := encodeLevelModeScalar(coeffs, 32, false)
+	got, err := EncodeLevel(coeffs, 32, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,9 +538,10 @@ func TestTranspose64Involution(t *testing.T) {
 // its edges — levels of one coefficient, around one group, around one
 // block, and several blocks plus a tail — at workers 1, 2, 3 and 8, with
 // and without telemetry (which moves the single-worker encode onto the
-// pool), in both modes: planes and ErrMatrix must equal the scalar
-// reference bit for bit, and each chunk's error-matrix fold must count as
-// one pool.bitplane.errmatrix task. Odd lengths are salted with NaN, ±Inf
+// pool): planes and ErrMatrix must equal the scalar reference bit for bit —
+// and so must the encoding's sign-magnitude re-slicing the scalar
+// sign-magnitude reference — and each chunk's error-matrix fold must count
+// as one pool.bitplane.errmatrix task. Odd lengths are salted with NaN, ±Inf
 // and denormals.
 func TestFusedEncodeMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
@@ -490,20 +549,24 @@ func TestFusedEncodeMatchesScalarReference(t *testing.T) {
 	for _, n := range lengths {
 		for _, planes := range []int{3, 32, 60} {
 			coeffs := randomCoeffs(rng, n, n%2 == 1)
-			for _, mode := range []Mode{Negabinary, SignMagnitude} {
-				want, _ := encodeLevelModeScalar(coeffs, planes, mode)
+			for _, signMag := range []bool{false, true} {
+				want, _ := encodeLevelModeScalar(coeffs, planes, signMag)
 				for _, workers := range []int{1, 2, 3, 8} {
 					for _, traced := range []bool{false, true} {
 						var o *obs.Obs
 						if traced {
 							o = obs.New()
 						}
-						label := fmt.Sprintf("n=%d planes=%d mode=%d workers=%d traced=%v", n, planes, mode, workers, traced)
-						got, err := EncodeLevel(coeffs, planes, mode, workers, o)
+						label := fmt.Sprintf("n=%d planes=%d signMag=%v workers=%d traced=%v", n, planes, signMag, workers, traced)
+						got, err := EncodeLevel(coeffs, planes, workers, o)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						compareEncodings(t, got, want, label)
+						if signMag {
+							compareSignMagnitude(t, got, coeffs, want, label)
+						} else {
+							compareEncodings(t, got, want, label)
+						}
 						got.Release()
 						if o == nil {
 							continue

@@ -11,8 +11,8 @@ import (
 // Words is one level held word-major: coefficient i's plane word over planes
 // [0, Prefix) of a Planes-plane encoding — plane k at bit Planes-1-k, every
 // bit below the prefix zero. It is what a partial decode recovers from the
-// plane bitsets before dequantizing, so any b ≤ Prefix decodes from it
-// exactly as from the first b planes. Levels of at most 32 planes keep
+// plane bitsets before dequantizing, and any b ≤ Prefix decodes from it
+// exactly as from the words of the first b planes. Levels of at most 32 planes keep
 // 4-byte words in W32 — the bytes of the level's full set of plane bitsets
 // at 32 planes — and wider levels 8-byte words in W64; the other slice is
 // nil.
@@ -73,35 +73,20 @@ func (e *LevelEncoding) TransposeWords(b int, w *Words, workers int) {
 }
 
 // transposeGroups runs the regime's kernel over coefficient groups [g0, g1)
-// of w, which TransposeWords has sized.
+// of w, which TransposeWords has sized: for a level of at most 32 planes the
+// AVX2 kernel on CPUs that have it, the portable ones elsewhere.
 func (e *LevelEncoding) transposeGroups(b int, w *Words, g0, g1 int) {
-	if e.Planes <= 32 {
-		e.wordGroups32(b, w.W32[64*g0:], g0, g1)
-	} else {
-		e.wordGroups64(b, w.W64[64*g0:], g0, g1)
-	}
-}
-
-// wordGroups32 runs the kernel of b's regime for a level of at most 32
-// planes over groups [g0, g1) into dst, dst[0] being coefficient 64·g0:
-// the AVX2 kernel on CPUs that have it, the portable ones elsewhere.
-func (e *LevelEncoding) wordGroups32(b int, dst []uint32, g0, g1 int) {
 	switch {
+	case e.Planes > 32 && b <= 8:
+		wordsSmall(e.Bits, e.N, w.W64[64*g0:], b, e.Planes, g0, g1)
+	case e.Planes > 32:
+		wordsFull(e.Bits, e.N, w.W64[64*g0:], b, e.Planes, g0, g1)
 	case cpufeat.AVX2 && b > 0:
-		wordsAVX2(e.Bits, e.N, dst, b, e.Planes, g0, g1)
+		wordsAVX2(e.Bits, e.N, w.W32[64*g0:], b, e.Planes, g0, g1)
 	case b <= 8:
-		wordsSmall(e.Bits, e.N, dst, b, e.Planes, g0, g1)
+		wordsSmall(e.Bits, e.N, w.W32[64*g0:], b, e.Planes, g0, g1)
 	default:
-		wordsHalf(e.Bits, e.N, dst, b, e.Planes, g0, g1)
-	}
-}
-
-// wordGroups64 is wordGroups32 for a level of more than 32 planes.
-func (e *LevelEncoding) wordGroups64(b int, dst []uint64, g0, g1 int) {
-	if b <= 8 {
-		wordsSmall(e.Bits, e.N, dst, b, e.Planes, g0, g1)
-	} else {
-		wordsFull(e.Bits, e.N, dst, b, e.Planes, g0, g1)
+		wordsHalf(e.Bits, e.N, w.W32[64*g0:], b, e.Planes, g0, g1)
 	}
 }
 
@@ -111,15 +96,15 @@ func (e *LevelEncoding) wordGroups64(b int, dst []uint64, g0, g1 int) {
 // Every position named is overwritten, for every b (b = 0 and an all-zero
 // level write zeros, and w is then not read and may be nil); nothing else of
 // dst is touched. w must hold at least b planes of this level; a w of more
-// planes decodes exactly its b-plane prefix, the value DecodePartial(b)
-// gives, bit for bit.
+// planes decodes exactly its b-plane prefix, bit for bit what words of
+// exactly b planes give.
 //
 // Coefficients are independent, so the output is identical for every worker
 // count (≤ 0 means GOMAXPROCS).
 //
-// A non-nil o records what DecodePartial does: a "bitplane.decode" span —
-// a child of parent when that is set, a root otherwise — and counters
-// bitplane.partial_decodes / bitplane.planes_decoded.
+// A non-nil o records a "bitplane.decode" span — a child of parent when
+// that is set, a root otherwise — and counters bitplane.partial_decodes /
+// bitplane.planes_decoded.
 func (e *LevelEncoding) DecodeWords(w *Words, b int, dst []float64, at []int, workers int, o *obs.Obs, parent *obs.Span) {
 	if o != nil {
 		sp := o.Span("bitplane.decode", parent)
@@ -133,7 +118,10 @@ func (e *LevelEncoding) DecodeWords(w *Words, b int, dst []float64, at []int, wo
 	if b < 0 || b > e.Planes {
 		panic(fmt.Sprintf("bitplane: DecodeWords b=%d out of range [0,%d]", b, e.Planes))
 	}
-	if at == nil && len(dst) != e.N || at != nil && len(at) != e.N {
+	if at == nil && len(dst) != e.N {
+		panic(fmt.Sprintf("bitplane: DecodeWords into %d values, want %d", len(dst), e.N))
+	}
+	if at != nil && len(at) != e.N {
 		panic(fmt.Sprintf("bitplane: DecodeWords into %d positions of %d, want %d", len(at), len(dst), e.N))
 	}
 	unit := e.unitSize()
@@ -171,13 +159,8 @@ func (e *LevelEncoding) decodeGroups(w *Words, b int, unit float64, dst []float6
 		at = at[lo:hi]
 	}
 	if e.Planes <= 32 {
-		decodeWords(w.W32[lo:hi], dst, at, b, e.Planes, e.Mode, unit)
+		decodeWords(w.W32[lo:hi], dst, at, b, e.Planes, unit)
 	} else {
-		decodeWords(w.W64[lo:hi], dst, at, b, e.Planes, e.Mode, unit)
+		decodeWords(w.W64[lo:hi], dst, at, b, e.Planes, unit)
 	}
 }
-
-// decodeBlock is the number of 64-coefficient groups DecodePartial
-// transposes into its stack buffer before decoding them, so the words are
-// decoded from L1 (1,024 words: 4 or 8 KiB).
-const decodeBlock = 16

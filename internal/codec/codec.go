@@ -136,7 +136,9 @@ type ProgressiveCodec interface {
 	// original error-control theory would use (the paper's Eq. 6).
 	NaiveAmplification(opts Options, rank int) float64
 	// TightAmplification returns the sharper per-level analytical constant
-	// (still a true bound), used by the constant ablation.
+	// used by the constant ablation. It is not a bound: for mgard at 17³
+	// the exact per-level constants reach 7 against its 3.375 (DESIGN.md
+	// §5).
 	TightAmplification(opts Options, rank int) float64
 }
 
@@ -150,13 +152,18 @@ type BitplaneCoder struct{}
 // EncodeLevel implements ProgressiveCodec.EncodeLevel via the word-parallel
 // nega-binary kernels.
 func (BitplaneCoder) EncodeLevel(coeffs []float64, planes, workers int, o *obs.Obs) (*bitplane.LevelEncoding, error) {
-	return bitplane.EncodeLevel(coeffs, planes, bitplane.Negabinary, workers, o)
+	return bitplane.EncodeLevel(coeffs, planes, workers, o)
 }
 
-// DecodeLevel implements ProgressiveCodec.DecodeLevel via the word-parallel
-// partial-decode kernels.
+// DecodeLevel implements ProgressiveCodec.DecodeLevel with the primitives a
+// request runs: the first b planes are transposed into words, which decode
+// to dst.
 func (BitplaneCoder) DecodeLevel(enc *bitplane.LevelEncoding, b int, dst []float64, workers int, o *obs.Obs) {
-	enc.DecodePartial(b, dst, workers, o)
+	var w bitplane.Words
+	if b > 0 {
+		enc.TransposeWords(b, &w, workers)
+	}
+	enc.DecodeWords(&w, b, dst, nil, workers, o, nil)
 }
 
 // registry holds the process-wide backend set; backends self-register from

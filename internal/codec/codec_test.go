@@ -94,7 +94,7 @@ func TestBitplaneCoderMatchesBitplane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeLevel: %v", err)
 	}
-	want, err := bitplane.EncodeLevel(coeffs, 16, bitplane.Negabinary, 1, nil)
+	want, err := bitplane.EncodeLevel(coeffs, 16, 1, nil)
 	if err != nil {
 		t.Fatalf("bitplane.EncodeLevel: %v", err)
 	}
@@ -106,7 +106,9 @@ func TestBitplaneCoderMatchesBitplane(t *testing.T) {
 	dstGot := make([]float64, len(coeffs))
 	dstWant := make([]float64, len(coeffs))
 	bc.DecodeLevel(got, 8, dstGot, 1, nil)
-	want.DecodePartial(8, dstWant, 1, nil)
+	var w bitplane.Words
+	want.TransposeWords(8, &w, 1)
+	want.DecodeWords(&w, 8, dstWant, nil, 1, nil, nil)
 	for i := range dstGot {
 		if dstGot[i] != dstWant[i] {
 			t.Fatalf("decode[%d] = %g, want %g", i, dstGot[i], dstWant[i])

@@ -58,7 +58,8 @@ func (Codec) NaiveAmplification(opts codec.Options, rank int) float64 {
 }
 
 // TightAmplification implements codec.ProgressiveCodec: per-level
-// amplification without cross-step compounding.
+// amplification without cross-step compounding. It is not a bound (see
+// decompose.ErrorAmplification).
 func (Codec) TightAmplification(opts codec.Options, rank int) float64 {
 	return decompose.ErrorAmplification(opts, rank)
 }

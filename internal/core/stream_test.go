@@ -213,7 +213,7 @@ func TestStreamingEncodeSteadyStateAllocs(t *testing.T) {
 	codec := lossless.Deflate()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cycle := func() {
-		enc, err := bitplane.EncodeLevel(coeffs, 32, bitplane.Negabinary, 1, nil)
+		enc, err := bitplane.EncodeLevel(coeffs, 32, 1, nil)
 		if err != nil {
 			panic(err)
 		}

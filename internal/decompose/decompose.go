@@ -57,13 +57,15 @@ func Validate(o codec.Options) error {
 	return nil
 }
 
-// ErrorAmplification returns the tight constant C such that, for a grid of
-// the given rank, a perturbation of at most Err_l on every level-l
-// coefficient yields a reconstruction perturbed by at most C·Σ_l Err_l in
-// the max norm: each level's perturbation is amplified only during its own
-// refinement step ((1+2w) per axis pass), and the remaining inverse steps
-// are max-norm non-expansive, so the per-step factors do not compound
-// across levels.
+// ErrorAmplification returns the "tight" constant (1+2w)^rank: the
+// amplification of a level's perturbation during its own refinement step
+// ((1+2w) per axis pass), assuming the remaining inverse steps are max-norm
+// non-expansive. They are not — in 3-D, nodes of one level predict from
+// other nodes of the same level (edge → face → body) — so C·Σ_l Err_l is
+// not a bound on the max-norm reconstruction error. Unit-coefficient
+// recompositions give exact per-level constants C_l = [1, 4.36, 5.59, 7, 7]
+// at 17³ with w = 0.25, against 3.375 here; without the update step this
+// returns 1 against C_l up to 7 (DESIGN.md §5).
 func ErrorAmplification(o codec.Options, rank int) float64 {
 	if !o.Update {
 		return 1
@@ -75,9 +77,11 @@ func ErrorAmplification(o codec.Options, rank int) float64 {
 // of the original error-control theory ([19], the paper's Eq. 6): every
 // inverse step is bounded by its worst-case per-axis amplification and the
 // factors are multiplied across all L-1 steps, ignoring both the
-// telescoping structure and sign cancellation. The result is a valid but
-// wildly pessimistic bound — the source of the requested-vs-achieved gap
-// of Fig. 2 that motivates the paper.
+// telescoping structure and sign cancellation. With the update step the
+// result is a valid but wildly pessimistic bound (≈ 130 against exact
+// per-level constants ≤ 7 at 3-D, five levels) — the source of the
+// requested-vs-achieved gap of Fig. 2 that motivates the paper. Without
+// it, the 1 returned is no bound (exact constants reach 7; DESIGN.md §5).
 func NaiveErrorAmplification(o codec.Options, rank int) float64 {
 	if !o.Update {
 		return 1

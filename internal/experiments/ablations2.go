@@ -231,8 +231,8 @@ func AblateConstant(p Params) ([]*Table, error) {
 }
 
 // AblateEncoding compares nega-binary (MGARD's choice) against
-// sign-magnitude bit-plane encoding on the same coefficient levels: error
-// decay per plane and compressed plane footprint.
+// sign-magnitude bit-plane encoding of the same quantized coefficient level:
+// error decay per plane and compressed plane footprint.
 func AblateEncoding(p Params) ([]*Table, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -259,18 +259,15 @@ func AblateEncoding(p Params) ([]*Table, error) {
 			"planes", "negabinary_err", "signmag_err", "negabinary_bytes", "signmag_bytes",
 		},
 	}
-	encN, err := bitplane.EncodeLevel(coeffs, 32, bitplane.Negabinary, 1, nil)
+	enc, err := bitplane.EncodeLevel(coeffs, 32, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	encS, err := bitplane.EncodeLevel(coeffs, 32, bitplane.SignMagnitude, 1, nil)
-	if err != nil {
-		return nil, err
-	}
-	sizeOf := func(enc *bitplane.LevelEncoding, upTo int) (int64, error) {
+	smBits, smErr := enc.SignMagnitude(coeffs)
+	sizeOf := func(bits [][]byte, upTo int) (int64, error) {
 		var total int64
 		for k := 0; k < upTo; k++ {
-			seg, err := codec.Compress(enc.Bits[k])
+			seg, err := codec.Compress(bits[k])
 			if err != nil {
 				return 0, err
 			}
@@ -279,15 +276,15 @@ func AblateEncoding(p Params) ([]*Table, error) {
 		return total, nil
 	}
 	for b := 0; b <= 32; b += 4 {
-		sn, err := sizeOf(encN, b)
+		sn, err := sizeOf(enc.Bits, b)
 		if err != nil {
 			return nil, err
 		}
-		ss, err := sizeOf(encS, b)
+		ss, err := sizeOf(smBits, b)
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(b, encN.ErrMatrix[b], encS.ErrMatrix[b], sn, ss)
+		table.AddRow(b, enc.ErrMatrix[b], smErr[b], sn, ss)
 	}
 	return []*Table{table}, nil
 }

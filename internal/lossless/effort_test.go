@@ -59,7 +59,7 @@ func extrudedPlanes(tb testing.TB, rng *rand.Rand) [][]byte {
 	for range 4 {
 		field = append(field, slab...)
 	}
-	enc, err := bitplane.EncodeLevel(field, 32, bitplane.Negabinary, 1, nil)
+	enc, err := bitplane.EncodeLevel(field, 32, 1, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

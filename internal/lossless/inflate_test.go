@@ -64,7 +64,7 @@ var realPlanes = sync.OnceValues(func() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc, err := bitplane.EncodeLevel(d.Coeffs(d.Levels()-1), 32, bitplane.Negabinary, 1, nil)
+	enc, err := bitplane.EncodeLevel(d.Coeffs(d.Levels()-1), 32, 1, nil)
 	if err != nil {
 		return nil, err
 	}
