@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -fuzz FuzzNodeRunResponse -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzConcurrentRetrieve -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzTransposeWords -fuzztime 30s ./internal/bitplane/
+	$(GO) test -fuzz FuzzDecodeWords -fuzztime 30s ./internal/bitplane/
 	$(GO) test -fuzz FuzzLiftRows -fuzztime 30s ./internal/decompose/
 
 # The repository benchmark (BENCHMARK.json): the four end-to-end workloads

@@ -176,7 +176,7 @@ func recvTypeName(fn *ast.FuncDecl) string {
 
 // TestOneReadEngine keeps the read path from forking again: in
 // internal/core exactly one function decodes bit-planes (DecodeLevel, or
-// TransposeWords and DecodeWords, the words a decode goes through), one
+// TransposeWords and bitplane.Decode, the words a decode goes through), one
 // recomposes (Recompose / RecomposeInto) and one — a
 // PlaneStore method, so every segment passes its manifest check first —
 // inflates segments (lossless Codec.Decompress); and in the whole module
@@ -186,7 +186,7 @@ func recvTypeName(fn *ast.FuncDecl) string {
 // Source.FetchPlanes, no GetRun next to Cache.Get).
 func TestOneReadEngine(t *testing.T) {
 	stages := map[string]string{
-		"DecodeLevel": "decode", "TransposeWords": "decode", "DecodeWords": "decode", "Recompose": "recompose", "RecomposeInto": "recompose", "Decompress": "inflate",
+		"DecodeLevel": "decode", "TransposeWords": "decode", "Decode": "decode", "Recompose": "recompose", "RecomposeInto": "recompose", "Decompress": "inflate",
 	}
 	callers := map[string]map[string]bool{"decode": {}, "recompose": {}, "inflate": {}, "namespace": {}}
 	var twins []string

@@ -3,6 +3,8 @@ package bitplane
 import (
 	"runtime/debug"
 	"testing"
+
+	"pmgard/internal/interleave"
 )
 
 // The steady-state hot paths — encode with Release, partial decode into
@@ -38,8 +40,8 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestDecodePartialSteadyStateAllocs asserts that a partial decode through
-// the words path — TransposeWords into reused words, then DecodeWords into
-// a reused destination — is allocation-free.
+// the words path — TransposeWords into reused words, then Decode into a
+// reused destination — is allocation-free.
 func TestDecodePartialSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -53,14 +55,17 @@ func TestDecodePartialSteadyStateAllocs(t *testing.T) {
 	var w Words
 	enc.TransposeWords(enc.Planes, &w, 1)
 	dst := make([]float64, len(coeffs))
+	levels := []LevelWords{{Enc: enc, Words: &w}}
+	runs := []interleave.Run{{Count: enc.N, Stride: 1}}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, b := range []int{0, 8, 32} {
+		levels[0].B = b
 		avg := testing.AllocsPerRun(50, func() {
 			enc.TransposeWords(b, &w, 1)
-			enc.DecodeWords(&w, b, dst, nil, 1, nil, nil)
+			Decode(levels, runs, dst, 1, nil, nil)
 		})
 		if avg != 0 {
-			t.Fatalf("steady-state TransposeWords+DecodeWords(b=%d) allocates %.2f allocs/op, want 0", b, avg)
+			t.Fatalf("steady-state TransposeWords+Decode(b=%d) allocates %.2f allocs/op, want 0", b, avg)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pmgard/internal/bufpool"
+	"pmgard/internal/interleave"
 )
 
 // Kernel benchmarks: word-parallel implementation vs the retained scalar
@@ -57,11 +58,12 @@ func BenchmarkEncodeScalarRef(b *testing.B) {
 }
 
 // BenchmarkDecodePartial measures word-parallel partial decodes —
-// TransposeWords, then DecodeWords in coefficient order — at several prefix
-// depths (8×8 tiles up to b = 8, the half-width transpose above), reusing
-// the words and the destination so the steady-state path is
-// allocation-free, and the deepest prefix at the size of the finest 129³
-// level.
+// TransposeWords, then Decode in coefficient order — at several prefix
+// depths, reusing the words and the destination so the steady-state path
+// is allocation-free, and the deepest prefix at the size of the finest 129³
+// level. On AVX2 hosts the transpose takes wordsAVX2 at every b ≥ 1;
+// elsewhere 8×8 tiles serve b ≤ 8 and the half-width transpose the deeper
+// prefixes.
 func BenchmarkDecodePartial(b *testing.B) {
 	coeffs := benchCoeffs(benchN)
 	enc, err := EncodeLevel(coeffs, 32, 1, nil)
@@ -77,7 +79,7 @@ func BenchmarkDecodePartial(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				enc.TransposeWords(depth, &w, 1)
-				enc.DecodeWords(&w, depth, dst, nil, 1, nil, nil)
+				decodeStream(enc, &w, depth, dst, 1)
 			}
 		})
 	}
@@ -95,7 +97,7 @@ func BenchmarkDecodePartial(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			enc.TransposeWords(32, &w, 1)
-			enc.DecodeWords(&w, 32, dst, nil, 1, nil, nil)
+			decodeStream(enc, &w, 32, dst, 1)
 		}
 	})
 }
@@ -227,10 +229,11 @@ func planeDepthName(b int) string {
 	return fmt.Sprintf("b=%d", b)
 }
 
-// BenchmarkWords splits a decode the way a session runs it on the finest
-// 129³ level at b = 32: transposing the planes into words (what a cached
-// snapshot saves), and decoding words to every other grid position (the
-// scatter a level's nodes take).
+// BenchmarkWords splits a reconstruction's decode the way a session runs
+// it: transposing the finest 129³ level's planes into words at b = 32 (what
+// a cached snapshot saves), and decoding the words of all five levels of a
+// 129³ field, at prefixes b = 30, 28, 25, 24, 21, to their grid nodes in
+// one row-major pass over the plan's run schedule.
 func BenchmarkWords(b *testing.B) {
 	enc, err := EncodeLevel(heavyTailedCoeffs(finest129N), 32, 1, nil)
 	if err != nil {
@@ -245,17 +248,28 @@ func BenchmarkWords(b *testing.B) {
 			enc.TransposeWords(32, &w, 1)
 		}
 	})
-	enc.TransposeWords(32, &w, 1)
-	dst := make([]float64, 2*finest129N)
-	at := make([]int, finest129N)
-	for i := range at {
-		at[i] = 2 * i
+	dims := []int{129, 129, 129}
+	plan, err := interleave.NewPlan(dims, 5)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("decode-scatter/finest129", func(b *testing.B) {
-		b.SetBytes(finest129N * 8)
+	prefixes := []int{30, 28, 25, 24, 21}
+	levels := make([]LevelWords, len(prefixes))
+	for l, size := range plan.LevelSizes() {
+		e, err := EncodeLevel(heavyTailedCoeffs(size), 32, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer e.Release()
+		levels[l] = LevelWords{Enc: e, Words: new(Words), B: prefixes[l]}
+		e.TransposeWords(prefixes[l], levels[l].Words, 1)
+	}
+	field := make([]float64, 129*129*129)
+	b.Run("decode/field129", func(b *testing.B) {
+		b.SetBytes(int64(8 * len(field)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			enc.DecodeWords(&w, 32, dst, at, 1, nil, nil)
+			Decode(levels, plan.Runs(), field, 1, nil, nil)
 		}
 	})
 }

@@ -1,22 +1,31 @@
 package bitplane
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"pmgard/internal/interleave"
 )
 
 // decodePrefix decodes the first b planes of e the way a request does:
-// TransposeWords into words, then DecodeWords in coefficient order.
+// TransposeWords into words, then Decode in coefficient order.
 func decodePrefix(e *LevelEncoding, b, workers int) []float64 {
 	var w Words
 	e.TransposeWords(b, &w, workers)
 	dst := make([]float64, e.N)
-	e.DecodeWords(&w, b, dst, nil, workers, nil, nil)
+	decodeStream(e, &w, b, dst, workers)
 	return dst
+}
+
+// decodeStream decodes the b-plane prefix of e held in w to dst in
+// coefficient order: Decode of the one level over one stride-1 run.
+func decodeStream(e *LevelEncoding, w *Words, b int, dst []float64, workers int) {
+	Decode([]LevelWords{{Enc: e, Words: w, B: b}}, []interleave.Run{{Count: e.N, Stride: 1}}, dst, workers, nil, nil)
 }
 
 func TestNegabinaryRoundTripSmall(t *testing.T) {
@@ -168,7 +177,8 @@ func TestErrMatrixBroadlyDecreasing(t *testing.T) {
 }
 
 // TestDecodePartialPanics checks that the words path refuses a prefix out
-// of range and a destination of the wrong length, naming the length it got.
+// of range, words that do not hold it, a run of no stride and a run past the
+// end of its destination.
 func TestDecodePartialPanics(t *testing.T) {
 	enc, _ := EncodeLevel([]float64{1, 2, 3, 4}, 8, 1, nil)
 	var w Words
@@ -179,7 +189,7 @@ func TestDecodePartialPanics(t *testing.T) {
 			r := recover()
 			if r == nil {
 				t.Errorf("%s did not panic", label)
-			} else if msg, _ := r.(string); !strings.Contains(msg, want) {
+			} else if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
 				t.Errorf("%s panicked with %q, want it to contain %q", label, msg, want)
 			}
 		}()
@@ -187,14 +197,19 @@ func TestDecodePartialPanics(t *testing.T) {
 	}
 	for _, b := range []int{-1, 9} {
 		panics("TransposeWords out of range", "out of range", func() { enc.TransposeWords(b, new(Words), 1) })
-		panics("DecodeWords out of range", "out of range", func() { enc.DecodeWords(&w, b, make([]float64, 4), nil, 1, nil, nil) })
+		panics("Decode out of range", "out of range", func() { decodeStream(enc, &w, b, make([]float64, 4), 1) })
 	}
-	panics("DecodeWords into a short dst", "into 5 values, want 4", func() { enc.DecodeWords(&w, 4, make([]float64, 5), nil, 1, nil, nil) })
-	panics("DecodeWords to too few positions", "into 3 positions of 8, want 4", func() { enc.DecodeWords(&w, 4, make([]float64, 8), []int{0, 1, 2}, 1, nil, nil) })
-	panics("DecodeWords from a shorter prefix", "do not hold it", func() {
+	panics("Decode into a short dst", "out of range", func() { decodeStream(enc, &w, 4, make([]float64, 3), 1) })
+	panics("Decode a run past dst", "out of range", func() {
+		Decode([]LevelWords{{Enc: enc, Words: &w, B: 4}}, []interleave.Run{{Off: 1, Count: 4, Stride: 2}}, make([]float64, 7), 1, nil, nil)
+	})
+	panics("Decode a run of stride 0", "stride 0", func() {
+		Decode([]LevelWords{{Enc: enc, Words: &w, B: 4}}, []interleave.Run{{Count: 4}}, make([]float64, 4), 1, nil, nil)
+	})
+	panics("Decode from a shorter prefix", "do not hold it", func() {
 		var short Words
 		enc.TransposeWords(2, &short, 1)
-		enc.DecodeWords(&short, 4, make([]float64, 4), nil, 1, nil, nil)
+		decodeStream(enc, &short, 4, make([]float64, 4), 1)
 	})
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the word-parallel kernels behind EncodeLevel,
-// TransposeWords and DecodeWords. The scalar encoder tested
+// TransposeWords and Decode. The scalar encoder tested
 // one bit per coefficient per plane; these kernels instead move 64
 // coefficients per step through a 64×64 bit-matrix transpose, so slicing
 // (and un-slicing) all B planes of a 64-coefficient group costs one
@@ -295,25 +295,6 @@ func wordsSmall[W uint32 | uint64](bits [][]byte, n int, dst []W, b, planes, g0,
 // prefixMask selects the bits of planes [0, b) of a planes-plane word.
 func prefixMask(b, planes int) uint64 {
 	return (uint64(1)<<uint(b) - 1) << uint(planes-b)
-}
-
-// decodeWords writes each coefficient decoded from the b-plane prefix of its
-// word, float64(DecodeNegabinary(ws[i] & prefix)) · unit, to dst[at[i]] — or
-// to dst[i] when at is nil. Split by placement so each loop inlines its
-// decode.
-func decodeWords[W uint32 | uint64](ws []W, dst []float64, at []int, b, planes int, unit float64) {
-	mask := prefixMask(b, planes)
-	if at == nil {
-		dst = dst[:len(ws)]
-		for i, w := range ws {
-			dst[i] = float64(DecodeNegabinary(uint64(w)&mask)) * unit
-		}
-		return
-	}
-	at = at[:len(ws)]
-	for i, w := range ws {
-		dst[at[i]] = float64(DecodeNegabinary(uint64(w)&mask)) * unit
-	}
 }
 
 // foldBlock is the number of coefficients the fused encode pass quantizes,

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"pmgard/internal/interleave"
 )
 
 // encodingsEqual reports whether two level encodings are byte-for-byte and
@@ -111,7 +113,8 @@ func TestEncodeWorkersBitIdentical(t *testing.T) {
 
 // TestDecodeWorkersBitIdentical asserts that a parallel partial decode
 // through the words path matches the sequential one bit for bit at every
-// prefix length.
+// prefix length, both in coefficient order (one run, cut among the
+// workers) and through a schedule of many short strided runs.
 func TestDecodeWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	n := 513
@@ -122,6 +125,8 @@ func TestDecodeWorkersBitIdentical(t *testing.T) {
 		}
 		for _, b := range []int{0, 1, 7, 16, 32} {
 			want := decodePrefix(enc, b, 1)
+			var w Words
+			enc.TransposeWords(b, &w, 1)
 			for _, workers := range []int{2, 8} {
 				got := decodePrefix(enc, b, workers)
 				for i := range want {
@@ -130,7 +135,35 @@ func TestDecodeWorkersBitIdentical(t *testing.T) {
 							name, b, workers, i, want[i], got[i])
 					}
 				}
+				checkDecodeWords(t, fmt.Sprintf("%s b=%d workers=%d runs", name, b, workers), enc, &w, b, workers, want)
 			}
+		}
+	}
+}
+
+// TestSplitRunsCoverEachNodeOnce checks that the pieces a run is cut into
+// for more workers than runs name the run's nodes and stream entries
+// exactly once, in order, for counts below, at and above the piece count.
+func TestSplitRunsCoverEachNodeOnce(t *testing.T) {
+	runs := []interleave.Run{{Off: 3, First: 10, Count: 1, Stride: 4, Level: 1}, {Off: 5, First: 0, Count: 7, Stride: 2}, {Off: 0, First: 2, Count: 100, Stride: 1, Level: 2}}
+	for _, parts := range []int{1, 2, 7, 8} {
+		pieces := splitRuns(runs, parts)
+		k := 0
+		for _, r := range runs {
+			for j := 0; j < r.Count; {
+				if k == len(pieces) {
+					t.Fatalf("parts=%d: pieces end before run %+v node %d", parts, r, j)
+				}
+				p := pieces[k]
+				if p.Level != r.Level || p.Stride != r.Stride || p.Off != r.Off+j*r.Stride || p.First != r.First+j || p.Count < 1 || j+p.Count > r.Count {
+					t.Fatalf("parts=%d: piece %+v does not continue run %+v at node %d", parts, p, r, j)
+				}
+				j += p.Count
+				k++
+			}
+		}
+		if k != len(pieces) {
+			t.Fatalf("parts=%d: %d pieces left over", parts, len(pieces)-k)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pmgard/internal/interleave"
 	"pmgard/internal/obs"
 )
 
@@ -208,23 +209,27 @@ func checkWords(t *testing.T, label string, e *LevelEncoding, w *Words, b int, w
 }
 
 // checkDecodeWords decodes w at prefix b to every other position of a
-// NaN-filled grid, in reverse order, and fails the test unless each
-// coefficient's node holds want's value bit for bit and no other node was
-// written.
+// NaN-filled grid, through runs of at most 7 coefficients at stride 2 laid
+// out last run first, and fails the test unless each coefficient's node
+// holds want's value bit for bit and no other node was written.
 func checkDecodeWords(t *testing.T, label string, e *LevelEncoding, w *Words, b, workers int, want []float64) {
 	t.Helper()
 	grid := make([]float64, 2*e.N+1)
 	for i := range grid {
 		grid[i] = math.NaN()
 	}
-	at := make([]int, e.N)
-	for i := range at {
-		at[i] = 2*(e.N-1-i) + 1
+	const runLen = 7
+	var runs []interleave.Run
+	for first := 0; first < e.N; first += runLen {
+		count := min(runLen, e.N-first)
+		runs = append(runs, interleave.Run{Off: 2*(e.N-first-count) + 1, First: first, Count: count, Stride: 2})
 	}
-	e.DecodeWords(w, b, grid, at, workers, nil, nil)
+	Decode([]LevelWords{{Enc: e, Words: w, B: b}}, runs, grid, workers, nil, nil)
 	for i, v := range want {
-		if math.Float64bits(grid[at[i]]) != math.Float64bits(v) {
-			t.Fatalf("%s i=%d: node %d = %v, want %v", label, i, at[i], grid[at[i]], v)
+		r := runs[i/runLen]
+		at := r.Off + 2*(i-r.First)
+		if math.Float64bits(grid[at]) != math.Float64bits(v) {
+			t.Fatalf("%s i=%d: node %d = %v, want %v", label, i, at, grid[at], v)
 		}
 	}
 	for j := 0; j < len(grid); j += 2 {
@@ -409,7 +414,7 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 	// transpose rows carry from one group to the next — and a partial tail
 	// group on either side of the half-width kernel's 32-coefficient split.
 	// Each regime is checked three ways: the words TransposeWords emits, and
-	// DecodeWords from them to scattered grid nodes — from words of exactly
+	// Decode from them to scattered grid nodes — from words of exactly
 	// b planes and from a snapshot of all of them, which must decode the
 	// same b-plane prefix.
 	for _, p := range profiles {

@@ -80,3 +80,17 @@ func wordsAVX2(bits [][]byte, n int, dst []uint32, b, planes, g0, g1 int) {
 //
 //go:noescape
 func wordsAVX2Groups(dst *uint32, p *wordPlacement, off, groups int)
+
+// decodeAVX2 writes the value of each of the n (≥ 1) words at ws to dst,
+// dst+stride, … (stride in elements): float64(DecodeNegabinary(w & mask))
+// · unit, four words per step. VPMOVZXDQ widens four words to int64 lanes;
+// VPAND applies the prefix mask and VPXOR/VPADDQ by negaMask and a bias
+// decode the nega-binary word, the bias also adding the bits of 2⁵²+2⁵¹,
+// so that the lane read as a float64 is exactly 2⁵²+2⁵¹+v; VSUBPD of that
+// constant leaves float64(v) — exact, since |v| < 2³² ≪ 2⁵¹ — and one
+// VMULPD by unit rounds once, as the Go loop's product does. Stride 1
+// stores with VMOVUPD, longer strides lane by lane with VMOVLPD/VMOVHPD;
+// a tail of fewer than four words runs the same steps one word at a time.
+//
+//go:noescape
+func decodeAVX2(dst *float64, stride int, ws *uint32, n int, mask uint64, unit float64)

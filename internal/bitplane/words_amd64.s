@@ -113,3 +113,86 @@ loop:
 	JNZ  loop
 	VZEROUPPER
 	RET
+
+// DECODE4 turns the four words at (SI) into their four float64 values in
+// Y0: widen, mask, decode with the magic bias, subtract 2⁵²+2⁵¹, scale.
+#define DECODE4 \
+	VPMOVZXDQ (SI), Y0; \
+	VPAND     Y1, Y0, Y0; \
+	VPXOR     Y3, Y0, Y0; \
+	VPADDQ    Y4, Y0, Y0; \
+	VSUBPD    Y5, Y0, Y0; \
+	VMULPD    Y2, Y0, Y0
+
+// func decodeAVX2(dst *float64, stride int, ws *uint32, n int, mask uint64, unit float64)
+TEXT ·decodeAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ stride+8(FP), BX
+	SHLQ $3, BX
+	MOVQ ws+16(FP), SI
+	MOVQ n+24(FP), CX
+	MOVQ mask+32(FP), R9
+	// R10 = negaMask; R11 = 2⁵²+2⁵¹ (as float64 bits) − negaMask, so
+	// (w ^ negaMask) + R11 = v + bits(2⁵²+2⁵¹) with v = (w ^ negaMask) −
+	// negaMask, the nega-binary value of w.
+	MOVQ $0xAAAAAAAAAAAAAAAA, R10
+	MOVQ $0x988D555555555556, R11
+	MOVQ $0x4338000000000000, AX
+	VPBROADCASTQ mask+32(FP), Y1
+	VBROADCASTSD unit+40(FP), Y2
+	VMOVQ R10, X3
+	VPBROADCASTQ X3, Y3
+	VMOVQ R11, X4
+	VPBROADCASTQ X4, Y4
+	VMOVQ AX, X5
+	VPBROADCASTQ X5, Y5
+	CMPQ CX, $4
+	JB   tail
+	CMPQ BX, $8
+	JNE  strided
+
+contiguous:
+	DECODE4
+	VMOVUPD Y0, (DI)
+	ADDQ    $16, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	CMPQ    CX, $4
+	JAE     contiguous
+	JMP     tail
+
+strided:
+	DECODE4
+	VMOVLPD      X0, (DI)
+	VMOVHPD      X0, (DI)(BX*1)
+	VEXTRACTF128 $1, Y0, X0
+	LEAQ         (DI)(BX*2), DI
+	VMOVLPD      X0, (DI)
+	VMOVHPD      X0, (DI)(BX*1)
+	LEAQ         (DI)(BX*2), DI
+	ADDQ         $16, SI
+	SUBQ         $4, CX
+	CMPQ         CX, $4
+	JAE          strided
+
+tail:
+	TESTQ CX, CX
+	JZ    done
+
+tailword:
+	MOVL   (SI), AX
+	ANDQ   R9, AX
+	XORQ   R10, AX
+	ADDQ   R11, AX
+	VMOVQ  AX, X0
+	VSUBSD X5, X0, X0
+	VMULSD X2, X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $4, SI
+	ADDQ   BX, DI
+	DECQ   CX
+	JNZ    tailword
+
+done:
+	VZEROUPPER
+	RET

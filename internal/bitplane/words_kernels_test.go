@@ -2,6 +2,7 @@ package bitplane
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -171,6 +172,195 @@ func FuzzTransposeWords(f *testing.F) {
 		for name, kernel := range wordKernels(b) {
 			label := fmt.Sprintf("%s n=%d planes=%d b=%d", name, n, planes, b)
 			checkKernelWords(t, label, kernelWords(kernel, e, b), want, ^uint64(0))
+		}
+	})
+}
+
+// runDecoder is the signature of one way to decode a run of words.
+type runDecoder[W uint32 | uint64] func(dst []float64, stride int, ws []W, mask uint64, unit float64)
+
+// decodePaths32 are the ways a run of a level of at most 32 planes decodes
+// on this CPU: the Go loop everywhere, and decodeRun32's AVX2 kernel where
+// the CPU has it.
+func decodePaths32() map[string]runDecoder[uint32] {
+	ps := map[string]runDecoder[uint32]{"go": decodeRunGo[uint32]}
+	if cpufeat.AVX2 {
+		ps["avx2"] = decodeRun32
+	}
+	return ps
+}
+
+// guardBits fills every element a decode must not write.
+const guardBits = 0x7FF8DEADBEEF0001
+
+// checkRun decodes ws at the given stride into a guarded buffer — three
+// guard elements before and after the run, and the stride−1 elements
+// between its nodes — and fails the test unless node j holds
+// float64(DecodeNegabinary(ws[j] & mask))·unit bit for bit and every guard
+// element is untouched.
+func checkRun[W uint32 | uint64](t *testing.T, label string, decode runDecoder[W], ws []W, stride int, mask uint64, unit float64) {
+	t.Helper()
+	const guard = 3
+	span := 0
+	if len(ws) > 0 {
+		span = (len(ws)-1)*stride + 1
+	}
+	buf := make([]float64, span+2*guard)
+	for i := range buf {
+		buf[i] = math.Float64frombits(guardBits)
+	}
+	decode(buf[guard:guard+span], stride, ws, mask, unit)
+	next := guard
+	for i, v := range buf {
+		want := uint64(guardBits)
+		if i == next && i < guard+span {
+			j := (i - guard) / stride
+			want = math.Float64bits(float64(DecodeNegabinary(uint64(ws[j])&mask)) * unit)
+			next += stride
+		}
+		if got := math.Float64bits(v); got != want {
+			t.Fatalf("%s: element %d of %d (run of %d at stride %d from %d) = %#x, want %#x", label, i, len(buf), len(ws), stride, guard, got, want)
+		}
+	}
+}
+
+// decodeWordPatterns fill a run's words: the all-zero and all-one words,
+// 0xAAAAAAAA (the most negative 32-plane value, −2,863,311,530, beyond
+// int32), 0x55555555 (the most positive) and random words.
+var decodeWordPatterns = []struct {
+	name string
+	word func(rng *rand.Rand) uint64
+}{
+	{"zero", func(*rand.Rand) uint64 { return 0 }},
+	{"ones", func(*rand.Rand) uint64 { return ^uint64(0) }},
+	{"0xAA", func(*rand.Rand) uint64 { return 0xAAAAAAAAAAAAAAAA }},
+	{"0x55", func(*rand.Rand) uint64 { return 0x5555555555555555 }},
+	{"random", func(rng *rand.Rand) uint64 { return rng.Uint64() }},
+}
+
+// decodeUnits are dequantization units at the ends of the float range: a
+// product of a 32-bit value with them overflows, underflows to a subnormal,
+// or starts subnormal.
+var decodeUnits = []float64{math.Ldexp(1, 1000), math.Ldexp(1, -1000), math.Ldexp(1, -1060), 0x1p-1074, 1}
+
+// patternWords returns n words of a pattern cut to W.
+func patternWords[W uint32 | uint64](rng *rand.Rand, pattern, n int) []W {
+	ws := make([]W, n)
+	for i := range ws {
+		ws[i] = W(decodeWordPatterns[pattern].word(rng))
+	}
+	return ws
+}
+
+// TestDecodeKernelsMatchScalar holds every word→value decode — the AVX2
+// kernel where the CPU has it and the Go loop everywhere — to the scalar
+// definition float64(DecodeNegabinary(w & mask))·unit, bit for bit, with
+// the guard elements around every strided write untouched: every prefix b
+// of every plane count 1–32 on each word pattern and unit; strides 1–16 at
+// lengths 0–33 and 129 (every tail of the four-word steps); 64 Ki + 13
+// words, past one kernel call's chunk; and the Go loop on 33-, 59- and
+// 60-plane words.
+func TestDecodeKernelsMatchScalar(t *testing.T) {
+	if !cpufeat.AVX2 {
+		t.Log("no AVX2: checking the Go loop only")
+	}
+	rng := rand.New(rand.NewSource(39))
+	strides := []int{1, 2, 4, 8, 16}
+	for planes := 1; planes <= 32; planes++ {
+		for b := 1; b <= planes; b++ {
+			mask := prefixMask(b, planes)
+			for pat := range decodeWordPatterns {
+				ws := patternWords[uint32](rng, pat, 37)
+				for _, unit := range decodeUnits {
+					for name, decode := range decodePaths32() {
+						for _, stride := range []int{1, 3} {
+							label := fmt.Sprintf("%s planes=%d b=%d %s unit=%g stride=%d", name, planes, b, decodeWordPatterns[pat].name, unit, stride)
+							checkRun(t, label, decode, ws, stride, mask, unit)
+						}
+					}
+				}
+			}
+		}
+	}
+	lengths := []int{129}
+	for n := 0; n <= 33; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, pb := range [][2]int{{32, 32}, {32, 1}, {20, 9}, {1, 1}} {
+		mask := prefixMask(pb[1], pb[0])
+		for _, n := range lengths {
+			for pat := range decodeWordPatterns {
+				ws := patternWords[uint32](rng, pat, n)
+				for _, unit := range decodeUnits {
+					for name, decode := range decodePaths32() {
+						for _, stride := range strides {
+							label := fmt.Sprintf("%s planes=%d b=%d n=%d %s unit=%g", name, pb[0], pb[1], n, decodeWordPatterns[pat].name, unit)
+							checkRun(t, label, decode, ws, stride, mask, unit)
+						}
+					}
+				}
+			}
+		}
+	}
+	long := patternWords[uint32](rng, len(decodeWordPatterns)-1, decodeChunk+13)
+	for name, decode := range decodePaths32() {
+		for _, stride := range strides {
+			checkRun(t, fmt.Sprintf("%s n=%d", name, len(long)), decode, long, stride, prefixMask(32, 32), math.Ldexp(1, -1000))
+		}
+	}
+	for _, planes := range []int{33, 59, 60} {
+		for b := 1; b <= planes; b++ {
+			mask := prefixMask(b, planes)
+			for pat := range decodeWordPatterns {
+				ws := patternWords[uint64](rng, pat, 37)
+				for _, unit := range decodeUnits {
+					for _, stride := range strides {
+						label := fmt.Sprintf("go planes=%d b=%d %s unit=%g stride=%d", planes, b, decodeWordPatterns[pat].name, unit, stride)
+						checkRun(t, label, decodeRunGo[uint64], ws, stride, mask, unit)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzDecodeWords drives every word→value decode with words cut from
+// arbitrary bytes, at any plane count (32-bit words up to 32 planes, 64-bit
+// above), prefix, stride, length and power-of-two unit, against the scalar
+// definition, guard elements included.
+func FuzzDecodeWords(f *testing.F) {
+	f.Add([]byte{0xAA, 0xAA, 0xAA, 0xAA}, uint8(32), uint8(32), uint8(1), uint16(5), int16(-1000))
+	f.Add([]byte{0xFF, 0x00, 0x55}, uint8(20), uint8(9), uint8(2), uint16(129), int16(1000))
+	f.Add([]byte{0x01, 0x80}, uint8(60), uint8(33), uint8(16), uint16(31), int16(-1074))
+	f.Fuzz(func(t *testing.T, data []byte, planes8, b8, stride8 uint8, n16 uint16, exp int16) {
+		planes := 1 + int(planes8)%60
+		b := 1 + int(b8)%planes
+		stride := 1 + int(stride8)%16
+		n := int(n16) % 4096
+		unit := math.Ldexp(1, int(exp)%1100)
+		mask := prefixMask(b, planes)
+		word := func(i int) uint64 {
+			var x uint64
+			for k := 0; k < 8 && len(data) > 0; k++ {
+				x |= uint64(data[(8*i+k)%len(data)]^byte(i)) << (8 * k)
+			}
+			return x
+		}
+		label := fmt.Sprintf("planes=%d b=%d stride=%d n=%d unit=%g", planes, b, stride, n, unit)
+		if planes > 32 {
+			ws := make([]uint64, n)
+			for i := range ws {
+				ws[i] = word(i)
+			}
+			checkRun(t, "go "+label, decodeRunGo[uint64], ws, stride, mask, unit)
+			return
+		}
+		ws := make([]uint32, n)
+		for i := range ws {
+			ws[i] = uint32(word(i))
+		}
+		for name, decode := range decodePaths32() {
+			checkRun(t, name+" "+label, decode, ws, stride, mask, unit)
 		}
 	})
 }

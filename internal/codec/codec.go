@@ -68,7 +68,9 @@ type Decomposition interface {
 	// Levels returns the number of coefficient levels L.
 	Levels() int
 	// Plan returns the interleave plan that places the coefficients on the
-	// grid: level l's i-th coefficient belongs to node Plan().Indices(l)[i].
+	// grid: its run schedule (Plan().Runs()) puts level l's i-th coefficient
+	// at node Off+(i−First)·Stride of the level's run whose entries
+	// First…First+Count−1 hold i — the node Plan().Indices(l)[i] names.
 	Plan() *interleave.Plan
 	// Coeffs returns the level-l coefficient stream. The slice is the
 	// decomposition's own storage: mutating it changes what Recompose
@@ -156,14 +158,18 @@ func (BitplaneCoder) EncodeLevel(coeffs []float64, planes, workers int, o *obs.O
 }
 
 // DecodeLevel implements ProgressiveCodec.DecodeLevel with the primitives a
-// request runs: the first b planes are transposed into words, which decode
-// to dst.
+// request runs: the first b planes are transposed into words, which
+// bitplane.Decode writes to dst in coefficient order — one stride-1 run.
 func (BitplaneCoder) DecodeLevel(enc *bitplane.LevelEncoding, b int, dst []float64, workers int, o *obs.Obs) {
+	if len(dst) != enc.N {
+		panic(fmt.Sprintf("codec: DecodeLevel into %d values, want %d", len(dst), enc.N))
+	}
 	var w bitplane.Words
 	if b > 0 {
 		enc.TransposeWords(b, &w, workers)
 	}
-	enc.DecodeWords(&w, b, dst, nil, workers, o, nil)
+	levels := []bitplane.LevelWords{{Enc: enc, Words: &w, B: b}}
+	bitplane.Decode(levels, []interleave.Run{{Count: enc.N, Stride: 1}}, dst, workers, o, nil)
 }
 
 // registry holds the process-wide backend set; backends self-register from

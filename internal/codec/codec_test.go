@@ -3,12 +3,14 @@
 package codec_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"pmgard/internal/bitplane"
 	"pmgard/internal/codec"
 	"pmgard/internal/grid"
+	"pmgard/internal/interleave"
 	"pmgard/internal/obs"
 
 	_ "pmgard/internal/codec/interp"
@@ -108,10 +110,34 @@ func TestBitplaneCoderMatchesBitplane(t *testing.T) {
 	bc.DecodeLevel(got, 8, dstGot, 1, nil)
 	var w bitplane.Words
 	want.TransposeWords(8, &w, 1)
-	want.DecodeWords(&w, 8, dstWant, nil, 1, nil, nil)
+	bitplane.Decode([]bitplane.LevelWords{{Enc: want, Words: &w, B: 8}}, []interleave.Run{{Count: want.N, Stride: 1}}, dstWant, 1, nil, nil)
 	for i := range dstGot {
 		if dstGot[i] != dstWant[i] {
 			t.Fatalf("decode[%d] = %g, want %g", i, dstGot[i], dstWant[i])
+		}
+	}
+}
+
+// TestDecodeLevelRefusesWrongLength checks that a coefficient-order decode
+// into a destination longer or shorter than the level panics naming both
+// lengths, at b = 0 (nothing transposed) as at a real prefix.
+func TestDecodeLevelRefusesWrongLength(t *testing.T) {
+	enc, err := bitplane.EncodeLevel([]float64{1, 2, 3, 4}, 8, 1, nil)
+	if err != nil {
+		t.Fatalf("EncodeLevel: %v", err)
+	}
+	var bc codec.BitplaneCoder
+	for _, n := range []int{3, 5} {
+		for _, b := range []int{0, 4} {
+			want := fmt.Sprintf("codec: DecodeLevel into %d values, want 4", n)
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); msg != want {
+						t.Errorf("DecodeLevel b=%d into %d values panicked with %q, want %q", b, n, msg, want)
+					}
+				}()
+				bc.DecodeLevel(enc, b, make([]float64, n), 1, nil)
+			}()
 		}
 	}
 }

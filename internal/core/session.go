@@ -487,26 +487,18 @@ func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol 
 }
 
 // reconstruct decodes the fetched planes of levels 0..upTo straight to
-// their nodes of a workspace grid and recomposes the grid they span there —
-// the full field when upTo is the finest level. A full field is returned in
-// that grid, which the session keeps as out until the next full-field
-// reconstruction or Close; a coarser grid is gathered into a tensor of its
-// own and the workspace grid goes straight back to the pool. s.mu must be
-// held.
+// their nodes of a workspace grid (decodeInto) and recomposes the grid they
+// span there — the full field when upTo is the finest level. A full field
+// is returned in that grid, which the session keeps as out until the next
+// full-field reconstruction or Close; a coarser grid is gathered into a
+// tensor of its own and the workspace grid goes straight back to the pool.
+// s.mu must be held.
 func (s *Session) reconstruct(ctx context.Context, upTo int) (*grid.Tensor, error) {
 	parent := obs.SpanFromContext(ctx)
 	dsp := parent.Child("session.decode")
 	work, reused := s.pool.takeGrid(s.header.Dims)
 	s.countWorkspace(reused)
-	var hits, built int64
-	for l := 0; l <= upTo; l++ {
-		switch s.decodeLevel(l, work.Data(), dsp) {
-		case "hit":
-			hits++
-		case "built":
-			built++
-		}
-	}
+	hits, built := s.decodeInto(work, upTo, dsp)
 	switch {
 	case built > 0:
 		dsp.SetAttr("words", "built")
@@ -533,42 +525,47 @@ func (s *Session) reconstruct(ctx context.Context, upTo int) (*grid.Tensor, erro
 	return rec, err
 }
 
-// decodeLevel writes level l's coefficients, decoded from its first
-// fetched[l] planes, to the level's nodes of data, and returns where the
-// planes' words came from: "hit" from the shared cache's snapshot of the
-// level, which serves when it holds at least that many planes (a snapshot of
-// more decodes exactly the same prefix), "built" when the session transposed
-// its own planes into the workspace and offered the words to the cache, ""
-// for a level with no planes. The level's decode span, and the transpose
-// span of words it builds, are children of sp when it is set. s.mu must be
-// held.
-func (s *Session) decodeLevel(l int, data []float64, sp *obs.Span) (source string) {
-	lm, b := &s.header.Levels[l], s.fetched[l]
-	enc := &s.ws.encs[l]
-	enc.N, enc.Planes, enc.Exponent, enc.Bits = lm.N, s.header.Planes, lm.Exponent, s.ws.planes[l]
-	var words *bitplane.Words
-	if b > 0 {
-		run := s.run
-		run.Level = l
-		key := run.LevelKey()
-		source = "hit"
-		words = s.cache.Snapshot(key)
-		if words == nil || words.Prefix < b || words.Planes != enc.Planes || words.Len() != enc.N {
-			source = "built"
-			if s.ws.words[l] == nil {
-				s.ws.words[l] = new(bitplane.Words)
-			}
-			words = s.ws.words[l]
-			tsp := sp.Child("bitplane.transpose")
-			tsp.SetAttr("level", l)
-			tsp.SetAttr("planes", b)
-			enc.TransposeWords(b, words, s.workers)
-			tsp.End()
-			if s.cache.PublishSnapshot(key, words) {
-				s.ws.words[l] = nil
+// decodeInto writes levels 0..upTo, decoded from their fetched planes, to
+// their nodes of work — every such node, and no other — and returns how
+// many levels' words came from the shared cache's snapshot and how many the
+// session built. It first gathers each level's words: the cache's snapshot
+// of the level serves when it holds at least the fetched prefix (a snapshot
+// of more planes decodes exactly the same prefix); otherwise the session
+// transposes its own planes into the workspace, under a bitplane.transpose
+// span, and offers the words to the cache. Then one bitplane.Decode places
+// every level in a row-major pass over the plan's run schedule. Spans are
+// children of sp when it is set. s.mu must be held.
+func (s *Session) decodeInto(work *grid.Tensor, upTo int, sp *obs.Span) (hits, built int64) {
+	for l := 0; l <= upTo; l++ {
+		lm, b := &s.header.Levels[l], s.fetched[l]
+		enc := &s.ws.encs[l]
+		enc.N, enc.Planes, enc.Exponent, enc.Bits = lm.N, s.header.Planes, lm.Exponent, s.ws.planes[l]
+		var words *bitplane.Words
+		if b > 0 {
+			run := s.run
+			run.Level = l
+			key := run.LevelKey()
+			words = s.cache.Snapshot(key)
+			if words != nil && words.Prefix >= b && words.Planes == enc.Planes && words.Len() == enc.N {
+				hits++
+			} else {
+				built++
+				if s.ws.words[l] == nil {
+					s.ws.words[l] = new(bitplane.Words)
+				}
+				words = s.ws.words[l]
+				tsp := sp.Child("bitplane.transpose")
+				tsp.SetAttr("level", l)
+				tsp.SetAttr("planes", b)
+				enc.TransposeWords(b, words, s.workers)
+				tsp.End()
+				if s.cache.PublishSnapshot(key, words) {
+					s.ws.words[l] = nil
+				}
 			}
 		}
+		s.ws.levels[l] = bitplane.LevelWords{Enc: enc, Words: words, B: b}
 	}
-	enc.DecodeWords(words, b, data, s.ws.dec.Plan().Indices(l), s.workers, s.o, sp)
-	return source
+	bitplane.Decode(s.ws.levels[:upTo+1], s.ws.dec.Plan().Runs(), work.Data(), s.workers, s.o, sp)
+	return hits, built
 }

@@ -17,8 +17,8 @@ import (
 // allocated it afresh would hand the garbage collector a field or more per
 // request. Sessions of one shape instead draw it from a shared
 // workspacePool and give it back on Close. Pooled buffers are dirty, and
-// nothing clears them: DecodeWords overwrites every node of the levels a
-// reconstruction decodes, TransposeWords every word of a level it
+// nothing clears them: bitplane.Decode overwrites every node of the levels
+// a reconstruction decodes, TransposeWords every word of a level it
 // transposes, RecomposeInto reads no other node of its grid, and a session
 // reads plane k of level l only after fetching it.
 
@@ -38,13 +38,15 @@ type workspaceKey struct {
 // it (a NewZero decomposition that never allocates its streams),
 // planes[l][k] the plane bitsets fetched so far, one reusable LevelEncoding
 // shell per level, words[l] the buffer level l is transposed into (nil
-// until needed, and again once the cache has taken it as a snapshot), and
-// the cache verdicts of one level's fetch.
+// until needed, and again once the cache has taken it as a snapshot),
+// levels[l] level l's share of the one decode call, and the cache verdicts
+// of one level's fetch.
 type workspace struct {
 	dec    codec.Decomposition
 	planes [][][]byte
 	encs   []bitplane.LevelEncoding
 	words  []*bitplane.Words
+	levels []bitplane.LevelWords
 	slots  []servecache.Plane
 }
 
@@ -84,6 +86,7 @@ func (p *workspacePool) take(h *Header, backend codec.ProgressiveCodec, workers 
 		planes: make([][][]byte, len(h.Levels)),
 		encs:   make([]bitplane.LevelEncoding, len(h.Levels)),
 		words:  make([]*bitplane.Words, len(h.Levels)),
+		levels: make([]bitplane.LevelWords, len(h.Levels)),
 		slots:  make([]servecache.Plane, h.Planes),
 	}
 	flat := make([][]byte, len(h.Levels)*h.Planes)
@@ -94,12 +97,14 @@ func (p *workspacePool) take(h *Header, backend codec.ProgressiveCodec, workers 
 }
 
 // put returns ws to the pool, first dropping its references to plane
-// bitsets and errors so a pooled workspace pins no cache entry.
+// bitsets, word snapshots and errors so a pooled workspace pins no cache
+// entry.
 func (p *workspacePool) put(ws *workspace) {
 	for l := range ws.planes {
 		clear(ws.planes[l])
 		ws.encs[l].Bits = nil
 	}
+	clear(ws.levels)
 	clear(ws.slots)
 	p.workspaces.Put(ws)
 }

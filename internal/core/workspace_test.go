@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pmgard/internal/bitplane"
+	"pmgard/internal/codec"
 	"pmgard/internal/grid"
 	"pmgard/internal/obs"
 	"pmgard/internal/servecache"
@@ -23,6 +24,26 @@ import (
 // store and decoded, and the pinned Recompose (or, below the finest level,
 // the streams placed on a fresh grid and RecomposeInto).
 func freshReconstruct(t *testing.T, h *Header, c *Compressed, planes []int, upTo int) *grid.Tensor {
+	t.Helper()
+	dec := freshStreams(t, h, c, planes, upTo)
+	if upTo == len(h.Levels)-1 {
+		return dec.Recompose()
+	}
+	work := grid.New(h.Dims...)
+	for l := 0; l <= upTo; l++ {
+		dec.Plan().Inject(work.Data(), l, dec.Coeffs(l))
+	}
+	rec, err := dec.RecomposeInto(upTo, work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// freshStreams is a new all-zero decomposition whose levels 0..upTo hold
+// the coefficients decoded, in coefficient order, from each level's first
+// planes[l] planes read straight from the store.
+func freshStreams(t *testing.T, h *Header, c *Compressed, planes []int, upTo int) codec.Decomposition {
 	t.Helper()
 	store, err := NewPlaneStore(h, c)
 	if err != nil {
@@ -48,18 +69,60 @@ func freshReconstruct(t *testing.T, h *Header, c *Compressed, planes []int, upTo
 		}
 		backend.DecodeLevel(enc, planes[l], dec.Coeffs(l), 1, nil)
 	}
-	if upTo == len(h.Levels)-1 {
-		return dec.Recompose()
+	return dec
+}
+
+// TestDecodeIntoWritesExactlyItsLevels pins what lets a session decode into
+// a dirty pooled grid, on both backends: a NaN-poisoned grid is fully
+// written by a full-field decode, and a decode up to a coarser level writes
+// exactly the nodes of levels 0..upTo — each with the value its level's
+// coefficient-order decode gives, a level of no planes zeros — and leaves
+// every other node's poison untouched.
+func TestDecodeIntoWritesExactlyItsLevels(t *testing.T) {
+	const poison = 0x7FF80000DEAD0001
+	for _, backend := range []string{"mgard", "interp"} {
+		cfg := DefaultConfig()
+		cfg.Backend = backend
+		c, err := Compress(seededField(7, 17, 9, 33), cfg, "poison", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &c.Header
+		L := len(h.Levels)
+		planes := make([]int, L)
+		for l := range planes {
+			planes[l] = []int{h.Planes, 9, 0, 17}[l%4]
+		}
+		s, err := NewSession(h, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RefineTo(context.Background(), planes); err != nil {
+			t.Fatal(err)
+		}
+		want := freshStreams(t, h, c, planes, L-1)
+		for upTo := 0; upTo < L; upTo++ {
+			work := grid.New(h.Dims...)
+			for i := range work.Data() {
+				work.Data()[i] = math.Float64frombits(poison)
+			}
+			s.mu.Lock()
+			s.decodeInto(work, upTo, nil)
+			s.mu.Unlock()
+			for l := 0; l < L; l++ {
+				for i, off := range want.Plan().Indices(l) {
+					got, exp := math.Float64bits(work.Data()[off]), uint64(poison)
+					if l <= upTo {
+						exp = math.Float64bits(want.Coeffs(l)[i])
+					}
+					if got != exp {
+						t.Fatalf("%s upTo=%d: level %d node %d (offset %d) = %#x, want %#x", backend, upTo, l, i, off, got, exp)
+					}
+				}
+			}
+		}
+		s.Close()
 	}
-	work := grid.New(h.Dims...)
-	for l := 0; l <= upTo; l++ {
-		dec.Plan().Inject(work.Data(), l, dec.Coeffs(l))
-	}
-	rec, err := dec.RecomposeInto(upTo, work)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
 }
 
 // crcOf is serve's response checksum of a reconstruction.

@@ -14,6 +14,14 @@
 //
 // Within a level, nodes are ordered by row-major scan of the full grid, so
 // the mapping is deterministic and reproducible across processes.
+//
+// A Plan records that order once, as a run schedule: for each last-axis
+// row, each level's nodes in the row are one evenly spaced run (grid
+// offset, stride, count, first stream index) — 22,325 runs for a 129³ grid
+// of 5 levels, against 2.15 M node offsets. A reader places every level
+// with one row-major pass over the runs (bitplane.Decode), so each row is
+// written while it sits in cache; per-level offset lists are expanded from
+// the runs only for a caller that asks for them (Indices).
 package interleave
 
 import (
@@ -22,24 +30,44 @@ import (
 	"sync"
 )
 
-// Plan holds the precomputed grid↔level index maps for one (dims, levels)
+// Plan holds the precomputed grid↔level maps for one (dims, levels)
 // configuration. Plans are immutable after construction and safe for
 // concurrent use; NewPlan hands the same *Plan to every caller of a shape
 // it still remembers.
+//
+// The plan's one source of order is its run schedule (Runs): each
+// last-axis row of the grid, in row-major order, lists each level's nodes
+// in that row as one evenly spaced run. The per-level index lists
+// (Indices) are expanded from it on first use.
 type Plan struct {
 	dims   []int
 	levels int
+	sizes  []int
+	// runs is the run schedule, rows in row-major order and a row's runs
+	// coarsest level first.
+	runs []Run
 	// indices[l] lists the flat grid offsets of level l's nodes in
-	// row-major scan order.
-	indices [][]int
+	// row-major scan order, expanded from runs by the first Indices call.
+	indicesOnce sync.Once
+	indices     [][]int
 }
 
-// planMemoSize bounds how many shapes NewPlan remembers. A plan costs 8
-// bytes per grid node (one offset): 17.2 MB at 129³, so four remembered
-// shapes pin at most ≈ 69 MB at that size. Four covers what one process
-// works on at once — a server's fields (usually one shape), or a tiled
-// compress's interior and tail slabs — without letting a process that walks
-// through many shapes keep them all.
+// Run is one level's nodes within one last-axis row of the grid: Count
+// nodes at flat offsets Off, Off+Stride, …, Off+(Count−1)·Stride, which
+// are entries First, First+1, … of level Level's stream. Stride is a power
+// of two (1 for a run of one node).
+type Run struct {
+	Off, First, Count, Stride, Level int
+}
+
+// planMemoSize bounds how many shapes NewPlan remembers. A plan's run
+// schedule costs one 40-byte Run per (row, level) pair a row holds —
+// 22,325 runs, 0.9 MB at 129³ with 5 levels — so four remembered shapes pin
+// ≈ 3.6 MB at that size. Indices adds 8 bytes per grid node (17.2 MB at
+// 129³) to a plan whose index lists someone asks for. Four covers what one
+// process works on at once — a server's fields (usually one shape), or a
+// tiled compress's interior and tail slabs — without letting a process
+// that walks through many shapes keep them all.
 const planMemoSize = 4
 
 // planEntry is one remembered shape. once makes concurrent first callers of
@@ -57,7 +85,7 @@ var planMemo struct {
 	entries []*planEntry
 }
 
-// NewPlan returns the index maps for a grid with the given dimensions and
+// NewPlan returns the level maps for a grid with the given dimensions and
 // number of coefficient levels. levels must be in [1, 30] and dims non-empty
 // with positive extents. The plan is shared: a shape among the planMemoSize
 // most recently requested ones is built once per process, whoever asks.
@@ -147,7 +175,7 @@ func levelSizes(dims []int, levels int) []int {
 // that lies wholly on the finest level (an odd coordinate on an outer axis).
 // row is shared between calls and must not be modified. The shape must be
 // one LevelSizes accepts. Walk is the order every level stream is in: a
-// plan's index lists and a decomposition's level split both come from it.
+// plan's run schedule and a decomposition's level split both come from it.
 //
 // A node's level depends only on the smallest per-axis trailing
 // divisibility, so that is tabulated per axis and folded over the outer
@@ -195,41 +223,61 @@ func Walk(dims []int, levels int, fn func(flat int, row []uint8, fine bool)) {
 	}
 }
 
-// buildPlan computes the maps of a validated shape in one Walk. Level sizes
-// are known up front, so every level's index list is a pre-sized window of
-// one allocation.
+// buildPlan computes the run schedule of a validated shape in one Walk. A
+// row's level pattern depends only on the level of its node 0 (the row's
+// coarsest: a node's level is set by the smallest per-axis divisibility,
+// and 0 is divisible by every step), so each pattern's runs are derived
+// once, from the first row that has it, and shifted to every later one.
 func buildPlan(dims []int, levels int) *Plan {
-	sizes := levelSizes(dims, levels)
-	p := &Plan{dims: dims, levels: levels, indices: make([][]int, levels)}
-	// all is every level's index list back to back; next[l] is where level
-	// l's next node goes.
-	n := 0
-	for _, size := range sizes {
-		n += size
-	}
-	all := make([]int, n)
+	p := &Plan{dims: dims, levels: levels, sizes: levelSizes(dims, levels)}
 	next := make([]int, levels)
-	for l, off := 0, 0; l < levels; l++ {
-		next[l] = off
-		p.indices[l] = all[off : off+sizes[l] : off+sizes[l]]
-		off += sizes[l]
-	}
-	top := levels - 1
-	Walk(dims, levels, func(flat int, row []uint8, fine bool) {
-		if fine {
-			dst := all[next[top] : next[top]+len(row)]
-			for i := range dst {
-				dst[i] = flat + i
-			}
-			next[top] += len(row)
-			return
+	patterns := make([][]Run, levels)
+	Walk(dims, levels, func(flat int, row []uint8, _ bool) {
+		pat := patterns[row[0]]
+		if pat == nil {
+			pat = rowRuns(row, levels)
+			patterns[row[0]] = pat
 		}
-		for i, l := range row {
-			all[next[l]] = flat + i
-			next[l]++
+		for _, r := range pat {
+			r.Off += flat
+			r.First = next[r.Level]
+			next[r.Level] += r.Count
+			p.runs = append(p.runs, r)
 		}
 	})
+	// The appends overshoot; keep an exact-size copy.
+	p.runs = slices.Clone(p.runs)
 	return p
+}
+
+// rowRuns splits one row of Walk's node levels into one run per level
+// present, coarsest first, with offsets relative to the row's start. Within
+// a row a level's nodes are the multiples of one power of two (the row's
+// coarsest level) or its odd multiples (every finer one), so they are
+// evenly spaced; rowRuns panics if they are not.
+func rowRuns(row []uint8, levels int) []Run {
+	var runs []Run
+	for l := 0; l < levels; l++ {
+		r := Run{Level: l, Stride: 1}
+		for i, x := range row {
+			if int(x) != l {
+				continue
+			}
+			switch {
+			case r.Count == 0:
+				r.Off = i
+			case r.Count == 1:
+				r.Stride = i - r.Off
+			case i != r.Off+r.Count*r.Stride:
+				panic(fmt.Sprintf("interleave: level %d nodes of a row are not evenly spaced", l))
+			}
+			r.Count++
+		}
+		if r.Count > 0 {
+			runs = append(runs, r)
+		}
+	}
+	return runs
 }
 
 // trailingDivisibility returns the largest s ≤ cap such that i is a multiple
@@ -254,43 +302,80 @@ func (p *Plan) Dims() []int { return p.dims }
 func (p *Plan) Levels() int { return p.levels }
 
 // LevelSizes returns the number of nodes on each level.
-func (p *Plan) LevelSizes() []int {
-	sizes := make([]int, p.levels)
-	for l, ix := range p.indices {
-		sizes[l] = len(ix)
-	}
-	return sizes
-}
+func (p *Plan) LevelSizes() []int { return slices.Clone(p.sizes) }
+
+// Runs returns the plan's run schedule: every grid node in exactly one
+// run, rows in row-major order, and within a row one run per level present,
+// coarsest first. A level's runs, in schedule order, list its nodes in
+// stream order. The returned slice must not be modified.
+func (p *Plan) Runs() []Run { return p.runs }
 
 // Indices returns the flat grid offsets of level l's nodes, in the
-// deterministic stream order. The returned slice must not be modified.
-func (p *Plan) Indices(l int) []int { return p.indices[l] }
+// deterministic stream order. The first call expands every level's list
+// from the run schedule. The returned slice must not be modified.
+func (p *Plan) Indices(l int) []int {
+	p.indicesOnce.Do(p.expandIndices)
+	return p.indices[l]
+}
+
+// expandIndices fills every level's index list from the run schedule. Level
+// sizes are known up front, so every list is a full-capacity window of one
+// allocation.
+func (p *Plan) expandIndices() {
+	n := 0
+	for _, size := range p.sizes {
+		n += size
+	}
+	all := make([]int, n)
+	p.indices = make([][]int, p.levels)
+	for l, off := 0, 0; l < p.levels; l++ {
+		p.indices[l] = all[off : off+p.sizes[l] : off+p.sizes[l]]
+		off += p.sizes[l]
+	}
+	for _, r := range p.runs {
+		dst := p.indices[r.Level][r.First : r.First+r.Count]
+		for j := range dst {
+			dst[j] = r.Off + j*r.Stride
+		}
+	}
+}
 
 // Extract gathers the level-l coefficients from the in-place transformed
-// grid data into dst, which must have length LevelSizes()[l]. It returns dst
-// for convenience; if dst is nil a new slice is allocated.
+// grid data into dst, which must have length LevelSizes()[l], walking the
+// level's runs. It returns dst for convenience; if dst is nil a new slice
+// is allocated.
 func (p *Plan) Extract(data []float64, l int, dst []float64) []float64 {
-	ix := p.indices[l]
 	if dst == nil {
-		dst = make([]float64, len(ix))
+		dst = make([]float64, p.sizes[l])
 	}
-	if len(dst) != len(ix) {
-		panic(fmt.Sprintf("interleave: Extract dst length %d, want %d", len(dst), len(ix)))
+	if len(dst) != p.sizes[l] {
+		panic(fmt.Sprintf("interleave: Extract dst length %d, want %d", len(dst), p.sizes[l]))
 	}
-	for i, off := range ix {
-		dst[i] = data[off]
+	for _, r := range p.runs {
+		if r.Level != l {
+			continue
+		}
+		out := dst[r.First : r.First+r.Count]
+		for j := range out {
+			out[j] = data[r.Off+j*r.Stride]
+		}
 	}
 	return dst
 }
 
 // Inject scatters the level-l coefficient stream src back into the grid
-// data at the level's node positions. src must have length LevelSizes()[l].
+// data at the level's node positions, walking the level's runs. src must
+// have length LevelSizes()[l].
 func (p *Plan) Inject(data []float64, l int, src []float64) {
-	ix := p.indices[l]
-	if len(src) != len(ix) {
-		panic(fmt.Sprintf("interleave: Inject src length %d, want %d", len(src), len(ix)))
+	if len(src) != p.sizes[l] {
+		panic(fmt.Sprintf("interleave: Inject src length %d, want %d", len(src), p.sizes[l]))
 	}
-	for i, off := range ix {
-		data[off] = src[i]
+	for _, r := range p.runs {
+		if r.Level != l {
+			continue
+		}
+		for j, v := range src[r.First : r.First+r.Count] {
+			data[r.Off+j*r.Stride] = v
+		}
 	}
 }

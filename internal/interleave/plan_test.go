@@ -1,6 +1,8 @@
 package interleave
 
 import (
+	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 )
@@ -44,10 +46,13 @@ func referenceIndices(dims []int, levels int) [][]int {
 	return indices
 }
 
-// checkAgainstDefinition requires every level's Indices to equal the
-// definition's list, entry for entry, as a full-capacity window.
+// checkAgainstDefinition requires every level's Indices — the run schedule
+// expanded per level — to equal the definition's list, entry for entry, as
+// a full-capacity window, and the schedule itself to be well formed (see
+// checkRuns).
 func checkAgainstDefinition(t *testing.T, p *Plan, dims []int, levels int) {
 	t.Helper()
+	checkRuns(t, p, dims, levels)
 	for l, want := range referenceIndices(dims, levels) {
 		got := p.Indices(l)
 		if len(got) != len(want) || cap(got) != len(got) {
@@ -57,6 +62,94 @@ func checkAgainstDefinition(t *testing.T, p *Plan, dims []int, levels int) {
 			if got[i] != want[i] {
 				t.Fatalf("dims %v levels %d level %d: entry %d = %d, want %d", dims, levels, l, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// checkRuns requires the run schedule to partition the grid — every node in
+// exactly one run — with rows in row-major order, each run inside one
+// last-axis row, at most one run per level in a row, a power-of-two stride,
+// and each level's runs numbering its stream entries consecutively in
+// schedule order.
+func checkRuns(t *testing.T, p *Plan, dims []int, levels int) {
+	t.Helper()
+	n, last := 1, dims[len(dims)-1]
+	for _, d := range dims {
+		n *= d
+	}
+	seen := make([]uint8, n)
+	next := make([]int, levels)
+	row, levelsInRow := -1, uint64(0)
+	for i, r := range p.Runs() {
+		label := fmt.Sprintf("dims %v levels %d run %d %+v", dims, levels, i, r)
+		if r.Level < 0 || r.Level >= levels || r.Count < 1 || r.Stride < 1 || r.Stride&(r.Stride-1) != 0 {
+			t.Fatalf("%s: malformed", label)
+		}
+		end := r.Off + (r.Count-1)*r.Stride
+		if r.Off < 0 || end >= n || r.Off/last != end/last {
+			t.Fatalf("%s: leaves its row", label)
+		}
+		switch {
+		case r.Off/last > row:
+			row, levelsInRow = r.Off/last, 0
+		case r.Off/last < row:
+			t.Fatalf("%s: row %d after row %d", label, r.Off/last, row)
+		}
+		if levelsInRow&(1<<r.Level) != 0 {
+			t.Fatalf("%s: second run of its level in row %d", label, row)
+		}
+		levelsInRow |= 1 << r.Level
+		if r.First != next[r.Level] {
+			t.Fatalf("%s: first stream entry %d, want %d", label, r.First, next[r.Level])
+		}
+		next[r.Level] += r.Count
+		for j := 0; j < r.Count; j++ {
+			seen[r.Off+j*r.Stride]++
+		}
+	}
+	for off, c := range seen {
+		if c != 1 {
+			t.Fatalf("dims %v levels %d: node %d in %d runs, want exactly 1", dims, levels, off, c)
+		}
+	}
+	for l, size := range p.LevelSizes() {
+		if next[l] != size {
+			t.Fatalf("dims %v levels %d: level %d runs hold %d nodes, want %d", dims, levels, l, next[l], size)
+		}
+	}
+}
+
+// TestRunScheduleEqualsDefinition sweeps ranks 1–4 over the extents 1, 2,
+// 3, 4, 5, 9, 17, 33 (rank 4 up to 9) and mixed shapes, at every level
+// count from 1 to two beyond the grid's resolution: the schedule expanded
+// per level is the definition's index lists, and its runs partition the
+// grid.
+func TestRunScheduleEqualsDefinition(t *testing.T) {
+	extents := []int{1, 2, 3, 4, 5, 9, 17, 33}
+	shapes := [][]int{{17, 9, 33}, {33, 5, 17}, {9, 33, 2}, {3, 17, 9, 5}}
+	for _, a := range extents {
+		shapes = append(shapes, []int{a})
+		for _, b := range extents {
+			shapes = append(shapes, []int{a, b})
+			for _, c := range extents[:6] {
+				shapes = append(shapes, []int{a, b, c})
+			}
+		}
+	}
+	for _, a := range extents[:6] {
+		for _, b := range extents[:6] {
+			for _, c := range extents[:6] {
+				shapes = append(shapes, []int{a, 9, b, c})
+			}
+		}
+	}
+	for _, dims := range shapes {
+		resolution := 0
+		for _, d := range dims {
+			resolution = max(resolution, bits.Len(uint(d-1)))
+		}
+		for levels := 1; levels <= resolution+2; levels++ {
+			checkAgainstDefinition(t, buildPlan(dims, levels), dims, levels)
 		}
 	}
 }
@@ -130,6 +223,30 @@ func TestNewPlanConcurrentFirstCallersShareOnePlan(t *testing.T) {
 		}
 	}
 	checkAgainstDefinition(t, plans[0], dims, levels)
+}
+
+// TestIndicesExpandOnceConcurrently is meaningful under -race: eight
+// goroutines ask a fresh plan for its index lists at once and must all get
+// the one expansion.
+func TestIndicesExpandOnceConcurrently(t *testing.T) {
+	dims, levels := []int{13, 17, 9}, 3
+	p := buildPlan(dims, levels)
+	got := make([][]int, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = p.Indices(g % levels)
+		}(g)
+	}
+	wg.Wait()
+	for g, ix := range got {
+		if want := p.Indices(g % levels); &ix[0] != &want[0] {
+			t.Fatalf("goroutine %d got its own expansion of level %d", g, g%levels)
+		}
+	}
+	checkAgainstDefinition(t, p, dims, levels)
 }
 
 func TestPlanMemoIsBounded(t *testing.T) {

@@ -402,8 +402,8 @@ func TestRefineSpansShareRequestTrace(t *testing.T) {
 			t.Errorf("span %s (parent %d) has trace id %q, want the request's %s", sp.Name, sp.Parent, sp.TraceID, res.traceID)
 		}
 	}
-	if names["retrieval.plan"] != 1 || names["bitplane.decode"] == 0 {
-		t.Fatalf("refine recorded %v, want one retrieval.plan and a bitplane.decode per level", names)
+	if names["retrieval.plan"] != 1 || names["bitplane.decode"] != 1 {
+		t.Fatalf("refine recorded %v, want one retrieval.plan and one bitplane.decode (one reconstruction)", names)
 	}
 }
 
