@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTransposeWords -fuzztime 30s ./internal/bitplane/
 	$(GO) test -fuzz FuzzDecodeWords -fuzztime 30s ./internal/bitplane/
 	$(GO) test -fuzz FuzzLiftRows -fuzztime 30s ./internal/decompose/
+	$(GO) test -fuzz FuzzLiftLines -fuzztime 30s ./internal/decompose/
 
 # The repository benchmark (BENCHMARK.json): the four end-to-end workloads
 # over the real serve/mgard binaries at 129³; see benchmark/README.md.

@@ -422,8 +422,9 @@ func TestOneMeasuredWalk(t *testing.T) {
 
 // TestOneTransformContract keeps one implementation per data-path step
 // outside benchmark/: no coarse recomposition beside RecomposeInto (no
-// RecomposeLevel identifier) and no per-node level table beside
-// Plan.Indices (no LevelOf); one struct type carries the transform options
+// RecomposeLevel identifier), no per-node level table (no LevelOf) and no
+// per-level offset list beside the plan's run schedule (no Indices in
+// internal/interleave); one struct type carries the transform options
 // (fields Levels int, Update bool, UpdateWeight float64 — codec.Options);
 // internal/fieldio reads field files through its window reader only: no
 // bufio import, exactly one json.Unmarshal call (the header parser); and
@@ -438,6 +439,7 @@ func TestOneTransformContract(t *testing.T) {
 	walkSourceFiles(t, false, func(path string, file *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		inFieldio, inBitplane := dir == "internal/fieldio", dir == "internal/bitplane"
+		inInterleave := dir == "internal/interleave"
 		if inFieldio {
 			for _, imp := range file.Imports {
 				if imp.Path.Value == `"bufio"` {
@@ -448,7 +450,7 @@ func TestOneTransformContract(t *testing.T) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
-				if n.Name == "RecomposeLevel" || n.Name == "LevelOf" ||
+				if n.Name == "RecomposeLevel" || n.Name == "LevelOf" || inInterleave && n.Name == "Indices" ||
 					inBitplane && (n.Name == "DecodePartial" || n.Name == "encodeWord" || n.Name == "decodeWord") {
 					problems = append(problems, path+": "+n.Name)
 				}

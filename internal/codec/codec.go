@@ -70,7 +70,7 @@ type Decomposition interface {
 	// Plan returns the interleave plan that places the coefficients on the
 	// grid: its run schedule (Plan().Runs()) puts level l's i-th coefficient
 	// at node Off+(i−First)·Stride of the level's run whose entries
-	// First…First+Count−1 hold i — the node Plan().Indices(l)[i] names.
+	// First…First+Count−1 hold i.
 	Plan() *interleave.Plan
 	// Coeffs returns the level-l coefficient stream. The slice is the
 	// decomposition's own storage: mutating it changes what Recompose

@@ -80,9 +80,9 @@ func (Codec) Decompose(t *grid.Tensor, opts codec.Options, workers int, o *obs.O
 	// finer levels store residuals against interpolation from the exact
 	// values of all coarser nodes. Each level's residuals depend only on
 	// data, never on other residuals, so levels and chunks are independent.
+	sizes := plan.LevelSizes()
 	for l := 0; l < opts.Levels; l++ {
-		ix := plan.Indices(l)
-		cs := make([]float64, len(ix))
+		cs := make([]float64, sizes[l])
 		d.coeffs[l] = cs
 		if l == 0 {
 			plan.Extract(data, 0, cs)
@@ -169,20 +169,18 @@ func (d *decomposition) RecomposeInto(upTo int, work *grid.Tensor) (*grid.Tensor
 }
 
 // predictLevel evaluates the multilinear prediction of every level-l node
-// from the coarser grid in data, in the level's deterministic stream order:
+// from the coarser grid in data, walking the level's runs of the plan's
+// run schedule — stream entry r.First+j is the node at r.Off+j·r.Stride:
 //
 //   - encode (residuals non-nil): residuals[i] = data[node_i] - prediction_i
 //   - decode (residuals nil): data[node_i] = prediction_i + data[node_i],
 //     the node holding its residual on entry
 //
 // Writes touch only level-l nodes and reads only coarser-grid nodes, which
-// are disjoint sets, so chunking the node list across workers is
+// are disjoint sets, so chunking the schedule's runs across workers is
 // deterministic and race-free.
 func predictLevel(plan *interleave.Plan, data []float64, l int, residuals []float64, workers int) {
-	ix := plan.Indices(l)
-	if len(ix) == 0 {
-		return
-	}
+	runs := plan.Runs()
 	dims := plan.Dims()
 	rank := len(dims)
 	strides := make([]int, rank)
@@ -197,26 +195,31 @@ func predictLevel(plan *interleave.Plan, data []float64, l int, residuals []floa
 	h := 1 << (plan.Levels() - 1 - l)
 	run := func(lo, hi int) {
 		coords := make([]int, rank)
-		for i := lo; i < hi; i++ {
-			flat := ix[i]
-			rem := flat
-			for d := 0; d < rank; d++ {
-				coords[d] = rem / strides[d]
-				rem %= strides[d]
+		for _, r := range runs[lo:hi] {
+			if r.Level != l {
+				continue
 			}
-			pred := predict(data, dims, strides, coords, h)
-			if residuals != nil {
-				residuals[i] = data[flat] - pred
-			} else {
-				data[flat] = pred + data[flat]
+			for j := 0; j < r.Count; j++ {
+				flat := r.Off + j*r.Stride
+				rem := flat
+				for d := 0; d < rank; d++ {
+					coords[d] = rem / strides[d]
+					rem %= strides[d]
+				}
+				pred := predict(data, dims, strides, coords, h)
+				if residuals != nil {
+					residuals[r.First+j] = data[flat] - pred
+				} else {
+					data[flat] = pred + data[flat]
+				}
 			}
 		}
 	}
 	if workers <= 1 {
-		run(0, len(ix))
+		run(0, len(runs))
 		return
 	}
-	pool.RunChunks(len(ix), workers, nil, func(_, lo, hi int) error {
+	pool.RunChunks(len(runs), workers, nil, func(_, lo, hi int) error {
 		run(lo, hi)
 		return nil
 	})

@@ -14,6 +14,7 @@ import (
 	"pmgard/internal/bitplane"
 	"pmgard/internal/codec"
 	"pmgard/internal/grid"
+	"pmgard/internal/interleave"
 	"pmgard/internal/obs"
 	"pmgard/internal/servecache"
 	"pmgard/internal/storage"
@@ -110,7 +111,7 @@ func TestDecodeIntoWritesExactlyItsLevels(t *testing.T) {
 			s.decodeInto(work, upTo, nil)
 			s.mu.Unlock()
 			for l := 0; l < L; l++ {
-				for i, off := range want.Plan().Indices(l) {
+				for i, off := range levelOffsets(want.Plan(), l) {
 					got, exp := math.Float64bits(work.Data()[off]), uint64(poison)
 					if l <= upTo {
 						exp = math.Float64bits(want.Coeffs(l)[i])
@@ -561,4 +562,19 @@ func TestSessionRejectsLevelMismatch(t *testing.T) {
 	if _, err := NewSession(&h, c); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("NewSession over %d levels of a %d-level transform: %v, want ErrCorrupt", len(h.Levels), h.DecomposeLevels, err)
 	}
+}
+
+// levelOffsets expands level l's node offsets, in stream order, from the
+// plan's run schedule: stream entry r.First+j is node r.Off+j·r.Stride.
+func levelOffsets(p *interleave.Plan, l int) []int {
+	out := make([]int, p.LevelSizes()[l])
+	for _, r := range p.Runs() {
+		if r.Level != l {
+			continue
+		}
+		for j := 0; j < r.Count; j++ {
+			out[r.First+j] = r.Off + j*r.Stride
+		}
+	}
+	return out
 }

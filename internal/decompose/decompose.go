@@ -304,6 +304,12 @@ func inverse(t *grid.Tensor, opt codec.Options, workers, stop int) {
 	}
 }
 
+// liftChunk bounds the elements one assembly call lifts (2 MiB of
+// operands): a goroutine cannot be preempted inside the call, so a long
+// row is handed over in chunks, and four lines longer than a chunk
+// together stay in Go.
+const liftChunk = 1 << 16
+
 // minChunkSlabs is the fewest axis-0 slabs a worker's chunk holds. The
 // lifts within two or three slabs of a chunk border wait for the join, so a
 // thinner chunk would leave most of its work to the serial border phase.
@@ -332,18 +338,10 @@ const minChunkSlabs = 3
 // writes its own chunk's slabs only, so the worker count never changes a
 // bit.
 func liftStep(t *grid.Tensor, opt codec.Options, h, workers int, fwd bool) {
-	dims := t.Dims()
-	rank := len(dims)
-	ints := make([]int, 2*rank)
-	v := view{n: ints[:rank], stride: ints[rank:]}
-	for d, s := rank-1, 1; d >= 0; d-- {
-		v.n[d] = (dims[d]-1)/h + 1
-		v.stride[d] = h * s
-		s *= dims[d]
-	}
+	v := activeView(t.Dims(), h)
 	lf := &lifter{data: t.Data(), opt: opt, h: h, fwd: fwd}
 	ch := chunking{slabs: v.n[0], n: min(workers, v.n[0]/minChunkSlabs)}
-	if rank == 1 || ch.n < 2 {
+	if len(v.n) == 1 || ch.n < 2 {
 		lf.step(v)
 		return
 	}
@@ -362,6 +360,20 @@ func liftStep(t *grid.Tensor, opt codec.Options, h, workers int, fwd bool) {
 type view struct {
 	off       int
 	n, stride []int
+}
+
+// activeView returns the view of the step-h active grid of a tensor of
+// shape dims.
+func activeView(dims []int, h int) view {
+	rank := len(dims)
+	ints := make([]int, 2*rank)
+	v := view{n: ints[:rank], stride: ints[rank:]}
+	for d, s := rank-1, 1; d >= 0; d-- {
+		v.n[d] = (dims[d]-1)/h + 1
+		v.stride[d] = h * s
+		s *= dims[d]
+	}
+	return v
 }
 
 // slab returns the view of the active sub-grid at axis-0 index k.
@@ -459,15 +471,33 @@ func (lf *lifter) wave(v view, ch chunking, lo, hi int) {
 		return
 	}
 	for k := lo; k < hi+2; k++ {
-		if in(k) {
-			lf.step(v.slab(k))
-		}
+		lf.inverseStep(v, k, lo, hi)
 		if e := k - 1; in(e) && e&1 == 0 && lf.ownsUpdate(ch, e) {
 			lf.update(v, e)
 		}
 		if o := k - 2; in(o) && o&1 == 1 && lf.ownsPredict(ch, o) {
 			lf.predict(v, o)
 		}
+	}
+}
+
+// inverseStep runs the inner step at frontier k of the inverse wavefront
+// over slabs [lo, hi) of v: slab k's, when k is one of them. When v's slabs
+// are last-axis lines that the AVX2 kernel lifts (see lines4), frontier
+// k ≡ 0 (mod 4) lifts lines k…k+3 in one call if all four lie in [lo, hi),
+// and frontiers k+1…k+3 lift none. Lifting a line early changes no bit: a
+// line's lift reads that line alone, and the axis-0 lifts at frontier m
+// touch lines ≤ m only, so line k+i is first touched at frontier k+i, after
+// its lift either way.
+func (lf *lifter) inverseStep(v view, k, lo, hi int) {
+	if g := k &^ 3; len(v.n) == 2 && g >= lo && g+4 <= hi && lines4(v.n[1]) {
+		if k == g {
+			inverseLines4AVX2(lf.data, v.off+g*v.stride[0], v.stride[0], v.n[1], lf.h, lf.opt)
+		}
+		return
+	}
+	if k >= lo && k < hi {
+		lf.step(v.slab(k))
 	}
 }
 
@@ -574,6 +604,13 @@ func (lf *lifter) row(c, a, b, width int, update bool) {
 	} else {
 		predictRow(cs, as, bs, lf.h, lf.fwd)
 	}
+}
+
+// lines4 reports whether the inverse lifts last-axis lines of count nodes
+// four at a time, on the AVX2 kernel: lines of fewer than two nodes stay
+// in Go, and so do four lines that would not fit one preemptible call.
+func lines4(count int) bool {
+	return cpufeat.AVX2 && count >= 2 && 4*count <= liftChunk
 }
 
 // line lifts the rank-1 view v, a line of the last axis.

@@ -1,9 +1,6 @@
 package decompose
 
-// liftChunk bounds the elements one assembly call lifts (2 MiB of
-// operands): a goroutine cannot be preempted inside the call, so a long
-// row is handed over in chunks.
-const liftChunk = 1 << 16
+import "pmgard/internal/codec"
 
 // predictAVX2 is predictRow1 on the AVX2 kernel over the first len(c) &^ 7
 // elements of c, and returns that count; a and a non-nil b hold at least
@@ -61,3 +58,23 @@ func predictRowsAVX2(c, a, b *float64, n int, sub bool)
 //
 //go:noescape
 func updateRowsAVX2(c, a, b *float64, n int, w float64, sub bool)
+
+// inverseLines4AVX2 is the inverse step along the four last-axis lines
+// that start at data[off], data[off+rows], data[off+2·rows] and
+// data[off+3·rows], count (≥ 2) active nodes each, every h-th element, on
+// the AVX2 kernel: each line ends as inverseLine (h = 1) or updateInverse
+// and then predictInverse (h > 1) leave it, bit for bit, and no element
+// between active nodes or between lines is written.
+func inverseLines4AVX2(data []float64, off, rows, count, h int, opt codec.Options) {
+	_ = data[off+3*rows+(count-1)*h]
+	inverseLinesAVX2(&data[off], count, h, rows, opt.UpdateWeight, opt.Update)
+}
+
+// inverseLinesAVX2 lifts the four lines of n (≥ 2) nodes, h elements
+// apart, whose first nodes are x and the three that follow it rows
+// elements apart each. The update is x − w·((0 + left) + right) and the
+// predict x + 0.5·(left + right), each operation rounded once as in the
+// Go lines; update false skips the update.
+//
+//go:noescape
+func inverseLinesAVX2(x *float64, n, h, rows int, w float64, update bool)

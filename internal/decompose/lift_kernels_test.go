@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"pmgard/internal/codec"
 	"pmgard/internal/cpufeat"
 )
 
@@ -225,5 +226,158 @@ func FuzzLiftRows(f *testing.F) {
 			rc.w = w
 		}
 		checkRowKernels(t, rc, rows[0], rows[1], rows[2])
+	})
+}
+
+// lineCase is one four-line inverse lift: count active nodes per line,
+// every h-th element, and the transform options.
+type lineCase struct {
+	count, h int
+	opt      codec.Options
+}
+
+func (lc lineCase) String() string {
+	return fmt.Sprintf("count %d h %d update %v w=%g", lc.count, lc.h, lc.opt.Update, lc.opt.UpdateWeight)
+}
+
+// lineGap is the number of guard elements after each line's last active
+// node, so consecutive lines are (count−1)·h + 1 + lineGap elements apart.
+const lineGap = 3
+
+// lineLayout lays four lines of lc out in one buffer: line r's node j at
+// r·rows + j·h, the nodes from vals (four lines of count), and every other
+// element — the inactive nodes at h > 1, the guards between lines and
+// after the last — a distinct value the lifts must leave alone.
+func lineLayout(lc lineCase, vals []float64) (buf []float64, rows int) {
+	rows = (lc.count-1)*lc.h + 1 + lineGap
+	buf = make([]float64, 4*rows)
+	for i := range buf {
+		buf[i] = float64(-1 - i)
+	}
+	for r := 0; r < 4; r++ {
+		for j := 0; j < lc.count; j++ {
+			buf[r*rows+j*lc.h] = vals[r*lc.count+j]
+		}
+	}
+	return buf, rows
+}
+
+// liftLines lifts the four lines of lc laid out from vals — by the
+// reference kernels of scalar_ref_test.go, by the Go line one line at a
+// time, or by the AVX2 kernel in one call — and returns the buffer, after
+// requiring every element off the active nodes untouched.
+func liftLines(t testing.TB, lc lineCase, vals []float64, by string) []float64 {
+	t.Helper()
+	buf, rows := lineLayout(lc, vals)
+	switch by {
+	case "AVX2":
+		inverseLines4AVX2(buf, 0, rows, lc.count, lc.h, lc.opt)
+	case "Go":
+		lf := &lifter{data: buf, opt: lc.opt, h: lc.h}
+		for r := 0; r < 4; r++ {
+			lf.line(view{off: r * rows, n: []int{lc.count}, stride: []int{lc.h}})
+		}
+	default:
+		for r := 0; r < 4; r++ {
+			if lc.opt.Update {
+				refUpdateInverse(buf, r*rows, lc.h, lc.count, lc.opt.UpdateWeight)
+			}
+			refPredictInverse(buf, r*rows, lc.h, lc.count)
+		}
+	}
+	for i, x := range buf {
+		if j := i % rows; j%lc.h == 0 && j/lc.h < lc.count {
+			continue
+		}
+		if x != float64(-1-i) {
+			t.Fatalf("%v by %s: wrote element %d off the active nodes", lc, by, i)
+		}
+	}
+	return buf
+}
+
+// checkLineKernels holds the Go lines to the reference on lc and, on CPUs
+// with AVX2, the four-line kernel to the Go lines, bit for bit.
+func checkLineKernels(t testing.TB, lc lineCase, vals []float64) {
+	t.Helper()
+	goLines := liftLines(t, lc, vals, "Go")
+	checkRowBits(t, fmt.Sprintf("%v Go lines vs reference", lc), goLines, liftLines(t, lc, vals, "reference"))
+	if cpufeat.AVX2 {
+		checkRowBits(t, fmt.Sprintf("%v AVX2 vs Go lines", lc), liftLines(t, lc, vals, "AVX2"), goLines)
+	}
+}
+
+// lineOptions are the update off and on at the weights 0, 0.25 and 0.5.
+func lineOptions() []codec.Options {
+	opts := []codec.Options{{Update: false}}
+	for _, w := range []float64{0, 0.25, 0.5} {
+		opts = append(opts, codec.Options{Update: true, UpdateWeight: w})
+	}
+	return opts
+}
+
+// signedZeros returns n zeros of random sign: the lines where the update's
+// leading 0 + left decides the sign of a result.
+func signedZeros(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+	}
+	return x
+}
+
+// TestLineKernelsMatchGo holds the four-line inverse kernel — AVX2, where
+// the CPU has it — to the Go line kernels, and those to the reference
+// kernels, bit for bit: counts 2–33 (the kernel's first node, its
+// four-column blocks, its column walk and both tails), 127–129 and 1025,
+// h ∈ {1, 2, 4, 8}, the update off and on at w ∈ {0, 0.25, 0.5}, on
+// values that include −0, ±Inf, NaN and denormals, and on lines of signed
+// zeros alone. Inactive nodes and the guards between and after the lines
+// must stay untouched.
+func TestLineKernelsMatchGo(t *testing.T) {
+	if !cpufeat.AVX2 {
+		t.Log("no AVX2: checking the Go lines only")
+	}
+	var counts []int
+	for n := 2; n <= 33; n++ {
+		counts = append(counts, n)
+	}
+	counts = append(counts, 127, 128, 129, 1025)
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range counts {
+		for _, h := range []int{1, 2, 4, 8} {
+			for _, opt := range lineOptions() {
+				lc := lineCase{count: n, h: h, opt: opt}
+				checkLineKernels(t, lc, randomRow(rng, 4*n))
+				checkLineKernels(t, lc, signedZeros(rng, 4*n))
+			}
+		}
+	}
+}
+
+// FuzzLiftLines drives the four-line inverse lift with lines cut from
+// arbitrary bytes — any float64 bit pattern, eight bytes per node, the
+// bytes repeating — at an arbitrary count, h ∈ {1, 2, 4, 8} and update
+// weight, against the Go lines and the reference.
+func FuzzLiftLines(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80}, uint16(9), uint8(0), 0.5, true)
+	f.Add([]byte{0xFF, 0xF0, 0x7F, 1, 2, 3}, uint16(40), uint8(1), 0.25, true)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xF0, 0x7F, 1}, uint16(17), uint8(3), 0.0, false)
+	f.Fuzz(func(t *testing.T, data []byte, n16 uint16, h8 uint8, w float64, update bool) {
+		lc := lineCase{count: 2 + int(n16)%1024, h: 1 << (h8 % 4), opt: codec.Options{Update: update}}
+		if update {
+			lc.opt.UpdateWeight = w
+		}
+		vals := make([]float64, 4*lc.count)
+		var word [8]byte
+		for i := range vals {
+			for k := range word {
+				if len(data) > 0 {
+					word[k] = data[(8*i+k)%len(data)]
+				}
+			}
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
+		}
+		checkLineKernels(t, lc, vals)
 	})
 }

@@ -20,8 +20,8 @@
 // offset, stride, count, first stream index) — 22,325 runs for a 129³ grid
 // of 5 levels, against 2.15 M node offsets. A reader places every level
 // with one row-major pass over the runs (bitplane.Decode), so each row is
-// written while it sits in cache; per-level offset lists are expanded from
-// the runs only for a caller that asks for them (Indices).
+// written while it sits in cache; a per-level walk (Extract, Inject, the
+// interp backend's prediction) visits the level's runs alone.
 package interleave
 
 import (
@@ -35,10 +35,9 @@ import (
 // concurrent use; NewPlan hands the same *Plan to every caller of a shape
 // it still remembers.
 //
-// The plan's one source of order is its run schedule (Runs): each
+// The plan's one representation of order is its run schedule (Runs): each
 // last-axis row of the grid, in row-major order, lists each level's nodes
-// in that row as one evenly spaced run. The per-level index lists
-// (Indices) are expanded from it on first use.
+// in that row as one evenly spaced run.
 type Plan struct {
 	dims   []int
 	levels int
@@ -46,10 +45,6 @@ type Plan struct {
 	// runs is the run schedule, rows in row-major order and a row's runs
 	// coarsest level first.
 	runs []Run
-	// indices[l] lists the flat grid offsets of level l's nodes in
-	// row-major scan order, expanded from runs by the first Indices call.
-	indicesOnce sync.Once
-	indices     [][]int
 }
 
 // Run is one level's nodes within one last-axis row of the grid: Count
@@ -63,11 +58,10 @@ type Run struct {
 // planMemoSize bounds how many shapes NewPlan remembers. A plan's run
 // schedule costs one 40-byte Run per (row, level) pair a row holds —
 // 22,325 runs, 0.9 MB at 129³ with 5 levels — so four remembered shapes pin
-// ≈ 3.6 MB at that size. Indices adds 8 bytes per grid node (17.2 MB at
-// 129³) to a plan whose index lists someone asks for. Four covers what one
-// process works on at once — a server's fields (usually one shape), or a
-// tiled compress's interior and tail slabs — without letting a process
-// that walks through many shapes keep them all.
+// ≈ 3.6 MB at that size. Four covers what one process works on at once —
+// a server's fields (usually one shape), or a tiled compress's interior and
+// tail slabs — without letting a process that walks through many shapes
+// keep them all.
 const planMemoSize = 4
 
 // planEntry is one remembered shape. once makes concurrent first callers of
@@ -309,36 +303,6 @@ func (p *Plan) LevelSizes() []int { return slices.Clone(p.sizes) }
 // coarsest first. A level's runs, in schedule order, list its nodes in
 // stream order. The returned slice must not be modified.
 func (p *Plan) Runs() []Run { return p.runs }
-
-// Indices returns the flat grid offsets of level l's nodes, in the
-// deterministic stream order. The first call expands every level's list
-// from the run schedule. The returned slice must not be modified.
-func (p *Plan) Indices(l int) []int {
-	p.indicesOnce.Do(p.expandIndices)
-	return p.indices[l]
-}
-
-// expandIndices fills every level's index list from the run schedule. Level
-// sizes are known up front, so every list is a full-capacity window of one
-// allocation.
-func (p *Plan) expandIndices() {
-	n := 0
-	for _, size := range p.sizes {
-		n += size
-	}
-	all := make([]int, n)
-	p.indices = make([][]int, p.levels)
-	for l, off := 0, 0; l < p.levels; l++ {
-		p.indices[l] = all[off : off+p.sizes[l] : off+p.sizes[l]]
-		off += p.sizes[l]
-	}
-	for _, r := range p.runs {
-		dst := p.indices[r.Level][r.First : r.First+r.Count]
-		for j := range dst {
-			dst[j] = r.Off + j*r.Stride
-		}
-	}
-}
 
 // Extract gathers the level-l coefficients from the in-place transformed
 // grid data into dst, which must have length LevelSizes()[l], walking the

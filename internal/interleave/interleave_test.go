@@ -53,7 +53,7 @@ func TestSingleLevelIsEverything(t *testing.T) {
 	}
 }
 
-// levelsOf tabulates each grid node's level from the plan's index lists.
+// levelsOf tabulates each grid node's level from the plan's run schedule.
 func levelsOf(p *Plan) []int {
 	n := 0
 	for _, size := range p.LevelSizes() {
@@ -61,7 +61,7 @@ func levelsOf(p *Plan) []int {
 	}
 	level := make([]int, n)
 	for l := 0; l < p.Levels(); l++ {
-		for _, flat := range p.Indices(l) {
+		for _, flat := range levelOffsets(p, l) {
 			level[flat] = l
 		}
 	}
@@ -124,7 +124,7 @@ func TestIndicesDisjointAndOrdered(t *testing.T) {
 	seen := make(map[int]bool)
 	for l := 0; l < p.Levels(); l++ {
 		prev := -1
-		for _, off := range p.Indices(l) {
+		for _, off := range levelOffsets(p, l) {
 			if seen[off] {
 				t.Fatalf("offset %d appears in multiple levels", off)
 			}

@@ -46,17 +46,31 @@ func referenceIndices(dims []int, levels int) [][]int {
 	return indices
 }
 
-// checkAgainstDefinition requires every level's Indices — the run schedule
-// expanded per level — to equal the definition's list, entry for entry, as
-// a full-capacity window, and the schedule itself to be well formed (see
-// checkRuns).
+// levelOffsets expands level l's node offsets, in stream order, from the
+// plan's run schedule: stream entry r.First+j is node r.Off+j·r.Stride.
+func levelOffsets(p *Plan, l int) []int {
+	out := make([]int, p.LevelSizes()[l])
+	for _, r := range p.Runs() {
+		if r.Level != l {
+			continue
+		}
+		for j := 0; j < r.Count; j++ {
+			out[r.First+j] = r.Off + j*r.Stride
+		}
+	}
+	return out
+}
+
+// checkAgainstDefinition requires every level's offsets — the run schedule
+// expanded per level — to equal the definition's list, entry for entry,
+// and the schedule itself to be well formed (see checkRuns).
 func checkAgainstDefinition(t *testing.T, p *Plan, dims []int, levels int) {
 	t.Helper()
 	checkRuns(t, p, dims, levels)
 	for l, want := range referenceIndices(dims, levels) {
-		got := p.Indices(l)
-		if len(got) != len(want) || cap(got) != len(got) {
-			t.Fatalf("dims %v levels %d level %d: len %d cap %d, want %d", dims, levels, l, len(got), cap(got), len(want))
+		got := levelOffsets(p, l)
+		if len(got) != len(want) {
+			t.Fatalf("dims %v levels %d level %d: len %d, want %d", dims, levels, l, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -225,30 +239,6 @@ func TestNewPlanConcurrentFirstCallersShareOnePlan(t *testing.T) {
 	checkAgainstDefinition(t, plans[0], dims, levels)
 }
 
-// TestIndicesExpandOnceConcurrently is meaningful under -race: eight
-// goroutines ask a fresh plan for its index lists at once and must all get
-// the one expansion.
-func TestIndicesExpandOnceConcurrently(t *testing.T) {
-	dims, levels := []int{13, 17, 9}, 3
-	p := buildPlan(dims, levels)
-	got := make([][]int, 8)
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got[g] = p.Indices(g % levels)
-		}(g)
-	}
-	wg.Wait()
-	for g, ix := range got {
-		if want := p.Indices(g % levels); &ix[0] != &want[0] {
-			t.Fatalf("goroutine %d got its own expansion of level %d", g, g%levels)
-		}
-	}
-	checkAgainstDefinition(t, p, dims, levels)
-}
-
 func TestPlanMemoIsBounded(t *testing.T) {
 	first, err := NewPlan([]int{30, 3}, 3)
 	if err != nil {
@@ -342,7 +332,7 @@ func TestInjectCoversEveryNode(t *testing.T) {
 		}
 		seen := make([]uint8, n)
 		for l := 0; l < tc.levels; l++ {
-			ix := p.Indices(l)
+			ix := levelOffsets(p, l)
 			for _, off := range ix {
 				seen[off]++
 			}
