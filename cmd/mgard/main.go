@@ -310,12 +310,11 @@ func cmdRetrieve(args []string) error {
 		if err != nil {
 			return err
 		}
-		var est retrieval.PerLevelEstimator
-		est, err = m.Estimator(h.LevelPools)
-		if err != nil {
+		var cs []float64
+		if cs, err = m.Constants(h.LevelPools); err != nil {
 			return err
 		}
-		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, est, tol, core.RetrieveOptions{Workers: *workers, Obs: o})
+		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, retrieval.PerLevel(h.LevelInfos(), cs), tol, core.RetrieveOptions{Workers: *workers, Obs: o})
 	case "planes":
 		if *planesArg == "" {
 			return fmt.Errorf("retrieve: -control planes requires -planes")
@@ -337,6 +336,9 @@ func cmdRetrieve(args []string) error {
 	}
 
 	fmt.Printf("plan: planes per level %v\n", plan.Planes)
+	if *control != "planes" && !(plan.EstimatedError <= tol) {
+		fmt.Printf("unreachable: every plane fetched, bound %.6e still above tolerance %.6e\n", plan.EstimatedError, tol)
+	}
 	printFaultReport(retrying, flaky, *faultRate, *faultSeed)
 	fmt.Printf("retrieved %d of %d stored bytes (%.1f%%) in %d ranged reads\n",
 		st.BytesRead(), h.TotalBytes(),

@@ -506,6 +506,44 @@ func TestOneTransformContract(t *testing.T) {
 	}
 }
 
+// TestOneBoundTable keeps one representation of an error bound outside
+// benchmark/: retrieval.Bound, a per-level table read at plane counts. No
+// estimator interface or wrapper comes back beside it (no ErrorEstimator,
+// PerLevelEstimator or countingEstimator, no TheoryEstimator type — the
+// Header.TheoryEstimator method that returns the theory Bound is allowed —
+// and no Estimate method), and neither does the "tight" constant, which is
+// no bound (no TightAmplification, TightEstimator or ErrorAmplification).
+func TestOneBoundTable(t *testing.T) {
+	banned := map[string]bool{
+		"ErrorEstimator": true, "PerLevelEstimator": true, "countingEstimator": true,
+		"TightAmplification": true, "TightEstimator": true, "ErrorAmplification": true,
+	}
+	var problems []string
+	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if banned[n.Name] {
+					problems = append(problems, path+": "+n.Name)
+				}
+			case *ast.TypeSpec:
+				if n.Name.Name == "TheoryEstimator" {
+					problems = append(problems, path+": type TheoryEstimator")
+				}
+			case *ast.FuncDecl:
+				if n.Recv != nil && n.Name.Name == "Estimate" {
+					problems = append(problems, path+": an Estimate method")
+				}
+			}
+			return true
+		})
+	})
+	if len(problems) > 0 {
+		sort.Strings(problems)
+		t.Fatalf("an error bound has a second representation again:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
 // selectorName renders an identifier or a pkg.Name selector, "" otherwise.
 func selectorName(e ast.Expr) string {
 	switch e := e.(type) {

@@ -16,6 +16,7 @@ import (
 	"pmgard/internal/emgard"
 	"pmgard/internal/features"
 	"pmgard/internal/grid"
+	"pmgard/internal/retrieval"
 	"pmgard/internal/sim/warpx"
 )
 
@@ -95,10 +96,11 @@ func main() {
 			_ = recD
 
 			// E-MGARD: learned per-level constants in the same greedy loop.
-			est, err := em.Estimator(h.LevelPools)
+			cs, err := em.Constants(h.LevelPools)
 			if err != nil {
 				log.Fatal(err)
 			}
+			est := retrieval.PerLevel(h.LevelInfos(), cs)
 			recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 			if err != nil {
 				log.Fatal(err)

@@ -137,11 +137,6 @@ type ProgressiveCodec interface {
 	// perturbed by at most C·Σ_l Err_l in the max norm — the bound the
 	// original error-control theory would use (the paper's Eq. 6).
 	NaiveAmplification(opts Options, rank int) float64
-	// TightAmplification returns the sharper per-level analytical constant
-	// used by the constant ablation. It is not a bound: for mgard at 17³
-	// the exact per-level constants reach 7 against its 3.375 (DESIGN.md
-	// §5).
-	TightAmplification(opts Options, rank int) float64
 }
 
 // BitplaneCoder provides the shared per-plane progressive encode/decode

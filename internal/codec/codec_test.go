@@ -29,7 +29,6 @@ func (fakeCodec) Decompose(*grid.Tensor, codec.Options, int, *obs.Obs) (codec.De
 }
 func (fakeCodec) NewZero([]int, codec.Options, int) (codec.Decomposition, error) { return nil, nil }
 func (fakeCodec) NaiveAmplification(codec.Options, int) float64                  { return 1 }
-func (fakeCodec) TightAmplification(codec.Options, int) float64                  { return 1 }
 
 func TestByIDEmptyResolvesDefault(t *testing.T) {
 	c, err := codec.ByID("")

@@ -18,7 +18,7 @@
 // decoded from perturbed coarser values inherits at most their maximum
 // error plus its own truncation error Err[l][b_l], so by induction the
 // reconstruction error is bounded by Σ_l Err[l][b_l] — the amplification
-// constant is exactly 1, naive and tight alike. This is the backend's
+// constant is exactly 1. This is the backend's
 // structural advantage over the lifting scheme on smooth fields: no update
 // step means no (1+2w)^rank amplification, so the planner's bound is sharp
 // and fewer planes clear a given tolerance.
@@ -112,9 +112,6 @@ func (Codec) NewZero(dims []int, opts codec.Options, workers int) (codec.Decompo
 // NaiveAmplification implements codec.ProgressiveCodec: interpolation is
 // max-norm non-expansive, so even the naive compounded bound is 1.
 func (Codec) NaiveAmplification(codec.Options, int) float64 { return 1 }
-
-// TightAmplification implements codec.ProgressiveCodec.
-func (Codec) TightAmplification(codec.Options, int) float64 { return 1 }
 
 // decomposition carries the per-level residual streams and the interleave
 // plan that localizes them on the grid. A NewZero decomposition allocates a

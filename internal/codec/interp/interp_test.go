@@ -108,15 +108,12 @@ func TestValidateRejectsBadLevels(t *testing.T) {
 
 // TestAmplificationIsOne pins the backend's structural property: prediction
 // is a convex combination, so the error amplification constant is exactly 1
-// for every rank, naive and tight alike.
+// for every rank.
 func TestAmplificationIsOne(t *testing.T) {
 	opts := codec.Options{Levels: 5, Update: true, UpdateWeight: 0.25}
 	for rank := 1; rank <= 4; rank++ {
 		if c := (Codec{}).NaiveAmplification(opts, rank); c != 1 {
 			t.Fatalf("NaiveAmplification(rank=%d) = %g, want 1", rank, c)
-		}
-		if c := (Codec{}).TightAmplification(opts, rank); c != 1 {
-			t.Fatalf("TightAmplification(rank=%d) = %g, want 1", rank, c)
 		}
 	}
 }

@@ -56,10 +56,3 @@ func (Codec) NewZero(dims []int, opts codec.Options, workers int) (codec.Decompo
 func (Codec) NaiveAmplification(opts codec.Options, rank int) float64 {
 	return decompose.NaiveErrorAmplification(opts, rank)
 }
-
-// TightAmplification implements codec.ProgressiveCodec: per-level
-// amplification without cross-step compounding. It is not a bound (see
-// decompose.ErrorAmplification).
-func (Codec) TightAmplification(opts codec.Options, rank int) float64 {
-	return decompose.ErrorAmplification(opts, rank)
-}

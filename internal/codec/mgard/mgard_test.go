@@ -43,9 +43,6 @@ func TestAdapterDelegatesToDecompose(t *testing.T) {
 		if got, want := (Codec{}).NaiveAmplification(opts, rank), decompose.NaiveErrorAmplification(opts, rank); got != want {
 			t.Fatalf("NaiveAmplification(rank=%d) = %g, want %g", rank, got, want)
 		}
-		if got, want := (Codec{}).TightAmplification(opts, rank), decompose.ErrorAmplification(opts, rank); got != want {
-			t.Fatalf("TightAmplification(rank=%d) = %g, want %g", rank, got, want)
-		}
 	}
 }
 

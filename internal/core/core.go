@@ -10,8 +10,8 @@
 // and exposes three retrieval modes: the original theory-based error
 // control, D-MGARD plane-count prediction, and E-MGARD learned per-level
 // error estimation (the latter two live in internal/dmgard and
-// internal/emgard and plug in through the retrieval.ErrorEstimator and
-// fixed-plane interfaces defined here).
+// internal/emgard and plug in as a retrieval.Bound or a fixed plane
+// assignment).
 //
 // The multilevel transform is dispatched through the codec registry: the
 // Config.Backend / Header.CodecID codec ID selects which ProgressiveCodec
@@ -177,33 +177,19 @@ func (h *Header) LevelInfos() []retrieval.LevelInfo {
 	return infos
 }
 
-// TheoryEstimator returns the original MGARD error estimator (Eq. 6): the
-// absolute-row-sum bound with the naive compounded mesh constant of the
-// early error-control theory [19]. Its pessimism — achieved errors orders
-// of magnitude below the requested bound — is the overhead the paper's
-// models remove.
-func (h *Header) TheoryEstimator() retrieval.TheoryEstimator {
+// TheoryEstimator returns the original MGARD error bound (Eq. 6) over the
+// header's error matrices: the absolute-row-sum bound with the naive
+// compounded mesh constant of the early error-control theory [19]. Its
+// pessimism — achieved errors orders of magnitude below the requested
+// bound — is the overhead the paper's models remove.
+func (h *Header) TheoryEstimator() retrieval.Bound {
 	b, err := h.backend()
 	if err != nil {
 		// An unknown backend cannot be decoded anyway; fall back to the
-		// lifting math so the estimator itself never fails.
-		return retrieval.TheoryEstimator{C: decompose.NaiveErrorAmplification(h.CodecOptions(), len(h.Dims))}
+		// lifting math so the bound itself never fails.
+		return retrieval.Theory(h.LevelInfos(), decompose.NaiveErrorAmplification(h.CodecOptions(), len(h.Dims)))
 	}
-	return retrieval.TheoryEstimator{C: b.NaiveAmplification(h.CodecOptions(), len(h.Dims))}
-}
-
-// TightEstimator returns the estimator of the backend's sharper analytical
-// constant (per-level amplification without cross-step compounding), used
-// by the constant ablation. It is not a bound: the exact per-level
-// constants of the mgard lifting at 17³ are C_l = [1, 4.36, 5.59, 7, 7]
-// against its 3.375 (1 against up to 7 without the update step; DESIGN.md
-// §5).
-func (h *Header) TightEstimator() retrieval.TheoryEstimator {
-	b, err := h.backend()
-	if err != nil {
-		return retrieval.TheoryEstimator{C: decompose.ErrorAmplification(h.CodecOptions(), len(h.Dims))}
-	}
-	return retrieval.TheoryEstimator{C: b.TightAmplification(h.CodecOptions(), len(h.Dims))}
+	return retrieval.Theory(h.LevelInfos(), b.NaiveAmplification(h.CodecOptions(), len(h.Dims)))
 }
 
 // AbsTolerance converts a relative error bound to an absolute tolerance
@@ -397,36 +383,22 @@ func retrieve(ctx context.Context, h *Header, src storage.SegmentSource, planes 
 	return s.refineTo(ctx, planes, upTo)
 }
 
-// countingEstimator wraps an ErrorEstimator and counts Estimate calls, the
-// planner's unit of search work.
-type countingEstimator struct {
-	est retrieval.ErrorEstimator
-	n   int64
-}
-
-// Estimate implements retrieval.ErrorEstimator.
-func (c *countingEstimator) Estimate(levelErrs []float64) float64 {
-	c.n++
-	return c.est.Estimate(levelErrs)
-}
-
 // greedyPlan is retrieval.GreedyPlan over the header's levels with planner
 // telemetry recorded into o when set:
 //
 //	retrieval.greedy.plans           counter — planner invocations
-//	retrieval.greedy.estimator_calls counter — estimator iterations walked
+//	retrieval.greedy.estimator_calls counter — bound evaluations walked
 //	retrieval.plan span              — one per invocation, attrs tol/bytes,
 //	                                   a child of ctx's span when it has one
-func greedyPlan(ctx context.Context, h *Header, est retrieval.ErrorEstimator, tol float64, o *obs.Obs) (retrieval.Plan, error) {
+func greedyPlan(ctx context.Context, h *Header, bound retrieval.Bound, tol float64, o *obs.Obs) (retrieval.Plan, error) {
 	if o == nil {
-		return retrieval.GreedyPlan(h.LevelInfos(), est, tol)
+		return retrieval.GreedyPlan(h.LevelInfos(), bound, tol)
 	}
 	sp := o.Span("retrieval.plan", obs.SpanFromContext(ctx))
 	sp.SetAttr("tol", tol)
-	counting := &countingEstimator{est: est}
-	plan, err := retrieval.GreedyPlan(h.LevelInfos(), counting, tol)
+	plan, err := retrieval.GreedyPlan(h.LevelInfos(), bound, tol)
 	o.Counter("retrieval.greedy.plans").Add(1)
-	o.Counter("retrieval.greedy.estimator_calls").Add(counting.n)
+	o.Counter("retrieval.greedy.estimator_calls").Add(plan.BoundEvals)
 	if err == nil {
 		sp.SetAttr("bytes", plan.Bytes)
 	}
@@ -435,10 +407,10 @@ func greedyPlan(ctx context.Context, h *Header, est retrieval.ErrorEstimator, to
 	return plan, err
 }
 
-// RetrieveTolerance plans with the given estimator at an absolute tolerance
+// RetrieveTolerance plans under the given bound at an absolute tolerance
 // and retrieves. It returns the reconstruction and the executed plan.
-func RetrieveTolerance(ctx context.Context, h *Header, src storage.SegmentSource, est retrieval.ErrorEstimator, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
-	plan, err := greedyPlan(ctx, h, est, tol, opt.Obs)
+func RetrieveTolerance(ctx context.Context, h *Header, src storage.SegmentSource, bound retrieval.Bound, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
+	plan, err := greedyPlan(ctx, h, bound, tol, opt.Obs)
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
@@ -484,15 +456,15 @@ func RetrieveResolution(ctx context.Context, h *Header, src storage.SegmentSourc
 
 // RetrieveHybrid combines the two models as the paper's future work
 // sketches (§IV-E): a D-MGARD plane prediction seeds the plan and an
-// (E-MGARD) error estimator verifies and refines it — extending while the
-// estimate misses the tolerance, never shedding a seeded plane.
-func RetrieveHybrid(ctx context.Context, h *Header, src storage.SegmentSource, seedPlanes []int, est retrieval.ErrorEstimator, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
+// (E-MGARD) error bound verifies and refines it — extending while the
+// bound misses the tolerance, never shedding a seeded plane.
+func RetrieveHybrid(ctx context.Context, h *Header, src storage.SegmentSource, seedPlanes []int, bound retrieval.Bound, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
 	// Extend-only: the learned estimator is calibrated on greedy-shaped
 	// plans, so estimates for shrunk plan shapes are
 	// unreliable and shedding planes re-introduces bound violations. The
 	// hybrid's job is to repair D-MGARD's under-predictions — the
 	// dangerous direction — not to squeeze bytes below E-MGARD.
-	plan, err := retrieval.RefinePlan(h.LevelInfos(), seedPlanes, est, tol)
+	plan, err := retrieval.RefinePlan(h.LevelInfos(), seedPlanes, bound, tol)
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}

@@ -14,6 +14,7 @@ import (
 	"pmgard/internal/grid"
 	"pmgard/internal/lossless"
 	"pmgard/internal/obs"
+	"pmgard/internal/retrieval"
 	"pmgard/internal/sim/warpx"
 )
 
@@ -595,6 +596,20 @@ func TestPropertyToleranceAlwaysRespected(t *testing.T) {
 	}
 }
 
+// perLevelCap is the per-level bound Σ_l 7·Err[l][b_l]: 7 = 2^3 − 1 is the
+// largest exact per-level constant of the 3-D lifting with the update step
+// (DESIGN.md §5), so the bound holds on every level, far below the naive
+// compounded constant.
+func perLevelCap(h *Header) retrieval.Bound {
+	cs := make([]float64, len(h.Levels))
+	for l := range cs {
+		cs[l] = 7
+	}
+	return retrieval.PerLevel(h.LevelInfos(), cs)
+}
+
+// TestTightEstimatorSharperThanTheory checks that a per-level bound at the
+// exact constants' cap is sharper than theory and still a bound.
 func TestTightEstimatorSharperThanTheory(t *testing.T) {
 	f := testField(t)
 	c, err := Compress(f, DefaultConfig(), "Ex", 0)
@@ -603,9 +618,10 @@ func TestTightEstimatorSharperThanTheory(t *testing.T) {
 	}
 	h := &c.Header
 	naive := h.TheoryEstimator()
-	tight := h.TightEstimator()
-	if tight.C >= naive.C {
-		t.Fatalf("tight constant %g not below naive %g", tight.C, naive.C)
+	tight := perLevelCap(h)
+	zero := make([]int, len(h.Levels))
+	if tight.At(zero) >= naive.At(zero) {
+		t.Fatalf("per-level bound %g not below naive %g", tight.At(zero), naive.At(zero))
 	}
 	// Both are true bounds: retrieval under either stays within tolerance.
 	tol := h.AbsTolerance(1e-4)
@@ -614,14 +630,14 @@ func TestTightEstimatorSharperThanTheory(t *testing.T) {
 		t.Fatal(err)
 	}
 	if achieved := grid.MaxAbsDiff(f, recT); achieved > tol {
-		t.Fatalf("tight bound violated tolerance: %g > %g", achieved, tol)
+		t.Fatalf("per-level bound violated tolerance: %g > %g", achieved, tol)
 	}
 	_, planN, err := RetrieveTolerance(context.Background(), h, c, naive, tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if planT.Bytes > planN.Bytes {
-		t.Fatalf("tight bound fetched more (%d) than naive (%d)", planT.Bytes, planN.Bytes)
+		t.Fatalf("per-level bound fetched more (%d) than naive (%d)", planT.Bytes, planN.Bytes)
 	}
 }
 
@@ -636,7 +652,7 @@ func TestRetrieveHybridRepairsBadSeed(t *testing.T) {
 	// A hopeless seed (nothing fetched): the hybrid must extend it until
 	// the estimator is satisfied.
 	seed := make([]int, len(h.Levels))
-	rec, plan, err := RetrieveHybrid(context.Background(), h, c, seed, h.TightEstimator(), tol, RetrieveOptions{})
+	rec, plan, err := RetrieveHybrid(context.Background(), h, c, seed, perLevelCap(h), tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,17 +663,17 @@ func TestRetrieveHybridRepairsBadSeed(t *testing.T) {
 		t.Fatalf("hybrid violated tolerance: %g > %g", achieved, tol)
 	}
 	// Validation propagates.
-	if _, _, err := RetrieveHybrid(context.Background(), h, c, []int{1}, h.TightEstimator(), tol, RetrieveOptions{}); err == nil {
+	if _, _, err := RetrieveHybrid(context.Background(), h, c, []int{1}, perLevelCap(h), tol, RetrieveOptions{}); err == nil {
 		t.Fatal("short seed accepted")
 	}
 	// The caller's cancellation and telemetry sink are honoured.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := RetrieveHybrid(cancelled, h, c, seed, h.TightEstimator(), tol, RetrieveOptions{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := RetrieveHybrid(cancelled, h, c, seed, perLevelCap(h), tol, RetrieveOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v, want Canceled", err)
 	}
 	o := obs.New()
-	if _, _, err := RetrieveHybrid(context.Background(), h, c, seed, h.TightEstimator(), tol, RetrieveOptions{Obs: o}); err != nil {
+	if _, _, err := RetrieveHybrid(context.Background(), h, c, seed, perLevelCap(h), tol, RetrieveOptions{Obs: o}); err != nil {
 		t.Fatal(err)
 	}
 	var fetched int64

@@ -258,7 +258,7 @@ type Degradation struct {
 	Got []int
 	// RequestedTol is the absolute tolerance the refinement targeted.
 	RequestedTol float64
-	// AchievedBound is the estimator's error bound at the decoded plane
+	// AchievedBound is the error bound at the decoded plane
 	// counts — the guarantee the degraded reconstruction still carries.
 	AchievedBound float64
 }
@@ -393,7 +393,7 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 	return err
 }
 
-// Refine plans greedily under est at an absolute tolerance, never dropping
+// Refine plans greedily under bound at an absolute tolerance, never dropping
 // below the already-fetched planes, fetches the delta and reconstructs.
 // It returns the reconstruction and the plan actually executed.
 //
@@ -401,7 +401,7 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 // (the read error classifies as storage.FaultPermanent — a quarantined
 // plane, a missing level file, a checksum mismatch), the affected level
 // falls back to its deepest consistent plane prefix, the achievable error
-// bound is recomputed from the per-level Err matrices, and the
+// bound is read off the bound table at the planes held, and the
 // reconstruction is returned together with a non-nil Degradation report
 // instead of an error. Transient failures (including retry exhaustion in
 // a storage.RetryingSource) still abort with an error, with the session
@@ -409,7 +409,7 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 // caller's deadline expiring, the client disconnecting: it aborts with
 // ctx's error (it never degrades: only permanent data loss does), and the
 // session remains consistent and resumable.
-func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol float64) (*grid.Tensor, retrieval.Plan, *Degradation, error) {
+func (s *Session) Refine(ctx context.Context, bound retrieval.Bound, tol float64) (*grid.Tensor, retrieval.Plan, *Degradation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ws == nil {
@@ -419,7 +419,7 @@ func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol 
 	sp.SetAttr("tol", tol)
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
-	plan, err := greedyPlan(ctx, s.header, est, tol, s.o)
+	plan, err := greedyPlan(ctx, s.header, bound, tol, s.o)
 	if err != nil {
 		sp.Fail(err)
 		return nil, retrieval.Plan{}, nil, err
@@ -449,11 +449,7 @@ func (s *Session) Refine(ctx context.Context, est retrieval.ErrorEstimator, tol 
 		sp.Fail(err)
 		return nil, retrieval.Plan{}, nil, err
 	}
-	levelErrs := make([]float64, len(s.header.Levels))
-	for l, lm := range s.header.Levels {
-		levelErrs[l] = lm.ErrMatrix[target[l]]
-	}
-	exec.EstimatedError = est.Estimate(levelErrs)
+	exec.EstimatedError = bound.At(target)
 	rec, err := s.reconstruct(ctx, len(s.header.Levels)-1)
 	if err != nil {
 		sp.Fail(err)

@@ -265,14 +265,14 @@ func TestSessionDegradedRefine(t *testing.T) {
 			t.Fatalf("executed plan %v disagrees with Got %v", plan.Planes, deg.Got)
 		}
 	}
-	// The reported bound is the estimator at the decoded plane counts and
-	// the measured error respects it.
-	levelErrs := make([]float64, len(h.Levels))
-	for l := range levelErrs {
-		levelErrs[l] = h.Levels[l].ErrMatrix[deg.Got[l]]
+	// The reported bound is the theory bound C·Σ_l Err[l][b_l] at the
+	// decoded plane counts and the measured error respects it.
+	sum := 0.0
+	for l, b := range deg.Got {
+		sum += h.Levels[l].ErrMatrix[b]
 	}
-	if want := est.Estimate(levelErrs); deg.AchievedBound != want {
-		t.Fatalf("achieved bound %g, want estimator value %g", deg.AchievedBound, want)
+	if want := est.C * sum; deg.AchievedBound != want {
+		t.Fatalf("achieved bound %g, want the theory bound %g", deg.AchievedBound, want)
 	}
 	if measured := grid.MaxAbsDiff(f, rec); measured > deg.AchievedBound {
 		t.Fatalf("measured error %g exceeds reported degraded bound %g", measured, deg.AchievedBound)

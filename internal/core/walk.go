@@ -53,23 +53,23 @@ func (w *Walker) Stop(ctx context.Context, planes []int) (*grid.Tensor, float64,
 // (Session.Close): the latest stop's tensor must not be touched afterwards.
 func (w *Walker) Close() { w.sess.Close() }
 
-// SweepPoint is one bound of a measured sweep: the plan the estimator chose
+// SweepPoint is one bound of a measured sweep: the plan the bound chose
 // for it and the error that plan really achieved.
 type SweepPoint struct {
 	// RelBound is the relative error bound; Tolerance the absolute one.
 	RelBound, Tolerance float64
-	// Plan is the greedy plan under the sweep's estimator at Tolerance.
+	// Plan is the greedy plan under the sweep's bound at Tolerance.
 	Plan retrieval.Plan
 	// AchievedErr is the measured L∞ error of Plan's reconstruction.
 	AchievedErr float64
 }
 
-// SweepBounds plans every relative bound greedily under est and measures
+// SweepBounds plans every relative bound greedily under bound and measures
 // each plan on one walk, loosest bound first — greedy plans are stops of one
 // path, so they grow with the bound tightening. The points come back in the
 // order of rels. A constant field has no positive tolerance and yields no
 // points.
-func SweepBounds(ctx context.Context, h *Header, src storage.SegmentSource, orig *grid.Tensor, est retrieval.ErrorEstimator, rels []float64) ([]SweepPoint, error) {
+func SweepBounds(ctx context.Context, h *Header, src storage.SegmentSource, orig *grid.Tensor, bound retrieval.Bound, rels []float64) ([]SweepPoint, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("core: no error bounds to sweep")
 	}
@@ -83,7 +83,7 @@ func SweepBounds(ctx context.Context, h *Header, src storage.SegmentSource, orig
 		if tol <= 0 {
 			continue
 		}
-		plan, err := retrieval.GreedyPlan(infos, est, tol)
+		plan, err := retrieval.GreedyPlan(infos, bound, tol)
 		if err != nil {
 			return nil, fmt.Errorf("core: sweep bound %g: %w", rel, err)
 		}

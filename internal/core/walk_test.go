@@ -157,7 +157,7 @@ func TestWalkerMatchesFreshRetrievals(t *testing.T) {
 			})
 		}
 	}
-	if _, err := SweepBounds(ctx, nil, nil, f, nil, nil); err == nil {
+	if _, err := SweepBounds(ctx, nil, nil, f, retrieval.Bound{}, nil); err == nil {
 		t.Fatal("a sweep of no bounds was accepted")
 	}
 }

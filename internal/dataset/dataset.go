@@ -272,10 +272,11 @@ func (r *Reader) RetrieveEMGARD(field string, timestep int, relBound float64) (*
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
-	est, err := m.Estimator(h.LevelPools)
+	cs, err := m.Constants(h.LevelPools)
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}
+	est := retrieval.PerLevel(h.LevelInfos(), cs)
 	tol := h.AbsTolerance(relBound)
 	if tol <= 0 {
 		return nil, retrieval.Plan{}, fmt.Errorf("dataset: non-positive tolerance for %s@%d", field, timestep)

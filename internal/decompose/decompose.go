@@ -57,22 +57,6 @@ func Validate(o codec.Options) error {
 	return nil
 }
 
-// ErrorAmplification returns the "tight" constant (1+2w)^rank: the
-// amplification of a level's perturbation during its own refinement step
-// ((1+2w) per axis pass), assuming the remaining inverse steps are max-norm
-// non-expansive. They are not — in 3-D, nodes of one level predict from
-// other nodes of the same level (edge → face → body) — so C·Σ_l Err_l is
-// not a bound on the max-norm reconstruction error. Unit-coefficient
-// recompositions give exact per-level constants C_l = [1, 4.36, 5.59, 7, 7]
-// at 17³ with w = 0.25, against 3.375 here; without the update step this
-// returns 1 against C_l up to 7 (DESIGN.md §5).
-func ErrorAmplification(o codec.Options, rank int) float64 {
-	if !o.Update {
-		return 1
-	}
-	return math.Pow(1+2*o.UpdateWeight, float64(rank))
-}
-
 // NaiveErrorAmplification returns the compounded absolute-row-sum constant
 // of the original error-control theory ([19], the paper's Eq. 6): every
 // inverse step is bounded by its worst-case per-axis amplification and the

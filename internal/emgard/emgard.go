@@ -25,7 +25,6 @@ import (
 
 	"pmgard/internal/nn"
 	"pmgard/internal/obs"
-	"pmgard/internal/retrieval"
 )
 
 // Sample is one training example: the per-level pooled coefficient
@@ -84,7 +83,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Model is a trained E-MGARD estimator factory.
+// Model is a trained E-MGARD model: it predicts the per-level constants of
+// the Eq. 7 bound.
 type Model struct {
 	levels   int
 	poolSize int
@@ -287,7 +287,9 @@ func clip(v, lo, hi float64) float64 {
 }
 
 // Constants predicts the per-level mapping constants for a dataset whose
-// header carries the given pooled summaries.
+// header carries the given pooled summaries: with retrieval.PerLevel they
+// make the Eq. 7 bound that replaces core.Header.TheoryEstimator in the
+// greedy retriever.
 func (m *Model) Constants(pools [][]float64) ([]float64, error) {
 	if len(pools) != m.levels {
 		return nil, fmt.Errorf("emgard: got %d levels, model trained on %d", len(pools), m.levels)
@@ -311,16 +313,6 @@ func (m *Model) Constants(pools [][]float64) ([]float64, error) {
 		cs[l] = math.Exp(out) * m.margin
 	}
 	return cs, nil
-}
-
-// Estimator builds the Eq. 7 error estimator for a dataset: the drop-in
-// replacement for core.Header.TheoryEstimator in the greedy retriever.
-func (m *Model) Estimator(pools [][]float64) (retrieval.PerLevelEstimator, error) {
-	cs, err := m.Constants(pools)
-	if err != nil {
-		return retrieval.PerLevelEstimator{}, err
-	}
-	return retrieval.PerLevelEstimator{C: cs}, nil
 }
 
 // modelFile is the gob representation of a trained model.

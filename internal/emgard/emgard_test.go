@@ -158,14 +158,19 @@ func TestEstimatorIntegratesWithGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := syntheticSamples(1, weights, 9)[0]
-	est, err := m.Estimator(s.Pools)
+	cs, err := m.Constants(s.Pools)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := est.Estimate(s.LevelErrs); got <= 0 {
-		t.Fatalf("estimator returned %g", got)
+	// One zero-plane level per sample error: the bound at no planes is
+	// Σ_l C_l·Err_l, the learned estimate of Eq. 7.
+	levels := make([]retrieval.LevelInfo, len(s.LevelErrs))
+	for l, e := range s.LevelErrs {
+		levels[l] = retrieval.LevelInfo{ErrMatrix: []float64{e}}
 	}
-	var _ retrieval.ErrorEstimator = est
+	if got := retrieval.PerLevel(levels, cs).At(make([]int, len(levels))); got <= 0 {
+		t.Fatalf("learned bound returned %g", got)
+	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -217,10 +222,11 @@ func TestHarvestAndTrainOnRealPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	est, err := m.Estimator(h.LevelPools)
+	cs, err := m.Constants(h.LevelPools)
 	if err != nil {
 		t.Fatal(err)
 	}
+	est := retrieval.PerLevel(h.LevelInfos(), cs)
 	theory := h.TheoryEstimator()
 	tol := h.AbsTolerance(1e-4)
 	_, planTheory, err := core.RetrieveTolerance(context.Background(), h, c, theory, tol, core.RetrieveOptions{})

@@ -179,27 +179,22 @@ func AblateGreedy(p Params) ([]*Table, error) {
 }
 
 // levelMajorPlan fills bit-planes strictly level by level, coarsest first,
-// until the estimator clears the tolerance.
-func levelMajorPlan(infos []retrieval.LevelInfo, est retrieval.ErrorEstimator, tol float64) (retrieval.Plan, error) {
+// until the bound clears the tolerance.
+func levelMajorPlan(infos []retrieval.LevelInfo, bound retrieval.Bound, tol float64) (retrieval.Plan, error) {
 	planes := make([]int, len(infos))
-	errs := make([]float64, len(infos))
-	for l, li := range infos {
-		errs[l] = li.ErrMatrix[0]
-	}
 	for l := range infos {
 		for b := 1; b <= len(infos[l].PlaneSizes); b++ {
-			if est.Estimate(errs) <= tol {
+			if bound.At(planes) <= tol {
 				break
 			}
 			planes[l] = b
-			errs[l] = infos[l].ErrMatrix[b]
 		}
 	}
 	plan, err := retrieval.PlanForPlanes(infos, planes)
 	if err != nil {
 		return retrieval.Plan{}, err
 	}
-	plan.EstimatedError = est.Estimate(errs)
+	plan.EstimatedError = bound.At(planes)
 	return plan, nil
 }
 

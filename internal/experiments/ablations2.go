@@ -183,8 +183,8 @@ func AblateSession(p Params) ([]*Table, error) {
 
 // AblateConstant separates the two sources of theory-control overhead: the
 // naive compounded constant (Eq. 6 as implemented by the early works) vs
-// the tight analytical constant vs E-MGARD's learned per-level constants,
-// all driving the same greedy retriever on the same field.
+// E-MGARD's learned per-level constants, both driving the same greedy
+// retriever on the same field.
 func AblateConstant(p Params) ([]*Table, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -203,29 +203,27 @@ func AblateConstant(p Params) ([]*Table, error) {
 		return nil, err
 	}
 	h := &c.Header
-	learned, err := em.Estimator(h.LevelPools)
+	cs, err := em.Constants(h.LevelPools)
 	if err != nil {
 		return nil, err
 	}
 	table := &Table{
-		ID:    "ablate-constant",
-		Title: fmt.Sprintf("Error-control constant ablation (WarpX Jx, t=%d)", t),
-		Note: fmt.Sprintf("naive C=%.4g, tight C=%.4g, E-MGARD constants learned per level",
-			h.TheoryEstimator().C, h.TightEstimator().C),
-		Columns: []string{"rel_bound", "naive_bytes", "tight_bytes", "emgard_bytes",
-			"naive_err", "tight_err", "emgard_err"},
+		ID:      "ablate-constant",
+		Title:   fmt.Sprintf("Error-control constant ablation (WarpX Jx, t=%d)", t),
+		Note:    fmt.Sprintf("naive C=%.4g, E-MGARD constants learned per level", h.TheoryEstimator().C),
+		Columns: []string{"rel_bound", "naive_bytes", "emgard_bytes", "naive_err", "emgard_err"},
 	}
-	// One measured sweep per estimator; the three share the bounds, so
-	// their points line up.
-	var cols [3][]core.SweepPoint
-	for i, est := range []retrieval.ErrorEstimator{h.TheoryEstimator(), h.TightEstimator(), learned} {
-		if cols[i], err = core.SweepBounds(context.Background(), h, c, field, est, thinBounds(p.Bounds, 7)); err != nil {
+	// One measured sweep per bound; the two share the bounds, so their
+	// points line up.
+	var cols [2][]core.SweepPoint
+	for i, bound := range []retrieval.Bound{h.TheoryEstimator(), retrieval.PerLevel(h.LevelInfos(), cs)} {
+		if cols[i], err = core.SweepBounds(context.Background(), h, c, field, bound, thinBounds(p.Bounds, 7)); err != nil {
 			return nil, err
 		}
 	}
 	for i, n := range cols[0] {
-		tight, e := cols[1][i], cols[2][i]
-		table.AddRow(n.RelBound, n.Plan.Bytes, tight.Plan.Bytes, e.Plan.Bytes, n.AchievedErr, tight.AchievedErr, e.AchievedErr)
+		e := cols[1][i]
+		table.AddRow(n.RelBound, n.Plan.Bytes, e.Plan.Bytes, n.AchievedErr, e.AchievedErr)
 	}
 	return []*Table{table}, nil
 }
@@ -344,10 +342,11 @@ func ExpHybrid(p Params) ([]*Table, error) {
 			if grid.MaxAbsDiff(field, recD) > tol {
 				dV++
 			}
-			est, err := em.Estimator(h.LevelPools)
+			cs, err := em.Constants(h.LevelPools)
 			if err != nil {
 				return nil, err
 			}
+			est := retrieval.PerLevel(h.LevelInfos(), cs)
 			recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err

@@ -10,6 +10,7 @@ import (
 	"pmgard/internal/emgard"
 	"pmgard/internal/features"
 	"pmgard/internal/grid"
+	"pmgard/internal/retrieval"
 	"pmgard/internal/sim/warpx"
 )
 
@@ -55,10 +56,11 @@ func Fig12(p Params) ([]*Table, error) {
 	}
 	h := &c.Header
 	theory := h.TheoryEstimator()
-	learned, err := em.Estimator(h.LevelPools)
+	cs, err := em.Constants(h.LevelPools)
 	if err != nil {
 		return nil, err
 	}
+	learned := retrieval.PerLevel(h.LevelInfos(), cs)
 	table := &Table{
 		ID:    "fig12",
 		Title: fmt.Sprintf("E-MGARD achieved max error vs original MGARD and requested bound (WarpX Jx, t=%d)", t),
@@ -157,10 +159,11 @@ func Fig13(p Params) ([]*Table, error) {
 			}
 
 			// E-MGARD: learned per-level constants in the greedy loop.
-			learned, err := em.Estimator(h.LevelPools)
+			cs, err := em.Constants(h.LevelPools)
 			if err != nil {
 				return nil, err
 			}
+			learned := retrieval.PerLevel(h.LevelInfos(), cs)
 			recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, learned, tol, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err

@@ -32,10 +32,7 @@ func pathProfile(field *grid.Tensor, c *core.Compressed) ([]pathPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	zero := retrieval.Step{Planes: make([]int, len(infos)), LevelErrs: make([]float64, len(infos))}
-	for l, li := range infos {
-		zero.LevelErrs[l] = li.ErrMatrix[0]
-	}
+	zero := retrieval.Step{Planes: make([]int, len(infos))}
 	w, err := core.NewWalker(h, c, field)
 	if err != nil {
 		return nil, err
@@ -50,7 +47,7 @@ func pathProfile(field *grid.Tensor, c *core.Compressed) ([]pathPoint, error) {
 		points = append(points, pathPoint{
 			Bytes:     s.Bytes,
 			Planes:    s.Planes,
-			TheoryEst: est.Estimate(s.LevelErrs),
+			TheoryEst: est.At(s.Planes),
 			ActualErr: actual,
 		})
 	}

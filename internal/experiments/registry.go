@@ -37,7 +37,7 @@ func Registry() map[string]Runner {
 		{ID: "ablate-pool", Paper: "ablation — E-MGARD pooled-input size", Run: AblatePool},
 		{ID: "ablate-augment", Paper: "ablation — D-MGARD feature augmentation", Run: AblateAugment},
 		{ID: "ablate-session", Paper: "ablation — progressive session vs one-shot", Run: AblateSession},
-		{ID: "ablate-constant", Paper: "ablation — naive vs tight vs learned error constants", Run: AblateConstant},
+		{ID: "ablate-constant", Paper: "ablation — naive vs learned error constants", Run: AblateConstant},
 		{ID: "ablate-encoding", Paper: "ablation — nega-binary vs sign-magnitude planes", Run: AblateEncoding},
 		{ID: "ablate-levels", Paper: "ablation — hierarchy depth L", Run: AblateLevels},
 		{ID: "exp-hybrid", Paper: "extension — combined D+E control (paper §IV-E future work)", Run: ExpHybrid},

@@ -3,10 +3,12 @@
 // compression time, it decides how many bit-planes to fetch from each
 // coefficient level to satisfy an error tolerance (§II-C, §III-A).
 //
-// The planner is the integration point for the paper's contribution: the
-// error estimator is pluggable, so the original theory bound (Eq. 6), the
-// E-MGARD learned per-level bound (Eq. 7), or a fixed plane assignment from
-// D-MGARD can all drive the same size interpreter.
+// The planner is the integration point for the paper's contribution. It
+// stops on one bound table, Bound: C·Σ_l T[l][b_l] read at the plane
+// counts. The original theory bound (Eq. 6) and the E-MGARD learned
+// per-level bound (Eq. 7) are its two constructors, Theory and PerLevel;
+// a fixed plane assignment from D-MGARD drives the same size interpreter
+// through PlanForPlanes.
 package retrieval
 
 import (
@@ -39,49 +41,70 @@ func (li LevelInfo) validate() error {
 	return nil
 }
 
-// ErrorEstimator maps the per-level truncation errors Err[l][b_l] to an
-// estimate of (an upper bound on) the reconstruction max error.
-type ErrorEstimator interface {
-	// Estimate returns the estimated max reconstruction error when level l
-	// is truncated with max coefficient error levelErrs[l].
-	Estimate(levelErrs []float64) float64
-}
-
-// TheoryEstimator is the original MGARD bound of Eq. 6: err ≤ C·Σ_l Err_l,
-// with a single mesh-derived constant C applied to every level. It ignores
-// sign cancellation between coefficient errors, which is exactly the
-// over-pessimism the paper attacks.
-type TheoryEstimator struct {
-	// C is the mesh-derived mapping constant.
+// Bound is a per-level error-bound table: at plane counts b it bounds the
+// reconstruction max error by C·Σ_l T[l][b_l]. Every estimator the planner
+// takes has this shape — the theory bound of Eq. 6 is C·Σ_l Err[l][b_l]
+// and E-MGARD's of Eq. 7 is Σ_l C_l·Err[l][b_l] — so the planner reads a
+// bound at a plane vector and never needs the error vectors behind it.
+type Bound struct {
+	// C scales the whole sum: the mesh constant of Eq. 6, 1 when the
+	// per-level constants are already folded into T.
 	C float64
+	// T[l][b] is level l's term with b planes fetched (len planes+1).
+	T [][]float64
 }
 
-// Estimate implements ErrorEstimator.
-func (t TheoryEstimator) Estimate(levelErrs []float64) float64 {
+// Theory returns the original MGARD bound of Eq. 6: err ≤ C·Σ_l Err_l, with
+// a single mesh-derived constant C applied to every level. Its rows are the
+// levels' ErrMatrix slices, shared, not copied. It ignores sign
+// cancellation between coefficient errors, which is exactly the
+// over-pessimism the paper attacks.
+func Theory(levels []LevelInfo, c float64) Bound {
+	t := make([][]float64, len(levels))
+	for l, li := range levels {
+		t[l] = li.ErrMatrix
+	}
+	return Bound{C: c, T: t}
+}
+
+// PerLevel returns the E-MGARD bound of Eq. 7: err ≤ Σ_l C_l·Err_l, with
+// one constant per level, as the table T[l][b] = C_l·Err[l][b] and C = 1.
+// A constant count other than len(levels) yields a table the planners
+// reject.
+func PerLevel(levels []LevelInfo, c []float64) Bound {
+	t := make([][]float64, len(c))
+	for l := 0; l < len(c) && l < len(levels); l++ {
+		row := make([]float64, len(levels[l].ErrMatrix))
+		for b, e := range levels[l].ErrMatrix {
+			row[b] = float64(c[l] * e)
+		}
+		t[l] = row
+	}
+	return Bound{C: 1, T: t}
+}
+
+// At returns the bound at per-level plane counts: C times the level terms
+// summed from zero in level order. planes must fit the table's shape.
+func (b Bound) At(planes []int) float64 {
 	sum := 0.0
-	for _, e := range levelErrs {
-		sum += e
+	for l, row := range b.T {
+		sum += row[planes[l]]
 	}
-	return t.C * sum
+	return b.C * sum
 }
 
-// PerLevelEstimator is the E-MGARD bound of Eq. 7: err ≤ Σ_l C_l·Err_l with
-// a learned constant per level.
-type PerLevelEstimator struct {
-	// C[l] is the learned mapping constant for level l.
-	C []float64
-}
-
-// Estimate implements ErrorEstimator.
-func (p PerLevelEstimator) Estimate(levelErrs []float64) float64 {
-	if len(levelErrs) != len(p.C) {
-		panic(fmt.Sprintf("retrieval: estimator has %d constants, got %d levels", len(p.C), len(levelErrs)))
+// check reports whether the table has one row per level, each one entry
+// longer than the level's plane count.
+func (b Bound) check(levels []LevelInfo) error {
+	if len(b.T) != len(levels) {
+		return fmt.Errorf("retrieval: bound has %d levels, want %d", len(b.T), len(levels))
 	}
-	sum := 0.0
-	for l, e := range levelErrs {
-		sum += float64(p.C[l] * e)
+	for l, li := range levels {
+		if len(b.T[l]) != li.planes()+1 {
+			return fmt.Errorf("retrieval: bound row %d has %d entries, want %d", l, len(b.T[l]), li.planes()+1)
+		}
 	}
-	return sum
+	return nil
 }
 
 // Plan is a retrieval decision: how many planes to fetch per level and what
@@ -93,8 +116,12 @@ type Plan struct {
 	BytesPerLevel []int64
 	// Bytes is the total retrieval size D of Eq. 1.
 	Bytes int64
-	// EstimatedError is the estimator's bound at the chosen plane counts.
+	// EstimatedError is the bound at the chosen plane counts.
 	EstimatedError float64
+	// BoundEvals is how many times the planner read the bound to choose
+	// the plane counts, the planner's unit of search work (0 for a fixed
+	// assignment).
+	BoundEvals int64
 }
 
 // PlanForPlanes runs the size interpreter for a fixed plane assignment —
@@ -132,8 +159,6 @@ type Step struct {
 	Planes []int
 	// Bytes is the cumulative retrieval size after the extension.
 	Bytes int64
-	// LevelErrs[l] is Err[l][b_l] after the extension.
-	LevelErrs []float64
 }
 
 // lookahead is how many planes past a level's current count one greedy
@@ -145,13 +170,13 @@ type Step struct {
 // error left is never starved.
 const lookahead = 4
 
-// extend picks the next greedy extension from the state (planes, errs):
-// among adding 1..lookahead planes on one level, the one with the best
-// error-reduction-per-byte; when no extension reduces error, one plane on
-// the level with the largest residual, so the path always progresses. ok is
-// false when every plane is already taken. Every planner walks the path
-// through this one step.
-func extend(levels []LevelInfo, planes []int, errs []float64) (level, step int, ok bool) {
+// extend picks the next greedy extension from the plane counts: among
+// adding 1..lookahead planes on one level, the one with the best
+// error-reduction-per-byte in the level's own Err; when no extension
+// reduces error, one plane on the level with the largest residual, so the
+// path always progresses. ok is false when every plane is already taken.
+// Every planner walks the path through this one step.
+func extend(levels []LevelInfo, planes []int) (level, step int, ok bool) {
 	level = -1
 	bestEff := 0.0
 	for l, li := range levels {
@@ -160,7 +185,7 @@ func extend(levels []LevelInfo, planes []int, errs []float64) (level, step int, 
 			if b > li.planes() {
 				continue
 			}
-			reduction := errs[l] - li.ErrMatrix[b]
+			reduction := li.ErrMatrix[planes[l]] - li.ErrMatrix[b]
 			if reduction <= 0 {
 				continue
 			}
@@ -182,8 +207,8 @@ func extend(levels []LevelInfo, planes []int, errs []float64) (level, step int, 
 	if level < 0 {
 		maxErr := 0.0
 		for l, li := range levels {
-			if planes[l] < li.planes() && errs[l] > maxErr {
-				maxErr, level, step = errs[l], l, 1
+			if planes[l] < li.planes() && li.ErrMatrix[planes[l]] > maxErr {
+				maxErr, level, step = li.ErrMatrix[planes[l]], l, 1
 			}
 		}
 	}
@@ -192,25 +217,20 @@ func extend(levels []LevelInfo, planes []int, errs []float64) (level, step int, 
 
 // GreedySequence returns the complete greedy accuracy-efficiency extension
 // path, from zero planes to exhaustion, independent of any tolerance or
-// estimator. The path is what MGARD's retriever walks; planners stop along
-// it when their error estimate clears the tolerance, and the experiments
-// use the full path to compute oracle (ideal) retrieval costs.
+// bound. The path is what MGARD's retriever walks; planners stop along it
+// when their bound clears the tolerance, and the experiments use the full
+// path to compute oracle (ideal) retrieval costs.
 func GreedySequence(levels []LevelInfo) ([]Step, error) {
-	L := len(levels)
 	for _, li := range levels {
 		if err := li.validate(); err != nil {
 			return nil, err
 		}
 	}
-	planes := make([]int, L)
-	errs := make([]float64, L)
+	planes := make([]int, len(levels))
 	var bytes int64
-	for l, li := range levels {
-		errs[l] = li.ErrMatrix[0]
-	}
 	var steps []Step
 	for {
-		level, step, ok := extend(levels, planes, errs)
+		level, step, ok := extend(levels, planes)
 		if !ok {
 			return steps, nil // everything exhausted
 		}
@@ -218,66 +238,64 @@ func GreedySequence(levels []LevelInfo) ([]Step, error) {
 			bytes += levels[level].PlaneSizes[k]
 		}
 		planes[level] += step
-		errs[level] = levels[level].ErrMatrix[planes[level]]
-		steps = append(steps, Step{
-			Level:     level,
-			Planes:    append([]int(nil), planes...),
-			Bytes:     bytes,
-			LevelErrs: append([]float64(nil), errs...),
-		})
+		steps = append(steps, Step{Level: level, Planes: append([]int(nil), planes...), Bytes: bytes})
 	}
 }
 
 // RefinePlan starts from an initial plane assignment (typically a D-MGARD
 // prediction) and extends it along the greedy accuracy-efficiency path
-// until the estimator's bound drops to the tolerance. This realizes the
-// paper's future-work combination of the two models (§IV-E): D-MGARD
-// proposes, E-MGARD's learned estimator verifies and corrects. It never
-// drops a plane the start already holds: a learned estimator is unbiased
-// rather than conservative, and shrinking under it re-introduces bound
-// violations (EXPERIMENTS.md, exp-hybrid).
-func RefinePlan(levels []LevelInfo, start []int, est ErrorEstimator, tol float64) (Plan, error) {
+// until the bound drops to the tolerance. This realizes the paper's
+// future-work combination of the two models (§IV-E): D-MGARD proposes,
+// E-MGARD's learned bound verifies and corrects. It never drops a plane the
+// start already holds: a learned bound is unbiased rather than
+// conservative, and shrinking under it re-introduces bound violations
+// (EXPERIMENTS.md, exp-hybrid). A bound whose table does not have the
+// levels' shape is an error.
+func RefinePlan(levels []LevelInfo, start []int, bound Bound, tol float64) (Plan, error) {
 	if tol <= 0 || math.IsNaN(tol) {
 		return Plan{}, fmt.Errorf("retrieval: tolerance %g must be positive", tol)
 	}
 	if len(start) != len(levels) {
 		return Plan{}, fmt.Errorf("retrieval: start has %d levels, want %d", len(start), len(levels))
 	}
-	planes := make([]int, len(levels))
-	errs := make([]float64, len(levels))
 	for l, li := range levels {
 		if err := li.validate(); err != nil {
 			return Plan{}, err
 		}
-		b := start[l]
-		if b < 0 || b > li.planes() {
+		if b := start[l]; b < 0 || b > li.planes() {
 			return Plan{}, fmt.Errorf("retrieval: start level %d plane count %d out of range", l, b)
 		}
-		planes[l] = b
-		errs[l] = li.ErrMatrix[b]
 	}
-	// !(e <= tol), not e > tol: a NaN estimate keeps extending.
-	for !(est.Estimate(errs) <= tol) {
-		level, step, ok := extend(levels, planes, errs)
+	if err := bound.check(levels); err != nil {
+		return Plan{}, err
+	}
+	planes := append([]int(nil), start...)
+	var evals int64
+	at := func() float64 {
+		evals++
+		return bound.At(planes)
+	}
+	// !(e <= tol), not e > tol: a NaN bound keeps extending.
+	for !(at() <= tol) {
+		level, step, ok := extend(levels, planes)
 		if !ok {
 			break
 		}
 		planes[level] += step
-		errs[level] = levels[level].ErrMatrix[planes[level]]
 	}
 	plan, err := PlanForPlanes(levels, planes)
 	if err != nil {
 		return Plan{}, err
 	}
-	plan.EstimatedError = est.Estimate(errs)
+	plan.EstimatedError = at()
+	plan.BoundEvals = evals
 	return plan, nil
 }
 
 // GreedyPlan chooses plane counts by MGARD's greedy accuracy-efficiency
 // search: starting from zero planes everywhere, it repeatedly fetches the
-// plane prefix with the best error-reduction-per-byte until the estimator's
-// bound drops to the tolerance (§II-C, Fig. 5 discussion). tol must be
-// positive.
-func GreedyPlan(levels []LevelInfo, est ErrorEstimator, tol float64) (Plan, error) {
-	return RefinePlan(levels, make([]int, len(levels)), est, tol)
+// plane prefix with the best error-reduction-per-byte until the bound drops
+// to the tolerance (§II-C, Fig. 5 discussion). tol must be positive.
+func GreedyPlan(levels []LevelInfo, bound Bound, tol float64) (Plan, error) {
+	return RefinePlan(levels, make([]int, len(levels)), bound, tol)
 }

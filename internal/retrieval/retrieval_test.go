@@ -29,23 +29,47 @@ func syntheticLevel(t *testing.T, rng *rand.Rand, n int, scale float64, planes i
 }
 
 func TestTheoryEstimator(t *testing.T) {
-	e := TheoryEstimator{C: 2}
-	if got := e.Estimate([]float64{1, 2, 3}); got != 12 {
-		t.Fatalf("Estimate = %v, want 12", got)
+	levels := []LevelInfo{
+		{ErrMatrix: []float64{1, 0.5}, PlaneSizes: []int64{1}},
+		{ErrMatrix: []float64{2, 1}, PlaneSizes: []int64{1}},
+		{ErrMatrix: []float64{3, 0}, PlaneSizes: []int64{1}},
+	}
+	b := Theory(levels, 2)
+	if got := b.At([]int{0, 0, 0}); got != 12 {
+		t.Fatalf("At(0,0,0) = %v, want 12", got)
+	}
+	if got := b.At([]int{1, 1, 0}); got != 9 {
+		t.Fatalf("At(1,1,0) = %v, want 9", got)
+	}
+	// The table's rows are the levels' error matrices, not copies.
+	if &b.T[1][0] != &levels[1].ErrMatrix[0] {
+		t.Fatal("theory bound copied an error matrix")
 	}
 }
 
 func TestPerLevelEstimator(t *testing.T) {
-	e := PerLevelEstimator{C: []float64{1, 0.5, 2}}
-	if got := e.Estimate([]float64{2, 4, 1}); got != 6 {
-		t.Fatalf("Estimate = %v, want 6", got)
+	levels := []LevelInfo{
+		{ErrMatrix: []float64{2, 1}, PlaneSizes: []int64{1}},
+		{ErrMatrix: []float64{4, 2}, PlaneSizes: []int64{1}},
+		{ErrMatrix: []float64{1, 0}, PlaneSizes: []int64{1}},
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
+	b := PerLevel(levels, []float64{1, 0.5, 2})
+	if b.C != 1 {
+		t.Fatalf("C = %v, want 1 with the constants folded into the table", b.C)
+	}
+	if got := b.At([]int{0, 0, 0}); got != 6 {
+		t.Fatalf("At(0,0,0) = %v, want 6", got)
+	}
+	if got := b.At([]int{1, 1, 1}); got != 2 {
+		t.Fatalf("At(1,1,1) = %v, want 2", got)
+	}
+	// A constant count that disagrees with the levels is rejected by the
+	// planner, not a panic.
+	for _, cs := range [][]float64{{1}, {1, 1, 1, 1}} {
+		if _, err := GreedyPlan(levels, PerLevel(levels, cs), 1); err == nil {
+			t.Fatalf("%d constants for %d levels accepted", len(cs), len(levels))
 		}
-	}()
-	e.Estimate([]float64{1})
+	}
 }
 
 func TestPlanForPlanesSizes(t *testing.T) {
@@ -89,7 +113,7 @@ func TestGreedyPlanReachesTolerance(t *testing.T) {
 		syntheticLevel(t, rng, 64, 10, 32),
 		syntheticLevel(t, rng, 512, 1, 32),
 	}
-	est := TheoryEstimator{C: 1.5}
+	est := Theory(levels, 1.5)
 	for _, tol := range []float64{100, 1, 1e-3, 1e-6} {
 		p, err := GreedyPlan(levels, est, tol)
 		if err != nil {
@@ -112,7 +136,7 @@ func TestGreedyPlanMonotoneInTolerance(t *testing.T) {
 		syntheticLevel(t, rng, 16, 50, 24),
 		syntheticLevel(t, rng, 128, 5, 24),
 	}
-	est := TheoryEstimator{C: 2}
+	est := Theory(levels, 2)
 	prevBytes := int64(-1)
 	for _, tol := range []float64{10, 1, 0.1, 0.01, 0.001} {
 		p, err := GreedyPlan(levels, est, tol)
@@ -131,7 +155,7 @@ func TestGreedyPlanLooseToleranceReadsNothing(t *testing.T) {
 	levels := []LevelInfo{syntheticLevel(t, rng, 32, 1, 16)}
 	// Tolerance above C·Err[0] requires no planes at all.
 	tol := 1.5*levels[0].ErrMatrix[0] + 1
-	p, err := GreedyPlan(levels, TheoryEstimator{C: 1.5}, tol)
+	p, err := GreedyPlan(levels, Theory(levels, 1.5), tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +167,7 @@ func TestGreedyPlanLooseToleranceReadsNothing(t *testing.T) {
 func TestGreedyPlanRejectsBadTolerance(t *testing.T) {
 	levels := []LevelInfo{{ErrMatrix: []float64{1, 0}, PlaneSizes: []int64{1}}}
 	for _, tol := range []float64{0, -1, math.NaN()} {
-		if _, err := GreedyPlan(levels, TheoryEstimator{C: 1}, tol); err == nil {
+		if _, err := GreedyPlan(levels, Theory(levels, 1), tol); err == nil {
 			t.Fatalf("tolerance %v accepted", tol)
 		}
 	}
@@ -160,7 +184,8 @@ func TestGreedyPrefersCheapEfficientLevels(t *testing.T) {
 		ErrMatrix:  []float64{1, 0.1, 0.01, 0.001, 0.0001},
 		PlaneSizes: []int64{4096, 4096, 4096, 4096},
 	}
-	p, err := GreedyPlan([]LevelInfo{coarse, fine}, TheoryEstimator{C: 1}, 0.5)
+	levels := []LevelInfo{coarse, fine}
+	p, err := GreedyPlan(levels, Theory(levels, 1), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +204,7 @@ func TestGreedyHandlesNonMonotoneErrMatrix(t *testing.T) {
 		ErrMatrix:  []float64{10, 12, 1, 0.5, 0},
 		PlaneSizes: []int64{8, 8, 8, 8},
 	}
-	p, err := GreedyPlan([]LevelInfo{level}, TheoryEstimator{C: 1}, 0.6)
+	p, err := GreedyPlan([]LevelInfo{level}, Theory([]LevelInfo{level}, 1), 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +221,7 @@ func TestGreedyExhaustsPlanesWhenToleranceUnreachable(t *testing.T) {
 		ErrMatrix:  []float64{10, 5, 2}, // residual error 2 > tol
 		PlaneSizes: []int64{8, 8},
 	}
-	p, err := GreedyPlan([]LevelInfo{level}, TheoryEstimator{C: 1}, 1e-9)
+	p, err := GreedyPlan([]LevelInfo{level}, Theory([]LevelInfo{level}, 1), 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +243,8 @@ func TestPerLevelEstimatorNeedsFewerBytesThanTheory(t *testing.T) {
 		syntheticLevel(t, rng, 64, 20, 32),
 		syntheticLevel(t, rng, 512, 4, 32),
 	}
-	theory := TheoryEstimator{C: 3.375}
-	learned := PerLevelEstimator{C: []float64{1.0, 0.8, 0.6}}
+	theory := Theory(levels, 3.375)
+	learned := PerLevel(levels, []float64{1.0, 0.8, 0.6})
 	for _, tol := range []float64{1, 0.01, 1e-4} {
 		pt, err := GreedyPlan(levels, theory, tol)
 		if err != nil {
@@ -242,7 +267,7 @@ func TestGreedyZeroSizePlanesInfiniteEfficiency(t *testing.T) {
 		ErrMatrix:  []float64{4, 2, 1},
 		PlaneSizes: []int64{0, 16},
 	}
-	p, err := GreedyPlan([]LevelInfo{level}, TheoryEstimator{C: 1}, 3)
+	p, err := GreedyPlan([]LevelInfo{level}, Theory([]LevelInfo{level}, 1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +319,7 @@ func TestGreedyPlanConsistentWithSequence(t *testing.T) {
 		syntheticLevel(t, rng, 16, 50, 24),
 		syntheticLevel(t, rng, 128, 5, 24),
 	}
-	est := TheoryEstimator{C: 2}
+	est := Theory(levels, 2)
 	steps, err := GreedySequence(levels)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +348,7 @@ func TestRefinePlanExtendsToTolerance(t *testing.T) {
 		syntheticLevel(t, rng, 16, 100, 24),
 		syntheticLevel(t, rng, 128, 10, 24),
 	}
-	est := TheoryEstimator{C: 2}
+	est := Theory(levels, 2)
 	// Start far below what the tolerance needs.
 	p, err := RefinePlan(levels, []int{1, 1}, est, 0.01)
 	if err != nil {
@@ -336,13 +361,13 @@ func TestRefinePlanExtendsToTolerance(t *testing.T) {
 
 func TestRefinePlanValidation(t *testing.T) {
 	levels := []LevelInfo{{ErrMatrix: []float64{1, 0}, PlaneSizes: []int64{4}}}
-	if _, err := RefinePlan(levels, []int{0, 0}, TheoryEstimator{C: 1}, 1); err == nil {
+	if _, err := RefinePlan(levels, []int{0, 0}, Theory(levels, 1), 1); err == nil {
 		t.Fatal("mismatched start accepted")
 	}
-	if _, err := RefinePlan(levels, []int{5}, TheoryEstimator{C: 1}, 1); err == nil {
+	if _, err := RefinePlan(levels, []int{5}, Theory(levels, 1), 1); err == nil {
 		t.Fatal("out-of-range start accepted")
 	}
-	if _, err := RefinePlan(levels, []int{0}, TheoryEstimator{C: 1}, -1); err == nil {
+	if _, err := RefinePlan(levels, []int{0}, Theory(levels, 1), -1); err == nil {
 		t.Fatal("negative tolerance accepted")
 	}
 }
@@ -353,7 +378,7 @@ func TestRefinePlanIdempotentAtOptimum(t *testing.T) {
 		syntheticLevel(t, rng, 16, 100, 24),
 		syntheticLevel(t, rng, 128, 10, 24),
 	}
-	est := TheoryEstimator{C: 2}
+	est := Theory(levels, 2)
 	g, err := GreedyPlan(levels, est, 0.05)
 	if err != nil {
 		t.Fatal(err)
@@ -395,9 +420,9 @@ func TestGreedyPlanIsRefineFromZero(t *testing.T) {
 			}
 			weights[l] = 0.5 + rng.Float64()
 		}
-		var est ErrorEstimator = TheoryEstimator{C: 1 + 4*rng.Float64()}
+		est := Theory(levels, 1+4*rng.Float64())
 		if trial%2 == 1 {
-			est = PerLevelEstimator{C: weights}
+			est = PerLevel(levels, weights)
 		}
 		tol := levels[0].ErrMatrix[0] * math.Pow(10, -6*rng.Float64())
 
@@ -406,15 +431,11 @@ func TestGreedyPlanIsRefineFromZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]int, len(levels))
-		errs := make([]float64, len(levels))
-		for l, li := range levels {
-			errs[l] = li.ErrMatrix[0]
-		}
 		for _, s := range steps {
-			if est.Estimate(errs) <= tol {
+			if est.At(want) <= tol {
 				break
 			}
-			want, errs = s.Planes, s.LevelErrs
+			want = s.Planes
 		}
 		for name, plan := range map[string]func() (Plan, error){
 			"RefinePlan from zeros": func() (Plan, error) { return RefinePlan(levels, make([]int, len(levels)), est, tol) },
@@ -424,9 +445,9 @@ func TestGreedyPlanIsRefineFromZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.Planes, want) || got.EstimatedError != est.Estimate(errs) {
+			if !reflect.DeepEqual(got.Planes, want) || got.EstimatedError != est.At(want) {
 				t.Fatalf("trial %d: %s = %v (est %g), the greedy path stops at %v (est %g)",
-					trial, name, got.Planes, got.EstimatedError, want, est.Estimate(errs))
+					trial, name, got.Planes, got.EstimatedError, want, est.At(want))
 			}
 		}
 	}

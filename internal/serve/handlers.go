@@ -154,6 +154,9 @@ type refineResponse struct {
 	BytesFetched   int64   `json:"bytes_fetched"`
 	EstimatedError float64 `json:"estimated_error"`
 	Degraded       bool    `json:"degraded"`
+	// Unreachable marks a tolerance below the quantization floor: every
+	// plane was fetched and the bound still exceeds the tolerance.
+	Unreachable    bool    `json:"unreachable,omitempty"`
 	Checksum       string  `json:"checksum"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
@@ -236,8 +239,10 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	elapsed := time.Since(start).Seconds()
+	unreachable := deg == nil && !(plan.EstimatedError <= tol)
 	if ar != nil {
 		ar.degraded = deg != nil
+		ar.unreachable = unreachable
 	}
 	tc, _ := obs.TraceFromContext(ctx)
 	s.o.Counter("serve.refines").Add(1)
@@ -252,6 +257,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		BytesFetched:   sess.BytesFetched(),
 		EstimatedError: plan.EstimatedError,
 		Degraded:       deg != nil,
+		Unreachable:    unreachable,
 		Checksum:       checksum,
 		ElapsedSeconds: elapsed,
 	})

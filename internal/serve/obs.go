@@ -25,6 +25,8 @@ type accessRecord struct {
 	bytes    int64
 	hits     int64
 	degraded bool
+	// unreachable: the tolerance is below what every plane can bound.
+	unreachable bool
 	// outcome is the failure-mode tag ("shed", "breaker_open", "deadline",
 	// "client_gone", "draining", ...), empty for success.
 	outcome string
@@ -202,6 +204,7 @@ func (s *Server) finishRequest(r *http.Request, tc obs.TraceContext, root *obs.S
 			slog.Int64("bytes_fetched", ar.bytes),
 			slog.Int64("cache_hits", ar.hits),
 			slog.Bool("degraded", ar.degraded),
+			slog.Bool("unreachable", ar.unreachable),
 			slog.String("outcome", ar.outcome),
 			slog.Float64("duration_seconds", dur.Seconds()),
 		)

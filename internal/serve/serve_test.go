@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"pmgard/internal/core"
+	"pmgard/internal/grid"
 	"pmgard/internal/obs"
 	"pmgard/internal/sim/warpx"
 	"pmgard/internal/storage"
@@ -246,5 +249,66 @@ func TestServeErrors(t *testing.T) {
 	}
 	if o.Metrics.Snapshot().Counters["serve.errors"] != 4 {
 		t.Fatalf("serve.errors = %d, want 4", o.Metrics.Snapshot().Counters["serve.errors"])
+	}
+}
+
+// TestRefineReportsUnreachableTolerance asks for a tolerance below the
+// quantization floor of a 17³ field: the reply fetches every plane, stays
+// undegraded and says the tolerance was unreachable, in the body and on the
+// access-log line, while the bound it reports still holds on the original.
+// A reachable reply carries no unreachable key at all.
+func TestRefineReportsUnreachableTolerance(t *testing.T) {
+	field, err := warpx.DefaultConfig(17, 17, 17).Field("Jx", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compress(field, core.DefaultConfig(), "Jx", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logBuf := &logBuffer{}
+	_, ts, _ := newChaosServer(t, Config{CacheBytes: 64 << 20, AccessLog: logBuf}, &c.Header, c)
+
+	raw := func(rel string) []byte {
+		resp, err := http.Get(ts.URL + "/refine?field=Jx&rel=" + rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("rel %s: status %d, %v", rel, resp.StatusCode, err)
+		}
+		return body
+	}
+	if body := raw("1e-4"); strings.Contains(string(body), "unreachable") {
+		t.Fatalf("a reachable reply names unreachable: %s", body)
+	}
+	var got refineResponse
+	if err := json.Unmarshal(raw("1e-13"), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Unreachable || got.Degraded || !(got.EstimatedError > got.Tolerance) {
+		t.Fatalf("rel 1e-13: unreachable %v degraded %v, bound %g against tolerance %g",
+			got.Unreachable, got.Degraded, got.EstimatedError, got.Tolerance)
+	}
+	for l, lm := range c.Header.Levels {
+		if got.Planes[l] != len(lm.PlaneSizes) {
+			t.Fatalf("level %d: %d of %d planes fetched", l, got.Planes[l], len(lm.PlaneSizes))
+		}
+	}
+	rec, _, err := core.RetrievePlanes(context.Background(), &c.Header, c, got.Planes, core.RetrieveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := tensorChecksum(rec); sum != got.Checksum {
+		t.Fatalf("checksum %s, the reply's %s", sum, got.Checksum)
+	}
+	if achieved := grid.MaxAbsDiff(field, rec); achieved > got.EstimatedError {
+		t.Fatalf("achieved L∞ %g above the reported bound %g", achieved, got.EstimatedError)
+	}
+	lines := logBuf.lines(t)
+	if len(lines) != 2 || lines[0]["unreachable"] != false || lines[1]["unreachable"] != true {
+		t.Fatalf("access log lines %v, want unreachable false then true", lines)
 	}
 }

@@ -99,9 +99,17 @@ type Header = core.Header
 // Plan is a retrieval decision with its byte cost.
 type Plan = retrieval.Plan
 
-// ErrorEstimator maps per-level truncation errors to a reconstruction-error
-// estimate; TheoryEstimator and E-MGARD's learned estimator implement it.
-type ErrorEstimator = retrieval.ErrorEstimator
+// Bound is a per-level error-bound table the planner reads at plane
+// counts: Header.TheoryEstimator returns the theory bound (Eq. 6) and
+// PerLevelBound makes E-MGARD's (Eq. 7).
+type Bound = retrieval.Bound
+
+// PerLevelBound returns the bound Σ_l C_l·Err[l][b_l] over the header's
+// error matrices, one constant per level — E-MGARD's learned constants
+// come from EMGARDModel.Constants.
+func PerLevelBound(h *Header, constants []float64) Bound {
+	return retrieval.PerLevel(h.LevelInfos(), constants)
+}
 
 // SegmentSource yields compressed plane payloads during retrieval. A
 // Compressed, an opened Store, and a RetryingSource over either all
@@ -133,10 +141,10 @@ func Retrieve(ctx context.Context, h *Header, src SegmentSource, plan Plan, opt 
 	return core.Retrieve(ctx, h, src, plan, opt)
 }
 
-// RetrieveTolerance plans greedily under est at an absolute tolerance and
+// RetrieveTolerance plans greedily under bound at an absolute tolerance and
 // retrieves.
-func RetrieveTolerance(ctx context.Context, h *Header, src SegmentSource, est ErrorEstimator, tol float64, opt RetrieveOptions) (*Tensor, Plan, error) {
-	return core.RetrieveTolerance(ctx, h, src, est, tol, opt)
+func RetrieveTolerance(ctx context.Context, h *Header, src SegmentSource, bound Bound, tol float64, opt RetrieveOptions) (*Tensor, Plan, error) {
+	return core.RetrieveTolerance(ctx, h, src, bound, tol, opt)
 }
 
 // RetrievePlanes retrieves a fixed per-level plane assignment (the D-MGARD
@@ -307,10 +315,10 @@ func RetrieveResolution(ctx context.Context, h *Header, src SegmentSource, plane
 }
 
 // RetrieveHybrid combines both models (the paper's §IV-E future work):
-// a D-MGARD plane prediction seeds the plan, an E-MGARD estimator verifies
+// a D-MGARD plane prediction seeds the plan, an E-MGARD bound verifies
 // and refines it before fetching.
-func RetrieveHybrid(ctx context.Context, h *Header, src SegmentSource, seedPlanes []int, est ErrorEstimator, tol float64, opt RetrieveOptions) (*Tensor, Plan, error) {
-	return core.RetrieveHybrid(ctx, h, src, seedPlanes, est, tol, opt)
+func RetrieveHybrid(ctx context.Context, h *Header, src SegmentSource, seedPlanes []int, bound Bound, tol float64, opt RetrieveOptions) (*Tensor, Plan, error) {
+	return core.RetrieveHybrid(ctx, h, src, seedPlanes, bound, tol, opt)
 }
 
 // CombineFeatures assembles the full D-MGARD input vector: field statistics

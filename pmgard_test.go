@@ -102,11 +102,11 @@ func TestFacadeModelTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := em.Estimator(c.Header.LevelPools)
+	cs, err := em.Constants(c.Header.LevelPools)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RetrieveTolerance(context.Background(), &c.Header, c, est, c.Header.AbsTolerance(1e-3), RetrieveOptions{}); err != nil {
+	if _, _, err := RetrieveTolerance(context.Background(), &c.Header, c, PerLevelBound(&c.Header, cs), c.Header.AbsTolerance(1e-3), RetrieveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
