@@ -593,3 +593,69 @@ func TestOneInstrumentBinding(t *testing.T) {
 		t.Fatalf("an instrument is rebound after construction; resolve it once, in the constructor, from Obs.Registry:\n  %s", strings.Join(problems, "\n  "))
 	}
 }
+
+// TestOnePromiseMatrix keeps "achieved ≤ tolerance, or a degradation
+// report" asserted in one table, internal/promise: every suite that used to
+// assert it on a fixture of its own is a one-statement selector into the
+// matrix, promise.Run(t, promise.X), and the shared helpers those suites
+// and codectest's tolerance rows ran (testLostPlaneDegrades,
+// testToleranceBound) stay gone.
+func TestOnePromiseMatrix(t *testing.T) {
+	suites := map[string][]string{
+		"internal/core": {"TestCompressRetrieveWithinTolerance", "TestFileRoundTrip", "TestTieredWorkflow", "TestReadPathEquivalence", "TestReadPathsDegradeAroundRottedMedia",
+			"TestReadPathsRejectMisdirectedSegment", "TestWalkerMatchesFreshRetrievals",
+			"TestSessionRefineThroughRetryingSourceByteIdentical", "TestSessionDegradedRefine"},
+		"internal/shard": {"TestRunProtocolEquivalence", "TestLostPlaneMidRunDegradesLikeOnePlaneProtocol"},
+		"internal/serve": {"TestRolesAnswerAlike", "TestChaosBitRotDegradesOnEveryLayout",
+			"TestChaosUninflatablePlaneDegrades", "TestChaosUnindexedPlaneDegradesOnEveryLayout"},
+	}
+	selectors := map[string]int{}
+	var problems []string
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if fn.Name.Name == "testLostPlaneDegrades" || fn.Name.Name == "testToleranceBound" {
+				problems = append(problems, path+": "+fn.Name.Name)
+			}
+			if !strings.HasSuffix(path, "_test.go") || !slices.Contains(suites[dir], fn.Name.Name) {
+				continue
+			}
+			selectors[dir+"."+fn.Name.Name]++
+			var call *ast.CallExpr
+			if len(fn.Body.List) == 1 {
+				if stmt, ok := fn.Body.List[0].(*ast.ExprStmt); ok {
+					call, _ = stmt.X.(*ast.CallExpr)
+				}
+			}
+			if call == nil || selectorName(call.Fun) != "promise.Run" || len(call.Args) != 2 || !strings.HasPrefix(selectorName(call.Args[1]), "promise.") {
+				problems = append(problems, path+": "+fn.Name.Name+" is not one promise.Run(t, promise.X)")
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, names := range suites {
+		for _, name := range names {
+			if n := selectors[dir+"."+name]; n != 1 {
+				problems = append(problems, dir+": "+name+" defined "+strconv.Itoa(n)+" times, want once")
+			}
+		}
+	}
+	if len(problems) > 0 {
+		sort.Strings(problems)
+		t.Fatalf("the promise is asserted outside its matrix again:\n  %s", strings.Join(problems, "\n  "))
+	}
+}

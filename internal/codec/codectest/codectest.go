@@ -12,9 +12,6 @@
 //     on-disk segment store, with the backend ID surviving the header
 //   - monotone reconstruction-error decay over uniform plane prefixes,
 //     down to a noise floor far below the first prefix's error
-//   - tolerance-bound satisfaction: achieved error ≤ requested absolute
-//     tolerance for every planned retrieval, using the backend's own
-//     NaiveAmplification constant
 //   - byte identity across worker counts 1/2/4/8 on both the compress and
 //     the retrieve path
 //   - hardening against adversarial inputs (NaN, ±Inf, denormal-only
@@ -22,6 +19,10 @@
 //   - degraded-prefix behavior: a permanently lost plane degrades a
 //     session to the deepest consistent prefix with a truthful residual
 //     error bound, instead of failing the refinement
+//
+// Tolerance satisfaction — achieved error ≤ the requested tolerance, or a
+// degradation report — is held for every backend of internal/promise's
+// matrix on every path, layout and fault; a new backend joins it there.
 //
 // The suite exercises backends through core.Compress/core.Retrieve where
 // the contract spans layers, so a backend that passes is known to work
@@ -123,7 +124,6 @@ func Run(t *testing.T, c codec.ProgressiveCodec) {
 	t.Run("TransformRoundtrip", func(t *testing.T) { testTransformRoundtrip(t, c) })
 	t.Run("StoreRoundtrip", func(t *testing.T) { testStoreRoundtrip(t, c) })
 	t.Run("MonotoneErrorDecay", func(t *testing.T) { testMonotoneErrorDecay(t, c) })
-	t.Run("ToleranceBound", func(t *testing.T) { testToleranceBound(t, c) })
 	t.Run("WorkerByteIdentity", func(t *testing.T) { testWorkerByteIdentity(t, c) })
 	t.Run("Hardening", func(t *testing.T) { testHardening(t, c) })
 	t.Run("DegradedPrefix", func(t *testing.T) { testDegradedPrefix(t, c) })
@@ -279,35 +279,6 @@ func testMonotoneErrorDecay(t *testing.T, c codec.ProgressiveCodec) {
 	if last > first*1e-6 {
 		t.Fatalf("error decayed only %g → %g over %d planes; want ≥ 10^6 overall decay",
 			first, last, conformancePlanes)
-	}
-}
-
-// testToleranceBound compresses both a smooth and a rough field and checks
-// that every planned retrieval under the backend's own naive amplification
-// constant lands within the requested absolute tolerance — the contract the
-// whole error-controlled retrieval mode rests on.
-func testToleranceBound(t *testing.T, c codec.ProgressiveCodec) {
-	for name, field := range map[string]*grid.Tensor{
-		"smooth": smoothField(33),
-		"rough":  roughField(33, 7),
-	} {
-		comp, err := core.Compress(field, config(c), name, 0)
-		if err != nil {
-			t.Fatalf("%s: Compress: %v", name, err)
-		}
-		h := &comp.Header
-		est := h.TheoryEstimator()
-		for _, rel := range []float64{1e-1, 1e-2, 1e-4, 1e-6} {
-			tol := h.AbsTolerance(rel)
-			rec, plan, err := core.RetrieveTolerance(context.Background(), h, comp, est, tol, core.RetrieveOptions{})
-			if err != nil {
-				t.Fatalf("%s: RetrieveTolerance(%g): %v", name, rel, err)
-			}
-			if got := grid.MaxAbsDiff(field, rec); got > tol {
-				t.Fatalf("%s: achieved error %g exceeds tolerance %g (rel %g, plan %v)",
-					name, got, tol, rel, plan.Planes)
-			}
-		}
 	}
 }
 

@@ -29,28 +29,6 @@ func testField(t *testing.T) *grid.Tensor {
 	return f
 }
 
-func TestCompressRetrieveWithinTolerance(t *testing.T) {
-	f := testField(t)
-	c, err := Compress(f, DefaultConfig(), "Ex", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &c.Header
-	est := h.TheoryEstimator()
-	for _, rel := range []float64{1e-1, 1e-2, 1e-4, 1e-6} {
-		tol := h.AbsTolerance(rel)
-		rec, plan, err := RetrieveTolerance(context.Background(), h, c, est, tol, RetrieveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		achieved := grid.MaxAbsDiff(f, rec)
-		if achieved > tol {
-			t.Fatalf("rel %g: achieved error %g exceeds tolerance %g (plan %v)",
-				rel, achieved, tol, plan.Planes)
-		}
-	}
-}
-
 func TestTheoryControlIsPessimistic(t *testing.T) {
 	// The paper's premise (Fig. 2): achieved error is far below requested.
 	f := testField(t)
@@ -102,38 +80,6 @@ func TestTighterToleranceCostsMoreBytes(t *testing.T) {
 	}
 	if prev > h.TotalBytes() {
 		t.Fatalf("plan bytes %d exceed stored total %d", prev, h.TotalBytes())
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	f := testField(t)
-	c, err := Compress(f, DefaultConfig(), "Ex", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ex.pmgd")
-	if err := c.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	h, st, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if h.FieldName != "Ex" || h.Timestep != 32 {
-		t.Fatalf("header = %q t=%d", h.FieldName, h.Timestep)
-	}
-	tol := h.AbsTolerance(1e-4)
-	rec, plan, err := RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, RetrieveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if achieved := grid.MaxAbsDiff(f, rec); achieved > tol {
-		t.Fatalf("achieved %g > tol %g after file round trip", achieved, tol)
-	}
-	// The store must have read exactly the planned bytes.
-	if st.BytesRead() != plan.Bytes {
-		t.Fatalf("store read %d bytes, plan says %d", st.BytesRead(), plan.Bytes)
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"pmgard/internal/faults"
 	"pmgard/internal/grid"
 	"pmgard/internal/storage"
 )
@@ -223,108 +221,6 @@ func TestSessionMidRefineFailureLeavesConsistentState(t *testing.T) {
 	}
 	if got, want := s.BytesFetched(), sessionBytes(h, s.fetched); got != want {
 		t.Fatalf("post-recovery accounting %d != %d (bytes double-counted?)", got, want)
-	}
-}
-
-func TestSessionDegradedRefine(t *testing.T) {
-	f := testField(t)
-	c, err := Compress(f, DefaultConfig(), "Ex", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &c.Header
-	est := h.TheoryEstimator()
-	tol := h.AbsTolerance(1e-5)
-	// Level 2 permanently loses every plane from 1 up.
-	flaky := faults.WrapSource(c, faults.Config{Permanent: []faults.PlaneID{{Level: 2, Plane: 1}}}, nil)
-	s, err := NewSession(h, flaky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, plan, deg, err := s.Refine(context.Background(), est, tol)
-	if err != nil {
-		t.Fatalf("permanent loss was a hard failure: %v", err)
-	}
-	if deg == nil {
-		t.Fatal("no degradation reported")
-	}
-	if len(deg.Dropped) != 1 || deg.Dropped[0] != (storage.SegmentID{Level: 2, Plane: 1}) {
-		t.Fatalf("dropped %v, want [(2,1)]", deg.Dropped)
-	}
-	if deg.Got[2] != 1 {
-		t.Fatalf("level 2 decoded %d planes, want the deepest consistent prefix of 1", deg.Got[2])
-	}
-	if deg.RequestedTol != tol {
-		t.Fatalf("requested tol %g, want %g", deg.RequestedTol, tol)
-	}
-	for l, b := range deg.Got {
-		if l != 2 && b != deg.Requested[l] {
-			t.Fatalf("unaffected level %d degraded from %d to %d planes", l, deg.Requested[l], b)
-		}
-		if plan.Planes[l] != b {
-			t.Fatalf("executed plan %v disagrees with Got %v", plan.Planes, deg.Got)
-		}
-	}
-	// The reported bound is the theory bound C·Σ_l Err[l][b_l] at the
-	// decoded plane counts and the measured error respects it.
-	sum := 0.0
-	for l, b := range deg.Got {
-		sum += h.Levels[l].ErrMatrix[b]
-	}
-	if want := est.C * sum; deg.AchievedBound != want {
-		t.Fatalf("achieved bound %g, want the theory bound %g", deg.AchievedBound, want)
-	}
-	if measured := grid.MaxAbsDiff(f, rec); measured > deg.AchievedBound {
-		t.Fatalf("measured error %g exceeds reported degraded bound %g", measured, deg.AchievedBound)
-	}
-	// The degraded bound cannot beat the requested tolerance (planes were
-	// lost, not gained).
-	if deg.AchievedBound <= tol {
-		t.Fatalf("degraded bound %g unexpectedly within tol %g", deg.AchievedBound, tol)
-	}
-	// A whole level lost from plane 0 still degrades, not fails.
-	flaky0 := faults.WrapSource(c, faults.Config{Permanent: []faults.PlaneID{{Level: 0, Plane: 0}}}, nil)
-	s0, err := NewSession(h, flaky0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, deg0, err := s0.Refine(context.Background(), est, tol)
-	if err != nil || deg0 == nil || deg0.Got[0] != 0 {
-		t.Fatalf("whole-level loss: deg=%+v err=%v", deg0, err)
-	}
-}
-
-func TestSessionRefineThroughRetryingSourceByteIdentical(t *testing.T) {
-	// Acceptance criterion: at a 20% transient fault rate with a fixed
-	// seed, the RetryingSource-backed retrieval is byte-identical to the
-	// fault-free run.
-	f := testField(t)
-	c, err := Compress(f, DefaultConfig(), "Ex", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &c.Header
-	est := h.TheoryEstimator()
-	pol := storage.DefaultRetryPolicy()
-	pol.Sleep = func(time.Duration) {}
-	for _, rel := range []float64{1e-2, 1e-4, 1e-6} {
-		tol := h.AbsTolerance(rel)
-		clean, _, err := RetrieveTolerance(context.Background(), h, c, est, tol, RetrieveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flaky := faults.WrapSource(c, faults.Config{Seed: 1234, TransientRate: 0.20}, nil)
-		r := storage.NewRetryingSource(flaky, pol, nil)
-		rec, _, err := RetrieveTolerance(context.Background(), h, r, est, tol, RetrieveOptions{})
-		if err != nil {
-			t.Fatalf("rel %g: flaky retrieval failed: %v", rel, err)
-		}
-		if grid.MaxAbsDiff(clean, rec) != 0 {
-			t.Fatalf("rel %g: flaky reconstruction differs from fault-free run", rel)
-		}
-		if flaky.Stats().Transient == 0 {
-			t.Fatalf("rel %g: no faults were actually injected", rel)
-		}
 	}
 }
 

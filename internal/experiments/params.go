@@ -156,11 +156,3 @@ func pickGS(run *gsRun, name string, t int) (*grid.Tensor, error) {
 		return nil, fmt.Errorf("experiments: unknown Gray-Scott field %q", name)
 	}
 }
-
-// ResetCache drops all cached datasets (used between bench configurations).
-func ResetCache() {
-	data.mu.Lock()
-	data.warpxCache = make(map[string]*grid.Tensor)
-	data.gsCache = make(map[int]*gsRun)
-	data.mu.Unlock()
-}

@@ -2,13 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -260,215 +257,6 @@ func TestChaosPermanentPlaneLoss(t *testing.T) {
 	}
 	if state := o.Metrics.Snapshot().Gauges["storage.breaker_state.Jx"]; state != 0 {
 		t.Fatalf("breaker state after permanent data faults = %v, want 0 (closed)", state)
-	}
-}
-
-// TestChaosBitRotDegradesOnEveryLayout serves the same field from a .pmgd
-// file and from a tiered directory, each with one flipped byte in the same
-// plane: bit rot is a data fault on every layout, so both keep answering
-// 200 degraded with the same reconstruction, the retry layer quarantines
-// the plane instead of re-reading it, and the breaker — which guards
-// against a tier being down, not against bad data — stays closed.
-func TestChaosBitRotDegradesOnEveryLayout(t *testing.T) {
-	// The finest level's last plane is the tail of the .pmgd file and of
-	// its level's tier file.
-	flipLastByte := func(t *testing.T, path string) {
-		rewriteFile(t, path, func(blob []byte) []byte {
-			blob[len(blob)-1] ^= 0x01
-			return blob
-		})
-	}
-	testLostPlaneDegrades(t, 1,
-		func(t *testing.T, path string, finest int) { flipLastByte(t, path) },
-		func(t *testing.T, dir, tier string, finest int) {
-			flipLastByte(t, filepath.Join(dir, tier, fmt.Sprintf("level_%d.seg", finest)))
-		})
-}
-
-// TestChaosUninflatablePlaneDegrades: a version-1 tiered manifest carries
-// no checksums, so same-length bad bytes reach the inflater. The finest
-// level's last plane gets 0x07 as its first payload byte — BFINAL set with
-// the reserved block type 11, an inflate error on any stream — and a plane
-// that will not inflate to its header size is corruption like any other:
-// 200 degraded with the breaker closed, not a transient 502. (The .pmgd
-// copy's checksum catches the same byte in the store.)
-func TestChaosUninflatablePlaneDegrades(t *testing.T) {
-	h := buildCompressed(t, "Jx").Header
-	finest := len(h.Levels) - 1
-	lastSize := int(h.Levels[finest].PlaneSizes[h.Planes-1])
-	// The finest level's last plane is the tail of the .pmgd file and of
-	// its level's tier file.
-	poisonLastPlane := func(t *testing.T, path string) {
-		rewriteFile(t, path, func(blob []byte) []byte {
-			blob[len(blob)-lastSize] = 0x07
-			return blob
-		})
-	}
-	testLostPlaneDegrades(t, 0,
-		func(t *testing.T, path string, finest int) { poisonLastPlane(t, path) },
-		func(t *testing.T, dir, tier string, finest int) {
-			rewriteFile(t, filepath.Join(dir, "manifest.json"), func(blob []byte) []byte {
-				var man map[string]json.RawMessage
-				if err := json.Unmarshal(blob, &man); err != nil {
-					t.Fatal(err)
-				}
-				man["version"] = json.RawMessage("1")
-				delete(man, "checksums")
-				blob, err := json.Marshal(man)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return blob
-			})
-			poisonLastPlane(t, filepath.Join(dir, tier, fmt.Sprintf("level_%d.seg", finest)))
-		})
-}
-
-// TestChaosUnindexedPlaneDegradesOnEveryLayout damages the index instead of
-// a payload: a .pmgd table has no checksum of its own, so one flipped byte
-// in the last entry's plane field makes the store's index miss that plane,
-// as does a manifest whose finest level lists one plane fewer than the
-// header's Planes. Both are corruption — the same 200 degraded with zero
-// retries and a closed breaker as bit rot, not a transient blip that burns
-// the retry budget and opens the breaker for planes that are fine.
-func TestChaosUnindexedPlaneDegradesOnEveryLayout(t *testing.T) {
-	testLostPlaneDegrades(t, 1,
-		func(t *testing.T, path string, finest int) {
-			rewriteFile(t, path, func(blob []byte) []byte {
-				// magic, version, metaLen, meta, segCount, then 28-byte
-				// entries {level u32, plane u32, …}: the last entry is the
-				// finest level's last plane.
-				metaLen := int(binary.LittleEndian.Uint32(blob[8:12]))
-				count := int(binary.LittleEndian.Uint32(blob[12+metaLen:]))
-				blob[16+metaLen+(count-1)*28+4] ^= 0x40
-				return blob
-			})
-		},
-		func(t *testing.T, dir, tier string, finest int) {
-			rewriteFile(t, filepath.Join(dir, "manifest.json"), func(blob []byte) []byte {
-				var man map[string]json.RawMessage
-				if err := json.Unmarshal(blob, &man); err != nil {
-					t.Fatal(err)
-				}
-				for _, key := range []string{"levels", "checksums"} {
-					var perLevel [][]int64
-					if err := json.Unmarshal(man[key], &perLevel); err != nil {
-						t.Fatal(err)
-					}
-					perLevel[finest] = perLevel[finest][:len(perLevel[finest])-1]
-					man[key], _ = json.Marshal(perLevel)
-				}
-				blob, err := json.Marshal(man)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return blob
-			})
-		})
-}
-
-// rewriteFile replaces path's bytes with edit's result.
-func rewriteFile(t *testing.T, path string, edit func([]byte) []byte) {
-	t.Helper()
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, edit(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// testLostPlaneDegrades writes one field in both layouts, lets damageFlat /
-// damageTiered make the finest level's last plane permanently unreadable,
-// and requires serve to answer every refine 200 degraded with all other
-// planes, no retry and the breaker closed. The retry layer quarantines the
-// plane once when the store itself detects the damage — always on the flat
-// layout; tieredQuarantined says whether it does on the tiered one (0 when
-// only the inflater above the retry layer can tell).
-func testLostPlaneDegrades(t *testing.T, tieredQuarantined int64, damageFlat func(t *testing.T, path string, finest int), damageTiered func(t *testing.T, dir, tier string, finest int)) {
-	base := leakcheck.Baseline()
-	t.Cleanup(func() {
-		http.DefaultClient.CloseIdleConnections()
-		leakcheck.Check(t, base, 10*time.Second)
-	})
-	c := buildCompressed(t, "Jx")
-	h := &c.Header
-	finest := len(h.Levels) - 1
-	hier, err := storage.DefaultHierarchy(len(h.Levels))
-	if err != nil {
-		t.Fatal(err)
-	}
-	layouts := []struct {
-		name        string
-		write       func(path string) error
-		quarantined int64
-	}{
-		{"flat", func(path string) error {
-			if err := c.WriteFile(path); err != nil {
-				return err
-			}
-			damageFlat(t, path, finest)
-			return nil
-		}, 1},
-		{"tiered", func(path string) error {
-			if err := c.WriteTiered(path, hier); err != nil {
-				return err
-			}
-			damageTiered(t, path, hier.Tiers[hier.Placement[finest]].Name, finest)
-			return nil
-		}, tieredQuarantined},
-	}
-	var want refineResponse
-	for _, lay := range layouts {
-		path := filepath.Join(t.TempDir(), "jx")
-		if err := lay.write(path); err != nil {
-			t.Fatal(err)
-		}
-		o := obs.New()
-		srv, err := New(Config{
-			CacheBytes:     64 << 20,
-			Retries:        4,
-			RequestTimeout: 30 * time.Second,
-			Breaker:        resilience.BreakerConfig{FailureThreshold: 5},
-			Obs:            o,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
-		if err := srv.AddStore(path); err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-
-		// abs=1e-300 asks for every plane; one more request than the
-		// breaker threshold.
-		for i := 0; i < 6; i++ {
-			res := doRefine(t, ts, "field=Jx&abs=1e-300")
-			if res.status != http.StatusOK || !res.body.Degraded {
-				t.Fatalf("%s: refine %d over the lost plane: status %d (detail %q) degraded %v, want 200 degraded",
-					lay.name, i, res.status, res.detail, res.body.Degraded)
-			}
-			if got := res.body.Planes; got[finest] != h.Planes-1 {
-				t.Fatalf("%s: refine %d decoded planes %v, want all but the finest level's last", lay.name, i, got)
-			}
-			if want.Checksum == "" {
-				want = res.body
-			}
-			if res.body.Checksum != want.Checksum || res.body.EstimatedError != want.EstimatedError {
-				t.Fatalf("%s: refine %d answered checksum %s bound %g, first answer %s bound %g",
-					lay.name, i, res.body.Checksum, res.body.EstimatedError, want.Checksum, want.EstimatedError)
-			}
-		}
-		snap := o.Metrics.Snapshot()
-		if state := snap.Gauges["storage.breaker_state.Jx"]; state != 0 {
-			t.Fatalf("%s: breaker state after the loss = %v, want 0 (closed)", lay.name, state)
-		}
-		if q, r := snap.Counters["storage.retry.quarantined"], snap.Counters["storage.retry.retries"]; q != lay.quarantined || r != 0 {
-			t.Fatalf("%s: %d planes quarantined after %d retries, want %d and 0", lay.name, q, r, lay.quarantined)
-		}
 	}
 }
 

@@ -44,50 +44,6 @@ func wireServer(t *testing.T, cfg Config, build func(*Server) error) *httptest.S
 	return ts
 }
 
-// TestRolesAnswerAlike serves one artifact through the three wirings, each
-// built only with the exported constructors cmd/serve uses — standalone
-// (AddStore), node (AddStore + MountPlanes) and router (AddShard over two
-// nodes) — and requires /refine to answer identically on all of them, but
-// for the clock, at every step of a tightening walk; then again with one
-// of the router's nodes gone, where replicas must cover without a trace in
-// the answer.
-func TestRolesAnswerAlike(t *testing.T) {
-	path := buildField(t, "Jx")
-	wire := func(cacheBytes int64, build func(*Server) error) *httptest.Server {
-		return wireServer(t, Config{CacheBytes: cacheBytes, RequestTimeout: 30 * time.Second}, build)
-	}
-	standalone := func(s *Server) error { return s.AddStore(path) }
-	node := func(s *Server) error { s.MountPlanes(); return s.AddStore(path) }
-	n0, n1 := wire(64<<20, node), wire(64<<20, node)
-	// A 1-byte cache keeps every plane uncacheable on the router, so each
-	// refine — and the failover pass — takes the network path.
-	router := wire(1, func(s *Server) error { return s.AddShard(context.Background(), twoNodeMap(t, n0, n1)) })
-	wirings := []struct {
-		name string
-		ts   *httptest.Server
-	}{{"standalone", wire(64<<20, standalone)}, {"node", n0}, {"router", router}}
-
-	for _, pass := range []string{"all nodes up", "one node closed"} {
-		for _, rel := range []string{"1e-2", "1e-4", "1e-6"} {
-			var want refineResponse
-			for i, w := range wirings {
-				var got refineResponse
-				getJSON(t, w.ts, "/refine?field=Jx&rel="+rel, &got)
-				got.ElapsedSeconds = 0
-				if got.Checksum == "" || len(got.Planes) == 0 || got.BytesFetched <= 0 || got.Degraded {
-					t.Fatalf("%s, %s at rel %s: incomplete answer %+v", pass, w.name, rel, got)
-				}
-				if i == 0 {
-					want = got
-				} else if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s, rel %s: %s answers\n  %+v\n%s answered\n  %+v", pass, rel, w.name, got, wirings[0].name, want)
-				}
-			}
-		}
-		n1.Close()
-	}
-}
-
 // TestBreakerOpenRetryAfterOnEveryWiring trips the breaker guarding the
 // refined field's planes — the field's own on a standalone server and a
 // node, the shard's node breakers on a router — and requires the 503

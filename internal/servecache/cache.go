@@ -728,9 +728,6 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-// Budget returns the configured byte budget (<= 0 means unbounded).
-func (c *Cache) Budget() int64 { return c.budget }
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

@@ -19,6 +19,18 @@ import (
 	"pmgard/internal/storage"
 )
 
+// fieldsSource serves a fixed set of NodeFields.
+type fieldsSource map[string]NodeField
+
+func (s fieldsSource) PlaneField(name string) (NodeField, bool) { f, ok := s[name]; return f, ok }
+func (s fieldsSource) PlaneFields() []string {
+	var names []string
+	for name := range s {
+		names = append(names, name)
+	}
+	return names
+}
+
 func TestParseMapValidation(t *testing.T) {
 	bad := []string{
 		`{"nodes": []}`,
