@@ -17,6 +17,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"pmgard/internal/experiments"
 )
 
 // walkLibraryFiles parses every non-test Go file of the library packages —
@@ -657,5 +659,27 @@ func TestOnePromiseMatrix(t *testing.T) {
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		t.Fatalf("the promise is asserted outside its matrix again:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
+// TestEveryExperimentDocumented keeps each experiment id tied to the
+// EXPERIMENTS.md table it backs: every id cmd/bench runs appears, in
+// backticks, in a section heading or at the head of a bold bullet of
+// EXPERIMENTS.md.
+func TestEveryExperimentDocumented(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heads []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "#") || strings.HasPrefix(line, "* **") {
+			heads = append(heads, line)
+		}
+	}
+	for _, id := range experiments.IDs() {
+		if !slices.ContainsFunc(heads, func(line string) bool { return strings.Contains(line, "`"+id+"`") }) {
+			t.Errorf("experiment %q names no section of EXPERIMENTS.md: put it in backticks in the heading of the table it backs", id)
+		}
 	}
 }

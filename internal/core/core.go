@@ -224,10 +224,10 @@ type Compressed struct {
 // every worker count.
 //
 // Compress is the in-memory façade over the streaming pipeline: it drives
-// CompressTo into a memory sink, so the stage overlap (deflate of level
-// l's planes while level l+1 encodes) applies here too. For artifacts that
-// go to disk anyway, CompressToFile and CompressToTiered skip the
-// in-memory accumulation entirely.
+// CompressTo into a memory sink, so its segments are the ones CompressTo
+// streams, byte for byte. For artifacts that go to disk anyway,
+// CompressToFile and CompressToTiered skip the in-memory accumulation
+// entirely.
 func Compress(t *grid.Tensor, cfg Config, fieldName string, timestep int) (*Compressed, error) {
 	cfg = cfg.withDefaults()
 	sink := &memorySink{planes: cfg.Planes}

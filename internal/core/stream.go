@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 
-	"pmgard/internal/bitplane"
 	"pmgard/internal/bufpool"
 	"pmgard/internal/codec"
 	"pmgard/internal/features"
@@ -16,7 +16,7 @@ import (
 
 // SegmentSink consumes compressed plane segments in strictly increasing
 // (level, plane) order — the on-disk layout order. The payload buffer is
-// only valid for the duration of the call (the pipeline recycles it), so a
+// only valid for the duration of the call (CompressTo recycles it), so a
 // sink that retains bytes must copy. storage.StreamWriter and
 // storage.TieredWriter both satisfy the interface.
 type SegmentSink interface {
@@ -24,18 +24,19 @@ type SegmentSink interface {
 }
 
 // CompressTo is the streaming compression pipeline: it refactors t and
-// hands each compressed (level, plane) segment to sink the moment it is
-// ready, instead of accumulating the artifact in memory. Stages overlap —
-// while workers deflate the planes of level l, the driver encodes level
-// l+1's bit-planes — through a bounded ordered pipeline (pool.Ordered), so
-// segments reach the sink in exactly the deterministic (level, plane)
-// order and the bytes are identical to the in-memory Compress path at
-// every worker count.
+// hands each compressed (level, plane) segment to sink as soon as its
+// window is deflated, instead of accumulating the artifact in memory. It
+// is one loop over levels: encode the level's bit-planes, deflate them
+// with pool.Run one window of 2 × workers planes at a time, hand each
+// window to sink in plane order, and release the level's encoding before
+// the next level starts. Segments therefore reach the sink in the
+// deterministic (level, plane) order, and the bytes are identical to the
+// in-memory Compress path at every worker count.
 //
-// Peak payload memory is the pipeline window (≈ 2 × workers segments) plus
-// at most two level encodings; segment buffers are recycled through
-// bufpool. The returned header is complete (plane sizes filled in) only
-// after CompressTo returns.
+// Peak payload memory is one level encoding plus one window of deflated
+// planes; segment buffers are recycled through bufpool. The error returned
+// is the one a sequential run would hit first. The returned header is
+// complete (plane sizes filled in) only after CompressTo returns.
 func CompressTo(t *grid.Tensor, cfg Config, fieldName string, timestep int, sink SegmentSink) (*Header, error) {
 	cfg = cfg.withDefaults()
 	workers := pool.Clamp(cfg.Parallelism)
@@ -72,79 +73,66 @@ func CompressTo(t *grid.Tensor, cfg Config, fieldName string, timestep int, sink
 	for l := 0; l < L; l++ {
 		h.LevelPools = append(h.LevelPools, features.PoolLevel(dec.Coeffs(l), cfg.PoolSize))
 	}
-	// Levels and each level's PlaneSizes are pre-sized by the driver before
-	// any plane of that level is submitted, so the consumer goroutine only
-	// ever writes into slots it owns — no slice growth races.
 	h.Levels = make([]LevelMeta, L)
 
-	planes := cfg.Planes
-	encs := make([]*bitplane.LevelEncoding, L)
-	released := make([]bool, L)
-	var bytesOut int64
 	ci := lossless.NewCompressInstruments(o)
+	m := pool.NewMetrics(o, "lossless.compress")
 	sp := o.Span("lossless.compress", nil)
 	sp.SetAttr("codec", cfg.Codec.Name())
-	pipe := pool.NewOrdered(workers, 2*workers, pool.NewMetrics(o, "lossless.compress"), func(i int, payload []byte) error {
-		l, k := i/planes, i%planes
-		err := sink.WriteSegment(storage.SegmentID{Level: l, Plane: k}, payload)
-		if err == nil {
-			h.Levels[l].PlaneSizes[k] = int64(len(payload))
-			bytesOut += int64(len(payload))
-		}
-		bufpool.PutBytes(payload)
-		if k == planes-1 {
-			// The level's last plane consumed in order means every plane of
-			// the level has been produced; its encoding can go back to the
-			// pools while later levels are still in flight.
-			encs[l].Release()
-			released[l] = true
-		}
-		return err
-	})
-	var encErr error
+	defer sp.End()
+	payloads := make([][]byte, 2*workers)
+	var bytesOut int64
 	for l := 0; l < L; l++ {
-		enc, err := backend.EncodeLevel(dec.Coeffs(l), planes, workers, o)
+		enc, err := backend.EncodeLevel(dec.Coeffs(l), cfg.Planes, workers, o)
 		if err != nil {
-			encErr = fmt.Errorf("core: encode level %d: %w", l, err)
-			break
+			return nil, fmt.Errorf("core: encode level %d: %w", l, err)
 		}
-		encs[l] = enc
+		raw := enc.PlaneSizeRaw()
 		h.Levels[l] = LevelMeta{
 			N:        enc.N,
 			Exponent: enc.Exponent,
 			// The header outlives the pooled encoding, so it takes a copy.
 			ErrMatrix:    append([]float64(nil), enc.ErrMatrix...),
-			PlaneSizes:   make([]int64, planes),
-			RawPlaneSize: enc.PlaneSizeRaw(),
+			PlaneSizes:   make([]int64, cfg.Planes),
+			RawPlaneSize: raw,
 		}
-		for k := 0; k < planes; k++ {
-			bits := enc.Bits[k]
-			raw := enc.PlaneSizeRaw()
-			pipe.Submit(func(worker int) ([]byte, error) {
+		for lo := 0; lo < cfg.Planes && err == nil; lo += len(payloads) {
+			window := payloads[:min(len(payloads), cfg.Planes-lo)]
+			derr := pool.Run(context.TODO(), len(window), workers, m, func(_, i int) error {
 				// Capacity covers deflate's worst case (stored blocks) so the
 				// steady-state append never grows the pooled buffer.
 				dst := bufpool.Bytes(raw + raw/8 + 64)[:0]
-				out, err := ci.AppendCompress(cfg.Codec, dst, bits)
+				out, err := ci.AppendCompress(cfg.Codec, dst, enc.Bits[lo+i])
 				if err != nil {
 					bufpool.PutBytes(dst)
-					return nil, err
+					return err
 				}
-				return out, nil
+				window[i] = out
+				return nil
 			})
+			// The window goes to the sink in plane order up to the first
+			// error, so a sink error at plane k wins over a deflate error at
+			// a higher plane, as it would in a sequential run. The first
+			// plane without a payload is the lowest one whose deflate
+			// failed: the one pool.Run reports.
+			for i, payload := range window {
+				switch {
+				case err != nil:
+				case payload == nil:
+					err = derr
+				default:
+					err = sink.WriteSegment(storage.SegmentID{Level: l, Plane: lo + i}, payload)
+					h.Levels[l].PlaneSizes[lo+i] = int64(len(payload))
+					bytesOut += int64(len(payload))
+				}
+				bufpool.PutBytes(payload)
+				window[i] = nil
+			}
 		}
-	}
-	werr := pipe.Wait()
-	sp.End()
-	for l, enc := range encs {
-		if enc != nil && !released[l] {
-			enc.Release()
+		enc.Release()
+		if err != nil {
+			return nil, fmt.Errorf("core: compress: %w", err)
 		}
-	}
-	if werr != nil {
-		return nil, fmt.Errorf("core: compress: %w", werr)
-	}
-	if encErr != nil {
-		return nil, encErr
 	}
 	if o != nil {
 		o.Counter("core.compress.fields").Add(1)
@@ -228,7 +216,7 @@ func CompressToTiered(t *grid.Tensor, cfg Config, fieldName string, timestep int
 }
 
 // memorySink accumulates segments into a Compressed, copying each recycled
-// pipeline buffer into an exact-size allocation — the same per-segment
+// payload buffer into an exact-size allocation — the same per-segment
 // allocation profile the pre-streaming Compress had.
 type memorySink struct {
 	segments [][][]byte

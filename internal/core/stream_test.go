@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"pmgard/internal/bitplane"
@@ -73,6 +75,51 @@ func TestCompressToFileGoldenEquivalence(t *testing.T) {
 		if got := grid.MaxAbsDiff(f, rec); got > h2.AbsTolerance(1e-4) {
 			t.Fatalf("workers=%d: error %g exceeds tolerance", workers, got)
 		}
+	}
+}
+
+// TestCompressToFileReplacesAtomically re-compresses another field to the
+// path of an artifact that a Store holds open. The new file arrives in one
+// rename, so the open Store keeps reading every segment of the old file
+// with matching checksums, nothing but the artifact is left in the
+// directory, and a fresh open reads the new field.
+func TestCompressToFileReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f.pmgd")
+	cfg := DefaultConfig()
+	old, err := CompressToFile(seededField(1, 17, 17, 17), cfg, "f", 0, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := CompressToFile(seededField(2, 17, 17, 17), cfg, "f", 1, path); err != nil {
+		t.Fatal(err)
+	}
+	for l, lm := range old.Levels {
+		for k, size := range lm.PlaneSizes {
+			b, err := st.ReadSegment(storage.SegmentID{Level: l, Plane: k})
+			if err != nil {
+				t.Fatalf("old artifact, level %d plane %d after the re-compress: %v", l, k, err)
+			}
+			if int64(len(b)) != size {
+				t.Fatalf("old artifact, level %d plane %d: %d bytes, want %d", l, k, len(b), size)
+			}
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries (%v), want the artifact alone", len(entries), err)
+	}
+	h, st2, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+	if h.Timestep != 1 {
+		t.Fatalf("reopened artifact has timestep %d, want the re-compressed field's 1", h.Timestep)
 	}
 }
 
@@ -173,18 +220,69 @@ func TestCompressToSinkError(t *testing.T) {
 	cfg.Decompose.Levels = 2
 	for _, workers := range []int{1, 4} {
 		cfg.Parallelism = workers
-		path := filepath.Join(t.TempDir(), "out.pmgd")
 		// A sink that fails on a mid-stream segment.
 		sink := &failingSink{failAt: storage.SegmentID{Level: 1, Plane: 3}}
 		_, err := CompressTo(f, cfg, "f", 0, sink)
 		if err == nil {
 			t.Fatalf("workers=%d: sink error not surfaced", workers)
 		}
-		// CompressToFile with a failing segment write leaves no artifact.
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("workers=%d: artifact exists after failure", workers)
+	}
+
+	// A deflate error and a sink error in one window: the sink fails at
+	// plane 2 of level 1 and the codec at plane 3, which shares its window
+	// at every worker count. The sink error is the one a sequential run
+	// hits first, so it wins; without the sink error the codec's surfaces.
+	rec := &planeCodec{Codec: lossless.Deflate()}
+	cfg.Codec, cfg.Parallelism = rec, 1
+	if _, err := CompressTo(f, cfg, "f", 0, discardSink{}); err != nil {
+		t.Fatal(err)
+	}
+	at := cfg.Planes + 3 // level 1, plane 3 in sequential deflate order
+	for _, p := range rec.seen[:at] {
+		if bytes.Equal(p, rec.seen[at]) {
+			t.Fatal("plane 3 of level 1 repeats an earlier plane's bytes; pick another")
 		}
 	}
+	cfg.Codec = &planeCodec{Codec: lossless.Deflate(), fail: rec.seen[at]}
+	for _, workers := range []int{1, 2, 4, 8} {
+		cfg.Parallelism = workers
+		sink := &failingSink{failAt: storage.SegmentID{Level: 1, Plane: 2}}
+		if _, err := CompressTo(f, cfg, "f", 0, sink); !errors.Is(err, os.ErrInvalid) {
+			t.Fatalf("workers=%d: got %v, want the sink's error at the lower plane", workers, err)
+		}
+		if _, err := CompressTo(f, cfg, "f", 0, discardSink{}); !errors.Is(err, errPlaneCodec) {
+			t.Fatalf("workers=%d: got %v, want the codec's error", workers, err)
+		}
+		// CompressToFile failing mid-stream leaves nothing in the directory:
+		// no artifact, no spill, no temporary file.
+		dir := t.TempDir()
+		if _, err := CompressToFile(f, cfg, "f", 0, filepath.Join(dir, "out.pmgd")); !errors.Is(err, errPlaneCodec) {
+			t.Fatalf("workers=%d: CompressToFile got %v, want the codec's error", workers, err)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Fatalf("workers=%d: %d entries left after a failed CompressToFile (%v)", workers, len(entries), err)
+		}
+	}
+}
+
+var errPlaneCodec = errors.New("plane codec: planted failure")
+
+// planeCodec is a Codec that fails on any plane whose bytes equal fail,
+// and, when fail is nil, records a copy of every plane it is handed (used
+// on one worker, where planes arrive in (level, plane) order).
+type planeCodec struct {
+	lossless.Codec
+	fail []byte
+	seen [][]byte
+}
+
+func (c *planeCodec) Compress(src []byte) ([]byte, error) {
+	if c.fail == nil {
+		c.seen = append(c.seen, append([]byte(nil), src...))
+	} else if bytes.Equal(src, c.fail) {
+		return nil, errPlaneCodec
+	}
+	return c.Codec.Compress(src)
 }
 
 type failingSink struct {
@@ -195,6 +293,47 @@ func (s *failingSink) WriteSegment(id storage.SegmentID, payload []byte) error {
 	if id == s.failAt {
 		return os.ErrInvalid
 	}
+	return nil
+}
+
+// TestCompressToWindowBound checks the write path's payload bound: at
+// most one window of 2 × workers deflated planes waits for the sink at any
+// moment, so payload memory does not grow with the number of planes.
+func TestCompressToWindowBound(t *testing.T) {
+	f := seededField(9, 17, 17, 17)
+	for _, workers := range []int{1, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Parallelism = workers
+		c := &countingCodec{Codec: lossless.Deflate()}
+		cfg.Codec = c
+		if _, err := CompressTo(f, cfg, "f", 0, c); err != nil {
+			t.Fatal(err)
+		}
+		if got, limit := c.peak.Load(), int64(2*workers); got > limit {
+			t.Errorf("workers=%d: %d deflated planes waited for the sink at once, want ≤ %d", workers, got, limit)
+		}
+		if c.live.Load() != 0 {
+			t.Errorf("workers=%d: %d deflated planes never reached the sink", workers, c.live.Load())
+		}
+	}
+}
+
+// countingCodec counts the planes it has deflated that its sink side has
+// not yet taken, and the peak of that count.
+type countingCodec struct {
+	lossless.Codec
+	live, peak atomic.Int64
+}
+
+func (c *countingCodec) Compress(src []byte) ([]byte, error) {
+	n := c.live.Add(1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	return c.Codec.Compress(src)
+}
+
+func (c *countingCodec) WriteSegment(storage.SegmentID, []byte) error {
+	c.live.Add(-1)
 	return nil
 }
 

@@ -255,6 +255,14 @@ func OpenTileSet(dir string) (*TileSet, error) {
 	return &ts, nil
 }
 
+// BareFileName reports whether name is a bare file name: not empty, "."
+// or "..", and free of path separators, so that joining it to a directory
+// names a file inside that directory. Tile manifests and dataset catalogs
+// refer to their artifacts by such names only.
+func BareFileName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
+}
+
 // validate checks the manifest against what CompressTiled writes: positive
 // dims, a non-negative value_range, and tiles that are bare file
 // names holding full-width slabs which abut along axis 0 in ascending
@@ -274,7 +282,7 @@ func (ts *TileSet) validate() error {
 	}
 	next := 0 // the axis-0 row the next tile must start at
 	for i, ti := range ts.Tiles {
-		if ti.File == "" || ti.File == "." || ti.File == ".." || strings.ContainsAny(ti.File, `/\`) {
+		if !BareFileName(ti.File) {
 			return fmt.Errorf("tile %d file %q: must be a bare file name inside the directory", i, ti.File)
 		}
 		if len(ti.Lo) != len(ts.Dims) {

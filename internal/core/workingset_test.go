@@ -19,8 +19,8 @@ const compressWorkingSet = "PMGARD_CORE_COMPRESS_WORKING_SET"
 
 // TestCompressToWorkingSet bounds what one CompressTo of a 65³ field
 // allocates: the transform's copy of the field, which the finest level's
-// stream then lives in, the coarser levels, two level encodings and the
-// pipeline's segment buffers — at most 3× the field's raw bytes. The
+// stream then lives in, the coarser levels, one level encoding and one
+// window of segment buffers — at most 3× the field's raw bytes. The
 // compression runs in a fresh process (this test binary, re-executed), so
 // no buffer an earlier test left in bufpool can hide an allocation.
 func TestCompressToWorkingSet(t *testing.T) {

@@ -136,7 +136,9 @@ type openedEntry struct {
 // openFile opens one entry's artifact; the tests count its calls.
 var openFile = core.OpenFile
 
-// Open opens a dataset directory.
+// Open opens a dataset directory. A catalog entry whose file is not a
+// bare file name (core.BareFileName) is refused, so no entry can open a
+// store outside the directory.
 func Open(dir string) (*Reader, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, catalogFile))
 	if err != nil {
@@ -148,6 +150,12 @@ func Open(dir string) (*Reader, error) {
 	}
 	if cat.Version != 1 {
 		return nil, fmt.Errorf("dataset: unsupported catalog version %d", cat.Version)
+	}
+	for _, e := range cat.Entries {
+		if !core.BareFileName(e.File) {
+			return nil, fmt.Errorf("dataset: catalog entry %s@%d file %q: must be a bare file name inside the directory",
+				e.Field, e.Timestep, e.File)
+		}
 	}
 	return &Reader{
 		dir:          dir,

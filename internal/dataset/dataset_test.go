@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -189,6 +190,45 @@ func TestDatasetRejectsDuplicatesAndReopens(t *testing.T) {
 func TestOpenRejectsMissingCatalog(t *testing.T) {
 	if _, err := Open(t.TempDir()); err == nil {
 		t.Fatal("missing catalog accepted")
+	}
+}
+
+// TestOpenRejectsEntriesOutsideDirectory points a catalog entry at a
+// readable artifact outside the dataset, by a relative and by an absolute
+// path: Open refuses the catalog either way.
+func TestOpenRejectsEntriesOutsideDirectory(t *testing.T) {
+	dir, _ := buildDataset(t)
+	blob, err := os.ReadFile(filepath.Join(dir, catalogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cat catalog
+	if err := json.Unmarshal(blob, &cat); err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(filepath.Dir(dir), "outside.pmgd")
+	artifact, err := os.ReadFile(filepath.Join(dir, cat.Entries[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(outside, artifact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"../outside.pmgd", outside} {
+		bad := cat
+		bad.Entries = append([]catalogEntry(nil), cat.Entries...)
+		bad.Entries[0].File = file
+		blob, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, catalogFile), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := Open(dir); err == nil {
+			r.Close()
+			t.Errorf("catalog entry %q accepted", file)
+		}
 	}
 }
 

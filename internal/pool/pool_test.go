@@ -25,6 +25,37 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// TestClampTracksGOMAXPROCS checks that the default worker count follows
+// runtime.GOMAXPROCS(0) as it changes, and that explicit counts pass
+// through.
+func TestClampTracksGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+
+	runtime.GOMAXPROCS(1)
+	if got := Clamp(0); got != 1 {
+		t.Errorf("GOMAXPROCS=1: Clamp(0) = %d, want 1", got)
+	}
+	if got := Clamp(-3); got != 1 {
+		t.Errorf("GOMAXPROCS=1: Clamp(-3) = %d, want 1", got)
+	}
+
+	runtime.GOMAXPROCS(4)
+	if got := Clamp(0); got != 4 {
+		t.Errorf("GOMAXPROCS=4: Clamp(0) = %d, want 4", got)
+	}
+	if got := Clamp(-1); got != 4 {
+		t.Errorf("GOMAXPROCS=4: Clamp(-1) = %d, want 4", got)
+	}
+	// Explicit worker counts are never overridden by the hardware default.
+	if got := Clamp(2); got != 2 {
+		t.Errorf("GOMAXPROCS=4: Clamp(2) = %d, want 2", got)
+	}
+	if got := Clamp(9); got != 9 {
+		t.Errorf("GOMAXPROCS=4: Clamp(9) = %d, want 9", got)
+	}
+}
+
 func TestRunVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 0} {
 		for _, n := range []int{0, 1, 2, 7, 100, 1000} {

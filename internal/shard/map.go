@@ -31,6 +31,8 @@ import (
 	"os"
 	"sort"
 	"strconv"
+
+	"pmgard/internal/servecache"
 )
 
 // Node is one serving node of the shard map.
@@ -68,20 +70,6 @@ type Map struct {
 type ringPoint struct {
 	hash uint64
 	node int // index into Nodes
-}
-
-// Key identifies one plane segment for placement. It mirrors
-// servecache.Key: the codec backend, the field namespace, and the
-// (level, plane) coordinates.
-type Key struct {
-	// Codec is the progressive-codec backend ID of the artifact.
-	Codec string
-	// Field is the field namespace (typically the field name).
-	Field string
-	// Level is the coefficient level of the plane.
-	Level int
-	// Plane is the bit-plane index within the level.
-	Plane int
 }
 
 // ParseMap parses and validates a shard map from its JSON form and builds
@@ -182,7 +170,7 @@ func mix64(x uint64) uint64 {
 // hashKey collapses a placement key to its ring position. The separator
 // cannot occur in codec IDs, and level/plane are rendered in decimal, so
 // distinct keys cannot collide textually.
-func hashKey(k Key) uint64 {
+func hashKey(k servecache.Key) uint64 {
 	return hash64(k.Codec + "|" + k.Field + "|" + strconv.Itoa(k.Level) + "|" + strconv.Itoa(k.Plane))
 }
 
@@ -198,7 +186,7 @@ func (m *Map) replication(plane int) int {
 // the first R distinct nodes clockwise from the key's ring position, where
 // R is the plane's effective replication. The order is deterministic, so
 // every router agrees on the primary and on the failover sequence.
-func (m *Map) Replicas(k Key) []int {
+func (m *Map) Replicas(k servecache.Key) []int {
 	want := m.replication(k.Plane)
 	h := hashKey(k)
 	start := sort.Search(len(m.ring), func(i int) bool { return m.ring[i].hash >= h })

@@ -338,6 +338,10 @@ type FieldClient struct {
 // When every replica of a plane fails, a permanent verdict from any of them
 // wins over transient ones, so the session degrades around genuinely lost
 // planes instead of erroring on a replica that also happened to be down.
+// Once the lowest plane without a good verdict has failed on every
+// replica, FetchPlanes returns the verdicts up to and including it and
+// asks for nothing more, as a source that reads plane by plane stops at
+// its first failure.
 //
 // The payload count of a plane is the manifest's compressed size for it —
 // identical to what a local store fetch would account — and every bitset is
@@ -362,7 +366,7 @@ func (fc *FieldClient) FetchPlanes(ctx context.Context, run servecache.Run) []se
 			out[i].Err = fmt.Errorf("shard: plane (%d,%d) out of range: %w", run.Level, k, storage.ErrPermanent)
 			continue
 		}
-		replicas[i] = fc.r.m.Replicas(Key{Codec: run.Codec, Field: run.Field, Level: run.Level, Plane: k})
+		replicas[i] = fc.r.m.Replicas(run.Key(i))
 	}
 	// fail moves plane i past the replica that just failed it with err;
 	// failed[i] counts the replicas that did.
@@ -381,6 +385,17 @@ func (fc *FieldClient) FetchPlanes(ctx context.Context, run servecache.Run) []se
 	down := make([]error, len(fc.chains)) // nodes out of this call, and why
 	var group, planes []int
 	for {
+		// Planes decode in order: once the lowest plane still without a
+		// good verdict has failed on every replica, nothing above it is of
+		// use, so no request names a higher plane after that failure.
+		for i := range out {
+			if out[i].Raw == nil {
+				if replicas[i] == nil {
+					return out[:i+1]
+				}
+				break
+			}
+		}
 		// The first unsettled plane names the node to ask; every unsettled
 		// plane due from that node next rides along, up to the response cap.
 		group, planes = group[:0], planes[:0]

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,6 @@ import (
 	"pmgard/internal/core"
 	"pmgard/internal/promise"
 	"pmgard/internal/servecache"
-	"pmgard/internal/shard"
 	"pmgard/internal/sim/warpx"
 	"pmgard/internal/storage"
 )
@@ -193,7 +193,7 @@ func TestTransientNodeFaultFailsRemainderOver(t *testing.T) {
 				return nil
 			})
 			m := tr.Map
-			broken := m.Replicas(shard.Key(fx.Header.PlaneKey(level, plane)))[0]
+			broken := m.Replicas(fx.Header.PlaneKey(level, plane))[0]
 			brokenAt.Store(int64(broken))
 			got := refine(t, fx, tr.Sources["Jx"], rel)
 			if got.deg != nil || !reflect.DeepEqual(got, healthy) {
@@ -202,7 +202,7 @@ func TestTransientNodeFaultFailsRemainderOver(t *testing.T) {
 			// What the broken node was due to serve on the level, in order.
 			var due []int
 			for k := 0; k < healthy.planes[level]; k++ {
-				if m.Replicas(shard.Key(fx.Header.PlaneKey(level, k)))[0] == broken {
+				if m.Replicas(fx.Header.PlaneKey(level, k))[0] == broken {
 					due = append(due, k)
 				}
 			}
@@ -238,6 +238,50 @@ func TestTransientNodeFaultFailsRemainderOver(t *testing.T) {
 			}
 			if fo := tr.Obs.Metrics.Snapshot().Counters["shard.replica_failover"]; fo != int64(len(moved)) {
 				t.Errorf("replica_failover = %d, want %d: one for each plane from the faulty one on (%v)", fo, len(moved), moved)
+			}
+		})
+	}
+}
+
+// TestRouterStopsAtLostPlane loses a plane in the middle of a level's run
+// on every node. Once its last replica has failed it, no /planes request
+// names a higher plane of the level, and the degraded refine answers what
+// the local store, which reads plane by plane, answers — bytes included.
+func TestRouterStopsAtLostPlane(t *testing.T) {
+	const rel = 1e-6
+	fx := fixtures(t)["Jx"]
+	level, plane := lostPlane(t, fx, rel)
+	lose := func(_ int, _ string, l, k int) error {
+		if l == level && k == plane {
+			return fmt.Errorf("test: plane (%d,%d) lost: %w", l, k, storage.ErrPermanent)
+		}
+		return nil
+	}
+	local := refine(t, fx, promise.StandUp(t, fixtures(t), 0, 0, lose).Sources["Jx"], rel)
+	if local.deg == nil {
+		t.Fatalf("no degradation report with plane (%d,%d) lost", level, plane)
+	}
+	for _, w := range wirings {
+		t.Run(w.name, func(t *testing.T) {
+			tr := promise.StandUp(t, fixtures(t), w.nodes, w.replication, lose)
+			got := refine(t, fx, tr.Sources["Jx"], rel)
+			if !reflect.DeepEqual(got, local) {
+				t.Errorf("answer through the router\n  %+v\nlocal store\n  %+v", got, local)
+			}
+			reqs := tr.Requests()
+			final := -1 // the request that failed the lost plane's last replica
+			for i, req := range reqs {
+				if req.Level == level && slices.Contains(req.Planes, plane) {
+					final = i
+				}
+			}
+			if final < 0 {
+				t.Fatalf("no request named the lost plane (%d,%d)", level, plane)
+			}
+			for _, req := range reqs[final+1:] {
+				if req.Level == level && slices.ContainsFunc(req.Planes, func(k int) bool { return k > plane }) {
+					t.Errorf("node %d was asked for planes %v of level %d after plane %d failed on every replica", req.Node, req.Planes, level, plane)
+				}
 			}
 		})
 	}

@@ -97,7 +97,7 @@ func TestReplicasPlacement(t *testing.T) {
 	primaries := make(map[int]int)
 	for level := 0; level < 4; level++ {
 		for plane := 0; plane < 32; plane++ {
-			k := Key{Codec: "interp", Field: "Jx@0", Level: level, Plane: plane}
+			k := servecache.Key{Codec: "interp", Field: "Jx@0", Level: level, Plane: plane}
 			r1, r2 := m1.Replicas(k), m2.Replicas(k)
 			if !reflect.DeepEqual(r1, r2) {
 				t.Fatalf("replicas for %+v differ across identical maps: %v vs %v", k, r1, r2)
@@ -126,7 +126,7 @@ func TestReplicasPlacement(t *testing.T) {
 	}
 	// HotPlanes 0 means every plane is hot.
 	m3 := threeNodeMap(t, 3, 0)
-	if got := m3.Replicas(Key{Codec: "interp", Field: "Jx@0", Level: 0, Plane: 30}); len(got) != 3 {
+	if got := m3.Replicas(servecache.Key{Codec: "interp", Field: "Jx@0", Level: 0, Plane: 30}); len(got) != 3 {
 		t.Fatalf("hot_planes 0 replicas = %v, want all 3 nodes", got)
 	}
 }

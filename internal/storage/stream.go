@@ -35,11 +35,12 @@ func buildHeader(meta []byte, segs []segEntry) []byte {
 
 // StreamWriter builds a segment store file without holding payloads in
 // memory. Payloads are appended to a spill file as they arrive; Commit
-// prepends the header (whose table — and the caller's metadata blob — are
-// only known once every segment has been written) and splices the spill
-// behind it. The store format lays payloads out in (level, plane) order and
-// StreamWriter requires exactly that arrival order — the ordered fan-in
-// merge upstream guarantees it at any worker count — so the spill file is
+// writes the header (whose table — and the caller's metadata blob — are
+// only known once every segment has been written) to a temporary sibling
+// of the destination, splices the spill behind it and renames the result
+// into place. The store format lays payloads out in (level, plane) order
+// and StreamWriter requires exactly that arrival order — core.CompressTo
+// hands segments over in it at any worker count — so the spill file is
 // already the final data section.
 //
 // Memory held is one table entry (28 bytes) per segment plus a copy
@@ -47,14 +48,16 @@ func buildHeader(meta []byte, segs []segEntry) []byte {
 type StreamWriter struct {
 	path  string
 	spill *os.File
+	tmp   *os.File // the committed file before its rename; nil outside Commit
 	segs  []segEntry
 	off   uint64
 	done  bool
 }
 
 // CreateStream starts a streaming segment store at path. The final file
-// appears only at Commit; until then a ".spill" sibling holds the payload
-// bytes.
+// appears only at Commit, in one rename, so a file already at path stays
+// whole — and readers that hold it open keep reading it — until then; a
+// ".spill" sibling holds the payload bytes meanwhile.
 func CreateStream(path string) (*StreamWriter, error) {
 	spill, err := os.Create(path + ".spill")
 	if err != nil {
@@ -94,19 +97,15 @@ func (w *StreamWriter) WriteSegment(id SegmentID, payload []byte) error {
 }
 
 // Commit finalizes the store with the opaque metadata blob: it writes the
-// header and table to the destination path, splices the spilled payloads
-// behind them, and removes the spill file.
-func (w *StreamWriter) Commit(meta []byte) (err error) {
+// header and table to a ".tmp" sibling of the destination, splices the
+// spilled payloads behind them and renames the result over the
+// destination. On any error the destination is left as it was, and both
+// the spill and the temporary file are removed.
+func (w *StreamWriter) Commit(meta []byte) error {
 	if w.done {
 		return fmt.Errorf("storage: commit on finished stream writer")
 	}
-	w.done = true
-	defer func() {
-		if w.spill != nil {
-			w.spill.Close()
-			os.Remove(w.spill.Name())
-		}
-	}()
+	defer w.Abort()
 	base := headerSize(len(meta), len(w.segs))
 	for i := range w.segs {
 		w.segs[i].offset += base
@@ -114,36 +113,40 @@ func (w *StreamWriter) Commit(meta []byte) (err error) {
 	if _, err := w.spill.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("storage: rewind spill: %w", err)
 	}
-	f, err := os.Create(w.path)
+	f, err := os.Create(w.path + ".tmp")
 	if err != nil {
 		return fmt.Errorf("storage: create %s: %w", w.path, err)
 	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(w.path)
-		}
-	}()
-	if _, err = f.Write(buildHeader(meta, w.segs)); err != nil {
+	w.tmp = f
+	if _, err := f.Write(buildHeader(meta, w.segs)); err != nil {
 		return fmt.Errorf("storage: write header: %w", err)
 	}
-	if _, err = io.Copy(f, w.spill); err != nil {
+	if _, err := io.Copy(f, w.spill); err != nil {
 		return fmt.Errorf("storage: splice payloads: %w", err)
 	}
-	if err = f.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		return fmt.Errorf("storage: close: %w", err)
 	}
+	if err := os.Rename(f.Name(), w.path); err != nil {
+		return fmt.Errorf("storage: commit %s: %w", w.path, err)
+	}
+	w.tmp = nil // renamed into place: Abort must not remove it
 	return nil
 }
 
-// Abort discards the spill file without producing a store. Safe to call
-// after Commit (it is then a no-op), which makes `defer w.Abort()` the
-// idiomatic cleanup.
+// Abort discards the spill file, and the temporary file of an unfinished
+// Commit, without producing a store. Safe to call after Commit (it is then
+// a no-op), which makes `defer w.Abort()` the idiomatic cleanup.
 func (w *StreamWriter) Abort() {
-	if w.spill != nil && !w.done {
-		w.spill.Close()
-		os.Remove(w.spill.Name())
+	if w.done {
+		return
 	}
 	w.done = true
-	w.spill = nil
+	for _, f := range []*os.File{w.spill, w.tmp} {
+		if f != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}
+	w.spill, w.tmp = nil, nil
 }

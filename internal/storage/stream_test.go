@@ -138,3 +138,35 @@ func TestStreamWriterAbort(t *testing.T) {
 		t.Error("commit after Abort accepted")
 	}
 }
+
+// TestStreamWriterFailedCommitLeavesNoTemp makes Commit's final rename
+// fail — a directory holds the destination's name — and checks that the
+// destination is left as it was and neither the spill nor the temporary
+// file survives.
+func TestStreamWriterFailedCommitLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "taken.pmgd")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := CreateStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.WriteSegment(SegmentID{Level: 0, Plane: 0}, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Commit([]byte("{}")); err == nil {
+		t.Fatal("commit over a directory succeeded")
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Errorf("destination changed by a failed commit: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("%d entries after a failed commit, want the destination alone", len(entries))
+	}
+}
