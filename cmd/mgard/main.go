@@ -8,7 +8,7 @@
 //	               1 = sequential — the output bytes are identical either way)
 //	mgard compress -in field.field -tiered dir/      (place levels across storage tiers)
 //	mgard inspect  -in field.pmgd|dir/
-//	mgard retrieve -in field.pmgd|dir/ -rel 1e-4 [-control theory|emgard|planes]
+//	mgard retrieve -in field.pmgd|dir/ -rel 1e-4 [-control exact|theory|emgard|planes]
 //	               [-model emgard.gob] [-planes 12,10,8,6,4] [-workers N]
 //	               [-orig field.field] [-out recon.field]
 //	               (-in takes either layout: a .pmgd file or a tiered
@@ -191,8 +191,13 @@ func cmdInspect(args []string) error {
 	defer st.Close()
 	fmt.Printf("field %s  t=%d  dims %v  planes %d  codec %s  range %.6g\n",
 		h.FieldName, h.Timestep, h.Dims, h.Planes, h.CodecName, h.ValueRange)
-	fmt.Printf("theory constant C = %.4g; stored payload %d bytes\n",
-		h.TheoryEstimator().C, h.TotalBytes())
+	backend, err := codec.ByID(h.Codec())
+	if err != nil {
+		return err
+	}
+	// The served bound is Σ_l C_l·Err[l][b_l] with these C_l (Header.Bound).
+	fmt.Printf("theory constant C = %.4g; exact per-level C_l = %.4g; stored payload %d bytes\n",
+		h.TheoryBound().C, backend.LevelAmplification(h.Dims, h.CodecOptions()), h.TotalBytes())
 	for l, lm := range h.Levels {
 		var total int64
 		for _, s := range lm.PlaneSizes {
@@ -214,7 +219,7 @@ func cmdRetrieve(args []string) error {
 	tiles := fs.String("tiles", "", "input tiled-artifact directory (instead of -in); streams slabs to -out")
 	rel := fs.Float64("rel", 0, "relative error bound")
 	abs := fs.Float64("abs", 0, "absolute error bound (overrides -rel)")
-	control := fs.String("control", "theory", "error control: theory, emgard or planes")
+	control := fs.String("control", "exact", "error control: exact (the per-level bound every read path plans with), theory (Eq. 6), emgard or planes")
 	model := fs.String("model", "", "trained E-MGARD model (for -control emgard)")
 	planesArg := fs.String("planes", "", "comma-separated per-level plane counts (for -control planes)")
 	orig := fs.String("orig", "", "original field file, to report the achieved error")
@@ -299,8 +304,10 @@ func cmdRetrieve(args []string) error {
 	var rec *grid.Tensor
 	var plan retrieval.Plan
 	switch *control {
+	case "exact":
+		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, h.Bound(), tol, core.RetrieveOptions{Workers: *workers, Obs: o})
 	case "theory":
-		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, h.TheoryEstimator(), tol, core.RetrieveOptions{Workers: *workers, Obs: o})
+		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, h.TheoryBound(), tol, core.RetrieveOptions{Workers: *workers, Obs: o})
 	case "emgard":
 		if *model == "" {
 			return fmt.Errorf("retrieve: -control emgard requires -model")

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -135,6 +136,36 @@ func TestTieredFlow(t *testing.T) {
 	err = cmdRetrieve([]string{"-tiles", tiles, "-rel", "1e-3", "-out", filepath.Join(dir, "tiles.out")})
 	if err == nil || !strings.Contains(err.Error(), `file "../jx.pmgd"`) {
 		t.Fatalf("retrieve -tiles over an escaping manifest: err = %v, want one naming the rejected file field", err)
+	}
+}
+
+// TestRetrieveDefaultsToExactBound: retrieve plans under the header's
+// exact per-level bound unless -control theory asks for Eq. 6, which reads
+// more bytes for the same tolerance; inspect prints both constants.
+func TestRetrieveDefaultsToExactBound(t *testing.T) {
+	dir := t.TempDir()
+	field := writeTestField(t, dir)
+	pmgd := filepath.Join(dir, "jx.pmgd")
+	if err := cmdCompress([]string{"-in", field, "-out", pmgd}); err != nil {
+		t.Fatal(err)
+	}
+	retrieved := regexp.MustCompile(`(?m)^retrieved (\d+) of`)
+	read := func(args ...string) int {
+		out := captureStdout(t, func() error { return cmdRetrieve(append([]string{"-in", pmgd, "-rel", "1e-4"}, args...)) })
+		m := retrieved.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("retrieve %v printed no byte count:\n%s", args, out)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	def, exact, theory := read(), read("-control", "exact"), read("-control", "theory")
+	if def != exact || def >= theory {
+		t.Fatalf("retrieve read %d bytes by default, %d under -control exact, %d under -control theory", def, exact, theory)
+	}
+	inspect := captureStdout(t, func() error { return cmdInspect([]string{"-in", pmgd}) })
+	if !strings.Contains(inspect, "theory constant C = 129.7; exact per-level C_l = [1 ") {
+		t.Fatalf("inspect does not print the exact constants beside theory's:\n%s", inspect)
 	}
 }
 

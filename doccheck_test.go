@@ -512,7 +512,8 @@ func TestOneTransformContract(t *testing.T) {
 // benchmark/: retrieval.Bound, a per-level table read at plane counts. No
 // estimator interface or wrapper comes back beside it (no ErrorEstimator,
 // PerLevelEstimator or countingEstimator, no TheoryEstimator type — the
-// Header.TheoryEstimator method that returns the theory Bound is allowed —
+// Header.TheoryEstimator method, Bound under the benchmark replay's name, is
+// allowed —
 // and no Estimate method), and neither does the "tight" constant, which is
 // no bound (no TightAmplification, TightEstimator or ErrorAmplification).
 func TestOneBoundTable(t *testing.T) {

@@ -38,12 +38,12 @@ func Example() {
 	}
 	h := &c.Header
 
-	loose, _, err := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), h.AbsTolerance(1e-2), pmgard.RetrieveOptions{})
+	loose, _, err := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), h.AbsTolerance(1e-2), pmgard.RetrieveOptions{})
 	if err != nil {
 		panic(err)
 	}
-	_, planLoose, _ := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), h.AbsTolerance(1e-2), pmgard.RetrieveOptions{})
-	_, planTight, err := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), h.AbsTolerance(1e-6), pmgard.RetrieveOptions{})
+	_, planLoose, _ := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), h.AbsTolerance(1e-2), pmgard.RetrieveOptions{})
+	_, planTight, err := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), h.AbsTolerance(1e-6), pmgard.RetrieveOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -68,7 +68,7 @@ func ExampleSession() {
 	if err != nil {
 		panic(err)
 	}
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	if _, _, _, err := s.Refine(context.Background(), est, h.AbsTolerance(1e-2)); err != nil {
 		panic(err)
 	}
@@ -101,7 +101,7 @@ func ExampleBackends() {
 		panic(err)
 	}
 	h := &c.Header
-	rec, _, err := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), h.AbsTolerance(1e-4), pmgard.RetrieveOptions{})
+	rec, _, err := pmgard.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), h.AbsTolerance(1e-4), pmgard.RetrieveOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer st.Close()
-	est := h.TheoryEstimator()
+	est := h.Bound()
 	tol := h.AbsTolerance(1e-4)
 
 	// 1 — fault-free baseline, then the same retrieval through a source

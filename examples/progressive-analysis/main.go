@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est := h.TheoryEstimator()
+	est := h.Bound()
 	rec, _, _, err := sess.Refine(context.Background(), est, h.AbsTolerance(1e-2))
 	if err != nil {
 		log.Fatal(err)

@@ -43,7 +43,7 @@ func main() {
 	fmt.Println("rel_bound   bytes   % of stored   planes/level        achieved_err")
 	for _, rel := range []float64{1e-1, 1e-2, 1e-4, 1e-6, 1e-8} {
 		tol := h.AbsTolerance(rel)
-		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
+		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.Bound(), tol, core.RetrieveOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

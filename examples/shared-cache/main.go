@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer st.Close()
-	est := h.TheoryEstimator()
+	est := h.Bound()
 	tol := h.AbsTolerance(1e-4)
 
 	// Strategy 1 — independent sessions: every analyst reads every plane.

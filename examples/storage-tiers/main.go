@@ -65,7 +65,7 @@ func main() {
 	for _, rel := range []float64{1e-1, 1e-3, 1e-5, 1e-7} {
 		st.ResetCounters()
 		tol := h.AbsTolerance(rel)
-		_, plan, err := core.RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, core.RetrieveOptions{})
+		_, plan, err := core.RetrieveTolerance(context.Background(), h, st, h.Bound(), tol, core.RetrieveOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

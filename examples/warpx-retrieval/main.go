@@ -76,7 +76,7 @@ func main() {
 			tol := h.AbsTolerance(rel)
 
 			// Original MGARD: theory-based greedy control.
-			_, planM, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
+			_, planM, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

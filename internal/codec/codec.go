@@ -137,6 +137,12 @@ type ProgressiveCodec interface {
 	// perturbed by at most C·Σ_l Err_l in the max norm — the bound the
 	// original error-control theory would use (the paper's Eq. 6).
 	NaiveAmplification(opts Options, rank int) float64
+	// LevelAmplification returns the exact per-level constants C_l of a
+	// grid of shape dims (len opts.Levels): a reconstruction from streams
+	// perturbed by at most E_l per level is perturbed by at most
+	// Σ_l C_l·E_l in the max norm — the paper's Eq. 7 with constants
+	// that bound rather than fit.
+	LevelAmplification(dims []int, opts Options) []float64
 }
 
 // BitplaneCoder provides the shared per-plane progressive encode/decode

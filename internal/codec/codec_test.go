@@ -29,6 +29,7 @@ func (fakeCodec) Decompose(*grid.Tensor, codec.Options, int, *obs.Obs) (codec.De
 }
 func (fakeCodec) NewZero([]int, codec.Options, int) (codec.Decomposition, error) { return nil, nil }
 func (fakeCodec) NaiveAmplification(codec.Options, int) float64                  { return 1 }
+func (fakeCodec) LevelAmplification([]int, codec.Options) []float64              { return nil }
 
 func TestByIDEmptyResolvesDefault(t *testing.T) {
 	c, err := codec.ByID("")

@@ -436,7 +436,7 @@ func testDegradedPrefix(t *testing.T, c codec.ProgressiveCodec) {
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	tol := h.AbsTolerance(1e-9)
 	rec, plan, deg, err := s.Refine(context.Background(), est, tol)
 	if err != nil {

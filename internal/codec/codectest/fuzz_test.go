@@ -68,7 +68,7 @@ func FuzzCodecRoundtrip(f *testing.F) {
 				// A constant field has zero range; any plan satisfies it.
 				continue
 			}
-			est := h.TheoryEstimator()
+			est := h.TheoryBound()
 			// Tolerance schedule: a loose pass, then the fuzzed tolerance —
 			// the progressive-session shape with a shared plane decode path.
 			s, err := core.NewSession(h, comp)

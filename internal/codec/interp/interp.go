@@ -113,6 +113,19 @@ func (Codec) NewZero(dims []int, opts codec.Options, workers int) (codec.Decompo
 // max-norm non-expansive, so even the naive compounded bound is 1.
 func (Codec) NaiveAmplification(codec.Options, int) float64 { return 1 }
 
+// LevelAmplification implements codec.ProgressiveCodec: every level's
+// constant is 1, for the same reason. Options validate refuses get none.
+func (Codec) LevelAmplification(_ []int, opts codec.Options) []float64 {
+	if validate(opts) != nil {
+		return nil
+	}
+	c := make([]float64, opts.Levels)
+	for l := range c {
+		c[l] = 1
+	}
+	return c
+}
+
 // decomposition carries the per-level residual streams and the interleave
 // plan that localizes them on the grid. A NewZero decomposition allocates a
 // stream on its level's first Coeffs call.

@@ -56,3 +56,10 @@ func (Codec) NewZero(dims []int, opts codec.Options, workers int) (codec.Decompo
 func (Codec) NaiveAmplification(opts codec.Options, rank int) float64 {
 	return decompose.NaiveErrorAmplification(opts, rank)
 }
+
+// LevelAmplification implements codec.ProgressiveCodec with the lifting
+// transform's closed form: 1 on the coarsest level, at most 2^rank − 1 on
+// the others.
+func (Codec) LevelAmplification(dims []int, opts codec.Options) []float64 {
+	return decompose.LevelAmplification(dims, opts)
+}

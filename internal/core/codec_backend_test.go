@@ -107,11 +107,11 @@ func TestSharedCacheKeysAreCodecNamespaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	tol := cm.Header.AbsTolerance(1e-5)
-	recM, _, _, err := sm.Refine(context.Background(), cm.Header.TheoryEstimator(), tol)
+	recM, _, _, err := sm.Refine(context.Background(), cm.Header.TheoryBound(), tol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recI, _, _, err := si.Refine(context.Background(), ci.Header.TheoryEstimator(), tol)
+	recI, _, _, err := si.Refine(context.Background(), ci.Header.TheoryBound(), tol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,20 +177,48 @@ func (h *Header) LevelInfos() []retrieval.LevelInfo {
 	return infos
 }
 
-// TheoryEstimator returns the original MGARD error bound (Eq. 6) over the
+// amplification returns the header's two kinds of error-amplification
+// constant: the naive compounded one and the exact per-level ones. An
+// unknown backend cannot be decoded anyway, so the lifting math stands in
+// and neither bound ever fails.
+func (h *Header) amplification() (naive float64, perLevel []float64) {
+	opts := h.CodecOptions()
+	if b, err := h.backend(); err == nil {
+		return b.NaiveAmplification(opts, len(h.Dims)), b.LevelAmplification(h.Dims, opts)
+	}
+	return decompose.NaiveErrorAmplification(opts, len(h.Dims)), decompose.LevelAmplification(h.Dims, opts)
+}
+
+// Bound returns the bound every read path plans with: the paper's Eq. 7,
+// Σ_l C_l·Err[l][b_l], with the backend's exact per-level constants
+// (codec.ProgressiveCodec.LevelAmplification). It is sound — each C_l is
+// an attained worst case, not a fit — and never above TheoryBound.
+func (h *Header) Bound() retrieval.Bound {
+	_, c := h.amplification()
+	return retrieval.PerLevel(h.LevelInfos(), c)
+}
+
+// TheoryBound returns the original MGARD error bound (Eq. 6) over the
 // header's error matrices: the absolute-row-sum bound with the naive
 // compounded mesh constant of the early error-control theory [19]. Its
 // pessimism — achieved errors orders of magnitude below the requested
-// bound — is the overhead the paper's models remove.
-func (h *Header) TheoryEstimator() retrieval.Bound {
-	b, err := h.backend()
-	if err != nil {
-		// An unknown backend cannot be decoded anyway; fall back to the
-		// lifting math so the bound itself never fails.
-		return retrieval.Theory(h.LevelInfos(), decompose.NaiveErrorAmplification(h.CodecOptions(), len(h.Dims)))
+// bound — is the overhead the paper's models remove. Where the naive
+// constant is below the largest exact per-level one (no update step, or
+// too few levels to compound past 2^rank − 1) it is no bound, so C is the
+// larger of the two.
+func (h *Header) TheoryBound() retrieval.Bound {
+	naive, c := h.amplification()
+	for _, cl := range c {
+		naive = max(naive, cl)
 	}
-	return retrieval.Theory(h.LevelInfos(), b.NaiveAmplification(h.CodecOptions(), len(h.Dims)))
+	return retrieval.Theory(h.LevelInfos(), naive)
 }
+
+// TheoryEstimator is Bound under the name the benchmark's replay
+// (benchmark/replay.go) plans with, so the replay re-plans each request
+// exactly as /refine does. It is not Eq. 6: that is TheoryBound. It goes
+// when the replay is re-pinned to Bound (ROADMAP item 3).
+func (h *Header) TheoryEstimator() retrieval.Bound { return h.Bound() }
 
 // AbsTolerance converts a relative error bound to an absolute tolerance
 // using the recorded value range, the convention of the paper's evaluation

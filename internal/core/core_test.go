@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestTheoryControlIsPessimistic(t *testing.T) {
 	logGapSum, n := 0.0, 0
 	for _, rel := range []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6} {
 		tol := h.AbsTolerance(rel)
-		rec, _, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
+		rec, _, err := RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestTighterToleranceCostsMoreBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	prev := int64(-1)
 	for _, rel := range []float64{1e-1, 1e-3, 1e-5, 1e-7} {
 		_, plan, err := RetrieveTolerance(context.Background(), h, c, est, h.AbsTolerance(rel), RetrieveOptions{})
@@ -133,7 +134,7 @@ func TestRetrieveAllPlanesNearLossless(t *testing.T) {
 	for _, lm := range h.Levels {
 		bound += lm.ErrMatrix[h.Planes]
 	}
-	bound *= h.TheoryEstimator().C
+	bound *= h.TheoryBound().C
 	if achieved := grid.MaxAbsDiff(f, rec); achieved > bound {
 		t.Fatalf("full retrieval error %g exceeds quantization bound %g", achieved, bound)
 	}
@@ -168,7 +169,7 @@ func TestCodecsInteroperate(t *testing.T) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-3)
-		rec, _, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
+		rec, _, err := RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)
 		}
@@ -204,7 +205,7 @@ func TestRemovedCodecInHeaderIsRefused(t *testing.T) {
 		if _, err := NewPlaneStore(h, st); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
 			t.Fatalf("NewPlaneStore over a %s artifact: err = %v, want one naming the codec", name, err)
 		}
-		_, _, err = RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), h.AbsTolerance(1e-3), RetrieveOptions{})
+		_, _, err = RetrieveTolerance(context.Background(), h, st, h.TheoryBound(), h.AbsTolerance(1e-3), RetrieveOptions{})
 		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
 			t.Fatalf("retrieve from a %s artifact: err = %v, want one naming the codec", name, err)
 		}
@@ -255,8 +256,67 @@ func TestHeaderConversions(t *testing.T) {
 			t.Fatalf("level %d info malformed", l)
 		}
 	}
-	if c := h.TheoryEstimator().C; c < 1 {
+	if c := h.TheoryBound().C; c < 1 {
 		t.Fatalf("theory constant %g < 1", c)
+	}
+}
+
+// TestTheoryBoundsWithoutUpdate holds both bounds of a header to what a
+// 17³ level of all-ones coefficients recomposes to — a max of 7 on levels
+// 1–4, with and without the update step. Without it the naive constant is
+// 1, so theory takes the largest exact constant instead; the exact bound
+// is never above theory's.
+func TestTheoryBoundsWithoutUpdate(t *testing.T) {
+	f, err := warpx.DefaultConfig(17, 17, 17).Field("Jx", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, update := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Decompose.Update = update
+		c, err := Compress(f, cfg, "Jx", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &c.Header
+		backend, err := h.backend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		theory, exact := h.TheoryBound(), h.Bound()
+		for l := 1; l < len(h.Levels); l++ {
+			d, err := backend.NewZero(h.Dims, h.CodecOptions(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range d.Coeffs(l) {
+				d.Coeffs(l)[i] = 1
+			}
+			achieved := 0.0
+			for _, v := range d.Recompose().Data() {
+				achieved = max(achieved, math.Abs(v))
+			}
+			// Err_l = 1 on level l alone: theory bounds it by C, the exact
+			// bound by C_l = T[l][b]/Err[l][b] at any b with Err > 0.
+			cl := exact.T[l][0] / h.Levels[l].ErrMatrix[0]
+			if achieved > theory.C || achieved > cl*(1+1e-12) {
+				t.Errorf("update %v level %d: all-ones recomposes to %g, theory C %g, exact C_l %g", update, l, achieved, theory.C, cl)
+			}
+		}
+		all := make([]int, len(h.Levels))
+		for l := range all {
+			all[l] = h.Planes
+		}
+		for _, planes := range [][]int{make([]int, len(h.Levels)), all} {
+			if exact.At(planes) > theory.At(planes) {
+				t.Errorf("update %v planes %v: exact bound %g above theory's %g", update, planes, exact.At(planes), theory.At(planes))
+			}
+		}
+		// The benchmark's replay plans with TheoryEstimator to reproduce
+		// /refine, which plans with Bound.
+		if got := h.TheoryEstimator(); !reflect.DeepEqual(got, exact) {
+			t.Errorf("update %v: TheoryEstimator %+v, want the served Bound %+v", update, got, exact)
+		}
 	}
 }
 
@@ -291,7 +351,7 @@ func TestCompressConstantField(t *testing.T) {
 	h := &c.Header
 	// A constant field has zero range; retrieval at any positive absolute
 	// tolerance must succeed.
-	rec, plan, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), 1e-9, RetrieveOptions{})
+	rec, plan, err := RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), 1e-9, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +378,7 @@ func TestCompressRetrieve1D2D(t *testing.T) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-5)
-		rec, _, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
+		rec, _, err := RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatalf("rank %d: %v", f.NDim(), err)
 		}
@@ -524,7 +584,7 @@ func TestPropertyToleranceAlwaysRespected(t *testing.T) {
 		if tol <= 0 {
 			continue
 		}
-		rec, plan, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
+		rec, plan, err := RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, RetrieveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,7 +623,7 @@ func TestTightEstimatorSharperThanTheory(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	naive := h.TheoryEstimator()
+	naive := h.TheoryBound()
 	tight := perLevelCap(h)
 	zero := make([]int, len(h.Levels))
 	if tight.At(zero) >= naive.At(zero) {

@@ -88,7 +88,7 @@ func TestRetrieveParallelGoldenEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	plan, err := retrieval.GreedyPlan(h.LevelInfos(), h.TheoryEstimator(), h.AbsTolerance(1e-4))
+	plan, err := retrieval.GreedyPlan(h.LevelInfos(), h.TheoryBound(), h.AbsTolerance(1e-4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestRefineCtxCancellationLeavesSessionResumable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	tol := h.AbsTolerance(1e-4)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -131,7 +131,7 @@ func TestRefineCtxSharedSessionCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	tol := h.AbsTolerance(1e-4)
 
 	ctx, cancel := context.WithCancel(context.Background())

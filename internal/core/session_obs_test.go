@@ -137,7 +137,7 @@ func TestSessionInstrumentPerLevelCounters(t *testing.T) {
 	}
 	o := obs.New()
 	s.Instrument(o)
-	if _, _, _, err := s.Refine(context.Background(), h.TheoryEstimator(), h.AbsTolerance(1e-3)); err != nil {
+	if _, _, _, err := s.Refine(context.Background(), h.TheoryBound(), h.AbsTolerance(1e-3)); err != nil {
 		t.Fatal(err)
 	}
 	snap := o.Metrics.Snapshot()

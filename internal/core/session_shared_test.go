@@ -41,7 +41,7 @@ func sharedFixture(t *testing.T) (*Header, *Compressed) {
 // is byte-identical to an uncached session's.
 func TestSharedSessionByteIdentity(t *testing.T) {
 	h, c := sharedFixture(t)
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	tol := h.AbsTolerance(1e-4)
 
 	plain, err := NewSession(h, c)
@@ -93,7 +93,7 @@ func TestSharedSessionByteIdentity(t *testing.T) {
 // cache cost at most one single-session plane count in store reads.
 func TestSharedSessionDeduplicatesStoreReads(t *testing.T) {
 	h, c := sharedFixture(t)
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	tol := h.AbsTolerance(1e-4)
 
 	// Plane count one uncached session fetches at this tolerance.
@@ -148,7 +148,7 @@ func TestSharedSessionDeduplicatesStoreReads(t *testing.T) {
 // byte-identical, at the cost of extra (correct) refetches.
 func TestSharedSessionEvictionRefetch(t *testing.T) {
 	h, c := sharedFixture(t)
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	tol := h.AbsTolerance(1e-4)
 
 	plain, err := NewSession(h, c)
@@ -284,7 +284,7 @@ func TestSessionRejectsPayloadSizeMismatch(t *testing.T) {
 // layer exports and their agreement between cached and uncached paths.
 func TestSharedSessionCountersMatchUncached(t *testing.T) {
 	h, c := sharedFixture(t)
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	tol := h.AbsTolerance(1e-3)
 
 	oPlain := obs.New()

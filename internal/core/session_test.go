@@ -57,7 +57,7 @@ func TestSessionFetchesOnlyDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 
 	// Coarse first.
 	if _, _, _, err := s.Refine(context.Background(), est, h.AbsTolerance(1e-1)); err != nil {
@@ -105,7 +105,7 @@ func TestSessionLooseningIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	if _, _, _, err := s.Refine(context.Background(), est, h.AbsTolerance(1e-5)); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSessionMidRefineFailureLeavesConsistentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	tol := h.AbsTolerance(1e-5)
 	// The transient failure on (2,1) must abort Refine with an error...
 	if _, _, deg, err := s.Refine(context.Background(), est, tol); err == nil || deg != nil {
@@ -238,7 +238,7 @@ func TestSessionPermanentErrorWithoutSentinelStillDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, deg, err := s.Refine(context.Background(), h.TheoryEstimator(), h.AbsTolerance(1e-4))
+	_, _, deg, err := s.Refine(context.Background(), h.TheoryBound(), h.AbsTolerance(1e-4))
 	if err != nil {
 		t.Fatalf("missing-file error was a hard failure: %v", err)
 	}

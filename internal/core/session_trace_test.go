@@ -34,7 +34,7 @@ func TestSessionRefineSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := s.Refine(ctx, h.TheoryEstimator(), h.AbsTolerance(1e-3)); err != nil {
+	if _, _, _, err := s.Refine(ctx, h.TheoryBound(), h.AbsTolerance(1e-3)); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -128,7 +128,7 @@ func TestSessionCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := first.Refine(ctx, h.TheoryEstimator(), tol); err != nil {
+	if _, _, _, err := first.Refine(ctx, h.TheoryBound(), tol); err != nil {
 		t.Fatal(err)
 	}
 	if first.CacheHits() != 0 {
@@ -139,7 +139,7 @@ func TestSessionCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := second.Refine(ctx, h.TheoryEstimator(), tol); err != nil {
+	if _, _, _, err := second.Refine(ctx, h.TheoryBound(), tol); err != nil {
 		t.Fatal(err)
 	}
 	var want int64
@@ -168,7 +168,7 @@ func TestFailedPlanTracedAsFailure(t *testing.T) {
 	}
 	o := obs.New()
 	s.Instrument(o)
-	if _, _, _, err := s.Refine(context.Background(), h.TheoryEstimator(), math.NaN()); err == nil {
+	if _, _, _, err := s.Refine(context.Background(), h.TheoryBound(), math.NaN()); err == nil {
 		t.Fatal("Refine accepted a NaN tolerance")
 	}
 	status := map[string]string{}

@@ -67,7 +67,7 @@ func TestCompressToFileGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, _, err := RetrieveTolerance(context.Background(), h2, st, h2.TheoryEstimator(), h2.AbsTolerance(1e-4), RetrieveOptions{})
+		rec, _, err := RetrieveTolerance(context.Background(), h2, st, h2.TheoryBound(), h2.AbsTolerance(1e-4), RetrieveOptions{})
 		st.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: retrieve from streamed file: %v", workers, err)
@@ -168,7 +168,7 @@ func TestCompressToTieredGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, _, err := RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), h.AbsTolerance(1e-4), RetrieveOptions{})
+		rec, _, err := RetrieveTolerance(context.Background(), h, st, h.TheoryBound(), h.AbsTolerance(1e-4), RetrieveOptions{})
 		st.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: retrieve from streamed tree: %v", workers, err)

@@ -347,7 +347,7 @@ func RetrieveTiledRel(dir string, rel float64, outPath string, workers int) (_ *
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: tile %d: %w", i, err)
 		}
-		rec, plan, err := RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, RetrieveOptions{Workers: workers})
+		rec, plan, err := RetrieveTolerance(context.Background(), h, st, h.Bound(), tol, RetrieveOptions{Workers: workers})
 		st.Close()
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: tile %d: %w", i, err)

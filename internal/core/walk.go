@@ -117,7 +117,7 @@ func TheorySweep(field *grid.Tensor, cfg Config, fieldName string, timestep int,
 	if err != nil {
 		return nil, nil, err
 	}
-	sweep, err := SweepBounds(context.Background(), &c.Header, c, field, c.Header.TheoryEstimator(), rels)
+	sweep, err := SweepBounds(context.Background(), &c.Header, c, field, c.Header.TheoryBound(), rels)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -289,7 +289,7 @@ func TestWorkspacePoisonedReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := first.Refine(ctx, ha.TheoryEstimator(), ha.AbsTolerance(1e-3)); err != nil {
+		if _, _, _, err := first.Refine(ctx, ha.TheoryBound(), ha.AbsTolerance(1e-3)); err != nil {
 			t.Fatal(err)
 		}
 		first.Close()
@@ -303,7 +303,7 @@ func TestWorkspacePoisonedReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Instrument(o)
-			rec, plan, _, err := s.Refine(ctx, hb.TheoryEstimator(), hb.AbsTolerance(rel))
+			rec, plan, _, err := s.Refine(ctx, hb.TheoryBound(), hb.AbsTolerance(rel))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +333,7 @@ func TestWorkspacePoisonedReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Instrument(o)
-		rec, plan, _, err := s.Refine(ctx, hb.TheoryEstimator(), hb.AbsTolerance(1e-1))
+		rec, plan, _, err := s.Refine(ctx, hb.TheoryBound(), hb.AbsTolerance(1e-1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,17 +413,17 @@ func TestSessionClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, plan, _, err := s.Refine(ctx, h.TheoryEstimator(), h.AbsTolerance(1e-1))
+	early, plan, _, err := s.Refine(ctx, h.TheoryBound(), h.AbsTolerance(1e-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	keep := early.Clone()
-	if _, _, _, err := s.Refine(ctx, h.TheoryEstimator(), h.AbsTolerance(1e-4)); err != nil {
+	if _, _, _, err := s.Refine(ctx, h.TheoryBound(), h.AbsTolerance(1e-4)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	s.Close()
-	if _, _, _, err := s.Refine(ctx, h.TheoryEstimator(), h.AbsTolerance(1e-4)); err != errSessionClosed {
+	if _, _, _, err := s.Refine(ctx, h.TheoryBound(), h.AbsTolerance(1e-4)); err != errSessionClosed {
 		t.Fatalf("Refine after Close: %v, want %v", err, errSessionClosed)
 	}
 	if _, err := s.RefineTo(ctx, plan.Planes); err != errSessionClosed {
@@ -435,7 +435,7 @@ func TestSessionClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := next.Refine(ctx, h.TheoryEstimator(), h.AbsTolerance(1e-6)); err != nil {
+		if _, _, _, err := next.Refine(ctx, h.TheoryBound(), h.AbsTolerance(1e-6)); err != nil {
 			t.Fatal(err)
 		}
 		next.Close()
@@ -462,7 +462,7 @@ func TestRefineConcurrentWorkspaces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, plan, _, err := s.Refine(ctx, h.TheoryEstimator(), h.AbsTolerance(rel))
+		_, plan, _, err := s.Refine(ctx, h.TheoryBound(), h.AbsTolerance(rel))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +482,7 @@ func TestRefineConcurrentWorkspaces(t *testing.T) {
 					errs <- err
 					return
 				}
-				rec, _, _, err := s.Refine(ctx, h.TheoryEstimator(), h.AbsTolerance(rels[k]))
+				rec, _, _, err := s.Refine(ctx, h.TheoryBound(), h.AbsTolerance(rels[k]))
 				if err != nil {
 					errs <- err
 					return
@@ -528,7 +528,7 @@ func TestRefineSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := s.Refine(ctx, h.TheoryEstimator(), tol); err != nil {
+		if _, _, _, err := s.Refine(ctx, h.TheoryBound(), tol); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()

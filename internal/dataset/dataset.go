@@ -254,7 +254,7 @@ func (r *Reader) open(field string, timestep int) (*core.Header, *storage.Store,
 }
 
 // Retrieve fetches (field, timestep) at a relative error bound under the
-// original theory-based control.
+// header's exact per-level bound (core.Header.Bound).
 func (r *Reader) Retrieve(field string, timestep int, relBound float64) (*grid.Tensor, retrieval.Plan, error) {
 	h, st, err := r.open(field, timestep)
 	if err != nil {
@@ -264,7 +264,7 @@ func (r *Reader) Retrieve(field string, timestep int, relBound float64) (*grid.T
 	if tol <= 0 {
 		return nil, retrieval.Plan{}, fmt.Errorf("dataset: non-positive tolerance for %s@%d", field, timestep)
 	}
-	return core.RetrieveTolerance(context.Background(), h, st, h.TheoryEstimator(), tol, core.RetrieveOptions{})
+	return core.RetrieveTolerance(context.Background(), h, st, h.Bound(), tol, core.RetrieveOptions{})
 }
 
 // RetrieveEMGARD fetches under the attached E-MGARD model's learned
@@ -383,9 +383,9 @@ type Series struct {
 }
 
 // RetrieveSeries fetches a field over the timestep range [t0, t1) at a
-// relative error bound under theory control — the time-evolution query that
-// dominates post-hoc analysis. Timesteps not present in the catalog are
-// skipped; the result is ordered by timestep.
+// relative error bound under the header's exact bound — the time-evolution
+// query that dominates post-hoc analysis. Timesteps not present in the
+// catalog are skipped; the result is ordered by timestep.
 func (r *Reader) RetrieveSeries(field string, t0, t1 int, relBound float64) ([]Series, error) {
 	if t1 <= t0 {
 		return nil, fmt.Errorf("dataset: empty timestep range [%d,%d)", t0, t1)

@@ -262,6 +262,39 @@ func TestErrorAmplificationConstants(t *testing.T) {
 	}
 }
 
+// TestLevelAmplificationConstants pins the exact per-level constants: 2³−1
+// on every interior level, 1.75³−1 and 1.875³−1 on the 3- and 5-node
+// levels of a 17³ grid at w = 0.25, and 7 on every level without the
+// update; options Validate refuses (a malformed header's) get none. The
+// brute-force and adversarial gates are codectest's.
+func TestLevelAmplificationConstants(t *testing.T) {
+	for _, bad := range []codec.Options{{}, {Levels: -3}, {Levels: 5, Update: true, UpdateWeight: 0.7}} {
+		if c := LevelAmplification([]int{17, 17, 17}, bad); c != nil {
+			t.Fatalf("%+v: constants %v, want none", bad, c)
+		}
+	}
+	o := DefaultOptions()
+	for _, tc := range []struct {
+		dims []int
+		opts codec.Options
+		want []float64
+	}{
+		{[]int{129, 129, 129}, o, []float64{1, 7, 7, 7, 7}},
+		{[]int{17, 17, 17}, o, []float64{1, 4.359375, 5.591796875, 7, 7}},
+		{[]int{17, 17, 17}, codec.Options{Levels: 5}, []float64{1, 7, 7, 7, 7}},
+	} {
+		got := LevelAmplification(tc.dims, tc.opts)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%v %+v: %v, want %v", tc.dims, tc.opts, got, tc.want)
+		}
+		for l := range got {
+			if math.Abs(got[l]-tc.want[l]) > 1e-12 {
+				t.Fatalf("%v %+v: %v, want %v", tc.dims, tc.opts, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestPartialReconstructionImprovesWithLevels(t *testing.T) {
 	// Keeping more levels (zeroing fewer) should weakly decrease error.
 	rng := rand.New(rand.NewSource(9))

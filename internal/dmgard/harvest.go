@@ -37,7 +37,7 @@ func CombineFeatures(fieldFeatures []float64, h *core.Header) []float64 {
 }
 
 // Records converts one field's theory-controlled bound sweep
-// (core.SweepBounds under h.TheoryEstimator()) into one training record per
+// (core.SweepBounds under h.TheoryBound()) into one training record per
 // bound (§III-C steps 1–2): the field's features, the plane counts the
 // greedy retriever chose, and the *achieved* maximum error of the resulting
 // reconstruction (the red curves of Fig. 2), which becomes the model input

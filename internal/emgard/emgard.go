@@ -288,7 +288,7 @@ func clip(v, lo, hi float64) float64 {
 
 // Constants predicts the per-level mapping constants for a dataset whose
 // header carries the given pooled summaries: with retrieval.PerLevel they
-// make the Eq. 7 bound that replaces core.Header.TheoryEstimator in the
+// make the Eq. 7 bound that replaces core.Header.TheoryBound in the
 // greedy retriever.
 func (m *Model) Constants(pools [][]float64) ([]float64, error) {
 	if len(pools) != m.levels {

@@ -227,7 +227,7 @@ func TestHarvestAndTrainOnRealPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := retrieval.PerLevel(h.LevelInfos(), cs)
-	theory := h.TheoryEstimator()
+	theory := h.TheoryBound()
 	tol := h.AbsTolerance(1e-4)
 	_, planTheory, err := core.RetrieveTolerance(context.Background(), h, c, theory, tol, core.RetrieveOptions{})
 	if err != nil {

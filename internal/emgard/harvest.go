@@ -3,7 +3,7 @@ package emgard
 import "pmgard/internal/core"
 
 // Samples converts one field's theory-controlled bound sweep
-// (core.SweepBounds under h.TheoryEstimator()) into one sample per bound:
+// (core.SweepBounds under h.TheoryBound()) into one sample per bound:
 // the header's pooled level summaries, the per-level truncation errors of
 // the chosen plan, and the measured reconstruction error. These are the
 // (input, target) pairs E-MGARD trains on.

@@ -95,8 +95,9 @@ func AblateChain(p Params) ([]*Table, error) {
 }
 
 // AblateUpdate compares the multilevel transform with and without the
-// L2-projection-style update lifting step: coefficient decay, stored size
-// and theory-controlled retrieval cost at a fixed tolerance.
+// L2-projection-style update lifting step: stored size and the retrieval
+// cost at a fixed tolerance under theory control and under the exact
+// per-level bound every read path plans with.
 func AblateUpdate(p Params) ([]*Table, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -109,7 +110,7 @@ func AblateUpdate(p Params) ([]*Table, error) {
 	table := &Table{
 		ID:      "ablate-update",
 		Title:   fmt.Sprintf("Transform update step ablation (WarpX Ex, t=%d, rel bound 1e-5)", t),
-		Columns: []string{"variant", "theory_C", "stored_bytes", "retrieved_bytes", "achieved_err"},
+		Columns: []string{"variant", "theory_C", "stored_bytes", "retrieved_bytes", "achieved_err", "exact_bytes", "exact_err"},
 	}
 	for _, variant := range []struct {
 		name   string
@@ -126,12 +127,16 @@ func AblateUpdate(p Params) ([]*Table, error) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-5)
-		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
+		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(variant.name, h.TheoryEstimator().C, h.TotalBytes(), plan.Bytes,
-			grid.MaxAbsDiff(field, rec))
+		recX, planX, err := core.RetrieveTolerance(context.Background(), h, c, h.Bound(), tol, core.RetrieveOptions{})
+		if err != nil {
+			return nil, err
+		}
+		table.AddRow(variant.name, h.TheoryBound().C, h.TotalBytes(), plan.Bytes,
+			grid.MaxAbsDiff(field, rec), planX.Bytes, grid.MaxAbsDiff(field, recX))
 	}
 	return []*Table{table}, nil
 }
@@ -150,7 +155,7 @@ func AblateGreedy(p Params) ([]*Table, error) {
 	}
 	h := &c.Header
 	infos := h.LevelInfos()
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	table := &Table{
 		ID:      "ablate-greedy",
 		Title:   fmt.Sprintf("Greedy accuracy-efficiency vs level-major retrieval order (WarpX Jx, t=%d)", t),
@@ -224,7 +229,7 @@ func AblateCodec(p Params) ([]*Table, error) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-5)
-		_, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
+		_, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}

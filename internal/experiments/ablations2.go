@@ -153,7 +153,7 @@ func AblateSession(p Params) ([]*Table, error) {
 		return nil, err
 	}
 	h := &c.Header
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	sess, err := core.NewSession(h, c)
 	if err != nil {
 		return nil, err
@@ -181,9 +181,10 @@ func AblateSession(p Params) ([]*Table, error) {
 	return []*Table{table}, nil
 }
 
-// AblateConstant separates the two sources of theory-control overhead: the
-// naive compounded constant (Eq. 6 as implemented by the early works) vs
-// E-MGARD's learned per-level constants, both driving the same greedy
+// AblateConstant separates the sources of theory-control overhead: the
+// naive compounded constant (Eq. 6 as implemented by the early works), the
+// exact per-level constants every read path plans with (Header.Bound) and
+// E-MGARD's learned per-level constants, all driving the same greedy
 // retriever on the same field.
 func AblateConstant(p Params) ([]*Table, error) {
 	if err := p.validate(); err != nil {
@@ -207,23 +208,27 @@ func AblateConstant(p Params) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	backend, err := codec.ByID(h.Codec())
+	if err != nil {
+		return nil, err
+	}
 	table := &Table{
 		ID:      "ablate-constant",
 		Title:   fmt.Sprintf("Error-control constant ablation (WarpX Jx, t=%d)", t),
-		Note:    fmt.Sprintf("naive C=%.4g, E-MGARD constants learned per level", h.TheoryEstimator().C),
-		Columns: []string{"rel_bound", "naive_bytes", "emgard_bytes", "naive_err", "emgard_err"},
+		Note:    fmt.Sprintf("naive C=%.4g, exact C_l=%.4g, E-MGARD constants learned per level", h.TheoryBound().C, backend.LevelAmplification(h.Dims, h.CodecOptions())),
+		Columns: []string{"rel_bound", "naive_bytes", "exact_bytes", "emgard_bytes", "naive_err", "exact_err", "emgard_err"},
 	}
-	// One measured sweep per bound; the two share the bounds, so their
-	// points line up.
-	var cols [2][]core.SweepPoint
-	for i, bound := range []retrieval.Bound{h.TheoryEstimator(), retrieval.PerLevel(h.LevelInfos(), cs)} {
+	// One measured sweep per bound; they share the bounds, so their points
+	// line up.
+	var cols [3][]core.SweepPoint
+	for i, bound := range []retrieval.Bound{h.TheoryBound(), h.Bound(), retrieval.PerLevel(h.LevelInfos(), cs)} {
 		if cols[i], err = core.SweepBounds(context.Background(), h, c, field, bound, thinBounds(p.Bounds, 7)); err != nil {
 			return nil, err
 		}
 	}
 	for i, n := range cols[0] {
-		e := cols[1][i]
-		table.AddRow(n.RelBound, n.Plan.Bytes, e.Plan.Bytes, n.AchievedErr, e.AchievedErr)
+		x, e := cols[1][i], cols[2][i]
+		table.AddRow(n.RelBound, n.Plan.Bytes, x.Plan.Bytes, e.Plan.Bytes, n.AchievedErr, x.AchievedErr, e.AchievedErr)
 	}
 	return []*Table{table}, nil
 }
@@ -461,7 +466,7 @@ func AblateLevels(p Params) ([]*Table, error) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-4)
-		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
+		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -470,7 +475,7 @@ func AblateLevels(p Params) ([]*Table, error) {
 		if achieved > 0 {
 			pess = tol / achieved
 		}
-		table.AddRow(levels, h.TheoryEstimator().C, h.TotalBytes(), plan.Bytes, achieved, pess)
+		table.AddRow(levels, h.TheoryBound().C, h.TotalBytes(), plan.Bytes, achieved, pess)
 	}
 	return []*Table{table}, nil
 }

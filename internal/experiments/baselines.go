@@ -27,7 +27,7 @@ type BaselineRow struct {
 // the progressive store. A constant field yields no rows.
 func CompareBaselines(field *grid.Tensor, c *core.Compressed, bounds []float64) ([]BaselineRow, error) {
 	h := &c.Header
-	sweep, err := core.SweepBounds(context.Background(), h, c, field, h.TheoryEstimator(), bounds)
+	sweep, err := core.SweepBounds(context.Background(), h, c, field, h.TheoryBound(), bounds)
 	if err != nil {
 		return nil, err
 	}

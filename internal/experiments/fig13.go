@@ -55,7 +55,7 @@ func Fig12(p Params) ([]*Table, error) {
 		return nil, err
 	}
 	h := &c.Header
-	theory := h.TheoryEstimator()
+	theory := h.TheoryBound()
 	cs, err := em.Constants(h.LevelPools)
 	if err != nil {
 		return nil, err
@@ -132,7 +132,7 @@ func Fig13(p Params) ([]*Table, error) {
 			if tol <= 0 {
 				continue
 			}
-			recT, planT, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, core.RetrieveOptions{})
+			recT, planT, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err
 			}

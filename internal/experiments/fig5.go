@@ -40,7 +40,7 @@ func Fig5(p Params) ([]*Table, error) {
 			return nil, err
 		}
 		h := &c.Header
-		est := h.TheoryEstimator()
+		est := h.TheoryBound()
 		for _, rel := range p.Bounds {
 			tol := h.AbsTolerance(rel)
 			if tol <= 0 {
@@ -87,7 +87,7 @@ func Fig5(p Params) ([]*Table, error) {
 		return nil, err
 	}
 	h := &c.Header
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 
 	tb := &Table{
 		ID:    "fig5b",

@@ -27,7 +27,7 @@ type pathPoint struct {
 func pathProfile(field *grid.Tensor, c *core.Compressed) ([]pathPoint, error) {
 	h := &c.Header
 	infos := h.LevelInfos()
-	est := h.TheoryEstimator()
+	est := h.TheoryBound()
 	steps, err := retrieval.GreedySequence(infos)
 	if err != nil {
 		return nil, err

@@ -61,7 +61,7 @@ import (
 
 // The matrix's axes; belowFloor is under every field's quantization floor.
 const (
-	theory, perLevel7 = "theory", "per-level 7"
+	theory, exact = "theory", "exact"
 
 	memory, flat, tiered, tiles = "memory", "flat", "tiered", "tiled"
 
@@ -86,7 +86,7 @@ var (
 	backends = codec.IDs() // every registered backend; core links them all
 	fields   = []string{"Ex", "Jx", "Bx"}
 	rels     = []float64{1e-2, 1e-4, 1e-6, belowFloor}
-	bounds   = []string{theory, perLevel7}
+	bounds   = []string{theory, exact}
 	workers  = map[string]int{oneShot: 1, "one-shot, 2 workers": 2, "one-shot, 4 workers": 4}
 	// wirings are the plane sources a shared session of its own reads,
 	// each by runs and by runs of one.
@@ -104,7 +104,8 @@ type row struct {
 }
 
 // matrix enumerates every row. Served and tiled paths plan with the
-// header's theory bound only; faults hit the flat and tiered layouts.
+// header's exact bound (core.Header.Bound) only; faults hit the flat and
+// tiered layouts.
 func matrix() []row {
 	var rows []row
 	for _, backend := range backends {
@@ -129,12 +130,12 @@ func matrix() []row {
 						for _, f := range faulted {
 							add(layout, session, f)
 							add(layout, oneShot, f)
-							if bound == theory && slices.Contains(fileFaults, f) {
+							if bound == exact && slices.Contains(fileFaults, f) {
 								add(layout, standalone, f)
 							}
 						}
 					}
-					if bound == theory {
+					if bound == exact {
 						add(tiles, tiles, none)
 						for _, p := range served {
 							add(flat, p, none)
@@ -456,16 +457,19 @@ func (e *env) read(t *testing.T, r row) reading {
 	return got
 }
 
-// bound is the named bound table over h.
+// bound is the named bound table over h. The exact one is built here from
+// the backend's constants, not taken from h.Bound, so a served row — which
+// plans with h.Bound — answers what the reference read under this table
+// answers only if the two agree.
 func bound(h *core.Header, name string) retrieval.Bound {
-	if name == perLevel7 {
-		c := make([]float64, len(h.Levels))
-		for l := range c {
-			c[l] = float64(int(1)<<len(h.Dims) - 1)
+	if name == exact {
+		c, err := codec.ByID(h.Codec())
+		if err != nil {
+			panic(err)
 		}
-		return retrieval.PerLevel(h.LevelInfos(), c)
+		return retrieval.PerLevel(h.LevelInfos(), c.LevelAmplification(h.Dims, h.CodecOptions()))
 	}
-	return h.TheoryEstimator()
+	return h.TheoryBound()
 }
 
 // fixture is one WarpX field, the original and its artifact under one

@@ -119,7 +119,7 @@ func TestBoundTablePlansSameBits(t *testing.T) {
 				}
 				h := &c.Header
 				levels := h.LevelInfos()
-				theory := h.TheoryEstimator()
+				theory := h.TheoryBound()
 				cs := exact[:levelCount]
 				bounds := []struct {
 					name     string

@@ -42,7 +42,8 @@ func buildCompressed(t *testing.T, name string) *core.Compressed {
 }
 
 // groundTruth computes the checksum a healthy refine of c at rel must
-// produce, via a direct session over the unfaulted source.
+// produce, via a direct session over the unfaulted source under the bound
+// /refine plans with.
 func groundTruth(t *testing.T, c *core.Compressed, rel float64) string {
 	t.Helper()
 	h := &c.Header
@@ -50,7 +51,7 @@ func groundTruth(t *testing.T, c *core.Compressed, rel float64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _, deg, err := sess.Refine(context.Background(), h.TheoryEstimator(), h.AbsTolerance(rel))
+	rec, _, deg, err := sess.Refine(context.Background(), h.Bound(), h.AbsTolerance(rel))
 	if err != nil || deg != nil {
 		t.Fatalf("ground-truth refine: deg=%v err=%v", deg, err)
 	}

@@ -229,7 +229,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	// the pool once the handler returns.
 	defer sess.Close()
 	sess.Instrument(s.o)
-	rec, plan, deg, err := sess.Refine(ctx, h.TheoryEstimator(), tol)
+	rec, plan, deg, err := sess.Refine(ctx, h.Bound(), tol)
 	if ar != nil {
 		ar.bytes = sess.BytesFetched()
 		ar.hits = sess.CacheHits()

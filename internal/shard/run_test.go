@@ -71,7 +71,7 @@ func refine(t *testing.T, fx *core.Compressed, src servecache.Source, rel float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, plan, deg, err := sess.Refine(context.Background(), h.TheoryEstimator(), h.AbsTolerance(rel))
+	rec, plan, deg, err := sess.Refine(context.Background(), h.TheoryBound(), h.AbsTolerance(rel))
 	if err != nil {
 		t.Fatalf("refine %s at %g: %v", h.FieldName, rel, err)
 	}

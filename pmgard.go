@@ -12,7 +12,7 @@
 //	field := ...                          // *pmgard.Tensor
 //	c, _ := pmgard.Compress(field, pmgard.DefaultConfig(), "Jx", 0)
 //	h := &c.Header
-//	rec, plan, _ := pmgard.RetrieveTolerance(ctx, h, c, h.TheoryEstimator(), tol, pmgard.RetrieveOptions{})
+//	rec, plan, _ := pmgard.RetrieveTolerance(ctx, h, c, h.Bound(), tol, pmgard.RetrieveOptions{})
 //
 // See the examples/ directory for complete workflows and DESIGN.md for the
 // system inventory and experiment index.
@@ -100,8 +100,9 @@ type Header = core.Header
 type Plan = retrieval.Plan
 
 // Bound is a per-level error-bound table the planner reads at plane
-// counts: Header.TheoryEstimator returns the theory bound (Eq. 6) and
-// PerLevelBound makes E-MGARD's (Eq. 7).
+// counts: Header.Bound returns the exact per-level bound every read path
+// plans with (Eq. 7 with constants that bound), Header.TheoryBound the
+// theory bound (Eq. 6), and PerLevelBound makes E-MGARD's (Eq. 7).
 type Bound = retrieval.Bound
 
 // PerLevelBound returns the bound Σ_l C_l·Err[l][b_l] over the header's

@@ -29,7 +29,7 @@ func TestFacadeCompressRetrieve(t *testing.T) {
 	}
 	h := &c.Header
 	tol := h.AbsTolerance(1e-4)
-	rec, plan, err := RetrieveTolerance(context.Background(), h, c, h.TheoryEstimator(), tol, RetrieveOptions{})
+	rec, plan, err := RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, RetrieveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFacadeSessionAndTiered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := s.Refine(context.Background(), h.TheoryEstimator(), h.AbsTolerance(1e-2)); err != nil {
+	if _, _, _, err := s.Refine(context.Background(), h.TheoryBound(), h.AbsTolerance(1e-2)); err != nil {
 		t.Fatal(err)
 	}
 	hier, err := DefaultHierarchy(len(h.Levels))
@@ -155,7 +155,7 @@ func TestFacadeSessionAndTiered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, _, err := RetrieveTolerance(context.Background(), h2, st, h2.TheoryEstimator(), h2.AbsTolerance(1e-3), RetrieveOptions{}); err != nil {
+	if _, _, err := RetrieveTolerance(context.Background(), h2, st, h2.TheoryBound(), h2.AbsTolerance(1e-3), RetrieveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
