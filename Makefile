@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -fuzz FuzzConcurrentRetrieve -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzTransposeWords -fuzztime 30s ./internal/bitplane/
 	$(GO) test -fuzz FuzzDecodeWords -fuzztime 30s ./internal/bitplane/
+	$(GO) test -fuzz FuzzEncodeKernels -fuzztime 30s ./internal/bitplane/
 	$(GO) test -fuzz FuzzLiftRows -fuzztime 30s ./internal/decompose/
 	$(GO) test -fuzz FuzzLiftLines -fuzztime 30s ./internal/decompose/
 

@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -155,7 +156,7 @@ func cmdCompress(args []string) error {
 }
 
 // parseBytes parses a byte size like "67108864", "64M" or "1G"; empty
-// means 0.
+// means 0. A size past int64 is refused, not wrapped.
 func parseBytes(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -173,6 +174,9 @@ func parseBytes(s string) (int64, error) {
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("bad byte size %q", s)
+	}
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte size %q overflows int64", s)
 	}
 	return v * mult, nil
 }

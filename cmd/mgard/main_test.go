@@ -399,3 +399,39 @@ func TestTiledFlow(t *testing.T) {
 		t.Error("bad mem-budget accepted")
 	}
 }
+
+// TestParseBytes pins -mem-budget's sizes: suffixes scale by powers of 1024,
+// and a size whose scaled value passes int64 is refused rather than wrapped
+// — 2^34 + 1 GiB once parsed to exactly 1 GiB, and 9000000000G to a
+// negative budget that tiling read as "one tile".
+func TestParseBytes(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"", 0, true},
+		{"67108864", 67108864, true},
+		{" 64M ", 64 << 20, true},
+		{"1g", 1 << 30, true},
+		{"3k", 3 << 10, true},
+		{"8589934591G", 8589934591 << 30, true}, // 2^63 − 2^30, the largest G
+		{"9223372036854775807", 1<<63 - 1, true},
+		{"8589934592G", 0, false}, // exactly 2^63
+		{"17179869185G", 0, false},
+		{"9000000000G", 0, false},
+		{"9007199254740992M", 0, false},
+		{"9007199254740992K", 0, false},
+		{"-1M", 0, false},
+		{"1.5G", 0, false},
+		{"G", 0, false},
+	} {
+		got, err := parseBytes(c.in)
+		if c.ok && (err != nil || got != c.want) {
+			t.Errorf("parseBytes(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("parseBytes(%q) = %d, want an error", c.in, got)
+		}
+	}
+}

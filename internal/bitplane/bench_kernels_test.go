@@ -43,6 +43,30 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodePaths measures the single-thread encode of a level the
+// size and magnitude profile of the finest 129³ level on each encode path
+// this CPU has: the Go loops, and the AVX2 quantize, slice and fold where
+// the CPU has them.
+func BenchmarkEncodePaths(b *testing.B) {
+	coeffs := heavyTailedCoeffs(finest129N)
+	for _, p := range encodePaths() {
+		b.Run(p.name, func(b *testing.B) {
+			defer func(was bool) { encodeAVX2 = was }(encodeAVX2)
+			encodeAVX2 = p.avx2
+			b.SetBytes(finest129N * 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				enc, err := EncodeLevel(coeffs, 32, 1, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				enc.Release()
+			}
+		})
+	}
+}
+
 // BenchmarkEncodeScalarRef measures the retained scalar reference encoder
 // on the same input — the "before" of BenchmarkEncode.
 func BenchmarkEncodeScalarRef(b *testing.B) {

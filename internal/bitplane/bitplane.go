@@ -193,14 +193,14 @@ func EncodeLevel(coeffs []float64, planes, workers int, o *obs.Obs) (_ *LevelEnc
 		return enc, nil
 	}
 	// Smallest E with maxAbs ≤ 2^E, capped so dequantized values stay
-	// finite at the saturation limit.
+	// finite at the saturation limit and the unit 2^(E-(planes-2)) itself
+	// stays finite: one plane caps at 1022, or its unit 2^1024 would be
+	// +Inf and its all-zero words would decode to NaN.
 	enc.Exponent = int(math.Ceil(math.Log2(maxAbs)))
 	if math.Ldexp(1, enc.Exponent) < maxAbs {
 		enc.Exponent++ // guard against log2 rounding
 	}
-	if enc.Exponent > 1023 {
-		enc.Exponent = 1023
-	}
+	enc.Exponent = min(enc.Exponent, 1023, 1021+planes)
 
 	// Quantize to at most 2^(B-2) so the nega-binary representation fits
 	// in B digits.

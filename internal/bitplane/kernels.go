@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+
+	"pmgard/internal/cpufeat"
 )
 
 // This file holds the word-parallel kernels behind EncodeLevel,
@@ -92,11 +94,26 @@ func transpose32x2(a *[32]uint64) {
 	}
 }
 
+// encodeAVX2 reports whether the fused encode pass runs its AVX2 kernels
+// (quantize, sliceGroups and foldPlane on levels of at most 32 planes):
+// cpufeat.AVX2, held in a variable so that tests can run the Go loops,
+// which stay the reference and the path everywhere else, on any host.
+var encodeAVX2 = cpufeat.AVX2
+
 // quantize fills ws with the nega-binary plane words of cs: NaN quantizes
 // to zero, ±Inf saturates to ±limit, finite values round to the nearest
-// quantization unit and clamp to ±limit.
+// quantization unit and clamp to ±limit. unit is a power of two, and
+// |c/unit| < 2⁶³ for finite c, as every coefficient of a level is (at most
+// 2^(planes−1) units). With a limit of at most 2³⁰ (at most 32 planes) and
+// a unit whose reciprocal is exact, whole quads go to the AVX2 kernel on
+// CPUs that have it, and the Go loop takes the rest; both give the
+// identical words.
 func quantize(cs []float64, ws []uint64, unit float64, limit int64) {
 	ws = ws[:len(cs)]
+	if n := len(cs) &^ 3; n > 0 && encodeAVX2 && limit <= 1<<30 && unit >= 0x1p-1022 && unit <= 0x1p1022 {
+		quantizeAVX2(&ws[0], &cs[0], n, 1/unit, float64(limit))
+		cs, ws = cs[n:], ws[n:]
+	}
 	for i, c := range cs {
 		var q int64
 		switch {
@@ -126,8 +143,18 @@ func quantize(cs []float64, ws []uint64, unit float64, limit int64) {
 // once, and stores plane k's 64-bit lane with one little-endian write —
 // which is exactly the "8 coefficients per byte, LSB-first" plane layout.
 // Every plane byte of the group is overwritten, so destination planes may
-// hold garbage (pooled buffers) on entry.
+// hold garbage (pooled buffers) on entry. Levels of at most 32 planes run
+// on the AVX2 kernel on CPUs that have it.
 func sliceGroups(words []uint64, bits [][]byte, planes, planeBytes, g0, g1 int) {
+	if encodeAVX2 && planes <= 32 {
+		sliceAVX2(words, bits, planes, planeBytes, g0, g1)
+		return
+	}
+	sliceGroupsGo(words, bits, planes, planeBytes, g0, g1)
+}
+
+// sliceGroupsGo is sliceGroups on the portable 64×64 transpose.
+func sliceGroupsGo(words []uint64, bits [][]byte, planes, planeBytes, g0, g1 int) {
 	var m [64]uint64
 	for g := g0; g < g1; g++ {
 		gw := words[64*(g-g0):]
@@ -395,9 +422,15 @@ func foldErrors(cs []float64, ws, sw []uint64, sc []float64, unit float64, plane
 // plane-major pass: DecodeNegabinary of the masked word is an xor and a
 // subtract — no per-word state carried between planes — and iterations are
 // independent, so the max folds in a register at full ILP. It is a
-// function of its own so that the loop gets every register.
+// function of its own so that the loop gets every register. A safe block
+// of a level of at most 32 planes (mask < 2³²) folds its whole quads on the
+// AVX2 kernel on CPUs that have it, and the Go loop takes the rest.
 func foldPlane(ws []uint64, cs []float64, mask uint64, unit, maxErr float64, safe bool) float64 {
 	cs = cs[:len(ws)]
+	if n := len(ws) &^ 3; n > 0 && safe && encodeAVX2 && mask>>32 == 0 {
+		maxErr = max(maxErr, foldAVX2(&ws[0], &cs[0], n, mask, unit))
+		ws, cs = ws[n:], cs[n:]
+	}
 	if safe {
 		for j, w := range ws {
 			e := math.Abs(cs[j] - float64(float64(DecodeNegabinary(w&mask))*unit))

@@ -86,29 +86,31 @@ func adversarial(rng *rand.Rand, n int) map[string][]float64 {
 // worker count produces a byte-identical encoding, whose sign-magnitude
 // re-slicing matches the scalar sign-magnitude reference.
 func TestEncodeWorkersBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 8; trial++ {
-		n := rng.Intn(700) + 1
-		planes := []int{4, 17, 32, 60}[rng.Intn(4)]
-		for name, coeffs := range adversarial(rng, n) {
-			ref, err := EncodeLevel(coeffs, planes, 1, nil)
-			if err != nil {
-				t.Fatalf("%s n=%d planes=%d: %v", name, n, planes, err)
-			}
-			signMag, _ := encodeLevelModeScalar(coeffs, planes, true)
-			for _, workers := range []int{2, 8} {
-				got, err := EncodeLevel(coeffs, planes, workers, nil)
+	forEncodePaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(101))
+		for trial := 0; trial < 8; trial++ {
+			n := rng.Intn(700) + 1
+			planes := []int{4, 17, 32, 60}[rng.Intn(4)]
+			for name, coeffs := range adversarial(rng, n) {
+				ref, err := EncodeLevel(coeffs, planes, 1, nil)
 				if err != nil {
-					t.Fatalf("%s workers=%d: %v", name, workers, err)
+					t.Fatalf("%s n=%d planes=%d: %v", name, n, planes, err)
 				}
-				if !encodingsEqual(ref, got) {
-					t.Fatalf("%s n=%d planes=%d workers=%d: encoding differs from sequential",
-						name, n, planes, workers)
+				signMag, _ := encodeLevelModeScalar(coeffs, planes, true)
+				for _, workers := range []int{2, 8} {
+					got, err := EncodeLevel(coeffs, planes, workers, nil)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", name, workers, err)
+					}
+					if !encodingsEqual(ref, got) {
+						t.Fatalf("%s n=%d planes=%d workers=%d: encoding differs from sequential",
+							name, n, planes, workers)
+					}
+					compareSignMagnitude(t, got, coeffs, signMag, fmt.Sprintf("%s n=%d planes=%d workers=%d", name, n, planes, workers))
 				}
-				compareSignMagnitude(t, got, coeffs, signMag, fmt.Sprintf("%s n=%d planes=%d workers=%d", name, n, planes, workers))
 			}
 		}
-	}
+	})
 }
 
 // TestDecodeWorkersBitIdentical asserts that a parallel partial decode
@@ -232,22 +234,24 @@ func TestDenormalLevelSentinel(t *testing.T) {
 }
 
 // TestHugeMagnitudeStaysFinite guards the exponent cap: magnitudes near
-// MaxFloat64 must not produce Inf in the dequantized values or the error
-// matrix.
+// MaxFloat64 must not produce Inf or NaN in the dequantized values or the
+// error matrix — at one plane too, whose unit is the largest.
 func TestHugeMagnitudeStaysFinite(t *testing.T) {
 	coeffs := []float64{math.MaxFloat64, -math.MaxFloat64 / 2, 1e300, -3}
-	enc, err := EncodeLevel(coeffs, 32, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, e := range enc.ErrMatrix {
-		if math.IsInf(e, 0) || math.IsNaN(e) {
-			t.Fatalf("ErrMatrix[%d] = %g", b, e)
+	for _, planes := range []int{1, 2, 32} {
+		enc, err := EncodeLevel(coeffs, planes, 2, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, v := range decodePrefix(enc, enc.Planes, 1) {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			t.Fatalf("decoded coeff %d = %g", i, v)
+		for b, e := range enc.ErrMatrix {
+			if math.IsInf(e, 0) || math.IsNaN(e) {
+				t.Fatalf("planes=%d: ErrMatrix[%d] = %g", planes, b, e)
+			}
+		}
+		for i, v := range decodePrefix(enc, enc.Planes, 1) {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				t.Fatalf("planes=%d: decoded coeff %d = %g", planes, i, v)
+			}
 		}
 	}
 }

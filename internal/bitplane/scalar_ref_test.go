@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pmgard/internal/cpufeat"
 	"pmgard/internal/interleave"
 	"pmgard/internal/obs"
 )
@@ -83,9 +84,7 @@ func encodeLevelModeScalar(coeffs []float64, planes int, signMag bool) (*LevelEn
 	if math.Pow(2, float64(enc.Exponent)) < maxAbs {
 		enc.Exponent++
 	}
-	if enc.Exponent > 1023 {
-		enc.Exponent = 1023
-	}
+	enc.Exponent = min(enc.Exponent, 1023, 1021+planes)
 
 	unit := math.Ldexp(1, enc.Exponent-(planes-2))
 	limit := int64(1) << uint(planes-2)
@@ -307,6 +306,38 @@ func randomCoeffs(rng *rand.Rand, n int, adversarial bool) []float64 {
 	return c
 }
 
+// encodePath is one way the fused encode pass runs: on the AVX2 kernels or
+// on the Go loops (encodeAVX2 cleared).
+type encodePath struct {
+	name string
+	avx2 bool
+}
+
+// encodePaths are the encode paths this CPU has: the Go loops everywhere,
+// the AVX2 kernels where cpufeat.AVX2 holds.
+func encodePaths() []encodePath {
+	ps := []encodePath{{"go", false}}
+	if cpufeat.AVX2 {
+		ps = append(ps, encodePath{"avx2", true})
+	}
+	return ps
+}
+
+// forEncodePaths runs body as one subtest per encode path, with
+// encodeAVX2 set to the path's and restored after.
+func forEncodePaths(t *testing.T, body func(t *testing.T)) {
+	if !cpufeat.AVX2 {
+		t.Log("no AVX2: checking the Go loops only")
+	}
+	for _, p := range encodePaths() {
+		t.Run(p.name, func(t *testing.T) {
+			defer func(was bool) { encodeAVX2 = was }(encodeAVX2)
+			encodeAVX2 = p.avx2
+			body(t)
+		})
+	}
+}
+
 // kernelWorkers are the worker counts every kernel result is checked at.
 var kernelWorkers = []int{1, 2, 4, 8}
 
@@ -320,162 +351,164 @@ var kernelWorkers = []int{1, 2, 4, 8}
 // maximum (the skip fires), every word's leading digit at the top plane
 // (nothing to skip), and one nonzero among zeros.
 func TestKernelsMatchScalarReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	lengths := []int{0, 1, 7, 63, 64, 65, 100, 128, 129, 640, 1000}
-	for trial := 0; trial < 60; trial++ {
-		n := lengths[trial%len(lengths)]
-		if trial >= len(lengths)*2 {
-			n = rng.Intn(600)
-		}
-		planes := 1 + rng.Intn(60)
-		signMag := rng.Intn(2) == 1
-		adversarial := trial%3 == 0
-		coeffs := randomCoeffs(rng, n, adversarial)
-		label := fmt.Sprintf("n=%d planes=%d signMag=%v", n, planes, signMag)
-
-		want := checkAgainstScalar(t, coeffs, planes, signMag, label)
-		if signMag {
-			continue // nothing decodes sign-magnitude planes
-		}
-		for _, workers := range kernelWorkers {
-			got, err := EncodeLevel(coeffs, planes, workers, nil)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", label, workers, err)
+	forEncodePaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(51))
+		lengths := []int{0, 1, 7, 63, 64, 65, 100, 128, 129, 640, 1000}
+		for trial := 0; trial < 60; trial++ {
+			n := lengths[trial%len(lengths)]
+			if trial >= len(lengths)*2 {
+				n = rng.Intn(600)
 			}
-			for _, b := range []int{0, 1, planes / 2, planes} {
-				wantDec := decodePartialScalar(want, b)
-				gotDec := decodePrefix(got, b, workers)
-				for i := range wantDec {
-					if math.Float64bits(gotDec[i]) != math.Float64bits(wantDec[i]) {
-						t.Fatalf("%s b=%d i=%d: got %v want %v", label, b, i, gotDec[i], wantDec[i])
+			planes := 1 + rng.Intn(60)
+			signMag := rng.Intn(2) == 1
+			adversarial := trial%3 == 0
+			coeffs := randomCoeffs(rng, n, adversarial)
+			label := fmt.Sprintf("n=%d planes=%d signMag=%v", n, planes, signMag)
+
+			want := checkAgainstScalar(t, coeffs, planes, signMag, label)
+			if signMag {
+				continue // nothing decodes sign-magnitude planes
+			}
+			for _, workers := range kernelWorkers {
+				got, err := EncodeLevel(coeffs, planes, workers, nil)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", label, workers, err)
+				}
+				for _, b := range []int{0, 1, planes / 2, planes} {
+					wantDec := decodePartialScalar(want, b)
+					gotDec := decodePrefix(got, b, workers)
+					for i := range wantDec {
+						if math.Float64bits(gotDec[i]) != math.Float64bits(wantDec[i]) {
+							t.Fatalf("%s b=%d i=%d: got %v want %v", label, b, i, gotDec[i], wantDec[i])
+						}
 					}
 				}
+				got.Release()
 			}
-			got.Release()
 		}
-	}
 
-	profiles := []struct {
-		name string
-		// fill draws a level of n coefficients for the plane count.
-		fill func(rng *rand.Rand, n, planes int) []float64
-		// pairs bounds the (coefficient, plane) pairs the nega-binary fold
-		// may visit (bitplane.errmatrix_pairs); nil means [0, n × planes].
-		pairs func(n, planes int) (lo, hi int64)
-	}{
-		{"random", func(rng *rand.Rand, n, _ int) []float64 { return randomCoeffs(rng, n, false) }, nil},
-		{"adversarial", func(rng *rand.Rand, n, _ int) []float64 { return randomCoeffs(rng, n, true) }, nil},
-		{"skewed", func(rng *rand.Rand, n, _ int) []float64 {
-			c := make([]float64, n)
-			for i := range c {
-				c[i] = math.Ldexp(rng.NormFloat64(), -30)
-			}
-			for i := 0; i < n; i += 1 + rng.Intn(500) {
-				c[i] = 1 - 2*rng.Float64()
-			}
-			c[n-1] = -1
-			return c
-		}, func(n, planes int) (int64, int64) {
-			if planes == 32 {
-				return 0, int64(n) * 32 / 4 // the skip must fire
-			}
-			return 0, int64(n) * int64(planes)
-		}},
-		// Magnitudes in [0.75, 1] of the maximum, negative at even plane
-		// counts and positive at odd ones — the sign the top position
-		// planes-1 carries in nega-binary — so every quantized word's
-		// leading digit is the top plane and nothing can be skipped.
-		{"top-digit", func(rng *rand.Rand, n, planes int) []float64 {
-			sign := 1.0
-			if planes%2 == 0 {
-				sign = -1
-			}
-			c := make([]float64, n)
-			for i := range c {
-				c[i] = sign * (0.75 + 0.25*rng.Float64())
-			}
-			c[0] = sign
-			return c
-		}, func(n, planes int) (int64, int64) {
-			if planes == 1 {
-				return 0, 0 // one plane quantizes everything to 0
-			}
-			return int64(n) * int64(planes), int64(n) * int64(planes)
-		}},
-		{"one-nonzero", func(rng *rand.Rand, n, _ int) []float64 {
-			c := make([]float64, n)
-			c[rng.Intn(n)] = math.Ldexp(1-2*rng.Float64(), rng.Intn(40)-20)
-			return c
-		}, func(_, planes int) (int64, int64) { return 0, int64(planes) }},
-	}
-	// Every decode regime at every prefix: b ≤ 8 through 8×8 tiles, planes
-	// ≤ 32 through the half-width transpose (every plane count), wider words
-	// through the 64-row one (33, 59, 60), over several groups — stale
-	// transpose rows carry from one group to the next — and a partial tail
-	// group on either side of the half-width kernel's 32-coefficient split.
-	// Each regime is checked three ways: the words TransposeWords emits, and
-	// Decode from them to scattered grid nodes — from words of exactly
-	// b planes and from a snapshot of all of them, which must decode the
-	// same b-plane prefix.
-	for _, p := range profiles {
-		if p.name != "random" && p.name != "skewed" {
-			continue
+		profiles := []struct {
+			name string
+			// fill draws a level of n coefficients for the plane count.
+			fill func(rng *rand.Rand, n, planes int) []float64
+			// pairs bounds the (coefficient, plane) pairs the nega-binary fold
+			// may visit (bitplane.errmatrix_pairs); nil means [0, n × planes].
+			pairs func(n, planes int) (lo, hi int64)
+		}{
+			{"random", func(rng *rand.Rand, n, _ int) []float64 { return randomCoeffs(rng, n, false) }, nil},
+			{"adversarial", func(rng *rand.Rand, n, _ int) []float64 { return randomCoeffs(rng, n, true) }, nil},
+			{"skewed", func(rng *rand.Rand, n, _ int) []float64 {
+				c := make([]float64, n)
+				for i := range c {
+					c[i] = math.Ldexp(rng.NormFloat64(), -30)
+				}
+				for i := 0; i < n; i += 1 + rng.Intn(500) {
+					c[i] = 1 - 2*rng.Float64()
+				}
+				c[n-1] = -1
+				return c
+			}, func(n, planes int) (int64, int64) {
+				if planes == 32 {
+					return 0, int64(n) * 32 / 4 // the skip must fire
+				}
+				return 0, int64(n) * int64(planes)
+			}},
+			// Magnitudes in [0.75, 1] of the maximum, negative at even plane
+			// counts and positive at odd ones — the sign the top position
+			// planes-1 carries in nega-binary — so every quantized word's
+			// leading digit is the top plane and nothing can be skipped.
+			{"top-digit", func(rng *rand.Rand, n, planes int) []float64 {
+				sign := 1.0
+				if planes%2 == 0 {
+					sign = -1
+				}
+				c := make([]float64, n)
+				for i := range c {
+					c[i] = sign * (0.75 + 0.25*rng.Float64())
+				}
+				c[0] = sign
+				return c
+			}, func(n, planes int) (int64, int64) {
+				if planes == 1 {
+					return 0, 0 // one plane quantizes everything to 0
+				}
+				return int64(n) * int64(planes), int64(n) * int64(planes)
+			}},
+			{"one-nonzero", func(rng *rand.Rand, n, _ int) []float64 {
+				c := make([]float64, n)
+				c[rng.Intn(n)] = math.Ldexp(1-2*rng.Float64(), rng.Intn(40)-20)
+				return c
+			}, func(_, planes int) (int64, int64) { return 0, int64(planes) }},
 		}
-		for planes := 1; planes <= 60; planes++ {
-			if planes > 32 && planes != 33 && planes != 59 && planes != 60 {
+		// Every decode regime at every prefix: b ≤ 8 through 8×8 tiles, planes
+		// ≤ 32 through the half-width transpose (every plane count), wider words
+		// through the 64-row one (33, 59, 60), over several groups — stale
+		// transpose rows carry from one group to the next — and a partial tail
+		// group on either side of the half-width kernel's 32-coefficient split.
+		// Each regime is checked three ways: the words TransposeWords emits, and
+		// Decode from them to scattered grid nodes — from words of exactly
+		// b planes and from a snapshot of all of them, which must decode the
+		// same b-plane prefix.
+		for _, p := range profiles {
+			if p.name != "random" && p.name != "skewed" {
 				continue
 			}
-			for _, tail := range []int{1, 31, 32, 33, 63} {
-				n := 4*64 + tail
-				coeffs := p.fill(rng, n, planes)
-				enc, _ := encodeLevelModeScalar(coeffs, planes, false)
-				var full Words
-				enc.TransposeWords(planes, &full, 1)
-				checkWords(t, fmt.Sprintf("%s n=%d planes=%d full words", p.name, n, planes), enc, &full, planes, wordsScalar(enc, planes))
-				for b := 0; b <= planes; b++ {
-					want := decodePartialScalar(enc, b)
-					wantWords := wordsScalar(enc, b)
-					for _, workers := range []int{1, 2, 4} {
-						label := fmt.Sprintf("%s n=%d planes=%d b=%d workers=%d", p.name, n, planes, b, workers)
-						var w Words
-						enc.TransposeWords(b, &w, workers)
-						checkWords(t, label, enc, &w, b, wantWords)
-						checkDecodeWords(t, label+" from words", enc, &w, b, workers, want)
-						checkDecodeWords(t, label+" from a full snapshot", enc, &full, b, workers, want)
+			for planes := 1; planes <= 60; planes++ {
+				if planes > 32 && planes != 33 && planes != 59 && planes != 60 {
+					continue
+				}
+				for _, tail := range []int{1, 31, 32, 33, 63} {
+					n := 4*64 + tail
+					coeffs := p.fill(rng, n, planes)
+					enc, _ := encodeLevelModeScalar(coeffs, planes, false)
+					var full Words
+					enc.TransposeWords(planes, &full, 1)
+					checkWords(t, fmt.Sprintf("%s n=%d planes=%d full words", p.name, n, planes), enc, &full, planes, wordsScalar(enc, planes))
+					for b := 0; b <= planes; b++ {
+						want := decodePartialScalar(enc, b)
+						wantWords := wordsScalar(enc, b)
+						for _, workers := range []int{1, 2, 4} {
+							label := fmt.Sprintf("%s n=%d planes=%d b=%d workers=%d", p.name, n, planes, b, workers)
+							var w Words
+							enc.TransposeWords(b, &w, workers)
+							checkWords(t, label, enc, &w, b, wantWords)
+							checkDecodeWords(t, label+" from words", enc, &w, b, workers, want)
+							checkDecodeWords(t, label+" from a full snapshot", enc, &full, b, workers, want)
+						}
 					}
 				}
 			}
 		}
-	}
 
-	blockLengths := []int{foldBlock, foldBlock + 1, 3*foldBlock + 17}
-	for _, p := range profiles {
-		for _, n := range blockLengths {
-			for _, planes := range []int{1, 2, 3, 17, 32, 33, 59, 60} {
-				coeffs := p.fill(rng, n, planes)
-				for _, signMag := range []bool{false, true} {
-					label := fmt.Sprintf("%s n=%d planes=%d signMag=%v", p.name, n, planes, signMag)
-					checkAgainstScalar(t, coeffs, planes, signMag, label)
-					if signMag {
-						continue
-					}
-					o := obs.New()
-					enc, err := EncodeLevel(coeffs, planes, 1, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					enc.Release()
-					lo, hi := int64(0), int64(n)*int64(planes)
-					if p.pairs != nil {
-						lo, hi = p.pairs(n, planes)
-					}
-					if got := o.Counter("bitplane.errmatrix_pairs").Value(); got < lo || got > hi {
-						t.Fatalf("%s: folded %d pairs, want [%d, %d]", label, got, lo, hi)
+		blockLengths := []int{foldBlock, foldBlock + 1, 3*foldBlock + 17}
+		for _, p := range profiles {
+			for _, n := range blockLengths {
+				for _, planes := range []int{1, 2, 3, 17, 32, 33, 59, 60} {
+					coeffs := p.fill(rng, n, planes)
+					for _, signMag := range []bool{false, true} {
+						label := fmt.Sprintf("%s n=%d planes=%d signMag=%v", p.name, n, planes, signMag)
+						checkAgainstScalar(t, coeffs, planes, signMag, label)
+						if signMag {
+							continue
+						}
+						o := obs.New()
+						enc, err := EncodeLevel(coeffs, planes, 1, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						enc.Release()
+						lo, hi := int64(0), int64(n)*int64(planes)
+						if p.pairs != nil {
+							lo, hi = p.pairs(n, planes)
+						}
+						if got := o.Counter("bitplane.errmatrix_pairs").Value(); got < lo || got > hi {
+							t.Fatalf("%s: folded %d pairs, want [%d, %d]", label, got, lo, hi)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // checkAgainstScalar encodes coeffs at every kernelWorkers count and fails
@@ -503,14 +536,16 @@ func checkAgainstScalar(t *testing.T, coeffs []float64, planes int, signMag bool
 // kernels must reproduce the scalar path's all-zero planes and
 // maxAbs-filled error matrix.
 func TestKernelsDenormalLevel(t *testing.T) {
-	coeffs := []float64{math.Ldexp(1, -1070), -math.Ldexp(1, -1071), 0}
-	want, _ := encodeLevelModeScalar(coeffs, 32, false)
-	got, err := EncodeLevel(coeffs, 32, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Release()
-	compareEncodings(t, got, want, "denormal")
+	forEncodePaths(t, func(t *testing.T) {
+		coeffs := []float64{math.Ldexp(1, -1070), -math.Ldexp(1, -1071), 0}
+		want, _ := encodeLevelModeScalar(coeffs, 32, false)
+		got, err := EncodeLevel(coeffs, 32, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Release()
+		compareEncodings(t, got, want, "denormal")
+	})
 }
 
 // TestTranspose64Involution pins the transpose network's defining
@@ -549,43 +584,45 @@ func TestTranspose64Involution(t *testing.T) {
 // as one pool.bitplane.errmatrix task. Odd lengths are salted with NaN, ±Inf
 // and denormals.
 func TestFusedEncodeMatchesScalarReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	lengths := []int{1, 63, 64, 65, foldBlock - 1, foldBlock, foldBlock + 1, 3*foldBlock + 17}
-	for _, n := range lengths {
-		for _, planes := range []int{3, 32, 60} {
-			coeffs := randomCoeffs(rng, n, n%2 == 1)
-			for _, signMag := range []bool{false, true} {
-				want, _ := encodeLevelModeScalar(coeffs, planes, signMag)
-				for _, workers := range []int{1, 2, 3, 8} {
-					for _, traced := range []bool{false, true} {
-						var o *obs.Obs
-						if traced {
-							o = obs.New()
-						}
-						label := fmt.Sprintf("n=%d planes=%d signMag=%v workers=%d traced=%v", n, planes, signMag, workers, traced)
-						got, err := EncodeLevel(coeffs, planes, workers, o)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if signMag {
-							compareSignMagnitude(t, got, coeffs, want, label)
-						} else {
-							compareEncodings(t, got, want, label)
-						}
-						got.Release()
-						if o == nil {
-							continue
-						}
-						chunks := int64(min(workers, (n+63)/64))
-						if want.Exponent == math.MinInt16 {
-							chunks = 0 // a level with nothing to quantize never reaches the pass
-						}
-						if got := o.Counter("pool.bitplane.errmatrix.completed").Value(); got != chunks {
-							t.Fatalf("%s: %d error-matrix tasks, want one per chunk (%d)", label, got, chunks)
+	forEncodePaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(34))
+		lengths := []int{1, 63, 64, 65, foldBlock - 1, foldBlock, foldBlock + 1, 3*foldBlock + 17}
+		for _, n := range lengths {
+			for _, planes := range []int{3, 32, 60} {
+				coeffs := randomCoeffs(rng, n, n%2 == 1)
+				for _, signMag := range []bool{false, true} {
+					want, _ := encodeLevelModeScalar(coeffs, planes, signMag)
+					for _, workers := range []int{1, 2, 3, 8} {
+						for _, traced := range []bool{false, true} {
+							var o *obs.Obs
+							if traced {
+								o = obs.New()
+							}
+							label := fmt.Sprintf("n=%d planes=%d signMag=%v workers=%d traced=%v", n, planes, signMag, workers, traced)
+							got, err := EncodeLevel(coeffs, planes, workers, o)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if signMag {
+								compareSignMagnitude(t, got, coeffs, want, label)
+							} else {
+								compareEncodings(t, got, want, label)
+							}
+							got.Release()
+							if o == nil {
+								continue
+							}
+							chunks := int64(min(workers, (n+63)/64))
+							if want.Exponent == math.MinInt16 {
+								chunks = 0 // a level with nothing to quantize never reaches the pass
+							}
+							if got := o.Counter("pool.bitplane.errmatrix.completed").Value(); got != chunks {
+								t.Fatalf("%s: %d error-matrix tasks, want one per chunk (%d)", label, got, chunks)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }

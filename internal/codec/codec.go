@@ -118,7 +118,14 @@ type ProgressiveCodec interface {
 	// Decompose refactors a field into multilevel coefficient streams,
 	// fanning independent work across at most `workers` goroutines (≤ 0
 	// means GOMAXPROCS) and recording telemetry into o when non-nil.
+	// t is not modified.
 	Decompose(t *grid.Tensor, opts Options, workers int, o *obs.Obs) (Decomposition, error)
+	// DecomposeInPlace is Decompose consuming t: the backend may transform
+	// t's data in place and keep it as a stream, so t must not be used
+	// afterwards. The streams are bit-identical to Decompose's. A caller
+	// that owns a field it no longer needs (a compress straight to storage)
+	// saves the field-sized copy Decompose may make.
+	DecomposeInPlace(t *grid.Tensor, opts Options, workers int, o *obs.Obs) (Decomposition, error)
 	// NewZero returns an all-zero decomposition for the given grid shape —
 	// the starting point when reassembling a partial retrieval. A level's
 	// stream may be allocated on its first Coeffs call, so a caller that

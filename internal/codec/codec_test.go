@@ -27,6 +27,9 @@ func (f fakeCodec) ID() string { return f.id }
 func (fakeCodec) Decompose(*grid.Tensor, codec.Options, int, *obs.Obs) (codec.Decomposition, error) {
 	return nil, nil
 }
+func (fakeCodec) DecomposeInPlace(*grid.Tensor, codec.Options, int, *obs.Obs) (codec.Decomposition, error) {
+	return nil, nil
+}
 func (fakeCodec) NewZero([]int, codec.Options, int) (codec.Decomposition, error) { return nil, nil }
 func (fakeCodec) NaiveAmplification(codec.Options, int) float64                  { return 1 }
 func (fakeCodec) LevelAmplification([]int, codec.Options) []float64              { return nil }

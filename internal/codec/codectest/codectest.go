@@ -135,6 +135,8 @@ func Run(t *testing.T, c codec.ProgressiveCodec) {
 // general, so even a perfectly inverted transform re-rounds — but the
 // residual must stay within a few ulps of the field's magnitude; everything
 // beyond that is transform error the Err matrices would silently miss.
+// Decompose must leave its field bit-identical, and DecomposeInPlace of a
+// copy must give Decompose's streams bit for bit.
 func testTransformRoundtrip(t *testing.T, c codec.ProgressiveCodec) {
 	fields := map[string]*grid.Tensor{
 		"smooth2d": smoothField(33),
@@ -143,9 +145,30 @@ func testTransformRoundtrip(t *testing.T, c codec.ProgressiveCodec) {
 	}
 	for name, f := range fields {
 		for _, workers := range []int{1, 4} {
+			orig := f.Clone()
 			dec, err := c.Decompose(f, options(), workers, nil)
 			if err != nil {
 				t.Fatalf("%s: Decompose(workers=%d): %v", name, workers, err)
+			}
+			for i, v := range f.Data() {
+				if math.Float64bits(v) != math.Float64bits(orig.Data()[i]) {
+					t.Fatalf("%s: Decompose(workers=%d) modified its field at node %d", name, workers, i)
+				}
+			}
+			owned, err := c.DecomposeInPlace(orig, options(), workers, nil)
+			if err != nil {
+				t.Fatalf("%s: DecomposeInPlace(workers=%d): %v", name, workers, err)
+			}
+			for l := 0; l < dec.Levels(); l++ {
+				a, b := dec.Coeffs(l), owned.Coeffs(l)
+				if len(a) != len(b) {
+					t.Fatalf("%s: level %d: DecomposeInPlace has %d coefficients, Decompose %d", name, l, len(b), len(a))
+				}
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("%s: level %d coefficient %d: DecomposeInPlace %v, Decompose %v", name, l, i, b[i], a[i])
+					}
+				}
 			}
 			if got, want := dec.Levels(), options().Levels; got != want {
 				t.Fatalf("%s: Levels() = %d, want %d", name, got, want)

@@ -97,6 +97,12 @@ func (Codec) Decompose(t *grid.Tensor, opts codec.Options, workers int, o *obs.O
 	return d, nil
 }
 
+// DecomposeInPlace implements codec.ProgressiveCodec: Decompose reads t and
+// allocates its own streams, so consuming t changes nothing.
+func (c Codec) DecomposeInPlace(t *grid.Tensor, opts codec.Options, workers int, o *obs.Obs) (codec.Decomposition, error) {
+	return c.Decompose(t, opts, workers, o)
+}
+
 // NewZero implements codec.ProgressiveCodec.
 func (Codec) NewZero(dims []int, opts codec.Options, workers int) (codec.Decomposition, error) {
 	if err := validate(opts); err != nil {

@@ -30,11 +30,17 @@ type Codec struct {
 // ID implements codec.ProgressiveCodec.
 func (Codec) ID() string { return ID }
 
-// Decompose implements codec.ProgressiveCodec via the lifting transform. A
-// refusal returns a nil Decomposition, not a nil *decompose.Decomposition
-// inside a non-nil interface.
-func (Codec) Decompose(t *grid.Tensor, opts codec.Options, workers int, o *obs.Obs) (codec.Decomposition, error) {
-	d, err := decompose.Decompose(t, opts, workers, o)
+// Decompose implements codec.ProgressiveCodec: DecomposeInPlace on a copy
+// of t.
+func (c Codec) Decompose(t *grid.Tensor, opts codec.Options, workers int, o *obs.Obs) (codec.Decomposition, error) {
+	return c.DecomposeInPlace(t.Clone(), opts, workers, o)
+}
+
+// DecomposeInPlace implements codec.ProgressiveCodec via the lifting
+// transform, run in t's own data. A refusal returns a nil Decomposition,
+// not a nil *decompose.Decomposition inside a non-nil interface.
+func (Codec) DecomposeInPlace(t *grid.Tensor, opts codec.Options, workers int, o *obs.Obs) (codec.Decomposition, error) {
+	d, err := decompose.DecomposeInPlace(t, opts, workers, o)
 	if err != nil {
 		return nil, err
 	}

@@ -36,8 +36,17 @@ type SegmentSink interface {
 // Peak payload memory is one level encoding plus one window of deflated
 // planes; segment buffers are recycled through bufpool. The error returned
 // is the one a sequential run would hit first. The returned header is
-// complete (plane sizes filled in) only after CompressTo returns.
+// complete (plane sizes filled in) only after CompressTo returns. t is not
+// modified.
 func CompressTo(t *grid.Tensor, cfg Config, fieldName string, timestep int, sink SegmentSink) (*Header, error) {
+	return compressTo(t, false, cfg, fieldName, timestep, sink)
+}
+
+// compressTo is CompressTo, which consumes t when owned: the backend then
+// refactors t in place (codec.ProgressiveCodec.DecomposeInPlace), so the
+// field's storage becomes the finest level's stream instead of being
+// copied.
+func compressTo(t *grid.Tensor, owned bool, cfg Config, fieldName string, timestep int, sink SegmentSink) (*Header, error) {
 	cfg = cfg.withDefaults()
 	workers := pool.Clamp(cfg.Parallelism)
 	o := cfg.Obs
@@ -48,10 +57,6 @@ func CompressTo(t *grid.Tensor, cfg Config, fieldName string, timestep int, sink
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	dec, err := backend.Decompose(t, cfg.Decompose, workers, o)
-	if err != nil {
-		return nil, fmt.Errorf("core: decompose: %w", err)
-	}
 	h := &Header{
 		FieldName:       fieldName,
 		Timestep:        timestep,
@@ -61,7 +66,16 @@ func CompressTo(t *grid.Tensor, cfg Config, fieldName string, timestep int, sink
 		DecomposeLevels: cfg.Decompose.Levels,
 		Update:          cfg.Decompose.Update,
 		UpdateWeight:    cfg.Decompose.UpdateWeight,
-		ValueRange:      t.Range(),
+		// Taken before the transform, which may overwrite an owned t.
+		ValueRange: t.Range(),
+	}
+	refactor := backend.Decompose
+	if owned {
+		refactor = backend.DecomposeInPlace
+	}
+	dec, err := refactor(t, cfg.Decompose, workers, o)
+	if err != nil {
+		return nil, fmt.Errorf("core: decompose: %w", err)
 	}
 	// Pre-interface headers carry no codec tag; keeping the default
 	// backend's tag empty keeps its JSON — and hence its artifacts —
@@ -201,17 +215,22 @@ func streamToDir(dir string, hier storage.Hierarchy, produce func(SegmentSink) (
 // CompressToFile streams the full compression pipeline straight into a
 // segment-store file. The file is byte-identical to Compress + WriteFile at
 // every worker count, without ever materializing the artifact in memory.
+//
+// CompressToFile consumes t: the transform runs in t's own data, so the
+// field is never copied, and t must not be used afterwards (its dims stay
+// readable).
 func CompressToFile(t *grid.Tensor, cfg Config, fieldName string, timestep int, path string) (*Header, error) {
 	return streamToFile(path, func(sink SegmentSink) (*Header, error) {
-		return CompressTo(t, cfg, fieldName, timestep, sink)
+		return compressTo(t, true, cfg, fieldName, timestep, sink)
 	})
 }
 
 // CompressToTiered streams the compression pipeline into a tiered store.
-// Equivalent to Compress + WriteTiered without the in-memory artifact.
+// Equivalent to Compress + WriteTiered without the in-memory artifact. Like
+// CompressToFile, it consumes t.
 func CompressToTiered(t *grid.Tensor, cfg Config, fieldName string, timestep int, dir string, hier storage.Hierarchy) (*Header, error) {
 	return streamToDir(dir, hier, func(sink SegmentSink) (*Header, error) {
-		return CompressTo(t, cfg, fieldName, timestep, sink)
+		return compressTo(t, true, cfg, fieldName, timestep, sink)
 	})
 }
 

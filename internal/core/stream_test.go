@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -15,6 +16,7 @@ import (
 
 	"pmgard/internal/bitplane"
 	"pmgard/internal/bufpool"
+	"pmgard/internal/codec"
 	"pmgard/internal/grid"
 	"pmgard/internal/lossless"
 	"pmgard/internal/storage"
@@ -47,7 +49,8 @@ func TestCompressToFileGoldenEquivalence(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Parallelism = workers
 		path := filepath.Join(dir, "stream.pmgd")
-		h, err := CompressToFile(f, cfg, "golden-stream", 3, path)
+		// CompressToFile consumes its field; each run takes a copy.
+		h, err := CompressToFile(f.Clone(), cfg, "golden-stream", 3, path)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -133,6 +136,54 @@ const tieredGoldenDigest = "9fcc3caa10e85f27024d4ce7bb92411ebbae5e180d4d6143ee1a
 // Compress + WriteTiered and the streaming CompressToTiered at several
 // worker counts — to the reference tree: identical level files and
 // identical manifest bytes.
+// TestCompressLeavesFieldIntact pins the borrowing half of the compress
+// contract: Compress and CompressTo, on every backend and at one worker and
+// several, leave the caller's field bit-identical, while CompressToFile,
+// which consumes its field, writes the bytes CompressTo streams.
+func TestCompressLeavesFieldIntact(t *testing.T) {
+	for _, id := range codec.IDs() {
+		for _, workers := range []int{1, 4} {
+			f := seededField(5, 17, 17, 17)
+			orig := f.Clone()
+			cfg := DefaultConfig()
+			cfg.Backend, cfg.Parallelism = id, workers
+			label := fmt.Sprintf("%s workers=%d", id, workers)
+			c, err := Compress(f, cfg, "f", 0)
+			if err != nil {
+				t.Fatalf("%s: Compress: %v", label, err)
+			}
+			checkBitIdentical(t, label+": Compress", f, orig)
+			if _, err := CompressTo(f, cfg, "f", 0, discardSink{}); err != nil {
+				t.Fatalf("%s: CompressTo: %v", label, err)
+			}
+			checkBitIdentical(t, label+": CompressTo", f, orig)
+			path := filepath.Join(t.TempDir(), "f.pmgd")
+			if _, err := CompressToFile(f, cfg, "f", 0, path); err != nil {
+				t.Fatalf("%s: CompressToFile: %v", label, err)
+			}
+			want := filepath.Join(t.TempDir(), "want.pmgd")
+			if err := c.WriteFile(want); err != nil {
+				t.Fatal(err)
+			}
+			a, _ := os.ReadFile(path)
+			b, _ := os.ReadFile(want)
+			if len(a) == 0 || !bytes.Equal(a, b) {
+				t.Fatalf("%s: CompressToFile of the consumed field wrote %d bytes, not Compress's %d", label, len(a), len(b))
+			}
+		}
+	}
+}
+
+// checkBitIdentical fails unless got holds want's values bit for bit.
+func checkBitIdentical(t *testing.T, label string, got, want *grid.Tensor) {
+	t.Helper()
+	for i, v := range got.Data() {
+		if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+			t.Fatalf("%s modified the caller's field at node %d: %v, was %v", label, i, v, want.Data()[i])
+		}
+	}
+}
+
 func TestCompressToTieredGoldenEquivalence(t *testing.T) {
 	f := seededField(31, 17, 17, 17)
 	cfg := DefaultConfig()
@@ -157,7 +208,7 @@ func TestCompressToTieredGoldenEquivalence(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Parallelism = workers
 		dir := filepath.Join(t.TempDir(), "stream")
-		if _, err := CompressToTiered(f, cfg, "golden-tier", 0, dir, hier); err != nil {
+		if _, err := CompressToTiered(f.Clone(), cfg, "golden-tier", 0, dir, hier); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := treeDigest(t, dir); got != tieredGoldenDigest {
@@ -256,7 +307,7 @@ func TestCompressToSinkError(t *testing.T) {
 		// CompressToFile failing mid-stream leaves nothing in the directory:
 		// no artifact, no spill, no temporary file.
 		dir := t.TempDir()
-		if _, err := CompressToFile(f, cfg, "f", 0, filepath.Join(dir, "out.pmgd")); !errors.Is(err, errPlaneCodec) {
+		if _, err := CompressToFile(f.Clone(), cfg, "f", 0, filepath.Join(dir, "out.pmgd")); !errors.Is(err, errPlaneCodec) {
 			t.Fatalf("workers=%d: CompressToFile got %v, want the codec's error", workers, err)
 		}
 		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {

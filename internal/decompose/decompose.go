@@ -140,7 +140,9 @@ func lineOddRowSum(n int, o codec.Options) float64 {
 				left, right = 1, 0
 			}
 			for k := j - 2; k <= j+2; k += 2 {
-				coef := left*upd(j-1, k) + right*upd(j+1, k)
+				// float64(…) keeps arm64 from fusing the products, as
+				// the lifting does, so the constants match on every GOARCH.
+				coef := float64(left*upd(j-1, k)) + float64(right*upd(j+1, k))
 				if k == j {
 					coef++
 				}
@@ -166,21 +168,26 @@ type Decomposition struct {
 	plan     *interleave.Plan
 }
 
-// Decompose transforms t into multilevel coefficients, fanning each
-// refinement step's axis-0 slabs out in contiguous chunks across at most
-// `workers` goroutines (≤ 0 means GOMAXPROCS; 1 runs sequentially). The
-// input tensor is not modified. Every node is computed from the same
+// Decompose transforms t into multilevel coefficients, leaving t
+// unmodified: it is DecomposeInPlace on a copy of t.
+func Decompose(t *grid.Tensor, opt codec.Options, workers int, o *obs.Obs) (*Decomposition, error) {
+	return DecomposeInPlace(t.Clone(), opt, workers, o)
+}
+
+// DecomposeInPlace transforms t into multilevel coefficients, consuming t:
+// the transform runs in t's own data, which the finest level's stream then
+// lives in (see split), and only the coarser levels are copied out. t must
+// not be used afterwards. Each refinement step's axis-0 slabs fan out in
+// contiguous chunks across at most `workers` goroutines (≤ 0 means
+// GOMAXPROCS; 1 runs sequentially). Every node is computed from the same
 // operands in the same order regardless of worker count, so the resulting
-// coefficients are bit-identical to the sequential transform. The returned Decomposition
-// remembers the worker count and applies it to Recompose.
-//
-// The transform runs on one copy of t, which the finest level's stream
-// then lives in (see split); the coarser levels are copied out.
+// coefficients are bit-identical to the sequential transform. The returned
+// Decomposition remembers the worker count and applies it to Recompose.
 //
 // A non-nil o records a "decompose" span with rank/level attrs, and
 // counters decompose.transforms / decompose.passes (one pass per (step,
 // axis) pair of the forward lifting schedule) / decompose.nodes.
-func Decompose(t *grid.Tensor, opt codec.Options, workers int, o *obs.Obs) (*Decomposition, error) {
+func DecomposeInPlace(t *grid.Tensor, opt codec.Options, workers int, o *obs.Obs) (*Decomposition, error) {
 	sp := o.Span("decompose", nil)
 	sp.SetAttr("levels", opt.Levels)
 	sp.SetAttr("rank", t.NDim())
@@ -194,10 +201,9 @@ func Decompose(t *grid.Tensor, opt codec.Options, workers int, o *obs.Obs) (*Dec
 		return nil, err
 	}
 	workers = pool.Clamp(workers)
-	work := t.Clone()
-	forward(work, opt, workers)
+	forward(t, opt, workers)
 	d := &Decomposition{dims: dims, sizes: sizes, opt: opt, workers: workers}
-	d.coeffs = split(work.Data(), dims, sizes)
+	d.coeffs = split(t.Data(), dims, sizes)
 	if o != nil {
 		o.Counter("decompose.transforms").Add(1)
 		o.Counter("decompose.passes").Add(int64((opt.Levels - 1) * t.NDim()))

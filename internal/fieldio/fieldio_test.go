@@ -107,3 +107,88 @@ func TestReadRejectsCorrupt(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestPortableConversionMatchesDirect pins the little-endian rule: the
+// portable path — values converted through a staging buffer, forced here
+// by clearing hostLittleEndian — writes the bytes the direct path writes,
+// whole field and window by window, and reads every value back bit for bit,
+// NaN payloads, signed zeros, infinities and denormals included. A window
+// of short runs (an interior brick) exercises one piece per row.
+func TestPortableConversionMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	f := grid.New(7, 6, 5)
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.MaxFloat64, 5e-324,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff4000000000000)}
+	for i := range f.Data() {
+		f.Data()[i] = rng.NormFloat64()
+		if i%5 == 0 {
+			f.Data()[i] = special[(i/5)%len(special)]
+		}
+	}
+	brick := struct{ lo, shape []int }{[]int{1, 2, 1}, []int{4, 3, 3}}
+	type result struct {
+		file       []byte
+		whole, win []float64
+	}
+	run := func(littleEndian bool) result {
+		defer func(was bool) { hostLittleEndian = was }(hostLittleEndian)
+		hostLittleEndian = littleEndian
+		dir := t.TempDir()
+		path := filepath.Join(dir, "f.field")
+		if err := Write(path, Meta{Field: "f", Timestep: 1}, f); err != nil {
+			t.Fatal(err)
+		}
+		tiled := filepath.Join(dir, "tiled.field")
+		w, err := CreateSized(tiled, Meta{Field: "f", Timestep: 1, Dims: f.Dims()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := 0; x < 7; x++ {
+			slab := f.Slice([]int{x, 0, 0}, []int{x + 1, 6, 5})
+			if err := w.WriteTile([]int{x, 0, 0}, []int{1, 6, 5}, slab.Data()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tiledFile, err := os.ReadFile(tiled); err != nil || string(tiledFile) != string(file) {
+			t.Fatalf("littleEndian=%v: slab-by-slab file differs from the whole-field file (%v)", littleEndian, err)
+		}
+		_, whole, err := Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		win := make([]float64, 4*3*3)
+		if err := r.ReadTile(brick.lo, brick.shape, win); err != nil {
+			t.Fatal(err)
+		}
+		return result{file, whole.Data(), win}
+	}
+	direct, portable := run(true), run(false)
+	if string(direct.file) != string(portable.file) {
+		t.Fatal("the portable conversion wrote other bytes than the direct path")
+	}
+	want := f.Slice(brick.lo, addShape(brick.lo, brick.shape)).Data()
+	for _, got := range []result{direct, portable} {
+		for i, v := range f.Data() {
+			if math.Float64bits(got.whole[i]) != math.Float64bits(v) {
+				t.Fatalf("whole-field read: value %d is %x, wrote %x", i, math.Float64bits(got.whole[i]), math.Float64bits(v))
+			}
+		}
+		for i, v := range want {
+			if math.Float64bits(got.win[i]) != math.Float64bits(v) {
+				t.Fatalf("window read: value %d is %x, wrote %x", i, math.Float64bits(got.win[i]), math.Float64bits(v))
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"sync"
+	"unsafe"
 
 	"pmgard/internal/bufpool"
 	"pmgard/internal/storage"
@@ -121,29 +122,40 @@ func newLayout(meta Meta, dataOff int64) layout {
 }
 
 // maxPiece bounds the values one walk step moves (512 KiB of payload), so
-// a whole-field Read or Write stages one cache-sized buffer instead of a
-// copy of the field.
+// a whole-field Read or Write on a big-endian host stages one cache-sized
+// buffer instead of a copy of the field.
 const maxPiece = 1 << 16
 
+// hostLittleEndian reports whether a float64's bytes in memory already are
+// its little-endian encoding — the file's payload encoding — so that a
+// window's values move between the file and memory with no conversion. It
+// is a variable so that tests can take the portable path on any host.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // walk is the one window walk. It checks the window [lo, lo+shape) against
-// the field and the caller's vals values against the window's element
+// the field and the caller's values vals against the window's element
 // count, then calls fn once per piece of at most maxPiece values of each
 // contiguous row-major run of the window, in order: at is the piece's byte
 // offset in the file, out its element offset in the window's own row-major
-// order, and buf a pooled byte buffer of exactly one piece.
-func (l *layout) walk(lo, shape []int, vals int, fn func(at int64, out int, buf []byte) error) error {
+// order, and buf its bytes — on a little-endian host vals' own memory, so
+// the piece moves with no conversion, elsewhere a pooled staging buffer of
+// exactly one piece, which fn converts to or from vals[out:].
+func (l *layout) walk(lo, shape []int, vals []float64, fn func(at int64, out int, buf []byte) error) error {
 	dims := l.meta.Dims
 	n, err := checkWindow(dims, lo, shape)
 	if err != nil {
 		return err
 	}
-	if vals != n {
-		return fmt.Errorf("fieldio: buffer holds %d values, window has %d", vals, n)
+	if len(vals) != n {
+		return fmt.Errorf("fieldio: buffer holds %d values, window has %d", len(vals), n)
 	}
 	run, outer := contiguousRun(dims, lo, shape)
 	piece := min(run, maxPiece)
-	buf := bufpool.Bytes(8 * piece)
-	defer bufpool.PutBytes(buf)
+	var stage []byte
+	if !hostLittleEndian {
+		stage = bufpool.Bytes(8 * piece)
+		defer bufpool.PutBytes(stage)
+	}
 	// idx iterates the window coordinates of dims [0, outer]; inner dims are
 	// covered by each contiguous run.
 	idx := make([]int, outer+1)
@@ -158,7 +170,13 @@ func (l *layout) walk(lo, shape []int, vals int, fn func(at int64, out int, buf 
 		at := l.dataOff + 8*int64(off)
 		for i := 0; i < run; i += piece {
 			m := min(piece, run-i)
-			if err := fn(at+8*int64(i), out+i, buf[:8*m]); err != nil {
+			var buf []byte
+			if stage != nil {
+				buf = stage[:8*m]
+			} else {
+				buf = unsafe.Slice((*byte)(unsafe.Pointer(&vals[out+i])), 8*m)
+			}
+			if err := fn(at+8*int64(i), out+i, buf); err != nil {
 				return err
 			}
 		}
@@ -213,9 +231,11 @@ func contiguousRun(dims, lo, shape []int) (run, outer int) {
 // re-reading a truncated file cannot recover the bytes. Transient errors
 // from the underlying reader pass through unchanged, so retry/quarantine
 // classifiers see them as usual.
+//
+// On a little-endian host each piece is read straight into dst's memory.
 func (r *Reader) ReadTile(lo, shape []int, dst []float64) error {
-	return r.walk(lo, shape, len(dst), func(at int64, out int, buf []byte) error {
-		if err := r.readRun(at, buf); err != nil {
+	return r.walk(lo, shape, dst, func(at int64, out int, buf []byte) error {
+		if err := r.readRun(at, buf); err != nil || hostLittleEndian {
 			return err
 		}
 		for i := range dst[out : out+len(buf)/8] {
@@ -281,14 +301,17 @@ func CreateSized(path string, meta Meta) (*TileWriter, error) {
 }
 
 // WriteTile stores src — the window's values in its own row-major order —
-// at the window [lo, lo+shape).
+// at the window [lo, lo+shape). On a little-endian host each piece is
+// written straight from src's memory.
 func (w *TileWriter) WriteTile(lo, shape []int, src []float64) error {
 	if w.closed {
 		return fmt.Errorf("fieldio: write to closed tile writer")
 	}
-	return w.walk(lo, shape, len(src), func(at int64, out int, buf []byte) error {
-		for i := range src[out : out+len(buf)/8] {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(src[out+i]))
+	return w.walk(lo, shape, src, func(at int64, out int, buf []byte) error {
+		if !hostLittleEndian {
+			for i := range src[out : out+len(buf)/8] {
+				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(src[out+i]))
+			}
 		}
 		if _, err := w.f.WriteAt(buf, at); err != nil {
 			return fmt.Errorf("fieldio: write tile at offset %d: %w", at, err)
