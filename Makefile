@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -fuzz FuzzEncodeKernels -fuzztime 30s ./internal/bitplane/
 	$(GO) test -fuzz FuzzLiftRows -fuzztime 30s ./internal/decompose/
 	$(GO) test -fuzz FuzzLiftLines -fuzztime 30s ./internal/decompose/
+	$(GO) test -fuzz FuzzExactPlan -fuzztime 30s ./internal/retrieval/
 
 # The repository benchmark (BENCHMARK.json): the four end-to-end workloads
 # over the real serve/mgard binaries at 129³; see benchmark/README.md.

@@ -308,7 +308,7 @@ func TestObservabilityFlags(t *testing.T) {
 		"storage.retry.reads", "storage.retry.retries",
 		"faults.reads", "faults.injected.transient",
 		"pool.fetch.wait_seconds", "pool.fetch.task_seconds",
-		"retrieval.greedy.estimator_calls")
+		"retrieval.plan_probes")
 	requireStages(t, rt, "session.refine_to", "retrieval.plan", "session.fetch_level",
 		"session.fetch_plane", "storage.read", "session.decode", "bitplane.decode",
 		"session.recompose")

@@ -547,6 +547,34 @@ func TestOneBoundTable(t *testing.T) {
 	}
 }
 
+// TestOnePlanner keeps retrieval.GreedyPlan — ExactPlan under the name the
+// benchmark replay (benchmark/, which this walk skips) plans with — out of
+// every other non-test package: the product calls retrieval.ExactPlan and
+// the reproduction calls MGARD's greedy as retrieval.Greedy, so the alias
+// leaves with the replay.
+func TestOnePlanner(t *testing.T) {
+	var problems []string
+	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if selectorName(n) == "retrieval.GreedyPlan" {
+					problems = append(problems, path+": retrieval.GreedyPlan")
+				}
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "GreedyPlan" && file.Name.Name == "retrieval" {
+					problems = append(problems, path+": GreedyPlan")
+				}
+			}
+			return true
+		})
+	})
+	if len(problems) > 0 {
+		sort.Strings(problems)
+		t.Fatalf("the benchmark replay's planner alias spread:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
 // selectorName renders an identifier or a pkg.Name selector, "" otherwise.
 func selectorName(e ast.Expr) string {
 	switch e := e.(type) {

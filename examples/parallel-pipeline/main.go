@@ -46,7 +46,7 @@ func main() {
 		compressTime := time.Since(t0)
 		h := &c.Header
 
-		plan, err := retrieval.GreedyPlan(h.LevelInfos(), h.Bound(), h.AbsTolerance(1e-5))
+		plan, err := retrieval.ExactPlan(h.LevelInfos(), h.Bound(), h.AbsTolerance(1e-5), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 
 	"pmgard/internal/codec"
 	"pmgard/internal/decompose"
@@ -138,6 +139,35 @@ type Header struct {
 	// coefficient magnitudes, recorded at compression time so E-MGARD can
 	// predict per-level mapping constants without fetching any payload.
 	LevelPools [][]float64
+
+	// bounds memoizes Bound and TheoryBound (boundsOf); unexported, so it
+	// never reaches the JSON.
+	bounds *boundMemo
+}
+
+// boundMemo holds a header's two bound tables, each built once with its
+// plan index memo (retrieval.Bound.Memo). owner is the header it belongs
+// to: a header copied by value, whose levels may then be edited, builds
+// its own.
+type boundMemo struct {
+	owner         *Header
+	bound, theory sync.Once
+	b, t          retrieval.Bound
+}
+
+// boundsMu guards the lazy creation of every header's memo.
+var boundsMu sync.Mutex
+
+// boundsOf returns h's bound memo, creating it on first use. A header is
+// read-only once planned against: the memo does not follow later edits of
+// its levels or options.
+func (h *Header) boundsOf() *boundMemo {
+	boundsMu.Lock()
+	defer boundsMu.Unlock()
+	if h.bounds == nil || h.bounds.owner != h {
+		h.bounds = &boundMemo{owner: h}
+	}
+	return h.bounds
 }
 
 // Codec returns the effective progressive-codec ID of the artifact; an
@@ -192,10 +222,15 @@ func (h *Header) amplification() (naive float64, perLevel []float64) {
 // Bound returns the bound every read path plans with: the paper's Eq. 7,
 // Σ_l C_l·Err[l][b_l], with the backend's exact per-level constants
 // (codec.ProgressiveCodec.LevelAmplification). It is sound — each C_l is
-// an attained worst case, not a fit — and never above TheoryBound.
+// an attained worst case, not a fit — and never above TheoryBound. The
+// table and its plan index are built once per header.
 func (h *Header) Bound() retrieval.Bound {
-	_, c := h.amplification()
-	return retrieval.PerLevel(h.LevelInfos(), c)
+	m := h.boundsOf()
+	m.bound.Do(func() {
+		_, c := h.amplification()
+		m.b = retrieval.PerLevel(h.LevelInfos(), c).Memo()
+	})
+	return m.b
 }
 
 // TheoryBound returns the original MGARD error bound (Eq. 6) over the
@@ -205,13 +240,17 @@ func (h *Header) Bound() retrieval.Bound {
 // bound — is the overhead the paper's models remove. Where the naive
 // constant is below the largest exact per-level one (no update step, or
 // too few levels to compound past 2^rank − 1) it is no bound, so C is the
-// larger of the two.
+// larger of the two. Like Bound, it is built once per header.
 func (h *Header) TheoryBound() retrieval.Bound {
-	naive, c := h.amplification()
-	for _, cl := range c {
-		naive = max(naive, cl)
-	}
-	return retrieval.Theory(h.LevelInfos(), naive)
+	m := h.boundsOf()
+	m.theory.Do(func() {
+		naive, c := h.amplification()
+		for _, cl := range c {
+			naive = max(naive, cl)
+		}
+		m.t = retrieval.Theory(h.LevelInfos(), naive).Memo()
+	})
+	return m.t
 }
 
 // TheoryEstimator is Bound under the name the benchmark's replay
@@ -411,22 +450,23 @@ func retrieve(ctx context.Context, h *Header, src storage.SegmentSource, planes 
 	return s.refineTo(ctx, planes, upTo)
 }
 
-// greedyPlan is retrieval.GreedyPlan over the header's levels with planner
-// telemetry recorded into o when set:
+// exactPlan is retrieval.ExactPlan over the header's levels, above the held
+// plane counts (nil for none), with planner telemetry recorded into o when
+// set:
 //
-//	retrieval.greedy.plans           counter — planner invocations
-//	retrieval.greedy.estimator_calls counter — bound evaluations walked
-//	retrieval.plan span              — one per invocation, attrs tol/bytes,
-//	                                   a child of ctx's span when it has one
-func greedyPlan(ctx context.Context, h *Header, bound retrieval.Bound, tol float64, o *obs.Obs) (retrieval.Plan, error) {
+//	retrieval.plans       counter — planner invocations
+//	retrieval.plan_probes counter — index points probed
+//	retrieval.plan span   — one per invocation, attrs tol/bytes,
+//	                        a child of ctx's span when it has one
+func exactPlan(ctx context.Context, h *Header, bound retrieval.Bound, tol float64, held []int, o *obs.Obs) (retrieval.Plan, error) {
 	if o == nil {
-		return retrieval.GreedyPlan(h.LevelInfos(), bound, tol)
+		return retrieval.ExactPlan(h.LevelInfos(), bound, tol, held)
 	}
 	sp := o.Span("retrieval.plan", obs.SpanFromContext(ctx))
 	sp.SetAttr("tol", tol)
-	plan, err := retrieval.GreedyPlan(h.LevelInfos(), bound, tol)
-	o.Counter("retrieval.greedy.plans").Add(1)
-	o.Counter("retrieval.greedy.estimator_calls").Add(plan.BoundEvals)
+	plan, err := retrieval.ExactPlan(h.LevelInfos(), bound, tol, held)
+	o.Counter("retrieval.plans").Add(1)
+	o.Counter("retrieval.plan_probes").Add(plan.BoundEvals)
 	if err == nil {
 		sp.SetAttr("bytes", plan.Bytes)
 	}
@@ -435,10 +475,11 @@ func greedyPlan(ctx context.Context, h *Header, bound retrieval.Bound, tol float
 	return plan, err
 }
 
-// RetrieveTolerance plans under the given bound at an absolute tolerance
-// and retrieves. It returns the reconstruction and the executed plan.
+// RetrieveTolerance plans the fewest bytes the bound allows at an absolute
+// tolerance (retrieval.ExactPlan) and retrieves. It returns the
+// reconstruction and the executed plan.
 func RetrieveTolerance(ctx context.Context, h *Header, src storage.SegmentSource, bound retrieval.Bound, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
-	plan, err := greedyPlan(ctx, h, bound, tol, opt.Obs)
+	plan, err := exactPlan(ctx, h, bound, tol, nil, opt.Obs)
 	if err != nil {
 		return nil, retrieval.Plan{}, err
 	}

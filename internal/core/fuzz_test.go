@@ -32,7 +32,7 @@ func fuzzSetup(t testing.TB) {
 			panic(err)
 		}
 		h := &c.Header
-		plan, err := retrieval.GreedyPlan(h.LevelInfos(), h.TheoryBound(), h.AbsTolerance(1e-4))
+		plan, err := retrieval.ExactPlan(h.LevelInfos(), h.TheoryBound(), h.AbsTolerance(1e-4), nil)
 		if err != nil {
 			panic(err)
 		}

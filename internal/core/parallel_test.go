@@ -88,7 +88,7 @@ func TestRetrieveParallelGoldenEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &c.Header
-	plan, err := retrieval.GreedyPlan(h.LevelInfos(), h.TheoryBound(), h.AbsTolerance(1e-4))
+	plan, err := retrieval.ExactPlan(h.LevelInfos(), h.TheoryBound(), h.AbsTolerance(1e-4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -393,9 +393,10 @@ func (s *Session) fetchLevel(ctx context.Context, l, want int) error {
 	return err
 }
 
-// Refine plans greedily under bound at an absolute tolerance, never dropping
-// below the already-fetched planes, fetches the delta and reconstructs.
-// It returns the reconstruction and the plan actually executed.
+// Refine plans the fewest new bytes the bound allows at an absolute
+// tolerance (retrieval.ExactPlan above the planes already fetched, which
+// cost nothing), fetches the delta and reconstructs. It returns the
+// reconstruction and the plan actually executed.
 //
 // Refine fails soft on data loss: when a plane is permanently unavailable
 // (the read error classifies as storage.FaultPermanent — a quarantined
@@ -419,17 +420,12 @@ func (s *Session) Refine(ctx context.Context, bound retrieval.Bound, tol float64
 	sp.SetAttr("tol", tol)
 	defer sp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
-	plan, err := greedyPlan(ctx, s.header, bound, tol, s.o)
+	plan, err := exactPlan(ctx, s.header, bound, tol, s.fetched, s.o)
 	if err != nil {
 		sp.Fail(err)
 		return nil, retrieval.Plan{}, nil, err
 	}
 	target := plan.Planes
-	for l, have := range s.fetched {
-		if have > target[l] {
-			target[l] = have
-		}
-	}
 	requested := append([]int(nil), target...)
 	var dropped []storage.SegmentID
 	for l, want := range target {

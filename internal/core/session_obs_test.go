@@ -156,8 +156,8 @@ func TestSessionInstrumentPerLevelCounters(t *testing.T) {
 	if got := snap.Counters["core.session.bytes_fetched"]; got != s.BytesFetched() {
 		t.Fatalf("total bytes counter = %d, BytesFetched = %d", got, s.BytesFetched())
 	}
-	if snap.Counters["retrieval.greedy.estimator_calls"] == 0 {
-		t.Fatal("estimator iterations not counted")
+	if snap.Counters["retrieval.plan_probes"] == 0 {
+		t.Fatal("plan index probes not counted")
 	}
 	// The refinement span made it into the trace.
 	var names []string

@@ -58,17 +58,18 @@ func (w *Walker) Close() { w.sess.Close() }
 type SweepPoint struct {
 	// RelBound is the relative error bound; Tolerance the absolute one.
 	RelBound, Tolerance float64
-	// Plan is the greedy plan under the sweep's bound at Tolerance.
+	// Plan is MGARD's greedy plan (retrieval.Greedy) under the sweep's
+	// bound at Tolerance.
 	Plan retrieval.Plan
 	// AchievedErr is the measured L∞ error of Plan's reconstruction.
 	AchievedErr float64
 }
 
-// SweepBounds plans every relative bound greedily under bound and measures
-// each plan on one walk, loosest bound first — greedy plans are stops of one
-// path, so they grow with the bound tightening. The points come back in the
-// order of rels. A constant field has no positive tolerance and yields no
-// points.
+// SweepBounds plans every relative bound with MGARD's greedy under bound,
+// as the paper's offline stage ran it, and measures each plan on one walk,
+// loosest bound first — greedy plans are stops of one path, so they grow
+// with the bound tightening. The points come back in the order of rels. A
+// constant field has no positive tolerance and yields no points.
 func SweepBounds(ctx context.Context, h *Header, src storage.SegmentSource, orig *grid.Tensor, bound retrieval.Bound, rels []float64) ([]SweepPoint, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("core: no error bounds to sweep")
@@ -83,7 +84,7 @@ func SweepBounds(ctx context.Context, h *Header, src storage.SegmentSource, orig
 		if tol <= 0 {
 			continue
 		}
-		plan, err := retrieval.GreedyPlan(infos, bound, tol)
+		plan, err := retrieval.Greedy(infos, bound, tol)
 		if err != nil {
 			return nil, fmt.Errorf("core: sweep bound %g: %w", rel, err)
 		}

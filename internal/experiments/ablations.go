@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"pmgard/internal/codec"
@@ -127,11 +126,11 @@ func AblateUpdate(p Params) ([]*Table, error) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-5)
-		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
+		rec, plan, err := greedyRetrieve(h, c, h.TheoryBound(), tol)
 		if err != nil {
 			return nil, err
 		}
-		recX, planX, err := core.RetrieveTolerance(context.Background(), h, c, h.Bound(), tol, core.RetrieveOptions{})
+		recX, planX, err := greedyRetrieve(h, c, h.Bound(), tol)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +142,9 @@ func AblateUpdate(p Params) ([]*Table, error) {
 
 // AblateGreedy compares MGARD's greedy accuracy-efficiency plane order
 // against a naive level-major order (fill the coarsest level completely,
-// then the next) at equal theory-estimated error.
+// then the next) at equal theory-estimated error, and shows what the
+// product's planner (retrieval.ExactPlan, the fewest bytes the same bound
+// allows) saves over the greedy.
 func AblateGreedy(p Params) ([]*Table, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -159,14 +160,14 @@ func AblateGreedy(p Params) ([]*Table, error) {
 	table := &Table{
 		ID:      "ablate-greedy",
 		Title:   fmt.Sprintf("Greedy accuracy-efficiency vs level-major retrieval order (WarpX Jx, t=%d)", t),
-		Columns: []string{"rel_bound", "greedy_bytes", "levelmajor_bytes", "greedy_saving_pct"},
+		Columns: []string{"rel_bound", "greedy_bytes", "levelmajor_bytes", "greedy_saving_pct", "exact_bytes", "exact_saving_pct"},
 	}
 	for _, rel := range thinBounds(p.Bounds, 7) {
 		tol := h.AbsTolerance(rel)
 		if tol <= 0 {
 			continue
 		}
-		greedy, err := retrieval.GreedyPlan(infos, est, tol)
+		greedy, err := retrieval.Greedy(infos, est, tol)
 		if err != nil {
 			return nil, err
 		}
@@ -174,13 +175,21 @@ func AblateGreedy(p Params) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		saving := 0.0
-		if lm.Bytes > 0 {
-			saving = 100 * float64(lm.Bytes-greedy.Bytes) / float64(lm.Bytes)
+		exact, err := retrieval.ExactPlan(infos, est, tol, nil)
+		if err != nil {
+			return nil, err
 		}
-		table.AddRow(rel, greedy.Bytes, lm.Bytes, saving)
+		table.AddRow(rel, greedy.Bytes, lm.Bytes, savingPct(lm.Bytes, greedy.Bytes), exact.Bytes, savingPct(greedy.Bytes, exact.Bytes))
 	}
 	return []*Table{table}, nil
+}
+
+// savingPct is the share of from's bytes that to saves, 0 when from is 0.
+func savingPct(from, to int64) float64 {
+	if from == 0 {
+		return 0
+	}
+	return 100 * float64(from-to) / float64(from)
 }
 
 // levelMajorPlan fills bit-planes strictly level by level, coarsest first,
@@ -229,7 +238,7 @@ func AblateCodec(p Params) ([]*Table, error) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-5)
-		_, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
+		_, plan, err := greedyRetrieve(h, c, h.TheoryBound(), tol)
 		if err != nil {
 			return nil, err
 		}

@@ -167,15 +167,17 @@ func AblateSession(p Params) ([]*Table, error) {
 	var oneShotCum int64
 	for _, rel := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6} {
 		tol := h.AbsTolerance(rel)
-		rec, _, _, err := sess.Refine(context.Background(), est, tol)
+		// The session keeps what it holds and fetches the rest of the
+		// greedy plan, as MGARD's progressive retriever does.
+		greedy, err := retrieval.Greedy(h.LevelInfos(), est, tol)
 		if err != nil {
 			return nil, err
 		}
-		_, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
+		rec, err := sess.RefineTo(context.Background(), greedy.Planes)
 		if err != nil {
 			return nil, err
 		}
-		oneShotCum += plan.Bytes
+		oneShotCum += greedy.Bytes
 		table.AddRow(rel, sess.BytesFetched(), oneShotCum, grid.MaxAbsDiff(field, rec))
 	}
 	return []*Table{table}, nil
@@ -352,7 +354,7 @@ func ExpHybrid(p Params) ([]*Table, error) {
 				return nil, err
 			}
 			est := retrieval.PerLevel(h.LevelInfos(), cs)
-			recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
+			recE, planE, err := greedyRetrieve(h, c, est, tol)
 			if err != nil {
 				return nil, err
 			}
@@ -466,7 +468,7 @@ func AblateLevels(p Params) ([]*Table, error) {
 		}
 		h := &c.Header
 		tol := h.AbsTolerance(1e-4)
-		rec, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
+		rec, plan, err := greedyRetrieve(h, c, h.TheoryBound(), tol)
 		if err != nil {
 			return nil, err
 		}

@@ -74,11 +74,11 @@ func Fig12(p Params) ([]*Table, error) {
 		if tol <= 0 {
 			continue
 		}
-		recT, _, err := core.RetrieveTolerance(context.Background(), h, c, theory, tol, core.RetrieveOptions{})
+		recT, _, err := greedyRetrieve(h, c, theory, tol)
 		if err != nil {
 			return nil, err
 		}
-		recE, _, err := core.RetrieveTolerance(context.Background(), h, c, learned, tol, core.RetrieveOptions{})
+		recE, _, err := greedyRetrieve(h, c, learned, tol)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +132,7 @@ func Fig13(p Params) ([]*Table, error) {
 			if tol <= 0 {
 				continue
 			}
-			recT, planT, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
+			recT, planT, err := greedyRetrieve(h, c, h.TheoryBound(), tol)
 			if err != nil {
 				return nil, err
 			}
@@ -164,7 +164,7 @@ func Fig13(p Params) ([]*Table, error) {
 				return nil, err
 			}
 			learned := retrieval.PerLevel(h.LevelInfos(), cs)
-			recE, planE, err := core.RetrieveTolerance(context.Background(), h, c, learned, tol, core.RetrieveOptions{})
+			recE, planE, err := greedyRetrieve(h, c, learned, tol)
 			if err != nil {
 				return nil, err
 			}

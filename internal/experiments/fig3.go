@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"pmgard/internal/core"
@@ -22,7 +21,7 @@ func planesForBound(p Params, field *grid.Tensor, name string, t int, rel float6
 	if tol <= 0 {
 		return make([]int, len(h.Levels)), 0, nil
 	}
-	_, plan, err := core.RetrieveTolerance(context.Background(), h, c, h.TheoryBound(), tol, core.RetrieveOptions{})
+	_, plan, err := greedyRetrieve(h, c, h.TheoryBound(), tol)
 	if err != nil {
 		return nil, 0, err
 	}

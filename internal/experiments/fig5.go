@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -46,7 +45,7 @@ func Fig5(p Params) ([]*Table, error) {
 			if tol <= 0 {
 				continue
 			}
-			_, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
+			_, plan, err := greedyRetrieve(h, c, est, tol)
 			if err != nil {
 				return nil, err
 			}
@@ -108,7 +107,7 @@ func Fig5(p Params) ([]*Table, error) {
 		if tol <= 0 {
 			continue
 		}
-		_, plan, err := core.RetrieveTolerance(context.Background(), h, c, est, tol, core.RetrieveOptions{})
+		_, plan, err := greedyRetrieve(h, c, est, tol)
 		if err != nil {
 			return nil, err
 		}

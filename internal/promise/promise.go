@@ -14,9 +14,11 @@
 //     achieved L∞ is ≤ the bound it reports;
 //   - every fault-free path of one (backend, field, rel, bound) answers what
 //     the reference one-shot read answers: the same planes, bytes fetched,
-//     estimated error and checksum. Tiled rows plan each tile on its own
-//     and stand apart; a served data-fault row answers what a session over
-//     the same damaged artifact answers.
+//     estimated error and checksum; a walker row, which plans with MGARD's
+//     greedy, answers what a one-shot read of the greedy's plan answers.
+//     Tiled rows plan each tile on its own and stand apart; a served
+//     data-fault row answers what a session over the same damaged artifact
+//     answers.
 //
 // Tests run a slice of the matrix through a Selector; each row belongs to
 // exactly one, Rest holding those no named selector keeps:
@@ -327,6 +329,8 @@ func (e *env) check(t *testing.T, r row, got reading) {
 	switch {
 	case r.path == tiles:
 		return
+	case r.path == walker:
+		want = e.greedyReference(t, r)
 	case r.fault == none || r.fault == transient:
 		want = e.reference(t, r)
 	case isServed(r) || isWiring(r):
@@ -345,6 +349,26 @@ func (e *env) check(t *testing.T, r row, got reading) {
 func (e *env) reference(t *testing.T, r row) reading {
 	return memoize(e, fmt.Sprint("ref", r.backend, r.field, r.bound, r.rel), func() reading {
 		return e.read(t, row{r.backend, r.field, r.bound, r.rel, memory, oneShot, none})
+	})
+}
+
+// greedyReference is what a walker row answers: MGARD's greedy plan
+// (retrieval.Greedy) under r's bound at r's tolerance, read one shot from
+// memory, since core.SweepBounds plans as the paper's offline stage did.
+func (e *env) greedyReference(t *testing.T, r row) reading {
+	return memoize(e, fmt.Sprint("greedy", r.backend, r.field, r.bound, r.rel), func() reading {
+		fx := e.fixture(t, r.backend, r.field)
+		tol := fx.h.AbsTolerance(r.rel)
+		plan, err := retrieval.Greedy(fx.h.LevelInfos(), bound(fx.h, r.bound), tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New()
+		rec, err := core.Retrieve(context.Background(), fx.h, fx.c, plan, core.RetrieveOptions{Workers: 1, Obs: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fx.measure(rec, plan, o.Counter("core.session.bytes_fetched").Value(), nil, tol)
 	})
 }
 
@@ -533,21 +557,24 @@ func memoize[V any](e *env, key string, build func() V) V {
 }
 
 // site is the plane every fault of fx damages: inside the plans of both
-// bounds at the loosest tolerance — so inside every row's plan — on the
-// finest level that has one, nearest the middle of the plan's run there,
+// bounds at every tolerance — so inside every row's plan — on the finest
+// level that has one, nearest the middle of the plans' common run there,
 // with a successor of another size, so a misdirected read cannot pass the
 // manifest's length check.
 func (e *env) site(t *testing.T, fx *fixture) (level, plane int) {
 	s := memoize(e, "site"+fx.h.Codec()+fx.h.FieldName, func() [2]int {
 		n := make([]int, len(fx.h.Levels))
-		for i, name := range bounds {
-			plan, err := retrieval.GreedyPlan(fx.h.LevelInfos(), bound(fx.h, name), fx.h.AbsTolerance(rels[0]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for l, k := range plan.Planes {
-				if i == 0 || k < n[l] {
-					n[l] = k
+		for l := range n {
+			n[l] = fx.h.Planes
+		}
+		for _, name := range bounds {
+			for _, rel := range rels {
+				plan, err := retrieval.ExactPlan(fx.h.LevelInfos(), bound(fx.h, name), fx.h.AbsTolerance(rel), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for l, k := range plan.Planes {
+					n[l] = min(n[l], k)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package retrieval_test
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -132,7 +133,7 @@ func TestBoundTablePlansSameBits(t *testing.T) {
 				for _, b := range bounds {
 					for _, rel := range rels {
 						tol := h.AbsTolerance(rel)
-						got, err := retrieval.GreedyPlan(levels, b.bound, tol)
+						got, err := retrieval.Greedy(levels, b.bound, tol)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -150,11 +151,170 @@ func TestBoundTablePlansSameBits(t *testing.T) {
 					retrieval.PerLevel(levels, append(slices.Clone(cs), 1)),
 					{C: 1, T: append(slices.Clone(theory.T[:levelCount-1]), theory.T[levelCount-1][:1])},
 				} {
-					if _, err := retrieval.GreedyPlan(levels, bad, h.AbsTolerance(1e-4)); err == nil {
+					if _, err := retrieval.Greedy(levels, bad, h.AbsTolerance(1e-4)); err == nil {
 						t.Fatalf("%s L=%d update=%v: bound shape %d accepted", name, levelCount, update, i)
 					}
 				}
 			}
 		}
+	}
+}
+
+// referencePoint is one point of referenceFrontier.
+type referencePoint struct {
+	cost   int64
+	sum    float64
+	planes []int
+}
+
+// referenceFrontier is the plainest exact method's table: the full Pareto
+// frontier of (bytes, bound sum) over all levels above held, every stage
+// enumerated and sorted — no index, no skipping — cheapest first, ties to
+// the smaller sum. The minimum-byte plan has the bytes and bound of its
+// first point that clears the tolerance.
+func referenceFrontier(levels []retrieval.LevelInfo, bound retrieval.Bound, held []int) []referencePoint {
+	front := []referencePoint{{}}
+	for l, li := range levels {
+		var cands []referencePoint
+		for _, p := range front {
+			var cost int64
+			for b := held[l]; b <= len(li.PlaneSizes); b++ {
+				if b > held[l] {
+					cost += li.PlaneSizes[b-1]
+				}
+				if t := bound.T[l][b]; !math.IsNaN(t) {
+					cands = append(cands, referencePoint{p.cost + cost, p.sum + t, append(slices.Clone(p.planes), b)})
+				}
+			}
+		}
+		slices.SortFunc(cands, func(a, b referencePoint) int {
+			if a.cost != b.cost {
+				return cmp.Compare(a.cost, b.cost)
+			}
+			return cmp.Compare(a.sum, b.sum)
+		})
+		front = nil
+		for _, c := range cands {
+			if len(front) == 0 || c.sum < front[len(front)-1].sum {
+				front = append(front, c)
+			}
+		}
+	}
+	return front
+}
+
+// TestExactPlanOnHeaders checks ExactPlan on real headers — WarpX Jx, Ex
+// and Bx at 33³ with 2 to 7 levels, under the served and the theory bound,
+// fresh, above the loosest plan's planes and above planes the fresh plans
+// do not keep — against referenceFrontier: the same bytes and bound, a
+// bound ≤ tol, and never more bytes than MGARD's greedy. Below the
+// quantization floor it ends where the greedy ends.
+func TestExactPlanOnHeaders(t *testing.T) {
+	rels := []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-13}
+	for _, name := range []string{"Jx", "Ex", "Bx"} {
+		field, err := warpx.DefaultConfig(33, 33, 33).Field(name, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for levelCount := 2; levelCount <= 7; levelCount++ {
+			cfg := core.DefaultConfig()
+			cfg.Decompose.Levels = levelCount
+			c, err := core.Compress(field, cfg, name, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &c.Header
+			levels := h.LevelInfos()
+			loose, err := retrieval.ExactPlan(levels, h.Bound(), h.AbsTolerance(rels[0]), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bound := range []retrieval.Bound{h.Bound(), h.TheoryBound()} {
+				// The loosest plan with every plane of its middle level: the
+				// fresh plans of every tighter tolerance keep the loosest
+				// plan's planes, but not this.
+				past := slices.Clone(loose.Planes)
+				past[levelCount/2] = h.Planes
+				for _, held := range [][]int{make([]int, levelCount), loose.Planes, past} {
+					front := referenceFrontier(levels, bound, held)
+					for _, rel := range rels {
+						tol := h.AbsTolerance(rel)
+						got, err := retrieval.ExactPlan(levels, bound, tol, held)
+						if err != nil {
+							t.Fatal(err)
+						}
+						greedy, err := retrieval.RefinePlan(levels, held, bound, tol)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, reachable := greedy.Planes, false
+						if i := slices.IndexFunc(front, func(p referencePoint) bool { return bound.C*p.sum <= tol }); i >= 0 {
+							want, reachable = front[i].planes, true
+						}
+						ref, err := retrieval.PlanForPlanes(levels, want)
+						if err != nil {
+							t.Fatal(err)
+						}
+						kept := true
+						for l, b := range held {
+							kept = kept && got.Planes[l] >= b
+						}
+						if !kept || got.Bytes != ref.Bytes || got.EstimatedError != bound.At(want) || !reachable && !slices.Equal(got.Planes, want) ||
+							reachable && !(got.EstimatedError <= tol && got.Bytes <= greedy.Bytes) {
+							t.Fatalf("%s L=%d C=%g held %v rel %g: planes %v (%d B, bound %g), reference %v (%d B), greedy %v (%d B)",
+								name, levelCount, bound.C, held, rel, got.Planes, got.Bytes, got.EstimatedError, want, ref.Bytes, greedy.Planes, greedy.Bytes)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPlan prices one plan of a 129³ WarpX Jx header (five levels of
+// 32 planes) at rel 1e-2, 1e-4 and 1e-6 in turn: MGARD's greedy, ExactPlan
+// on the header's memoized bound (a fresh /refine), ExactPlan above the
+// 1e-2 plan's planes (a progressive session's next step, which the fresh
+// plans keep: the memoized index answers), ExactPlan above those planes
+// with every plane of the middle level (which the fresh plans do not keep:
+// index built per call), and ExactPlan on an unmemoized copy of the table
+// (index built per call).
+func BenchmarkPlan(b *testing.B) {
+	field, err := warpx.DefaultConfig(129, 129, 129).Field("Jx", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := core.Compress(field, core.DefaultConfig(), "Jx", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := &c.Header
+	levels, bound := h.LevelInfos(), h.Bound()
+	tols := []float64{h.AbsTolerance(1e-2), h.AbsTolerance(1e-4), h.AbsTolerance(1e-6)}
+	held, err := retrieval.ExactPlan(levels, bound, tols[0], nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	past := slices.Clone(held.Planes)
+	past[len(past)/2] = h.Planes
+	for _, p := range []struct {
+		name string
+		plan func(tol float64) (retrieval.Plan, error)
+	}{
+		{"greedy", func(tol float64) (retrieval.Plan, error) { return retrieval.Greedy(levels, bound, tol) }},
+		{"exact", func(tol float64) (retrieval.Plan, error) { return retrieval.ExactPlan(levels, bound, tol, nil) }},
+		{"exact-held", func(tol float64) (retrieval.Plan, error) { return retrieval.ExactPlan(levels, bound, tol, held.Planes) }},
+		{"exact-held-unkept", func(tol float64) (retrieval.Plan, error) { return retrieval.ExactPlan(levels, bound, tol, past) }},
+		{"exact-unmemoized", func(tol float64) (retrieval.Plan, error) {
+			return retrieval.ExactPlan(levels, retrieval.Bound{C: bound.C, T: bound.T}, tol, nil)
+		}},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := p.plan(tols[i%len(tols)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,10 +5,12 @@
 //
 // The planner is the integration point for the paper's contribution. It
 // stops on one bound table, Bound: C·Σ_l T[l][b_l] read at the plane
-// counts. The original theory bound (Eq. 6) and the E-MGARD learned
-// per-level bound (Eq. 7) are its two constructors, Theory and PerLevel;
-// a fixed plane assignment from D-MGARD drives the same size interpreter
-// through PlanForPlanes.
+// counts. ExactPlan, which every product read path runs, spends the fewest
+// stored bytes the bound allows; Greedy is MGARD's accuracy-efficiency
+// walk, which the reproduction keeps as the paper ran it. The original
+// theory bound (Eq. 6) and the E-MGARD learned per-level bound (Eq. 7) are
+// its two constructors, Theory and PerLevel; a fixed plane assignment from
+// D-MGARD drives the same size interpreter through PlanForPlanes.
 package retrieval
 
 import (
@@ -52,6 +54,9 @@ type Bound struct {
 	C float64
 	// T[l][b] is level l's term with b planes fetched (len planes+1).
 	T [][]float64
+	// memo, when set (Memo), holds the fresh-plan index ExactPlan builds
+	// once for this table.
+	memo *indexMemo
 }
 
 // Theory returns the original MGARD bound of Eq. 6: err ≤ C·Σ_l Err_l, with
@@ -118,9 +123,9 @@ type Plan struct {
 	Bytes int64
 	// EstimatedError is the bound at the chosen plane counts.
 	EstimatedError float64
-	// BoundEvals is how many times the planner read the bound to choose
-	// the plane counts, the planner's unit of search work (0 for a fixed
-	// assignment).
+	// BoundEvals is the planner's unit of search work: the index points
+	// ExactPlan probed, or the bound reads the greedy walk made (0 for a
+	// fixed assignment).
 	BoundEvals int64
 }
 
@@ -292,10 +297,20 @@ func RefinePlan(levels []LevelInfo, start []int, bound Bound, tol float64) (Plan
 	return plan, nil
 }
 
-// GreedyPlan chooses plane counts by MGARD's greedy accuracy-efficiency
+// Greedy chooses plane counts by MGARD's greedy accuracy-efficiency
 // search: starting from zero planes everywhere, it repeatedly fetches the
 // plane prefix with the best error-reduction-per-byte until the bound drops
-// to the tolerance (§II-C, Fig. 5 discussion). tol must be positive.
-func GreedyPlan(levels []LevelInfo, bound Bound, tol float64) (Plan, error) {
+// to the tolerance (§II-C, Fig. 5 discussion). tol must be positive. It is
+// the retriever the paper ran, and the reproduction's experiments plan with
+// it; the product plans with ExactPlan, which never fetches more.
+func Greedy(levels []LevelInfo, bound Bound, tol float64) (Plan, error) {
 	return RefinePlan(levels, make([]int, len(levels)), bound, tol)
+}
+
+// GreedyPlan is ExactPlan for a fresh session, under the name the
+// benchmark's replay (benchmark/replay.go) plans with, so the replay
+// re-plans each request exactly as /refine does. It is not MGARD's greedy:
+// that is Greedy. It goes with the replay (ROADMAP item 3).
+func GreedyPlan(levels []LevelInfo, bound Bound, tol float64) (Plan, error) {
+	return ExactPlan(levels, bound, tol, nil)
 }

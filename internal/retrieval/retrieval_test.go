@@ -66,7 +66,7 @@ func TestPerLevelEstimator(t *testing.T) {
 	// A constant count that disagrees with the levels is rejected by the
 	// planner, not a panic.
 	for _, cs := range [][]float64{{1}, {1, 1, 1, 1}} {
-		if _, err := GreedyPlan(levels, PerLevel(levels, cs), 1); err == nil {
+		if _, err := Greedy(levels, PerLevel(levels, cs), 1); err == nil {
 			t.Fatalf("%d constants for %d levels accepted", len(cs), len(levels))
 		}
 	}
@@ -115,7 +115,7 @@ func TestGreedyPlanReachesTolerance(t *testing.T) {
 	}
 	est := Theory(levels, 1.5)
 	for _, tol := range []float64{100, 1, 1e-3, 1e-6} {
-		p, err := GreedyPlan(levels, est, tol)
+		p, err := Greedy(levels, est, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestGreedyPlanMonotoneInTolerance(t *testing.T) {
 	est := Theory(levels, 2)
 	prevBytes := int64(-1)
 	for _, tol := range []float64{10, 1, 0.1, 0.01, 0.001} {
-		p, err := GreedyPlan(levels, est, tol)
+		p, err := Greedy(levels, est, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestGreedyPlanLooseToleranceReadsNothing(t *testing.T) {
 	levels := []LevelInfo{syntheticLevel(t, rng, 32, 1, 16)}
 	// Tolerance above C·Err[0] requires no planes at all.
 	tol := 1.5*levels[0].ErrMatrix[0] + 1
-	p, err := GreedyPlan(levels, Theory(levels, 1.5), tol)
+	p, err := Greedy(levels, Theory(levels, 1.5), tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestGreedyPlanLooseToleranceReadsNothing(t *testing.T) {
 func TestGreedyPlanRejectsBadTolerance(t *testing.T) {
 	levels := []LevelInfo{{ErrMatrix: []float64{1, 0}, PlaneSizes: []int64{1}}}
 	for _, tol := range []float64{0, -1, math.NaN()} {
-		if _, err := GreedyPlan(levels, Theory(levels, 1), tol); err == nil {
+		if _, err := Greedy(levels, Theory(levels, 1), tol); err == nil {
 			t.Fatalf("tolerance %v accepted", tol)
 		}
 	}
@@ -185,7 +185,7 @@ func TestGreedyPrefersCheapEfficientLevels(t *testing.T) {
 		PlaneSizes: []int64{4096, 4096, 4096, 4096},
 	}
 	levels := []LevelInfo{coarse, fine}
-	p, err := GreedyPlan(levels, Theory(levels, 1), 0.5)
+	p, err := Greedy(levels, Theory(levels, 1), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestGreedyHandlesNonMonotoneErrMatrix(t *testing.T) {
 		ErrMatrix:  []float64{10, 12, 1, 0.5, 0},
 		PlaneSizes: []int64{8, 8, 8, 8},
 	}
-	p, err := GreedyPlan([]LevelInfo{level}, Theory([]LevelInfo{level}, 1), 0.6)
+	p, err := Greedy([]LevelInfo{level}, Theory([]LevelInfo{level}, 1), 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestGreedyExhaustsPlanesWhenToleranceUnreachable(t *testing.T) {
 		ErrMatrix:  []float64{10, 5, 2}, // residual error 2 > tol
 		PlaneSizes: []int64{8, 8},
 	}
-	p, err := GreedyPlan([]LevelInfo{level}, Theory([]LevelInfo{level}, 1), 1e-9)
+	p, err := Greedy([]LevelInfo{level}, Theory([]LevelInfo{level}, 1), 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestPerLevelEstimatorNeedsFewerBytesThanTheory(t *testing.T) {
 	theory := Theory(levels, 3.375)
 	learned := PerLevel(levels, []float64{1.0, 0.8, 0.6})
 	for _, tol := range []float64{1, 0.01, 1e-4} {
-		pt, err := GreedyPlan(levels, theory, tol)
+		pt, err := Greedy(levels, theory, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := GreedyPlan(levels, learned, tol)
+		pl, err := Greedy(levels, learned, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestGreedyZeroSizePlanesInfiniteEfficiency(t *testing.T) {
 		ErrMatrix:  []float64{4, 2, 1},
 		PlaneSizes: []int64{0, 16},
 	}
-	p, err := GreedyPlan([]LevelInfo{level}, Theory([]LevelInfo{level}, 1), 3)
+	p, err := Greedy([]LevelInfo{level}, Theory([]LevelInfo{level}, 1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestGreedyPlanConsistentWithSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	tol := 0.01
-	plan, err := GreedyPlan(levels, est, tol)
+	plan, err := Greedy(levels, est, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestRefinePlanIdempotentAtOptimum(t *testing.T) {
 		syntheticLevel(t, rng, 128, 10, 24),
 	}
 	est := Theory(levels, 2)
-	g, err := GreedyPlan(levels, est, 0.05)
+	g, err := Greedy(levels, est, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestRefinePlanIdempotentAtOptimum(t *testing.T) {
 // matrices (non-monotone prefixes included) and both estimator kinds, the
 // plan refined from zero planes is plane for plane the one read off the
 // full greedy path at the first step whose estimate clears the tolerance —
-// how GreedyPlan was defined before it became RefinePlan from zeros.
+// how the greedy was defined before it became RefinePlan from zeros.
 func TestGreedyPlanIsRefineFromZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -439,7 +439,7 @@ func TestGreedyPlanIsRefineFromZero(t *testing.T) {
 		}
 		for name, plan := range map[string]func() (Plan, error){
 			"RefinePlan from zeros": func() (Plan, error) { return RefinePlan(levels, make([]int, len(levels)), est, tol) },
-			"GreedyPlan":            func() (Plan, error) { return GreedyPlan(levels, est, tol) },
+			"Greedy":                func() (Plan, error) { return Greedy(levels, est, tol) },
 		} {
 			got, err := plan()
 			if err != nil {
