@@ -8,8 +8,8 @@
 //	               1 = sequential — the output bytes are identical either way)
 //	mgard compress -in field.field -tiered dir/      (place levels across storage tiers)
 //	mgard inspect  -in field.pmgd|dir/
-//	mgard retrieve -in field.pmgd|dir/ -rel 1e-4 [-control exact|theory|emgard|planes]
-//	               [-model emgard.gob] [-planes 12,10,8,6,4] [-workers N]
+//	mgard retrieve -in field.pmgd|dir/ -rel 1e-4 [-control exact|theory|planes]
+//	               [-planes 12,10,8,6,4] [-workers N]
 //	               [-orig field.field] [-out recon.field]
 //	               (-in takes either layout: a .pmgd file or a tiered
 //	               directory holding a manifest.json)
@@ -29,7 +29,6 @@ import (
 
 	"pmgard/internal/codec"
 	"pmgard/internal/core"
-	"pmgard/internal/emgard"
 	"pmgard/internal/faults"
 	"pmgard/internal/fieldio"
 	"pmgard/internal/grid"
@@ -223,8 +222,7 @@ func cmdRetrieve(args []string) error {
 	tiles := fs.String("tiles", "", "input tiled-artifact directory (instead of -in); streams slabs to -out")
 	rel := fs.Float64("rel", 0, "relative error bound")
 	abs := fs.Float64("abs", 0, "absolute error bound (overrides -rel)")
-	control := fs.String("control", "exact", "error control: exact (the per-level bound every read path plans with), theory (Eq. 6), emgard or planes")
-	model := fs.String("model", "", "trained E-MGARD model (for -control emgard)")
+	control := fs.String("control", "exact", "error control: exact (the per-level bound every read path plans with), theory (Eq. 6) or planes")
 	planesArg := fs.String("planes", "", "comma-separated per-level plane counts (for -control planes)")
 	orig := fs.String("orig", "", "original field file, to report the achieved error")
 	out := fs.String("out", "", "write the reconstruction to this field file")
@@ -312,20 +310,6 @@ func cmdRetrieve(args []string) error {
 		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, h.Bound(), tol, core.RetrieveOptions{Workers: *workers, Obs: o})
 	case "theory":
 		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, h.TheoryBound(), tol, core.RetrieveOptions{Workers: *workers, Obs: o})
-	case "emgard":
-		if *model == "" {
-			return fmt.Errorf("retrieve: -control emgard requires -model")
-		}
-		var m *emgard.Model
-		m, err = emgard.Load(*model)
-		if err != nil {
-			return err
-		}
-		var cs []float64
-		if cs, err = m.Constants(h.LevelPools); err != nil {
-			return err
-		}
-		rec, plan, err = core.RetrieveTolerance(context.Background(), h, src, retrieval.PerLevel(h.LevelInfos(), cs), tol, core.RetrieveOptions{Workers: *workers, Obs: o})
 	case "planes":
 		if *planesArg == "" {
 			return fmt.Errorf("retrieve: -control planes requires -planes")

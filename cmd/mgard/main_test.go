@@ -205,8 +205,8 @@ func TestCLIValidation(t *testing.T) {
 	if err := cmdRetrieve([]string{"-in", pmgd, "-rel", "1e-3", "-control", "bogus"}); err == nil {
 		t.Error("unknown control accepted")
 	}
-	if err := cmdRetrieve([]string{"-in", pmgd, "-rel", "1e-3", "-control", "emgard"}); err == nil {
-		t.Error("emgard control without model accepted")
+	if err := cmdRetrieve([]string{"-in", pmgd, "-rel", "1e-3", "-control", "emgard"}); err == nil || !strings.Contains(err.Error(), `unknown control "emgard"`) {
+		t.Errorf("emgard control: err = %v, want the unknown-control error", err)
 	}
 	if err := cmdRetrieve([]string{"-in", pmgd, "-control", "planes", "-planes", "a,b"}); err == nil {
 		t.Error("malformed plane list accepted")

@@ -712,3 +712,67 @@ func TestEveryExperimentDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestLearnedModelsStayInReproduction keeps the learned estimators off every
+// read path: D-MGARD and E-MGARD give estimates, not bounds, and the
+// product's exact planner exploits an estimate's errors, so only the
+// reproduction (internal/experiments, which plans them with MGARD's greedy
+// as the paper does), the training command and the model packages
+// themselves may import nn, dmgard or emgard.
+func TestLearnedModelsStayInReproduction(t *testing.T) {
+	models := []string{"pmgard/internal/nn", "pmgard/internal/dmgard", "pmgard/internal/emgard"}
+	allowed := []string{"internal/nn", "internal/dmgard", "internal/emgard", "internal/experiments", "cmd/train"}
+	var problems []string
+	walkSourceFiles(t, false, func(path string, file *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if slices.Contains(allowed, dir) {
+			return
+		}
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); slices.Contains(models, p) {
+				problems = append(problems, filepath.ToSlash(path)+" imports "+p)
+			}
+		}
+	})
+	if len(problems) > 0 {
+		sort.Strings(problems)
+		t.Fatalf("a learned estimator reached a read path outside the reproduction:\n  %s", strings.Join(problems, "\n  "))
+	}
+}
+
+// TestEveryExampleSmoked keeps each runnable program under examples/ both
+// run by CI's "Examples smoke" step (as `go run ./examples/NAME`, which
+// fails the step on a non-zero exit) and listed in README's Examples
+// section, so no example drifts from the code unseen.
+func TestEveryExampleSmoked(t *testing.T) {
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, step, ok := strings.Cut(string(ci), "- name: Examples smoke\n")
+	if !ok {
+		t.Fatal(`ci.yml has no "Examples smoke" step`)
+	}
+	step, _, _ = strings.Cut(step, "- name:")
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, _ := strings.Cut(string(readme), "\n## Examples\n")
+	list, _, _ = strings.Cut(list, "\n## ")
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		if !strings.Contains(step, "go run ./examples/"+e.Name()+"\n") {
+			t.Errorf("examples/%s: not run by ci.yml's Examples smoke step", e.Name())
+		}
+		if !strings.Contains(list, "`examples/"+e.Name()+"`") {
+			t.Errorf("examples/%s: not in README's Examples list", e.Name())
+		}
+	}
+}

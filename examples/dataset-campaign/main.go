@@ -1,7 +1,7 @@
 // Dataset campaign: the full lifecycle a simulation campaign goes through —
-// dump several fields over many timesteps into a compressed dataset, train
-// the retrieval models once, attach them, and serve post-hoc analyses at
-// whatever accuracy each one needs, with collection-wide I/O accounting.
+// dump several fields over many timesteps into a compressed dataset, then
+// serve post-hoc analyses at whatever accuracy each one needs, each under
+// the entry's exact per-level bound, with collection-wide I/O accounting.
 //
 // Run with: go run ./examples/dataset-campaign
 package main
@@ -14,8 +14,7 @@ import (
 
 	"pmgard/internal/core"
 	"pmgard/internal/dataset"
-	"pmgard/internal/dmgard"
-	"pmgard/internal/emgard"
+	"pmgard/internal/grid"
 	"pmgard/internal/sim/grayscott"
 )
 
@@ -27,20 +26,18 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// 1. Simulation side: dump both Gray-Scott fields every step.
+	// 1. Simulation side: dump both Gray-Scott fields every step, keeping
+	// the originals so the analysis side can check what it got.
 	fmt.Println("running simulation and writing compressed dataset ...")
 	sim, err := grayscott.New(grayscott.DefaultConfig(17))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	w, err := dataset.Create(filepath.Join(dir, "run1"), "gray-scott-17", cfg)
+	w, err := dataset.Create(filepath.Join(dir, "run1"), "gray-scott-17", core.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	bounds := []float64{1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 5e-7, 5e-5, 5e-3}
-	var drecs []dmgard.Record
-	var esamps []emgard.Sample
+	originals := map[string]*grid.Tensor{}
 	for t := 0; t < steps; t++ {
 		sim.Step()
 		for _, name := range grayscott.FieldNames() {
@@ -51,39 +48,16 @@ func main() {
 			if err := w.Add(field, name, t); err != nil {
 				log.Fatal(err)
 			}
-			// Harvest model training data alongside the dump (offline
-			// stage of Fig. 4), first half of the run only: one sweep
-			// per field, both models' training sets read off it.
-			if name == "Du" && t < steps/2 {
-				c, sweep, err := core.TheorySweep(field, cfg, name, t, bounds)
-				if err != nil {
-					log.Fatal(err)
-				}
-				drecs = append(drecs, dmgard.Records(field, &c.Header, sweep)...)
-				esamps = append(esamps, emgard.Samples(&c.Header, sweep)...)
-			}
+			originals[fmt.Sprintf("%s@%d", name, t)] = field
 		}
 	}
 	if err := w.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	// 2. Train both models once ("train once, infer many times", §IV-A4).
-	fmt.Printf("training D-MGARD (%d records) and E-MGARD (%d samples) ...\n", len(drecs), len(esamps))
-	dcfg := dmgard.DefaultConfig()
-	dcfg.Epochs = 60
-	dm, err := dmgard.Train(drecs, cfg.Planes, dcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ecfg := emgard.DefaultConfig()
-	ecfg.Epochs = 80
-	em, err := emgard.Train(esamps, ecfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 3. Analysis side: open the dataset, attach the models, retrieve.
+	// 2. Analysis side: open the dataset once, retrieve at mixed
+	// accuracies. Every plan is the fewest bytes whose bound meets the
+	// tolerance, so the achieved error never exceeds it.
 	r, err := dataset.Open(filepath.Join(dir, "run1"))
 	if err != nil {
 		log.Fatal(err)
@@ -91,39 +65,49 @@ func main() {
 	defer r.Close()
 	fmt.Printf("\ndataset %q: fields %v, %d timesteps, %d stored bytes\n",
 		r.Name(), r.Fields(), len(r.Timesteps("Du")), r.StoredBytes())
-	r.AttachDMGARD(dm)
-	r.AttachEMGARD(em)
 
-	fmt.Println("\ncontrol    field@t   rel_bound   bytes")
+	fmt.Println("\nfield@t   rel_bound   bytes   achieved/tol")
+	var planned int64
 	for _, q := range []struct {
-		control string
-		field   string
-		ts      int
-		rel     float64
+		field string
+		ts    int
+		rel   float64
 	}{
-		{"theory", "Du", 7, 1e-2},
-		{"emgard", "Du", 7, 1e-2},
-		{"theory", "Dv", 9, 1e-4},
-		{"emgard", "Dv", 9, 1e-4},
-		{"dmgard", "Du", 8, 1e-3},
+		{"Du", 7, 1e-2},
+		{"Dv", 9, 1e-4},
+		{"Du", 8, 1e-3},
+		{"Dv", 2, 1e-6},
 	} {
-		var bytes int64
-		var err error
-		switch q.control {
-		case "theory":
-			_, plan, e := r.Retrieve(q.field, q.ts, q.rel)
-			bytes, err = plan.Bytes, e
-		case "emgard":
-			_, plan, e := r.RetrieveEMGARD(q.field, q.ts, q.rel)
-			bytes, err = plan.Bytes, e
-		case "dmgard":
-			_, plan, e := r.RetrieveDMGARD(q.field, q.ts, q.rel)
-			bytes, err = plan.Bytes, e
-		}
+		rec, plan, err := r.Retrieve(q.field, q.ts, q.rel)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-10s %s@%-6d %9.0e %8d\n", q.control, q.field, q.ts, q.rel, bytes)
+		orig := originals[fmt.Sprintf("%s@%d", q.field, q.ts)]
+		tol := q.rel * orig.Range()
+		ratio := grid.MaxAbsDiff(orig, rec) / tol
+		if ratio > 1 {
+			log.Fatalf("%s@%d: achieved error %.3g × the tolerance", q.field, q.ts, ratio)
+		}
+		planned += plan.Bytes
+		fmt.Printf("%s@%-6d %9.0e %7d   %.3f\n", q.field, q.ts, q.rel, plan.Bytes, ratio)
 	}
-	fmt.Printf("\ntotal payload read across the campaign: %d bytes\n", r.BytesRead())
+
+	// 3. A time-evolution query: one field over a timestep range.
+	series, err := r.RetrieveSeries("Du", 3, 7, 1e-3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nDu over t=3..6 at 1e-03:")
+	for _, s := range series {
+		planned += s.Bytes
+		fmt.Printf(" %d", s.Bytes)
+	}
+	fmt.Println(" bytes")
+
+	// The readers fetched exactly the planned bytes: nothing beyond the
+	// plans is read anywhere in the collection.
+	fmt.Printf("\ntotal payload read across the campaign: %d bytes (planned %d)\n", r.BytesRead(), planned)
+	if r.BytesRead() != planned {
+		log.Fatalf("read %d bytes, planned %d", r.BytesRead(), planned)
+	}
 }

@@ -7,11 +7,11 @@
 //	storage    → tiered, ranged-read segment files
 //	retrieval  → error-controlled plane selection
 //
-// and exposes three retrieval modes: the original theory-based error
-// control, D-MGARD plane-count prediction, and E-MGARD learned per-level
-// error estimation (the latter two live in internal/dmgard and
-// internal/emgard and plug in as a retrieval.Bound or a fixed plane
-// assignment).
+// and retrieves under a retrieval.Bound that holds — the exact per-level
+// bound every read path plans with (Header.Bound) or the original theory
+// bound (Header.TheoryBound) — or at a fixed plane assignment. The paper's
+// learned models (internal/dmgard, internal/emgard) give estimates, not
+// bounds; only the reproduction (internal/experiments) plans with them.
 //
 // The multilevel transform is dispatched through the codec registry: the
 // Config.Backend / Header.CodecID codec ID selects which ProgressiveCodec
@@ -24,7 +24,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"pmgard/internal/codec"
@@ -488,7 +487,7 @@ func RetrieveTolerance(ctx context.Context, h *Header, src storage.SegmentSource
 }
 
 // RetrievePlanes retrieves with an externally supplied per-level plane
-// assignment — the D-MGARD integration point.
+// assignment (in the reproduction, a D-MGARD prediction).
 func RetrievePlanes(ctx context.Context, h *Header, src storage.SegmentSource, planes []int, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
 	plan, err := retrieval.PlanForPlanes(h.LevelInfos(), planes)
 	if err != nil {
@@ -521,52 +520,4 @@ func RetrieveResolution(ctx context.Context, h *Header, src storage.SegmentSourc
 		return nil, retrieval.Plan{}, err
 	}
 	return rec, plan, nil
-}
-
-// RetrieveHybrid combines the two models as the paper's future work
-// sketches (§IV-E): a D-MGARD plane prediction seeds the plan and an
-// (E-MGARD) error bound verifies and refines it — extending while the
-// bound misses the tolerance, never shedding a seeded plane.
-func RetrieveHybrid(ctx context.Context, h *Header, src storage.SegmentSource, seedPlanes []int, bound retrieval.Bound, tol float64, opt RetrieveOptions) (*grid.Tensor, retrieval.Plan, error) {
-	// Extend-only: the learned estimator is calibrated on greedy-shaped
-	// plans, so estimates for shrunk plan shapes are
-	// unreliable and shedding planes re-introduces bound violations. The
-	// hybrid's job is to repair D-MGARD's under-predictions — the
-	// dangerous direction — not to squeeze bytes below E-MGARD.
-	plan, err := retrieval.RefinePlan(h.LevelInfos(), seedPlanes, bound, tol)
-	if err != nil {
-		return nil, retrieval.Plan{}, err
-	}
-	rec, err := Retrieve(ctx, h, src, plan, opt)
-	return rec, plan, err
-}
-
-// CompressAll compresses several named fields concurrently — the write-side
-// pattern of a simulation dump, where every variable of a timestep is
-// compressed before the next step runs. workers ≤ 0 uses GOMAXPROCS. When
-// several fields fail, the error of the alphabetically first one is
-// returned, whatever the scheduling.
-func CompressAll(fields map[string]*grid.Tensor, cfg Config, timestep int, workers int) (map[string]*Compressed, error) {
-	names := make([]string, 0, len(fields))
-	for name := range fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	results := make([]*Compressed, len(names))
-	err := pool.Run(context.Background(), len(names), workers, nil, func(_, i int) error {
-		c, err := Compress(fields[names[i]], cfg, names[i], timestep)
-		if err != nil {
-			return fmt.Errorf("core: compress %s: %w", names[i], err)
-		}
-		results[i] = c
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*Compressed, len(names))
-	for i, name := range names {
-		out[name] = results[i]
-	}
-	return out, nil
 }

@@ -647,50 +647,6 @@ func TestTightEstimatorSharperThanTheory(t *testing.T) {
 	}
 }
 
-func TestRetrieveHybridRepairsBadSeed(t *testing.T) {
-	f := testField(t)
-	c, err := Compress(f, DefaultConfig(), "Ex", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &c.Header
-	tol := h.AbsTolerance(1e-5)
-	// A hopeless seed (nothing fetched): the hybrid must extend it until
-	// the estimator is satisfied.
-	seed := make([]int, len(h.Levels))
-	rec, plan, err := RetrieveHybrid(context.Background(), h, c, seed, perLevelCap(h), tol, RetrieveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Bytes == 0 {
-		t.Fatal("hybrid accepted an empty plan for a tight tolerance")
-	}
-	if achieved := grid.MaxAbsDiff(f, rec); achieved > tol {
-		t.Fatalf("hybrid violated tolerance: %g > %g", achieved, tol)
-	}
-	// Validation propagates.
-	if _, _, err := RetrieveHybrid(context.Background(), h, c, []int{1}, perLevelCap(h), tol, RetrieveOptions{}); err == nil {
-		t.Fatal("short seed accepted")
-	}
-	// The caller's cancellation and telemetry sink are honoured.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := RetrieveHybrid(cancelled, h, c, seed, perLevelCap(h), tol, RetrieveOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctx: err = %v, want Canceled", err)
-	}
-	o := obs.New()
-	if _, _, err := RetrieveHybrid(context.Background(), h, c, seed, perLevelCap(h), tol, RetrieveOptions{Obs: o}); err != nil {
-		t.Fatal(err)
-	}
-	var fetched int64
-	for _, b := range plan.Planes {
-		fetched += int64(b)
-	}
-	if got := o.Metrics.Snapshot().Counters["core.session.planes_fetched"]; got != fetched {
-		t.Fatalf("core.session.planes_fetched = %d, want the plan's %d", got, fetched)
-	}
-}
-
 func TestOpenFileRejectsNonStore(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.pmgd")
@@ -706,58 +662,5 @@ func TestOpenFileRejectsNonStore(t *testing.T) {
 	}
 	if err := (&Compressed{}).WriteFile(filepath.Join(dir, "no", "such", "dir", "x.pmgd")); err == nil {
 		t.Fatal("unwritable path accepted")
-	}
-}
-
-func TestCompressAllMatchesSequential(t *testing.T) {
-	cfg := warpx.DefaultConfig(9, 9, 9)
-	fields := make(map[string]*grid.Tensor)
-	for _, name := range []string{"Jx", "Bx", "Ex"} {
-		f, err := cfg.Field(name, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fields[name] = f
-	}
-	batch, err := CompressAll(fields, DefaultConfig(), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 3 {
-		t.Fatalf("compressed %d fields, want 3", len(batch))
-	}
-	for name, f := range fields {
-		seq, err := Compress(f, DefaultConfig(), name, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[name].Header.TotalBytes() != seq.Header.TotalBytes() {
-			t.Fatalf("%s: concurrent result differs from sequential", name)
-		}
-		if batch[name].Header.FieldName != name {
-			t.Fatalf("%s: header name %q", name, batch[name].Header.FieldName)
-		}
-	}
-	// Default worker count path.
-	if _, err := CompressAll(fields, DefaultConfig(), 4, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompressAllPropagatesErrors(t *testing.T) {
-	bad := DefaultConfig()
-	bad.Decompose.Levels = -1
-	fields := map[string]*grid.Tensor{"x": grid.New(4, 4)}
-	if _, err := CompressAll(fields, bad, 0, 2); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	// With several failing fields the reported one is the alphabetically
-	// first, whatever the map order and the scheduler do.
-	fields = map[string]*grid.Tensor{"b": grid.New(4, 4), "a": grid.New(4, 4), "c": grid.New(4, 4)}
-	for i := 0; i < 20; i++ {
-		_, err := CompressAll(fields, bad, 0, 3)
-		if err == nil || !strings.Contains(err.Error(), "compress a:") {
-			t.Fatalf("run %d: err = %v, want field a's error", i, err)
-		}
 	}
 }

@@ -2,8 +2,8 @@
 // simulation campaign actually produces: several variables dumped over many
 // timesteps. A dataset is a directory of segment-store files plus a JSON
 // catalog; readers open it once and progressively retrieve any (field,
-// timestep) at any tolerance, optionally under a trained D-MGARD or
-// E-MGARD model, with I/O accounted across the whole collection.
+// timestep) at any tolerance under the entry's exact bound
+// (core.Header.Bound), with I/O accounted across the whole collection.
 package dataset
 
 import (
@@ -16,9 +16,6 @@ import (
 	"sync"
 
 	"pmgard/internal/core"
-	"pmgard/internal/dmgard"
-	"pmgard/internal/emgard"
-	"pmgard/internal/features"
 	"pmgard/internal/grid"
 	"pmgard/internal/retrieval"
 	"pmgard/internal/storage"
@@ -111,8 +108,8 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Reader provides progressive retrieval over a dataset with optional model
-// attachment and collection-wide I/O accounting.
+// Reader provides progressive retrieval over a dataset with
+// collection-wide I/O accounting.
 type Reader struct {
 	dir string
 	cat catalog
@@ -120,11 +117,6 @@ type Reader struct {
 	mu sync.Mutex
 	// stores holds each opened entry's parsed header and store, by file.
 	stores map[string]openedEntry
-	dModel *dmgard.Model
-	eModel *emgard.Model
-	// featureCache caches extracted features per (field, timestep) after a
-	// D-MGARD retrieval reconstructs the field once.
-	featureCache map[string][]float64
 }
 
 // openedEntry is one opened catalog entry; the header is shared read-only.
@@ -157,12 +149,7 @@ func Open(dir string) (*Reader, error) {
 				e.Field, e.Timestep, e.File)
 		}
 	}
-	return &Reader{
-		dir:          dir,
-		cat:          cat,
-		stores:       make(map[string]openedEntry),
-		featureCache: make(map[string][]float64),
-	}, nil
+	return &Reader{dir: dir, cat: cat, stores: make(map[string]openedEntry)}, nil
 }
 
 // Name returns the dataset name.
@@ -201,20 +188,6 @@ func (r *Reader) StoredBytes() int64 {
 		total += e.Bytes
 	}
 	return total
-}
-
-// AttachDMGARD sets the D-MGARD model used by RetrieveDMGARD.
-func (r *Reader) AttachDMGARD(m *dmgard.Model) {
-	r.mu.Lock()
-	r.dModel = m
-	r.mu.Unlock()
-}
-
-// AttachEMGARD sets the E-MGARD model used by RetrieveEMGARD.
-func (r *Reader) AttachEMGARD(m *emgard.Model) {
-	r.mu.Lock()
-	r.eModel = m
-	r.mu.Unlock()
 }
 
 // open returns the header and store of one entry, opening lazily: each
@@ -265,86 +238,6 @@ func (r *Reader) Retrieve(field string, timestep int, relBound float64) (*grid.T
 		return nil, retrieval.Plan{}, fmt.Errorf("dataset: non-positive tolerance for %s@%d", field, timestep)
 	}
 	return core.RetrieveTolerance(context.Background(), h, st, h.Bound(), tol, core.RetrieveOptions{})
-}
-
-// RetrieveEMGARD fetches under the attached E-MGARD model's learned
-// per-level error constants.
-func (r *Reader) RetrieveEMGARD(field string, timestep int, relBound float64) (*grid.Tensor, retrieval.Plan, error) {
-	r.mu.Lock()
-	m := r.eModel
-	r.mu.Unlock()
-	if m == nil {
-		return nil, retrieval.Plan{}, fmt.Errorf("dataset: no E-MGARD model attached")
-	}
-	h, st, err := r.open(field, timestep)
-	if err != nil {
-		return nil, retrieval.Plan{}, err
-	}
-	cs, err := m.Constants(h.LevelPools)
-	if err != nil {
-		return nil, retrieval.Plan{}, err
-	}
-	est := retrieval.PerLevel(h.LevelInfos(), cs)
-	tol := h.AbsTolerance(relBound)
-	if tol <= 0 {
-		return nil, retrieval.Plan{}, fmt.Errorf("dataset: non-positive tolerance for %s@%d", field, timestep)
-	}
-	return core.RetrieveTolerance(context.Background(), h, st, est, tol, core.RetrieveOptions{})
-}
-
-// RetrieveDMGARD fetches under the attached D-MGARD model's plane-count
-// prediction. The model needs the field's statistical features; they are
-// computed from a one-time coarse reconstruction and cached (in production
-// they would be recorded at compression time alongside the header).
-func (r *Reader) RetrieveDMGARD(field string, timestep int, relBound float64) (*grid.Tensor, retrieval.Plan, error) {
-	r.mu.Lock()
-	m := r.dModel
-	r.mu.Unlock()
-	if m == nil {
-		return nil, retrieval.Plan{}, fmt.Errorf("dataset: no D-MGARD model attached")
-	}
-	h, st, err := r.open(field, timestep)
-	if err != nil {
-		return nil, retrieval.Plan{}, err
-	}
-	tol := h.AbsTolerance(relBound)
-	if tol <= 0 {
-		return nil, retrieval.Plan{}, fmt.Errorf("dataset: non-positive tolerance for %s@%d", field, timestep)
-	}
-	feat, err := r.fieldFeatures(h, st, field, timestep)
-	if err != nil {
-		return nil, retrieval.Plan{}, err
-	}
-	planes, err := m.Predict(feat, relBound)
-	if err != nil {
-		return nil, retrieval.Plan{}, err
-	}
-	return core.RetrievePlanes(context.Background(), h, st, planes, core.RetrieveOptions{})
-}
-
-// fieldFeatures returns cached features or derives them from a one-time
-// full-precision reconstruction.
-func (r *Reader) fieldFeatures(h *core.Header, st *storage.Store, field string, timestep int) ([]float64, error) {
-	key := fmt.Sprintf("%s@%d", field, timestep)
-	r.mu.Lock()
-	feat, ok := r.featureCache[key]
-	r.mu.Unlock()
-	if ok {
-		return feat, nil
-	}
-	all := make([]int, len(h.Levels))
-	for l := range all {
-		all[l] = h.Planes
-	}
-	rec, _, err := core.RetrievePlanes(context.Background(), h, st, all, core.RetrieveOptions{})
-	if err != nil {
-		return nil, err
-	}
-	feat = dmgard.CombineFeatures(features.Extract(rec, timestep), h)
-	r.mu.Lock()
-	r.featureCache[key] = feat
-	r.mu.Unlock()
-	return feat, nil
 }
 
 // BytesRead returns payload bytes fetched across all opened stores.

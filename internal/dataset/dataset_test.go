@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"pmgard/internal/core"
-	"pmgard/internal/dmgard"
-	"pmgard/internal/emgard"
 	"pmgard/internal/grid"
 	"pmgard/internal/retrieval"
 	"pmgard/internal/sim/warpx"
@@ -99,70 +97,6 @@ func TestDatasetMissingEntry(t *testing.T) {
 	}
 	if _, _, err := r.Retrieve("Jx", 99, 1e-3); err == nil {
 		t.Fatal("missing timestep accepted")
-	}
-}
-
-func TestDatasetModelsRequireAttachment(t *testing.T) {
-	dir, _ := buildDataset(t)
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, _, err := r.RetrieveDMGARD("Jx", 0, 1e-3); err == nil {
-		t.Fatal("D-MGARD retrieval without model accepted")
-	}
-	if _, _, err := r.RetrieveEMGARD("Jx", 0, 1e-3); err == nil {
-		t.Fatal("E-MGARD retrieval without model accepted")
-	}
-}
-
-func TestDatasetModelRetrieval(t *testing.T) {
-	dir, fields := buildDataset(t)
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	// Train tiny models from the same data.
-	bounds := []float64{1e-5, 1e-3, 1e-1}
-	cfg := core.DefaultConfig()
-	var drecs []dmgard.Record
-	var esamps []emgard.Sample
-	for ts := 0; ts < 3; ts++ {
-		f := fields[key("Jx", ts)]
-		c, sweep, err := core.TheorySweep(f, cfg, "Jx", ts, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drecs = append(drecs, dmgard.Records(f, &c.Header, sweep)...)
-		esamps = append(esamps, emgard.Samples(&c.Header, sweep)...)
-	}
-	dm, err := dmgard.Train(drecs, cfg.Planes, dmgard.Config{
-		Hidden: []int{8}, LeakyAlpha: 0.01, Epochs: 10, BatchSize: 4, LR: 1e-3, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, err := emgard.Train(esamps, emgard.Config{
-		Hidden: []int{8}, Epochs: 10, BatchSize: 4, LR: 1e-3, Seed: 1, Margin: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.AttachDMGARD(dm)
-	r.AttachEMGARD(em)
-
-	if _, plan, err := r.RetrieveDMGARD("Jx", 2, 1e-3); err != nil {
-		t.Fatal(err)
-	} else if len(plan.Planes) != 5 {
-		t.Fatalf("D-MGARD plan has %d levels", len(plan.Planes))
-	}
-	if _, plan, err := r.RetrieveEMGARD("Jx", 2, 1e-3); err != nil {
-		t.Fatal(err)
-	} else if plan.Bytes < 0 {
-		t.Fatal("negative plan bytes")
 	}
 }
 

@@ -362,7 +362,7 @@ func ExpHybrid(p Params) ([]*Table, error) {
 			if grid.MaxAbsDiff(field, recE) > tol {
 				eV++
 			}
-			recH, planH, err := core.RetrieveHybrid(context.Background(), h, c, seed, est, tol, core.RetrieveOptions{})
+			recH, planH, err := hybridRetrieve(context.Background(), h, c, seed, est, tol, core.RetrieveOptions{})
 			if err != nil {
 				return nil, err
 			}

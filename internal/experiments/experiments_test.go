@@ -282,6 +282,11 @@ func TestFig13SavingsPositive(t *testing.T) {
 		if d < 0 || e < 0 {
 			t.Fatalf("fig13: negative byte counts in %v", row)
 		}
+		// The served bound keeps its promise on every timestep: its plan
+		// meets the tolerance, or fetches every plane and says it cannot.
+		if xViol := cellFloat(t, row[11]); xViol != 0 {
+			t.Fatalf("fig13: the served bound missed the tolerance on %v timesteps in %v", xViol, row)
+		}
 	}
 	if eWins == 0 {
 		t.Fatal("E-MGARD never reduced retrieval size — headline result not reproduced")

@@ -8,9 +8,11 @@
 // counts. ExactPlan, which every product read path runs, spends the fewest
 // stored bytes the bound allows; Greedy is MGARD's accuracy-efficiency
 // walk, which the reproduction keeps as the paper ran it. The original
-// theory bound (Eq. 6) and the E-MGARD learned per-level bound (Eq. 7) are
-// its two constructors, Theory and PerLevel; a fixed plane assignment from
-// D-MGARD drives the same size interpreter through PlanForPlanes.
+// theory bound (Eq. 6) and the per-level bound (Eq. 7: exact constants in
+// the product, E-MGARD's learned ones in the reproduction) are its two
+// constructors, Theory and PerLevel; a fixed plane assignment (D-MGARD's,
+// in the reproduction) drives the same size interpreter through
+// PlanForPlanes.
 package retrieval
 
 import (

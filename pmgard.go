@@ -7,7 +7,9 @@
 // prediction models the paper proposes (D-MGARD and E-MGARD).
 //
 // This root package is a thin facade over the internal packages so
-// downstream code has one import:
+// downstream code has one import. It plans only with bounds that hold:
+// the learned models give estimates, not bounds, so they stay in the
+// reproduction (cmd/train, cmd/bench -exp fig12|fig13|exp-hybrid).
 //
 //	field := ...                          // *pmgard.Tensor
 //	c, _ := pmgard.Compress(field, pmgard.DefaultConfig(), "Jx", 0)
@@ -25,9 +27,6 @@ import (
 	"pmgard/internal/codec"
 	"pmgard/internal/core"
 	"pmgard/internal/dataset"
-	"pmgard/internal/dmgard"
-	"pmgard/internal/emgard"
-	"pmgard/internal/features"
 	"pmgard/internal/grid"
 	"pmgard/internal/obs"
 	"pmgard/internal/retrieval"
@@ -102,15 +101,8 @@ type Plan = retrieval.Plan
 // Bound is a per-level error-bound table the planner reads at plane
 // counts: Header.Bound returns the exact per-level bound every read path
 // plans with (Eq. 7 with constants that bound), Header.TheoryBound the
-// theory bound (Eq. 6), and PerLevelBound makes E-MGARD's (Eq. 7).
+// theory bound (Eq. 6).
 type Bound = retrieval.Bound
-
-// PerLevelBound returns the bound Σ_l C_l·Err[l][b_l] over the header's
-// error matrices, one constant per level — E-MGARD's learned constants
-// come from EMGARDModel.Constants.
-func PerLevelBound(h *Header, constants []float64) Bound {
-	return retrieval.PerLevel(h.LevelInfos(), constants)
-}
 
 // SegmentSource yields compressed plane payloads during retrieval. A
 // Compressed, an opened Store, and a RetryingSource over either all
@@ -142,68 +134,17 @@ func Retrieve(ctx context.Context, h *Header, src SegmentSource, plan Plan, opt 
 	return core.Retrieve(ctx, h, src, plan, opt)
 }
 
-// RetrieveTolerance plans greedily under bound at an absolute tolerance and
-// retrieves.
+// RetrieveTolerance plans the fewest stored bytes whose bound meets an
+// absolute tolerance (the exact minimum-byte plan, retrieval.ExactPlan)
+// and retrieves.
 func RetrieveTolerance(ctx context.Context, h *Header, src SegmentSource, bound Bound, tol float64, opt RetrieveOptions) (*Tensor, Plan, error) {
 	return core.RetrieveTolerance(ctx, h, src, bound, tol, opt)
 }
 
-// RetrievePlanes retrieves a fixed per-level plane assignment (the D-MGARD
-// integration point).
+// RetrievePlanes retrieves a fixed per-level plane assignment.
 func RetrievePlanes(ctx context.Context, h *Header, src SegmentSource, planes []int, opt RetrieveOptions) (*Tensor, Plan, error) {
 	return core.RetrievePlanes(ctx, h, src, planes, opt)
 }
-
-// DMGARDModel is the chained multi-output plane-count predictor (§III-C).
-type DMGARDModel = dmgard.Model
-
-// DMGARDRecord is one D-MGARD training sample.
-type DMGARDRecord = dmgard.Record
-
-// DMGARDConfig holds D-MGARD training hyperparameters.
-type DMGARDConfig = dmgard.Config
-
-// TrainDMGARD fits the CMOR chain to harvested records.
-func TrainDMGARD(records []DMGARDRecord, planes int, cfg DMGARDConfig) (*DMGARDModel, error) {
-	return dmgard.Train(records, planes, cfg)
-}
-
-// HarvestDMGARD sweeps the theory pipeline over relative bounds and emits
-// D-MGARD training records.
-func HarvestDMGARD(field *Tensor, fieldName string, timestep int, cfg Config, relBounds []float64) ([]DMGARDRecord, *Compressed, error) {
-	c, sweep, err := core.TheorySweep(field, cfg, fieldName, timestep, relBounds)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dmgard.Records(field, &c.Header, sweep), c, nil
-}
-
-// EMGARDModel is the learned per-level error-constant model (§III-D).
-type EMGARDModel = emgard.Model
-
-// EMGARDSample is one E-MGARD training sample.
-type EMGARDSample = emgard.Sample
-
-// EMGARDConfig holds E-MGARD training hyperparameters.
-type EMGARDConfig = emgard.Config
-
-// TrainEMGARD fits per-level encoders to harvested samples.
-func TrainEMGARD(samples []EMGARDSample, cfg EMGARDConfig) (*EMGARDModel, error) {
-	return emgard.Train(samples, cfg)
-}
-
-// HarvestEMGARD sweeps the theory pipeline over relative bounds and emits
-// E-MGARD training samples.
-func HarvestEMGARD(field *Tensor, fieldName string, timestep int, cfg Config, relBounds []float64) ([]EMGARDSample, *Compressed, error) {
-	c, sweep, err := core.TheorySweep(field, cfg, fieldName, timestep, relBounds)
-	if err != nil {
-		return nil, nil, err
-	}
-	return emgard.Samples(&c.Header, sweep), c, nil
-}
-
-// DefaultRelBounds returns the paper's 81-value relative error-bound sweep.
-func DefaultRelBounds() []float64 { return dmgard.DefaultRelBounds() }
 
 // MaxAbsDiff returns the L∞ distance between two fields.
 func MaxAbsDiff(a, b *Tensor) float64 { return grid.MaxAbsDiff(a, b) }
@@ -296,8 +237,8 @@ func DefaultHierarchy(levels int) (Hierarchy, error) {
 // directory with a JSON catalog.
 type DatasetWriter = dataset.Writer
 
-// DatasetReader serves progressive retrievals over a dataset directory with
-// optional model attachment and collection-wide I/O accounting.
+// DatasetReader serves progressive retrievals over a dataset directory
+// under each entry's exact bound, with collection-wide I/O accounting.
 type DatasetReader = dataset.Reader
 
 // CreateDataset starts a new dataset at dir.
@@ -313,28 +254,4 @@ func OpenDataset(dir string) (*DatasetReader, error) { return dataset.Open(dir) 
 // for analyses that can run at lower resolution.
 func RetrieveResolution(ctx context.Context, h *Header, src SegmentSource, planes []int, upTo int, opt RetrieveOptions) (*Tensor, Plan, error) {
 	return core.RetrieveResolution(ctx, h, src, planes, upTo, opt)
-}
-
-// RetrieveHybrid combines both models (the paper's §IV-E future work):
-// a D-MGARD plane prediction seeds the plan, an E-MGARD bound verifies
-// and refines it before fetching.
-func RetrieveHybrid(ctx context.Context, h *Header, src SegmentSource, seedPlanes []int, bound Bound, tol float64, opt RetrieveOptions) (*Tensor, Plan, error) {
-	return core.RetrieveHybrid(ctx, h, src, seedPlanes, bound, tol, opt)
-}
-
-// CombineFeatures assembles the full D-MGARD input vector: field statistics
-// plus the per-level header features.
-func CombineFeatures(fieldFeatures []float64, h *Header) []float64 {
-	return dmgard.CombineFeatures(fieldFeatures, h)
-}
-
-// ExtractFeatures computes the statistical feature vector of a field.
-func ExtractFeatures(t *Tensor, timestep int) []float64 {
-	return features.Extract(t, timestep)
-}
-
-// CompressAll compresses several named fields concurrently (a simulation
-// dump's write side). workers ≤ 0 uses GOMAXPROCS.
-func CompressAll(fields map[string]*Tensor, cfg Config, timestep int, workers int) (map[string]*Compressed, error) {
-	return core.CompressAll(fields, cfg, timestep, workers)
 }

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pmgard/internal/core"
+	"pmgard/internal/dmgard"
+	"pmgard/internal/emgard"
 	"pmgard/internal/sim/warpx"
 )
 
@@ -68,52 +71,6 @@ func TestFacadeFileWorkflow(t *testing.T) {
 	}
 	if st.BytesRead() == 0 {
 		t.Fatal("no bytes accounted")
-	}
-}
-
-func TestFacadeModelTraining(t *testing.T) {
-	field := facadeField(t)
-	bounds := []float64{1e-6, 1e-4, 1e-2, 1e-1}
-	recs, c, err := HarvestDMGARD(field, "Ex", 10, DefaultConfig(), bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm, err := TrainDMGARD(recs, c.Header.Planes, DMGARDConfig{
-		Hidden: []int{8}, LeakyAlpha: 0.01, Epochs: 5, BatchSize: 4, LR: 1e-3, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	planes, err := dm.Predict(recs[0].Features, recs[0].AchievedErr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := RetrievePlanes(context.Background(), &c.Header, c, planes, RetrieveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-
-	samples, _, err := HarvestEMGARD(field, "Ex", 10, DefaultConfig(), bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, err := TrainEMGARD(samples, EMGARDConfig{
-		Hidden: []int{8}, Epochs: 5, BatchSize: 4, LR: 1e-3, Seed: 1, Margin: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := em.Constants(c.Header.LevelPools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := RetrieveTolerance(context.Background(), &c.Header, c, PerLevelBound(&c.Header, cs), c.Header.AbsTolerance(1e-3), RetrieveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDefaultRelBoundsExported(t *testing.T) {
-	if got := len(DefaultRelBounds()); got != 81 {
-		t.Fatalf("DefaultRelBounds has %d entries, want 81", got)
 	}
 }
 
@@ -191,23 +148,21 @@ func TestFacadeDataset(t *testing.T) {
 }
 
 // TestHarvestTrainingDataPinned pins what the offline stage feeds both
-// models: the D-MGARD records and E-MGARD samples harvested from one 9³ Jx
-// field over the paper's 81 bounds, digested on the commit before the two
-// harvests became converters of one sweep on one session. "Training data
-// unchanged" is this test, not a manual diff.
+// models: the D-MGARD records and E-MGARD samples read off one theory
+// sweep of a 9³ Jx field over the paper's 81 bounds, digested on the
+// commit before the two harvests became converters of one sweep on one
+// session. "Training data unchanged" is this test, not a manual diff.
 func TestHarvestTrainingDataPinned(t *testing.T) {
 	field, err := warpx.DefaultConfig(9, 9, 9).Field("Jx", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := HarvestDMGARD(field, "Jx", 3, DefaultConfig(), DefaultRelBounds())
+	c, sweep, err := core.TheorySweep(field, DefaultConfig(), "Jx", 3, dmgard.DefaultRelBounds())
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, _, err := HarvestEMGARD(field, "Jx", 3, DefaultConfig(), DefaultRelBounds())
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := dmgard.Records(field, &c.Header, sweep)
+	samples := emgard.Samples(&c.Header, sweep)
 	if len(recs) != 81 || len(samples) != 81 {
 		t.Fatalf("harvested %d records and %d samples, want 81 each", len(recs), len(samples))
 	}
